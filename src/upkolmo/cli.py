@@ -153,12 +153,17 @@ def _cmd_verify(args):
         return 1
     spec = loaded.spec
     traj = config_io.read_trajectory(args.traj, L=spec.L, S=spec.S)
-    reports = [verify.check_max_principle(traj, spec)]
-    if args.traj2:
-        traj2 = config_io.read_trajectory(args.traj2, L=spec.L, S=spec.S)
-        reports.append(verify.check_stability(traj, traj2, spec, spec))
-    else:
-        reports.append(verify.check_stability(traj, traj, spec, spec))
+    traj2 = (config_io.read_trajectory(args.traj2, L=spec.L, S=spec.S)
+             if args.traj2 else traj)
+    for path, tr in ((args.traj, traj), (args.traj2, traj2)):
+        stored = tr.meta.get("spec_hash")
+        if stored is not None and stored != spec.context_hash():
+            print(f"error: {path} was computed from a problem with spec hash "
+                  f"{stored}, not from {args.config} (spec hash "
+                  f"{spec.context_hash()})", file=sys.stderr)
+            return 1
+    reports = [verify.check_max_principle(traj, spec),
+               verify.check_stability(traj, traj2, spec, spec)]
     k_bank = _k_bank(spec)
     if traj.meta.get("mode") == "impulsive":
         reports.append(verify.check_jump(traj, spec))

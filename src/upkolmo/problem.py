@@ -16,6 +16,11 @@ a-priori theory:
 * ``stability_rhs_impulsive`` -- the impulsive counterpart of the L1
   stability estimate, including the perturbation-difference terms.
 
+Both stability estimates depend on t only through a time window and a
+Gronwall weight.  ``stability_invariants`` and
+``impulsive_stability_invariants`` sample the data they need once, so that
+a caller evaluating a whole time series pays for the sampling once.
+
 Sup-norms of expression-defined data are estimated by dense sampling
 (256 points per axis).  Callers that assert these bounds apply a 1%
 inflation via the ``inflate`` argument.
@@ -33,7 +38,8 @@ from . import exprdsl, kernels
 __all__ = [
     "ProblemSpec", "Grid", "Field", "Trajectory",
     "max_principle_bound", "refined_max_bound", "stability_rhs",
-    "stability_rhs_impulsive", "impulsive_bounds",
+    "stability_invariants", "stability_rhs_impulsive",
+    "impulsive_stability_invariants", "impulsive_bounds",
     "sample_sup", "data_sup_norms", "consistency_errors",
     "ZeroInitialDataError", "golden_section_min",
 ]
@@ -226,11 +232,20 @@ def data_sup_norms(spec, t_window=None, inflate=1.0):
     ``t_window`` restricts the time interval of the s-boundary data;
     defaults to (0, T).
     """
+    return {"u0_1": _initial_sup(spec, inflate),
+            **_boundary_sup_norms(spec, t_window, inflate)}
+
+
+def _initial_sup(spec, inflate=1.0):
+    return sample_sup(spec.data_u0_1, ("x", "s"),
+                      [(0.0, spec.L), (0.0, spec.S)], inflate=inflate)
+
+
+def _boundary_sup_norms(spec, t_window=None, inflate=1.0):
+    """The s-boundary part of ``data_sup_norms``: u0_2 and uS_2 only."""
     lo, hi = t_window if t_window is not None else (0.0, spec.T)
     hi = max(hi, lo + 1e-12)
     return {
-        "u0_1": sample_sup(spec.data_u0_1, ("x", "s"),
-                           [(0.0, spec.L), (0.0, spec.S)], inflate=inflate),
         "u0_2": sample_sup(spec.data_u0_2, ("x", "t"),
                            [(0.0, spec.L), (lo, hi)], inflate=inflate),
         "uS_2": sample_sup(spec.data_uS_2, ("x", "t"),
@@ -266,13 +281,17 @@ def golden_section_min(f, a, b, tol=1e-10):
     return x, f(x)
 
 
-def max_principle_bound(spec, t_prime, b1g, b2g, inflate=1.0):
+def max_principle_bound(spec, t_prime, b1g, b2g, inflate=1.0, dnorm=None):
     """Sup-norm bound M(t'): minimum over xi > b1g of
 
         exp(xi t') * max(data norms, sqrt(b2g / (xi - b1g))).
+
+    ``dnorm`` is the data norm over (0, t') when the caller has it;
+    otherwise it is sampled with ``data_sup_norms``.
     """
-    norms = data_sup_norms(spec, (0.0, t_prime), inflate=inflate)
-    dnorm = max(norms.values())
+    if dnorm is None:
+        dnorm = max(data_sup_norms(spec, (0.0, t_prime),
+                                   inflate=inflate).values())
 
     def objective(xi):
         tail = np.sqrt(b2g / (xi - b1g)) if b2g > 0 else 0.0
@@ -288,7 +307,8 @@ def refined_max_bound(spec, t_prime, inflate=1.0):
     The exponent is zero when b1 <= ||u0_1|| - 1 (the perturbation is
     already cut off within the data range), and otherwise grows just fast
     enough that the weighted solution clears the perturbation's support
-    before the impulse window opens.
+    before the impulse window opens.  ``t_prime`` may be an array, which
+    samples the data once for all of its times.
     """
     if spec.gamma > 0 and spec.gamma > spec.gamma0 / 2.0:
         raise ValueError("refined bound requires gamma <= gamma0/2")
@@ -302,7 +322,8 @@ def refined_max_bound(spec, t_prime, inflate=1.0):
             raise ZeroInitialDataError(
                 "refined bound undefined: ||u0_1|| = 0 with b1 > -1")
         xi_star = 2.0 / (2.0 * spec.tau - spec.gamma0) * np.log((b1 + 1.0) / u01)
-    return float(np.exp(xi_star * t_prime) * max(norms.values()))
+    out = np.exp(xi_star * np.asarray(t_prime, dtype=float)) * max(norms.values())
+    return float(out) if out.ndim == 0 else out
 
 
 def _gronwall_weights(spec, b0, n_cells, dt):
@@ -316,7 +337,26 @@ def _gronwall_weights(spec, b0, n_cells, dt):
     return mids, g
 
 
-def stability_rhs(spec, t, d_init, d_s0, d_sS, b0, m1=None, dt=None):
+def stability_invariants(spec, b0, n_cells, dt):
+    """The parts of ``stability_rhs`` that do not depend on t.
+
+    These are the source growth constants (b1g, b2g), the sampled sup of
+    u0_1 and the Gronwall weights at the ``n_cells`` t-cell midpoints.
+    Compute them once and pass them to every ``stability_rhs`` call for
+    the same spec, b0, n_cells and dt.
+    """
+    if spec.beta is not None and spec.gamma > 0:
+        b1g, b2g = kernels.source_growth_constants(
+            spec.beta, spec.gamma, b0, L=spec.L, S=spec.S, b1=spec.b1)
+    else:
+        b1g = b2g = 0.0
+    mids, g = _gronwall_weights(spec, b0, n_cells, dt)
+    return {"b1g": b1g, "b2g": b2g, "u0_1": _initial_sup(spec),
+            "mids": mids, "g": g}
+
+
+def stability_rhs(spec, t, d_init, d_s0, d_sS, b0, m1=None, dt=None,
+                  invariants=None):
     """Right-hand side of the L1 stability estimate at time t.
 
         exp(G(t)) * [d_init + max|a'| * int_0^t exp(-G) (d_s0 + d_sS) dt']
@@ -324,20 +364,23 @@ def stability_rhs(spec, t, d_init, d_s0, d_sS, b0, m1=None, dt=None):
     ``d_s0`` and ``d_sS`` are L1(x) boundary-data differences sampled at
     t-cell midpoints with spacing ``dt`` (default T/len); G accumulates
     the source's value-Lipschitz rate with the same midpoint rule.
+    ``invariants`` is what ``stability_invariants`` returns for these
+    arguments; it is computed here when not given.
     """
     d_s0 = np.asarray(d_s0, dtype=float)
     d_sS = np.asarray(d_sS, dtype=float)
     n = len(d_s0)
     if dt is None:
         dt = spec.T / max(n, 1)
+    if invariants is None:
+        invariants = stability_invariants(spec, b0, n, dt)
     if m1 is None:
-        if spec.beta is not None and spec.gamma > 0:
-            b1g, b2g = kernels.source_growth_constants(
-                spec.beta, spec.gamma, b0, L=spec.L, S=spec.S, b1=spec.b1)
-        else:
-            b1g = b2g = 0.0
-        m1 = max_principle_bound(spec, max(t, 1e-9), b1g, b2g)
-    mids, g = _gronwall_weights(spec, b0, n, dt)
+        t_eff = max(t, 1e-9)
+        dnorm = max(invariants["u0_1"],
+                    *_boundary_sup_norms(spec, (0.0, t_eff)).values())
+        m1 = max_principle_bound(spec, t_eff, invariants["b1g"],
+                                 invariants["b2g"], dnorm=dnorm)
+    mids, g = invariants["mids"], invariants["g"]
     a_max = sampled_deriv_max(spec.flux_a, -m1, m1)
     live = mids < t
     g_t = float(np.interp(t, np.concatenate(([0.0], mids)),
@@ -365,26 +408,16 @@ def impulsive_bounds(spec, inflate=1.0):
     return m2, m3
 
 
-def stability_rhs_impulsive(spec1, spec2, t, d_init, d_s0, d_sS, dt=None):
-    """Right-hand side of the L1 stability estimate for two impulsive runs.
+def impulsive_stability_invariants(spec1, spec2, n_cells, dt):
+    """The parts of ``stability_rhs_impulsive`` that do not depend on t.
 
-    Boundary contributions enter through their time integrals; past the
-    jump time the bound gains the perturbation-difference term and a
-    pre-jump bound scaled by the first perturbation's value-Lipschitz
-    constant.
+    These are the t-cell midpoints, the flux-derivative bounds a_m4 and
+    a_m5, the perturbation difference sup|beta1 - beta2| and the first
+    perturbation's value-Lipschitz constant db1, all sampled from the data.
     """
-    d_s0 = np.asarray(d_s0, dtype=float)
-    d_sS = np.asarray(d_sS, dtype=float)
-    n = len(d_s0)
-    if dt is None:
-        dt = spec1.T / max(n, 1)
-    mids = (np.arange(n) + 0.5) * dt
-
-    def norms_for(spec, window):
-        return data_sup_norms(spec, window)
-
-    pre1 = norms_for(spec1, (0.0, spec1.tau))
-    pre2 = norms_for(spec2, (0.0, spec1.tau))
+    mids = (np.arange(n_cells) + 0.5) * dt
+    pre1 = data_sup_norms(spec1, (0.0, spec1.tau))
+    pre2 = data_sup_norms(spec2, (0.0, spec1.tau))
     m5 = max(max(pre1.values()), max(pre2.values()))
 
     def beta_sup(beta):
@@ -393,50 +426,60 @@ def stability_rhs_impulsive(spec1, spec2, t, d_init, d_s0, d_sS, dt=None):
         return sample_sup(beta, ("x", "s", "lambda"),
                           [(0.0, spec1.L), (0.0, spec1.S), (-m5, m5)], n=64)
 
-    post1 = norms_for(spec1, (spec1.tau, spec1.T))
-    post2 = norms_for(spec2, (spec1.tau, spec1.T))
+    post1 = data_sup_norms(spec1, (spec1.tau, spec1.T))
+    post2 = data_sup_norms(spec2, (spec1.tau, spec1.T))
     m4 = max(m5 + beta_sup(spec1.beta), post1["u0_2"], post1["uS_2"],
              m5 + beta_sup(spec2.beta), post2["u0_2"], post2["uS_2"])
 
-    a_m4 = sampled_deriv_max(spec1.flux_a, -m4, m4)
+    xg = np.linspace(0.0, spec1.L, 64)[:, None, None]
+    sg = np.linspace(0.0, spec1.S, 64)[None, :, None]
+    if spec1.beta is not None and spec2.beta is not None:
+        bind = {"x": xg, "s": sg,
+                "lambda": np.linspace(-m5, m5, 64)[None, None, :]}
+        diff = np.abs(np.asarray(exprdsl.evaluate(spec1.beta, bind))
+                      - np.asarray(exprdsl.evaluate(spec2.beta, bind)))
+        beta_diff = float(np.max(diff))
+    else:
+        beta_diff = beta_sup(spec1.beta if spec1.beta is not None
+                             else spec2.beta)
+    db1 = 0.0
+    if spec1.beta is not None:
+        _, db = exprdsl.eval_dual(
+            spec1.beta, {"x": xg, "s": sg,
+                         "lambda": np.linspace(-m5, m5, 256)[None, None, :]},
+            "lambda")
+        db1 = float(np.max(np.abs(db)))
+    return {"mids": mids,
+            "a_m4": sampled_deriv_max(spec1.flux_a, -m4, m4),
+            "a_m5": sampled_deriv_max(spec1.flux_a, -m5, m5),
+            "beta_diff": beta_diff, "db1": db1}
+
+
+def stability_rhs_impulsive(spec1, spec2, t, d_init, d_s0, d_sS, dt=None,
+                            invariants=None):
+    """Right-hand side of the L1 stability estimate for two impulsive runs.
+
+    Boundary contributions enter through their time integrals; past the
+    jump time the bound gains the perturbation-difference term and a
+    pre-jump bound scaled by the first perturbation's value-Lipschitz
+    constant.  ``invariants`` is what ``impulsive_stability_invariants``
+    returns for these arguments; it is computed here when not given.
+    """
+    d_s0 = np.asarray(d_s0, dtype=float)
+    d_sS = np.asarray(d_sS, dtype=float)
+    n = len(d_s0)
+    if dt is None:
+        dt = spec1.T / max(n, 1)
+    if invariants is None:
+        invariants = impulsive_stability_invariants(spec1, spec2, n, dt)
+    mids = invariants["mids"]
     live = mids < t
     boundary_t = float(np.sum((d_s0[live] + d_sS[live])) * dt)
-    rhs = d_init + a_m4 * boundary_t
+    rhs = d_init + invariants["a_m4"] * boundary_t
     if t >= spec1.tau:
-        if spec1.beta is not None and spec2.beta is not None:
-            lam = np.linspace(-m5, m5, 64)
-            xg = np.linspace(0.0, spec1.L, 64)
-            sg = np.linspace(0.0, spec1.S, 64)
-            bind = {"x": xg[:, None, None], "s": sg[None, :, None],
-                    "lambda": lam[None, None, :]}
-            diff = np.abs(np.asarray(exprdsl.evaluate(spec1.beta, bind))
-                          - np.asarray(exprdsl.evaluate(spec2.beta, bind)))
-            beta_diff = float(np.max(diff))
-            lam3 = np.linspace(-m5, m5, 256)
-            _, db = exprdsl.eval_dual(
-                spec1.beta, {"x": xg[:, None, None], "s": sg[None, :, None],
-                             "lambda": lam3[None, None, :]}, "lambda")
-            db1 = float(np.max(np.abs(db)))
-        elif spec1.beta is None and spec2.beta is None:
-            beta_diff = 0.0
-            db1 = 0.0
-        else:
-            only = spec1.beta if spec1.beta is not None else spec2.beta
-            beta_diff = sample_sup(only, ("x", "s", "lambda"),
-                                   [(0.0, spec1.L), (0.0, spec1.S), (-m5, m5)],
-                                   n=64)
-            db1 = 0.0
-            if spec1.beta is not None:
-                lam3 = np.linspace(-m5, m5, 256)
-                xg = np.linspace(0.0, spec1.L, 64)
-                sg = np.linspace(0.0, spec1.S, 64)
-                _, db = exprdsl.eval_dual(
-                    spec1.beta, {"x": xg[:, None, None], "s": sg[None, :, None],
-                                 "lambda": lam3[None, None, :]}, "lambda")
-                db1 = float(np.max(np.abs(db)))
-        a_m5 = sampled_deriv_max(spec1.flux_a, -m5, m5)
         pre_mask = mids < spec1.tau
         boundary_tau = float(np.sum((d_s0[pre_mask] + d_sS[pre_mask])) * dt)
-        rhs += (spec1.S * spec1.omega_measure * beta_diff
-                + db1 * (d_init + a_m5 * boundary_tau))
+        rhs += (spec1.S * spec1.omega_measure * invariants["beta_diff"]
+                + invariants["db1"] * (d_init + invariants["a_m5"]
+                                       * boundary_tau))
     return float(rhs)

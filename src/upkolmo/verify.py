@@ -38,10 +38,10 @@ import numpy as np
 
 from . import chi as chi_mod
 from . import exprdsl, kernels
-from .problem import (Field, ProblemSpec, ZeroInitialDataError, data_sup_norms,
-                      impulsive_bounds, max_principle_bound, refined_max_bound,
-                      sample_sup, sampled_deriv_max, stability_rhs,
-                      stability_rhs_impulsive)
+from .problem import (ZeroInitialDataError, impulsive_bounds,
+                      impulsive_stability_invariants, max_principle_bound,
+                      refined_max_bound, sample_sup, stability_invariants,
+                      stability_rhs, stability_rhs_impulsive)
 from .scheme import Stepper, predicted_sup
 from . import solver as solver_mod
 
@@ -192,24 +192,18 @@ def _bound_curves(spec, traj, inflate=NORM_INFLATION):
             spec.beta, gamma, L=spec.L, S=spec.S, b1=spec.b1)
     else:
         b1g = b2g = 0.0
+    t_effs = [max(t, 1e-9) for t in times]
     try:
-        m7_at = refined_max_bound(spec, 1.0, inflate=inflate)  # probe validity
+        m7 = refined_max_bound(spec, t_effs, inflate=inflate)
         have_m7 = (spec.beta is None or gamma > 0)
     except (ZeroInitialDataError, ValueError):
         have_m7 = False
     bounds = []
-    for t in times:
-        t_eff = max(t, 1e-9)
-        dnorm = norms.data_max(t_eff)
-
-        def objective(xi):
-            tail = np.sqrt(b2g / (xi - b1g)) if b2g > 0 else 0.0
-            return np.exp(xi * t_eff) * max(dnorm, tail)
-
-        from .problem import golden_section_min
-        _, m = golden_section_min(objective, b1g + 1e-9, b1g + 50.0)
+    for i, t_eff in enumerate(t_effs):
+        m = max_principle_bound(spec, t_eff, b1g, b2g,
+                                dnorm=norms.data_max(t_eff))
         if have_m7:
-            m = min(m, refined_max_bound(spec, t_eff, inflate=inflate))
+            m = min(m, m7[i])
         bounds.append(float(m))
     return bounds, {"b1g": b1g, "b2g": b2g}
 
@@ -272,15 +266,20 @@ def check_stability(traj1, traj2, spec1, spec2):
     else:
         b0 = 0.0
     c_grid = STABILITY_GRID_COEFF * (grid.dx ** 0.5 + grid.ds ** 0.5)
+    if impulsive:
+        invariants = impulsive_stability_invariants(spec1, spec2, n_steps, dt)
+    else:
+        invariants = stability_invariants(spec1, b0, n_steps, dt)
 
     worst_gap, worst = -np.inf, (0.0, 0.0, 0.0)
     for t, f1, f2 in zip(traj1.times, traj1.fields, traj2.fields):
         lhs = l1_diff(f1, f2)
         if impulsive:
             rhs = stability_rhs_impulsive(spec1, spec2, t, d_init, d_s0, d_sS,
-                                          dt=dt)
+                                          dt=dt, invariants=invariants)
         else:
-            rhs = stability_rhs(spec1, t, d_init, d_s0, d_sS, b0, dt=dt)
+            rhs = stability_rhs(spec1, t, d_init, d_s0, d_sS, b0, dt=dt,
+                                invariants=invariants)
         gap = lhs - (rhs * 1.05 + c_grid)
         if gap > worst_gap:
             worst_gap, worst = gap, (lhs, rhs, t)
@@ -367,7 +366,9 @@ def check_entropy_residual(traj, spec, k_values):
 
     Requires a trajectory recorded with snapshot stride 1 (consecutive
     steps); the residual then telescopes the per-step entropy inequality
-    of the monotone update and is nonnegative up to roundoff.
+    of the monotone update and is nonnegative up to roundoff.  With no k,
+    or no step outside the jump and the source window, there is nothing to
+    certify and the report fails with measured = inf.
     """
     meta = traj.meta
     if meta.get("stride", 0) != 1:
@@ -382,6 +383,9 @@ def check_entropy_residual(traj, spec, k_values):
     n_tau = meta.get("n_tau")
     mode = meta.get("mode", "entropy")
     residuals = np.zeros((len(TEST_BANK), len(k_values)))
+    # one axis per entropy |u - k|: every k is treated in the same array op
+    ks = np.asarray(k_values, dtype=float).reshape(-1, 1, 1)
+    n_scored = 0
 
     for n in range(len(traj.times) - 1):
         t0, t1 = traj.times[n], traj.times[n + 1]
@@ -390,37 +394,41 @@ def check_entropy_residual(traj, spec, k_values):
             continue  # the jump step is excluded from the smooth-range check
         if stepper.source_rate(t0) != 0.0:
             continue  # source-active window: inequality carries a source term
+        n_scored += 1
         u0 = traj.fields[n].values
         u1 = traj.fields[n + 1].values
         w = stepper.padded(u0, t0)
         t_factors = [_bump((t0 - ct * spec.T) / (wt * spec.T))
                      for _, (ct, wt), _ in TEST_BANK]
-        for j, k in enumerate(k_values):
-            w_up = np.maximum(w, k)
-            w_dn = np.minimum(w, k)
-            eta_pad = w_up - w_dn
-            ws_up, ws_dn = w_up[1:-1, :], w_dn[1:-1, :]
-            q_a = (stepper.flux_a.flux(ws_up[:, :-1], ws_up[:, 1:])
-                   - stepper.flux_a.flux(ws_dn[:, :-1], ws_dn[:, 1:]))
-            wx_up, wx_dn = w_up[:, 1:-1], w_dn[:, 1:-1]
-            q_p = (stepper.flux_phi.flux(wx_up[:-1, :], wx_up[1:, :])
-                   - stepper.flux_phi.flux(wx_dn[:-1, :], wx_dn[1:, :]))
-            eta0 = eta_pad[1:-1, 1:-1]
-            eta1 = np.abs(u1 - k)
-            rho = (eta1 - eta0
-                   + dt / ds * (q_a[:, 1:] - q_a[:, :-1])
-                   + dt / dx * (q_p[1:, :] - q_p[:-1, :]))
-            if stepper.options.x_diffusion:
-                ex = eta_pad[:, 1:-1]
-                rho = rho - dt * (ex[:-2, :] - 2.0 * eta0 + ex[2:, :]) / dx ** 2
-            if stepper.eps > 0:
-                es = eta_pad[1:-1, :]
-                rho = rho - dt * stepper.eps * (
-                    es[:, :-2] - 2.0 * eta0 + es[:, 2:]) / ds ** 2
+        w_up = np.maximum(w, ks)
+        w_dn = np.minimum(w, ks)
+        eta_pad = w_up - w_dn
+        ws_up, ws_dn = w_up[:, 1:-1, :], w_dn[:, 1:-1, :]
+        q_a = (stepper.flux_a.flux(ws_up[:, :, :-1], ws_up[:, :, 1:])
+               - stepper.flux_a.flux(ws_dn[:, :, :-1], ws_dn[:, :, 1:]))
+        wx_up, wx_dn = w_up[:, :, 1:-1], w_dn[:, :, 1:-1]
+        q_p = (stepper.flux_phi.flux(wx_up[:, :-1, :], wx_up[:, 1:, :])
+               - stepper.flux_phi.flux(wx_dn[:, :-1, :], wx_dn[:, 1:, :]))
+        eta0 = eta_pad[:, 1:-1, 1:-1]
+        eta1 = np.abs(u1 - ks)
+        rho = (eta1 - eta0
+               + dt / ds * (q_a[:, :, 1:] - q_a[:, :, :-1])
+               + dt / dx * (q_p[:, 1:, :] - q_p[:, :-1, :]))
+        if stepper.options.x_diffusion:
+            ex = eta_pad[:, :, 1:-1]
+            rho = rho - dt * (ex[:, :-2, :] - 2.0 * eta0 + ex[:, 2:, :]) / dx ** 2
+        if stepper.eps > 0:
+            es = eta_pad[:, 1:-1, :]
+            rho = rho - dt * stepper.eps * (
+                es[:, :, :-2] - 2.0 * eta0 + es[:, :, 2:]) / ds ** 2
+        # summed per (bump, k) in step order, as the roundoff-level value
+        # of the residual depends on the order of the additions
+        for j in range(len(k_values)):
             for b, (phi_xs, tf) in enumerate(zip(spatial, t_factors)):
-                residuals[b, j] += -float(np.sum(phi_xs * rho)) * vol * tf
+                residuals[b, j] += -float(np.sum(phi_xs * rho[j])) * vol * tf
 
-    min_res = float(residuals.min()) if residuals.size else 0.0
+    # with no k or no step scored there is nothing to certify
+    min_res = float(residuals.min()) if n_scored and residuals.size else -np.inf
     context = {"spec": spec.context_hash(), "k_values": list(map(float, k_values)),
                "n_bank": len(TEST_BANK), "min_residual": min_res}
     return _report("entropy_residual", -min_res, 0.0, 0.0, 1e-8, context)
@@ -450,22 +458,25 @@ def check_bln(traj, spec, k_values):
     the initial datum u0_1 rather than a trace, is left out.  Every t > 0
     snapshot is scored: the relaxation layer of a few cell-transit times
     ds/|a'| right after t = 0, and in impulsive mode the post-jump snapshot,
-    stay checked.  With no t > 0 snapshot there is nothing to certify and
-    the report fails with measured = inf.
+    stay checked.  With no t > 0 snapshot, or no k, there is nothing to
+    certify and the report fails with measured = inf.
     """
     grid = traj.grid
     tol = 5.0 * (grid.ds + grid.dx)
     xc, _ = grid.cell_centers()
+    # the initial datum, not a boundary trace, sits at t = 0
+    scored = [i for i, t in enumerate(traj.times) if t > 0.0]
+    n_scored = len(scored)
     worst = -np.inf
-    n_scored = 0
-    for t, tr0, trS in zip(traj.times, traj.s0_traces, traj.sS_traces):
-        if t <= 0.0:
-            continue  # the initial datum, not a boundary trace
-        n_scored += 1
+    if n_scored and len(k_values):
+        # every scored trace and its data as one (n_scored, nx) array
+        ts = np.asarray([traj.times[i] for i in scored])[:, None]
+        tr0 = np.stack([traj.s0_traces[i] for i in scored])
+        trS = np.stack([traj.sS_traces[i] for i in scored])
         data0 = np.broadcast_to(np.asarray(exprdsl.evaluate(
-            spec.data_u0_2, {"x": xc, "t": t})), xc.shape)
+            spec.data_u0_2, {"x": xc[None, :], "t": ts})), tr0.shape)
         dataS = np.broadcast_to(np.asarray(exprdsl.evaluate(
-            spec.data_uS_2, {"x": xc, "t": t})), xc.shape)
+            spec.data_uS_2, {"x": xc[None, :], "t": ts})), trS.shape)
         for k in k_values:
             q_tr0, a_tr0, _ = _q_a(spec, tr0, k)
             q_d0, a_d0, _ = _q_a(spec, data0, k)
@@ -475,8 +486,8 @@ def check_bln(traj, spec, k_values):
             q_dS, a_dS, _ = _q_a(spec, dataS, k)
             exprS = q_trS - q_dS - _smooth_sign(dataS - k) * (a_trS - a_dS)
             worst = max(worst, float(np.max(-exprS)))
-    if n_scored == 0:
-        worst = np.inf
+    else:
+        worst = np.inf  # no trace or no k: nothing to certify
     context = {"spec": spec.context_hash(), "tol": tol,
                "k_values": list(map(float, k_values)), "n_scored": n_scored}
     return _report("bln_boundary", worst, 0.0, 0.0, tol, context)

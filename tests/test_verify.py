@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from upkolmo import exprdsl as E
-from upkolmo import solver, verify
-from upkolmo.problem import Field, Grid, Trajectory
+from upkolmo import kernels, solver, verify
+from upkolmo.problem import (Field, Grid, Trajectory, ZeroInitialDataError,
+                             data_sup_norms, golden_section_min,
+                             impulsive_stability_invariants,
+                             max_principle_bound, refined_max_bound,
+                             sample_sup, sampled_deriv_max,
+                             stability_invariants, stability_rhs,
+                             stability_rhs_impulsive)
 from upkolmo.scheme import SchemeOptions, Stepper, predicted_sup
 from scenarios import (diffusionless_options, nosource_spec, perturbed_spec,
                        shock_spec, source_spec, unit_grid, zero_spec)
@@ -337,3 +343,307 @@ class TestReports:
         assert lines[0] == "check,measured,bound,tolerance,pass,context_hash"
         assert len(lines) == 2
         assert lines[1].startswith("entropy_residual,")
+
+
+# --- the hoisted checks against their per-snapshot loop versions -------------
+#
+# The references below are the loops the checks ran before their
+# t-invariant work was hoisted out: the same arithmetic on the same samples,
+# so the reports must agree bit for bit.
+
+def _bound_curves_reference(spec, traj, inflate=verify.NORM_INFLATION):
+    gamma = traj.meta.get("gamma", spec.gamma)
+    norms = verify._WindowNorms(spec, inflate=inflate)
+    if spec.beta is not None and gamma > 0:
+        b1g, b2g = kernels.source_growth_constants(
+            spec.beta, gamma, L=spec.L, S=spec.S, b1=spec.b1)
+    else:
+        b1g = b2g = 0.0
+    try:
+        refined_max_bound(spec, 1.0, inflate=inflate)
+        have_m7 = (spec.beta is None or gamma > 0)
+    except (ZeroInitialDataError, ValueError):
+        have_m7 = False
+    bounds = []
+    for t in traj.times:
+        t_eff = max(t, 1e-9)
+        dnorm = norms.data_max(t_eff)
+
+        def objective(xi):
+            tail = np.sqrt(b2g / (xi - b1g)) if b2g > 0 else 0.0
+            return np.exp(xi * t_eff) * max(dnorm, tail)
+
+        _, m = golden_section_min(objective, b1g + 1e-9, b1g + 50.0)
+        if have_m7:
+            m = min(m, refined_max_bound(spec, t_eff, inflate=inflate))
+        bounds.append(float(m))
+    return bounds
+
+
+def _bln_reference(traj, spec, k_values):
+    grid = traj.grid
+    tol = 5.0 * (grid.ds + grid.dx)
+    xc, _ = grid.cell_centers()
+    worst = -np.inf
+    n_scored = 0
+    for t, tr0, trS in zip(traj.times, traj.s0_traces, traj.sS_traces):
+        if t <= 0.0:
+            continue
+        n_scored += 1
+        data0 = np.broadcast_to(np.asarray(E.evaluate(
+            spec.data_u0_2, {"x": xc, "t": t})), xc.shape)
+        dataS = np.broadcast_to(np.asarray(E.evaluate(
+            spec.data_uS_2, {"x": xc, "t": t})), xc.shape)
+        for k in k_values:
+            q_tr0, a_tr0, _ = verify._q_a(spec, tr0, k)
+            q_d0, a_d0, _ = verify._q_a(spec, data0, k)
+            expr0 = (q_tr0 - q_d0
+                     - verify._smooth_sign(data0 - k) * (a_tr0 - a_d0))
+            worst = max(worst, float(np.max(expr0)))
+            q_trS, a_trS, _ = verify._q_a(spec, trS, k)
+            q_dS, a_dS, _ = verify._q_a(spec, dataS, k)
+            exprS = (q_trS - q_dS
+                     - verify._smooth_sign(dataS - k) * (a_trS - a_dS))
+            worst = max(worst, float(np.max(-exprS)))
+    context = {"spec": spec.context_hash(), "tol": tol,
+               "k_values": list(map(float, k_values)), "n_scored": n_scored}
+    return verify._report("bln_boundary", worst, 0.0, 0.0, tol, context)
+
+
+def _entropy_residual_reference(traj, spec, k_values):
+    meta = traj.meta
+    stepper = Stepper(spec, traj.grid, eps=meta["eps"], gamma=meta["gamma"],
+                      options=meta["options"], m_bound=meta["m_bound"],
+                      dt=meta["dt"])
+    grid = traj.grid
+    dt, dx, ds = meta["dt"], grid.dx, grid.ds
+    vol = grid.cell_volume
+    spatial = verify._bank_spatial(spec, grid)
+    n_tau = meta.get("n_tau")
+    residuals = np.zeros((len(verify.TEST_BANK), len(k_values)))
+    for n in range(len(traj.times) - 1):
+        t0, t1 = traj.times[n], traj.times[n + 1]
+        if meta["mode"] == "impulsive" and int(round(t1 / dt)) == n_tau:
+            continue
+        if stepper.source_rate(t0) != 0.0:
+            continue
+        u0 = traj.fields[n].values
+        u1 = traj.fields[n + 1].values
+        w = stepper.padded(u0, t0)
+        t_factors = [verify._bump((t0 - ct * spec.T) / (wt * spec.T))
+                     for _, (ct, wt), _ in verify.TEST_BANK]
+        for j, k in enumerate(k_values):
+            w_up = np.maximum(w, k)
+            w_dn = np.minimum(w, k)
+            eta_pad = w_up - w_dn
+            ws_up, ws_dn = w_up[1:-1, :], w_dn[1:-1, :]
+            q_a = (stepper.flux_a.flux(ws_up[:, :-1], ws_up[:, 1:])
+                   - stepper.flux_a.flux(ws_dn[:, :-1], ws_dn[:, 1:]))
+            wx_up, wx_dn = w_up[:, 1:-1], w_dn[:, 1:-1]
+            q_p = (stepper.flux_phi.flux(wx_up[:-1, :], wx_up[1:, :])
+                   - stepper.flux_phi.flux(wx_dn[:-1, :], wx_dn[1:, :]))
+            eta0 = eta_pad[1:-1, 1:-1]
+            eta1 = np.abs(u1 - k)
+            rho = (eta1 - eta0
+                   + dt / ds * (q_a[:, 1:] - q_a[:, :-1])
+                   + dt / dx * (q_p[1:, :] - q_p[:-1, :]))
+            if stepper.options.x_diffusion:
+                ex = eta_pad[:, 1:-1]
+                rho = rho - dt * (ex[:-2, :] - 2.0 * eta0 + ex[2:, :]) / dx ** 2
+            if stepper.eps > 0:
+                es = eta_pad[1:-1, :]
+                rho = rho - dt * stepper.eps * (
+                    es[:, :-2] - 2.0 * eta0 + es[:, 2:]) / ds ** 2
+            for b, (phi_xs, tf) in enumerate(zip(spatial, t_factors)):
+                residuals[b, j] += -float(np.sum(phi_xs * rho)) * vol * tf
+    min_res = float(residuals.min())
+    context = {"spec": spec.context_hash(),
+               "k_values": list(map(float, k_values)),
+               "n_bank": len(verify.TEST_BANK), "min_residual": min_res}
+    return verify._report("entropy_residual", -min_res, 0.0, 0.0, 1e-8,
+                          context)
+
+
+def _stability_rhs_reference(spec, t, d_init, d_s0, d_sS, b0, dt):
+    if spec.beta is not None and spec.gamma > 0:
+        b1g, b2g = kernels.source_growth_constants(
+            spec.beta, spec.gamma, b0, L=spec.L, S=spec.S, b1=spec.b1)
+    else:
+        b1g = b2g = 0.0
+    m1 = max_principle_bound(spec, max(t, 1e-9), b1g, b2g)
+    return stability_rhs(spec, t, d_init, d_s0, d_sS, b0, m1=m1, dt=dt)
+
+
+def _stability_rhs_impulsive_reference(spec1, spec2, t, d_init, d_s0, d_sS,
+                                       dt):
+    mids = (np.arange(len(d_s0)) + 0.5) * dt
+    pre1 = data_sup_norms(spec1, (0.0, spec1.tau))
+    pre2 = data_sup_norms(spec2, (0.0, spec1.tau))
+    m5 = max(max(pre1.values()), max(pre2.values()))
+    box = [(0.0, spec1.L), (0.0, spec1.S), (-m5, m5)]
+
+    def beta_sup(beta):
+        if beta is None:
+            return 0.0
+        return sample_sup(beta, ("x", "s", "lambda"), box, n=64)
+
+    post1 = data_sup_norms(spec1, (spec1.tau, spec1.T))
+    post2 = data_sup_norms(spec2, (spec1.tau, spec1.T))
+    m4 = max(m5 + beta_sup(spec1.beta), post1["u0_2"], post1["uS_2"],
+             m5 + beta_sup(spec2.beta), post2["u0_2"], post2["uS_2"])
+    a_m4 = sampled_deriv_max(spec1.flux_a, -m4, m4)
+    live = mids < t
+    rhs = d_init + a_m4 * float(np.sum((d_s0[live] + d_sS[live])) * dt)
+    if t >= spec1.tau:
+        xg = np.linspace(0.0, spec1.L, 64)[:, None, None]
+        sg = np.linspace(0.0, spec1.S, 64)[None, :, None]
+        if spec1.beta is not None and spec2.beta is not None:
+            bind = {"x": xg, "s": sg,
+                    "lambda": np.linspace(-m5, m5, 64)[None, None, :]}
+            beta_diff = float(np.max(np.abs(
+                np.asarray(E.evaluate(spec1.beta, bind))
+                - np.asarray(E.evaluate(spec2.beta, bind)))))
+        elif spec1.beta is None and spec2.beta is None:
+            beta_diff = 0.0
+        else:
+            beta_diff = beta_sup(spec1.beta if spec1.beta is not None
+                                 else spec2.beta)
+        db1 = 0.0
+        if spec1.beta is not None:
+            _, db = E.eval_dual(
+                spec1.beta, {"x": xg, "s": sg, "lambda":
+                             np.linspace(-m5, m5, 256)[None, None, :]},
+                "lambda")
+            db1 = float(np.max(np.abs(db)))
+        a_m5 = sampled_deriv_max(spec1.flux_a, -m5, m5)
+        pre_mask = mids < spec1.tau
+        boundary_tau = float(np.sum((d_s0[pre_mask] + d_sS[pre_mask])) * dt)
+        rhs += (spec1.S * spec1.omega_measure * beta_diff
+                + db1 * (d_init + a_m5 * boundary_tau))
+    return float(rhs)
+
+
+def _assert_same_report(got, want):
+    assert got.measured == want.measured
+    assert got.bound == want.bound
+    assert got.passed == want.passed
+    assert got.context_hash() == want.context_hash()
+
+
+@pytest.fixture(scope="module")
+def small_runs():
+    """16x16 source-problem runs, entropy and impulsive, at strides 1 and 32."""
+    spec = source_spec()
+    grid = unit_grid(16)
+    runs = {}
+    for stride in (1, 32):
+        opts = SchemeOptions(snapshot_stride=stride)
+        runs["entropy", stride] = solver.solve_entropy(spec, grid, options=opts)
+        runs["impulsive", stride] = solver.solve_impulsive(spec, grid,
+                                                           options=opts)
+    return spec, runs
+
+
+SMALL_KS = list(np.linspace(-1.5, 1.5, 9))
+
+
+class TestHoistedAgainstReference:
+    @pytest.mark.parametrize("mode", ["entropy", "impulsive"])
+    def test_bln(self, small_runs, mode):
+        spec, runs = small_runs
+        traj = runs[mode, 1]
+        _assert_same_report(verify.check_bln(traj, spec, SMALL_KS),
+                            _bln_reference(traj, spec, SMALL_KS))
+
+    def test_bln_time_dependent_data(self, unattainable_run):
+        spec, traj = unattainable_run["spec"], unattainable_run["traj"]
+        ks = list(np.linspace(-2.5, 2.5, 9))
+        _assert_same_report(verify.check_bln(traj, spec, ks),
+                            _bln_reference(traj, spec, ks))
+
+    @pytest.mark.parametrize("mode", ["entropy", "impulsive"])
+    def test_entropy_residual(self, small_runs, mode):
+        spec, runs = small_runs
+        traj = runs[mode, 1]
+        _assert_same_report(
+            verify.check_entropy_residual(traj, spec, SMALL_KS),
+            _entropy_residual_reference(traj, spec, SMALL_KS))
+
+    def test_entropy_residual_shock(self, shock_run):
+        spec, traj = shock_run["spec"], shock_run["traj"]
+        ks = [-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5]
+        _assert_same_report(verify.check_entropy_residual(traj, spec, ks),
+                            _entropy_residual_reference(traj, spec, ks))
+
+    def test_max_principle_bounds(self, small_runs):
+        spec, runs = small_runs
+        traj = runs["entropy", 1]
+        bounds, _ = verify._bound_curves(spec, traj)
+        assert bounds == _bound_curves_reference(spec, traj)
+
+    def test_stability_curve(self, small_runs):
+        spec, runs = small_runs
+        traj = runs["entropy", 32]
+        dt, n = traj.meta["dt"], traj.meta["n_steps"]
+        d_s0 = np.linspace(0.0, 0.02, n)
+        d_sS = np.linspace(0.01, 0.0, n)
+        b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
+        inv = stability_invariants(spec, b0, n, dt)
+        for t in traj.times:
+            hoisted = stability_rhs(spec, t, 0.1, d_s0, d_sS, b0, dt=dt,
+                                    invariants=inv)
+            assert hoisted == stability_rhs(spec, t, 0.1, d_s0, d_sS, b0,
+                                            dt=dt)
+            assert hoisted == _stability_rhs_reference(spec, t, 0.1, d_s0,
+                                                       d_sS, b0, dt)
+
+    @pytest.mark.parametrize("pair", ["both", "first", "second"])
+    def test_impulsive_stability_curve(self, small_runs, pair):
+        spec, runs = small_runs
+        other = {"both": perturbed_spec(spec, 0.05),
+                 "first": nosource_spec(), "second": spec}[pair]
+        spec1 = nosource_spec() if pair == "second" else spec
+        traj = runs["impulsive", 32]
+        dt, n = traj.meta["dt"], traj.meta["n_steps"]
+        d_s0 = np.linspace(0.0, 0.02, n)
+        d_sS = np.linspace(0.01, 0.0, n)
+        inv = impulsive_stability_invariants(spec1, other, n, dt)
+        sides = set()
+        for t in traj.times:
+            sides.add(t >= spec1.tau)
+            hoisted = stability_rhs_impulsive(spec1, other, t, 0.1, d_s0,
+                                              d_sS, dt=dt, invariants=inv)
+            assert hoisted == stability_rhs_impulsive(spec1, other, t, 0.1,
+                                                      d_s0, d_sS, dt=dt)
+            assert hoisted == _stability_rhs_impulsive_reference(
+                spec1, other, t, 0.1, d_s0, d_sS, dt)
+        assert sides == {False, True}
+
+
+class TestNothingToCertify:
+    def test_bln_empty_k_bank_fails(self):
+        traj, spec = TestBln._bln_case([(0.0, 0.4), (0.1, 2.0)])
+        rep = verify.check_bln(traj, spec, [])
+        assert not rep.passed
+        assert rep.measured == np.inf
+        assert set(rep.context) == {"spec", "tol", "k_values", "n_scored"}
+
+    def test_entropy_residual_empty_k_bank_fails(self, shock_run):
+        rep = verify.check_entropy_residual(shock_run["traj"],
+                                            shock_run["spec"], [])
+        assert not rep.passed
+        assert rep.measured == np.inf
+
+    def test_entropy_residual_no_step_scored_fails(self, shock_run):
+        full = shock_run["traj"]
+        traj = Trajectory(grid=full.grid, meta=full.meta)
+        traj.append(0.0, full.fields[0])
+        rep = verify.check_entropy_residual(traj, shock_run["spec"], [0.5])
+        assert not rep.passed
+        assert rep.measured == np.inf
+
+    def test_entropy_residual_context_keys_unchanged(self, shock_run):
+        rep = verify.check_entropy_residual(shock_run["traj"],
+                                            shock_run["spec"], [0.5])
+        assert set(rep.context) == {"spec", "k_values", "n_bank",
+                                    "min_residual"}
