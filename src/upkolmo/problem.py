@@ -218,11 +218,17 @@ def consistency_errors(spec):
 # --- sampled sup-norms -----------------------------------------------------
 
 def sample_sup(expr, names, ranges, n=_SAMPLES, inflate=1.0):
-    """Sampled sup of |expr| on a product of intervals."""
-    axes = [np.linspace(lo, hi, n) for lo, hi in ranges]
-    grids = np.meshgrid(*axes, indexing="ij")
-    vals = exprdsl.evaluate(expr, dict(zip(names, grids)))
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), grids[0].shape)
+    """Sampled sup of |expr| on a product of intervals.
+
+    Each axis is an open ``linspace`` (length n along its own dimension,
+    1 along the others), so an expression is evaluated only on the axes
+    it uses: a constant once, an x-only expression n times.
+    """
+    dims = len(ranges)
+    axes = {name: np.linspace(lo, hi, n).reshape(
+                [n if j == i else 1 for j in range(dims)])
+            for i, (name, (lo, hi)) in enumerate(zip(names, ranges))}
+    vals = np.asarray(exprdsl.evaluate(expr, axes), dtype=float)
     return float(np.max(np.abs(vals))) * inflate
 
 

@@ -208,13 +208,23 @@ def _bound_curves(spec, traj, inflate=NORM_INFLATION):
     return bounds, {"b1g": b1g, "b2g": b2g}
 
 
+def _inf_unless_finite(value):
+    """A non-finite measurement exceeds every bound (a NaN compares with
+    nothing, so it would otherwise never be the worst)."""
+    return value if np.isfinite(value) else np.inf
+
+
 def check_max_principle(traj, spec):
-    """Every snapshot's sup-norm must respect the applicable a-priori bound."""
+    """Every snapshot's sup-norm must respect the applicable a-priori bound.
+
+    A snapshot holding a non-finite value measures inf, and the first such
+    snapshot is ``t_worst``.
+    """
     bounds, extra = _bound_curves(spec, traj)
     worst_gap = -np.inf
     worst = (0.0, max(bounds) if bounds else 0.0, traj.times[0])
     for t, fld, bnd in zip(traj.times, traj.fields, bounds):
-        sup = fld.sup_norm()
+        sup = _inf_unless_finite(fld.sup_norm())
         gap = sup - bnd
         if gap > worst_gap:
             worst_gap = gap
@@ -241,7 +251,11 @@ def _boundary_series(spec1, spec2, grid, n_steps, dt):
 
 
 def check_stability(traj1, traj2, spec1, spec2):
-    """L1 distance of two runs versus the data-stability estimate."""
+    """L1 distance of two runs versus the data-stability estimate.
+
+    A pair of snapshots holding a non-finite value measures inf, and the
+    first such pair is ``t_worst``.
+    """
     if traj1.grid != traj2.grid:
         raise GridMismatchError("trajectories on different grids")
     if traj1.times != traj2.times:
@@ -273,7 +287,7 @@ def check_stability(traj1, traj2, spec1, spec2):
 
     worst_gap, worst = -np.inf, (0.0, 0.0, 0.0)
     for t, f1, f2 in zip(traj1.times, traj1.fields, traj2.fields):
-        lhs = l1_diff(f1, f2)
+        lhs = _inf_unless_finite(l1_diff(f1, f2))
         if impulsive:
             rhs = stability_rhs_impulsive(spec1, spec2, t, d_init, d_s0, d_sS,
                                           dt=dt, invariants=invariants)
@@ -358,7 +372,24 @@ def _bank_spatial(spec, grid):
         bx = _bump((xc - cx * spec.L) / (wx * spec.L))
         bs = _bump((sc - cs * spec.S) / (ws * spec.S))
         spatial.append(bx[:, None] * bs[None, :])
-    return spatial
+    return np.array(spatial)
+
+
+def _kruzhkov_flux(flux, vk, axis, w, w_up, w_dn, up, dn):
+    """Q(uL, uR; k) = F(uL v k, uR v k) - F(uL ^ k, uR ^ k) between the
+    neighbours along ``axis`` of a padded strip w, for every k at once.
+
+    ``w_up``/``w_dn`` are max(w, k)/min(w, k), ``up``/``dn`` the masks
+    w >= k/w <= k, and ``vk`` the flux lookup of every k.  A lookup
+    depends on the cell value only, so that of max(w, k) is the lookup of
+    w where w >= k and that of k elsewhere: w is looked up once for all k.
+    """
+    v = flux.values(w)
+    lo = (Ellipsis, slice(None, -1)) + (slice(None),) * (-1 - axis)
+    hi = (Ellipsis, slice(1, None)) + (slice(None),) * (-1 - axis)
+    v_up, v_dn = np.where(up, v, vk), np.where(dn, v, vk)
+    return (flux.combine(v_up[lo], v_up[hi], w_up[lo], w_up[hi])
+            - flux.combine(v_dn[lo], v_dn[hi], w_dn[lo], w_dn[hi]))
 
 
 def check_entropy_residual(traj, spec, k_values):
@@ -385,6 +416,7 @@ def check_entropy_residual(traj, spec, k_values):
     residuals = np.zeros((len(TEST_BANK), len(k_values)))
     # one axis per entropy |u - k|: every k is treated in the same array op
     ks = np.asarray(k_values, dtype=float).reshape(-1, 1, 1)
+    vk_a, vk_p = stepper.flux_a.values(ks), stepper.flux_phi.values(ks)
     n_scored = 0
 
     for n in range(len(traj.times) - 1):
@@ -398,17 +430,17 @@ def check_entropy_residual(traj, spec, k_values):
         u0 = traj.fields[n].values
         u1 = traj.fields[n + 1].values
         w = stepper.padded(u0, t0)
-        t_factors = [_bump((t0 - ct * spec.T) / (wt * spec.T))
-                     for _, (ct, wt), _ in TEST_BANK]
+        t_factors = np.array([_bump((t0 - ct * spec.T) / (wt * spec.T))
+                              for _, (ct, wt), _ in TEST_BANK])
         w_up = np.maximum(w, ks)
         w_dn = np.minimum(w, ks)
         eta_pad = w_up - w_dn
-        ws_up, ws_dn = w_up[:, 1:-1, :], w_dn[:, 1:-1, :]
-        q_a = (stepper.flux_a.flux(ws_up[:, :, :-1], ws_up[:, :, 1:])
-               - stepper.flux_a.flux(ws_dn[:, :, :-1], ws_dn[:, :, 1:]))
-        wx_up, wx_dn = w_up[:, :, 1:-1], w_dn[:, :, 1:-1]
-        q_p = (stepper.flux_phi.flux(wx_up[:, :-1, :], wx_up[:, 1:, :])
-               - stepper.flux_phi.flux(wx_dn[:, :-1, :], wx_dn[:, 1:, :]))
+        # the s-flux acts inside the s-strip, the x-flux inside the x-strip
+        padded = (w, w_up, w_dn, w >= ks, w <= ks)
+        q_a = _kruzhkov_flux(stepper.flux_a, vk_a, -1,
+                             *(a[..., 1:-1, :] for a in padded))
+        q_p = _kruzhkov_flux(stepper.flux_phi, vk_p, -2,
+                             *(a[..., 1:-1] for a in padded))
         eta0 = eta_pad[:, 1:-1, 1:-1]
         eta1 = np.abs(u1 - ks)
         rho = (eta1 - eta0
@@ -421,11 +453,10 @@ def check_entropy_residual(traj, spec, k_values):
             es = eta_pad[:, 1:-1, :]
             rho = rho - dt * stepper.eps * (
                 es[:, :, :-2] - 2.0 * eta0 + es[:, :, 2:]) / ds ** 2
-        # summed per (bump, k) in step order, as the roundoff-level value
-        # of the residual depends on the order of the additions
-        for j in range(len(k_values)):
-            for b, (phi_xs, tf) in enumerate(zip(spatial, t_factors)):
-                residuals[b, j] += -float(np.sum(phi_xs * rho[j])) * vol * tf
+        # each (bump, k) sum is added in step order, as ((-sum) * vol) * tf:
+        # the roundoff-level value of the residual depends on that order
+        sums = np.sum(spatial[:, None] * rho[None], axis=(2, 3))
+        residuals += -sums * vol * t_factors[:, None]
 
     # with no k or no step scored there is nothing to certify
     min_res = float(residuals.min()) if n_scored and residuals.size else -np.inf

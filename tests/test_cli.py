@@ -1,6 +1,7 @@
 """Exit codes of the `upkolmo` command line on tiny 8x8 configs.
 
-0 success, 1 config or validation error, 3 a verification check failed.
+0 success, 1 config or validation error, 2 a non-finite march, 3 a
+verification check failed.
 """
 
 import json
@@ -8,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from upkolmo import cli
+from upkolmo import cli, verify
 from upkolmo import io as upk_io
 from upkolmo.problem import Field
 from scenarios import BETA_TEXT, U01_TEXT
@@ -114,3 +115,71 @@ def test_failed_check_exits_3(run_dir):
                                     fld.grid, fld.t))
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 3
     assert _rows(traj / "reports.csv")["max_principle"] == "false"
+
+
+def _spike(var, centre):
+    return f"max(0, 1-(({var}-{centre})/1e-6)^2)"
+
+
+def test_non_finite_march_exits_2(tmp_path, capsys):
+    # a spike of 1e308 on one cell centre, too narrow for the sampled data
+    # norms to see: the first step's lateral Laplacian overflows
+    cfg = _config(tmp_path, u0_1=f"1e308*{_spike('x', 0.4375)}"
+                                 f"*{_spike('s', 0.4375)}")
+    traj = tmp_path / "traj"
+    assert cli.main(["run", str(cfg), "--out", str(traj)]) == 2
+    assert "aborted: non-finite value" in capsys.readouterr().err
+    assert not traj.exists()
+
+
+def test_non_finite_snapshot_fails_verify(run_dir):
+    cfg, traj = run_dir
+    fields = sorted(traj.glob("field_*.upkf"))
+    fld = upk_io.read_field(fields[2])
+    values = fld.values.copy()
+    values[3, 4] = np.nan
+    upk_io.write_field(fields[2], Field(values, fld.grid, fld.t))
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 3
+    rows = _rows(traj / "reports.csv")
+    assert rows["max_principle"] == rows["stability"] == "false"
+
+    loaded = upk_io.load_config(cfg)
+    stored = upk_io.read_trajectory(traj, L=loaded.spec.L, S=loaded.spec.S)
+    for rep in (verify.check_max_principle(stored, loaded.spec),
+                verify.check_stability(stored, stored, loaded.spec,
+                                       loaded.spec)):
+        assert not rep.passed
+        assert rep.measured == np.inf
+        assert rep.context["t_worst"] == stored.times[2] == fld.t
+
+
+def _stored(cfg, traj):
+    loaded = upk_io.load_config(cfg)
+    return loaded.spec, upk_io.read_trajectory(traj, L=loaded.spec.L,
+                                               S=loaded.spec.S)
+
+
+def test_k_bank_lies_inside_the_solution_range(run_dir):
+    cfg, traj = run_dir
+    spec, stored = _stored(cfg, traj)
+    lo = min(float(f.values.min()) for f in stored.fields)
+    hi = max(float(f.values.max()) for f in stored.fields)
+    bank = cli._k_bank(stored)
+    assert len(bank) == len(set(bank)) == 9
+    assert all(lo < k < hi for k in bank)
+    # verify scores the boundary entropies with exactly this bank
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
+    line = (traj / "reports.csv").read_text().splitlines()[3]
+    assert line == ",".join(verify.check_bln(stored, spec, bank).row())
+
+
+def test_k_bank_leaves_non_finite_cells_out(run_dir):
+    cfg, traj = run_dir
+    _, stored = _stored(cfg, traj)
+    bank = cli._k_bank(stored)
+    stored.fields[1].values[0, 0] = np.inf
+    stored.fields[2].values[0, 0] = np.nan
+    assert cli._k_bank(stored) == bank
+    for fld in stored.fields:
+        fld.values[:] = np.nan
+    assert cli._k_bank(stored) == []

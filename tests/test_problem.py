@@ -211,3 +211,36 @@ def test_describe_hash_stable():
     spec = source_spec()
     assert spec.context_hash() == spec.context_hash()
     assert spec.context_hash() != source_spec(beta_amp=0.3).context_hash()
+
+
+def _sample_sup_meshgrid(expr, names, ranges, n=P._SAMPLES, inflate=1.0):
+    """``sample_sup`` as it was before it sampled on open axes."""
+    axes = [np.linspace(lo, hi, n) for lo, hi in ranges]
+    grids = np.meshgrid(*axes, indexing="ij")
+    vals = E.evaluate(expr, dict(zip(names, grids)))
+    vals = np.broadcast_to(np.asarray(vals, dtype=float), grids[0].shape)
+    return float(np.max(np.abs(vals))) * inflate
+
+
+class TestSampleSupOpenAxes:
+    @pytest.mark.parametrize("text", [
+        "0", "-0.7",                                  # constant
+        "sin(7*x) * exp(-x)",                         # x only
+        "(max(0, 1-((t-0.5)/0.35)^2))^2 - 0.3",       # t only
+        "x*(1-x)*cos(5*t) + tanh(x - t)",             # every variable
+        "min(1, max(0, (t-0.1)*2))*(max(0, 1-((x-0.5)/0.35)^2))^2",
+    ])
+    def test_matches_meshgrid_sampling(self, text):
+        expr = E.parse(text)
+        ranges = [(0.0, 1.0), (0.0, 0.73)]
+        for inflate in (1.0, 1.01):
+            assert (P.sample_sup(expr, ("x", "t"), ranges, inflate=inflate)
+                    == _sample_sup_meshgrid(expr, ("x", "t"), ranges,
+                                            inflate=inflate))
+
+    def test_matches_meshgrid_sampling_in_three_axes(self):
+        beta = source_spec().beta
+        names = ("x", "s", "lambda")
+        ranges = [(0.0, 1.0), (0.0, 1.0), (-2.5, 2.5)]
+        assert (P.sample_sup(beta, names, ranges, n=64)
+                == _sample_sup_meshgrid(beta, names, ranges, n=64))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from upkolmo import exprdsl as E
+from upkolmo import kernels
 from upkolmo import scheme as S
 from upkolmo.problem import Field, Grid
 from scenarios import nosource_spec, shock_spec, source_spec, zero_spec, \
@@ -239,3 +240,94 @@ class TestStep:
             direct = S.eo_flux(uL, uR, BURGERS)
             via_table = float(table.flux(np.array([uL]), np.array([uR]))[0])
             assert via_table == pytest.approx(direct, abs=1e-6)
+
+
+def _probe_points(table, rng):
+    """Random points, every table node and its two neighbouring doubles,
+    and points beyond both ends of the table."""
+    nodes = table.nodes
+    return np.concatenate([
+        rng.uniform(-1.5 * nodes[-1], 1.5 * nodes[-1], 100_000),
+        nodes, np.nextafter(nodes, np.inf), np.nextafter(nodes, -np.inf),
+        [-1e300, 2.0 * nodes[0], 2.0 * nodes[-1], 1e300]])
+
+
+class TestPerCellValues:
+    """``values``/``combine`` and the complex table, bit for bit."""
+
+    @pytest.mark.parametrize("text", ["lambda^2/2", "sin(3*lambda)",
+                                      "exp(lambda) - 1"])
+    def test_complex_lookup_is_two_real_lookups(self, text):
+        table = S._SplitTable(E.parse(text), radius=2.0)
+        f_plus, f_minus = table.table.real.copy(), table.table.imag.copy()
+        pts = _probe_points(table, np.random.default_rng(7))
+        # many points and few: np.interp precomputes slopes only for many
+        for p in (pts, pts[:3]):
+            both = np.interp(p, table.nodes, table.table)
+            assert np.array_equal(both.real, np.interp(p, table.nodes, f_plus))
+            assert np.array_equal(both.imag, np.interp(p, table.nodes, f_minus))
+
+    @pytest.mark.parametrize("kind", ["table", "lf"])
+    def test_combine_of_values_is_flux(self, kind):
+        f = E.parse("sin(3*lambda) + lambda^2/2")
+        table = S._SplitTable(f, radius=2.0)
+        flux = table if kind == "table" else S._LFFlux(f, 4.0)
+        rng = np.random.default_rng(11)
+        pts = _probe_points(table, rng)
+        if kind == "lf":
+            pts = pts[np.abs(pts) < 1e100]   # f(1e300) overflows
+        wL = pts
+        wR = rng.permutation(pts)
+        # the flux as it was computed before the per-cell split
+        if kind == "table":
+            want = (table.f0
+                    + np.interp(wL, table.nodes, table.table.real.copy())
+                    + np.interp(wR, table.nodes, table.table.imag.copy()))
+        else:
+            want = (0.5 * (E.evaluate(f, {"lambda": wL})
+                           + E.evaluate(f, {"lambda": wR}))
+                    - 0.5 * 4.0 * (wR - wL))
+        got = flux.combine(flux.values(wL), flux.values(wR), wL, wR)
+        assert np.array_equal(got, want)
+        assert np.array_equal(flux.flux(wL, wR), want)
+
+    @pytest.mark.parametrize("kind", ["table", "lf"])
+    def test_values_of_a_strip_slice_like_the_slices(self, kind):
+        # the step looks up a padded strip once and slices the result
+        table = S._SplitTable(BURGERS, radius=2.0)
+        flux = table if kind == "table" else S._LFFlux(BURGERS, 2.0)
+        w = np.random.default_rng(13).uniform(-1.5, 1.5, (18, 18))
+        wx = w[:, 1:-1]
+        v = flux.values(wx)
+        assert np.array_equal(v[:-1], flux.values(wx[:-1]))
+        assert np.array_equal(v[1:], flux.values(wx[1:]))
+
+    def test_lf_values_of_a_constant_flux_have_the_cell_shape(self):
+        flux = S._LFFlux(E.parse("0"), 1.0)
+        w = np.ones((4, 5))
+        assert flux.values(w).shape == (4, 5)
+        assert np.array_equal(flux.combine(flux.values(w[:-1]),
+                                           flux.values(w[1:]), w[:-1], w[1:]),
+                              np.zeros((3, 5)))
+
+
+class TestSourceRate:
+    def test_matches_the_kernel_on_both_sides_of_its_support(self):
+        spec = source_spec()
+        stepper = S.Stepper(spec, Grid(8, 8, 1.0, 1.0))
+        tau, gamma, half = spec.tau, stepper.gamma, 0.5 * stepper.dt
+        edges = [tau - gamma, tau]
+        starts = [0.0, 0.3, tau + 0.2, stepper.dt * 100]
+        for c in edges:
+            for tc in (c, np.nextafter(c, -1.0), np.nextafter(c, 2.0),
+                       c - 1e-3, c + 1e-3):
+                starts.append(tc - half)
+        starts += [t for t in np.arange(stepper.n_steps) * stepper.dt
+                   if tau - gamma - 0.01 < t < tau + 0.01]
+        inside = 0
+        for t in starts:
+            want = float(kernels.k_gamma(t + half, tau, gamma))
+            got = stepper.source_rate(t)
+            assert got == want and np.signbit(got) == np.signbit(want)
+            inside += want != 0.0
+        assert 0 < inside < len(starts)

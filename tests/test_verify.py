@@ -10,7 +10,8 @@ from upkolmo.problem import (Field, Grid, Trajectory, ZeroInitialDataError,
                              sample_sup, sampled_deriv_max,
                              stability_invariants, stability_rhs,
                              stability_rhs_impulsive)
-from upkolmo.scheme import SchemeOptions, Stepper, predicted_sup
+from upkolmo.scheme import (LAX_FRIEDRICHS, SchemeOptions, Stepper,
+                            predicted_sup)
 from scenarios import (diffusionless_options, nosource_spec, perturbed_spec,
                        shock_spec, source_spec, unit_grid, zero_spec)
 
@@ -532,7 +533,8 @@ def _assert_same_report(got, want):
 
 @pytest.fixture(scope="module")
 def small_runs():
-    """16x16 source-problem runs, entropy and impulsive, at strides 1 and 32."""
+    """16x16 source-problem runs, entropy and impulsive, at strides 1 and 32,
+    and a Lax-Friedrichs entropy run at stride 1."""
     spec = source_spec()
     grid = unit_grid(16)
     runs = {}
@@ -541,6 +543,9 @@ def small_runs():
         runs["entropy", stride] = solver.solve_entropy(spec, grid, options=opts)
         runs["impulsive", stride] = solver.solve_impulsive(spec, grid,
                                                            options=opts)
+    runs["entropy_lf", 1] = solver.solve_entropy(
+        spec, grid, options=SchemeOptions(snapshot_stride=1,
+                                          flux_kind=LAX_FRIEDRICHS))
     return spec, runs
 
 
@@ -561,7 +566,7 @@ class TestHoistedAgainstReference:
         _assert_same_report(verify.check_bln(traj, spec, ks),
                             _bln_reference(traj, spec, ks))
 
-    @pytest.mark.parametrize("mode", ["entropy", "impulsive"])
+    @pytest.mark.parametrize("mode", ["entropy", "impulsive", "entropy_lf"])
     def test_entropy_residual(self, small_runs, mode):
         spec, runs = small_runs
         traj = runs[mode, 1]
