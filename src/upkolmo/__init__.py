@@ -8,8 +8,7 @@ from .chi import chi_integral, chi_distance, kinetic_impulse_residual
 from .problem import (Field, Grid, ProblemSpec, Trajectory,
                       impulsive_bounds, max_principle_bound,
                       refined_max_bound, stability_rhs)
-from .scheme import (SchemeOptions, Stepper, cfl_dt, eo_flux, lf_flux, step,
-                     ENGQUIST_OSHER, LAX_FRIEDRICHS)
+from .scheme import SchemeOptions, Stepper, ENGQUIST_OSHER, LAX_FRIEDRICHS
 from .solver import (extract_s_trace, solve_entropy, solve_impulsive,
                      solve_regularized)
 from .verify import (VerificationReport, check_bln, check_energy,

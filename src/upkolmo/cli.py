@@ -9,6 +9,7 @@ trajectories to files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -19,7 +20,7 @@ from . import io as config_io
 from . import solver, verify
 # bench/run.py traces refined_max_bound where each module binds it
 from .problem import refined_max_bound  # noqa: F401
-from .scheme import NaNDetectedError, Stepper, predicted_sup
+from .scheme import NaNDetectedError
 
 
 def _load(path):
@@ -66,7 +67,7 @@ def _cmd_run(args):
     except NaNDetectedError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 2
-    except (solver.GammaOutOfRangeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out or loaded.output_dir)
@@ -80,18 +81,6 @@ def _cmd_run(args):
     return 0
 
 
-def _run_entropy_for_gamma(payload):
-    spec, grid, options, gamma, dt, m_common = payload
-    return solver.solve_entropy(spec, grid, gamma=gamma, options=options,
-                                dt=dt, m_bound=m_common)
-
-
-def _run_regularized_for_eps(payload):
-    spec, grid, options, eps, gamma, dt, m_common = payload
-    return solver.solve_regularized(spec, grid, eps=eps, gamma=gamma,
-                                    options=options, dt=dt, m_bound=m_common)
-
-
 def _cmd_sweep(args):
     loaded = _load(args.config)
     if loaded is None:
@@ -101,46 +90,22 @@ def _cmd_sweep(args):
     out = Path(args.out or loaded.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        m_common = 1.05 * predicted_sup(spec) + 0.5
-        if args.param == "gamma":
-            dts = [Stepper(spec, grid, eps=0.0, gamma=g, options=options,
-                           m_bound=m_common).dt for g in values]
-            dts.append(Stepper(spec, grid, eps=0.0, gamma=0.0, options=options,
-                               m_bound=m_common).dt)
-            dt = min(dts)
-            ref = solver.solve_impulsive(spec, grid, options=options, dt=dt,
-                                         m_bound=m_common)
-            payloads = [(spec, grid, options, g, dt, m_common) for g in values]
-            if args.jobs > 1:
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    trajs = list(pool.map(_run_entropy_for_gamma, payloads))
+        with (ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1
+              else contextlib.nullcontext()) as pool:
+            map_fn = pool.map if pool else map
+            if args.param == "gamma":
+                report = verify.check_gamma_limit(spec, grid, values, options,
+                                                  map_fn=map_fn)
+                errors = report.context["errors"]
             else:
-                trajs = [_run_entropy_for_gamma(p) for p in payloads]
-            errors = [verify.spacetime_l1_diff(traj, ref) for traj in trajs]
-            report = verify.gamma_limit_report(spec, values, errors, trajs, ref)
-        else:
-            gamma = spec.gamma if spec.beta is not None else 0.0
-            if spec.beta is not None and gamma <= 0:
-                print("error: epsilon sweep with a delayed source needs "
-                      "gamma > 0 in the config", file=sys.stderr)
-                return 1
-            dt = min(Stepper(spec, grid, eps=e, gamma=gamma, options=options,
-                             m_bound=m_common).dt for e in values)
-            payloads = [(spec, grid, options, e, gamma, dt, m_common)
-                        for e in values]
-            if args.jobs > 1:
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    trajs = list(pool.map(_run_regularized_for_eps, payloads))
-            else:
-                trajs = [_run_regularized_for_eps(p) for p in payloads]
-            errors = [verify.spacetime_l1_diff(trajs[i], trajs[i + 1])
-                      for i in range(len(trajs) - 1)]
-            report = verify.epsilon_cauchy_report(spec, values, errors)
+                gamma = spec.gamma if spec.beta is not None else 0.0
+                report = verify.check_epsilon_cauchy(
+                    spec, grid, values, gamma, options, map_fn=map_fn)
+                errors = report.context["diffs"]
     except NaNDetectedError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 2
-    except (solver.GammaOutOfRangeError, verify.GammaOutOfRangeError,
-            ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     with open(out / f"{args.param}_sweep.csv", "w", encoding="utf-8") as fh:

@@ -25,6 +25,7 @@ verification checks need to reconstruct the stepper.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from dataclasses import dataclass
@@ -269,18 +270,20 @@ def _meta_to_json(meta):
     out = dict(meta)
     opts = out.get("options")
     if isinstance(opts, SchemeOptions):
-        out["options"] = {
-            "flux_kind": opts.flux_kind, "cfl_safety": opts.cfl_safety,
-            "snapshot_stride": opts.snapshot_stride,
-            "x_diffusion": opts.x_diffusion, "periodic": opts.periodic,
-        }
+        out["options"] = dataclasses.asdict(opts)
     return out
 
 
 def _meta_from_json(data):
     out = dict(data)
-    if isinstance(out.get("options"), dict):
-        out["options"] = SchemeOptions(**out["options"])
+    opts = out.get("options")
+    if isinstance(opts, dict):
+        opts = dict(opts)
+        # written as false by every run before periodic ghosts were removed
+        if opts.pop("periodic", False):
+            raise FormatError("meta.json: a run with periodic ghost cells "
+                              "cannot be re-stepped")
+        out["options"] = SchemeOptions(**opts)
     return out
 
 

@@ -4,8 +4,9 @@ The mollifier is the classical bump
 
     omega(t) = C * exp(-1 / (1 - t^2))   for |t| < 1,   0 otherwise,
 
-with C chosen once (adaptive Simpson quadrature, 1e-12 tolerance) so that
-the kernel has unit mass.  The delayed kernel
+with C chosen so that the kernel has unit mass: ``_norm_const`` computes it
+by adaptive Simpson quadrature (1e-12 tolerance) on first use and caches
+it for the process.  The delayed kernel
 
     K_gamma(t, tau) = 1_{t <= tau} * (2/gamma) * omega((t - tau)/gamma)
 
@@ -15,15 +16,14 @@ collapses onto a left-sided point impulse at tau as gamma -> 0+.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
 from . import exprdsl
 
 __all__ = [
-    "Mollifier", "OMEGA", "omega", "k_gamma", "kernel_mass",
+    "omega", "k_gamma", "kernel_mass",
     "source_growth_constants", "estimate_dbeta_sup",
     "NonPositiveGammaError", "adaptive_simpson",
 ]
@@ -66,49 +66,16 @@ def adaptive_simpson(f, a, b, tol=1e-12, max_depth=48):
     return recurse(a, b, fa, fm, fb, whole, tol, 0)
 
 
-def _compute_norm_const():
-    mass = adaptive_simpson(lambda t: float(_bump_raw(t)), -1.0, 1.0, tol=1e-12)
-    return 1.0 / mass
-
-
-_NORM_CONST = None
-
-
+@functools.cache
 def _norm_const():
-    global _NORM_CONST
-    if _NORM_CONST is None:
-        _NORM_CONST = _compute_norm_const()
-    return _NORM_CONST
-
-
-@dataclass(frozen=True)
-class Mollifier:
-    """Even, nonnegative unit-mass bump supported on [-1, 1]."""
-
-    norm_const: float
-
-    def __call__(self, t):
-        return self.norm_const * _bump_raw(t)
-
-
-def _default_mollifier():
-    return Mollifier(norm_const=_norm_const())
-
-
-# Lazily constructed module-wide instance.
-OMEGA: Mollifier | None = None
-
-
-def _omega():
-    global OMEGA
-    if OMEGA is None:
-        OMEGA = _default_mollifier()
-    return OMEGA
+    """The mollifier's normalisation constant C, 1 / mass of the raw bump."""
+    return 1.0 / adaptive_simpson(lambda t: float(_bump_raw(t)), -1.0, 1.0,
+                                  tol=1e-12)
 
 
 def omega(t):
     """Evaluate the unit-mass mollifier (scalar or array argument)."""
-    return _omega()(t)
+    return _norm_const() * _bump_raw(t)
 
 
 def k_gamma(t, tau, gamma):

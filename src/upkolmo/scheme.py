@@ -43,8 +43,7 @@ complex interpolation multiplies by 1/h where the real one divides by h,
 and with h = 2^-10 both are exact scalings by a power of two, so each
 part equals the real interpolation of its own table bit for bit.  For
 Lax-Friedrichs the per-cell part is f(w), evaluated once per cell instead
-of once on each side of every interface.  The ``eo_flux`` operation below
-keeps the direct quadrature definition.
+of once on each side of every interface.
 """
 
 from __future__ import annotations
@@ -55,12 +54,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprdsl, kernels
-from .problem import Field, Grid, ProblemSpec, data_sup_norms, sample_sup, \
-    sampled_deriv_max
+from .problem import data_sup_norms, sample_sup, sampled_deriv_max
 
 __all__ = [
-    "SchemeOptions", "NumericalFlux", "Stepper",
-    "lf_flux", "eo_flux", "cfl_dt", "step",
+    "SchemeOptions", "Stepper",
     "DegenerateGridError", "NaNDetectedError", "SupNormExceeded",
     "LAX_FRIEDRICHS", "ENGQUIST_OSHER", "predicted_sup",
 ]
@@ -93,90 +90,6 @@ class SchemeOptions:
     cfl_safety: float = 0.9
     snapshot_stride: int = 32
     x_diffusion: bool = True      # debug: False drops the lateral Laplacian
-    periodic: bool = False        # debug: periodic ghosts in both directions
-
-
-@dataclass(frozen=True)
-class NumericalFlux:
-    """Flux descriptor; alpha is the LF dissipation coefficient."""
-
-    kind: str
-    f: exprdsl.Expr
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (LAX_FRIEDRICHS, ENGQUIST_OSHER):
-            raise ValueError(f"unknown flux kind {self.kind!r}")
-        if self.kind == LAX_FRIEDRICHS and self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-
-    def __call__(self, uL, uR):
-        if self.kind == LAX_FRIEDRICHS:
-            return lf_flux(uL, uR, self.f, self.alpha)
-        return eo_flux(uL, uR, self.f)
-
-
-# --- flux operations -------------------------------------------------------
-
-def lf_flux(uL, uR, f, alpha):
-    """Lax-Friedrichs flux (f(uL) + f(uR))/2 - alpha (uR - uL)/2."""
-    fL = exprdsl.evaluate(f, {"lambda": uL})
-    fR = exprdsl.evaluate(f, {"lambda": uR})
-    return 0.5 * (fL + fR) - 0.5 * alpha * (np.asarray(uR) - np.asarray(uL))
-
-
-def _eo_split_scalar(f, u, positive):
-    n = max(1, math.ceil(64.0 * abs(u)))
-    mids = (np.arange(n) + 0.5) * (u / n)
-    _, d = exprdsl.eval_dual(f, {"lambda": mids}, "lambda")
-    part = np.maximum(d, 0.0) if positive else np.minimum(d, 0.0)
-    return float(np.sum(part) * (u / n))
-
-
-def _eo_split_array(f, u, positive):
-    u = np.asarray(u, dtype=float)
-    n = max(64, math.ceil(64.0 * float(np.max(np.abs(u), initial=0.0))))
-    offs = (np.arange(n) + 0.5) / n
-    mids = u[..., None] * offs
-    _, d = exprdsl.eval_dual(f, {"lambda": mids}, "lambda")
-    part = np.maximum(d, 0.0) if positive else np.minimum(d, 0.0)
-    return np.sum(part, axis=-1) * (u / n)
-
-
-def eo_flux(uL, uR, f):
-    """Engquist-Osher flux by composite midpoint quadrature of the split
-    derivative, 64 points per unit interval."""
-    f0 = exprdsl.evaluate(f, {"lambda": 0.0})
-    if np.ndim(uL) == 0 and np.ndim(uR) == 0:
-        return float(f0 + _eo_split_scalar(f, float(uL), True)
-                     + _eo_split_scalar(f, float(uR), False))
-    return f0 + _eo_split_array(f, uL, True) + _eo_split_array(f, uR, False)
-
-
-def cfl_dt(spec, grid, M, safety):
-    """Explicit-stability time step for the full update.
-
-        dt = safety / ( max|a'|/ds + sum_i max|phi_i'|/dx
-                        + 2 d / dx^2 + 2 eps / ds^2 + sup K_gamma * b0 )
-
-    Derivative maxima are sampled over [-M, M].
-    """
-    if grid.nx <= 0 or grid.ns <= 0 or grid.dx <= 0 or grid.ds <= 0:
-        raise DegenerateGridError(f"grid {grid}")
-    if not (0.0 < safety <= 1.0):
-        raise ValueError(f"safety must be in (0, 1], got {safety}")
-    M = max(M, 1e-12)
-    denom = sampled_deriv_max(spec.flux_a, -M, M) / grid.ds
-    for phi in spec.flux_phi:
-        denom += sampled_deriv_max(phi, -M, M) / grid.dx
-    denom += 2.0 * spec.d / grid.dx ** 2
-    denom += 2.0 * spec.epsilon / grid.ds ** 2
-    if spec.beta is not None and spec.gamma > 0:
-        b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
-        denom += (2.0 / spec.gamma) * float(kernels.omega(0.0)) * b0
-    if denom <= 0:
-        raise DegenerateGridError("all stiffness terms vanished")
-    return safety / denom
 
 
 def predicted_sup(spec, gamma=None):
@@ -253,11 +166,15 @@ class Stepper:
 
     def __init__(self, spec, grid, eps=None, gamma=None, options=None,
                  m_bound=None, dt=None):
+        if grid.nx <= 0 or grid.ns <= 0 or grid.dx <= 0 or grid.ds <= 0:
+            raise DegenerateGridError(f"grid {grid}")
+        self.options = options or SchemeOptions()
+        if self.options.flux_kind not in (ENGQUIST_OSHER, LAX_FRIEDRICHS):
+            raise ValueError(f"unknown flux kind {self.options.flux_kind!r}")
         self.spec = spec
         self.grid = grid
         self.eps = spec.epsilon if eps is None else eps
         self.gamma = spec.gamma if gamma is None else gamma
-        self.options = options or SchemeOptions()
         if m_bound is None:
             m_bound = 1.05 * predicted_sup(spec, self.gamma) + 0.5
         self.m_bound = m_bound
@@ -280,9 +197,18 @@ class Stepper:
             self.flux_phi = _LFFlux(spec.flux_phi[0], alpha_p)
 
     def _cfl(self):
+        """Explicit-stability time step of the full update.
+
+            dt = safety / ( max|a'|/ds + max|phi'|/dx + 2 d / dx^2
+                            + 2 eps / ds^2 + sup K_gamma * b0 )
+
+        Derivative maxima are sampled over [-m_bound, m_bound]; the lateral
+        term drops out without ``x_diffusion``.
+        """
         spec, grid = self.spec, self.grid
-        if grid.nx <= 0 or grid.ns <= 0:
-            raise DegenerateGridError(f"grid {grid}")
+        safety = self.options.cfl_safety
+        if not (0.0 < safety <= 1.0):
+            raise ValueError(f"safety must be in (0, 1], got {safety}")
         M = max(self.m_bound, 1e-12)
         denom = sampled_deriv_max(spec.flux_a, -M, M) / grid.ds
         denom += sampled_deriv_max(spec.flux_phi[0], -M, M) / grid.dx
@@ -295,7 +221,7 @@ class Stepper:
             denom += (2.0 / self.gamma) * float(kernels.omega(0.0)) * b0
         if denom <= 0:
             raise DegenerateGridError("all stiffness terms vanished")
-        return self.options.cfl_safety / denom
+        return safety / denom
 
     # ghost filling ---------------------------------------------------------
 
@@ -313,17 +239,11 @@ class Stepper:
         nx, ns = u.shape
         w = np.empty((nx + 2, ns + 2), dtype=float)
         w[1:-1, 1:-1] = u
-        if self.options.periodic:
-            w[0, 1:-1] = u[-1]
-            w[-1, 1:-1] = u[0]
-            w[1:-1, 0] = u[:, -1]
-            w[1:-1, -1] = u[:, 0]
-        else:
-            w[0, 1:-1] = 0.0
-            w[-1, 1:-1] = 0.0
-            g0, gS = self.boundary_values(t)
-            w[1:-1, 0] = g0
-            w[1:-1, -1] = gS
+        w[0, 1:-1] = 0.0
+        w[-1, 1:-1] = 0.0
+        g0, gS = self.boundary_values(t)
+        w[1:-1, 0] = g0
+        w[1:-1, -1] = gS
         w[0, 0] = w[0, -1] = w[-1, 0] = w[-1, -1] = 0.0
         return w
 
@@ -370,10 +290,3 @@ class Stepper:
                 f"non-finite value at cell {tuple(bad)} after step from "
                 f"t = {t:.6g}")
         return new
-
-
-def step(u, spec, grid, t, eps, options=None, m_bound=None, dt=None):
-    """One forward-Euler update of a Field (operation form of Stepper.step)."""
-    stepper = Stepper(spec, grid, eps=eps, options=options,
-                      m_bound=m_bound, dt=dt)
-    return Field(stepper.step(u.values, t), grid, t + stepper.dt)

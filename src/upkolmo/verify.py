@@ -30,6 +30,7 @@ Notes on two deliberately discrete constructions:
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -38,12 +39,14 @@ import numpy as np
 
 from . import chi as chi_mod
 from . import exprdsl, kernels
+from .chi import GridMismatchError
 from .problem import (ZeroInitialDataError, impulsive_bounds,
                       impulsive_stability_invariants, max_principle_bound,
                       refined_max_bound, sample_sup, stability_invariants,
                       stability_rhs, stability_rhs_impulsive)
 from .scheme import Stepper, predicted_sup
 from . import solver as solver_mod
+from .solver import GammaOutOfRangeError
 
 __all__ = [
     "VerificationReport", "write_reports", "check_max_principle",
@@ -68,14 +71,6 @@ class TooFewRunsError(ValueError):
 
 
 class MissingTauTracesError(ValueError):
-    pass
-
-
-class GridMismatchError(ValueError):
-    pass
-
-
-class GammaOutOfRangeError(ValueError):
     pass
 
 
@@ -512,11 +507,11 @@ def check_bln(traj, spec, k_values):
             q_tr0, a_tr0, _ = _q_a(spec, tr0, k)
             q_d0, a_d0, _ = _q_a(spec, data0, k)
             expr0 = q_tr0 - q_d0 - _smooth_sign(data0 - k) * (a_tr0 - a_d0)
-            worst = max(worst, float(np.max(expr0)))
+            worst = max(worst, _inf_unless_finite(float(np.max(expr0))))
             q_trS, a_trS, _ = _q_a(spec, trS, k)
             q_dS, a_dS, _ = _q_a(spec, dataS, k)
             exprS = q_trS - q_dS - _smooth_sign(dataS - k) * (a_trS - a_dS)
-            worst = max(worst, float(np.max(-exprS)))
+            worst = max(worst, _inf_unless_finite(float(np.max(-exprS))))
     else:
         worst = np.inf  # no trace or no k: nothing to certify
     context = {"spec": spec.context_hash(), "tol": tol,
@@ -561,13 +556,14 @@ def check_jump(traj, spec, n_cells=1024):
 
 # --- singular limits -------------------------------------------------------------
 
-def check_gamma_limit(spec, grid, gammas, options=None):
+def check_gamma_limit(spec, grid, gammas, options=None, map_fn=map):
     """Convergence of the delayed-source runs to the impulsive run.
 
     Runs the entropy solver per delay width and the impulsive solver once,
     with a common time step and invariant region so that the pre-impulse
     window is bitwise shared, then checks that the space-time L1 distance
-    decreases (5% slack) and at least halves from first to last.
+    decreases (5% slack) and at least halves from first to last.  The
+    per-width runs go through ``map_fn``, e.g. a process pool's ``map``.
     """
     gammas = list(gammas)
     if any(g <= 0 for g in gammas):
@@ -587,8 +583,9 @@ def check_gamma_limit(spec, grid, gammas, options=None):
 
     ref = solver_mod.solve_impulsive(spec, grid, options=options,
                                      dt=dt, m_bound=m_common)
-    trajs = [solver_mod.solve_entropy(spec, grid, gamma=g, options=options,
-                                      dt=dt, m_bound=m_common) for g in gammas]
+    trajs = list(map_fn(functools.partial(
+        solver_mod.solve_entropy, spec, grid, options=options, dt=dt,
+        m_bound=m_common), gammas))
     errors = [spacetime_l1_diff(traj, ref) for traj in trajs]
     return gamma_limit_report(spec, gammas, errors, trajs, ref)
 
@@ -620,18 +617,19 @@ def gamma_limit_report(spec, gammas, errors, trajs, ref):
     return report
 
 
-def check_epsilon_cauchy(spec, grid, epsilons, gamma, options=None):
-    """Successive L1 differences along a decreasing viscosity sequence."""
+def check_epsilon_cauchy(spec, grid, epsilons, gamma, options=None,
+                         map_fn=map):
+    """Successive L1 differences along a decreasing viscosity sequence; the
+    per-viscosity runs go through ``map_fn``."""
     epsilons = list(epsilons)
     if len(epsilons) < 3:
         raise TooFewRunsError("need at least 3 viscosity values")
     m_common = 1.05 * predicted_sup(spec) + 0.5
     dt = min(Stepper(spec, grid, eps=e, gamma=gamma, options=options,
                      m_bound=m_common).dt for e in epsilons)
-    trajs = [solver_mod.solve_regularized(spec, grid, eps=e, gamma=gamma,
-                                          options=options, dt=dt,
-                                          m_bound=m_common)
-             for e in epsilons]
+    trajs = list(map_fn(functools.partial(
+        solver_mod.solve_regularized, spec, grid, gamma=gamma,
+        options=options, dt=dt, m_bound=m_common), epsilons))
     diffs = [spacetime_l1_diff(trajs[i], trajs[i + 1])
              for i in range(len(trajs) - 1)]
     return epsilon_cauchy_report(spec, epsilons, diffs)

@@ -183,3 +183,66 @@ def test_k_bank_leaves_non_finite_cells_out(run_dir):
     for fld in stored.fields:
         fld.values[:] = np.nan
     assert cli._k_bank(stored) == []
+
+
+def _sweep_config(tmp_path):
+    return _config(tmp_path, "sweep.cfg").read_text().replace(
+        "Nx = 8\nNs = 8", "Nx = 16\nNs = 16")
+
+
+SWEEPS = {"gamma": "0.2,0.1,0.05", "epsilon": "0.04,0.02,0.01"}
+
+
+@pytest.mark.parametrize("param", sorted(SWEEPS))
+def test_sweep_writes_the_same_files_at_any_job_count(tmp_path, param):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(_sweep_config(tmp_path))
+    written = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(["sweep", str(cfg), "--param", param, "--values",
+                         SWEEPS[param], "--jobs", str(jobs),
+                         "--out", str(out)]) == 0
+        written[jobs] = {name: (out / name).read_bytes()
+                         for name in (f"{param}_sweep.csv", "sweep_report.csv")}
+    assert written[1] == written[2]
+    sweep = written[1][f"{param}_sweep.csv"].decode().splitlines()
+    assert sweep[0] == f"{param},error"
+    assert len(sweep) == 1 + (3 if param == "gamma" else 2)
+    report = written[1]["sweep_report.csv"].decode().splitlines()
+    check = "gamma_limit" if param == "gamma" else "epsilon_cauchy"
+    assert report[1].split(",")[0] == check
+    assert report[1].split(",")[4] == "true"
+
+
+def test_sweep_rejects_non_decreasing_gammas(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(_sweep_config(tmp_path))
+    assert cli.main(["sweep", str(cfg), "--param", "gamma", "--values",
+                     "0.1,0.2", "--out", str(tmp_path / "out")]) == 1
+    assert "strictly decreasing" in capsys.readouterr().err
+
+
+def test_sweep_needs_three_epsilons(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(_sweep_config(tmp_path))
+    assert cli.main(["sweep", str(cfg), "--param", "epsilon", "--values",
+                     "0.02,0.01", "--out", str(tmp_path / "out")]) == 1
+    assert "need at least 3 viscosity values" in capsys.readouterr().err
+
+
+def test_epsilon_sweep_with_a_delayed_source_needs_gamma(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(_sweep_config(tmp_path).replace("gamma = 0.1",
+                                                   "gamma = 0.0"))
+    assert cli.main(["sweep", str(cfg), "--param", "epsilon", "--values",
+                     SWEEPS["epsilon"], "--out", str(tmp_path / "out")]) == 1
+    assert "gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flux, code", [("lambda^2/2", 0), ("lambda", 3)])
+def test_validate_flux_exit_codes(tmp_path, flux, code):
+    cfg = tmp_path / "flux.cfg"
+    cfg.write_text(_config(tmp_path).read_text().replace(
+        'a = "lambda^2/2"', f'a = "{flux}"'))
+    assert cli.main(["validate-flux", str(cfg)]) == code

@@ -1,0 +1,65 @@
+"""Trajectory directories: what `meta.json` holds and what loads back."""
+
+import json
+
+import numpy as np
+import pytest
+
+from upkolmo import io as upk_io
+from upkolmo.problem import Field, Trajectory
+from upkolmo.scheme import LAX_FRIEDRICHS, SchemeOptions
+from scenarios import unit_grid
+
+OPTIONS = SchemeOptions(flux_kind=LAX_FRIEDRICHS, cfl_safety=0.5,
+                        snapshot_stride=3, x_diffusion=False)
+
+
+def _trajectory():
+    grid = unit_grid(4)
+    rng = np.random.default_rng(3)
+    traj = Trajectory(grid=grid)
+    for t in (0.0, 0.25, 0.5):
+        traj.append(t, Field(rng.random((4, 4)), grid, t))
+    traj.tau_minus = Field(rng.random((4, 4)), grid, 0.375)
+    traj.tau_plus = Field(rng.random((4, 4)), grid, 0.375)
+    traj.meta = {"mode": "impulsive", "dt": 0.125, "options": OPTIONS}
+    return traj
+
+
+def test_round_trip_keeps_options_fields_and_jump_fields(tmp_path):
+    traj = _trajectory()
+    upk_io.write_trajectory(tmp_path, traj)
+    back = upk_io.read_trajectory(tmp_path)
+    assert back.meta == traj.meta
+    assert back.times == traj.times
+    for got, want in zip(back.fields + [back.tau_minus, back.tau_plus],
+                         traj.fields + [traj.tau_minus, traj.tau_plus]):
+        assert got.t == want.t
+        assert np.array_equal(got.values, want.values)
+
+
+def test_meta_json_lists_every_option_once(tmp_path):
+    upk_io.write_trajectory(tmp_path, _trajectory())
+    text = (tmp_path / "meta.json").read_text()
+    stored = json.loads(text)["options"]
+    assert stored == {"flux_kind": LAX_FRIEDRICHS, "cfl_safety": 0.5,
+                      "snapshot_stride": 3, "x_diffusion": False}
+    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True)
+
+
+def _with_periodic(tmp_path, value):
+    upk_io.write_trajectory(tmp_path, _trajectory())
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["options"]["periodic"] = value
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+
+
+def test_legacy_periodic_false_loads(tmp_path):
+    _with_periodic(tmp_path, False)
+    assert upk_io.read_trajectory(tmp_path).meta["options"] == OPTIONS
+
+
+def test_periodic_true_cannot_be_loaded(tmp_path):
+    _with_periodic(tmp_path, True)
+    with pytest.raises(upk_io.FormatError, match="periodic"):
+        upk_io.read_trajectory(tmp_path)

@@ -35,9 +35,8 @@ class TestMollifier:
     def test_normalization_constant(self):
         # derived by adaptive quadrature; the classical approximate value of
         # the multiplicative constant is 2.2522 (4 digits)
-        kernels.omega(0.0)  # force construction
-        assert kernels.OMEGA.norm_const == pytest.approx(2.2522836, abs=1e-6)
-        assert abs(kernels.OMEGA.norm_const - 2.2522) < 1e-3
+        assert kernels._norm_const() == pytest.approx(2.2522836, abs=1e-6)
+        assert abs(kernels._norm_const() - 2.2522) < 1e-3
 
     def test_peak_value(self):
         # omega(0) = norm_const * exp(-1), frozen from the quadrature oracle

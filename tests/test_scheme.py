@@ -4,59 +4,86 @@ import pytest
 from upkolmo import exprdsl as E
 from upkolmo import kernels
 from upkolmo import scheme as S
-from upkolmo.problem import Field, Grid
+from upkolmo.problem import Grid
 from scenarios import nosource_spec, shock_spec, source_spec, zero_spec, \
     diffusionless_options
 
 BURGERS = E.parse("lambda^2/2")
 
 
+def _flux(flux, uL, uR):
+    """The two-point flux of ``flux`` at scalars or same-shape arrays."""
+    return flux.flux(np.asarray(uL, dtype=float), np.asarray(uR, dtype=float))
+
+
+def _lf(uL, uR, alpha):
+    return _flux(S._LFFlux(BURGERS, alpha), uL, uR)
+
+
+def _eo(uL, uR, f=BURGERS):
+    return float(_flux(S._SplitTable(f, radius=3.0), uL, uR))
+
+
+def _eo_direct(uL, uR, f):
+    """Engquist-Osher flux by composite midpoint quadrature of the split
+    derivative from 0, 64 points per unit interval: a reference for the
+    table."""
+    def split(u, part):
+        n = max(1, int(np.ceil(64.0 * abs(u))))
+        mids = (np.arange(n) + 0.5) * (u / n)
+        _, d = E.eval_dual(f, {"lambda": mids}, "lambda")
+        return float(np.sum(part(d, 0.0)) * (u / n))
+    f0 = float(E.evaluate(f, {"lambda": 0.0}))
+    return f0 + split(uL, np.maximum) + split(uR, np.minimum)
+
+
 class TestLaxFriedrichs:
     def test_zero_state(self):
-        assert S.lf_flux(0.0, 0.0, BURGERS, 1.0) == 0.0
+        assert _lf(0.0, 0.0, 1.0) == 0.0
 
     def test_hand_value(self):
         # (0.5 + 0.5)/2 - 1*(-1-1)/2 = 1.5
-        assert S.lf_flux(1.0, -1.0, BURGERS, 1.0) == pytest.approx(1.5)
+        assert _lf(1.0, -1.0, 1.0) == pytest.approx(1.5)
 
     def test_consistency(self):
-        assert S.lf_flux(2.0, 2.0, BURGERS, 1.0) == pytest.approx(2.0)
+        assert _lf(2.0, 2.0, 1.0) == pytest.approx(2.0)
 
     def test_array_broadcast(self):
         uL = np.array([1.0, 2.0])
-        out = S.lf_flux(uL, uL, BURGERS, 0.5)
+        out = _lf(uL, uL, 0.5)
         assert np.allclose(out, [0.5, 2.0])
 
 
 class TestEngquistOsher:
+    """The tabulated flux the stepper uses, ``_SplitTable.flux``."""
+
     def test_rarefaction_pair(self):
-        assert S.eo_flux(-1.0, 1.0, BURGERS) == pytest.approx(0.0, abs=1e-12)
+        assert _eo(-1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_shock_pair(self):
-        assert S.eo_flux(1.0, -1.0, BURGERS) == pytest.approx(1.0, abs=1e-12)
+        assert _eo(1.0, -1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_consistency_identity(self):
-        for v in (-1.5, -0.3, 0.0, 0.7, 2.0):
-            f_v = float(E.evaluate(BURGERS, {"lambda": v}))
-            assert S.eo_flux(v, v, BURGERS) == pytest.approx(f_v, abs=1e-12)
+        # exact at the table nodes (multiples of 2^-10), every one of them
+        table = S._SplitTable(BURGERS, radius=3.0)
+        for v in (-1.5, 0.0, 2.0):
+            assert _eo(v, v) == pytest.approx(v * v / 2, abs=1e-12)
+        nodes = table.nodes
+        assert np.allclose(table.flux(nodes, nodes), nodes ** 2 / 2,
+                           rtol=0.0, atol=1e-12)
+        # between nodes a < v < b, f interpolated linearly:
+        # v^2/2 + (v - a)(b - v)/2, at most h^2/8 = 2^-23 above f(v)
+        for v in (-0.3, 0.7):
+            a = np.floor(v * 1024) / 1024
+            b = a + 1 / 1024
+            assert _eo(v, v) == pytest.approx(v * v / 2 + (v - a) * (b - v) / 2,
+                                              abs=1e-12)
 
     def test_consistency_smooth_nonconvex(self):
         f = E.parse("sin(lambda)")
         for v in (-2.0, -0.5, 0.4, 1.8):
             f_v = float(np.sin(v))
-            assert S.eo_flux(v, v, f) == pytest.approx(f_v, abs=1e-5)
-
-    def test_monotone_probe_direct(self):
-        # the direct quadrature's cell count tracks |u|, so the probe allows
-        # jitter at the quadrature error scale on flat split stretches
-        rng = np.random.default_rng(4)
-        f = E.parse("sin(lambda)")  # genuinely non-monotone flux
-        h = 1e-4
-        for _ in range(50):
-            uL, uR = rng.uniform(-2, 2, size=2)
-            base = S.eo_flux(uL, uR, f)
-            assert S.eo_flux(uL + h, uR, f) >= base - 1e-4
-            assert S.eo_flux(uL, uR + h, f) <= base + 1e-4
+            assert _eo(v, v, f) == pytest.approx(f_v, abs=1e-5)
 
     def test_monotone_probe_table(self):
         # the tabulated split flux used inside the stepper is exactly monotone
@@ -73,15 +100,27 @@ class TestEngquistOsher:
 
 
 class TestNumericalFlux:
+    """The Stepper's flux objects, one per kind."""
+
     def test_kinds(self):
-        nf = S.NumericalFlux(S.LAX_FRIEDRICHS, BURGERS, alpha=2.0)
-        assert nf(1.0, 1.0) == pytest.approx(0.5)
-        nf = S.NumericalFlux(S.ENGQUIST_OSHER, BURGERS)
-        assert nf(1.0, -1.0) == pytest.approx(1.0)
+        grid = Grid(8, 8, 1.0, 1.0)
+        lf = S.Stepper(nosource_spec(), grid, eps=0.0, m_bound=1.0,
+                       options=S.SchemeOptions(flux_kind=S.LAX_FRIEDRICHS))
+        assert isinstance(lf.flux_a, S._LFFlux)
+        assert _lf(1.0, 1.0, 2.0) == pytest.approx(0.5)
+        eo = S.Stepper(nosource_spec(), grid, eps=0.0, m_bound=1.0)
+        assert isinstance(eo.flux_a, S._SplitTable)
+        assert _eo(1.0, -1.0) == pytest.approx(1.0)
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            S.NumericalFlux("roe", BURGERS)
+        with pytest.raises(ValueError, match="unknown flux kind 'roe'"):
+            S.Stepper(nosource_spec(), Grid(8, 8, 1.0, 1.0),
+                      options=S.SchemeOptions(flux_kind="roe"))
+
+
+def _cfl(spec, grid, **kwargs):
+    kwargs = {"eps": 0.0, "gamma": 0.0, **kwargs}
+    return S.Stepper(spec, grid, m_bound=1.0, **kwargs)._cfl()
 
 
 class TestCfl:
@@ -91,33 +130,56 @@ class TestCfl:
         spec = nosource_spec().with_data(flux_a=E.parse("lambda"),
                                          flux_phi=(E.parse("lambda"),))
         grid = Grid(nx=10, ns=10, L=1.0, S=1.0)
-        dt = S.cfl_dt(spec, grid, M=1.0, safety=0.9)
-        assert dt == pytest.approx(0.9 / 220.0, rel=1e-6)
+        assert _cfl(spec, grid) == pytest.approx(0.9 / 220.0, rel=1e-6)
+
+    def test_without_lateral_diffusion(self):
+        # the 2 d / dx^2 = 200 term drops out: 0.9 / (10 + 10)
+        spec = nosource_spec().with_data(flux_a=E.parse("lambda"),
+                                         flux_phi=(E.parse("lambda"),))
+        grid = Grid(nx=10, ns=10, L=1.0, S=1.0)
+        opts = S.SchemeOptions(x_diffusion=False)
+        assert _cfl(spec, grid, options=opts) == pytest.approx(0.9 / 20.0,
+                                                               rel=1e-6)
+
+    def test_eps_override(self):
+        # the Stepper's eps, not spec.epsilon = 0: + 2 * 0.01 / 0.1^2 = 2
+        spec = nosource_spec().with_data(flux_a=E.parse("lambda"),
+                                         flux_phi=(E.parse("lambda"),))
+        assert spec.epsilon == 0.0
+        grid = Grid(nx=10, ns=10, L=1.0, S=1.0)
+        assert _cfl(spec, grid, eps=0.01) == pytest.approx(0.9 / 222.0,
+                                                           rel=1e-6)
 
     def test_pure_heat(self):
         spec = nosource_spec().with_data(flux_a=E.parse("0"),
                                          flux_phi=(E.parse("0"),))
         grid = Grid(nx=16, ns=16, L=1.0, S=1.0)
-        dt = S.cfl_dt(spec, grid, M=1.0, safety=0.9)
-        assert dt == pytest.approx(0.9 * grid.dx ** 2 / 2.0, rel=1e-12)
+        assert _cfl(spec, grid) == pytest.approx(0.9 * grid.dx ** 2 / 2.0,
+                                                 rel=1e-12)
 
     def test_refinement_scaling(self):
         spec = nosource_spec().with_data(flux_a=E.parse("0"),
                                          flux_phi=(E.parse("0"),))
-        d1 = S.cfl_dt(spec, Grid(16, 16, 1.0, 1.0), M=1.0, safety=0.9)
-        d2 = S.cfl_dt(spec, Grid(32, 16, 1.0, 1.0), M=1.0, safety=0.9)
+        d1 = _cfl(spec, Grid(16, 16, 1.0, 1.0))
+        d2 = _cfl(spec, Grid(32, 16, 1.0, 1.0))
         assert d1 == pytest.approx(4 * d2, rel=1e-12)
 
     def test_degenerate_grid(self):
         with pytest.raises(S.DegenerateGridError):
-            S.cfl_dt(nosource_spec(), Grid(0, 16, 1.0, 1.0), 1.0, 0.9)
+            S.Stepper(nosource_spec(), Grid(0, 16, 1.0, 1.0))
+
+    @pytest.mark.parametrize("safety", [0.0, -0.5, 1.5])
+    def test_rejects_safety_out_of_range(self, safety):
+        with pytest.raises(ValueError, match="safety must be in"):
+            _cfl(nosource_spec(), Grid(8, 8, 1.0, 1.0),
+                 options=S.SchemeOptions(cfl_safety=safety))
 
     def test_source_term_enters(self):
         with_src = source_spec(gamma=0.05)
         without = nosource_spec()
         grid = Grid(nx=16, ns=16, L=1.0, S=1.0)
-        assert S.cfl_dt(with_src, grid, 1.0, 0.9) \
-            < S.cfl_dt(without, grid, 1.0, 0.9)
+        assert _cfl(with_src, grid, gamma=None) < _cfl(without, grid,
+                                                       gamma=None)
 
 
 def _random_field(rng, grid, amp=0.8):
@@ -128,17 +190,21 @@ class TestStep:
     def test_zero_fixed_point(self):
         spec = zero_spec()  # perturbation vanishes at value 0
         grid = Grid(16, 16, 1.0, 1.0)
-        u = Field(np.zeros((16, 16)), grid, 0.0)
-        out = S.step(u, spec, grid, t=0.45, eps=0.0)
-        assert np.all(out.values == 0.0)
+        out = S.Stepper(spec, grid, eps=0.0).step(np.zeros((16, 16)), t=0.45)
+        assert np.all(out == 0.0)
 
-    def test_constant_preserved_periodic(self):
-        spec = nosource_spec()
+    def test_constant_preserved(self):
+        # zero x-flux and s-end data equal to the constant: every interface
+        # flux is the same, so one step leaves 0.37 bit for bit
+        spec = nosource_spec().with_data(flux_phi=(E.parse("0"),),
+                                         data_u0_2=E.parse("0.37"),
+                                         data_uS_2=E.parse("0.37"))
         grid = Grid(16, 16, 1.0, 1.0)
-        opts = S.SchemeOptions(periodic=True)
-        u = Field(np.full((16, 16), 0.37), grid, 0.0)
-        out = S.step(u, spec, grid, t=0.0, eps=0.0, options=opts)
-        assert np.allclose(out.values, 0.37, atol=1e-15)
+        for kind in (S.ENGQUIST_OSHER, S.LAX_FRIEDRICHS):
+            opts = S.SchemeOptions(flux_kind=kind, x_diffusion=False)
+            stepper = S.Stepper(spec, grid, eps=0.0, options=opts)
+            out = stepper.step(np.full((16, 16), 0.37), t=0.0)
+            assert np.array_equal(out, np.full((16, 16), 0.37))
 
     @pytest.mark.parametrize("kind", [S.ENGQUIST_OSHER, S.LAX_FRIEDRICHS])
     def test_discrete_max_principle_exact(self, kind):
@@ -189,18 +255,19 @@ class TestStep:
             rho -= dt * stepper.eps * (es[:, :-2] - 2 * eta0 + es[:, 2:]) / ds ** 2
             assert rho.max() <= 1e-12
 
-    def test_conservation_periodic(self):
+    def test_conservation_interior(self):
+        # a field on the centre 8x8 cells of a 48x48 grid spreads at most
+        # one cell per step, so in 20 steps nothing crosses the boundary
         rng = np.random.default_rng(29)
         spec = nosource_spec()
-        grid = Grid(16, 16, 1.0, 1.0)
-        opts = S.SchemeOptions(periodic=True)
-        stepper = S.Stepper(spec, grid, eps=0.01, gamma=0.0, options=opts,
-                            m_bound=1.0)
-        u = _random_field(rng, grid)
+        grid = Grid(48, 48, 1.0, 1.0)
+        stepper = S.Stepper(spec, grid, eps=0.01, gamma=0.0, m_bound=1.0)
+        u = np.zeros((48, 48))
+        u[20:28, 20:28] = _random_field(rng, Grid(8, 8, 1.0, 1.0))
         mass0 = u.sum() * grid.cell_volume
         for _ in range(20):
             u = stepper.step(u, t=0.1)
-            assert abs(u.sum() * grid.cell_volume - mass0) <= 1e-12
+            assert abs(u.sum() * grid.cell_volume - mass0) <= 1e-15
 
     def test_shock_speed(self):
         spec = shock_spec()
@@ -237,7 +304,7 @@ class TestStep:
         rng = np.random.default_rng(37)
         for _ in range(30):
             uL, uR = rng.uniform(-1.5, 1.5, size=2)
-            direct = S.eo_flux(uL, uR, BURGERS)
+            direct = _eo_direct(uL, uR, BURGERS)
             via_table = float(table.flux(np.array([uL]), np.array([uR]))[0])
             assert via_table == pytest.approx(direct, abs=1e-6)
 

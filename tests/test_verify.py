@@ -141,9 +141,10 @@ class TestEntropyResidual:
         assert abs(rep.measured) <= 1e-8
 
     def test_constant_solution(self):
-        spec = nosource_spec().with_data(data_u0_1=E.parse("0.7"))
-        opts = SchemeOptions(periodic=True, snapshot_stride=1,
-                             x_diffusion=False)
+        spec = nosource_spec().with_data(data_u0_1=E.parse("0.7"),
+                                         data_u0_2=E.parse("0.7"),
+                                         data_uS_2=E.parse("0.7"))
+        opts = SchemeOptions(snapshot_stride=1, x_diffusion=False)
         traj = solver.solve_entropy(spec, unit_grid(16), gamma=0.0,
                                     options=opts)
         rep = verify.check_entropy_residual(traj, spec, [0.2, 0.7, 1.3])
@@ -228,6 +229,16 @@ class TestBln:
         assert not rep.passed
         assert rep.measured == np.inf
         assert rep.context["n_scored"] == 0
+
+    @pytest.mark.parametrize("col", [0, -1], ids=["s0", "sS"])
+    def test_non_finite_trace_fails(self, col):
+        traj, spec = self._bln_case([(0.0, 0.4), (0.1, 0.4)])
+        values = np.full((8, 8), 0.4)
+        values[3, col] = np.nan
+        traj.append(0.2, Field(values, traj.grid, 0.2))
+        rep = verify.check_bln(traj, spec, self.BLN_KS)
+        assert not rep.passed
+        assert rep.measured == np.inf
 
     def test_unattainable_final_data(self, unattainable_run):
         spec = unattainable_run["spec"]
