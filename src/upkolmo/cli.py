@@ -127,9 +127,13 @@ def _cmd_verify(args):
     if loaded is None:
         return 1
     spec = loaded.spec
-    traj = config_io.read_trajectory(args.traj, L=spec.L, S=spec.S)
-    traj2 = (config_io.read_trajectory(args.traj2, L=spec.L, S=spec.S)
-             if args.traj2 else traj)
+    try:
+        traj = config_io.read_trajectory(args.traj, L=spec.L, S=spec.S)
+        traj2 = (config_io.read_trajectory(args.traj2, L=spec.L, S=spec.S)
+                 if args.traj2 else traj)
+    except (OSError, ValueError) as exc:  # FormatError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for path, tr in ((args.traj, traj), (args.traj2, traj2)):
         stored = tr.meta.get("spec_hash")
         if stored is not None and stored != spec.context_hash():

@@ -6,6 +6,17 @@ minus, and the functions ``sin cos exp tanh sqrt abs min max``.  Evaluation
 is plain IEEE double arithmetic and broadcasts over numpy arrays, so the
 same AST backs both scalar checks and whole-grid evaluation.
 
+``compile(expr)`` walks the tree once and returns a closure, together
+with the expression's free variables (the names it reads); code that
+evaluates one expression many times holds the closure, and
+``evaluate(expr, bindings)`` is ``compile(expr)[0](bindings)``.  The
+closure applies the same numpy operations in the same order as the tree,
+so results are bit-identical, and keeps every domain check.  A division
+by a nonzero literal is settled at compile time, and a power whose result
+is all finite skips its three-mask test, which can only flag a non-finite
+result: 0^negative, a negative base to a fractional exponent, or an
+overflow such as ``lambda^2`` at 1e200 still raise ``DomainError``.
+
 First derivatives are exact, computed by forward-mode dual numbers
 (``eval_dual``); no finite differencing is involved.
 
@@ -17,13 +28,14 @@ derivative takes the right-limit convention (``abs'(0) = +1``; ties in
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
-    "parse", "evaluate", "eval_dual", "to_string",
+    "parse", "compile", "evaluate", "eval_dual", "to_string",
     "ExprSyntaxError", "UnboundVariableError", "DomainError",
     "VARIABLES", "FUNCTIONS",
 ]
@@ -210,58 +222,81 @@ def parse(text):
 # --- evaluation ------------------------------------------------------------
 
 def _check_pow(base, expo, result):
-    bad = ~np.isfinite(result) & np.isfinite(base) & np.isfinite(expo)
-    # 0^negative yields inf, negative^fractional yields nan
+    finite = np.isfinite(result)
+    if finite.all():
+        return  # exact: only a non-finite result can be flagged below
+    # 0^negative yields inf, negative^fractional yields nan, and a power
+    # of finite operands that overflows yields inf
+    bad = ~finite & np.isfinite(base) & np.isfinite(expo)
     if np.any(bad):
         raise DomainError("invalid power (zero base with negative exponent, "
                           "or negative base with fractional exponent)")
 
 
+_ELEMENTWISE = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
+                "abs": np.abs, "min": np.minimum, "max": np.maximum,
+                "+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def compile(expr):
+    """Compile ``expr`` into ``(fn, free)``: ``fn(bindings)`` returns what
+    ``evaluate(expr, bindings)`` does, bit for bit and of the same type, and
+    ``free`` is the frozenset of the variable names the expression reads."""
+    if isinstance(expr, Num):
+        value = expr.value
+        return (lambda b: value), frozenset()
+    if isinstance(expr, Var):
+        name = expr.name
+
+        def var(b):
+            try:
+                return b[name]
+            except KeyError:
+                raise UnboundVariableError(name) from None
+        return var, frozenset((name,))
+    if isinstance(expr, Neg):
+        f, free = compile(expr.arg)
+        return (lambda b: -f(b)), free
+    name, args = ((expr.op, (expr.lhs, expr.rhs)) if isinstance(expr, BinOp)
+                  else (expr.func, expr.args))
+    fns, frees = zip(*map(compile, args))
+    f, g, free = fns[0], fns[-1], frozenset().union(*frees)
+    op = _ELEMENTWISE.get(name)
+    if op is not None:
+        return ((lambda b: op(f(b))) if len(args) == 1
+                else (lambda b: op(f(b), g(b)))), free
+    if name == "sqrt":
+        def sqrt(b):
+            a = f(b)
+            if np.any(np.asarray(a) < 0):
+                raise DomainError("sqrt of a negative number")
+            return np.sqrt(a)
+        return sqrt, free
+    if name == "/" and isinstance(args[1], Num) and args[1].value != 0:
+        c = args[1].value  # the division-by-zero test, settled here
+        return (lambda b: f(b) / c), free
+    if name == "/":
+        def div(b):
+            a, d = f(b), g(b)
+            if np.any(np.asarray(d) == 0):
+                raise DomainError("division by zero")
+            return a / d
+        return div, free
+    if name != "^":
+        raise ValueError(f"unknown operator or function {name!r}")
+
+    def power(b):
+        a, e = f(b), g(b)
+        with np.errstate(all="ignore"):
+            r = np.power(a, e)
+        _check_pow(a, e, r)
+        return r
+    return power, free
+
+
 def evaluate(expr, bindings):
     """Evaluate ``expr`` with the given variable bindings (scalars or arrays)."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return bindings[expr.name]
-        except KeyError:
-            raise UnboundVariableError(expr.name) from None
-    if isinstance(expr, Neg):
-        return -evaluate(expr.arg, bindings)
-    if isinstance(expr, BinOp):
-        a = evaluate(expr.lhs, bindings)
-        b = evaluate(expr.rhs, bindings)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            if np.any(np.asarray(b) == 0):
-                raise DomainError("division by zero")
-            return a / b
-        with np.errstate(all="ignore"):
-            r = np.power(a, b)
-        _check_pow(np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(r))
-        return r
-    a = evaluate(expr.args[0], bindings)
-    if expr.func == "sin":
-        return np.sin(a)
-    if expr.func == "cos":
-        return np.cos(a)
-    if expr.func == "exp":
-        return np.exp(a)
-    if expr.func == "tanh":
-        return np.tanh(a)
-    if expr.func == "sqrt":
-        if np.any(np.asarray(a) < 0):
-            raise DomainError("sqrt of a negative number")
-        return np.sqrt(a)
-    if expr.func == "abs":
-        return np.abs(a)
-    b = evaluate(expr.args[1], bindings)
-    return np.minimum(a, b) if expr.func == "min" else np.maximum(a, b)
+    return compile(expr)[0](bindings)
 
 
 def eval_dual(expr, bindings, seed):

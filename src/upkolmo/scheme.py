@@ -137,13 +137,15 @@ class _SplitTable:
 
 class _LFFlux:
     def __init__(self, f, alpha):
-        self.f = f
+        self.f = exprdsl.compile(f)[0]
         self.alpha = alpha
 
     def values(self, w):
         """f at each cell value."""
-        return np.broadcast_to(exprdsl.evaluate(self.f, {"lambda": w}),
-                               np.shape(w))
+        v = self.f({"lambda": w})
+        # a flux that does not read lambda returns one value for all cells
+        return (v if np.shape(v) == np.shape(w)
+                else np.broadcast_to(v, np.shape(w)))
 
     def combine(self, vL, vR, wL, wR):
         return 0.5 * (vL + vR) - 0.5 * self.alpha * (wR - wL)
@@ -187,6 +189,15 @@ class Stepper:
         self.n_tau = min(max(int(round(spec.tau / self.dt)), 1), n_steps - 1) \
             if 0 < spec.tau < spec.T else None
 
+        # compiled once, as the march evaluates them at every step
+        self.beta_fn = (exprdsl.compile(spec.beta)[0]
+                        if spec.beta is not None else None)
+        self._data = [exprdsl.compile(e)
+                      for e in (spec.data_u0_2, spec.data_uS_2)]
+        self._fixed_rows = None
+        if not any("t" in free for _, free in self._data):
+            self._fixed_rows = self.boundary_values(0.0)
+
         if self.options.flux_kind == ENGQUIST_OSHER:
             self.flux_a = _SplitTable(spec.flux_a, m_bound + 1.0)
             self.flux_phi = _SplitTable(spec.flux_phi[0], m_bound + 1.0)
@@ -226,13 +237,13 @@ class Stepper:
     # ghost filling ---------------------------------------------------------
 
     def boundary_values(self, t):
-        """Prescribed exterior states at the s-ends at time t."""
-        g0 = np.asarray(exprdsl.evaluate(self.spec.data_u0_2,
-                                         {"x": self.xc, "t": t}), dtype=float)
-        gS = np.asarray(exprdsl.evaluate(self.spec.data_uS_2,
-                                         {"x": self.xc, "t": t}), dtype=float)
-        return (np.broadcast_to(g0, self.xc.shape).astype(float),
-                np.broadcast_to(gS, self.xc.shape).astype(float))
+        """Prescribed exterior states at the s-ends at time t, read-only;
+        data that do not read t are evaluated once per Stepper."""
+        if self._fixed_rows is not None:
+            return self._fixed_rows
+        return tuple(np.broadcast_to(np.asarray(f({"x": self.xc, "t": t}),
+                                                dtype=float), self.xc.shape)
+                     for f, _ in self._data)
 
     def padded(self, u, t):
         """State extended by one ghost cell on every side."""
@@ -280,9 +291,8 @@ class Stepper:
             new = new + dt * self.eps * lap_s
         k = self.source_rate(t)
         if k != 0.0:
-            b = exprdsl.evaluate(self.spec.beta,
-                                 {"x": self.xc[:, None], "s": self.sc[None, :],
-                                  "lambda": u})
+            b = self.beta_fn({"x": self.xc[:, None], "s": self.sc[None, :],
+                              "lambda": u})
             new = new + dt * k * b
         if not np.all(np.isfinite(new)):
             bad = np.argwhere(~np.isfinite(new))[0]

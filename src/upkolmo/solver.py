@@ -50,12 +50,11 @@ def _initial_values(spec, grid):
                            (grid.nx, grid.ns)).astype(float)
 
 
-def _apply_jump(spec, grid, u):
-    if spec.beta is None:
+def _apply_jump(stepper, u):
+    if stepper.beta_fn is None:
         return u.copy()
-    xc, sc = grid.cell_centers()
-    b = exprdsl.evaluate(spec.beta, {"x": xc[:, None], "s": sc[None, :],
-                                     "lambda": u})
+    b = stepper.beta_fn({"x": stepper.xc[:, None], "s": stepper.sc[None, :],
+                         "lambda": u})
     return u + b
 
 
@@ -108,7 +107,7 @@ def _march_once(spec, grid, stepper, mode):
         if n_tau is not None and n + 1 == n_tau:
             traj.tau_minus = Field(u.copy(), grid, t_new)
             if mode == "impulsive":
-                u = _apply_jump(spec, grid, u)
+                u = _apply_jump(stepper, u)
                 traj.tau_plus = Field(u.copy(), grid, t_new)
         if mode != "impulsive" and n_tau is not None and n + 1 == n_tau + 1:
             traj.tau_plus = Field(u.copy(), grid, t_new)

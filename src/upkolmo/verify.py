@@ -160,10 +160,12 @@ class _WindowNorms:
         self.ts = np.linspace(0.0, spec.T, n)
         self.run = {}
         for name, expr in (("u0_2", spec.data_u0_2), ("uS_2", spec.data_uS_2)):
-            vals = np.abs(np.broadcast_to(np.asarray(
-                exprdsl.evaluate(expr, {"x": xs[:, None], "t": self.ts[None, :]}),
-                dtype=float), (n, n)))
-            self.run[name] = np.maximum.accumulate(vals.max(axis=0)) * inflate
+            # data that do not read t give one column, whose max (exact)
+            # stands for every t
+            vals = np.atleast_2d(np.abs(np.asarray(exprdsl.evaluate(
+                expr, {"x": xs[:, None], "t": self.ts[None, :]}), dtype=float)))
+            self.run[name] = np.maximum.accumulate(
+                np.broadcast_to(vals.max(axis=0), (n,))) * inflate
 
     def data_max(self, t_prime):
         i = int(np.searchsorted(self.ts, t_prime, side="right")) - 1
@@ -237,11 +239,17 @@ def _boundary_series(spec1, spec2, grid, n_steps, dt):
     out = []
     for e1, e2 in ((spec1.data_u0_2, spec2.data_u0_2),
                    (spec1.data_uS_2, spec2.data_uS_2)):
-        v1 = np.asarray(exprdsl.evaluate(e1, {"x": xc[:, None], "t": mids[None, :]}))
-        v2 = np.asarray(exprdsl.evaluate(e2, {"x": xc[:, None], "t": mids[None, :]}))
-        diff = np.abs(np.broadcast_to(v1, (len(xc), n_steps))
-                      - np.broadcast_to(v2, (len(xc), n_steps)))
-        out.append(diff.sum(axis=0) * grid.dx)
+        (f1, free1), (f2, free2) = exprdsl.compile(e1), exprdsl.compile(e2)
+        # t-free data give equal columns, so two are summed and the first
+        # stands for every t: two columns keep the full grid's summation
+        # order, which one column (a pairwise sum) would not
+        ts = mids if "t" in free1 | free2 else mids[:2]
+        shape = (len(xc), len(ts))
+        v1 = np.asarray(f1({"x": xc[:, None], "t": ts[None, :]}))
+        v2 = np.asarray(f2({"x": xc[:, None], "t": ts[None, :]}))
+        diff = np.abs(np.broadcast_to(v1, shape) - np.broadcast_to(v2, shape))
+        sums = diff.sum(axis=0) * grid.dx
+        out.append(sums if len(ts) == n_steps else np.full(n_steps, sums[0]))
     return mids, out[0], out[1]
 
 
@@ -466,9 +474,10 @@ def _smooth_sign(z, width=1e-6):
     return z / np.sqrt(z * z + width * width)
 
 
-def _q_a(spec, v, k):
-    a_v = np.asarray(exprdsl.evaluate(spec.flux_a, {"lambda": v}))
-    a_k = float(exprdsl.evaluate(spec.flux_a, {"lambda": k}))
+def _q_a(a, v, k):
+    """Kruzhkov flux of the compiled s-flux ``a`` at v for the constant k."""
+    a_v = np.asarray(a({"lambda": v}))
+    a_k = float(a({"lambda": k}))
     return np.sign(v - k) * (a_v - a_k), a_v, a_k
 
 
@@ -503,13 +512,14 @@ def check_bln(traj, spec, k_values):
             spec.data_u0_2, {"x": xc[None, :], "t": ts})), tr0.shape)
         dataS = np.broadcast_to(np.asarray(exprdsl.evaluate(
             spec.data_uS_2, {"x": xc[None, :], "t": ts})), trS.shape)
+        a = exprdsl.compile(spec.flux_a)[0]
         for k in k_values:
-            q_tr0, a_tr0, _ = _q_a(spec, tr0, k)
-            q_d0, a_d0, _ = _q_a(spec, data0, k)
+            q_tr0, a_tr0, _ = _q_a(a, tr0, k)
+            q_d0, a_d0, _ = _q_a(a, data0, k)
             expr0 = q_tr0 - q_d0 - _smooth_sign(data0 - k) * (a_tr0 - a_d0)
             worst = max(worst, _inf_unless_finite(float(np.max(expr0))))
-            q_trS, a_trS, _ = _q_a(spec, trS, k)
-            q_dS, a_dS, _ = _q_a(spec, dataS, k)
+            q_trS, a_trS, _ = _q_a(a, trS, k)
+            q_dS, a_dS, _ = _q_a(a, dataS, k)
             exprS = q_trS - q_dS - _smooth_sign(dataS - k) * (a_trS - a_dS)
             worst = max(worst, _inf_unless_finite(float(np.max(-exprS))))
     else:

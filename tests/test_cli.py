@@ -99,6 +99,26 @@ def test_verify_refuses_a_config_the_run_did_not_come_from(run_dir, tmp_path,
     assert not (traj / "reports.csv").exists()
 
 
+def test_verify_of_a_missing_trajectory_exits_1(run_dir, tmp_path, capsys):
+    cfg, _ = run_dir
+    argv = ["verify", str(cfg), "--traj", str(tmp_path / "nosuch")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nosuch" in err
+    assert "Traceback" not in err
+
+
+def test_verify_of_an_unreadable_trajectory_exits_1(run_dir, capsys):
+    cfg, traj = run_dir
+    meta = json.loads((traj / "meta.json").read_text())
+    meta["options"]["periodic"] = True
+    (traj / "meta.json").write_text(json.dumps(meta))
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    assert capsys.readouterr().err.startswith("error: meta.json: a run with "
+                                              "periodic ghost cells")
+    assert not (traj / "reports.csv").exists()
+
+
 def test_verify_accepts_a_trajectory_without_spec_hash(run_dir):
     cfg, traj = run_dir
     meta = json.loads((traj / "meta.json").read_text())

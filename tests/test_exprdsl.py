@@ -169,3 +169,127 @@ def test_print_round_trip_pointwise():
 
 def test_parse_is_deterministic():
     assert E.parse("1 + lambda*2") == E.parse("1 + lambda*2")
+
+
+# --- compile against the tree-walking interpreter it replaced ---------------
+#
+# The reference below is the recursive evaluator `compile` replaced, with
+# its power check: a compiled expression must return the same value, bit
+# for bit and of the same type, or raise the same exception class.
+
+def _check_pow_reference(base, expo, result):
+    bad = ~np.isfinite(result) & np.isfinite(base) & np.isfinite(expo)
+    if np.any(bad):
+        raise E.DomainError("invalid power")
+
+
+def _evaluate_reference(expr, bindings):
+    if isinstance(expr, E.Num):
+        return expr.value
+    if isinstance(expr, E.Var):
+        try:
+            return bindings[expr.name]
+        except KeyError:
+            raise E.UnboundVariableError(expr.name) from None
+    if isinstance(expr, E.Neg):
+        return -_evaluate_reference(expr.arg, bindings)
+    if isinstance(expr, E.BinOp):
+        a = _evaluate_reference(expr.lhs, bindings)
+        b = _evaluate_reference(expr.rhs, bindings)
+        if expr.op == "+":
+            return a + b
+        if expr.op == "-":
+            return a - b
+        if expr.op == "*":
+            return a * b
+        if expr.op == "/":
+            if np.any(np.asarray(b) == 0):
+                raise E.DomainError("division by zero")
+            return a / b
+        with np.errstate(all="ignore"):
+            r = np.power(a, b)
+        _check_pow_reference(np.asarray(a, dtype=float),
+                             np.asarray(b, dtype=float), np.asarray(r))
+        return r
+    a = _evaluate_reference(expr.args[0], bindings)
+    if expr.func == "sqrt":
+        if np.any(np.asarray(a) < 0):
+            raise E.DomainError("sqrt of a negative number")
+        return np.sqrt(a)
+    if expr.func in ("sin", "cos", "exp", "tanh", "abs"):
+        return getattr(np, expr.func)(a)
+    b = _evaluate_reference(expr.args[1], bindings)
+    return np.minimum(a, b) if expr.func == "min" else np.maximum(a, b)
+
+
+def _outcome(fn, *args):
+    """(type, dtype, shape, bytes) of a result, or the exception class."""
+    try:
+        with np.errstate(all="ignore"):
+            r = fn(*args)
+    except (E.DomainError, E.UnboundVariableError) as exc:
+        return type(exc)
+    a = np.asarray(r)
+    return type(r), a.dtype, a.shape, a.tobytes()
+
+
+def _array_bindings(rng):
+    # open axes of different lengths, so results broadcast
+    shapes = {"lambda": (5, 1), "x": (1, 4), "s": (4,), "t": (5, 4)}
+    return {name: rng.uniform(-2.0, 2.0, shape)
+            for name, shape in shapes.items()}
+
+
+@pytest.mark.parametrize("smooth", [True, False])
+def test_compiled_equals_the_tree_walk_bit_for_bit(smooth):
+    rng = np.random.default_rng(6 if smooth else 7)
+    raised = 0
+    for _ in range(300):
+        expr = random_expr(rng, depth=rng.integers(1, 7), smooth=smooth)
+        fn, free = E.compile(expr)
+        for bindings in (random_bindings(rng), _array_bindings(rng),
+                         {"lambda": 0.0, "x": 0.0, "s": -1.0, "t": 1.0}):
+            want = _outcome(_evaluate_reference, expr, bindings)
+            assert _outcome(fn, bindings) == want, E.to_string(expr)
+            assert _outcome(E.evaluate, expr, bindings) == want
+            raised += isinstance(want, type)
+            # only the free variables are read
+            assert _outcome(fn, {n: bindings[n] for n in free}) == want
+    if not smooth:
+        assert raised > 0  # some points must reach a domain error
+
+
+def test_free_variables():
+    assert E.compile(E.parse("2 + 3"))[1] == frozenset()
+    assert E.compile(E.parse("lambda^2/2"))[1] == {"lambda"}
+    assert E.compile(E.parse("min(x, sqrt(t)) - -s"))[1] == {"x", "s", "t"}
+
+
+@pytest.mark.parametrize("text, bindings, error", [
+    ("1/x", {"x": 0.0}, E.DomainError),
+    ("x/(s-s)", {"x": 1.0, "s": 0.3}, E.DomainError),
+    ("1/x", {"x": np.array([1.0, 0.0])}, E.DomainError),
+    ("x/0", {"x": 1.0}, E.DomainError),
+    ("x/0", {}, E.UnboundVariableError),
+    ("sqrt(x)", {"x": -1e-300}, E.DomainError),
+    ("sqrt(x)", {"x": np.array([4.0, -1.0])}, E.DomainError),
+    ("x^0.5", {"x": -2.0}, E.DomainError),
+    ("x^(-1)", {"x": np.array([1.0, 0.0])}, E.DomainError),
+    ("(lambda*1e200)^2", {"lambda": 1.0}, E.DomainError),
+    ("(lambda*1e200)^2", {"lambda": np.array([1e-200, 1.0])}, E.DomainError),
+    ("x + s", {"x": 1.0}, E.UnboundVariableError),
+])
+def test_compiled_raises_what_the_tree_walk_raises(text, bindings, error):
+    expr = E.parse(text)
+    assert _outcome(_evaluate_reference, expr, bindings) is error
+    assert _outcome(E.compile(expr)[0], bindings) is error
+    assert _outcome(E.evaluate, expr, bindings) is error
+
+
+def test_power_of_a_non_finite_operand_stays_allowed():
+    # the check flags non-finite results of finite operands only
+    for text, x in (("x^2", np.inf), ("x^2", np.nan), ("2^x", np.inf)):
+        expr = E.parse(text)
+        want = _outcome(_evaluate_reference, expr, {"x": x})
+        assert not isinstance(want, type)
+        assert _outcome(E.compile(expr)[0], {"x": x}) == want

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from upkolmo import kernels
 from upkolmo import scheme as S
 from upkolmo.problem import Grid
 from scenarios import nosource_spec, shock_spec, source_spec, zero_spec, \
-    diffusionless_options
+    diffusionless_options, unattainable_spec
 
 BURGERS = E.parse("lambda^2/2")
 
@@ -398,3 +400,59 @@ class TestSourceRate:
             assert got == want and np.signbit(got) == np.signbit(want)
             inside += want != 0.0
         assert 0 < inside < len(starts)
+
+
+class TestGhostRows:
+    @staticmethod
+    def _direct(spec, stepper, t):
+        return [np.broadcast_to(np.asarray(E.evaluate(e, {"x": stepper.xc,
+                                                          "t": t}),
+                                           dtype=float), stepper.xc.shape)
+                for e in (spec.data_u0_2, spec.data_uS_2)]
+
+    @staticmethod
+    def _counting_compile(monkeypatch, counts):
+        """Count, per expression text, the calls of each closure that
+        `scheme` compiles."""
+        def counting(expr):
+            fn, free = E.compile(expr)
+            key = E.to_string(expr)
+
+            def counted(b):
+                counts[key] = counts.get(key, 0) + 1
+                return fn(b)
+            return counted, free
+        monkeypatch.setattr(S, "exprdsl", SimpleNamespace(
+            compile=counting, evaluate=E.evaluate, eval_dual=E.eval_dual))
+
+    def test_time_dependent_data_are_evaluated_at_each_t(self, monkeypatch):
+        spec = unattainable_spec()
+        counts = {}
+        self._counting_compile(monkeypatch, counts)
+        stepper = S.Stepper(spec, Grid(16, 16, 1.0, 1.0))
+        early, late = stepper.boundary_values(0.05), stepper.boundary_values(0.6)
+        for t, rows in ((0.05, early), (0.6, late)):
+            for got, want in zip(rows, self._direct(spec, stepper, t)):
+                assert np.array_equal(got, want)
+        assert not np.array_equal(early[0], late[0])
+        assert not np.array_equal(early[1], late[1])
+        assert set(counts.values()) == {2}
+        w = stepper.padded(np.zeros((16, 16)), 0.6)
+        assert np.array_equal(w[1:-1, 0], late[0])
+        assert np.array_equal(w[1:-1, -1], late[1])
+
+    def test_time_free_data_are_evaluated_once_per_stepper(self, monkeypatch):
+        spec = source_spec().with_data(data_u0_2=E.parse("0.1*sin(3*x)"))
+        counts = {}
+        self._counting_compile(monkeypatch, counts)
+        stepper = S.Stepper(spec, Grid(16, 16, 1.0, 1.0))
+        u = np.zeros((16, 16))
+        for n in range(5):
+            u = stepper.step(u, n * stepper.dt)
+        rows = stepper.boundary_values(0.0)
+        assert stepper.boundary_values(0.7) is rows
+        assert counts["0.1 * sin(3.0 * x)"] == 1 and counts["0.0"] == 1
+        for row, want in zip(rows, self._direct(spec, stepper, 0.3)):
+            assert np.array_equal(row, want)
+            assert not row.flags.writeable
+        assert np.count_nonzero(rows[0]) > 0

@@ -392,6 +392,12 @@ def _bound_curves_reference(spec, traj, inflate=verify.NORM_INFLATION):
     return bounds
 
 
+def _q_a_reference(spec, v, k):
+    a_v = np.asarray(E.evaluate(spec.flux_a, {"lambda": v}))
+    a_k = float(E.evaluate(spec.flux_a, {"lambda": k}))
+    return np.sign(v - k) * (a_v - a_k), a_v, a_k
+
+
 def _bln_reference(traj, spec, k_values):
     grid = traj.grid
     tol = 5.0 * (grid.ds + grid.dx)
@@ -407,13 +413,13 @@ def _bln_reference(traj, spec, k_values):
         dataS = np.broadcast_to(np.asarray(E.evaluate(
             spec.data_uS_2, {"x": xc, "t": t})), xc.shape)
         for k in k_values:
-            q_tr0, a_tr0, _ = verify._q_a(spec, tr0, k)
-            q_d0, a_d0, _ = verify._q_a(spec, data0, k)
+            q_tr0, a_tr0, _ = _q_a_reference(spec, tr0, k)
+            q_d0, a_d0, _ = _q_a_reference(spec, data0, k)
             expr0 = (q_tr0 - q_d0
                      - verify._smooth_sign(data0 - k) * (a_tr0 - a_d0))
             worst = max(worst, float(np.max(expr0)))
-            q_trS, a_trS, _ = verify._q_a(spec, trS, k)
-            q_dS, a_dS, _ = verify._q_a(spec, dataS, k)
+            q_trS, a_trS, _ = _q_a_reference(spec, trS, k)
+            q_dS, a_dS, _ = _q_a_reference(spec, dataS, k)
             exprS = (q_trS - q_dS
                      - verify._smooth_sign(dataS - k) * (a_trS - a_dS))
             worst = max(worst, float(np.max(-exprS)))
@@ -634,6 +640,67 @@ class TestHoistedAgainstReference:
             assert hoisted == _stability_rhs_impulsive_reference(
                 spec1, other, t, 0.1, d_s0, d_sS, dt)
         assert sides == {False, True}
+
+
+# The data samplers as they were before t-free data skipped the t axis.
+
+def _window_norms_reference(spec, n=256, inflate=1.0):
+    xs = np.linspace(0.0, spec.L, n)
+    ts = np.linspace(0.0, spec.T, n)
+    run = {}
+    for name, expr in (("u0_2", spec.data_u0_2), ("uS_2", spec.data_uS_2)):
+        vals = np.abs(np.broadcast_to(np.asarray(
+            E.evaluate(expr, {"x": xs[:, None], "t": ts[None, :]}),
+            dtype=float), (n, n)))
+        run[name] = np.maximum.accumulate(vals.max(axis=0)) * inflate
+    return run
+
+
+def _boundary_series_reference(spec1, spec2, grid, n_steps, dt):
+    xc, _ = grid.cell_centers()
+    mids = (np.arange(n_steps) + 0.5) * dt
+    out = []
+    for e1, e2 in ((spec1.data_u0_2, spec2.data_u0_2),
+                   (spec1.data_uS_2, spec2.data_uS_2)):
+        v1 = np.asarray(E.evaluate(e1, {"x": xc[:, None], "t": mids[None, :]}))
+        v2 = np.asarray(E.evaluate(e2, {"x": xc[:, None], "t": mids[None, :]}))
+        diff = np.abs(np.broadcast_to(v1, (len(xc), n_steps))
+                      - np.broadcast_to(v2, (len(xc), n_steps)))
+        out.append(diff.sum(axis=0) * grid.dx)
+    return mids, out[0], out[1]
+
+
+# constant, x-only (t-free), t-only and (x, t) boundary data
+DATA = ["0", "0.4", "0.3*sin(7*x) + x*x", "0.2*t", "x*(1-x)*exp(t)"]
+
+
+class TestDataSamplingAgainstReference:
+    @pytest.mark.parametrize("text", DATA)
+    @pytest.mark.parametrize("inflate", [1.0, verify.NORM_INFLATION])
+    def test_window_norms(self, text, inflate):
+        spec = source_spec().with_data(data_u0_2=E.parse(text),
+                                       data_uS_2=E.parse(f"-({text})"))
+        got = verify._WindowNorms(spec, inflate=inflate).run
+        want = _window_norms_reference(spec, inflate=inflate)
+        for name in ("u0_2", "uS_2"):
+            assert got[name].shape == want[name].shape
+            assert got[name].tobytes() == want[name].tobytes()
+
+    @pytest.mark.parametrize("text1", DATA)
+    @pytest.mark.parametrize("text2", ["0", "0.1*cos(5*x)", "0.5*t*x"])
+    @pytest.mark.parametrize("n_steps", [1, 2, 37])
+    def test_boundary_series(self, text1, text2, n_steps):
+        base = source_spec()
+        spec1 = base.with_data(data_u0_2=E.parse(text1),
+                               data_uS_2=E.parse(text2))
+        spec2 = base.with_data(data_u0_2=E.parse(text2),
+                               data_uS_2=E.parse(f"2*({text1})"))
+        grid = unit_grid(16)
+        got = verify._boundary_series(spec1, spec2, grid, n_steps, 0.01)
+        want = _boundary_series_reference(spec1, spec2, grid, n_steps, 0.01)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (n_steps,)
+            assert g.tobytes() == w.tobytes()
 
 
 class TestNothingToCertify:
