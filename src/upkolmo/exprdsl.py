@@ -6,19 +6,27 @@ minus, and the functions ``sin cos exp tanh sqrt abs min max``.  Evaluation
 is plain IEEE double arithmetic and broadcasts over numpy arrays, so the
 same AST backs both scalar checks and whole-grid evaluation.
 
-``compile(expr)`` walks the tree once and returns a closure, together
-with the expression's free variables (the names it reads); code that
-evaluates one expression many times holds the closure, and
+``compile(expr, wrt=None)`` is the only walk of the tree.  It returns a
+closure and the expression's free variables (the names it reads); code
+that evaluates one expression many times holds the closure, and
 ``evaluate(expr, bindings)`` is ``compile(expr)[0](bindings)``.  The
 closure applies the same numpy operations in the same order as the tree,
 so results are bit-identical, and keeps every domain check.  A division
 by a nonzero literal is settled at compile time, and a power whose result
 is all finite skips its three-mask test, which can only flag a non-finite
 result: 0^negative, a negative base to a fractional exponent, or an
-overflow such as ``lambda^2`` at 1e200 still raise ``DomainError``.
+overflow such as ``lambda^2`` at 1e200 still raise ``DomainError``,
+naming which of the three it found.
 
-First derivatives are exact, computed by forward-mode dual numbers
-(``eval_dual``); no finite differencing is involved.
+With ``wrt`` set, the closure returns ``(value, d value / d wrt)`` by
+forward-mode dual numbers: first derivatives are exact, with no finite
+differencing.  Each operator's value function and domain check
+(``_VALUE``) serve both modes; its derivative rule sits in ``_DERIV``.
+``eval_dual`` is the ``wrt`` mode behind a check that the seed is bound.
+
+``sample_sup`` is the one sampler of a sup over a box: max |expr|, or
+max |d expr / d wrt|, on ``linspace`` axes.  It lives here, not in
+``problem``, because ``kernels`` (imported by ``problem``) needs it too.
 
 Precedence, tightest first: ``^`` (right-assoc), unary ``-``, ``* /``,
 ``+ -`` (left-assoc).  At the kinks of ``abs``/``min``/``max`` the
@@ -35,7 +43,7 @@ import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
-    "parse", "compile", "evaluate", "eval_dual", "to_string",
+    "parse", "compile", "evaluate", "eval_dual", "sample_sup", "to_string",
     "ExprSyntaxError", "UnboundVariableError", "DomainError",
     "VARIABLES", "FUNCTIONS",
 ]
@@ -229,69 +237,133 @@ def _check_pow(base, expo, result):
     # of finite operands that overflows yields inf
     bad = ~finite & np.isfinite(base) & np.isfinite(expo)
     if np.any(bad):
-        raise DomainError("invalid power (zero base with negative exponent, "
-                          "or negative base with fractional exponent)")
+        causes = [why for why, hit in (
+            ("zero base with negative exponent", bad & (base == 0)),
+            ("negative base with fractional exponent", bad & np.isnan(result)),
+            ("overflow", bad & np.isinf(result) & (base != 0))) if np.any(hit)]
+        raise DomainError(f"invalid power ({'; '.join(causes)})")
 
 
-_ELEMENTWISE = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
-                "abs": np.abs, "min": np.minimum, "max": np.maximum,
-                "+": operator.add, "-": operator.sub, "*": operator.mul}
+def _sqrt(a):
+    if np.any(np.asarray(a) < 0):
+        raise DomainError("sqrt of a negative number")
+    return np.sqrt(a)
 
 
-def compile(expr):
+def _div(a, d):
+    if np.any(np.asarray(d) == 0):
+        raise DomainError("division by zero")
+    return a / d
+
+
+def _power(a, e):
+    with np.errstate(all="ignore"):
+        r = np.power(a, e)
+    _check_pow(a, e, r)
+    return r
+
+
+# each operator's value, with its domain check
+_VALUE = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
+          "abs": np.abs, "sqrt": _sqrt, "min": np.minimum, "max": np.maximum,
+          "+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": _div, "^": _power, "neg": operator.neg}
+
+
+def _d_sqrt(v, a, da):
+    with np.errstate(all="ignore"):
+        return v, da / (2.0 * v)
+
+
+def _d_power(v, a, da, e, de):
+    with np.errstate(all="ignore"):
+        # the common case of a constant exponent works for any base
+        if np.all(np.asarray(de) == 0):
+            d = e * np.power(a, e - 1) * da
+            d = np.where(np.asarray(da) == 0, 0.0, d)  # constant base stays exact
+        else:
+            if np.any(np.asarray(a) <= 0):
+                raise DomainError("variable exponent requires a positive base")
+            d = v * (de * np.log(a) + e * da / a)
+    return v, float(d) if np.ndim(d) == 0 else d
+
+
+def _pick(take_a, a, da, b, db):
+    """min/max: the value and derivative of the argument taken."""
+    if np.ndim(take_a):
+        return np.where(take_a, a, b), np.where(take_a, da, db)
+    return (a, da) if take_a else (b, db)
+
+
+# each operator's derivative rule: from the value and the operands' values
+# and derivatives, (value, derivative)
+_DERIV = {
+    "sin": lambda v, a, da: (v, np.cos(a) * da),
+    "cos": lambda v, a, da: (v, -np.sin(a) * da),
+    "exp": lambda v, a, da: (v, v * da),
+    "tanh": lambda v, a, da: (v, (1.0 - v * v) * da),
+    "abs": lambda v, a, da: (v, np.where(np.asarray(a) >= 0, 1.0, -1.0) * da),
+    "sqrt": _d_sqrt,
+    "min": lambda v, a, da, b, db: _pick(a <= b, a, da, b, db),
+    "max": lambda v, a, da, b, db: _pick(a >= b, a, da, b, db),
+    "+": lambda v, a, da, b, db: (v, da + db),
+    "-": lambda v, a, da, b, db: (v, da - db),
+    "*": lambda v, a, da, b, db: (v, da * b + a * db),
+    "/": lambda v, a, da, b, db: (v, (da * b - a * db) / (b * b)),
+    "^": _d_power,
+    "neg": lambda v, a, da: (v, -da),
+}
+
+
+def compile(expr, wrt=None):
     """Compile ``expr`` into ``(fn, free)``: ``fn(bindings)`` returns what
     ``evaluate(expr, bindings)`` does, bit for bit and of the same type, and
-    ``free`` is the frozenset of the variable names the expression reads."""
+    ``free`` is the frozenset of the variable names the expression reads.
+
+    With ``wrt`` set to a variable name, ``fn(bindings)`` returns
+    ``(value, d value / d wrt)`` instead, by forward-mode dual numbers.
+    """
     if isinstance(expr, Num):
-        value = expr.value
-        return (lambda b: value), frozenset()
+        const = expr.value if wrt is None else (expr.value, 0.0)
+        return (lambda b: const), frozenset()
     if isinstance(expr, Var):
         name = expr.name
+        seed = 1.0 if name == wrt else 0.0
 
         def var(b):
             try:
-                return b[name]
+                v = b[name]
             except KeyError:
                 raise UnboundVariableError(name) from None
+            if wrt is None:
+                return v
+            return v, (np.full_like(np.asarray(v, dtype=float), seed)
+                       if np.ndim(v) else seed)
         return var, frozenset((name,))
-    if isinstance(expr, Neg):
-        f, free = compile(expr.arg)
-        return (lambda b: -f(b)), free
-    name, args = ((expr.op, (expr.lhs, expr.rhs)) if isinstance(expr, BinOp)
+    name, args = (("neg", (expr.arg,)) if isinstance(expr, Neg) else
+                  (expr.op, (expr.lhs, expr.rhs)) if isinstance(expr, BinOp)
                   else (expr.func, expr.args))
-    fns, frees = zip(*map(compile, args))
+    if name not in _VALUE:
+        raise ValueError(f"unknown operator or function {name!r}")
+    fns, frees = zip(*(compile(a, wrt) for a in args))
     f, g, free = fns[0], fns[-1], frozenset().union(*frees)
-    op = _ELEMENTWISE.get(name)
-    if op is not None:
+    op = _VALUE[name]
+    if name == "/" and isinstance(args[1], Num) and args[1].value != 0:
+        op = operator.truediv  # the division-by-zero test, settled here
+    if wrt is None:
         return ((lambda b: op(f(b))) if len(args) == 1
                 else (lambda b: op(f(b), g(b)))), free
-    if name == "sqrt":
-        def sqrt(b):
-            a = f(b)
-            if np.any(np.asarray(a) < 0):
-                raise DomainError("sqrt of a negative number")
-            return np.sqrt(a)
-        return sqrt, free
-    if name == "/" and isinstance(args[1], Num) and args[1].value != 0:
-        c = args[1].value  # the division-by-zero test, settled here
-        return (lambda b: f(b) / c), free
-    if name == "/":
-        def div(b):
-            a, d = f(b), g(b)
-            if np.any(np.asarray(d) == 0):
-                raise DomainError("division by zero")
-            return a / d
-        return div, free
-    if name != "^":
-        raise ValueError(f"unknown operator or function {name!r}")
+    rule = _DERIV[name]
+    if len(args) == 1:
+        def unary(b):
+            a, da = f(b)
+            return rule(op(a), a, da)
+        return unary, free
 
-    def power(b):
-        a, e = f(b), g(b)
-        with np.errstate(all="ignore"):
-            r = np.power(a, e)
-        _check_pow(a, e, r)
-        return r
-    return power, free
+    def binary(b):
+        (a, da), (c, dc) = f(b), g(b)
+        return rule(op(a, c), a, da, c, dc)
+    return binary, free
 
 
 def evaluate(expr, bindings):
@@ -306,79 +378,28 @@ def eval_dual(expr, bindings, seed):
     """
     if seed not in bindings:
         raise UnboundVariableError(seed)
-    return _dual(expr, bindings, seed)
+    return compile(expr, seed)[0](bindings)
 
 
-def _dual(expr, bindings, seed):
-    if isinstance(expr, Num):
-        return expr.value, 0.0
-    if isinstance(expr, Var):
-        try:
-            v = bindings[expr.name]
-        except KeyError:
-            raise UnboundVariableError(expr.name) from None
-        if expr.name == seed:
-            return v, np.ones_like(np.asarray(v, dtype=float)) if np.ndim(v) else 1.0
-        return v, np.zeros_like(np.asarray(v, dtype=float)) if np.ndim(v) else 0.0
-    if isinstance(expr, Neg):
-        v, d = _dual(expr.arg, bindings, seed)
-        return -v, -d
-    if isinstance(expr, BinOp):
-        av, ad = _dual(expr.lhs, bindings, seed)
-        bv, bd = _dual(expr.rhs, bindings, seed)
-        if expr.op == "+":
-            return av + bv, ad + bd
-        if expr.op == "-":
-            return av - bv, ad - bd
-        if expr.op == "*":
-            return av * bv, ad * bv + av * bd
-        if expr.op == "/":
-            if np.any(np.asarray(bv) == 0):
-                raise DomainError("division by zero")
-            return av / bv, (ad * bv - av * bd) / (bv * bv)
-        # power: the common case of a constant exponent works for any base
-        with np.errstate(all="ignore"):
-            v = np.power(av, bv)
-            _check_pow(np.asarray(av, dtype=float), np.asarray(bv, dtype=float),
-                       np.asarray(v))
-            if np.all(np.asarray(bd) == 0):
-                d = bv * np.power(av, bv - 1) * ad
-                d = np.where(np.asarray(ad) == 0, 0.0, d)  # constant base stays exact
-            else:
-                if np.any(np.asarray(av) <= 0):
-                    raise DomainError("variable exponent requires a positive base")
-                d = v * (bd * np.log(av) + bv * ad / av)
-        if np.ndim(d) == 0:
-            d = float(d)
-        return v, d
-    av, ad = _dual(expr.args[0], bindings, seed)
-    if expr.func == "sin":
-        return np.sin(av), np.cos(av) * ad
-    if expr.func == "cos":
-        return np.cos(av), -np.sin(av) * ad
-    if expr.func == "exp":
-        v = np.exp(av)
-        return v, v * ad
-    if expr.func == "tanh":
-        v = np.tanh(av)
-        return v, (1.0 - v * v) * ad
-    if expr.func == "sqrt":
-        if np.any(np.asarray(av) < 0):
-            raise DomainError("sqrt of a negative number")
-        v = np.sqrt(av)
-        with np.errstate(all="ignore"):
-            d = ad / (2.0 * v)
-        return v, d
-    if expr.func == "abs":
-        sign = np.where(np.asarray(av) >= 0, 1.0, -1.0)
-        return np.abs(av), sign * ad
-    bv, bd = _dual(expr.args[1], bindings, seed)
-    if expr.func == "min":
-        take_a = np.asarray(av) <= np.asarray(bv)
-    else:
-        take_a = np.asarray(av) >= np.asarray(bv)
-    return (np.where(take_a, av, bv), np.where(take_a, ad, bd)) \
-        if np.ndim(take_a) else ((av, ad) if take_a else (bv, bd))
+def sample_sup(expr, names, ranges, n=256, inflate=1.0, wrt=None):
+    """Sampled sup of |expr| on a product of intervals, or of
+    |d expr / d wrt| when ``wrt`` names a variable.
+
+    ``n`` is the number of points on every axis, or one count per axis; an
+    axis of one point samples its interval's lower end.  Each axis is an
+    open ``linspace`` (length n along its own dimension, 1 along the
+    others), so an expression is evaluated only on the axes it uses: a
+    constant once, an x-only expression n times.
+    """
+    dims = len(ranges)
+    axes = {name: np.linspace(lo, hi, k).reshape(
+                [k if j == i else 1 for j in range(dims)])
+            for i, (name, (lo, hi), k) in enumerate(
+                zip(names, ranges, np.broadcast_to(n, dims)))}
+    vals = compile(expr, wrt)[0](axes)
+    if wrt is not None:
+        vals = vals[1]
+    return float(np.max(np.abs(np.asarray(vals, dtype=float)))) * inflate
 
 
 # --- printing --------------------------------------------------------------

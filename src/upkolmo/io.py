@@ -283,6 +283,10 @@ def _meta_from_json(data):
         if opts.pop("periodic", False):
             raise FormatError("meta.json: a run with periodic ghost cells "
                               "cannot be re-stepped")
+        unknown = sorted(set(opts) - {f.name for f in
+                                      dataclasses.fields(SchemeOptions)})
+        if unknown:
+            raise FormatError(f"meta.json: unknown options {', '.join(unknown)}")
         out["options"] = SchemeOptions(**opts)
     return out
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import exprdsl
 
 __all__ = [
-    "omega", "k_gamma", "kernel_mass",
+    "omega", "k_gamma",
     "source_growth_constants", "estimate_dbeta_sup",
     "NonPositiveGammaError", "adaptive_simpson",
 ]
@@ -91,40 +91,12 @@ def k_gamma(t, tau, gamma):
     return float(out) if out.ndim == 0 else out
 
 
-def kernel_mass(tau, gamma, horizon, n_cells=4096):
-    """Midpoint-rule mass of K_gamma over [0, horizon] on a uniform t-grid.
-
-    Uses the same quadrature rule the solver applies to the source term, so
-    the discrete impulse mass it reports is the one the scheme sees.
-    """
-    dt = horizon / n_cells
-    mids = (np.arange(n_cells) + 0.5) * dt
-    return float(np.sum(k_gamma(mids, tau, gamma)) * dt)
-
-
-def estimate_dbeta_sup(beta, L, S, b1, shape=(64, 64, 256)):
+def estimate_dbeta_sup(beta, L, S, b1):
     """Sampled sup of |d(beta)/d(lambda)| over the slab (x, s) in the domain,
     lambda in [-(b1+1), b1+1].  An estimate, not a proof."""
-    nx, ns, nl = shape
-    xs = np.linspace(0.0, L, nx)
-    ss = np.linspace(0.0, S, ns)
-    ls = np.linspace(-(b1 + 1.0), b1 + 1.0, nl)
-    grid = {
-        "x": xs[:, None, None],
-        "s": ss[None, :, None],
-        "lambda": ls[None, None, :],
-    }
-    _, d = exprdsl.eval_dual(beta, grid, "lambda")
-    return float(np.max(np.abs(d)))
-
-
-def estimate_beta0_sup(beta, L, S, n=256):
-    """Sampled sup of |beta(x, s, 0)| over the (x, s) slab."""
-    xs = np.linspace(0.0, L, n)
-    ss = np.linspace(0.0, S, n)
-    vals = exprdsl.evaluate(beta, {"x": xs[:, None], "s": ss[None, :],
-                                   "lambda": 0.0})
-    return float(np.max(np.abs(vals)))
+    return exprdsl.sample_sup(beta, ("x", "s", "lambda"),
+                              [(0.0, L), (0.0, S), (-(b1 + 1.0), b1 + 1.0)],
+                              n=(64, 64, 256), wrt="lambda")
 
 
 def source_growth_constants(beta, gamma, b0=None, *, L=1.0, S=1.0, b1=1.0):
@@ -143,7 +115,10 @@ def source_growth_constants(beta, gamma, b0=None, *, L=1.0, S=1.0, b1=1.0):
     if b0 is None:
         b0 = estimate_dbeta_sup(beta, L, S, b1)
     omega_sup = float(omega(0.0))
-    beta0 = estimate_beta0_sup(beta, L, S)
+    # ||beta(., ., 0)||_C: lambda = 0 is a one-point axis
+    beta0 = exprdsl.sample_sup(beta, ("x", "s", "lambda"),
+                               [(0.0, L), (0.0, S), (0.0, 0.0)],
+                               n=(256, 256, 1))
     b1g = 2.0 / gamma * omega_sup * (b0 + 0.5 * beta0)
     b2g = 1.0 / gamma * omega_sup * beta0
     return b1g, b2g

@@ -34,17 +34,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import exprdsl, kernels
+from .exprdsl import sample_sup
 
 __all__ = [
     "ProblemSpec", "Grid", "Field", "Trajectory",
     "max_principle_bound", "refined_max_bound", "stability_rhs",
     "stability_invariants", "stability_rhs_impulsive",
     "impulsive_stability_invariants", "impulsive_bounds",
-    "sample_sup", "data_sup_norms", "consistency_errors",
+    "sample_sup", "slab_sup", "data_sup_norms", "consistency_errors",
     "ZeroInitialDataError", "golden_section_min",
 ]
 
-_SAMPLES = 256
 _COLLAR = 0.05
 
 
@@ -217,19 +217,14 @@ def consistency_errors(spec):
 
 # --- sampled sup-norms -----------------------------------------------------
 
-def sample_sup(expr, names, ranges, n=_SAMPLES, inflate=1.0):
-    """Sampled sup of |expr| on a product of intervals.
-
-    Each axis is an open ``linspace`` (length n along its own dimension,
-    1 along the others), so an expression is evaluated only on the axes
-    it uses: a constant once, an x-only expression n times.
-    """
-    dims = len(ranges)
-    axes = {name: np.linspace(lo, hi, n).reshape(
-                [n if j == i else 1 for j in range(dims)])
-            for i, (name, (lo, hi)) in enumerate(zip(names, ranges))}
-    vals = np.asarray(exprdsl.evaluate(expr, axes), dtype=float)
-    return float(np.max(np.abs(vals))) * inflate
+def slab_sup(spec, beta, radius, n=64, inflate=1.0, wrt=None):
+    """Sampled sup of |beta|, or of |d beta / d wrt|, over the slab: (x, s)
+    in the domain and lambda in [-radius, radius].  0 without a beta."""
+    if beta is None:
+        return 0.0
+    return sample_sup(beta, ("x", "s", "lambda"),
+                      [(0.0, spec.L), (0.0, spec.S), (-radius, radius)],
+                      n=n, inflate=inflate, wrt=wrt)
 
 
 def data_sup_norms(spec, t_window=None, inflate=1.0):
@@ -259,11 +254,9 @@ def _boundary_sup_norms(spec, t_window=None, inflate=1.0):
     }
 
 
-def sampled_deriv_max(expr, lo, hi, n=4097):
+def sampled_deriv_max(expr, lo, hi):
     """Max |d expr / d lambda| on [lo, hi] by dense sampling."""
-    lam = np.linspace(lo, hi, n)
-    _, d = exprdsl.eval_dual(expr, {"lambda": lam}, "lambda")
-    return float(np.max(np.abs(d)))
+    return sample_sup(expr, ("lambda",), [(lo, hi)], n=4097, wrt="lambda")
 
 
 # --- closed-form bounds ----------------------------------------------------
@@ -403,12 +396,7 @@ def impulsive_bounds(spec, inflate=1.0):
     """
     pre = data_sup_norms(spec, (0.0, spec.tau), inflate=inflate)
     m2 = max(pre.values())
-    if spec.beta is not None:
-        beta_sup = sample_sup(spec.beta, ("x", "s", "lambda"),
-                              [(0.0, spec.L), (0.0, spec.S), (-m2, m2)],
-                              n=64, inflate=inflate)
-    else:
-        beta_sup = 0.0
+    beta_sup = slab_sup(spec, spec.beta, m2, inflate=inflate)
     post = data_sup_norms(spec, (spec.tau, spec.T), inflate=inflate)
     m3 = max(m2 + beta_sup, post["u0_2"], post["uS_2"])
     return m2, m3
@@ -425,40 +413,20 @@ def impulsive_stability_invariants(spec1, spec2, n_cells, dt):
     pre1 = data_sup_norms(spec1, (0.0, spec1.tau))
     pre2 = data_sup_norms(spec2, (0.0, spec1.tau))
     m5 = max(max(pre1.values()), max(pre2.values()))
-
-    def beta_sup(beta):
-        if beta is None:
-            return 0.0
-        return sample_sup(beta, ("x", "s", "lambda"),
-                          [(0.0, spec1.L), (0.0, spec1.S), (-m5, m5)], n=64)
-
     post1 = data_sup_norms(spec1, (spec1.tau, spec1.T))
     post2 = data_sup_norms(spec2, (spec1.tau, spec1.T))
-    m4 = max(m5 + beta_sup(spec1.beta), post1["u0_2"], post1["uS_2"],
-             m5 + beta_sup(spec2.beta), post2["u0_2"], post2["uS_2"])
-
-    xg = np.linspace(0.0, spec1.L, 64)[:, None, None]
-    sg = np.linspace(0.0, spec1.S, 64)[None, :, None]
+    m4 = max(m5 + slab_sup(spec1, spec1.beta, m5), post1["u0_2"],
+             post1["uS_2"], m5 + slab_sup(spec1, spec2.beta, m5),
+             post2["u0_2"], post2["uS_2"])
     if spec1.beta is not None and spec2.beta is not None:
-        bind = {"x": xg, "s": sg,
-                "lambda": np.linspace(-m5, m5, 64)[None, None, :]}
-        diff = np.abs(np.asarray(exprdsl.evaluate(spec1.beta, bind))
-                      - np.asarray(exprdsl.evaluate(spec2.beta, bind)))
-        beta_diff = float(np.max(diff))
+        diff = exprdsl.BinOp("-", spec1.beta, spec2.beta)
     else:
-        beta_diff = beta_sup(spec1.beta if spec1.beta is not None
-                             else spec2.beta)
-    db1 = 0.0
-    if spec1.beta is not None:
-        _, db = exprdsl.eval_dual(
-            spec1.beta, {"x": xg, "s": sg,
-                         "lambda": np.linspace(-m5, m5, 256)[None, None, :]},
-            "lambda")
-        db1 = float(np.max(np.abs(db)))
+        diff = spec1.beta if spec1.beta is not None else spec2.beta
+    db1 = slab_sup(spec1, spec1.beta, m5, n=(64, 64, 256), wrt="lambda")
     return {"mids": mids,
             "a_m4": sampled_deriv_max(spec1.flux_a, -m4, m4),
             "a_m5": sampled_deriv_max(spec1.flux_a, -m5, m5),
-            "beta_diff": beta_diff, "db1": db1}
+            "beta_diff": slab_sup(spec1, diff, m5), "db1": db1}
 
 
 def stability_rhs_impulsive(spec1, spec2, t, d_init, d_s0, d_sS, dt=None,

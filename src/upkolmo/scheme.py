@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprdsl, kernels
-from .problem import data_sup_norms, sample_sup, sampled_deriv_max
+from .problem import data_sup_norms, sampled_deriv_max, slab_sup
 
 __all__ = [
     "SchemeOptions", "Stepper",
@@ -92,17 +92,11 @@ class SchemeOptions:
     x_diffusion: bool = True      # debug: False drops the lateral Laplacian
 
 
-def predicted_sup(spec, gamma=None):
+def predicted_sup(spec):
     """Sup-norm the run can actually reach, from the discrete max principle:
     data norms, plus the total perturbation kick (unit kernel mass)."""
-    gamma = spec.gamma if gamma is None else gamma
     base = max(data_sup_norms(spec).values())
-    if spec.beta is None:
-        return base
-    cap = max(base, spec.b1) + 1.0
-    bsup = sample_sup(spec.beta, ("x", "s", "lambda"),
-                      [(0.0, spec.L), (0.0, spec.S), (-cap, cap)], n=64)
-    return base + bsup
+    return base + slab_sup(spec, spec.beta, max(base, spec.b1) + 1.0)
 
 
 # --- tabulated split fluxes ------------------------------------------------
@@ -178,7 +172,7 @@ class Stepper:
         self.eps = spec.epsilon if eps is None else eps
         self.gamma = spec.gamma if gamma is None else gamma
         if m_bound is None:
-            m_bound = 1.05 * predicted_sup(spec, self.gamma) + 0.5
+            m_bound = 1.05 * predicted_sup(spec) + 0.5
         self.m_bound = m_bound
         self.xc, self.sc = grid.cell_centers()
         if dt is None:

@@ -42,8 +42,9 @@ from . import exprdsl, kernels
 from .chi import GridMismatchError
 from .problem import (ZeroInitialDataError, impulsive_bounds,
                       impulsive_stability_invariants, max_principle_bound,
-                      refined_max_bound, sample_sup, stability_invariants,
-                      stability_rhs, stability_rhs_impulsive)
+                      refined_max_bound, sample_sup, slab_sup,
+                      stability_invariants, stability_rhs,
+                      stability_rhs_impulsive)
 from .scheme import Stepper, predicted_sup
 from . import solver as solver_mod
 from .solver import GammaOutOfRangeError
@@ -543,13 +544,10 @@ def check_jump(traj, spec, n_cells=1024):
                                          "lambda": um.values})
         pointwise = float(np.max(np.abs(up.values - um.values - b)))
         b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
-        cap = max(spec.b1, 0.0) + 1.0
-        beta_sup = sample_sup(spec.beta, ("x", "s", "lambda"),
-                              [(0.0, spec.L), (0.0, spec.S), (-cap, cap)], n=64)
     else:
         pointwise = float(np.max(np.abs(up.values - um.values)))
         b0 = 0.0
-        beta_sup = 0.0
+    beta_sup = slab_sup(spec, spec.beta, max(spec.b1, 0.0) + 1.0)
     _, m3 = impulsive_bounds(spec, inflate=NORM_INFLATION)
     m3_eff = max(m3, up.sup_norm(), um.sup_norm() + beta_sup) + 0.5
     kin = chi_mod.kinetic_impulse_residual(um, up, spec.beta, m3_eff,

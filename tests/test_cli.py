@@ -119,6 +119,19 @@ def test_verify_of_an_unreadable_trajectory_exits_1(run_dir, capsys):
     assert not (traj / "reports.csv").exists()
 
 
+def test_verify_of_a_trajectory_with_unknown_options_exits_1(run_dir,
+                                                             capsys):
+    cfg, traj = run_dir
+    meta = json.loads((traj / "meta.json").read_text())
+    meta["options"]["foo"] = 1
+    (traj / "meta.json").write_text(json.dumps(meta))
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: meta.json: unknown options foo")
+    assert "Traceback" not in err
+    assert not (traj / "reports.csv").exists()
+
+
 def test_verify_accepts_a_trajectory_without_spec_hash(run_dir):
     cfg, traj = run_dir
     meta = json.loads((traj / "meta.json").read_text())

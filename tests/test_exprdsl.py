@@ -293,3 +293,153 @@ def test_power_of_a_non_finite_operand_stays_allowed():
         want = _outcome(_evaluate_reference, expr, {"x": x})
         assert not isinstance(want, type)
         assert _outcome(E.compile(expr)[0], {"x": x}) == want
+
+
+# --- the dual mode against the dual-number interpreter it replaced ----------
+#
+# `compile(expr, wrt)` took over from a second recursive walk of the AST;
+# the copy below is that walk.  Value and derivative must match it bit for
+# bit and in type, or the same exception class must be raised.
+
+def _dual_reference(expr, bindings, seed):
+    if isinstance(expr, E.Num):
+        return expr.value, 0.0
+    if isinstance(expr, E.Var):
+        try:
+            v = bindings[expr.name]
+        except KeyError:
+            raise E.UnboundVariableError(expr.name) from None
+        if expr.name == seed:
+            return v, np.ones_like(np.asarray(v, dtype=float)) if np.ndim(v) else 1.0
+        return v, np.zeros_like(np.asarray(v, dtype=float)) if np.ndim(v) else 0.0
+    if isinstance(expr, E.Neg):
+        v, d = _dual_reference(expr.arg, bindings, seed)
+        return -v, -d
+    if isinstance(expr, E.BinOp):
+        av, ad = _dual_reference(expr.lhs, bindings, seed)
+        bv, bd = _dual_reference(expr.rhs, bindings, seed)
+        if expr.op == "+":
+            return av + bv, ad + bd
+        if expr.op == "-":
+            return av - bv, ad - bd
+        if expr.op == "*":
+            return av * bv, ad * bv + av * bd
+        if expr.op == "/":
+            if np.any(np.asarray(bv) == 0):
+                raise E.DomainError("division by zero")
+            return av / bv, (ad * bv - av * bd) / (bv * bv)
+        with np.errstate(all="ignore"):
+            v = np.power(av, bv)
+            _check_pow_reference(np.asarray(av, dtype=float),
+                                 np.asarray(bv, dtype=float), np.asarray(v))
+            if np.all(np.asarray(bd) == 0):
+                d = bv * np.power(av, bv - 1) * ad
+                d = np.where(np.asarray(ad) == 0, 0.0, d)
+            else:
+                if np.any(np.asarray(av) <= 0):
+                    raise E.DomainError("variable exponent, base <= 0")
+                d = v * (bd * np.log(av) + bv * ad / av)
+        if np.ndim(d) == 0:
+            d = float(d)
+        return v, d
+    av, ad = _dual_reference(expr.args[0], bindings, seed)
+    if expr.func == "sin":
+        return np.sin(av), np.cos(av) * ad
+    if expr.func == "cos":
+        return np.cos(av), -np.sin(av) * ad
+    if expr.func == "exp":
+        v = np.exp(av)
+        return v, v * ad
+    if expr.func == "tanh":
+        v = np.tanh(av)
+        return v, (1.0 - v * v) * ad
+    if expr.func == "sqrt":
+        if np.any(np.asarray(av) < 0):
+            raise E.DomainError("sqrt of a negative number")
+        v = np.sqrt(av)
+        with np.errstate(all="ignore"):
+            d = ad / (2.0 * v)
+        return v, d
+    if expr.func == "abs":
+        sign = np.where(np.asarray(av) >= 0, 1.0, -1.0)
+        return np.abs(av), sign * ad
+    bv, bd = _dual_reference(expr.args[1], bindings, seed)
+    if expr.func == "min":
+        take_a = np.asarray(av) <= np.asarray(bv)
+    else:
+        take_a = np.asarray(av) >= np.asarray(bv)
+    return (np.where(take_a, av, bv), np.where(take_a, ad, bd)) \
+        if np.ndim(take_a) else ((av, ad) if take_a else (bv, bd))
+
+
+def _dual_outcome(fn, *args):
+    """The value's and the derivative's (type, dtype, shape, bytes), or the
+    exception class."""
+    try:
+        with np.errstate(all="ignore"):
+            pair = fn(*args)
+    except (E.DomainError, E.UnboundVariableError) as exc:
+        return type(exc)
+    return tuple((type(r), np.asarray(r).dtype, np.shape(r),
+                  np.asarray(r).tobytes()) for r in pair)
+
+
+def _mixed_bindings(rng):
+    # lambda and t on arrays, x and s scalars
+    return {"lambda": rng.uniform(-2.0, 2.0, (3, 1)), "x": 0.0,
+            "s": float(rng.uniform(-2.0, 2.0)),
+            "t": rng.uniform(-2.0, 2.0, (4,))}
+
+
+@pytest.mark.parametrize("smooth", [True, False])
+def test_dual_mode_equals_the_dual_walk_bit_for_bit(smooth):
+    rng = np.random.default_rng(16 if smooth else 17)
+    raised = 0
+    for _ in range(300):
+        expr = random_expr(rng, depth=rng.integers(1, 7), smooth=smooth)
+        for bindings in (random_bindings(rng), _array_bindings(rng),
+                         {"lambda": 0.0, "x": 0.0, "s": -1.0, "t": 1.0},
+                         _mixed_bindings(rng)):
+            for seed in ("lambda", "x"):
+                want = _dual_outcome(_dual_reference, expr, bindings, seed)
+                fn, free = E.compile(expr, seed)
+                assert _dual_outcome(fn, bindings) == want, E.to_string(expr)
+                assert _dual_outcome(E.eval_dual, expr, bindings, seed) == want
+                raised += isinstance(want, type)
+                # only the free variables are read
+                assert free == E.compile(expr)[1]
+                assert _dual_outcome(fn, {n: bindings[n] for n in free}) \
+                    == want
+    if not smooth:
+        assert raised > 0  # some points must reach a domain error
+
+
+def test_dual_of_a_variable_exponent_needs_a_positive_base():
+    expr = E.parse("x^lambda")
+    for x in (0.0, -1.0):
+        bindings = {"x": x, "lambda": 2.0}
+        assert _dual_outcome(_dual_reference, expr, bindings, "lambda") \
+            is E.DomainError
+        with pytest.raises(E.DomainError, match="positive base"):
+            E.eval_dual(expr, bindings, "lambda")
+
+
+def test_dual_needs_its_seed_bound():
+    with pytest.raises(E.UnboundVariableError):
+        E.eval_dual(E.parse("x"), {"x": 1.0}, "lambda")
+
+
+@pytest.mark.parametrize("text, x, cause", [
+    ("(x*1e200)^2", 1.0, r"\(overflow\)"),
+    ("x^(-1)", 0.0, r"\(zero base with negative exponent\)"),
+    ("x^0.5", -2.0, r"\(negative base with fractional exponent\)"),
+    ("x^(-1.5)", np.array([0.0, -1.0, 1e-300]),
+     r"\(zero base with negative exponent; negative base with fractional "
+     r"exponent; overflow\)"),
+])
+def test_a_power_error_names_its_cause(text, x, cause):
+    expr = E.parse(text)
+    with pytest.raises(E.DomainError, match=cause):
+        E.evaluate(expr, {"x": x})
+    with pytest.raises(E.DomainError, match=cause):
+        E.eval_dual(expr, {"x": x}, "x")

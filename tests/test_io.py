@@ -63,3 +63,13 @@ def test_periodic_true_cannot_be_loaded(tmp_path):
     _with_periodic(tmp_path, True)
     with pytest.raises(upk_io.FormatError, match="periodic"):
         upk_io.read_trajectory(tmp_path)
+
+
+def test_unknown_options_are_named(tmp_path):
+    upk_io.write_trajectory(tmp_path, _trajectory())
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["options"].update(foo=1, bar=None)
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(upk_io.FormatError,
+                       match="^meta.json: unknown options bar, foo$"):
+        upk_io.read_trajectory(tmp_path)

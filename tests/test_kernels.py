@@ -3,6 +3,8 @@ import pytest
 
 from upkolmo import exprdsl as E
 from upkolmo import kernels
+from upkolmo.scheme import Stepper
+from scenarios import source_spec, unit_grid
 
 
 def dense_simpson(f, a, b, n=20001):
@@ -63,7 +65,24 @@ class TestDelayedKernel:
 
     @pytest.mark.parametrize("gamma", [0.2, 0.1, 0.05])
     def test_unit_mass(self, gamma):
-        assert abs(kernels.kernel_mass(0.5, gamma, 1.0) - 1.0) <= 1e-8
+        # midpoint rule on 4,096 cells of [0, 1]
+        dt = 1.0 / 4096
+        mids = (np.arange(4096) + 0.5) * dt
+        mass = float(np.sum(kernels.k_gamma(mids, 0.5, gamma)) * dt)
+        assert abs(mass - 1.0) <= 1e-8
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the march samples the kernel at step midpoints; on the 64x64 grid "
+        "tau/dt = 4687.5, so tau is the midpoint of a step, which gets the "
+        "kernel's peak (2/gamma)*omega(0) although the one-sided kernel "
+        "vanishes on the step's second half: the impulse mass the scheme "
+        "applies is 1 + 8.8e-4 (1 + 1.3e-2 at 16x16; exact at 32x32, where "
+        "tau/dt = 1208 and tau is a step boundary)"))
+    def test_unit_mass_the_march_applies(self):
+        stepper = Stepper(source_spec(), unit_grid(64))
+        mass = sum(stepper.source_rate(n * stepper.dt) * stepper.dt
+                   for n in range(stepper.n_steps))
+        assert abs(mass - 1.0) <= 1e-8
 
     def test_mass_independent_quadrature(self):
         # integrate up to the jump at t = tau; the kernel vanishes beyond it

@@ -213,7 +213,7 @@ def test_describe_hash_stable():
     assert spec.context_hash() != source_spec(beta_amp=0.3).context_hash()
 
 
-def _sample_sup_meshgrid(expr, names, ranges, n=P._SAMPLES, inflate=1.0):
+def _sample_sup_meshgrid(expr, names, ranges, n=256, inflate=1.0):
     """``sample_sup`` as it was before it sampled on open axes."""
     axes = [np.linspace(lo, hi, n) for lo, hi in ranges]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -244,3 +244,91 @@ class TestSampleSupOpenAxes:
         ranges = [(0.0, 1.0), (0.0, 1.0), (-2.5, 2.5)]
         assert (P.sample_sup(beta, names, ranges, n=64)
                 == _sample_sup_meshgrid(beta, names, ranges, n=64))
+
+
+# --- the samplers `sample_sup` replaced ---------------------------------------
+#
+# Each copy below built its own grid; `sample_sup`, with one count per
+# axis and the `wrt` mode, must return the same float, bit for bit.
+
+def _dbeta_sup_reference(beta, L, S, b1, shape=(64, 64, 256)):
+    nx, ns, nl = shape
+    grid = {"x": np.linspace(0.0, L, nx)[:, None, None],
+            "s": np.linspace(0.0, S, ns)[None, :, None],
+            "lambda": np.linspace(-(b1 + 1.0), b1 + 1.0, nl)[None, None, :]}
+    _, d = E.eval_dual(beta, grid, "lambda")
+    return float(np.max(np.abs(d)))
+
+
+def _beta0_sup_reference(beta, L, S, n=256):
+    xs = np.linspace(0.0, L, n)
+    ss = np.linspace(0.0, S, n)
+    vals = E.evaluate(beta, {"x": xs[:, None], "s": ss[None, :],
+                             "lambda": 0.0})
+    return float(np.max(np.abs(vals)))
+
+
+def _deriv_max_reference(expr, lo, hi, n=4097):
+    lam = np.linspace(lo, hi, n)
+    _, d = E.eval_dual(expr, {"lambda": lam}, "lambda")
+    return float(np.max(np.abs(d)))
+
+
+BETAS = [
+    source_spec().beta,                              # the bench's beta
+    E.parse("0.7"),                                  # constant
+    E.parse("0.3*sin(lambda)"),                      # lambda only
+    E.parse("x*(1-x)*s + 0.2"),                      # lambda-free
+    E.parse("exp(-lambda^2)*cos(3*x) - tanh(s*lambda)"),
+    E.parse("min(abs(lambda - 0.3), 1 - x) * max(s, sqrt(1 + lambda^2))"),
+]
+
+
+class TestSampleSupAgainstTheSamplersItReplaced:
+    @pytest.mark.parametrize("beta", BETAS, ids=E.to_string)
+    @pytest.mark.parametrize("L, S, b1", [(1.0, 1.0, 2.0), (0.7, 1.3, 0.5)])
+    def test_dbeta_sup(self, beta, L, S, b1):
+        want = _dbeta_sup_reference(beta, L, S, b1)
+        assert kernels.estimate_dbeta_sup(beta, L, S, b1) == want
+        assert P.slab_sup(source_spec().with_data(L=L, S=S), beta, b1 + 1.0,
+                          n=(64, 64, 256), wrt="lambda") == want
+
+    @pytest.mark.parametrize("beta", BETAS, ids=E.to_string)
+    @pytest.mark.parametrize("L, S", [(1.0, 1.0), (0.7, 1.3)])
+    def test_beta0_sup_on_a_one_point_axis(self, beta, L, S):
+        got = P.sample_sup(beta, ("x", "s", "lambda"),
+                           [(0.0, L), (0.0, S), (0.0, 0.0)], n=(256, 256, 1))
+        assert got == _beta0_sup_reference(beta, L, S)
+
+    def test_beta0_sup_in_the_growth_constants(self):
+        beta = source_spec().beta
+        b0 = 1.5
+        omega0 = float(kernels.omega(0.0))
+        beta0 = _beta0_sup_reference(beta, 1.0, 1.0)
+        assert kernels.source_growth_constants(beta, 0.1, b0) == (
+            2.0 / 0.1 * omega0 * (b0 + 0.5 * beta0),
+            1.0 / 0.1 * omega0 * beta0)
+
+    @pytest.mark.parametrize("text", [
+        "lambda^2/2", "lambda", "0", "sin(3*lambda) - lambda^3",
+        "max(lambda, 0)^2", "abs(lambda)"])
+    @pytest.mark.parametrize("lo, hi", [(-1.863, 1.863), (0.0, 0.5)])
+    def test_sampled_deriv_max(self, text, lo, hi):
+        expr = E.parse(text)
+        assert P.sampled_deriv_max(expr, lo, hi) == \
+            _deriv_max_reference(expr, lo, hi)
+
+    def test_one_count_per_axis(self):
+        # a per-axis count equal on every axis is the single count
+        beta = source_spec().beta
+        ranges = [(0.0, 1.0), (0.0, 1.0), (-2.5, 2.5)]
+        names = ("x", "s", "lambda")
+        assert (P.sample_sup(beta, names, ranges, n=(64, 64, 64))
+                == P.sample_sup(beta, names, ranges, n=64))
+        for wrt in ("lambda", "x"):
+            assert (P.sample_sup(beta, names, ranges, n=(64, 64, 64), wrt=wrt)
+                    == P.sample_sup(beta, names, ranges, n=64, wrt=wrt))
+
+    def test_slab_sup_of_no_perturbation_is_zero(self):
+        assert P.slab_sup(source_spec(), None, 2.0) == 0.0
+        assert P.slab_sup(source_spec(), None, 2.0, wrt="lambda") == 0.0
