@@ -16,10 +16,11 @@ a-priori theory:
 * ``stability_rhs_impulsive`` -- the impulsive counterpart of the L1
   stability estimate, including the perturbation-difference terms.
 
-Both stability estimates depend on t only through a time window and a
-Gronwall weight.  ``stability_invariants`` and
-``impulsive_stability_invariants`` sample the data they need once, so that
-a caller evaluating a whole time series pays for the sampling once.
+Each stability estimate returns its curve over the snapshot times: the
+data it samples and the Gronwall weight do not depend on t, so they are
+computed once per curve.  The sup-norm bound m1(t) behind max|a'| in
+``stability_rhs`` is an argument, one value per snapshot time; the
+verifier passes the bound that its max-principle check certifies.
 
 Sup-norms of expression-defined data are estimated by dense sampling
 (256 points per axis).  Callers that assert these bounds apply a 1%
@@ -39,8 +40,7 @@ from .exprdsl import sample_sup
 __all__ = [
     "ProblemSpec", "Grid", "Field", "Trajectory",
     "max_principle_bound", "refined_max_bound", "stability_rhs",
-    "stability_invariants", "stability_rhs_impulsive",
-    "impulsive_stability_invariants", "impulsive_bounds",
+    "stability_rhs_impulsive", "impulsive_bounds",
     "sample_sup", "slab_sup", "data_sup_norms", "consistency_errors",
     "ZeroInitialDataError", "golden_section_min",
 ]
@@ -148,8 +148,6 @@ class Trajectory:
     grid: Grid
     times: list = field(default_factory=list)
     fields: list = field(default_factory=list)
-    s0_traces: list = field(default_factory=list)
-    sS_traces: list = field(default_factory=list)
     tau_minus: Field | None = None
     tau_plus: Field | None = None
     meta: dict = field(default_factory=dict)
@@ -159,8 +157,16 @@ class Trajectory:
             raise ValueError("snapshot times must be strictly increasing")
         self.times.append(t)
         self.fields.append(fld)
-        self.s0_traces.append(fld.values[:, 0].copy())
-        self.sS_traces.append(fld.values[:, -1].copy())
+
+    @property
+    def s0_traces(self):
+        """Each snapshot's first s-column, the discrete trace at s = 0."""
+        return [fld.values[:, 0] for fld in self.fields]
+
+    @property
+    def sS_traces(self):
+        """Each snapshot's last s-column, the discrete trace at s = S."""
+        return [fld.values[:, -1] for fld in self.fields]
 
     @property
     def final(self):
@@ -233,20 +239,11 @@ def data_sup_norms(spec, t_window=None, inflate=1.0):
     ``t_window`` restricts the time interval of the s-boundary data;
     defaults to (0, T).
     """
-    return {"u0_1": _initial_sup(spec, inflate),
-            **_boundary_sup_norms(spec, t_window, inflate)}
-
-
-def _initial_sup(spec, inflate=1.0):
-    return sample_sup(spec.data_u0_1, ("x", "s"),
-                      [(0.0, spec.L), (0.0, spec.S)], inflate=inflate)
-
-
-def _boundary_sup_norms(spec, t_window=None, inflate=1.0):
-    """The s-boundary part of ``data_sup_norms``: u0_2 and uS_2 only."""
     lo, hi = t_window if t_window is not None else (0.0, spec.T)
     hi = max(hi, lo + 1e-12)
     return {
+        "u0_1": sample_sup(spec.data_u0_1, ("x", "s"),
+                           [(0.0, spec.L), (0.0, spec.S)], inflate=inflate),
         "u0_2": sample_sup(spec.data_u0_2, ("x", "t"),
                            [(0.0, spec.L), (lo, hi)], inflate=inflate),
         "uS_2": sample_sup(spec.data_uS_2, ("x", "t"),
@@ -280,17 +277,13 @@ def golden_section_min(f, a, b, tol=1e-10):
     return x, f(x)
 
 
-def max_principle_bound(spec, t_prime, b1g, b2g, inflate=1.0, dnorm=None):
+def max_principle_bound(t_prime, b1g, b2g, dnorm):
     """Sup-norm bound M(t'): minimum over xi > b1g of
 
-        exp(xi t') * max(data norms, sqrt(b2g / (xi - b1g))).
+        exp(xi t') * max(dnorm, sqrt(b2g / (xi - b1g))),
 
-    ``dnorm`` is the data norm over (0, t') when the caller has it;
-    otherwise it is sampled with ``data_sup_norms``.
+    where ``dnorm`` is the sup-norm of the data over (0, t').
     """
-    if dnorm is None:
-        dnorm = max(data_sup_norms(spec, (0.0, t_prime),
-                                   inflate=inflate).values())
 
     def objective(xi):
         tail = np.sqrt(b2g / (xi - b1g)) if b2g > 0 else 0.0
@@ -325,67 +318,37 @@ def refined_max_bound(spec, t_prime, inflate=1.0):
     return float(out) if out.ndim == 0 else out
 
 
-def _gronwall_weights(spec, b0, n_cells, dt):
-    """Cumulative source-Lipschitz integral at t-cell midpoints."""
-    mids = (np.arange(n_cells) + 0.5) * dt
-    if spec.beta is None or spec.gamma <= 0 or b0 == 0.0:
-        rate = np.zeros(n_cells)
-    else:
-        rate = b0 * kernels.k_gamma(mids, spec.tau, spec.gamma)
-    g = np.cumsum(rate) * dt
-    return mids, g
-
-
-def stability_invariants(spec, b0, n_cells, dt):
-    """The parts of ``stability_rhs`` that do not depend on t.
-
-    These are the source growth constants (b1g, b2g), the sampled sup of
-    u0_1 and the Gronwall weights at the ``n_cells`` t-cell midpoints.
-    Compute them once and pass them to every ``stability_rhs`` call for
-    the same spec, b0, n_cells and dt.
-    """
-    if spec.beta is not None and spec.gamma > 0:
-        b1g, b2g = kernels.source_growth_constants(
-            spec.beta, spec.gamma, b0, L=spec.L, S=spec.S, b1=spec.b1)
-    else:
-        b1g = b2g = 0.0
-    mids, g = _gronwall_weights(spec, b0, n_cells, dt)
-    return {"b1g": b1g, "b2g": b2g, "u0_1": _initial_sup(spec),
-            "mids": mids, "g": g}
-
-
-def stability_rhs(spec, t, d_init, d_s0, d_sS, b0, m1=None, dt=None,
-                  invariants=None):
-    """Right-hand side of the L1 stability estimate at time t.
+def stability_rhs(spec, times, d_init, d_s0, d_sS, b0, gamma, m1, dt):
+    """Right-hand side of the L1 stability estimate at each time in ``times``.
 
         exp(G(t)) * [d_init + max|a'| * int_0^t exp(-G) (d_s0 + d_sS) dt']
 
     ``d_s0`` and ``d_sS`` are L1(x) boundary-data differences sampled at
-    t-cell midpoints with spacing ``dt`` (default T/len); G accumulates
-    the source's value-Lipschitz rate with the same midpoint rule.
-    ``invariants`` is what ``stability_invariants`` returns for these
-    arguments; it is computed here when not given.
+    t-cell midpoints with spacing ``dt``; G accumulates the source's
+    value-Lipschitz rate b0 * K_gamma with the same midpoint rule, for the
+    delay width ``gamma`` the runs used.  max|a'| is taken over
+    [-m1(t), m1(t)], where ``m1`` holds a sup-norm bound of both solutions
+    at each time in ``times``.  Returns one value per time.
     """
     d_s0 = np.asarray(d_s0, dtype=float)
     d_sS = np.asarray(d_sS, dtype=float)
-    n = len(d_s0)
-    if dt is None:
-        dt = spec.T / max(n, 1)
-    if invariants is None:
-        invariants = stability_invariants(spec, b0, n, dt)
-    if m1 is None:
-        t_eff = max(t, 1e-9)
-        dnorm = max(invariants["u0_1"],
-                    *_boundary_sup_norms(spec, (0.0, t_eff)).values())
-        m1 = max_principle_bound(spec, t_eff, invariants["b1g"],
-                                 invariants["b2g"], dnorm=dnorm)
-    mids, g = invariants["mids"], invariants["g"]
-    a_max = sampled_deriv_max(spec.flux_a, -m1, m1)
-    live = mids < t
-    g_t = float(np.interp(t, np.concatenate(([0.0], mids)),
-                          np.concatenate(([0.0], g))))
-    boundary = float(np.sum(np.exp(-g[live]) * (d_s0[live] + d_sS[live])) * dt)
-    return float(np.exp(g_t) * (d_init + a_max * boundary))
+    mids = (np.arange(len(d_s0)) + 0.5) * dt
+    if spec.beta is None or gamma <= 0 or b0 == 0.0:
+        rate = np.zeros(len(d_s0))
+    else:
+        rate = b0 * kernels.k_gamma(mids, spec.tau, gamma)
+    g = np.cumsum(rate) * dt
+    weighted = np.exp(-g) * (d_s0 + d_sS)
+    g_ts = np.interp(times, np.concatenate(([0.0], mids)),
+                     np.concatenate(([0.0], g)))
+    out = []
+    for t, g_t, m in zip(times, g_ts, m1):
+        # the midpoints before t are a prefix; summing it, not a running
+        # cumsum, keeps the rounding of the estimate at a single t
+        boundary = float(np.sum(weighted[:np.searchsorted(mids, t)]) * dt)
+        a_max = sampled_deriv_max(spec.flux_a, -m, m)
+        out.append(float(np.exp(g_t) * (d_init + a_max * boundary)))
+    return out
 
 
 def impulsive_bounds(spec, inflate=1.0):
@@ -402,14 +365,20 @@ def impulsive_bounds(spec, inflate=1.0):
     return m2, m3
 
 
-def impulsive_stability_invariants(spec1, spec2, n_cells, dt):
-    """The parts of ``stability_rhs_impulsive`` that do not depend on t.
+def stability_rhs_impulsive(spec1, spec2, times, d_init, d_s0, d_sS, dt):
+    """Right-hand side of the L1 stability estimate for two impulsive runs,
+    at each time in ``times``.
 
-    These are the t-cell midpoints, the flux-derivative bounds a_m4 and
-    a_m5, the perturbation difference sup|beta1 - beta2| and the first
-    perturbation's value-Lipschitz constant db1, all sampled from the data.
+    Boundary contributions enter through their time integrals; past the
+    jump time the bound gains the perturbation-difference term and a
+    pre-jump bound scaled by the first perturbation's value-Lipschitz
+    constant.  The flux-derivative bounds a_m4 and a_m5, the perturbation
+    difference sup|beta1 - beta2| and the value-Lipschitz constant db1 are
+    sampled from the data once per curve.  Returns one value per time.
     """
-    mids = (np.arange(n_cells) + 0.5) * dt
+    d_s0 = np.asarray(d_s0, dtype=float)
+    d_sS = np.asarray(d_sS, dtype=float)
+    mids = (np.arange(len(d_s0)) + 0.5) * dt
     pre1 = data_sup_norms(spec1, (0.0, spec1.tau))
     pre2 = data_sup_norms(spec2, (0.0, spec1.tau))
     m5 = max(max(pre1.values()), max(pre2.values()))
@@ -423,37 +392,18 @@ def impulsive_stability_invariants(spec1, spec2, n_cells, dt):
     else:
         diff = spec1.beta if spec1.beta is not None else spec2.beta
     db1 = slab_sup(spec1, spec1.beta, m5, n=(64, 64, 256), wrt="lambda")
-    return {"mids": mids,
-            "a_m4": sampled_deriv_max(spec1.flux_a, -m4, m4),
-            "a_m5": sampled_deriv_max(spec1.flux_a, -m5, m5),
-            "beta_diff": slab_sup(spec1, diff, m5), "db1": db1}
-
-
-def stability_rhs_impulsive(spec1, spec2, t, d_init, d_s0, d_sS, dt=None,
-                            invariants=None):
-    """Right-hand side of the L1 stability estimate for two impulsive runs.
-
-    Boundary contributions enter through their time integrals; past the
-    jump time the bound gains the perturbation-difference term and a
-    pre-jump bound scaled by the first perturbation's value-Lipschitz
-    constant.  ``invariants`` is what ``impulsive_stability_invariants``
-    returns for these arguments; it is computed here when not given.
-    """
-    d_s0 = np.asarray(d_s0, dtype=float)
-    d_sS = np.asarray(d_sS, dtype=float)
-    n = len(d_s0)
-    if dt is None:
-        dt = spec1.T / max(n, 1)
-    if invariants is None:
-        invariants = impulsive_stability_invariants(spec1, spec2, n, dt)
-    mids = invariants["mids"]
-    live = mids < t
-    boundary_t = float(np.sum((d_s0[live] + d_sS[live])) * dt)
-    rhs = d_init + invariants["a_m4"] * boundary_t
-    if t >= spec1.tau:
-        pre_mask = mids < spec1.tau
-        boundary_tau = float(np.sum((d_s0[pre_mask] + d_sS[pre_mask])) * dt)
-        rhs += (spec1.S * spec1.omega_measure * invariants["beta_diff"]
-                + invariants["db1"] * (d_init + invariants["a_m5"]
-                                       * boundary_tau))
-    return float(rhs)
+    a_m4 = sampled_deriv_max(spec1.flux_a, -m4, m4)
+    a_m5 = sampled_deriv_max(spec1.flux_a, -m5, m5)
+    beta_diff = slab_sup(spec1, diff, m5)
+    summed = d_s0 + d_sS
+    boundary_tau = float(np.sum(summed[mids < spec1.tau]) * dt)
+    jump = (spec1.S * spec1.omega_measure * beta_diff
+            + db1 * (d_init + a_m5 * boundary_tau))
+    out = []
+    for t in times:
+        boundary_t = float(np.sum(summed[:np.searchsorted(mids, t)]) * dt)
+        rhs = d_init + a_m4 * boundary_t
+        if t >= spec1.tau:
+            rhs += jump
+        out.append(float(rhs))
+    return out

@@ -41,10 +41,8 @@ from . import chi as chi_mod
 from . import exprdsl, kernels
 from .chi import GridMismatchError
 from .problem import (ZeroInitialDataError, impulsive_bounds,
-                      impulsive_stability_invariants, max_principle_bound,
-                      refined_max_bound, sample_sup, slab_sup,
-                      stability_invariants, stability_rhs,
-                      stability_rhs_impulsive)
+                      max_principle_bound, refined_max_bound, sample_sup,
+                      slab_sup, stability_rhs, stability_rhs_impulsive)
 from .scheme import Stepper, predicted_sup
 from . import solver as solver_mod
 from .solver import GammaOutOfRangeError
@@ -174,17 +172,25 @@ class _WindowNorms:
         return max(self.u0_1, self.run["u0_2"][i], self.run["uS_2"][i])
 
 
-def _bound_curves(spec, traj, inflate=NORM_INFLATION):
+def _bound_curves(spec, traj):
     """Per-snapshot sup-norm bounds applicable to the trajectory's mode."""
     meta = traj.meta
-    mode = meta.get("mode", "entropy")
-    times = traj.times
-    if mode == "impulsive":
-        m2, m3 = impulsive_bounds(spec, inflate=inflate)
-        tau_snap = meta["n_tau"] * meta["dt"]
-        return [m2 if t < tau_snap else m3 for t in times], {"m2": m2, "m3": m3}
-    gamma = meta.get("gamma", spec.gamma)
-    norms = _WindowNorms(spec, inflate=inflate)
+    tau_snap = (meta["n_tau"] * meta["dt"] if meta.get("mode") == "impulsive"
+                else None)
+    return _bound_curve(spec, tuple(traj.times),
+                        meta.get("gamma", spec.gamma), tau_snap)
+
+
+@functools.lru_cache(maxsize=2)
+def _bound_curve(spec, times, gamma, tau_snap):
+    """``_bound_curves`` on the only inputs a curve depends on; ``tau_snap``
+    is None outside impulsive mode.  Cached, so that ``check_max_principle``
+    and ``check_stability`` on one run build its curve once."""
+    if tau_snap is not None:
+        m2, m3 = impulsive_bounds(spec, inflate=NORM_INFLATION)
+        return (tuple(m2 if t < tau_snap else m3 for t in times),
+                {"m2": m2, "m3": m3})
+    norms = _WindowNorms(spec, inflate=NORM_INFLATION)
     if spec.beta is not None and gamma > 0:
         b1g, b2g = kernels.source_growth_constants(
             spec.beta, gamma, L=spec.L, S=spec.S, b1=spec.b1)
@@ -192,18 +198,17 @@ def _bound_curves(spec, traj, inflate=NORM_INFLATION):
         b1g = b2g = 0.0
     t_effs = [max(t, 1e-9) for t in times]
     try:
-        m7 = refined_max_bound(spec, t_effs, inflate=inflate)
+        m7 = refined_max_bound(spec, t_effs, inflate=NORM_INFLATION)
         have_m7 = (spec.beta is None or gamma > 0)
     except (ZeroInitialDataError, ValueError):
         have_m7 = False
     bounds = []
     for i, t_eff in enumerate(t_effs):
-        m = max_principle_bound(spec, t_eff, b1g, b2g,
-                                dnorm=norms.data_max(t_eff))
+        m = max_principle_bound(t_eff, b1g, b2g, norms.data_max(t_eff))
         if have_m7:
             m = min(m, m7[i])
         bounds.append(float(m))
-    return bounds, {"b1g": b1g, "b2g": b2g}
+    return tuple(bounds), {"b1g": b1g, "b2g": b2g}
 
 
 def _inf_unless_finite(value):
@@ -257,6 +262,12 @@ def _boundary_series(spec1, spec2, grid, n_steps, dt):
 def check_stability(traj1, traj2, spec1, spec2):
     """L1 distance of two runs versus the data-stability estimate.
 
+    Outside impulsive mode, max|a'| in the estimate is taken over
+    [-m1(t), m1(t)], where m1 is the larger of the two runs' sup-norm
+    bounds from ``_bound_curves``: the curves ``check_max_principle``
+    certifies, built once per run for both checks.  The source's Gronwall
+    weight uses the delay width the first run used.
+
     A pair of snapshots holding a non-finite value measures inf, and the
     first such pair is ``t_worst``.
     """
@@ -285,22 +296,20 @@ def check_stability(traj1, traj2, spec1, spec2):
         b0 = 0.0
     c_grid = STABILITY_GRID_COEFF * (grid.dx ** 0.5 + grid.ds ** 0.5)
     if impulsive:
-        invariants = impulsive_stability_invariants(spec1, spec2, n_steps, dt)
+        rhs = stability_rhs_impulsive(spec1, spec2, traj1.times, d_init,
+                                      d_s0, d_sS, dt)
     else:
-        invariants = stability_invariants(spec1, b0, n_steps, dt)
+        m1 = np.maximum(_bound_curves(spec1, traj1)[0],
+                        _bound_curves(spec2, traj2)[0])
+        rhs = stability_rhs(spec1, traj1.times, d_init, d_s0, d_sS, b0, gamma,
+                            m1, dt)
 
     worst_gap, worst = -np.inf, (0.0, 0.0, 0.0)
-    for t, f1, f2 in zip(traj1.times, traj1.fields, traj2.fields):
+    for t, f1, f2, r in zip(traj1.times, traj1.fields, traj2.fields, rhs):
         lhs = _inf_unless_finite(l1_diff(f1, f2))
-        if impulsive:
-            rhs = stability_rhs_impulsive(spec1, spec2, t, d_init, d_s0, d_sS,
-                                          dt=dt, invariants=invariants)
-        else:
-            rhs = stability_rhs(spec1, t, d_init, d_s0, d_sS, b0, dt=dt,
-                                invariants=invariants)
-        gap = lhs - (rhs * 1.05 + c_grid)
+        gap = lhs - (r * 1.05 + c_grid)
         if gap > worst_gap:
-            worst_gap, worst = gap, (lhs, rhs, t)
+            worst_gap, worst = gap, (lhs, r, t)
     context = {"spec1": spec1.context_hash(), "spec2": spec2.context_hash(),
                "d_init": d_init, "t_worst": worst[2], "c_grid": c_grid,
                "impulsive": impulsive}
@@ -507,8 +516,8 @@ def check_bln(traj, spec, k_values):
     if n_scored and len(k_values):
         # every scored trace and its data as one (n_scored, nx) array
         ts = np.asarray([traj.times[i] for i in scored])[:, None]
-        tr0 = np.stack([traj.s0_traces[i] for i in scored])
-        trS = np.stack([traj.sS_traces[i] for i in scored])
+        tr0 = np.stack(traj.s0_traces)[scored]
+        trS = np.stack(traj.sS_traces)[scored]
         data0 = np.broadcast_to(np.asarray(exprdsl.evaluate(
             spec.data_u0_2, {"x": xc[None, :], "t": ts})), tr0.shape)
         dataS = np.broadcast_to(np.asarray(exprdsl.evaluate(

@@ -85,37 +85,44 @@ class TestGridField:
             traj.append(0.0, P.Field(np.zeros((2, 2)), g, 0.0))
 
 
+def _data_norm(spec, t):
+    return max(P.data_sup_norms(spec, (0.0, t)).values())
+
+
 class TestMaxPrincipleBound:
     def test_no_growth_reduces_to_data_norms(self):
         spec = const_data_spec(u01="0.5", u02="0.25", uS2="0.75")
-        m = P.max_principle_bound(spec, 1.0, 0.0, 0.0)
+        m = P.max_principle_bound(1.0, 0.0, 0.0, dnorm=_data_norm(spec, 1.0))
         assert m == pytest.approx(0.75, abs=1e-6)
 
     def test_zero_data(self):
         spec = const_data_spec(u01="0", u02="0", uS2="0")
-        assert P.max_principle_bound(spec, 1.0, 0.0, 0.0) \
+        assert P.max_principle_bound(1.0, 0.0, 0.0,
+                                     dnorm=_data_norm(spec, 1.0)) \
             == pytest.approx(0.0, abs=1e-9)
 
     def test_golden_section_target(self):
         # minimize exp(xi) * max(1, 1/sqrt(xi-1)) over xi > 1:
         # optimum at xi = 1.5, value exp(1.5) * sqrt(2)
         spec = const_data_spec()
-        m = P.max_principle_bound(spec, 1.0, 1.0, 1.0)
+        m = P.max_principle_bound(1.0, 1.0, 1.0, dnorm=_data_norm(spec, 1.0))
         assert m == pytest.approx(math.exp(1.5) * math.sqrt(2.0), rel=1e-6)
 
     def test_monotone_in_arguments(self):
         rng = np.random.default_rng(21)
         spec = const_data_spec(u01="0.8", u02="0.3", uS2="0.1")
+
+        def bound(t, b1g, b2g):
+            return P.max_principle_bound(t, b1g, b2g,
+                                         dnorm=_data_norm(spec, t))
+
         for _ in range(20):
             t1, t2 = np.sort(rng.uniform(0.05, 1.0, size=2))
             b1a, b1b = np.sort(rng.uniform(0.0, 2.0, size=2))
             b2a, b2b = np.sort(rng.uniform(0.0, 2.0, size=2))
-            assert P.max_principle_bound(spec, t1, b1a, b2a) \
-                <= P.max_principle_bound(spec, t2, b1a, b2a) * (1 + 1e-9)
-            assert P.max_principle_bound(spec, t1, b1a, b2a) \
-                <= P.max_principle_bound(spec, t1, b1b, b2a) * (1 + 1e-9)
-            assert P.max_principle_bound(spec, t1, b1a, b2a) \
-                <= P.max_principle_bound(spec, t1, b1a, b2b) * (1 + 1e-9)
+            assert bound(t1, b1a, b2a) <= bound(t2, b1a, b2a) * (1 + 1e-9)
+            assert bound(t1, b1a, b2a) <= bound(t1, b1b, b2a) * (1 + 1e-9)
+            assert bound(t1, b1a, b2a) <= bound(t1, b1a, b2b) * (1 + 1e-9)
 
 
 class TestRefinedMaxBound:
@@ -145,6 +152,13 @@ class TestRefinedMaxBound:
             P.refined_max_bound(spec, 1.0)
 
 
+def _rhs_at(spec, t, d_init, d_s0, d_sS, b0, m1):
+    """``stability_rhs`` at the single time t, with the t-cells spanning T."""
+    n = len(d_s0)
+    return P.stability_rhs(spec, [t], d_init, d_s0, d_sS, b0, spec.gamma,
+                           [m1], spec.T / n)[0]
+
+
 class TestStabilityRhs:
     def test_no_source_form(self):
         spec = nosource_spec()
@@ -153,27 +167,27 @@ class TestStabilityRhs:
         d_sS = np.full(n, 0.1)
         # max|a'| over [-m1, m1] with a = l^2/2 is m1
         m1 = 2.0
-        got = P.stability_rhs(spec, 1.0, 0.5, d_s0, d_sS, b0=0.0, m1=m1)
+        got = _rhs_at(spec, 1.0, 0.5, d_s0, d_sS, b0=0.0, m1=m1)
         assert got == pytest.approx(0.5 + m1 * 0.3, rel=1e-12)
 
     def test_identical_data(self):
         spec = nosource_spec()
-        got = P.stability_rhs(spec, 1.0, 0.0, np.zeros(50), np.zeros(50),
-                              b0=0.0, m1=1.0)
+        got = _rhs_at(spec, 1.0, 0.0, np.zeros(50), np.zeros(50),
+                      b0=0.0, m1=1.0)
         assert got == 0.0
 
     def test_additive_in_initial_distance(self):
         spec = nosource_spec()
         zeros = np.zeros(50)
-        a = P.stability_rhs(spec, 1.0, 1.0, zeros, zeros, b0=0.0, m1=1.0)
-        b = P.stability_rhs(spec, 1.0, 2.0, zeros, zeros, b0=0.0, m1=1.0)
+        a = _rhs_at(spec, 1.0, 1.0, zeros, zeros, b0=0.0, m1=1.0)
+        b = _rhs_at(spec, 1.0, 2.0, zeros, zeros, b0=0.0, m1=1.0)
         assert b == pytest.approx(2 * a, rel=1e-12)
 
     def test_gronwall_weight_accumulates_kernel_mass(self):
         spec = source_spec(gamma=0.1)
         b0 = 0.5
         zeros = np.zeros(4096)
-        got = P.stability_rhs(spec, 1.0, 1.0, zeros, zeros, b0=b0, m1=1.0)
+        got = _rhs_at(spec, 1.0, 1.0, zeros, zeros, b0=b0, m1=1.0)
         # G(T) = b0 * integral of the kernel = b0 (unit mass)
         assert got == pytest.approx(math.exp(b0), rel=1e-6)
 

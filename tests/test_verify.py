@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 from upkolmo import exprdsl as E
-from upkolmo import kernels, solver, verify
+from upkolmo import kernels, problem, solver, verify
 from upkolmo.problem import (Field, Grid, Trajectory, ZeroInitialDataError,
                              data_sup_norms, golden_section_min,
-                             impulsive_stability_invariants,
-                             max_principle_bound, refined_max_bound,
-                             sample_sup, sampled_deriv_max,
-                             stability_invariants, stability_rhs,
-                             stability_rhs_impulsive)
+                             refined_max_bound, sample_sup, sampled_deriv_max,
+                             stability_rhs, stability_rhs_impulsive)
 from upkolmo.scheme import (LAX_FRIEDRICHS, SchemeOptions, Stepper,
                             predicted_sup)
 from scenarios import (diffusionless_options, nosource_spec, perturbed_spec,
-                       shock_spec, source_spec, unit_grid, zero_spec)
+                       shock_spec, source_spec, unattainable_spec, unit_grid,
+                       zero_spec)
 
 
 class TestMaxPrinciple:
@@ -82,6 +80,70 @@ class TestStability:
         rep = verify.check_stability(t1, t2, base, pert)
         assert rep.passed
         assert rep.context["impulsive"]
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """Record the arguments and results of every ``verify.<name>`` call."""
+        calls = []
+        real = getattr(verify, name)
+
+        def spy(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(verify, name, spy)
+        return calls
+
+    def test_m1_covers_both_runs(self, monkeypatch, contraction_family):
+        base, pert = contraction_family["specs"]
+        t1, t2 = contraction_family["trajs"]
+        calls = self._spy(monkeypatch, "stability_rhs")
+        verify.check_stability(t1, t2, base, pert)
+        (args, _), = calls
+        m1 = np.asarray(args[7])
+        second = np.asarray(verify._bound_curves(pert, t2)[0])
+        assert m1.shape == second.shape
+        assert np.all(m1 >= second)
+        # the perturbed run's data reach higher than the base run's
+        assert np.any(second > np.asarray(verify._bound_curves(base, t1)[0]))
+
+    def test_one_curve_serves_both_checks(self, monkeypatch):
+        # check_max_principle builds the run's curve; check_stability on
+        # the run against itself builds none
+        spec = source_spec()
+        traj = solver.solve_entropy(spec, unit_grid(16))
+        searches = []
+        real = problem.golden_section_min
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(problem, "golden_section_min", counted)
+        verify._bound_curve.cache_clear()
+        verify.check_max_principle(traj, spec)
+        assert len(searches) == len(traj.times)
+        verify.check_stability(traj, traj, spec, spec)
+        assert len(searches) == len(traj.times)
+
+    def test_gronwall_weight_uses_the_run_gamma(self, monkeypatch,
+                                                gamma_family):
+        # the run used gamma = 0.05 and the spec says 0.1: the source acts
+        # on [tau - 0.05, tau], so G vanishes before tau - 0.05
+        spec = gamma_family["spec"]
+        traj = gamma_family["trajs"][0.05]
+        assert traj.meta["gamma"] == 0.05 and spec.gamma == 0.1
+        calls = self._spy(monkeypatch, "stability_rhs")
+        # the same run against other initial data: rhs = exp(G(t)) * d_init
+        rep = verify.check_stability(traj, traj, spec,
+                                     perturbed_spec(spec, 0.1))
+        (args, rhs), = calls
+        d_init = rep.context["d_init"]
+        assert args[6] == 0.05
+        early = [r for t, r in zip(traj.times, rhs)
+                 if spec.tau - 0.1 < t < spec.tau - 0.05]
+        assert early and all(r == d_init for r in early)
+        assert rhs[-1] > d_init
 
     def test_grid_mismatch(self, gamma_family):
         spec = gamma_family["spec"]
@@ -482,14 +544,20 @@ def _entropy_residual_reference(traj, spec, k_values):
                           context)
 
 
-def _stability_rhs_reference(spec, t, d_init, d_s0, d_sS, b0, dt):
-    if spec.beta is not None and spec.gamma > 0:
-        b1g, b2g = kernels.source_growth_constants(
-            spec.beta, spec.gamma, b0, L=spec.L, S=spec.S, b1=spec.b1)
+def _stability_rhs_reference(spec, t, d_init, d_s0, d_sS, b0, gamma, m1, dt):
+    n = len(d_s0)
+    mids = (np.arange(n) + 0.5) * dt
+    if spec.beta is None or gamma <= 0 or b0 == 0.0:
+        rate = np.zeros(n)
     else:
-        b1g = b2g = 0.0
-    m1 = max_principle_bound(spec, max(t, 1e-9), b1g, b2g)
-    return stability_rhs(spec, t, d_init, d_s0, d_sS, b0, m1=m1, dt=dt)
+        rate = b0 * kernels.k_gamma(mids, spec.tau, gamma)
+    g = np.cumsum(rate) * dt
+    a_max = sampled_deriv_max(spec.flux_a, -m1, m1)
+    live = mids < t
+    g_t = float(np.interp(t, np.concatenate(([0.0], mids)),
+                          np.concatenate(([0.0], g))))
+    boundary = float(np.sum(np.exp(-g[live]) * (d_s0[live] + d_sS[live])) * dt)
+    return float(np.exp(g_t) * (d_init + a_max * boundary))
 
 
 def _stability_rhs_impulsive_reference(spec1, spec2, t, d_init, d_s0, d_sS,
@@ -601,45 +669,58 @@ class TestHoistedAgainstReference:
         spec, runs = small_runs
         traj = runs["entropy", 1]
         bounds, _ = verify._bound_curves(spec, traj)
-        assert bounds == _bound_curves_reference(spec, traj)
+        assert list(bounds) == _bound_curves_reference(spec, traj)
+
+    @staticmethod
+    def _assert_stability_curve(spec, traj, d_s0, d_sS, b0):
+        dt = traj.meta["dt"]
+        gamma = traj.meta["gamma"]
+        m1 = verify._bound_curves(spec, traj)[0]
+        assert len(set(m1)) > 1
+        got = stability_rhs(spec, traj.times, 0.1, d_s0, d_sS, b0, gamma, m1,
+                            dt)
+        assert got == [_stability_rhs_reference(spec, t, 0.1, d_s0, d_sS, b0,
+                                                gamma, m, dt)
+                       for t, m in zip(traj.times, m1)]
 
     def test_stability_curve(self, small_runs):
         spec, runs = small_runs
         traj = runs["entropy", 32]
-        dt, n = traj.meta["dt"], traj.meta["n_steps"]
-        d_s0 = np.linspace(0.0, 0.02, n)
-        d_sS = np.linspace(0.01, 0.0, n)
+        n = traj.meta["n_steps"]
         b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
-        inv = stability_invariants(spec, b0, n, dt)
-        for t in traj.times:
-            hoisted = stability_rhs(spec, t, 0.1, d_s0, d_sS, b0, dt=dt,
-                                    invariants=inv)
-            assert hoisted == stability_rhs(spec, t, 0.1, d_s0, d_sS, b0,
-                                            dt=dt)
-            assert hoisted == _stability_rhs_reference(spec, t, 0.1, d_s0,
-                                                       d_sS, b0, dt)
+        self._assert_stability_curve(spec, traj, np.linspace(0.0, 0.02, n),
+                                     np.linspace(0.01, 0.0, n), b0)
 
-    @pytest.mark.parametrize("pair", ["both", "first", "second"])
+    def test_stability_curve_time_dependent_data(self, small_runs):
+        # the inflow ramp of `unattainable_spec` against the source
+        # problem's zero boundary data
+        source, runs = small_runs
+        traj = runs["entropy", 32]
+        spec = unattainable_spec()
+        _, d_s0, d_sS = verify._boundary_series(
+            spec, source, traj.grid, traj.meta["n_steps"], traj.meta["dt"])
+        self._assert_stability_curve(spec, traj, d_s0, d_sS, b0=0.5)
+
+    @pytest.mark.parametrize("pair", ["both", "first", "second", "ramp"])
     def test_impulsive_stability_curve(self, small_runs, pair):
         spec, runs = small_runs
-        other = {"both": perturbed_spec(spec, 0.05),
-                 "first": nosource_spec(), "second": spec}[pair]
-        spec1 = nosource_spec() if pair == "second" else spec
+        other = {"both": perturbed_spec(spec, 0.05), "first": nosource_spec(),
+                 "second": spec, "ramp": spec}[pair]
+        spec1 = {"second": nosource_spec(),
+                 "ramp": unattainable_spec()}.get(pair, spec)
         traj = runs["impulsive", 32]
         dt, n = traj.meta["dt"], traj.meta["n_steps"]
-        d_s0 = np.linspace(0.0, 0.02, n)
-        d_sS = np.linspace(0.01, 0.0, n)
-        inv = impulsive_stability_invariants(spec1, other, n, dt)
-        sides = set()
-        for t in traj.times:
-            sides.add(t >= spec1.tau)
-            hoisted = stability_rhs_impulsive(spec1, other, t, 0.1, d_s0,
-                                              d_sS, dt=dt, invariants=inv)
-            assert hoisted == stability_rhs_impulsive(spec1, other, t, 0.1,
-                                                      d_s0, d_sS, dt=dt)
-            assert hoisted == _stability_rhs_impulsive_reference(
-                spec1, other, t, 0.1, d_s0, d_sS, dt)
-        assert sides == {False, True}
+        if pair == "ramp":
+            _, d_s0, d_sS = verify._boundary_series(spec1, other, traj.grid,
+                                                    n, dt)
+        else:
+            d_s0 = np.linspace(0.0, 0.02, n)
+            d_sS = np.linspace(0.01, 0.0, n)
+        got = stability_rhs_impulsive(spec1, other, traj.times, 0.1, d_s0,
+                                      d_sS, dt)
+        assert got == [_stability_rhs_impulsive_reference(
+            spec1, other, t, 0.1, d_s0, d_sS, dt) for t in traj.times]
+        assert {t >= spec1.tau for t in traj.times} == {False, True}
 
 
 # The data samplers as they were before t-free data skipped the t axis.
