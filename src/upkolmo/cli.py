@@ -141,8 +141,12 @@ def _cmd_verify(args):
                   f"{stored}, not from {args.config} (spec hash "
                   f"{spec.context_hash()})", file=sys.stderr)
             return 1
-    reports = [verify.check_max_principle(traj, spec),
-               verify.check_stability(traj, traj2, spec, spec)]
+    try:
+        reports = [verify.check_max_principle(traj, spec),
+                   verify.check_stability(traj, traj2, spec, spec)]
+    except verify.GridMismatchError as exc:  # a --traj2 on another grid or dt
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     k_bank = _k_bank(traj)
     if traj.meta.get("mode") == "impulsive":
         reports.append(verify.check_jump(traj, spec))

@@ -99,21 +99,20 @@ def estimate_dbeta_sup(beta, L, S, b1):
                               n=(64, 64, 256), wrt="lambda")
 
 
-def source_growth_constants(beta, gamma, b0=None, *, L=1.0, S=1.0, b1=1.0):
+def source_growth_constants(beta, gamma, *, L=1.0, S=1.0, b1=1.0):
     """Growth constants (b1g, b2g) of the delayed source K_gamma * beta.
 
         b1g = (2/gamma) * omega(0) * (b0 + ||beta(.,.,0)||_C / 2)
         b2g = (1/gamma) * omega(0) * ||beta(.,.,0)||_C
 
-    b0 bounds |d(beta)/d(lambda)|; when not supplied it is estimated by
-    dense sampling (see estimate_dbeta_sup).
+    b0 bounds |d(beta)/d(lambda)|; it is estimated by dense sampling (see
+    estimate_dbeta_sup).
     """
     if gamma <= 0:
         raise NonPositiveGammaError(f"gamma must be positive, got {gamma}")
     if beta is None:
         return 0.0, 0.0
-    if b0 is None:
-        b0 = estimate_dbeta_sup(beta, L, S, b1)
+    b0 = estimate_dbeta_sup(beta, L, S, b1)
     omega_sup = float(omega(0.0))
     # ||beta(., ., 0)||_C: lambda = 0 is a one-point axis
     beta0 = exprdsl.sample_sup(beta, ("x", "s", "lambda"),

@@ -43,7 +43,8 @@ class GammaOutOfRangeError(ValueError):
     pass
 
 
-def _initial_values(spec, grid):
+def initial_values(spec, grid):
+    """u0_1 on the grid's cell centres: the march's first field."""
     xc, sc = grid.cell_centers()
     vals = exprdsl.evaluate(spec.data_u0_1, {"x": xc[:, None], "s": sc[None, :]})
     return np.broadcast_to(np.asarray(vals, dtype=float),
@@ -92,7 +93,7 @@ def _march_once(spec, grid, stepper, mode):
         "options": stepper.options,
         "spec_hash": spec.context_hash(),
     }
-    u = _initial_values(spec, grid)
+    u = initial_values(spec, grid)
     traj.append(0.0, Field(u.copy(), grid, 0.0))
 
     snap_at = set(range(0, n_steps + 1, stride))

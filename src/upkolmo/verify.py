@@ -40,9 +40,9 @@ import numpy as np
 from . import chi as chi_mod
 from . import exprdsl, kernels
 from .chi import GridMismatchError
-from .problem import (ZeroInitialDataError, impulsive_bounds,
-                      max_principle_bound, refined_max_bound, sample_sup,
-                      slab_sup, stability_rhs, stability_rhs_impulsive)
+from .problem import (ZeroInitialDataError, data_sup_norms, impulsive_bounds,
+                      max_principle_bound, refined_max_bound, slab_sup,
+                      stability_rhs, stability_rhs_impulsive)
 from .scheme import Stepper, predicted_sup
 from . import solver as solver_mod
 from .solver import GammaOutOfRangeError
@@ -147,30 +147,7 @@ def spacetime_l1_diff(traj1, traj2):
     return float(total)
 
 
-# --- cached windowed data norms ----------------------------------------------
-
-class _WindowNorms:
-    """Running sup-norms of the s-boundary data over growing time windows."""
-
-    def __init__(self, spec, n=256, inflate=1.0):
-        self.u0_1 = sample_sup(spec.data_u0_1, ("x", "s"),
-                               [(0.0, spec.L), (0.0, spec.S)], inflate=inflate)
-        xs = np.linspace(0.0, spec.L, n)
-        self.ts = np.linspace(0.0, spec.T, n)
-        self.run = {}
-        for name, expr in (("u0_2", spec.data_u0_2), ("uS_2", spec.data_uS_2)):
-            # data that do not read t give one column, whose max (exact)
-            # stands for every t
-            vals = np.atleast_2d(np.abs(np.asarray(exprdsl.evaluate(
-                expr, {"x": xs[:, None], "t": self.ts[None, :]}), dtype=float)))
-            self.run[name] = np.maximum.accumulate(
-                np.broadcast_to(vals.max(axis=0), (n,))) * inflate
-
-    def data_max(self, t_prime):
-        i = int(np.searchsorted(self.ts, t_prime, side="right")) - 1
-        i = max(i, 0)
-        return max(self.u0_1, self.run["u0_2"][i], self.run["uS_2"][i])
-
+# --- sup-norm bound curves ----------------------------------------------------
 
 def _bound_curves(spec, traj):
     """Per-snapshot sup-norm bounds applicable to the trajectory's mode."""
@@ -190,25 +167,23 @@ def _bound_curve(spec, times, gamma, tau_snap):
         m2, m3 = impulsive_bounds(spec, inflate=NORM_INFLATION)
         return (tuple(m2 if t < tau_snap else m3 for t in times),
                 {"m2": m2, "m3": m3})
-    norms = _WindowNorms(spec, inflate=NORM_INFLATION)
     if spec.beta is not None and gamma > 0:
         b1g, b2g = kernels.source_growth_constants(
             spec.beta, gamma, L=spec.L, S=spec.S, b1=spec.b1)
     else:
         b1g = b2g = 0.0
-    t_effs = [max(t, 1e-9) for t in times]
+    t_effs = np.maximum(times, 1e-9)
+    # each snapshot's data norm is the sup over its own window (0, t)
+    norms = data_sup_norms(spec, (0.0, t_effs), inflate=NORM_INFLATION)
+    dnorms = np.maximum(norms["u0_1"], np.maximum(norms["u0_2"], norms["uS_2"]))
+    bounds = [max_principle_bound(t, b1g, b2g, d) for t, d in zip(t_effs, dnorms)]
     try:
         m7 = refined_max_bound(spec, t_effs, inflate=NORM_INFLATION)
-        have_m7 = (spec.beta is None or gamma > 0)
+        if spec.beta is None or gamma > 0:
+            bounds = np.minimum(bounds, m7)
     except (ZeroInitialDataError, ValueError):
-        have_m7 = False
-    bounds = []
-    for i, t_eff in enumerate(t_effs):
-        m = max_principle_bound(t_eff, b1g, b2g, norms.data_max(t_eff))
-        if have_m7:
-            m = min(m, m7[i])
-        bounds.append(float(m))
-    return tuple(bounds), {"b1g": b1g, "b2g": b2g}
+        pass  # no refined bound: the growth bound stands alone
+    return tuple(map(float, bounds)), {"b1g": b1g, "b2g": b2g}
 
 
 def _inf_unless_finite(value):
@@ -278,12 +253,8 @@ def check_stability(traj1, traj2, spec1, spec2):
     grid = traj1.grid
     dt = traj1.meta["dt"]
     n_steps = traj1.meta["n_steps"]
-    xc, sc = grid.cell_centers()
-    u1_0 = exprdsl.evaluate(spec1.data_u0_1, {"x": xc[:, None], "s": sc[None, :]})
-    u2_0 = exprdsl.evaluate(spec2.data_u0_1, {"x": xc[:, None], "s": sc[None, :]})
-    shape = (grid.nx, grid.ns)
-    d_init = float(np.sum(np.abs(np.broadcast_to(np.asarray(u1_0), shape)
-                                 - np.broadcast_to(np.asarray(u2_0), shape)))
+    d_init = float(np.sum(np.abs(solver_mod.initial_values(spec1, grid)
+                                 - solver_mod.initial_values(spec2, grid)))
                    * grid.cell_volume)
     _, d_s0, d_sS = _boundary_series(spec1, spec2, grid, n_steps, dt)
 

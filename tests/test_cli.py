@@ -132,6 +132,28 @@ def test_verify_of_a_trajectory_with_unknown_options_exits_1(run_dir,
     assert not (traj / "reports.csv").exists()
 
 
+@pytest.mark.parametrize("change, message", [
+    (("Nx = 8\nNs = 8", "Nx = 16\nNs = 16"), "different grids"),
+    (("cfl_safety = 0.9", "cfl_safety = 0.5"), "snapshot times differ"),
+])
+def test_verify_of_a_second_run_on_another_grid_or_dt_exits_1(
+        run_dir, tmp_path, capsys, change, message):
+    # the spec hash covers the problem, not the grid or the time step, so
+    # the second run passes the hash check and the comparison refuses it
+    cfg, traj = run_dir
+    other_cfg = tmp_path / "other.cfg"
+    other_cfg.write_text(cfg.read_text().replace(*change))
+    other = tmp_path / "other"
+    assert cli.main(["run", str(other_cfg), "--out", str(other)]) == 0
+    capsys.readouterr()
+    argv = ["verify", str(cfg), "--traj", str(traj), "--traj2", str(other)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert not (traj / "reports.csv").exists()
+
+
 def test_verify_accepts_a_trajectory_without_spec_hash(run_dir):
     cfg, traj = run_dir
     meta = json.loads((traj / "meta.json").read_text())

@@ -133,10 +133,12 @@ class TestGrowthConstants:
         assert b[0] == pytest.approx(2 * a[0], rel=1e-12)
         assert b[1] == pytest.approx(2 * a[1], rel=1e-12)
 
-    def test_supplied_b0_formula(self):
-        beta = E.parse("0")
-        b1g, b2g = kernels.source_growth_constants(beta, 0.1, b0=2.0,
-                                                   L=1, S=1, b1=1.0)
+    def test_sampled_b0_formula(self):
+        # d beta / d lambda = 2 everywhere and beta(., ., 0) = 0, so the
+        # sampled b0 is exactly 2 and only it enters b1g
+        beta = E.parse("2*lambda")
+        b1g, b2g = kernels.source_growth_constants(beta, 0.1, L=1, S=1,
+                                                   b1=1.0)
         omega0 = float(kernels.omega(0.0))
         assert b1g == pytest.approx(2.0 / 0.1 * omega0 * 2.0)
         assert b2g == 0.0

@@ -316,10 +316,10 @@ class TestSampleSupAgainstTheSamplersItReplaced:
 
     def test_beta0_sup_in_the_growth_constants(self):
         beta = source_spec().beta
-        b0 = 1.5
+        b0 = kernels.estimate_dbeta_sup(beta, 1.0, 1.0, 1.0)
         omega0 = float(kernels.omega(0.0))
         beta0 = _beta0_sup_reference(beta, 1.0, 1.0)
-        assert kernels.source_growth_constants(beta, 0.1, b0) == (
+        assert kernels.source_growth_constants(beta, 0.1) == (
             2.0 / 0.1 * omega0 * (b0 + 0.5 * beta0),
             1.0 / 0.1 * omega0 * beta0)
 

@@ -40,6 +40,25 @@ class TestMaxPrinciple:
         rep = verify.check_max_principle(traj, base_spec)
         assert rep.passed
 
+    def test_every_bound_covers_its_own_boundary_data(self):
+        # the inflow ramp rises with t, so a snapshot's data norm must
+        # include the data at the snapshot's own time
+        spec = unattainable_spec()
+        traj = solver.solve_entropy(spec, unit_grid(16), gamma=0.0,
+                                    options=diffusionless_options(stride=1))
+        bounds, _ = verify._bound_curves(spec, traj)
+        xs = np.linspace(0.0, spec.L, 256)
+
+        def data_at(t):
+            return max(float(np.max(np.abs(np.broadcast_to(np.asarray(
+                E.evaluate(expr, {"x": xs, "t": t}), dtype=float),
+                xs.shape)))) for expr in (spec.data_u0_2, spec.data_uS_2))
+
+        below = [t for t, bound in zip(traj.times, bounds)
+                 if bound < verify.NORM_INFLATION * data_at(t)]
+        assert len(traj.times) == 48
+        assert below == []
+
 
 class TestStability:
     def test_self_comparison_is_zero(self, gamma_family):
@@ -425,9 +444,33 @@ class TestReports:
 # t-invariant work was hoisted out: the same arithmetic on the same samples,
 # so the reports must agree bit for bit.
 
+def _window_sups_reference(expr, L, ends, inflate=1.0):
+    """Entry i: the max of |expr| over x in linspace(0, L, 256) and every
+    sampled t <= ends[i], where the sampled times are linspace(0, max(ends),
+    256) joined with the ends; a plain loop over the sample set."""
+    ts = np.array(sorted(set(np.linspace(0.0, max(ends), 256).tolist())
+                         | set(map(float, ends))))
+    xs = np.linspace(0.0, L, 256)
+    vals = np.abs(np.broadcast_to(np.asarray(
+        E.evaluate(expr, {"x": xs[:, None], "t": ts[None, :]}), dtype=float),
+        (len(xs), len(ts))))
+    out = []
+    for end in ends:
+        best = 0.0
+        for j, t in enumerate(ts):
+            if t <= end:
+                best = max(best, float(vals[:, j].max()))
+        out.append(best * inflate)
+    return out
+
+
 def _bound_curves_reference(spec, traj, inflate=verify.NORM_INFLATION):
     gamma = traj.meta.get("gamma", spec.gamma)
-    norms = verify._WindowNorms(spec, inflate=inflate)
+    t_effs = [max(t, 1e-9) for t in traj.times]
+    u0_1 = sample_sup(spec.data_u0_1, ("x", "s"),
+                      [(0.0, spec.L), (0.0, spec.S)], inflate=inflate)
+    u0_2 = _window_sups_reference(spec.data_u0_2, spec.L, t_effs, inflate)
+    uS_2 = _window_sups_reference(spec.data_uS_2, spec.L, t_effs, inflate)
     if spec.beta is not None and gamma > 0:
         b1g, b2g = kernels.source_growth_constants(
             spec.beta, gamma, L=spec.L, S=spec.S, b1=spec.b1)
@@ -439,9 +482,8 @@ def _bound_curves_reference(spec, traj, inflate=verify.NORM_INFLATION):
     except (ZeroInitialDataError, ValueError):
         have_m7 = False
     bounds = []
-    for t in traj.times:
-        t_eff = max(t, 1e-9)
-        dnorm = norms.data_max(t_eff)
+    for i, t_eff in enumerate(t_effs):
+        dnorm = max(u0_1, u0_2[i], uS_2[i])
 
         def objective(xi):
             tail = np.sqrt(b2g / (xi - b1g)) if b2g > 0 else 0.0
@@ -725,18 +767,6 @@ class TestHoistedAgainstReference:
 
 # The data samplers as they were before t-free data skipped the t axis.
 
-def _window_norms_reference(spec, n=256, inflate=1.0):
-    xs = np.linspace(0.0, spec.L, n)
-    ts = np.linspace(0.0, spec.T, n)
-    run = {}
-    for name, expr in (("u0_2", spec.data_u0_2), ("uS_2", spec.data_uS_2)):
-        vals = np.abs(np.broadcast_to(np.asarray(
-            E.evaluate(expr, {"x": xs[:, None], "t": ts[None, :]}),
-            dtype=float), (n, n)))
-        run[name] = np.maximum.accumulate(vals.max(axis=0)) * inflate
-    return run
-
-
 def _boundary_series_reference(spec1, spec2, grid, n_steps, dt):
     xc, _ = grid.cell_centers()
     mids = (np.arange(n_steps) + 0.5) * dt
@@ -753,19 +783,31 @@ def _boundary_series_reference(spec1, spec2, grid, n_steps, dt):
 
 # constant, x-only (t-free), t-only and (x, t) boundary data
 DATA = ["0", "0.4", "0.3*sin(7*x) + x*x", "0.2*t", "x*(1-x)*exp(t)"]
+# window ends on and off the 256-point t-axis, the first next to 0
+WINDOW_ENDS = np.array([1e-9, 0.021, 0.10638, 0.25, 0.5, 0.731, 1.0])
 
 
 class TestDataSamplingAgainstReference:
     @pytest.mark.parametrize("text", DATA)
     @pytest.mark.parametrize("inflate", [1.0, verify.NORM_INFLATION])
-    def test_window_norms(self, text, inflate):
+    def test_window_ends(self, text, inflate):
         spec = source_spec().with_data(data_u0_2=E.parse(text),
                                        data_uS_2=E.parse(f"-({text})"))
-        got = verify._WindowNorms(spec, inflate=inflate).run
-        want = _window_norms_reference(spec, inflate=inflate)
+        got = data_sup_norms(spec, (0.0, WINDOW_ENDS), inflate=inflate)
+        whole = data_sup_norms(spec, inflate=inflate)
+        assert got["u0_1"] == whole["u0_1"]
         for name in ("u0_2", "uS_2"):
-            assert got[name].shape == want[name].shape
-            assert got[name].tobytes() == want[name].tobytes()
+            want = _window_sups_reference(getattr(spec, f"data_{name}"),
+                                          spec.L, WINDOW_ENDS, inflate)
+            assert got[name].shape == WINDOW_ENDS.shape
+            assert got[name].tolist() == want
+            for end in WINDOW_ENDS:
+                one = data_sup_norms(spec, (0.0, np.array([end])),
+                                     inflate=inflate)[name]
+                assert one.tolist() == [data_sup_norms(
+                    spec, (0.0, end), inflate=inflate)[name]]
+            if "t" not in E.compile(E.parse(text))[1]:
+                assert got[name].tolist() == [whole[name]] * len(WINDOW_ENDS)
 
     @pytest.mark.parametrize("text1", DATA)
     @pytest.mark.parametrize("text2", ["0", "0.1*cos(5*x)", "0.5*t*x"])
