@@ -7,12 +7,16 @@ integral identities,
     integral of |chi(lambda; v) - chi(lambda; w)| dlambda = |v - w|,
 
 turn pointwise statements about a solution into statements about integrals
-over the value variable.  The jump diagnostic below uses exactly that: the
-kinetic form of the impulse condition
+over the value variable.  The second underlies the L1 stability estimate
+(``problem.stability_rhs``).  The program evaluates the first in one
+place, the jump diagnostic ``kinetic_impulse_residual``: the kinetic form
+of the impulse condition
 
     int chi(.; u+) = int (1 + d beta/d lambda) chi(.; u-) + beta(x, s, 0)
 
-reduces, cell by cell, to u+ = u- + beta(x, s, u-).
+reduces, cell by cell, to u+ = u- + beta(x, s, u-): apply the first
+identity with psi(lambda) = lambda on the left and with psi(lambda) =
+lambda + beta(x, s, lambda) on the right.
 
 All quadrature here is the midpoint rule on a uniform lambda grid: chi is
 piecewise constant, and midpoints never hit its breakpoints.
@@ -24,14 +28,7 @@ import numpy as np
 
 from . import exprdsl
 
-__all__ = [
-    "chi", "chi_integral", "chi_distance", "kinetic_impulse_residual",
-    "LambdaTooSmallError", "GridMismatchError",
-]
-
-
-class LambdaTooSmallError(ValueError):
-    pass
+__all__ = ["chi", "kinetic_impulse_residual", "GridMismatchError"]
 
 
 class GridMismatchError(ValueError):
@@ -51,30 +48,6 @@ def chi(lam, v):
 def _midpoints(Lambda, n_cells):
     dlam = 2.0 * Lambda / n_cells
     return -Lambda + (np.arange(n_cells) + 0.5) * dlam, dlam
-
-
-def chi_integral(psi_prime, v, Lambda, n_cells=1024):
-    """Midpoint quadrature of int psi'(lambda) chi(lambda; v) dlambda.
-
-    psi_prime may be an Expr in ``lambda`` or any callable.  Result equals
-    psi(v) - psi(0) up to O(dlambda).
-    """
-    if Lambda < abs(v):
-        raise LambdaTooSmallError(f"Lambda={Lambda} < |v|={abs(v)}")
-    mids, dlam = _midpoints(Lambda, n_cells)
-    if callable(psi_prime):
-        w = psi_prime(mids)
-    else:
-        w = exprdsl.evaluate(psi_prime, {"lambda": mids})
-    return float(np.sum(w * chi(mids, v)) * dlam)
-
-
-def chi_distance(v, w, Lambda, n_cells=1024):
-    """Midpoint quadrature of int |chi(lambda; v) - chi(lambda; w)| dlambda."""
-    if Lambda < max(abs(v), abs(w)):
-        raise LambdaTooSmallError(f"Lambda={Lambda} < max(|v|,|w|)")
-    mids, dlam = _midpoints(Lambda, n_cells)
-    return float(np.sum(np.abs(chi(mids, v) - chi(mids, w))) * dlam)
 
 
 def kinetic_impulse_residual(u_minus, u_plus, beta, M3, n_cells=1024):

@@ -319,20 +319,27 @@ def read_trajectory(directory, L=1.0, S=1.0):
     if not index or index[0].strip() != "t,filename,role":
         raise FormatError(f"{directory}: malformed index.csv")
     meta_path = directory / "meta.json"
-    meta = _meta_from_json(json.loads(meta_path.read_text())) \
-        if meta_path.exists() else {}
+    if not meta_path.exists():
+        raise FormatError(f"{directory}: no meta.json, so the run's march "
+                          "parameters are unknown")
+    meta = _meta_from_json(json.loads(meta_path.read_text()))
     traj = None
     tau_minus = tau_plus = None
     for row in index[1:]:
         if not row.strip():
             continue
-        t_str, name, role = row.split(",")
+        try:
+            t_str, name, role = row.split(",")
+            t = float(t_str)
+        except ValueError:
+            raise FormatError(f"{directory}: index.csv row {row!r} is not "
+                              "t,filename,role") from None
         fld = read_field(directory / name, L=L, S=S)
         if traj is None:
             traj = Trajectory(grid=fld.grid)
             traj.meta = meta
         if role == "snapshot":
-            traj.append(float(t_str), fld)
+            traj.append(t, fld)
         elif role == "tau_minus":
             tau_minus = fld
         elif role == "tau_plus":

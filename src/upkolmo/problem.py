@@ -133,14 +133,6 @@ class Field:
     def sup_norm(self):
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
-    def l1_norm(self):
-        return float(np.sum(np.abs(self.values)) * self.grid.cell_volume)
-
-    def assert_finite(self):
-        if not np.all(np.isfinite(self.values)):
-            bad = np.argwhere(~np.isfinite(self.values))[0]
-            raise ValueError(f"non-finite value at cell {tuple(bad)}")
-
 
 @dataclass
 class Trajectory:
@@ -337,7 +329,8 @@ def stability_rhs(spec, times, d_init, d_s0, d_sS, b0, gamma, m1, dt):
     value-Lipschitz rate b0 * K_gamma with the same midpoint rule, for the
     delay width ``gamma`` the runs used.  max|a'| is taken over
     [-m1(t), m1(t)], where ``m1`` holds a sup-norm bound of both solutions
-    at each time in ``times``.  Returns one value per time.
+    at each time in ``times``; max|a'| is sampled once per distinct m1.
+    Returns one value per time.
     """
     d_s0 = np.asarray(d_s0, dtype=float)
     d_sS = np.asarray(d_sS, dtype=float)
@@ -350,13 +343,15 @@ def stability_rhs(spec, times, d_init, d_s0, d_sS, b0, gamma, m1, dt):
     weighted = np.exp(-g) * (d_s0 + d_sS)
     g_ts = np.interp(times, np.concatenate(([0.0], mids)),
                      np.concatenate(([0.0], g)))
+    a_max = {}
     out = []
     for t, g_t, m in zip(times, g_ts, m1):
         # the midpoints before t are a prefix; summing it, not a running
         # cumsum, keeps the rounding of the estimate at a single t
         boundary = float(np.sum(weighted[:np.searchsorted(mids, t)]) * dt)
-        a_max = sampled_deriv_max(spec.flux_a, -m, m)
-        out.append(float(np.exp(g_t) * (d_init + a_max * boundary)))
+        if m not in a_max:
+            a_max[m] = sampled_deriv_max(spec.flux_a, -m, m)
+        out.append(float(np.exp(g_t) * (d_init + a_max[m] * boundary)))
     return out
 
 
@@ -382,35 +377,24 @@ def stability_rhs_impulsive(spec1, spec2, times, d_init, d_s0, d_sS, dt):
     """Right-hand side of the L1 stability estimate for two impulsive runs,
     at each time in ``times``.
 
-    Boundary contributions enter through their time integrals; past the
-    jump time the bound gains the perturbation-difference term and a
-    pre-jump bound scaled by the first perturbation's value-Lipschitz
-    constant.  m5 and m4 bound both runs before and after the jump
-    (``impulsive_bounds`` of the pair).  The flux-derivative bounds a_m4 and
-    a_m5, sup|beta1 - beta2| and the value-Lipschitz constant db1 are
+    Without a source, the estimate of ``stability_rhs`` with max|a'| over
+    [-m4, m4] holds at every time; past the jump time the bound gains the
+    perturbation-difference term and the same estimate at the jump time,
+    over [-m5, m5], scaled by the first perturbation's value-Lipschitz
+    constant db1.  m5 and m4 bound both runs before and after the jump
+    (``impulsive_bounds`` of the pair).  sup|beta1 - beta2| and db1 are
     sampled from the data once per curve.  Returns one value per time.
     """
-    d_s0 = np.asarray(d_s0, dtype=float)
-    d_sS = np.asarray(d_sS, dtype=float)
-    mids = (np.arange(len(d_s0)) + 0.5) * dt
     m5, m4 = impulsive_bounds(spec1, spec2)
     if spec1.beta is not None and spec2.beta is not None:
         diff = exprdsl.BinOp("-", spec1.beta, spec2.beta)
     else:
         diff = spec1.beta if spec1.beta is not None else spec2.beta
     db1 = slab_sup(spec1, spec1.beta, m5, n=(64, 64, 256), wrt="lambda")
-    a_m4 = sampled_deriv_max(spec1.flux_a, -m4, m4)
-    a_m5 = sampled_deriv_max(spec1.flux_a, -m5, m5)
     beta_diff = slab_sup(spec1, diff, m5)
-    summed = d_s0 + d_sS
-    boundary_tau = float(np.sum(summed[mids < spec1.tau]) * dt)
-    jump = (spec1.S * spec1.omega_measure * beta_diff
-            + db1 * (d_init + a_m5 * boundary_tau))
-    out = []
-    for t in times:
-        boundary_t = float(np.sum(summed[:np.searchsorted(mids, t)]) * dt)
-        rhs = d_init + a_m4 * boundary_t
-        if t >= spec1.tau:
-            rhs += jump
-        out.append(float(rhs))
-    return out
+    at_tau, = stability_rhs(spec1, [spec1.tau], d_init, d_s0, d_sS, 0.0, 0.0,
+                            [m5], dt)
+    jump = spec1.S * spec1.omega_measure * beta_diff + db1 * at_tau
+    pre = stability_rhs(spec1, times, d_init, d_s0, d_sS, 0.0, 0.0,
+                        [m4] * len(times), dt)
+    return [rhs + jump if t >= spec1.tau else rhs for t, rhs in zip(times, pre)]

@@ -156,8 +156,9 @@ class Stepper:
     The construction is deterministic in its arguments: identical inputs
     produce bit-identical steps, which the singular-limit comparisons rely
     on.  ``m_bound`` fixes the invariant region the flux tables and the LF
-    dissipation are sized for; pass a common value to make a family of runs
-    comparable exactly.
+    dissipation are sized for.  Its default, 1.05 * ``predicted_sup`` + 0.5,
+    depends on the spec alone, so a family of runs of one spec shares it;
+    runs of different specs are comparable exactly only with a common value.
     """
 
     def __init__(self, spec, grid, eps=None, gamma=None, options=None,

@@ -31,7 +31,7 @@ from .scheme import SchemeOptions, Stepper, SupNormExceeded
 
 __all__ = [
     "solve_regularized", "solve_entropy", "solve_impulsive",
-    "extract_s_trace", "CflViolationError", "GammaOutOfRangeError",
+    "CflViolationError", "GammaOutOfRangeError",
 ]
 
 
@@ -154,18 +154,3 @@ def solve_impulsive(spec, grid, options=None, dt=None, m_bound=None):
         raise ValueError(f"jump time must lie in (0, T), got {spec.tau}")
     return _march(spec, grid, 0.0, 0.0, options, dt, m_bound, "impulsive")
 
-
-def extract_s_trace(traj, side):
-    """Per-snapshot x-profiles of the first/last interior s-cell row.
-
-    Returns (times, array of shape (n_snapshots, nx)).  The interior row
-    adjacent to the end is the discrete surrogate of the one-sided
-    essential limit of the solution at that end.
-    """
-    if side == "s0":
-        rows = traj.s0_traces
-    elif side == "sS":
-        rows = traj.sS_traces
-    else:
-        raise ValueError(f"side must be 's0' or 'sS', got {side!r}")
-    return np.asarray(traj.times), np.stack(rows, axis=0)

@@ -43,13 +43,13 @@ from .chi import GridMismatchError
 from .problem import (ZeroInitialDataError, data_sup_norms, impulsive_bounds,
                       max_principle_bound, refined_max_bound, slab_sup,
                       stability_rhs, stability_rhs_impulsive)
-from .scheme import Stepper, predicted_sup
+from .scheme import Stepper
 from . import solver as solver_mod
 from .solver import GammaOutOfRangeError
 
 __all__ = [
     "VerificationReport", "write_reports", "check_max_principle",
-    "check_stability", "check_energy", "check_entropy_residual", "check_bln",
+    "check_stability", "check_entropy_residual", "check_bln",
     "check_jump", "check_gamma_limit", "check_epsilon_cauchy",
     "validate_genuine_nonlinearity",
     "TooFewRunsError", "MissingTauTracesError", "GridMismatchError",
@@ -287,46 +287,6 @@ def check_stability(traj1, traj2, spec1, spec2):
     return _report("stability", worst[0], worst[1], 0.05, c_grid, context)
 
 
-# --- energy -------------------------------------------------------------------
-
-def _energy(traj, eps):
-    grid = traj.grid
-    w = _trapezoid_weights(traj.times)
-    grad_x = 0.0
-    grad_s = 0.0
-    for wi, fld in zip(w, traj.fields):
-        u = fld.values
-        gx = np.diff(u, axis=0) / grid.dx
-        gs = np.diff(u, axis=1) / grid.ds
-        grad_x += wi * float(np.sum(gx * gx)) * grid.cell_volume
-        grad_s += wi * float(np.sum(gs * gs)) * grid.cell_volume
-    u_final = traj.final.values
-    l2 = float(np.sum(u_final * u_final)) * grid.cell_volume
-    return l2 + grad_x + eps * grad_s
-
-
-def check_energy(runs):
-    """Uniform boundedness of the discrete energy across a run family.
-
-    The continuum constant is not computable from the data alone, so the
-    check is relative: max/min energy ratio over the family at most 3.
-    """
-    if len(runs) < 3:
-        raise TooFewRunsError(f"need at least 3 runs, got {len(runs)}")
-    energies = []
-    for traj in runs:
-        eps = traj.meta.get("eps", 0.0)
-        energies.append(_energy(traj, eps))
-    lo, hi = min(energies), max(energies)
-    if hi <= 1e-14:
-        ratio = 1.0
-    else:
-        ratio = hi / max(lo, 1e-300)
-    tags = [(traj.meta.get("gamma"), traj.meta.get("eps")) for traj in runs]
-    return _report("energy_uniform", ratio, 3.0, 0.0, 0.0,
-                   {"energies": energies, "tags": tags})
-
-
 # --- entropy residuals ----------------------------------------------------------
 
 # Fixed bank of tensor-product bump test functions, nonnegative and
@@ -562,18 +522,14 @@ def check_gamma_limit(spec, grid, gammas, options=None, map_fn=map):
     if any(gammas[i] <= gammas[i + 1] for i in range(len(gammas) - 1)):
         raise GammaOutOfRangeError("delay widths must be strictly decreasing")
 
-    m_common = 1.05 * predicted_sup(spec) + 0.5
-    dts = [Stepper(spec, grid, eps=0.0, gamma=g, options=options,
-                   m_bound=m_common).dt for g in gammas]
-    dts.append(Stepper(spec, grid, eps=0.0, gamma=0.0, options=options,
-                       m_bound=m_common).dt)
-    dt = min(dts)
-
-    ref = solver_mod.solve_impulsive(spec, grid, options=options,
-                                     dt=dt, m_bound=m_common)
+    # every run gets Stepper's default m_bound, which depends on the spec
+    # alone, so the family shares one invariant region
+    dt = min(Stepper(spec, grid, eps=0.0, gamma=g, options=options).dt
+             for g in gammas + [0.0])
+    ref = solver_mod.solve_impulsive(spec, grid, options=options, dt=dt)
     trajs = list(map_fn(functools.partial(
-        solver_mod.solve_entropy, spec, grid, options=options, dt=dt,
-        m_bound=m_common), gammas))
+        solver_mod.solve_entropy, spec, grid, options=options, dt=dt),
+        gammas))
     errors = [spacetime_l1_diff(traj, ref) for traj in trajs]
     return gamma_limit_report(spec, gammas, errors, trajs, ref)
 
@@ -612,12 +568,11 @@ def check_epsilon_cauchy(spec, grid, epsilons, gamma, options=None,
     epsilons = list(epsilons)
     if len(epsilons) < 3:
         raise TooFewRunsError("need at least 3 viscosity values")
-    m_common = 1.05 * predicted_sup(spec) + 0.5
-    dt = min(Stepper(spec, grid, eps=e, gamma=gamma, options=options,
-                     m_bound=m_common).dt for e in epsilons)
+    dt = min(Stepper(spec, grid, eps=e, gamma=gamma, options=options).dt
+             for e in epsilons)
     trajs = list(map_fn(functools.partial(
         solver_mod.solve_regularized, spec, grid, gamma=gamma,
-        options=options, dt=dt, m_bound=m_common), epsilons))
+        options=options, dt=dt), epsilons))
     diffs = [spacetime_l1_diff(trajs[i], trajs[i + 1])
              for i in range(len(trajs) - 1)]
     return epsilon_cauchy_report(spec, epsilons, diffs)

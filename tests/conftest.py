@@ -17,23 +17,19 @@ def grid64():
 @pytest.fixture(scope="session")
 def gamma_family(grid64):
     """Entropy runs across delay widths plus the impulsive reference,
-    with a common step and invariant region."""
+    with a common step and the spec's default invariant region."""
     spec = source_spec()
     gammas = [0.2, 0.1, 0.05, 0.025]
-    m_common = 1.05 * predicted_sup(spec) + 0.5
-    dts = [Stepper(spec, grid64, eps=0.0, gamma=g, m_bound=m_common).dt
-           for g in gammas]
-    dts.append(Stepper(spec, grid64, eps=0.0, gamma=0.0, m_bound=m_common).dt)
-    dt = min(dts)
-    ref = solver.solve_impulsive(spec, grid64, dt=dt, m_bound=m_common)
-    trajs = {g: solver.solve_entropy(spec, grid64, gamma=g, dt=dt,
-                                     m_bound=m_common) for g in gammas}
+    dt = min(Stepper(spec, grid64, eps=0.0, gamma=g).dt
+             for g in gammas + [0.0])
+    ref = solver.solve_impulsive(spec, grid64, dt=dt)
+    trajs = {g: solver.solve_entropy(spec, grid64, gamma=g, dt=dt)
+             for g in gammas}
     errors = [verify.spacetime_l1_diff(trajs[g], ref) for g in gammas]
     report = verify.gamma_limit_report(spec, gammas,
                                        errors, [trajs[g] for g in gammas], ref)
     return {"spec": spec, "gammas": gammas, "trajs": trajs, "ref": ref,
-            "errors": errors, "report": report, "dt": dt,
-            "m_common": m_common}
+            "errors": errors, "report": report, "dt": dt}
 
 
 @pytest.fixture(scope="session")
@@ -68,14 +64,11 @@ def epsilon_family(grid64):
     """Viscous runs for decreasing eps plus the eps = 0 entropy reference."""
     spec = nosource_spec()
     eps_values = [0.04, 0.02, 0.01]
-    m_common = 1.05 * predicted_sup(spec) + 0.5
-    dt = min(Stepper(spec, grid64, eps=e, gamma=0.0, m_bound=m_common).dt
-             for e in eps_values)
+    dt = min(Stepper(spec, grid64, eps=e, gamma=0.0).dt for e in eps_values)
     trajs = {e: solver.solve_regularized(spec, grid64, eps=e, gamma=0.0,
-                                         dt=dt, m_bound=m_common)
+                                         dt=dt)
              for e in eps_values}
-    trajs[0.0] = solver.solve_entropy(spec, grid64, gamma=0.0, dt=dt,
-                                      m_bound=m_common)
+    trajs[0.0] = solver.solve_entropy(spec, grid64, gamma=0.0, dt=dt)
     return {"spec": spec, "eps_values": eps_values, "trajs": trajs}
 
 

@@ -35,58 +35,6 @@ class TestChi:
         assert np.all(vals[np.abs(lam) > 2.5] == 0)
 
 
-class TestChiIntegral:
-    def test_unit_weight_recovers_value(self):
-        got = C.chi_integral(E.parse("1"), 3.0, 10.0, 1024)
-        assert abs(got - 3.0) <= 20.0 / 1024
-
-    def test_zero_value(self):
-        assert C.chi_integral(E.parse("1"), 0.0, 10.0, 1024) == 0.0
-
-    def test_linear_weight(self):
-        # antiderivative lambda^2/2: expect 2^2/2 - 0 = 2
-        got = C.chi_integral(E.parse("lambda"), 2.0, 10.0, 4096)
-        assert got == pytest.approx(2.0, abs=4 * 20.0 / 4096)
-
-    def test_window_too_small(self):
-        with pytest.raises(C.LambdaTooSmallError):
-            C.chi_integral(E.parse("1"), 3.0, 2.0, 128)
-
-    def test_random_values_within_cell(self):
-        rng = np.random.default_rng(11)
-        dlam = 20.0 / 1024
-        for v in rng.uniform(-10, 10, size=200):
-            got = C.chi_integral(lambda lam: np.ones_like(lam), float(v),
-                                 10.0, 1024)
-            assert abs(got - v) <= dlam
-
-
-class TestChiDistance:
-    def test_separated_values(self):
-        got = C.chi_distance(2.0, -1.0, 10.0, 1024)
-        assert abs(got - 3.0) <= 20.0 / 1024
-
-    def test_equal_values(self):
-        assert C.chi_distance(5.0, 5.0, 10.0, 1024) == 0.0
-
-    def test_same_sign(self):
-        # piecewise: the difference is the indicator of (0.2, 0.7)
-        got = C.chi_distance(0.7, 0.2, 10.0, 4096)
-        assert got == pytest.approx(0.5, abs=20.0 / 4096)
-
-    def test_window_too_small(self):
-        with pytest.raises(C.LambdaTooSmallError):
-            C.chi_distance(3.0, -4.0, 3.5, 128)
-
-    def test_random_pairs_within_cell(self):
-        rng = np.random.default_rng(12)
-        dlam = 20.0 / 1024
-        for _ in range(200):
-            v, w = rng.uniform(-10, 10, size=2)
-            got = C.chi_distance(float(v), float(w), 10.0, 1024)
-            assert abs(got - abs(v - w)) <= dlam
-
-
 def test_difference_idempotence_pointwise():
     # |chi(.;v) - chi(.;w)| takes values in {0, 1}, so it equals its square
     rng = np.random.default_rng(13)

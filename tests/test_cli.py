@@ -132,6 +132,34 @@ def test_verify_of_a_trajectory_with_unknown_options_exits_1(run_dir,
     assert not (traj / "reports.csv").exists()
 
 
+def test_verify_of_a_trajectory_without_meta_json_exits_1(run_dir, capsys):
+    # without meta.json the run's dt and step count are unknown
+    cfg, traj = run_dir
+    (traj / "meta.json").unlink()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {traj}: no meta.json, so the run's march " \
+                  "parameters are unknown\n"
+    assert not (traj / "reports.csv").exists()
+
+
+@pytest.mark.parametrize("malform", [
+    lambda row: row.rpartition(",")[0],
+    lambda row: "abc," + row.partition(",")[2],
+], ids=["role_cut_off", "time_not_a_number"])
+def test_verify_of_a_malformed_index_row_exits_1(run_dir, capsys, malform):
+    cfg, traj = run_dir
+    index = (traj / "index.csv").read_text().splitlines()
+    row = malform(index[2])  # the second snapshot
+    index[2] = row
+    (traj / "index.csv").write_text("\n".join(index) + "\n")
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {traj}: index.csv row {row!r} is not "
+                   "t,filename,role\n")
+    assert not (traj / "reports.csv").exists()
+
+
 @pytest.mark.parametrize("change, message", [
     (("Nx = 8\nNs = 8", "Nx = 16\nNs = 16"), "different grids"),
     (("cfl_safety = 0.9", "cfl_safety = 0.5"), "snapshot times differ"),

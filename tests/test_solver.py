@@ -155,20 +155,12 @@ class TestTraces:
         from upkolmo.problem import Field, Trajectory
         traj = Trajectory(grid=grid)
         traj.append(0.0, Field(np.full((8, 8), 0.3), grid, 0.0))
-        times, prof = solver.extract_s_trace(traj, "s0")
-        assert np.all(prof == 0.3)
-        _, prof = solver.extract_s_trace(traj, "sS")
-        assert np.all(prof == 0.3)
+        assert np.all(np.stack(traj.s0_traces) == 0.3)
+        assert np.all(np.stack(traj.sS_traces) == 0.3)
 
     def test_zero_data_trace(self):
         traj = solver.solve_entropy(zero_spec(), unit_grid(8))
-        _, prof = solver.extract_s_trace(traj, "s0")
-        assert np.all(prof == 0.0)
-
-    def test_unknown_side(self):
-        traj = solver.solve_entropy(zero_spec(), unit_grid(8))
-        with pytest.raises(ValueError):
-            solver.extract_s_trace(traj, "north")
+        assert np.all(np.stack(traj.s0_traces) == 0.0)
 
     def test_refinement_consistency(self):
         # successive s-refinements of the final-time trace get closer

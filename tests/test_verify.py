@@ -172,35 +172,6 @@ class TestStability:
                                    spec, spec)
 
 
-class TestEnergy:
-    def test_gamma_family_uniform(self, gamma_family):
-        runs = [gamma_family["trajs"][g] for g in (0.2, 0.1, 0.05)]
-        rep = verify.check_energy(runs)
-        assert rep.passed
-        assert rep.measured <= 3.0
-
-    def test_zero_family_trivial(self):
-        spec = zero_spec()
-        runs = [solver.solve_entropy(spec, unit_grid(8), gamma=g)
-                for g in (0.2, 0.1, 0.05)]
-        rep = verify.check_energy(runs)
-        assert rep.passed
-        assert rep.measured == 1.0
-
-    def test_needs_three_runs(self, gamma_family):
-        with pytest.raises(verify.TooFewRunsError):
-            verify.check_energy([gamma_family["trajs"][0.1]])
-
-    def test_epsilon_weighted_term_decreases(self, epsilon_family):
-        trajs = epsilon_family["trajs"]
-        weighted = {}
-        for e in epsilon_family["eps_values"]:
-            full = verify._energy(trajs[e], e)
-            no_s = verify._energy(trajs[e], 0.0)
-            weighted[e] = full - no_s
-        assert weighted[0.01] < weighted[0.04]
-
-
 class TestEntropyResidual:
     def test_shock_run_sign(self, shock_run):
         ks = [-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5]
