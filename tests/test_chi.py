@@ -35,6 +35,67 @@ class TestChi:
         assert np.all(vals[np.abs(lam) > 2.5] == 0)
 
 
+def _chi_integral(weight, v, Lambda, n_cells):
+    """Midpoint rule for int weight(lambda) chi(lambda; v) over
+    [-Lambda, Lambda], on the lambda grid of ``kinetic_impulse_residual``."""
+    lam, dlam = C._midpoints(Lambda, n_cells)
+    return float(np.sum(weight(lam) * C.chi(lam, v)) * dlam)
+
+
+def _chi_distance(v, w, Lambda, n_cells):
+    """Midpoint rule for int |chi(lambda; v) - chi(lambda; w)|."""
+    lam, dlam = C._midpoints(Lambda, n_cells)
+    return float(np.sum(np.abs(C.chi(lam, v) - C.chi(lam, w))) * dlam)
+
+
+class TestChiIntegral:
+    """int psi'(lambda) chi(lambda; v) dlambda = psi(v) - psi(0)."""
+
+    def test_unit_weight_recovers_value(self):
+        got = _chi_integral(np.ones_like, 3.0, 10.0, 1024)
+        assert abs(got - 3.0) <= 20.0 / 1024
+
+    def test_zero_value(self):
+        assert _chi_integral(np.ones_like, 0.0, 10.0, 1024) == 0.0
+
+    def test_linear_weight(self):
+        # antiderivative lambda^2/2: expect 2^2/2 - 0 = 2
+        got = _chi_integral(lambda lam: lam, 2.0, 10.0, 4096)
+        assert got == pytest.approx(2.0, abs=4 * 20.0 / 4096)
+
+    def test_random_values_within_cell(self):
+        rng = np.random.default_rng(11)
+        dlam = 20.0 / 1024
+        for v in rng.uniform(-10, 10, size=200):
+            got = _chi_integral(np.ones_like, float(v), 10.0, 1024)
+            assert abs(got - v) <= dlam
+
+
+class TestChiDistance:
+    """int |chi(lambda; v) - chi(lambda; w)| dlambda = |v - w|, the identity
+    behind the L1 stability estimate."""
+
+    def test_separated_values(self):
+        got = _chi_distance(2.0, -1.0, 10.0, 1024)
+        assert abs(got - 3.0) <= 20.0 / 1024
+
+    def test_equal_values(self):
+        assert _chi_distance(5.0, 5.0, 10.0, 1024) == 0.0
+
+    def test_same_sign(self):
+        # piecewise: the difference is the indicator of (0.2, 0.7)
+        got = _chi_distance(0.7, 0.2, 10.0, 4096)
+        assert got == pytest.approx(0.5, abs=20.0 / 4096)
+
+    def test_random_pairs_within_cell(self):
+        rng = np.random.default_rng(12)
+        dlam = 20.0 / 1024
+        for _ in range(200):
+            v, w = rng.uniform(-10, 10, size=2)
+            got = _chi_distance(float(v), float(w), 10.0, 1024)
+            assert abs(got - abs(v - w)) <= dlam
+
+
 def test_difference_idempotence_pointwise():
     # |chi(.;v) - chi(.;w)| takes values in {0, 1}, so it equals its square
     rng = np.random.default_rng(13)
@@ -63,6 +124,18 @@ class TestKineticImpulseResidual:
         um = _random_smooth_field(rng, self.grid)
         up = Field(um.values.copy(), self.grid, 0.0)
         assert C.kinetic_impulse_residual(um, up, None, 3.0) == 0.0
+
+    def test_continuity_defect_is_the_largest_gap(self):
+        # without beta the defect of a cell is |int chi(.; u+) -
+        # int chi(.; u-)| = |u+ - u-|, up to one lambda cell per integral
+        rng = np.random.default_rng(8)
+        um = _random_smooth_field(rng, self.grid)
+        up = _random_smooth_field(rng, self.grid)
+        m3 = 3.0
+        res = C.kinetic_impulse_residual(um, up, None, m3, n_cells=1024)
+        gap = float(np.max(np.abs(up.values - um.values)))
+        assert gap > 0.5
+        assert abs(res - gap) <= 2 * (2 * m3 / 1024)
 
     def test_constant_shift(self):
         rng = np.random.default_rng(6)

@@ -73,3 +73,57 @@ def test_unknown_options_are_named(tmp_path):
     with pytest.raises(upk_io.FormatError,
                        match="^meta.json: unknown options bar, foo$"):
         upk_io.read_trajectory(tmp_path)
+
+
+def _index_lines(directory):
+    upk_io.write_trajectory(directory, _trajectory())
+    return (directory / "index.csv").read_text().splitlines()
+
+
+def _write_index(directory, lines):
+    (directory / "index.csv").write_text("\n".join(lines) + "\n")
+
+
+def test_missing_meta_json_is_a_format_error(tmp_path):
+    upk_io.write_trajectory(tmp_path, _trajectory())
+    (tmp_path / "meta.json").unlink()
+    with pytest.raises(upk_io.FormatError, match="no meta.json"):
+        upk_io.read_trajectory(tmp_path)
+
+
+@pytest.mark.parametrize("malform", [
+    lambda row: row.rpartition(",")[0],
+    lambda row: "abc," + row.partition(",")[2],
+    lambda row: row + ",extra",
+], ids=["role_cut_off", "time_not_a_number", "extra_column"])
+def test_malformed_index_row_is_named(tmp_path, malform):
+    lines = _index_lines(tmp_path)
+    row = malform(lines[2])
+    lines[2] = row
+    _write_index(tmp_path, lines)
+    with pytest.raises(upk_io.FormatError) as info:
+        upk_io.read_trajectory(tmp_path)
+    assert str(info.value) == (f"{tmp_path}: index.csv row {row!r} is not "
+                               "t,filename,role")
+
+
+def test_unknown_role_is_named(tmp_path):
+    lines = _index_lines(tmp_path)
+    lines[2] = lines[2].replace(",snapshot", ",keyframe")
+    _write_index(tmp_path, lines)
+    with pytest.raises(upk_io.FormatError, match="unknown role 'keyframe'"):
+        upk_io.read_trajectory(tmp_path)
+
+
+def test_index_without_its_header_is_malformed(tmp_path):
+    lines = _index_lines(tmp_path)
+    _write_index(tmp_path, lines[1:])
+    with pytest.raises(upk_io.FormatError, match="malformed index.csv"):
+        upk_io.read_trajectory(tmp_path)
+
+
+def test_index_without_rows_is_an_empty_trajectory(tmp_path):
+    lines = _index_lines(tmp_path)
+    _write_index(tmp_path, lines[:1])
+    with pytest.raises(upk_io.FormatError, match="empty trajectory"):
+        upk_io.read_trajectory(tmp_path)

@@ -6,7 +6,7 @@ import pytest
 from upkolmo import exprdsl as E
 from upkolmo import kernels
 from upkolmo import problem as P
-from scenarios import source_spec, nosource_spec, zero_spec
+from scenarios import source_spec, nosource_spec, perturbed_spec, zero_spec
 
 
 def const_data_spec(u01="1", u02="1", uS2="1", **kwargs):
@@ -183,6 +183,58 @@ class TestStabilityRhs:
         got = _rhs_at(spec, 1.0, 1.0, zeros, zeros, b0=b0, m1=1.0)
         # G(T) = b0 * integral of the kernel = b0 (unit mass)
         assert got == pytest.approx(math.exp(b0), rel=1e-6)
+
+    def test_max_a_prime_sampled_once_per_distinct_bound(self, monkeypatch):
+        calls = []
+        real = P.sampled_deriv_max
+
+        def spy(expr, lo, hi):
+            calls.append(hi)
+            return real(expr, lo, hi)
+
+        monkeypatch.setattr(P, "sampled_deriv_max", spy)
+        spec = nosource_spec()
+        times = [0.1, 0.2, 0.3, 0.4, 0.5]
+        m1 = [1.0, 1.0, 2.0, 2.0, 1.0]
+        d = np.full(100, 0.1)
+        got = P.stability_rhs(spec, times, 0.5, d, d, 0.0, 0.0, m1,
+                              spec.T / 100)
+        assert calls == [1.0, 2.0]
+        # max|a'| over [-m, m] with a = l^2/2 is m
+        assert got == pytest.approx([0.5 + m * 0.2 * t
+                                     for t, m in zip(times, m1)], rel=1e-12)
+
+
+class TestStabilityRhsImpulsive:
+    def test_pre_jump_curve_is_the_sourceless_estimate_over_m4(self,
+                                                              monkeypatch):
+        calls = []
+        real = P.sampled_deriv_max
+
+        def spy(expr, lo, hi):
+            calls.append(hi)
+            return real(expr, lo, hi)
+
+        spec = source_spec()
+        other = perturbed_spec(spec, 0.05)
+        m5, m4 = P.impulsive_bounds(spec, other)
+        n = 200
+        dt = spec.T / n
+        d_s0 = np.linspace(0.0, 0.02, n)
+        d_sS = np.linspace(0.01, 0.0, n)
+        times = list(np.linspace(0.0, spec.T, 11))
+        pre = P.stability_rhs(spec, times, 0.1, d_s0, d_sS, 0.0, 0.0,
+                              [m4] * len(times), dt)
+        monkeypatch.setattr(P, "sampled_deriv_max", spy)
+        got = P.stability_rhs_impulsive(spec, other, times, 0.1, d_s0, d_sS,
+                                        dt)
+        # one max|a'| at the jump time over [-m5, m5], one for the curve
+        assert sorted(calls) == sorted([m5, m4])
+        for t, g, p in zip(times, got, pre):
+            if t < spec.tau:
+                assert g == p
+            else:
+                assert g > p
 
 
 class TestImpulsiveBounds:

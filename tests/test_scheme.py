@@ -166,6 +166,14 @@ class TestCfl:
         d2 = _cfl(spec, Grid(32, 16, 1.0, 1.0))
         assert d1 == pytest.approx(4 * d2, rel=1e-12)
 
+    def test_default_invariant_region_depends_on_the_spec_alone(self):
+        # runs of one spec across delay widths and viscosities share it
+        spec = source_spec()
+        grid = Grid(16, 16, 1.0, 1.0)
+        bounds = {S.Stepper(spec, grid, eps=e, gamma=g).m_bound
+                  for e in (0.0, 0.02) for g in (0.2, 0.1, 0.05, 0.0)}
+        assert bounds == {1.05 * S.predicted_sup(spec) + 0.5}
+
     def test_degenerate_grid(self):
         with pytest.raises(S.DegenerateGridError):
             S.Stepper(nosource_spec(), Grid(0, 16, 1.0, 1.0))

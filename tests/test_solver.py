@@ -162,6 +162,18 @@ class TestTraces:
         traj = solver.solve_entropy(zero_spec(), unit_grid(8))
         assert np.all(np.stack(traj.s0_traces) == 0.0)
 
+    def test_traces_run_along_x_at_the_s_ends(self):
+        from upkolmo.problem import Field, Trajectory
+        grid = Grid(nx=4, ns=6, L=1.0, S=1.0)
+        traj = Trajectory(grid=grid)
+        for t in (0.0, 0.5):
+            vals = t + np.arange(6.0)[None, :] + np.zeros((4, 1))
+            traj.append(t, Field(vals, grid, t))
+        assert [tr.tolist() for tr in traj.s0_traces] == [[0.0] * 4,
+                                                         [0.5] * 4]
+        assert [tr.tolist() for tr in traj.sS_traces] == [[5.0] * 4,
+                                                         [5.5] * 4]
+
     def test_refinement_consistency(self):
         # successive s-refinements of the final-time trace get closer
         spec = nosource_spec()
