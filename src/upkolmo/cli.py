@@ -148,11 +148,11 @@ def _cmd_verify(args):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     k_bank = _k_bank(traj)
-    if traj.meta.get("mode") == "impulsive":
+    if traj.meta["mode"] == "impulsive":
         reports.append(verify.check_jump(traj, spec))
-    if traj.meta.get("eps", 1.0) == 0.0:
+    if traj.meta["eps"] == 0.0:
         reports.append(verify.check_bln(traj, spec, k_bank))
-        if traj.meta.get("stride") == 1:
+        if traj.meta["stride"] == 1:
             reports.append(verify.check_entropy_residual(traj, spec, k_bank))
     out = Path(args.out) if args.out else Path(args.traj) / "reports.csv"
     verify.write_reports(out, reports)

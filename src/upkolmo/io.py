@@ -20,7 +20,9 @@ Field files (extension ``.upkf``) are little-endian and bit-exact:
 A trajectory directory holds one field file per snapshot, an ``index.csv``
 mapping snapshot times to filenames (with a role column marking the
 one-sided jump fields), and a ``meta.json`` with the march parameters the
-verification checks need to reconstruct the stepper.
+verification checks need to reconstruct the stepper: ``mode``, ``dt``,
+``n_steps``, ``n_tau``, ``stride``, ``eps``, ``gamma``, ``m_bound`` and
+``options`` are required, ``spec_hash`` is optional.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ __all__ = [
 
 MAGIC = b"UPKF"
 VERSION = 1
+_MARCH_KEYS = ("mode", "dt", "n_steps", "n_tau", "stride", "eps", "gamma",
+               "m_bound", "options")
 
 
 class ParseError(ValueError):
@@ -254,6 +258,8 @@ def read_field(path, L=1.0, S=1.0):
     version, d, nx, ns = struct.unpack("<IIII", blob[4:20])
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    if d != 1:
+        raise FormatError(f"{path}: unsupported dimension d={d}")
     (t,) = struct.unpack("<d", blob[20:28])
     expected = nx ** d * ns * 8
     if len(blob) != 28 + expected:
@@ -322,7 +328,11 @@ def read_trajectory(directory, L=1.0, S=1.0):
     if not meta_path.exists():
         raise FormatError(f"{directory}: no meta.json, so the run's march "
                           "parameters are unknown")
-    meta = _meta_from_json(json.loads(meta_path.read_text()))
+    data = json.loads(meta_path.read_text())
+    missing = [key for key in _MARCH_KEYS if key not in data]
+    if missing:
+        raise FormatError(f"{directory}: meta.json lacks {', '.join(missing)}")
+    meta = _meta_from_json(data)
     traj = None
     tau_minus = tau_plus = None
     for row in index[1:]:

@@ -4,9 +4,8 @@ The mollifier is the classical bump
 
     omega(t) = C * exp(-1 / (1 - t^2))   for |t| < 1,   0 otherwise,
 
-with C chosen so that the kernel has unit mass: ``_norm_const`` computes it
-by adaptive Simpson quadrature (1e-12 tolerance) on first use and caches
-it for the process.  The delayed kernel
+with C = 1 / (mass of the raw bump) = 2.2522836210435795 stored as a
+constant, so that the kernel has unit mass.  The delayed kernel
 
     K_gamma(t, tau) = 1_{t <= tau} * (2/gamma) * omega((t - tau)/gamma)
 
@@ -16,8 +15,6 @@ collapses onto a left-sided point impulse at tau as gamma -> 0+.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from . import exprdsl
@@ -25,8 +22,11 @@ from . import exprdsl
 __all__ = [
     "omega", "k_gamma",
     "source_growth_constants", "estimate_dbeta_sup",
-    "NonPositiveGammaError", "adaptive_simpson",
+    "NonPositiveGammaError",
 ]
+
+# 1 / integral of exp(-1/(1 - t^2)) over (-1, 1): the mollifier's unit-mass C
+_NORM = float.fromhex("0x1.204ad466d96ccp+1")
 
 
 class NonPositiveGammaError(ValueError):
@@ -36,46 +36,14 @@ class NonPositiveGammaError(ValueError):
 def _bump_raw(t):
     t = np.asarray(t, dtype=float)
     inside = np.abs(t) < 1.0
-    out = np.zeros_like(t)
     with np.errstate(divide="ignore", over="ignore"):
         arg = np.where(inside, 1.0 - t * t, 1.0)
-        out = np.where(inside, np.exp(-1.0 / arg), 0.0)
-    return out
-
-
-def adaptive_simpson(f, a, b, tol=1e-12, max_depth=48):
-    """Adaptive Simpson quadrature of a scalar function on [a, b]."""
-
-    def simpson(fa, fm, fb, a, b):
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simpson(fa, flm, fm, a, m)
-        right = simpson(fm, frm, fb, m, b)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
-                + recurse(m, b, fm, frm, fb, right, tol / 2.0, depth + 1))
-
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = simpson(fa, fm, fb, a, b)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
-
-
-@functools.cache
-def _norm_const():
-    """The mollifier's normalisation constant C, 1 / mass of the raw bump."""
-    return 1.0 / adaptive_simpson(lambda t: float(_bump_raw(t)), -1.0, 1.0,
-                                  tol=1e-12)
+        return np.where(inside, np.exp(-1.0 / arg), 0.0)
 
 
 def omega(t):
     """Evaluate the unit-mass mollifier (scalar or array argument)."""
-    return _norm_const() * _bump_raw(t)
+    return _NORM * _bump_raw(t)
 
 
 def k_gamma(t, tau, gamma):

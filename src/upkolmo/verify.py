@@ -176,7 +176,7 @@ def _bound_curve(spec, times, gamma, tau_snap):
     # each snapshot's data norm is the sup over its own window (0, t)
     norms = data_sup_norms(spec, (0.0, t_effs), inflate=NORM_INFLATION)
     dnorms = np.maximum(norms["u0_1"], np.maximum(norms["u0_2"], norms["uS_2"]))
-    bounds = [max_principle_bound(t, b1g, b2g, d) for t, d in zip(t_effs, dnorms)]
+    bounds = max_principle_bound(t_effs, b1g, b2g, dnorms)
     try:
         m7 = refined_max_bound(spec, t_effs, inflate=NORM_INFLATION)
         if spec.beta is None or gamma > 0:

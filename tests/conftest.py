@@ -1,10 +1,9 @@
 """Shared solver runs; session-scoped because full marches dominate runtime."""
 
-import numpy as np
 import pytest
 
 from upkolmo import solver, verify
-from upkolmo.scheme import SchemeOptions, Stepper, predicted_sup
+from upkolmo.scheme import Stepper, predicted_sup
 from scenarios import (diffusionless_options, nosource_spec, perturbed_spec,
                        shock_spec, source_spec, unattainable_spec, unit_grid)
 

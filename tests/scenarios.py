@@ -3,8 +3,6 @@
 Desk scale throughout: unit box, T = S = 1, tau = 0.5, 64x64 grids.
 """
 
-import numpy as np
-
 from upkolmo import exprdsl as E
 from upkolmo.problem import Grid, ProblemSpec
 from upkolmo.scheme import SchemeOptions

@@ -143,6 +143,17 @@ def test_verify_of_a_trajectory_without_meta_json_exits_1(run_dir, capsys):
     assert not (traj / "reports.csv").exists()
 
 
+def test_verify_of_a_trajectory_with_empty_meta_json_exits_1(run_dir,
+                                                             capsys):
+    cfg, traj = run_dir
+    (traj / "meta.json").write_text("{}")
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {traj}: meta.json lacks mode, dt, n_steps, "
+                   "n_tau, stride, eps, gamma, m_bound, options\n")
+    assert not (traj / "reports.csv").exists()
+
+
 @pytest.mark.parametrize("malform", [
     lambda row: row.rpartition(",")[0],
     lambda row: "abc," + row.partition(",")[2],

@@ -1,6 +1,7 @@
 """Trajectory directories: what `meta.json` holds and what loads back."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ def _trajectory():
         traj.append(t, Field(rng.random((4, 4)), grid, t))
     traj.tau_minus = Field(rng.random((4, 4)), grid, 0.375)
     traj.tau_plus = Field(rng.random((4, 4)), grid, 0.375)
-    traj.meta = {"mode": "impulsive", "dt": 0.125, "options": OPTIONS}
+    traj.meta = {"mode": "impulsive", "dt": 0.125, "n_steps": 4, "n_tau": 3,
+                 "stride": 3, "eps": 0.0, "gamma": 0.0, "m_bound": 2.0,
+                 "options": OPTIONS}
     return traj
 
 
@@ -73,6 +76,33 @@ def test_unknown_options_are_named(tmp_path):
     with pytest.raises(upk_io.FormatError,
                        match="^meta.json: unknown options bar, foo$"):
         upk_io.read_trajectory(tmp_path)
+
+
+@pytest.mark.parametrize("keys", [
+    ("dt",), ("eps", "options"),
+    ("mode", "dt", "n_steps", "n_tau", "stride", "eps", "gamma", "m_bound",
+     "options"),
+], ids=["dt", "eps_and_options", "all"])
+def test_missing_march_parameters_are_named(tmp_path, keys):
+    upk_io.write_trajectory(tmp_path, _trajectory())
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    for key in keys:
+        del meta[key]
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(upk_io.FormatError) as info:
+        upk_io.read_trajectory(tmp_path)
+    assert str(info.value) == f"{tmp_path}: meta.json lacks {', '.join(keys)}"
+
+
+def test_field_of_another_dimension_is_named(tmp_path):
+    # a d = 2 header with its full payload: 4^2 * 3 values
+    path = tmp_path / "d2.upkf"
+    path.write_bytes(upk_io.MAGIC
+                     + struct.pack("<IIII", upk_io.VERSION, 2, 4, 3)
+                     + struct.pack("<d", 0.0) + np.zeros(48).tobytes())
+    with pytest.raises(upk_io.FormatError) as info:
+        upk_io.read_field(path)
+    assert str(info.value) == f"{path}: unsupported dimension d=2"
 
 
 def _index_lines(directory):

@@ -35,13 +35,16 @@ class TestMollifier:
         assert abs(mass - 1.0) <= 1e-8
 
     def test_normalization_constant(self):
-        # derived by adaptive quadrature; the classical approximate value of
-        # the multiplicative constant is 2.2522 (4 digits)
-        assert kernels._norm_const() == pytest.approx(2.2522836, abs=1e-6)
-        assert abs(kernels._norm_const() - 2.2522) < 1e-3
+        # the stored constant is 1 / mass of the raw bump; the trapezoid
+        # rule converges spectrally on a bump that vanishes to all orders
+        # at both ends, and the classical 4-digit value is 2.2522
+        t = np.linspace(-1.0, 1.0, 1025)
+        mass = np.trapezoid(kernels._bump_raw(t), t)
+        assert kernels._NORM == pytest.approx(1.0 / mass, rel=1e-14)
+        assert abs(kernels._NORM - 2.2522) < 1e-3
 
     def test_peak_value(self):
-        # omega(0) = norm_const * exp(-1), frozen from the quadrature oracle
+        # omega(0) = C * exp(-1), frozen from the quadrature oracle
         assert kernels.omega(0.0) == pytest.approx(0.8285688, abs=1e-6)
 
 

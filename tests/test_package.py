@@ -1,4 +1,5 @@
-"""Every exported name resolves, so a stale export cannot outlive its code."""
+"""Every exported name resolves and every imported name is used, so a stale
+export or import cannot outlive its code."""
 
 import ast
 import importlib
@@ -10,6 +11,10 @@ import upkolmo
 
 MODULES = ["chi", "cli", "exprdsl", "io", "kernels", "problem", "scheme",
            "solver", "verify"]
+SOURCES = sorted(
+    [p for p in Path(upkolmo.__file__).parent.glob("*.py")
+     if p.name != "__init__.py"] + list(Path(__file__).parent.glob("*.py")),
+    key=lambda p: (p.parent.name, p.name))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -26,3 +31,33 @@ def test_every_package_import_resolves():
              if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert len(names) > 30
     assert [n for n in names if not hasattr(upkolmo, n)] == []
+
+
+def _unused_imports(path):
+    """Names a module imports and never uses; a name in ``__all__`` counts
+    as used, and an import marked ``# noqa: F401`` is skipped."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if (getattr(node, "module", None) == "__future__" or any(
+                    "# noqa: F401" in line
+                    for line in lines[node.lineno - 1:node.end_lineno])):
+                continue
+            imported += [alias.asname or alias.name.partition(".")[0]
+                         for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=[f"{p.parent.name}/{p.name}" for p in SOURCES])
+def test_every_import_is_used(path):
+    assert _unused_imports(path) == []

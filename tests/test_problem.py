@@ -6,7 +6,7 @@ import pytest
 from upkolmo import exprdsl as E
 from upkolmo import kernels
 from upkolmo import problem as P
-from scenarios import source_spec, nosource_spec, perturbed_spec, zero_spec
+from scenarios import source_spec, nosource_spec, perturbed_spec
 
 
 def const_data_spec(u01="1", u02="1", uS2="1", **kwargs):
@@ -94,12 +94,54 @@ class TestMaxPrincipleBound:
                                      dnorm=_data_norm(spec, 1.0)) \
             == pytest.approx(0.0, abs=1e-9)
 
-    def test_golden_section_target(self):
+    def test_closed_form_target(self):
         # minimize exp(xi) * max(1, 1/sqrt(xi-1)) over xi > 1:
         # optimum at xi = 1.5, value exp(1.5) * sqrt(2)
         spec = const_data_spec()
         m = P.max_principle_bound(1.0, 1.0, 1.0, dnorm=_data_norm(spec, 1.0))
-        assert m == pytest.approx(math.exp(1.5) * math.sqrt(2.0), rel=1e-6)
+        assert m == pytest.approx(math.exp(1.5) * math.sqrt(2.0), rel=1e-12)
+
+    @staticmethod
+    def _searched(t, b1g, b2g, dnorm):
+        """The paper's objective minimised by golden-section search over
+        xi in [b1g + 1e-9, b1g + 50]."""
+
+        def objective(xi):
+            tail = np.sqrt(b2g / (xi - b1g)) if b2g > 0 else 0.0
+            return np.exp(xi * t) * max(dnorm, tail)
+
+        return P.golden_section_min(objective, b1g + 1e-9, b1g + 50.0)[1]
+
+    CASES = [(t, b1g, b2g, d) for t in (1e-9, 1e-3, 0.5, 1.0)
+             for b1g in (0.0, 1.0, 10.5) for b2g in (0.0, 0.5, 4.14)
+             for d in (0.0, 0.1, 0.8)]
+
+    def test_closed_form_against_the_search(self):
+        capped = []
+        for t, b1g, b2g, d in self.CASES:
+            exact = P.max_principle_bound(t, b1g, b2g, d)
+            searched = self._searched(t, b1g, b2g, d)
+            assert exact <= searched * (1 + 1e-12)
+            if d > 0 and b2g / d ** 2 <= 50:
+                # the search brackets the minimiser, so only its
+                # tolerance separates the two
+                assert exact >= searched * (1 - 1e-8)
+            elif exact < searched:
+                capped.append((t, b1g, b2g, d))
+        # the search's cap xi <= b1g + 50 binds below the true minimiser
+        assert (1e-3, 0.0, 4.14, 0.1) in capped
+
+    def test_arrays_give_the_scalar_results(self):
+        t = np.array([1e-9, 1e-3, 0.5, 1.0])[:, None]
+        d = np.array([0.0, 0.1, 0.8])[None, :]
+        t, d = np.broadcast_arrays(t, d)
+        for b1g in (0.0, 1.0, 10.5):
+            for b2g in (0.0, 0.5, 4.14):
+                got = P.max_principle_bound(t, b1g, b2g, d)
+                assert got.shape == t.shape
+                assert got.ravel().tolist() == [
+                    P.max_principle_bound(ti, b1g, b2g, di)
+                    for ti, di in zip(t.ravel(), d.ravel())]
 
     def test_monotone_in_arguments(self):
         rng = np.random.default_rng(21)

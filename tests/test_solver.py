@@ -6,9 +6,7 @@ import pytest
 from upkolmo import exprdsl as E
 from upkolmo import solver
 from upkolmo.problem import Grid, ProblemSpec, refined_max_bound
-from upkolmo.scheme import SchemeOptions
-from scenarios import (diffusionless_options, nosource_spec, source_spec,
-                       unit_grid, zero_spec, SBUMP)
+from scenarios import nosource_spec, source_spec, unit_grid, zero_spec, SBUMP
 
 
 class TestZeroData:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from upkolmo import exprdsl as E
-from upkolmo import kernels, problem, solver, verify
-from upkolmo.problem import (Field, Grid, Trajectory, ZeroInitialDataError,
+from upkolmo import kernels, solver, verify
+from upkolmo.problem import (Field, Trajectory, ZeroInitialDataError,
                              data_sup_norms, golden_section_min,
                              refined_max_bound, sample_sup, sampled_deriv_max,
                              stability_rhs, stability_rhs_impulsive)
@@ -127,23 +127,18 @@ class TestStability:
         assert np.any(second > np.asarray(verify._bound_curves(base, t1)[0]))
 
     def test_one_curve_serves_both_checks(self, monkeypatch):
-        # check_max_principle builds the run's curve; check_stability on
-        # the run against itself builds none
+        # check_max_principle builds the run's curve, with one bound call
+        # for all its times; check_stability on the run against itself
+        # builds none
         spec = source_spec()
         traj = solver.solve_entropy(spec, unit_grid(16))
-        searches = []
-        real = problem.golden_section_min
-
-        def counted(*args, **kwargs):
-            searches.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(problem, "golden_section_min", counted)
+        calls = self._spy(monkeypatch, "max_principle_bound")
         verify._bound_curve.cache_clear()
         verify.check_max_principle(traj, spec)
-        assert len(searches) == len(traj.times)
+        (args, _), = calls
+        assert len(args[0]) == len(traj.times)
         verify.check_stability(traj, traj, spec, spec)
-        assert len(searches) == len(traj.times)
+        assert len(calls) == 1
 
     def test_gronwall_weight_uses_the_run_gamma(self, monkeypatch,
                                                 gamma_family):
