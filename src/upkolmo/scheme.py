@@ -28,9 +28,13 @@ Inside the time loop both numerical fluxes are split into a per-cell part
 and a per-interface part: ``values(w)`` looks up what depends on one cell
 value only, once per cell, and ``combine(vL, vR, wL, wR)`` forms the flux
 at each interface from its two neighbours, so that ``flux(wL, wR) =
-combine(values(wL), values(wR), wL, wR)``.  A lookup depends on the cell
-value alone, which also lets the entropy-residual check reuse one lookup
-of u for every Kruzhkov constant k.
+combine(values(wL), values(wR), wL, wR)``.
+
+Both fluxes are also sum-split, F(uL, uR) = g(uL) + h(uR), and ``split(w)``
+returns the two per-cell parts (g(w), h(w)): for Engquist-Osher g = f(0) +
+f_plus and h = f_minus, for Lax-Friedrichs g = (f + alpha w)/2 and h =
+(f - alpha w)/2.  The entropy-residual check builds its Kruzhkov fluxes
+from them (see ``verify``); the march keeps ``combine``.
 
 For Engquist-Osher the split integrals are read from a cumulative-midpoint
 table (node spacing 1/1024) with linear interpolation.  The table is
@@ -125,6 +129,11 @@ class _SplitTable:
     def combine(self, vL, vR, wL, wR):
         return self.f0 + vL.real + vR.imag
 
+    def split(self, w):
+        """(g(w), h(w)) with flux(wL, wR) = g(wL) + h(wR)."""
+        v = self.values(w)
+        return self.f0 + v.real, v.imag
+
     def flux(self, wL, wR):
         return self.combine(self.values(wL), self.values(wR), wL, wR)
 
@@ -143,6 +152,11 @@ class _LFFlux:
 
     def combine(self, vL, vR, wL, wR):
         return 0.5 * (vL + vR) - 0.5 * self.alpha * (wR - wL)
+
+    def split(self, w):
+        """(g(w), h(w)) with flux(wL, wR) = g(wL) + h(wR)."""
+        v = self.values(w)
+        return 0.5 * (v + self.alpha * w), 0.5 * (v - self.alpha * w)
 
     def flux(self, wL, wR):
         return self.combine(self.values(wL), self.values(wR), wL, wR)

@@ -19,7 +19,15 @@ Notes on two deliberately discrete constructions:
   residual is sign-definite by construction; naive quadrature of snapshot
   data against derivatives of the test functions would bury the sign in
   O(grid) consistency error.  This requires trajectories recorded with
-  snapshot stride 1.
+  snapshot stride 1.  Both shipped fluxes are sum-split, F(a, b) =
+  g(a) + h(b) (``split`` in ``scheme``), and for any such F the entropy
+  flux needs no max or min: g(a v k) - g(a ^ k) is g(a) - g(k) for a > k,
+  g(k) - g(a) for a < k and 0 for a = k, and likewise for h, so
+
+      Q(a, b; k) = sgn(a - k) (g(a) - g(k)) + sgn(b - k) (h(b) - h(k)).
+
+  g and h are looked up once per cell for every k at once; each k costs
+  only signs and differences.
 * The stability comparison adds a frozen grid-error allowance
   C_grid = K * (dx^(1/2) + ds^(1/2)) on top of the continuum bound; the
   continuum estimate holds exactly only in the limit, and the scheme
@@ -319,21 +327,22 @@ def _bank_spatial(spec, grid):
     return np.array(spatial)
 
 
-def _kruzhkov_flux(flux, vk, axis, w, w_up, w_dn, up, dn):
-    """Q(uL, uR; k) = F(uL v k, uR v k) - F(uL ^ k, uR ^ k) between the
-    neighbours along ``axis`` of a padded strip w, for every k at once.
+# Scored steps per block of the entropy residual.  A block's t-factors and
+# its (bump, k) sums are formed at once; on a 32x32 stride-1 run (2 cores)
+# blocks of 4-8 steps were fastest, and blocks of 32 slower than none.
+_RESIDUAL_BLOCK = 8
 
-    ``w_up``/``w_dn`` are max(w, k)/min(w, k), ``up``/``dn`` the masks
-    w >= k/w <= k, and ``vk`` the flux lookup of every k.  A lookup
-    depends on the cell value only, so that of max(w, k) is the lookup of
-    w where w >= k and that of k elsewhere: w is looked up once for all k.
+
+def _entropy_flux(flux, k_parts, w, sign, axis):
+    """Q(uL, uR; k) between the neighbours along ``axis`` (-1 or -2) of a
+    strip w, for every k at once, from the sum-split identity above.
+
+    ``sign`` is sgn(w - k) and ``k_parts`` the split parts (g(k), h(k)).
     """
-    v = flux.values(w)
+    g, h = flux.split(w)
     lo = (Ellipsis, slice(None, -1)) + (slice(None),) * (-1 - axis)
     hi = (Ellipsis, slice(1, None)) + (slice(None),) * (-1 - axis)
-    v_up, v_dn = np.where(up, v, vk), np.where(dn, v, vk)
-    return (flux.combine(v_up[lo], v_up[hi], w_up[lo], w_up[hi])
-            - flux.combine(v_dn[lo], v_dn[hi], w_dn[lo], w_dn[hi]))
+    return sign[lo] * (g[lo] - k_parts[0]) + sign[hi] * (h[hi] - k_parts[1])
 
 
 def check_entropy_residual(traj, spec, k_values):
@@ -343,7 +352,8 @@ def check_entropy_residual(traj, spec, k_values):
     steps); the residual then telescopes the per-step entropy inequality
     of the monotone update and is nonnegative up to roundoff.  With no k,
     or no step outside the jump and the source window, there is nothing to
-    certify and the report fails with measured = inf.
+    certify and the report fails with measured = inf; so it does when a
+    snapshot holds a non-finite value.
     """
     meta = traj.meta
     if meta.get("stride", 0) != 1:
@@ -354,15 +364,20 @@ def check_entropy_residual(traj, spec, k_values):
     grid = traj.grid
     dt, dx, ds = meta["dt"], grid.dx, grid.ds
     vol = grid.cell_volume
-    spatial = _bank_spatial(spec, grid)
+    n_bank = len(TEST_BANK)
+    # (cells, bump): a block's (bump, k) sums are one matrix product
+    spatial = _bank_spatial(spec, grid).reshape(n_bank, -1).T
+    t_centres = np.array([ct * spec.T for _, (ct, _), _ in TEST_BANK])
+    t_widths = np.array([wt * spec.T for _, (_, wt), _ in TEST_BANK])
     n_tau = meta.get("n_tau")
     mode = meta.get("mode", "entropy")
-    residuals = np.zeros((len(TEST_BANK), len(k_values)))
     # one axis per entropy |u - k|: every k is treated in the same array op
     ks = np.asarray(k_values, dtype=float).reshape(-1, 1, 1)
-    vk_a, vk_p = stepper.flux_a.values(ks), stepper.flux_phi.values(ks)
-    n_scored = 0
+    n_k = len(ks)
+    k_a, k_p = stepper.flux_a.split(ks), stepper.flux_phi.split(ks)
+    residuals = np.zeros((n_k, n_bank))
 
+    scored = []
     for n in range(len(traj.times) - 1):
         t0, t1 = traj.times[n], traj.times[n + 1]
         step_idx = int(round(t1 / dt))
@@ -370,43 +385,50 @@ def check_entropy_residual(traj, spec, k_values):
             continue  # the jump step is excluded from the smooth-range check
         if stepper.source_rate(t0) != 0.0:
             continue  # source-active window: inequality carries a source term
-        n_scored += 1
-        u0 = traj.fields[n].values
-        u1 = traj.fields[n + 1].values
-        w = stepper.padded(u0, t0)
-        t_factors = np.array([_bump((t0 - ct * spec.T) / (wt * spec.T))
-                              for _, (ct, wt), _ in TEST_BANK])
-        w_up = np.maximum(w, ks)
-        w_dn = np.minimum(w, ks)
-        eta_pad = w_up - w_dn
+        scored.append(n)
+
+    for first in range(0, len(scored), _RESIDUAL_BLOCK):
+        block = scored[first:first + _RESIDUAL_BLOCK]
+        t0s = np.array([traj.times[n] for n in block])
+        # axes (step, k, x, s)
+        w = np.stack([stepper.padded(traj.fields[n].values, t)
+                      for n, t in zip(block, t0s)])[:, None]
+        u1 = np.stack([traj.fields[n + 1].values for n in block])[:, None]
+        diff = w - ks
+        sign, eta_pad = np.sign(diff), np.abs(diff)
         # the s-flux acts inside the s-strip, the x-flux inside the x-strip
-        padded = (w, w_up, w_dn, w >= ks, w <= ks)
-        q_a = _kruzhkov_flux(stepper.flux_a, vk_a, -1,
-                             *(a[..., 1:-1, :] for a in padded))
-        q_p = _kruzhkov_flux(stepper.flux_phi, vk_p, -2,
-                             *(a[..., 1:-1] for a in padded))
-        eta0 = eta_pad[:, 1:-1, 1:-1]
+        q_a = _entropy_flux(stepper.flux_a, k_a, w[..., 1:-1, :],
+                            sign[..., 1:-1, :], -1)
+        q_p = _entropy_flux(stepper.flux_phi, k_p, w[..., 1:-1],
+                            sign[..., 1:-1], -2)
+        eta0 = eta_pad[..., 1:-1, 1:-1]
         eta1 = np.abs(u1 - ks)
         rho = (eta1 - eta0
-               + dt / ds * (q_a[:, :, 1:] - q_a[:, :, :-1])
-               + dt / dx * (q_p[:, 1:, :] - q_p[:, :-1, :]))
+               + dt / ds * (q_a[..., 1:] - q_a[..., :-1])
+               + dt / dx * (q_p[..., 1:, :] - q_p[..., :-1, :]))
         if stepper.options.x_diffusion:
-            ex = eta_pad[:, :, 1:-1]
-            rho = rho - dt * (ex[:, :-2, :] - 2.0 * eta0 + ex[:, 2:, :]) / dx ** 2
+            ex = eta_pad[..., 1:-1]
+            rho = rho - dt * (ex[..., :-2, :] - 2.0 * eta0
+                              + ex[..., 2:, :]) / dx ** 2
         if stepper.eps > 0:
-            es = eta_pad[:, 1:-1, :]
+            es = eta_pad[..., 1:-1, :]
             rho = rho - dt * stepper.eps * (
-                es[:, :, :-2] - 2.0 * eta0 + es[:, :, 2:]) / ds ** 2
-        # each (bump, k) sum is added in step order, as ((-sum) * vol) * tf:
-        # the roundoff-level value of the residual depends on that order
-        sums = np.sum(spatial[:, None] * rho[None], axis=(2, 3))
-        residuals += -sums * vol * t_factors[:, None]
+                es[..., :-2] - 2.0 * eta0 + es[..., 2:]) / ds ** 2
+        sums = (rho.reshape(len(block) * n_k, len(spatial)) @ spatial).reshape(
+            len(block), n_k, n_bank)
+        t_factors = _bump((t0s[:, None] - t_centres) / t_widths)
+        terms = -sums * vol * t_factors[:, None, :]
+        # each step's (k, bump) sums are added in step order: the
+        # roundoff-level value of the residual depends on that order
+        for term in terms:
+            residuals += term
 
     # with no k or no step scored there is nothing to certify
-    min_res = float(residuals.min()) if n_scored and residuals.size else -np.inf
+    min_res = float(residuals.min()) if scored and residuals.size else -np.inf
     context = {"spec": spec.context_hash(), "k_values": list(map(float, k_values)),
-               "n_bank": len(TEST_BANK), "min_residual": min_res}
-    return _report("entropy_residual", -min_res, 0.0, 0.0, 1e-8, context)
+               "n_bank": n_bank, "min_residual": min_res}
+    return _report("entropy_residual", _inf_unless_finite(-min_res), 0.0, 0.0,
+                   1e-8, context)
 
 
 # --- boundary entropy inequalities ---------------------------------------------
@@ -473,7 +495,17 @@ def check_bln(traj, spec, k_values):
 # --- jump condition -------------------------------------------------------------
 
 def check_jump(traj, spec, n_cells=1024):
-    """Pointwise and kinetic forms of the impulse jump condition."""
+    """Pointwise and kinetic forms of the impulse jump condition, and the
+    monotonicity of the jump map.
+
+    The jump map lambda -> lambda + beta(x, s, lambda) must be
+    nondecreasing on the pre-jump slab |lambda| <= M2: otherwise the
+    impulsive march is not monotone, and the kinetic weight 1 + d beta /
+    d lambda is not a nonnegative measure.  The kinetic residual samples
+    the weight's minimum there, ``min_jump_weight``.  The measured value
+    is the largest of the pointwise, kinetic and post-jump ratios and
+    1 - min_jump_weight, so the row fails when the weight is negative.
+    """
     if traj.tau_minus is None or traj.tau_plus is None:
         raise MissingTauTracesError("trajectory has no pre/post jump fields")
     grid = traj.grid
@@ -488,17 +520,18 @@ def check_jump(traj, spec, n_cells=1024):
         pointwise = float(np.max(np.abs(up.values - um.values)))
         b0 = 0.0
     beta_sup = slab_sup(spec, spec.beta, max(spec.b1, 0.0) + 1.0)
-    _, m3 = impulsive_bounds(spec, inflate=NORM_INFLATION)
+    m2, m3 = impulsive_bounds(spec, inflate=NORM_INFLATION)
     m3_eff = max(m3, up.sup_norm(), um.sup_norm() + beta_sup) + 0.5
-    kin = chi_mod.kinetic_impulse_residual(um, up, spec.beta, m3_eff,
-                                           n_cells=n_cells)
+    kin, min_weight = chi_mod.kinetic_impulse_residual(
+        um, up, spec.beta, m3_eff, n_cells=n_cells, weight_radius=m2)
     dlam = 2.0 * m3_eff / n_cells
     kin_tol = 3.0 * dlam * (1.0 + b0)
     post_sup = up.sup_norm()
-    measured = max(pointwise / 1e-14, kin / kin_tol, post_sup / max(m3, 1e-300))
+    measured = max(pointwise / 1e-14, kin / kin_tol, post_sup / max(m3, 1e-300),
+                   1.0 - min_weight)
     context = {"spec": spec.context_hash(), "pointwise": pointwise,
                "kinetic": kin, "kinetic_tol": kin_tol, "post_sup": post_sup,
-               "m3": m3}
+               "m3": m3, "min_jump_weight": min_weight}
     return _report("jump_condition", measured, 1.0, 0.0, 0.0, context)
 
 

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from upkolmo import chi as C
 from upkolmo import exprdsl as E
 from upkolmo.problem import Field, Grid
+from scenarios import source_spec
 
 
 class TestChi:
@@ -123,7 +126,7 @@ class TestKineticImpulseResidual:
         rng = np.random.default_rng(5)
         um = _random_smooth_field(rng, self.grid)
         up = Field(um.values.copy(), self.grid, 0.0)
-        assert C.kinetic_impulse_residual(um, up, None, 3.0) == 0.0
+        assert C.kinetic_impulse_residual(um, up, None, 3.0) == (0.0, 1.0)
 
     def test_continuity_defect_is_the_largest_gap(self):
         # without beta the defect of a cell is |int chi(.; u+) -
@@ -132,7 +135,7 @@ class TestKineticImpulseResidual:
         um = _random_smooth_field(rng, self.grid)
         up = _random_smooth_field(rng, self.grid)
         m3 = 3.0
-        res = C.kinetic_impulse_residual(um, up, None, m3, n_cells=1024)
+        res, _ = C.kinetic_impulse_residual(um, up, None, m3, n_cells=1024)
         gap = float(np.max(np.abs(up.values - um.values)))
         assert gap > 0.5
         assert abs(res - gap) <= 2 * (2 * m3 / 1024)
@@ -144,7 +147,7 @@ class TestKineticImpulseResidual:
         up = Field(um.values + c, self.grid, 0.0)
         beta = E.parse(str(c))
         m3 = 3.0
-        res = C.kinetic_impulse_residual(um, up, beta, m3, n_cells=1024)
+        res, _ = C.kinetic_impulse_residual(um, up, beta, m3, n_cells=1024)
         dlam = 2 * m3 / 1024
         assert res <= 3 * dlam
 
@@ -154,7 +157,7 @@ class TestKineticImpulseResidual:
         um = Field(np.array([[0.6]]), grid, 0.0)
         up = Field(um.values + 0.1 * np.sin(um.values), grid, 0.0)
         m3 = 2.0
-        res = C.kinetic_impulse_residual(um, up, beta, m3, n_cells=1024)
+        res, _ = C.kinetic_impulse_residual(um, up, beta, m3, n_cells=1024)
         assert res <= 2 * (2 * m3 / 1024)
 
     def test_jump_map_property(self):
@@ -170,7 +173,8 @@ class TestKineticImpulseResidual:
             up = Field(um.values + b, self.grid, 0.0)
             m3 = 3.0
             n_cells = 1024
-            res = C.kinetic_impulse_residual(um, up, beta, m3, n_cells=n_cells)
+            res, _ = C.kinetic_impulse_residual(um, up, beta, m3,
+                                                n_cells=n_cells)
             assert res <= 3 * (2 * m3 / n_cells) * (1 + b0)
 
     def test_grid_mismatch(self):
@@ -178,3 +182,52 @@ class TestKineticImpulseResidual:
         up = Field(np.zeros((8, 8)), Grid(8, 8, 1.0, 1.0), 0.0)
         with pytest.raises(C.GridMismatchError):
             C.kinetic_impulse_residual(um, up, None, 1.0)
+
+
+def _kinetic_one_shot(vm, vp, beta, grid, M3, n_cells, weight_radius):
+    """``kinetic_impulse_residual`` with every lambda midpoint in one array."""
+    lam, dlam = C._midpoints(M3, n_cells)
+    lam = lam[:, None, None]
+    xc, sc = grid.cell_centers()
+    lhs = np.sum(C.chi(lam, vp[None]), axis=0) * dlam
+    _, dbeta = E.eval_dual(beta, {"x": xc[None, :, None],
+                                  "s": sc[None, None, :], "lambda": lam},
+                           "lambda")
+    weight = np.broadcast_to(1.0 + dbeta, (n_cells,) + vm.shape)
+    rhs = np.sum(weight * C.chi(lam, vm[None]), axis=0) * dlam
+    beta0 = E.evaluate(beta, {"x": xc[:, None], "s": sc[None, :],
+                              "lambda": 0.0})
+    inside = np.abs(lam.ravel()) <= weight_radius
+    return (float(np.max(np.abs(lhs - rhs - beta0))),
+            float(np.min(weight[inside])))
+
+
+class TestKineticResidualInLambdaBlocks:
+    @pytest.mark.parametrize("n_cells", [1024, 1000, 37])
+    def test_equals_the_one_shot_sum(self, n_cells):
+        grid = Grid(nx=16, ns=12, L=1.0, S=1.0)
+        beta = source_spec().beta
+        rng = np.random.default_rng(9)
+        um = _random_smooth_field(rng, grid, amp=0.8)
+        xc, sc = grid.cell_centers()
+        up = Field(um.values + E.evaluate(beta, {
+            "x": xc[:, None], "s": sc[None, :], "lambda": um.values}), grid)
+        got = C.kinetic_impulse_residual(um, up, beta, 2.3, n_cells=n_cells,
+                                         weight_radius=0.8)
+        want = _kinetic_one_shot(um.values, up.values, beta, grid, 2.3,
+                                 n_cells, 0.8)
+        assert got[0] == pytest.approx(want[0], rel=0, abs=1e-15)
+        assert got[1] == want[1]
+
+    def test_peak_memory_of_a_64x64_call(self):
+        grid = Grid(nx=64, ns=64, L=1.0, S=1.0)
+        beta = source_spec().beta
+        um = _random_smooth_field(np.random.default_rng(10), grid, amp=0.8)
+        up = Field(um.values + 0.1, grid)
+        tracemalloc.start()
+        try:
+            C.kinetic_impulse_residual(um, up, beta, 2.3, n_cells=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20

@@ -226,37 +226,61 @@ class TestStabilityRhs:
         # G(T) = b0 * integral of the kernel = b0 (unit mass)
         assert got == pytest.approx(math.exp(b0), rel=1e-6)
 
-    def test_max_a_prime_sampled_once_per_distinct_bound(self, monkeypatch):
-        calls = []
-        real = P.sampled_deriv_max
+    @staticmethod
+    def _spy_curves(monkeypatch):
+        curves = []
+        real = P._deriv_max_curve
 
-        def spy(expr, lo, hi):
-            calls.append(hi)
-            return real(expr, lo, hi)
+        def spy(expr, m1):
+            curves.append(list(m1))
+            return real(expr, m1)
 
-        monkeypatch.setattr(P, "sampled_deriv_max", spy)
+        monkeypatch.setattr(P, "_deriv_max_curve", spy)
+        return curves
+
+    def test_max_a_prime_sampled_once_per_curve(self, monkeypatch):
+        curves = self._spy_curves(monkeypatch)
         spec = nosource_spec()
         times = [0.1, 0.2, 0.3, 0.4, 0.5]
         m1 = [1.0, 1.0, 2.0, 2.0, 1.0]
         d = np.full(100, 0.1)
         got = P.stability_rhs(spec, times, 0.5, d, d, 0.0, 0.0, m1,
                               spec.T / 100)
-        assert calls == [1.0, 2.0]
-        # max|a'| over [-m, m] with a = l^2/2 is m
-        assert got == pytest.approx([0.5 + m * 0.2 * t
-                                     for t, m in zip(times, m1)], rel=1e-12)
+        assert curves == [m1]
+        # max|a'| over [-m, m] with a = l^2/2 is m, read at most one node
+        # spacing, m/2048 here, further out
+        for g, t, m in zip(got, times, m1):
+            assert 0.5 + m * 0.2 * t <= g <= 0.5 + m * (1 + 1 / 2048) * 0.2 * t
+
+
+class TestDerivMaxCurve:
+    def test_safe_side_on_burgers(self):
+        # a = l^2/2: max|a'| over [-m, m] is m, and the node spacing at
+        # radius m is max(m, m_min)/2048
+        curve = np.array([0.0, 0.37, 0.3701, 0.5, 1.0, 2.0, 7.3, 153.6, 0.37])
+        got = P._deriv_max_curve(E.parse("lambda^2/2"), curve)
+        h = np.maximum(curve, 0.37) / 2048
+        assert got[0] == 0.0
+        assert np.all(got >= curve)
+        assert np.all(got < curve + h * (1 + 1e-12))
+
+    def test_one_value_is_the_sampled_max(self):
+        # a curve of one value samples [-m, m] at 4097 points, as
+        # sampled_deriv_max does
+        f = E.parse("sin(3*lambda) - lambda^3")
+        for m in (0.3, 1.863):
+            got, = P._deriv_max_curve(f, [m])
+            assert got == pytest.approx(P.sampled_deriv_max(f, -m, m),
+                                        rel=1e-12)
+
+    def test_non_finite_bound_reads_inf(self):
+        got = P._deriv_max_curve(E.parse("lambda^2/2"), [1.0, np.inf, np.nan])
+        assert got.tolist() == [1.0, np.inf, np.inf]
 
 
 class TestStabilityRhsImpulsive:
     def test_pre_jump_curve_is_the_sourceless_estimate_over_m4(self,
                                                               monkeypatch):
-        calls = []
-        real = P.sampled_deriv_max
-
-        def spy(expr, lo, hi):
-            calls.append(hi)
-            return real(expr, lo, hi)
-
         spec = source_spec()
         other = perturbed_spec(spec, 0.05)
         m5, m4 = P.impulsive_bounds(spec, other)
@@ -267,11 +291,12 @@ class TestStabilityRhsImpulsive:
         times = list(np.linspace(0.0, spec.T, 11))
         pre = P.stability_rhs(spec, times, 0.1, d_s0, d_sS, 0.0, 0.0,
                               [m4] * len(times), dt)
-        monkeypatch.setattr(P, "sampled_deriv_max", spy)
+        curves = TestStabilityRhs._spy_curves(monkeypatch)
         got = P.stability_rhs_impulsive(spec, other, times, 0.1, d_s0, d_sS,
                                         dt)
-        # one max|a'| at the jump time over [-m5, m5], one for the curve
-        assert sorted(calls) == sorted([m5, m4])
+        # two a' samples: one at the jump time over [-m5, m5], one for the
+        # curve over [-m4, m4]
+        assert sorted(curves) == sorted([[m5], [m4] * len(times)])
         for t, g, p in zip(times, got, pre):
             if t < spec.tau:
                 assert g == p

@@ -6,6 +6,7 @@ import pytest
 from upkolmo import exprdsl as E
 from upkolmo import kernels
 from upkolmo import scheme as S
+from upkolmo import verify
 from upkolmo.problem import Grid
 from scenarios import nosource_spec, shock_spec, source_spec, zero_spec, \
     diffusionless_options, unattainable_spec
@@ -99,6 +100,40 @@ class TestEngquistOsher:
             up_r = table.flux(np.array([uL]), np.array([uR + h]))[0]
             assert up_l >= base
             assert up_r <= base
+
+
+SPLIT_FLUXES = {
+    "eo_burgers": lambda: S._SplitTable(BURGERS, radius=3.0),
+    "eo_sin": lambda: S._SplitTable(E.parse("sin(3*lambda) - lambda"),
+                                    radius=3.0),
+    # alpha = 1.05 max|f'| on [-1.5, 1.5], as the Stepper sets it
+    "lf_burgers": lambda: S._LFFlux(BURGERS, 1.575),
+    "lf_sin": lambda: S._LFFlux(E.parse("sin(lambda)"), 1.05),
+}
+
+
+class TestSumSplit:
+    """F(a, b) = g(a) + h(b) gives the Kruzhkov flux the entropy-residual
+    check uses:
+
+        Q(a, b; k) = sgn(a - k)(g(a) - g(k)) + sgn(b - k)(h(b) - h(k)).
+    """
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_FLUXES))
+    def test_kruzhkov_flux_from_the_split(self, name):
+        flux = SPLIT_FLUXES[name]()
+        rng = np.random.default_rng(44)
+        a, b, k = rng.uniform(-1.5, 1.5, size=(3, 2000))
+        a[::5] = k[::5]       # ties a = k
+        b[1::5] = k[1::5]     # ties b = k
+        a[2::5] = b[2::5] = k[2::5]
+        w = np.stack((a, b), axis=-1)
+        q = verify._entropy_flux(flux, flux.split(k[:, None]), w,
+                                 np.sign(w - k[:, None]), -1)[:, 0]
+        want = (flux.flux(np.maximum(a, k), np.maximum(b, k))
+                - flux.flux(np.minimum(a, k), np.minimum(b, k)))
+        assert np.max(np.abs(q - want)) <= 1e-15
+        assert np.all(q[2::5] == 0.0)
 
 
 class TestNumericalFlux:

@@ -308,6 +308,27 @@ class TestJump:
         assert rep.passed
         assert rep.context["pointwise"] <= 1e-14
         assert rep.context["kinetic"] <= rep.context["kinetic_tol"]
+        assert rep.context["min_jump_weight"] >= 0.0
+
+    def test_decreasing_jump_map_fails(self):
+        # d beta / d lambda = -1.5 bx(x) bs(s) falls below -1 mid-domain,
+        # where the jump map lambda -> lambda + beta is decreasing
+        bump = "(max(0, 1-((x-0.5)/0.35)^2))^2*(max(0, 1-((s-0.5)/0.35)^2))^2"
+        spec = source_spec().with_data(beta=E.parse(f"-1.5*lambda*{bump}"))
+        grid = unit_grid(16)
+        xc, sc = grid.cell_centers()
+        cells = {"x": xc[:, None], "s": sc[None, :]}
+        um = Field(solver.initial_values(spec, grid), grid)
+        b = E.evaluate(spec.beta, {**cells, "lambda": um.values})
+        traj = Trajectory(grid=grid, tau_minus=um,
+                          tau_plus=Field(um.values + b, grid))
+        rep = verify.check_jump(traj, spec)
+        assert not rep.passed
+        weight = 1.0 - 1.5 * np.max(E.evaluate(E.parse(bump), cells))
+        assert weight < 0.0
+        assert rep.context["min_jump_weight"] == pytest.approx(weight,
+                                                               rel=1e-12)
+        assert rep.measured == 1.0 - rep.context["min_jump_weight"]
 
     def test_no_perturbation(self, grid64):
         spec = nosource_spec()
@@ -552,7 +573,29 @@ def _entropy_residual_reference(traj, spec, k_values):
                           context)
 
 
-def _stability_rhs_reference(spec, t, d_init, d_s0, d_sS, b0, gamma, m1, dt):
+def _deriv_max_curve_reference(expr, curve):
+    """max|a'| over [-m, m] for each m of a sup-norm curve, one m at a time,
+    by the per-curve rule: nodes m_min/2048 apart up to m_min, the smallest
+    positive m, then growing by the factor 1 + 1/2048, and |a'| sampled at
+    the nodes up to the first at or past m."""
+    positive = [m for m in curve if m > 0]
+    lo, hi = min(positive), max(positive)
+    n_geo = int(np.ceil(np.log(hi / lo) / np.log(1 + 1 / 2048)))
+    radii = np.concatenate((np.arange(2048) * (lo / 2048),
+                            lo * (1 + 1 / 2048) ** np.arange(n_geo + 1)))
+    radii[-1] = max(radii[-1], hi)
+    out = []
+    for m in curve:
+        edge = radii[radii >= m][0]
+        nodes = radii[radii <= edge]
+        _, d = E.eval_dual(expr, {"lambda": np.concatenate((-nodes, nodes))},
+                           "lambda")
+        out.append(float(np.max(np.abs(d))))
+    return out
+
+
+def _stability_rhs_reference(spec, t, d_init, d_s0, d_sS, b0, gamma, a_max,
+                             dt):
     n = len(d_s0)
     mids = (np.arange(n) + 0.5) * dt
     if spec.beta is None or gamma <= 0 or b0 == 0.0:
@@ -560,7 +603,6 @@ def _stability_rhs_reference(spec, t, d_init, d_s0, d_sS, b0, gamma, m1, dt):
     else:
         rate = b0 * kernels.k_gamma(mids, spec.tau, gamma)
     g = np.cumsum(rate) * dt
-    a_max = sampled_deriv_max(spec.flux_a, -m1, m1)
     live = mids < t
     g_t = float(np.interp(t, np.concatenate(([0.0], mids)),
                           np.concatenate(([0.0], g))))
@@ -617,6 +659,16 @@ def _stability_rhs_impulsive_reference(spec1, spec2, t, d_init, d_s0, d_sS,
     return float(rhs)
 
 
+def _assert_same_residual(got, want):
+    """The entropy residual against the per-k reference: the sum-split flux
+    and the matrix product round differently, so min_residual may move by
+    roundoff."""
+    assert got.passed == want.passed
+    assert abs(got.context.pop("min_residual")
+               - want.context.pop("min_residual")) <= 1e-15
+    assert got.context == want.context
+
+
 def _assert_same_report(got, want):
     assert got.measured == want.measured
     assert got.bound == want.bound
@@ -663,15 +715,15 @@ class TestHoistedAgainstReference:
     def test_entropy_residual(self, small_runs, mode):
         spec, runs = small_runs
         traj = runs[mode, 1]
-        _assert_same_report(
+        _assert_same_residual(
             verify.check_entropy_residual(traj, spec, SMALL_KS),
             _entropy_residual_reference(traj, spec, SMALL_KS))
 
     def test_entropy_residual_shock(self, shock_run):
         spec, traj = shock_run["spec"], shock_run["traj"]
         ks = [-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5]
-        _assert_same_report(verify.check_entropy_residual(traj, spec, ks),
-                            _entropy_residual_reference(traj, spec, ks))
+        _assert_same_residual(verify.check_entropy_residual(traj, spec, ks),
+                              _entropy_residual_reference(traj, spec, ks))
 
     def test_max_principle_bounds(self, small_runs):
         spec, runs = small_runs
@@ -687,9 +739,10 @@ class TestHoistedAgainstReference:
         assert len(set(m1)) > 1
         got = stability_rhs(spec, traj.times, 0.1, d_s0, d_sS, b0, gamma, m1,
                             dt)
+        a_max = _deriv_max_curve_reference(spec.flux_a, m1)
         assert got == [_stability_rhs_reference(spec, t, 0.1, d_s0, d_sS, b0,
-                                                gamma, m, dt)
-                       for t, m in zip(traj.times, m1)]
+                                                gamma, a, dt)
+                       for t, a in zip(traj.times, a_max)]
 
     def test_stability_curve(self, small_runs):
         spec, runs = small_runs
@@ -813,6 +866,19 @@ class TestNothingToCertify:
         rep = verify.check_entropy_residual(traj, shock_run["spec"], [0.5])
         assert not rep.passed
         assert rep.measured == np.inf
+
+    def test_entropy_residual_non_finite_cell_fails(self, shock_run):
+        full = shock_run["traj"]
+        traj = Trajectory(grid=full.grid, meta=full.meta)
+        for n, (t, fld) in enumerate(zip(full.times, full.fields)):
+            if n == 5:
+                fld = Field(fld.values.copy(), fld.grid, t)
+                fld.values[20, 30] = np.nan
+            traj.append(t, fld)
+        rep = verify.check_entropy_residual(traj, shock_run["spec"], [0.5])
+        assert not rep.passed
+        assert rep.measured == np.inf
+        assert rep.row()[1] == "inf"
 
     def test_entropy_residual_context_keys_unchanged(self, shock_run):
         rep = verify.check_entropy_residual(shock_run["traj"],
