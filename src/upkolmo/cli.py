@@ -1,7 +1,9 @@
 """Batch front door: run solvers, parameter sweeps and verification suites.
 
 Exit codes are the machine contract: 0 success, 1 config/validation error,
-2 aborted on non-finite values, 3 at least one verification check failed.
+2 march aborted (a non-finite value, a value the flux or source expressions
+cannot evaluate, or a sup-norm that left every invariant region the
+march could size), 3 at least one verification check failed.
 Human-readable output goes to stdout, diagnostics to stderr, reports and
 trajectories to files.
 """
@@ -21,6 +23,10 @@ from . import solver, verify
 # bench/run.py traces refined_max_bound where each module binds it
 from .problem import refined_max_bound  # noqa: F401
 from .scheme import NaNDetectedError
+from .solver import CflViolationError
+
+# what ends a march early: exit code 2
+_ABORTS = (NaNDetectedError, CflViolationError)
 
 
 def _load(path):
@@ -64,7 +70,7 @@ def _cmd_run(args):
         return 1
     try:
         traj = _solve(loaded, args.mode)
-    except NaNDetectedError as exc:
+    except _ABORTS as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
@@ -102,7 +108,7 @@ def _cmd_sweep(args):
                 report = verify.check_epsilon_cauchy(
                     spec, grid, values, gamma, options, map_fn=map_fn)
                 errors = report.context["diffs"]
-    except NaNDetectedError as exc:
+    except _ABORTS as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

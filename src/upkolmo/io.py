@@ -20,9 +20,14 @@ Field files (extension ``.upkf``) are little-endian and bit-exact:
 A trajectory directory holds one field file per snapshot, an ``index.csv``
 mapping snapshot times to filenames (with a role column marking the
 one-sided jump fields), and a ``meta.json`` with the march parameters the
-verification checks need to reconstruct the stepper: ``mode``, ``dt``,
-``n_steps``, ``n_tau``, ``stride``, ``eps``, ``gamma``, ``m_bound`` and
-``options`` are required, ``spec_hash`` is optional.
+verification checks need to reconstruct the stepper: ``mode``,
+``lateral_diffusion``, ``dt``, ``n_steps``, ``n_tau``, ``stride``, ``eps``,
+``gamma``, ``m_bound`` and ``options`` are required; ``spec_hash`` and
+``restart`` (the escape that enlarged the invariant region, or null) are
+optional.  ``lateral_diffusion`` names how the step treated the lateral
+Laplacian, and only ``scheme.LATERAL_DIFFUSION`` ("backward_euler") is
+read: a directory written by the earlier explicit update lacks the key,
+so it is refused instead of being scored against the wrong update.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ import numpy as np
 
 from . import exprdsl
 from .problem import Field, Grid, ProblemSpec, Trajectory, consistency_errors
-from .scheme import ENGQUIST_OSHER, LAX_FRIEDRICHS, SchemeOptions
+from .scheme import (ENGQUIST_OSHER, LATERAL_DIFFUSION, LAX_FRIEDRICHS,
+                     SchemeOptions)
 
 __all__ = [
     "LoadedConfig", "load_config", "write_field", "read_field",
@@ -47,8 +53,8 @@ __all__ = [
 
 MAGIC = b"UPKF"
 VERSION = 1
-_MARCH_KEYS = ("mode", "dt", "n_steps", "n_tau", "stride", "eps", "gamma",
-               "m_bound", "options")
+_MARCH_KEYS = ("mode", "lateral_diffusion", "dt", "n_steps", "n_tau",
+               "stride", "eps", "gamma", "m_bound", "options")
 
 
 class ParseError(ValueError):
@@ -282,6 +288,10 @@ def _meta_to_json(meta):
 
 def _meta_from_json(data):
     out = dict(data)
+    if out["lateral_diffusion"] != LATERAL_DIFFUSION:
+        raise FormatError(f"meta.json: lateral diffusion "
+                          f"{out['lateral_diffusion']!r} is not the "
+                          f"{LATERAL_DIFFUSION!r} update this version steps")
     opts = out.get("options")
     if isinstance(opts, dict):
         opts = dict(opts)

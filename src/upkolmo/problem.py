@@ -9,8 +9,8 @@ a-priori theory:
 * ``refined_max_bound`` -- sharper sup-norm bound for a delayed impulse
   source whose perturbation vanishes for |value| > b1.
 * ``stability_rhs`` -- right-hand side of the L1 data-stability estimate,
-  with the Gronwall weight accumulated by the same midpoint t-quadrature
-  the solver uses for the source.
+  with the Gronwall weight accumulated by the midpoint t-quadrature of
+  the kernel on the run's steps.
 * ``impulsive_bounds`` -- sup-norm bounds before (M2) and after (M3) the
   jump of the impulsive problem, for one run or for a pair of runs.
 * ``stability_rhs_impulsive`` -- the impulsive counterpart of the L1
@@ -43,7 +43,8 @@ __all__ = [
     "ProblemSpec", "Grid", "Field", "Trajectory",
     "max_principle_bound", "refined_max_bound", "stability_rhs",
     "stability_rhs_impulsive", "impulsive_bounds",
-    "sample_sup", "slab_sup", "data_sup_norms", "consistency_errors",
+    "sample_sup", "slab_sup", "min_jump_slope", "data_sup_norms",
+    "consistency_errors",
     "ZeroInitialDataError",
 ]
 
@@ -225,6 +226,19 @@ def slab_sup(spec, beta, radius, n=64, inflate=1.0, wrt=None):
     return sample_sup(beta, ("x", "s", "lambda"),
                       [(0.0, spec.L), (0.0, spec.S), (-radius, radius)],
                       n=n, inflate=inflate, wrt=wrt)
+
+
+def min_jump_slope(spec, radius, n=64):
+    """Sampled min of 1 + d beta / d lambda, the slope of the jump map
+    lambda -> lambda + beta, over the slab with |lambda| <= radius, on n
+    points per axis.  1 without a beta."""
+    if spec.beta is None:
+        return 1.0
+    axes = {"x": np.linspace(0.0, spec.L, n)[:, None, None],
+            "s": np.linspace(0.0, spec.S, n)[None, :, None],
+            "lambda": np.linspace(-radius, radius, n)[None, None, :]}
+    slope = exprdsl.compile(spec.beta, "lambda")[0](axes)[1]
+    return 1.0 + float(np.min(slope))
 
 
 def data_sup_norms(spec, t_window=None, inflate=1.0):

@@ -1,10 +1,11 @@
 """Monotone finite-volume building blocks.
 
-The update is a conservative forward-Euler step
+One step is an explicit conservative update followed by one backward-Euler
+solve of the lateral diffusion along x:
 
-    u^{n+1} = u^n - (dt/ds) dF_a - (dt/dx) dF_phi
-              + dt * Lap_x u + dt * eps * D_ss u
-              + dt * K_gamma(t + dt/2) * beta(x, s, u^n),
+    u* = u^n - (dt/ds) dF_a - (dt/dx) dF_phi + dt * eps * D_ss u^n
+         + dt * <K_gamma>_n * beta(x, s, u^n),
+    (I - dt * Lap_x) u^{n+1} = u*,
 
 with a monotone two-point numerical flux in each convective direction:
 
@@ -13,9 +14,22 @@ with a monotone two-point numerical flux in each convective direction:
 * Engquist-Osher: F(uL, uR) = f(0) + int_0^uL max(f', 0) + int_0^uR min(f', 0),
   which handles non-monotone fluxes without a Riemann solver.
 
-Forward Euler is kept deliberately: with the CFL step below the update is
-monotone in every argument, which gives the discrete maximum principle and
-the discrete entropy inequality exactly, not just asymptotically.
+<K_gamma>_n = (P(t_n + dt) - P(t_n))/dt is the delayed kernel's exact
+average over the step, from its tabulated primitive P
+(``kernels.k_gamma_primitive``): the source applies unit mass whatever
+the step, and the average never exceeds sup K_gamma.
+
+The operator is ultra-parabolic: diffusion acts along x only.  The
+explicit part is forward Euler under the CFL step of ``Stepper._cfl``,
+which is monotone in every argument.  Lap_x is the three-point Laplacian
+with zero ghosts, so I - dt * Lap_x is an M-matrix: its inverse is
+nonnegative with row sums at most 1.  The composition therefore keeps what
+the scheme promises exactly, not just asymptotically: it is monotone, it
+obeys the discrete maximum principle, and by Kato's inequality it obeys
+the discrete entropy inequality (derived in ``verify``; Crandall & Majda,
+Math. Comp. 34, 1980; Evje & Karlsen, SIAM J. Numer. Anal. 37, 2000).
+The lateral term no longer limits dt, which is what sets the step count:
+2/dx^2 is 8,192 of the 8,436 in the 64x64 explicit CFL denominator.
 
 Boundary handling: lateral (x) ghosts are zero for both the convective
 exterior state and the diffusion stencil.  In s, prescribed exterior states
@@ -63,13 +77,23 @@ from .problem import data_sup_norms, sampled_deriv_max, slab_sup
 __all__ = [
     "SchemeOptions", "Stepper",
     "DegenerateGridError", "NaNDetectedError", "SupNormExceeded",
-    "LAX_FRIEDRICHS", "ENGQUIST_OSHER", "predicted_sup",
+    "LAX_FRIEDRICHS", "ENGQUIST_OSHER", "LATERAL_DIFFUSION", "predicted_sup",
+    "reachable_bound",
 ]
 
 LAX_FRIEDRICHS = "lax_friedrichs"
 ENGQUIST_OSHER = "engquist_osher"
+# how the step treats Lap_x; `meta.json` records it, so that a trajectory
+# is only ever certified against the update it came from
+LATERAL_DIFFUSION = "backward_euler"
 
 _TABLE_SPACING = 1.0 / 1024.0
+# Lax-Friedrichs dissipation alpha over the sampled max|f'|: sampling may
+# miss the true max between samples, and alpha must cover it
+_LF_WIDEN = 1.05
+# backward Euler's relative error on the first lateral sine mode, by the
+# time the mode has decayed by 1/e, where no stiffness term sizes dt
+_HEAT_ERROR = 0.005
 
 
 class DegenerateGridError(ValueError):
@@ -101,6 +125,14 @@ def predicted_sup(spec):
     data norms, plus the total perturbation kick (unit kernel mass)."""
     base = max(data_sup_norms(spec).values())
     return base + slab_sup(spec, spec.beta, max(base, spec.b1) + 1.0)
+
+
+def reachable_bound(spec):
+    """1.05 * ``predicted_sup`` + 0.5: the invariant region the monotone
+    scheme never leaves, with room for the sampled norms to fall short of
+    the grid's values.  The default ``m_bound``, and the least region a
+    restart of the march is sized to."""
+    return 1.05 * predicted_sup(spec) + 0.5
 
 
 # --- tabulated split fluxes ------------------------------------------------
@@ -164,15 +196,28 @@ class _LFFlux:
 
 # --- the stepper -----------------------------------------------------------
 
+def _pivots(n, r):
+    """Reciprocal pivots 1/m_i and ratios g_i = r/m_i of the Thomas sweep
+    for I - r * (second difference) on n cells with zero ghosts."""
+    inv = np.empty(n)
+    g_prev = 0.0
+    for i in range(n):
+        inv[i] = 1.0 / (1.0 + 2.0 * r - r * g_prev)
+        g_prev = r * inv[i]
+    return inv, r * inv
+
+
 class Stepper:
     """Prepared one-step update operator for a fixed spec/grid/options.
 
     The construction is deterministic in its arguments: identical inputs
     produce bit-identical steps, which the singular-limit comparisons rely
     on.  ``m_bound`` fixes the invariant region the flux tables and the LF
-    dissipation are sized for.  Its default, 1.05 * ``predicted_sup`` + 0.5,
-    depends on the spec alone, so a family of runs of one spec shares it;
+    dissipation are sized for.  Its default, ``reachable_bound``, depends on
+    the spec alone, so a family of runs of one spec shares it;
     runs of different specs are comparable exactly only with a common value.
+    The lateral solve's pivots and the kernel's primitive depend on dt and
+    the delay width only, so they are built here, once.
     """
 
     def __init__(self, spec, grid, eps=None, gamma=None, options=None,
@@ -187,7 +232,7 @@ class Stepper:
         self.eps = spec.epsilon if eps is None else eps
         self.gamma = spec.gamma if gamma is None else gamma
         if m_bound is None:
-            m_bound = 1.05 * predicted_sup(spec) + 0.5
+            m_bound = reachable_bound(spec)
         self.m_bound = m_bound
         self.xc, self.sc = grid.cell_centers()
         if dt is None:
@@ -197,6 +242,11 @@ class Stepper:
         self.n_steps = n_steps
         self.n_tau = min(max(int(round(spec.tau / self.dt)), 1), n_steps - 1) \
             if 0 < spec.tau < spec.T else None
+        self._pivots = (_pivots(grid.nx, self.dt / grid.dx ** 2)
+                        if self.options.x_diffusion else None)
+        self._primitive = None
+        if spec.beta is not None and self.gamma > 0:
+            self._primitive = kernels.k_gamma_primitive()
 
         # compiled once, as the march evaluates them at every step
         self.beta_fn = (exprdsl.compile(spec.beta)[0]
@@ -211,36 +261,55 @@ class Stepper:
             self.flux_a = _SplitTable(spec.flux_a, m_bound + 1.0)
             self.flux_phi = _SplitTable(spec.flux_phi[0], m_bound + 1.0)
         else:
-            alpha_a = 1.05 * sampled_deriv_max(spec.flux_a, -m_bound, m_bound)
-            alpha_p = 1.05 * sampled_deriv_max(spec.flux_phi[0], -m_bound, m_bound)
+            alpha_a = _LF_WIDEN * sampled_deriv_max(spec.flux_a, -m_bound,
+                                                    m_bound)
+            alpha_p = _LF_WIDEN * sampled_deriv_max(spec.flux_phi[0], -m_bound,
+                                                    m_bound)
             self.flux_a = _LFFlux(spec.flux_a, alpha_a)
             self.flux_phi = _LFFlux(spec.flux_phi[0], alpha_p)
 
     def _cfl(self):
-        """Explicit-stability time step of the full update.
+        """Time step: the monotonicity bound of the step's explicit part,
 
-            dt = safety / ( max|a'|/ds + max|phi'|/dx + 2 d / dx^2
-                            + 2 eps / ds^2 + sup K_gamma * b0 )
+            dt = safety / ( w max|a'|/ds + w max|phi'|/dx + 2 eps / ds^2
+                            + sup K_gamma * b0 ).
 
-        Derivative maxima are sampled over [-m_bound, m_bound]; the lateral
-        term drops out without ``x_diffusion``.
+        Derivative maxima are sampled over [-m_bound, m_bound].  A cell's
+        own coefficient is 1 - dt times this sum at most, so it stays
+        nonnegative for safety <= 1.  At an interface the two one-sided
+        flux derivatives differ by at most max|f'| for Engquist-Osher, w =
+        1, and by exactly the dissipation alpha for Lax-Friedrichs, w =
+        _LF_WIDEN.  The lateral Laplacian is solved implicitly and has no
+        term here.
+
+        With zero fluxes, eps = 0 and no source no term is left, and dt is
+        capped for accuracy instead.  Backward Euler damps the first
+        lateral sine mode, e^(-mu t) with mu = (pi/L)^2, by 1/(1 + mu dt)
+        per step, so after n steps, at t = n dt, the log of its ratio to
+        the exact decay is n (mu dt - log(1 + mu dt)) <= n (mu dt)^2 / 2 =
+        (mu t)(mu dt)/2.  By t = 1/mu, where the mode has decayed by 1/e,
+        the relative error is at most mu dt / 2; holding it to _HEAT_ERROR
+        gives dt = 2 _HEAT_ERROR / mu, 1.01e-3 on the unit box.  Where any
+        term is present it sets dt and the cap is not applied: on every
+        bench workload the convective terms set it.
         """
         spec, grid = self.spec, self.grid
         safety = self.options.cfl_safety
         if not (0.0 < safety <= 1.0):
             raise ValueError(f"safety must be in (0, 1], got {safety}")
         M = max(self.m_bound, 1e-12)
-        denom = sampled_deriv_max(spec.flux_a, -M, M) / grid.ds
-        denom += sampled_deriv_max(spec.flux_phi[0], -M, M) / grid.dx
-        if self.options.x_diffusion:
-            denom += 2.0 * spec.d / grid.dx ** 2
+        widen = (_LF_WIDEN if self.options.flux_kind == LAX_FRIEDRICHS
+                 else 1.0)
+        denom = widen * (
+            sampled_deriv_max(spec.flux_a, -M, M) / grid.ds
+            + sampled_deriv_max(spec.flux_phi[0], -M, M) / grid.dx)
         if self.eps > 0:
             denom += 2.0 * self.eps / grid.ds ** 2
         if spec.beta is not None and self.gamma > 0:
             b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
             denom += (2.0 / self.gamma) * float(kernels.omega(0.0)) * b0
         if denom <= 0:
-            raise DegenerateGridError("all stiffness terms vanished")
+            return 2.0 * _HEAT_ERROR / (math.pi / spec.L) ** 2
         return safety / denom
 
     # ghost filling ---------------------------------------------------------
@@ -270,39 +339,71 @@ class Stepper:
     # single step -----------------------------------------------------------
 
     def source_rate(self, t):
-        """Kernel value at the cell-center time of the step starting at t."""
-        if self.spec.beta is None or self.gamma <= 0:
+        """The kernel's exact average over the step from t to t + dt,
+        (P(t + dt) - P(t)) / dt; exactly 0 for a step that ends by
+        tau - gamma or starts at tau or later."""
+        if self._primitive is None:
             return 0.0
-        tc, tau = t + 0.5 * self.dt, self.spec.tau
-        # the tests by which k_gamma vanishes, without evaluating it
-        if tc > tau or not abs((tc - tau) / self.gamma) < 1.0:
-            return 0.0
-        return float(kernels.k_gamma(tc, tau, self.gamma))
+        z, p = self._primitive
+        ends = (np.array((t, t + self.dt)) - self.spec.tau) / self.gamma
+        p0, p1 = np.interp(ends, z, p)
+        return float(p1 - p0) / self.dt
+
+    def _solve_lateral(self, d):
+        """(I - dt * Lap_x)^{-1} d along x with zero ghosts: one Thomas
+        sweep down and one up the x rows, each row a vector over s.
+
+        With r = dt/dx^2 the pivots are m_0 = 1 + 2r and m_i = 1 + 2r -
+        r g_{i-1}, with g_i = r/m_i.  The sweep is y_i = d_i/m_i + g_i
+        y_{i-1}, then x_i = y_i + g_i x_{i+1}: every coefficient is
+        positive, and a rounded sum or product of nonnegative multiples
+        is nondecreasing in each argument, so the computed map is monotone
+        exactly and maps d >= 0 to x >= 0.  Where 1 - x is below the
+        rounding unit (small r, far from the walls) rounding can lift a
+        cell an ulp above the exact solution's bound max(0, max d); the
+        result is clipped to [min(0, min d), max(0, max d)], which the
+        exact solution never leaves and which keeps the map monotone.
+        """
+        inv, g = self._pivots
+        x = d * inv[:, None]
+        for i in range(1, len(inv)):
+            x[i] += g[i] * x[i - 1]
+        for i in range(len(inv) - 2, -1, -1):
+            x[i] += g[i] * x[i + 1]
+        return np.clip(x, min(d.min(), 0.0), max(d.max(), 0.0), out=x)
 
     def step(self, u, t):
-        """Advance the raw value array one time step from time t."""
+        """Advance the raw value array one time step from time t.
+
+        A value the flux or source expressions cannot evaluate (an
+        overflow, say) ends the march like a non-finite value.
+        """
         grid, dt = self.grid, self.dt
         w = self.padded(u, t)
         ws = w[1:-1, :]
-        v = self.flux_a.values(ws)
-        f_a = self.flux_a.combine(v[:, :-1], v[:, 1:], ws[:, :-1], ws[:, 1:])
-        div_s = (f_a[:, 1:] - f_a[:, :-1]) / grid.ds
         wx = w[:, 1:-1]
-        v = self.flux_phi.values(wx)
-        f_p = self.flux_phi.combine(v[:-1, :], v[1:, :], wx[:-1, :], wx[1:, :])
+        k = self.source_rate(t)
+        try:
+            va = self.flux_a.values(ws)
+            vp = self.flux_phi.values(wx)
+            b = (self.beta_fn({"x": self.xc[:, None], "s": self.sc[None, :],
+                               "lambda": u}) if k != 0.0 else None)
+        except exprdsl.DomainError as exc:
+            raise NaNDetectedError(f"non-finite value in the step from "
+                                   f"t = {t:.6g}: {exc}") from exc
+        f_a = self.flux_a.combine(va[:, :-1], va[:, 1:], ws[:, :-1], ws[:, 1:])
+        div_s = (f_a[:, 1:] - f_a[:, :-1]) / grid.ds
+        f_p = self.flux_phi.combine(vp[:-1, :], vp[1:, :],
+                                    wx[:-1, :], wx[1:, :])
         div_x = (f_p[1:, :] - f_p[:-1, :]) / grid.dx
         new = u - dt * (div_s + div_x)
-        if self.options.x_diffusion:
-            lap_x = (wx[:-2, :] - 2.0 * u + wx[2:, :]) / grid.dx ** 2
-            new = new + dt * lap_x
         if self.eps > 0:
             lap_s = (ws[:, :-2] - 2.0 * u + ws[:, 2:]) / grid.ds ** 2
             new = new + dt * self.eps * lap_s
-        k = self.source_rate(t)
-        if k != 0.0:
-            b = self.beta_fn({"x": self.xc[:, None], "s": self.sc[None, :],
-                              "lambda": u})
+        if b is not None:
             new = new + dt * k * b
+        if self._pivots is not None:
+            new = self._solve_lateral(new)
         if not np.all(np.isfinite(new)):
             bad = np.argwhere(~np.isfinite(new))[0]
             raise NaNDetectedError(

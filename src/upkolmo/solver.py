@@ -17,8 +17,18 @@ options, dt, m_bound) produces a bit-identical trajectory, which the
 delayed-vs-impulsive comparisons exploit on the shared pre-impulse window.
 
 If the running sup-norm escapes the invariant region the step was sized
-for, the march restarts once with a doubled region; a second escape raises
-``CflViolationError``.
+for, the march restarts once.  The new region is the larger of twice the
+old one or the escaping sup, and ``scheme.reachable_bound``, the bound
+the monotone scheme never leaves (the data norms plus the kernel's unit
+mass times sup|beta|, with room for sampling).  The restart is recorded
+in the trajectory's ``meta["restart"]``: the old region ``m_bound``, the
+escaping ``sup`` and its time ``t`` (None without a restart).  An escape
+beyond that bound, which no region sized from the spec can hold, or a
+second escape raises ``CflViolationError``.
+
+``solve_impulsive`` rejects a jump map lambda -> lambda + beta that is
+decreasing somewhere on the pre-jump range: the impulsive march is
+monotone only if it is nondecreasing.
 """
 
 from __future__ import annotations
@@ -26,8 +36,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import exprdsl
-from .problem import Field, Trajectory
-from .scheme import SchemeOptions, Stepper, SupNormExceeded
+from .problem import Field, Trajectory, impulsive_bounds, min_jump_slope
+from .scheme import (LATERAL_DIFFUSION, SchemeOptions, Stepper,
+                     SupNormExceeded, reachable_bound)
 
 __all__ = [
     "solve_regularized", "solve_entropy", "solve_impulsive",
@@ -61,18 +72,26 @@ def _apply_jump(stepper, u):
 
 def _march(spec, grid, eps, gamma, options, dt, m_bound, mode):
     options = options or SchemeOptions()
-    attempts = 0
+    restart = None
     while True:
         stepper = Stepper(spec, grid, eps=eps, gamma=gamma, options=options,
                           m_bound=m_bound, dt=dt)
         try:
-            return _march_once(spec, grid, stepper, mode)
+            traj = _march_once(spec, grid, stepper, mode)
         except SupNormExceeded as exc:
-            attempts += 1
-            if attempts > 1:
-                raise CflViolationError(str(exc)) from exc
-            m_bound = 2.0 * max(stepper.m_bound, exc.sup)
+            reach = reachable_bound(spec)
+            if restart is not None or exc.sup > reach:
+                raise CflViolationError(
+                    f"{exc}, beyond {reach:.6g}, the bound the monotone "
+                    "scheme keeps for data within their sampled norms"
+                ) from exc
+            restart = {"m_bound": stepper.m_bound, "sup": exc.sup,
+                       "t": exc.t}
+            m_bound = max(2.0 * max(stepper.m_bound, exc.sup), reach)
             dt = None  # re-derive the step for the enlarged region
+            continue
+        traj.meta["restart"] = restart
+        return traj
 
 
 def _march_once(spec, grid, stepper, mode):
@@ -83,6 +102,7 @@ def _march_once(spec, grid, stepper, mode):
     traj = Trajectory(grid=grid)
     traj.meta = {
         "mode": mode,
+        "lateral_diffusion": LATERAL_DIFFUSION,
         "dt": dt,
         "n_steps": n_steps,
         "n_tau": n_tau,
@@ -152,5 +172,12 @@ def solve_impulsive(spec, grid, options=None, dt=None, m_bound=None):
     """March with zero source and one pointwise jump at the snapped time."""
     if not (0.0 < spec.tau < spec.T):
         raise ValueError(f"jump time must lie in (0, T), got {spec.tau}")
+    m2 = impulsive_bounds(spec)[0]
+    slope = min_jump_slope(spec, m2)
+    if slope < 0.0:
+        raise ValueError(
+            f"the jump map lambda -> lambda + beta decreases: 1 + d beta / "
+            f"d lambda reaches {slope:.6g} on |lambda| <= M2 = {m2:.6g}, so "
+            "the impulsive march would not be monotone")
     return _march(spec, grid, 0.0, 0.0, options, dt, m_bound, "impulsive")
 

@@ -1,6 +1,6 @@
 """Exit codes of the `upkolmo` command line on tiny 8x8 configs.
 
-0 success, 1 config or validation error, 2 a non-finite march, 3 a
+0 success, 1 config or validation error, 2 an aborted march, 3 a
 verification check failed.
 """
 
@@ -12,7 +12,7 @@ import pytest
 from upkolmo import cli, verify
 from upkolmo import io as upk_io
 from upkolmo.problem import Field
-from scenarios import BETA_TEXT, U01_TEXT
+from scenarios import BETA_TEXT, SBUMP, U01_TEXT, XBUMP
 
 CONFIG = f"""\
 [domain]
@@ -76,6 +76,9 @@ def test_run_and_verify_succeed(run_dir):
     rows = _rows(traj / "reports.csv")
     assert list(rows) == ["max_principle", "stability", "bln_boundary"]
     assert set(rows.values()) == {"true"}
+    meta = json.loads((traj / "meta.json").read_text())
+    assert meta["lateral_diffusion"] == "backward_euler"
+    assert meta["restart"] is None
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
@@ -149,8 +152,9 @@ def test_verify_of_a_trajectory_with_empty_meta_json_exits_1(run_dir,
     (traj / "meta.json").write_text("{}")
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
     err = capsys.readouterr().err
-    assert err == (f"error: {traj}: meta.json lacks mode, dt, n_steps, "
-                   "n_tau, stride, eps, gamma, m_bound, options\n")
+    assert err == (f"error: {traj}: meta.json lacks mode, lateral_diffusion, "
+                   "dt, n_steps, n_tau, stride, eps, gamma, m_bound, "
+                   "options\n")
     assert not (traj / "reports.csv").exists()
 
 
@@ -215,14 +219,40 @@ def _spike(var, centre):
     return f"max(0, 1-(({var}-{centre})/1e-6)^2)"
 
 
-def test_non_finite_march_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("kind, cause", [
+    # f(1e308) = 1e308^2/2 overflows in the first step's flux evaluation
+    ("lax_friedrichs", "non-finite value in the step from t = 0: "),
+    # the table clamps the flux, and the implicit lateral solve keeps the
+    # spike finite; it leaves the region the scheme can reach from the
+    # spec's sampled data norms, so no restart can size a region for it
+    ("engquist_osher", "exceeded bound"),
+])
+def test_non_finite_march_exits_2(tmp_path, capsys, kind, cause):
     # a spike of 1e308 on one cell centre, too narrow for the sampled data
-    # norms to see: the first step's lateral Laplacian overflows
+    # norms to see
     cfg = _config(tmp_path, u0_1=f"1e308*{_spike('x', 0.4375)}"
                                  f"*{_spike('s', 0.4375)}")
+    cfg.write_text(cfg.read_text().replace("engquist_osher", kind))
     traj = tmp_path / "traj"
     assert cli.main(["run", str(cfg), "--out", str(traj)]) == 2
-    assert "aborted: non-finite value" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("aborted: ") and err.count("\n") == 1
+    assert cause in err
+    assert not traj.exists()
+
+
+def test_decreasing_jump_map_is_rejected_before_the_march(tmp_path, capsys):
+    # 1 + d beta / d lambda = 1 - 1.5 bx bs reaches -0.5 on the slab
+    cfg = _config(tmp_path)
+    text = cfg.read_text().replace(f'beta = "{BETA_TEXT}"',
+                                   f'beta = "-1.5*lambda*{XBUMP}*{SBUMP}"')
+    cfg.write_text(text)
+    traj = tmp_path / "traj"
+    assert cli.main(["run", str(cfg), "--mode", "impulsive",
+                     "--out", str(traj)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the jump map lambda -> lambda + beta "
+                          "decreases") and err.count("\n") == 1
     assert not traj.exists()
 
 

@@ -23,7 +23,8 @@ def _trajectory():
         traj.append(t, Field(rng.random((4, 4)), grid, t))
     traj.tau_minus = Field(rng.random((4, 4)), grid, 0.375)
     traj.tau_plus = Field(rng.random((4, 4)), grid, 0.375)
-    traj.meta = {"mode": "impulsive", "dt": 0.125, "n_steps": 4, "n_tau": 3,
+    traj.meta = {"mode": "impulsive", "lateral_diffusion": "backward_euler",
+                 "dt": 0.125, "n_steps": 4, "n_tau": 3,
                  "stride": 3, "eps": 0.0, "gamma": 0.0, "m_bound": 2.0,
                  "options": OPTIONS}
     return traj
@@ -80,9 +81,11 @@ def test_unknown_options_are_named(tmp_path):
 
 @pytest.mark.parametrize("keys", [
     ("dt",), ("eps", "options"),
-    ("mode", "dt", "n_steps", "n_tau", "stride", "eps", "gamma", "m_bound",
-     "options"),
-], ids=["dt", "eps_and_options", "all"])
+    # a directory written by the explicit lateral update has no such key
+    ("lateral_diffusion",),
+    ("mode", "lateral_diffusion", "dt", "n_steps", "n_tau", "stride", "eps",
+     "gamma", "m_bound", "options"),
+], ids=["dt", "eps_and_options", "explicit_update", "all"])
 def test_missing_march_parameters_are_named(tmp_path, keys):
     upk_io.write_trajectory(tmp_path, _trajectory())
     meta = json.loads((tmp_path / "meta.json").read_text())
@@ -92,6 +95,17 @@ def test_missing_march_parameters_are_named(tmp_path, keys):
     with pytest.raises(upk_io.FormatError) as info:
         upk_io.read_trajectory(tmp_path)
     assert str(info.value) == f"{tmp_path}: meta.json lacks {', '.join(keys)}"
+
+
+def test_another_lateral_diffusion_is_named(tmp_path):
+    upk_io.write_trajectory(tmp_path, _trajectory())
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["lateral_diffusion"] = "forward_euler"
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(upk_io.FormatError,
+                       match="^meta.json: lateral diffusion 'forward_euler' "
+                             "is not the 'backward_euler' update"):
+        upk_io.read_trajectory(tmp_path)
 
 
 def test_field_of_another_dimension_is_named(tmp_path):

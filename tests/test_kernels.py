@@ -74,15 +74,12 @@ class TestDelayedKernel:
         mass = float(np.sum(kernels.k_gamma(mids, 0.5, gamma)) * dt)
         assert abs(mass - 1.0) <= 1e-8
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the march samples the kernel at step midpoints; on the 64x64 grid "
-        "tau/dt = 4687.5, so tau is the midpoint of a step, which gets the "
-        "kernel's peak (2/gamma)*omega(0) although the one-sided kernel "
-        "vanishes on the step's second half: the impulse mass the scheme "
-        "applies is 1 + 8.8e-4 (1 + 1.3e-2 at 16x16; exact at 32x32, where "
-        "tau/dt = 1208 and tau is a step boundary)"))
-    def test_unit_mass_the_march_applies(self):
-        stepper = Stepper(source_spec(), unit_grid(64))
+    @pytest.mark.parametrize("cells", [16, 32, 64])
+    def test_unit_mass_the_march_applies(self, cells):
+        # the step averages of the kernel telescope to P(T) - P(0) = 1,
+        # wherever tau falls in a step (tau/dt = 37 at 16x16, 70 at 32x32,
+        # 136.5 at 64x64)
+        stepper = Stepper(source_spec(), unit_grid(cells))
         mass = sum(stepper.source_rate(n * stepper.dt) * stepper.dt
                    for n in range(stepper.n_steps))
         assert abs(mass - 1.0) <= 1e-8

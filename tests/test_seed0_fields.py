@@ -2,8 +2,10 @@
 
 Each workload's seed-0 config is solved in process through `upkolmo run`,
 and the SHA-256 of the final snapshot's `.upkf` file must equal the one
-recorded in `bench/seed0_final_fields.json`.  A change that alters any
-bit of a benchmark trajectory fails here.
+recorded in `seed0_final_fields.json` beside this file.  A change that
+alters any bit of a benchmark trajectory fails here.  The bench keeps its
+own record (`bench/seed0_final_fields.json`), from which it prints `same`
+or `CHANGED`.
 """
 
 import hashlib
@@ -20,7 +22,8 @@ sys.path.insert(0, str(BENCH))
 
 from workloads import WORKLOADS, config_text  # noqa: E402
 
-RECORDED = json.loads((BENCH / "seed0_final_fields.json").read_text())
+RECORDED = json.loads((Path(__file__).with_name("seed0_final_fields.json")
+                       .read_text()))
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED))

@@ -5,8 +5,11 @@ import pytest
 
 from upkolmo import exprdsl as E
 from upkolmo import solver
-from upkolmo.problem import Grid, ProblemSpec, refined_max_bound
-from scenarios import nosource_spec, source_spec, unit_grid, zero_spec, SBUMP
+from upkolmo.problem import (Grid, ProblemSpec, impulsive_bounds,
+                             min_jump_slope, refined_max_bound)
+from upkolmo.scheme import predicted_sup
+from scenarios import (nosource_spec, source_spec, unit_grid, zero_spec,
+                       SBUMP, XBUMP)
 
 
 class TestZeroData:
@@ -70,6 +73,21 @@ def test_heat_decay_rate():
     assert abs(ratio - expected) / expected <= 0.02
 
 
+class TestJumpMap:
+    def test_bench_jump_map_is_accepted(self):
+        # the workload's beta: 1 + d beta/d lambda >= 0.66 on |lambda| <= M2
+        spec = source_spec()
+        m2 = impulsive_bounds(spec)[0]
+        assert min_jump_slope(spec, m2) == pytest.approx(0.663, abs=2e-3)
+        assert solver.solve_impulsive(spec, unit_grid(8)).tau_plus is not None
+
+    def test_decreasing_jump_map_is_rejected(self):
+        spec = source_spec().with_data(
+            beta=E.parse(f"-1.5*lambda*{XBUMP}*{SBUMP}"))
+        with pytest.raises(ValueError, match="jump map .* decreases"):
+            solver.solve_impulsive(spec, unit_grid(8))
+
+
 class TestImpulsive:
     def test_no_perturbation_continuous(self, grid64):
         spec = nosource_spec()
@@ -123,12 +141,15 @@ class TestDeterminismAndConsistency:
         spec = nosource_spec()
         grid = unit_grid(32)
 
-        def continuity_constant(traj):
+        def continuity_constant(traj, times):
+            """Largest L1 secant slope between consecutive ``times``."""
+            fields = [f for t, f in zip(traj.times, traj.fields)
+                      if t in times]
             best = 0.0
-            for i in range(len(traj.times) - 1):
-                dt_snap = traj.times[i + 1] - traj.times[i]
-                diff = np.sum(np.abs(traj.fields[i + 1].values
-                                     - traj.fields[i].values)) \
+            for i in range(len(times) - 1):
+                dt_snap = times[i + 1] - times[i]
+                diff = np.sum(np.abs(fields[i + 1].values
+                                     - fields[i].values)) \
                     * grid.cell_volume
                 best = max(best, diff / dt_snap)
             return best
@@ -136,15 +157,44 @@ class TestDeterminismAndConsistency:
         t1 = solver.solve_entropy(spec, grid, gamma=0.0)
         t2 = solver.solve_entropy(spec, grid, gamma=0.0,
                                   dt=t1.meta["dt"] / 2.0)
-        c1, c2 = continuity_constant(t1), continuity_constant(t2)
+        # the stride counts steps, so halving dt halves the snapshot
+        # spacing: the secants are compared over the same intervals (the
+        # snapshot one step after tau is not common to both)
+        times = sorted(set(t1.times) & set(t2.times))
+        assert len(times) == len(t1.times) - 1 >= 4
+        c1, c2 = continuity_constant(t1, times), continuity_constant(t2, times)
         assert c2 <= 1.5 * c1
 
     def test_cfl_restart_inflates_bound(self):
+        # the step sized for |u| <= 0.05 lets the sup reach 0.154 at once;
+        # doubling that would be outgrown again, so the restart takes the
+        # region the monotone scheme never leaves
         spec = nosource_spec()
         grid = unit_grid(16)
         traj = solver.solve_entropy(spec, grid, gamma=0.0, m_bound=0.05)
-        assert traj.meta["m_bound"] > 0.05
+        reach = 1.05 * predicted_sup(spec) + 0.5
+        assert traj.meta["m_bound"] == reach
         assert traj.final.sup_norm() <= traj.meta["m_bound"]
+        restart = traj.meta["restart"]
+        assert restart["m_bound"] == 0.05
+        assert 0.05 < restart["sup"] < reach / 2
+        assert 0 < restart["t"] < spec.T
+
+    def test_no_restart_is_recorded_as_none(self):
+        traj = solver.solve_entropy(nosource_spec(), unit_grid(8), gamma=0.0)
+        assert traj.meta["restart"] is None
+
+    def test_escape_beyond_the_reachable_region_is_not_restarted(self):
+        # a spike of 1000 on one cell centre, too narrow for the sampled
+        # data norms: the spec's region is 0.5, and the first step, which
+        # spreads the spike along x, leaves about 2 behind
+        spike = ("1000*max(0, 1-((x-0.46875)/1e-6)^2)"
+                 "*max(0, 1-((s-0.46875)/1e-6)^2)")
+        spec = nosource_spec().with_data(data_u0_1=E.parse(spike))
+        assert 1.05 * predicted_sup(spec) + 0.5 < 0.51
+        with pytest.raises(solver.CflViolationError,
+                           match="beyond 0.5.*the bound the monotone scheme"):
+            solver.solve_entropy(spec, unit_grid(16), gamma=0.0)
 
 
 class TestTraces:

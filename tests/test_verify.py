@@ -60,6 +60,36 @@ class TestMaxPrinciple:
         assert below == []
 
 
+    def test_snapshot_above_the_bound_fails(self, impulsive_run):
+        # a t > 0 snapshot planted one cell above its bound decides the
+        # row; the same value at t = 0, the initial datum, decides nothing
+        spec, traj = impulsive_run["spec"], impulsive_run["traj"]
+        bounds, _ = verify._bound_curves(spec, traj)
+        i = len(traj.times) // 2
+        planted = Trajectory(grid=traj.grid, meta=traj.meta)
+        for t, fld in zip(traj.times, traj.fields):
+            planted.append(t, Field(fld.values.copy(), fld.grid, t))
+        planted.fields[i].values[5, 7] = -1.01 * bounds[i]
+        rep = verify.check_max_principle(planted, spec)
+        assert not rep.passed
+        assert rep.context["t_worst"] == traj.times[i] > 0.0
+        assert rep.context["cell_worst"] == [5, 7]
+        assert rep.measured == 1.01 * bounds[i] and rep.bound == bounds[i]
+
+        planted.fields[i].values[5, 7] = traj.fields[i].values[5, 7]
+        planted.fields[0].values[5, 7] = -1.01 * bounds[0]
+        rep = verify.check_max_principle(planted, spec)
+        assert rep.passed and rep.context["t_worst"] > 0.0
+
+    def test_no_snapshot_after_t0_fails(self):
+        grid = unit_grid(8)
+        traj = Trajectory(grid=grid, meta={"mode": "entropy", "gamma": 0.1})
+        traj.append(0.0, Field(np.zeros((8, 8)), grid, 0.0))
+        rep = verify.check_max_principle(traj, source_spec())
+        assert not rep.passed and rep.measured == np.inf
+        assert rep.context["t_worst"] is None
+
+
 class TestStability:
     def test_self_comparison_is_zero(self, gamma_family):
         traj = gamma_family["trajs"][0.1]
@@ -197,6 +227,22 @@ class TestEntropyResidual:
         rep = verify.check_entropy_residual(traj, spec, [0.2, 0.7, 1.3])
         assert rep.passed
         assert abs(rep.measured) <= 1e-12
+
+    def test_step_above_the_cfl_fails(self):
+        # the CFL step is sized on m_bound = 1.55 while |u| <= 1 here, and
+        # the implicit lateral solve adds dissipation, so a few times the
+        # step still passes; at seven times it, a Courant number of about
+        # 4 on the data, the explicit part is no longer monotone
+        spec = shock_spec()
+        grid = unit_grid(32)
+        opts = SchemeOptions(snapshot_stride=1)
+        dt = 7.0 * Stepper(spec, grid, eps=0.0, gamma=0.0, options=opts).dt
+        traj = solver.solve_entropy(spec, grid, gamma=0.0, options=opts,
+                                    dt=dt)
+        assert traj.meta["restart"] is None
+        rep = verify.check_entropy_residual(
+            traj, spec, [-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
+        assert not rep.passed
 
     def test_requires_stride_one(self, gamma_family):
         with pytest.raises(ValueError):
@@ -557,8 +603,10 @@ def _entropy_residual_reference(traj, spec, k_values):
                    + dt / ds * (q_a[:, 1:] - q_a[:, :-1])
                    + dt / dx * (q_p[1:, :] - q_p[:-1, :]))
             if stepper.options.x_diffusion:
-                ex = eta_pad[:, 1:-1]
-                rho = rho - dt * (ex[:-2, :] - 2.0 * eta0 + ex[2:, :]) / dx ** 2
+                # Kato's form: Lap_x of |u^{n+1} - k|, x-ghosts |0 - k|
+                ex = np.pad(eta1, ((1, 1), (0, 0)), constant_values=abs(k))
+                rho = rho - dt * (ex[:-2, :] - 2.0 * eta1
+                                  + ex[2:, :]) / dx ** 2
             if stepper.eps > 0:
                 es = eta_pad[1:-1, :]
                 rho = rho - dt * stepper.eps * (
