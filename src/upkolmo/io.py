@@ -28,6 +28,8 @@ optional.  ``lateral_diffusion`` names how the step treated the lateral
 Laplacian, and only ``scheme.LATERAL_DIFFUSION`` ("backward_euler") is
 read: a directory written by the earlier explicit update lacks the key,
 so it is refused instead of being scored against the wrong update.
+The retired options ``periodic`` and ``x_diffusion`` load only at the value
+every earlier run wrote (``_RETIRED_OPTIONS``); another value is refused.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ MAGIC = b"UPKF"
 VERSION = 1
 _MARCH_KEYS = ("mode", "lateral_diffusion", "dt", "n_steps", "n_tau",
                "stride", "eps", "gamma", "m_bound", "options")
+# retired option: (the value every earlier run wrote, what another meant)
+_RETIRED_OPTIONS = {"periodic": (False, "periodic ghost cells"),
+                    "x_diffusion": (True, "no lateral Laplacian")}
 
 
 class ParseError(ValueError):
@@ -295,10 +300,11 @@ def _meta_from_json(data):
     opts = out.get("options")
     if isinstance(opts, dict):
         opts = dict(opts)
-        # written as false by every run before periodic ghosts were removed
-        if opts.pop("periodic", False):
-            raise FormatError("meta.json: a run with periodic ghost cells "
-                              "cannot be re-stepped")
+        for name, (kept, what) in _RETIRED_OPTIONS.items():
+            value = opts.pop(name, kept)
+            if value != kept:
+                raise FormatError(f"meta.json: a run with {what} ({name} = "
+                                  f"{json.dumps(value)}) cannot be re-stepped")
         unknown = sorted(set(opts) - {f.name for f in
                                       dataclasses.fields(SchemeOptions)})
         if unknown:

@@ -391,24 +391,23 @@ def stability_rhs(spec, times, d_init, d_s0, d_sS, b0, gamma, m1, dt):
         exp(G(t)) * [d_init + max|a'| * int_0^t exp(-G) (d_s0 + d_sS) dt']
 
     ``d_s0`` and ``d_sS`` are L1(x) boundary-data differences sampled at
-    t-cell midpoints with spacing ``dt``; G accumulates the source's
-    value-Lipschitz rate b0 * K_gamma with the same midpoint rule, for the
-    delay width ``gamma`` the runs used.  max|a'| is taken over
-    [-m1(t), m1(t)], where ``m1`` holds a sup-norm bound of both solutions
-    at each time in ``times``; |a'| is sampled once per curve
-    (``_deriv_max_curve``).  Returns one value per time.
+    t-cell midpoints with spacing ``dt``.  G(t) = b0 P((t - tau)/gamma) is
+    b0 times the kernel mass the march applied by t: P is the primitive its
+    source rate reads (``kernels.k_gamma_primitive``), and ``gamma`` the
+    runs' delay width.  max|a'| is taken over [-m1(t), m1(t)], where ``m1``
+    holds a sup-norm bound of both solutions at each time in ``times``;
+    |a'| is sampled once per curve (``_deriv_max_curve``).
     """
     d_s0 = np.asarray(d_s0, dtype=float)
     d_sS = np.asarray(d_sS, dtype=float)
     mids = (np.arange(len(d_s0)) + 0.5) * dt
     if spec.beta is None or gamma <= 0 or b0 == 0.0:
-        rate = np.zeros(len(d_s0))
+        g, g_ts = np.zeros(len(mids)), np.zeros(len(times))
     else:
-        rate = b0 * kernels.k_gamma(mids, spec.tau, gamma)
-    g = np.cumsum(rate) * dt
+        z, p = kernels.k_gamma_primitive()
+        g, g_ts = (b0 * np.interp((np.asarray(ts) - spec.tau) / gamma, z, p)
+                   for ts in (mids, times))
     weighted = np.exp(-g) * (d_s0 + d_sS)
-    g_ts = np.interp(times, np.concatenate(([0.0], mids)),
-                     np.concatenate(([0.0], g)))
     a_max = _deriv_max_curve(spec.flux_a, m1)
     out = []
     for t, g_t, a in zip(times, g_ts, a_max):

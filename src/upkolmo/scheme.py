@@ -28,8 +28,6 @@ the scheme promises exactly, not just asymptotically: it is monotone, it
 obeys the discrete maximum principle, and by Kato's inequality it obeys
 the discrete entropy inequality (derived in ``verify``; Crandall & Majda,
 Math. Comp. 34, 1980; Evje & Karlsen, SIAM J. Numer. Anal. 37, 2000).
-The lateral term no longer limits dt, which is what sets the step count:
-2/dx^2 is 8,192 of the 8,436 in the 64x64 explicit CFL denominator.
 
 Boundary handling: lateral (x) ghosts are zero for both the convective
 exterior state and the diffusion stencil.  In s, prescribed exterior states
@@ -117,7 +115,6 @@ class SchemeOptions:
     flux_kind: str = ENGQUIST_OSHER
     cfl_safety: float = 0.9
     snapshot_stride: int = 32
-    x_diffusion: bool = True      # debug: False drops the lateral Laplacian
 
 
 def predicted_sup(spec):
@@ -242,8 +239,7 @@ class Stepper:
         self.n_steps = n_steps
         self.n_tau = min(max(int(round(spec.tau / self.dt)), 1), n_steps - 1) \
             if 0 < spec.tau < spec.T else None
-        self._pivots = (_pivots(grid.nx, self.dt / grid.dx ** 2)
-                        if self.options.x_diffusion else None)
+        self._pivots = _pivots(grid.nx, self.dt / grid.dx ** 2)
         self._primitive = None
         if spec.beta is not None and self.gamma > 0:
             self._primitive = kernels.k_gamma_primitive()
@@ -402,8 +398,7 @@ class Stepper:
             new = new + dt * self.eps * lap_s
         if b is not None:
             new = new + dt * k * b
-        if self._pivots is not None:
-            new = self._solve_lateral(new)
+        new = self._solve_lateral(new)
         if not np.all(np.isfinite(new)):
             bad = np.argwhere(~np.isfinite(new))[0]
             raise NaNDetectedError(

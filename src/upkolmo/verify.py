@@ -444,15 +444,14 @@ def check_entropy_residual(traj, spec, k_values):
         rho = (eta1 - eta0
                + dt / ds * (q_a[..., 1:] - q_a[..., :-1])
                + dt / dx * (q_p[..., 1:, :] - q_p[..., :-1, :]))
-        if stepper.options.x_diffusion:
-            # Kato's form: the Laplacian of eta(u^{n+1}), ghosts |0 - k|
-            ghost = np.abs(ks)
-            lap = -2.0 * eta1
-            lap[..., 1:, :] += eta1[..., :-1, :]
-            lap[..., :-1, :] += eta1[..., 1:, :]
-            lap[..., 0, :] += ghost[..., 0, :]
-            lap[..., -1, :] += ghost[..., 0, :]
-            rho = rho - dt * lap / dx ** 2
+        # Kato's form: the Laplacian of eta(u^{n+1}), ghosts |0 - k|
+        ghost = np.abs(ks)
+        lap = -2.0 * eta1
+        lap[..., 1:, :] += eta1[..., :-1, :]
+        lap[..., :-1, :] += eta1[..., 1:, :]
+        lap[..., 0, :] += ghost[..., 0, :]
+        lap[..., -1, :] += ghost[..., 0, :]
+        rho = rho - dt * lap / dx ** 2
         if stepper.eps > 0:
             es = eta_pad[..., 1:-1, :]
             rho = rho - dt * stepper.eps * (

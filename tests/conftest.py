@@ -3,9 +3,9 @@
 import pytest
 
 from upkolmo import solver, verify
-from upkolmo.scheme import Stepper, predicted_sup
-from scenarios import (diffusionless_options, nosource_spec, perturbed_spec,
-                       shock_spec, source_spec, unattainable_spec, unit_grid)
+from upkolmo.scheme import SchemeOptions, Stepper, predicted_sup
+from scenarios import (box_grid, nosource_spec, perturbed_spec, shock_spec,
+                       source_spec, unattainable_spec, unit_grid)
 
 
 @pytest.fixture(scope="session")
@@ -81,16 +81,16 @@ def impulsive_run(grid64):
 @pytest.fixture(scope="session")
 def shock_run():
     spec = shock_spec()
-    grid = unit_grid(64)
+    grid = box_grid(spec)
     traj = solver.solve_entropy(spec, grid, gamma=0.0,
-                                options=diffusionless_options(stride=1))
+                                options=SchemeOptions(snapshot_stride=1))
     return {"spec": spec, "traj": traj, "grid": grid}
 
 
 @pytest.fixture(scope="session")
 def unattainable_run():
     spec = unattainable_spec()
-    grid = unit_grid(64)
+    grid = box_grid(spec)
     traj = solver.solve_entropy(spec, grid, gamma=0.0,
-                                options=diffusionless_options(stride=1))
+                                options=SchemeOptions(snapshot_stride=1))
     return {"spec": spec, "traj": traj, "grid": grid}

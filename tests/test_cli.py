@@ -4,6 +4,7 @@
 verification check failed.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from upkolmo import cli, verify
 from upkolmo import io as upk_io
 from upkolmo.problem import Field
+from upkolmo.scheme import SchemeOptions
 from scenarios import BETA_TEXT, SBUMP, U01_TEXT, XBUMP
 
 CONFIG = f"""\
@@ -90,6 +92,20 @@ def test_malformed_config_exits_1(tmp_path, capsys, command):
         argv += ["--traj", str(tmp_path / "traj")]
     assert cli.main(argv) == 1
     assert "unterminated section header" in capsys.readouterr().err
+
+
+def test_config_sets_every_scheme_option(tmp_path):
+    # an option no config can set is a second equation only code reaches:
+    # the config moves every field of SchemeOptions off its default
+    cfg = tmp_path / "options.cfg"
+    cfg.write_text(_config(tmp_path).read_text()
+                   .replace("engquist_osher", "lax_friedrichs")
+                   .replace("cfl_safety = 0.9", "cfl_safety = 0.5"))
+    options = upk_io.load_config(cfg).options
+    assert options == SchemeOptions(flux_kind="lax_friedrichs",
+                                    cfl_safety=0.5, snapshot_stride=4)
+    for field in dataclasses.fields(SchemeOptions):
+        assert getattr(options, field.name) != field.default, field.name
 
 
 def test_verify_refuses_a_config_the_run_did_not_come_from(run_dir, tmp_path,

@@ -12,7 +12,7 @@ from upkolmo.scheme import LAX_FRIEDRICHS, SchemeOptions
 from scenarios import unit_grid
 
 OPTIONS = SchemeOptions(flux_kind=LAX_FRIEDRICHS, cfl_safety=0.5,
-                        snapshot_stride=3, x_diffusion=False)
+                        snapshot_stride=3)
 
 
 def _trajectory():
@@ -47,25 +47,29 @@ def test_meta_json_lists_every_option_once(tmp_path):
     text = (tmp_path / "meta.json").read_text()
     stored = json.loads(text)["options"]
     assert stored == {"flux_kind": LAX_FRIEDRICHS, "cfl_safety": 0.5,
-                      "snapshot_stride": 3, "x_diffusion": False}
+                      "snapshot_stride": 3}
     assert text == json.dumps(json.loads(text), indent=1, sort_keys=True)
 
 
-def _with_periodic(tmp_path, value):
+def _with_option(tmp_path, name, value):
     upk_io.write_trajectory(tmp_path, _trajectory())
     meta = json.loads((tmp_path / "meta.json").read_text())
-    meta["options"]["periodic"] = value
+    meta["options"][name] = value
     (tmp_path / "meta.json").write_text(json.dumps(meta))
 
 
-def test_legacy_periodic_false_loads(tmp_path):
-    _with_periodic(tmp_path, False)
+@pytest.mark.parametrize("name, kept", [("periodic", False),
+                                         ("x_diffusion", True)])
+def test_retired_option_loads_only_at_its_kept_value(tmp_path, name, kept):
+    # every earlier run wrote the kept value; the other one solved another
+    # equation and cannot be re-stepped
+    _with_option(tmp_path, name, kept)
     assert upk_io.read_trajectory(tmp_path).meta["options"] == OPTIONS
-
-
-def test_periodic_true_cannot_be_loaded(tmp_path):
-    _with_periodic(tmp_path, True)
-    with pytest.raises(upk_io.FormatError, match="periodic"):
+    _with_option(tmp_path, name, not kept)
+    named = f"\\({name} = {json.dumps(not kept)}\\)"
+    with pytest.raises(upk_io.FormatError,
+                       match=f"^meta.json: a run with .* {named} cannot be "
+                             "re-stepped$"):
         upk_io.read_trajectory(tmp_path)
 
 

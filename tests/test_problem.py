@@ -6,7 +6,8 @@ import pytest
 from upkolmo import exprdsl as E
 from upkolmo import kernels
 from upkolmo import problem as P
-from scenarios import source_spec, nosource_spec, perturbed_spec
+from upkolmo.scheme import Stepper
+from scenarios import source_spec, nosource_spec, perturbed_spec, unit_grid
 
 
 def const_data_spec(u01="1", u02="1", uS2="1", **kwargs):
@@ -225,6 +226,19 @@ class TestStabilityRhs:
         got = _rhs_at(spec, 1.0, 1.0, zeros, zeros, b0=b0, m1=1.0)
         # G(T) = b0 * integral of the kernel = b0 (unit mass)
         assert got == pytest.approx(math.exp(b0), rel=1e-6)
+
+    @pytest.mark.parametrize("cells", [16, 32, 64])
+    def test_gronwall_weight_is_the_mass_the_march_applies(self, cells):
+        # at the run's own dt G(T) is b0 to roundoff, as the march applies
+        # unit kernel mass; a midpoint sum of K_gamma gave G(T)/b0 =
+        # 0.99956, 1.0000128 and 1.0304 on these grids
+        spec = source_spec()
+        stepper = Stepper(spec, unit_grid(cells))
+        b0 = 0.5
+        zeros = np.zeros(stepper.n_steps)
+        got, = P.stability_rhs(spec, [spec.T], 1.0, zeros, zeros, b0,
+                               stepper.gamma, [1.0], stepper.dt)
+        assert got == pytest.approx(math.exp(b0), rel=1e-15)
 
     @staticmethod
     def _spy_curves(monkeypatch):

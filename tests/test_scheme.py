@@ -8,8 +8,8 @@ from upkolmo import kernels
 from upkolmo import scheme as S
 from upkolmo import verify
 from upkolmo.problem import Grid
-from scenarios import nosource_spec, shock_spec, source_spec, zero_spec, \
-    diffusionless_options, unattainable_spec
+from scenarios import (box_grid, nosource_spec, shock_spec, source_spec,
+                       unattainable_spec, zero_spec)
 
 BURGERS = E.parse("lambda^2/2")
 
@@ -174,14 +174,6 @@ class TestCfl:
         assert _cfl(spec, grid, options=opts) == pytest.approx(
             0.9 / (1.05 * 20.0), rel=1e-6)
 
-    def test_without_lateral_diffusion(self):
-        # dropping the Laplacian leaves the step as it is
-        spec = nosource_spec().with_data(flux_a=E.parse("lambda"),
-                                         flux_phi=(E.parse("lambda"),))
-        grid = Grid(nx=10, ns=10, L=1.0, S=1.0)
-        opts = S.SchemeOptions(x_diffusion=False)
-        assert _cfl(spec, grid, options=opts) == _cfl(spec, grid)
-
     def test_eps_override(self):
         # the Stepper's eps, not spec.epsilon = 0: + 2 * 0.01 / 0.1^2 = 2
         spec = nosource_spec().with_data(flux_a=E.parse("lambda"),
@@ -251,16 +243,18 @@ class TestStep:
 
     def test_constant_preserved(self):
         # zero x-flux and s-end data equal to the constant: every interface
-        # flux is the same, so one step leaves 0.37 bit for bit
+        # flux is the same, so the explicit part leaves 0.37 bit for bit and
+        # the step is the lateral solve of the constant alone
         spec = nosource_spec().with_data(flux_phi=(E.parse("0"),),
                                          data_u0_2=E.parse("0.37"),
                                          data_uS_2=E.parse("0.37"))
         grid = Grid(16, 16, 1.0, 1.0)
         for kind in (S.ENGQUIST_OSHER, S.LAX_FRIEDRICHS):
-            opts = S.SchemeOptions(flux_kind=kind, x_diffusion=False)
+            opts = S.SchemeOptions(flux_kind=kind)
             stepper = S.Stepper(spec, grid, eps=0.0, options=opts)
             out = stepper.step(np.full((16, 16), 0.37), t=0.0)
-            assert np.array_equal(out, np.full((16, 16), 0.37))
+            want = stepper._solve_lateral(np.full((16, 16), 0.37))
+            assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("kind", [S.ENGQUIST_OSHER, S.LAX_FRIEDRICHS])
     def test_discrete_max_principle_exact(self, kind):
@@ -342,9 +336,8 @@ class TestStep:
 
     def test_shock_speed(self):
         spec = shock_spec()
-        grid = Grid(64, 64, 1.0, 1.0)
-        opts = diffusionless_options(stride=8)
-        stepper = S.Stepper(spec, grid, options=opts)
+        grid = box_grid(spec)
+        stepper = S.Stepper(spec, grid)
         xc, sc = grid.cell_centers()
         u = np.broadcast_to(
             np.asarray(E.evaluate(spec.data_u0_1,
@@ -443,6 +436,25 @@ class TestLateralSolve:
             e = d + rng.uniform(0.0, 1.0, (64, 6)) * hit
             assert np.all(stepper._solve_lateral(d.copy())
                           <= stepper._solve_lateral(e.copy()))
+
+    @pytest.mark.parametrize("n, centre", [(64, 1.3e-7), (32, 7e-7)])
+    def test_how_far_the_zero_walls_reach(self, n, centre):
+        # a shock run's lateral solves alone, on a row of ones: on the
+        # wide box the centre rows lose 1.2e-7 (64x64, 111 steps) or
+        # 6.9e-7 (32x32, 56 steps) and the wall rows 0.72-0.86; on the
+        # unit box every row loses more than 0.9997
+        loss = {}
+        for L in (16.0, 1.0):
+            spec = shock_spec(L=L)
+            stepper = S.Stepper(spec, box_grid(spec, n))
+            u = np.ones((n, 1))
+            for _ in range(stepper.n_steps):
+                u = stepper._solve_lateral(u)
+            loss[L] = 1.0 - u[:, 0]
+        wide, unit = loss[16.0], loss[1.0]
+        assert max(wide[n // 2 - 1], wide[n // 2]) <= centre
+        assert min(wide[0], wide[-1]) >= 0.7
+        assert unit.min() > 0.9997
 
 
 @pytest.mark.parametrize("kind", [S.ENGQUIST_OSHER, S.LAX_FRIEDRICHS])
@@ -608,7 +620,7 @@ class TestGhostRows:
             compile=counting, evaluate=E.evaluate, eval_dual=E.eval_dual))
 
     def test_time_dependent_data_are_evaluated_at_each_t(self, monkeypatch):
-        spec = unattainable_spec()
+        spec = unattainable_spec(L=1.0)
         counts = {}
         self._counting_compile(monkeypatch, counts)
         stepper = S.Stepper(spec, Grid(16, 16, 1.0, 1.0))

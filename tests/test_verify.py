@@ -9,9 +9,8 @@ from upkolmo.problem import (Field, Trajectory, ZeroInitialDataError,
                              stability_rhs, stability_rhs_impulsive)
 from upkolmo.scheme import (LAX_FRIEDRICHS, SchemeOptions, Stepper,
                             predicted_sup)
-from scenarios import (diffusionless_options, nosource_spec, perturbed_spec,
-                       shock_spec, source_spec, unattainable_spec, unit_grid,
-                       zero_spec)
+from scenarios import (box_grid, nosource_spec, perturbed_spec, shock_spec,
+                       source_spec, unattainable_spec, unit_grid, zero_spec)
 
 
 class TestMaxPrinciple:
@@ -43,9 +42,9 @@ class TestMaxPrinciple:
     def test_every_bound_covers_its_own_boundary_data(self):
         # the inflow ramp rises with t, so a snapshot's data norm must
         # include the data at the snapshot's own time
-        spec = unattainable_spec()
+        spec = unattainable_spec(L=1.0)
         traj = solver.solve_entropy(spec, unit_grid(16), gamma=0.0,
-                                    options=diffusionless_options(stride=1))
+                                    options=SchemeOptions(snapshot_stride=1))
         bounds, _ = verify._bound_curves(spec, traj)
         xs = np.linspace(0.0, spec.L, 256)
 
@@ -221,7 +220,7 @@ class TestEntropyResidual:
         spec = nosource_spec().with_data(data_u0_1=E.parse("0.7"),
                                          data_u0_2=E.parse("0.7"),
                                          data_uS_2=E.parse("0.7"))
-        opts = SchemeOptions(snapshot_stride=1, x_diffusion=False)
+        opts = SchemeOptions(snapshot_stride=1)
         traj = solver.solve_entropy(spec, unit_grid(16), gamma=0.0,
                                     options=opts)
         rep = verify.check_entropy_residual(traj, spec, [0.2, 0.7, 1.3])
@@ -233,7 +232,7 @@ class TestEntropyResidual:
         # the implicit lateral solve adds dissipation, so a few times the
         # step still passes; at seven times it, a Courant number of about
         # 4 on the data, the explicit part is no longer monotone
-        spec = shock_spec()
+        spec = shock_spec(L=1.0)
         grid = unit_grid(32)
         opts = SchemeOptions(snapshot_stride=1)
         dt = 7.0 * Stepper(spec, grid, eps=0.0, gamma=0.0, options=opts).dt
@@ -267,10 +266,13 @@ class TestBln:
         spec = shock_spec().with_data(flux_a=E.parse("2*lambda"),
                                       data_u0_2=E.parse("0.5"),
                                       data_uS_2=E.parse("0"))
-        traj = solver.solve_entropy(spec, unit_grid(32), gamma=0.0,
-                                    options=diffusionless_options(stride=8))
+        traj = solver.solve_entropy(spec, box_grid(spec, 32), gamma=0.0,
+                                    options=SchemeOptions(snapshot_stride=8))
         rep = verify.check_bln(traj, spec, list(np.linspace(-1, 1, 9)))
         assert rep.passed
+        # the check's tol 5 (ds + dx) grows with the wide box's dx = L/n;
+        # the measure stays within the unit box's 10 ds
+        assert rep.measured <= 10.0 * traj.grid.ds
 
     def test_linear_flux_inflow_stride1(self):
         # every step is a snapshot, so the first ones after t = 0 still
@@ -278,12 +280,12 @@ class TestBln:
         spec = shock_spec().with_data(flux_a=E.parse("2*lambda"),
                                       data_u0_2=E.parse("0.5"),
                                       data_uS_2=E.parse("0"))
-        traj = solver.solve_entropy(spec, unit_grid(32), gamma=0.0,
-                                    options=diffusionless_options(stride=1))
+        traj = solver.solve_entropy(spec, box_grid(spec, 32), gamma=0.0,
+                                    options=SchemeOptions(snapshot_stride=1))
         rep = verify.check_bln(traj, spec, list(np.linspace(-1, 1, 9)))
         assert rep.passed
         assert rep.context["n_scored"] == len(traj.times) - 1
-        assert rep.measured > 1e-2
+        assert 1e-2 < rep.measured <= 10.0 * traj.grid.ds
 
     # Hand-built 8x8 trajectories with s-flux 2*lambda and data 0.4: a
     # trace of 2.0 scores 4.0 at k = 1, far above tol = 1.25.
@@ -339,6 +341,7 @@ class TestBln:
         ks = list(np.linspace(-2.5, 2.5, 9))
         rep = verify.check_bln(traj, spec, ks)
         assert rep.passed
+        assert rep.measured <= 10.0 * traj.grid.ds   # the unit box's tol
         # while the inequality holds, the prescribed final data stays
         # unattained by an O(1) margin
         xc, _ = traj.grid.cell_centers()
@@ -602,11 +605,9 @@ def _entropy_residual_reference(traj, spec, k_values):
             rho = (eta1 - eta0
                    + dt / ds * (q_a[:, 1:] - q_a[:, :-1])
                    + dt / dx * (q_p[1:, :] - q_p[:-1, :]))
-            if stepper.options.x_diffusion:
-                # Kato's form: Lap_x of |u^{n+1} - k|, x-ghosts |0 - k|
-                ex = np.pad(eta1, ((1, 1), (0, 0)), constant_values=abs(k))
-                rho = rho - dt * (ex[:-2, :] - 2.0 * eta1
-                                  + ex[2:, :]) / dx ** 2
+            # Kato's form: Lap_x of |u^{n+1} - k|, x-ghosts |0 - k|
+            ex = np.pad(eta1, ((1, 1), (0, 0)), constant_values=abs(k))
+            rho = rho - dt * (ex[:-2, :] - 2.0 * eta1 + ex[2:, :]) / dx ** 2
             if stepper.eps > 0:
                 es = eta_pad[1:-1, :]
                 rho = rho - dt * stepper.eps * (
@@ -644,16 +645,18 @@ def _deriv_max_curve_reference(expr, curve):
 
 def _stability_rhs_reference(spec, t, d_init, d_s0, d_sS, b0, gamma, a_max,
                              dt):
-    n = len(d_s0)
-    mids = (np.arange(n) + 0.5) * dt
-    if spec.beta is None or gamma <= 0 or b0 == 0.0:
-        rate = np.zeros(n)
-    else:
-        rate = b0 * kernels.k_gamma(mids, spec.tau, gamma)
-    g = np.cumsum(rate) * dt
+    mids = (np.arange(len(d_s0)) + 0.5) * dt
+
+    def g_at(ts):
+        """G = b0 * P((t - tau)/gamma), the kernel mass applied by t."""
+        if spec.beta is None or gamma <= 0 or b0 == 0.0:
+            return np.zeros_like(ts)
+        z, p = kernels.k_gamma_primitive()
+        return b0 * np.interp((ts - spec.tau) / gamma, z, p)
+
+    g = g_at(mids)
     live = mids < t
-    g_t = float(np.interp(t, np.concatenate(([0.0], mids)),
-                          np.concatenate(([0.0], g))))
+    g_t = float(g_at(np.array([t]))[0])
     boundary = float(np.sum(np.exp(-g[live]) * (d_s0[live] + d_sS[live])) * dt)
     return float(np.exp(g_t) * (d_init + a_max * boundary))
 
@@ -805,7 +808,7 @@ class TestHoistedAgainstReference:
         # problem's zero boundary data
         source, runs = small_runs
         traj = runs["entropy", 32]
-        spec = unattainable_spec()
+        spec = unattainable_spec(L=1.0)
         _, d_s0, d_sS = verify._boundary_series(
             spec, source, traj.grid, traj.meta["n_steps"], traj.meta["dt"])
         self._assert_stability_curve(spec, traj, d_s0, d_sS, b0=0.5)
@@ -816,7 +819,7 @@ class TestHoistedAgainstReference:
         other = {"both": perturbed_spec(spec, 0.05), "first": nosource_spec(),
                  "second": spec, "ramp": spec}[pair]
         spec1 = {"second": nosource_spec(),
-                 "ramp": unattainable_spec()}.get(pair, spec)
+                 "ramp": unattainable_spec(L=1.0)}.get(pair, spec)
         traj = runs["impulsive", 32]
         dt, n = traj.meta["dt"], traj.meta["n_steps"]
         if pair == "ramp":
