@@ -77,7 +77,7 @@ def _cmd_run(args):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out or loaded.output_dir)
-    config_io.write_trajectory(out, traj, d=loaded.spec.d)
+    config_io.write_trajectory(out, traj)
     grid = traj.grid
     print(f"{'t':>10}  {'sup|u|':>12}  {'||u||_L2^2':>12}")
     for t, fld in zip(traj.times, traj.fields):
@@ -91,11 +91,9 @@ def _cmd_sweep(args):
     loaded = _load(args.config)
     if loaded is None:
         return 1
-    values = [float(v) for v in args.values.split(",")]
     spec, grid, options = loaded.spec, loaded.grid, loaded.options
-    out = Path(args.out or loaded.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        values = [float(v) for v in args.values.split(",")]
         with (ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1
               else contextlib.nullcontext()) as pool:
             map_fn = pool.map if pool else map
@@ -114,6 +112,8 @@ def _cmd_sweep(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    out = Path(args.out or loaded.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / f"{args.param}_sweep.csv", "w", encoding="utf-8") as fh:
         fh.write(f"{args.param},error\n")
         if args.param == "gamma":
@@ -125,7 +125,7 @@ def _cmd_sweep(args):
     verify.write_reports(out / "sweep_report.csv", [report])
     print(f"{args.param} sweep: errors = {errors}")
     print(f"report: {report.check} pass={report.passed}")
-    return 0
+    return 0 if report.passed else 3
 
 
 def _cmd_verify(args):

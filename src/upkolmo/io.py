@@ -11,11 +11,11 @@ Field files (extension ``.upkf``) are little-endian and bit-exact:
 
     magic   4 bytes  "UPKF"
     version u32      1
-    d       u32      spatial dimension
+    d       u32      spatial dimension, always 1
     Nx      u32      cells per spatial axis
     Ns      u32      cells along s
     t       f64      snapshot time
-    payload Nx^d * Ns f64, x-major then s
+    payload Nx * Ns f64, x-major then s
 
 A trajectory directory holds one field file per snapshot, an ``index.csv``
 mapping snapshot times to filenames (with a role column marking the
@@ -250,10 +250,10 @@ def load_config(path):
 
 # --- binary fields -------------------------------------------------------------
 
-def write_field(path, field, d=1):
+def write_field(path, field):
     values = np.ascontiguousarray(field.values, dtype="<f8")
     nx, ns = values.shape
-    header = MAGIC + struct.pack("<IIII", VERSION, d, nx, ns) \
+    header = MAGIC + struct.pack("<IIII", VERSION, 1, nx, ns) \
         + struct.pack("<d", float(field.t))
     with open(path, "wb") as fh:
         fh.write(header)
@@ -272,7 +272,7 @@ def read_field(path, L=1.0, S=1.0):
     if d != 1:
         raise FormatError(f"{path}: unsupported dimension d={d}")
     (t,) = struct.unpack("<d", blob[20:28])
-    expected = nx ** d * ns * 8
+    expected = nx * ns * 8
     if len(blob) != 28 + expected:
         raise FormatError(f"{path}: payload length {len(blob) - 28} does not "
                           f"match header ({expected} bytes expected)")
@@ -313,19 +313,19 @@ def _meta_from_json(data):
     return out
 
 
-def write_trajectory(directory, traj, d=1):
+def write_trajectory(directory, traj):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, (t, fld) in enumerate(zip(traj.times, traj.fields)):
         name = f"field_{i:06d}.upkf"
-        write_field(directory / name, fld, d=d)
+        write_field(directory / name, fld)
         rows.append((t, name, "snapshot"))
     if traj.tau_minus is not None:
-        write_field(directory / "tau_minus.upkf", traj.tau_minus, d=d)
+        write_field(directory / "tau_minus.upkf", traj.tau_minus)
         rows.append((traj.tau_minus.t, "tau_minus.upkf", "tau_minus"))
     if traj.tau_plus is not None:
-        write_field(directory / "tau_plus.upkf", traj.tau_plus, d=d)
+        write_field(directory / "tau_plus.upkf", traj.tau_plus)
         rows.append((traj.tau_plus.t, "tau_plus.upkf", "tau_plus"))
     with open(directory / "index.csv", "w", encoding="utf-8") as fh:
         fh.write("t,filename,role\n")

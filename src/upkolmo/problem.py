@@ -9,8 +9,9 @@ a-priori theory:
 * ``refined_max_bound`` -- sharper sup-norm bound for a delayed impulse
   source whose perturbation vanishes for |value| > b1.
 * ``stability_rhs`` -- right-hand side of the L1 data-stability estimate,
-  with the Gronwall weight accumulated by the midpoint t-quadrature of
-  the kernel on the run's steps.
+  with the Gronwall weight b0 P((t - tau)/gamma) read from the kernel's
+  tabulated primitive P (``kernels.k_gamma_primitive``), the table the
+  march's source rate reads.
 * ``impulsive_bounds`` -- sup-norm bounds before (M2) and after (M3) the
   jump of the impulsive problem, for one run or for a pair of runs.
 * ``stability_rhs_impulsive`` -- the impulsive counterpart of the L1

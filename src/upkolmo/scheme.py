@@ -36,17 +36,16 @@ imposed strongly in the eps * D_ss stencil.  Attainment at the s-ends is
 not forced, so computed traces may deviate from the prescribed data; the
 verifier checks the boundary entropy inequalities on the traces instead.
 
-Inside the time loop both numerical fluxes are split into a per-cell part
-and a per-interface part: ``values(w)`` looks up what depends on one cell
-value only, once per cell, and ``combine(vL, vR, wL, wR)`` forms the flux
-at each interface from its two neighbours, so that ``flux(wL, wR) =
-combine(values(wL), values(wR), wL, wR)``.
-
-Both fluxes are also sum-split, F(uL, uR) = g(uL) + h(uR), and ``split(w)``
-returns the two per-cell parts (g(w), h(w)): for Engquist-Osher g = f(0) +
-f_plus and h = f_minus, for Lax-Friedrichs g = (f + alpha w)/2 and h =
-(f - alpha w)/2.  The entropy-residual check builds its Kruzhkov fluxes
-from them (see ``verify``); the march keeps ``combine``.
+Both fluxes are sum-split, F(uL, uR) = g(uL) + h(uR), and ``split(w)``
+is their only form: it returns the two per-cell parts (g(w), h(w)), looked
+up once per cell, and the step forms each interface flux as g(uL) + h(uR).
+For Engquist-Osher g = f(0) + f_plus and h = f_minus, for Lax-Friedrichs
+g = (f + alpha w)/2 and h = (f - alpha w)/2.  The entropy-residual check
+builds its Kruzhkov fluxes from the same parts (see ``verify``), so it
+certifies the fluxes the march computed.  Each flux also carries
+``coeff``, a bound on g'(w) - h'(w) over [-m_bound, m_bound] (max|f'| for
+Engquist-Osher, alpha for Lax-Friedrichs): what a cell's own coefficient
+loses per unit dt/ds, the convective term of ``Stepper._cfl``.
 
 For Engquist-Osher the split integrals are read from a cumulative-midpoint
 table (node spacing 1/1024) with linear interpolation.  The table is
@@ -57,9 +56,7 @@ stored as one complex table ``f_plus + 1j * f_minus``, so a single
 ``np.interp`` returns them together.  This is exact, not just close: the
 complex interpolation multiplies by 1/h where the real one divides by h,
 and with h = 2^-10 both are exact scalings by a power of two, so each
-part equals the real interpolation of its own table bit for bit.  For
-Lax-Friedrichs the per-cell part is f(w), evaluated once per cell instead
-of once on each side of every interface.
+part equals the real interpolation of its own table bit for bit.
 """
 
 from __future__ import annotations
@@ -135,10 +132,12 @@ def reachable_bound(spec):
 # --- tabulated split fluxes ------------------------------------------------
 
 class _SplitTable:
-    """Cumulative-midpoint table of the Engquist-Osher split integrals."""
+    """Cumulative-midpoint table of the Engquist-Osher split integrals on
+    [-(m_bound + 1), m_bound + 1]."""
 
-    def __init__(self, f, radius):
-        k = math.ceil(radius / _TABLE_SPACING)
+    def __init__(self, f, m_bound):
+        self.coeff = sampled_deriv_max(f, -m_bound, m_bound)
+        k = math.ceil((m_bound + 1.0) / _TABLE_SPACING)
         self.nodes = (np.arange(-k, k + 1)) * _TABLE_SPACING
         mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
         _, d = exprdsl.eval_dual(f, {"lambda": mids}, "lambda")
@@ -151,44 +150,31 @@ class _SplitTable:
         self.table = (cp - cp[k]) + 1j * (cm - cm[k])
         self.f0 = float(exprdsl.evaluate(f, {"lambda": 0.0}))
 
-    def values(self, w):
-        """Both split integrals at each cell value, as f_plus + 1j f_minus."""
-        return np.interp(w.ravel(), self.nodes, self.table).reshape(w.shape)
-
-    def combine(self, vL, vR, wL, wR):
-        return self.f0 + vL.real + vR.imag
-
     def split(self, w):
         """(g(w), h(w)) with flux(wL, wR) = g(wL) + h(wR)."""
-        v = self.values(w)
+        v = np.interp(w.ravel(), self.nodes, self.table).reshape(w.shape)
         return self.f0 + v.real, v.imag
 
     def flux(self, wL, wR):
-        return self.combine(self.values(wL), self.values(wR), wL, wR)
+        return self.split(wL)[0] + self.split(wR)[1]
 
 
 class _LFFlux:
-    def __init__(self, f, alpha):
+    """Lax-Friedrichs flux with alpha = _LF_WIDEN max|f'| on
+    [-m_bound, m_bound]."""
+
+    def __init__(self, f, m_bound):
         self.f = exprdsl.compile(f)[0]
-        self.alpha = alpha
-
-    def values(self, w):
-        """f at each cell value."""
-        v = self.f({"lambda": w})
-        # a flux that does not read lambda returns one value for all cells
-        return (v if np.shape(v) == np.shape(w)
-                else np.broadcast_to(v, np.shape(w)))
-
-    def combine(self, vL, vR, wL, wR):
-        return 0.5 * (vL + vR) - 0.5 * self.alpha * (wR - wL)
+        self.coeff = _LF_WIDEN * sampled_deriv_max(f, -m_bound, m_bound)
 
     def split(self, w):
         """(g(w), h(w)) with flux(wL, wR) = g(wL) + h(wR)."""
-        v = self.values(w)
-        return 0.5 * (v + self.alpha * w), 0.5 * (v - self.alpha * w)
+        v = self.f({"lambda": w})
+        aw = self.coeff * w
+        return 0.5 * (v + aw), 0.5 * (v - aw)
 
     def flux(self, wL, wR):
-        return self.combine(self.values(wL), self.values(wR), wL, wR)
+        return self.split(wL)[0] + self.split(wR)[1]
 
 
 # --- the stepper -----------------------------------------------------------
@@ -232,6 +218,10 @@ class Stepper:
             m_bound = reachable_bound(spec)
         self.m_bound = m_bound
         self.xc, self.sc = grid.cell_centers()
+        kind = (_SplitTable if self.options.flux_kind == ENGQUIST_OSHER
+                else _LFFlux)
+        self.flux_a = kind(spec.flux_a, m_bound)
+        self.flux_phi = kind(spec.flux_phi[0], m_bound)
         if dt is None:
             dt = self._cfl()
         n_steps = max(1, math.ceil(spec.T / dt - 1e-12))
@@ -253,30 +243,18 @@ class Stepper:
         if not any("t" in free for _, free in self._data):
             self._fixed_rows = self.boundary_values(0.0)
 
-        if self.options.flux_kind == ENGQUIST_OSHER:
-            self.flux_a = _SplitTable(spec.flux_a, m_bound + 1.0)
-            self.flux_phi = _SplitTable(spec.flux_phi[0], m_bound + 1.0)
-        else:
-            alpha_a = _LF_WIDEN * sampled_deriv_max(spec.flux_a, -m_bound,
-                                                    m_bound)
-            alpha_p = _LF_WIDEN * sampled_deriv_max(spec.flux_phi[0], -m_bound,
-                                                    m_bound)
-            self.flux_a = _LFFlux(spec.flux_a, alpha_a)
-            self.flux_phi = _LFFlux(spec.flux_phi[0], alpha_p)
-
     def _cfl(self):
         """Time step: the monotonicity bound of the step's explicit part,
 
-            dt = safety / ( w max|a'|/ds + w max|phi'|/dx + 2 eps / ds^2
+            dt = safety / ( coeff_a/ds + coeff_phi/dx + 2 eps / ds^2
                             + sup K_gamma * b0 ).
 
-        Derivative maxima are sampled over [-m_bound, m_bound].  A cell's
-        own coefficient is 1 - dt times this sum at most, so it stays
-        nonnegative for safety <= 1.  At an interface the two one-sided
-        flux derivatives differ by at most max|f'| for Engquist-Osher, w =
-        1, and by exactly the dissipation alpha for Lax-Friedrichs, w =
-        _LF_WIDEN.  The lateral Laplacian is solved implicitly and has no
-        term here.
+        coeff is each flux's bound on g' - h' (see the module notes):
+        max|f'| on [-m_bound, m_bound] for Engquist-Osher, the dissipation
+        alpha = _LF_WIDEN max|f'| for Lax-Friedrichs.  A cell's own
+        coefficient is 1 - dt times this sum at most, so it stays
+        nonnegative for safety <= 1.  The lateral Laplacian is solved
+        implicitly and has no term here.
 
         With zero fluxes, eps = 0 and no source no term is left, and dt is
         capped for accuracy instead.  Backward Euler damps the first
@@ -293,12 +271,7 @@ class Stepper:
         safety = self.options.cfl_safety
         if not (0.0 < safety <= 1.0):
             raise ValueError(f"safety must be in (0, 1], got {safety}")
-        M = max(self.m_bound, 1e-12)
-        widen = (_LF_WIDEN if self.options.flux_kind == LAX_FRIEDRICHS
-                 else 1.0)
-        denom = widen * (
-            sampled_deriv_max(spec.flux_a, -M, M) / grid.ds
-            + sampled_deriv_max(spec.flux_phi[0], -M, M) / grid.dx)
+        denom = self.flux_a.coeff / grid.ds + self.flux_phi.coeff / grid.dx
         if self.eps > 0:
             denom += 2.0 * self.eps / grid.ds ** 2
         if spec.beta is not None and self.gamma > 0:
@@ -380,17 +353,16 @@ class Stepper:
         wx = w[:, 1:-1]
         k = self.source_rate(t)
         try:
-            va = self.flux_a.values(ws)
-            vp = self.flux_phi.values(wx)
+            g_a, h_a = self.flux_a.split(ws)
+            g_p, h_p = self.flux_phi.split(wx)
             b = (self.beta_fn({"x": self.xc[:, None], "s": self.sc[None, :],
                                "lambda": u}) if k != 0.0 else None)
         except exprdsl.DomainError as exc:
             raise NaNDetectedError(f"non-finite value in the step from "
                                    f"t = {t:.6g}: {exc}") from exc
-        f_a = self.flux_a.combine(va[:, :-1], va[:, 1:], ws[:, :-1], ws[:, 1:])
+        f_a = g_a[:, :-1] + h_a[:, 1:]
         div_s = (f_a[:, 1:] - f_a[:, :-1]) / grid.ds
-        f_p = self.flux_phi.combine(vp[:-1, :], vp[1:, :],
-                                    wx[:-1, :], wx[1:, :])
+        f_p = g_p[:-1, :] + h_p[1:, :]
         div_x = (f_p[1:, :] - f_p[:-1, :]) / grid.dx
         new = u - dt * (div_s + div_x)
         if self.eps > 0:

@@ -19,15 +19,17 @@ Notes on two deliberately discrete constructions:
   residual is sign-definite by construction; naive quadrature of snapshot
   data against derivatives of the test functions would bury the sign in
   O(grid) consistency error.  This requires trajectories recorded with
-  snapshot stride 1.  Both shipped fluxes are sum-split, F(a, b) =
+  snapshot stride 1.  The march steps with the sum-split form F(a, b) =
   g(a) + h(b) (``split`` in ``scheme``), and for any such F the entropy
   flux needs no max or min: g(a v k) - g(a ^ k) is g(a) - g(k) for a > k,
   g(k) - g(a) for a < k and 0 for a = k, and likewise for h, so
 
-      Q(a, b; k) = sgn(a - k) (g(a) - g(k)) + sgn(b - k) (h(b) - h(k)).
+      Q(a, b; k) = G_k(a) + H_k(b),  G_k = sgn(. - k) (g - g(k)),
+                                     H_k = sgn(. - k) (h - h(k)).
 
-  g and h are looked up once per cell for every k at once; each k costs
-  only signs and differences.
+  So Q is sum-split too: G_k and H_k are formed once per cell, for every
+  k at once, from the g and h the march steps with, and each interface
+  adds its two neighbours' parts the way the march forms F.
 
   The lateral Laplacian enters in Kato's form.  A step is an explicit
   monotone update u* of u^n, then (I - dt Lap_x) u^{n+1} = u* with zero
@@ -370,16 +372,14 @@ def _bank_spatial(spec, grid):
 _RESIDUAL_BLOCK = 8
 
 
-def _entropy_flux(flux, k_parts, w, sign, axis):
-    """Q(uL, uR; k) between the neighbours along ``axis`` (-1 or -2) of a
-    strip w, for every k at once, from the sum-split identity above.
+def _entropy_parts(flux, k_parts, w, sign):
+    """Per-cell parts (G_k(w), H_k(w)) of the Kruzhkov flux, for every k
+    at once: Q(uL, uR; k) = G_k(uL) + H_k(uR), as the march forms F.
 
     ``sign`` is sgn(w - k) and ``k_parts`` the split parts (g(k), h(k)).
     """
     g, h = flux.split(w)
-    lo = (Ellipsis, slice(None, -1)) + (slice(None),) * (-1 - axis)
-    hi = (Ellipsis, slice(1, None)) + (slice(None),) * (-1 - axis)
-    return sign[lo] * (g[lo] - k_parts[0]) + sign[hi] * (h[hi] - k_parts[1])
+    return sign * (g - k_parts[0]), sign * (h - k_parts[1])
 
 
 def check_entropy_residual(traj, spec, k_values):
@@ -435,10 +435,12 @@ def check_entropy_residual(traj, spec, k_values):
         diff = w - ks
         sign, eta_pad = np.sign(diff), np.abs(diff)
         # the s-flux acts inside the s-strip, the x-flux inside the x-strip
-        q_a = _entropy_flux(stepper.flux_a, k_a, w[..., 1:-1, :],
-                            sign[..., 1:-1, :], -1)
-        q_p = _entropy_flux(stepper.flux_phi, k_p, w[..., 1:-1],
-                            sign[..., 1:-1], -2)
+        g_a, h_a = _entropy_parts(stepper.flux_a, k_a, w[..., 1:-1, :],
+                                  sign[..., 1:-1, :])
+        g_p, h_p = _entropy_parts(stepper.flux_phi, k_p, w[..., 1:-1],
+                                  sign[..., 1:-1])
+        q_a = g_a[..., :-1] + h_a[..., 1:]
+        q_p = g_p[..., :-1, :] + h_p[..., 1:, :]
         eta0 = eta_pad[..., 1:-1, 1:-1]
         eta1 = np.abs(u1 - ks)
         rho = (eta1 - eta0

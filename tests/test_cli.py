@@ -355,6 +355,29 @@ def test_sweep_writes_the_same_files_at_any_job_count(tmp_path, param):
     assert report[1].split(",")[4] == "true"
 
 
+def test_sweep_with_a_failed_report_exits_3(tmp_path, capsys):
+    # one gamma leaves no pair to compare: the report fails, and is written
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(_sweep_config(tmp_path))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(cfg), "--param", "gamma", "--values",
+                     "0.1", "--out", str(out)]) == 3
+    assert "gamma_limit pass=False" in capsys.readouterr().out
+    report = (out / "sweep_report.csv").read_text().splitlines()
+    assert report[1].split(",")[4] == "false"
+
+
+def test_sweep_rejects_a_value_that_is_not_a_number(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(_sweep_config(tmp_path))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(cfg), "--param", "gamma", "--values",
+                     "0.1,abc", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "abc" in err[0]
+    assert not out.exists()
+
+
 def test_sweep_rejects_non_decreasing_gammas(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(_sweep_config(tmp_path))

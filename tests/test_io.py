@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from upkolmo import io as upk_io
-from upkolmo.problem import Field, Trajectory
+from upkolmo.problem import Field, Grid, Trajectory
 from upkolmo.scheme import LAX_FRIEDRICHS, SchemeOptions
 from scenarios import unit_grid
 
@@ -110,6 +110,16 @@ def test_another_lateral_diffusion_is_named(tmp_path):
                        match="^meta.json: lateral diffusion 'forward_euler' "
                              "is not the 'backward_euler' update"):
         upk_io.read_trajectory(tmp_path)
+
+
+def test_field_header_is_d1(tmp_path):
+    # the .upkf layout: magic, version, d = 1, Nx, Ns, t, payload
+    path = tmp_path / "f.upkf"
+    values = np.arange(12.0).reshape(4, 3)
+    upk_io.write_field(path, Field(values, Grid(4, 3, 1.0, 1.0), 0.5))
+    assert path.read_bytes() == (
+        upk_io.MAGIC + struct.pack("<IIII", upk_io.VERSION, 1, 4, 3)
+        + struct.pack("<d", 0.5) + values.astype("<f8").tobytes())
 
 
 def test_field_of_another_dimension_is_named(tmp_path):

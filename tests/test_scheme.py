@@ -5,6 +5,7 @@ import pytest
 
 from upkolmo import exprdsl as E
 from upkolmo import kernels
+from upkolmo import problem as P
 from upkolmo import scheme as S
 from upkolmo import verify
 from upkolmo.problem import Grid
@@ -19,12 +20,13 @@ def _flux(flux, uL, uR):
     return flux.flux(np.asarray(uL, dtype=float), np.asarray(uR, dtype=float))
 
 
-def _lf(uL, uR, alpha):
-    return _flux(S._LFFlux(BURGERS, alpha), uL, uR)
+def _lf(uL, uR, m_bound):
+    """Burgers' Lax-Friedrichs flux, alpha = 1.05 max|f'| = 1.05 m_bound."""
+    return _flux(S._LFFlux(BURGERS, m_bound), uL, uR)
 
 
 def _eo(uL, uR, f=BURGERS):
-    return float(_flux(S._SplitTable(f, radius=3.0), uL, uR))
+    return float(_flux(S._SplitTable(f, m_bound=2.0), uL, uR))
 
 
 def _eo_direct(uL, uR, f):
@@ -45,8 +47,8 @@ class TestLaxFriedrichs:
         assert _lf(0.0, 0.0, 1.0) == 0.0
 
     def test_hand_value(self):
-        # (0.5 + 0.5)/2 - 1*(-1-1)/2 = 1.5
-        assert _lf(1.0, -1.0, 1.0) == pytest.approx(1.5)
+        # alpha = 1.05: (0.5 + 0.5)/2 - 1.05*(-1-1)/2 = 1.55
+        assert _lf(1.0, -1.0, 1.0) == pytest.approx(1.55)
 
     def test_consistency(self):
         assert _lf(2.0, 2.0, 1.0) == pytest.approx(2.0)
@@ -68,7 +70,7 @@ class TestEngquistOsher:
 
     def test_consistency_identity(self):
         # exact at the table nodes (multiples of 2^-10), every one of them
-        table = S._SplitTable(BURGERS, radius=3.0)
+        table = S._SplitTable(BURGERS, m_bound=2.0)
         for v in (-1.5, 0.0, 2.0):
             assert _eo(v, v) == pytest.approx(v * v / 2, abs=1e-12)
         nodes = table.nodes
@@ -91,7 +93,7 @@ class TestEngquistOsher:
     def test_monotone_probe_table(self):
         # the tabulated split flux used inside the stepper is exactly monotone
         rng = np.random.default_rng(41)
-        table = S._SplitTable(E.parse("sin(lambda)"), radius=3.0)
+        table = S._SplitTable(E.parse("sin(lambda)"), m_bound=2.0)
         h = 1e-4
         for _ in range(100):
             uL, uR = rng.uniform(-2, 2, size=2)
@@ -103,20 +105,21 @@ class TestEngquistOsher:
 
 
 SPLIT_FLUXES = {
-    "eo_burgers": lambda: S._SplitTable(BURGERS, radius=3.0),
+    "eo_burgers": lambda: S._SplitTable(BURGERS, m_bound=2.0),
     "eo_sin": lambda: S._SplitTable(E.parse("sin(3*lambda) - lambda"),
-                                    radius=3.0),
-    # alpha = 1.05 max|f'| on [-1.5, 1.5], as the Stepper sets it
-    "lf_burgers": lambda: S._LFFlux(BURGERS, 1.575),
-    "lf_sin": lambda: S._LFFlux(E.parse("sin(lambda)"), 1.05),
+                                    m_bound=2.0),
+    # alpha = 1.05 max|f'| on [-m_bound, m_bound]: 1.575 and 1.05
+    "lf_burgers": lambda: S._LFFlux(BURGERS, 1.5),
+    "lf_sin": lambda: S._LFFlux(E.parse("sin(lambda)"), 1.0),
 }
 
 
 class TestSumSplit:
     """F(a, b) = g(a) + h(b) gives the Kruzhkov flux the entropy-residual
-    check uses:
+    check uses, sum-split too:
 
-        Q(a, b; k) = sgn(a - k)(g(a) - g(k)) + sgn(b - k)(h(b) - h(k)).
+        Q(a, b; k) = G_k(a) + H_k(b),  G_k = sgn(. - k)(g - g(k)),
+                                       H_k = sgn(. - k)(h - h(k)).
     """
 
     @pytest.mark.parametrize("name", sorted(SPLIT_FLUXES))
@@ -128,8 +131,9 @@ class TestSumSplit:
         b[1::5] = k[1::5]     # ties b = k
         a[2::5] = b[2::5] = k[2::5]
         w = np.stack((a, b), axis=-1)
-        q = verify._entropy_flux(flux, flux.split(k[:, None]), w,
-                                 np.sign(w - k[:, None]), -1)[:, 0]
+        g, h = verify._entropy_parts(flux, flux.split(k[:, None]), w,
+                                     np.sign(w - k[:, None]))
+        q = g[:, 0] + h[:, 1]
         want = (flux.flux(np.maximum(a, k), np.maximum(b, k))
                 - flux.flux(np.minimum(a, k), np.minimum(b, k)))
         assert np.max(np.abs(q - want)) <= 1e-15
@@ -148,6 +152,28 @@ class TestNumericalFlux:
         eo = S.Stepper(nosource_spec(), grid, eps=0.0, m_bound=1.0)
         assert isinstance(eo.flux_a, S._SplitTable)
         assert _eo(1.0, -1.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("kind", [S.ENGQUIST_OSHER, S.LAX_FRIEDRICHS])
+    def test_max_slope_is_sampled_once_per_flux(self, monkeypatch, kind):
+        # the step's fluxes and the CFL step share one sample of each
+        # max|f'|; dt is their coeff over the cell widths
+        calls = []
+
+        def counting(expr, lo, hi):
+            calls.append((lo, hi))
+            return P.sampled_deriv_max(expr, lo, hi)
+        monkeypatch.setattr(S, "sampled_deriv_max", counting)
+        spec = nosource_spec()
+        grid = Grid(8, 16, 1.0, 1.0)
+        stepper = S.Stepper(spec, grid, eps=0.0, gamma=0.0, m_bound=1.5,
+                            options=S.SchemeOptions(flux_kind=kind))
+        assert calls == [(-1.5, 1.5)] * 2
+        widen = 1.05 if kind == S.LAX_FRIEDRICHS else 1.0
+        for flux, f in ((stepper.flux_a, spec.flux_a),
+                        (stepper.flux_phi, spec.flux_phi[0])):
+            assert flux.coeff == widen * P.sampled_deriv_max(f, -1.5, 1.5)
+        assert stepper._cfl() == 0.9 / (stepper.flux_a.coeff / grid.ds
+                                        + stepper.flux_phi.coeff / grid.dx)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown flux kind 'roe'"):
@@ -372,7 +398,7 @@ class TestStep:
                 u = stepper.step(u, t=0.1)
 
     def test_table_matches_direct_quadrature(self):
-        table = S._SplitTable(BURGERS, radius=2.0)
+        table = S._SplitTable(BURGERS, m_bound=1.0)
         rng = np.random.default_rng(37)
         for _ in range(30):
             uL, uR = rng.uniform(-1.5, 1.5, size=2)
@@ -505,13 +531,13 @@ def _probe_points(table, rng):
         [-1e300, 2.0 * nodes[0], 2.0 * nodes[-1], 1e300]])
 
 
-class TestPerCellValues:
-    """``values``/``combine`` and the complex table, bit for bit."""
+class TestSplitForm:
+    """``split``, the only form of either flux, and the complex table."""
 
     @pytest.mark.parametrize("text", ["lambda^2/2", "sin(3*lambda)",
                                       "exp(lambda) - 1"])
     def test_complex_lookup_is_two_real_lookups(self, text):
-        table = S._SplitTable(E.parse(text), radius=2.0)
+        table = S._SplitTable(E.parse(text), m_bound=1.0)
         f_plus, f_minus = table.table.real.copy(), table.table.imag.copy()
         pts = _probe_points(table, np.random.default_rng(7))
         # many points and few: np.interp precomputes slopes only for many
@@ -520,48 +546,52 @@ class TestPerCellValues:
             assert np.array_equal(both.real, np.interp(p, table.nodes, f_plus))
             assert np.array_equal(both.imag, np.interp(p, table.nodes, f_minus))
 
-    @pytest.mark.parametrize("kind", ["table", "lf"])
-    def test_combine_of_values_is_flux(self, kind):
+    def test_table_split_sum_is_the_real_lookups(self):
+        # f0 + f_plus(wL) + f_minus(wR) from two real lookups, added left
+        # to right: the split sum keeps that order, bit for bit
         f = E.parse("sin(3*lambda) + lambda^2/2")
-        table = S._SplitTable(f, radius=2.0)
-        flux = table if kind == "table" else S._LFFlux(f, 4.0)
+        table = S._SplitTable(f, m_bound=1.0)
         rng = np.random.default_rng(11)
-        pts = _probe_points(table, rng)
-        if kind == "lf":
-            pts = pts[np.abs(pts) < 1e100]   # f(1e300) overflows
-        wL = pts
-        wR = rng.permutation(pts)
-        # the flux as it was computed before the per-cell split
-        if kind == "table":
-            want = (table.f0
-                    + np.interp(wL, table.nodes, table.table.real.copy())
-                    + np.interp(wR, table.nodes, table.table.imag.copy()))
-        else:
-            want = (0.5 * (E.evaluate(f, {"lambda": wL})
-                           + E.evaluate(f, {"lambda": wR}))
-                    - 0.5 * 4.0 * (wR - wL))
-        got = flux.combine(flux.values(wL), flux.values(wR), wL, wR)
-        assert np.array_equal(got, want)
-        assert np.array_equal(flux.flux(wL, wR), want)
+        wL = _probe_points(table, rng)
+        wR = rng.permutation(wL)
+        want = (table.f0
+                + np.interp(wL, table.nodes, table.table.real.copy())
+                + np.interp(wR, table.nodes, table.table.imag.copy()))
+        assert np.array_equal(table.split(wL)[0] + table.split(wR)[1], want)
+        assert np.array_equal(table.flux(wL, wR), want)
+
+    def test_lf_split_sum_is_the_textbook_flux_to_rounding(self):
+        # 0.5 (f(a) + alpha a) + 0.5 (f(b) - alpha b) against
+        # 0.5 (f(a) + f(b)) - 0.5 alpha (b - a): a few units of roundoff
+        f = E.parse("sin(3*lambda) + lambda^2/2")
+        flux = S._LFFlux(f, 2.0)
+        rng = np.random.default_rng(11)
+        wL = rng.uniform(-6.0, 6.0, 100_000)
+        wR = rng.permutation(wL)
+        fL, fR = E.evaluate(f, {"lambda": wL}), E.evaluate(f, {"lambda": wR})
+        textbook = 0.5 * (fL + fR) - 0.5 * flux.coeff * (wR - wL)
+        scale = np.abs(fL) + np.abs(fR) + flux.coeff * (np.abs(wL) + np.abs(wR))
+        got = flux.flux(wL, wR)
+        assert np.all(np.abs(got - textbook) <= 2.0 * np.finfo(float).eps
+                      * scale)
 
     @pytest.mark.parametrize("kind", ["table", "lf"])
-    def test_values_of_a_strip_slice_like_the_slices(self, kind):
-        # the step looks up a padded strip once and slices the result
-        table = S._SplitTable(BURGERS, radius=2.0)
-        flux = table if kind == "table" else S._LFFlux(BURGERS, 2.0)
+    def test_split_of_a_strip_slices_like_the_slices(self, kind):
+        # the step splits a padded strip once and slices the parts
+        flux = (S._SplitTable(BURGERS, m_bound=1.0) if kind == "table"
+                else S._LFFlux(BURGERS, 1.0))
         w = np.random.default_rng(13).uniform(-1.5, 1.5, (18, 18))
         wx = w[:, 1:-1]
-        v = flux.values(wx)
-        assert np.array_equal(v[:-1], flux.values(wx[:-1]))
-        assert np.array_equal(v[1:], flux.values(wx[1:]))
+        g, h = flux.split(wx)
+        assert np.array_equal(g[:-1], flux.split(wx[:-1])[0])
+        assert np.array_equal(h[1:], flux.split(wx[1:])[1])
 
-    def test_lf_values_of_a_constant_flux_have_the_cell_shape(self):
+    def test_lf_split_of_a_constant_flux_has_the_cell_shape(self):
         flux = S._LFFlux(E.parse("0"), 1.0)
         w = np.ones((4, 5))
-        assert flux.values(w).shape == (4, 5)
-        assert np.array_equal(flux.combine(flux.values(w[:-1]),
-                                           flux.values(w[1:]), w[:-1], w[1:]),
-                              np.zeros((3, 5)))
+        g, h = flux.split(w)
+        assert g.shape == h.shape == (4, 5)
+        assert np.array_equal(g[:-1] + h[1:], np.zeros((3, 5)))
 
 
 class TestSourceRate:

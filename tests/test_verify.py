@@ -402,6 +402,13 @@ class TestGammaLimit:
         assert rep.context["pre_window_bitwise"]
         assert rep.measured <= 0.5
 
+    def test_lax_friedrichs_family(self):
+        options = SchemeOptions(flux_kind=LAX_FRIEDRICHS)
+        rep = verify.check_gamma_limit(source_spec(), unit_grid(16),
+                                       [0.2, 0.1, 0.05], options)
+        assert rep.passed
+        assert rep.context["pre_window_bitwise"]
+
     def test_degenerate_no_perturbation(self):
         spec = nosource_spec()
         rep = verify.check_gamma_limit(spec, unit_grid(32), [0.2, 0.1, 0.05])
