@@ -1,10 +1,9 @@
 """Solvers and numerical certification for ultra-parabolic Kolmogorov-type
 equations with two time-like variables and delayed or impulsive sources."""
 
-from . import chi, exprdsl, io, kernels, problem, scheme, solver, verify
+from . import exprdsl, io, kernels, problem, scheme, solver, verify
 from .exprdsl import parse, evaluate, eval_dual, to_string
 from .kernels import omega, k_gamma, source_growth_constants
-from .chi import kinetic_impulse_residual
 from .problem import (Field, Grid, ProblemSpec, Trajectory,
                       impulsive_bounds, max_principle_bound,
                       refined_max_bound, stability_rhs)

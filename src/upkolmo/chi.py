@@ -8,19 +8,26 @@ integral identities,
 
 turn pointwise statements about a solution into statements about integrals
 over the value variable.  The second underlies the L1 stability estimate
-(``problem.stability_rhs``).  The program evaluates the first in one
-place, the jump diagnostic ``kinetic_impulse_residual``: the kinetic form
-of the impulse condition
+(``problem.stability_rhs``).  ``kinetic_impulse_residual`` evaluates the
+first as a midpoint quadrature of the kinetic form of the impulse condition,
 
-    int chi(.; u+) = int (1 + d beta/d lambda) chi(.; u-) + beta(x, s, 0)
+    int chi(.; u+) = int (1 + d beta/d lambda) chi(.; u-) + beta(x, s, 0),
 
-reduces, cell by cell, to u+ = u- + beta(x, s, u-): apply the first
+which reduces, cell by cell, to u+ = u- + beta(x, s, u-): apply the first
 identity with psi(lambda) = lambda on the left and with psi(lambda) =
 lambda + beta(x, s, lambda) on the right.
 
 The right-hand weight 1 + d beta/d lambda is the derivative of the jump
 map lambda -> lambda + beta(x, s, lambda), which the impulsive march needs
-nondecreasing; the diagnostic also returns the weight's sampled minimum.
+nondecreasing; the residual also returns the weight's sampled minimum.
+
+No program path reaches this module: ``verify.check_jump`` checks the
+pointwise identity, which the kinetic form restates, and the jump map's
+slope with ``problem.min_jump_slope``.  It stays for the benchmark's traced
+pass (``bench/run.py``) and ``tests/test_chi.py``; delete it in the next
+benchmark change, with ``problem.golden_section_min``, ``kernels.k_gamma``,
+the ``flux`` methods of ``scheme`` and ``cli``'s ``refined_max_bound``
+re-export, which only that trace keeps alive.
 
 All quadrature here is the midpoint rule on a uniform lambda grid: chi is
 piecewise constant, and midpoints never hit its breakpoints.  The
@@ -35,15 +42,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import exprdsl
+from .problem import GridMismatchError
 
 __all__ = ["chi", "kinetic_impulse_residual", "GridMismatchError"]
 
 # lambda midpoints per block of ``kinetic_impulse_residual``
 _LAMBDA_BLOCK = 64
-
-
-class GridMismatchError(ValueError):
-    pass
 
 
 def chi(lam, v):

@@ -19,16 +19,17 @@ Field files (extension ``.upkf``) are little-endian and bit-exact:
 
 A trajectory directory holds one field file per snapshot, an ``index.csv``
 mapping snapshot times to filenames (with a role column marking the
-one-sided jump fields), and a ``meta.json`` with the march parameters the
-verification checks need to reconstruct the stepper: ``mode``,
-``lateral_diffusion``, ``dt``, ``n_steps``, ``n_tau``, ``stride``, ``eps``,
-``gamma``, ``m_bound`` and ``options`` are required; ``spec_hash`` and
-``restart`` (the escape that enlarged the invariant region, or null) are
-optional.  ``lateral_diffusion`` names how the step treated the lateral
-Laplacian, and only ``scheme.LATERAL_DIFFUSION`` ("backward_euler") is
-read: a directory written by the earlier explicit update lacks the key,
-so it is refused instead of being scored against the wrong update.
-The retired options ``periodic`` and ``x_diffusion`` load only at the value
+one-sided jump fields ``tau_minus`` and ``tau_plus``, which an impulsive
+run must have and other modes do not write), and a ``meta.json`` with the
+march parameters the verification checks need to reconstruct the stepper:
+``mode``, ``lateral_diffusion``, ``dt``, ``n_steps``, ``n_tau``,
+``stride``, ``eps``, ``gamma``, ``m_bound`` and ``options`` are required;
+``spec_hash`` and ``restart`` (the escape that enlarged the invariant
+region, or null) are optional.  ``lateral_diffusion`` names how the step
+treated the lateral Laplacian, and only ``scheme.LATERAL_DIFFUSION``
+("backward_euler") is read: a directory written by the earlier explicit
+update lacks the key, so it is refused instead of being scored against the
+wrong update.  The retired option ``x_diffusion`` loads only at the value
 every earlier run wrote (``_RETIRED_OPTIONS``); another value is refused.
 """
 
@@ -58,8 +59,7 @@ VERSION = 1
 _MARCH_KEYS = ("mode", "lateral_diffusion", "dt", "n_steps", "n_tau",
                "stride", "eps", "gamma", "m_bound", "options")
 # retired option: (the value every earlier run wrote, what another meant)
-_RETIRED_OPTIONS = {"periodic": (False, "periodic ghost cells"),
-                    "x_diffusion": (True, "no lateral Laplacian")}
+_RETIRED_OPTIONS = {"x_diffusion": (True, "no lateral Laplacian")}
 
 
 class ParseError(ValueError):
@@ -374,6 +374,9 @@ def read_trajectory(directory, L=1.0, S=1.0):
             raise FormatError(f"{directory}: unknown role {role!r}")
     if traj is None:
         raise FormatError(f"{directory}: empty trajectory")
+    if meta["mode"] == "impulsive" and (tau_minus is None or tau_plus is None):
+        raise FormatError(f"{directory}: an impulsive run's index.csv lacks "
+                          "the tau_minus or tau_plus row")
     traj.tau_minus = tau_minus
     traj.tau_plus = tau_plus
     return traj

@@ -46,7 +46,7 @@ __all__ = [
     "stability_rhs_impulsive", "impulsive_bounds",
     "sample_sup", "slab_sup", "min_jump_slope", "data_sup_norms",
     "consistency_errors",
-    "ZeroInitialDataError",
+    "ZeroInitialDataError", "GridMismatchError",
 ]
 
 _COLLAR = 0.05
@@ -54,6 +54,10 @@ _COLLAR = 0.05
 
 class ZeroInitialDataError(ValueError):
     """The refined bound's exponent is undefined for vanishing initial data."""
+
+
+class GridMismatchError(ValueError):
+    """Fields or trajectories that should share a grid do not."""
 
 
 @dataclass(frozen=True)

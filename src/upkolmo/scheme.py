@@ -224,11 +224,13 @@ class Stepper:
         self.flux_phi = kind(spec.flux_phi[0], m_bound)
         if dt is None:
             dt = self._cfl()
-        n_steps = max(1, math.ceil(spec.T / dt - 1e-12))
+        # a jump time inside (0, T) needs a step on each side of it
+        inner_tau = 0 < spec.tau < spec.T
+        n_steps = max(2 if inner_tau else 1, math.ceil(spec.T / dt - 1e-12))
         self.dt = spec.T / n_steps
         self.n_steps = n_steps
         self.n_tau = min(max(int(round(spec.tau / self.dt)), 1), n_steps - 1) \
-            if 0 < spec.tau < spec.T else None
+            if inner_tau else None
         self._pivots = _pivots(grid.nx, self.dt / grid.dx ** 2)
         self._primitive = None
         if spec.beta is not None and self.gamma > 0:

@@ -8,11 +8,12 @@ Three drivers share one march loop:
   states, so they may stay unattained where characteristics leave;
 * ``solve_impulsive``   -- zero source; at the snapped jump time the map
   u <- u + beta(x, s, u) is applied pointwise between two steps, and both
-  one-sided fields are recorded.
+  one-sided fields are recorded (the other drivers record none).
 
 The jump time is snapped to the nearest step index (the O(dt) placement
 error is covered by the convergence tolerances), and the pre-jump field is
-the state at that step.  Runs are deterministic: a given (spec, grid,
+the state at that step; a march with 0 < tau < T takes at least two steps,
+so a step precedes the jump.  Runs are deterministic: a given (spec, grid,
 options, dt, m_bound) produces a bit-identical trajectory, which the
 delayed-vs-impulsive comparisons exploit on the shared pre-impulse window.
 
@@ -60,14 +61,6 @@ def initial_values(spec, grid):
     vals = exprdsl.evaluate(spec.data_u0_1, {"x": xc[:, None], "s": sc[None, :]})
     return np.broadcast_to(np.asarray(vals, dtype=float),
                            (grid.nx, grid.ns)).astype(float)
-
-
-def _apply_jump(stepper, u):
-    if stepper.beta_fn is None:
-        return u.copy()
-    b = stepper.beta_fn({"x": stepper.xc[:, None], "s": stepper.sc[None, :],
-                         "lambda": u})
-    return u + b
 
 
 def _march(spec, grid, eps, gamma, options, dt, m_bound, mode):
@@ -125,12 +118,11 @@ def _march_once(spec, grid, stepper, mode):
     for n in range(n_steps):
         u = stepper.step(u, n * dt)
         t_new = (n + 1) * dt
-        if n_tau is not None and n + 1 == n_tau:
+        if mode == "impulsive" and n + 1 == n_tau:
             traj.tau_minus = Field(u.copy(), grid, t_new)
-            if mode == "impulsive":
-                u = _apply_jump(stepper, u)
-                traj.tau_plus = Field(u.copy(), grid, t_new)
-        if mode != "impulsive" and n_tau is not None and n + 1 == n_tau + 1:
+            if stepper.beta_fn is not None:
+                cells = {"x": stepper.xc[:, None], "s": stepper.sc[None, :]}
+                u = u + stepper.beta_fn({**cells, "lambda": u})
             traj.tau_plus = Field(u.copy(), grid, t_new)
         sup = float(np.max(np.abs(u)))
         if sup > stepper.m_bound:

@@ -66,12 +66,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import chi as chi_mod
 from . import exprdsl, kernels
-from .chi import GridMismatchError
-from .problem import (ZeroInitialDataError, data_sup_norms, impulsive_bounds,
-                      max_principle_bound, refined_max_bound, slab_sup,
-                      stability_rhs, stability_rhs_impulsive)
+from .problem import (GridMismatchError, ZeroInitialDataError, data_sup_norms,
+                      impulsive_bounds, max_principle_bound, min_jump_slope,
+                      refined_max_bound, stability_rhs,
+                      stability_rhs_impulsive)
 from .scheme import Stepper
 from . import solver as solver_mod
 from .solver import GammaOutOfRangeError
@@ -538,44 +537,34 @@ def check_bln(traj, spec, k_values):
 
 # --- jump condition -------------------------------------------------------------
 
-def check_jump(traj, spec, n_cells=1024):
-    """Pointwise and kinetic forms of the impulse jump condition, and the
+def check_jump(traj, spec):
+    """The impulse jump condition u(tau+) = u(tau-) + beta(x, s, u(tau-)),
+    cell by cell to 1e-14, the post-jump sup-norm against M3, and the
     monotonicity of the jump map.
 
     The jump map lambda -> lambda + beta(x, s, lambda) must be
-    nondecreasing on the pre-jump slab |lambda| <= M2: otherwise the
-    impulsive march is not monotone, and the kinetic weight 1 + d beta /
-    d lambda is not a nonnegative measure.  The kinetic residual samples
-    the weight's minimum there, ``min_jump_weight``.  The measured value
-    is the largest of the pointwise, kinetic and post-jump ratios and
-    1 - min_jump_weight, so the row fails when the weight is negative.
+    nondecreasing on |lambda| <= M2, or the impulsive march is not
+    monotone.  ``min_jump_weight`` is its sampled minimum slope, from
+    ``problem.min_jump_slope`` as in ``solver.solve_impulsive``.  The
+    measured value is the largest of the pointwise and post-jump ratios
+    and 1 - min_jump_weight, so the row fails when the slope is negative.
     """
     if traj.tau_minus is None or traj.tau_plus is None:
         raise MissingTauTracesError("trajectory has no pre/post jump fields")
-    grid = traj.grid
     um, up = traj.tau_minus, traj.tau_plus
+    jump = up.values - um.values
     if spec.beta is not None:
-        xc, sc = grid.cell_centers()
-        b = exprdsl.evaluate(spec.beta, {"x": xc[:, None], "s": sc[None, :],
-                                         "lambda": um.values})
-        pointwise = float(np.max(np.abs(up.values - um.values - b)))
-        b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
-    else:
-        pointwise = float(np.max(np.abs(up.values - um.values)))
-        b0 = 0.0
-    beta_sup = slab_sup(spec, spec.beta, max(spec.b1, 0.0) + 1.0)
+        xc, sc = traj.grid.cell_centers()
+        jump = jump - exprdsl.evaluate(spec.beta, {
+            "x": xc[:, None], "s": sc[None, :], "lambda": um.values})
+    pointwise = float(np.max(np.abs(jump)))
     m2, m3 = impulsive_bounds(spec, inflate=NORM_INFLATION)
-    m3_eff = max(m3, up.sup_norm(), um.sup_norm() + beta_sup) + 0.5
-    kin, min_weight = chi_mod.kinetic_impulse_residual(
-        um, up, spec.beta, m3_eff, n_cells=n_cells, weight_radius=m2)
-    dlam = 2.0 * m3_eff / n_cells
-    kin_tol = 3.0 * dlam * (1.0 + b0)
+    min_weight = min_jump_slope(spec, m2)
     post_sup = up.sup_norm()
-    measured = max(pointwise / 1e-14, kin / kin_tol, post_sup / max(m3, 1e-300),
+    measured = max(pointwise / 1e-14, post_sup / max(m3, 1e-300),
                    1.0 - min_weight)
     context = {"spec": spec.context_hash(), "pointwise": pointwise,
-               "kinetic": kin, "kinetic_tol": kin_tol, "post_sup": post_sup,
-               "m3": m3, "min_jump_weight": min_weight}
+               "post_sup": post_sup, "m3": m3, "min_jump_weight": min_weight}
     return _report("jump_condition", measured, 1.0, 0.0, 0.0, context)
 
 

@@ -130,11 +130,11 @@ def test_verify_of_a_missing_trajectory_exits_1(run_dir, tmp_path, capsys):
 def test_verify_of_an_unreadable_trajectory_exits_1(run_dir, capsys):
     cfg, traj = run_dir
     meta = json.loads((traj / "meta.json").read_text())
-    meta["options"]["periodic"] = True
+    meta["options"]["x_diffusion"] = False
     (traj / "meta.json").write_text(json.dumps(meta))
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
     assert capsys.readouterr().err.startswith("error: meta.json: a run with "
-                                              "periodic ghost cells")
+                                              "no lateral Laplacian")
     assert not (traj / "reports.csv").exists()
 
 
@@ -171,6 +171,49 @@ def test_verify_of_a_trajectory_with_empty_meta_json_exits_1(run_dir,
     assert err == (f"error: {traj}: meta.json lacks mode, lateral_diffusion, "
                    "dt, n_steps, n_tau, stride, eps, gamma, m_bound, "
                    "options\n")
+    assert not (traj / "reports.csv").exists()
+
+
+def _impulsive_dir(tmp_path):
+    cfg = _config(tmp_path)
+    traj = tmp_path / "impulsive"
+    argv = ["run", str(cfg), "--mode", "impulsive", "--out", str(traj)]
+    assert cli.main(argv) == 0
+    return cfg, traj
+
+
+def _jump_rows(traj):
+    rows = (traj / "index.csv").read_text().splitlines()[1:]
+    return [row.split(",")[1:] for row in rows
+            if row.split(",")[2] != "snapshot"]
+
+
+def test_only_an_impulsive_run_writes_jump_fields(run_dir, tmp_path):
+    # `verify` reads the one-sided jump fields of impulsive runs only
+    _, traj = run_dir
+    assert _jump_rows(traj) == []
+    assert list(traj.glob("tau_*")) == []
+    _, impulsive = _impulsive_dir(tmp_path)
+    assert _jump_rows(impulsive) == [["tau_minus.upkf", "tau_minus"],
+                                     ["tau_plus.upkf", "tau_plus"]]
+    assert sorted(p.name for p in impulsive.glob("tau_*")) == [
+        "tau_minus.upkf", "tau_plus.upkf"]
+
+
+def test_verify_of_an_impulsive_run_without_jump_fields_exits_1(tmp_path,
+                                                                capsys):
+    cfg, traj = _impulsive_dir(tmp_path)
+    capsys.readouterr()
+    index = (traj / "index.csv").read_text().splitlines()
+    (traj / "index.csv").write_text("\n".join(
+        row for row in index if ",tau_" not in row) + "\n")
+    for path in traj.glob("tau_*.upkf"):
+        path.unlink()
+    argv = ["verify", str(cfg), "--traj", str(traj)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {traj}: an impulsive run's index.csv lacks the "
+                   "tau_minus or tau_plus row\n")
     assert not (traj / "reports.csv").exists()
 
 

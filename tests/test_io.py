@@ -58,8 +58,7 @@ def _with_option(tmp_path, name, value):
     (tmp_path / "meta.json").write_text(json.dumps(meta))
 
 
-@pytest.mark.parametrize("name, kept", [("periodic", False),
-                                         ("x_diffusion", True)])
+@pytest.mark.parametrize("name, kept", [("x_diffusion", True)])
 def test_retired_option_loads_only_at_its_kept_value(tmp_path, name, kept):
     # every earlier run wrote the kept value; the other one solved another
     # equation and cannot be re-stepped

@@ -3,18 +3,18 @@ export or import cannot outlive its code."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import upkolmo
 
-MODULES = ["chi", "cli", "exprdsl", "io", "kernels", "problem", "scheme",
-           "solver", "verify"]
-SOURCES = sorted(
-    [p for p in Path(upkolmo.__file__).parent.glob("*.py")
-     if p.name != "__init__.py"] + list(Path(__file__).parent.glob("*.py")),
-    key=lambda p: (p.parent.name, p.name))
+PACKAGE = sorted(p for p in Path(upkolmo.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+MODULES = [p.stem for p in PACKAGE]
+SOURCES = PACKAGE + sorted(Path(__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -31,6 +31,15 @@ def test_every_package_import_resolves():
              if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert len(names) > 30
     assert [n for n in names if not hasattr(upkolmo, n)] == []
+
+
+def test_the_command_line_does_not_load_chi():
+    # no program path reaches the kinetic calculus (see its docstring)
+    code = "import sys, upkolmo.cli; print('upkolmo.chi' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         cwd=Path(upkolmo.__file__).parents[1]).stdout
+    assert out == "False\n"
 
 
 def _unused_imports(path):

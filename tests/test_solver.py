@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from upkolmo import exprdsl as E
-from upkolmo import solver
+from upkolmo import solver, verify
 from upkolmo.problem import (Grid, ProblemSpec, impulsive_bounds,
                              min_jump_slope, refined_max_bound)
 from upkolmo.scheme import predicted_sup
@@ -113,6 +113,15 @@ class TestImpulsive:
         traj = impulsive_run["traj"]
         i = traj.times.index(traj.tau_plus.t)
         assert np.array_equal(traj.fields[i].values, traj.tau_plus.values)
+
+    def test_one_step_horizon_still_jumps(self):
+        # dt = T would leave no step before the jump: the march takes two
+        spec = source_spec().with_data(T=0.02, tau=0.01, gamma=0.0)
+        traj = solver.solve_impulsive(spec, unit_grid(8))
+        assert (traj.meta["n_steps"], traj.meta["n_tau"]) == (2, 1)
+        assert traj.tau_minus.t == traj.tau_plus.t == 0.01
+        assert not np.array_equal(traj.tau_plus.values, traj.tau_minus.values)
+        assert verify.check_jump(traj, spec).passed
 
 
 class TestDeterminismAndConsistency:
