@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +87,7 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
+    from concurrent.futures import ProcessPoolExecutor  # not at start-up
     loaded = _load(args.config)
     if loaded is None:
         return 1

@@ -25,9 +25,9 @@ is sampled once for the whole curve; the verifier passes the bound that
 its max-principle check certifies.
 
 Sup-norms of expression-defined data are estimated by dense sampling
-(256 points per axis).  Callers that assert these bounds apply a 1%
-inflation via the ``inflate`` argument.  ``data_sup_norms`` samples one
-time window, or an array of window ends at once.
+(256 points per axis).  Callers that assert these bounds apply the 1%
+``NORM_INFLATION`` via the ``inflate`` argument.  ``data_sup_norms``
+samples one time window, or an array of window ends at once.
 """
 
 from __future__ import annotations
@@ -45,11 +45,14 @@ __all__ = [
     "max_principle_bound", "refined_max_bound", "stability_rhs",
     "stability_rhs_impulsive", "impulsive_bounds",
     "sample_sup", "slab_sup", "min_jump_slope", "data_sup_norms",
-    "consistency_errors",
+    "consistency_errors", "NORM_INFLATION",
     "ZeroInitialDataError", "GridMismatchError",
 ]
 
 _COLLAR = 0.05
+
+# sampled sup-norms fall slightly short; every asserted bound inflates them
+NORM_INFLATION = 1.01
 
 
 class ZeroInitialDataError(ValueError):
@@ -233,12 +236,13 @@ def slab_sup(spec, beta, radius, n=64, inflate=1.0, wrt=None):
                       n=n, inflate=inflate, wrt=wrt)
 
 
-def min_jump_slope(spec, radius, n=64):
-    """Sampled min of 1 + d beta / d lambda, the slope of the jump map
-    lambda -> lambda + beta, over the slab with |lambda| <= radius, on n
-    points per axis.  1 without a beta."""
+def min_jump_slope(spec, n=64):
+    """Sampled min of 1 + d beta / d lambda, the jump map's slope, on n
+    points per axis over |lambda| <= 1.01 M2, the one radius of ``run``
+    and ``verify``, so that they agree on a map.  1 without a beta."""
     if spec.beta is None:
         return 1.0
+    radius = impulsive_bounds(spec, inflate=NORM_INFLATION)[0]
     axes = {"x": np.linspace(0.0, spec.L, n)[:, None, None],
             "s": np.linspace(0.0, spec.S, n)[None, :, None],
             "lambda": np.linspace(-radius, radius, n)[None, None, :]}

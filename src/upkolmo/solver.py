@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import exprdsl
-from .problem import Field, Trajectory, impulsive_bounds, min_jump_slope
+from .problem import Field, Trajectory, min_jump_slope
 from .scheme import (LATERAL_DIFFUSION, SchemeOptions, Stepper,
                      SupNormExceeded, reachable_bound)
 
@@ -164,12 +164,11 @@ def solve_impulsive(spec, grid, options=None, dt=None, m_bound=None):
     """March with zero source and one pointwise jump at the snapped time."""
     if not (0.0 < spec.tau < spec.T):
         raise ValueError(f"jump time must lie in (0, T), got {spec.tau}")
-    m2 = impulsive_bounds(spec)[0]
-    slope = min_jump_slope(spec, m2)
+    slope = min_jump_slope(spec)
     if slope < 0.0:
         raise ValueError(
             f"the jump map lambda -> lambda + beta decreases: 1 + d beta / "
-            f"d lambda reaches {slope:.6g} on |lambda| <= M2 = {m2:.6g}, so "
-            "the impulsive march would not be monotone")
+            f"d lambda reaches {slope:.6g} on |lambda| <= 1.01 M2, so the "
+            "impulsive march would not be monotone")
     return _march(spec, grid, 0.0, 0.0, options, dt, m_bound, "impulsive")
 

@@ -67,9 +67,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprdsl, kernels
-from .problem import (GridMismatchError, ZeroInitialDataError, data_sup_norms,
-                      impulsive_bounds, max_principle_bound, min_jump_slope,
-                      refined_max_bound, stability_rhs,
+from .problem import (NORM_INFLATION, GridMismatchError, ZeroInitialDataError,
+                      data_sup_norms, impulsive_bounds, max_principle_bound,
+                      min_jump_slope, refined_max_bound, stability_rhs,
                       stability_rhs_impulsive)
 from .scheme import Stepper
 from . import solver as solver_mod
@@ -87,10 +87,6 @@ __all__ = [
 # Grid-error allowance coefficient for the stability check, calibrated once
 # on the finest (128x128) grid of the acceptance suite and frozen.
 STABILITY_GRID_COEFF = 0.02
-
-# Norm-sampling inflation applied wherever sampled data sup-norms enter an
-# asserted bound (sampling under-estimates true sup-norms slightly).
-NORM_INFLATION = 1.01
 
 
 class TooFewRunsError(ValueError):
@@ -558,8 +554,8 @@ def check_jump(traj, spec):
         jump = jump - exprdsl.evaluate(spec.beta, {
             "x": xc[:, None], "s": sc[None, :], "lambda": um.values})
     pointwise = float(np.max(np.abs(jump)))
-    m2, m3 = impulsive_bounds(spec, inflate=NORM_INFLATION)
-    min_weight = min_jump_slope(spec, m2)
+    m3 = impulsive_bounds(spec, inflate=NORM_INFLATION)[1]
+    min_weight = min_jump_slope(spec)
     post_sup = up.sup_norm()
     measured = max(pointwise / 1e-14, post_sup / max(m3, 1e-300),
                    1.0 - min_weight)

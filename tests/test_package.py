@@ -33,13 +33,23 @@ def test_every_package_import_resolves():
     assert [n for n in names if not hasattr(upkolmo, n)] == []
 
 
-def test_the_command_line_does_not_load_chi():
-    # no program path reaches the kinetic calculus (see its docstring)
-    code = "import sys, upkolmo.cli; print('upkolmo.chi' in sys.modules)"
+def _loaded_by_the_command_line(module):
+    code = f"import sys, upkolmo.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          cwd=Path(upkolmo.__file__).parents[1]).stdout
-    assert out == "False\n"
+    return out == "True\n"
+
+
+def test_the_command_line_does_not_load_chi():
+    # no program path reaches the kinetic calculus (see its docstring)
+    assert not _loaded_by_the_command_line("upkolmo.chi")
+
+
+def test_the_command_line_does_not_load_the_process_pool():
+    # only `upkolmo sweep` starts worker processes; `run` and `verify`
+    # would pay the import at every start
+    assert not _loaded_by_the_command_line("concurrent.futures.process")
 
 
 def _unused_imports(path):

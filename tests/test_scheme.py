@@ -438,6 +438,15 @@ class TestLateralSolve:
         # the gap is within a few n eps cond(A) |d|, cond(A) <= 1 + 4r
         assert np.max(np.abs(got - want)) <= 4 * nx * (1 + 4 * r) * 2.0 ** -52
 
+    @pytest.mark.parametrize("nx", [1, 2, 7, 64])
+    @pytest.mark.parametrize("r", RATIOS)
+    def test_inverse_is_nonnegative(self, nx, r):
+        # no tolerance: the sweep on the identity forms every entry from
+        # positive terms, so none rounds below zero
+        inverse = _solver(nx, r)[0]._inverse
+        assert inverse.shape == (nx, nx)
+        assert np.all(inverse >= 0.0)
+
     @pytest.mark.parametrize("r", RATIOS)
     def test_keeps_sign_and_bound(self, r):
         # no tolerance: d >= 0 gives x >= 0, and |d| <= M gives |x| <= M,

@@ -5,8 +5,8 @@ import pytest
 
 from upkolmo import exprdsl as E
 from upkolmo import solver, verify
-from upkolmo.problem import (Grid, ProblemSpec, impulsive_bounds,
-                             min_jump_slope, refined_max_bound)
+from upkolmo.problem import (Grid, ProblemSpec, min_jump_slope,
+                             refined_max_bound)
 from upkolmo.scheme import predicted_sup
 from scenarios import (nosource_spec, source_spec, unit_grid, zero_spec,
                        SBUMP, XBUMP)
@@ -75,10 +75,10 @@ def test_heat_decay_rate():
 
 class TestJumpMap:
     def test_bench_jump_map_is_accepted(self):
-        # the workload's beta: 1 + d beta/d lambda >= 0.66 on |lambda| <= M2
+        # the workload's beta: 1 + d beta/d lambda >= 0.66 on |lambda| <=
+        # 1.01 M2
         spec = source_spec()
-        m2 = impulsive_bounds(spec)[0]
-        assert min_jump_slope(spec, m2) == pytest.approx(0.663, abs=2e-3)
+        assert min_jump_slope(spec) == pytest.approx(0.663, abs=2e-3)
         assert solver.solve_impulsive(spec, unit_grid(8)).tau_plus is not None
 
     def test_decreasing_jump_map_is_rejected(self):

@@ -373,12 +373,34 @@ class TestJump:
                           tau_plus=Field(um.values + b, grid))
         rep = verify.check_jump(traj, spec)
         assert not rep.passed
-        # the slab sampler `run` refuses the map with, on |lambda| <= M2
-        m2 = impulsive_bounds(spec, inflate=verify.NORM_INFLATION)[0]
-        weight = min_jump_slope(spec, m2)
+        # the slab sampler `run` refuses the map with
+        weight = min_jump_slope(spec)
         assert weight == pytest.approx(1.0 - 1.5, abs=5e-3)
         assert rep.context["min_jump_weight"] == weight
         assert rep.measured == 1.0 - weight
+
+    def test_run_and_verify_give_one_verdict(self):
+        # the jump map decreases only for lambda > 0.8039, between the bare
+        # pre-jump bound M2 and the 1%-inflated one: `run` refuses it, and
+        # `verify` fails it on a trajectory holding the jump it would make
+        bump = "(max(0, 1-((x-0.5)/0.35)^2))^2*(max(0, 1-((s-0.5)/0.35)^2))^2"
+        spec = source_spec().with_data(
+            beta=E.parse(f"-3*max(0, lambda - 0.8039)*{bump}"))
+        m2 = impulsive_bounds(spec)[0]
+        assert m2 < 0.8039 < verify.NORM_INFLATION * m2
+        grid = unit_grid(16)
+        with pytest.raises(ValueError, match="jump map .* decreases"):
+            solver.solve_impulsive(spec, grid)
+        xc, sc = grid.cell_centers()
+        um = Field(solver.initial_values(spec, grid), grid)
+        b = E.evaluate(spec.beta, {"x": xc[:, None], "s": sc[None, :],
+                                   "lambda": um.values})
+        traj = Trajectory(grid=grid, tau_minus=um,
+                          tau_plus=Field(um.values + b, grid))
+        rep = verify.check_jump(traj, spec)
+        assert not rep.passed
+        assert rep.context["pointwise"] == 0.0
+        assert rep.measured == pytest.approx(2.99, abs=0.01)
 
     def test_no_perturbation(self, grid64):
         spec = nosource_spec()
