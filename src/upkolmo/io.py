@@ -22,13 +22,16 @@ mapping snapshot times to filenames (with a role column marking the
 one-sided jump fields ``tau_minus`` and ``tau_plus``, which an impulsive
 run must have and other modes do not write), and a ``meta.json`` with the
 march parameters the verification checks need to reconstruct the stepper:
-``mode``, ``lateral_diffusion``, ``dt``, ``n_steps``, ``n_tau``,
+``mode``, ``lateral_diffusion``, ``source``, ``dt``, ``n_steps``,
+``n_tau`` (the level the gamma = 0 kick lands on, ceil(tau/dt)),
 ``stride``, ``eps``, ``gamma``, ``m_bound`` and ``options`` are required;
 ``spec_hash`` and ``restart`` (the escape that enlarged the invariant
-region, or null) are optional.  ``lateral_diffusion`` names how the step
-treated the lateral Laplacian, and only ``scheme.LATERAL_DIFFUSION``
-("backward_euler") is read: a directory written by the earlier explicit
-update lacks the key, so it is refused instead of being scored against the
+region, or null) are optional.  ``lateral_diffusion`` and ``source`` name
+how the step treated the lateral Laplacian and the source, and only
+``scheme.LATERAL_DIFFUSION`` ("backward_euler") and ``scheme.SOURCE_STEP``
+("kick", applied after the lateral solve) are read: a directory written by
+the earlier explicit update, or with the source inside the explicit part,
+lacks the key, so it is refused instead of being scored against the
 wrong update.  The retired option ``x_diffusion`` loads only at the value
 every earlier run wrote (``_RETIRED_OPTIONS``); another value is refused.
 """
@@ -46,7 +49,7 @@ import numpy as np
 from . import exprdsl
 from .problem import Field, Grid, ProblemSpec, Trajectory, consistency_errors
 from .scheme import (ENGQUIST_OSHER, LATERAL_DIFFUSION, LAX_FRIEDRICHS,
-                     SchemeOptions)
+                     SOURCE_STEP, SchemeOptions)
 
 __all__ = [
     "LoadedConfig", "load_config", "write_field", "read_field",
@@ -56,8 +59,10 @@ __all__ = [
 
 MAGIC = b"UPKF"
 VERSION = 1
-_MARCH_KEYS = ("mode", "lateral_diffusion", "dt", "n_steps", "n_tau",
-               "stride", "eps", "gamma", "m_bound", "options")
+_MARCH_KEYS = ("mode", "lateral_diffusion", "source", "dt", "n_steps",
+               "n_tau", "stride", "eps", "gamma", "m_bound", "options")
+# the update each key names, the only one this version steps
+_UPDATES = {"lateral_diffusion": LATERAL_DIFFUSION, "source": SOURCE_STEP}
 # retired option: (the value every earlier run wrote, what another meant)
 _RETIRED_OPTIONS = {"x_diffusion": (True, "no lateral Laplacian")}
 
@@ -293,10 +298,11 @@ def _meta_to_json(meta):
 
 def _meta_from_json(data):
     out = dict(data)
-    if out["lateral_diffusion"] != LATERAL_DIFFUSION:
-        raise FormatError(f"meta.json: lateral diffusion "
-                          f"{out['lateral_diffusion']!r} is not the "
-                          f"{LATERAL_DIFFUSION!r} update this version steps")
+    for key, update in _UPDATES.items():
+        if out[key] != update:
+            raise FormatError(f"meta.json: {key.replace('_', ' ')} "
+                              f"{out[key]!r} is not the {update!r} update "
+                              "this version steps")
     opts = out.get("options")
     if isinstance(opts, dict):
         opts = dict(opts)

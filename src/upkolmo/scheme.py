@@ -1,11 +1,11 @@
 """Monotone finite-volume building blocks.
 
-One step is an explicit conservative update followed by one backward-Euler
-solve of the lateral diffusion along x:
+One step is an explicit conservative update, one backward-Euler solve of
+the lateral diffusion along x, and a kick that applies the source:
 
-    u* = u^n - (dt/ds) dF_a - (dt/dx) dF_phi + dt * eps * D_ss u^n
-         + dt * <K_gamma>_n * beta(x, s, u^n),
-    (I - dt * Lap_x) u^{n+1} = u*,
+    u* = u^n - (dt/ds) dF_a - (dt/dx) dF_phi + dt * eps * D_ss u^n,
+    (I - dt * Lap_x) v = u*,
+    u^{n+1} = v + theta_n * beta(x, s, v),
 
 with a monotone two-point numerical flux in each convective direction:
 
@@ -14,21 +14,28 @@ with a monotone two-point numerical flux in each convective direction:
 * Engquist-Osher: F(uL, uR) = f(0) + int_0^uL max(f', 0) + int_0^uR min(f', 0),
   which handles non-monotone fluxes without a Riemann solver.
 
-<K_gamma>_n = (P(t_n + dt) - P(t_n))/dt is the delayed kernel's exact
-average over the step, from its tabulated primitive P
-(``kernels.k_gamma_primitive``): the source applies unit mass whatever
-the step, and the average never exceeds sup K_gamma.
+theta_n = P(t_n + dt) - P(t_n) is the kernel mass of the step, from the
+kernel's tabulated primitive P (``kernels.k_gamma_primitive``), so the
+kicks add up to unit mass whatever the step.  At gamma = 0 P is its limit
+1_{t >= tau}: theta_n is exactly 1 on the step that ends at level
+``n_tau`` = ceil(tau/dt), the first at or after tau, and 0 on every
+other, so the impulsive problem is the gamma = 0 case of the one step
+(operator splitting; Holden, Karlsen, Lie & Risebro, EMS 2010).
 
 The operator is ultra-parabolic: diffusion acts along x only.  The explicit
 part is forward Euler under the CFL step of ``Stepper._cfl``, which is
 monotone in every argument.  Lap_x is the three-point Laplacian with zero
 ghosts, so I - dt * Lap_x is an M-matrix: its inverse is nonnegative with
 row sums at most 1; the step multiplies by it, its entries >= 0 exactly
-(``Stepper._solve_lateral``).  The composition therefore keeps what
-the scheme promises exactly, not just asymptotically: it is monotone, it
-obeys the discrete maximum principle, and by Kato's inequality it obeys the
-discrete entropy inequality (derived in ``verify``; Crandall & Majda, Math.
-Comp. 34, 1980; Evje & Karlsen, SIAM J. Numer. Anal. 37, 2000).
+(``Stepper._solve_lateral``).  The kick's slope 1 + theta_n dbeta/dlambda
+is at least 1 - theta_n b0, b0 = sup|dbeta/dlambda|, and theta_n <= dt
+(2/gamma) omega(0), so ``Stepper._cfl`` caps dt where b0 > 1; at gamma =
+0 ``solver.solve_impulsive`` refuses a decreasing jump map instead.  The
+composition therefore keeps what the scheme promises exactly, not just
+asymptotically: it is monotone, it obeys the discrete maximum principle,
+and by Kato's inequality it obeys the discrete entropy inequality
+(derived in ``verify``; Crandall & Majda, Math. Comp. 34, 1980; Evje &
+Karlsen, SIAM J. Numer. Anal. 37, 2000).
 
 Boundary handling: lateral (x) ghosts are zero for both the convective
 exterior state and the diffusion stencil.  In s, prescribed exterior states
@@ -73,15 +80,16 @@ from .problem import data_sup_norms, sampled_deriv_max, slab_sup
 __all__ = [
     "SchemeOptions", "Stepper",
     "DegenerateGridError", "NaNDetectedError", "SupNormExceeded",
-    "LAX_FRIEDRICHS", "ENGQUIST_OSHER", "LATERAL_DIFFUSION", "predicted_sup",
-    "reachable_bound",
+    "LAX_FRIEDRICHS", "ENGQUIST_OSHER", "LATERAL_DIFFUSION", "SOURCE_STEP",
+    "predicted_sup", "reachable_bound",
 ]
 
 LAX_FRIEDRICHS = "lax_friedrichs"
 ENGQUIST_OSHER = "engquist_osher"
-# how the step treats Lap_x; `meta.json` records it, so that a trajectory
-# is only ever certified against the update it came from
+# how the step treats Lap_x and the source; `meta.json` records both, so
+# that a trajectory is only ever certified against the update it came from
 LATERAL_DIFFUSION = "backward_euler"
+SOURCE_STEP = "kick"
 
 _TABLE_SPACING = 1.0 / 1024.0
 # Lax-Friedrichs dissipation alpha over the sampled max|f'|: sampling may
@@ -231,17 +239,18 @@ class Stepper:
         self.flux_phi = kind(spec.flux_phi[0], m_bound)
         if dt is None:
             dt = self._cfl()
-        # a jump time inside (0, T) needs a step on each side of it
+        # a jump time inside (0, T) gets a level strictly between 0 and T
         inner_tau = 0 < spec.tau < spec.T
         n_steps = max(2 if inner_tau else 1, math.ceil(spec.T / dt - 1e-12))
         self.dt = spec.T / n_steps
         self.n_steps = n_steps
-        self.n_tau = min(max(int(round(spec.tau / self.dt)), 1), n_steps - 1) \
+        # the first level at or after tau, where the gamma = 0 kick lands
+        self.n_tau = max(math.ceil(spec.tau / self.dt - 1e-9), 1) \
             if inner_tau else None
         self._inverse = _lateral_inverse(grid.nx, self.dt / grid.dx ** 2)
-        self._primitive = None
-        if spec.beta is not None and self.gamma > 0:
-            self._primitive = kernels.k_gamma_primitive()
+        self._primitive = (kernels.k_gamma_primitive()
+                           if spec.beta is not None and self.gamma > 0
+                           else None)
 
         # compiled once, as the march evaluates them at every step
         self.beta_fn = (exprdsl.compile(spec.beta)[0]
@@ -255,17 +264,18 @@ class Stepper:
     def _cfl(self):
         """Time step: the monotonicity bound of the step's explicit part,
 
-            dt = safety / ( coeff_a/ds + coeff_phi/dx + 2 eps / ds^2
-                            + sup K_gamma * b0 ).
+            dt = safety / ( coeff_a/ds + coeff_phi/dx + 2 eps / ds^2 ),
 
-        coeff is each flux's bound on g' - h' (see the module notes):
+        capped at safety gamma / (2 omega(0) b0) where b0 > 1, so that the
+        kick stays nondecreasing.  As the module notes say, coeff is each
+        flux's bound on g' - h':
         max|f'| on [-m_bound, m_bound] for Engquist-Osher, the dissipation
         alpha = _LF_WIDEN max|f'| for Lax-Friedrichs.  A cell's own
         coefficient is 1 - dt times this sum at most, so it stays
         nonnegative for safety <= 1.  The lateral Laplacian is solved
         implicitly and has no term here.
 
-        With zero fluxes, eps = 0 and no source no term is left, and dt is
+        With zero fluxes and eps = 0 no term is left, and dt is
         capped for accuracy instead.  Backward Euler damps the first
         lateral sine mode, e^(-mu t) with mu = (pi/L)^2, by 1/(1 + mu dt)
         per step, so after n steps, at t = n dt, the log of its ratio to
@@ -273,8 +283,8 @@ class Stepper:
         (mu t)(mu dt)/2.  By t = 1/mu, where the mode has decayed by 1/e,
         the relative error is at most mu dt / 2; holding it to _HEAT_ERROR
         gives dt = 2 _HEAT_ERROR / mu, 1.01e-3 on the unit box.  Where any
-        term is present it sets dt and the cap is not applied: on every
-        bench workload the convective terms set it.
+        term is present it sets dt and the accuracy cap is not applied: on
+        every bench workload the convective terms set it.
         """
         spec, grid = self.spec, self.grid
         safety = self.options.cfl_safety
@@ -283,12 +293,14 @@ class Stepper:
         denom = self.flux_a.coeff / grid.ds + self.flux_phi.coeff / grid.dx
         if self.eps > 0:
             denom += 2.0 * self.eps / grid.ds ** 2
+        dt = (safety / denom if denom > 0
+              else 2.0 * _HEAT_ERROR / (math.pi / spec.L) ** 2)
         if spec.beta is not None and self.gamma > 0:
             b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
-            denom += (2.0 / self.gamma) * float(kernels.omega(0.0)) * b0
-        if denom <= 0:
-            return 2.0 * _HEAT_ERROR / (math.pi / spec.L) ** 2
-        return safety / denom
+            if b0 > 1.0:
+                dt = min(dt, safety * self.gamma
+                         / (2.0 * float(kernels.omega(0.0)) * b0))
+        return dt
 
     # ghost filling ---------------------------------------------------------
 
@@ -317,15 +329,18 @@ class Stepper:
     # single step -----------------------------------------------------------
 
     def source_rate(self, t):
-        """The kernel's exact average over the step from t to t + dt,
-        (P(t + dt) - P(t)) / dt; exactly 0 for a step that ends by
-        tau - gamma or starts at tau or later."""
-        if self._primitive is None:
+        """The source's rate per step: theta = P(t + dt) - P(t), the kernel
+        mass of the step from t.  Exactly 0 for a step that ends by tau -
+        gamma or starts at tau or later; at gamma = 0 exactly 1 on the step
+        that ends at level ``n_tau``, and 0 on every other."""
+        if self.beta_fn is None:
             return 0.0
+        if self._primitive is None:
+            return float(round(t / self.dt) + 1 == self.n_tau)
         z, p = self._primitive
         ends = (np.array((t, t + self.dt)) - self.spec.tau) / self.gamma
         p0, p1 = np.interp(ends, z, p)
-        return float(p1 - p0) / self.dt
+        return float(p1 - p0)
 
     def _solve_lateral(self, d):
         """(I - dt * Lap_x)^{-1} d along x with zero ghosts: one product with
@@ -345,24 +360,14 @@ class Stepper:
         return np.clip(x, min(d.min(), 0.0), max(d.max(), 0.0), out=x)
 
     def step(self, u, t):
-        """Advance the raw value array one time step from time t.
-
-        A value the flux or source expressions cannot evaluate (an
-        overflow, say) ends the march like a non-finite value.
-        """
+        """The explicit update and the lateral solve from time t: the state
+        v that ``kick`` completes into the next level."""
         grid, dt = self.grid, self.dt
         w = self.padded(u, t)
         ws = w[1:-1, :]
         wx = w[:, 1:-1]
-        k = self.source_rate(t)
-        try:
-            g_a, h_a = self.flux_a.split(ws)
-            g_p, h_p = self.flux_phi.split(wx)
-            b = (self.beta_fn({"x": self.xc[:, None], "s": self.sc[None, :],
-                               "lambda": u}) if k != 0.0 else None)
-        except exprdsl.DomainError as exc:
-            raise NaNDetectedError(f"non-finite value in the step from "
-                                   f"t = {t:.6g}: {exc}") from exc
+        g_a, h_a = _guarded(self.flux_a.split, ws, t)
+        g_p, h_p = _guarded(self.flux_phi.split, wx, t)
         f_a = g_a[:, :-1] + h_a[:, 1:]
         div_s = (f_a[:, 1:] - f_a[:, :-1]) / grid.ds
         f_p = g_p[:-1, :] + h_p[1:, :]
@@ -371,12 +376,33 @@ class Stepper:
         if self.eps > 0:
             lap_s = (ws[:, :-2] - 2.0 * u + ws[:, 2:]) / grid.ds ** 2
             new = new + dt * self.eps * lap_s
-        if b is not None:
-            new = new + dt * k * b
-        new = self._solve_lateral(new)
-        if not np.all(np.isfinite(new)):
-            bad = np.argwhere(~np.isfinite(new))[0]
-            raise NaNDetectedError(
-                f"non-finite value at cell {tuple(bad)} after step from "
-                f"t = {t:.6g}")
-        return new
+        return _finite(self._solve_lateral(new), t)
+
+    def kick(self, v, t):
+        """v + theta beta(x, s, v), theta = ``source_rate(t)``: the end of
+        the step from t.  v itself where theta = 0."""
+        theta = self.source_rate(t)
+        if theta == 0.0:
+            return v
+        b = _guarded(self.beta_fn, {"x": self.xc[:, None],
+                                    "s": self.sc[None, :], "lambda": v}, t)
+        return _finite(v + theta * b, t)
+
+
+def _guarded(fn, arg, t):
+    """fn(arg): a value the flux or source expressions cannot evaluate (an
+    overflow, say) ends the march like a non-finite value."""
+    try:
+        return fn(arg)
+    except exprdsl.DomainError as exc:
+        raise NaNDetectedError(f"non-finite value in the step from "
+                               f"t = {t:.6g}: {exc}") from exc
+
+
+def _finite(new, t):
+    if not np.all(np.isfinite(new)):
+        bad = np.argwhere(~np.isfinite(new))[0]
+        raise NaNDetectedError(
+            f"non-finite value at cell {tuple(bad)} after step from "
+            f"t = {t:.6g}")
+    return new

@@ -1,21 +1,22 @@
 """Time-marching drivers.
 
-Three drivers share one march loop:
+Three drivers share one march loop, whose every step ends with the
+source's kick (``scheme.Stepper.kick``):
 
 * ``solve_regularized`` -- eps > 0, both s-end data imposed strongly in the
   eps-diffusion stencil and fed to the convective flux;
 * ``solve_entropy``     -- eps = 0, s-end data enter only as exterior flux
   states, so they may stay unattained where characteristics leave;
-* ``solve_impulsive``   -- zero source; at the snapped jump time the map
-  u <- u + beta(x, s, u) is applied pointwise between two steps, and both
-  one-sided fields are recorded (the other drivers record none).
+* ``solve_impulsive``   -- the gamma = 0 case: the one kick, with theta = 1,
+  applies the jump map u <- u + beta(x, s, u) at level n_tau = ceil(tau/dt),
+  the first at or after tau, and both one-sided fields there are recorded
+  (the other drivers record none).
 
-The jump time is snapped to the nearest step index (the O(dt) placement
-error is covered by the convergence tolerances), and the pre-jump field is
-the state at that step; a march with 0 < tau < T takes at least two steps,
-so a step precedes the jump.  Runs are deterministic: a given (spec, grid,
-options, dt, m_bound) produces a bit-identical trajectory, which the
-delayed-vs-impulsive comparisons exploit on the shared pre-impulse window.
+Runs are deterministic: a given (spec, grid, options, dt, m_bound)
+produces a bit-identical trajectory, which the delayed-vs-impulsive
+comparisons exploit: before the kernel's support the kicks are 0 in
+both, and a support [tau - gamma, tau] inside one step kicks with
+theta = 1 exactly, as the impulse does.
 
 If the running sup-norm escapes the invariant region the step was sized
 for, the march restarts once.  The new region is the larger of twice the
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import exprdsl
 from .problem import Field, Trajectory, min_jump_slope
-from .scheme import (LATERAL_DIFFUSION, SchemeOptions, Stepper,
+from .scheme import (LATERAL_DIFFUSION, SOURCE_STEP, SchemeOptions, Stepper,
                      SupNormExceeded, reachable_bound)
 
 __all__ = [
@@ -96,6 +97,7 @@ def _march_once(spec, grid, stepper, mode):
     traj.meta = {
         "mode": mode,
         "lateral_diffusion": LATERAL_DIFFUSION,
+        "source": SOURCE_STEP,
         "dt": dt,
         "n_steps": n_steps,
         "n_tau": n_tau,
@@ -116,13 +118,11 @@ def _march_once(spec, grid, stepper, mode):
         snap_at.add(n_tau + 1)
 
     for n in range(n_steps):
-        u = stepper.step(u, n * dt)
+        v = stepper.step(u, n * dt)
+        u = stepper.kick(v, n * dt)
         t_new = (n + 1) * dt
         if mode == "impulsive" and n + 1 == n_tau:
-            traj.tau_minus = Field(u.copy(), grid, t_new)
-            if stepper.beta_fn is not None:
-                cells = {"x": stepper.xc[:, None], "s": stepper.sc[None, :]}
-                u = u + stepper.beta_fn({**cells, "lambda": u})
+            traj.tau_minus = Field(v.copy(), grid, t_new)
             traj.tau_plus = Field(u.copy(), grid, t_new)
         sup = float(np.max(np.abs(u)))
         if sup > stepper.m_bound:
@@ -161,7 +161,7 @@ def solve_entropy(spec, grid, gamma=None, options=None, dt=None, m_bound=None):
 
 
 def solve_impulsive(spec, grid, options=None, dt=None, m_bound=None):
-    """March with zero source and one pointwise jump at the snapped time."""
+    """March the gamma = 0 case: one pointwise jump, at level n_tau."""
     if not (0.0 < spec.tau < spec.T):
         raise ValueError(f"jump time must lie in (0, T), got {spec.tau}")
     slope = min_jump_slope(spec)

@@ -12,17 +12,16 @@ check on the same inputs reproduces the line verbatim.
 
 Notes on two deliberately discrete constructions:
 
-* The entropy residual is assembled from the per-step inequality of the
-  monotone update (entropy flux Q(uL, uR; k) = F(uL v k, uR v k)
-  - F(uL ^ k, uR ^ k)), summed against smooth nonnegative bump test
-  functions.  Each cell term is nonpositive up to roundoff, so the weak
-  residual is sign-definite by construction; naive quadrature of snapshot
-  data against derivatives of the test functions would bury the sign in
-  O(grid) consistency error.  This requires trajectories recorded with
-  snapshot stride 1.  The march steps with the sum-split form F(a, b) =
+* The entropy residual is the largest, over every step, cell and k, of
+  the cell inequality of the monotone update.  Each cell term is
+  nonpositive up to roundoff, so every nonnegative weighted sum is too,
+  but a weighted sum can pass a wrong source that a cell fails (twice the
+  spec's kick mass passes a bump-weighted sum).  It needs snapshot
+  stride 1.  The march steps with the sum-split form F(a, b) =
   g(a) + h(b) (``split`` in ``scheme``), and for any such F the entropy
-  flux needs no max or min: g(a v k) - g(a ^ k) is g(a) - g(k) for a > k,
-  g(k) - g(a) for a < k and 0 for a = k, and likewise for h, so
+  flux Q(a, b; k) = F(a v k, b v k) - F(a ^ k, b ^ k) needs no max or
+  min: g(a v k) - g(a ^ k) is g(a) - g(k) for a > k, g(k) - g(a) for
+  a < k and 0 for a = k, and likewise for h, so
 
       Q(a, b; k) = G_k(a) + H_k(b),  G_k = sgn(. - k) (g - g(k)),
                                      H_k = sgn(. - k) (h - h(k)).
@@ -31,24 +30,32 @@ Notes on two deliberately discrete constructions:
   k at once, from the g and h the march steps with, and each interface
   adds its two neighbours' parts the way the march forms F.
 
-  The lateral Laplacian enters in Kato's form.  A step is an explicit
-  monotone update u* of u^n, then (I - dt Lap_x) u^{n+1} = u* with zero
-  x-ghosts (see ``scheme``).  The explicit part gives the Crandall-Majda
+  A step is an explicit monotone update u* of u^n, then (I - dt Lap_x) v
+  = u* with zero x-ghosts, then the kick u^{n+1} = v + theta_n beta(v)
+  (see ``scheme``).  The explicit part gives the Crandall-Majda
   inequality |u* - k| <= |u^n - k| - dt dQ + dt eps D_ss |u^n - k|, with
-  dQ the Kruzhkov flux differences of both directions.  For the solve,
-  write v = u^{n+1} - k, whose x-ghosts are 0 - k, and multiply row i by
-  sgn(v_i): since sgn(v_i) v_j <= |v_j| and sgn(v_i) v_i = |v_i|,
-  sgn(v_i) (Lap_x v)_i <= (Lap_x |v|)_i, so
+  dQ the Kruzhkov flux differences of both directions.  The solve enters
+  in Kato's form: with z = v - k, whose x-ghosts are 0 - k, multiply row
+  i by sgn(z_i); since sgn(z_i) z_j <= |z_j| and sgn(z_i) z_i = |z_i|,
+  sgn(z_i) (Lap_x z)_i <= (Lap_x |z|)_i, so
 
-      |u^{n+1} - k| - dt Lap_x |u^{n+1} - k| <= sgn(v) (u* - k) <= |u* - k|,
+      |v - k| - dt Lap_x |v - k| <= sgn(z) (u* - k) <= |u* - k|,
 
-  with the x-ghosts of |u^{n+1} - k| equal to |0 - k|.  Chaining the two,
+  with the x-ghosts of |v - k| equal to |0 - k|.  The kick H(v) = v +
+  theta_n beta(v) is nondecreasing, so |H(v) - H(k)| = sgn(v - k) (H(v)
+  - H(k)), and |H(k) - k| = theta_n |beta(k)|, so
 
-      rho = |u^{n+1} - k| - |u^n - k| + dt dQ - dt Lap_x |u^{n+1} - k|
-            - dt eps D_ss |u^n - k|  <=  0
+      |u^{n+1} - k| <= |v - k| + theta_n [sgn(v - k) (beta(v) - beta(k))
+                                          + |beta(k)|].
 
-  cell by cell: the explicit update's residual, with the diffusion term
-  taken on eta(u^{n+1}) instead of eta(u^n).
+  Chaining the three, cell by cell,
+
+      rho = |u^{n+1} - k| - |u^n - k| + dt dQ - dt Lap_x |v - k|
+            - dt eps D_ss |u^n - k|
+            - theta_n [sgn(v - k) (beta(v) - beta(k)) + |beta(k)|]  <=  0.
+
+  Where theta_n = 0, v = u^{n+1}; on a kick step the check replays
+  ``Stepper.step(u^n)``, the deterministic march's own v bit for bit.
 * The stability comparison adds a frozen grid-error allowance
   C_grid = K * (dx^(1/2) + ds^(1/2)) on top of the continuum bound; the
   continuum estimate holds exactly only in the limit, and the scheme
@@ -71,7 +78,7 @@ from .problem import (NORM_INFLATION, GridMismatchError, ZeroInitialDataError,
                       data_sup_norms, impulsive_bounds, max_principle_bound,
                       min_jump_slope, refined_max_bound, stability_rhs,
                       stability_rhs_impulsive)
-from .scheme import Stepper
+from .scheme import NaNDetectedError, Stepper
 from . import solver as solver_mod
 from .solver import GammaOutOfRangeError
 
@@ -217,9 +224,9 @@ def _inf_unless_finite(value):
 
 
 def _worst_cell(values):
-    """Index of the first non-finite cell, else of the largest |value|."""
+    """Index of the first non-finite entry, else of the largest."""
     bad = ~np.isfinite(values)
-    flat = np.argmax(bad) if bad.any() else np.argmax(np.abs(values))
+    flat = np.argmax(bad) if bad.any() else np.argmax(values)
     return [int(i) for i in np.unravel_index(flat, values.shape)]
 
 
@@ -248,7 +255,7 @@ def check_max_principle(traj, spec):
             worst = (sup, bnd, t, fld)
     context = {"spec": spec.context_hash(), "mode": traj.meta.get("mode"),
                "t_worst": worst[2],
-               "cell_worst": (_worst_cell(worst[3].values)
+               "cell_worst": (_worst_cell(np.abs(worst[3].values))
                               if worst[3] is not None else None),
                **extra}
     return _report("max_principle", worst[0], worst[1], 0.0, 1e-10, context)
@@ -331,39 +338,8 @@ def check_stability(traj1, traj2, spec1, spec2):
 
 # --- entropy residuals ----------------------------------------------------------
 
-# Fixed bank of tensor-product bump test functions, nonnegative and
-# compactly supported in the open domain.  Entries are relative
-# (center, width) per axis in the order (x, t, s); shipped as data so that
-# residual reports are reproducible.
-TEST_BANK = (
-    ((0.50, 0.45), (0.50, 0.45), (0.50, 0.45)),
-    ((0.35, 0.30), (0.40, 0.35), (0.60, 0.35)),
-    ((0.65, 0.30), (0.60, 0.35), (0.40, 0.35)),
-    ((0.50, 0.40), (0.30, 0.25), (0.50, 0.40)),
-    ((0.50, 0.40), (0.70, 0.25), (0.50, 0.40)),
-    ((0.40, 0.35), (0.55, 0.40), (0.30, 0.25)),
-    ((0.60, 0.35), (0.45, 0.40), (0.70, 0.25)),
-    ((0.50, 0.30), (0.50, 0.30), (0.50, 0.30)),
-)
-
-
-def _bump(z):
-    return np.maximum(0.0, 1.0 - z * z) ** 2
-
-
-def _bank_spatial(spec, grid):
-    xc, sc = grid.cell_centers()
-    spatial = []
-    for (cx, wx), _, (cs, ws) in TEST_BANK:
-        bx = _bump((xc - cx * spec.L) / (wx * spec.L))
-        bs = _bump((sc - cs * spec.S) / (ws * spec.S))
-        spatial.append(bx[:, None] * bs[None, :])
-    return np.array(spatial)
-
-
-# Scored steps per block of the entropy residual.  A block's t-factors and
-# its (bump, k) sums are formed at once; on a 32x32 stride-1 run (2 cores)
-# blocks of 4-8 steps were fastest, and blocks of 32 slower than none.
+# Steps per block of the entropy residual: a block's cells are formed for
+# every k at once, which spreads NumPy's cost per call over its steps.
 _RESIDUAL_BLOCK = 8
 
 
@@ -377,16 +353,23 @@ def _entropy_parts(flux, k_parts, w, sign):
     return sign * (g - k_parts[0]), sign * (h - k_parts[1])
 
 
-def check_entropy_residual(traj, spec, k_values):
-    """Sign of the discrete weak entropy residual for |u - k| entropies.
+def _pre_kick(stepper, u, t):
+    """The march's state before the kick, ``Stepper.step(u, t)``; NaN
+    where the step cannot form it."""
+    try:
+        return stepper.step(u, t)
+    except NaNDetectedError:
+        return np.full_like(u, np.nan)
 
-    Requires a trajectory recorded with snapshot stride 1 (consecutive
-    steps); the residual then telescopes the per-step entropy inequality
-    of the monotone update, in Kato's form for the implicit lateral
-    diffusion (see the module notes), and is nonnegative up to roundoff.
-    With no k, or no step outside the jump and the source window, there is
-    nothing to certify and the report fails with measured = inf; so it
-    does when a snapshot holds a non-finite value.
+
+def check_entropy_residual(traj, spec, k_values):
+    """Largest cellwise entropy residual rho over every step, cell and k
+    of a stride-1 trajectory: the cell inequality of the monotone update
+    (see the module notes), nonpositive up to roundoff.  The context names
+    the worst step by its start ``t_worst``, its ``cell_worst`` and
+    ``k_worst``.  With no k, or no step, there is nothing to certify and
+    the report fails with measured = inf; so it does when a snapshot holds
+    a non-finite value.
     """
     meta = traj.meta
     if meta.get("stride", 0) != 1:
@@ -396,37 +379,26 @@ def check_entropy_residual(traj, spec, k_values):
                       dt=meta["dt"])
     grid = traj.grid
     dt, dx, ds = meta["dt"], grid.dx, grid.ds
-    vol = grid.cell_volume
-    n_bank = len(TEST_BANK)
-    # (cells, bump): a block's (bump, k) sums are one matrix product
-    spatial = _bank_spatial(spec, grid).reshape(n_bank, -1).T
-    t_centres = np.array([ct * spec.T for _, (ct, _), _ in TEST_BANK])
-    t_widths = np.array([wt * spec.T for _, (_, wt), _ in TEST_BANK])
-    n_tau = meta.get("n_tau")
-    mode = meta.get("mode", "entropy")
     # one axis per entropy |u - k|: every k is treated in the same array op
     ks = np.asarray(k_values, dtype=float).reshape(-1, 1, 1)
-    n_k = len(ks)
     k_a, k_p = stepper.flux_a.split(ks), stepper.flux_phi.split(ks)
-    residuals = np.zeros((n_k, n_bank))
+    cells = {"x": stepper.xc[:, None], "s": stepper.sc[None, :]}
+    beta_k = (stepper.beta_fn({**cells, "lambda": ks})
+              if stepper.beta_fn is not None else None)
+    n_scored = len(traj.times) - 1 if len(ks) else 0
+    worst = (np.inf if n_scored == 0 else -np.inf, None, None, None)
 
-    scored = []
-    for n in range(len(traj.times) - 1):
-        t0, t1 = traj.times[n], traj.times[n + 1]
-        step_idx = int(round(t1 / dt))
-        if mode == "impulsive" and n_tau is not None and step_idx == n_tau:
-            continue  # the jump step is excluded from the smooth-range check
-        if stepper.source_rate(t0) != 0.0:
-            continue  # source-active window: inequality carries a source term
-        scored.append(n)
-
-    for first in range(0, len(scored), _RESIDUAL_BLOCK):
-        block = scored[first:first + _RESIDUAL_BLOCK]
-        t0s = np.array([traj.times[n] for n in block])
+    for first in range(0, n_scored, _RESIDUAL_BLOCK):
+        block = range(first, min(first + _RESIDUAL_BLOCK, n_scored))
+        t0s = [traj.times[n] for n in block]
+        thetas = [stepper.source_rate(t) for t in t0s]
         # axes (step, k, x, s)
         w = np.stack([stepper.padded(traj.fields[n].values, t)
                       for n, t in zip(block, t0s)])[:, None]
         u1 = np.stack([traj.fields[n + 1].values for n in block])[:, None]
+        v = np.stack([_pre_kick(stepper, traj.fields[n].values, t)
+                      if theta else traj.fields[n + 1].values
+                      for n, t, theta in zip(block, t0s, thetas)])[:, None]
         diff = w - ks
         sign, eta_pad = np.sign(diff), np.abs(diff)
         # the s-flux acts inside the s-strip, the x-flux inside the x-strip
@@ -437,37 +409,32 @@ def check_entropy_residual(traj, spec, k_values):
         q_a = g_a[..., :-1] + h_a[..., 1:]
         q_p = g_p[..., :-1, :] + h_p[..., 1:, :]
         eta0 = eta_pad[..., 1:-1, 1:-1]
-        eta1 = np.abs(u1 - ks)
-        rho = (eta1 - eta0
+        rho = (np.abs(u1 - ks) - eta0
                + dt / ds * (q_a[..., 1:] - q_a[..., :-1])
                + dt / dx * (q_p[..., 1:, :] - q_p[..., :-1, :]))
-        # Kato's form: the Laplacian of eta(u^{n+1}), ghosts |0 - k|
-        ghost = np.abs(ks)
-        lap = -2.0 * eta1
-        lap[..., 1:, :] += eta1[..., :-1, :]
-        lap[..., :-1, :] += eta1[..., 1:, :]
-        lap[..., 0, :] += ghost[..., 0, :]
-        lap[..., -1, :] += ghost[..., 0, :]
-        rho = rho - dt * lap / dx ** 2
+        # Kato's form: the Laplacian of eta(v), x-ghosts |0 - k|
+        zero = np.zeros_like(v[..., :1, :])
+        ev = np.abs(np.concatenate((zero, v, zero), axis=-2) - ks)
+        rho = rho - dt * (ev[..., :-2, :] - 2.0 * ev[..., 1:-1, :]
+                          + ev[..., 2:, :]) / dx ** 2
         if stepper.eps > 0:
             es = eta_pad[..., 1:-1, :]
             rho = rho - dt * stepper.eps * (
                 es[..., :-2] - 2.0 * eta0 + es[..., 2:]) / ds ** 2
-        sums = (rho.reshape(len(block) * n_k, len(spatial)) @ spatial).reshape(
-            len(block), n_k, n_bank)
-        t_factors = _bump((t0s[:, None] - t_centres) / t_widths)
-        terms = -sums * vol * t_factors[:, None, :]
-        # each step's (k, bump) sums are added in step order: the
-        # roundoff-level value of the residual depends on that order
-        for term in terms:
-            residuals += term
+        for i, theta in enumerate(thetas):
+            if theta:
+                beta_v = stepper.beta_fn({**cells, "lambda": v[i]})
+                rho[i] -= theta * (np.sign(v[i] - ks) * (beta_v - beta_k)
+                                   + np.abs(beta_k))
+        i, j, cx, cs = _worst_cell(rho)
+        value = _inf_unless_finite(float(rho[i, j, cx, cs]))
+        if value > worst[0]:
+            worst = (value, t0s[i], [cx, cs], float(ks[j, 0, 0]))
 
-    # with no k or no step scored there is nothing to certify
-    min_res = float(residuals.min()) if scored and residuals.size else -np.inf
     context = {"spec": spec.context_hash(), "k_values": list(map(float, k_values)),
-               "n_bank": n_bank, "min_residual": min_res}
-    return _report("entropy_residual", _inf_unless_finite(-min_res), 0.0, 0.0,
-                   1e-8, context)
+               "n_scored": n_scored, "t_worst": worst[1],
+               "cell_worst": worst[2], "k_worst": worst[3]}
+    return _report("entropy_residual", worst[0], 0.0, 0.0, 1e-8, context)
 
 
 # --- boundary entropy inequalities ---------------------------------------------
@@ -585,9 +552,9 @@ def check_gamma_limit(spec, grid, gammas, options=None, map_fn=map):
         raise GammaOutOfRangeError("delay widths must be strictly decreasing")
 
     # every run gets Stepper's default m_bound, which depends on the spec
-    # alone, so the family shares one invariant region
-    dt = min(Stepper(spec, grid, eps=0.0, gamma=g, options=options).dt
-             for g in gammas + [0.0])
+    # alone, so the family shares one invariant region; dt depends on the
+    # width only through the kick's cap, tightest at the smallest width
+    dt = Stepper(spec, grid, eps=0.0, gamma=gammas[-1], options=options).dt
     ref = solver_mod.solve_impulsive(spec, grid, options=options, dt=dt)
     trajs = list(map_fn(functools.partial(
         solver_mod.solve_entropy, spec, grid, options=options, dt=dt),

@@ -80,7 +80,22 @@ def test_run_and_verify_succeed(run_dir):
     assert set(rows.values()) == {"true"}
     meta = json.loads((traj / "meta.json").read_text())
     assert meta["lateral_diffusion"] == "backward_euler"
+    assert meta["source"] == "kick"
     assert meta["restart"] is None
+
+
+def test_verify_refuses_a_run_written_with_the_in_step_source(run_dir,
+                                                              capsys):
+    # a run from before the kick has no "source" key; scoring it against
+    # the kick would certify an update it did not take
+    cfg, traj = run_dir
+    meta = json.loads((traj / "meta.json").read_text())
+    del meta["source"]
+    (traj / "meta.json").write_text(json.dumps(meta))
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {traj}: meta.json lacks source\n"
+    assert not (traj / "reports.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
@@ -169,7 +184,7 @@ def test_verify_of_a_trajectory_with_empty_meta_json_exits_1(run_dir,
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
     err = capsys.readouterr().err
     assert err == (f"error: {traj}: meta.json lacks mode, lateral_diffusion, "
-                   "dt, n_steps, n_tau, stride, eps, gamma, m_bound, "
+                   "source, dt, n_steps, n_tau, stride, eps, gamma, m_bound, "
                    "options\n")
     assert not (traj / "reports.csv").exists()
 

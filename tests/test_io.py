@@ -24,7 +24,7 @@ def _trajectory():
     traj.tau_minus = Field(rng.random((4, 4)), grid, 0.375)
     traj.tau_plus = Field(rng.random((4, 4)), grid, 0.375)
     traj.meta = {"mode": "impulsive", "lateral_diffusion": "backward_euler",
-                 "dt": 0.125, "n_steps": 4, "n_tau": 3,
+                 "source": "kick", "dt": 0.125, "n_steps": 4, "n_tau": 3,
                  "stride": 3, "eps": 0.0, "gamma": 0.0, "m_bound": 2.0,
                  "options": OPTIONS}
     return traj
@@ -86,9 +86,11 @@ def test_unknown_options_are_named(tmp_path):
     ("dt",), ("eps", "options"),
     # a directory written by the explicit lateral update has no such key
     ("lateral_diffusion",),
-    ("mode", "lateral_diffusion", "dt", "n_steps", "n_tau", "stride", "eps",
-     "gamma", "m_bound", "options"),
-], ids=["dt", "eps_and_options", "explicit_update", "all"])
+    # nor has one written with the source inside the explicit part
+    ("source",),
+    ("mode", "lateral_diffusion", "source", "dt", "n_steps", "n_tau",
+     "stride", "eps", "gamma", "m_bound", "options"),
+], ids=["dt", "eps_and_options", "explicit_update", "in_step_source", "all"])
 def test_missing_march_parameters_are_named(tmp_path, keys):
     upk_io.write_trajectory(tmp_path, _trajectory())
     meta = json.loads((tmp_path / "meta.json").read_text())
@@ -108,6 +110,17 @@ def test_another_lateral_diffusion_is_named(tmp_path):
     with pytest.raises(upk_io.FormatError,
                        match="^meta.json: lateral diffusion 'forward_euler' "
                              "is not the 'backward_euler' update"):
+        upk_io.read_trajectory(tmp_path)
+
+
+def test_another_source_step_is_named(tmp_path):
+    upk_io.write_trajectory(tmp_path, _trajectory())
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["source"] = "explicit"
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(upk_io.FormatError,
+                       match="^meta.json: source 'explicit' is not the "
+                             "'kick' update"):
         upk_io.read_trajectory(tmp_path)
 
 

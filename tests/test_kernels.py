@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -76,13 +78,24 @@ class TestDelayedKernel:
 
     @pytest.mark.parametrize("cells", [16, 32, 64])
     def test_unit_mass_the_march_applies(self, cells):
-        # the step averages of the kernel telescope to P(T) - P(0) = 1,
-        # wherever tau falls in a step (tau/dt = 37 at 16x16, 70 at 32x32,
-        # 136.5 at 64x64)
-        stepper = Stepper(source_spec(), unit_grid(cells))
-        mass = sum(stepper.source_rate(n * stepper.dt) * stepper.dt
-                   for n in range(stepper.n_steps))
-        assert abs(mass - 1.0) <= 1e-8
+        # the kick masses of the steps telescope to P(T) - P(0) = 1,
+        # wherever tau falls in a step (tau/dt = 33.5, 66.5 and 132.5 at
+        # the CFL step of 16, 32 and 64 cells, and 64 at dt = 1/128)
+        for dt in (None, 1.0 / 128):
+            stepper = Stepper(source_spec(), unit_grid(cells), dt=dt)
+            mass = sum(stepper.source_rate(n * stepper.dt)
+                       for n in range(stepper.n_steps))
+            assert abs(mass - 1.0) <= 1e-8
+            # gamma = 0: the whole mass, exactly 1, on the step that ends
+            # at level n_tau = ceil(tau/dt), the first at or after tau
+            impulse = Stepper(source_spec(), unit_grid(cells), gamma=0.0,
+                              dt=dt)
+            thetas = [impulse.source_rate(n * impulse.dt)
+                      for n in range(impulse.n_steps)]
+            n_tau = math.ceil(round(0.5 / impulse.dt, 6))
+            assert impulse.n_tau == n_tau
+            assert thetas[n_tau - 1] == 1.0
+            assert thetas.count(0.0) == len(thetas) - 1
 
     def test_mass_independent_quadrature(self):
         # integrate up to the jump at t = tau; the kernel vanishes beyond it

@@ -248,12 +248,28 @@ class TestCfl:
             _cfl(nosource_spec(), Grid(8, 8, 1.0, 1.0),
                  options=S.SchemeOptions(cfl_safety=safety))
 
-    def test_source_term_enters(self):
-        with_src = source_spec(gamma=0.05)
-        without = nosource_spec()
+    def test_delay_width_leaves_the_step_alone(self):
+        # the source is a kick, not a CFL term: with b0 = 0.384 <= 1 the
+        # 64x64 march takes as many steps at gamma = 0.001 as at gamma = 0
+        # (973 when the source sat in the explicit part)
+        spec = source_spec()
+        grid = Grid(nx=64, ns=64, L=1.0, S=1.0)
+        steps = {g: S.Stepper(spec, grid, eps=0.0, gamma=g).n_steps
+                 for g in (0.1, 0.001, 0.0)}
+        assert steps == {0.1: 265, 0.001: 265, 0.0: 265}
+
+    def test_kick_caps_the_step_where_b0_exceeds_1(self):
+        # beta = -3 lambda bumps: b0 = 3, so theta b0 <= 1 needs dt <=
+        # gamma / (2 omega(0) b0), times the safety factor
+        spec = source_spec(gamma=0.02).with_data(
+            beta=E.parse("-3*lambda*(max(0, 1-((x-0.5)/0.35)^2))^2"
+                         "*(max(0, 1-((s-0.5)/0.35)^2))^2"))
         grid = Grid(nx=16, ns=16, L=1.0, S=1.0)
-        assert _cfl(with_src, grid, gamma=None) < _cfl(without, grid,
-                                                       gamma=None)
+        b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
+        assert b0 == pytest.approx(3.0, rel=1e-2)  # sampled off the centre
+        cap = 0.9 * 0.02 / (2.0 * float(kernels.omega(0.0)) * b0)
+        assert _cfl(spec, grid, gamma=0.02) == cap
+        assert _cfl(spec, grid) > cap  # no cap at gamma = 0
 
 
 def _random_field(rng, grid, amp=0.8):
@@ -496,7 +512,7 @@ class TestLateralSolve:
 @pytest.mark.parametrize("eps", [0.0, 0.02])
 def test_step_is_monotone(kind, eps):
     # u <= v cell by cell gives step(u) <= step(v) cell by cell, with the
-    # source active, without tolerance
+    # kick that ends it active, without tolerance
     rng = np.random.default_rng(47)
     spec = source_spec(gamma=0.05)
     grid = Grid(16, 16, 1.0, 1.0)
@@ -509,7 +525,8 @@ def test_step_is_monotone(kind, eps):
         v = np.minimum(u + rng.uniform(0.0, 0.5, u.shape)
                        * (rng.random(u.shape) < 0.3), 0.8)
         assert np.all(u <= v)
-        assert np.all(stepper.step(u, t) <= stepper.step(v, t))
+        assert np.all(stepper.kick(stepper.step(u, t), t)
+                      <= stepper.kick(stepper.step(v, t), t))
 
 
 @pytest.mark.parametrize("kind", [S.ENGQUIST_OSHER, S.LAX_FRIEDRICHS])
@@ -604,18 +621,18 @@ class TestSplitForm:
 
 
 class TestSourceRate:
-    """The source rate is the kernel's average over the step."""
+    """The source rate per step is the kernel's mass over the step."""
 
     @staticmethod
-    def _average(stepper, t, n=20001):
+    def _mass(stepper, t, n=20001):
         """Trapezoid quadrature of K_gamma over the step's overlap with
-        the support [tau - gamma, tau], divided by dt."""
+        the support [tau - gamma, tau]."""
         tau, gamma = stepper.spec.tau, stepper.gamma
         lo, hi = max(t, tau - gamma), min(t + stepper.dt, tau)
         if lo >= hi:
             return 0.0
         ts = np.linspace(lo, hi, n)
-        return np.trapezoid(kernels.k_gamma(ts, tau, gamma), ts) / stepper.dt
+        return np.trapezoid(kernels.k_gamma(ts, tau, gamma), ts)
 
     def test_zero_off_the_support_and_the_average_on_it(self):
         spec = source_spec()
@@ -631,9 +648,9 @@ class TestSourceRate:
         peak = (2.0 / gamma) * float(kernels.omega(0.0))
         for t in starts:
             got = stepper.source_rate(t)
-            assert 0.0 < got <= peak
+            assert 0.0 < got <= peak * dt
             # P is tabulated to within 5e-8 at each end of the step
-            assert abs(got - self._average(stepper, t)) * dt <= 1e-7
+            assert abs(got - self._mass(stepper, t)) <= 1e-7
         assert len(starts) > 3
 class TestGhostRows:
     @staticmethod

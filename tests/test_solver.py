@@ -7,9 +7,9 @@ from upkolmo import exprdsl as E
 from upkolmo import solver, verify
 from upkolmo.problem import (Grid, ProblemSpec, min_jump_slope,
                              refined_max_bound)
-from upkolmo.scheme import predicted_sup
+from upkolmo.scheme import SchemeOptions, Stepper, predicted_sup
 from scenarios import (nosource_spec, source_spec, unit_grid, zero_spec,
-                       SBUMP, XBUMP)
+                       LCUT, SBUMP, XBUMP)
 
 
 class TestZeroData:
@@ -88,6 +88,37 @@ class TestJumpMap:
             solver.solve_impulsive(spec, unit_grid(8))
 
 
+class TestKickCap:
+    def test_capped_kick_is_nondecreasing_on_the_run(self):
+        # beta = -3 lambda bumps, cut off in lambda: b0 = 3 > 1 and the
+        # jump map decreases,
+        # so the kick u <- v + theta beta(v) is monotone only while theta
+        # b0 <= 1; the capped dt keeps it so on every value the run takes
+        spec = source_spec(gamma=0.02).with_data(
+            beta=E.parse(f"-3*lambda*{XBUMP}*{SBUMP}*{LCUT}"))
+        assert min_jump_slope(spec) < 0.0
+        grid = unit_grid(16)
+        traj = solver.solve_entropy(
+            spec, grid, options=SchemeOptions(snapshot_stride=1))
+        stepper = Stepper(spec, grid, eps=0.0, dt=traj.meta["dt"])
+        uncapped = Stepper(spec, grid, eps=0.0, gamma=0.0).dt
+        assert stepper.dt < uncapped
+        slope = E.compile(spec.beta, "lambda")[0]
+        cells = {"x": stepper.xc[:, None], "s": stepper.sc[None, :]}
+        kicks = 0
+        for n, (t, fld) in enumerate(zip(traj.times[:-1], traj.fields)):
+            theta = stepper.source_rate(t)
+            if theta:
+                v = stepper.step(fld.values, t)
+                d_beta = slope({**cells, "lambda": v})[1]
+                assert np.min(1.0 + theta * d_beta) >= 0.0
+                kicks += 1
+        assert kicks >= 2
+        assert verify.check_max_principle(traj, spec).passed
+        ks = list(np.linspace(-0.1, 0.7, 9))
+        assert verify.check_entropy_residual(traj, spec, ks).passed
+
+
 class TestImpulsive:
     def test_no_perturbation_continuous(self, grid64):
         spec = nosource_spec()
@@ -107,7 +138,8 @@ class TestImpulsive:
         traj = impulsive_run["traj"]
         n_tau, dt = traj.meta["n_tau"], traj.meta["dt"]
         assert traj.tau_minus.t == pytest.approx(n_tau * dt)
-        assert abs(n_tau * dt - impulsive_run["spec"].tau) <= dt
+        # n_tau = ceil(tau/dt): the first level at or after tau
+        assert (n_tau - 1) * dt < impulsive_run["spec"].tau <= n_tau * dt
 
     def test_post_jump_snapshot_is_jumped_state(self, impulsive_run):
         traj = impulsive_run["traj"]

@@ -172,8 +172,9 @@ class TestStability:
 
     def test_gronwall_weight_uses_the_run_gamma(self, monkeypatch,
                                                 gamma_family):
-        # the run used gamma = 0.05 and the spec says 0.1: the source acts
-        # on [tau - 0.05, tau], so G vanishes before tau - 0.05
+        # the run used gamma = 0.05 and the spec says 0.1: the weight is
+        # G(t) = b0 P((t - tau)/0.05), which reads otherwise than the
+        # spec's width at a snapshot inside [tau - 0.05, tau)
         spec = gamma_family["spec"]
         traj = gamma_family["trajs"][0.05]
         assert traj.meta["gamma"] == 0.05 and spec.gamma == 0.1
@@ -182,11 +183,18 @@ class TestStability:
         rep = verify.check_stability(traj, traj, spec,
                                      perturbed_spec(spec, 0.1))
         (args, rhs), = calls
-        d_init = rep.context["d_init"]
+        d_init, b0 = rep.context["d_init"], args[5]
         assert args[6] == 0.05
-        early = [r for t, r in zip(traj.times, rhs)
-                 if spec.tau - 0.1 < t < spec.tau - 0.05]
-        assert early and all(r == d_init for r in early)
+        z, p = kernels.k_gamma_primitive()
+
+        def weight(t, gamma):
+            return b0 * np.interp((t - spec.tau) / gamma, z, p)
+
+        assert rhs == [float(np.exp(weight(t, 0.05)) * d_init)
+                       for t in traj.times]
+        inside = [t for t in traj.times if spec.tau - 0.05 < t < spec.tau]
+        assert inside and all(weight(t, 0.05) != weight(t, 0.1)
+                              for t in inside)
         assert rhs[-1] > d_init
 
     def test_grid_mismatch(self, gamma_family):
@@ -206,11 +214,12 @@ class TestEntropyResidual:
         assert rep.measured <= 1e-8  # i.e. min residual >= -1e-8
 
     def test_strict_dissipation_between_shock_states(self, shock_run):
-        rep = verify.check_entropy_residual(shock_run["traj"],
-                                            shock_run["spec"], [0.5])
-        # -measured is the minimum weak residual over the bank: strictly
-        # positive, since every bump overlaps the shock path somewhere
-        assert -rep.measured > 0
+        # k = 0.5 lies between the shock states 1 and 0: the cells the
+        # shock crosses dissipate entropy, so the least cellwise rho is
+        # strictly negative, by far more than roundoff
+        rhos = _entropy_rhos_reference(shock_run["traj"], shock_run["spec"],
+                                       [0.5])
+        assert min(float(rho.min()) for _, rho in rhos) < -1e-3
 
     def test_outside_range_conservation(self, shock_run):
         rep = verify.check_entropy_residual(shock_run["traj"],
@@ -243,6 +252,33 @@ class TestEntropyResidual:
         rep = verify.check_entropy_residual(
             traj, spec, [-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
         assert not rep.passed
+
+    @pytest.mark.parametrize("amp", [0.25, -0.5])
+    @pytest.mark.parametrize("mode", ["entropy", "impulsive"])
+    def test_a_wrong_source_fails_on_the_kick_steps(self, mode, amp):
+        # the run kicks with beta, the spec it is verified against says
+        # beta/2 (the march applied twice the spec's mass) or -beta: a cell
+        # of a kick step sees either (a bump-weighted sum passed beta/2 at
+        # -0.0017 and -0.0019)
+        spec = source_spec()
+        opts = SchemeOptions(snapshot_stride=1)
+        solve = (solver.solve_impulsive if mode == "impulsive"
+                 else solver.solve_entropy)
+        traj = solve(spec, unit_grid(32), options=opts)
+        ks = list(np.linspace(-0.2, 0.8, 9))
+        assert verify.check_entropy_residual(traj, spec, ks).passed
+        wrong = source_spec(beta_amp=amp)
+        rep = verify.check_entropy_residual(traj, wrong, ks)
+        assert not rep.passed
+        assert rep.measured > 1e-3
+        # the worst step is a kick step: within the kernel's support, or
+        # the impulse's step
+        t_worst = rep.context["t_worst"]
+        assert spec.tau - spec.gamma - traj.meta["dt"] < t_worst < spec.tau
+        if mode == "impulsive":
+            assert t_worst == traj.times[traj.meta["n_tau"] - 1]
+        _assert_same_residual(rep, _entropy_residual_reference(traj, wrong,
+                                                               ks))
 
     def test_requires_stride_one(self, gamma_family):
         with pytest.raises(ValueError):
@@ -431,6 +467,18 @@ class TestGammaLimit:
         assert rep.passed
         assert rep.context["pre_window_bitwise"]
 
+    @pytest.mark.parametrize("gamma", [0.003125, 0.001])
+    def test_narrow_widths_reach_the_impulsive_run_exactly(self, gamma):
+        # at 32x32 tau/dt = 66.5: a support [tau - gamma, tau] inside the
+        # step from level 66 to 67 gets theta = P(z > 0) - P(z < -1) = 1
+        # exactly, the impulse's kick, on the same dt
+        spec = source_spec()
+        grid = unit_grid(32)
+        ref = solver.solve_impulsive(spec, grid)
+        traj = solver.solve_entropy(spec, grid, gamma=gamma)
+        assert traj.meta["dt"] == ref.meta["dt"]
+        assert verify.spacetime_l1_diff(traj, ref) == 0.0
+
     def test_degenerate_no_perturbation(self):
         spec = nosource_spec()
         rep = verify.check_gamma_limit(spec, unit_grid(32), [0.2, 0.1, 0.05])
@@ -597,29 +645,36 @@ def _bln_reference(traj, spec, k_values):
     return verify._report("bln_boundary", worst, 0.0, 0.0, tol, context)
 
 
-def _entropy_residual_reference(traj, spec, k_values):
+def _entropy_rhos_reference(traj, spec, k_values):
+    """(t_n, rho) for every step of a stride-1 run, rho on axes (k, x, s):
+    the cell inequality with the Kruzhkov fluxes in the max/min form
+    F(u v k) - F(u ^ k), one k at a time, and the kick's mass theta_n
+    from the kernel's primitive, or at gamma = 0 from ``n_tau``."""
     meta = traj.meta
     stepper = Stepper(spec, traj.grid, eps=meta["eps"], gamma=meta["gamma"],
                       options=meta["options"], m_bound=meta["m_bound"],
                       dt=meta["dt"])
     grid = traj.grid
     dt, dx, ds = meta["dt"], grid.dx, grid.ds
-    vol = grid.cell_volume
-    spatial = verify._bank_spatial(spec, grid)
-    n_tau = meta.get("n_tau")
-    residuals = np.zeros((len(verify.TEST_BANK), len(k_values)))
+    xc, sc = grid.cell_centers()
+    cells = {"x": xc[:, None], "s": sc[None, :]}
+    z, p = kernels.k_gamma_primitive()
+    out = []
     for n in range(len(traj.times) - 1):
-        t0, t1 = traj.times[n], traj.times[n + 1]
-        if meta["mode"] == "impulsive" and int(round(t1 / dt)) == n_tau:
-            continue
-        if stepper.source_rate(t0) != 0.0:
-            continue
+        t0 = traj.times[n]
         u0 = traj.fields[n].values
         u1 = traj.fields[n + 1].values
+        if spec.beta is None:
+            theta = 0.0
+        elif meta["gamma"] == 0.0:
+            theta = 1.0 if n + 1 == meta["n_tau"] else 0.0
+        else:
+            ends = (np.array([t0, t0 + dt]) - spec.tau) / meta["gamma"]
+            theta = float(np.diff(np.interp(ends, z, p))[0])
+        v = stepper.step(u0, t0) if theta else u1
         w = stepper.padded(u0, t0)
-        t_factors = [verify._bump((t0 - ct * spec.T) / (wt * spec.T))
-                     for _, (ct, wt), _ in verify.TEST_BANK]
-        for j, k in enumerate(k_values):
+        rhos = []
+        for k in k_values:
             w_up = np.maximum(w, k)
             w_dn = np.minimum(w, k)
             eta_pad = w_up - w_dn
@@ -630,24 +685,40 @@ def _entropy_residual_reference(traj, spec, k_values):
             q_p = (stepper.flux_phi.flux(wx_up[:-1, :], wx_up[1:, :])
                    - stepper.flux_phi.flux(wx_dn[:-1, :], wx_dn[1:, :]))
             eta0 = eta_pad[1:-1, 1:-1]
-            eta1 = np.abs(u1 - k)
-            rho = (eta1 - eta0
+            rho = (np.abs(u1 - k) - eta0
                    + dt / ds * (q_a[:, 1:] - q_a[:, :-1])
                    + dt / dx * (q_p[1:, :] - q_p[:-1, :]))
-            # Kato's form: Lap_x of |u^{n+1} - k|, x-ghosts |0 - k|
-            ex = np.pad(eta1, ((1, 1), (0, 0)), constant_values=abs(k))
-            rho = rho - dt * (ex[:-2, :] - 2.0 * eta1 + ex[2:, :]) / dx ** 2
+            # Kato's form: Lap_x of |v - k|, x-ghosts |0 - k|
+            ev = np.pad(np.abs(v - k), ((1, 1), (0, 0)),
+                        constant_values=abs(k))
+            rho = rho - dt * (ev[:-2, :] - 2.0 * ev[1:-1, :]
+                              + ev[2:, :]) / dx ** 2
             if stepper.eps > 0:
                 es = eta_pad[1:-1, :]
                 rho = rho - dt * stepper.eps * (
                     es[:, :-2] - 2.0 * eta0 + es[:, 2:]) / ds ** 2
-            for b, (phi_xs, tf) in enumerate(zip(spatial, t_factors)):
-                residuals[b, j] += -float(np.sum(phi_xs * rho)) * vol * tf
-    min_res = float(residuals.min())
+            if theta:
+                b_v = E.evaluate(spec.beta, {**cells, "lambda": v})
+                b_k = E.evaluate(spec.beta, {**cells, "lambda": k})
+                rho = rho - theta * (np.sign(v - k) * (b_v - b_k)
+                                     + np.abs(b_k))
+            rhos.append(rho)
+        out.append((t0, np.array(rhos)))
+    return out
+
+
+def _entropy_residual_reference(traj, spec, k_values):
+    worst = (-np.inf, None, None, None)
+    for t0, rho in _entropy_rhos_reference(traj, spec, k_values):
+        j, cx, cs = np.unravel_index(np.argmax(rho), rho.shape)
+        if rho[j, cx, cs] > worst[0]:
+            worst = (float(rho[j, cx, cs]), t0, [int(cx), int(cs)],
+                     float(k_values[j]))
     context = {"spec": spec.context_hash(),
                "k_values": list(map(float, k_values)),
-               "n_bank": len(verify.TEST_BANK), "min_residual": min_res}
-    return verify._report("entropy_residual", -min_res, 0.0, 0.0, 1e-8,
+               "n_scored": len(traj.times) - 1, "t_worst": worst[1],
+               "cell_worst": worst[2], "k_worst": worst[3]}
+    return verify._report("entropy_residual", worst[0], 0.0, 0.0, 1e-8,
                           context)
 
 
@@ -740,12 +811,17 @@ def _stability_rhs_impulsive_reference(spec1, spec2, t, d_init, d_s0, d_sS,
 
 
 def _assert_same_residual(got, want):
-    """The entropy residual against the per-k reference: the sum-split flux
-    and the matrix product round differently, so min_residual may move by
-    roundoff."""
+    """The entropy residual against the per-k reference: the sum-split and
+    the max/min flux forms round differently, so the largest rho may move
+    by roundoff, and where every cell reads roundoff, so may its place."""
     assert got.passed == want.passed
-    assert abs(got.context.pop("min_residual")
-               - want.context.pop("min_residual")) <= 1e-15
+    assert abs(got.measured - want.measured) <= 1e-14
+    where = ("t_worst", "cell_worst", "k_worst")
+    if want.measured > 1e-10:
+        assert [got.context[key] for key in where] == \
+            [want.context[key] for key in where]
+    for key in where:
+        del got.context[key], want.context[key]
     assert got.context == want.context
 
 
@@ -959,9 +1035,32 @@ class TestNothingToCertify:
         assert not rep.passed
         assert rep.measured == np.inf
         assert rep.row()[1] == "inf"
+        # the first step to read the cell ends on it; its Kato Laplacian
+        # spreads the NaN to the x-neighbours, the first of which is named
+        assert rep.context["t_worst"] == full.times[4]
+        assert rep.context["cell_worst"] == [19, 30]
 
-    def test_entropy_residual_context_keys_unchanged(self, shock_run):
-        rep = verify.check_entropy_residual(shock_run["traj"],
-                                            shock_run["spec"], [0.5])
-        assert set(rep.context) == {"spec", "k_values", "n_bank",
-                                    "min_residual"}
+    def test_entropy_residual_non_finite_kick_step_fails(self, small_runs):
+        # the replay of a kick step from a NaN snapshot cannot form the
+        # pre-kick state: the row reads inf, it does not raise
+        spec, runs = small_runs
+        full = runs["impulsive", 1]
+        n = full.meta["n_tau"] - 1
+        traj = Trajectory(grid=full.grid, meta=full.meta)
+        for i, (t, fld) in enumerate(zip(full.times, full.fields)):
+            if i == n:
+                fld = Field(fld.values.copy(), fld.grid, t)
+                fld.values[8, 8] = np.nan
+            traj.append(t, fld)
+        rep = verify.check_entropy_residual(traj, spec, SMALL_KS)
+        assert rep.measured == np.inf and not rep.passed
+        assert rep.context["t_worst"] == full.times[n - 1]
+
+    def test_entropy_residual_context_names_the_worst_step(self, shock_run):
+        traj = shock_run["traj"]
+        rep = verify.check_entropy_residual(traj, shock_run["spec"], [0.5])
+        assert set(rep.context) == {"spec", "k_values", "n_scored",
+                                    "t_worst", "cell_worst", "k_worst"}
+        assert rep.context["n_scored"] == len(traj.times) - 1
+        assert rep.context["t_worst"] in traj.times[:-1]
+        assert rep.context["k_worst"] == 0.5
