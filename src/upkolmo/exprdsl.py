@@ -22,11 +22,15 @@ With ``wrt`` set, the closure returns ``(value, d value / d wrt)`` by
 forward-mode dual numbers: first derivatives are exact, with no finite
 differencing.  Each operator's value function and domain check
 (``_VALUE``) serve both modes; its derivative rule sits in ``_DERIV``.
+A power takes the rule for a variable exponent exactly when its exponent
+reads ``wrt``, decided at compile time, so that no value can change it.
 ``eval_dual`` is the ``wrt`` mode behind a check that the seed is bound.
 
 ``sample_sup`` is the one sampler of a sup over a box: max |expr|, or
-max |d expr / d wrt|, on ``linspace`` axes.  It lives here, not in
-``problem``, because ``kernels`` (imported by ``problem``) needs it too.
+max |d expr / d wrt|, on ``linspace`` axes; ``sample_min`` is the same
+sampler read as a signed min.  Both evaluate in blocks of at most
+``ELEMENT_BUDGET`` elements.  They live here, not in ``problem``, because
+``kernels`` (imported by ``problem``) needs them too.
 
 Precedence, tightest first: ``^`` (right-assoc), unary ``-``, ``* /``,
 ``+ -`` (left-assoc).  At the kinks of ``abs``/``min``/``max`` the
@@ -36,6 +40,7 @@ derivative takes the right-limit convention (``abs'(0) = +1``; ties in
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -43,15 +48,19 @@ import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
-    "parse", "compile", "evaluate", "eval_dual", "sample_sup", "to_string",
-    "ExprSyntaxError", "UnboundVariableError", "DomainError",
-    "VARIABLES", "FUNCTIONS",
+    "parse", "compile", "evaluate", "eval_dual", "sample_sup", "sample_min",
+    "to_string", "ExprSyntaxError", "UnboundVariableError", "DomainError",
+    "VARIABLES", "FUNCTIONS", "ELEMENT_BUDGET",
 ]
 
 VARIABLES = ("lambda", "x", "s", "t")
 _FUNCS_1 = ("sin", "cos", "exp", "tanh", "sqrt", "abs")
 _FUNCS_2 = ("min", "max")
 FUNCTIONS = _FUNCS_1 + _FUNCS_2
+
+# The most elements of any array a sampled bound, or the entropy residual
+# in ``verify``, forms at once: 2^16 float64 values, 512 KiB.
+ELEMENT_BUDGET = 2 ** 16
 
 
 class ExprSyntaxError(ValueError):
@@ -276,15 +285,19 @@ def _d_sqrt(v, a, da):
 
 
 def _d_power(v, a, da, e, de):
+    """An exponent that does not read the seed: works for any base."""
     with np.errstate(all="ignore"):
-        # the common case of a constant exponent works for any base
-        if np.all(np.asarray(de) == 0):
-            d = e * np.power(a, e - 1) * da
-            d = np.where(np.asarray(da) == 0, 0.0, d)  # constant base stays exact
-        else:
-            if np.any(np.asarray(a) <= 0):
-                raise DomainError("variable exponent requires a positive base")
-            d = v * (de * np.log(a) + e * da / a)
+        d = e * np.power(a, e - 1) * da
+        d = np.where(np.asarray(da) == 0, 0.0, d)  # constant base stays exact
+    return v, float(d) if np.ndim(d) == 0 else d
+
+
+def _d_power_variable(v, a, da, e, de):
+    """An exponent that reads the seed: needs a positive base."""
+    if np.any(np.asarray(a) <= 0):
+        raise DomainError("variable exponent requires a positive base")
+    with np.errstate(all="ignore"):
+        d = v * (de * np.log(a) + e * da / a)
     return v, float(d) if np.ndim(d) == 0 else d
 
 
@@ -354,6 +367,9 @@ def compile(expr, wrt=None):
         return ((lambda b: op(f(b))) if len(args) == 1
                 else (lambda b: op(f(b), g(b)))), free
     rule = _DERIV[name]
+    if name == "^" and wrt in frees[1]:
+        # decided from the tree, so that no value can change the rule
+        rule = _d_power_variable
     if len(args) == 1:
         def unary(b):
             a, da = f(b)
@@ -390,16 +406,51 @@ def sample_sup(expr, names, ranges, n=256, inflate=1.0, wrt=None):
     open ``linspace`` (length n along its own dimension, 1 along the
     others), so an expression is evaluated only on the axes it uses: a
     constant once, an x-only expression n times.
+
+    The evaluation runs in blocks of at most ``ELEMENT_BUDGET`` elements:
+    consecutive slices of the longest axis the expression reads, every
+    other axis whole.  This is exact, not close.  Each sample is computed
+    by the same elementwise operations whether its slice is evaluated
+    alone or with the rest of the box (no rule picks its formula from the
+    values it is given), and a max only selects one of its arguments, so
+    the max of the slice maxima is the max over the box, bit for bit;
+    ``np.max`` of the slice maxima keeps a NaN, as over the whole box.  A
+    domain error in any slice raises the class it raises over the box.
     """
+    return _sample_max(expr, names, ranges, n, wrt, np.abs) * inflate
+
+
+def sample_min(expr, names, ranges, n=256, wrt=None):
+    """Sampled min of expr, or of d expr / d wrt, signed: ``sample_sup``'s
+    blocks and axes, each slice read as -max(-values), which is exact."""
+    return -_sample_max(expr, names, ranges, n, wrt, np.negative)
+
+
+def _sample_max(expr, names, ranges, n, wrt, part):
+    """max of part(values) over the sampled box, one block at a time."""
     dims = len(ranges)
-    axes = {name: np.linspace(lo, hi, k).reshape(
-                [k if j == i else 1 for j in range(dims)])
-            for i, (name, (lo, hi), k) in enumerate(
-                zip(names, ranges, np.broadcast_to(n, dims)))}
-    vals = compile(expr, wrt)[0](axes)
-    if wrt is not None:
-        vals = vals[1]
-    return float(np.max(np.abs(np.asarray(vals, dtype=float)))) * inflate
+    counts = [int(k) for k in np.broadcast_to(n, dims)]
+    lines = [np.linspace(lo, hi, k) for (lo, hi), k in zip(ranges, counts)]
+
+    def open_axis(i, line):
+        return line.reshape([len(line) if j == i else 1 for j in range(dims)])
+
+    axes = {name: open_axis(i, line)
+            for i, (name, line) in enumerate(zip(names, lines))}
+    fn, free = compile(expr, wrt)
+    read = [i for i, name in enumerate(names) if name in free]
+    # slices of the longest axis read, each with every other axis whole
+    axis = max(read, key=counts.__getitem__, default=0)
+    rows = max(1, ELEMENT_BUDGET
+               // math.prod(counts[i] for i in read if i != axis))
+    maxima = []
+    for start in range(0, counts[axis], rows):
+        axes[names[axis]] = open_axis(axis, lines[axis][start:start + rows])
+        vals = fn(axes)
+        if wrt is not None:
+            vals = vals[1]
+        maxima.append(np.max(part(np.asarray(vals, dtype=float))))
+    return float(np.max(maxima))
 
 
 # --- printing --------------------------------------------------------------

@@ -25,8 +25,11 @@ march parameters the verification checks need to reconstruct the stepper:
 ``mode``, ``lateral_diffusion``, ``source``, ``dt``, ``n_steps``,
 ``n_tau`` (the level the gamma = 0 kick lands on, ceil(tau/dt)),
 ``stride``, ``eps``, ``gamma``, ``m_bound`` and ``options`` are required;
-``spec_hash`` and ``restart`` (the escape that enlarged the invariant
-region, or null) are optional.  ``lateral_diffusion`` and ``source`` name
+``spec_hash``, ``restart`` (the escape that enlarged the invariant
+region, or null), ``b0`` (the sampled sup|dbeta/dlambda| of a delayed
+source, or null) and ``dt_term`` (the ``scheme.Stepper._cfl`` bound that
+set dt: ``convective``, ``kick_cap`` or ``heat_accuracy``; null when the
+caller fixed dt) are optional.  ``lateral_diffusion`` and ``source`` name
 how the step treated the lateral Laplacian and the source, and only
 ``scheme.LATERAL_DIFFUSION`` ("backward_euler") and ``scheme.SOURCE_STEP``
 ("kick", applied after the lateral solve) are read: a directory written by

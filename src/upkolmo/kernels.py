@@ -19,6 +19,8 @@ that the march applies the kernel's exact average over each time step.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import exprdsl
@@ -83,9 +85,12 @@ def k_gamma_primitive(n=4096):
     return z, p / p[-1]
 
 
+@functools.lru_cache(maxsize=32)
 def estimate_dbeta_sup(beta, L, S, b1):
     """Sampled sup of |d(beta)/d(lambda)| over the slab (x, s) in the domain,
-    lambda in [-(b1+1), b1+1].  An estimate, not a proof."""
+    lambda in [-(b1+1), b1+1], on 64 x 64 x 256 points.  An estimate, not a
+    proof.  Memoized: the AST is frozen, so a process samples b0 once for
+    the step's kick cap, the growth constants and the Gronwall weight."""
     return exprdsl.sample_sup(beta, ("x", "s", "lambda"),
                               [(0.0, L), (0.0, S), (-(b1 + 1.0), b1 + 1.0)],
                               n=(64, 64, 256), wrt="lambda")

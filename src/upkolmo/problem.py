@@ -32,13 +32,14 @@ samples one time window, or an array of window ends at once.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import exprdsl, kernels
-from .exprdsl import sample_sup
+from .exprdsl import sample_min, sample_sup
 
 __all__ = [
     "ProblemSpec", "Grid", "Field", "Trajectory",
@@ -243,11 +244,9 @@ def min_jump_slope(spec, n=64):
     if spec.beta is None:
         return 1.0
     radius = impulsive_bounds(spec, inflate=NORM_INFLATION)[0]
-    axes = {"x": np.linspace(0.0, spec.L, n)[:, None, None],
-            "s": np.linspace(0.0, spec.S, n)[None, :, None],
-            "lambda": np.linspace(-radius, radius, n)[None, None, :]}
-    slope = exprdsl.compile(spec.beta, "lambda")[0](axes)[1]
-    return 1.0 + float(np.min(slope))
+    return 1.0 + sample_min(spec.beta, ("x", "s", "lambda"),
+                            [(0.0, spec.L), (0.0, spec.S), (-radius, radius)],
+                            n=n, wrt="lambda")
 
 
 def data_sup_norms(spec, t_window=None, inflate=1.0):
@@ -427,12 +426,15 @@ def stability_rhs(spec, times, d_init, d_s0, d_sS, b0, gamma, m1, dt):
     return out
 
 
+@functools.lru_cache(maxsize=32)
 def impulsive_bounds(*specs, inflate=1.0):
     """Sup-norm bounds (M2, M3) for the impulsive problem of one or two runs.
 
     M2 bounds every run before the jump; M3 = max(M2 + sup|beta| over the
     pre-jump range for each beta, post-jump boundary-data norms) bounds them
     after.  The jump time, horizon and slab domain are the first spec's.
+    Memoized: specs are frozen, so a process samples each pair of bounds
+    once, however many checks read them.
     """
     first = specs[0]
     m2 = max(max(data_sup_norms(spec, (0.0, first.tau),

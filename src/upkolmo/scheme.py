@@ -237,6 +237,12 @@ class Stepper:
                 else _LFFlux)
         self.flux_a = kind(spec.flux_a, m_bound)
         self.flux_phi = kind(spec.flux_phi[0], m_bound)
+        # b0 = sup|dbeta/dlambda| for a delayed source, None otherwise
+        self.b0 = (kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S,
+                                              spec.b1)
+                   if spec.beta is not None and self.gamma > 0 else None)
+        # the _cfl term that set dt; None when the caller fixed dt
+        self.dt_term = None
         if dt is None:
             dt = self._cfl()
         # a jump time inside (0, T) gets a level strictly between 0 and T
@@ -285,6 +291,10 @@ class Stepper:
         gives dt = 2 _HEAT_ERROR / mu, 1.01e-3 on the unit box.  Where any
         term is present it sets dt and the accuracy cap is not applied: on
         every bench workload the convective terms set it.
+
+        ``dt_term`` records which bound set dt: ``convective`` (the
+        monotonicity bound above, eps D_ss included), ``kick_cap`` or
+        ``heat_accuracy``.
         """
         spec, grid = self.spec, self.grid
         safety = self.options.cfl_safety
@@ -293,13 +303,16 @@ class Stepper:
         denom = self.flux_a.coeff / grid.ds + self.flux_phi.coeff / grid.dx
         if self.eps > 0:
             denom += 2.0 * self.eps / grid.ds ** 2
-        dt = (safety / denom if denom > 0
-              else 2.0 * _HEAT_ERROR / (math.pi / spec.L) ** 2)
-        if spec.beta is not None and self.gamma > 0:
-            b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
-            if b0 > 1.0:
-                dt = min(dt, safety * self.gamma
-                         / (2.0 * float(kernels.omega(0.0)) * b0))
+        if denom > 0:
+            dt, self.dt_term = safety / denom, "convective"
+        else:
+            dt = 2.0 * _HEAT_ERROR / (math.pi / spec.L) ** 2
+            self.dt_term = "heat_accuracy"
+        if self.b0 is not None and self.b0 > 1.0:
+            cap = safety * self.gamma / (2.0 * float(kernels.omega(0.0))
+                                         * self.b0)
+            if cap < dt:
+                dt, self.dt_term = cap, "kick_cap"
         return dt
 
     # ghost filling ---------------------------------------------------------

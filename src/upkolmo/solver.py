@@ -26,7 +26,9 @@ mass times sup|beta|, with room for sampling).  The restart is recorded
 in the trajectory's ``meta["restart"]``: the old region ``m_bound``, the
 escaping ``sup`` and its time ``t`` (None without a restart).  An escape
 beyond that bound, which no region sized from the spec can hold, or a
-second escape raises ``CflViolationError``.
+second escape raises ``CflViolationError``.  ``meta`` also records the
+stepper's sampled ``b0`` and the ``dt_term`` that set its step (see
+``scheme.Stepper._cfl``).
 
 ``solve_impulsive`` rejects a jump map lambda -> lambda + beta that is
 decreasing somewhere on the pre-jump range: the impulsive march is
@@ -105,6 +107,8 @@ def _march_once(spec, grid, stepper, mode):
         "eps": stepper.eps,
         "gamma": stepper.gamma,
         "m_bound": stepper.m_bound,
+        "b0": stepper.b0,
+        "dt_term": stepper.dt_term,
         "options": stepper.options,
         "spec_hash": spec.context_hash(),
     }

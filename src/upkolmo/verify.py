@@ -338,11 +338,6 @@ def check_stability(traj1, traj2, spec1, spec2):
 
 # --- entropy residuals ----------------------------------------------------------
 
-# Steps per block of the entropy residual: a block's cells are formed for
-# every k at once, which spreads NumPy's cost per call over its steps.
-_RESIDUAL_BLOCK = 8
-
-
 def _entropy_parts(flux, k_parts, w, sign):
     """Per-cell parts (G_k(w), H_k(w)) of the Kruzhkov flux, for every k
     at once: Q(uL, uR; k) = G_k(uL) + H_k(uR), as the march forms F.
@@ -370,6 +365,14 @@ def check_entropy_residual(traj, spec, k_values):
     ``k_worst``.  With no k, or no step, there is nothing to certify and
     the report fails with measured = inf; so it does when a snapshot holds
     a non-finite value.
+
+    The steps are scored in blocks, each formed for every k at once, which
+    spreads NumPy's cost per call over a block's steps.  A block holds as
+    many steps as fit ``exprdsl.ELEMENT_BUDGET`` elements of one padded
+    (k, x, s) array, at least one, so memory does not grow with the grid
+    beyond one step.  rho is elementwise in the step, and the worst is the
+    first non-finite entry, else the first largest, in step order, so the
+    row does not depend on the block size.
     """
     meta = traj.meta
     if meta.get("stride", 0) != 1:
@@ -387,9 +390,11 @@ def check_entropy_residual(traj, spec, k_values):
               if stepper.beta_fn is not None else None)
     n_scored = len(traj.times) - 1 if len(ks) else 0
     worst = (np.inf if n_scored == 0 else -np.inf, None, None, None)
+    steps = max(1, exprdsl.ELEMENT_BUDGET
+                // max(len(ks) * (grid.nx + 2) * (grid.ns + 2), 1))
 
-    for first in range(0, n_scored, _RESIDUAL_BLOCK):
-        block = range(first, min(first + _RESIDUAL_BLOCK, n_scored))
+    for first in range(0, n_scored, steps):
+        block = range(first, min(first + steps, n_scored))
         t0s = [traj.times[n] for n in block]
         thetas = [stepper.source_rate(t) for t in t0s]
         # axes (step, k, x, s)

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from upkolmo import cli, verify
+from upkolmo import cli, kernels, problem, verify
 from upkolmo import io as upk_io
 from upkolmo.problem import Field
 from upkolmo.scheme import SchemeOptions
@@ -213,6 +213,28 @@ def test_only_an_impulsive_run_writes_jump_fields(run_dir, tmp_path):
                                      ["tau_plus.upkf", "tau_plus"]]
     assert sorted(p.name for p in impulsive.glob("tau_*")) == [
         "tau_minus.upkf", "tau_plus.upkf"]
+
+
+def test_verify_samples_each_bound_once(tmp_path):
+    # a stride-1 delayed-source run: the growth constants, the Gronwall
+    # weight and the entropy residual's stepper all read one b0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.format(u0_1=U01_TEXT).replace(
+        "snapshot_stride = 4", "snapshot_stride = 1"))
+    traj = tmp_path / "traj"
+    assert cli.main(["run", str(cfg), "--out", str(traj)]) == 0
+    kernels.estimate_dbeta_sup.cache_clear()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
+    assert "entropy_residual" in _rows(traj / "reports.csv")
+    info = kernels.estimate_dbeta_sup.cache_info()
+    assert info.misses == 1 and info.hits >= 2
+    # an impulsive run: M2 and M3 once for the bound curve, the jump
+    # weight and M3 in check_jump, once more uninflated for the pair
+    cfg, traj = _impulsive_dir(tmp_path)
+    problem.impulsive_bounds.cache_clear()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
+    info = problem.impulsive_bounds.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_verify_of_an_impulsive_run_without_jump_fields_exits_1(tmp_path,

@@ -443,3 +443,105 @@ def test_a_power_error_names_its_cause(text, x, cause):
         E.evaluate(expr, {"x": x})
     with pytest.raises(E.DomainError, match=cause):
         E.eval_dual(expr, {"x": x}, "x")
+
+
+# --- blocked sampling ----------------------------------------------------------
+#
+# `sample_sup` and `sample_min` evaluate a box in blocks of at most
+# `ELEMENT_BUDGET` elements.  One evaluation over the whole box is the
+# reference: the result must match it bit for bit, NaN included, or the
+# same exception class must be raised.
+
+BOX_NAMES = ("lambda", "x", "s", "t")
+BOX_RANGES = [(-2.0, 2.0), (-1.5, 2.5), (0.0, 1.0), (-2.0, 0.5)]
+
+
+def _whole_box(expr, names, ranges, n, wrt, reduce):
+    dims = len(ranges)
+    axes = {name: np.linspace(lo, hi, k).reshape(
+                [k if j == i else 1 for j in range(dims)])
+            for i, (name, (lo, hi), k) in enumerate(zip(names, ranges, n))}
+    vals = E.compile(expr, wrt)[0](axes)
+    if wrt is not None:
+        vals = vals[1]
+    return float(reduce(np.asarray(vals, dtype=float)))
+
+
+def _bits(fn, *args, **kwargs):
+    """A float's bits, one token for every NaN, or the exception class."""
+    try:
+        with np.errstate(all="ignore"):
+            r = fn(*args, **kwargs)
+    except (E.DomainError, E.UnboundVariableError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(r) else np.float64(r).tobytes()
+
+
+def _sup_and_min(expr, names, ranges, n, wrt):
+    """(blocked, whole) outcomes of the sup of |.| and of the signed min;
+    a min of zeros may differ in the sign of zero only, so it is compared
+    as a float."""
+    def signed(fn, *args, **kwargs):
+        out = _bits(fn, *args, **kwargs)
+        return np.frombuffer(out)[0] + 0.0 if isinstance(out, bytes) else out
+
+    return ((_bits(E.sample_sup, expr, names, ranges, n=n, wrt=wrt),
+             _bits(_whole_box, expr, names, ranges, n, wrt,
+                   lambda v: np.max(np.abs(v)))),
+            (signed(E.sample_min, expr, names, ranges, n=n, wrt=wrt),
+             signed(_whole_box, expr, names, ranges, n, wrt, np.min)))
+
+
+@pytest.mark.parametrize("smooth", [True, False])
+def test_blocked_sampling_equals_one_whole_box_evaluation(smooth, monkeypatch):
+    rng = np.random.default_rng(26 if smooth else 27)
+    n = (6, 5, 4, 3)
+    outcomes = set()
+    # NaN at x = 2.5 alone, then a domain error in the first slice of s
+    planted = [E.parse(text) for text in (
+        "exp(400*x) - exp(400*x)", "max(exp(400*x) - exp(400*x), lambda)",
+        "x / s", "sqrt(x)")]
+    for expr in planted + [random_expr(rng, depth=rng.integers(1, 7),
+                                       smooth=smooth) for _ in range(150)]:
+        for wrt in (None, "lambda", "x"):
+            # 1 and 7 elements cut every read axis into slices of one
+            # point; 40 into slices of a few points; 1 << 16 leaves one block
+            for budget in (1, 7, 40, 1 << 16):
+                monkeypatch.setattr(E, "ELEMENT_BUDGET", budget)
+                for got, want in _sup_and_min(expr, BOX_NAMES, BOX_RANGES, n,
+                                              wrt):
+                    assert got == want, (E.to_string(expr), wrt, budget)
+                    outcomes.add(want if want == "nan"
+                                 or isinstance(want, type) else "value")
+    assert {"value", "nan", E.DomainError} <= outcomes
+
+
+def test_blocked_sampling_at_the_module_budget():
+    # 40 * 41 * 42 = 68,880 samples: more than one block of 65,536
+    rng = np.random.default_rng(28)
+    n = (40, 41, 42, 1)
+    assert math.prod(n) > E.ELEMENT_BUDGET
+    for _ in range(20):
+        expr = random_expr(rng, depth=rng.integers(2, 6), smooth=False)
+        for wrt in (None, "lambda"):
+            for got, want in _sup_and_min(expr, BOX_NAMES, BOX_RANGES, n, wrt):
+                assert got == want, E.to_string(expr)
+
+
+def test_a_variable_exponent_samples_the_same_whole_and_blocked(monkeypatch):
+    names, ranges = ("x", "lambda"), [(0.25, 2.0), (-1.0, 1.0)]
+    expr = E.parse("x^lambda")
+    whole = E.sample_sup(expr, names, ranges, n=64, wrt="lambda")
+    assert whole == _whole_box(expr, names, ranges, (64, 64), "lambda",
+                               lambda v: np.max(np.abs(v)))
+    monkeypatch.setattr(E, "ELEMENT_BUDGET", 64)
+    assert E.sample_sup(expr, names, ranges, n=64, wrt="lambda") == whole
+    # The power's rule is the exponent's, whatever a slice holds: on the
+    # slice s = 0 alone the exponent's derivative s is 0, where the rule
+    # for a constant exponent would accept the base s = 0
+    expr = E.parse("s^(lambda*s)")
+    for budget in (1 << 16, 8):
+        monkeypatch.setattr(E, "ELEMENT_BUDGET", budget)
+        with pytest.raises(E.DomainError, match="positive base"):
+            E.sample_sup(expr, ("s", "lambda"), [(0.0, 1.0), (-1.0, 1.0)],
+                         n=(9, 8), wrt="lambda")

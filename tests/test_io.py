@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from upkolmo import io as upk_io
+from upkolmo import kernels, solver
 from upkolmo.problem import Field, Grid, Trajectory
 from upkolmo.scheme import LAX_FRIEDRICHS, SchemeOptions
-from scenarios import unit_grid
+from scenarios import source_spec, unit_grid
 
 OPTIONS = SchemeOptions(flux_kind=LAX_FRIEDRICHS, cfl_safety=0.5,
                         snapshot_stride=3)
@@ -40,6 +41,24 @@ def test_round_trip_keeps_options_fields_and_jump_fields(tmp_path):
                          traj.fields + [traj.tau_minus, traj.tau_plus]):
         assert got.t == want.t
         assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("mode", ["entropy", "impulsive"])
+def test_round_trip_keeps_b0_and_the_step_term(tmp_path, mode):
+    # a delayed source stores its sampled b0, the impulse none; the
+    # convective bound sets dt on the source problem
+    spec = source_spec()
+    solve = {"entropy": solver.solve_entropy,
+             "impulsive": solver.solve_impulsive}[mode]
+    traj = solve(spec, unit_grid(8))
+    b0 = (kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
+          if mode == "entropy" else None)
+    assert (traj.meta["b0"], traj.meta["dt_term"]) == (b0, "convective")
+    upk_io.write_trajectory(tmp_path, traj)
+    stored = json.loads((tmp_path / "meta.json").read_text())
+    assert (stored["b0"], stored["dt_term"]) == (b0, "convective")
+    back = upk_io.read_trajectory(tmp_path)
+    assert (back.meta["b0"], back.meta["dt_term"]) == (b0, "convective")
 
 
 def test_meta_json_lists_every_option_once(tmp_path):

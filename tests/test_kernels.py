@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,33 @@ class TestGrowthConstants:
         beta = E.parse("0.3*sin(lambda)")
         est = kernels.estimate_dbeta_sup(beta, 1.0, 1.0, 2.0)
         assert est == pytest.approx(0.3, abs=1e-4)
+
+    def test_b0_sampling_peaks_below_4_mib(self):
+        # 64 x 64 x 256 samples, formed in blocks of ELEMENT_BUDGET; at
+        # once they peaked at 24 MiB
+        spec = source_spec()
+        tracemalloc.start()
+        try:
+            b0 = kernels.estimate_dbeta_sup.__wrapped__(spec.beta, spec.L,
+                                                        spec.S, spec.b1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert b0 == kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S,
+                                                spec.b1)
+
+    def test_b0_is_sampled_once_per_argument_set(self):
+        beta = E.parse("0.3*sin(lambda)*x")
+        kernels.estimate_dbeta_sup.cache_clear()
+        first = kernels.estimate_dbeta_sup(beta, 1.0, 1.0, 2.0)
+        # an equal AST parsed again is the same key
+        again = kernels.estimate_dbeta_sup(E.parse("0.3*sin(lambda)*x"),
+                                           1.0, 1.0, 2.0)
+        assert again is first
+        info = kernels.estimate_dbeta_sup.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert kernels.estimate_dbeta_sup(beta, 1.0, 1.0, 1.0) != first
 
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(kernels.NonPositiveGammaError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -472,3 +473,46 @@ class TestSampleSupAgainstTheSamplersItReplaced:
     def test_slab_sup_of_no_perturbation_is_zero(self):
         assert P.slab_sup(source_spec(), None, 2.0) == 0.0
         assert P.slab_sup(source_spec(), None, 2.0, wrt="lambda") == 0.0
+
+
+class TestJumpSlopeSampling:
+    def _reference(self, spec, n=64):
+        """The jump map's slope, sampled in one evaluation of the box."""
+        radius = P.impulsive_bounds(spec, inflate=P.NORM_INFLATION)[0]
+        axes = {"x": np.linspace(0.0, spec.L, n)[:, None, None],
+                "s": np.linspace(0.0, spec.S, n)[None, :, None],
+                "lambda": np.linspace(-radius, radius, n)[None, None, :]}
+        _, d = E.eval_dual(spec.beta, axes, "lambda")
+        return 1.0 + float(np.min(d))
+
+    @pytest.mark.parametrize("text", [
+        None, "-1.5*lambda*(max(0, 1-((x-0.5)/0.35)^2))^2",
+        "0.3*sin(4*lambda)*s - x", "0.7"])
+    def test_min_slope_matches_one_evaluation(self, text):
+        spec = source_spec()
+        if text is not None:
+            spec = spec.with_data(beta=E.parse(text))
+        assert P.min_jump_slope(spec) == self._reference(spec)
+        assert P.min_jump_slope(spec, n=70) == self._reference(spec, n=70)
+
+    def test_peaks_below_4_mib(self):
+        # 64^3 samples and the impulsive bounds' own sampling; the one
+        # evaluation of the box peaked at 6.2 MiB
+        spec = source_spec()
+        P.impulsive_bounds.cache_clear()
+        tracemalloc.start()
+        try:
+            P.min_jump_slope(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_impulsive_bounds_are_sampled_once_per_key(self):
+        spec = source_spec()
+        P.impulsive_bounds.cache_clear()
+        first = P.impulsive_bounds(spec, inflate=P.NORM_INFLATION)
+        assert P.impulsive_bounds(spec, inflate=P.NORM_INFLATION) is first
+        assert P.impulsive_bounds(spec) != first
+        info = P.impulsive_bounds.cache_info()
+        assert (info.misses, info.hits) == (2, 1)

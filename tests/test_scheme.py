@@ -271,6 +271,30 @@ class TestCfl:
         assert _cfl(spec, grid, gamma=0.02) == cap
         assert _cfl(spec, grid) > cap  # no cap at gamma = 0
 
+    def test_records_the_term_that_set_the_step(self):
+        grid = Grid(nx=16, ns=16, L=1.0, S=1.0)
+        heat = nosource_spec().with_data(flux_a=E.parse("0"),
+                                         flux_phi=(E.parse("0"),))
+        # b0 = 3, as in the test above
+        capped = source_spec(gamma=0.02).with_data(
+            beta=E.parse("-3*lambda*(max(0, 1-((x-0.5)/0.35)^2))^2"
+                         "*(max(0, 1-((s-0.5)/0.35)^2))^2"))
+        for spec, gamma, term in ((source_spec(), 0.1, "convective"),
+                                  (heat, 0.0, "heat_accuracy"),
+                                  (capped, 0.02, "kick_cap"),
+                                  (capped, 0.0, "convective")):
+            stepper = S.Stepper(spec, grid, eps=0.0, gamma=gamma, m_bound=1.0)
+            assert stepper.dt_term == term, (term, gamma)
+        # a step the caller fixes was set by no term
+        assert S.Stepper(source_spec(), grid, dt=0.01).dt_term is None
+
+    def test_b0_is_sampled_for_a_delayed_source_only(self):
+        spec, grid = source_spec(), Grid(nx=8, ns=8, L=1.0, S=1.0)
+        b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
+        assert S.Stepper(spec, grid, gamma=0.1, dt=0.01).b0 == b0
+        assert S.Stepper(spec, grid, gamma=0.0).b0 is None
+        assert S.Stepper(nosource_spec(), grid, gamma=0.1).b0 is None
+
 
 def _random_field(rng, grid, amp=0.8):
     return amp * (2.0 * rng.random((grid.nx, grid.ns)) - 1.0)

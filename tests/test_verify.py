@@ -875,6 +875,31 @@ class TestHoistedAgainstReference:
             verify.check_entropy_residual(traj, spec, SMALL_KS),
             _entropy_residual_reference(traj, spec, SMALL_KS))
 
+    @pytest.mark.parametrize("mode", ["entropy", "impulsive", "nan"])
+    def test_entropy_residual_does_not_depend_on_the_block(
+            self, small_runs, mode, monkeypatch):
+        # one step per block, 13 steps and every step in one block; "nan"
+        # plants non-finite cells in two snapshots, 20 steps apart
+        spec, runs = small_runs
+        traj = runs["impulsive" if mode == "impulsive" else "entropy", 1]
+        if mode == "nan":
+            fields = [Field(f.values.copy(), f.grid, f.t) for f in traj.fields]
+            fields[30].values[3, 4] = np.nan
+            fields[50].values[2, 2] = np.inf
+            traj = Trajectory(traj.grid, list(traj.times), fields,
+                              meta=traj.meta)
+        cells = len(SMALL_KS) * 18 * 18
+        reports = []
+        for budget in (1, 13 * cells, 1 << 30):
+            monkeypatch.setattr(E, "ELEMENT_BUDGET", budget)
+            reports.append(verify.check_entropy_residual(traj, spec, SMALL_KS))
+        for rep in reports[1:]:
+            _assert_same_report(rep, reports[0])
+            assert rep.context == reports[0].context
+        if mode == "nan":
+            assert reports[0].measured == np.inf
+            assert reports[0].context["t_worst"] == traj.times[29]
+
     def test_entropy_residual_shock(self, shock_run):
         spec, traj = shock_run["spec"], shock_run["traj"]
         ks = [-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5]
