@@ -82,6 +82,9 @@ def _cmd_run(args):
     for t, fld in zip(traj.times, traj.fields):
         l2 = float(np.sum(fld.values ** 2)) * grid.cell_volume
         print(f"{t:10.6f}  {fld.sup_norm():12.6g}  {l2:12.6g}")
+    meta = traj.meta
+    print(f"dt {meta['dt']:.6g} ({meta['dt_term']}), setup "
+          f"{meta['setup_s']:.3f} s, march {meta['march_s']:.3f} s")
     print(f"wrote {len(traj.times)} snapshots to {out}")
     return 0
 
@@ -158,8 +161,8 @@ def _cmd_verify(args):
         reports.append(verify.check_jump(traj, spec))
     if traj.meta["eps"] == 0.0:
         reports.append(verify.check_bln(traj, spec, k_bank))
-        if traj.meta["stride"] == 1:
-            reports.append(verify.check_entropy_residual(traj, spec, k_bank))
+    if traj.meta["stride"] == 1:
+        reports.append(verify.check_entropy_residual(traj, spec, k_bank))
     out = Path(args.out) if args.out else Path(args.traj) / "reports.csv"
     verify.write_reports(out, reports)
     for rep in reports:

@@ -58,8 +58,9 @@ _FUNCS_1 = ("sin", "cos", "exp", "tanh", "sqrt", "abs")
 _FUNCS_2 = ("min", "max")
 FUNCTIONS = _FUNCS_1 + _FUNCS_2
 
-# The most elements of any array a sampled bound, or the entropy residual
-# in ``verify``, forms at once: 2^16 float64 values, 512 KiB.
+# The most elements of any array a sampled bound forms at once: 2^16
+# float64 values, 512 KiB.  (``verify``'s entropy residual needs no budget:
+# it holds one step's (k, x, s) arrays at a time.)
 ELEMENT_BUDGET = 2 ** 16
 
 

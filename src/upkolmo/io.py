@@ -27,16 +27,18 @@ march parameters the verification checks need to reconstruct the stepper:
 ``stride``, ``eps``, ``gamma``, ``m_bound`` and ``options`` are required;
 ``spec_hash``, ``restart`` (the escape that enlarged the invariant
 region, or null), ``b0`` (the sampled sup|dbeta/dlambda| of a delayed
-source, or null) and ``dt_term`` (the ``scheme.Stepper._cfl`` bound that
-set dt: ``convective``, ``kick_cap`` or ``heat_accuracy``; null when the
-caller fixed dt) are optional.  ``lateral_diffusion`` and ``source`` name
-how the step treated the lateral Laplacian and the source, and only
-``scheme.LATERAL_DIFFUSION`` ("backward_euler") and ``scheme.SOURCE_STEP``
-("kick", applied after the lateral solve) are read: a directory written by
-the earlier explicit update, or with the source inside the explicit part,
-lacks the key, so it is refused instead of being scored against the
-wrong update.  The retired option ``x_diffusion`` loads only at the value
-every earlier run wrote (``_RETIRED_OPTIONS``); another value is refused.
+source, or null), ``dt_term`` (the ``scheme.Stepper._cfl`` bound that set
+dt: ``convective``, ``kick_cap`` or ``heat_accuracy``; null when the
+caller fixed dt), and ``setup_s`` and ``march_s`` (the wall seconds the
+run spent building its steppers and marching, each summed over a restart)
+are optional.  ``lateral_diffusion`` and ``source`` name how the step treated
+the lateral Laplacian and the source, and only ``scheme.LATERAL_DIFFUSION``
+("backward_euler") and ``scheme.SOURCE_STEP`` ("kick", applied after the
+lateral solve) are read: a directory written by the earlier explicit
+update, or with the source inside the explicit part, lacks the key, so it
+is refused instead of being scored against the wrong update.  The retired
+option ``x_diffusion`` loads only at the value every earlier run wrote
+(``_RETIRED_OPTIONS``); another value is refused.
 """
 
 from __future__ import annotations

@@ -374,22 +374,25 @@ class Stepper:
 
     def step(self, u, t):
         """The explicit update and the lateral solve from time t: the state
-        v that ``kick`` completes into the next level."""
+        v that ``kick`` completes into the next level.  A value that
+        overflows ends the step in ``NaNDetectedError``, from ``_finite``,
+        so NumPy's own overflow and invalid-value warnings are silenced."""
         grid, dt = self.grid, self.dt
         w = self.padded(u, t)
         ws = w[1:-1, :]
         wx = w[:, 1:-1]
         g_a, h_a = _guarded(self.flux_a.split, ws, t)
         g_p, h_p = _guarded(self.flux_phi.split, wx, t)
-        f_a = g_a[:, :-1] + h_a[:, 1:]
-        div_s = (f_a[:, 1:] - f_a[:, :-1]) / grid.ds
-        f_p = g_p[:-1, :] + h_p[1:, :]
-        div_x = (f_p[1:, :] - f_p[:-1, :]) / grid.dx
-        new = u - dt * (div_s + div_x)
-        if self.eps > 0:
-            lap_s = (ws[:, :-2] - 2.0 * u + ws[:, 2:]) / grid.ds ** 2
-            new = new + dt * self.eps * lap_s
-        return _finite(self._solve_lateral(new), t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_a = g_a[:, :-1] + h_a[:, 1:]
+            div_s = (f_a[:, 1:] - f_a[:, :-1]) / grid.ds
+            f_p = g_p[:-1, :] + h_p[1:, :]
+            div_x = (f_p[1:, :] - f_p[:-1, :]) / grid.dx
+            new = u - dt * (div_s + div_x)
+            if self.eps > 0:
+                lap_s = (ws[:, :-2] - 2.0 * u + ws[:, 2:]) / grid.ds ** 2
+                new = new + dt * self.eps * lap_s
+            return _finite(self._solve_lateral(new), t)
 
     def kick(self, v, t):
         """v + theta beta(x, s, v), theta = ``source_rate(t)``: the end of
@@ -399,7 +402,8 @@ class Stepper:
             return v
         b = _guarded(self.beta_fn, {"x": self.xc[:, None],
                                     "s": self.sc[None, :], "lambda": v}, t)
-        return _finite(v + theta * b, t)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in step
+            return _finite(v + theta * b, t)
 
 
 def _guarded(fn, arg, t):

@@ -28,7 +28,8 @@ escaping ``sup`` and its time ``t`` (None without a restart).  An escape
 beyond that bound, which no region sized from the spec can hold, or a
 second escape raises ``CflViolationError``.  ``meta`` also records the
 stepper's sampled ``b0`` and the ``dt_term`` that set its step (see
-``scheme.Stepper._cfl``).
+``scheme.Stepper._cfl``), and the wall seconds spent building steppers
+(``setup_s``) and marching (``march_s``), each summed over a restart.
 
 ``solve_impulsive`` rejects a jump map lambda -> lambda + beta that is
 decreasing somewhere on the pre-jump range: the impulsive march is
@@ -36,6 +37,8 @@ monotone only if it is nondecreasing.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -69,12 +72,17 @@ def initial_values(spec, grid):
 def _march(spec, grid, eps, gamma, options, dt, m_bound, mode):
     options = options or SchemeOptions()
     restart = None
+    setup_s = march_s = 0.0
     while True:
+        start = time.perf_counter()
         stepper = Stepper(spec, grid, eps=eps, gamma=gamma, options=options,
                           m_bound=m_bound, dt=dt)
+        built = time.perf_counter()
+        setup_s += built - start
         try:
             traj = _march_once(spec, grid, stepper, mode)
         except SupNormExceeded as exc:
+            march_s += time.perf_counter() - built
             reach = reachable_bound(spec)
             if restart is not None or exc.sup > reach:
                 raise CflViolationError(
@@ -86,7 +94,8 @@ def _march(spec, grid, eps, gamma, options, dt, m_bound, mode):
             m_bound = max(2.0 * max(stepper.m_bound, exc.sup), reach)
             dt = None  # re-derive the step for the enlarged region
             continue
-        traj.meta["restart"] = restart
+        traj.meta.update(restart=restart, setup_s=setup_s,
+                         march_s=march_s + time.perf_counter() - built)
         return traj
 
 

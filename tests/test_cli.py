@@ -84,6 +84,37 @@ def test_run_and_verify_succeed(run_dir):
     assert meta["restart"] is None
 
 
+def test_run_prints_and_stores_its_step_and_wall_times(tmp_path, capsys):
+    # one line before the last: dt, the CFL term that set it, and the
+    # set-up and march seconds that meta.json stores
+    cfg = _config(tmp_path)
+    traj = tmp_path / "traj"
+    assert cli.main(["run", str(cfg), "--out", str(traj)]) == 0
+    meta = json.loads((traj / "meta.json").read_text())
+    assert meta["setup_s"] > 0.0 and meta["march_s"] > 0.0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == (f"dt {meta['dt']:.6g} (convective), setup "
+                         f"{meta['setup_s']:.3f} s, march "
+                         f"{meta['march_s']:.3f} s")
+    assert lines[-1].startswith("wrote ")
+
+
+def test_verify_scores_the_entropy_residual_of_a_regularized_run(tmp_path):
+    # eps > 0 at stride 1: the residual carries eps D_ss; the boundary
+    # entropy row stays an eps = 0 check
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.format(u0_1=U01_TEXT)
+                   .replace("snapshot_stride = 4", "snapshot_stride = 1")
+                   .replace("epsilon = 0.0", "epsilon = 0.01"))
+    traj = tmp_path / "traj"
+    assert cli.main(["run", str(cfg), "--mode", "regularized",
+                      "--out", str(traj)]) == 0
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
+    rows = _rows(traj / "reports.csv")
+    assert list(rows) == ["max_principle", "stability", "entropy_residual"]
+    assert set(rows.values()) == {"true"}
+
+
 def test_verify_refuses_a_run_written_with_the_in_step_source(run_dir,
                                                               capsys):
     # a run from before the kick has no "source" key; scoring it against

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -224,6 +226,18 @@ class TestDeterminismAndConsistency:
     def test_no_restart_is_recorded_as_none(self):
         traj = solver.solve_entropy(nosource_spec(), unit_grid(8), gamma=0.0)
         assert traj.meta["restart"] is None
+
+    @pytest.mark.parametrize("m_bound, attempts", [(None, 1), (0.05, 2)])
+    def test_wall_times_sum_over_a_restart(self, monkeypatch, m_bound,
+                                           attempts):
+        # a clock that ticks once per reading: each attempt reads it before
+        # and after building its stepper and once after marching
+        monkeypatch.setattr(solver.time, "perf_counter",
+                            functools.partial(next, itertools.count()))
+        traj = solver.solve_entropy(nosource_spec(), unit_grid(16),
+                                    gamma=0.0, m_bound=m_bound)
+        assert (traj.meta["restart"] is None) == (attempts == 1)
+        assert traj.meta["setup_s"] == traj.meta["march_s"] == attempts
 
     def test_escape_beyond_the_reachable_region_is_not_restarted(self):
         # a spike of 1000 on one cell centre, too narrow for the sampled
