@@ -7,8 +7,8 @@ integral identities,
     integral of |chi(lambda; v) - chi(lambda; w)| dlambda = |v - w|,
 
 turn pointwise statements about a solution into statements about integrals
-over the value variable.  The second underlies the L1 stability estimate
-(``problem.stability_rhs``).  ``kinetic_impulse_residual`` evaluates the
+over the value variable.  The second underlies the continuum L1 stability
+estimate.  ``kinetic_impulse_residual`` evaluates the
 first as a midpoint quadrature of the kinetic form of the impulse condition,
 
     int chi(.; u+) = int (1 + d beta/d lambda) chi(.; u-) + beta(x, s, 0),

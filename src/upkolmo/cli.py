@@ -1,9 +1,10 @@
 """Batch front door: run solvers, parameter sweeps and verification suites.
 
-Exit codes are the machine contract: 0 success, 1 config/validation error,
-2 march aborted (a non-finite value, a value the flux or source expressions
-cannot evaluate, or a sup-norm that left every invariant region the
-march could size), 3 at least one verification check failed.
+Exit codes are the machine contract: 0 success, 1 config/validation error
+(a bound the set-up cannot sample included), 2 march aborted (a non-finite
+value, a value the flux, source or boundary expressions cannot evaluate,
+or a sup-norm that left every invariant region the march could size),
+3 at least one verification check failed.
 Human-readable output goes to stdout, diagnostics to stderr, reports and
 trajectories to files.
 """
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as config_io
-from . import solver, verify
+from . import exprdsl, solver, verify
 # bench/run.py traces refined_max_bound where each module binds it
 from .problem import refined_max_bound  # noqa: F401
 from .scheme import NaNDetectedError
@@ -72,7 +73,7 @@ def _cmd_run(args):
     except _ABORTS as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, exprdsl.DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out or loaded.output_dir)
@@ -112,7 +113,7 @@ def _cmd_sweep(args):
     except _ABORTS as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, exprdsl.DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out or loaded.output_dir)

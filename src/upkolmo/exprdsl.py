@@ -16,7 +16,8 @@ by a nonzero literal is settled at compile time, and a power whose result
 is all finite skips its three-mask test, which can only flag a non-finite
 result: 0^negative, a negative base to a fractional exponent, or an
 overflow such as ``lambda^2`` at 1e200 still raise ``DomainError``,
-naming which of the three it found.
+naming which of the three it found.  So does any other non-finite value
+of finite bindings, such as ``exp(lambda)`` at 1000.
 
 With ``wrt`` set, the closure returns ``(value, d value / d wrt)`` by
 forward-mode dual numbers: first derivatives are exact, with no finite
@@ -78,7 +79,7 @@ class UnboundVariableError(KeyError):
 
 
 class DomainError(ArithmeticError):
-    """Division by zero, sqrt of a negative, or an invalid power."""
+    """Division by zero, sqrt of a negative, an invalid power, an overflow."""
 
 
 @dataclass(frozen=True)
@@ -333,10 +334,27 @@ def compile(expr, wrt=None):
     """Compile ``expr`` into ``(fn, free)``: ``fn(bindings)`` returns what
     ``evaluate(expr, bindings)`` does, bit for bit and of the same type, and
     ``free`` is the frozenset of the variable names the expression reads.
+    A non-finite value of finite bindings raises ``DomainError``, tested
+    once on the result, with NumPy's overflow and invalid warnings off.
 
     With ``wrt`` set to a variable name, ``fn(bindings)`` returns
     ``(value, d value / d wrt)`` instead, by forward-mode dual numbers.
     """
+    fn, free = _compile(expr, wrt)
+    if wrt is not None:
+        return fn, free
+
+    def finite(b):
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = fn(b)
+        if not np.isfinite(v).all() and all(
+                np.isfinite(b[name]).all() for name in free):
+            raise DomainError("overflow to a non-finite value")
+        return v
+    return finite, free
+
+
+def _compile(expr, wrt):
     if isinstance(expr, Num):
         const = expr.value if wrt is None else (expr.value, 0.0)
         return (lambda b: const), frozenset()
@@ -359,7 +377,7 @@ def compile(expr, wrt=None):
                   else (expr.func, expr.args))
     if name not in _VALUE:
         raise ValueError(f"unknown operator or function {name!r}")
-    fns, frees = zip(*(compile(a, wrt) for a in args))
+    fns, frees = zip(*(_compile(a, wrt) for a in args))
     f, g, free = fns[0], fns[-1], frozenset().union(*frees)
     op = _VALUE[name]
     if name == "/" and isinstance(args[1], Num) and args[1].value != 0:

@@ -26,7 +26,7 @@ import numpy as np
 from . import exprdsl
 
 __all__ = [
-    "omega", "k_gamma", "k_gamma_primitive",
+    "omega", "k_gamma", "k_gamma_primitive", "step_mass",
     "source_growth_constants", "estimate_dbeta_sup",
     "NonPositiveGammaError",
 ]
@@ -65,6 +65,7 @@ def k_gamma(t, tau, gamma):
     return float(out) if out.ndim == 0 else out
 
 
+@functools.lru_cache(maxsize=1)
 def k_gamma_primitive(n=4096):
     """The delayed kernel's primitive on its support, as a table.
 
@@ -77,20 +78,33 @@ def k_gamma_primitive(n=4096):
     roundoff.  By symmetry the half-range trapezoid sum is half the
     full-range one, which converges spectrally on the bump, so the divisor
     is 1 to roundoff.  For n = 4096 the linear interpolant is within 5e-8
-    of P.
+    of P.  Memoized, read-only: a process builds the table once.
     """
     z = np.linspace(-1.0, 0.0, n + 1)
     w = omega(z)
     p = np.concatenate(([0.0], np.cumsum(w[:-1] + w[1:])))
-    return z, p / p[-1]
+    p = p / p[-1]
+    z.flags.writeable = p.flags.writeable = False
+    return z, p
+
+
+def step_mass(t, dt, tau, gamma, n_tau):
+    """theta_n, the kernel mass of the step from t that the march kicks
+    with (see ``scheme``)."""
+    if gamma <= 0:
+        return float(round(t / dt) + 1 == n_tau)
+    p0, p1 = np.interp((np.array((t, t + dt)) - tau) / gamma,
+                       *k_gamma_primitive())
+    return float(p1 - p0)
 
 
 @functools.lru_cache(maxsize=32)
 def estimate_dbeta_sup(beta, L, S, b1):
     """Sampled sup of |d(beta)/d(lambda)| over the slab (x, s) in the domain,
     lambda in [-(b1+1), b1+1], on 64 x 64 x 256 points.  An estimate, not a
-    proof.  Memoized: the AST is frozen, so a process samples b0 once for
-    the step's kick cap, the growth constants and the Gronwall weight."""
+    proof, whose slab holds every slope, beta vanishing for |lambda| > b1.
+    Memoized: the AST is frozen, so a process samples b0 once for the
+    step's kick cap, the growth constants and the stability estimate."""
     return exprdsl.sample_sup(beta, ("x", "s", "lambda"),
                               [(0.0, L), (0.0, S), (-(b1 + 1.0), b1 + 1.0)],
                               n=(64, 64, 256), wrt="lambda")

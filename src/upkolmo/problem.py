@@ -8,21 +8,11 @@ a-priori theory:
   exponential-weight parameter has a closed form.
 * ``refined_max_bound`` -- sharper sup-norm bound for a delayed impulse
   source whose perturbation vanishes for |value| > b1.
-* ``stability_rhs`` -- right-hand side of the L1 data-stability estimate,
-  with the Gronwall weight b0 P((t - tau)/gamma) read from the kernel's
-  tabulated primitive P (``kernels.k_gamma_primitive``), the table the
-  march's source rate reads.
+* ``stability_rhs`` -- the L1 data-stability estimate of two runs of the
+  march, both sources, over the snapshot times (derived in ``verify``),
+  with the sup-norm bound behind max|a'| an argument, one per time.
 * ``impulsive_bounds`` -- sup-norm bounds before (M2) and after (M3) the
-  jump of the impulsive problem, for one run or for a pair of runs.
-* ``stability_rhs_impulsive`` -- the impulsive counterpart of the L1
-  stability estimate, including the perturbation-difference terms.
-
-Each stability estimate returns its curve over the snapshot times: the
-data it samples and the Gronwall weight do not depend on t, so they are
-computed once per curve.  The sup-norm bound m1(t) behind max|a'| in
-``stability_rhs`` is an argument, one value per snapshot time, and |a'|
-is sampled once for the whole curve; the verifier passes the bound that
-its max-principle check certifies.
+  jump of the impulsive problem.
 
 Sup-norms of expression-defined data are estimated by dense sampling
 (256 points per axis).  Callers that assert these bounds apply the 1%
@@ -44,7 +34,7 @@ from .exprdsl import sample_min, sample_sup
 __all__ = [
     "ProblemSpec", "Grid", "Field", "Trajectory",
     "max_principle_bound", "refined_max_bound", "stability_rhs",
-    "stability_rhs_impulsive", "impulsive_bounds",
+    "impulsive_bounds",
     "sample_sup", "slab_sup", "min_jump_slope", "data_sup_norms",
     "consistency_errors", "NORM_INFLATION",
     "ZeroInitialDataError", "GridMismatchError",
@@ -193,17 +183,22 @@ def _collar_max(expr, names, extents, n=128):
 
 
 def consistency_errors(spec):
-    """Named violations of the load-time invariants (empty list when clean)."""
+    """Named violations of the load-time invariants (empty list when clean).
+    An expression that cannot be evaluated where it is checked (it divides
+    by zero, say, or overflows) is a violation too."""
     errors = []
     if spec.d != 1:
         errors.append(f"dimension: only d=1 is supported, got d={spec.d}")
-    a0 = float(exprdsl.evaluate(spec.flux_a, {"lambda": 0.0}))
-    if a0 != 0.0:
-        errors.append(f"flux a: a(0) = {a0} != 0")
-    for i, phi in enumerate(spec.flux_phi, start=1):
-        p0 = float(exprdsl.evaluate(phi, {"lambda": 0.0}))
-        if p0 != 0.0:
-            errors.append(f"flux phi_{i}: phi_{i}(0) = {p0} != 0")
+    fluxes = {"a": spec.flux_a, **{f"phi_{i}": phi for i, phi
+                                   in enumerate(spec.flux_phi, start=1)}}
+    for name, expr in fluxes.items():
+        try:
+            f0 = float(exprdsl.evaluate(expr, {"lambda": 0.0}))
+        except exprdsl.DomainError as exc:
+            errors.append(f"flux {name}: cannot be evaluated at 0: {exc}")
+            continue
+        if f0 != 0.0:
+            errors.append(f"flux {name}: {name}(0) = {f0} != 0")
     if not (0.0 < spec.tau < spec.T):
         errors.append(f"tau: need 0 < tau < T, got tau={spec.tau}, T={spec.T}")
     else:
@@ -215,11 +210,16 @@ def consistency_errors(spec):
                 f"{spec.gamma0 / 2.0} where gamma0 = min(tau, T - tau)")
     if spec.epsilon < 0:
         errors.append(f"epsilon: must be >= 0, got {spec.epsilon}")
-    m = _collar_max(spec.data_u0_1, ("x", "s"), (spec.L, spec.S))
-    if m >= 1e-12:
-        errors.append(f"data u0_1: |value| = {m:.3e} on the boundary collar")
-    for name, expr in (("u0_2", spec.data_u0_2), ("uS_2", spec.data_uS_2)):
-        m = _collar_max(expr, ("x", "t"), (spec.L, spec.T))
+    for name, expr, axes, extents in (
+            ("u0_1", spec.data_u0_1, ("x", "s"), (spec.L, spec.S)),
+            ("u0_2", spec.data_u0_2, ("x", "t"), (spec.L, spec.T)),
+            ("uS_2", spec.data_uS_2, ("x", "t"), (spec.L, spec.T))):
+        try:
+            m = _collar_max(expr, axes, extents)
+        except exprdsl.DomainError as exc:
+            errors.append(f"data {name}: cannot be evaluated on its box: "
+                          f"{exc}")
+            continue
         if m >= 1e-12:
             errors.append(f"data {name}: |value| = {m:.3e} on the boundary collar")
     return errors
@@ -227,14 +227,14 @@ def consistency_errors(spec):
 
 # --- sampled sup-norms -----------------------------------------------------
 
-def slab_sup(spec, beta, radius, n=64, inflate=1.0, wrt=None):
-    """Sampled sup of |beta|, or of |d beta / d wrt|, over the slab: (x, s)
-    in the domain and lambda in [-radius, radius].  0 without a beta."""
+def slab_sup(spec, beta, radius, inflate=1.0):
+    """Sampled sup of |beta| over the slab, 64 points per axis: (x, s) in
+    the domain and lambda in [-radius, radius].  0 without a beta."""
     if beta is None:
         return 0.0
     return sample_sup(beta, ("x", "s", "lambda"),
                       [(0.0, spec.L), (0.0, spec.S), (-radius, radius)],
-                      n=n, inflate=inflate, wrt=wrt)
+                      n=64, inflate=inflate)
 
 
 def min_jump_slope(spec, n=64):
@@ -362,17 +362,12 @@ def _deriv_max_curve(expr, m1):
     """max|d expr / d lambda| over [-m, m] for each m in ``m1``, from one
     evaluation on a symmetric node grid over [-max m1, max m1].
 
-    The nonnegative nodes are spaced m_min / 2048 on [0, m_min], m_min the
-    smallest positive m1, and grow geometrically by 1 + 1/2048 past it: the
-    spacing at radius r is that of the 4097 samples ``sampled_deriv_max``
-    takes of [-m, m] at m = max(r, m_min), so every [-m, m] holds nodes at
-    least as dense as those samples.  A uniform grid at the finest spacing
-    would need 4096 max/min nodes: 780,000 for the sup-norm curve of the
-    ``tests/scenarios.py`` source problem (m1 from 0.81 to 154), against
-    26,000 here.
-    The running max of |d expr| outward from 0 is read at the first node
-    at or past each m, which keeps the bound on the safe side; a
-    non-finite m reads inf.
+    The nonnegative nodes are spaced m_min / 2048 up to m_min, the least
+    positive m1, and grow by 1 + 1/2048 past it, so every [-m, m] holds
+    nodes as dense as the 4097 samples of ``sampled_deriv_max``: 26,000
+    nodes for m1 from 0.81 to 154, where a uniform grid needs 780,000.  The
+    running max of |d expr| outward from 0 is read at the first node at or
+    past each m, on the safe side; a non-finite m reads inf.
     """
     m1 = np.asarray(m1, dtype=float)
     radii = np.zeros(1)
@@ -393,82 +388,59 @@ def _deriv_max_curve(expr, m1):
     return np.append(envelope, np.inf)[np.searchsorted(radii, m1)]
 
 
-def stability_rhs(spec, times, d_init, d_s0, d_sS, b0, gamma, m1, dt):
-    """Right-hand side of the L1 stability estimate at each time in ``times``.
+def stability_rhs(spec1, spec2, times, d_init, d_s0, d_sS, thetas, m1, dt,
+                  eps_ds=0.0):
+    """The L1 stability estimate of two runs at each time in ``times``,
+    at its level n (derived in the ``verify`` notes):
 
-        exp(G(t)) * [d_init + max|a'| * int_0^t exp(-G) (d_s0 + d_sS) dt']
+        W_n d_init + (A + eps_ds) sum_{m<n} (W_n/W_m) dt (d_s0 + d_sS)_m
+                   + S |Omega| dbeta sum_{m<n} theta_m W_n/W_{m+1},
 
-    ``d_s0`` and ``d_sS`` are L1(x) boundary-data differences sampled at
-    t-cell midpoints with spacing ``dt``.  G(t) = b0 P((t - tau)/gamma) is
-    b0 times the kernel mass the march applied by t: P is the primitive its
-    source rate reads (``kernels.k_gamma_primitive``), and ``gamma`` the
-    runs' delay width.  max|a'| is taken over [-m1(t), m1(t)], where ``m1``
-    holds a sup-norm bound of both solutions at each time in ``times``;
-    |a'| is sampled once per curve (``_deriv_max_curve``).
+    W_n = prod_{m<n} (1 + theta_m b0).  ``d_s0``, ``d_sS`` and ``thetas``
+    hold each step's data differences and kick mass; ``eps_ds`` is eps/ds.
+    A = max|a'| over [-m, m], m the running max of ``m1``.  b0 =
+    ``kernels.estimate_dbeta_sup`` of beta1, and dbeta = sup|beta1 - beta2|
+    over |lambda| <= max b1 + 1, exactly 0 for equal ASTs; no beta is 0.
     """
-    d_s0 = np.asarray(d_s0, dtype=float)
-    d_sS = np.asarray(d_sS, dtype=float)
-    mids = (np.arange(len(d_s0)) + 0.5) * dt
-    if spec.beta is None or gamma <= 0 or b0 == 0.0:
-        g, g_ts = np.zeros(len(mids)), np.zeros(len(times))
-    else:
-        z, p = kernels.k_gamma_primitive()
-        g, g_ts = (b0 * np.interp((np.asarray(ts) - spec.tau) / gamma, z, p)
-                   for ts in (mids, times))
-    weighted = np.exp(-g) * (d_s0 + d_sS)
-    a_max = _deriv_max_curve(spec.flux_a, m1)
-    out = []
-    for t, g_t, a in zip(times, g_ts, a_max):
-        # the midpoints before t are a prefix; summing it, not a running
-        # cumsum, keeps the rounding of the estimate at a single t
-        boundary = float(np.sum(weighted[:np.searchsorted(mids, t)]) * dt)
-        out.append(float(np.exp(g_t) * (d_init + a * boundary)))
-    return out
+    beta1, beta2 = spec1.beta, spec2.beta
+    b0 = (kernels.estimate_dbeta_sup(beta1, spec1.L, spec1.S, spec1.b1)
+          if beta1 is not None else 0.0)
+    zero = exprdsl.Num(0.0)
+    dbeta = 0.0 if beta1 == beta2 else slab_sup(
+        spec1, exprdsl.BinOp("-", beta1 or zero, beta2 or zero),
+        max(spec1.b1, spec2.b1) + 1.0)
+    thetas = np.asarray(thetas, dtype=float)
+    # W_0..W_N, and the boundary and source sums scaled by W_n, by level
+    w = np.concatenate(([1.0], np.cumprod(1.0 + b0 * thetas)))
+    inflow = dt * np.add(d_s0, d_sS, dtype=float)
+    boundary = w * np.concatenate(([0.0], np.cumsum(inflow / w[:-1])))
+    source = w * np.concatenate(([0.0], np.cumsum(thetas / w[1:])))
+    levels = np.rint(np.asarray(times, dtype=float) / dt).astype(int)
+    a_max = _deriv_max_curve(spec1.flux_a, np.maximum.accumulate(m1))
+    b = boundary[levels]
+    # an unbounded A times no boundary difference adds nothing
+    gain = np.where(b > 0, a_max + eps_ds, 0.0)
+    rhs = (w[levels] * d_init + gain * b
+           + spec1.S * spec1.omega_measure * dbeta * source[levels])
+    return [float(r) for r in rhs]
+
+
+# bench/run.py traces this name in `problem` and `verify`: the impulsive
+# pair has no estimate of its own, the gamma = 0 kick is a theta_n = 1 step
+stability_rhs_impulsive = stability_rhs
 
 
 @functools.lru_cache(maxsize=32)
-def impulsive_bounds(*specs, inflate=1.0):
-    """Sup-norm bounds (M2, M3) for the impulsive problem of one or two runs.
+def impulsive_bounds(spec, inflate=1.0):
+    """Sup-norm bounds (M2, M3) of the impulsive problem.
 
-    M2 bounds every run before the jump; M3 = max(M2 + sup|beta| over the
-    pre-jump range for each beta, post-jump boundary-data norms) bounds them
-    after.  The jump time, horizon and slab domain are the first spec's.
-    Memoized: specs are frozen, so a process samples each pair of bounds
-    once, however many checks read them.
+    M2 bounds the run before the jump; M3 = max(M2 + sup|beta| over
+    |lambda| <= M2, post-jump boundary-data norms) bounds it after.
+    Memoized: specs are frozen, so a process samples the bounds once,
+    however many checks read them.
     """
-    first = specs[0]
-    m2 = max(max(data_sup_norms(spec, (0.0, first.tau),
-                                inflate=inflate).values()) for spec in specs)
-    m3 = m2
-    for spec in specs:
-        post = data_sup_norms(spec, (first.tau, first.T), inflate=inflate)
-        m3 = max(m3, m2 + slab_sup(first, spec.beta, m2, inflate=inflate),
-                 post["u0_2"], post["uS_2"])
+    m2 = max(data_sup_norms(spec, (0.0, spec.tau), inflate=inflate).values())
+    post = data_sup_norms(spec, (spec.tau, spec.T), inflate=inflate)
+    m3 = max(m2 + slab_sup(spec, spec.beta, m2, inflate=inflate),
+             post["u0_2"], post["uS_2"])
     return m2, m3
-
-
-def stability_rhs_impulsive(spec1, spec2, times, d_init, d_s0, d_sS, dt):
-    """Right-hand side of the L1 stability estimate for two impulsive runs,
-    at each time in ``times``.
-
-    Without a source, the estimate of ``stability_rhs`` with max|a'| over
-    [-m4, m4] holds at every time; past the jump time the bound gains the
-    perturbation-difference term and the same estimate at the jump time,
-    over [-m5, m5], scaled by the first perturbation's value-Lipschitz
-    constant db1.  m5 and m4 bound both runs before and after the jump
-    (``impulsive_bounds`` of the pair).  sup|beta1 - beta2| and db1 are
-    sampled from the data once per curve.  Returns one value per time.
-    """
-    m5, m4 = impulsive_bounds(spec1, spec2)
-    if spec1.beta is not None and spec2.beta is not None:
-        diff = exprdsl.BinOp("-", spec1.beta, spec2.beta)
-    else:
-        diff = spec1.beta if spec1.beta is not None else spec2.beta
-    db1 = slab_sup(spec1, spec1.beta, m5, n=(64, 64, 256), wrt="lambda")
-    beta_diff = slab_sup(spec1, diff, m5)
-    at_tau, = stability_rhs(spec1, [spec1.tau], d_init, d_s0, d_sS, 0.0, 0.0,
-                            [m5], dt)
-    jump = spec1.S * spec1.omega_measure * beta_diff + db1 * at_tau
-    pre = stability_rhs(spec1, times, d_init, d_s0, d_sS, 0.0, 0.0,
-                        [m4] * len(times), dt)
-    return [rhs + jump if t >= spec1.tau else rhs for t, rhs in zip(times, pre)]

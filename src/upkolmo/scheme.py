@@ -14,13 +14,12 @@ with a monotone two-point numerical flux in each convective direction:
 * Engquist-Osher: F(uL, uR) = f(0) + int_0^uL max(f', 0) + int_0^uR min(f', 0),
   which handles non-monotone fluxes without a Riemann solver.
 
-theta_n = P(t_n + dt) - P(t_n) is the kernel mass of the step, from the
-kernel's tabulated primitive P (``kernels.k_gamma_primitive``), so the
-kicks add up to unit mass whatever the step.  At gamma = 0 P is its limit
-1_{t >= tau}: theta_n is exactly 1 on the step that ends at level
-``n_tau`` = ceil(tau/dt), the first at or after tau, and 0 on every
-other, so the impulsive problem is the gamma = 0 case of the one step
-(operator splitting; Holden, Karlsen, Lie & Risebro, EMS 2010).
+theta_n = P(t_n + dt) - P(t_n) (``kernels.step_mass``) is the kernel mass
+of the step, so the kicks add up to unit mass whatever the step.  At gamma
+= 0 P is 1_{t >= tau}: theta_n is exactly 1 on the step that ends at level
+``n_tau`` = ceil(tau/dt) and 0 on every other, so the impulsive problem is
+the gamma = 0 case of the one step (operator splitting; Holden, Karlsen,
+Lie & Risebro, EMS 2010).
 
 The operator is ultra-parabolic: diffusion acts along x only.  The explicit
 part is forward Euler under the CFL step of ``Stepper._cfl``, which is
@@ -214,8 +213,8 @@ class Stepper:
     dissipation are sized for.  Its default, ``reachable_bound``, depends on
     the spec alone, so a family of runs of one spec shares it;
     runs of different specs are comparable exactly only with a common value.
-    The lateral solve's inverse and the kernel's primitive depend on dt and
-    the delay width only, so they are built here, once.
+    The lateral solve's inverse depends on dt only, so it is built here,
+    once.
     """
 
     def __init__(self, spec, grid, eps=None, gamma=None, options=None,
@@ -254,9 +253,6 @@ class Stepper:
         self.n_tau = max(math.ceil(spec.tau / self.dt - 1e-9), 1) \
             if inner_tau else None
         self._inverse = _lateral_inverse(grid.nx, self.dt / grid.dx ** 2)
-        self._primitive = (kernels.k_gamma_primitive()
-                           if spec.beta is not None and self.gamma > 0
-                           else None)
 
         # compiled once, as the march evaluates them at every step
         self.beta_fn = (exprdsl.compile(spec.beta)[0]
@@ -322,9 +318,9 @@ class Stepper:
         data that do not read t are evaluated once per Stepper."""
         if self._fixed_rows is not None:
             return self._fixed_rows
-        return tuple(np.broadcast_to(np.asarray(f({"x": self.xc, "t": t}),
-                                                dtype=float), self.xc.shape)
-                     for f, _ in self._data)
+        return tuple(np.broadcast_to(np.asarray(_guarded(
+            f, {"x": self.xc, "t": t}, t), dtype=float), self.xc.shape)
+            for f, _ in self._data)
 
     def padded(self, u, t):
         """State extended by one ghost cell on every side."""
@@ -342,18 +338,12 @@ class Stepper:
     # single step -----------------------------------------------------------
 
     def source_rate(self, t):
-        """The source's rate per step: theta = P(t + dt) - P(t), the kernel
-        mass of the step from t.  Exactly 0 for a step that ends by tau -
-        gamma or starts at tau or later; at gamma = 0 exactly 1 on the step
-        that ends at level ``n_tau``, and 0 on every other."""
+        """The source's rate per step, ``kernels.step_mass``: the kernel
+        mass of the step from t; 0 without a beta."""
         if self.beta_fn is None:
             return 0.0
-        if self._primitive is None:
-            return float(round(t / self.dt) + 1 == self.n_tau)
-        z, p = self._primitive
-        ends = (np.array((t, t + self.dt)) - self.spec.tau) / self.gamma
-        p0, p1 = np.interp(ends, z, p)
-        return float(p1 - p0)
+        return kernels.step_mass(t, self.dt, self.spec.tau, self.gamma,
+                                 self.n_tau)
 
     def _solve_lateral(self, d):
         """(I - dt * Lap_x)^{-1} d along x with zero ghosts: one product with

@@ -140,6 +140,37 @@ def test_malformed_config_exits_1(tmp_path, capsys, command):
     assert "unterminated section header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("u0_2, cause", [
+    ("(x*1e200)^2", "invalid power (overflow)"),
+    ("exp(1000*x)*0", "overflow to a non-finite value"),
+])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_data_that_cannot_be_evaluated_exit_1(tmp_path, capsys, u0_2, cause,
+                                              command):
+    cfg = _config(tmp_path)
+    cfg.write_text(cfg.read_text().replace('u0_2 = "0"', f'u0_2 = "{u0_2}"'))
+    with pytest.raises(upk_io.ValidationError, match="data u0_2: cannot"):
+        upk_io.load_config(cfg)
+    argv = [command, str(cfg), "--out", str(tmp_path / "traj")]
+    if command == "verify":
+        argv[2:] = ["--traj", str(tmp_path / "traj")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: data u0_2: cannot be evaluated on its box: "
+                   f"{cause}\n")
+    assert not (tmp_path / "traj").exists()
+
+
+def test_a_source_that_overflows_on_its_slab_exits_1(tmp_path, capsys):
+    # the set-up samples sup|beta| over the slab, where exp overflows
+    cfg = _config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(f'beta = "{BETA_TEXT}"',
+                                           'beta = "exp(1000*lambda)*x"'))
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "traj")]) == 1
+    assert capsys.readouterr().err == \
+        "error: overflow to a non-finite value\n"
+
+
 def test_config_sets_every_scheme_option(tmp_path):
     # an option no config can set is a second equation only code reaches:
     # the config moves every field of SchemeOptions off its default
@@ -259,13 +290,15 @@ def test_verify_samples_each_bound_once(tmp_path):
     assert "entropy_residual" in _rows(traj / "reports.csv")
     info = kernels.estimate_dbeta_sup.cache_info()
     assert info.misses == 1 and info.hits >= 2
-    # an impulsive run: M2 and M3 once for the bound curve, the jump
-    # weight and M3 in check_jump, once more uninflated for the pair
+    # an impulsive run: M2 and M3 once, for the bound curve, the jump
+    # weight and M3 in check_jump; b0 once, for the stability estimate
     cfg, traj = _impulsive_dir(tmp_path)
     problem.impulsive_bounds.cache_clear()
+    kernels.estimate_dbeta_sup.cache_clear()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
     info = problem.impulsive_bounds.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
+    assert (info.misses, info.hits) == (1, 2)
+    assert kernels.estimate_dbeta_sup.cache_info().misses == 1
 
 
 def test_verify_of_an_impulsive_run_without_jump_fields_exits_1(tmp_path,

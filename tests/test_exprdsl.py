@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,8 +175,9 @@ def test_parse_is_deterministic():
 # --- compile against the tree-walking interpreter it replaced ---------------
 #
 # The reference below is the recursive evaluator `compile` replaced, with
-# its power check: a compiled expression must return the same value, bit
-# for bit and of the same type, or raise the same exception class.
+# its power check and the refusal of a non-finite value of finite bindings:
+# a compiled expression must return the same value, bit for bit and of the
+# same type, or raise the same exception class.
 
 def _check_pow_reference(base, expo, result):
     bad = ~np.isfinite(result) & np.isfinite(base) & np.isfinite(expo)
@@ -184,6 +186,29 @@ def _check_pow_reference(base, expo, result):
 
 
 def _evaluate_reference(expr, bindings):
+    """The tree walk, and a non-finite value of finite bindings refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _walk_reference(expr, bindings)
+    free = _free_reference(expr)
+    if not np.all(np.isfinite(r)) and all(
+            np.all(np.isfinite(bindings[name])) for name in free):
+        raise E.DomainError("overflow")
+    return r
+
+
+def _free_reference(expr):
+    if isinstance(expr, E.Num):
+        return set()
+    if isinstance(expr, E.Var):
+        return {expr.name}
+    if isinstance(expr, E.Neg):
+        return _free_reference(expr.arg)
+    if isinstance(expr, E.BinOp):
+        return _free_reference(expr.lhs) | _free_reference(expr.rhs)
+    return set().union(*map(_free_reference, expr.args))
+
+
+def _walk_reference(expr, bindings):
     if isinstance(expr, E.Num):
         return expr.value
     if isinstance(expr, E.Var):
@@ -192,10 +217,10 @@ def _evaluate_reference(expr, bindings):
         except KeyError:
             raise E.UnboundVariableError(expr.name) from None
     if isinstance(expr, E.Neg):
-        return -_evaluate_reference(expr.arg, bindings)
+        return -_walk_reference(expr.arg, bindings)
     if isinstance(expr, E.BinOp):
-        a = _evaluate_reference(expr.lhs, bindings)
-        b = _evaluate_reference(expr.rhs, bindings)
+        a = _walk_reference(expr.lhs, bindings)
+        b = _walk_reference(expr.rhs, bindings)
         if expr.op == "+":
             return a + b
         if expr.op == "-":
@@ -211,14 +236,14 @@ def _evaluate_reference(expr, bindings):
         _check_pow_reference(np.asarray(a, dtype=float),
                              np.asarray(b, dtype=float), np.asarray(r))
         return r
-    a = _evaluate_reference(expr.args[0], bindings)
+    a = _walk_reference(expr.args[0], bindings)
     if expr.func == "sqrt":
         if np.any(np.asarray(a) < 0):
             raise E.DomainError("sqrt of a negative number")
         return np.sqrt(a)
     if expr.func in ("sin", "cos", "exp", "tanh", "abs"):
         return getattr(np, expr.func)(a)
-    b = _evaluate_reference(expr.args[1], bindings)
+    b = _walk_reference(expr.args[1], bindings)
     return np.minimum(a, b) if expr.func == "min" else np.maximum(a, b)
 
 
@@ -284,6 +309,30 @@ def test_compiled_raises_what_the_tree_walk_raises(text, bindings, error):
     assert _outcome(_evaluate_reference, expr, bindings) is error
     assert _outcome(E.compile(expr)[0], bindings) is error
     assert _outcome(E.evaluate, expr, bindings) is error
+
+
+@pytest.mark.parametrize("text, bindings", [
+    ("exp(lambda)", {"lambda": [1000.0]}),
+    ("lambda*lambda", {"lambda": 1e200}),
+    ("exp(1000*x)*0", {"x": np.linspace(0.0, 1.0, 5)}),
+    ("x*1e200 - x*1e200*2", {"x": 1e200}),
+    ("1e400", {}),
+])
+def test_a_non_finite_value_of_finite_bindings_raises(text, bindings):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(E.DomainError, match="overflow"):
+            E.evaluate(E.parse(text), bindings)
+
+
+def test_an_overflow_that_ends_finite_evaluates_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert E.evaluate(E.parse("1/exp(lambda)"), {"lambda": 1000.0}) == 0.0
+        assert E.sample_sup(E.parse("min(exp(x), 2)"), ("x",),
+                            [(0.0, 1000.0)]) == 2.0
+    with pytest.raises(E.DomainError):
+        E.sample_sup(E.parse("exp(x)"), ("x",), [(0.0, 1000.0)])
 
 
 def test_power_of_a_non_finite_operand_stays_allowed():

@@ -8,7 +8,7 @@ from upkolmo import exprdsl as E
 from upkolmo import kernels
 from upkolmo import problem as P
 from upkolmo.scheme import Stepper
-from scenarios import source_spec, nosource_spec, perturbed_spec, unit_grid
+from scenarios import source_spec, nosource_spec, unit_grid
 
 
 def const_data_spec(u01="1", u02="1", uS2="1", **kwargs):
@@ -189,11 +189,19 @@ class TestRefinedMaxBound:
             P.refined_max_bound(spec, 1.0)
 
 
-def _rhs_at(spec, t, d_init, d_s0, d_sS, b0, m1):
-    """``stability_rhs`` at the single time t, with the t-cells spanning T."""
+def _rhs_at(spec, t, d_init, d_s0, d_sS, m1, thetas=None):
+    """``stability_rhs`` of two runs of ``spec`` at the single time t, with
+    the steps spanning T."""
     n = len(d_s0)
-    return P.stability_rhs(spec, [t], d_init, d_s0, d_sS, b0, spec.gamma,
-                           [m1], spec.T / n)[0]
+    thetas = np.zeros(n) if thetas is None else thetas
+    return P.stability_rhs(spec, spec, [t], d_init, d_s0, d_sS, thetas, [m1],
+                           spec.T / n)[0]
+
+
+def _march_thetas(stepper):
+    """The kernel mass of every step of the march, from the stepper."""
+    return [stepper.source_rate(n * stepper.dt)
+            for n in range(stepper.n_steps)]
 
 
 class TestStabilityRhs:
@@ -204,42 +212,48 @@ class TestStabilityRhs:
         d_sS = np.full(n, 0.1)
         # max|a'| over [-m1, m1] with a = l^2/2 is m1
         m1 = 2.0
-        got = _rhs_at(spec, 1.0, 0.5, d_s0, d_sS, b0=0.0, m1=m1)
+        got = _rhs_at(spec, 1.0, 0.5, d_s0, d_sS, m1=m1)
         assert got == pytest.approx(0.5 + m1 * 0.3, rel=1e-12)
 
     def test_identical_data(self):
         spec = nosource_spec()
-        got = _rhs_at(spec, 1.0, 0.0, np.zeros(50), np.zeros(50),
-                      b0=0.0, m1=1.0)
+        got = _rhs_at(spec, 1.0, 0.0, np.zeros(50), np.zeros(50), m1=1.0)
         assert got == 0.0
 
     def test_additive_in_initial_distance(self):
         spec = nosource_spec()
         zeros = np.zeros(50)
-        a = _rhs_at(spec, 1.0, 1.0, zeros, zeros, b0=0.0, m1=1.0)
-        b = _rhs_at(spec, 1.0, 2.0, zeros, zeros, b0=0.0, m1=1.0)
+        a = _rhs_at(spec, 1.0, 1.0, zeros, zeros, m1=1.0)
+        b = _rhs_at(spec, 1.0, 2.0, zeros, zeros, m1=1.0)
         assert b == pytest.approx(2 * a, rel=1e-12)
 
     def test_gronwall_weight_accumulates_kernel_mass(self):
+        # the weight is the product of the kick gains 1 + theta_n b0: never
+        # above exp(b0 sum theta) = exp(b0), and close to it for small steps
         spec = source_spec(gamma=0.1)
-        b0 = 0.5
-        zeros = np.zeros(4096)
-        got = _rhs_at(spec, 1.0, 1.0, zeros, zeros, b0=b0, m1=1.0)
-        # G(T) = b0 * integral of the kernel = b0 (unit mass)
-        assert got == pytest.approx(math.exp(b0), rel=1e-6)
+        stepper = Stepper(spec, unit_grid(16), dt=1.0 / 4096)
+        b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
+        zeros = np.zeros(stepper.n_steps)
+        got = _rhs_at(spec, 1.0, 1.0, zeros, zeros, m1=1.0,
+                      thetas=_march_thetas(stepper))
+        assert got <= math.exp(b0) * (1 + 1e-12)
+        assert got == pytest.approx(math.exp(b0), rel=1e-3)
 
     @pytest.mark.parametrize("cells", [16, 32, 64])
     def test_gronwall_weight_is_the_mass_the_march_applies(self, cells):
-        # at the run's own dt G(T) is b0 to roundoff, as the march applies
-        # unit kernel mass; a midpoint sum of K_gamma gave G(T)/b0 =
-        # 0.99956, 1.0000128 and 1.0304 on these grids
+        # at the run's own dt the weight at T is the product of the gains
+        # of the kicks the march applies, whose masses add up to 1
         spec = source_spec()
         stepper = Stepper(spec, unit_grid(cells))
-        b0 = 0.5
+        b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
+        thetas = _march_thetas(stepper)
+        assert sum(thetas) == pytest.approx(1.0, rel=1e-14)
         zeros = np.zeros(stepper.n_steps)
-        got, = P.stability_rhs(spec, [spec.T], 1.0, zeros, zeros, b0,
-                               stepper.gamma, [1.0], stepper.dt)
-        assert got == pytest.approx(math.exp(b0), rel=1e-15)
+        got, = P.stability_rhs(spec, spec, [spec.T], 1.0, zeros, zeros,
+                               thetas, [1.0], stepper.dt)
+        assert got == pytest.approx(math.prod(1 + b0 * th for th in thetas),
+                                    rel=1e-14)
+        assert got < math.exp(b0)
 
     @staticmethod
     def _spy_curves(monkeypatch):
@@ -259,13 +273,60 @@ class TestStabilityRhs:
         times = [0.1, 0.2, 0.3, 0.4, 0.5]
         m1 = [1.0, 1.0, 2.0, 2.0, 1.0]
         d = np.full(100, 0.1)
-        got = P.stability_rhs(spec, times, 0.5, d, d, 0.0, 0.0, m1,
-                              spec.T / 100)
-        assert curves == [m1]
+        got = P.stability_rhs(spec, spec, times, 0.5, d, d, np.zeros(100),
+                              m1, spec.T / 100)
+        # one curve: the running max of m1, which bounds every earlier step
+        running = [1.0, 1.0, 2.0, 2.0, 2.0]
+        assert curves == [running]
         # max|a'| over [-m, m] with a = l^2/2 is m, read at most one node
         # spacing, m/2048 here, further out
-        for g, t, m in zip(got, times, m1):
-            assert 0.5 + m * 0.2 * t <= g <= 0.5 + m * (1 + 1 / 2048) * 0.2 * t
+        for g, t, m in zip(got, times, running):
+            assert (0.5 + m * 0.2 * t * (1 - 1e-12) <= g
+                    <= 0.5 + m * (1 + 1 / 2048) * 0.2 * t * (1 + 1e-12))
+
+    def test_regularized_ghost_adds_eps_over_ds(self):
+        spec = nosource_spec()
+        d = np.full(100, 0.1)
+        times = [0.5, 1.0]
+        zeros = np.zeros(100)
+        plain = P.stability_rhs(spec, spec, times, 0.5, d, d, zeros, [1.0] * 2,
+                                0.01)
+        ghost = P.stability_rhs(spec, spec, times, 0.5, d, d, zeros, [1.0] * 2,
+                                0.01, eps_ds=0.4)
+        for t, p, g in zip(times, plain, ghost):
+            assert g - p == pytest.approx(0.4 * 0.2 * t, rel=1e-12)
+
+
+class TestStabilityRhsImpulsive:
+    def test_pre_jump_curve_is_the_sourceless_estimate_over_m4(self):
+        # the gamma = 0 kick is the step with theta = 1, the one ending at
+        # n_tau: before it the curve is the sourceless estimate over the
+        # same m1; from it on, the weight 1 + b0 and the beta difference
+        spec = source_spec()
+        other = spec.with_data(beta=E.parse(f"0.7*{E.to_string(spec.beta)}"))
+        m4 = P.impulsive_bounds(spec)[1]
+        stepper = Stepper(spec, unit_grid(16), gamma=0.0, dt=spec.T / 200)
+        thetas = _march_thetas(stepper)
+        assert thetas.count(1.0) == 1 and sum(thetas) == 1.0
+        n = stepper.n_steps
+        dt = stepper.dt
+        d_s0 = np.linspace(0.0, 0.02, n)
+        d_sS = np.linspace(0.01, 0.0, n)
+        times = [k * 20 * dt for k in range(11)]
+        m1 = [m4] * len(times)
+        pre = P.stability_rhs(spec, spec, times, 0.1, d_s0, d_sS, np.zeros(n),
+                              m1, dt)
+        got = P.stability_rhs(spec, other, times, 0.1, d_s0, d_sS, thetas,
+                              m1, dt)
+        b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
+        dbeta = 0.3 * P.slab_sup(spec, spec.beta, spec.b1 + 1.0)
+        for t, g, p in zip(times, got, pre):
+            if round(t / dt) < stepper.n_tau:
+                assert g == p
+            else:
+                assert g > (1 + b0) * p * (1 - 1e-12)
+                assert g > dbeta
+        assert {round(t / dt) < stepper.n_tau for t in times} == {True, False}
 
 
 class TestDerivMaxCurve:
@@ -293,32 +354,6 @@ class TestDerivMaxCurve:
         assert got.tolist() == [1.0, np.inf, np.inf]
 
 
-class TestStabilityRhsImpulsive:
-    def test_pre_jump_curve_is_the_sourceless_estimate_over_m4(self,
-                                                              monkeypatch):
-        spec = source_spec()
-        other = perturbed_spec(spec, 0.05)
-        m5, m4 = P.impulsive_bounds(spec, other)
-        n = 200
-        dt = spec.T / n
-        d_s0 = np.linspace(0.0, 0.02, n)
-        d_sS = np.linspace(0.01, 0.0, n)
-        times = list(np.linspace(0.0, spec.T, 11))
-        pre = P.stability_rhs(spec, times, 0.1, d_s0, d_sS, 0.0, 0.0,
-                              [m4] * len(times), dt)
-        curves = TestStabilityRhs._spy_curves(monkeypatch)
-        got = P.stability_rhs_impulsive(spec, other, times, 0.1, d_s0, d_sS,
-                                        dt)
-        # two a' samples: one at the jump time over [-m5, m5], one for the
-        # curve over [-m4, m4]
-        assert sorted(curves) == sorted([[m5], [m4] * len(times)])
-        for t, g, p in zip(times, got, pre):
-            if t < spec.tau:
-                assert g == p
-            else:
-                assert g > p
-
-
 class TestImpulsiveBounds:
     def test_no_perturbation(self):
         spec = const_data_spec(u01="0.5", u02="0.25", uS2="0.25")
@@ -337,6 +372,12 @@ class TestImpulsiveBounds:
         m2, m3 = P.impulsive_bounds(spec)
         assert m2 == pytest.approx(1.0)
         assert m3 >= 1.5
+
+    def test_m3_is_m2_plus_the_kick_over_the_pre_jump_range(self):
+        spec = source_spec()
+        m2, m3 = P.impulsive_bounds(spec)
+        assert m2 == max(P.data_sup_norms(spec, (0.0, spec.tau)).values())
+        assert m3 == m2 + P.slab_sup(spec, spec.beta, m2) > m2
 
     def test_m3_dominates_m2(self):
         rng = np.random.default_rng(9)
@@ -431,8 +472,6 @@ class TestSampleSupAgainstTheSamplersItReplaced:
     def test_dbeta_sup(self, beta, L, S, b1):
         want = _dbeta_sup_reference(beta, L, S, b1)
         assert kernels.estimate_dbeta_sup(beta, L, S, b1) == want
-        assert P.slab_sup(source_spec().with_data(L=L, S=S), beta, b1 + 1.0,
-                          n=(64, 64, 256), wrt="lambda") == want
 
     @pytest.mark.parametrize("beta", BETAS, ids=E.to_string)
     @pytest.mark.parametrize("L, S", [(1.0, 1.0), (0.7, 1.3)])
@@ -472,7 +511,6 @@ class TestSampleSupAgainstTheSamplersItReplaced:
 
     def test_slab_sup_of_no_perturbation_is_zero(self):
         assert P.slab_sup(source_spec(), None, 2.0) == 0.0
-        assert P.slab_sup(source_spec(), None, 2.0, wrt="lambda") == 0.0
 
 
 class TestJumpSlopeSampling:
