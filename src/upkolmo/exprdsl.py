@@ -330,18 +330,21 @@ _DERIV = {
 }
 
 
-def compile(expr, wrt=None):
+def compile(expr, wrt=None, finite=True):
     """Compile ``expr`` into ``(fn, free)``: ``fn(bindings)`` returns what
     ``evaluate(expr, bindings)`` does, bit for bit and of the same type, and
     ``free`` is the frozenset of the variable names the expression reads.
     A non-finite value of finite bindings raises ``DomainError``, tested
     once on the result, with NumPy's overflow and invalid warnings off.
+    ``finite=False`` leaves that test to a caller that evaluates under
+    ``np.errstate`` and tests what it computes from the value itself, as
+    the march's step does (``scheme._finite``).
 
     With ``wrt`` set to a variable name, ``fn(bindings)`` returns
     ``(value, d value / d wrt)`` instead, by forward-mode dual numbers.
     """
     fn, free = _compile(expr, wrt)
-    if wrt is not None:
+    if wrt is not None or not finite:
         return fn, free
 
     def finite(b):

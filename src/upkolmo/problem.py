@@ -362,12 +362,17 @@ def _deriv_max_curve(expr, m1):
     """max|d expr / d lambda| over [-m, m] for each m in ``m1``, from one
     evaluation on a symmetric node grid over [-max m1, max m1].
 
-    The nonnegative nodes are spaced m_min / 2048 up to m_min, the least
-    positive m1, and grow by 1 + 1/2048 past it, so every [-m, m] holds
-    nodes as dense as the 4097 samples of ``sampled_deriv_max``: 26,000
-    nodes for m1 from 0.81 to 154, where a uniform grid needs 780,000.  The
-    running max of |d expr| outward from 0 is read at the first node at or
-    past each m, on the safe side; a non-finite m reads inf.
+    The nonnegative nodes are spaced m_min / 2048 on [0, m_min], m_min the
+    smallest positive m1, and grow geometrically by 1 + 1/2048 past it: the
+    spacing at radius r is that of the 4097 samples ``sampled_deriv_max``
+    takes of [-m, m] at m = max(r, m_min), so every [-m, m] holds nodes at
+    least as dense as those samples.  A uniform grid at the finest spacing
+    would need 4096 max/min nodes: 780,000 for the sup-norm curve of the
+    ``tests/scenarios.py`` source problem (m1 from 0.81 to 154), against
+    26,000 here.
+    The running max of |d expr| outward from 0 is read at the first node
+    at or past each m, which keeps the bound on the safe side; a
+    non-finite m reads inf.
     """
     m1 = np.asarray(m1, dtype=float)
     radii = np.zeros(1)
@@ -389,7 +394,7 @@ def _deriv_max_curve(expr, m1):
 
 
 def stability_rhs(spec1, spec2, times, d_init, d_s0, d_sS, thetas, m1, dt,
-                  eps_ds=0.0):
+                  eps_ds=0.0, alpha=None):
     """The L1 stability estimate of two runs at each time in ``times``,
     at its level n (derived in the ``verify`` notes):
 
@@ -398,7 +403,9 @@ def stability_rhs(spec1, spec2, times, d_init, d_s0, d_sS, thetas, m1, dt,
 
     W_n = prod_{m<n} (1 + theta_m b0).  ``d_s0``, ``d_sS`` and ``thetas``
     hold each step's data differences and kick mass; ``eps_ds`` is eps/ds.
-    A = max|a'| over [-m, m], m the running max of ``m1``.  b0 =
+    A = max|a'| over [-m, m], m the running max of ``m1``; for runs with
+    the Lax-Friedrichs flux of dissipation ``alpha``, (A + alpha)/2 stands
+    in its place (``None`` is Engquist-Osher).  b0 =
     ``kernels.estimate_dbeta_sup`` of beta1, and dbeta = sup|beta1 - beta2|
     over |lambda| <= max b1 + 1, exactly 0 for equal ASTs; no beta is 0.
     """
@@ -417,6 +424,8 @@ def stability_rhs(spec1, spec2, times, d_init, d_s0, d_sS, thetas, m1, dt,
     source = w * np.concatenate(([0.0], np.cumsum(thetas / w[1:])))
     levels = np.rint(np.asarray(times, dtype=float) / dt).astype(int)
     a_max = _deriv_max_curve(spec1.flux_a, np.maximum.accumulate(m1))
+    if alpha is not None:
+        a_max = 0.5 * (a_max + alpha)
     b = boundary[levels]
     # an unbounded A times no boundary difference adds nothing
     gain = np.where(b > 0, a_max + eps_ds, 0.0)

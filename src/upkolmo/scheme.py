@@ -80,7 +80,7 @@ __all__ = [
     "SchemeOptions", "Stepper",
     "DegenerateGridError", "NaNDetectedError", "SupNormExceeded",
     "LAX_FRIEDRICHS", "ENGQUIST_OSHER", "LATERAL_DIFFUSION", "SOURCE_STEP",
-    "predicted_sup", "reachable_bound",
+    "predicted_sup", "reachable_bound", "lax_friedrichs_alpha",
 ]
 
 LAX_FRIEDRICHS = "lax_friedrichs"
@@ -167,13 +167,19 @@ class _SplitTable:
         return self.split(wL)[0] + self.split(wR)[1]
 
 
-class _LFFlux:
-    """Lax-Friedrichs flux with alpha = _LF_WIDEN max|f'| on
+def lax_friedrichs_alpha(f, m_bound):
+    """The Lax-Friedrichs dissipation alpha = _LF_WIDEN max|f'| on
     [-m_bound, m_bound]."""
+    return _LF_WIDEN * sampled_deriv_max(f, -m_bound, m_bound)
+
+
+class _LFFlux:
+    """Lax-Friedrichs flux with alpha = ``lax_friedrichs_alpha``; f is
+    evaluated under ``Stepper.step``'s errstate, which tests the step."""
 
     def __init__(self, f, m_bound):
-        self.f = exprdsl.compile(f)[0]
-        self.coeff = _LF_WIDEN * sampled_deriv_max(f, -m_bound, m_bound)
+        self.f = exprdsl.compile(f, finite=False)[0]
+        self.coeff = lax_friedrichs_alpha(f, m_bound)
 
     def split(self, w):
         """(g(w), h(w)) with flux(wL, wR) = g(wL) + h(wR)."""
@@ -254,8 +260,9 @@ class Stepper:
             if inner_tau else None
         self._inverse = _lateral_inverse(grid.nx, self.dt / grid.dx ** 2)
 
-        # compiled once, as the march evaluates them at every step
-        self.beta_fn = (exprdsl.compile(spec.beta)[0]
+        # compiled once, as the march evaluates them at every step; the kick
+        # tests its result, the data (the ghosts) test their own values
+        self.beta_fn = (exprdsl.compile(spec.beta, finite=False)[0]
                         if spec.beta is not None else None)
         self._data = [exprdsl.compile(e)
                       for e in (spec.data_u0_2, spec.data_uS_2)]
@@ -371,9 +378,9 @@ class Stepper:
         w = self.padded(u, t)
         ws = w[1:-1, :]
         wx = w[:, 1:-1]
-        g_a, h_a = _guarded(self.flux_a.split, ws, t)
-        g_p, h_p = _guarded(self.flux_phi.split, wx, t)
         with np.errstate(over="ignore", invalid="ignore"):
+            g_a, h_a = _guarded(self.flux_a.split, ws, t)
+            g_p, h_p = _guarded(self.flux_phi.split, wx, t)
             f_a = g_a[:, :-1] + h_a[:, 1:]
             div_s = (f_a[:, 1:] - f_a[:, :-1]) / grid.ds
             f_p = g_p[:-1, :] + h_p[1:, :]
@@ -390,9 +397,9 @@ class Stepper:
         theta = self.source_rate(t)
         if theta == 0.0:
             return v
-        b = _guarded(self.beta_fn, {"x": self.xc[:, None],
-                                    "s": self.sc[None, :], "lambda": v}, t)
         with np.errstate(over="ignore", invalid="ignore"):  # as in step
+            b = _guarded(self.beta_fn, {"x": self.xc[:, None],
+                                        "s": self.sc[None, :], "lambda": v}, t)
             return _finite(v + theta * b, t)
 
 

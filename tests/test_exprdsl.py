@@ -325,6 +325,18 @@ def test_a_non_finite_value_of_finite_bindings_raises(text, bindings):
             E.evaluate(E.parse(text), bindings)
 
 
+def test_an_unchecked_closure_leaves_the_non_finite_value_to_its_caller():
+    # the march's closures: the step tests what it computes, under errstate
+    fn, free = E.compile(E.parse("exp(lambda)"), finite=False)
+    assert free == {"lambda"}
+    with np.errstate(over="ignore"):
+        assert fn({"lambda": np.array([0.0, 1000.0])}).tolist() == \
+            [1.0, np.inf]
+    with pytest.raises(E.DomainError, match=r"\(overflow\)"):
+        E.compile(E.parse("(lambda*1e200)^2"), finite=False)[0](
+            {"lambda": 1.0})
+
+
 def test_an_overflow_that_ends_finite_evaluates_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

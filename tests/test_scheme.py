@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -437,6 +438,19 @@ class TestStep:
             for _ in range(400):
                 u = stepper.step(u, t=0.1)
 
+    def test_lax_friedrichs_flux_overflow_ends_the_step(self):
+        # exp overflows at the ghost 1000: the flux closure is unchecked,
+        # so the step's own test ends it, with no NumPy warning
+        spec = nosource_spec().with_data(flux_a=E.parse("exp(lambda) - 1"),
+                                         data_u0_2=E.parse("1000"))
+        opts = S.SchemeOptions(flux_kind=S.LAX_FRIEDRICHS)
+        stepper = S.Stepper(spec, Grid(8, 8, 1.0, 1.0), eps=0.0, gamma=0.0,
+                            m_bound=1.0, options=opts, dt=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(S.NaNDetectedError, match="non-finite value"):
+                stepper.step(np.zeros((8, 8)), 0.0)
+
     def test_table_matches_direct_quadrature(self):
         table = S._SplitTable(BURGERS, m_bound=1.0)
         rng = np.random.default_rng(37)
@@ -688,8 +702,8 @@ class TestGhostRows:
     def _counting_compile(monkeypatch, counts):
         """Count, per expression text, the calls of each closure that
         `scheme` compiles."""
-        def counting(expr):
-            fn, free = E.compile(expr)
+        def counting(expr, **options):
+            fn, free = E.compile(expr, **options)
             key = E.to_string(expr)
 
             def counted(b):

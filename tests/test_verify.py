@@ -8,10 +8,12 @@ from upkolmo import cli, kernels, solver, verify
 from upkolmo.problem import (Field, Trajectory, ZeroInitialDataError,
                              data_sup_norms, golden_section_min,
                              impulsive_bounds, min_jump_slope,
-                             refined_max_bound, sample_sup, stability_rhs)
+                             refined_max_bound, sample_sup,
+                             sampled_deriv_max, stability_rhs)
 from upkolmo.scheme import (LAX_FRIEDRICHS, SchemeOptions, Stepper,
-                            predicted_sup)
-from scenarios import (BETA_TEXT, box_grid, nosource_spec, perturbed_spec,
+                            lax_friedrichs_alpha, predicted_sup)
+from scenarios import (BETA_TEXT, XBUMP, box_grid, nosource_spec,
+                       perturbed_spec,
                        shock_spec, source_spec, unattainable_spec, unit_grid,
                        zero_spec)
 
@@ -211,14 +213,50 @@ class TestStability:
                                    spec, spec)
 
     @staticmethod
-    def _pair(specs, n, impulsive=False):
+    def _pair(specs, n, impulsive=False, options=None):
         """Runs of ``specs`` on the n x n grid with one dt and m_bound."""
         grid = unit_grid(n)
         m = max(1.05 * predicted_sup(s) + 0.5 for s in specs)
         dt = min(Stepper(s, grid, eps=0.0, gamma=0.0 if impulsive else s.gamma,
-                         m_bound=m).dt for s in specs)
+                         m_bound=m, options=options).dt for s in specs)
         solve = solver.solve_impulsive if impulsive else solver.solve_entropy
-        return [solve(s, grid, dt=dt, m_bound=m) for s in specs]
+        return [solve(s, grid, dt=dt, m_bound=m, options=options)
+                for s in specs]
+
+    def test_lax_friedrichs_pair_with_different_inflow(self, monkeypatch):
+        # a Lax-Friedrichs ghost enters with gain (A + alpha)/2, and alpha
+        # is taken over m_bound, which lies above m1 before the jump
+        base = source_spec()
+        other = base.with_data(data_u0_2=E.parse(f"0.2*{XBUMP}"))
+        t1, t2 = self._pair([base, other], 32,
+                            options=SchemeOptions(flux_kind=LAX_FRIEDRICHS))
+        calls = self._spy(monkeypatch, "stability_rhs")
+        rep = verify.check_stability(t1, t2, base, other)
+        assert rep.passed, rep
+        assert rep.context["d_init"] == 0.0 < rep.measured
+        (args, _), = calls
+        m, m1, alpha = t1.meta["m_bound"], np.asarray(args[7]), args[10]
+        assert alpha == lax_friedrichs_alpha(base.flux_a, m)
+        assert m > m1[0]
+        assert alpha > sampled_deriv_max(base.flux_a, -m1[0], m1[0])
+
+    @pytest.mark.parametrize("change", ["m_bound", "flux_kind", "flux"])
+    def test_pair_stepping_differently_is_refused(self, change):
+        # the contraction compares two runs of one operator: alpha and the
+        # Engquist-Osher tables depend on m_bound, the flux on its kind
+        spec, grid = nosource_spec(), unit_grid(16)
+        other = spec.with_data(flux_a=E.parse("lambda^2/4")) \
+            if change == "flux" else spec
+        runs = [{"m_bound": 2.0, "options": SchemeOptions()},
+                {"m_bound": 4.0 if change == "m_bound" else 2.0,
+                 "options": SchemeOptions(flux_kind=LAX_FRIEDRICHS)
+                 if change == "flux_kind" else SchemeOptions()}]
+        dt = min(Stepper(spec, grid, eps=0.0, gamma=0.0, **run).dt
+                 for run in runs)
+        t1, t2 = (solver.solve_entropy(spec, grid, dt=dt, **run)
+                  for run in runs)
+        with pytest.raises(verify.GridMismatchError, match="m_bound"):
+            verify.check_stability(t1, t2, spec, other)
 
     @pytest.mark.parametrize("impulsive", [False, True])
     def test_pair_differing_only_in_beta(self, impulsive):
@@ -286,7 +324,9 @@ class TestStability:
         spec = source_spec()
         traj = Trajectory(grid=grid, meta={"mode": "entropy", "gamma": 0.1,
                                            "dt": 0.1, "eps": 0.0,
-                                           "n_steps": 10, "n_tau": 5})
+                                           "n_steps": 10, "n_tau": 5,
+                                           "m_bound": 3.0,
+                                           "options": SchemeOptions()})
         traj.append(0.0, Field(np.zeros((8, 8)), grid, 0.0))
         rep = verify.check_stability(traj, traj, spec, spec)
         assert not rep.passed and rep.measured == np.inf
@@ -1013,16 +1053,19 @@ class TestHoistedAgainstReference:
         assert list(bounds) == _bound_curves_reference(spec, traj)
 
     @staticmethod
-    def _assert_stability_curve(spec1, spec2, traj, d_s0, d_sS, eps_ds=0.0):
+    def _assert_stability_curve(spec1, spec2, traj, d_s0, d_sS, eps_ds=0.0,
+                                alpha=None):
         meta = traj.meta
         dt = meta["dt"]
         thetas = verify._kick_masses(spec1 if spec1.beta is not None
                                      else spec2, meta)
         m1 = verify._bound_curves(spec1, traj)[0]
         got = stability_rhs(spec1, spec2, traj.times, 0.1, d_s0, d_sS, thetas,
-                            m1, dt, eps_ds)
+                            m1, dt, eps_ds, alpha)
         a_max = _deriv_max_curve_reference(spec1.flux_a,
                                            np.maximum.accumulate(m1))
+        if alpha is not None:
+            a_max = [(a + alpha) / 2.0 for a in a_max]
         want = [_stability_rhs_reference(spec1, spec2, t, 0.1, d_s0, d_sS,
                                          thetas, a, dt, eps_ds)
                 for t, a in zip(traj.times, a_max)]
@@ -1040,6 +1083,25 @@ class TestHoistedAgainstReference:
                                            np.linspace(0.01, 0.0, n),
                                            eps_ds=0.3)
         assert got[0] == 0.1 < got[-1]
+
+    def test_stability_curve_lax_friedrichs(self, small_runs):
+        spec, runs = small_runs
+        traj = runs["entropy_lf", 1]
+        n = traj.meta["n_steps"]
+        alpha = lax_friedrichs_alpha(spec.flux_a, traj.meta["m_bound"])
+        plain = self._assert_stability_curve(spec, spec, traj,
+                                             np.full(n, 0.01), np.zeros(n))
+        wide = self._assert_stability_curve(spec, spec, traj,
+                                            np.full(n, 0.01), np.zeros(n),
+                                            alpha=alpha)
+        assert wide[0] == plain[0] == 0.1
+        # alpha exceeds A while m1 is inside m_bound; past it, A bounds
+        # |f'| at the ghost, and (A + alpha)/2 may fall below A
+        m1 = np.maximum.accumulate(verify._bound_curves(spec, traj)[0])
+        inside = m1[1:] < traj.meta["m_bound"]
+        assert inside[0]
+        wide, plain = np.array(wide[1:]), np.array(plain[1:])
+        assert np.all(wide[inside] > plain[inside])
 
     def test_stability_curve_time_dependent_data(self, small_runs):
         # the source problem's zero boundary data against the inflow ramp
@@ -1135,8 +1197,7 @@ class TestDataSamplingAgainstReference:
         want = _boundary_series_reference(spec1, spec2, grid, n_steps, 0.01)
         for g, w in zip(got, want):
             assert g.shape == w.shape == (n_steps,)
-            # a column of a 2-D sum and a 1-D sum add in different orders
-            assert g == pytest.approx(w, rel=1e-14, abs=0.0)
+            assert g.tobytes() == w.tobytes()
 
 
 class TestNothingToCertify:
