@@ -176,8 +176,12 @@ def _cmd_validate_flux(args):
     loaded = _load(args.config)
     if loaded is None:
         return 1
-    report = verify.validate_genuine_nonlinearity(
-        loaded.spec.flux_a, args.Lambda, n_dirs=args.dirs)
+    try:
+        report = verify.validate_genuine_nonlinearity(
+            loaded.spec.flux_a, args.Lambda, n_dirs=args.dirs)
+    except exprdsl.DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     quantiles = report.context["mu_quantiles"]
     deltas = report.context["deltas"]
     print(f"{'delta':>10}  " + "  ".join(f"{q:>12}" for q in quantiles))

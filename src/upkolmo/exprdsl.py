@@ -17,7 +17,7 @@ is all finite skips its three-mask test, which can only flag a non-finite
 result: 0^negative, a negative base to a fractional exponent, or an
 overflow such as ``lambda^2`` at 1e200 still raise ``DomainError``,
 naming which of the three it found.  So does any other non-finite value
-of finite bindings, such as ``exp(lambda)`` at 1000.
+of finite bindings, such as ``exp(lambda)`` at 1000, in either mode.
 
 With ``wrt`` set, the closure returns ``(value, d value / d wrt)`` by
 forward-mode dual numbers: first derivatives are exact, with no finite
@@ -334,25 +334,27 @@ def compile(expr, wrt=None, finite=True):
     """Compile ``expr`` into ``(fn, free)``: ``fn(bindings)`` returns what
     ``evaluate(expr, bindings)`` does, bit for bit and of the same type, and
     ``free`` is the frozenset of the variable names the expression reads.
-    A non-finite value of finite bindings raises ``DomainError``, tested
-    once on the result, with NumPy's overflow and invalid warnings off.
+    With ``wrt`` set to a variable name, ``fn(bindings)`` returns
+    ``(value, d value / d wrt)`` instead, by forward-mode dual numbers.
+
+    A non-finite value, or derivative, of finite bindings raises
+    ``DomainError``, tested once on the result, with NumPy's warnings off.
     ``finite=False`` leaves that test to a caller that evaluates under
     ``np.errstate`` and tests what it computes from the value itself, as
     the march's step does (``scheme._finite``).
-
-    With ``wrt`` set to a variable name, ``fn(bindings)`` returns
-    ``(value, d value / d wrt)`` instead, by forward-mode dual numbers.
     """
     fn, free = _compile(expr, wrt)
-    if wrt is not None or not finite:
+    if not finite:
         return fn, free
 
     def finite(b):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             v = fn(b)
-        if not np.isfinite(v).all() and all(
-                np.isfinite(b[name]).all() for name in free):
-            raise DomainError("overflow to a non-finite value")
+        bad = [part for part, x in zip(("value", "derivative"),
+                                       v if wrt is not None else (v,))
+               if not np.isfinite(x).all()]
+        if bad and all(np.isfinite(b[name]).all() for name in free):
+            raise DomainError(f"overflow to a non-finite {bad[0]}")
         return v
     return finite, free
 
@@ -435,9 +437,9 @@ def sample_sup(expr, names, ranges, n=256, inflate=1.0, wrt=None):
     by the same elementwise operations whether its slice is evaluated
     alone or with the rest of the box (no rule picks its formula from the
     values it is given), and a max only selects one of its arguments, so
-    the max of the slice maxima is the max over the box, bit for bit;
-    ``np.max`` of the slice maxima keeps a NaN, as over the whole box.  A
-    domain error in any slice raises the class it raises over the box.
+    the max of the slice maxima is the max over the box, bit for bit.  A
+    sample is finite or raises (see ``compile``), and a domain error in
+    any slice raises the class it raises over the box.
     """
     return _sample_max(expr, names, ranges, n, wrt, np.abs) * inflate
 

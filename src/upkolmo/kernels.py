@@ -90,12 +90,15 @@ def k_gamma_primitive(n=4096):
 
 def step_mass(t, dt, tau, gamma, n_tau):
     """theta_n, the kernel mass of the step from t that the march kicks
-    with (see ``scheme``)."""
+    with (see ``scheme``); an array of step starts gives one per step, each
+    as its own start gives it."""
     if gamma <= 0:
-        return float(round(t / dt) + 1 == n_tau)
-    p0, p1 = np.interp((np.array((t, t + dt)) - tau) / gamma,
-                       *k_gamma_primitive())
-    return float(p1 - p0)
+        mass = np.rint(np.asarray(t) / dt) + 1 == n_tau
+    else:
+        p0, p1 = np.interp((np.array((t, t + dt)) - tau) / gamma,
+                           *k_gamma_primitive())
+        mass = p1 - p0
+    return float(mass) if np.ndim(mass) == 0 else mass.astype(float)
 
 
 @functools.lru_cache(maxsize=32)

@@ -10,7 +10,7 @@ a-priori theory:
   source whose perturbation vanishes for |value| > b1.
 * ``stability_rhs`` -- the L1 data-stability estimate of two runs of the
   march, both sources, over the snapshot times (derived in ``verify``),
-  with the sup-norm bound behind max|a'| an argument, one per time.
+  from each step's s-end inflow difference and kick mass.
 * ``impulsive_bounds`` -- sup-norm bounds before (M2) and after (M3) the
   jump of the impulsive problem.
 
@@ -353,83 +353,37 @@ def refined_max_bound(spec, t_prime, inflate=1.0):
     return float(out) if out.ndim == 0 else out
 
 
-# Nodes of the a' grid of ``stability_rhs`` per unit of radius: the 4097
-# samples that ``sampled_deriv_max`` takes of [-m, m] are 2048 per m.
-_NODES_PER_RADIUS = 2048
-
-
-def _deriv_max_curve(expr, m1):
-    """max|d expr / d lambda| over [-m, m] for each m in ``m1``, from one
-    evaluation on a symmetric node grid over [-max m1, max m1].
-
-    The nonnegative nodes are spaced m_min / 2048 on [0, m_min], m_min the
-    smallest positive m1, and grow geometrically by 1 + 1/2048 past it: the
-    spacing at radius r is that of the 4097 samples ``sampled_deriv_max``
-    takes of [-m, m] at m = max(r, m_min), so every [-m, m] holds nodes at
-    least as dense as those samples.  A uniform grid at the finest spacing
-    would need 4096 max/min nodes: 780,000 for the sup-norm curve of the
-    ``tests/scenarios.py`` source problem (m1 from 0.81 to 154), against
-    26,000 here.
-    The running max of |d expr| outward from 0 is read at the first node
-    at or past each m, which keeps the bound on the safe side; a
-    non-finite m reads inf.
-    """
-    m1 = np.asarray(m1, dtype=float)
-    radii = np.zeros(1)
-    positive = m1[(m1 > 0) & np.isfinite(m1)]
-    if positive.size:
-        lo, hi = positive.min(), positive.max()
-        growth = 1.0 + 1.0 / _NODES_PER_RADIUS
-        n_geo = int(np.ceil(np.log(hi / lo) / np.log(growth)))
-        radii = np.concatenate((
-            np.arange(_NODES_PER_RADIUS) * (lo / _NODES_PER_RADIUS),
-            lo * growth ** np.arange(n_geo + 1)))
-        radii[-1] = max(radii[-1], hi)
-    lam = np.concatenate((-radii[:0:-1], radii))
-    _, d = exprdsl.compile(expr, "lambda")[0]({"lambda": lam})
-    d = np.abs(np.broadcast_to(np.asarray(d, dtype=float), lam.shape))
-    mid = len(radii) - 1
-    envelope = np.maximum.accumulate(np.maximum(d[mid:], d[mid::-1]))
-    return np.append(envelope, np.inf)[np.searchsorted(radii, m1)]
-
-
-def stability_rhs(spec1, spec2, times, d_init, d_s0, d_sS, thetas, m1, dt,
-                  eps_ds=0.0, alpha=None):
+def stability_rhs(spec1, spec2, times, d_init, inflow, thetas, dt):
     """The L1 stability estimate of two runs at each time in ``times``,
     at its level n (derived in the ``verify`` notes):
 
-        W_n d_init + (A + eps_ds) sum_{m<n} (W_n/W_m) dt (d_s0 + d_sS)_m
+        W_n d_init + sum_{m<n} (W_n/W_m) inflow_m
                    + S |Omega| dbeta sum_{m<n} theta_m W_n/W_{m+1},
 
-    W_n = prod_{m<n} (1 + theta_m b0).  ``d_s0``, ``d_sS`` and ``thetas``
-    hold each step's data differences and kick mass; ``eps_ds`` is eps/ds.
-    A = max|a'| over [-m, m], m the running max of ``m1``; for runs with
-    the Lax-Friedrichs flux of dissipation ``alpha``, (A + alpha)/2 stands
-    in its place (``None`` is Engquist-Osher).  b0 =
-    ``kernels.estimate_dbeta_sup`` of beta1, and dbeta = sup|beta1 - beta2|
-    over |lambda| <= max b1 + 1, exactly 0 for equal ASTs; no beta is 0.
+    W_n = prod_{m<n} (1 + theta_m b0).  ``inflow`` and ``thetas`` hold
+    each step's L1 difference of what the runs' s-end ghosts put into the
+    march, dt included, and its kick mass.  b0 =
+    ``kernels.estimate_dbeta_sup`` of beta1, sampled only where d_init,
+    an inflow or dbeta is nonzero, since else every term is 0 whatever b0
+    is; dbeta = sup|beta1 - beta2| over |lambda| <= max b1 + 1, exactly 0
+    for equal ASTs; no beta is 0.
     """
     beta1, beta2 = spec1.beta, spec2.beta
-    b0 = (kernels.estimate_dbeta_sup(beta1, spec1.L, spec1.S, spec1.b1)
-          if beta1 is not None else 0.0)
     zero = exprdsl.Num(0.0)
     dbeta = 0.0 if beta1 == beta2 else slab_sup(
         spec1, exprdsl.BinOp("-", beta1 or zero, beta2 or zero),
         max(spec1.b1, spec2.b1) + 1.0)
+    inflow = np.asarray(inflow, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
+    b0 = (kernels.estimate_dbeta_sup(beta1, spec1.L, spec1.S, spec1.b1)
+          if beta1 is not None and (d_init or dbeta or inflow.any())
+          else 0.0)
     # W_0..W_N, and the boundary and source sums scaled by W_n, by level
     w = np.concatenate(([1.0], np.cumprod(1.0 + b0 * thetas)))
-    inflow = dt * np.add(d_s0, d_sS, dtype=float)
     boundary = w * np.concatenate(([0.0], np.cumsum(inflow / w[:-1])))
     source = w * np.concatenate(([0.0], np.cumsum(thetas / w[1:])))
     levels = np.rint(np.asarray(times, dtype=float) / dt).astype(int)
-    a_max = _deriv_max_curve(spec1.flux_a, np.maximum.accumulate(m1))
-    if alpha is not None:
-        a_max = 0.5 * (a_max + alpha)
-    b = boundary[levels]
-    # an unbounded A times no boundary difference adds nothing
-    gain = np.where(b > 0, a_max + eps_ds, 0.0)
-    rhs = (w[levels] * d_init + gain * b
+    rhs = (w[levels] * d_init + boundary[levels]
            + spec1.S * spec1.omega_measure * dbeta * source[levels])
     return [float(r) for r in rhs]
 

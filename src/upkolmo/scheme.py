@@ -80,7 +80,7 @@ __all__ = [
     "SchemeOptions", "Stepper",
     "DegenerateGridError", "NaNDetectedError", "SupNormExceeded",
     "LAX_FRIEDRICHS", "ENGQUIST_OSHER", "LATERAL_DIFFUSION", "SOURCE_STEP",
-    "predicted_sup", "reachable_bound", "lax_friedrichs_alpha",
+    "predicted_sup", "reachable_bound",
 ]
 
 LAX_FRIEDRICHS = "lax_friedrichs"
@@ -167,19 +167,14 @@ class _SplitTable:
         return self.split(wL)[0] + self.split(wR)[1]
 
 
-def lax_friedrichs_alpha(f, m_bound):
-    """The Lax-Friedrichs dissipation alpha = _LF_WIDEN max|f'| on
-    [-m_bound, m_bound]."""
-    return _LF_WIDEN * sampled_deriv_max(f, -m_bound, m_bound)
-
-
 class _LFFlux:
-    """Lax-Friedrichs flux with alpha = ``lax_friedrichs_alpha``; f is
-    evaluated under ``Stepper.step``'s errstate, which tests the step."""
+    """Lax-Friedrichs flux with alpha = _LF_WIDEN max|f'| on [-m_bound,
+    m_bound]; f is evaluated under ``Stepper.step``'s errstate, which
+    tests the step."""
 
     def __init__(self, f, m_bound):
         self.f = exprdsl.compile(f, finite=False)[0]
-        self.coeff = lax_friedrichs_alpha(f, m_bound)
+        self.coeff = _LF_WIDEN * sampled_deriv_max(f, -m_bound, m_bound)
 
     def split(self, w):
         """(g(w), h(w)) with flux(wL, wR) = g(wL) + h(wR)."""
@@ -322,11 +317,13 @@ class Stepper:
 
     def boundary_values(self, t):
         """Prescribed exterior states at the s-ends at time t, read-only;
-        data that do not read t are evaluated once per Stepper."""
+        data that do not read t are evaluated once per Stepper.  A column
+        of times gives one row per time."""
         if self._fixed_rows is not None:
             return self._fixed_rows
+        shape = np.broadcast_shapes(np.shape(t), self.xc.shape)
         return tuple(np.broadcast_to(np.asarray(_guarded(
-            f, {"x": self.xc, "t": t}, t), dtype=float), self.xc.shape)
+            f, {"x": self.xc, "t": t}, t), dtype=float), shape)
             for f, _ in self._data)
 
     def padded(self, u, t):
@@ -346,7 +343,8 @@ class Stepper:
 
     def source_rate(self, t):
         """The source's rate per step, ``kernels.step_mass``: the kernel
-        mass of the step from t; 0 without a beta."""
+        mass of the step from t, or of each step from an array of starts;
+        0 without a beta."""
         if self.beta_fn is None:
             return 0.0
         return kernels.step_mass(t, self.dt, self.spec.tau, self.gamma,
@@ -410,7 +408,7 @@ def _guarded(fn, arg, t):
         return fn(arg)
     except exprdsl.DomainError as exc:
         raise NaNDetectedError(f"non-finite value in the step from "
-                               f"t = {t:.6g}: {exc}") from exc
+                               f"t = {np.min(t):.6g}: {exc}") from exc
 
 
 def _finite(new, t):

@@ -59,19 +59,26 @@ Notes on two deliberately discrete constructions:
 * The stability estimate bounds the march itself, step by step, for two
   runs of one operator: grid, dt, eps, fluxes and their kind, m_bound and
   each step's kick mass theta_n (Kruzhkov, Math. USSR Sb. 10, 1970;
-  Crandall & Majda, Math. Comp. 34, 1980).  The explicit update is
-  monotone and conservative, so no cell passes on more than its own L1
-  difference; an s-end ghost enters its neighbour with weight (dt/ds) g'
-  through the flux and dt eps/ds^2 through eps D_ss, where g' <= A =
-  max|a'| over the runs' sup-norm bound m1 for Engquist-Osher and
-  (A + alpha)/2 for Lax-Friedrichs, alpha its dissipation over
-  [-m_bound, m_bound].  The lateral inverse is nonnegative with column
-  sums at most 1.  The kick v -> v + theta_n beta1(v) is Lipschitz with
-  1 + theta_n b0, b0 = sup|d beta1 / d lambda|, and beta2 moves a cell by
-  at most theta_n sup|beta1 - beta2| more.  So, with d_s0, d_sS the L1(x)
-  differences of the s-end data at step n and g' for A,
+  Crandall & Majda, Math. Comp. 34, 1980).  With the s-end ghosts held
+  as inputs, the explicit update is monotone and conservative, so no
+  cell passes on more than its own L1 difference (Crandall & Tartar,
+  Proc. AMS 78, 1980).  Both fluxes are sum-split, F(a, b) = g(a) + h(b),
+  so a ghost enters only its neighbour cell: as (dt/ds) g(ghost) at s =
+  0, as -(dt/ds) h(ghost) at s = S, and as (dt eps/ds^2) ghost through
+  eps D_ss.  By the triangle inequality, trading one run's ghosts y0, yS
+  for the other's z0, zS then adds at most
 
-      e_{n+1} <= (1 + theta_n b0) (e_n + dt (A + eps/ds) (d_s0 + d_sS)_n)
+      inflow_n = dt [|g(y0) - g(z0)| + |h(yS) - h(zS)|
+                     + (eps/ds) (|y0 - z0| + |yS - zS|)]
+
+  in L1(x), the cell area dx ds turning each column sum into an L1(x)
+  norm: the ghosts and the parts the march stepped with, and no
+  Lipschitz constant of a.  The lateral inverse is nonnegative with
+  column sums at most 1.  The kick v -> v + theta_n beta1(v) is Lipschitz
+  with 1 + theta_n b0, b0 = sup|d beta1 / d lambda|, and beta2 moves a
+  cell by at most theta_n sup|beta1 - beta2| more.  So
+
+      e_{n+1} <= (1 + theta_n b0) (e_n + inflow_n)
                  + theta_n S |Omega| sup|beta1 - beta2|,
 
   unrolled from e_0 = d_init in ``problem.stability_rhs``.  At gamma = 0
@@ -96,8 +103,7 @@ from .problem import (NORM_INFLATION, GridMismatchError, ZeroInitialDataError,
                       min_jump_slope, refined_max_bound, stability_rhs)
 # bench/run.py traces the alias where `verify` binds it
 from .problem import stability_rhs_impulsive  # noqa: F401
-from .scheme import (LAX_FRIEDRICHS, NaNDetectedError, Stepper,
-                     lax_friedrichs_alpha)
+from .scheme import NaNDetectedError, Stepper
 from . import solver as solver_mod
 from .solver import GammaOutOfRangeError
 
@@ -196,23 +202,16 @@ def spacetime_l1_diff(traj1, traj2):
 # --- sup-norm bound curves ----------------------------------------------------
 
 def _bound_curves(spec, traj):
-    """Per-snapshot sup-norm bounds applicable to the trajectory's mode."""
-    meta = traj.meta
-    tau_snap = (meta["n_tau"] * meta["dt"] if meta.get("mode") == "impulsive"
-                else None)
-    return _bound_curve(spec, tuple(traj.times),
-                        meta.get("gamma", spec.gamma), tau_snap)
-
-
-@functools.lru_cache(maxsize=2)
-def _bound_curve(spec, times, gamma, tau_snap):
-    """``_bound_curves`` on the only inputs a curve depends on; ``tau_snap``
-    is None outside impulsive mode.  Cached, so that ``check_max_principle``
-    and ``check_stability`` on one run build its curve once."""
-    if tau_snap is not None:
+    """Per-snapshot sup-norm bounds applicable to the trajectory's mode.
+    Outside impulsive mode a run with a beta has gamma > 0, as the march
+    requires (``solver._require_gamma``), so M7 applies where defined."""
+    meta, times = traj.meta, traj.times
+    if meta.get("mode") == "impulsive":
+        tau_snap = meta["n_tau"] * meta["dt"]
         m2, m3 = impulsive_bounds(spec, inflate=NORM_INFLATION)
         return (tuple(m2 if t < tau_snap else m3 for t in times),
                 {"m2": m2, "m3": m3})
+    gamma = meta.get("gamma", spec.gamma)
     if spec.beta is not None and gamma > 0:
         b1g, b2g = kernels.source_growth_constants(
             spec.beta, gamma, L=spec.L, S=spec.S, b1=spec.b1)
@@ -224,9 +223,8 @@ def _bound_curve(spec, times, gamma, tau_snap):
     dnorms = np.maximum(norms["u0_1"], np.maximum(norms["u0_2"], norms["uS_2"]))
     bounds = max_principle_bound(t_effs, b1g, b2g, dnorms)
     try:
-        m7 = refined_max_bound(spec, t_effs, inflate=NORM_INFLATION)
-        if spec.beta is None or gamma > 0:
-            bounds = np.minimum(bounds, m7)
+        bounds = np.minimum(bounds, refined_max_bound(spec, t_effs,
+                                                      inflate=NORM_INFLATION))
     except (ZeroInitialDataError, ValueError):
         pass  # no refined bound: the growth bound stands alone
     return tuple(map(float, bounds)), {"b1g": b1g, "b2g": b2g}
@@ -278,26 +276,33 @@ def check_max_principle(traj, spec):
 
 # --- stability ----------------------------------------------------------------
 
-def _boundary_series(spec1, spec2, grid, n_steps, dt):
-    """L1(x) differences of the two runs' s-end data at each step's start
-    n dt, where the march reads them (``Stepper.padded``).  A step is a
-    row, so its sum adds in the order a sum of that step's row alone does."""
-    xc, _ = grid.cell_centers()
-    at = {"x": xc[None, :], "t": np.arange(n_steps)[:, None] * dt}
-
-    def values(expr):
-        return np.broadcast_to(exprdsl.evaluate(expr, at), (n_steps, len(xc)))
-
-    return [np.abs(values(e1) - values(e2)).sum(axis=1) * grid.dx
-            for e1, e2 in ((spec1.data_u0_2, spec2.data_u0_2),
-                           (spec1.data_uS_2, spec2.data_uS_2))]
+def _stepper(spec, traj):
+    """The run's own ``Stepper``, rebuilt from its meta: the construction
+    is deterministic, so it steps, kicks and reads ghosts as the march
+    did."""
+    meta = traj.meta
+    return Stepper(spec, traj.grid, eps=meta["eps"], gamma=meta["gamma"],
+                   options=meta["options"], m_bound=meta["m_bound"],
+                   dt=meta["dt"])
 
 
-def _kick_masses(spec, meta):
-    """Each step's kernel mass, as the march's ``Stepper.source_rate``."""
-    return [kernels.step_mass(n * meta["dt"], meta["dt"], spec.tau,
-                              meta["gamma"], meta["n_tau"])
-            for n in range(meta["n_steps"])]
+def _inflow(st1, st2):
+    """Each step's inflow_n of the module notes: the L1(x) differences of
+    the two runs' s-end ghosts at the step's start n dt, from
+    ``Stepper.boundary_values``, through the first run's split parts and
+    eps D_ss.  The ghosts of every step form one (n_steps, nx) array, so
+    ``split`` runs once per end and run, and a step is a row, whose sum
+    adds in the order a sum of that row alone does."""
+    n, grid = st1.n_steps, st1.grid
+    ts = np.arange(n)[:, None] * st1.dt
+    (y0, yS), (z0, zS) = st1.boundary_values(ts), st2.boundary_values(ts)
+    split = st1.flux_a.split
+
+    def l1(d):
+        return np.broadcast_to(np.abs(d).sum(axis=-1) * grid.dx, (n,))
+
+    flux = l1(split(y0)[0] - split(z0)[0]) + l1(split(yS)[1] - split(zS)[1])
+    return st1.dt * (flux + st1.eps / grid.ds * (l1(y0 - z0) + l1(yS - zS)))
 
 
 def check_stability(traj1, traj2, spec1, spec2):
@@ -306,40 +311,34 @@ def check_stability(traj1, traj2, spec1, spec2):
 
     The runs must share grid, snapshot times, dt, eps, m_bound, flux kind
     and fluxes and, where both have a beta, every kick's mass; else
-    ``GridMismatchError``.  m1 is the larger of the runs' ``_bound_curves``,
-    which ``check_max_principle`` certifies.  As there, t = 0 is left out:
-    the row is the t > 0 snapshot (``t_worst``) of largest lhs / (1.05 rhs).
+    ``GridMismatchError``.  Each run's ``Stepper`` is rebuilt from its
+    meta, so the ghosts, split parts and kick masses are those the march
+    used.  As in ``check_max_principle``, t = 0 is left out: the row is the
+    t > 0 snapshot (``t_worst``) of largest lhs / (1.05 rhs).
     """
     if traj1.grid != traj2.grid:
         raise GridMismatchError("trajectories on different grids")
     if traj1.times != traj2.times:
         raise GridMismatchError("snapshot times differ; rerun with a common dt")
     meta, grid = traj1.meta, traj1.grid
-    kind = meta["options"].flux_kind
     fluxes = [(spec.flux_a, spec.flux_phi) for spec in (spec1, spec2)]
     if (any(meta[key] != traj2.meta[key] for key in ("dt", "eps", "m_bound"))
-            or kind != traj2.meta["options"].flux_kind
+            or meta["options"].flux_kind != traj2.meta["options"].flux_kind
             or fluxes[0] != fluxes[1]):
         raise GridMismatchError("the runs step with different dt, eps, "
                                 "fluxes or invariant region m_bound")
-    masses = [_kick_masses(spec, traj.meta)
-              for spec, traj in ((spec1, traj1), (spec2, traj2))
-              if spec.beta is not None]
-    if masses[1:] and masses[0] != masses[1]:
+    st1, st2 = _stepper(spec1, traj1), _stepper(spec2, traj2)
+    masses = [st.source_rate(np.arange(st.n_steps) * st.dt)
+              for st in (st1, st2) if st.beta_fn is not None]
+    if masses[1:] and not np.array_equal(*masses):
         raise GridMismatchError("the runs kick with different kernel masses; "
                                 "rerun with a common delay width")
-    dt, n_steps = meta["dt"], meta["n_steps"]
     d_init = float(np.sum(np.abs(solver_mod.initial_values(spec1, grid)
                                  - solver_mod.initial_values(spec2, grid)))
                    * grid.cell_volume)
-    d_s0, d_sS = _boundary_series(spec1, spec2, grid, n_steps, dt)
-    m1 = np.maximum(_bound_curves(spec1, traj1)[0],
-                    _bound_curves(spec2, traj2)[0])
-    alpha = (lax_friedrichs_alpha(spec1.flux_a, meta["m_bound"])
-             if kind == LAX_FRIEDRICHS else None)
-    rhs = stability_rhs(spec1, spec2, traj1.times, d_init, d_s0, d_sS,
-                        masses[0] if masses else np.zeros(n_steps), m1, dt,
-                        meta["eps"] / grid.ds, alpha)
+    rhs = stability_rhs(spec1, spec2, traj1.times, d_init, _inflow(st1, st2),
+                        masses[0] if masses else np.zeros(st1.n_steps),
+                        st1.dt)
 
     scored = []
     for t, f1, f2, r in zip(traj1.times, traj1.fields, traj2.fields, rhs):
@@ -395,9 +394,7 @@ def check_entropy_residual(traj, spec, k_values):
     meta = traj.meta
     if meta.get("stride", 0) != 1:
         raise ValueError("entropy residual needs a stride-1 trajectory")
-    stepper = Stepper(spec, traj.grid, eps=meta["eps"], gamma=meta["gamma"],
-                      options=meta["options"], m_bound=meta["m_bound"],
-                      dt=meta["dt"])
+    stepper = _stepper(spec, traj)
     grid = traj.grid
     dt, dx, ds = meta["dt"], grid.dx, grid.ds
     # one axis per entropy |u - k|: every k is treated in the same array op
@@ -480,6 +477,11 @@ def check_bln(traj, spec, k_values):
     ds/|a'| right after t = 0, and in impulsive mode the post-jump snapshot,
     stay checked.  With no t > 0 snapshot, or no k, there is nothing to
     certify and the report fails with measured = inf.
+
+    The context names where the row was decided, as ``check_max_principle``
+    does: the snapshot ``t_worst``, the ``end`` (``s0`` or ``sS``), the
+    trace's ``cell_worst`` and ``k_worst``, the first non-finite entry,
+    else the first largest, in k, end, snapshot and cell order.
     """
     grid = traj.grid
     tol = 5.0 * (grid.ds + grid.dx)
@@ -487,31 +489,38 @@ def check_bln(traj, spec, k_values):
     # the initial datum, not a boundary trace, sits at t = 0
     scored = [i for i, t in enumerate(traj.times) if t > 0.0]
     n_scored = len(scored)
-    worst = -np.inf
+    worst = (-np.inf, None, None, None, None)
     if n_scored and len(k_values):
         # every scored trace and its data as one (n_scored, nx) array
         ts = np.asarray([traj.times[i] for i in scored])[:, None]
-        tr0 = np.stack(traj.s0_traces)[scored]
-        trS = np.stack(traj.sS_traces)[scored]
-        data0 = np.broadcast_to(np.asarray(exprdsl.evaluate(
-            spec.data_u0_2, {"x": xc[None, :], "t": ts})), tr0.shape)
-        dataS = np.broadcast_to(np.asarray(exprdsl.evaluate(
-            spec.data_uS_2, {"x": xc[None, :], "t": ts})), trS.shape)
+        ends = []
+        for end, traces, expr, cs in (
+                ("s0", traj.s0_traces, spec.data_u0_2, 0),
+                ("sS", traj.sS_traces, spec.data_uS_2, grid.ns - 1)):
+            tr = np.stack(traces)[scored]
+            data = np.broadcast_to(np.asarray(exprdsl.evaluate(
+                expr, {"x": xc[None, :], "t": ts})), tr.shape)
+            ends.append((end, tr, data, cs))
         a = exprdsl.compile(spec.flux_a)[0]
         for k in k_values:
-            q_tr0, a_tr0, _ = _q_a(a, tr0, k)
-            q_d0, a_d0, _ = _q_a(a, data0, k)
-            expr0 = q_tr0 - q_d0 - _smooth_sign(data0 - k) * (a_tr0 - a_d0)
-            worst = max(worst, _inf_unless_finite(float(np.max(expr0))))
-            q_trS, a_trS, _ = _q_a(a, trS, k)
-            q_dS, a_dS, _ = _q_a(a, dataS, k)
-            exprS = q_trS - q_dS - _smooth_sign(dataS - k) * (a_trS - a_dS)
-            worst = max(worst, _inf_unless_finite(float(np.max(-exprS))))
+            for end, tr, data, cs in ends:
+                q_tr, a_tr, _ = _q_a(a, tr, k)
+                q_d, a_d, _ = _q_a(a, data, k)
+                gap = q_tr - q_d - _smooth_sign(data - k) * (a_tr - a_d)
+                # the inequality is <= tol at s = 0 and >= -tol at s = S
+                gap = gap if end == "s0" else -gap
+                i, cx = _worst_cell(gap)
+                value = _inf_unless_finite(float(gap[i, cx]))
+                if value > worst[0]:
+                    worst = (value, traj.times[scored[i]], end, [cx, cs],
+                             float(k))
     else:
-        worst = np.inf  # no trace or no k: nothing to certify
+        worst = (np.inf, None, None, None, None)  # nothing to certify
     context = {"spec": spec.context_hash(), "tol": tol,
-               "k_values": list(map(float, k_values)), "n_scored": n_scored}
-    return _report("bln_boundary", worst, 0.0, 0.0, tol, context)
+               "k_values": list(map(float, k_values)), "n_scored": n_scored,
+               "t_worst": worst[1], "end": worst[2], "cell_worst": worst[3],
+               "k_worst": worst[4]}
+    return _report("bln_boundary", worst[0], 0.0, 0.0, tol, context)
 
 
 # --- jump condition -------------------------------------------------------------

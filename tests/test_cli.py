@@ -171,6 +171,23 @@ def test_a_source_that_overflows_on_its_slab_exits_1(tmp_path, capsys):
         "error: overflow to a non-finite value\n"
 
 
+@pytest.mark.parametrize("kind", ["engquist_osher", "lax_friedrichs"])
+def test_a_flux_whose_slope_overflows_exits_1(tmp_path, capsys, kind):
+    # the set-up samples max|a'| for the step; the value stays below 1e9
+    cfg = _config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(
+        'a = "lambda^2/2"', 'a = "sin(1e300*lambda)*1e9"').replace(
+        "engquist_osher", kind))
+    traj = tmp_path / "traj"
+    assert cli.main(["run", str(cfg), "--out", str(traj)]) == 1
+    assert capsys.readouterr().err == \
+        "error: overflow to a non-finite derivative\n"
+    assert not traj.exists()
+    assert cli.main(["validate-flux", str(cfg)]) == 1
+    assert capsys.readouterr().err == \
+        "error: overflow to a non-finite derivative\n"
+
+
 def test_config_sets_every_scheme_option(tmp_path):
     # an option no config can set is a second equation only code reaches:
     # the config moves every field of SchemeOptions off its default
@@ -291,14 +308,15 @@ def test_verify_samples_each_bound_once(tmp_path):
     info = kernels.estimate_dbeta_sup.cache_info()
     assert info.misses == 1 and info.hits >= 2
     # an impulsive run: M2 and M3 once, for the bound curve, the jump
-    # weight and M3 in check_jump; b0 once, for the stability estimate
+    # weight and M3 in check_jump; b0 never, as the run compared with
+    # itself gives a stability estimate of 0 whatever b0 is
     cfg, traj = _impulsive_dir(tmp_path)
     problem.impulsive_bounds.cache_clear()
     kernels.estimate_dbeta_sup.cache_clear()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
     info = problem.impulsive_bounds.cache_info()
     assert (info.misses, info.hits) == (1, 2)
-    assert kernels.estimate_dbeta_sup.cache_info().misses == 1
+    assert kernels.estimate_dbeta_sup.cache_info().misses == 0
 
 
 def test_verify_of_an_impulsive_run_without_jump_fields_exits_1(tmp_path,

@@ -347,6 +347,28 @@ def test_an_overflow_that_ends_finite_evaluates_without_a_warning():
         E.sample_sup(E.parse("exp(x)"), ("x",), [(0.0, 1000.0)])
 
 
+@pytest.mark.parametrize("text, part", [
+    ("exp(lambda)", "value"),
+    # the value stays below 1e9, its slope overflows
+    ("sin(1e300*lambda)*1e9", "derivative"),
+])
+def test_a_non_finite_dual_of_finite_bindings_raises(text, part):
+    expr = E.parse(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(E.DomainError,
+                           match=f"overflow to a non-finite {part}"):
+            E.eval_dual(expr, {"lambda": 1000.0}, "lambda")
+        with pytest.raises(E.DomainError, match=part):
+            E.sample_sup(expr, ("lambda",), [(0.0, 1000.0)], wrt="lambda")
+        # a non-finite binding is the caller's to refuse
+        assert E.eval_dual(E.parse("exp(lambda)"), {"lambda": np.inf},
+                           "lambda") == (np.inf, np.inf)
+    with np.errstate(over="ignore"):
+        fn = E.compile(E.parse("exp(lambda)"), "lambda", finite=False)[0]
+        assert fn({"lambda": 1000.0}) == (np.inf, np.inf)
+
+
 def test_power_of_a_non_finite_operand_stays_allowed():
     # the check flags non-finite results of finite operands only
     for text, x in (("x^2", np.inf), ("x^2", np.nan), ("2^x", np.inf)):
@@ -433,6 +455,17 @@ def _dual_reference(expr, bindings, seed):
         if np.ndim(take_a) else ((av, ad) if take_a else (bv, bd))
 
 
+def _eval_dual_reference(expr, bindings, seed):
+    """The dual walk, and a non-finite value or derivative of finite
+    bindings refused."""
+    v, d = _dual_reference(expr, bindings, seed)
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))) and all(
+            np.all(np.isfinite(bindings[name]))
+            for name in _free_reference(expr)):
+        raise E.DomainError("overflow")
+    return v, d
+
+
 def _dual_outcome(fn, *args):
     """The value's and the derivative's (type, dtype, shape, bytes), or the
     exception class."""
@@ -462,7 +495,8 @@ def test_dual_mode_equals_the_dual_walk_bit_for_bit(smooth):
                          {"lambda": 0.0, "x": 0.0, "s": -1.0, "t": 1.0},
                          _mixed_bindings(rng)):
             for seed in ("lambda", "x"):
-                want = _dual_outcome(_dual_reference, expr, bindings, seed)
+                want = _dual_outcome(_eval_dual_reference, expr, bindings,
+                                     seed)
                 fn, free = E.compile(expr, seed)
                 assert _dual_outcome(fn, bindings) == want, E.to_string(expr)
                 assert _dual_outcome(E.eval_dual, expr, bindings, seed) == want
@@ -558,7 +592,8 @@ def test_blocked_sampling_equals_one_whole_box_evaluation(smooth, monkeypatch):
     rng = np.random.default_rng(26 if smooth else 27)
     n = (6, 5, 4, 3)
     outcomes = set()
-    # NaN at x = 2.5 alone, then a domain error in the first slice of s
+    # an overflow to NaN at x = 2.5 alone, in the value and in the
+    # derivative, then a domain error in the first slice of s: each raises
     planted = [E.parse(text) for text in (
         "exp(400*x) - exp(400*x)", "max(exp(400*x) - exp(400*x), lambda)",
         "x / s", "sqrt(x)")]
@@ -574,7 +609,8 @@ def test_blocked_sampling_equals_one_whole_box_evaluation(smooth, monkeypatch):
                     assert got == want, (E.to_string(expr), wrt, budget)
                     outcomes.add(want if want == "nan"
                                  or isinstance(want, type) else "value")
-    assert {"value", "nan", E.DomainError} <= outcomes
+    # a sample of finite bindings is finite or raises, in either mode
+    assert outcomes == {"value", E.DomainError}
 
 
 def test_blocked_sampling_at_the_module_budget():

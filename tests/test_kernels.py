@@ -97,6 +97,12 @@ class TestDelayedKernel:
             assert impulse.n_tau == n_tau
             assert thetas[n_tau - 1] == 1.0
             assert thetas.count(0.0) == len(thetas) - 1
+            # an array of the steps' starts gives each step's mass, bit for
+            # bit as its own start does
+            for st in (stepper, impulse):
+                starts = np.arange(st.n_steps) * st.dt
+                assert st.source_rate(starts).tolist() == \
+                    [st.source_rate(n * st.dt) for n in range(st.n_steps)]
 
     def test_mass_independent_quadrature(self):
         # integrate up to the jump at t = tau; the kernel vanishes beyond it

@@ -189,12 +189,12 @@ class TestRefinedMaxBound:
             P.refined_max_bound(spec, 1.0)
 
 
-def _rhs_at(spec, t, d_init, d_s0, d_sS, m1, thetas=None):
+def _rhs_at(spec, t, d_init, inflow, thetas=None):
     """``stability_rhs`` of two runs of ``spec`` at the single time t, with
     the steps spanning T."""
-    n = len(d_s0)
+    n = len(inflow)
     thetas = np.zeros(n) if thetas is None else thetas
-    return P.stability_rhs(spec, spec, [t], d_init, d_s0, d_sS, thetas, [m1],
+    return P.stability_rhs(spec, spec, [t], d_init, inflow, thetas,
                            spec.T / n)[0]
 
 
@@ -206,25 +206,24 @@ def _march_thetas(stepper):
 
 class TestStabilityRhs:
     def test_no_source_form(self):
+        # without kicks the estimate is d_init plus every step's inflow
         spec = nosource_spec()
-        n = 100
-        d_s0 = np.full(n, 0.2)
-        d_sS = np.full(n, 0.1)
-        # max|a'| over [-m1, m1] with a = l^2/2 is m1
-        m1 = 2.0
-        got = _rhs_at(spec, 1.0, 0.5, d_s0, d_sS, m1=m1)
-        assert got == pytest.approx(0.5 + m1 * 0.3, rel=1e-12)
+        inflow = np.full(100, 0.003)
+        got = _rhs_at(spec, 1.0, 0.5, inflow)
+        assert got == pytest.approx(0.5 + 0.3, rel=1e-12)
+        assert _rhs_at(spec, 0.5, 0.5, inflow) == \
+            pytest.approx(0.5 + 0.15, rel=1e-12)
 
     def test_identical_data(self):
         spec = nosource_spec()
-        got = _rhs_at(spec, 1.0, 0.0, np.zeros(50), np.zeros(50), m1=1.0)
+        got = _rhs_at(spec, 1.0, 0.0, np.zeros(50))
         assert got == 0.0
 
     def test_additive_in_initial_distance(self):
         spec = nosource_spec()
         zeros = np.zeros(50)
-        a = _rhs_at(spec, 1.0, 1.0, zeros, zeros, m1=1.0)
-        b = _rhs_at(spec, 1.0, 2.0, zeros, zeros, m1=1.0)
+        a = _rhs_at(spec, 1.0, 1.0, zeros)
+        b = _rhs_at(spec, 1.0, 2.0, zeros)
         assert b == pytest.approx(2 * a, rel=1e-12)
 
     def test_gronwall_weight_accumulates_kernel_mass(self):
@@ -233,8 +232,7 @@ class TestStabilityRhs:
         spec = source_spec(gamma=0.1)
         stepper = Stepper(spec, unit_grid(16), dt=1.0 / 4096)
         b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
-        zeros = np.zeros(stepper.n_steps)
-        got = _rhs_at(spec, 1.0, 1.0, zeros, zeros, m1=1.0,
+        got = _rhs_at(spec, 1.0, 1.0, np.zeros(stepper.n_steps),
                       thetas=_march_thetas(stepper))
         assert got <= math.exp(b0) * (1 + 1e-12)
         assert got == pytest.approx(math.exp(b0), rel=1e-3)
@@ -248,76 +246,56 @@ class TestStabilityRhs:
         b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
         thetas = _march_thetas(stepper)
         assert sum(thetas) == pytest.approx(1.0, rel=1e-14)
-        zeros = np.zeros(stepper.n_steps)
-        got, = P.stability_rhs(spec, spec, [spec.T], 1.0, zeros, zeros,
-                               thetas, [1.0], stepper.dt)
+        got, = P.stability_rhs(spec, spec, [spec.T], 1.0,
+                               np.zeros(stepper.n_steps), thetas, stepper.dt)
         assert got == pytest.approx(math.prod(1 + b0 * th for th in thetas),
                                     rel=1e-14)
         assert got < math.exp(b0)
 
-    @staticmethod
-    def _spy_curves(monkeypatch):
-        curves = []
-        real = P._deriv_max_curve
+    def test_b0_is_sampled_only_where_it_weighs_a_term(self, monkeypatch):
+        # with equal initial data, no inflow and equal betas every term is
+        # 0 whatever b0 is, so b0 is not sampled; any one of the three
+        # makes it count
+        sampled = []
+        real = kernels.estimate_dbeta_sup
 
-        def spy(expr, m1):
-            curves.append(list(m1))
-            return real(expr, m1)
+        def spy(*args):
+            sampled.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(P, "_deriv_max_curve", spy)
-        return curves
-
-    def test_max_a_prime_sampled_once_per_curve(self, monkeypatch):
-        curves = self._spy_curves(monkeypatch)
-        spec = nosource_spec()
-        times = [0.1, 0.2, 0.3, 0.4, 0.5]
-        m1 = [1.0, 1.0, 2.0, 2.0, 1.0]
-        d = np.full(100, 0.1)
-        got = P.stability_rhs(spec, spec, times, 0.5, d, d, np.zeros(100),
-                              m1, spec.T / 100)
-        # one curve: the running max of m1, which bounds every earlier step
-        running = [1.0, 1.0, 2.0, 2.0, 2.0]
-        assert curves == [running]
-        # max|a'| over [-m, m] with a = l^2/2 is m, read at most one node
-        # spacing, m/2048 here, further out
-        for g, t, m in zip(got, times, running):
-            assert (0.5 + m * 0.2 * t * (1 - 1e-12) <= g
-                    <= 0.5 + m * (1 + 1 / 2048) * 0.2 * t * (1 + 1e-12))
-
-    def test_regularized_ghost_adds_eps_over_ds(self):
-        spec = nosource_spec()
-        d = np.full(100, 0.1)
-        times = [0.5, 1.0]
-        zeros = np.zeros(100)
-        plain = P.stability_rhs(spec, spec, times, 0.5, d, d, zeros, [1.0] * 2,
-                                0.01)
-        ghost = P.stability_rhs(spec, spec, times, 0.5, d, d, zeros, [1.0] * 2,
-                                0.01, eps_ds=0.4)
-        for t, p, g in zip(times, plain, ghost):
-            assert g - p == pytest.approx(0.4 * 0.2 * t, rel=1e-12)
+        monkeypatch.setattr(kernels, "estimate_dbeta_sup", spy)
+        spec = source_spec()
+        stepper = Stepper(spec, unit_grid(16), gamma=0.0, dt=spec.T / 20)
+        thetas, zeros = _march_thetas(stepper), np.zeros(20)
+        other = spec.with_data(beta=E.parse(f"0.7*{E.to_string(spec.beta)}"))
+        inflow = np.zeros(20)
+        inflow[3] = 1e-3
+        cases = [((spec, 0.0, zeros), False), ((spec, 0.1, zeros), True),
+                 ((spec, 0.0, inflow), True), ((other, 0.0, zeros), True)]
+        for (spec2, d_init, flow), weighs in cases:
+            sampled.clear()
+            rhs = P.stability_rhs(spec, spec2, [0.5, 1.0], d_init, flow,
+                                  thetas, stepper.dt)
+            assert bool(sampled) == weighs
+            assert (rhs == [0.0, 0.0]) != weighs
 
 
 class TestStabilityRhsImpulsive:
     def test_pre_jump_curve_is_the_sourceless_estimate_over_m4(self):
         # the gamma = 0 kick is the step with theta = 1, the one ending at
-        # n_tau: before it the curve is the sourceless estimate over the
-        # same m1; from it on, the weight 1 + b0 and the beta difference
+        # n_tau: before it the curve is the sourceless estimate of the
+        # same inflow; from it on, the weight 1 + b0 and the beta difference
         spec = source_spec()
         other = spec.with_data(beta=E.parse(f"0.7*{E.to_string(spec.beta)}"))
-        m4 = P.impulsive_bounds(spec)[1]
         stepper = Stepper(spec, unit_grid(16), gamma=0.0, dt=spec.T / 200)
         thetas = _march_thetas(stepper)
         assert thetas.count(1.0) == 1 and sum(thetas) == 1.0
         n = stepper.n_steps
         dt = stepper.dt
-        d_s0 = np.linspace(0.0, 0.02, n)
-        d_sS = np.linspace(0.01, 0.0, n)
+        inflow = dt * (np.linspace(0.0, 0.02, n) + np.linspace(0.01, 0.0, n))
         times = [k * 20 * dt for k in range(11)]
-        m1 = [m4] * len(times)
-        pre = P.stability_rhs(spec, spec, times, 0.1, d_s0, d_sS, np.zeros(n),
-                              m1, dt)
-        got = P.stability_rhs(spec, other, times, 0.1, d_s0, d_sS, thetas,
-                              m1, dt)
+        pre = P.stability_rhs(spec, spec, times, 0.1, inflow, np.zeros(n), dt)
+        got = P.stability_rhs(spec, other, times, 0.1, inflow, thetas, dt)
         b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
         dbeta = 0.3 * P.slab_sup(spec, spec.beta, spec.b1 + 1.0)
         for t, g, p in zip(times, got, pre):
@@ -327,31 +305,6 @@ class TestStabilityRhsImpulsive:
                 assert g > (1 + b0) * p * (1 - 1e-12)
                 assert g > dbeta
         assert {round(t / dt) < stepper.n_tau for t in times} == {True, False}
-
-
-class TestDerivMaxCurve:
-    def test_safe_side_on_burgers(self):
-        # a = l^2/2: max|a'| over [-m, m] is m, and the node spacing at
-        # radius m is max(m, m_min)/2048
-        curve = np.array([0.0, 0.37, 0.3701, 0.5, 1.0, 2.0, 7.3, 153.6, 0.37])
-        got = P._deriv_max_curve(E.parse("lambda^2/2"), curve)
-        h = np.maximum(curve, 0.37) / 2048
-        assert got[0] == 0.0
-        assert np.all(got >= curve)
-        assert np.all(got < curve + h * (1 + 1e-12))
-
-    def test_one_value_is_the_sampled_max(self):
-        # a curve of one value samples [-m, m] at 4097 points, as
-        # sampled_deriv_max does
-        f = E.parse("sin(3*lambda) - lambda^3")
-        for m in (0.3, 1.863):
-            got, = P._deriv_max_curve(f, [m])
-            assert got == pytest.approx(P.sampled_deriv_max(f, -m, m),
-                                        rel=1e-12)
-
-    def test_non_finite_bound_reads_inf(self):
-        got = P._deriv_max_curve(E.parse("lambda^2/2"), [1.0, np.inf, np.nan])
-        assert got.tolist() == [1.0, np.inf, np.inf]
 
 
 class TestImpulsiveBounds:

@@ -8,10 +8,9 @@ from upkolmo import cli, kernels, solver, verify
 from upkolmo.problem import (Field, Trajectory, ZeroInitialDataError,
                              data_sup_norms, golden_section_min,
                              impulsive_bounds, min_jump_slope,
-                             refined_max_bound, sample_sup,
-                             sampled_deriv_max, stability_rhs)
+                             refined_max_bound, sample_sup, stability_rhs)
 from upkolmo.scheme import (LAX_FRIEDRICHS, SchemeOptions, Stepper,
-                            lax_friedrichs_alpha, predicted_sup)
+                            predicted_sup)
 from scenarios import (BETA_TEXT, XBUMP, box_grid, nosource_spec,
                        perturbed_spec,
                        shock_spec, source_spec, unattainable_spec, unit_grid,
@@ -148,32 +147,16 @@ class TestStability:
         monkeypatch.setattr(verify, name, spy)
         return calls
 
-    def test_m1_covers_both_runs(self, monkeypatch, contraction_family):
-        base, pert = contraction_family["specs"]
-        t1, t2 = contraction_family["trajs"]
-        calls = self._spy(monkeypatch, "stability_rhs")
-        verify.check_stability(t1, t2, base, pert)
-        (args, _), = calls
-        m1 = np.asarray(args[7])
-        second = np.asarray(verify._bound_curves(pert, t2)[0])
-        assert m1.shape == second.shape
-        assert np.all(m1 >= second)
-        # the perturbed run's data reach higher than the base run's
-        assert np.any(second > np.asarray(verify._bound_curves(base, t1)[0]))
-
-    def test_one_curve_serves_both_checks(self, monkeypatch):
-        # check_max_principle builds the run's curve, with one bound call
-        # for all its times; check_stability on the run against itself
-        # builds none
-        spec = source_spec()
-        traj = solver.solve_entropy(spec, unit_grid(16))
-        calls = self._spy(monkeypatch, "max_principle_bound")
-        verify._bound_curve.cache_clear()
-        verify.check_max_principle(traj, spec)
-        (args, _), = calls
-        assert len(args[0]) == len(traj.times)
-        verify.check_stability(traj, traj, spec, spec)
-        assert len(calls) == 1
+    def test_builds_no_bound_curve(self, monkeypatch):
+        # the estimate reads no sup-norm bound: check_stability of two runs
+        # samples none of the curves that check_max_principle certifies
+        base, pert = source_spec(), perturbed_spec(source_spec(), 0.1)
+        t1, t2 = self._pair([base, pert], 16)
+        calls = [self._spy(monkeypatch, name) for name in
+                 ("_bound_curves", "max_principle_bound", "refined_max_bound")]
+        rep = verify.check_stability(t1, t2, base, pert)
+        assert rep.passed and rep.measured > 0.0
+        assert calls == [[], [], []]
 
     def test_gronwall_weight_uses_the_run_gamma(self, monkeypatch,
                                                 gamma_family):
@@ -189,7 +172,7 @@ class TestStability:
         rep = verify.check_stability(traj, traj, spec,
                                      perturbed_spec(spec, 0.1))
         (args, rhs), = calls
-        d_init, thetas = rep.context["d_init"], args[6]
+        d_init, thetas = rep.context["d_init"], args[5]
         dt = meta["dt"]
 
         def masses(gamma):
@@ -197,11 +180,10 @@ class TestStability:
                                       meta["n_tau"])
                     for n in range(meta["n_steps"])]
 
-        assert thetas == masses(0.05) != masses(0.1)
+        assert thetas.tolist() == masses(0.05) != masses(0.1)
         want = [_stability_rhs_reference(spec, spec, t, d_init,
-                                         np.zeros(len(thetas)),
-                                         np.zeros(len(thetas)), thetas, 0.0,
-                                         dt) for t in traj.times]
+                                         np.zeros(len(thetas)), thetas, dt)
+                for t in traj.times]
         assert rhs == pytest.approx(want, rel=1e-13, abs=0.0)
         assert rhs[-1] > d_init
 
@@ -224,8 +206,9 @@ class TestStability:
                 for s in specs]
 
     def test_lax_friedrichs_pair_with_different_inflow(self, monkeypatch):
-        # a Lax-Friedrichs ghost enters with gain (A + alpha)/2, and alpha
-        # is taken over m_bound, which lies above m1 before the jump
+        # a Lax-Friedrichs ghost enters through the part the march stepped
+        # with, g = (f + alpha w)/2, alpha its dissipation; the zero ghost
+        # of the first run gives g = 0
         base = source_spec()
         other = base.with_data(data_u0_2=E.parse(f"0.2*{XBUMP}"))
         t1, t2 = self._pair([base, other], 32,
@@ -235,10 +218,59 @@ class TestStability:
         assert rep.passed, rep
         assert rep.context["d_init"] == 0.0 < rep.measured
         (args, _), = calls
-        m, m1, alpha = t1.meta["m_bound"], np.asarray(args[7]), args[10]
-        assert alpha == lax_friedrichs_alpha(base.flux_a, m)
-        assert m > m1[0]
-        assert alpha > sampled_deriv_max(base.flux_a, -m1[0], m1[0])
+        stepper = verify._stepper(base, t1)
+        ghost = 0.2 * np.maximum(0.0, 1 - ((stepper.xc - 0.5) / 0.35) ** 2) ** 2
+        g = 0.5 * (ghost ** 2 / 2 + stepper.flux_a.coeff * ghost)
+        want = stepper.dt * float(np.sum(g)) * t1.grid.dx
+        assert args[4] == pytest.approx(np.full(stepper.n_steps, want),
+                                        rel=1e-13)
+
+    def test_regularized_ghost_adds_eps_over_ds(self):
+        # eps D_ss reads a ghost with weight dt eps/ds^2 in its cell, so
+        # dt (eps/ds) times the ghosts' L1(x) difference in the inflow
+        spec, grid = nosource_spec(), unit_grid(16)
+        other = spec.with_data(data_u0_2=E.parse(f"0.2*{XBUMP}"),
+                               data_uS_2=E.parse(f"0.1*{XBUMP}"))
+
+        def inflow(eps):
+            return verify._inflow(*(Stepper(s, grid, eps=eps, m_bound=2.0,
+                                            dt=0.01) for s in (spec, other)))
+
+        stepper = Stepper(other, grid, m_bound=2.0, dt=0.01)
+        ghosts = sum(float(np.sum(np.abs(y))) * grid.dx
+                     for y in stepper.boundary_values(0.0))
+        assert inflow(0.05) - inflow(0.0) == pytest.approx(
+            np.full(100, 0.01 * 0.05 / grid.ds * ghosts), rel=1e-12)
+
+    def test_planted_inflow_fails(self):
+        # the second run is fed twice the s = 0 inflow of the spec it is
+        # verified against: an estimate from the ghosts the march reads
+        # fails it, which one through max|a'| over the sup-norm bound did not
+        base = source_spec()
+        verified = base.with_data(data_u0_2=E.parse(f"0.2*{XBUMP}"))
+        marched = base.with_data(data_u0_2=E.parse(f"0.4*{XBUMP}"))
+        t1, t2 = self._pair([base, marched], 32)
+        assert verify.check_stability(t1, t2, base, marched).passed
+        rep = verify.check_stability(t1, t2, base, verified)
+        assert not rep.passed
+        assert rep.measured > 1.5 * 1.05 * rep.bound
+        assert rep.context["t_worst"] > 0.0
+
+    def test_estimate_is_attained_on_the_wide_box(self):
+        # on the 16-wide box no x-wall reaches the inflow's rows, and the
+        # data differ at s = 0 only: up to roundoff the runs' distance is
+        # the inflow's sum, which the 5% tolerance covers
+        spec = unattainable_spec()
+        other = spec.with_data(data_u0_2=E.parse("0"))
+        grid = box_grid(spec)
+        m = max(1.05 * predicted_sup(s) + 0.5 for s in (spec, other))
+        dt = min(Stepper(s, grid, eps=0.0, gamma=0.0, m_bound=m).dt
+                 for s in (spec, other))
+        t1, t2 = (solver.solve_entropy(s, grid, dt=dt, m_bound=m)
+                  for s in (spec, other))
+        rep = verify.check_stability(t1, t2, spec, other)
+        assert rep.passed, rep
+        assert 0.99 * rep.bound <= rep.measured <= 1.05 * rep.bound
 
     @pytest.mark.parametrize("change", ["m_bound", "flux_kind", "flux"])
     def test_pair_stepping_differently_is_refused(self, change):
@@ -303,14 +335,10 @@ class TestStability:
         # at t = 0 both sides are d_init; the row is decided by the march
         assert verify.l1_diff(t1.fields[0], t2.fields[0]) == \
             pytest.approx(d_init, rel=1e-12)
+        st1, st2 = verify._stepper(base, t1), verify._stepper(pert, t2)
+        thetas = [st1.source_rate(n * st1.dt) for n in range(st1.n_steps)]
         rhs = stability_rhs(base, pert, t1.times, d_init,
-                            *verify._boundary_series(base, pert, t1.grid,
-                                                     t1.meta["n_steps"],
-                                                     t1.meta["dt"]),
-                            verify._kick_masses(base, t1.meta),
-                            np.maximum(verify._bound_curves(base, t1)[0],
-                                       verify._bound_curves(pert, t2)[0]),
-                            t1.meta["dt"])
+                            verify._inflow(st1, st2), thetas, st1.dt)
         ratios = [verify.l1_diff(f1, f2) / (1.05 * r)
                   for t, f1, f2, r in zip(t1.times, t1.fields, t2.fields, rhs)
                   if t > 0.0]
@@ -518,6 +546,10 @@ class TestBln:
         assert not rep.passed
         assert rep.measured >= 3.9
         assert rep.context["n_scored"] == 1
+        # every cell of both traces reads 2.0: the first, at s = 0, at k = 1
+        assert [rep.context[key] for key in
+                ("t_worst", "end", "cell_worst", "k_worst")] == \
+            [0.1, "s0", [0, 0], 1.0]
 
     @pytest.mark.parametrize("snapshots", [[(0.0, 0.4)], []],
                              ids=["initial_only", "empty"])
@@ -537,6 +569,11 @@ class TestBln:
         rep = verify.check_bln(traj, spec, self.BLN_KS)
         assert not rep.passed
         assert rep.measured == np.inf
+        # the row names the NaN cell, at the first k
+        end = "s0" if col == 0 else "sS"
+        assert [rep.context[key] for key in
+                ("t_worst", "end", "cell_worst", "k_worst")] == \
+            [0.2, end, [3, col % 8], -1.0]
 
     def test_unattainable_final_data(self, unattainable_run):
         spec = unattainable_run["spec"]
@@ -782,10 +819,13 @@ def _q_a_reference(spec, v, k):
 
 
 def _bln_reference(traj, spec, k_values):
+    """``check_bln`` one snapshot at a time; the row is then decided by the
+    first non-finite, else first largest, entry in k, end, snapshot and
+    cell order."""
     grid = traj.grid
     tol = 5.0 * (grid.ds + grid.dx)
     xc, _ = grid.cell_centers()
-    worst = -np.inf
+    gaps = {}  # (k index, end) -> [(t, gap over the trace's cells)]
     n_scored = 0
     for t, tr0, trS in zip(traj.times, traj.s0_traces, traj.sS_traces):
         if t <= 0.0:
@@ -795,20 +835,33 @@ def _bln_reference(traj, spec, k_values):
             spec.data_u0_2, {"x": xc, "t": t})), xc.shape)
         dataS = np.broadcast_to(np.asarray(E.evaluate(
             spec.data_uS_2, {"x": xc, "t": t})), xc.shape)
-        for k in k_values:
+        for j, k in enumerate(k_values):
             q_tr0, a_tr0, _ = _q_a_reference(spec, tr0, k)
             q_d0, a_d0, _ = _q_a_reference(spec, data0, k)
             expr0 = (q_tr0 - q_d0
                      - verify._smooth_sign(data0 - k) * (a_tr0 - a_d0))
-            worst = max(worst, float(np.max(expr0)))
+            gaps.setdefault((j, "s0"), []).append((t, expr0))
             q_trS, a_trS, _ = _q_a_reference(spec, trS, k)
             q_dS, a_dS, _ = _q_a_reference(spec, dataS, k)
             exprS = (q_trS - q_dS
                      - verify._smooth_sign(dataS - k) * (a_trS - a_dS))
-            worst = max(worst, float(np.max(-exprS)))
+            gaps.setdefault((j, "sS"), []).append((t, -exprS))
+    worst = (-np.inf, None, None, None, None) if gaps else \
+        (np.inf, None, None, None, None)
+    for (j, end), rows in sorted(gaps.items()):
+        for t, row in rows:
+            bad = np.flatnonzero(~np.isfinite(row))
+            cx = int(bad[0]) if bad.size else int(np.argmax(row))
+            value = np.inf if bad.size else float(row[cx])
+            if value > worst[0]:
+                worst = (value, t, end,
+                         [cx, 0 if end == "s0" else grid.ns - 1],
+                         float(k_values[j]))
     context = {"spec": spec.context_hash(), "tol": tol,
-               "k_values": list(map(float, k_values)), "n_scored": n_scored}
-    return verify._report("bln_boundary", worst, 0.0, 0.0, tol, context)
+               "k_values": list(map(float, k_values)), "n_scored": n_scored,
+               "t_worst": worst[1], "end": worst[2], "cell_worst": worst[3],
+               "k_worst": worst[4]}
+    return verify._report("bln_boundary", worst[0], 0.0, 0.0, tol, context)
 
 
 def _entropy_rhos_reference(traj, spec, k_values):
@@ -888,33 +941,11 @@ def _entropy_residual_reference(traj, spec, k_values):
                           context)
 
 
-def _deriv_max_curve_reference(expr, curve):
-    """max|a'| over [-m, m] for each m of a sup-norm curve, one m at a time,
-    by the per-curve rule: nodes m_min/2048 apart up to m_min, the smallest
-    positive m, then growing by the factor 1 + 1/2048, and |a'| sampled at
-    the nodes up to the first at or past m."""
-    positive = [m for m in curve if m > 0]
-    lo, hi = min(positive), max(positive)
-    n_geo = int(np.ceil(np.log(hi / lo) / np.log(1 + 1 / 2048)))
-    radii = np.concatenate((np.arange(2048) * (lo / 2048),
-                            lo * (1 + 1 / 2048) ** np.arange(n_geo + 1)))
-    radii[-1] = max(radii[-1], hi)
-    out = []
-    for m in curve:
-        edge = radii[radii >= m][0]
-        nodes = radii[radii <= edge]
-        _, d = E.eval_dual(expr, {"lambda": np.concatenate((-nodes, nodes))},
-                           "lambda")
-        out.append(float(np.max(np.abs(d))))
-    return out
-
-
-def _stability_rhs_reference(spec1, spec2, t, d_init, d_s0, d_sS, thetas,
-                             a_max, dt, eps_ds=0.0):
+def _stability_rhs_reference(spec1, spec2, t, d_init, inflow, thetas, dt):
     """The stability estimate at time t, one step of the march at a time:
-    the explicit part and the lateral solve add dt (A + eps/ds) times the
-    s-end data differences, and the kick multiplies by 1 + theta b0, beta1's
-    slope bound, and adds theta S |Omega| sup|beta1 - beta2|."""
+    the explicit part and the lateral solve add the step's inflow, and the
+    kick multiplies by 1 + theta b0, beta1's slope bound, and adds theta S
+    |Omega| sup|beta1 - beta2|."""
     b0 = (kernels.estimate_dbeta_sup(spec1.beta, spec1.L, spec1.S, spec1.b1)
           if spec1.beta is not None else 0.0)
     b1 = max(spec1.b1, spec2.b1)
@@ -929,10 +960,30 @@ def _stability_rhs_reference(spec1, spec2, t, d_init, d_s0, d_sS, thetas,
              float(np.max(np.abs(values(spec1.beta) - values(spec2.beta)))))
     e = d_init
     for n in range(round(t / dt)):
-        e = e + dt * (a_max + eps_ds) * (d_s0[n] + d_sS[n])
+        e = e + inflow[n]
         e = (1.0 + thetas[n] * b0) * e
         e = e + thetas[n] * spec1.S * spec1.omega_measure * dbeta
     return float(e)
+
+
+def _inflow_reference(st1, st2):
+    """Each step's inflow, one step at a time: the two runs' ghosts from
+    ``Stepper.boundary_values`` at the step's start, through the first
+    run's split parts and eps D_ss."""
+    grid, split = st1.grid, st1.flux_a.split
+
+    def l1(d):
+        return np.sum(np.abs(d)) * grid.dx
+
+    out = []
+    for n in range(st1.n_steps):
+        (y0, yS), (z0, zS) = (st.boundary_values(n * st1.dt)
+                              for st in (st1, st2))
+        flux = l1(split(y0)[0] - split(z0)[0]) + l1(split(yS)[1]
+                                                    - split(zS)[1])
+        ghosts = l1(y0 - z0) + l1(yS - zS)
+        out.append(st1.dt * (flux + st1.eps / grid.ds * ghosts))
+    return np.array(out)
 
 
 def _assert_same_residual(got, want):
@@ -1053,65 +1104,57 @@ class TestHoistedAgainstReference:
         assert list(bounds) == _bound_curves_reference(spec, traj)
 
     @staticmethod
-    def _assert_stability_curve(spec1, spec2, traj, d_s0, d_sS, eps_ds=0.0,
-                                alpha=None):
-        meta = traj.meta
-        dt = meta["dt"]
-        thetas = verify._kick_masses(spec1 if spec1.beta is not None
-                                     else spec2, meta)
-        m1 = verify._bound_curves(spec1, traj)[0]
-        got = stability_rhs(spec1, spec2, traj.times, 0.1, d_s0, d_sS, thetas,
-                            m1, dt, eps_ds, alpha)
-        a_max = _deriv_max_curve_reference(spec1.flux_a,
-                                           np.maximum.accumulate(m1))
-        if alpha is not None:
-            a_max = [(a + alpha) / 2.0 for a in a_max]
-        want = [_stability_rhs_reference(spec1, spec2, t, 0.1, d_s0, d_sS,
-                                         thetas, a, dt, eps_ds)
-                for t, a in zip(traj.times, a_max)]
+    def _assert_stability_curve(spec1, spec2, traj, inflow):
+        dt = traj.meta["dt"]
+        stepper = verify._stepper(spec1 if spec1.beta is not None else spec2,
+                                  traj)
+        thetas = [stepper.source_rate(n * dt) for n in range(stepper.n_steps)]
+        got = stability_rhs(spec1, spec2, traj.times, 0.1, inflow, thetas, dt)
+        want = [_stability_rhs_reference(spec1, spec2, t, 0.1, inflow,
+                                         thetas, dt) for t in traj.times]
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         return got
+
+    @staticmethod
+    def _inflow(spec1, spec2, traj):
+        """The two specs' inflow on the run's steppers, which must equal
+        the per-step loop byte for byte."""
+        st1, st2 = verify._stepper(spec1, traj), verify._stepper(spec2, traj)
+        inflow = verify._inflow(st1, st2)
+        assert inflow.tobytes() == _inflow_reference(st1, st2).tobytes()
+        return inflow
 
     def test_stability_curve(self, small_runs):
         spec, runs = small_runs
         traj = runs["entropy", 32]
-        n = traj.meta["n_steps"]
-        assert len(set(verify._bound_curves(spec, traj)[0])) > 1
+        n, dt = traj.meta["n_steps"], traj.meta["dt"]
         other = spec.with_data(beta=E.parse(f"0.6*{E.to_string(spec.beta)}"))
-        got = self._assert_stability_curve(spec, other, traj,
-                                           np.linspace(0.0, 0.02, n),
-                                           np.linspace(0.01, 0.0, n),
-                                           eps_ds=0.3)
+        inflow = dt * (np.linspace(0.0, 0.02, n) + np.linspace(0.01, 0.0, n))
+        got = self._assert_stability_curve(spec, other, traj, inflow)
         assert got[0] == 0.1 < got[-1]
 
     def test_stability_curve_lax_friedrichs(self, small_runs):
+        # zero ghosts against a bump at s = 0, through the Lax-Friedrichs
+        # parts the run stepped with
         spec, runs = small_runs
         traj = runs["entropy_lf", 1]
-        n = traj.meta["n_steps"]
-        alpha = lax_friedrichs_alpha(spec.flux_a, traj.meta["m_bound"])
-        plain = self._assert_stability_curve(spec, spec, traj,
-                                             np.full(n, 0.01), np.zeros(n))
-        wide = self._assert_stability_curve(spec, spec, traj,
-                                            np.full(n, 0.01), np.zeros(n),
-                                            alpha=alpha)
-        assert wide[0] == plain[0] == 0.1
-        # alpha exceeds A while m1 is inside m_bound; past it, A bounds
-        # |f'| at the ghost, and (A + alpha)/2 may fall below A
-        m1 = np.maximum.accumulate(verify._bound_curves(spec, traj)[0])
-        inside = m1[1:] < traj.meta["m_bound"]
-        assert inside[0]
-        wide, plain = np.array(wide[1:]), np.array(plain[1:])
-        assert np.all(wide[inside] > plain[inside])
+        other = spec.with_data(data_u0_2=E.parse(f"0.2*{XBUMP}"))
+        inflow = self._inflow(spec, other, traj)
+        assert np.all(inflow > 0.0) and len(set(inflow)) == 1
+        got = self._assert_stability_curve(spec, other, traj, inflow)
+        assert got[0] == 0.1 < got[-1]
 
     def test_stability_curve_time_dependent_data(self, small_runs):
         # the source problem's zero boundary data against the inflow ramp
-        # of `unattainable_spec`
+        # of `unattainable_spec`, which starts at t = 0.1
         source, runs = small_runs
         traj = runs["entropy", 32]
         spec = unattainable_spec(L=1.0)
-        d_s0, d_sS = verify._boundary_series(
-            source, spec, traj.grid, traj.meta["n_steps"], traj.meta["dt"])
-        self._assert_stability_curve(source, spec, traj, d_s0, d_sS)
+        inflow = self._inflow(source, spec, traj)
+        ts = np.arange(traj.meta["n_steps"]) * traj.meta["dt"]
+        assert np.all(inflow[ts <= 0.1] == 0.0)
+        assert np.all(inflow[ts > 0.1] > 0.0)
+        self._assert_stability_curve(source, spec, traj, inflow)
 
     @pytest.mark.parametrize("pair", ["both", "first", "second", "ramp",
                                       "shifted"])
@@ -1126,33 +1169,17 @@ class TestHoistedAgainstReference:
         traj = runs["impulsive", 32]
         dt, n = traj.meta["dt"], traj.meta["n_steps"]
         if pair == "ramp":
-            d_s0, d_sS = verify._boundary_series(spec1, other, traj.grid, n,
-                                                 dt)
+            inflow = self._inflow(spec1, other, traj)
         else:
-            d_s0 = np.linspace(0.0, 0.02, n)
-            d_sS = np.linspace(0.01, 0.0, n)
-        got = self._assert_stability_curve(spec1, other, traj, d_s0, d_sS)
+            inflow = dt * (np.linspace(0.0, 0.02, n)
+                           + np.linspace(0.01, 0.0, n))
+        got = self._assert_stability_curve(spec1, other, traj, inflow)
         n_tau = traj.meta["n_tau"]
         levels = [round(t / dt) for t in traj.times]
         assert {lv >= n_tau for lv in levels} == {False, True}
         # the kick at n_tau lifts the curve at its level
         i = levels.index(n_tau)
         assert got[i] > got[i - 1]
-
-
-# The s-end data differences one step at a time, the march's ghost times.
-
-def _boundary_series_reference(spec1, spec2, grid, n_steps, dt):
-    xc, _ = grid.cell_centers()
-    out = ([], [])
-    for n in range(n_steps):
-        at = {"x": xc, "t": n * dt}
-        for series, e1, e2 in zip(out, (spec1.data_u0_2, spec1.data_uS_2),
-                                  (spec2.data_u0_2, spec2.data_uS_2)):
-            diff = np.abs(np.broadcast_to(E.evaluate(e1, at), xc.shape)
-                          - np.broadcast_to(E.evaluate(e2, at), xc.shape))
-            series.append(float(np.sum(diff)) * grid.dx)
-    return [np.array(series) for series in out]
 
 
 # constant, x-only (t-free), t-only and (x, t) boundary data
@@ -1187,17 +1214,25 @@ class TestDataSamplingAgainstReference:
     @pytest.mark.parametrize("text2", ["0", "0.1*cos(5*x)", "0.5*t*x"])
     @pytest.mark.parametrize("n_steps", [1, 2, 37])
     def test_boundary_series(self, text1, text2, n_steps):
-        base = source_spec()
+        # the inflow from one (n_steps, nx) array of ghosts against the
+        # per-step loop, byte for byte, for both flux kinds, with and
+        # without eps; with tau past T the steps are T/dt = n_steps
+        base = source_spec().with_data(T=0.01 * n_steps)
         spec1 = base.with_data(data_u0_2=E.parse(text1),
                                data_uS_2=E.parse(text2))
         spec2 = base.with_data(data_u0_2=E.parse(text2),
                                data_uS_2=E.parse(f"2*({text1})"))
-        grid = unit_grid(16)
-        got = verify._boundary_series(spec1, spec2, grid, n_steps, 0.01)
-        want = _boundary_series_reference(spec1, spec2, grid, n_steps, 0.01)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape == (n_steps,)
-            assert g.tobytes() == w.tobytes()
+        for kind in (LAX_FRIEDRICHS, "engquist_osher"):
+            for eps in (0.0, 0.01):
+                st1, st2 = (Stepper(s, unit_grid(16), eps=eps, m_bound=2.0,
+                                    dt=0.01,
+                                    options=SchemeOptions(flux_kind=kind))
+                            for s in (spec1, spec2))
+                assert st1.n_steps == n_steps
+                got = verify._inflow(st1, st2)
+                want = _inflow_reference(st1, st2)
+                assert got.shape == want.shape == (n_steps,)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestNothingToCertify:
@@ -1206,7 +1241,10 @@ class TestNothingToCertify:
         rep = verify.check_bln(traj, spec, [])
         assert not rep.passed
         assert rep.measured == np.inf
-        assert set(rep.context) == {"spec", "tol", "k_values", "n_scored"}
+        assert set(rep.context) == {"spec", "tol", "k_values", "n_scored",
+                                    "t_worst", "end", "cell_worst",
+                                    "k_worst"}
+        assert rep.context["t_worst"] is None
 
     def test_entropy_residual_empty_k_bank_fails(self, shock_run):
         rep = verify.check_entropy_residual(shock_run["traj"],
