@@ -8,11 +8,12 @@ a-priori theory:
   exponential-weight parameter has a closed form.
 * ``refined_max_bound`` -- sharper sup-norm bound for a delayed impulse
   source whose perturbation vanishes for |value| > b1.
+* ``sup_bound`` -- the march's own discrete maximum principle, both
+  sources (derived in ``verify``); at gamma = 0 the impulsive problem's M2
+  before the jump and M3 after.
 * ``stability_rhs`` -- the L1 data-stability estimate of two runs of the
   march, both sources, over the snapshot times (derived in ``verify``),
   from each step's s-end inflow difference and kick mass.
-* ``impulsive_bounds`` -- sup-norm bounds before (M2) and after (M3) the
-  jump of the impulsive problem.
 
 Sup-norms of expression-defined data are estimated by dense sampling
 (256 points per axis).  Callers that assert these bounds apply the 1%
@@ -33,8 +34,7 @@ from .exprdsl import sample_min, sample_sup
 
 __all__ = [
     "ProblemSpec", "Grid", "Field", "Trajectory",
-    "max_principle_bound", "refined_max_bound", "stability_rhs",
-    "impulsive_bounds",
+    "max_principle_bound", "refined_max_bound", "sup_bound", "stability_rhs",
     "sample_sup", "slab_sup", "min_jump_slope", "data_sup_norms",
     "consistency_errors", "NORM_INFLATION",
     "ZeroInitialDataError", "GridMismatchError",
@@ -227,23 +227,23 @@ def consistency_errors(spec):
 
 # --- sampled sup-norms -----------------------------------------------------
 
-def slab_sup(spec, beta, radius, inflate=1.0):
+def slab_sup(spec, beta, radius):
     """Sampled sup of |beta| over the slab, 64 points per axis: (x, s) in
     the domain and lambda in [-radius, radius].  0 without a beta."""
     if beta is None:
         return 0.0
     return sample_sup(beta, ("x", "s", "lambda"),
-                      [(0.0, spec.L), (0.0, spec.S), (-radius, radius)],
-                      n=64, inflate=inflate)
+                      [(0.0, spec.L), (0.0, spec.S), (-radius, radius)], n=64)
 
 
 def min_jump_slope(spec, n=64):
     """Sampled min of 1 + d beta / d lambda, the jump map's slope, on n
-    points per axis over |lambda| <= 1.01 M2, the one radius of ``run``
-    and ``verify``, so that they agree on a map.  1 without a beta."""
+    points per axis over |lambda| <= 1.01 M2 = B(tau) with no kick, the one
+    radius of ``run`` and ``verify``, so that they agree on a map.  1
+    without a beta."""
     if spec.beta is None:
         return 1.0
-    radius = impulsive_bounds(spec, inflate=NORM_INFLATION)[0]
+    radius = sup_bound(spec, spec.tau, 0.0, inflate=NORM_INFLATION)
     return 1.0 + sample_min(spec.beta, ("x", "s", "lambda"),
                             [(0.0, spec.L), (0.0, spec.S), (-radius, radius)],
                             n=n, wrt="lambda")
@@ -353,6 +353,25 @@ def refined_max_bound(spec, t_prime, inflate=1.0):
     return float(out) if out.ndim == 0 else out
 
 
+@functools.lru_cache(maxsize=32)
+def _beta_sup(spec):
+    """sup|beta| over |lambda| <= max(D(0, T), b1) + 1.  Memoized: specs
+    are frozen, so a process samples it once, however many bounds read it."""
+    base = max(data_sup_norms(spec).values())
+    return slab_sup(spec, spec.beta, max(base, spec.b1) + 1.0)
+
+
+def sup_bound(spec, times, masses, inflate=1.0):
+    """B(t) = D(0, t) + m(t) sup|beta| (derived in ``verify``): D the data
+    norm over (0, t), m the kick mass the march has applied by t.
+    ``times`` may be an array, and ``masses`` any shape that broadcasts
+    against it; ``inflate`` scales both sampled norms."""
+    norms = data_sup_norms(spec, (0.0, times), inflate=inflate)
+    dnorm = np.maximum(norms["u0_1"], np.maximum(norms["u0_2"], norms["uS_2"]))
+    out = dnorm + np.asarray(masses, dtype=float) * (_beta_sup(spec) * inflate)
+    return float(out) if out.ndim == 0 else out
+
+
 def stability_rhs(spec1, spec2, times, d_init, inflow, thetas, dt):
     """The L1 stability estimate of two runs at each time in ``times``,
     at its level n (derived in the ``verify`` notes):
@@ -391,19 +410,3 @@ def stability_rhs(spec1, spec2, times, d_init, inflow, thetas, dt):
 # bench/run.py traces this name in `problem` and `verify`: the impulsive
 # pair has no estimate of its own, the gamma = 0 kick is a theta_n = 1 step
 stability_rhs_impulsive = stability_rhs
-
-
-@functools.lru_cache(maxsize=32)
-def impulsive_bounds(spec, inflate=1.0):
-    """Sup-norm bounds (M2, M3) of the impulsive problem.
-
-    M2 bounds the run before the jump; M3 = max(M2 + sup|beta| over
-    |lambda| <= M2, post-jump boundary-data norms) bounds it after.
-    Memoized: specs are frozen, so a process samples the bounds once,
-    however many checks read them.
-    """
-    m2 = max(data_sup_norms(spec, (0.0, spec.tau), inflate=inflate).values())
-    post = data_sup_norms(spec, (spec.tau, spec.T), inflate=inflate)
-    m3 = max(m2 + slab_sup(spec, spec.beta, m2, inflate=inflate),
-             post["u0_2"], post["uS_2"])
-    return m2, m3

@@ -68,19 +68,20 @@ part equals the real interpolation of its own table bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import exprdsl, kernels
-from .problem import data_sup_norms, sampled_deriv_max, slab_sup
+from .problem import sampled_deriv_max, sup_bound
 
 __all__ = [
     "SchemeOptions", "Stepper",
     "DegenerateGridError", "NaNDetectedError", "SupNormExceeded",
     "LAX_FRIEDRICHS", "ENGQUIST_OSHER", "LATERAL_DIFFUSION", "SOURCE_STEP",
-    "predicted_sup", "reachable_bound",
+    "reachable_bound",
 ]
 
 LAX_FRIEDRICHS = "lax_friedrichs"
@@ -122,19 +123,12 @@ class SchemeOptions:
     snapshot_stride: int = 32
 
 
-def predicted_sup(spec):
-    """Sup-norm the run can actually reach, from the discrete max principle:
-    data norms, plus the total perturbation kick (unit kernel mass)."""
-    base = max(data_sup_norms(spec).values())
-    return base + slab_sup(spec, spec.beta, max(base, spec.b1) + 1.0)
-
-
 def reachable_bound(spec):
-    """1.05 * ``predicted_sup`` + 0.5: the invariant region the monotone
-    scheme never leaves, with room for the sampled norms to fall short of
-    the grid's values.  The default ``m_bound``, and the least region a
-    restart of the march is sized to."""
-    return 1.05 * predicted_sup(spec) + 0.5
+    """1.05 B(T) + 0.5, B = ``problem.sup_bound`` with unit kick mass: the
+    invariant region the monotone scheme never leaves, with room for the
+    sampled norms to fall short of the grid's values.  The default
+    ``m_bound``, and the least region a restart of the march is sized to."""
+    return 1.05 * sup_bound(spec, spec.T, 1.0) + 0.5
 
 
 # --- tabulated split fluxes ------------------------------------------------
@@ -214,8 +208,8 @@ class Stepper:
     dissipation are sized for.  Its default, ``reachable_bound``, depends on
     the spec alone, so a family of runs of one spec shares it;
     runs of different specs are comparable exactly only with a common value.
-    The lateral solve's inverse depends on dt only, so it is built here,
-    once.
+    The lateral solve's inverse depends on dt only, so the first solve
+    builds it, once; a Stepper that never steps never does.
     """
 
     def __init__(self, spec, grid, eps=None, gamma=None, options=None,
@@ -253,7 +247,6 @@ class Stepper:
         # the first level at or after tau, where the gamma = 0 kick lands
         self.n_tau = max(math.ceil(spec.tau / self.dt - 1e-9), 1) \
             if inner_tau else None
-        self._inverse = _lateral_inverse(grid.nx, self.dt / grid.dx ** 2)
 
         # compiled once, as the march evaluates them at every step; the kick
         # tests its result, the data (the ghosts) test their own values
@@ -349,6 +342,10 @@ class Stepper:
             return 0.0
         return kernels.step_mass(t, self.dt, self.spec.tau, self.gamma,
                                  self.n_tau)
+
+    @functools.cached_property
+    def _inverse(self):
+        return _lateral_inverse(self.grid.nx, self.dt / self.grid.dx ** 2)
 
     def _solve_lateral(self, d):
         """(I - dt * Lap_x)^{-1} d along x with zero ghosts: one product with

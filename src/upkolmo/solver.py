@@ -21,8 +21,9 @@ theta = 1 exactly, as the impulse does.
 If the running sup-norm escapes the invariant region the step was sized
 for, the march restarts once.  The new region is the larger of twice the
 old one or the escaping sup, and ``scheme.reachable_bound``, the bound
-the monotone scheme never leaves (the data norms plus the kernel's unit
-mass times sup|beta|, with room for sampling).  The restart is recorded
+the monotone scheme never leaves (``problem.sup_bound`` at T: the data
+norms plus the kernel's unit mass times sup|beta|, with room for
+sampling).  The restart is recorded
 in the trajectory's ``meta["restart"]``: the old region ``m_bound``, the
 escaping ``sup`` and its time ``t`` (None without a restart).  An escape
 beyond that bound, which no region sized from the spec can hold, or a

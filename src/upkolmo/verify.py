@@ -10,7 +10,17 @@ CSV (``check,measured,bound,tolerance,pass,context_hash``); the hash
 covers the full context dictionary, slack included, so that re-running a
 check on the same inputs reproduces the line verbatim.
 
-Notes on two deliberately discrete constructions:
+Notes on three deliberately discrete constructions:
+
+* The sup-norm bound is the march's own maximum principle, |u^n| <=
+  B(t_n) = D(0, t_n) + (sum_{m<n} theta_m) sup|beta| (``problem.sup_bound``;
+  Crandall & Majda, Math. Comp. 34, 1980), D(0, t) the data norm over (0,
+  t).  The explicit update is monotone and keeps constants, so |u*| <=
+  max(|u^n|, the s-end ghosts at t_n), the x-ghosts being 0.  The lateral
+  inverse is >= 0 with row sums <= 1.  The kick adds at most theta_n
+  sup|beta|, over |lambda| <= max(D(0, T), b1) + 1, which holds every
+  value where beta is nonzero.  At gamma = 0 the sum is 0 before the
+  jump's level and 1 from it on: the impulsive M2 and M3.
 
 * The entropy residual is the largest, over every step, cell and k, of
   the cell inequality of the monotone update.  Each cell term is
@@ -99,8 +109,8 @@ import numpy as np
 
 from . import exprdsl, kernels
 from .problem import (NORM_INFLATION, GridMismatchError, ZeroInitialDataError,
-                      data_sup_norms, impulsive_bounds, max_principle_bound,
-                      min_jump_slope, refined_max_bound, stability_rhs)
+                      max_principle_bound, min_jump_slope, refined_max_bound,
+                      stability_rhs, sup_bound)
 # bench/run.py traces the alias where `verify` binds it
 from .problem import stability_rhs_impulsive  # noqa: F401
 from .scheme import NaNDetectedError, Stepper
@@ -202,32 +212,36 @@ def spacetime_l1_diff(traj1, traj2):
 # --- sup-norm bound curves ----------------------------------------------------
 
 def _bound_curves(spec, traj):
-    """Per-snapshot sup-norm bounds applicable to the trajectory's mode.
-    Outside impulsive mode a run with a beta has gamma > 0, as the march
-    requires (``solver._require_gamma``), so M7 applies where defined."""
+    """Per-snapshot sup-norm bounds and the curve that set each: B
+    (``discrete``), whose kick masses are ``Stepper.source_rate``'s from
+    the run's dt, gamma and n_tau, and for a delayed source (gamma > 0,
+    ``solver._require_gamma``) the paper's M and M7 (``paper``) where less."""
     meta, times = traj.meta, traj.times
-    if meta.get("mode") == "impulsive":
-        tau_snap = meta["n_tau"] * meta["dt"]
-        m2, m3 = impulsive_bounds(spec, inflate=NORM_INFLATION)
-        return (tuple(m2 if t < tau_snap else m3 for t in times),
-                {"m2": m2, "m3": m3})
-    gamma = meta.get("gamma", spec.gamma)
+    dt, gamma = meta["dt"], meta["gamma"]
+    levels = np.rint(np.asarray(times) / dt).astype(int)
+    thetas = kernels.step_mass(np.arange(levels.max(initial=0)) * dt, dt,
+                               spec.tau, gamma, meta["n_tau"])
+    masses = np.concatenate(([0.0], np.cumsum(thetas)))[levels]
+    t_effs = np.maximum(times, 1e-9)
+    # the no-kick row is each snapshot's data norm, over its own (0, t)
+    dnorms, discrete = sup_bound(spec, t_effs, [np.zeros_like(masses), masses],
+                                 inflate=NORM_INFLATION)
+    if meta["mode"] == "impulsive":
+        return tuple(map(float, discrete)), ["discrete"] * len(times), {}
     if spec.beta is not None and gamma > 0:
         b1g, b2g = kernels.source_growth_constants(
             spec.beta, gamma, L=spec.L, S=spec.S, b1=spec.b1)
     else:
         b1g = b2g = 0.0
-    t_effs = np.maximum(times, 1e-9)
-    # each snapshot's data norm is the sup over its own window (0, t)
-    norms = data_sup_norms(spec, (0.0, t_effs), inflate=NORM_INFLATION)
-    dnorms = np.maximum(norms["u0_1"], np.maximum(norms["u0_2"], norms["uS_2"]))
-    bounds = max_principle_bound(t_effs, b1g, b2g, dnorms)
+    paper = max_principle_bound(t_effs, b1g, b2g, dnorms)
     try:
-        bounds = np.minimum(bounds, refined_max_bound(spec, t_effs,
-                                                      inflate=NORM_INFLATION))
+        paper = np.minimum(paper, refined_max_bound(spec, t_effs,
+                                                    inflate=NORM_INFLATION))
     except (ZeroInitialDataError, ValueError):
         pass  # no refined bound: the growth bound stands alone
-    return tuple(map(float, bounds)), {"b1g": b1g, "b2g": b2g}
+    return (tuple(map(float, np.minimum(paper, discrete))),
+            np.where(discrete <= paper, "discrete", "paper").tolist(),
+            {"b1g": b1g, "b2g": b2g})
 
 
 def _inf_unless_finite(value):
@@ -244,33 +258,30 @@ def _worst_cell(values):
 
 
 def check_max_principle(traj, spec):
-    """Every t > 0 snapshot's sup-norm must respect the applicable
-    a-priori bound.
+    """Every t > 0 snapshot's sup-norm must respect the least applicable
+    bound of ``_bound_curves``.
 
     The t = 0 snapshot is the initial datum on the grid, which the bound
     covers by construction, so it is left out and every row is decided by
-    the march.  The context names the snapshot (``t_worst``) and the cell
-    (``cell_worst``) of the smallest margin.  A snapshot holding a
-    non-finite value measures inf, and the first such snapshot and cell
-    are the worst.  With no t > 0 snapshot there is nothing to certify and
-    the report fails with measured = inf.
+    the march.  The context names the snapshot (``t_worst``), the cell
+    (``cell_worst``) and the ``curve`` (``discrete`` or ``paper``) of the
+    smallest margin.  A snapshot holding a non-finite value measures inf,
+    and the first such snapshot and cell are the worst.  With no t > 0
+    snapshot there is nothing to certify and the report fails with
+    measured = inf.
     """
-    bounds, extra = _bound_curves(spec, traj)
-    worst_gap = -np.inf
-    worst = (np.inf, max(bounds) if bounds else 0.0, None, None)
-    for t, fld, bnd in zip(traj.times, traj.fields, bounds):
-        if t <= 0.0:
-            continue
-        sup = _inf_unless_finite(fld.sup_norm())
-        gap = sup - bnd
-        if gap > worst_gap:
-            worst_gap = gap
-            worst = (sup, bnd, t, fld)
+    bounds, curves, extra = _bound_curves(spec, traj)
+    sups = {i: _inf_unless_finite(fld.sup_norm())
+            for i, (t, fld) in enumerate(zip(traj.times, traj.fields))
+            if t > 0.0}
+    i = max(sups, key=lambda i: sups[i] - bounds[i], default=None)
+    worst = ((np.inf, max(bounds, default=0.0), None, None, None)
+             if i is None else
+             (sups[i], bounds[i], traj.times[i],
+              _worst_cell(np.abs(traj.fields[i].values)), curves[i]))
     context = {"spec": spec.context_hash(), "mode": traj.meta.get("mode"),
-               "t_worst": worst[2],
-               "cell_worst": (_worst_cell(np.abs(worst[3].values))
-                              if worst[3] is not None else None),
-               **extra}
+               "t_worst": worst[2], "cell_worst": worst[3],
+               "curve": worst[4], **extra}
     return _report("max_principle", worst[0], worst[1], 0.0, 1e-10, context)
 
 
@@ -528,7 +539,8 @@ def check_bln(traj, spec, k_values):
 def check_jump(traj, spec):
     """The impulse jump condition u(tau+) = u(tau-) + beta(x, s, u(tau-)),
     cell by cell to 1e-14, the post-jump sup-norm against M3, and the
-    monotonicity of the jump map.
+    monotonicity of the jump map.  M3 is ``problem.sup_bound`` at the
+    time of ``tau_plus`` with unit kick mass.
 
     The jump map lambda -> lambda + beta(x, s, lambda) must be
     nondecreasing on |lambda| <= M2, or the impulsive march is not
@@ -546,7 +558,7 @@ def check_jump(traj, spec):
         jump = jump - exprdsl.evaluate(spec.beta, {
             "x": xc[:, None], "s": sc[None, :], "lambda": um.values})
     pointwise = float(np.max(np.abs(jump)))
-    m3 = impulsive_bounds(spec, inflate=NORM_INFLATION)[1]
+    m3 = sup_bound(spec, up.t, 1.0, inflate=NORM_INFLATION)
     min_weight = min_jump_slope(spec)
     post_sup = up.sup_norm()
     measured = max(pointwise / 1e-14, post_sup / max(m3, 1e-300),

@@ -3,7 +3,7 @@
 import pytest
 
 from upkolmo import solver, verify
-from upkolmo.scheme import SchemeOptions, Stepper, predicted_sup
+from upkolmo.scheme import SchemeOptions, Stepper, reachable_bound
 from scenarios import (box_grid, nosource_spec, perturbed_spec, shock_spec,
                        source_spec, unattainable_spec, unit_grid)
 
@@ -37,7 +37,7 @@ def stability_family(grid64):
     base = source_spec()
     specs = {0.0: base, 0.1: perturbed_spec(base, 0.1),
              0.01: perturbed_spec(base, 0.01)}
-    m_common = max(1.05 * predicted_sup(s) + 0.5 for s in specs.values())
+    m_common = max(reachable_bound(s) for s in specs.values())
     dt = min(Stepper(s, grid64, eps=0.0, gamma=s.gamma, m_bound=m_common).dt
              for s in specs.values())
     trajs = {d: solver.solve_entropy(s, grid64, dt=dt, m_bound=m_common)
@@ -50,7 +50,7 @@ def contraction_family(grid64):
     """Zero-source runs with equal boundary data and perturbed initial data."""
     base = nosource_spec()
     pert = perturbed_spec(base, 0.1)
-    m_common = 1.05 * predicted_sup(pert) + 0.5
+    m_common = reachable_bound(pert)
     dt = min(Stepper(s, grid64, eps=0.0, gamma=0.0, m_bound=m_common).dt
              for s in (base, pert))
     t1 = solver.solve_entropy(base, grid64, dt=dt, m_bound=m_common)

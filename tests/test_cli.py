@@ -303,18 +303,20 @@ def test_verify_samples_each_bound_once(tmp_path):
     traj = tmp_path / "traj"
     assert cli.main(["run", str(cfg), "--out", str(traj)]) == 0
     kernels.estimate_dbeta_sup.cache_clear()
+    problem._beta_sup.cache_clear()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
     assert "entropy_residual" in _rows(traj / "reports.csv")
     info = kernels.estimate_dbeta_sup.cache_info()
     assert info.misses == 1 and info.hits >= 2
-    # an impulsive run: M2 and M3 once, for the bound curve, the jump
-    # weight and M3 in check_jump; b0 never, as the run compared with
-    # itself gives a stability estimate of 0 whatever b0 is
+    assert problem._beta_sup.cache_info().misses == 1
+    # an impulsive run: sup|beta| once, for the bound curve, the jump
+    # weight's radius and M3 in check_jump; b0 never, as the run compared
+    # with itself gives a stability estimate of 0 whatever b0 is
     cfg, traj = _impulsive_dir(tmp_path)
-    problem.impulsive_bounds.cache_clear()
+    problem._beta_sup.cache_clear()
     kernels.estimate_dbeta_sup.cache_clear()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
-    info = problem.impulsive_bounds.cache_info()
+    info = problem._beta_sup.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     assert kernels.estimate_dbeta_sup.cache_info().misses == 0
 

@@ -25,20 +25,26 @@ def test_every_name_in_all_resolves(name):
     assert missing == []
 
 
-def test_every_package_import_resolves():
-    tree = ast.parse(Path(upkolmo.__file__).read_text())
-    names = [alias.asname or alias.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert len(names) > 30
-    assert [n for n in names if not hasattr(upkolmo, n)] == []
-
-
-def _loaded_by_the_command_line(module):
-    code = f"import sys, upkolmo.cli; print({module!r} in sys.modules)"
+def _loaded(importers, modules):
+    """Which of ``modules`` a fresh interpreter holds once it has imported
+    ``importers``."""
+    code = (f"import sys, {importers}; "
+            f"print([m for m in {modules!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          cwd=Path(upkolmo.__file__).parents[1]).stdout
-    return out == "True\n"
+    return ast.literal_eval(out)
+
+
+def _loaded_by_the_command_line(module):
+    return _loaded("upkolmo.cli", [module]) == [module]
+
+
+def test_the_set_up_modules_load_no_driver():
+    # the package imports none of its modules, so reading a config and
+    # building a Stepper pays for no march, check or command line
+    assert _loaded("upkolmo.io, upkolmo.scheme",
+                   ["upkolmo.verify", "upkolmo.solver", "upkolmo.cli"]) == []
 
 
 def test_the_command_line_does_not_load_chi():

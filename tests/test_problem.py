@@ -8,7 +8,7 @@ from upkolmo import exprdsl as E
 from upkolmo import kernels
 from upkolmo import problem as P
 from upkolmo.scheme import Stepper
-from scenarios import source_spec, nosource_spec, unit_grid
+from scenarios import nosource_spec, perturbed_spec, source_spec, unit_grid
 
 
 def const_data_spec(u01="1", u02="1", uS2="1", **kwargs):
@@ -307,30 +307,55 @@ class TestStabilityRhsImpulsive:
         assert {round(t / dt) < stepper.n_tau for t in times} == {True, False}
 
 
+def _impulsive_bounds_reference(spec, inflate=1.0):
+    """The impulsive problem's bounds as first written: M2 the data norm
+    over (0, tau), M3 = max(M2 + sup|beta| over |lambda| <= M2, the data
+    norms over (tau, T))."""
+    m2 = max(P.data_sup_norms(spec, (0.0, spec.tau), inflate=inflate).values())
+    post = P.data_sup_norms(spec, (spec.tau, spec.T), inflate=inflate)
+    m3 = max(m2 + P.slab_sup(spec, spec.beta, m2) * inflate,
+             post["u0_2"], post["uS_2"])
+    return m2, m3
+
+
 class TestImpulsiveBounds:
+    """M2 and M3 are ``sup_bound`` at gamma = 0: kick mass 0 before the
+    jump and 1 after it."""
+
+    @staticmethod
+    def _m2_m3(spec, inflate=1.0):
+        return (P.sup_bound(spec, spec.tau, 0.0, inflate=inflate),
+                P.sup_bound(spec, spec.tau, 1.0, inflate=inflate))
+
     def test_no_perturbation(self):
         spec = const_data_spec(u01="0.5", u02="0.25", uS2="0.25")
-        m2, m3 = P.impulsive_bounds(spec)
+        m2, m3 = self._m2_m3(spec)
         assert m2 == pytest.approx(0.5)
         assert m3 == pytest.approx(max(m2, 0.25))
 
     def test_constant_initial_data(self):
         spec = const_data_spec(u01="0.7", u02="0", uS2="0")
-        m2, _ = P.impulsive_bounds(spec)
+        m2, _ = self._m2_m3(spec)
         assert m2 == pytest.approx(0.7)
 
     def test_constant_perturbation_raises_m3(self):
         spec = const_data_spec(u01="1", u02="0", uS2="0",
                                beta=E.parse("0.5"), b1=1.0)
-        m2, m3 = P.impulsive_bounds(spec)
+        m2, m3 = self._m2_m3(spec)
         assert m2 == pytest.approx(1.0)
         assert m3 >= 1.5
 
     def test_m3_is_m2_plus_the_kick_over_the_pre_jump_range(self):
-        spec = source_spec()
-        m2, m3 = P.impulsive_bounds(spec)
-        assert m2 == max(P.data_sup_norms(spec, (0.0, spec.tau)).values())
-        assert m3 == m2 + P.slab_sup(spec, spec.beta, m2) > m2
+        # the slab is wider than |lambda| <= M2, which changes the sampled
+        # sup|beta| of the impulsive scenarios only in the fourth digit
+        for spec in (source_spec(), perturbed_spec(source_spec(), 0.05)):
+            m2, m3 = self._m2_m3(spec, inflate=P.NORM_INFLATION)
+            ref = _impulsive_bounds_reference(spec, inflate=P.NORM_INFLATION)
+            assert m2 == ref[0]
+            assert m3 == pytest.approx(ref[1], rel=1e-3)
+            radius = max(max(P.data_sup_norms(spec).values()), spec.b1) + 1
+            assert m3 == m2 + P.slab_sup(spec, spec.beta,
+                                         radius) * P.NORM_INFLATION > m2
 
     def test_m3_dominates_m2(self):
         rng = np.random.default_rng(9)
@@ -338,8 +363,24 @@ class TestImpulsiveBounds:
             amp = rng.uniform(0.1, 2.0)
             spec = const_data_spec(u01=f"{amp}", u02="0", uS2="0",
                                    beta=E.parse("0.3*cos(lambda)"), b1=2.0)
-            m2, m3 = P.impulsive_bounds(spec)
+            m2, m3 = self._m2_m3(spec)
             assert m3 >= m2
+
+    def test_sup_beta_is_sampled_once_per_spec(self):
+        # every bound of a spec, of any window, mass or inflation, reads one
+        # sampled sup|beta|
+        spec = source_spec()
+        P._beta_sup.cache_clear()
+        first = P.sup_bound(spec, spec.T, 1.0)
+        times = np.array([0.25, 0.5, 1.0])
+        got = P.sup_bound(spec, times, [[0.0] * 3, [0.0, 0.5, 1.0]],
+                          inflate=P.NORM_INFLATION)
+        assert got.shape == (2, 3) and got[1, -1] > got[0, -1]
+        assert P.sup_bound(spec, spec.T, 1.0) == first
+        info = P._beta_sup.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert P.sup_bound(spec.with_data(beta=None), spec.T, 1.0) < first
+        assert P._beta_sup.cache_info().misses == 2
 
 
 def test_describe_hash_stable():
@@ -469,7 +510,7 @@ class TestSampleSupAgainstTheSamplersItReplaced:
 class TestJumpSlopeSampling:
     def _reference(self, spec, n=64):
         """The jump map's slope, sampled in one evaluation of the box."""
-        radius = P.impulsive_bounds(spec, inflate=P.NORM_INFLATION)[0]
+        radius = _impulsive_bounds_reference(spec, P.NORM_INFLATION)[0]
         axes = {"x": np.linspace(0.0, spec.L, n)[:, None, None],
                 "s": np.linspace(0.0, spec.S, n)[None, :, None],
                 "lambda": np.linspace(-radius, radius, n)[None, None, :]}
@@ -487,10 +528,9 @@ class TestJumpSlopeSampling:
         assert P.min_jump_slope(spec, n=70) == self._reference(spec, n=70)
 
     def test_peaks_below_4_mib(self):
-        # 64^3 samples and the impulsive bounds' own sampling; the one
-        # evaluation of the box peaked at 6.2 MiB
+        # 64^3 samples and the data norms' own sampling; the one evaluation
+        # of the box peaked at 6.2 MiB
         spec = source_spec()
-        P.impulsive_bounds.cache_clear()
         tracemalloc.start()
         try:
             P.min_jump_slope(spec)
@@ -499,11 +539,16 @@ class TestJumpSlopeSampling:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
 
-    def test_impulsive_bounds_are_sampled_once_per_key(self):
+    @pytest.mark.parametrize("text, pinned", [
+        (None, "0x1.5348278621e51p-1"),
+        ("-1.5*lambda*(max(0, 1-((x-0.5)/0.35)^2))^2",
+         "-0x1.fe6bbaaf9c808p-2"),
+        ("0.3*sin(4*lambda)*s - x", "-0x1.9967bfb22d678p-3"),
+        ("0.7", "0x1.0000000000000p+0")])
+    def test_min_slope_is_the_recorded_one(self, text, pinned):
+        # the slopes as the radius M2 of the separate impulsive bounds gave
+        # them, bit for bit
         spec = source_spec()
-        P.impulsive_bounds.cache_clear()
-        first = P.impulsive_bounds(spec, inflate=P.NORM_INFLATION)
-        assert P.impulsive_bounds(spec, inflate=P.NORM_INFLATION) is first
-        assert P.impulsive_bounds(spec) != first
-        info = P.impulsive_bounds.cache_info()
-        assert (info.misses, info.hits) == (2, 1)
+        if text is not None:
+            spec = spec.with_data(beta=E.parse(text))
+        assert P.min_jump_slope(spec) == float.fromhex(pinned)

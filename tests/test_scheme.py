@@ -1,17 +1,21 @@
+import sys
+import tempfile
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from upkolmo import exprdsl as E
+from upkolmo import io as upk_io
 from upkolmo import kernels
 from upkolmo import problem as P
 from upkolmo import scheme as S
 from upkolmo import verify
 from upkolmo.problem import Grid
-from scenarios import (box_grid, nosource_spec, shock_spec, source_spec,
-                       unattainable_spec, zero_spec)
+from scenarios import (box_grid, nosource_spec, perturbed_spec, shock_spec,
+                       source_spec, unattainable_spec, zero_spec)
 
 BURGERS = E.parse("lambda^2/2")
 
@@ -187,6 +191,25 @@ def _cfl(spec, grid, **kwargs):
     return S.Stepper(spec, grid, m_bound=1.0, **kwargs)._cfl()
 
 
+def _bench_spec(seed):
+    """The benchmark's spec at a seed, as `upkolmo run` loads it; its
+    workloads differ only in grid and scheme, so they share it."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import WORKLOADS, config_text
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(config_text(WORKLOADS["source64"], seed, Path(tmp)))
+        return upk_io.load_config(cfg).spec
+
+
+_REGION_SPECS = [pytest.param(spec, id=name) for name, spec in {
+    "source": source_spec(), "nosource": nosource_spec(),
+    "zero": zero_spec(), "shock": shock_spec(),
+    "unattainable": unattainable_spec(),
+    "perturbed": perturbed_spec(source_spec(), 0.1),
+    "bench-seed0": _bench_spec(0), "bench-seed1": _bench_spec(1)}.items()]
+
+
 class TestCfl:
     def test_stated_formula(self):
         # max|a'| = max|phi'| = 1 on [-1,1], dx = ds = 0.1; the lateral
@@ -237,7 +260,15 @@ class TestCfl:
         grid = Grid(16, 16, 1.0, 1.0)
         bounds = {S.Stepper(spec, grid, eps=e, gamma=g).m_bound
                   for e in (0.0, 0.02) for g in (0.2, 0.1, 0.05, 0.0)}
-        assert bounds == {1.05 * S.predicted_sup(spec) + 0.5}
+        assert bounds == {S.reachable_bound(spec)} == {1.8632217401562103}
+
+    @pytest.mark.parametrize("spec", _REGION_SPECS)
+    def test_reachable_bound_is_the_first_formula(self, spec):
+        # the region read off the one sup-norm bound B(T) is, bit for bit,
+        # the one first written from the data norms and sup|beta| directly
+        base = max(P.data_sup_norms(spec).values())
+        sup_beta = P.slab_sup(spec, spec.beta, max(base, spec.b1) + 1.0)
+        assert S.reachable_bound(spec) == 1.05 * (base + sup_beta) + 0.5
 
     def test_degenerate_grid(self):
         with pytest.raises(S.DegenerateGridError):

@@ -9,7 +9,7 @@ from upkolmo import exprdsl as E
 from upkolmo import solver, verify
 from upkolmo.problem import (Grid, ProblemSpec, min_jump_slope,
                              refined_max_bound)
-from upkolmo.scheme import SchemeOptions, Stepper, predicted_sup
+from upkolmo.scheme import SchemeOptions, Stepper, reachable_bound
 from scenarios import (nosource_spec, source_spec, unit_grid, zero_spec,
                        LCUT, SBUMP, XBUMP)
 
@@ -215,7 +215,7 @@ class TestDeterminismAndConsistency:
         spec = nosource_spec()
         grid = unit_grid(16)
         traj = solver.solve_entropy(spec, grid, gamma=0.0, m_bound=0.05)
-        reach = 1.05 * predicted_sup(spec) + 0.5
+        reach = reachable_bound(spec)
         assert traj.meta["m_bound"] == reach
         assert traj.final.sup_norm() <= traj.meta["m_bound"]
         restart = traj.meta["restart"]
@@ -246,7 +246,7 @@ class TestDeterminismAndConsistency:
         spike = ("1000*max(0, 1-((x-0.46875)/1e-6)^2)"
                  "*max(0, 1-((s-0.46875)/1e-6)^2)")
         spec = nosource_spec().with_data(data_u0_1=E.parse(spike))
-        assert 1.05 * predicted_sup(spec) + 0.5 < 0.51
+        assert reachable_bound(spec) < 0.51
         with pytest.raises(solver.CflViolationError,
                            match="beyond 0.5.*the bound the monotone scheme"):
             solver.solve_entropy(spec, unit_grid(16), gamma=0.0)

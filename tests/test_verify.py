@@ -7,10 +7,10 @@ from upkolmo import exprdsl as E
 from upkolmo import cli, kernels, solver, verify
 from upkolmo.problem import (Field, Trajectory, ZeroInitialDataError,
                              data_sup_norms, golden_section_min,
-                             impulsive_bounds, min_jump_slope,
-                             refined_max_bound, sample_sup, stability_rhs)
+                             min_jump_slope, refined_max_bound, sample_sup,
+                             slab_sup, stability_rhs, sup_bound)
 from upkolmo.scheme import (LAX_FRIEDRICHS, SchemeOptions, Stepper,
-                            predicted_sup)
+                            reachable_bound)
 from scenarios import (BETA_TEXT, XBUMP, box_grid, nosource_spec,
                        perturbed_spec,
                        shock_spec, source_spec, unattainable_spec, unit_grid,
@@ -23,6 +23,9 @@ class TestMaxPrinciple:
                                          gamma_family["spec"])
         assert rep.passed
         assert rep.margin >= 0
+        # the march's own bound decides the row, the paper's curves stay
+        assert rep.context["curve"] == "discrete"
+        assert {"b1g", "b2g"} <= set(rep.context)
 
     def test_zero_data_run(self):
         spec = zero_spec()
@@ -32,10 +35,34 @@ class TestMaxPrinciple:
         assert rep.measured == 0.0
 
     def test_impulsive_uses_two_level_bounds(self, impulsive_run):
-        rep = verify.check_max_principle(impulsive_run["traj"],
-                                         impulsive_run["spec"])
+        # B with kick mass 0 before the jump's level and 1 from it on
+        spec, traj = impulsive_run["spec"], impulsive_run["traj"]
+        rep = verify.check_max_principle(traj, spec)
         assert rep.passed
-        assert "m3" in rep.context
+        assert rep.context["curve"] == "discrete"
+        assert "m3" not in rep.context and "b1g" not in rep.context
+        bounds, curves, _ = verify._bound_curves(spec, traj)
+        t_jump = traj.meta["n_tau"] * traj.meta["dt"]
+        assert set(curves) == {"discrete"}
+        for t, bound in zip(traj.times, bounds):
+            mass = 1.0 if t >= t_jump else 0.0
+            assert bound == sup_bound(spec, max(t, 1e-9), mass,
+                                      inflate=verify.NORM_INFLATION)
+        assert len({round(b, 9) for b in bounds}) == 2
+
+    def test_a_run_marched_with_eight_times_beta_fails(self):
+        # marched with 8 beta in its own default region and verified against
+        # beta: the paper's curves pass it at 0.899 of their bound, and the
+        # march's own maximum principle for beta fails it
+        spec = source_spec()
+        marched = spec.with_data(beta=E.parse(f"8*{BETA_TEXT}"))
+        traj = solver.solve_entropy(marched, unit_grid(32),
+                                    options=SchemeOptions(snapshot_stride=1))
+        rep = verify.check_max_principle(traj, spec)
+        assert not rep.passed
+        assert rep.measured / rep.bound == pytest.approx(1.067, abs=1e-3)
+        assert rep.context["curve"] == "discrete"
+        assert rep.context["t_worst"] < spec.tau
 
     def test_zero_source_run_bounded_by_data_norm(self, contraction_family):
         base_spec = contraction_family["specs"][0]
@@ -49,7 +76,7 @@ class TestMaxPrinciple:
         spec = unattainable_spec(L=1.0)
         traj = solver.solve_entropy(spec, unit_grid(16), gamma=0.0,
                                     options=SchemeOptions(snapshot_stride=1))
-        bounds, _ = verify._bound_curves(spec, traj)
+        bounds, _, _ = verify._bound_curves(spec, traj)
         xs = np.linspace(0.0, spec.L, 256)
 
         def data_at(t):
@@ -67,7 +94,7 @@ class TestMaxPrinciple:
         # a t > 0 snapshot planted one cell above its bound decides the
         # row; the same value at t = 0, the initial datum, decides nothing
         spec, traj = impulsive_run["spec"], impulsive_run["traj"]
-        bounds, _ = verify._bound_curves(spec, traj)
+        bounds, _, _ = verify._bound_curves(spec, traj)
         i = len(traj.times) // 2
         planted = Trajectory(grid=traj.grid, meta=traj.meta)
         for t, fld in zip(traj.times, traj.fields):
@@ -86,7 +113,8 @@ class TestMaxPrinciple:
 
     def test_no_snapshot_after_t0_fails(self):
         grid = unit_grid(8)
-        traj = Trajectory(grid=grid, meta={"mode": "entropy", "gamma": 0.1})
+        traj = Trajectory(grid=grid, meta={"mode": "entropy", "dt": 0.01,
+                                           "gamma": 0.1, "n_tau": 50})
         traj.append(0.0, Field(np.zeros((8, 8)), grid, 0.0))
         rep = verify.check_max_principle(traj, source_spec())
         assert not rep.passed and rep.measured == np.inf
@@ -124,7 +152,7 @@ class TestStability:
     def test_impulsive_pair(self, grid64):
         base = source_spec()
         pert = perturbed_spec(base, 0.05)
-        m = max(1.05 * predicted_sup(s) + 0.5 for s in (base, pert))
+        m = max(reachable_bound(s) for s in (base, pert))
         dt = min(Stepper(s, grid64, eps=0.0, gamma=0.0, m_bound=m).dt
                  for s in (base, pert))
         t1 = solver.solve_impulsive(base, grid64, dt=dt, m_bound=m)
@@ -198,7 +226,7 @@ class TestStability:
     def _pair(specs, n, impulsive=False, options=None):
         """Runs of ``specs`` on the n x n grid with one dt and m_bound."""
         grid = unit_grid(n)
-        m = max(1.05 * predicted_sup(s) + 0.5 for s in specs)
+        m = max(reachable_bound(s) for s in specs)
         dt = min(Stepper(s, grid, eps=0.0, gamma=0.0 if impulsive else s.gamma,
                          m_bound=m, options=options).dt for s in specs)
         solve = solver.solve_impulsive if impulsive else solver.solve_entropy
@@ -263,7 +291,7 @@ class TestStability:
         spec = unattainable_spec()
         other = spec.with_data(data_u0_2=E.parse("0"))
         grid = box_grid(spec)
-        m = max(1.05 * predicted_sup(s) + 0.5 for s in (spec, other))
+        m = max(reachable_bound(s) for s in (spec, other))
         dt = min(Stepper(s, grid, eps=0.0, gamma=0.0, m_bound=m).dt
                  for s in (spec, other))
         t1, t2 = (solver.solve_entropy(s, grid, dt=dt, m_bound=m)
@@ -625,7 +653,7 @@ class TestJump:
         bump = "(max(0, 1-((x-0.5)/0.35)^2))^2*(max(0, 1-((s-0.5)/0.35)^2))^2"
         spec = source_spec().with_data(
             beta=E.parse(f"-3*max(0, lambda - 0.8039)*{bump}"))
-        m2 = impulsive_bounds(spec)[0]
+        m2 = sup_bound(spec, spec.tau, 0.0)
         assert m2 < 0.8039 < verify.NORM_INFLATION * m2
         grid = unit_grid(16)
         with pytest.raises(ValueError, match="jump map .* decreases"):
@@ -781,12 +809,15 @@ def _window_sups_reference(expr, L, ends, inflate=1.0):
 
 
 def _bound_curves_reference(spec, traj, inflate=verify.NORM_INFLATION):
-    gamma = traj.meta.get("gamma", spec.gamma)
+    meta = traj.meta
+    dt, gamma = meta["dt"], meta["gamma"]
     t_effs = [max(t, 1e-9) for t in traj.times]
     u0_1 = sample_sup(spec.data_u0_1, ("x", "s"),
                       [(0.0, spec.L), (0.0, spec.S)], inflate=inflate)
     u0_2 = _window_sups_reference(spec.data_u0_2, spec.L, t_effs, inflate)
     uS_2 = _window_sups_reference(spec.data_uS_2, spec.L, t_effs, inflate)
+    base = max(data_sup_norms(spec).values())
+    sup_beta = slab_sup(spec, spec.beta, max(base, spec.b1) + 1.0) * inflate
     if spec.beta is not None and gamma > 0:
         b1g, b2g = kernels.source_growth_constants(
             spec.beta, gamma, L=spec.L, S=spec.S, b1=spec.b1)
@@ -798,8 +829,16 @@ def _bound_curves_reference(spec, traj, inflate=verify.NORM_INFLATION):
     except (ZeroInitialDataError, ValueError):
         have_m7 = False
     bounds = []
-    for i, t_eff in enumerate(t_effs):
+    for i, (t, t_eff) in enumerate(zip(traj.times, t_effs)):
         dnorm = max(u0_1, u0_2[i], uS_2[i])
+        mass = 0.0
+        for k in range(round(t / dt)):
+            mass += kernels.step_mass(k * dt, dt, spec.tau, gamma,
+                                      meta["n_tau"])
+        discrete = dnorm + mass * sup_beta
+        if meta["mode"] == "impulsive":
+            bounds.append(float(discrete))
+            continue
 
         def objective(xi):
             tail = np.sqrt(b2g / (xi - b1g)) if b2g > 0 else 0.0
@@ -808,7 +847,7 @@ def _bound_curves_reference(spec, traj, inflate=verify.NORM_INFLATION):
         _, m = golden_section_min(objective, b1g + 1e-9, b1g + 50.0)
         if have_m7:
             m = min(m, refined_max_bound(spec, t_eff, inflate=inflate))
-        bounds.append(float(m))
+        bounds.append(float(min(m, discrete)))
     return bounds
 
 
@@ -1099,9 +1138,10 @@ class TestHoistedAgainstReference:
 
     def test_max_principle_bounds(self, small_runs):
         spec, runs = small_runs
-        traj = runs["entropy", 1]
-        bounds, _ = verify._bound_curves(spec, traj)
-        assert list(bounds) == _bound_curves_reference(spec, traj)
+        for mode in ("entropy", "impulsive"):
+            traj = runs[mode, 1]
+            bounds, _, _ = verify._bound_curves(spec, traj)
+            assert list(bounds) == _bound_curves_reference(spec, traj)
 
     @staticmethod
     def _assert_stability_curve(spec1, spec2, traj, inflow):
