@@ -23,7 +23,7 @@ nondecreasing; the residual also returns the weight's sampled minimum.
 
 No program path reaches this module: ``verify.check_jump`` checks the
 pointwise identity, which the kinetic form restates, and the jump map's
-slope with ``problem.min_jump_slope``.  It stays for the benchmark's traced
+slope with ``problem.min_kick_slope``.  It stays for the benchmark's traced
 pass (``bench/run.py``) and ``tests/test_chi.py``; delete it in the next
 benchmark change, with ``problem.golden_section_min``, ``kernels.k_gamma``,
 the ``flux`` methods of ``scheme`` and ``cli``'s ``refined_max_bound``

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io as config_io
-from . import exprdsl, solver, verify
+# `verify` is imported by the commands that use it, so `run` compiles no check
+from . import exprdsl, solver
 # bench/run.py traces refined_max_bound where each module binds it
 from .problem import refined_max_bound  # noqa: F401
 from .scheme import NaNDetectedError
@@ -92,6 +93,7 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     from concurrent.futures import ProcessPoolExecutor  # not at start-up
+    from . import verify
     loaded = _load(args.config)
     if loaded is None:
         return 1
@@ -133,6 +135,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
+    from . import verify
     loaded = _load(args.config)
     if loaded is None:
         return 1
@@ -173,6 +176,7 @@ def _cmd_verify(args):
 
 
 def _cmd_validate_flux(args):
+    from . import verify
     loaded = _load(args.config)
     if loaded is None:
         return 1

@@ -26,25 +26,26 @@ march parameters the verification checks need to reconstruct the stepper:
 ``n_tau`` (the level the gamma = 0 kick lands on, ceil(tau/dt)),
 ``stride``, ``eps``, ``gamma``, ``m_bound`` and ``options`` are required;
 ``spec_hash``, ``restart`` (the escape that enlarged the invariant
-region, or null), ``b0`` (the sampled sup|dbeta/dlambda| of a delayed
-source, or null), ``dt_term`` (the ``scheme.Stepper._cfl`` bound that set
-dt: ``convective``, ``kick_cap`` or ``heat_accuracy``; null when the
-caller fixed dt), and ``setup_s`` and ``march_s`` (the wall seconds the
-run spent building its steppers and marching, each summed over a restart)
-are optional.  ``lateral_diffusion`` and ``source`` name how the step treated
-the lateral Laplacian and the source, and only ``scheme.LATERAL_DIFFUSION``
-("backward_euler") and ``scheme.SOURCE_STEP`` ("kick", applied after the
-lateral solve) are read: a directory written by the earlier explicit
-update, or with the source inside the explicit part, lacks the key, so it
-is refused instead of being scored against the wrong update.  The retired
-option ``x_diffusion`` loads only at the value every earlier run wrote
-(``_RETIRED_OPTIONS``); another value is refused.
+region, or null), ``kick_slope`` (``scheme.Stepper.kick_slope``; older
+runs hold ``b0``, which nothing reads), ``dt_term`` (the
+``scheme.Stepper._cfl`` bound that set dt, or null when the caller fixed
+it), ``setup_s`` and ``march_s`` (the wall seconds the run spent building
+its steppers and marching) are optional.  A required key of the wrong
+type is refused.  ``lateral_diffusion`` and ``source`` name how the step
+treated the lateral Laplacian and the source, and only
+``scheme.LATERAL_DIFFUSION`` ("backward_euler") and ``scheme.SOURCE_STEP``
+("kick", applied after the lateral solve) are read: a directory written by
+the earlier explicit update, or with the source inside the explicit part,
+lacks the key, so it is refused instead of being scored against the wrong
+update.  The retired option ``x_diffusion`` loads only at the value every
+earlier run wrote (``_RETIRED_OPTIONS``); another value is refused.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +69,29 @@ _MARCH_KEYS = ("mode", "lateral_diffusion", "source", "dt", "n_steps",
                "n_tau", "stride", "eps", "gamma", "m_bound", "options")
 # the update each key names, the only one this version steps
 _UPDATES = {"lateral_diffusion": LATERAL_DIFFUSION, "source": SOURCE_STEP}
+
+
+def _integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _real(v):
+    return _integer(v) or isinstance(v, float) and math.isfinite(v)
+
+
+# what each other march key must hold
+_KINDS = {
+    "mode": ("regularized, entropy or impulsive",
+             lambda v: v in ("regularized", "entropy", "impulsive")),
+    **dict.fromkeys(("dt", "m_bound"), (
+        "a finite number > 0", lambda v: _real(v) and v > 0)),
+    **dict.fromkeys(("eps", "gamma"), (
+        "a finite number >= 0", lambda v: _real(v) and v >= 0)),
+    **dict.fromkeys(("n_steps", "stride"), (
+        "a positive integer", lambda v: _integer(v) and v > 0)),
+    "n_tau": ("an integer or null", lambda v: v is None or _integer(v)),
+    "options": ("an object", lambda v: isinstance(v, dict)),
+}
 # retired option: (the value every earlier run wrote, what another meant)
 _RETIRED_OPTIONS = {"x_diffusion": (True, "no lateral Laplacian")}
 
@@ -148,17 +172,13 @@ def _coerce(kind, key, value, lineno):
             return exprdsl.parse(value[1:-1])
         except exprdsl.ExprSyntaxError as exc:
             raise ParseError(f"{key}: {exc}", lineno) from exc
-    if kind.startswith("int"):
+    if kind.startswith(("int", "float")):
+        cast, what = ((int, "an integer") if kind.startswith("int")
+                      else (float, "a number"))
         try:
-            return int(value)
+            return cast(value)
         except ValueError:
-            raise ParseError(f"{key}: expected an integer, got {value!r}",
-                             lineno) from None
-    if kind.startswith("float"):
-        try:
-            return float(value)
-        except ValueError:
-            raise ParseError(f"{key}: expected a number, got {value!r}",
+            raise ParseError(f"{key}: expected {what}, got {value!r}",
                              lineno) from None
     if kind.startswith("str"):
         if value.startswith('"') and value.endswith('"') and len(value) >= 2:
@@ -308,19 +328,21 @@ def _meta_from_json(data):
             raise FormatError(f"meta.json: {key.replace('_', ' ')} "
                               f"{out[key]!r} is not the {update!r} update "
                               "this version steps")
-    opts = out.get("options")
-    if isinstance(opts, dict):
-        opts = dict(opts)
-        for name, (kept, what) in _RETIRED_OPTIONS.items():
-            value = opts.pop(name, kept)
-            if value != kept:
-                raise FormatError(f"meta.json: a run with {what} ({name} = "
-                                  f"{json.dumps(value)}) cannot be re-stepped")
-        unknown = sorted(set(opts) - {f.name for f in
-                                      dataclasses.fields(SchemeOptions)})
-        if unknown:
-            raise FormatError(f"meta.json: unknown options {', '.join(unknown)}")
-        out["options"] = SchemeOptions(**opts)
+    for key, (what, ok) in _KINDS.items():
+        if not ok(out[key]):
+            raise FormatError(f"meta.json: {key} = {json.dumps(out[key])} "
+                              f"is not {what}")
+    opts = dict(out["options"])
+    for name, (kept, what) in _RETIRED_OPTIONS.items():
+        value = opts.pop(name, kept)
+        if value != kept:
+            raise FormatError(f"meta.json: a run with {what} ({name} = "
+                              f"{json.dumps(value)}) cannot be re-stepped")
+    unknown = sorted(set(opts) - {f.name for f in
+                                  dataclasses.fields(SchemeOptions)})
+    if unknown:
+        raise FormatError(f"meta.json: unknown options {', '.join(unknown)}")
+    out["options"] = SchemeOptions(**opts)
     return out
 
 
@@ -332,12 +354,11 @@ def write_trajectory(directory, traj):
         name = f"field_{i:06d}.upkf"
         write_field(directory / name, fld)
         rows.append((t, name, "snapshot"))
-    if traj.tau_minus is not None:
-        write_field(directory / "tau_minus.upkf", traj.tau_minus)
-        rows.append((traj.tau_minus.t, "tau_minus.upkf", "tau_minus"))
-    if traj.tau_plus is not None:
-        write_field(directory / "tau_plus.upkf", traj.tau_plus)
-        rows.append((traj.tau_plus.t, "tau_plus.upkf", "tau_plus"))
+    for role in ("tau_minus", "tau_plus"):
+        fld = getattr(traj, role)
+        if fld is not None:
+            write_field(directory / f"{role}.upkf", fld)
+            rows.append((fld.t, f"{role}.upkf", role))
     with open(directory / "index.csv", "w", encoding="utf-8") as fh:
         fh.write("t,filename,role\n")
         for t, name, role in rows:
@@ -361,7 +382,7 @@ def read_trajectory(directory, L=1.0, S=1.0):
         raise FormatError(f"{directory}: meta.json lacks {', '.join(missing)}")
     meta = _meta_from_json(data)
     traj = None
-    tau_minus = tau_plus = None
+    jump = {"tau_minus": None, "tau_plus": None}
     for row in index[1:]:
         if not row.strip():
             continue
@@ -377,17 +398,14 @@ def read_trajectory(directory, L=1.0, S=1.0):
             traj.meta = meta
         if role == "snapshot":
             traj.append(t, fld)
-        elif role == "tau_minus":
-            tau_minus = fld
-        elif role == "tau_plus":
-            tau_plus = fld
+        elif role in jump:
+            jump[role] = fld
         else:
             raise FormatError(f"{directory}: unknown role {role!r}")
     if traj is None:
         raise FormatError(f"{directory}: empty trajectory")
-    if meta["mode"] == "impulsive" and (tau_minus is None or tau_plus is None):
+    if meta["mode"] == "impulsive" and None in jump.values():
         raise FormatError(f"{directory}: an impulsive run's index.csv lacks "
                           "the tau_minus or tau_plus row")
-    traj.tau_minus = tau_minus
-    traj.tau_plus = tau_plus
+    traj.tau_minus, traj.tau_plus = jump.values()
     return traj

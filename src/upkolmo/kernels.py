@@ -107,7 +107,7 @@ def estimate_dbeta_sup(beta, L, S, b1):
     lambda in [-(b1+1), b1+1], on 64 x 64 x 256 points.  An estimate, not a
     proof, whose slab holds every slope, beta vanishing for |lambda| > b1.
     Memoized: the AST is frozen, so a process samples b0 once for the
-    step's kick cap, the growth constants and the stability estimate."""
+    growth constants and the stability estimate, ``verify``'s alone."""
     return exprdsl.sample_sup(beta, ("x", "s", "lambda"),
                               [(0.0, L), (0.0, S), (-(b1 + 1.0), b1 + 1.0)],
                               n=(64, 64, 256), wrt="lambda")

@@ -10,7 +10,8 @@ a-priori theory:
   source whose perturbation vanishes for |value| > b1.
 * ``sup_bound`` -- the march's own discrete maximum principle, both
   sources (derived in ``verify``); at gamma = 0 the impulsive problem's M2
-  before the jump and M3 after.
+  before the jump and M3 after.  ``min_kick_slope`` is beta's least slope
+  where it holds the kick's values, which keeps the kick nondecreasing.
 * ``stability_rhs`` -- the L1 data-stability estimate of two runs of the
   march, both sources, over the snapshot times (derived in ``verify``),
   from each step's s-end inflow difference and kick mass.
@@ -35,7 +36,7 @@ from .exprdsl import sample_min, sample_sup
 __all__ = [
     "ProblemSpec", "Grid", "Field", "Trajectory",
     "max_principle_bound", "refined_max_bound", "sup_bound", "stability_rhs",
-    "sample_sup", "slab_sup", "min_jump_slope", "data_sup_norms",
+    "sample_sup", "slab_sup", "min_kick_slope", "data_sup_norms",
     "consistency_errors", "NORM_INFLATION",
     "ZeroInitialDataError", "GridMismatchError",
 ]
@@ -236,17 +237,18 @@ def slab_sup(spec, beta, radius):
                       [(0.0, spec.L), (0.0, spec.S), (-radius, radius)], n=64)
 
 
-def min_jump_slope(spec, n=64):
-    """Sampled min of 1 + d beta / d lambda, the jump map's slope, on n
-    points per axis over |lambda| <= 1.01 M2 = B(tau) with no kick, the one
-    radius of ``run`` and ``verify``, so that they agree on a map.  1
-    without a beta."""
+@functools.lru_cache(maxsize=32)
+def min_kick_slope(spec, mass, n=64):
+    """Sampled min of d beta / d lambda, signed, on n points per axis over
+    |lambda| <= 1.01 B(tau) with ``mass`` the kick mass applied before the
+    kick: every value a kick acts on (see ``verify``).  0.0 without a
+    beta.  Memoized, as ``_horizon`` is."""
     if spec.beta is None:
-        return 1.0
-    radius = sup_bound(spec, spec.tau, 0.0, inflate=NORM_INFLATION)
-    return 1.0 + sample_min(spec.beta, ("x", "s", "lambda"),
-                            [(0.0, spec.L), (0.0, spec.S), (-radius, radius)],
-                            n=n, wrt="lambda")
+        return 0.0
+    radius = sup_bound(spec, spec.tau, mass, inflate=NORM_INFLATION)
+    return sample_min(spec.beta, ("x", "s", "lambda"),
+                      [(0.0, spec.L), (0.0, spec.S), (-radius, radius)],
+                      n=n, wrt="lambda")
 
 
 def data_sup_norms(spec, t_window=None, inflate=1.0):
@@ -354,21 +356,23 @@ def refined_max_bound(spec, t_prime, inflate=1.0):
 
 
 @functools.lru_cache(maxsize=32)
-def _beta_sup(spec):
-    """sup|beta| over |lambda| <= max(D(0, T), b1) + 1.  Memoized: specs
-    are frozen, so a process samples it once, however many bounds read it."""
+def _horizon(spec):
+    """D(0, T) and sup|beta| over |lambda| <= max(D(0, T), b1) + 1.
+    Memoized: specs are frozen, so a process samples them once, however
+    many bounds read them."""
     base = max(data_sup_norms(spec).values())
-    return slab_sup(spec, spec.beta, max(base, spec.b1) + 1.0)
+    return base, slab_sup(spec, spec.beta, max(base, spec.b1) + 1.0)
 
 
 def sup_bound(spec, times, masses, inflate=1.0):
     """B(t) = D(0, t) + m(t) sup|beta| (derived in ``verify``): D the data
     norm over (0, t), m the kick mass the march has applied by t.
-    ``times`` may be an array, and ``masses`` any shape that broadcasts
-    against it; ``inflate`` scales both sampled norms."""
-    norms = data_sup_norms(spec, (0.0, times), inflate=inflate)
-    dnorm = np.maximum(norms["u0_1"], np.maximum(norms["u0_2"], norms["uS_2"]))
-    out = dnorm + np.asarray(masses, dtype=float) * (_beta_sup(spec) * inflate)
+    ``times`` may be an array, or None for T, and ``masses`` any shape that
+    broadcasts against it; ``inflate`` scales both sampled norms."""
+    base, beta_sup = _horizon(spec)
+    dnorm = base * inflate if times is None else functools.reduce(
+        np.maximum, data_sup_norms(spec, (0.0, times), inflate).values())
+    out = dnorm + np.asarray(masses, dtype=float) * (beta_sup * inflate)
     return float(out) if out.ndim == 0 else out
 
 

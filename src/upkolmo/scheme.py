@@ -26,15 +26,15 @@ part is forward Euler under the CFL step of ``Stepper._cfl``, which is
 monotone in every argument.  Lap_x is the three-point Laplacian with zero
 ghosts, so I - dt * Lap_x is an M-matrix: its inverse is nonnegative with
 row sums at most 1; the step multiplies by it, its entries >= 0 exactly
-(``Stepper._solve_lateral``).  The kick's slope 1 + theta_n dbeta/dlambda
-is at least 1 - theta_n b0, b0 = sup|dbeta/dlambda|, and theta_n <= dt
-(2/gamma) omega(0), so ``Stepper._cfl`` caps dt where b0 > 1; at gamma =
-0 ``solver.solve_impulsive`` refuses a decreasing jump map instead.  The
-composition therefore keeps what the scheme promises exactly, not just
-asymptotically: it is monotone, it obeys the discrete maximum principle,
-and by Kato's inequality it obeys the discrete entropy inequality
-(derived in ``verify``; Crandall & Majda, Math. Comp. 34, 1980; Evje &
-Karlsen, SIAM J. Numer. Anal. 37, 2000).
+(``Stepper._solve_lateral``).  The kick's slope is 1 + theta_n
+dbeta/dlambda, with theta_n <= 1, and <= dt (2/gamma) omega(0) for gamma >
+0; both sources guard it with one sampled min of dbeta/dlambda,
+``Stepper.kick_slope``: ``Stepper._cfl`` caps dt where it is below -1,
+and ``solver.solve_impulsive`` refuses a decreasing jump map.  So the
+composition keeps what the scheme promises exactly: it is monotone, it
+obeys the discrete maximum principle, and by Kato's inequality the
+discrete entropy inequality (derived in ``verify``; Crandall & Majda,
+Math. Comp. 34, 1980; Evje & Karlsen, SIAM J. Numer. Anal. 37, 2000).
 
 Boundary handling: lateral (x) ghosts are zero for both the convective
 exterior state and the diffusion stencil.  In s, prescribed exterior states
@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprdsl, kernels
-from .problem import sampled_deriv_max, sup_bound
+from .problem import min_kick_slope, sampled_deriv_max, sup_bound
 
 __all__ = [
     "SchemeOptions", "Stepper",
@@ -128,17 +128,17 @@ def reachable_bound(spec):
     invariant region the monotone scheme never leaves, with room for the
     sampled norms to fall short of the grid's values.  The default
     ``m_bound``, and the least region a restart of the march is sized to."""
-    return 1.05 * sup_bound(spec, spec.T, 1.0) + 0.5
+    return 1.05 * sup_bound(spec, None, 1.0) + 0.5
 
 
 # --- tabulated split fluxes ------------------------------------------------
 
 class _SplitTable:
     """Cumulative-midpoint table of the Engquist-Osher split integrals on
-    [-(m_bound + 1), m_bound + 1]."""
+    [-(m_bound + 1), m_bound + 1]; ``coeff`` is sampled on first use."""
 
     def __init__(self, f, m_bound):
-        self.coeff = sampled_deriv_max(f, -m_bound, m_bound)
+        self.f, self.m_bound = f, m_bound
         k = math.ceil((m_bound + 1.0) / _TABLE_SPACING)
         self.nodes = (np.arange(-k, k + 1)) * _TABLE_SPACING
         mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
@@ -151,6 +151,10 @@ class _SplitTable:
         # f_plus + 1j f_minus: one np.interp reads both split integrals
         self.table = (cp - cp[k]) + 1j * (cm - cm[k])
         self.f0 = float(exprdsl.evaluate(f, {"lambda": 0.0}))
+
+    @functools.cached_property
+    def coeff(self):
+        return sampled_deriv_max(self.f, -self.m_bound, self.m_bound)
 
     def split(self, w):
         """(g(w), h(w)) with flux(wL, wR) = g(wL) + h(wR)."""
@@ -208,8 +212,9 @@ class Stepper:
     dissipation are sized for.  Its default, ``reachable_bound``, depends on
     the spec alone, so a family of runs of one spec shares it;
     runs of different specs are comparable exactly only with a common value.
-    The lateral solve's inverse depends on dt only, so the first solve
-    builds it, once; a Stepper that never steps never does.
+    The lateral solve's inverse, the flux tables and ``kick_slope`` are
+    each built on first use, so a Stepper given its dt samples nothing
+    that only sizing dt reads, and one that never steps builds no inverse.
     """
 
     def __init__(self, spec, grid, eps=None, gamma=None, options=None,
@@ -227,14 +232,8 @@ class Stepper:
             m_bound = reachable_bound(spec)
         self.m_bound = m_bound
         self.xc, self.sc = grid.cell_centers()
-        kind = (_SplitTable if self.options.flux_kind == ENGQUIST_OSHER
-                else _LFFlux)
-        self.flux_a = kind(spec.flux_a, m_bound)
-        self.flux_phi = kind(spec.flux_phi[0], m_bound)
-        # b0 = sup|dbeta/dlambda| for a delayed source, None otherwise
-        self.b0 = (kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S,
-                                              spec.b1)
-                   if spec.beta is not None and self.gamma > 0 else None)
+        self._kind = (_SplitTable if self.options.flux_kind == ENGQUIST_OSHER
+                      else _LFFlux)
         # the _cfl term that set dt; None when the caller fixed dt
         self.dt_term = None
         if dt is None:
@@ -258,19 +257,33 @@ class Stepper:
         if not any("t" in free for _, free in self._data):
             self._fixed_rows = self.boundary_values(0.0)
 
+    @functools.cached_property
+    def flux_a(self):
+        return self._kind(self.spec.flux_a, self.m_bound)
+
+    @functools.cached_property
+    def flux_phi(self):
+        return self._kind(self.spec.flux_phi[0], self.m_bound)
+
+    @functools.cached_property
+    def kick_slope(self):
+        """``problem.min_kick_slope``, no kick mass before the impulse, unit
+        mass before a delayed kick; None without a beta."""
+        if self.spec.beta is None:
+            return None
+        return min_kick_slope(self.spec, 0.0 if self.gamma == 0 else 1.0)
+
     def _cfl(self):
         """Time step: the monotonicity bound of the step's explicit part,
 
             dt = safety / ( coeff_a/ds + coeff_phi/dx + 2 eps / ds^2 ),
 
-        capped at safety gamma / (2 omega(0) b0) where b0 > 1, so that the
-        kick stays nondecreasing.  As the module notes say, coeff is each
-        flux's bound on g' - h':
-        max|f'| on [-m_bound, m_bound] for Engquist-Osher, the dissipation
-        alpha = _LF_WIDEN max|f'| for Lax-Friedrichs.  A cell's own
-        coefficient is 1 - dt times this sum at most, so it stays
-        nonnegative for safety <= 1.  The lateral Laplacian is solved
-        implicitly and has no term here.
+        capped for gamma > 0 at safety gamma / (2 omega(0) d) where d =
+        -``kick_slope`` > 1, so that the kick stays nondecreasing; theta_n
+        <= 1, so d <= 1 needs no cap.  coeff is each flux's bound on g' -
+        h' (module notes), so a cell's own coefficient is 1 - dt times
+        this sum at most, nonnegative for safety <= 1.  The lateral
+        Laplacian is solved implicitly and has no term here.
 
         With zero fluxes and eps = 0 no term is left, and dt is
         capped for accuracy instead.  Backward Euler damps the first
@@ -280,8 +293,7 @@ class Stepper:
         (mu t)(mu dt)/2.  By t = 1/mu, where the mode has decayed by 1/e,
         the relative error is at most mu dt / 2; holding it to _HEAT_ERROR
         gives dt = 2 _HEAT_ERROR / mu, 1.01e-3 on the unit box.  Where any
-        term is present it sets dt and the accuracy cap is not applied: on
-        every bench workload the convective terms set it.
+        term is present it sets dt, and the accuracy cap is not applied.
 
         ``dt_term`` records which bound set dt: ``convective`` (the
         monotonicity bound above, eps D_ss included), ``kick_cap`` or
@@ -299,9 +311,10 @@ class Stepper:
         else:
             dt = 2.0 * _HEAT_ERROR / (math.pi / spec.L) ** 2
             self.dt_term = "heat_accuracy"
-        if self.b0 is not None and self.b0 > 1.0:
+        slope = self.kick_slope if self.gamma > 0 else None
+        if slope is not None and slope < -1.0:
             cap = safety * self.gamma / (2.0 * float(kernels.omega(0.0))
-                                         * self.b0)
+                                         * -slope)
             if cap < dt:
                 dt, self.dt_term = cap, "kick_cap"
         return dt
@@ -323,13 +336,9 @@ class Stepper:
         """State extended by one ghost cell on every side."""
         nx, ns = u.shape
         w = np.empty((nx + 2, ns + 2), dtype=float)
+        w[0] = w[-1] = 0.0  # the x-ghosts, corners included
         w[1:-1, 1:-1] = u
-        w[0, 1:-1] = 0.0
-        w[-1, 1:-1] = 0.0
-        g0, gS = self.boundary_values(t)
-        w[1:-1, 0] = g0
-        w[1:-1, -1] = gS
-        w[0, 0] = w[0, -1] = w[-1, 0] = w[-1, -1] = 0.0
+        w[1:-1, 0], w[1:-1, -1] = self.boundary_values(t)
         return w
 
     # single step -----------------------------------------------------------
@@ -358,9 +367,7 @@ class Stepper:
         max d); the clip to [min(0, min d), max(0, max d)], which the exact
         solution never leaves, is monotone too, its ends nondecreasing in d.
         Cost: O(nx^2 ns) in four NumPy calls whatever nx, with no band to
-        skip (entries stay above 1e-17).  Per solve, 2 cores, one BLAS
-        thread: 0.026 ms against a Thomas sweep's 0.55 ms at 64^2; 8.3
-        against 6.0 ms of a 34 ms step at 512^2, where no workload runs."""
+        skip (entries stay above 1e-17)."""
         x = self._inverse @ d
         return np.clip(x, min(d.min(), 0.0), max(d.max(), 0.0), out=x)
 

@@ -10,7 +10,8 @@ source's kick (``scheme.Stepper.kick``):
 * ``solve_impulsive``   -- the gamma = 0 case: the one kick, with theta = 1,
   applies the jump map u <- u + beta(x, s, u) at level n_tau = ceil(tau/dt),
   the first at or after tau, and both one-sided fields there are recorded
-  (the other drivers record none).
+  (the other drivers record none).  It refuses a decreasing jump map, 1 +
+  ``kick_slope`` < 0, with which the march would not be monotone.
 
 Runs are deterministic: a given (spec, grid, options, dt, m_bound)
 produces a bit-identical trajectory, which the delayed-vs-impulsive
@@ -21,20 +22,13 @@ theta = 1 exactly, as the impulse does.
 If the running sup-norm escapes the invariant region the step was sized
 for, the march restarts once.  The new region is the larger of twice the
 old one or the escaping sup, and ``scheme.reachable_bound``, the bound
-the monotone scheme never leaves (``problem.sup_bound`` at T: the data
-norms plus the kernel's unit mass times sup|beta|, with room for
-sampling).  The restart is recorded
-in the trajectory's ``meta["restart"]``: the old region ``m_bound``, the
-escaping ``sup`` and its time ``t`` (None without a restart).  An escape
-beyond that bound, which no region sized from the spec can hold, or a
-second escape raises ``CflViolationError``.  ``meta`` also records the
-stepper's sampled ``b0`` and the ``dt_term`` that set its step (see
-``scheme.Stepper._cfl``), and the wall seconds spent building steppers
-(``setup_s``) and marching (``march_s``), each summed over a restart.
-
-``solve_impulsive`` rejects a jump map lambda -> lambda + beta that is
-decreasing somewhere on the pre-jump range: the impulsive march is
-monotone only if it is nondecreasing.
+the monotone scheme never leaves.  ``meta["restart"]`` records the old
+region ``m_bound``, the escaping ``sup`` and its time ``t`` (None without
+a restart).  An escape beyond that bound, which no region sized from the
+spec can hold, or a second escape raises ``CflViolationError``.  ``meta``
+also records the stepper's ``kick_slope`` and ``dt_term``, and the wall
+seconds spent building steppers (``setup_s``) and marching
+(``march_s``), each summed over a restart (see ``io``).
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ import time
 import numpy as np
 
 from . import exprdsl
-from .problem import Field, Trajectory, min_jump_slope
+from .problem import Field, Trajectory, min_kick_slope
 from .scheme import (LATERAL_DIFFUSION, SOURCE_STEP, SchemeOptions, Stepper,
                      SupNormExceeded, reachable_bound)
 
@@ -117,7 +111,7 @@ def _march_once(spec, grid, stepper, mode):
         "eps": stepper.eps,
         "gamma": stepper.gamma,
         "m_bound": stepper.m_bound,
-        "b0": stepper.b0,
+        "kick_slope": stepper.kick_slope,
         "dt_term": stepper.dt_term,
         "options": stepper.options,
         "spec_hash": spec.context_hash(),
@@ -178,7 +172,7 @@ def solve_impulsive(spec, grid, options=None, dt=None, m_bound=None):
     """March the gamma = 0 case: one pointwise jump, at level n_tau."""
     if not (0.0 < spec.tau < spec.T):
         raise ValueError(f"jump time must lie in (0, T), got {spec.tau}")
-    slope = min_jump_slope(spec)
+    slope = 1.0 + min_kick_slope(spec, 0.0)
     if slope < 0.0:
         raise ValueError(
             f"the jump map lambda -> lambda + beta decreases: 1 + d beta / "

@@ -20,7 +20,12 @@ Notes on three deliberately discrete constructions:
   inverse is >= 0 with row sums <= 1.  The kick adds at most theta_n
   sup|beta|, over |lambda| <= max(D(0, T), b1) + 1, which holds every
   value where beta is nonzero.  At gamma = 0 the sum is 0 before the
-  jump's level and 1 from it on: the impulsive M2 and M3.
+  jump's level and 1 from it on: the impulsive M2 and M3.  Every kick
+  starts at some t_n < tau, as theta_n = 0 from tau on, so the v it acts
+  on, after the explicit update and the lateral inverse, has |v| <= B(tau)
+  with unit mass, or with none at gamma = 0, where the one kick is the
+  first: ``problem.min_kick_slope`` samples d beta / d lambda there, and
+  the kick is nondecreasing where 1 + theta_n times it is >= 0.
 
 * The entropy residual is the largest, over every step, cell and k, of
   the cell inequality of the monotone update.  Each cell term is
@@ -109,7 +114,7 @@ import numpy as np
 
 from . import exprdsl, kernels
 from .problem import (NORM_INFLATION, GridMismatchError, ZeroInitialDataError,
-                      max_principle_bound, min_jump_slope, refined_max_bound,
+                      max_principle_bound, min_kick_slope, refined_max_bound,
                       stability_rhs, sup_bound)
 # bench/run.py traces the alias where `verify` binds it
 from .problem import stability_rhs_impulsive  # noqa: F401
@@ -186,14 +191,10 @@ def l1_diff(field1, field2):
 
 
 def _trapezoid_weights(times):
-    times = np.asarray(times, dtype=float)
     if len(times) == 1:
         return np.array([1.0])
-    w = np.empty_like(times)
-    w[0] = 0.5 * (times[1] - times[0])
-    w[-1] = 0.5 * (times[-1] - times[-2])
-    w[1:-1] = 0.5 * (times[2:] - times[:-2])
-    return w
+    t = np.asarray([times[0], *times, times[-1]], dtype=float)
+    return 0.5 * (t[2:] - t[:-2])
 
 
 def spacetime_l1_diff(traj1, traj2):
@@ -202,11 +203,8 @@ def spacetime_l1_diff(traj1, traj2):
         raise GridMismatchError("trajectories on different grids")
     if traj1.times != traj2.times:
         raise GridMismatchError("snapshot times differ")
-    w = _trapezoid_weights(traj1.times)
-    total = 0.0
-    for wi, f1, f2 in zip(w, traj1.fields, traj2.fields):
-        total += wi * l1_diff(f1, f2)
-    return float(total)
+    return float(sum(wi * l1_diff(f1, f2) for wi, f1, f2 in zip(
+        _trapezoid_weights(traj1.times), traj1.fields, traj2.fields)))
 
 
 # --- sup-norm bound curves ----------------------------------------------------
@@ -228,11 +226,10 @@ def _bound_curves(spec, traj):
                                  inflate=NORM_INFLATION)
     if meta["mode"] == "impulsive":
         return tuple(map(float, discrete)), ["discrete"] * len(times), {}
-    if spec.beta is not None and gamma > 0:
-        b1g, b2g = kernels.source_growth_constants(
-            spec.beta, gamma, L=spec.L, S=spec.S, b1=spec.b1)
-    else:
-        b1g = b2g = 0.0
+    # no beta gives (0, 0)
+    b1g, b2g = (kernels.source_growth_constants(
+        spec.beta, gamma, L=spec.L, S=spec.S, b1=spec.b1)
+        if gamma > 0 else (0.0, 0.0))
     paper = max_principle_bound(t_effs, b1g, b2g, dnorms)
     try:
         paper = np.minimum(paper, refined_max_bound(spec, t_effs,
@@ -263,18 +260,22 @@ def check_max_principle(traj, spec):
 
     The t = 0 snapshot is the initial datum on the grid, which the bound
     covers by construction, so it is left out and every row is decided by
-    the march.  The context names the snapshot (``t_worst``), the cell
-    (``cell_worst``) and the ``curve`` (``discrete`` or ``paper``) of the
-    smallest margin.  A snapshot holding a non-finite value measures inf,
-    and the first such snapshot and cell are the worst.  With no t > 0
-    snapshot there is nothing to certify and the report fails with
-    measured = inf.
+    the march.  The row is the snapshot of largest (sup - slack) / bound,
+    which exceeds 1 exactly where the row fails, so a failing snapshot is
+    the one named; the context names it (``t_worst``), its cell
+    (``cell_worst``) and ``curve`` (``discrete`` or ``paper``).  A
+    non-finite value measures inf, and the first such snapshot is the
+    worst.  With no t > 0 snapshot there is nothing to certify and the
+    report fails with measured = inf.
     """
     bounds, curves, extra = _bound_curves(spec, traj)
     sups = {i: _inf_unless_finite(fld.sup_norm())
             for i, (t, fld) in enumerate(zip(traj.times, traj.fields))
             if t > 0.0}
-    i = max(sups, key=lambda i: sups[i] - bounds[i], default=None)
+    slack = 1e-10
+    i = max(sups, default=None, key=lambda i: (
+        (sups[i] - slack) / bounds[i] if bounds[i] > 0.0
+        else np.inf if sups[i] > slack else -np.inf))
     worst = ((np.inf, max(bounds, default=0.0), None, None, None)
              if i is None else
              (sups[i], bounds[i], traj.times[i],
@@ -282,7 +283,7 @@ def check_max_principle(traj, spec):
     context = {"spec": spec.context_hash(), "mode": traj.meta.get("mode"),
                "t_worst": worst[2], "cell_worst": worst[3],
                "curve": worst[4], **extra}
-    return _report("max_principle", worst[0], worst[1], 0.0, 1e-10, context)
+    return _report("max_principle", worst[0], worst[1], 0.0, slack, context)
 
 
 # --- stability ----------------------------------------------------------------
@@ -500,7 +501,9 @@ def check_bln(traj, spec, k_values):
     # the initial datum, not a boundary trace, sits at t = 0
     scored = [i for i, t in enumerate(traj.times) if t > 0.0]
     n_scored = len(scored)
-    worst = (-np.inf, None, None, None, None)
+    # with nothing to certify the report fails with measured = inf
+    worst = (-np.inf if n_scored and len(k_values) else np.inf,
+             None, None, None, None)
     if n_scored and len(k_values):
         # every scored trace and its data as one (n_scored, nx) array
         ts = np.asarray([traj.times[i] for i in scored])[:, None]
@@ -525,8 +528,6 @@ def check_bln(traj, spec, k_values):
                 if value > worst[0]:
                     worst = (value, traj.times[scored[i]], end, [cx, cs],
                              float(k))
-    else:
-        worst = (np.inf, None, None, None, None)  # nothing to certify
     context = {"spec": spec.context_hash(), "tol": tol,
                "k_values": list(map(float, k_values)), "n_scored": n_scored,
                "t_worst": worst[1], "end": worst[2], "cell_worst": worst[3],
@@ -538,16 +539,12 @@ def check_bln(traj, spec, k_values):
 
 def check_jump(traj, spec):
     """The impulse jump condition u(tau+) = u(tau-) + beta(x, s, u(tau-)),
-    cell by cell to 1e-14, the post-jump sup-norm against M3, and the
-    monotonicity of the jump map.  M3 is ``problem.sup_bound`` at the
-    time of ``tau_plus`` with unit kick mass.
-
-    The jump map lambda -> lambda + beta(x, s, lambda) must be
-    nondecreasing on |lambda| <= M2, or the impulsive march is not
-    monotone.  ``min_jump_weight`` is its sampled minimum slope, from
-    ``problem.min_jump_slope`` as in ``solver.solve_impulsive``.  The
-    measured value is the largest of the pointwise and post-jump ratios
-    and 1 - min_jump_weight, so the row fails when the slope is negative.
+    cell by cell to 1e-14, the post-jump sup-norm against M3 =
+    ``problem.sup_bound`` at ``tau_plus`` with unit kick mass, and the jump
+    map's least slope ``min_jump_weight``, 1 + ``problem.min_kick_slope``
+    as in ``solver.solve_impulsive``.  The measured value is the largest of
+    the pointwise and post-jump ratios and 1 - min_jump_weight, so the row
+    fails where the map decreases and the impulsive march is not monotone.
     """
     if traj.tau_minus is None or traj.tau_plus is None:
         raise MissingTauTracesError("trajectory has no pre/post jump fields")
@@ -559,7 +556,7 @@ def check_jump(traj, spec):
             "x": xc[:, None], "s": sc[None, :], "lambda": um.values})
     pointwise = float(np.max(np.abs(jump)))
     m3 = sup_bound(spec, up.t, 1.0, inflate=NORM_INFLATION)
-    min_weight = min_jump_slope(spec)
+    min_weight = 1.0 + min_kick_slope(spec, 0.0)
     post_sup = up.sup_norm()
     measured = max(pointwise / 1e-14, post_sup / max(m3, 1e-300),
                    1.0 - min_weight)
@@ -602,28 +599,19 @@ def check_gamma_limit(spec, grid, gammas, options=None, map_fn=map):
 
 def gamma_limit_report(spec, gammas, errors, trajs, ref):
     """Assemble the singular-limit report from precomputed runs."""
-    windows_exact = True
-    for g, traj in zip(gammas, trajs):
-        cutoff = spec.tau - g - traj.meta["dt"]
-        for t, f_g, f_ref in zip(traj.times, traj.fields, ref.fields):
-            if t <= cutoff and not np.array_equal(f_g.values, f_ref.values):
-                windows_exact = False
-                break
-
-    if max(errors) <= 1e-12:
-        measured, bound = 0.0, 0.5
-        monotone = True
-    else:
-        monotone = all(errors[i + 1] <= 1.05 * errors[i]
-                       for i in range(len(errors) - 1))
-        measured = errors[-1] / errors[0]
-        bound = 0.5
-    passed_all = monotone and windows_exact
-    report = _report("gamma_limit", measured, bound, 0.0, 0.0,
+    windows_exact = all(
+        np.array_equal(f_g.values, f_ref.values)
+        for g, traj in zip(gammas, trajs)
+        for t, f_g, f_ref in zip(traj.times, traj.fields, ref.fields)
+        if t <= spec.tau - g - traj.meta["dt"])
+    flat = max(errors) <= 1e-12
+    monotone = flat or all(b <= 1.05 * a for a, b in zip(errors, errors[1:]))
+    report = _report("gamma_limit", 0.0 if flat else errors[-1] / errors[0],
+                     0.5, 0.0, 0.0,
                      {"spec": spec.context_hash(), "gammas": list(gammas),
                       "errors": list(errors), "monotone": monotone,
                       "pre_window_bitwise": windows_exact})
-    report.passed = report.passed and passed_all
+    report.passed = report.passed and monotone and windows_exact
     return report
 
 
@@ -639,19 +627,14 @@ def check_epsilon_cauchy(spec, grid, epsilons, gamma, options=None,
     trajs = list(map_fn(functools.partial(
         solver_mod.solve_regularized, spec, grid, gamma=gamma,
         options=options, dt=dt), epsilons))
-    diffs = [spacetime_l1_diff(trajs[i], trajs[i + 1])
-             for i in range(len(trajs) - 1)]
+    diffs = [spacetime_l1_diff(a, b) for a, b in zip(trajs, trajs[1:])]
     return epsilon_cauchy_report(spec, epsilons, diffs)
 
 
 def epsilon_cauchy_report(spec, epsilons, diffs):
     """Assemble the vanishing-viscosity report from precomputed differences."""
-    if max(diffs) <= 1e-14:
-        measured = 0.0
-    else:
-        ratios = [diffs[i + 1] / max(diffs[i], 1e-300)
-                  for i in range(len(diffs) - 1)]
-        measured = max(ratios)
+    measured = 0.0 if max(diffs) <= 1e-14 else max(
+        b / max(a, 1e-300) for a, b in zip(diffs, diffs[1:]))
     return _report("epsilon_cauchy", measured, 1.0, 0.0, 0.0,
                    {"spec": spec.context_hash(), "epsilons": list(epsilons),
                     "diffs": list(diffs)})

@@ -99,6 +99,19 @@ def test_run_prints_and_stores_its_step_and_wall_times(tmp_path, capsys):
     assert lines[-1].startswith("wrote ")
 
 
+def test_run_of_a_delayed_source_samples_no_b0(tmp_path, monkeypatch):
+    # the kick's guard reads problem.min_kick_slope; sup|dbeta/dlambda| is
+    # for the paper's growth constants and the stability estimate alone
+    calls = []
+    real = kernels.estimate_dbeta_sup
+    monkeypatch.setattr(kernels, "estimate_dbeta_sup",
+                        lambda *args: calls.append(args) or real(*args))
+    traj = tmp_path / "traj"
+    assert cli.main(["run", str(_config(tmp_path)), "--out", str(traj)]) == 0
+    assert json.loads((traj / "meta.json").read_text())["gamma"] == 0.1
+    assert calls == []
+
+
 def test_verify_scores_the_entropy_residual_of_a_regularized_run(tmp_path):
     # eps > 0 at stride 1: the residual carries eps D_ss; the boundary
     # entropy row stays an eps = 0 check
@@ -245,6 +258,36 @@ def test_verify_of_a_trajectory_with_unknown_options_exits_1(run_dir,
     assert not (traj / "reports.csv").exists()
 
 
+@pytest.mark.parametrize("key, value, what", [
+    ("options", "x", "an object"),
+    ("dt", "abc", "a finite number > 0"),
+    ("dt", 0.0, "a finite number > 0"),
+    ("dt", float("inf"), "a finite number > 0"),
+    ("m_bound", -1.0, "a finite number > 0"),
+    ("m_bound", None, "a finite number > 0"),
+    ("eps", -0.5, "a finite number >= 0"),
+    ("eps", float("nan"), "a finite number >= 0"),
+    ("gamma", "0.1", "a finite number >= 0"),
+    ("n_steps", 2.5, "a positive integer"),
+    ("n_steps", 0, "a positive integer"),
+    ("stride", True, "a positive integer"),
+    ("n_tau", 1.5, "an integer or null"),
+    ("n_tau", "3", "an integer or null"),
+    ("mode", "explicit", "regularized, entropy or impulsive")])
+def test_verify_of_a_meta_json_of_the_wrong_type_exits_1(run_dir, capsys,
+                                                         key, value, what):
+    cfg, traj = run_dir
+    meta = json.loads((traj / "meta.json").read_text())
+    meta[key] = value
+    (traj / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: meta.json: {key} = {json.dumps(value)} is not "
+                   f"{what}\n")
+    assert not (traj / "reports.csv").exists()
+
+
 def test_verify_of_a_trajectory_without_meta_json_exits_1(run_dir, capsys):
     # without meta.json the run's dt and step count are unknown
     cfg, traj = run_dir
@@ -295,28 +338,32 @@ def test_only_an_impulsive_run_writes_jump_fields(run_dir, tmp_path):
 
 
 def test_verify_samples_each_bound_once(tmp_path):
-    # a stride-1 delayed-source run: the growth constants, the Gronwall
-    # weight and the entropy residual's stepper all read one b0
+    # a stride-1 delayed-source run: b0 once, for the growth constants; the
+    # run compared with itself weighs no term by it, and the rebuilt
+    # steppers, given their dt, read no kick slope
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG.format(u0_1=U01_TEXT).replace(
         "snapshot_stride = 4", "snapshot_stride = 1"))
     traj = tmp_path / "traj"
     assert cli.main(["run", str(cfg), "--out", str(traj)]) == 0
     kernels.estimate_dbeta_sup.cache_clear()
-    problem._beta_sup.cache_clear()
+    problem._horizon.cache_clear()
+    problem.min_kick_slope.cache_clear()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
     assert "entropy_residual" in _rows(traj / "reports.csv")
     info = kernels.estimate_dbeta_sup.cache_info()
-    assert info.misses == 1 and info.hits >= 2
-    assert problem._beta_sup.cache_info().misses == 1
+    assert (info.misses, info.hits) == (1, 0)
+    assert problem._horizon.cache_info().misses == 1
+    assert problem.min_kick_slope.cache_info().misses == 0
     # an impulsive run: sup|beta| once, for the bound curve, the jump
     # weight's radius and M3 in check_jump; b0 never, as the run compared
     # with itself gives a stability estimate of 0 whatever b0 is
     cfg, traj = _impulsive_dir(tmp_path)
-    problem._beta_sup.cache_clear()
+    problem._horizon.cache_clear()
+    problem.min_kick_slope.cache_clear()
     kernels.estimate_dbeta_sup.cache_clear()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
-    info = problem._beta_sup.cache_info()
+    info = problem._horizon.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     assert kernels.estimate_dbeta_sup.cache_info().misses == 0
 

@@ -8,7 +8,7 @@ import pytest
 
 from upkolmo import io as upk_io
 from upkolmo import kernels, solver
-from upkolmo.problem import Field, Grid, Trajectory
+from upkolmo.problem import Field, Grid, Trajectory, min_kick_slope
 from upkolmo.scheme import LAX_FRIEDRICHS, SchemeOptions
 from scenarios import source_spec, unit_grid
 
@@ -44,21 +44,28 @@ def test_round_trip_keeps_options_fields_and_jump_fields(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["entropy", "impulsive"])
-def test_round_trip_keeps_b0_and_the_step_term(tmp_path, mode):
-    # a delayed source stores its sampled b0, the impulse none; the
-    # convective bound sets dt on the source problem
+def test_round_trip_keeps_the_kick_slope_and_the_step_term(tmp_path, mode):
+    # a delayed source stores the slope over unit kick mass, the impulse
+    # over none; the convective bound sets dt on the source problem
     spec = source_spec()
     solve = {"entropy": solver.solve_entropy,
              "impulsive": solver.solve_impulsive}[mode]
     traj = solve(spec, unit_grid(8))
-    b0 = (kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
-          if mode == "entropy" else None)
-    assert (traj.meta["b0"], traj.meta["dt_term"]) == (b0, "convective")
+    slope = min_kick_slope(spec, 1.0 if mode == "entropy" else 0.0)
+    assert (traj.meta["kick_slope"], traj.meta["dt_term"]) == (
+        slope, "convective")
     upk_io.write_trajectory(tmp_path, traj)
     stored = json.loads((tmp_path / "meta.json").read_text())
-    assert (stored["b0"], stored["dt_term"]) == (b0, "convective")
+    assert (stored["kick_slope"], stored["dt_term"]) == (slope, "convective")
     back = upk_io.read_trajectory(tmp_path)
-    assert (back.meta["b0"], back.meta["dt_term"]) == (b0, "convective")
+    assert (back.meta["kick_slope"], back.meta["dt_term"]) == (
+        slope, "convective")
+    # a directory written before the slope holds b0 in its place
+    stored["b0"] = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S,
+                                              spec.b1)
+    del stored["kick_slope"]
+    (tmp_path / "meta.json").write_text(json.dumps(stored))
+    assert upk_io.read_trajectory(tmp_path).meta["b0"] == stored["b0"]
 
 
 def test_meta_json_lists_every_option_once(tmp_path):

@@ -58,6 +58,12 @@ def test_the_command_line_does_not_load_the_process_pool():
     assert not _loaded_by_the_command_line("concurrent.futures.process")
 
 
+def test_the_command_line_does_not_load_the_checks():
+    # `run` reads no check: `verify`, and the csv module its reports need,
+    # load with the commands that use them
+    assert _loaded("upkolmo.cli", ["upkolmo.verify", "csv"]) == []
+
+
 def _unused_imports(path):
     """Names a module imports and never uses; a name in ``__all__`` counts
     as used, and an import marked ``# noqa: F401`` is skipped."""

@@ -370,17 +370,17 @@ class TestImpulsiveBounds:
         # every bound of a spec, of any window, mass or inflation, reads one
         # sampled sup|beta|
         spec = source_spec()
-        P._beta_sup.cache_clear()
+        P._horizon.cache_clear()
         first = P.sup_bound(spec, spec.T, 1.0)
         times = np.array([0.25, 0.5, 1.0])
         got = P.sup_bound(spec, times, [[0.0] * 3, [0.0, 0.5, 1.0]],
                           inflate=P.NORM_INFLATION)
         assert got.shape == (2, 3) and got[1, -1] > got[0, -1]
         assert P.sup_bound(spec, spec.T, 1.0) == first
-        info = P._beta_sup.cache_info()
+        info = P._horizon.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         assert P.sup_bound(spec.with_data(beta=None), spec.T, 1.0) < first
-        assert P._beta_sup.cache_info().misses == 2
+        assert P._horizon.cache_info().misses == 2
 
 
 def test_describe_hash_stable():
@@ -524,8 +524,9 @@ class TestJumpSlopeSampling:
         spec = source_spec()
         if text is not None:
             spec = spec.with_data(beta=E.parse(text))
-        assert P.min_jump_slope(spec) == self._reference(spec)
-        assert P.min_jump_slope(spec, n=70) == self._reference(spec, n=70)
+        assert 1 + P.min_kick_slope(spec, 0.0) == self._reference(spec)
+        assert (1 + P.min_kick_slope(spec, 0.0, n=70)
+                == self._reference(spec, n=70))
 
     def test_peaks_below_4_mib(self):
         # 64^3 samples and the data norms' own sampling; the one evaluation
@@ -533,7 +534,7 @@ class TestJumpSlopeSampling:
         spec = source_spec()
         tracemalloc.start()
         try:
-            P.min_jump_slope(spec)
+            P.min_kick_slope.__wrapped__(spec, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -551,4 +552,4 @@ class TestJumpSlopeSampling:
         spec = source_spec()
         if text is not None:
             spec = spec.with_data(beta=E.parse(text))
-        assert P.min_jump_slope(spec) == float.fromhex(pinned)
+        assert 1 + P.min_kick_slope(spec, 0.0) == float.fromhex(pinned)

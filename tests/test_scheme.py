@@ -270,6 +270,16 @@ class TestCfl:
         sup_beta = P.slab_sup(spec, spec.beta, max(base, spec.b1) + 1.0)
         assert S.reachable_bound(spec) == 1.05 * (base + sup_beta) + 0.5
 
+    def test_reachable_bound_samples_the_data_norms_once(self, monkeypatch):
+        # D(0, T) serves both B(T) and the radius of sup|beta|'s slab
+        calls = []
+        real = P.data_sup_norms
+        monkeypatch.setattr(P, "data_sup_norms",
+                            lambda *args: calls.append(args) or real(*args))
+        P._horizon.cache_clear()
+        assert S.reachable_bound(source_spec()) == 1.8632217401562103
+        assert len(calls) == 1
+
     def test_degenerate_grid(self):
         with pytest.raises(S.DegenerateGridError):
             S.Stepper(nosource_spec(), Grid(0, 16, 1.0, 1.0))
@@ -281,7 +291,7 @@ class TestCfl:
                  options=S.SchemeOptions(cfl_safety=safety))
 
     def test_delay_width_leaves_the_step_alone(self):
-        # the source is a kick, not a CFL term: with b0 = 0.384 <= 1 the
+        # the source is a kick, not a CFL term: with slope -0.384 >= -1 the
         # 64x64 march takes as many steps at gamma = 0.001 as at gamma = 0
         # (973 when the source sat in the explicit part)
         spec = source_spec()
@@ -291,17 +301,30 @@ class TestCfl:
         assert steps == {0.1: 265, 0.001: 265, 0.0: 265}
 
     def test_kick_caps_the_step_where_b0_exceeds_1(self):
-        # beta = -3 lambda bumps: b0 = 3, so theta b0 <= 1 needs dt <=
-        # gamma / (2 omega(0) b0), times the safety factor
+        # beta = -3 lambda bumps: the kick's slope is -3, so 1 - 3 theta >=
+        # 0 needs dt <= gamma / (2 omega(0) 3), times the safety factor;
+        # the cap is the one sup|dbeta/dlambda| gave, bit for bit
         spec = source_spec(gamma=0.02).with_data(
             beta=E.parse("-3*lambda*(max(0, 1-((x-0.5)/0.35)^2))^2"
                          "*(max(0, 1-((s-0.5)/0.35)^2))^2"))
         grid = Grid(nx=16, ns=16, L=1.0, S=1.0)
         b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
         assert b0 == pytest.approx(3.0, rel=1e-2)  # sampled off the centre
+        assert -P.min_kick_slope(spec, 1.0) == b0
         cap = 0.9 * 0.02 / (2.0 * float(kernels.omega(0.0)) * b0)
         assert _cfl(spec, grid, gamma=0.02) == cap
         assert _cfl(spec, grid) > cap  # no cap at gamma = 0
+
+    def test_an_increasing_kick_is_not_capped(self):
+        # +3 lambda bumps: sup|dbeta/dlambda| = 3, but the kick's slope is
+        # 1 + 3 theta >= 1, which no step size can make decrease
+        spec = source_spec(gamma=0.02).with_data(
+            beta=E.parse("3*lambda*(max(0, 1-((x-0.5)/0.35)^2))^2"
+                         "*(max(0, 1-((s-0.5)/0.35)^2))^2"))
+        stepper = S.Stepper(spec, Grid(nx=16, ns=16, L=1.0, S=1.0), eps=0.0,
+                            m_bound=1.0)
+        assert stepper.kick_slope == 0.0  # beta's min slope, at the edges
+        assert stepper.dt_term == "convective"
 
     def test_records_the_term_that_set_the_step(self):
         grid = Grid(nx=16, ns=16, L=1.0, S=1.0)
@@ -320,12 +343,19 @@ class TestCfl:
         # a step the caller fixes was set by no term
         assert S.Stepper(source_spec(), grid, dt=0.01).dt_term is None
 
-    def test_b0_is_sampled_for_a_delayed_source_only(self):
+    def test_kick_slope_is_sampled_on_first_use(self):
+        # unit kick mass before a delayed kick, none before the impulse; a
+        # Stepper given its dt samples neither the slope nor a flux's coeff
         spec, grid = source_spec(), Grid(nx=8, ns=8, L=1.0, S=1.0)
-        b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
-        assert S.Stepper(spec, grid, gamma=0.1, dt=0.01).b0 == b0
-        assert S.Stepper(spec, grid, gamma=0.0).b0 is None
-        assert S.Stepper(nosource_spec(), grid, gamma=0.1).b0 is None
+        stepper = S.Stepper(spec, grid, gamma=0.1, dt=0.01)
+        stepper.flux_a.split(np.zeros(3))
+        assert "kick_slope" not in vars(stepper)
+        assert "flux_phi" not in vars(stepper)
+        assert "coeff" not in vars(stepper.flux_a)
+        assert stepper.kick_slope == P.min_kick_slope(spec, 1.0)
+        assert (S.Stepper(spec, grid, gamma=0.0).kick_slope
+                == P.min_kick_slope(spec, 0.0))
+        assert S.Stepper(nosource_spec(), grid, gamma=0.1).kick_slope is None
 
 
 def _random_field(rng, grid, amp=0.8):

@@ -7,7 +7,7 @@ import pytest
 
 from upkolmo import exprdsl as E
 from upkolmo import solver, verify
-from upkolmo.problem import (Grid, ProblemSpec, min_jump_slope,
+from upkolmo.problem import (Grid, ProblemSpec, min_kick_slope,
                              refined_max_bound)
 from upkolmo.scheme import SchemeOptions, Stepper, reachable_bound
 from scenarios import (nosource_spec, source_spec, unit_grid, zero_spec,
@@ -80,7 +80,7 @@ class TestJumpMap:
         # the workload's beta: 1 + d beta/d lambda >= 0.66 on |lambda| <=
         # 1.01 M2
         spec = source_spec()
-        assert min_jump_slope(spec) == pytest.approx(0.663, abs=2e-3)
+        assert 1 + min_kick_slope(spec, 0.0) == pytest.approx(0.663, abs=2e-3)
         assert solver.solve_impulsive(spec, unit_grid(8)).tau_plus is not None
 
     def test_decreasing_jump_map_is_rejected(self):
@@ -98,7 +98,7 @@ class TestKickCap:
         # b0 <= 1; the capped dt keeps it so on every value the run takes
         spec = source_spec(gamma=0.02).with_data(
             beta=E.parse(f"-3*lambda*{XBUMP}*{SBUMP}*{LCUT}"))
-        assert min_jump_slope(spec) < 0.0
+        assert 1 + min_kick_slope(spec, 0.0) < 0.0
         grid = unit_grid(16)
         traj = solver.solve_entropy(
             spec, grid, options=SchemeOptions(snapshot_stride=1))

@@ -7,7 +7,7 @@ from upkolmo import exprdsl as E
 from upkolmo import cli, kernels, solver, verify
 from upkolmo.problem import (Field, Trajectory, ZeroInitialDataError,
                              data_sup_norms, golden_section_min,
-                             min_jump_slope, refined_max_bound, sample_sup,
+                             min_kick_slope, refined_max_bound, sample_sup,
                              slab_sup, stability_rhs, sup_bound)
 from upkolmo.scheme import (LAX_FRIEDRICHS, SchemeOptions, Stepper,
                             reachable_bound)
@@ -110,6 +110,46 @@ class TestMaxPrinciple:
         planted.fields[0].values[5, 7] = -1.01 * bounds[0]
         rep = verify.check_max_principle(planted, spec)
         assert rep.passed and rep.context["t_worst"] > 0.0
+
+    @staticmethod
+    def _planted(monkeypatch, bounds, sups):
+        """Snapshots at t = 0.1, 0.2, ... of the given sups, each held to
+        the given bound."""
+        grid = unit_grid(4)
+        traj = Trajectory(grid=grid, meta={"mode": "entropy"})
+        for i, sup in enumerate([0.0, *sups]):
+            values = np.zeros((4, 4))
+            values[1, 2] = -sup
+            traj.append(i / 10, Field(values, grid, i / 10))
+        monkeypatch.setattr(verify, "_bound_curves", lambda spec, tr: (
+            (1.0, *bounds), ["discrete"] * len(tr.times), {}))
+        return traj
+
+    def test_the_tightest_snapshot_decides_the_row(self, monkeypatch):
+        # 0.39 is 0.3 of its bound 1.3, tighter than 0.16 of 0.8, though
+        # its gap sup - bound, -0.91 against -0.64, is the lower
+        traj = self._planted(monkeypatch, [0.8, 1.3], [0.16, 0.39])
+        rep = verify.check_max_principle(traj, source_spec())
+        assert rep.passed and rep.context["t_worst"] == 0.2
+        assert (rep.measured, rep.bound) == (0.39, 1.3)
+        assert rep.context["cell_worst"] == [1, 2]
+
+    def test_a_failing_snapshot_is_the_one_named(self, monkeypatch):
+        # 1.5e-10 over the bound 0.8 fails (slack 1e-10); 0.99e-10 over the
+        # bound 1e-3 passes, though its sup / bound is the larger
+        traj = self._planted(monkeypatch, [1e-3, 0.8, 1.3],
+                             [1e-3 + 0.99e-10, 0.8 + 1.5e-10, 1.3])
+        rep = verify.check_max_principle(traj, source_spec())
+        assert not rep.passed and rep.context["t_worst"] == 0.2
+        assert (rep.measured, rep.bound) == (0.8 + 1.5e-10, 0.8)
+        # a bound of 0 ranks inf where the sup exceeds the slack, and
+        # below every bound > 0 where it does not
+        traj = self._planted(monkeypatch, [0.0, 1.3], [2e-10, 1.3])
+        rep = verify.check_max_principle(traj, source_spec())
+        assert not rep.passed and rep.context["t_worst"] == 0.1
+        traj = self._planted(monkeypatch, [0.0, 1.3], [0.5e-10, 0.2])
+        rep = verify.check_max_principle(traj, source_spec())
+        assert rep.passed and rep.context["t_worst"] == 0.2
 
     def test_no_snapshot_after_t0_fails(self):
         grid = unit_grid(8)
@@ -641,7 +681,7 @@ class TestJump:
         rep = verify.check_jump(traj, spec)
         assert not rep.passed
         # the slab sampler `run` refuses the map with
-        weight = min_jump_slope(spec)
+        weight = 1 + min_kick_slope(spec, 0.0)
         assert weight == pytest.approx(1.0 - 1.5, abs=5e-3)
         assert rep.context["min_jump_weight"] == weight
         assert rep.measured == 1.0 - weight
