@@ -25,9 +25,11 @@ No program path reaches this module: ``verify.check_jump`` checks the
 pointwise identity, which the kinetic form restates, and the jump map's
 slope with ``problem.min_kick_slope``.  It stays for the benchmark's traced
 pass (``bench/run.py``) and ``tests/test_chi.py``; delete it in the next
-benchmark change, with ``problem.golden_section_min``, ``kernels.k_gamma``,
-the ``flux`` methods of ``scheme`` and ``cli``'s ``refined_max_bound``
-re-export, which only that trace keeps alive.
+benchmark change, with what only that trace keeps alive:
+``problem.golden_section_min``, ``problem.refined_max_bound`` and its
+``ZeroInitialDataError``, the ``refined_max_bound`` bindings in ``verify``
+and ``cli``, ``kernels.source_growth_constants``, ``kernels.k_gamma`` and
+the ``flux`` methods of ``scheme``.
 
 All quadrature here is the midpoint rule on a uniform lambda grid: chi is
 piecewise constant, and midpoints never hit its breakpoints.  The

@@ -5,7 +5,7 @@ Expression values are double-quoted strings; everything else is a bare
 number or identifier.  Unknown sections or keys are rejected, missing
 required keys are rejected, and the loaded problem is validated (flux
 vanishing at zero, boundary-collar consistency of the data, delay-width
-budget).
+budget, beta vanishing beyond ``[source] b1``, and ``SchemeOptions``).
 
 Field files (extension ``.upkf``) are little-endian and bit-exact:
 
@@ -38,7 +38,10 @@ treated the lateral Laplacian and the source, and only
 the earlier explicit update, or with the source inside the explicit part,
 lacks the key, so it is refused instead of being scored against the wrong
 update.  The retired option ``x_diffusion`` loads only at the value every
-earlier run wrote (``_RETIRED_OPTIONS``); another value is refused.
+earlier run wrote (``_RETIRED_OPTIONS``); another value is refused, as
+is one ``SchemeOptions`` refuses.  The checks re-derive each step from
+``dt``, so ``n_steps`` dt must be the last snapshot time and every
+snapshot time a multiple of dt, both to 1e-9 steps.
 """
 
 from __future__ import annotations
@@ -54,8 +57,7 @@ import numpy as np
 
 from . import exprdsl
 from .problem import Field, Grid, ProblemSpec, Trajectory, consistency_errors
-from .scheme import (ENGQUIST_OSHER, LATERAL_DIFFUSION, LAX_FRIEDRICHS,
-                     SOURCE_STEP, SchemeOptions)
+from .scheme import LATERAL_DIFFUSION, SOURCE_STEP, SchemeOptions
 
 __all__ = [
     "LoadedConfig", "load_config", "write_field", "read_field",
@@ -255,24 +257,18 @@ def load_config(path):
     if errors:
         raise ValidationError("; ".join(errors))
 
-    kind = values[("scheme", "flux_kind")]
-    if kind not in (ENGQUIST_OSHER, LAX_FRIEDRICHS):
-        raise ValidationError(
-            f"flux_kind: expected '{ENGQUIST_OSHER}' or '{LAX_FRIEDRICHS}', "
-            f"got {kind!r}")
-    safety = values[("scheme", "cfl_safety")]
-    if not (0.0 < safety <= 1.0):
-        raise ValidationError(f"cfl_safety: must be in (0, 1], got {safety}")
-    stride = values.get(("grid", "snapshot_stride"), 32)
-    if stride < 1:
-        raise ValidationError(f"snapshot_stride: must be >= 1, got {stride}")
+    try:
+        options = SchemeOptions(
+            flux_kind=values[("scheme", "flux_kind")],
+            cfl_safety=values[("scheme", "cfl_safety")],
+            snapshot_stride=values.get(("grid", "snapshot_stride"), 32))
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     nx, ns = values[("grid", "Nx")], values[("grid", "Ns")]
     if nx < 2 or ns < 2:
         raise ValidationError(f"grid: need Nx, Ns >= 2, got {nx}, {ns}")
 
     grid = Grid(nx=nx, ns=ns, L=spec.L, S=spec.S)
-    options = SchemeOptions(flux_kind=kind, cfl_safety=safety,
-                            snapshot_stride=stride)
     out_dir = values.get(("output", "dir"), "out")
     return LoadedConfig(spec=spec, grid=grid, options=options,
                         output_dir=out_dir)
@@ -342,7 +338,10 @@ def _meta_from_json(data):
                                   dataclasses.fields(SchemeOptions)})
     if unknown:
         raise FormatError(f"meta.json: unknown options {', '.join(unknown)}")
-    out["options"] = SchemeOptions(**opts)
+    try:
+        out["options"] = SchemeOptions(**opts)
+    except ValueError as exc:
+        raise FormatError(f"meta.json: {exc}") from None
     return out
 
 
@@ -404,6 +403,15 @@ def read_trajectory(directory, L=1.0, S=1.0):
             raise FormatError(f"{directory}: unknown role {role!r}")
     if traj is None:
         raise FormatError(f"{directory}: empty trajectory")
+    dt, levels = meta["dt"], np.asarray(traj.times) / meta["dt"]
+    if abs(levels[-1] - meta["n_steps"]) > 1e-9:
+        raise FormatError(f"{directory}: n_steps * dt = "
+                          f"{meta['n_steps'] * dt!r} in meta.json is not the "
+                          f"last snapshot time {traj.times[-1]!r}")
+    off = np.flatnonzero(np.abs(levels - np.rint(levels)) > 1e-9)
+    if off.size:
+        raise FormatError(f"{directory}: snapshot time {traj.times[off[0]]!r} "
+                          f"is not a multiple of dt = {dt!r} in meta.json")
     if meta["mode"] == "impulsive" and None in jump.values():
         raise FormatError(f"{directory}: an impulsive run's index.csv lacks "
                           "the tau_minus or tau_plus row")

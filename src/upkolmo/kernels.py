@@ -105,9 +105,9 @@ def step_mass(t, dt, tau, gamma, n_tau):
 def estimate_dbeta_sup(beta, L, S, b1):
     """Sampled sup of |d(beta)/d(lambda)| over the slab (x, s) in the domain,
     lambda in [-(b1+1), b1+1], on 64 x 64 x 256 points.  An estimate, not a
-    proof, whose slab holds every slope, beta vanishing for |lambda| > b1.
-    Memoized: the AST is frozen, so a process samples b0 once for the
-    growth constants and the stability estimate, ``verify``'s alone."""
+    proof, whose slab holds every slope, beta vanishing for |lambda| >= b1
+    (``problem.consistency_errors``).  Memoized, as the AST is frozen: a
+    process samples b0 once, for the stability estimate, its one user."""
     return exprdsl.sample_sup(beta, ("x", "s", "lambda"),
                               [(0.0, L), (0.0, S), (-(b1 + 1.0), b1 + 1.0)],
                               n=(64, 64, 256), wrt="lambda")
@@ -120,7 +120,7 @@ def source_growth_constants(beta, gamma, *, L=1.0, S=1.0, b1=1.0):
         b2g = (1/gamma) * omega(0) * ||beta(.,.,0)||_C
 
     b0 bounds |d(beta)/d(lambda)|; it is estimated by dense sampling (see
-    estimate_dbeta_sup).
+    estimate_dbeta_sup).  No program path calls it (see ``chi``).
     """
     if gamma <= 0:
         raise NonPositiveGammaError(f"gamma must be positive, got {gamma}")

@@ -3,15 +3,11 @@
 The bounds implemented here are the quantitative side of the solver's
 a-priori theory:
 
-* ``max_principle_bound`` -- sup-norm bound for sources obeying a quadratic
-  growth condition with constants (b1g, b2g); the infimum over the free
-  exponential-weight parameter has a closed form.
-* ``refined_max_bound`` -- sharper sup-norm bound for a delayed impulse
-  source whose perturbation vanishes for |value| > b1.
 * ``sup_bound`` -- the march's own discrete maximum principle, both
-  sources (derived in ``verify``); at gamma = 0 the impulsive problem's M2
-  before the jump and M3 after.  ``min_kick_slope`` is beta's least slope
-  where it holds the kick's values, which keeps the kick nondecreasing.
+  sources, saturated at b1 (derived in ``verify``); at gamma = 0 the
+  impulsive problem's M2 before the jump and M3 after.  It rests on beta
+  = 0 for |lambda| >= b1 (``consistency_errors``) and on a kick that
+  ``min_kick_slope``, beta's least slope, keeps nondecreasing.
 * ``stability_rhs`` -- the L1 data-stability estimate of two runs of the
   march, both sources, over the snapshot times (derived in ``verify``),
   from each step's s-end inflow difference and kick mass.
@@ -35,7 +31,7 @@ from .exprdsl import sample_min, sample_sup
 
 __all__ = [
     "ProblemSpec", "Grid", "Field", "Trajectory",
-    "max_principle_bound", "refined_max_bound", "sup_bound", "stability_rhs",
+    "refined_max_bound", "sup_bound", "stability_rhs",
     "sample_sup", "slab_sup", "min_kick_slope", "data_sup_norms",
     "consistency_errors", "NORM_INFLATION",
     "ZeroInitialDataError", "GridMismatchError",
@@ -223,7 +219,16 @@ def consistency_errors(spec):
             continue
         if m >= 1e-12:
             errors.append(f"data {name}: |value| = {m:.3e} on the boundary collar")
-    return errors
+    if spec.beta is None or errors:
+        return errors
+    # every sup bound rests on beta = 0 for |lambda| >= b1 (see ``verify``)
+    try:
+        beyond = _horizon(spec)[2]
+    except exprdsl.DomainError as exc:
+        return [f"source beta: cannot be evaluated on its slab: {exc}"]
+    return [] if beyond < 1e-12 else [
+        f"source b1: |beta| = {beyond:.3e} on b1 = {spec.b1!r} <= |lambda|, "
+        "where beta must vanish"]
 
 
 # --- sampled sup-norms -----------------------------------------------------
@@ -240,12 +245,14 @@ def slab_sup(spec, beta, radius):
 @functools.lru_cache(maxsize=32)
 def min_kick_slope(spec, mass, n=64):
     """Sampled min of d beta / d lambda, signed, on n points per axis over
-    |lambda| <= 1.01 B(tau) with ``mass`` the kick mass applied before the
-    kick: every value a kick acts on (see ``verify``).  0.0 without a
-    beta.  Memoized, as ``_horizon`` is."""
+    |lambda| <= B(tau), norms inflated 1%, with ``mass`` the kick mass
+    applied before the kick: every value a kick acts on, and |lambda| <= b1
+    too where B(tau) with unit mass reaches b1 (see ``verify``).  0.0
+    without a beta.  Memoized, as ``_horizon`` is."""
     if spec.beta is None:
         return 0.0
-    radius = sup_bound(spec, spec.tau, mass, inflate=NORM_INFLATION)
+    reach = sup_bound(spec, spec.tau, (mass, 1.0), inflate=NORM_INFLATION)
+    radius = max(reach[0], spec.b1 if reach[1] >= spec.b1 else 0.0)
     return sample_min(spec.beta, ("x", "s", "lambda"),
                       [(0.0, spec.L), (0.0, spec.S), (-radius, radius)],
                       n=n, wrt="lambda")
@@ -285,7 +292,7 @@ def sampled_deriv_max(expr, lo, hi):
 # --- closed-form bounds ----------------------------------------------------
 
 # No program path searches: bench/run.py traces this name, and the tests
-# check max_principle_bound against it.
+# check the paper's growth bound against it.
 def golden_section_min(f, a, b, tol=1e-10):
     """Golden-section minimization of a unimodal function on [a, b]."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -305,31 +312,7 @@ def golden_section_min(f, a, b, tol=1e-10):
     return x, f(x)
 
 
-def max_principle_bound(t_prime, b1g, b2g, dnorm):
-    """Sup-norm bound M(t'): infimum over xi > b1g of
-
-        exp(xi t') * max(dnorm, sqrt(b2g / (xi - b1g))),
-
-    where ``dnorm`` is the sup-norm of the data over (0, t').  In
-    g = xi - b1g the objective falls while g < 1/(2t') and the tail
-    sqrt(b2g / g) exceeds dnorm, and rises after, so the infimum is at
-    g = min(1/(2t'), b2g / dnorm^2):
-
-        M = exp(b1g t' + 1/2) * sqrt(2 b2g t')     if 2 b2g t' >= dnorm^2,
-        M = dnorm * exp((b1g + b2g / dnorm^2) t')  otherwise.
-
-    ``t_prime`` and ``dnorm`` may be arrays.
-    """
-    t = np.asarray(t_prime, dtype=float)
-    d = np.asarray(dnorm, dtype=float)
-    # the branch not taken may divide by dnorm = 0 or overflow
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.where(2.0 * b2g * t >= d * d,
-                       np.exp(b1g * t + 0.5) * np.sqrt(2.0 * b2g * t),
-                       d * np.exp((b1g + b2g / (d * d)) * t))
-    return float(out) if out.ndim == 0 else out
-
-
+# Only bench/run.py's trace and the tests (against sup_bound) read this.
 def refined_max_bound(spec, t_prime, inflate=1.0):
     """Sharper bound M7(t') for the delayed-impulse source.
 
@@ -357,22 +340,34 @@ def refined_max_bound(spec, t_prime, inflate=1.0):
 
 @functools.lru_cache(maxsize=32)
 def _horizon(spec):
-    """D(0, T) and sup|beta| over |lambda| <= max(D(0, T), b1) + 1.
-    Memoized: specs are frozen, so a process samples them once, however
-    many bounds read them."""
+    """D(0, T), sup|beta| on ``slab_sup``'s points to |lambda| = max(D(0,
+    T), b1) + 1, and max |beta| on those with |lambda| >= b1 and +-b1, from
+    max |beta| over (x, s) at each lambda, 16 lambdas (``ELEMENT_BUDGET``
+    samples) at a time.  Memoized: a process samples a frozen spec once."""
     base = max(data_sup_norms(spec).values())
-    return base, slab_sup(spec, spec.beta, max(base, spec.b1) + 1.0)
+    r = max(base, spec.b1) + 1.0
+    lam = np.append(np.linspace(-r, r, 64), (-spec.b1, spec.b1))
+    x, s = np.linspace(0.0, spec.L, 64)[:, None], np.linspace(0.0, spec.S, 64)
+    beta = exprdsl.compile(spec.beta or exprdsl.Num(0.0))[0]
+    at_lam = np.concatenate([np.abs(np.broadcast_to(beta({
+        "x": x, "s": s, "lambda": part[:, None, None]}), (part.size, 64, 64)))
+        .reshape(part.size, -1).max(axis=1)
+        for part in np.split(lam, range(16, lam.size, 16))])
+    return base, float(at_lam[:64].max()), float(
+        at_lam[np.abs(lam) >= spec.b1].max())
 
 
 def sup_bound(spec, times, masses, inflate=1.0):
-    """B(t) = D(0, t) + m(t) sup|beta| (derived in ``verify``): D the data
-    norm over (0, t), m the kick mass the march has applied by t.
-    ``times`` may be an array, or None for T, and ``masses`` any shape that
-    broadcasts against it; ``inflate`` scales both sampled norms."""
-    base, beta_sup = _horizon(spec)
+    """B(t) = min(D(0, t) + m(t) sup|beta|, max(D(0, t), b1)) (derived in
+    ``verify``): D the data norm over (0, t), m the kick mass the march
+    has applied by t.  ``times`` may be an array, or None for T, and
+    ``masses`` any shape that broadcasts against it; ``inflate`` scales
+    both sampled norms, not b1."""
+    base, beta_sup, _ = _horizon(spec)
     dnorm = base * inflate if times is None else functools.reduce(
         np.maximum, data_sup_norms(spec, (0.0, times), inflate).values())
-    out = dnorm + np.asarray(masses, dtype=float) * (beta_sup * inflate)
+    out = np.minimum(dnorm + np.asarray(masses, dtype=float)
+                     * (beta_sup * inflate), np.maximum(dnorm, spec.b1))
     return float(out) if out.ndim == 0 else out
 
 

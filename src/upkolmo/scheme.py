@@ -118,9 +118,23 @@ class SupNormExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SchemeOptions:
+    """How the march steps and stores, every value checked here."""
+
     flux_kind: str = ENGQUIST_OSHER
     cfl_safety: float = 0.9
     snapshot_stride: int = 32
+
+    def __post_init__(self):
+        if self.flux_kind not in (ENGQUIST_OSHER, LAX_FRIEDRICHS):
+            raise ValueError(f"flux_kind: expected '{ENGQUIST_OSHER}' or "
+                             f"'{LAX_FRIEDRICHS}', got {self.flux_kind!r}")
+        safety, stride = self.cfl_safety, self.snapshot_stride
+        if isinstance(safety, bool) or not (
+                isinstance(safety, (int, float)) and 0.0 < safety <= 1.0):
+            raise ValueError(f"cfl_safety: must be in (0, 1], got {safety!r}")
+        if type(stride) is not int or stride < 1:   # bool is not int here
+            raise ValueError(
+                f"snapshot_stride: must be an integer >= 1, got {stride!r}")
 
 
 def reachable_bound(spec):
@@ -222,8 +236,6 @@ class Stepper:
         if grid.nx <= 0 or grid.ns <= 0 or grid.dx <= 0 or grid.ds <= 0:
             raise DegenerateGridError(f"grid {grid}")
         self.options = options or SchemeOptions()
-        if self.options.flux_kind not in (ENGQUIST_OSHER, LAX_FRIEDRICHS):
-            raise ValueError(f"unknown flux kind {self.options.flux_kind!r}")
         self.spec = spec
         self.grid = grid
         self.eps = spec.epsilon if eps is None else eps
@@ -301,8 +313,6 @@ class Stepper:
         """
         spec, grid = self.spec, self.grid
         safety = self.options.cfl_safety
-        if not (0.0 < safety <= 1.0):
-            raise ValueError(f"safety must be in (0, 1], got {safety}")
         denom = self.flux_a.coeff / grid.ds + self.flux_phi.coeff / grid.dx
         if self.eps > 0:
             denom += 2.0 * self.eps / grid.ds ** 2

@@ -175,8 +175,7 @@ def solve_impulsive(spec, grid, options=None, dt=None, m_bound=None):
     slope = 1.0 + min_kick_slope(spec, 0.0)
     if slope < 0.0:
         raise ValueError(
-            f"the jump map lambda -> lambda + beta decreases: 1 + d beta / "
-            f"d lambda reaches {slope:.6g} on |lambda| <= 1.01 M2, so the "
-            "impulsive march would not be monotone")
+            f"the jump map lambda -> lambda + beta decreases: 1 + d beta / d "
+            f"lambda reaches {slope:.6g}, so the march would not be monotone")
     return _march(spec, grid, 0.0, 0.0, options, dt, m_bound, "impulsive")
 

@@ -12,20 +12,29 @@ check on the same inputs reproduces the line verbatim.
 
 Notes on three deliberately discrete constructions:
 
-* The sup-norm bound is the march's own maximum principle, |u^n| <=
-  B(t_n) = D(0, t_n) + (sum_{m<n} theta_m) sup|beta| (``problem.sup_bound``;
-  Crandall & Majda, Math. Comp. 34, 1980), D(0, t) the data norm over (0,
-  t).  The explicit update is monotone and keeps constants, so |u*| <=
-  max(|u^n|, the s-end ghosts at t_n), the x-ghosts being 0.  The lateral
-  inverse is >= 0 with row sums <= 1.  The kick adds at most theta_n
-  sup|beta|, over |lambda| <= max(D(0, T), b1) + 1, which holds every
-  value where beta is nonzero.  At gamma = 0 the sum is 0 before the
-  jump's level and 1 from it on: the impulsive M2 and M3.  Every kick
-  starts at some t_n < tau, as theta_n = 0 from tau on, so the v it acts
-  on, after the explicit update and the lateral inverse, has |v| <= B(tau)
+* The sup-norm bound is the march's own maximum principle (Crandall &
+  Majda, Math. Comp. 34, 1980): |u^n| <= B(t_n) = min(D(0, t_n) + m_n
+  sup|beta|, max(D(0, t_n), b1)) (``problem.sup_bound``), D(0, t) the
+  data norm over (0, t), nondecreasing in t, and m_n = sum_{m<n} theta_m.
+  By induction: the explicit update is monotone and keeps constants, and
+  the lateral inverse is >= 0 with row sums <= 1, so the v a kick acts on
+  has |v| <= R = max(|u^n|, the s-end ghosts at t_n) <= B(t_n), the
+  x-ghosts being 0.  The kick H(v) = v + theta_n beta(v) maps [-R, R]
+  into [-R - theta_n sup|beta|, R + theta_n sup|beta|] and, if it is
+  nondecreasing on [-b1, b1], into [-max(R, b1), max(R, b1)], as beta = 0
+  for |lambda| >= b1; so |u^{n+1}| <= B(t_{n+1}).  sup|beta| is sampled
+  over |lambda| <= max(D(0, T), b1) + 1, which holds every R, and
+  ``problem.consistency_errors`` refuses a beta sampled nonzero at
+  |lambda| >= b1.  At gamma = 0 m_n is 0 before the jump's level and 1
+  from it on: the impulsive M2 and M3.  The paper's continuum bounds M
+  and M7 are never below B on the scenarios of the tests but the
+  zero-data one, whose run is exactly 0; no check reads them.  Every kick
+  starts at some t_n < tau, as theta_n = 0 from tau on, so |v| <= B(tau)
   with unit mass, or with none at gamma = 0, where the one kick is the
-  first: ``problem.min_kick_slope`` samples d beta / d lambda there, and
-  the kick is nondecreasing where 1 + theta_n times it is >= 0.
+  first; the min binds at a kick only if B(tau) with unit mass reaches
+  b1, D and m being nondecreasing.  ``problem.min_kick_slope`` samples d
+  beta / d lambda over both ranges, and the kick is nondecreasing where
+  1 + theta_n times it is >= 0.
 
 * The entropy residual is the largest, over every step, cell and k, of
   the cell inequality of the monotone update.  Each cell term is
@@ -113,11 +122,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprdsl, kernels
-from .problem import (NORM_INFLATION, GridMismatchError, ZeroInitialDataError,
-                      max_principle_bound, min_kick_slope, refined_max_bound,
+from .problem import (NORM_INFLATION, GridMismatchError, min_kick_slope,
                       stability_rhs, sup_bound)
-# bench/run.py traces the alias where `verify` binds it
-from .problem import stability_rhs_impulsive  # noqa: F401
+# bench/run.py traces these names where `verify` binds them
+from .problem import refined_max_bound, stability_rhs_impulsive  # noqa: F401
 from .scheme import NaNDetectedError, Stepper
 from . import solver as solver_mod
 from .solver import GammaOutOfRangeError
@@ -210,35 +218,15 @@ def spacetime_l1_diff(traj1, traj2):
 # --- sup-norm bound curves ----------------------------------------------------
 
 def _bound_curves(spec, traj):
-    """Per-snapshot sup-norm bounds and the curve that set each: B
-    (``discrete``), whose kick masses are ``Stepper.source_rate``'s from
-    the run's dt, gamma and n_tau, and for a delayed source (gamma > 0,
-    ``solver._require_gamma``) the paper's M and M7 (``paper``) where less."""
-    meta, times = traj.meta, traj.times
-    dt, gamma = meta["dt"], meta["gamma"]
+    """Each snapshot's sup-norm bound B (``problem.sup_bound``), with the
+    kick masses ``Stepper.source_rate`` gives the run's dt, gamma, n_tau."""
+    meta, times, dt = traj.meta, traj.times, traj.meta["dt"]
     levels = np.rint(np.asarray(times) / dt).astype(int)
     thetas = kernels.step_mass(np.arange(levels.max(initial=0)) * dt, dt,
-                               spec.tau, gamma, meta["n_tau"])
+                               spec.tau, meta["gamma"], meta["n_tau"])
     masses = np.concatenate(([0.0], np.cumsum(thetas)))[levels]
-    t_effs = np.maximum(times, 1e-9)
-    # the no-kick row is each snapshot's data norm, over its own (0, t)
-    dnorms, discrete = sup_bound(spec, t_effs, [np.zeros_like(masses), masses],
-                                 inflate=NORM_INFLATION)
-    if meta["mode"] == "impulsive":
-        return tuple(map(float, discrete)), ["discrete"] * len(times), {}
-    # no beta gives (0, 0)
-    b1g, b2g = (kernels.source_growth_constants(
-        spec.beta, gamma, L=spec.L, S=spec.S, b1=spec.b1)
-        if gamma > 0 else (0.0, 0.0))
-    paper = max_principle_bound(t_effs, b1g, b2g, dnorms)
-    try:
-        paper = np.minimum(paper, refined_max_bound(spec, t_effs,
-                                                    inflate=NORM_INFLATION))
-    except (ZeroInitialDataError, ValueError):
-        pass  # no refined bound: the growth bound stands alone
-    return (tuple(map(float, np.minimum(paper, discrete))),
-            np.where(discrete <= paper, "discrete", "paper").tolist(),
-            {"b1g": b1g, "b2g": b2g})
+    return tuple(map(float, sup_bound(spec, np.maximum(times, 1e-9), masses,
+                                      inflate=NORM_INFLATION)))
 
 
 def _inf_unless_finite(value):
@@ -255,20 +243,19 @@ def _worst_cell(values):
 
 
 def check_max_principle(traj, spec):
-    """Every t > 0 snapshot's sup-norm must respect the least applicable
-    bound of ``_bound_curves``.
+    """Every t > 0 snapshot's sup-norm must respect its bound B of
+    ``_bound_curves``.
 
     The t = 0 snapshot is the initial datum on the grid, which the bound
     covers by construction, so it is left out and every row is decided by
     the march.  The row is the snapshot of largest (sup - slack) / bound,
     which exceeds 1 exactly where the row fails, so a failing snapshot is
-    the one named; the context names it (``t_worst``), its cell
-    (``cell_worst``) and ``curve`` (``discrete`` or ``paper``).  A
-    non-finite value measures inf, and the first such snapshot is the
-    worst.  With no t > 0 snapshot there is nothing to certify and the
-    report fails with measured = inf.
+    the one named; the context names it (``t_worst``) and its cell
+    (``cell_worst``).  A non-finite value measures inf, and the first such
+    snapshot is the worst.  With no t > 0 snapshot there is nothing to
+    certify and the report fails with measured = inf.
     """
-    bounds, curves, extra = _bound_curves(spec, traj)
+    bounds = _bound_curves(spec, traj)
     sups = {i: _inf_unless_finite(fld.sup_norm())
             for i, (t, fld) in enumerate(zip(traj.times, traj.fields))
             if t > 0.0}
@@ -276,13 +263,11 @@ def check_max_principle(traj, spec):
     i = max(sups, default=None, key=lambda i: (
         (sups[i] - slack) / bounds[i] if bounds[i] > 0.0
         else np.inf if sups[i] > slack else -np.inf))
-    worst = ((np.inf, max(bounds, default=0.0), None, None, None)
-             if i is None else
+    worst = ((np.inf, max(bounds, default=0.0), None, None) if i is None else
              (sups[i], bounds[i], traj.times[i],
-              _worst_cell(np.abs(traj.fields[i].values)), curves[i]))
+              _worst_cell(np.abs(traj.fields[i].values))))
     context = {"spec": spec.context_hash(), "mode": traj.meta.get("mode"),
-               "t_worst": worst[2], "cell_worst": worst[3],
-               "curve": worst[4], **extra}
+               "t_worst": worst[2], "cell_worst": worst[3]}
     return _report("max_principle", worst[0], worst[1], 0.0, slack, context)
 
 

@@ -14,6 +14,15 @@ LCUT = "(max(0, 1-(lambda/2)^2))^2"
 
 BETA_TEXT = f"0.5*{XBUMP}*{SBUMP}*{LCUT}"
 U01_TEXT = f"0.8*{XBUMP}*{SBUMP}"
+# lambda on |lambda| <= 1, back to 0 at |lambda| = 2 and 0 beyond: c TENT
+# has slope c inside, -c on 1 < |lambda| < 2, and vanishes beyond b1 = 2
+TENT = "(max(0, min(lambda, 2-lambda)) - max(0, min(-lambda, 2+lambda)))"
+
+
+def flat_cut(b1):
+    """1 on |lambda| <= b1 - 0.1 and 0 from |lambda| = b1 on: a beta times
+    it vanishes beyond b1, with its values and slopes kept inside."""
+    return f"min(1, max(0, ({b1} - abs(lambda))*10))"
 
 
 def unit_grid(n=64):
@@ -51,6 +60,15 @@ def source_spec(beta_amp=0.5, gamma=0.1):
 
 def nosource_spec():
     return source_spec(beta_amp=0.0)
+
+
+def saturated_spec():
+    """A kick sum far above b1: u0_1 = 3 bumps and beta = 4 bumps cut off
+    at b1 = 1.5, so the sup bound saturates at max(D, b1) = D."""
+    cut = "(max(0, 1-(lambda/1.5)^2))^2"
+    return source_spec().with_data(
+        data_u0_1=E.parse(f"3*{XBUMP}*{SBUMP}"),
+        beta=E.parse(f"4*{XBUMP}*{SBUMP}*{cut}"), b1=1.5)
 
 
 def perturbed_spec(base, delta):

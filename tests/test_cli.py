@@ -14,7 +14,7 @@ from upkolmo import cli, kernels, problem, verify
 from upkolmo import io as upk_io
 from upkolmo.problem import Field
 from upkolmo.scheme import SchemeOptions
-from scenarios import BETA_TEXT, SBUMP, U01_TEXT, XBUMP
+from scenarios import BETA_TEXT, LCUT, SBUMP, TENT, U01_TEXT, XBUMP
 
 CONFIG = f"""\
 [domain]
@@ -101,7 +101,7 @@ def test_run_prints_and_stores_its_step_and_wall_times(tmp_path, capsys):
 
 def test_run_of_a_delayed_source_samples_no_b0(tmp_path, monkeypatch):
     # the kick's guard reads problem.min_kick_slope; sup|dbeta/dlambda| is
-    # for the paper's growth constants and the stability estimate alone
+    # for the stability estimate alone
     calls = []
     real = kernels.estimate_dbeta_sup
     monkeypatch.setattr(kernels, "estimate_dbeta_sup",
@@ -177,11 +177,32 @@ def test_data_that_cannot_be_evaluated_exit_1(tmp_path, capsys, u0_2, cause,
 def test_a_source_that_overflows_on_its_slab_exits_1(tmp_path, capsys):
     # the set-up samples sup|beta| over the slab, where exp overflows
     cfg = _config(tmp_path)
-    cfg.write_text(cfg.read_text().replace(f'beta = "{BETA_TEXT}"',
-                                           'beta = "exp(1000*lambda)*x"'))
+    cfg.write_text(cfg.read_text().replace(
+        f'beta = "{BETA_TEXT}"', f'beta = "exp(1000*lambda)*x*{LCUT}"'))
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "traj")]) == 1
-    assert capsys.readouterr().err == \
-        "error: overflow to a non-finite value\n"
+    assert capsys.readouterr().err == ("error: source beta: cannot be "
+                                       "evaluated on its slab: overflow to "
+                                       "a non-finite value\n")
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_beta_that_ignores_b1_exits_1(run_dir, tmp_path, capsys, command):
+    # every sup bound rests on beta = 0 beyond b1; this one is 0.6 bumps
+    # there and grows with lambda^2
+    _, traj = run_dir
+    cfg = _config(tmp_path, "wide.cfg")
+    cfg.write_text(cfg.read_text().replace(
+        f'beta = "{BETA_TEXT}"\nb1 = 2.0',
+        f'beta = "2*{XBUMP}*{SBUMP}*(0.3 + lambda^2)"\nb1 = 0.1'))
+    argv = ([command, str(cfg), "--out", str(tmp_path / "wide")]
+            if command == "run" else [command, str(cfg), "--traj", str(traj)])
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: source b1: |beta| = ")
+    assert "on b1 = 0.1 <= |lambda|" in err and err.count("\n") == 1
+    assert not (tmp_path / "wide").exists()
+    assert not (traj / "reports.csv").exists()
 
 
 @pytest.mark.parametrize("kind", ["engquist_osher", "lax_friedrichs"])
@@ -255,6 +276,58 @@ def test_verify_of_a_trajectory_with_unknown_options_exits_1(run_dir,
     err = capsys.readouterr().err
     assert err.startswith("error: meta.json: unknown options foo")
     assert "Traceback" not in err
+    assert not (traj / "reports.csv").exists()
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("flux_kind", "roe", "flux_kind: expected 'engquist_osher' or "
+                         "'lax_friedrichs', got 'roe'"),
+    ("cfl_safety", 2.0, "cfl_safety: must be in (0, 1], got 2.0"),
+    ("snapshot_stride", "x", "snapshot_stride: must be an integer >= 1, "
+                             "got 'x'")])
+def test_verify_of_a_meta_json_with_a_bad_option_value_exits_1(
+        run_dir, capsys, option, value, message):
+    cfg, traj = run_dir
+    meta = json.loads((traj / "meta.json").read_text())
+    meta["options"][option] = value
+    (traj / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    assert capsys.readouterr().err == f"error: meta.json: {message}\n"
+    assert not (traj / "reports.csv").exists()
+
+
+def test_verify_of_a_meta_json_whose_dt_is_not_the_runs_exits_1(run_dir,
+                                                                capsys):
+    # the checks re-derive each kick mass and step from dt: one that the
+    # stored levels do not fit is refused, not certified
+    cfg, traj = run_dir
+    meta = json.loads((traj / "meta.json").read_text())
+    meta["dt"] = 0.5
+    (traj / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    n = meta["n_steps"]
+    assert capsys.readouterr().err == (
+        f"error: {traj}: n_steps * dt = {n * 0.5!r} in meta.json is not the "
+        "last snapshot time 1.0\n")
+    assert not (traj / "reports.csv").exists()
+
+
+def test_verify_of_a_snapshot_time_off_the_step_grid_exits_1(run_dir,
+                                                             capsys):
+    cfg, traj = run_dir
+    dt = json.loads((traj / "meta.json").read_text())["dt"]
+    index = (traj / "index.csv").read_text().splitlines()
+    t, name, role = index[2].split(",")
+    off = float(t) + dt / 3
+    index[2] = f"{off!r},{name},{role}"
+    (traj / "index.csv").write_text("\n".join(index) + "\n")
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {traj}: snapshot time {off!r} is not a multiple of dt = "
+        f"{dt!r} in meta.json\n")
     assert not (traj / "reports.csv").exists()
 
 
@@ -338,9 +411,10 @@ def test_only_an_impulsive_run_writes_jump_fields(run_dir, tmp_path):
 
 
 def test_verify_samples_each_bound_once(tmp_path):
-    # a stride-1 delayed-source run: b0 once, for the growth constants; the
-    # run compared with itself weighs no term by it, and the rebuilt
-    # steppers, given their dt, read no kick slope
+    # a stride-1 delayed-source run: sup|beta| once, when the config is
+    # checked; b0 never, as the run compared with itself weighs no term by
+    # it and the sup bound reads none, and the rebuilt steppers, given
+    # their dt, read no kick slope
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG.format(u0_1=U01_TEXT).replace(
         "snapshot_stride = 4", "snapshot_stride = 1"))
@@ -352,19 +426,20 @@ def test_verify_samples_each_bound_once(tmp_path):
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
     assert "entropy_residual" in _rows(traj / "reports.csv")
     info = kernels.estimate_dbeta_sup.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
+    assert (info.misses, info.hits) == (0, 0)
     assert problem._horizon.cache_info().misses == 1
     assert problem.min_kick_slope.cache_info().misses == 0
-    # an impulsive run: sup|beta| once, for the bound curve, the jump
-    # weight's radius and M3 in check_jump; b0 never, as the run compared
-    # with itself gives a stability estimate of 0 whatever b0 is
+    # an impulsive run: sup|beta| once, for the config's b1, the bound
+    # curve, the jump weight's radius and M3 in check_jump; b0 never, as
+    # the run compared with itself gives a stability estimate of 0
+    # whatever b0 is
     cfg, traj = _impulsive_dir(tmp_path)
     problem._horizon.cache_clear()
     problem.min_kick_slope.cache_clear()
     kernels.estimate_dbeta_sup.cache_clear()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
     info = problem._horizon.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert (info.misses, info.hits) == (1, 3)
     assert kernels.estimate_dbeta_sup.cache_info().misses == 0
 
 
@@ -472,7 +547,7 @@ def test_decreasing_jump_map_is_rejected_before_the_march(tmp_path, capsys):
     # 1 + d beta / d lambda = 1 - 1.5 bx bs reaches -0.5 on the slab
     cfg = _config(tmp_path)
     text = cfg.read_text().replace(f'beta = "{BETA_TEXT}"',
-                                   f'beta = "-1.5*lambda*{XBUMP}*{SBUMP}"')
+                                   f'beta = "-1.5*{TENT}*{XBUMP}*{SBUMP}"')
     cfg.write_text(text)
     traj = tmp_path / "traj"
     assert cli.main(["run", str(cfg), "--mode", "impulsive",

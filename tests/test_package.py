@@ -64,6 +64,12 @@ def test_the_command_line_does_not_load_the_checks():
     assert _loaded("upkolmo.cli", ["upkolmo.verify", "csv"]) == []
 
 
+def _kept(node, lines):
+    """Whether an import is marked ``# noqa: F401`` on one of its lines."""
+    return any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno])
+
+
 def _unused_imports(path):
     """Names a module imports and never uses; a name in ``__all__`` counts
     as used, and an import marked ``# noqa: F401`` is skipped."""
@@ -73,9 +79,8 @@ def _unused_imports(path):
     imported, used = [], set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if (getattr(node, "module", None) == "__future__" or any(
-                    "# noqa: F401" in line
-                    for line in lines[node.lineno - 1:node.end_lineno])):
+            if (getattr(node, "module", None) == "__future__"
+                    or _kept(node, lines)):
                 continue
             imported += [alias.asname or alias.name.partition(".")[0]
                          for alias in node.names]
@@ -92,3 +97,24 @@ def _unused_imports(path):
                          ids=[f"{p.parent.name}/{p.name}" for p in SOURCES])
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _kept_imports(path):
+    """Names a module imports under ``# noqa: F401``."""
+    text = path.read_text()
+    lines = text.splitlines()
+    return [alias.asname or alias.name for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and _kept(node, lines) for alias in node.names]
+
+
+def test_every_kept_import_is_one_the_bench_traces(monkeypatch):
+    # an import no program path uses stays only while the benchmark's
+    # traced pass patches the name where the module binds it; once the
+    # bench stops tracing it, the import goes too
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    traced = {(owner.__name__, attr) for owner, attr, _, _
+              in importlib.import_module("run")._layers()}
+    kept = {(f"upkolmo.{path.stem}", name) for path in PACKAGE
+            for name in _kept_imports(path)}
+    assert kept and kept - traced == set()

@@ -8,7 +8,10 @@ from upkolmo import exprdsl as E
 from upkolmo import kernels
 from upkolmo import problem as P
 from upkolmo.scheme import Stepper
-from scenarios import nosource_spec, perturbed_spec, source_spec, unit_grid
+from paper_bounds import max_principle_bound
+from scenarios import (BETA_TEXT, LCUT, SBUMP, XBUMP, flat_cut,
+                       nosource_spec, perturbed_spec, saturated_spec,
+                       source_spec, unit_grid, zero_spec)
 
 
 def const_data_spec(u01="1", u02="1", uS2="1", **kwargs):
@@ -26,6 +29,32 @@ def const_data_spec(u01="1", u02="1", uS2="1", **kwargs):
 class TestConsistency:
     def test_clean_spec(self):
         assert P.consistency_errors(source_spec()) == []
+
+    @pytest.mark.parametrize("scenario", [
+        zero_spec, source_spec, lambda: source_spec(gamma=0.05),
+        lambda: perturbed_spec(source_spec(), 0.05), saturated_spec],
+        ids=["zero", "source", "source_gamma_0.05", "perturbed", "saturated"])
+    def test_every_scenario_beta_vanishes_beyond_b1(self, scenario):
+        spec = scenario()
+        assert spec.beta is not None
+        assert P.consistency_errors(spec) == []
+
+    @pytest.mark.parametrize("text, b1", [
+        (f"2*{XBUMP}*{SBUMP}*(0.3 + lambda^2)", 0.1),
+        # the source spec's beta reaches 0 at |lambda| = 2, not 1.9
+        (BETA_TEXT, 1.9)])
+    def test_beta_beyond_b1_is_refused(self, text, b1):
+        spec = source_spec().with_data(beta=E.parse(text), b1=b1)
+        errors = P.consistency_errors(spec)
+        assert len(errors) == 1
+        assert errors[0].startswith("source b1: |beta| = ")
+        assert f"on b1 = {b1!r} <= |lambda|" in errors[0]
+
+    def test_a_beta_that_overflows_on_its_slab_is_named(self):
+        spec = source_spec().with_data(beta=E.parse("exp(1000*lambda)*x"))
+        assert P.consistency_errors(spec) == [
+            "source beta: cannot be evaluated on its slab: overflow to a "
+            "non-finite value"]
 
     def test_flux_not_anchored(self):
         spec = source_spec().with_data(flux_a=E.parse("lambda + 0.3"))
@@ -87,20 +116,20 @@ def _data_norm(spec, t):
 class TestMaxPrincipleBound:
     def test_no_growth_reduces_to_data_norms(self):
         spec = const_data_spec(u01="0.5", u02="0.25", uS2="0.75")
-        m = P.max_principle_bound(1.0, 0.0, 0.0, dnorm=_data_norm(spec, 1.0))
+        m = max_principle_bound(1.0, 0.0, 0.0, dnorm=_data_norm(spec, 1.0))
         assert m == pytest.approx(0.75, abs=1e-6)
 
     def test_zero_data(self):
         spec = const_data_spec(u01="0", u02="0", uS2="0")
-        assert P.max_principle_bound(1.0, 0.0, 0.0,
-                                     dnorm=_data_norm(spec, 1.0)) \
+        assert max_principle_bound(1.0, 0.0, 0.0,
+                                   dnorm=_data_norm(spec, 1.0)) \
             == pytest.approx(0.0, abs=1e-9)
 
     def test_closed_form_target(self):
         # minimize exp(xi) * max(1, 1/sqrt(xi-1)) over xi > 1:
         # optimum at xi = 1.5, value exp(1.5) * sqrt(2)
         spec = const_data_spec()
-        m = P.max_principle_bound(1.0, 1.0, 1.0, dnorm=_data_norm(spec, 1.0))
+        m = max_principle_bound(1.0, 1.0, 1.0, dnorm=_data_norm(spec, 1.0))
         assert m == pytest.approx(math.exp(1.5) * math.sqrt(2.0), rel=1e-12)
 
     @staticmethod
@@ -121,7 +150,7 @@ class TestMaxPrincipleBound:
     def test_closed_form_against_the_search(self):
         capped = []
         for t, b1g, b2g, d in self.CASES:
-            exact = P.max_principle_bound(t, b1g, b2g, d)
+            exact = max_principle_bound(t, b1g, b2g, d)
             searched = self._searched(t, b1g, b2g, d)
             assert exact <= searched * (1 + 1e-12)
             if d > 0 and b2g / d ** 2 <= 50:
@@ -139,10 +168,10 @@ class TestMaxPrincipleBound:
         t, d = np.broadcast_arrays(t, d)
         for b1g in (0.0, 1.0, 10.5):
             for b2g in (0.0, 0.5, 4.14):
-                got = P.max_principle_bound(t, b1g, b2g, d)
+                got = max_principle_bound(t, b1g, b2g, d)
                 assert got.shape == t.shape
                 assert got.ravel().tolist() == [
-                    P.max_principle_bound(ti, b1g, b2g, di)
+                    max_principle_bound(ti, b1g, b2g, di)
                     for ti, di in zip(t.ravel(), d.ravel())]
 
     def test_monotone_in_arguments(self):
@@ -150,8 +179,8 @@ class TestMaxPrincipleBound:
         spec = const_data_spec(u01="0.8", u02="0.3", uS2="0.1")
 
         def bound(t, b1g, b2g):
-            return P.max_principle_bound(t, b1g, b2g,
-                                         dnorm=_data_norm(spec, t))
+            return max_principle_bound(t, b1g, b2g,
+                                       dnorm=_data_norm(spec, t))
 
         for _ in range(20):
             t1, t2 = np.sort(rng.uniform(0.05, 1.0, size=2))
@@ -339,8 +368,9 @@ class TestImpulsiveBounds:
         assert m2 == pytest.approx(0.7)
 
     def test_constant_perturbation_raises_m3(self):
+        # beta = 0.5 wherever the kick can reach, and 0 beyond b1 = 3
         spec = const_data_spec(u01="1", u02="0", uS2="0",
-                               beta=E.parse("0.5"), b1=1.0)
+                               beta=E.parse(f"0.5*{flat_cut(3)}"), b1=3.0)
         m2, m3 = self._m2_m3(spec)
         assert m2 == pytest.approx(1.0)
         assert m3 >= 1.5
@@ -362,7 +392,8 @@ class TestImpulsiveBounds:
         for _ in range(10):
             amp = rng.uniform(0.1, 2.0)
             spec = const_data_spec(u01=f"{amp}", u02="0", uS2="0",
-                                   beta=E.parse("0.3*cos(lambda)"), b1=2.0)
+                                   beta=E.parse(f"0.3*cos(lambda)*{LCUT}"),
+                                   b1=2.0)
             m2, m3 = self._m2_m3(spec)
             assert m3 >= m2
 
@@ -381,6 +412,28 @@ class TestImpulsiveBounds:
         assert (info.misses, info.hits) == (1, 2)
         assert P.sup_bound(spec.with_data(beta=None), spec.T, 1.0) < first
         assert P._horizon.cache_info().misses == 2
+
+
+class TestSupBoundSaturates:
+    """B = min(D + m sup|beta|, max(D, b1)): a nondecreasing kick that is
+    the identity beyond b1 maps [-R, R] into itself for every R >= b1."""
+
+    def test_data_above_b1_take_no_kick(self):
+        spec = saturated_spec()
+        base = max(P.data_sup_norms(spec).values())
+        beta_sup = P.slab_sup(spec, spec.beta, base + 1.0)
+        assert base > spec.b1 and base + beta_sup > 6.9
+        for mass in (0.0, 0.01, 1.0):
+            assert P.sup_bound(spec, None, mass) == base
+
+    def test_a_kick_sum_above_b1_stops_at_b1(self):
+        spec = source_spec().with_data(
+            beta=E.parse(f"3*{XBUMP}*{SBUMP}*{flat_cut(1)}"), b1=1.0)
+        base = max(P.data_sup_norms(spec).values())
+        beta_sup = P.slab_sup(spec, spec.beta, 2.0)
+        got = P.sup_bound(spec, None, np.array([0.0, 0.05, 1.0]))
+        assert got.tolist() == [base, base + 0.05 * beta_sup, 1.0]
+        assert base + beta_sup > 3.0
 
 
 def test_describe_hash_stable():
@@ -509,21 +562,31 @@ class TestSampleSupAgainstTheSamplersItReplaced:
 
 class TestJumpSlopeSampling:
     def _reference(self, spec, n=64):
-        """The jump map's slope, sampled in one evaluation of the box."""
-        radius = _impulsive_bounds_reference(spec, P.NORM_INFLATION)[0]
+        """The jump map's slope, sampled in one evaluation of the box: over
+        |lambda| <= M2, and <= b1 too where M3 reaches b1 and saturates."""
+        m2, m3 = _impulsive_bounds_reference(spec, P.NORM_INFLATION)
+        radius = max(m2, spec.b1) if m3 >= spec.b1 else m2
         axes = {"x": np.linspace(0.0, spec.L, n)[:, None, None],
                 "s": np.linspace(0.0, spec.S, n)[None, :, None],
                 "lambda": np.linspace(-radius, radius, n)[None, None, :]}
         _, d = E.eval_dual(spec.beta, axes, "lambda")
         return 1.0 + float(np.min(d))
 
+    @staticmethod
+    def _spec(text):
+        """The source spec with beta = text, cut off at b1 = 3: M3 stays
+        below it, so the slab is |lambda| <= M2, but for the steep text,
+        whose slope is -1.5 bumps wherever the slab ends."""
+        spec = source_spec()
+        if text is None:
+            return spec
+        return spec.with_data(beta=E.parse(f"({text})*{flat_cut(3)}"), b1=3.0)
+
     @pytest.mark.parametrize("text", [
         None, "-1.5*lambda*(max(0, 1-((x-0.5)/0.35)^2))^2",
         "0.3*sin(4*lambda)*s - x", "0.7"])
     def test_min_slope_matches_one_evaluation(self, text):
-        spec = source_spec()
-        if text is not None:
-            spec = spec.with_data(beta=E.parse(text))
+        spec = self._spec(text)
         assert 1 + P.min_kick_slope(spec, 0.0) == self._reference(spec)
         assert (1 + P.min_kick_slope(spec, 0.0, n=70)
                 == self._reference(spec, n=70))
@@ -549,7 +612,5 @@ class TestJumpSlopeSampling:
     def test_min_slope_is_the_recorded_one(self, text, pinned):
         # the slopes as the radius M2 of the separate impulsive bounds gave
         # them, bit for bit
-        spec = source_spec()
-        if text is not None:
-            spec = spec.with_data(beta=E.parse(text))
+        spec = self._spec(text)
         assert 1 + P.min_kick_slope(spec, 0.0) == float.fromhex(pinned)

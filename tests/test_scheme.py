@@ -14,8 +14,9 @@ from upkolmo import problem as P
 from upkolmo import scheme as S
 from upkolmo import verify
 from upkolmo.problem import Grid
-from scenarios import (box_grid, nosource_spec, perturbed_spec, shock_spec,
-                       source_spec, unattainable_spec, zero_spec)
+from scenarios import (SBUMP, TENT, XBUMP, box_grid, flat_cut, nosource_spec,
+                       perturbed_spec, shock_spec, source_spec,
+                       unattainable_spec, zero_spec)
 
 BURGERS = E.parse("lambda^2/2")
 
@@ -181,7 +182,8 @@ class TestNumericalFlux:
                                         + stepper.flux_phi.coeff / grid.dx)
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown flux kind 'roe'"):
+        with pytest.raises(ValueError, match="flux_kind: expected "
+                           "'engquist_osher' or 'lax_friedrichs', got 'roe'"):
             S.Stepper(nosource_spec(), Grid(8, 8, 1.0, 1.0),
                       options=S.SchemeOptions(flux_kind="roe"))
 
@@ -286,9 +288,19 @@ class TestCfl:
 
     @pytest.mark.parametrize("safety", [0.0, -0.5, 1.5])
     def test_rejects_safety_out_of_range(self, safety):
-        with pytest.raises(ValueError, match="safety must be in"):
+        with pytest.raises(ValueError,
+                           match=r"cfl_safety: must be in \(0, 1\]"):
             _cfl(nosource_spec(), Grid(8, 8, 1.0, 1.0),
                  options=S.SchemeOptions(cfl_safety=safety))
+
+    @pytest.mark.parametrize("field, value", [
+        ("cfl_safety", "0.5"), ("cfl_safety", True),
+        ("cfl_safety", float("nan")), ("snapshot_stride", 0),
+        ("snapshot_stride", 2.0), ("snapshot_stride", "x"),
+        ("snapshot_stride", True)])
+    def test_options_refuse_a_value_of_the_wrong_kind(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: must be "):
+            S.SchemeOptions(**{field: value})
 
     def test_delay_width_leaves_the_step_alone(self):
         # the source is a kick, not a CFL term: with slope -0.384 >= -1 the
@@ -301,12 +313,11 @@ class TestCfl:
         assert steps == {0.1: 265, 0.001: 265, 0.0: 265}
 
     def test_kick_caps_the_step_where_b0_exceeds_1(self):
-        # beta = -3 lambda bumps: the kick's slope is -3, so 1 - 3 theta >=
+        # beta = -3 TENT bumps: the kick's slope is -3, so 1 - 3 theta >=
         # 0 needs dt <= gamma / (2 omega(0) 3), times the safety factor;
         # the cap is the one sup|dbeta/dlambda| gave, bit for bit
         spec = source_spec(gamma=0.02).with_data(
-            beta=E.parse("-3*lambda*(max(0, 1-((x-0.5)/0.35)^2))^2"
-                         "*(max(0, 1-((s-0.5)/0.35)^2))^2"))
+            beta=E.parse(f"-3*{TENT}*{XBUMP}*{SBUMP}"))
         grid = Grid(nx=16, ns=16, L=1.0, S=1.0)
         b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
         assert b0 == pytest.approx(3.0, rel=1e-2)  # sampled off the centre
@@ -316,11 +327,15 @@ class TestCfl:
         assert _cfl(spec, grid) > cap  # no cap at gamma = 0
 
     def test_an_increasing_kick_is_not_capped(self):
-        # +3 lambda bumps: sup|dbeta/dlambda| = 3, but the kick's slope is
-        # 1 + 3 theta >= 1, which no step size can make decrease
-        spec = source_spec(gamma=0.02).with_data(
-            beta=E.parse("3*lambda*(max(0, 1-((x-0.5)/0.35)^2))^2"
-                         "*(max(0, 1-((s-0.5)/0.35)^2))^2"))
+        # +3 lambda bumps on |lambda| < 0.1, flat up to 1.9 and 0 from b1
+        # = 2 on: sup|dbeta/dlambda| = 3, but on |lambda| <= B(tau) =
+        # 1.11, every value the kick acts on, its slope is 1 + 3 theta >=
+        # 1, which no step size can make decrease
+        spec = source_spec(gamma=0.02).with_data(beta=E.parse(
+            f"3*max(-0.1, min(0.1, lambda))*{XBUMP}*{SBUMP}*{flat_cut(2)}"))
+        assert kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S,
+                                          spec.b1) == pytest.approx(3.0,
+                                                                    rel=1e-2)
         stepper = S.Stepper(spec, Grid(nx=16, ns=16, L=1.0, S=1.0), eps=0.0,
                             m_bound=1.0)
         assert stepper.kick_slope == 0.0  # beta's min slope, at the edges
@@ -332,8 +347,7 @@ class TestCfl:
                                          flux_phi=(E.parse("0"),))
         # b0 = 3, as in the test above
         capped = source_spec(gamma=0.02).with_data(
-            beta=E.parse("-3*lambda*(max(0, 1-((x-0.5)/0.35)^2))^2"
-                         "*(max(0, 1-((s-0.5)/0.35)^2))^2"))
+            beta=E.parse(f"-3*{TENT}*{XBUMP}*{SBUMP}"))
         for spec, gamma, term in ((source_spec(), 0.1, "convective"),
                                   (heat, 0.0, "heat_accuracy"),
                                   (capped, 0.02, "kick_cap"),

@@ -11,7 +11,7 @@ from upkolmo.problem import (Grid, ProblemSpec, min_kick_slope,
                              refined_max_bound)
 from upkolmo.scheme import SchemeOptions, Stepper, reachable_bound
 from scenarios import (nosource_spec, source_spec, unit_grid, zero_spec,
-                       LCUT, SBUMP, XBUMP)
+                       LCUT, SBUMP, TENT, XBUMP, flat_cut)
 
 
 class TestZeroData:
@@ -85,7 +85,7 @@ class TestJumpMap:
 
     def test_decreasing_jump_map_is_rejected(self):
         spec = source_spec().with_data(
-            beta=E.parse(f"-1.5*lambda*{XBUMP}*{SBUMP}"))
+            beta=E.parse(f"-1.5*{TENT}*{XBUMP}*{SBUMP}"))
         with pytest.raises(ValueError, match="jump map .* decreases"):
             solver.solve_impulsive(spec, unit_grid(8))
 
@@ -129,9 +129,10 @@ class TestImpulsive:
         assert gap <= 1e-15
 
     def test_constant_shift_on_support(self):
-        # perturbation constant in value: the jump is exactly that constant
+        # perturbation constant in value on |lambda| <= 9.9, where every
+        # value lies, and 0 from b1 = 10 on: the jump is that constant
         spec = source_spec().with_data(
-            beta=E.parse("0.25"), b1=10.0)
+            beta=E.parse(f"0.25*{flat_cut(10)}"), b1=10.0)
         traj = solver.solve_impulsive(spec, unit_grid(16))
         jump = traj.tau_plus.values - traj.tau_minus.values
         assert np.allclose(jump, 0.25, atol=0.0)

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from upkolmo import exprdsl as E
-from upkolmo import cli, kernels, solver, verify
-from upkolmo.problem import (Field, Trajectory, ZeroInitialDataError,
-                             data_sup_norms, golden_section_min,
-                             min_kick_slope, refined_max_bound, sample_sup,
-                             slab_sup, stability_rhs, sup_bound)
+from upkolmo import cli, kernels, problem, solver, verify
+from upkolmo.problem import (Field, Trajectory, data_sup_norms,
+                             min_kick_slope, sample_sup, slab_sup,
+                             stability_rhs, sup_bound)
 from upkolmo.scheme import (LAX_FRIEDRICHS, SchemeOptions, Stepper,
                             reachable_bound)
-from scenarios import (BETA_TEXT, XBUMP, box_grid, nosource_spec,
-                       perturbed_spec,
-                       shock_spec, source_spec, unattainable_spec, unit_grid,
-                       zero_spec)
+from paper_bounds import paper_bound
+from scenarios import (BETA_TEXT, SBUMP, TENT, XBUMP, box_grid, nosource_spec,
+                       perturbed_spec, saturated_spec, shock_spec,
+                       source_spec, unattainable_spec, unit_grid, zero_spec)
 
 
 class TestMaxPrinciple:
@@ -23,9 +22,60 @@ class TestMaxPrinciple:
                                          gamma_family["spec"])
         assert rep.passed
         assert rep.margin >= 0
-        # the march's own bound decides the row, the paper's curves stay
-        assert rep.context["curve"] == "discrete"
-        assert {"b1g", "b2g"} <= set(rep.context)
+        # the march's own bound decides the row, and nothing else is read
+        assert set(rep.context) == {"spec", "mode", "t_worst", "cell_worst"}
+
+    def test_a_delayed_source_run_samples_no_paper_curve(self, monkeypatch,
+                                                         gamma_family):
+        # B reads the data norms and sup|beta| alone: no b0, no growth
+        # constants and no M7
+        calls = []
+        for owner, name in ((kernels, "estimate_dbeta_sup"),
+                            (kernels, "source_growth_constants"),
+                            (problem, "refined_max_bound"),
+                            (verify, "refined_max_bound")):
+            monkeypatch.setattr(owner, name,
+                                lambda *a, name=name, **k: calls.append(name))
+        rep = verify.check_max_principle(gamma_family["trajs"][0.1],
+                                         gamma_family["spec"])
+        assert rep.passed and calls == []
+
+    @pytest.mark.parametrize("scenario, gamma", [
+        (source_spec, 0.1), (source_spec, 0.05),
+        (lambda: perturbed_spec(source_spec(), 0.05), 0.1),
+        (nosource_spec, 0.1), (saturated_spec, 0.1), (zero_spec, 0.1)],
+        ids=["source", "source_gamma_0.05", "perturbed", "nosource",
+             "saturated", "zero"])
+    def test_the_paper_curves_never_undercut_the_discrete_bound(
+            self, scenario, gamma):
+        # the paper's L-infinity theorem as a measured comparison: B <=
+        # min(M, M7) at every t > 0 snapshot; only the zero-data run has
+        # the paper's curve below B, and that run is exactly 0
+        spec = scenario()
+        traj = solver.solve_entropy(spec, unit_grid(32), gamma=gamma,
+                                    options=SchemeOptions(snapshot_stride=8))
+        later = np.asarray(traj.times) > 0.0
+        bounds = np.array(verify._bound_curves(spec, traj))[later]
+        paper = paper_bound(spec, traj)[later]
+        if scenario is zero_spec:
+            assert np.any(paper < bounds)
+            assert all(fld.sup_norm() == 0.0 for fld in traj.fields)
+        else:
+            assert np.all(bounds <= paper)
+
+    def test_the_bound_saturates_where_the_kick_sum_would_not(self):
+        # u0_1 = 3 bumps above b1 = 1.5: D + m sup|beta| reaches 7.05, and
+        # B stays at the inflated data norm 3.03, which the run respects
+        spec = saturated_spec()
+        traj = solver.solve_entropy(spec, unit_grid(32))
+        rep = verify.check_max_principle(traj, spec)
+        assert rep.passed
+        bounds = verify._bound_curves(spec, traj)
+        assert max(bounds) <= 3.03
+        assert max(bounds) == pytest.approx(3.03, rel=1e-3)
+        beta_sup = slab_sup(spec, spec.beta, 4.0)
+        assert max(bounds) + beta_sup * verify.NORM_INFLATION > 7.0
+        assert 2.9 < max(fld.sup_norm() for fld in traj.fields) < 3.0
 
     def test_zero_data_run(self):
         spec = zero_spec()
@@ -39,11 +89,9 @@ class TestMaxPrinciple:
         spec, traj = impulsive_run["spec"], impulsive_run["traj"]
         rep = verify.check_max_principle(traj, spec)
         assert rep.passed
-        assert rep.context["curve"] == "discrete"
-        assert "m3" not in rep.context and "b1g" not in rep.context
-        bounds, curves, _ = verify._bound_curves(spec, traj)
+        assert "m3" not in rep.context
+        bounds = verify._bound_curves(spec, traj)
         t_jump = traj.meta["n_tau"] * traj.meta["dt"]
-        assert set(curves) == {"discrete"}
         for t, bound in zip(traj.times, bounds):
             mass = 1.0 if t >= t_jump else 0.0
             assert bound == sup_bound(spec, max(t, 1e-9), mass,
@@ -51,17 +99,17 @@ class TestMaxPrinciple:
         assert len({round(b, 9) for b in bounds}) == 2
 
     def test_a_run_marched_with_eight_times_beta_fails(self):
-        # marched with 8 beta in its own default region and verified against
-        # beta: the paper's curves pass it at 0.899 of their bound, and the
-        # march's own maximum principle for beta fails it
+        # marched with 8 beta in its own default region, 1.05 b1 + 0.5 with
+        # B(T) saturated at b1 = 2, and verified against beta: the paper's
+        # curves passed it at 0.899 of their bound, and the march's own
+        # maximum principle for beta fails it
         spec = source_spec()
         marched = spec.with_data(beta=E.parse(f"8*{BETA_TEXT}"))
         traj = solver.solve_entropy(marched, unit_grid(32),
                                     options=SchemeOptions(snapshot_stride=1))
         rep = verify.check_max_principle(traj, spec)
         assert not rep.passed
-        assert rep.measured / rep.bound == pytest.approx(1.067, abs=1e-3)
-        assert rep.context["curve"] == "discrete"
+        assert rep.measured / rep.bound == pytest.approx(1.118, abs=1e-3)
         assert rep.context["t_worst"] < spec.tau
 
     def test_zero_source_run_bounded_by_data_norm(self, contraction_family):
@@ -76,7 +124,7 @@ class TestMaxPrinciple:
         spec = unattainable_spec(L=1.0)
         traj = solver.solve_entropy(spec, unit_grid(16), gamma=0.0,
                                     options=SchemeOptions(snapshot_stride=1))
-        bounds, _, _ = verify._bound_curves(spec, traj)
+        bounds = verify._bound_curves(spec, traj)
         xs = np.linspace(0.0, spec.L, 256)
 
         def data_at(t):
@@ -94,7 +142,7 @@ class TestMaxPrinciple:
         # a t > 0 snapshot planted one cell above its bound decides the
         # row; the same value at t = 0, the initial datum, decides nothing
         spec, traj = impulsive_run["spec"], impulsive_run["traj"]
-        bounds, _, _ = verify._bound_curves(spec, traj)
+        bounds = verify._bound_curves(spec, traj)
         i = len(traj.times) // 2
         planted = Trajectory(grid=traj.grid, meta=traj.meta)
         for t, fld in zip(traj.times, traj.fields):
@@ -121,8 +169,8 @@ class TestMaxPrinciple:
             values = np.zeros((4, 4))
             values[1, 2] = -sup
             traj.append(i / 10, Field(values, grid, i / 10))
-        monkeypatch.setattr(verify, "_bound_curves", lambda spec, tr: (
-            (1.0, *bounds), ["discrete"] * len(tr.times), {}))
+        monkeypatch.setattr(verify, "_bound_curves",
+                            lambda spec, tr: (1.0, *bounds))
         return traj
 
     def test_the_tightest_snapshot_decides_the_row(self, monkeypatch):
@@ -221,7 +269,7 @@ class TestStability:
         base, pert = source_spec(), perturbed_spec(source_spec(), 0.1)
         t1, t2 = self._pair([base, pert], 16)
         calls = [self._spy(monkeypatch, name) for name in
-                 ("_bound_curves", "max_principle_bound", "refined_max_bound")]
+                 ("_bound_curves", "sup_bound", "refined_max_bound")]
         rep = verify.check_stability(t1, t2, base, pert)
         assert rep.passed and rep.measured > 0.0
         assert calls == [[], [], []]
@@ -670,7 +718,7 @@ class TestJump:
         # d beta / d lambda = -1.5 bx(x) bs(s) falls below -1 mid-domain,
         # where the jump map lambda -> lambda + beta is decreasing
         bump = "(max(0, 1-((x-0.5)/0.35)^2))^2*(max(0, 1-((s-0.5)/0.35)^2))^2"
-        spec = source_spec().with_data(beta=E.parse(f"-1.5*lambda*{bump}"))
+        spec = source_spec().with_data(beta=E.parse(f"-1.5*{TENT}*{bump}"))
         grid = unit_grid(16)
         xc, sc = grid.cell_centers()
         cells = {"x": xc[:, None], "s": sc[None, :]}
@@ -687,14 +735,17 @@ class TestJump:
         assert rep.measured == 1.0 - weight
 
     def test_run_and_verify_give_one_verdict(self):
-        # the jump map decreases only for lambda > 0.8039, between the bare
-        # pre-jump bound M2 and the 1%-inflated one: `run` refuses it, and
-        # `verify` fails it on a trajectory holding the jump it would make
+        # the jump map decreases only for 0.8039 < lambda < 1.40195, from
+        # between the bare pre-jump bound M2 and the 1%-inflated one: `run`
+        # refuses it, and `verify` fails it on a trajectory holding the
+        # jump it would make.  beta is 0 from 2 on, and b1 = 3 keeps M3
+        # below b1, so the slab is the inflated M2's alone
         bump = "(max(0, 1-((x-0.5)/0.35)^2))^2*(max(0, 1-((s-0.5)/0.35)^2))^2"
-        spec = source_spec().with_data(
-            beta=E.parse(f"-3*max(0, lambda - 0.8039)*{bump}"))
+        spec = source_spec().with_data(beta=E.parse(
+            f"-3*max(0, min(lambda - 0.8039, 2 - lambda))*{bump}"), b1=3.0)
         m2 = sup_bound(spec, spec.tau, 0.0)
         assert m2 < 0.8039 < verify.NORM_INFLATION * m2
+        assert sup_bound(spec, spec.tau, 1.0, verify.NORM_INFLATION) < 3.0
         grid = unit_grid(16)
         with pytest.raises(ValueError, match="jump map .* decreases"):
             solver.solve_impulsive(spec, grid)
@@ -708,6 +759,47 @@ class TestJump:
         assert not rep.passed
         assert rep.context["pointwise"] == 0.0
         assert rep.measured == pytest.approx(2.99, abs=0.01)
+
+    def test_a_jump_past_b1_is_refused(self):
+        # 10 TENT bumps: on |lambda| <= 1.01 M2 the jump map rises, and it
+        # lifts the data's peak 0.8 to 8.8, past b1 = 2.  M3 saturates at
+        # b1, which holds only for a map nondecreasing on |lambda| <= b1,
+        # and there the map's slope is -9: `run` refuses it, `verify` fails it
+        spec = source_spec().with_data(
+            beta=E.parse(f"10*{TENT}*{XBUMP}*{SBUMP}"))
+        m2 = sup_bound(spec, spec.tau, 0.0, verify.NORM_INFLATION)
+        assert sup_bound(spec, spec.tau, 1.0, verify.NORM_INFLATION) == 2.0
+        assert problem.sample_min(spec.beta, ("x", "s", "lambda"), [
+            (0.0, 1.0), (0.0, 1.0), (-m2, m2)], n=64, wrt="lambda") >= 0.0
+        assert 1.0 + min_kick_slope(spec, 0.0) == pytest.approx(-9.0,
+                                                                rel=1e-2)
+        grid = unit_grid(16)
+        with pytest.raises(ValueError, match="jump map .* decreases"):
+            solver.solve_impulsive(spec, grid)
+        xc, sc = grid.cell_centers()
+        um = Field(solver.initial_values(spec, grid), grid)
+        b = E.evaluate(spec.beta, {"x": xc[:, None], "s": sc[None, :],
+                                   "lambda": um.values})
+        traj = Trajectory(grid=grid, tau_minus=um,
+                          tau_plus=Field(um.values + b, grid))
+        rep = verify.check_jump(traj, spec)
+        assert not rep.passed
+        assert rep.context["m3"] == 2.0 < rep.context["post_sup"]
+
+    def test_a_saturated_jump_passes(self):
+        # 0.9 (1 - |lambda|)+ bumps, b1 = 1: M2 + sup|beta| = 1.7 > b1, so
+        # M3 = b1, and the map has slope >= 0.1 on |lambda| <= b1, where
+        # it takes |v| <= 1 to 0.9 + 0.1 |v| <= 1 at most
+        spec = source_spec().with_data(beta=E.parse(
+            f"0.9*max(0, 1 - abs(lambda))*{XBUMP}*{SBUMP}"), b1=1.0)
+        assert problem.consistency_errors(spec) == []
+        traj = solver.solve_impulsive(spec, unit_grid(16))
+        rep = verify.check_jump(traj, spec)
+        assert rep.passed
+        assert rep.context["m3"] == 1.0
+        assert rep.context["min_jump_weight"] == pytest.approx(0.1, abs=5e-3)
+        assert 0.8 < rep.context["post_sup"] <= 1.0
+        assert verify.check_max_principle(traj, spec).passed
 
     def test_no_perturbation(self, grid64):
         spec = nosource_spec()
@@ -849,6 +941,9 @@ def _window_sups_reference(expr, L, ends, inflate=1.0):
 
 
 def _bound_curves_reference(spec, traj, inflate=verify.NORM_INFLATION):
+    """B at each snapshot, one snapshot and one kick at a time: the data
+    norm over (0, t) plus the kick mass applied by t times sup|beta|,
+    saturated at max(that data norm, b1)."""
     meta = traj.meta
     dt, gamma = meta["dt"], meta["gamma"]
     t_effs = [max(t, 1e-9) for t in traj.times]
@@ -858,36 +953,15 @@ def _bound_curves_reference(spec, traj, inflate=verify.NORM_INFLATION):
     uS_2 = _window_sups_reference(spec.data_uS_2, spec.L, t_effs, inflate)
     base = max(data_sup_norms(spec).values())
     sup_beta = slab_sup(spec, spec.beta, max(base, spec.b1) + 1.0) * inflate
-    if spec.beta is not None and gamma > 0:
-        b1g, b2g = kernels.source_growth_constants(
-            spec.beta, gamma, L=spec.L, S=spec.S, b1=spec.b1)
-    else:
-        b1g = b2g = 0.0
-    try:
-        refined_max_bound(spec, 1.0, inflate=inflate)
-        have_m7 = (spec.beta is None or gamma > 0)
-    except (ZeroInitialDataError, ValueError):
-        have_m7 = False
     bounds = []
-    for i, (t, t_eff) in enumerate(zip(traj.times, t_effs)):
+    for i, t in enumerate(traj.times):
         dnorm = max(u0_1, u0_2[i], uS_2[i])
         mass = 0.0
         for k in range(round(t / dt)):
             mass += kernels.step_mass(k * dt, dt, spec.tau, gamma,
                                       meta["n_tau"])
-        discrete = dnorm + mass * sup_beta
-        if meta["mode"] == "impulsive":
-            bounds.append(float(discrete))
-            continue
-
-        def objective(xi):
-            tail = np.sqrt(b2g / (xi - b1g)) if b2g > 0 else 0.0
-            return np.exp(xi * t_eff) * max(dnorm, tail)
-
-        _, m = golden_section_min(objective, b1g + 1e-9, b1g + 50.0)
-        if have_m7:
-            m = min(m, refined_max_bound(spec, t_eff, inflate=inflate))
-        bounds.append(float(min(m, discrete)))
+        bounds.append(float(min(dnorm + mass * sup_beta,
+                                max(dnorm, spec.b1))))
     return bounds
 
 
@@ -1180,7 +1254,7 @@ class TestHoistedAgainstReference:
         spec, runs = small_runs
         for mode in ("entropy", "impulsive"):
             traj = runs[mode, 1]
-            bounds, _, _ = verify._bound_curves(spec, traj)
+            bounds = verify._bound_curves(spec, traj)
             assert list(bounds) == _bound_curves_reference(spec, traj)
 
     @staticmethod
