@@ -24,10 +24,9 @@ from . import exprdsl, solver
 # bench/run.py traces refined_max_bound where each module binds it
 from .problem import refined_max_bound  # noqa: F401
 from .scheme import NaNDetectedError
-from .solver import CflViolationError
 
 # what ends a march early: exit code 2
-_ABORTS = (NaNDetectedError, CflViolationError)
+_ABORTS = (NaNDetectedError, solver.CflViolationError)
 
 
 def _load(path):
@@ -56,21 +55,21 @@ def _k_bank(traj, n=9):
     return [float(k) for k in np.linspace(lo, hi, n + 2)[1:-1]]
 
 
-def _solve(loaded, mode):
-    spec, grid, options = loaded.spec, loaded.grid, loaded.options
-    if mode == "regularized":
-        return solver.solve_regularized(spec, grid, options=options)
-    if mode == "impulsive":
-        return solver.solve_impulsive(spec, grid, options=options)
-    return solver.solve_entropy(spec, grid, options=options)
-
-
 def _cmd_run(args):
     loaded = _load(args.config)
     if loaded is None:
         return 1
+    spec = loaded.spec
+    # `--mode impulsive` marches the config's gamma -> 0 limit
+    gamma = 0.0 if args.mode == "impulsive" else spec.gamma
+    mode = solver.mode_of(spec, spec.epsilon, gamma)
     try:
-        traj = _solve(loaded, args.mode)
+        if args.mode not in (None, mode):
+            raise ValueError(f"--mode {args.mode}, but {args.config} states "
+                             f"the {mode} problem (epsilon {spec.epsilon}, "
+                             f"gamma {spec.gamma})")
+        traj = solver.solve(spec, loaded.grid, gamma=gamma,
+                            options=loaded.options)
     except _ABORTS as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 2
@@ -85,7 +84,8 @@ def _cmd_run(args):
         l2 = float(np.sum(fld.values ** 2)) * grid.cell_volume
         print(f"{t:10.6f}  {fld.sup_norm():12.6g}  {l2:12.6g}")
     meta = traj.meta
-    print(f"dt {meta['dt']:.6g} ({meta['dt_term']}), setup "
+    print(f"{meta['mode']}, eps {meta['eps']:.6g}, gamma {meta['gamma']:.6g}"
+          f", dt {meta['dt']:.6g} ({meta['dt_term']}), setup "
           f"{meta['setup_s']:.3f} s, march {meta['march_s']:.3f} s")
     print(f"wrote {len(traj.times)} snapshots to {out}")
     return 0
@@ -108,9 +108,8 @@ def _cmd_sweep(args):
                                                   map_fn=map_fn)
                 errors = report.context["errors"]
             else:
-                gamma = spec.gamma if spec.beta is not None else 0.0
-                report = verify.check_epsilon_cauchy(
-                    spec, grid, values, gamma, options, map_fn=map_fn)
+                report = verify.check_epsilon_cauchy(spec, grid, values,
+                                                     options, map_fn=map_fn)
                 errors = report.context["diffs"]
     except _ABORTS as exc:
         print(f"aborted: {exc}", file=sys.stderr)
@@ -148,12 +147,17 @@ def _cmd_verify(args):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path, tr in ((args.traj, traj), (args.traj2, traj2)):
-        stored = tr.meta.get("spec_hash")
-        if stored is not None and stored != spec.context_hash():
-            print(f"error: {path} was computed from a problem with spec hash "
-                  f"{stored}, not from {args.config} (spec hash "
-                  f"{spec.context_hash()})", file=sys.stderr)
-            return 1
+        meta, stated = tr.meta, spec.context_hash()
+        for what, got, want in (
+                ("spec hash", meta.get("spec_hash", stated), stated),
+                ("eps", meta["eps"], spec.epsilon),
+                # an impulsive run marches the config's gamma -> 0 limit
+                ("gamma", meta["gamma"],
+                 0.0 if meta["mode"] == "impulsive" else spec.gamma)):
+            if got != want:
+                print(f"error: {path} was computed with {what} {got}, not "
+                      f"from {args.config} ({what} {want})", file=sys.stderr)
+                return 1
     try:
         reports = [verify.check_max_principle(traj, spec),
                    verify.check_stability(traj, traj2, spec, spec)]
@@ -207,7 +211,9 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run one solve and write the trajectory")
     p_run.add_argument("config")
     p_run.add_argument("--mode", choices=["regularized", "entropy", "impulsive"],
-                       default="entropy")
+                       help="entropy or regularized asserts what the config "
+                            "states (else exit 1); impulsive marches its gamma "
+                            "-> 0 limit.  Goes with the next benchmark change")
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=_cmd_run)
 

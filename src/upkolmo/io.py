@@ -22,9 +22,10 @@ mapping snapshot times to filenames (with a role column marking the
 one-sided jump fields ``tau_minus`` and ``tau_plus``, which an impulsive
 run must have and other modes do not write), and a ``meta.json`` with the
 march parameters the verification checks need to reconstruct the stepper:
-``mode``, ``lateral_diffusion``, ``source``, ``dt``, ``n_steps``,
-``n_tau`` (the level the gamma = 0 kick lands on, ceil(tau/dt)),
-``stride``, ``eps``, ``gamma``, ``m_bound`` and ``options`` are required;
+``mode`` (derived from eps, gamma and beta by ``solver.mode_of``),
+``lateral_diffusion``, ``source``, ``dt``, ``n_steps``, ``n_tau`` (the
+level the gamma = 0 kick lands on, ceil(tau/dt)), ``stride``, ``eps``,
+``gamma``, ``m_bound`` and ``options`` are required;
 ``spec_hash``, ``restart`` (the escape that enlarged the invariant
 region, or null), ``kick_slope`` (``scheme.Stepper.kick_slope``; older
 runs hold ``b0``, which nothing reads), ``dt_term`` (the

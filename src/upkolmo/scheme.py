@@ -30,7 +30,7 @@ row sums at most 1; the step multiplies by it, its entries >= 0 exactly
 dbeta/dlambda, with theta_n <= 1, and <= dt (2/gamma) omega(0) for gamma >
 0; both sources guard it with one sampled min of dbeta/dlambda,
 ``Stepper.kick_slope``: ``Stepper._cfl`` caps dt where it is below -1,
-and ``solver.solve_impulsive`` refuses a decreasing jump map.  So the
+and ``solver.solve`` refuses a decreasing jump map.  So the
 composition keeps what the scheme promises exactly: it is monotone, it
 obeys the discrete maximum principle, and by Kato's inequality the
 discrete entropy inequality (derived in ``verify``; Crandall & Majda,

@@ -1,23 +1,26 @@
-"""Time-marching drivers.
+"""Time marching: one driver, ``solve``, for the problem a spec states.
 
-Three drivers share one march loop, whose every step ends with the
-source's kick (``scheme.Stepper.kick``):
+``solve`` takes eps and gamma from the spec unless given them; from them
+and beta ``mode_of`` derives what it marches, ``meta["mode"]``.  Every
+step ends with the source's kick (``scheme.Stepper.kick``):
 
-* ``solve_regularized`` -- eps > 0, both s-end data imposed strongly in the
+* ``regularized`` -- eps > 0, both s-end data imposed strongly in the
   eps-diffusion stencil and fed to the convective flux;
-* ``solve_entropy``     -- eps = 0, s-end data enter only as exterior flux
-  states, so they may stay unattained where characteristics leave;
-* ``solve_impulsive``   -- the gamma = 0 case: the one kick, with theta = 1,
-  applies the jump map u <- u + beta(x, s, u) at level n_tau = ceil(tau/dt),
-  the first at or after tau, and both one-sided fields there are recorded
-  (the other drivers record none).  It refuses a decreasing jump map, 1 +
-  ``kick_slope`` < 0, with which the march would not be monotone.
+* ``impulsive``   -- eps = 0, gamma = 0 and a beta: the one kick, theta =
+  1, applies the jump map u <- u + beta(x, s, u) at level n_tau =
+  ceil(tau/dt), the first at or after tau, where both one-sided fields
+  are recorded.  It needs tau in (0, T) and refuses a decreasing jump
+  map, 1 + ``kick_slope`` < 0, with which the march is not monotone;
+* ``entropy``     -- any other eps = 0 problem: s-end data enter only as
+  exterior flux states, so they may stay unattained where
+  characteristics leave.
 
-Runs are deterministic: a given (spec, grid, options, dt, m_bound)
-produces a bit-identical trajectory, which the delayed-vs-impulsive
-comparisons exploit: before the kernel's support the kicks are 0 in
-both, and a support [tau - gamma, tau] inside one step kicks with
-theta = 1 exactly, as the impulse does.
+Elsewhere a beta needs gamma in (0, gamma0/2] (``GammaOutOfRangeError``).
+Runs are deterministic: a given (spec, grid, eps, gamma, options, dt,
+m_bound) produces a bit-identical trajectory, which the
+delayed-vs-impulsive comparisons exploit: before the kernel's support the
+kicks are 0 in both, and a support [tau - gamma, tau] inside one step
+kicks with theta = 1 exactly, as the impulse does.
 
 If the running sup-norm escapes the invariant region the step was sized
 for, the march restarts once.  The new region is the larger of twice the
@@ -42,10 +45,7 @@ from .problem import Field, Trajectory, min_kick_slope
 from .scheme import (LATERAL_DIFFUSION, SOURCE_STEP, SchemeOptions, Stepper,
                      SupNormExceeded, reachable_bound)
 
-__all__ = [
-    "solve_regularized", "solve_entropy", "solve_impulsive",
-    "CflViolationError", "GammaOutOfRangeError",
-]
+__all__ = ["solve", "CflViolationError", "GammaOutOfRangeError"]
 
 
 class CflViolationError(RuntimeError):
@@ -140,42 +140,34 @@ def _march_once(spec, grid, stepper, mode):
     return traj
 
 
-def _require_gamma(spec, gamma):
-    if spec.beta is None:
-        return
-    if not (0.0 < gamma <= spec.gamma0 / 2.0):
-        raise GammaOutOfRangeError(
-            f"delay width must lie in (0, gamma0/2] = (0, {spec.gamma0 / 2.0}]"
-            f" for a delayed source; got {gamma} "
-            "(use solve_impulsive for the instantaneous jump)")
+def mode_of(spec, eps, gamma):
+    """What ``solve`` marches (spec, eps, gamma) as (module notes)."""
+    if eps > 0:
+        return "regularized"
+    return "impulsive" if gamma == 0 and spec.beta is not None else "entropy"
 
 
-def solve_regularized(spec, grid, eps=None, gamma=None, options=None,
-                      dt=None, m_bound=None):
-    """March the strictly parabolic regularization (eps > 0)."""
+def solve(spec, grid, eps=None, gamma=None, options=None, dt=None,
+          m_bound=None):
+    """March the problem (spec, eps, gamma), eps and gamma the spec's
+    unless given, in the mode ``mode_of`` derives (module notes)."""
     eps = spec.epsilon if eps is None else eps
     gamma = spec.gamma if gamma is None else gamma
-    if eps <= 0:
-        raise ValueError(f"regularized solve needs eps > 0, got {eps}")
-    _require_gamma(spec, gamma)
-    return _march(spec, grid, eps, gamma, options, dt, m_bound, "regularized")
-
-
-def solve_entropy(spec, grid, gamma=None, options=None, dt=None, m_bound=None):
-    """March the eps = 0 scheme with flux-mediated s-end data."""
-    gamma = spec.gamma if gamma is None else gamma
-    _require_gamma(spec, gamma)
-    return _march(spec, grid, 0.0, gamma, options, dt, m_bound, "entropy")
-
-
-def solve_impulsive(spec, grid, options=None, dt=None, m_bound=None):
-    """March the gamma = 0 case: one pointwise jump, at level n_tau."""
-    if not (0.0 < spec.tau < spec.T):
-        raise ValueError(f"jump time must lie in (0, T), got {spec.tau}")
-    slope = 1.0 + min_kick_slope(spec, 0.0)
-    if slope < 0.0:
-        raise ValueError(
-            f"the jump map lambda -> lambda + beta decreases: 1 + d beta / d "
-            f"lambda reaches {slope:.6g}, so the march would not be monotone")
-    return _march(spec, grid, 0.0, 0.0, options, dt, m_bound, "impulsive")
-
+    if eps < 0:
+        raise ValueError(f"viscosity must be >= 0, got {eps}")
+    mode = mode_of(spec, eps, gamma)
+    if mode == "impulsive":
+        if not (0.0 < spec.tau < spec.T):
+            raise ValueError(f"jump time must lie in (0, T), got {spec.tau}")
+        slope = 1.0 + min_kick_slope(spec, 0.0)
+        if slope < 0.0:
+            raise ValueError(
+                f"the jump map lambda -> lambda + beta decreases: 1 + d beta "
+                f"/ d lambda reaches {slope:.6g}, so the march would not be "
+                "monotone")
+    elif spec.beta is not None and not (0.0 < gamma <= spec.gamma0 / 2.0):
+        raise GammaOutOfRangeError(
+            f"delay width must lie in (0, gamma0/2] = (0, {spec.gamma0 / 2.0}]"
+            f" for a delayed source; got {gamma} (gamma = 0 at eps = 0 is "
+            "the instantaneous jump)")
+    return _march(spec, grid, eps, gamma, options, dt, m_bound, mode)

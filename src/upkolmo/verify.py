@@ -527,7 +527,7 @@ def check_jump(traj, spec):
     cell by cell to 1e-14, the post-jump sup-norm against M3 =
     ``problem.sup_bound`` at ``tau_plus`` with unit kick mass, and the jump
     map's least slope ``min_jump_weight``, 1 + ``problem.min_kick_slope``
-    as in ``solver.solve_impulsive``.  The measured value is the largest of
+    as in ``solver.solve``.  The measured value is the largest of
     the pointwise and post-jump ratios and 1 - min_jump_weight, so the row
     fails where the map decreases and the impulsive march is not monotone.
     """
@@ -553,9 +553,9 @@ def check_jump(traj, spec):
 # --- singular limits -------------------------------------------------------------
 
 def check_gamma_limit(spec, grid, gammas, options=None, map_fn=map):
-    """Convergence of the delayed-source runs to the impulsive run.
+    """Convergence of the delayed-source runs to their gamma -> 0 limit.
 
-    Runs the entropy solver per delay width and the impulsive solver once,
+    ``solver.solve`` marches the spec per delay width and at gamma = 0,
     with a common time step and invariant region so that the pre-impulse
     window is bitwise shared, then checks that the space-time L1 distance
     decreases (5% slack) and at least halves from first to last.  The
@@ -573,10 +573,11 @@ def check_gamma_limit(spec, grid, gammas, options=None, map_fn=map):
     # every run gets Stepper's default m_bound, which depends on the spec
     # alone, so the family shares one invariant region; dt depends on the
     # width only through the kick's cap, tightest at the smallest width
-    dt = Stepper(spec, grid, eps=0.0, gamma=gammas[-1], options=options).dt
-    ref = solver_mod.solve_impulsive(spec, grid, options=options, dt=dt)
+    dt = Stepper(spec, grid, gamma=gammas[-1], options=options).dt
+    ref = solver_mod.solve(spec, grid, gamma=0.0, options=options, dt=dt)
+    # each width is solve's fourth argument, gamma
     trajs = list(map_fn(functools.partial(
-        solver_mod.solve_entropy, spec, grid, options=options, dt=dt),
+        solver_mod.solve, spec, grid, spec.epsilon, options=options, dt=dt),
         gammas))
     errors = [spacetime_l1_diff(traj, ref) for traj in trajs]
     return gamma_limit_report(spec, gammas, errors, trajs, ref)
@@ -600,18 +601,17 @@ def gamma_limit_report(spec, gammas, errors, trajs, ref):
     return report
 
 
-def check_epsilon_cauchy(spec, grid, epsilons, gamma, options=None,
-                         map_fn=map):
+def check_epsilon_cauchy(spec, grid, epsilons, options=None, map_fn=map):
     """Successive L1 differences along a decreasing viscosity sequence; the
-    per-viscosity runs go through ``map_fn``."""
+    per-viscosity runs of ``solver.solve`` go through ``map_fn``."""
     epsilons = list(epsilons)
     if len(epsilons) < 3:
         raise TooFewRunsError("need at least 3 viscosity values")
-    dt = min(Stepper(spec, grid, eps=e, gamma=gamma, options=options).dt
-             for e in epsilons)
+    if min(epsilons) <= 0:  # eps = 0 is the limit, not a regularization
+        raise ValueError("viscosities must be positive")
+    dt = min(Stepper(spec, grid, eps=e, options=options).dt for e in epsilons)
     trajs = list(map_fn(functools.partial(
-        solver_mod.solve_regularized, spec, grid, gamma=gamma,
-        options=options, dt=dt), epsilons))
+        solver_mod.solve, spec, grid, options=options, dt=dt), epsilons))
     diffs = [spacetime_l1_diff(a, b) for a, b in zip(trajs, trajs[1:])]
     return epsilon_cauchy_report(spec, epsilons, diffs)
 

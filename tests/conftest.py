@@ -21,8 +21,8 @@ def gamma_family(grid64):
     gammas = [0.2, 0.1, 0.05, 0.025]
     dt = min(Stepper(spec, grid64, eps=0.0, gamma=g).dt
              for g in gammas + [0.0])
-    ref = solver.solve_impulsive(spec, grid64, dt=dt)
-    trajs = {g: solver.solve_entropy(spec, grid64, gamma=g, dt=dt)
+    ref = solver.solve(spec, grid64, gamma=0.0, dt=dt)
+    trajs = {g: solver.solve(spec, grid64, gamma=g, dt=dt)
              for g in gammas}
     errors = [verify.spacetime_l1_diff(trajs[g], ref) for g in gammas]
     report = verify.gamma_limit_report(spec, gammas,
@@ -40,7 +40,7 @@ def stability_family(grid64):
     m_common = max(reachable_bound(s) for s in specs.values())
     dt = min(Stepper(s, grid64, eps=0.0, gamma=s.gamma, m_bound=m_common).dt
              for s in specs.values())
-    trajs = {d: solver.solve_entropy(s, grid64, dt=dt, m_bound=m_common)
+    trajs = {d: solver.solve(s, grid64, dt=dt, m_bound=m_common)
              for d, s in specs.items()}
     return {"specs": specs, "trajs": trajs}
 
@@ -53,8 +53,8 @@ def contraction_family(grid64):
     m_common = reachable_bound(pert)
     dt = min(Stepper(s, grid64, eps=0.0, gamma=0.0, m_bound=m_common).dt
              for s in (base, pert))
-    t1 = solver.solve_entropy(base, grid64, dt=dt, m_bound=m_common)
-    t2 = solver.solve_entropy(pert, grid64, dt=dt, m_bound=m_common)
+    t1 = solver.solve(base, grid64, dt=dt, m_bound=m_common)
+    t2 = solver.solve(pert, grid64, dt=dt, m_bound=m_common)
     return {"specs": (base, pert), "trajs": (t1, t2)}
 
 
@@ -64,17 +64,16 @@ def epsilon_family(grid64):
     spec = nosource_spec()
     eps_values = [0.04, 0.02, 0.01]
     dt = min(Stepper(spec, grid64, eps=e, gamma=0.0).dt for e in eps_values)
-    trajs = {e: solver.solve_regularized(spec, grid64, eps=e, gamma=0.0,
-                                         dt=dt)
+    trajs = {e: solver.solve(spec, grid64, eps=e, gamma=0.0, dt=dt)
              for e in eps_values}
-    trajs[0.0] = solver.solve_entropy(spec, grid64, gamma=0.0, dt=dt)
+    trajs[0.0] = solver.solve(spec, grid64, gamma=0.0, dt=dt)
     return {"spec": spec, "eps_values": eps_values, "trajs": trajs}
 
 
 @pytest.fixture(scope="session")
 def impulsive_run(grid64):
     spec = source_spec()
-    traj = solver.solve_impulsive(spec, grid64)
+    traj = solver.solve(spec, grid64, gamma=0.0)
     return {"spec": spec, "traj": traj}
 
 
@@ -82,8 +81,8 @@ def impulsive_run(grid64):
 def shock_run():
     spec = shock_spec()
     grid = box_grid(spec)
-    traj = solver.solve_entropy(spec, grid, gamma=0.0,
-                                options=SchemeOptions(snapshot_stride=1))
+    traj = solver.solve(spec, grid, gamma=0.0,
+                        options=SchemeOptions(snapshot_stride=1))
     return {"spec": spec, "traj": traj, "grid": grid}
 
 
@@ -91,6 +90,6 @@ def shock_run():
 def unattainable_run():
     spec = unattainable_spec()
     grid = box_grid(spec)
-    traj = solver.solve_entropy(spec, grid, gamma=0.0,
-                                options=SchemeOptions(snapshot_stride=1))
+    traj = solver.solve(spec, grid, gamma=0.0,
+                        options=SchemeOptions(snapshot_stride=1))
     return {"spec": spec, "traj": traj, "grid": grid}

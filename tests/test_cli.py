@@ -85,18 +85,74 @@ def test_run_and_verify_succeed(run_dir):
 
 
 def test_run_prints_and_stores_its_step_and_wall_times(tmp_path, capsys):
-    # one line before the last: dt, the CFL term that set it, and the
-    # set-up and march seconds that meta.json stores
+    # one line before the last: the marched mode, eps and gamma, dt, the
+    # CFL term that set it, and the set-up and march seconds that
+    # meta.json stores
     cfg = _config(tmp_path)
     traj = tmp_path / "traj"
     assert cli.main(["run", str(cfg), "--out", str(traj)]) == 0
     meta = json.loads((traj / "meta.json").read_text())
     assert meta["setup_s"] > 0.0 and meta["march_s"] > 0.0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2] == (f"dt {meta['dt']:.6g} (convective), setup "
-                         f"{meta['setup_s']:.3f} s, march "
-                         f"{meta['march_s']:.3f} s")
+    assert lines[-2] == (f"entropy, eps 0, gamma 0.1, dt {meta['dt']:.6g} "
+                         f"(convective), setup {meta['setup_s']:.3f} s, "
+                         f"march {meta['march_s']:.3f} s")
     assert lines[-1].startswith("wrote ")
+
+
+def _eps_config(tmp_path, epsilon="0.01"):
+    cfg = tmp_path / "eps.cfg"
+    cfg.write_text(_config(tmp_path).read_text().replace(
+        "epsilon = 0.0", f"epsilon = {epsilon}"))
+    return cfg
+
+
+def test_run_marches_the_configs_epsilon(tmp_path, capsys):
+    cfg, traj = _eps_config(tmp_path), tmp_path / "traj"
+    assert cli.main(["run", str(cfg), "--out", str(traj)]) == 0
+    meta = json.loads((traj / "meta.json").read_text())
+    assert (meta["mode"], meta["eps"], meta["gamma"]) == (
+        "regularized", 0.01, 0.1)
+    assert capsys.readouterr().out.splitlines()[-2].startswith(
+        "regularized, eps 0.01, gamma 0.1, dt ")
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
+
+
+@pytest.mark.parametrize("epsilon, mode, stated", [
+    ("0.01", "entropy", "regularized"), ("0.01", "impulsive", "regularized"),
+    ("0.0", "regularized", "entropy")])
+def test_a_mode_the_config_does_not_state_exits_1(tmp_path, capsys, epsilon,
+                                                  mode, stated):
+    cfg, traj = _eps_config(tmp_path, epsilon), tmp_path / "traj"
+    assert cli.main(["run", str(cfg), "--mode", mode,
+                     "--out", str(traj)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: --mode {mode}, but {cfg} states the {stated} "
+                   f"problem (epsilon {float(epsilon)}, gamma 0.1)\n")
+    assert not traj.exists()
+
+
+@pytest.mark.parametrize("epsilon, mode, key, value, want", [
+    ("0.01", None, "eps", 0.0, 0.01),
+    ("0.0", None, "gamma", 0.05, 0.1),
+    ("0.0", "impulsive", "gamma", 0.1, 0.0)])
+def test_verify_of_a_run_marched_at_another_eps_or_gamma_exits_1(
+        tmp_path, capsys, epsilon, mode, key, value, want):
+    # the spec hash covers the config's epsilon and gamma, not the ones
+    # the run marched at; an impulsive run marches at gamma = 0
+    cfg, traj = _eps_config(tmp_path, epsilon), tmp_path / "traj"
+    argv = ["run", str(cfg), "--out", str(traj)]
+    assert cli.main(argv + (["--mode", mode] if mode else [])) == 0
+    meta = json.loads((traj / "meta.json").read_text())
+    assert meta[key] == want
+    meta[key] = value
+    (traj / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {traj} was computed with {key} {value}, not from "
+                   f"{cfg} ({key} {want})\n")
+    assert not (traj / "reports.csv").exists()
 
 
 def test_run_of_a_delayed_source_samples_no_b0(tmp_path, monkeypatch):
@@ -410,6 +466,18 @@ def test_only_an_impulsive_run_writes_jump_fields(run_dir, tmp_path):
         "tau_minus.upkf", "tau_plus.upkf"]
 
 
+def test_an_impulsive_run_marches_the_configs_gamma_limit(tmp_path):
+    # the config says gamma = 0.1; `--mode impulsive` marches gamma = 0
+    cfg, traj = _impulsive_dir(tmp_path)
+    meta = json.loads((traj / "meta.json").read_text())
+    assert (meta["mode"], meta["eps"], meta["gamma"]) == ("impulsive", 0.0,
+                                                          0.0)
+    assert meta["spec_hash"] == upk_io.load_config(cfg).spec.context_hash()
+    assert [role for _, role in _jump_rows(traj)] == ["tau_minus", "tau_plus"]
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
+    assert _rows(traj / "reports.csv")["jump_condition"] == "true"
+
+
 def test_verify_samples_each_bound_once(tmp_path):
     # a stride-1 delayed-source run: sup|beta| once, when the config is
     # checked; b0 never, as the run compared with itself weighs no term by
@@ -678,6 +746,16 @@ def test_sweep_needs_three_epsilons(tmp_path, capsys):
     assert cli.main(["sweep", str(cfg), "--param", "epsilon", "--values",
                      "0.02,0.01", "--out", str(tmp_path / "out")]) == 1
     assert "need at least 3 viscosity values" in capsys.readouterr().err
+
+
+def test_epsilon_sweep_refuses_the_limit_itself(tmp_path, capsys):
+    # eps = 0 would march the entropy problem, not a regularization
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(_sweep_config(tmp_path))
+    assert cli.main(["sweep", str(cfg), "--param", "epsilon", "--values",
+                     "0.04,0.02,0", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: viscosities must be positive\n")
 
 
 def test_epsilon_sweep_with_a_delayed_source_needs_gamma(tmp_path, capsys):

@@ -48,9 +48,8 @@ def test_round_trip_keeps_the_kick_slope_and_the_step_term(tmp_path, mode):
     # a delayed source stores the slope over unit kick mass, the impulse
     # over none; the convective bound sets dt on the source problem
     spec = source_spec()
-    solve = {"entropy": solver.solve_entropy,
-             "impulsive": solver.solve_impulsive}[mode]
-    traj = solve(spec, unit_grid(8))
+    traj = solver.solve(spec, unit_grid(8),
+                        gamma=0.0 if mode == "impulsive" else None)
     slope = min_kick_slope(spec, 1.0 if mode == "entropy" else 0.0)
     assert (traj.meta["kick_slope"], traj.meta["dt_term"]) == (
         slope, "convective")

@@ -3,6 +3,7 @@ export or import cannot outlive its code."""
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import upkolmo
+from upkolmo import solver
 
 PACKAGE = sorted(p for p in Path(upkolmo.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -118,3 +120,13 @@ def test_every_kept_import_is_one_the_bench_traces(monkeypatch):
     kept = {(f"upkolmo.{path.stem}", name) for path in PACKAGE
             for name in _kept_imports(path)}
     assert kept and kept - traced == set()
+
+
+def test_one_driver_marches_every_mode():
+    # `solve` derives the mode from the spec; a second driver would let a
+    # caller choose a problem the spec does not state
+    assert sorted(solver.__all__) == ["CflViolationError",
+                                      "GammaOutOfRangeError", "solve"]
+    named = [p.name for p in PACKAGE if re.search(
+        r"solve_(entropy|regularized|impulsive)", p.read_text())]
+    assert named == []

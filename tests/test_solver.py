@@ -10,44 +10,84 @@ from upkolmo import solver, verify
 from upkolmo.problem import (Grid, ProblemSpec, min_kick_slope,
                              refined_max_bound)
 from upkolmo.scheme import SchemeOptions, Stepper, reachable_bound
-from scenarios import (nosource_spec, source_spec, unit_grid, zero_spec,
+from scenarios import (box_grid, nosource_spec, saturated_spec, shock_spec,
+                       source_spec, unattainable_spec, unit_grid, zero_spec,
                        LCUT, SBUMP, TENT, XBUMP, flat_cut)
 
 
 class TestZeroData:
     def test_entropy_stays_zero(self):
         spec = zero_spec()  # beta vanishes at value 0
-        traj = solver.solve_entropy(ProblemSpec(**{**spec.__dict__}),
-                                    unit_grid(16))
+        traj = solver.solve(ProblemSpec(**{**spec.__dict__}), unit_grid(16))
         for fld in traj.fields:
             assert np.all(fld.values == 0.0)
 
     def test_regularized_stays_zero(self):
-        traj = solver.solve_regularized(zero_spec(), unit_grid(16), eps=0.02)
+        traj = solver.solve(zero_spec(), unit_grid(16), eps=0.02)
         assert all(f.sup_norm() == 0.0 for f in traj.fields)
 
     def test_impulsive_stays_zero(self):
-        traj = solver.solve_impulsive(zero_spec(), unit_grid(16))
+        traj = solver.solve(zero_spec(), unit_grid(16), gamma=0.0)
         assert traj.final.sup_norm() == 0.0
+
+
+class TestDerivedMode:
+    # (scenario, solve's eps and gamma, the mode its driver marched)
+    CASES = [
+        (source_spec, {}, "entropy"),
+        (source_spec, {"gamma": 0.0}, "impulsive"),
+        (source_spec, {"eps": 0.01}, "regularized"),
+        (zero_spec, {"gamma": 0.0}, "impulsive"),
+        (zero_spec, {"eps": 0.02}, "regularized"),
+        (nosource_spec, {"gamma": 0.0}, "entropy"),
+        (nosource_spec, {"eps": 0.02, "gamma": 0.0}, "regularized"),
+        (saturated_spec, {}, "entropy"),
+        (shock_spec, {}, "entropy"),
+        (unattainable_spec, {}, "entropy"),
+    ]
+
+    @pytest.mark.parametrize("scenario, given, mode", CASES, ids=[
+        f"{scenario.__name__}-{mode}-{'-'.join(given)}"
+        for scenario, given, mode in CASES])
+    def test_solve_is_the_march_of_the_derived_mode(self, scenario, given,
+                                                    mode):
+        spec = scenario()
+        grid = box_grid(spec, 8)
+        traj = solver.solve(spec, grid, **given)
+        assert traj.meta["mode"] == mode
+        eps = given.get("eps", spec.epsilon)
+        gamma = given.get("gamma", spec.gamma)
+        assert (traj.meta["eps"], traj.meta["gamma"]) == (eps, gamma)
+        direct = solver._march(spec, grid, eps, gamma, None, None, None, mode)
+        assert traj.times == direct.times
+        pairs = list(zip(traj.fields, direct.fields))
+        if mode == "impulsive":
+            pairs += [(traj.tau_minus, direct.tau_minus),
+                      (traj.tau_plus, direct.tau_plus)]
+        else:
+            assert traj.tau_minus is traj.tau_plus is None
+        assert all(np.array_equal(a.values, b.values) for a, b in pairs)
 
 
 class TestPreconditions:
     def test_regularized_needs_positive_eps(self):
-        with pytest.raises(ValueError):
-            solver.solve_regularized(nosource_spec(), unit_grid(8), eps=0.0)
+        # eps = 0 is the entropy problem; below it no problem is stated
+        with pytest.raises(ValueError, match="viscosity must be >= 0"):
+            solver.solve(nosource_spec(), unit_grid(8), eps=-0.01)
 
-    def test_entropy_rejects_zero_gamma_with_perturbation(self):
+    def test_regularized_rejects_zero_gamma_with_perturbation(self):
+        # at eps = 0 the same gamma marches the impulse
         with pytest.raises(solver.GammaOutOfRangeError):
-            solver.solve_entropy(source_spec(), unit_grid(8), gamma=0.0)
+            solver.solve(source_spec(), unit_grid(8), eps=0.01, gamma=0.0)
 
     def test_entropy_rejects_oversized_gamma(self):
         with pytest.raises(solver.GammaOutOfRangeError):
-            solver.solve_entropy(source_spec(), unit_grid(8), gamma=0.3)
+            solver.solve(source_spec(), unit_grid(8), gamma=0.3)
 
     def test_impulsive_needs_interior_tau(self):
         spec = source_spec().with_data(tau=0.0)
-        with pytest.raises(ValueError):
-            solver.solve_impulsive(spec, unit_grid(8))
+        with pytest.raises(ValueError, match="jump time"):
+            solver.solve(spec, unit_grid(8), gamma=0.0)
 
 
 class TestMaxPrincipleBound:
@@ -69,7 +109,7 @@ def test_heat_decay_rate():
         tau=0.05, gamma=0.0, epsilon=0.0,
     )
     grid = Grid(nx=128, ns=8, L=1.0, S=1.0)
-    traj = solver.solve_entropy(spec, grid, gamma=0.0)
+    traj = solver.solve(spec, grid, gamma=0.0)
     ratio = traj.final.sup_norm() / traj.fields[0].sup_norm()
     expected = math.exp(-math.pi ** 2 * 0.1)
     assert abs(ratio - expected) / expected <= 0.02
@@ -81,13 +121,13 @@ class TestJumpMap:
         # 1.01 M2
         spec = source_spec()
         assert 1 + min_kick_slope(spec, 0.0) == pytest.approx(0.663, abs=2e-3)
-        assert solver.solve_impulsive(spec, unit_grid(8)).tau_plus is not None
+        assert solver.solve(spec, unit_grid(8), gamma=0.0).tau_plus is not None
 
     def test_decreasing_jump_map_is_rejected(self):
         spec = source_spec().with_data(
             beta=E.parse(f"-1.5*{TENT}*{XBUMP}*{SBUMP}"))
         with pytest.raises(ValueError, match="jump map .* decreases"):
-            solver.solve_impulsive(spec, unit_grid(8))
+            solver.solve(spec, unit_grid(8), gamma=0.0)
 
 
 class TestKickCap:
@@ -100,7 +140,7 @@ class TestKickCap:
             beta=E.parse(f"-3*lambda*{XBUMP}*{SBUMP}*{LCUT}"))
         assert 1 + min_kick_slope(spec, 0.0) < 0.0
         grid = unit_grid(16)
-        traj = solver.solve_entropy(
+        traj = solver.solve(
             spec, grid, options=SchemeOptions(snapshot_stride=1))
         stepper = Stepper(spec, grid, eps=0.0, dt=traj.meta["dt"])
         uncapped = Stepper(spec, grid, eps=0.0, gamma=0.0).dt
@@ -123,8 +163,9 @@ class TestKickCap:
 
 class TestImpulsive:
     def test_no_perturbation_continuous(self, grid64):
-        spec = nosource_spec()
-        traj = solver.solve_impulsive(spec, grid64)
+        # beta = 0, so that gamma = 0 states the impulse
+        spec = nosource_spec().with_data(beta=E.parse("0"))
+        traj = solver.solve(spec, grid64, gamma=0.0)
         gap = np.max(np.abs(traj.tau_plus.values - traj.tau_minus.values))
         assert gap <= 1e-15
 
@@ -133,7 +174,7 @@ class TestImpulsive:
         # value lies, and 0 from b1 = 10 on: the jump is that constant
         spec = source_spec().with_data(
             beta=E.parse(f"0.25*{flat_cut(10)}"), b1=10.0)
-        traj = solver.solve_impulsive(spec, unit_grid(16))
+        traj = solver.solve(spec, unit_grid(16), gamma=0.0)
         jump = traj.tau_plus.values - traj.tau_minus.values
         assert np.allclose(jump, 0.25, atol=0.0)
 
@@ -152,7 +193,7 @@ class TestImpulsive:
     def test_one_step_horizon_still_jumps(self):
         # dt = T would leave no step before the jump: the march takes two
         spec = source_spec().with_data(T=0.02, tau=0.01, gamma=0.0)
-        traj = solver.solve_impulsive(spec, unit_grid(8))
+        traj = solver.solve(spec, unit_grid(8), gamma=0.0)
         assert (traj.meta["n_steps"], traj.meta["n_tau"]) == (2, 1)
         assert traj.tau_minus.t == traj.tau_plus.t == 0.01
         assert not np.array_equal(traj.tau_plus.values, traj.tau_minus.values)
@@ -163,8 +204,8 @@ class TestDeterminismAndConsistency:
     def test_bit_identical_reruns(self):
         spec = source_spec()
         grid = unit_grid(32)
-        t1 = solver.solve_entropy(spec, grid)
-        t2 = solver.solve_entropy(spec, grid)
+        t1 = solver.solve(spec, grid)
+        t2 = solver.solve(spec, grid)
         assert t1.times == t2.times
         for f1, f2 in zip(t1.fields, t2.fields):
             assert np.array_equal(f1.values, f2.values)
@@ -198,9 +239,8 @@ class TestDeterminismAndConsistency:
                 best = max(best, diff / dt_snap)
             return best
 
-        t1 = solver.solve_entropy(spec, grid, gamma=0.0)
-        t2 = solver.solve_entropy(spec, grid, gamma=0.0,
-                                  dt=t1.meta["dt"] / 2.0)
+        t1 = solver.solve(spec, grid, gamma=0.0)
+        t2 = solver.solve(spec, grid, gamma=0.0, dt=t1.meta["dt"] / 2.0)
         # the stride counts steps, so halving dt halves the snapshot
         # spacing: the secants are compared over the same intervals (the
         # snapshot one step after tau is not common to both)
@@ -215,7 +255,7 @@ class TestDeterminismAndConsistency:
         # region the monotone scheme never leaves
         spec = nosource_spec()
         grid = unit_grid(16)
-        traj = solver.solve_entropy(spec, grid, gamma=0.0, m_bound=0.05)
+        traj = solver.solve(spec, grid, gamma=0.0, m_bound=0.05)
         reach = reachable_bound(spec)
         assert traj.meta["m_bound"] == reach
         assert traj.final.sup_norm() <= traj.meta["m_bound"]
@@ -225,7 +265,7 @@ class TestDeterminismAndConsistency:
         assert 0 < restart["t"] < spec.T
 
     def test_no_restart_is_recorded_as_none(self):
-        traj = solver.solve_entropy(nosource_spec(), unit_grid(8), gamma=0.0)
+        traj = solver.solve(nosource_spec(), unit_grid(8), gamma=0.0)
         assert traj.meta["restart"] is None
 
     @pytest.mark.parametrize("m_bound, attempts", [(None, 1), (0.05, 2)])
@@ -235,8 +275,8 @@ class TestDeterminismAndConsistency:
         # and after building its stepper and once after marching
         monkeypatch.setattr(solver.time, "perf_counter",
                             functools.partial(next, itertools.count()))
-        traj = solver.solve_entropy(nosource_spec(), unit_grid(16),
-                                    gamma=0.0, m_bound=m_bound)
+        traj = solver.solve(nosource_spec(), unit_grid(16),
+                            gamma=0.0, m_bound=m_bound)
         assert (traj.meta["restart"] is None) == (attempts == 1)
         assert traj.meta["setup_s"] == traj.meta["march_s"] == attempts
 
@@ -250,7 +290,7 @@ class TestDeterminismAndConsistency:
         assert reachable_bound(spec) < 0.51
         with pytest.raises(solver.CflViolationError,
                            match="beyond 0.5.*the bound the monotone scheme"):
-            solver.solve_entropy(spec, unit_grid(16), gamma=0.0)
+            solver.solve(spec, unit_grid(16), gamma=0.0)
 
 
 class TestTraces:
@@ -263,7 +303,7 @@ class TestTraces:
         assert np.all(np.stack(traj.sS_traces) == 0.3)
 
     def test_zero_data_trace(self):
-        traj = solver.solve_entropy(zero_spec(), unit_grid(8))
+        traj = solver.solve(zero_spec(), unit_grid(8))
         assert np.all(np.stack(traj.s0_traces) == 0.0)
 
     def test_traces_run_along_x_at_the_s_ends(self):
@@ -284,7 +324,7 @@ class TestTraces:
 
         def final_trace(ns):
             grid = Grid(nx=16, ns=ns, L=1.0, S=1.0)
-            traj = solver.solve_entropy(spec, grid, gamma=0.0)
+            traj = solver.solve(spec, grid, gamma=0.0)
             return traj.sS_traces[-1]
 
         t32, t64, t128 = final_trace(32), final_trace(64), final_trace(128)

@@ -52,8 +52,8 @@ class TestMaxPrinciple:
         # min(M, M7) at every t > 0 snapshot; only the zero-data run has
         # the paper's curve below B, and that run is exactly 0
         spec = scenario()
-        traj = solver.solve_entropy(spec, unit_grid(32), gamma=gamma,
-                                    options=SchemeOptions(snapshot_stride=8))
+        traj = solver.solve(spec, unit_grid(32), gamma=gamma,
+                            options=SchemeOptions(snapshot_stride=8))
         later = np.asarray(traj.times) > 0.0
         bounds = np.array(verify._bound_curves(spec, traj))[later]
         paper = paper_bound(spec, traj)[later]
@@ -67,7 +67,7 @@ class TestMaxPrinciple:
         # u0_1 = 3 bumps above b1 = 1.5: D + m sup|beta| reaches 7.05, and
         # B stays at the inflated data norm 3.03, which the run respects
         spec = saturated_spec()
-        traj = solver.solve_entropy(spec, unit_grid(32))
+        traj = solver.solve(spec, unit_grid(32))
         rep = verify.check_max_principle(traj, spec)
         assert rep.passed
         bounds = verify._bound_curves(spec, traj)
@@ -79,7 +79,7 @@ class TestMaxPrinciple:
 
     def test_zero_data_run(self):
         spec = zero_spec()
-        traj = solver.solve_entropy(spec, unit_grid(16))
+        traj = solver.solve(spec, unit_grid(16))
         rep = verify.check_max_principle(traj, spec)
         assert rep.passed
         assert rep.measured == 0.0
@@ -105,8 +105,8 @@ class TestMaxPrinciple:
         # maximum principle for beta fails it
         spec = source_spec()
         marched = spec.with_data(beta=E.parse(f"8*{BETA_TEXT}"))
-        traj = solver.solve_entropy(marched, unit_grid(32),
-                                    options=SchemeOptions(snapshot_stride=1))
+        traj = solver.solve(marched, unit_grid(32),
+                            options=SchemeOptions(snapshot_stride=1))
         rep = verify.check_max_principle(traj, spec)
         assert not rep.passed
         assert rep.measured / rep.bound == pytest.approx(1.118, abs=1e-3)
@@ -122,8 +122,8 @@ class TestMaxPrinciple:
         # the inflow ramp rises with t, so a snapshot's data norm must
         # include the data at the snapshot's own time
         spec = unattainable_spec(L=1.0)
-        traj = solver.solve_entropy(spec, unit_grid(16), gamma=0.0,
-                                    options=SchemeOptions(snapshot_stride=1))
+        traj = solver.solve(spec, unit_grid(16), gamma=0.0,
+                            options=SchemeOptions(snapshot_stride=1))
         bounds = verify._bound_curves(spec, traj)
         xs = np.linspace(0.0, spec.L, 256)
 
@@ -243,8 +243,8 @@ class TestStability:
         m = max(reachable_bound(s) for s in (base, pert))
         dt = min(Stepper(s, grid64, eps=0.0, gamma=0.0, m_bound=m).dt
                  for s in (base, pert))
-        t1 = solver.solve_impulsive(base, grid64, dt=dt, m_bound=m)
-        t2 = solver.solve_impulsive(pert, grid64, dt=dt, m_bound=m)
+        t1 = solver.solve(base, grid64, gamma=0.0, dt=dt, m_bound=m)
+        t2 = solver.solve(pert, grid64, gamma=0.0, dt=dt, m_bound=m)
         rep = verify.check_stability(t1, t2, base, pert)
         assert rep.passed
         assert 0.0 < rep.measured <= 1.05 * rep.bound
@@ -305,7 +305,7 @@ class TestStability:
 
     def test_grid_mismatch(self, gamma_family):
         spec = gamma_family["spec"]
-        other = solver.solve_entropy(spec, unit_grid(32), gamma=0.1)
+        other = solver.solve(spec, unit_grid(32), gamma=0.1)
         with pytest.raises(verify.GridMismatchError):
             verify.check_stability(gamma_family["trajs"][0.1], other,
                                    spec, spec)
@@ -317,8 +317,8 @@ class TestStability:
         m = max(reachable_bound(s) for s in specs)
         dt = min(Stepper(s, grid, eps=0.0, gamma=0.0 if impulsive else s.gamma,
                          m_bound=m, options=options).dt for s in specs)
-        solve = solver.solve_impulsive if impulsive else solver.solve_entropy
-        return [solve(s, grid, dt=dt, m_bound=m, options=options)
+        return [solver.solve(s, grid, gamma=0.0 if impulsive else None,
+                             dt=dt, m_bound=m, options=options)
                 for s in specs]
 
     def test_lax_friedrichs_pair_with_different_inflow(self, monkeypatch):
@@ -382,7 +382,7 @@ class TestStability:
         m = max(reachable_bound(s) for s in (spec, other))
         dt = min(Stepper(s, grid, eps=0.0, gamma=0.0, m_bound=m).dt
                  for s in (spec, other))
-        t1, t2 = (solver.solve_entropy(s, grid, dt=dt, m_bound=m)
+        t1, t2 = (solver.solve(s, grid, dt=dt, m_bound=m)
                   for s in (spec, other))
         rep = verify.check_stability(t1, t2, spec, other)
         assert rep.passed, rep
@@ -401,7 +401,7 @@ class TestStability:
                  if change == "flux_kind" else SchemeOptions()}]
         dt = min(Stepper(spec, grid, eps=0.0, gamma=0.0, **run).dt
                  for run in runs)
-        t1, t2 = (solver.solve_entropy(spec, grid, dt=dt, **run)
+        t1, t2 = (solver.solve(spec, grid, dt=dt, **run)
                   for run in runs)
         with pytest.raises(verify.GridMismatchError, match="m_bound"):
             verify.check_stability(t1, t2, spec, other)
@@ -503,8 +503,7 @@ class TestEntropyResidual:
                                          data_u0_2=E.parse("0.7"),
                                          data_uS_2=E.parse("0.7"))
         opts = SchemeOptions(snapshot_stride=1)
-        traj = solver.solve_entropy(spec, unit_grid(16), gamma=0.0,
-                                    options=opts)
+        traj = solver.solve(spec, unit_grid(16), gamma=0.0, options=opts)
         rep = verify.check_entropy_residual(traj, spec, [0.2, 0.7, 1.3])
         assert rep.passed
         assert abs(rep.measured) <= 1e-12
@@ -518,8 +517,7 @@ class TestEntropyResidual:
         grid = unit_grid(32)
         opts = SchemeOptions(snapshot_stride=1)
         dt = 7.0 * Stepper(spec, grid, eps=0.0, gamma=0.0, options=opts).dt
-        traj = solver.solve_entropy(spec, grid, gamma=0.0, options=opts,
-                                    dt=dt)
+        traj = solver.solve(spec, grid, gamma=0.0, options=opts, dt=dt)
         assert traj.meta["restart"] is None
         rep = verify.check_entropy_residual(
             traj, spec, [-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
@@ -534,9 +532,9 @@ class TestEntropyResidual:
         # -0.0017 and -0.0019)
         spec = source_spec()
         opts = SchemeOptions(snapshot_stride=1)
-        solve = (solver.solve_impulsive if mode == "impulsive"
-                 else solver.solve_entropy)
-        traj = solve(spec, unit_grid(32), options=opts)
+        traj = solver.solve(spec, unit_grid(32),
+                            gamma=0.0 if mode == "impulsive" else None,
+                            options=opts)
         ks = list(np.linspace(-0.2, 0.8, 9))
         assert verify.check_entropy_residual(traj, spec, ks).passed
         wrong = source_spec(beta_amp=amp)
@@ -583,8 +581,8 @@ class TestEntropyResidual:
         # one step's (k, x, s) arrays at a time: 32^2 with 9 k read 7.2 MiB
         # when six steps were scored together, 1.4 MiB one at a time
         spec = source_spec().with_data(T=T)
-        traj = solver.solve_entropy(spec, unit_grid(32),
-                                    options=SchemeOptions(snapshot_stride=1))
+        traj = solver.solve(spec, unit_grid(32),
+                            options=SchemeOptions(snapshot_stride=1))
         ks = list(np.linspace(-0.2, 0.8, 9))
         verify.check_entropy_residual(traj, spec, ks)  # warm every cache
         tracemalloc.start()
@@ -613,8 +611,8 @@ class TestBln:
         spec = shock_spec().with_data(flux_a=E.parse("2*lambda"),
                                       data_u0_2=E.parse("0.5"),
                                       data_uS_2=E.parse("0"))
-        traj = solver.solve_entropy(spec, box_grid(spec, 32), gamma=0.0,
-                                    options=SchemeOptions(snapshot_stride=8))
+        traj = solver.solve(spec, box_grid(spec, 32), gamma=0.0,
+                            options=SchemeOptions(snapshot_stride=8))
         rep = verify.check_bln(traj, spec, list(np.linspace(-1, 1, 9)))
         assert rep.passed
         # the check's tol 5 (ds + dx) grows with the wide box's dx = L/n;
@@ -627,8 +625,8 @@ class TestBln:
         spec = shock_spec().with_data(flux_a=E.parse("2*lambda"),
                                       data_u0_2=E.parse("0.5"),
                                       data_uS_2=E.parse("0"))
-        traj = solver.solve_entropy(spec, box_grid(spec, 32), gamma=0.0,
-                                    options=SchemeOptions(snapshot_stride=1))
+        traj = solver.solve(spec, box_grid(spec, 32), gamma=0.0,
+                            options=SchemeOptions(snapshot_stride=1))
         rep = verify.check_bln(traj, spec, list(np.linspace(-1, 1, 9)))
         assert rep.passed
         assert rep.context["n_scored"] == len(traj.times) - 1
@@ -748,7 +746,7 @@ class TestJump:
         assert sup_bound(spec, spec.tau, 1.0, verify.NORM_INFLATION) < 3.0
         grid = unit_grid(16)
         with pytest.raises(ValueError, match="jump map .* decreases"):
-            solver.solve_impulsive(spec, grid)
+            solver.solve(spec, grid, gamma=0.0)
         xc, sc = grid.cell_centers()
         um = Field(solver.initial_values(spec, grid), grid)
         b = E.evaluate(spec.beta, {"x": xc[:, None], "s": sc[None, :],
@@ -775,7 +773,7 @@ class TestJump:
                                                                 rel=1e-2)
         grid = unit_grid(16)
         with pytest.raises(ValueError, match="jump map .* decreases"):
-            solver.solve_impulsive(spec, grid)
+            solver.solve(spec, grid, gamma=0.0)
         xc, sc = grid.cell_centers()
         um = Field(solver.initial_values(spec, grid), grid)
         b = E.evaluate(spec.beta, {"x": xc[:, None], "s": sc[None, :],
@@ -793,7 +791,7 @@ class TestJump:
         spec = source_spec().with_data(beta=E.parse(
             f"0.9*max(0, 1 - abs(lambda))*{XBUMP}*{SBUMP}"), b1=1.0)
         assert problem.consistency_errors(spec) == []
-        traj = solver.solve_impulsive(spec, unit_grid(16))
+        traj = solver.solve(spec, unit_grid(16), gamma=0.0)
         rep = verify.check_jump(traj, spec)
         assert rep.passed
         assert rep.context["m3"] == 1.0
@@ -802,15 +800,16 @@ class TestJump:
         assert verify.check_max_principle(traj, spec).passed
 
     def test_no_perturbation(self, grid64):
-        spec = nosource_spec()
-        traj = solver.solve_impulsive(spec, grid64)
+        # beta = 0, so that gamma = 0 states the impulse
+        spec = nosource_spec().with_data(beta=E.parse("0"))
+        traj = solver.solve(spec, grid64, gamma=0.0)
         rep = verify.check_jump(traj, spec)
         assert rep.passed
         assert rep.context["pointwise"] == 0.0
 
     def test_missing_traces(self, grid64):
         spec = nosource_spec()
-        traj = solver.solve_entropy(spec, grid64, gamma=0.0)
+        traj = solver.solve(spec, grid64, gamma=0.0)
         with pytest.raises(verify.MissingTauTracesError):
             verify.check_jump(traj, spec)
 
@@ -837,8 +836,8 @@ class TestGammaLimit:
         # exactly, the impulse's kick, on the same dt
         spec = source_spec()
         grid = unit_grid(32)
-        ref = solver.solve_impulsive(spec, grid)
-        traj = solver.solve_entropy(spec, grid, gamma=gamma)
+        ref = solver.solve(spec, grid, gamma=0.0)
+        traj = solver.solve(spec, grid, gamma=gamma)
         assert traj.meta["dt"] == ref.meta["dt"]
         assert verify.spacetime_l1_diff(traj, ref) == 0.0
 
@@ -1170,10 +1169,10 @@ def small_runs():
     runs = {}
     for stride in (1, 32):
         opts = SchemeOptions(snapshot_stride=stride)
-        runs["entropy", stride] = solver.solve_entropy(spec, grid, options=opts)
-        runs["impulsive", stride] = solver.solve_impulsive(spec, grid,
-                                                           options=opts)
-    runs["entropy_lf", 1] = solver.solve_entropy(
+        runs["entropy", stride] = solver.solve(spec, grid, options=opts)
+        runs["impulsive", stride] = solver.solve(spec, grid, gamma=0.0,
+                                                 options=opts)
+    runs["entropy_lf", 1] = solver.solve(
         spec, grid, options=SchemeOptions(snapshot_stride=1,
                                           flux_kind=LAX_FRIEDRICHS))
     return spec, runs
@@ -1187,8 +1186,8 @@ def regularized_run():
     """The source problem at 32^2, eps = 0.01, stride 1, and the k bank
     ``upkolmo verify`` scores it with."""
     spec = source_spec()
-    traj = solver.solve_regularized(spec, unit_grid(32), eps=0.01,
-                                    options=SchemeOptions(snapshot_stride=1))
+    traj = solver.solve(spec, unit_grid(32), eps=0.01,
+                        options=SchemeOptions(snapshot_stride=1))
     return spec, traj, cli._k_bank(traj)
 
 
