@@ -18,9 +18,10 @@ Field files (extension ``.upkf``) are little-endian and bit-exact:
     payload Nx * Ns f64, x-major then s
 
 A trajectory directory holds one field file per snapshot, an ``index.csv``
-mapping snapshot times to filenames (with a role column marking the
-one-sided jump fields ``tau_minus`` and ``tau_plus``, which an impulsive
-run must have and other modes do not write), and a ``meta.json`` with the
+mapping snapshot times to filenames (its third column, the role, reads
+``snapshot`` on every row; any other role is refused, among them the
+``tau_minus`` and ``tau_plus`` rows of directories written while the run
+stored its one-sided jump fields), and a ``meta.json`` with the
 march parameters the verification checks need to reconstruct the stepper:
 ``mode`` (derived from eps, gamma and beta by ``solver.mode_of``),
 ``lateral_diffusion``, ``source``, ``dt``, ``n_steps``, ``n_tau`` (the
@@ -38,11 +39,11 @@ treated the lateral Laplacian and the source, and only
 ("kick", applied after the lateral solve) are read: a directory written by
 the earlier explicit update, or with the source inside the explicit part,
 lacks the key, so it is refused instead of being scored against the wrong
-update.  The retired option ``x_diffusion`` loads only at the value every
-earlier run wrote (``_RETIRED_OPTIONS``); another value is refused, as
-is one ``SchemeOptions`` refuses.  The checks re-derive each step from
-``dt``, so ``n_steps`` dt must be the last snapshot time and every
-snapshot time a multiple of dt, both to 1e-9 steps.
+update.  An option ``SchemeOptions`` does not have, or a value it
+refuses, is refused.  The checks re-derive each step from ``dt``, so
+``n_steps`` dt must be the last snapshot time and every snapshot time a
+multiple of dt, both to 1e-9 steps, and an impulsive run must hold the
+snapshot at level ``n_tau``, the jump ``verify.check_jump`` scores.
 """
 
 from __future__ import annotations
@@ -95,8 +96,6 @@ _KINDS = {
     "n_tau": ("an integer or null", lambda v: v is None or _integer(v)),
     "options": ("an object", lambda v: isinstance(v, dict)),
 }
-# retired option: (the value every earlier run wrote, what another meant)
-_RETIRED_OPTIONS = {"x_diffusion": (True, "no lateral Laplacian")}
 
 
 class ParseError(ValueError):
@@ -329,12 +328,7 @@ def _meta_from_json(data):
         if not ok(out[key]):
             raise FormatError(f"meta.json: {key} = {json.dumps(out[key])} "
                               f"is not {what}")
-    opts = dict(out["options"])
-    for name, (kept, what) in _RETIRED_OPTIONS.items():
-        value = opts.pop(name, kept)
-        if value != kept:
-            raise FormatError(f"meta.json: a run with {what} ({name} = "
-                              f"{json.dumps(value)}) cannot be re-stepped")
+    opts = out["options"]
     unknown = sorted(set(opts) - {f.name for f in
                                   dataclasses.fields(SchemeOptions)})
     if unknown:
@@ -353,16 +347,10 @@ def write_trajectory(directory, traj):
     for i, (t, fld) in enumerate(zip(traj.times, traj.fields)):
         name = f"field_{i:06d}.upkf"
         write_field(directory / name, fld)
-        rows.append((t, name, "snapshot"))
-    for role in ("tau_minus", "tau_plus"):
-        fld = getattr(traj, role)
-        if fld is not None:
-            write_field(directory / f"{role}.upkf", fld)
-            rows.append((fld.t, f"{role}.upkf", role))
+        rows.append(f"{t!r},{name},snapshot\n")
     with open(directory / "index.csv", "w", encoding="utf-8") as fh:
         fh.write("t,filename,role\n")
-        for t, name, role in rows:
-            fh.write(f"{t!r},{name},{role}\n")
+        fh.writelines(rows)
     with open(directory / "meta.json", "w", encoding="utf-8") as fh:
         json.dump(_meta_to_json(traj.meta), fh, indent=1, sort_keys=True)
 
@@ -382,7 +370,6 @@ def read_trajectory(directory, L=1.0, S=1.0):
         raise FormatError(f"{directory}: meta.json lacks {', '.join(missing)}")
     meta = _meta_from_json(data)
     traj = None
-    jump = {"tau_minus": None, "tau_plus": None}
     for row in index[1:]:
         if not row.strip():
             continue
@@ -392,16 +379,13 @@ def read_trajectory(directory, L=1.0, S=1.0):
         except ValueError:
             raise FormatError(f"{directory}: index.csv row {row!r} is not "
                               "t,filename,role") from None
+        if role != "snapshot":
+            raise FormatError(f"{directory}: unknown role {role!r}")
         fld = read_field(directory / name, L=L, S=S)
         if traj is None:
             traj = Trajectory(grid=fld.grid)
             traj.meta = meta
-        if role == "snapshot":
-            traj.append(t, fld)
-        elif role in jump:
-            jump[role] = fld
-        else:
-            raise FormatError(f"{directory}: unknown role {role!r}")
+        traj.append(t, fld)
     if traj is None:
         raise FormatError(f"{directory}: empty trajectory")
     dt, levels = meta["dt"], np.asarray(traj.times) / meta["dt"]
@@ -413,8 +397,8 @@ def read_trajectory(directory, L=1.0, S=1.0):
     if off.size:
         raise FormatError(f"{directory}: snapshot time {traj.times[off[0]]!r} "
                           f"is not a multiple of dt = {dt!r} in meta.json")
-    if meta["mode"] == "impulsive" and None in jump.values():
+    if meta["mode"] == "impulsive" and meta["n_tau"] not in np.rint(levels):
         raise FormatError(f"{directory}: an impulsive run's index.csv lacks "
-                          "the tau_minus or tau_plus row")
-    traj.tau_minus, traj.tau_plus = jump.values()
+                          f"the snapshot at the jump's level n_tau = "
+                          f"{meta['n_tau']}")
     return traj

@@ -134,13 +134,11 @@ class Field:
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots plus the extracted boundary/jump traces."""
+    """Time-ordered snapshots plus the extracted boundary traces."""
 
     grid: Grid
     times: list = field(default_factory=list)
     fields: list = field(default_factory=list)
-    tau_minus: Field | None = None
-    tau_plus: Field | None = None
     meta: dict = field(default_factory=dict)
 
     def append(self, t, fld):

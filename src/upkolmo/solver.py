@@ -8,9 +8,10 @@ step ends with the source's kick (``scheme.Stepper.kick``):
   eps-diffusion stencil and fed to the convective flux;
 * ``impulsive``   -- eps = 0, gamma = 0 and a beta: the one kick, theta =
   1, applies the jump map u <- u + beta(x, s, u) at level n_tau =
-  ceil(tau/dt), the first at or after tau, where both one-sided fields
-  are recorded.  It needs tau in (0, T) and refuses a decreasing jump
-  map, 1 + ``kick_slope`` < 0, with which the march is not monotone;
+  ceil(tau/dt), the first at or after tau, stored as a snapshot with the
+  next (``verify.check_jump`` replays u(tau-)).  It needs tau in (0, T)
+  and refuses a decreasing jump map, 1 + ``kick_slope`` < 0, with which
+  the march is not monotone;
 * ``entropy``     -- any other eps = 0 problem: s-end data enter only as
   exterior flux states, so they may stay unattained where
   characteristics leave.
@@ -126,12 +127,8 @@ def _march_once(spec, grid, stepper, mode):
         snap_at.add(n_tau + 1)
 
     for n in range(n_steps):
-        v = stepper.step(u, n * dt)
-        u = stepper.kick(v, n * dt)
+        u = stepper.kick(stepper.step(u, n * dt), n * dt)
         t_new = (n + 1) * dt
-        if mode == "impulsive" and n + 1 == n_tau:
-            traj.tau_minus = Field(v.copy(), grid, t_new)
-            traj.tau_plus = Field(u.copy(), grid, t_new)
         sup = float(np.max(np.abs(u)))
         if sup > stepper.m_bound:
             raise SupNormExceeded(sup, stepper.m_bound, t_new)

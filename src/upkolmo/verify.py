@@ -79,7 +79,8 @@ Notes on three deliberately discrete constructions:
             - theta_n [sgn(v - k) (beta(v) - beta(k)) + |beta(k)|]  <=  0.
 
   Where theta_n = 0, v = u^{n+1}; on a kick step the check replays
-  ``Stepper.step(u^n)``, the deterministic march's own v bit for bit.
+  ``Stepper.step(u^n)`` (``_pre_kick``), the deterministic march's own v
+  bit for bit.
 * The stability estimate bounds the march itself, step by step, for two
   runs of one operator: grid, dt, eps, fluxes and their kind, m_bound and
   each step's kick mass theta_n (Kruzhkov, Math. USSR Sb. 10, 1970;
@@ -135,16 +136,12 @@ __all__ = [
     "check_stability", "check_entropy_residual", "check_bln",
     "check_jump", "check_gamma_limit", "check_epsilon_cauchy",
     "validate_genuine_nonlinearity",
-    "TooFewRunsError", "MissingTauTracesError", "GridMismatchError",
+    "TooFewRunsError", "GridMismatchError",
     "GammaOutOfRangeError",
 ]
 
 
 class TooFewRunsError(ValueError):
-    pass
-
-
-class MissingTauTracesError(ValueError):
     pass
 
 
@@ -364,11 +361,16 @@ def _entropy_parts(flux, k_parts, w, sign):
     return sign * (g - k_parts[0]), sign * (h - k_parts[1])
 
 
-def _pre_kick(stepper, u, t):
-    """The march's state before the kick, ``Stepper.step(u, t)``; NaN
-    where the step cannot form it."""
+def _pre_kick(stepper, u, n0, n1):
+    """The march's state v before the kick of the step that ends at level
+    n1, replayed from its state u at level n0 < n1 with ``Stepper.step``
+    and ``kick``, the deterministic march's own v bit for bit; NaN where a
+    step cannot form it.  At n1 = n0 + 1 it is ``Stepper.step(u, n0 dt)``."""
+    dt = stepper.dt
     try:
-        return stepper.step(u, t)
+        for n in range(n0, n1 - 1):
+            u = stepper.kick(stepper.step(u, n * dt), n * dt)
+        return stepper.step(u, (n1 - 1) * dt)
     except NaNDetectedError:
         return np.full_like(u, np.nan)
 
@@ -407,7 +409,7 @@ def check_entropy_residual(traj, spec, k_values):
         t0 = traj.times[n]
         u0, u1 = traj.fields[n].values, traj.fields[n + 1].values
         theta = stepper.source_rate(t0)
-        v = _pre_kick(stepper, u0, t0) if theta else u1
+        v = _pre_kick(stepper, u0, n, n + 1) if theta else u1
         w = stepper.padded(u0, t0)
         diff = w - ks
         sign, eta_pad = np.sign(diff), np.abs(diff)
@@ -525,21 +527,27 @@ def check_bln(traj, spec, k_values):
 def check_jump(traj, spec):
     """The impulse jump condition u(tau+) = u(tau-) + beta(x, s, u(tau-)),
     cell by cell to 1e-14, the post-jump sup-norm against M3 =
-    ``problem.sup_bound`` at ``tau_plus`` with unit kick mass, and the jump
-    map's least slope ``min_jump_weight``, 1 + ``problem.min_kick_slope``
-    as in ``solver.solve``.  The measured value is the largest of
-    the pointwise and post-jump ratios and 1 - min_jump_weight, so the row
-    fails where the map decreases and the impulsive march is not monotone.
+    ``problem.sup_bound`` at tau+ with unit kick mass, and the jump map's
+    least slope ``min_jump_weight``, 1 + ``problem.min_kick_slope`` as in
+    ``solver.solve``.  u(tau+) is the stored snapshot at level n_tau, and
+    u(tau-) the v ``_pre_kick`` replays up to it from the last stored
+    snapshot below it.  The measured value is the largest of the pointwise
+    and post-jump ratios and 1 - min_jump_weight, so the row fails where
+    the map decreases and the impulsive march is not monotone; a replay
+    that cannot form v measures inf.
     """
-    if traj.tau_minus is None or traj.tau_plus is None:
-        raise MissingTauTracesError("trajectory has no pre/post jump fields")
-    um, up = traj.tau_minus, traj.tau_plus
-    jump = up.values - um.values
+    n_tau, dt = traj.meta["n_tau"], traj.meta["dt"]
+    levels = list(np.rint(np.asarray(traj.times) / dt).astype(int))
+    i = levels.index(n_tau)  # stored by the march, required by ``io``
+    up = traj.fields[i]
+    um = _pre_kick(_stepper(spec, traj), traj.fields[i - 1].values,
+                   levels[i - 1], n_tau)
+    jump = up.values - um
     if spec.beta is not None:
         xc, sc = traj.grid.cell_centers()
         jump = jump - exprdsl.evaluate(spec.beta, {
-            "x": xc[:, None], "s": sc[None, :], "lambda": um.values})
-    pointwise = float(np.max(np.abs(jump)))
+            "x": xc[:, None], "s": sc[None, :], "lambda": um})
+    pointwise = _inf_unless_finite(float(np.max(np.abs(jump))))
     m3 = sup_bound(spec, up.t, 1.0, inflate=NORM_INFLATION)
     min_weight = 1.0 + min_kick_slope(spec, 0.0)
     post_sup = up.sup_norm()

@@ -317,8 +317,8 @@ def test_verify_of_an_unreadable_trajectory_exits_1(run_dir, capsys):
     meta["options"]["x_diffusion"] = False
     (traj / "meta.json").write_text(json.dumps(meta))
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
-    assert capsys.readouterr().err.startswith("error: meta.json: a run with "
-                                              "no lateral Laplacian")
+    assert capsys.readouterr().err == ("error: meta.json: unknown options "
+                                       "x_diffusion\n")
     assert not (traj / "reports.csv").exists()
 
 
@@ -448,22 +448,19 @@ def _impulsive_dir(tmp_path):
     return cfg, traj
 
 
-def _jump_rows(traj):
-    rows = (traj / "index.csv").read_text().splitlines()[1:]
-    return [row.split(",")[1:] for row in rows
-            if row.split(",")[2] != "snapshot"]
+def _index_rows(traj):
+    return [row.split(",")
+            for row in (traj / "index.csv").read_text().splitlines()[1:]]
 
 
-def test_only_an_impulsive_run_writes_jump_fields(run_dir, tmp_path):
-    # `verify` reads the one-sided jump fields of impulsive runs only
-    _, traj = run_dir
-    assert _jump_rows(traj) == []
-    assert list(traj.glob("tau_*")) == []
+def test_no_run_writes_a_non_snapshot_row(run_dir, tmp_path):
+    # `verify` replays an impulsive run's jump from its snapshots
     _, impulsive = _impulsive_dir(tmp_path)
-    assert _jump_rows(impulsive) == [["tau_minus.upkf", "tau_minus"],
-                                     ["tau_plus.upkf", "tau_plus"]]
-    assert sorted(p.name for p in impulsive.glob("tau_*")) == [
-        "tau_minus.upkf", "tau_plus.upkf"]
+    for traj in (run_dir[1], impulsive):
+        rows = _index_rows(traj)
+        assert {role for _, _, role in rows} == {"snapshot"}
+        assert sorted(p.name for p in traj.glob("*.upkf")) == [
+            name for _, name, _ in rows]
 
 
 def test_an_impulsive_run_marches_the_configs_gamma_limit(tmp_path):
@@ -473,7 +470,9 @@ def test_an_impulsive_run_marches_the_configs_gamma_limit(tmp_path):
     assert (meta["mode"], meta["eps"], meta["gamma"]) == ("impulsive", 0.0,
                                                           0.0)
     assert meta["spec_hash"] == upk_io.load_config(cfg).spec.context_hash()
-    assert [role for _, role in _jump_rows(traj)] == ["tau_minus", "tau_plus"]
+    # the jump is the snapshot at level n_tau
+    assert repr(meta["n_tau"] * meta["dt"]) in [
+        t for t, _, _ in _index_rows(traj)]
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
     assert _rows(traj / "reports.csv")["jump_condition"] == "true"
 
@@ -515,16 +514,35 @@ def test_verify_of_an_impulsive_run_without_jump_fields_exits_1(tmp_path,
                                                                 capsys):
     cfg, traj = _impulsive_dir(tmp_path)
     capsys.readouterr()
+    meta = json.loads((traj / "meta.json").read_text())
+    n_tau = meta["n_tau"]
     index = (traj / "index.csv").read_text().splitlines()
     (traj / "index.csv").write_text("\n".join(
-        row for row in index if ",tau_" not in row) + "\n")
-    for path in traj.glob("tau_*.upkf"):
-        path.unlink()
+        row for row in index
+        if not row.startswith(f"{n_tau * meta['dt']!r},")) + "\n")
     argv = ["verify", str(cfg), "--traj", str(traj)]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err == (f"error: {traj}: an impulsive run's index.csv lacks the "
-                   "tau_minus or tau_plus row\n")
+                   f"snapshot at the jump's level n_tau = {n_tau}\n")
+    assert not (traj / "reports.csv").exists()
+
+
+def test_verify_of_a_directory_with_one_sided_jump_rows_exits_1(tmp_path,
+                                                                capsys):
+    # the layout written while the run stored u(tau-) and u(tau+)
+    cfg, traj = _impulsive_dir(tmp_path)
+    capsys.readouterr()
+    meta = json.loads((traj / "meta.json").read_text())
+    t = repr(meta["n_tau"] * meta["dt"])
+    name = next(name for t_row, name, _ in _index_rows(traj) if t_row == t)
+    with open(traj / "index.csv", "a") as fh:
+        for role in ("tau_minus", "tau_plus"):
+            (traj / f"{role}.upkf").write_bytes((traj / name).read_bytes())
+            fh.write(f"{t},{role}.upkf,{role}\n")
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    assert capsys.readouterr().err == (f"error: {traj}: unknown role "
+                                       "'tau_minus'\n")
     assert not (traj / "reports.csv").exists()
 
 

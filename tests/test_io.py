@@ -20,10 +20,8 @@ def _trajectory():
     grid = unit_grid(4)
     rng = np.random.default_rng(3)
     traj = Trajectory(grid=grid)
-    for t in (0.0, 0.25, 0.5):
+    for t in (0.0, 0.25, 0.375, 0.5):
         traj.append(t, Field(rng.random((4, 4)), grid, t))
-    traj.tau_minus = Field(rng.random((4, 4)), grid, 0.375)
-    traj.tau_plus = Field(rng.random((4, 4)), grid, 0.375)
     traj.meta = {"mode": "impulsive", "lateral_diffusion": "backward_euler",
                  "source": "kick", "dt": 0.125, "n_steps": 4, "n_tau": 3,
                  "stride": 3, "eps": 0.0, "gamma": 0.0, "m_bound": 2.0,
@@ -31,14 +29,13 @@ def _trajectory():
     return traj
 
 
-def test_round_trip_keeps_options_fields_and_jump_fields(tmp_path):
+def test_round_trip_keeps_options_and_fields(tmp_path):
     traj = _trajectory()
     upk_io.write_trajectory(tmp_path, traj)
     back = upk_io.read_trajectory(tmp_path)
     assert back.meta == traj.meta
     assert back.times == traj.times
-    for got, want in zip(back.fields + [back.tau_minus, back.tau_plus],
-                         traj.fields + [traj.tau_minus, traj.tau_plus]):
+    for got, want in zip(back.fields, traj.fields, strict=True):
         assert got.t == want.t
         assert np.array_equal(got.values, want.values)
 
@@ -83,17 +80,13 @@ def _with_option(tmp_path, name, value):
     (tmp_path / "meta.json").write_text(json.dumps(meta))
 
 
-@pytest.mark.parametrize("name, kept", [("x_diffusion", True)])
-def test_retired_option_loads_only_at_its_kept_value(tmp_path, name, kept):
-    # every earlier run wrote the kept value; the other one solved another
-    # equation and cannot be re-stepped
-    _with_option(tmp_path, name, kept)
-    assert upk_io.read_trajectory(tmp_path).meta["options"] == OPTIONS
-    _with_option(tmp_path, name, not kept)
-    named = f"\\({name} = {json.dumps(not kept)}\\)"
+@pytest.mark.parametrize("value", [True, False])
+def test_the_retired_x_diffusion_option_is_unknown(tmp_path, value):
+    # it was retired before meta.json held `source`, which every directory
+    # that loads holds, so no such directory ever wrote it
+    _with_option(tmp_path, "x_diffusion", value)
     with pytest.raises(upk_io.FormatError,
-                       match=f"^meta.json: a run with .* {named} cannot be "
-                             "re-stepped$"):
+                       match="^meta.json: unknown options x_diffusion$"):
         upk_io.read_trajectory(tmp_path)
 
 
@@ -222,3 +215,21 @@ def test_index_without_rows_is_an_empty_trajectory(tmp_path):
     _write_index(tmp_path, lines[:1])
     with pytest.raises(upk_io.FormatError, match="empty trajectory"):
         upk_io.read_trajectory(tmp_path)
+
+
+@pytest.mark.parametrize("mode", ["impulsive", "entropy"])
+def test_only_an_impulsive_run_needs_its_jump_snapshot(tmp_path, mode):
+    traj = _trajectory()
+    traj.meta["mode"] = mode
+    upk_io.write_trajectory(tmp_path, traj)
+    lines = (tmp_path / "index.csv").read_text().splitlines()
+    _write_index(tmp_path, [row for row in lines
+                            if not row.startswith("0.375,")])
+    if mode == "entropy":
+        assert upk_io.read_trajectory(tmp_path).times == [0.0, 0.25, 0.5]
+        return
+    with pytest.raises(upk_io.FormatError) as info:
+        upk_io.read_trajectory(tmp_path)
+    assert str(info.value) == (f"{tmp_path}: an impulsive run's index.csv "
+                               "lacks the snapshot at the jump's level "
+                               "n_tau = 3")

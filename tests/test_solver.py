@@ -60,13 +60,8 @@ class TestDerivedMode:
         assert (traj.meta["eps"], traj.meta["gamma"]) == (eps, gamma)
         direct = solver._march(spec, grid, eps, gamma, None, None, None, mode)
         assert traj.times == direct.times
-        pairs = list(zip(traj.fields, direct.fields))
-        if mode == "impulsive":
-            pairs += [(traj.tau_minus, direct.tau_minus),
-                      (traj.tau_plus, direct.tau_plus)]
-        else:
-            assert traj.tau_minus is traj.tau_plus is None
-        assert all(np.array_equal(a.values, b.values) for a, b in pairs)
+        assert all(np.array_equal(a.values, b.values)
+                   for a, b in zip(traj.fields, direct.fields))
 
 
 class TestPreconditions:
@@ -121,7 +116,8 @@ class TestJumpMap:
         # 1.01 M2
         spec = source_spec()
         assert 1 + min_kick_slope(spec, 0.0) == pytest.approx(0.663, abs=2e-3)
-        assert solver.solve(spec, unit_grid(8), gamma=0.0).tau_plus is not None
+        traj = solver.solve(spec, unit_grid(8), gamma=0.0)
+        assert verify.check_jump(traj, spec).passed
 
     def test_decreasing_jump_map_is_rejected(self):
         spec = source_spec().with_data(
@@ -166,8 +162,8 @@ class TestImpulsive:
         # beta = 0, so that gamma = 0 states the impulse
         spec = nosource_spec().with_data(beta=E.parse("0"))
         traj = solver.solve(spec, grid64, gamma=0.0)
-        gap = np.max(np.abs(traj.tau_plus.values - traj.tau_minus.values))
-        assert gap <= 1e-15
+        v, jumped = _jump(traj, spec)
+        assert np.max(np.abs(jumped - v)) <= 1e-15
 
     def test_constant_shift_on_support(self):
         # perturbation constant in value on |lambda| <= 9.9, where every
@@ -175,29 +171,42 @@ class TestImpulsive:
         spec = source_spec().with_data(
             beta=E.parse(f"0.25*{flat_cut(10)}"), b1=10.0)
         traj = solver.solve(spec, unit_grid(16), gamma=0.0)
-        jump = traj.tau_plus.values - traj.tau_minus.values
-        assert np.allclose(jump, 0.25, atol=0.0)
+        v, jumped = _jump(traj, spec)
+        assert np.allclose(jumped - v, 0.25, atol=0.0)
 
     def test_jump_recorded_at_snapped_time(self, impulsive_run):
         traj = impulsive_run["traj"]
         n_tau, dt = traj.meta["n_tau"], traj.meta["dt"]
-        assert traj.tau_minus.t == pytest.approx(n_tau * dt)
+        assert n_tau * dt in traj.times
         # n_tau = ceil(tau/dt): the first level at or after tau
         assert (n_tau - 1) * dt < impulsive_run["spec"].tau <= n_tau * dt
 
     def test_post_jump_snapshot_is_jumped_state(self, impulsive_run):
-        traj = impulsive_run["traj"]
-        i = traj.times.index(traj.tau_plus.t)
-        assert np.array_equal(traj.fields[i].values, traj.tau_plus.values)
+        # the stored snapshot at n_tau is the kick of the replayed v
+        spec, traj = impulsive_run["spec"], impulsive_run["traj"]
+        v, jumped = _jump(traj, spec)
+        t = (traj.meta["n_tau"] - 1) * traj.meta["dt"]
+        assert np.array_equal(jumped, verify._stepper(spec, traj).kick(v, t))
 
     def test_one_step_horizon_still_jumps(self):
         # dt = T would leave no step before the jump: the march takes two
         spec = source_spec().with_data(T=0.02, tau=0.01, gamma=0.0)
         traj = solver.solve(spec, unit_grid(8), gamma=0.0)
         assert (traj.meta["n_steps"], traj.meta["n_tau"]) == (2, 1)
-        assert traj.tau_minus.t == traj.tau_plus.t == 0.01
-        assert not np.array_equal(traj.tau_plus.values, traj.tau_minus.values)
+        assert traj.times == [0.0, 0.01, 0.02]
+        assert not np.array_equal(*_jump(traj, spec))
         assert verify.check_jump(traj, spec).passed
+
+
+def _jump(traj, spec):
+    """An impulsive run's pre-kick state at level n_tau, replayed from the
+    snapshot below it, and its stored snapshot there."""
+    n_tau, dt = traj.meta["n_tau"], traj.meta["dt"]
+    i = traj.times.index(n_tau * dt)
+    v = verify._pre_kick(verify._stepper(spec, traj),
+                         traj.fields[i - 1].values,
+                         round(traj.times[i - 1] / dt), n_tau)
+    return v, traj.fields[i].values
 
 
 class TestDeterminismAndConsistency:

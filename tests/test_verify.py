@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -717,15 +718,9 @@ class TestJump:
         # where the jump map lambda -> lambda + beta is decreasing
         bump = "(max(0, 1-((x-0.5)/0.35)^2))^2*(max(0, 1-((s-0.5)/0.35)^2))^2"
         spec = source_spec().with_data(beta=E.parse(f"-1.5*{TENT}*{bump}"))
-        grid = unit_grid(16)
-        xc, sc = grid.cell_centers()
-        cells = {"x": xc[:, None], "s": sc[None, :]}
-        um = Field(solver.initial_values(spec, grid), grid)
-        b = E.evaluate(spec.beta, {**cells, "lambda": um.values})
-        traj = Trajectory(grid=grid, tau_minus=um,
-                          tau_plus=Field(um.values + b, grid))
-        rep = verify.check_jump(traj, spec)
+        rep = verify.check_jump(_refused_impulsive_run(spec), spec)
         assert not rep.passed
+        assert rep.context["pointwise"] <= 1e-14
         # the slab sampler `run` refuses the map with
         weight = 1 + min_kick_slope(spec, 0.0)
         assert weight == pytest.approx(1.0 - 1.5, abs=5e-3)
@@ -744,44 +739,32 @@ class TestJump:
         m2 = sup_bound(spec, spec.tau, 0.0)
         assert m2 < 0.8039 < verify.NORM_INFLATION * m2
         assert sup_bound(spec, spec.tau, 1.0, verify.NORM_INFLATION) < 3.0
-        grid = unit_grid(16)
         with pytest.raises(ValueError, match="jump map .* decreases"):
-            solver.solve(spec, grid, gamma=0.0)
-        xc, sc = grid.cell_centers()
-        um = Field(solver.initial_values(spec, grid), grid)
-        b = E.evaluate(spec.beta, {"x": xc[:, None], "s": sc[None, :],
-                                   "lambda": um.values})
-        traj = Trajectory(grid=grid, tau_minus=um,
-                          tau_plus=Field(um.values + b, grid))
-        rep = verify.check_jump(traj, spec)
+            solver.solve(spec, unit_grid(16), gamma=0.0)
+        rep = verify.check_jump(_refused_impulsive_run(spec), spec)
         assert not rep.passed
-        assert rep.context["pointwise"] == 0.0
+        assert rep.context["pointwise"] <= 1e-14
         assert rep.measured == pytest.approx(2.99, abs=0.01)
 
     def test_a_jump_past_b1_is_refused(self):
-        # 10 TENT bumps: on |lambda| <= 1.01 M2 the jump map rises, and it
-        # lifts the data's peak 0.8 to 8.8, past b1 = 2.  M3 saturates at
-        # b1, which holds only for a map nondecreasing on |lambda| <= b1,
-        # and there the map's slope is -9: `run` refuses it, `verify` fails it
+        # 10 TENT bumps: on |lambda| <= 1.01 M2 the jump map rises, and at
+        # tau = 0.05 it lifts the run's peak 0.33 to 3.6, past b1 = 2.  M3
+        # saturates at b1, which holds only for a map nondecreasing on
+        # |lambda| <= b1, and there the map's slope is -9: `run` refuses
+        # it, `verify` fails it
         spec = source_spec().with_data(
-            beta=E.parse(f"10*{TENT}*{XBUMP}*{SBUMP}"))
+            beta=E.parse(f"10*{TENT}*{XBUMP}*{SBUMP}"), tau=0.05)
         m2 = sup_bound(spec, spec.tau, 0.0, verify.NORM_INFLATION)
         assert sup_bound(spec, spec.tau, 1.0, verify.NORM_INFLATION) == 2.0
         assert problem.sample_min(spec.beta, ("x", "s", "lambda"), [
             (0.0, 1.0), (0.0, 1.0), (-m2, m2)], n=64, wrt="lambda") >= 0.0
         assert 1.0 + min_kick_slope(spec, 0.0) == pytest.approx(-9.0,
                                                                 rel=1e-2)
-        grid = unit_grid(16)
         with pytest.raises(ValueError, match="jump map .* decreases"):
-            solver.solve(spec, grid, gamma=0.0)
-        xc, sc = grid.cell_centers()
-        um = Field(solver.initial_values(spec, grid), grid)
-        b = E.evaluate(spec.beta, {"x": xc[:, None], "s": sc[None, :],
-                                   "lambda": um.values})
-        traj = Trajectory(grid=grid, tau_minus=um,
-                          tau_plus=Field(um.values + b, grid))
-        rep = verify.check_jump(traj, spec)
+            solver.solve(spec, unit_grid(16), gamma=0.0)
+        rep = verify.check_jump(_refused_impulsive_run(spec), spec)
         assert not rep.passed
+        assert rep.context["pointwise"] <= 1e-14
         assert rep.context["m3"] == 2.0 < rep.context["post_sup"]
 
     def test_a_saturated_jump_passes(self):
@@ -807,11 +790,33 @@ class TestJump:
         assert rep.passed
         assert rep.context["pointwise"] == 0.0
 
-    def test_missing_traces(self, grid64):
-        spec = nosource_spec()
-        traj = solver.solve(spec, grid64, gamma=0.0)
-        with pytest.raises(verify.MissingTauTracesError):
-            verify.check_jump(traj, spec)
+    @pytest.mark.parametrize("before", [0, 1], ids=["at_n_tau", "below"])
+    def test_a_planted_cell_fails(self, impulsive_run, before):
+        # the jump is the stored snapshot at n_tau against the v replayed
+        # from the last stored one below it: a cell moved in either fails
+        spec = impulsive_run["spec"]
+        traj = copy.deepcopy(impulsive_run["traj"])
+        i = traj.times.index(traj.meta["n_tau"] * traj.meta["dt"]) - before
+        traj.fields[i].values[20, 30] += 1e-3
+        rep = verify.check_jump(traj, spec)
+        assert not rep.passed
+        assert rep.context["pointwise"] > 1e-6
+
+    def test_a_replay_that_cannot_step_measures_inf(self, impulsive_run):
+        spec = impulsive_run["spec"]
+        traj = copy.deepcopy(impulsive_run["traj"])
+        i = traj.times.index(traj.meta["n_tau"] * traj.meta["dt"])
+        traj.fields[i - 1].values[20, 30] = np.nan
+        rep = verify.check_jump(traj, spec)
+        assert not rep.passed
+        assert rep.measured == rep.context["pointwise"] == np.inf
+
+
+def _refused_impulsive_run(spec):
+    """The impulsive march of a spec whose jump map `solve` refuses, in an
+    invariant region wide enough for the jump it makes."""
+    return solver._march(spec, unit_grid(16), 0.0, 0.0, None, None, 20.0,
+                         "impulsive")
 
 
 class TestGammaLimit:
