@@ -1,12 +1,13 @@
 """Batch front door: run solvers, parameter sweeps and verification suites.
 
-Exit codes are the machine contract: 0 success, 1 config/validation error
-(a bound the set-up cannot sample included), 2 march aborted (a non-finite
-value, a value the flux, source or boundary expressions cannot evaluate,
-or a sup-norm that left every invariant region the march could size),
-3 at least one verification check failed.
-Human-readable output goes to stdout, diagnostics to stderr, reports and
-trajectories to files.
+Exit codes are the machine contract, and ``main`` alone maps exceptions to
+them, with one ``error:`` or ``aborted:`` line on stderr: 0 success; 1 a
+config, validation or I/O error (``ValueError``, which covers the ``io``
+parse, validation and format errors, ``GridMismatchError`` and
+``GammaOutOfRangeError``; ``OSError``; ``exprdsl.DomainError``); 2 march
+aborted (``NaNDetectedError``, ``solver.CflViolationError``); 3 at least
+one verification check failed.  Output goes to stdout, diagnostics to
+stderr, reports and trajectories to files.
 """
 
 from __future__ import annotations
@@ -29,14 +30,6 @@ from .scheme import NaNDetectedError
 _ABORTS = (NaNDetectedError, solver.CflViolationError)
 
 
-def _load(path):
-    try:
-        return config_io.load_config(path)
-    except (config_io.ParseError, config_io.ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
 def _k_bank(traj, n=9):
     """n Kruzhkov constants strictly inside the trajectory's value range.
 
@@ -56,26 +49,16 @@ def _k_bank(traj, n=9):
 
 
 def _cmd_run(args):
-    loaded = _load(args.config)
-    if loaded is None:
-        return 1
+    loaded = config_io.load_config(args.config)
     spec = loaded.spec
     # `--mode impulsive` marches the config's gamma -> 0 limit
     gamma = 0.0 if args.mode == "impulsive" else spec.gamma
     mode = solver.mode_of(spec, spec.epsilon, gamma)
-    try:
-        if args.mode not in (None, mode):
-            raise ValueError(f"--mode {args.mode}, but {args.config} states "
-                             f"the {mode} problem (epsilon {spec.epsilon}, "
-                             f"gamma {spec.gamma})")
-        traj = solver.solve(spec, loaded.grid, gamma=gamma,
-                            options=loaded.options)
-    except _ABORTS as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, exprdsl.DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.mode not in (None, mode):
+        raise ValueError(f"--mode {args.mode}, but {args.config} states the "
+                         f"{mode} problem (epsilon {spec.epsilon}, gamma "
+                         f"{spec.gamma})")
+    traj = solver.solve(spec, loaded.grid, gamma=gamma, options=loaded.options)
     out = Path(args.out or loaded.output_dir)
     config_io.write_trajectory(out, traj)
     grid = traj.grid
@@ -94,29 +77,20 @@ def _cmd_run(args):
 def _cmd_sweep(args):
     from concurrent.futures import ProcessPoolExecutor  # not at start-up
     from . import verify
-    loaded = _load(args.config)
-    if loaded is None:
-        return 1
+    loaded = config_io.load_config(args.config)
     spec, grid, options = loaded.spec, loaded.grid, loaded.options
-    try:
-        values = [float(v) for v in args.values.split(",")]
-        with (ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1
-              else contextlib.nullcontext()) as pool:
-            map_fn = pool.map if pool else map
-            if args.param == "gamma":
-                report = verify.check_gamma_limit(spec, grid, values, options,
-                                                  map_fn=map_fn)
-                errors = report.context["errors"]
-            else:
-                report = verify.check_epsilon_cauchy(spec, grid, values,
-                                                     options, map_fn=map_fn)
-                errors = report.context["diffs"]
-    except _ABORTS as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, exprdsl.DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    values = [float(v) for v in args.values.split(",")]
+    with (ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1
+          else contextlib.nullcontext()) as pool:
+        map_fn = pool.map if pool else map
+        if args.param == "gamma":
+            report = verify.check_gamma_limit(spec, grid, values, options,
+                                              map_fn=map_fn)
+            errors = report.context["errors"]
+        else:
+            report = verify.check_epsilon_cauchy(spec, grid, values, options,
+                                                 map_fn=map_fn)
+            errors = report.context["diffs"]
     out = Path(args.out or loaded.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / f"{args.param}_sweep.csv", "w", encoding="utf-8") as fh:
@@ -135,17 +109,11 @@ def _cmd_sweep(args):
 
 def _cmd_verify(args):
     from . import verify
-    loaded = _load(args.config)
-    if loaded is None:
-        return 1
+    loaded = config_io.load_config(args.config)
     spec = loaded.spec
-    try:
-        traj = config_io.read_trajectory(args.traj, L=spec.L, S=spec.S)
-        traj2 = (config_io.read_trajectory(args.traj2, L=spec.L, S=spec.S)
-                 if args.traj2 else traj)
-    except (OSError, ValueError) as exc:  # FormatError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    traj = config_io.read_trajectory(args.traj, L=spec.L, S=spec.S)
+    traj2 = (config_io.read_trajectory(args.traj2, L=spec.L, S=spec.S)
+             if args.traj2 else traj)
     for path, tr in ((args.traj, traj), (args.traj2, traj2)):
         meta, stated = tr.meta, spec.context_hash()
         for what, got, want in (
@@ -153,17 +121,15 @@ def _cmd_verify(args):
                 ("eps", meta["eps"], spec.epsilon),
                 # an impulsive run marches the config's gamma -> 0 limit
                 ("gamma", meta["gamma"],
-                 0.0 if meta["mode"] == "impulsive" else spec.gamma)):
+                 0.0 if meta["mode"] == "impulsive" else spec.gamma),
+                ("grid", (tr.grid.nx, tr.grid.ns),
+                 (loaded.grid.nx, loaded.grid.ns)),
+                ("options", meta["options"], loaded.options)):
             if got != want:
-                print(f"error: {path} was computed with {what} {got}, not "
-                      f"from {args.config} ({what} {want})", file=sys.stderr)
-                return 1
-    try:
-        reports = [verify.check_max_principle(traj, spec),
-                   verify.check_stability(traj, traj2, spec, spec)]
-    except verify.GridMismatchError as exc:  # a --traj2 on another grid or dt
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+                raise ValueError(f"{path} was computed with {what} {got}, not "
+                                 f"from {args.config} ({what} {want})")
+    reports = [verify.check_max_principle(traj, spec),
+               verify.check_stability(traj, traj2, spec, spec)]
     k_bank = _k_bank(traj)
     if traj.meta["mode"] == "impulsive":
         reports.append(verify.check_jump(traj, spec))
@@ -181,15 +147,9 @@ def _cmd_verify(args):
 
 def _cmd_validate_flux(args):
     from . import verify
-    loaded = _load(args.config)
-    if loaded is None:
-        return 1
-    try:
-        report = verify.validate_genuine_nonlinearity(
-            loaded.spec.flux_a, args.Lambda, n_dirs=args.dirs)
-    except exprdsl.DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = verify.validate_genuine_nonlinearity(
+        config_io.load_config(args.config).spec.flux_a, args.Lambda,
+        n_dirs=args.dirs)
     quantiles = report.context["mu_quantiles"]
     deltas = report.context["deltas"]
     print(f"{'delta':>10}  " + "  ".join(f"{q:>12}" for q in quantiles))
@@ -241,7 +201,14 @@ def main(argv=None):
     p_flux.set_defaults(func=_cmd_validate_flux)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _ABORTS as exc:
+        print(f"aborted: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, exprdsl.DomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

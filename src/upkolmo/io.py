@@ -43,7 +43,8 @@ update.  An option ``SchemeOptions`` does not have, or a value it
 refuses, is refused.  The checks re-derive each step from ``dt``, so
 ``n_steps`` dt must be the last snapshot time and every snapshot time a
 multiple of dt, both to 1e-9 steps, and an impulsive run must hold the
-snapshot at level ``n_tau``, the jump ``verify.check_jump`` scores.
+snapshot at level ``n_tau``, the jump ``verify.check_jump`` scores.  A
+field's header time must be its ``index.csv`` time, its (Nx, Ns) the first's.
 """
 
 from __future__ import annotations
@@ -381,10 +382,16 @@ def read_trajectory(directory, L=1.0, S=1.0):
                               "t,filename,role") from None
         if role != "snapshot":
             raise FormatError(f"{directory}: unknown role {role!r}")
-        fld = read_field(directory / name, L=L, S=S)
+        path = directory / name
+        fld = read_field(path, L=L, S=S)
+        if fld.t != t:
+            raise FormatError(f"{path}: header time {fld.t!r} is not its "
+                              f"index.csv time {t!r}")
         if traj is None:
-            traj = Trajectory(grid=fld.grid)
-            traj.meta = meta
+            traj = Trajectory(grid=fld.grid, meta=meta)
+        elif fld.grid != traj.grid:
+            raise FormatError(f"{path}: {fld.values.shape} cells, not the "
+                              f"first field's {traj.final.values.shape}")
         traj.append(t, fld)
     if traj is None:
         raise FormatError(f"{directory}: empty trajectory")

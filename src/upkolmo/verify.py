@@ -548,7 +548,7 @@ def check_jump(traj, spec):
         jump = jump - exprdsl.evaluate(spec.beta, {
             "x": xc[:, None], "s": sc[None, :], "lambda": um})
     pointwise = _inf_unless_finite(float(np.max(np.abs(jump))))
-    m3 = sup_bound(spec, up.t, 1.0, inflate=NORM_INFLATION)
+    m3 = sup_bound(spec, traj.times[i], 1.0, inflate=NORM_INFLATION)
     min_weight = 1.0 + min_kick_slope(spec, 0.0)
     post_sup = up.sup_norm()
     measured = max(pointwise / 1e-14, post_sup / max(m3, 1e-300),

@@ -1,6 +1,6 @@
 """Exit codes of the `upkolmo` command line on tiny 8x8 configs.
 
-0 success, 1 config or validation error, 2 an aborted march, 3 a
+0 success, 1 a config, validation or I/O error, 2 an aborted march, 3 a
 verification check failed.
 """
 
@@ -209,6 +209,41 @@ def test_malformed_config_exits_1(tmp_path, capsys, command):
     assert "unterminated section header" in capsys.readouterr().err
 
 
+MISSING_CONFIG = {
+    "run": [],
+    "sweep": ["--param", "gamma", "--values", "0.1,0.05"],
+    "verify": ["--traj", "traj"],
+    "validate-flux": []}
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command", sorted(MISSING_CONFIG))
+def test_a_missing_config_exits_1_in_every_command(tmp_path, capsys,
+                                                    command):
+    cfg = tmp_path / "nosuch.cfg"
+    assert cli.main([command, str(cfg)] + MISSING_CONFIG[command]) == 1
+    assert str(cfg) in _one_error_line(capsys)
+
+
+def test_validate_flux_with_too_few_directions_exits_1(tmp_path, capsys):
+    cfg = _config(tmp_path)
+    assert cli.main(["validate-flux", str(cfg), "--dirs", "10"]) == 1
+    assert _one_error_line(capsys) == "error: need at least 64 directions\n"
+
+
+def test_run_into_a_directory_it_cannot_make_exits_1(tmp_path, capsys):
+    cfg, blocker = _config(tmp_path), tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["run", str(cfg), "--out", str(blocker / "traj")]) == 1
+    assert str(blocker) in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("u0_2, cause", [
     ("(x*1e200)^2", "invalid power (overflow)"),
     ("exp(1000*x)*0", "overflow to a non-finite value"),
@@ -302,6 +337,32 @@ def test_verify_refuses_a_config_the_run_did_not_come_from(run_dir, tmp_path,
     assert not (traj / "reports.csv").exists()
 
 
+@pytest.mark.parametrize("change, what, got, want", [
+    (("Nx = 8\nNs = 8", "Nx = 4\nNs = 4"), "grid", (8, 8), (4, 4)),
+    (("engquist_osher", "lax_friedrichs"), "options",
+     SchemeOptions("engquist_osher", 0.9, 4),
+     SchemeOptions("lax_friedrichs", 0.9, 4)),
+    (("cfl_safety = 0.9", "cfl_safety = 0.5"), "options",
+     SchemeOptions("engquist_osher", 0.9, 4),
+     SchemeOptions("engquist_osher", 0.5, 4)),
+    (("snapshot_stride = 4", "snapshot_stride = 8"), "options",
+     SchemeOptions("engquist_osher", 0.9, 4),
+     SchemeOptions("engquist_osher", 0.9, 8)),
+], ids=["grid", "flux_kind", "cfl_safety", "snapshot_stride"])
+def test_verify_refuses_a_run_marched_on_another_grid_or_scheme(
+        run_dir, tmp_path, capsys, change, what, got, want):
+    # the spec hash covers the problem, not how it was discretized
+    _, traj = run_dir
+    other = tmp_path / "other.cfg"
+    other.write_text(_config(tmp_path).read_text().replace(*change))
+    capsys.readouterr()
+    assert cli.main(["verify", str(other), "--traj", str(traj)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {traj} was computed with {what} {got}, not from {other} "
+        f"({what} {want})\n")
+    assert not (traj / "reports.csv").exists()
+
+
 def test_verify_of_a_missing_trajectory_exits_1(run_dir, tmp_path, capsys):
     cfg, _ = run_dir
     argv = ["verify", str(cfg), "--traj", str(tmp_path / "nosuch")]
@@ -379,11 +440,45 @@ def test_verify_of_a_snapshot_time_off_the_step_grid_exits_1(run_dir,
     off = float(t) + dt / 3
     index[2] = f"{off!r},{name},{role}"
     (traj / "index.csv").write_text("\n".join(index) + "\n")
+    # the field's header states the same time, as the index must
+    fld = upk_io.read_field(traj / name)
+    upk_io.write_field(traj / name, Field(fld.values, fld.grid, off))
     capsys.readouterr()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
     assert capsys.readouterr().err == (
         f"error: {traj}: snapshot time {off!r} is not a multiple of dt = "
         f"{dt!r} in meta.json\n")
+    assert not (traj / "reports.csv").exists()
+
+
+def test_verify_of_a_field_whose_header_time_is_not_its_index_time_exits_1(
+        tmp_path, capsys):
+    # check_jump's M3 reads the index time; the header must agree with it
+    cfg, traj = _impulsive_dir(tmp_path)
+    meta = json.loads((traj / "meta.json").read_text())
+    t = repr(meta["n_tau"] * meta["dt"])
+    name = next(name for t_row, name, _ in _index_rows(traj) if t_row == t)
+    fld = upk_io.read_field(traj / name)
+    upk_io.write_field(traj / name, Field(fld.values, fld.grid, 0.05))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {traj / name}: header time 0.05 is not its index.csv time "
+        f"{t}\n")
+    assert not (traj / "reports.csv").exists()
+
+
+def test_verify_of_a_field_on_another_grid_exits_1(run_dir, capsys):
+    cfg, traj = run_dir
+    name = _index_rows(traj)[2][1]
+    fld = upk_io.read_field(traj / name)
+    small = problem.Grid(nx=4, ns=4, L=1.0, S=1.0)
+    upk_io.write_field(traj / name, Field(np.zeros((4, 4)), small, fld.t))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {traj / name}: (4, 4) cells, not the first field's "
+        "(8, 8)\n")
     assert not (traj / "reports.csv").exists()
 
 
@@ -564,13 +659,14 @@ def test_verify_of_a_malformed_index_row_exits_1(run_dir, capsys, malform):
 
 
 @pytest.mark.parametrize("change, message", [
-    (("Nx = 8\nNs = 8", "Nx = 16\nNs = 16"), "different grids"),
-    (("cfl_safety = 0.9", "cfl_safety = 0.5"), "snapshot times differ"),
+    (("Nx = 8\nNs = 8", "Nx = 16\nNs = 16"), "grid (16, 16)"),
+    (("cfl_safety = 0.9", "cfl_safety = 0.5"), "cfl_safety=0.5"),
 ])
 def test_verify_of_a_second_run_on_another_grid_or_dt_exits_1(
         run_dir, tmp_path, capsys, change, message):
     # the spec hash covers the problem, not the grid or the time step, so
-    # the second run passes the hash check and the comparison refuses it
+    # the second run passes the hash check and the config's grid and
+    # scheme options refuse it
     cfg, traj = run_dir
     other_cfg = tmp_path / "other.cfg"
     other_cfg.write_text(cfg.read_text().replace(*change))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import upkolmo
-from upkolmo import solver
+from upkolmo import cli, solver
 
 PACKAGE = sorted(p for p in Path(upkolmo.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -130,3 +130,14 @@ def test_one_driver_marches_every_mode():
     named = [p.name for p in PACKAGE if re.search(
         r"solve_(entropy|regularized|impulsive)", p.read_text())]
     assert named == []
+
+
+def test_one_exit_code_map():
+    # `main` alone turns exceptions into exit codes 1 and 2; a command that
+    # catches its own could give one fault two exits or two messages
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    tries = [node for node in ast.walk(tree)
+             if type(node).__name__ in ("Try", "TryStar")]
+    assert len(tries) == 1 and tries[0] in list(ast.walk(main))
