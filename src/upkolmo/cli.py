@@ -48,17 +48,20 @@ def _k_bank(traj, n=9):
     return [float(k) for k in np.linspace(lo, hi, n + 2)[1:-1]]
 
 
+def _marched(config, mode):
+    """The spec ``run --mode`` marches: impulsive is gamma -> 0."""
+    return config.with_data(gamma=0.0) if mode == "impulsive" else config
+
+
 def _cmd_run(args):
     loaded = config_io.load_config(args.config)
-    spec = loaded.spec
-    # `--mode impulsive` marches the config's gamma -> 0 limit
-    gamma = 0.0 if args.mode == "impulsive" else spec.gamma
-    mode = solver.mode_of(spec, spec.epsilon, gamma)
+    spec = _marched(loaded.spec, args.mode)
+    mode = solver.mode_of(spec)
     if args.mode not in (None, mode):
         raise ValueError(f"--mode {args.mode}, but {args.config} states the "
-                         f"{mode} problem (epsilon {spec.epsilon}, gamma "
-                         f"{spec.gamma})")
-    traj = solver.solve(spec, loaded.grid, gamma=gamma, options=loaded.options)
+                         f"{mode} problem (epsilon {loaded.spec.epsilon}, "
+                         f"gamma {loaded.spec.gamma})")
+    traj = solver.solve(spec, loaded.grid, options=loaded.options)
     out = Path(args.out or loaded.output_dir)
     config_io.write_trajectory(out, traj)
     grid = traj.grid
@@ -80,27 +83,21 @@ def _cmd_sweep(args):
     loaded = config_io.load_config(args.config)
     spec, grid, options = loaded.spec, loaded.grid, loaded.options
     values = [float(v) for v in args.values.split(",")]
+    # a gamma family is scored against its limit, an eps family pairwise
+    gamma = args.param == "gamma"
+    check = verify.check_gamma_limit if gamma else verify.check_epsilon_cauchy
     with (ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1
           else contextlib.nullcontext()) as pool:
-        map_fn = pool.map if pool else map
-        if args.param == "gamma":
-            report = verify.check_gamma_limit(spec, grid, values, options,
-                                              map_fn=map_fn)
-            errors = report.context["errors"]
-        else:
-            report = verify.check_epsilon_cauchy(spec, grid, values, options,
-                                                 map_fn=map_fn)
-            errors = report.context["diffs"]
+        report = check(spec, grid, values, options,
+                       map_fn=pool.map if pool else map)
+    errors = report.context["errors" if gamma else "diffs"]
+    labels = ([repr(v) for v in values] if gamma else
+              [f"{v1!r}->{v2!r}" for v1, v2 in zip(values, values[1:])])
     out = Path(args.out or loaded.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / f"{args.param}_sweep.csv", "w", encoding="utf-8") as fh:
         fh.write(f"{args.param},error\n")
-        if args.param == "gamma":
-            for v, e in zip(values, errors):
-                fh.write(f"{v!r},{e!r}\n")
-        else:
-            for (v1, v2), e in zip(zip(values[:-1], values[1:]), errors):
-                fh.write(f"{v1!r}->{v2!r},{e!r}\n")
+        fh.writelines(f"{v},{e!r}\n" for v, e in zip(labels, errors))
     verify.write_reports(out / "sweep_report.csv", [report])
     print(f"{args.param} sweep: errors = {errors}")
     print(f"report: {report.check} pass={report.passed}")
@@ -110,33 +107,36 @@ def _cmd_sweep(args):
 def _cmd_verify(args):
     from . import verify
     loaded = config_io.load_config(args.config)
-    spec = loaded.spec
-    traj = config_io.read_trajectory(args.traj, L=spec.L, S=spec.S)
-    traj2 = (config_io.read_trajectory(args.traj2, L=spec.L, S=spec.S)
-             if args.traj2 else traj)
-    for path, tr in ((args.traj, traj), (args.traj2, traj2)):
-        meta, stated = tr.meta, spec.context_hash()
+    config = loaded.spec
+    runs = []
+    for path in [args.traj] + ([args.traj2] if args.traj2 else []):
+        tr = config_io.read_trajectory(path, L=config.L, S=config.S)
+        meta = tr.meta
+        spec = _marched(config, meta["mode"])
+        stepper = verify.rebuild(spec, tr)
+        stated = spec.context_hash()
         for what, got, want in (
                 ("spec hash", meta.get("spec_hash", stated), stated),
-                ("eps", meta["eps"], spec.epsilon),
-                # an impulsive run marches the config's gamma -> 0 limit
-                ("gamma", meta["gamma"],
-                 0.0 if meta["mode"] == "impulsive" else spec.gamma),
+                *((key, meta[key], getattr(stepper, key))
+                  for key in ("eps", "gamma", "n_steps", "n_tau")),
                 ("grid", (tr.grid.nx, tr.grid.ns),
                  (loaded.grid.nx, loaded.grid.ns)),
                 ("options", meta["options"], loaded.options)):
             if got != want:
                 raise ValueError(f"{path} was computed with {what} {got}, not "
                                  f"from {args.config} ({what} {want})")
-    reports = [verify.check_max_principle(traj, spec),
-               verify.check_stability(traj, traj2, spec, spec)]
+        runs.append((tr, stepper))
+    # without --traj2 the run is compared with itself, by one Stepper
+    (traj, st1), (traj2, st2) = runs[0], runs[-1]
+    reports = [verify.check_max_principle(traj, st1),
+               verify.check_stability(traj, traj2, st1, st2)]
     k_bank = _k_bank(traj)
     if traj.meta["mode"] == "impulsive":
-        reports.append(verify.check_jump(traj, spec))
+        reports.append(verify.check_jump(traj, st1))
     if traj.meta["eps"] == 0.0:
-        reports.append(verify.check_bln(traj, spec, k_bank))
-    if traj.meta["stride"] == 1:
-        reports.append(verify.check_entropy_residual(traj, spec, k_bank))
+        reports.append(verify.check_bln(traj, st1.spec, k_bank))
+    if traj.meta["options"].snapshot_stride == 1:
+        reports.append(verify.check_entropy_residual(traj, st1, k_bank))
     out = Path(args.out) if args.out else Path(args.traj) / "reports.csv"
     verify.write_reports(out, reports)
     for rep in reports:
@@ -172,8 +172,8 @@ def main(argv=None):
     p_run.add_argument("config")
     p_run.add_argument("--mode", choices=["regularized", "entropy", "impulsive"],
                        help="entropy or regularized asserts what the config "
-                            "states (else exit 1); impulsive marches its gamma "
-                            "-> 0 limit.  Goes with the next benchmark change")
+                            "states (else exit 1); impulsive marches it at gamma"
+                            " = 0.  Goes with the next benchmark change")
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=_cmd_run)
 

@@ -21,20 +21,21 @@ A trajectory directory holds one field file per snapshot, an ``index.csv``
 mapping snapshot times to filenames (its third column, the role, reads
 ``snapshot`` on every row; any other role is refused, among them the
 ``tau_minus`` and ``tau_plus`` rows of directories written while the run
-stored its one-sided jump fields), and a ``meta.json`` with the
-march parameters the verification checks need to reconstruct the stepper:
-``mode`` (derived from eps, gamma and beta by ``solver.mode_of``),
-``lateral_diffusion``, ``source``, ``dt``, ``n_steps``, ``n_tau`` (the
-level the gamma = 0 kick lands on, ceil(tau/dt)), ``stride``, ``eps``,
-``gamma``, ``m_bound`` and ``options`` are required;
-``spec_hash``, ``restart`` (the escape that enlarged the invariant
-region, or null), ``kick_slope`` (``scheme.Stepper.kick_slope``; older
-runs hold ``b0``, which nothing reads), ``dt_term`` (the
-``scheme.Stepper._cfl`` bound that set dt, or null when the caller fixed
-it), ``setup_s`` and ``march_s`` (the wall seconds the run spent building
-its steppers and marching) are optional.  A required key of the wrong
-type is refused.  ``lateral_diffusion`` and ``source`` name how the step
-treated the lateral Laplacian and the source, and only
+stored its one-sided jump fields), and a ``meta.json`` with the march
+parameters the verification checks need to reconstruct the stepper:
+``mode`` (``solver.mode_of`` of the marched spec), ``lateral_diffusion``,
+``source``, ``dt``, ``n_steps``, ``n_tau`` (the level the gamma = 0 kick
+lands on, ceil(tau/dt)), ``eps``, ``gamma``, ``m_bound`` and ``options``
+(the stride among them) are required; ``spec_hash`` (of the spec the run
+marched: ``--mode impulsive`` marches gamma = 0), ``restart`` (the
+escape that enlarged the invariant region, or null), ``kick_slope``
+(``scheme.Stepper.kick_slope``; older runs hold ``b0``, which nothing
+reads), ``dt_term`` (the ``scheme.Stepper._cfl`` bound that set dt, or
+null when the caller fixed it), ``setup_s`` and ``march_s`` (the wall
+seconds the run spent building its steppers and marching) are optional,
+and other keys (older runs hold ``stride``) are ignored.  A required key
+of the wrong type is refused.  ``lateral_diffusion`` and ``source`` name
+how the step treated the lateral Laplacian and the source, and only
 ``scheme.LATERAL_DIFFUSION`` ("backward_euler") and ``scheme.SOURCE_STEP``
 ("kick", applied after the lateral solve) are read: a directory written by
 the earlier explicit update, or with the source inside the explicit part,
@@ -71,7 +72,7 @@ __all__ = [
 MAGIC = b"UPKF"
 VERSION = 1
 _MARCH_KEYS = ("mode", "lateral_diffusion", "source", "dt", "n_steps",
-               "n_tau", "stride", "eps", "gamma", "m_bound", "options")
+               "n_tau", "eps", "gamma", "m_bound", "options")
 # the update each key names, the only one this version steps
 _UPDATES = {"lateral_diffusion": LATERAL_DIFFUSION, "source": SOURCE_STEP}
 
@@ -92,8 +93,7 @@ _KINDS = {
         "a finite number > 0", lambda v: _real(v) and v > 0)),
     **dict.fromkeys(("eps", "gamma"), (
         "a finite number >= 0", lambda v: _real(v) and v >= 0)),
-    **dict.fromkeys(("n_steps", "stride"), (
-        "a positive integer", lambda v: _integer(v) and v > 0)),
+    "n_steps": ("a positive integer", lambda v: _integer(v) and v > 0),
     "n_tau": ("an integer or null", lambda v: v is None or _integer(v)),
     "options": ("an object", lambda v: isinstance(v, dict)),
 }

@@ -240,7 +240,16 @@ def slab_sup(spec, beta, radius):
                       [(0.0, spec.L), (0.0, spec.S), (-radius, radius)], n=64)
 
 
-@functools.lru_cache(maxsize=32)
+def _memo_on_data(fn):
+    """Memoize fn(spec, ...) on the spec's data: fn reads no gamma or eps."""
+    cached = functools.lru_cache(maxsize=32)(fn)
+    memo = functools.wraps(fn)(lambda spec, *args, **kwargs: cached(
+        spec.with_data(gamma=0.0, epsilon=0.0), *args, **kwargs))
+    memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
+    return memo
+
+
+@_memo_on_data
 def min_kick_slope(spec, mass, n=64):
     """Sampled min of d beta / d lambda, signed, on n points per axis over
     |lambda| <= B(tau), norms inflated 1%, with ``mass`` the kick mass
@@ -336,12 +345,12 @@ def refined_max_bound(spec, t_prime, inflate=1.0):
     return float(out) if out.ndim == 0 else out
 
 
-@functools.lru_cache(maxsize=32)
+@_memo_on_data
 def _horizon(spec):
     """D(0, T), sup|beta| on ``slab_sup``'s points to |lambda| = max(D(0,
     T), b1) + 1, and max |beta| on those with |lambda| >= b1 and +-b1, from
     max |beta| over (x, s) at each lambda, 16 lambdas (``ELEMENT_BUDGET``
-    samples) at a time.  Memoized: a process samples a frozen spec once."""
+    samples) at a time.  Memoized: a process samples a spec's data once."""
     base = max(data_sup_norms(spec).values())
     r = max(base, spec.b1) + 1.0
     lam = np.append(np.linspace(-r, r, 64), (-spec.b1, spec.b1))

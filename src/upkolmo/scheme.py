@@ -223,12 +223,14 @@ class Stepper:
     The construction is deterministic in its arguments: identical inputs
     produce bit-identical steps, which the singular-limit comparisons rely
     on.  ``m_bound`` fixes the invariant region the flux tables and the LF
-    dissipation are sized for.  Its default, ``reachable_bound``, depends on
-    the spec alone, so a family of runs of one spec shares it;
-    runs of different specs are comparable exactly only with a common value.
-    The lateral solve's inverse, the flux tables and ``kick_slope`` are
-    each built on first use, so a Stepper given its dt samples nothing
-    that only sizing dt reads, and one that never steps builds no inverse.
+    dissipation are sized for.  Its default, ``reachable_bound``, reads no
+    eps or gamma, so a ``with_data`` family of them shares it; other specs
+    are comparable exactly only with a common value.  The lateral solve's
+    inverse, the flux tables and ``kick_slope`` are each built on first
+    use, so a Stepper given its dt samples nothing that only sizing dt
+    reads, and one that never steps builds no inverse.  It steps with the
+    spec's eps and gamma; the ``eps`` and ``gamma`` keywords that override
+    them are kept for ``bench/setup_probe.py``.
     """
 
     def __init__(self, spec, grid, eps=None, gamma=None, options=None,

@@ -1,8 +1,9 @@
 """Time marching: one driver, ``solve``, for the problem a spec states.
 
-``solve`` takes eps and gamma from the spec unless given them; from them
-and beta ``mode_of`` derives what it marches, ``meta["mode"]``.  Every
-step ends with the source's kick (``scheme.Stepper.kick``):
+``solve`` marches the spec it is given, named by ``meta["spec_hash"]``,
+in the mode ``mode_of`` derives from its eps, gamma and beta; a family
+(gamma -> 0, eps -> 0) is one spec per member, ``spec.with_data(...)``.
+Every step ends with the source's kick (``Stepper.kick``):
 
 * ``regularized`` -- eps > 0, both s-end data imposed strongly in the
   eps-diffusion stencil and fed to the convective flux;
@@ -17,11 +18,11 @@ step ends with the source's kick (``scheme.Stepper.kick``):
   characteristics leave.
 
 Elsewhere a beta needs gamma in (0, gamma0/2] (``GammaOutOfRangeError``).
-Runs are deterministic: a given (spec, grid, eps, gamma, options, dt,
-m_bound) produces a bit-identical trajectory, which the
-delayed-vs-impulsive comparisons exploit: before the kernel's support the
-kicks are 0 in both, and a support [tau - gamma, tau] inside one step
-kicks with theta = 1 exactly, as the impulse does.
+Runs are deterministic: a given (spec, grid, options, dt, m_bound)
+produces a bit-identical trajectory, which the delayed-vs-impulsive
+comparisons exploit: before the kernel's support the kicks are 0 in
+both, and a support [tau - gamma, tau] inside one step kicks with theta
+= 1 exactly, as the impulse does.
 
 If the running sup-norm escapes the invariant region the step was sized
 for, the march restarts once.  The new region is the larger of twice the
@@ -29,10 +30,8 @@ old one or the escaping sup, and ``scheme.reachable_bound``, the bound
 the monotone scheme never leaves.  ``meta["restart"]`` records the old
 region ``m_bound``, the escaping ``sup`` and its time ``t`` (None without
 a restart).  An escape beyond that bound, which no region sized from the
-spec can hold, or a second escape raises ``CflViolationError``.  ``meta``
-also records the stepper's ``kick_slope`` and ``dt_term``, and the wall
-seconds spent building steppers (``setup_s``) and marching
-(``march_s``), each summed over a restart (see ``io``).
+spec can hold, or a second escape raises ``CflViolationError``.  The
+wall seconds in ``meta`` are summed over a restart (see ``io``).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import numpy as np
 
 from . import exprdsl
 from .problem import Field, Trajectory, min_kick_slope
-from .scheme import (LATERAL_DIFFUSION, SOURCE_STEP, SchemeOptions, Stepper,
+from .scheme import (LATERAL_DIFFUSION, SOURCE_STEP, Stepper,
                      SupNormExceeded, reachable_bound)
 
 __all__ = ["solve", "CflViolationError", "GammaOutOfRangeError"]
@@ -65,18 +64,16 @@ def initial_values(spec, grid):
                            (grid.nx, grid.ns)).astype(float)
 
 
-def _march(spec, grid, eps, gamma, options, dt, m_bound, mode):
-    options = options or SchemeOptions()
+def _march(spec, grid, options, dt, m_bound):
     restart = None
     setup_s = march_s = 0.0
     while True:
         start = time.perf_counter()
-        stepper = Stepper(spec, grid, eps=eps, gamma=gamma, options=options,
-                          m_bound=m_bound, dt=dt)
+        stepper = Stepper(spec, grid, options=options, m_bound=m_bound, dt=dt)
         built = time.perf_counter()
         setup_s += built - start
         try:
-            traj = _march_once(spec, grid, stepper, mode)
+            traj = _march_once(spec, grid, stepper)
         except SupNormExceeded as exc:
             march_s += time.perf_counter() - built
             reach = reachable_bound(spec)
@@ -95,20 +92,18 @@ def _march(spec, grid, eps, gamma, options, dt, m_bound, mode):
         return traj
 
 
-def _march_once(spec, grid, stepper, mode):
+def _march_once(spec, grid, stepper):
     dt = stepper.dt
-    stride = stepper.options.snapshot_stride
     n_steps = stepper.n_steps
     n_tau = stepper.n_tau
     traj = Trajectory(grid=grid)
     traj.meta = {
-        "mode": mode,
+        "mode": mode_of(spec),
         "lateral_diffusion": LATERAL_DIFFUSION,
         "source": SOURCE_STEP,
         "dt": dt,
         "n_steps": n_steps,
         "n_tau": n_tau,
-        "stride": stride,
         "eps": stepper.eps,
         "gamma": stepper.gamma,
         "m_bound": stepper.m_bound,
@@ -120,7 +115,7 @@ def _march_once(spec, grid, stepper, mode):
     u = initial_values(spec, grid)
     traj.append(0.0, Field(u.copy(), grid, 0.0))
 
-    snap_at = set(range(0, n_steps + 1, stride))
+    snap_at = set(range(0, n_steps + 1, stepper.options.snapshot_stride))
     snap_at.add(n_steps)
     if n_tau is not None:
         snap_at.add(n_tau)
@@ -137,22 +132,20 @@ def _march_once(spec, grid, stepper, mode):
     return traj
 
 
-def mode_of(spec, eps, gamma):
-    """What ``solve`` marches (spec, eps, gamma) as (module notes)."""
-    if eps > 0:
+def mode_of(spec):
+    """What ``solve`` marches the spec as (module notes)."""
+    if spec.epsilon > 0:
         return "regularized"
-    return "impulsive" if gamma == 0 and spec.beta is not None else "entropy"
+    return ("impulsive" if spec.gamma == 0 and spec.beta is not None
+            else "entropy")
 
 
-def solve(spec, grid, eps=None, gamma=None, options=None, dt=None,
-          m_bound=None):
-    """March the problem (spec, eps, gamma), eps and gamma the spec's
-    unless given, in the mode ``mode_of`` derives (module notes)."""
-    eps = spec.epsilon if eps is None else eps
-    gamma = spec.gamma if gamma is None else gamma
-    if eps < 0:
-        raise ValueError(f"viscosity must be >= 0, got {eps}")
-    mode = mode_of(spec, eps, gamma)
+def solve(spec, grid, options=None, dt=None, m_bound=None):
+    """March the problem the spec states, in the mode ``mode_of`` derives
+    (module notes)."""
+    if spec.epsilon < 0:
+        raise ValueError(f"viscosity must be >= 0, got {spec.epsilon}")
+    mode = mode_of(spec)
     if mode == "impulsive":
         if not (0.0 < spec.tau < spec.T):
             raise ValueError(f"jump time must lie in (0, T), got {spec.tau}")
@@ -162,9 +155,9 @@ def solve(spec, grid, eps=None, gamma=None, options=None, dt=None,
                 f"the jump map lambda -> lambda + beta decreases: 1 + d beta "
                 f"/ d lambda reaches {slope:.6g}, so the march would not be "
                 "monotone")
-    elif spec.beta is not None and not (0.0 < gamma <= spec.gamma0 / 2.0):
+    elif spec.beta is not None and not (0.0 < spec.gamma <= spec.gamma0 / 2.0):
         raise GammaOutOfRangeError(
             f"delay width must lie in (0, gamma0/2] = (0, {spec.gamma0 / 2.0}]"
-            f" for a delayed source; got {gamma} (gamma = 0 at eps = 0 is "
-            "the instantaneous jump)")
-    return _march(spec, grid, eps, gamma, options, dt, m_bound, mode)
+            f" for a delayed source; got {spec.gamma} (gamma = 0 at eps = 0 "
+            "is the instantaneous jump)")
+    return _march(spec, grid, options, dt, m_bound)

@@ -1,7 +1,7 @@
 """Numerical certification of the solver's closed-form estimates.
 
-Every check is a pure function of trajectories and problem specs and
-returns a ``VerificationReport``; a report passes iff
+Every check is a pure function of trajectories and their specs or
+``rebuild`` steppers and returns a ``VerificationReport``; it passes iff
 
     measured <= bound * (1 + tolerance) + slack.
 
@@ -122,7 +122,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import exprdsl, kernels
+from . import exprdsl
 from .problem import (NORM_INFLATION, GridMismatchError, min_kick_slope,
                       stability_rhs, sup_bound)
 # bench/run.py traces these names where `verify` binds them
@@ -132,7 +132,7 @@ from . import solver as solver_mod
 from .solver import GammaOutOfRangeError
 
 __all__ = [
-    "VerificationReport", "write_reports", "check_max_principle",
+    "VerificationReport", "write_reports", "rebuild", "check_max_principle",
     "check_stability", "check_entropy_residual", "check_bln",
     "check_jump", "check_gamma_limit", "check_epsilon_cauchy",
     "validate_genuine_nonlinearity",
@@ -214,16 +214,16 @@ def spacetime_l1_diff(traj1, traj2):
 
 # --- sup-norm bound curves ----------------------------------------------------
 
-def _bound_curves(spec, traj):
+def _bound_curves(stepper, traj):
     """Each snapshot's sup-norm bound B (``problem.sup_bound``), with the
-    kick masses ``Stepper.source_rate`` gives the run's dt, gamma, n_tau."""
-    meta, times, dt = traj.meta, traj.times, traj.meta["dt"]
+    kick masses of the run's rebuilt ``stepper``, ``Stepper.source_rate``."""
+    times, dt = traj.times, stepper.dt
     levels = np.rint(np.asarray(times) / dt).astype(int)
-    thetas = kernels.step_mass(np.arange(levels.max(initial=0)) * dt, dt,
-                               spec.tau, meta["gamma"], meta["n_tau"])
+    starts = np.arange(levels.max(initial=0)) * dt
+    thetas = np.broadcast_to(stepper.source_rate(starts), starts.shape)
     masses = np.concatenate(([0.0], np.cumsum(thetas)))[levels]
-    return tuple(map(float, sup_bound(spec, np.maximum(times, 1e-9), masses,
-                                      inflate=NORM_INFLATION)))
+    return tuple(map(float, sup_bound(stepper.spec, np.maximum(times, 1e-9),
+                                      masses, inflate=NORM_INFLATION)))
 
 
 def _inf_unless_finite(value):
@@ -239,9 +239,9 @@ def _worst_cell(values):
     return [int(i) for i in np.unravel_index(flat, values.shape)]
 
 
-def check_max_principle(traj, spec):
+def check_max_principle(traj, stepper):
     """Every t > 0 snapshot's sup-norm must respect its bound B of
-    ``_bound_curves``.
+    ``_bound_curves``, ``stepper`` the run's ``rebuild``.
 
     The t = 0 snapshot is the initial datum on the grid, which the bound
     covers by construction, so it is left out and every row is decided by
@@ -252,7 +252,8 @@ def check_max_principle(traj, spec):
     snapshot is the worst.  With no t > 0 snapshot there is nothing to
     certify and the report fails with measured = inf.
     """
-    bounds = _bound_curves(spec, traj)
+    spec = stepper.spec
+    bounds = _bound_curves(stepper, traj)
     sups = {i: _inf_unless_finite(fld.sup_norm())
             for i, (t, fld) in enumerate(zip(traj.times, traj.fields))
             if t > 0.0}
@@ -270,14 +271,12 @@ def check_max_principle(traj, spec):
 
 # --- stability ----------------------------------------------------------------
 
-def _stepper(spec, traj):
-    """The run's own ``Stepper``, rebuilt from its meta: the construction
-    is deterministic, so it steps, kicks and reads ghosts as the march
-    did."""
+def rebuild(spec, traj):
+    """The run's ``Stepper``, of the spec it marched and its meta's dt,
+    m_bound and options: it steps and kicks as the deterministic march did."""
     meta = traj.meta
-    return Stepper(spec, traj.grid, eps=meta["eps"], gamma=meta["gamma"],
-                   options=meta["options"], m_bound=meta["m_bound"],
-                   dt=meta["dt"])
+    return Stepper(spec, traj.grid, options=meta["options"],
+                   m_bound=meta["m_bound"], dt=meta["dt"])
 
 
 def _inflow(st1, st2):
@@ -299,14 +298,14 @@ def _inflow(st1, st2):
     return st1.dt * (flux + st1.eps / grid.ds * (l1(y0 - z0) + l1(yS - zS)))
 
 
-def check_stability(traj1, traj2, spec1, spec2):
+def check_stability(traj1, traj2, st1, st2):
     """L1 distance of two runs versus the stability estimate
     ``stability_rhs`` of the march (see the module notes), both sources.
 
     The runs must share grid, snapshot times, dt, eps, m_bound, flux kind
     and fluxes and, where both have a beta, every kick's mass; else
-    ``GridMismatchError``.  Each run's ``Stepper`` is rebuilt from its
-    meta, so the ghosts, split parts and kick masses are those the march
+    ``GridMismatchError``.  ``st1`` and ``st2`` are their ``rebuild``s,
+    so the ghosts, split parts and kick masses are those the march
     used.  As in ``check_max_principle``, t = 0 is left out: the row is the
     t > 0 snapshot (``t_worst``) of largest lhs / (1.05 rhs).
     """
@@ -314,14 +313,12 @@ def check_stability(traj1, traj2, spec1, spec2):
         raise GridMismatchError("trajectories on different grids")
     if traj1.times != traj2.times:
         raise GridMismatchError("snapshot times differ; rerun with a common dt")
-    meta, grid = traj1.meta, traj1.grid
-    fluxes = [(spec.flux_a, spec.flux_phi) for spec in (spec1, spec2)]
-    if (any(meta[key] != traj2.meta[key] for key in ("dt", "eps", "m_bound"))
-            or meta["options"].flux_kind != traj2.meta["options"].flux_kind
-            or fluxes[0] != fluxes[1]):
+    grid, spec1, spec2 = traj1.grid, st1.spec, st2.spec
+    steps = [(st.dt, st.eps, st.m_bound, st.options.flux_kind,
+              st.spec.flux_a, st.spec.flux_phi) for st in (st1, st2)]
+    if steps[0] != steps[1]:
         raise GridMismatchError("the runs step with different dt, eps, "
                                 "fluxes or invariant region m_bound")
-    st1, st2 = _stepper(spec1, traj1), _stepper(spec2, traj2)
     masses = [st.source_rate(np.arange(st.n_steps) * st.dt)
               for st in (st1, st2) if st.beta_fn is not None]
     if masses[1:] and not np.array_equal(*masses):
@@ -375,14 +372,14 @@ def _pre_kick(stepper, u, n0, n1):
         return np.full_like(u, np.nan)
 
 
-def check_entropy_residual(traj, spec, k_values):
+def check_entropy_residual(traj, stepper, k_values):
     """Largest cellwise entropy residual rho over every step, cell and k
-    of a stride-1 trajectory: the cell inequality of the monotone update
-    (see the module notes), nonpositive up to roundoff.  The context names
-    the worst step by its start ``t_worst``, its ``cell_worst`` and
-    ``k_worst``.  With no k, or no step, there is nothing to certify and
-    the report fails with measured = inf; so it does when a snapshot holds
-    a non-finite value.
+    of a stride-1 trajectory, ``stepper`` its ``rebuild``: the cell
+    inequality of the monotone update (see the module notes), nonpositive
+    up to roundoff.  The context names the worst step by its start
+    ``t_worst``, its ``cell_worst`` and ``k_worst``.  With no k, or no
+    step, there is nothing to certify and the report fails with measured
+    = inf; so it does when a snapshot holds a non-finite value.
 
     One step is scored at a time, on (k, x, s) arrays that treat every k
     in each array op, and each flux direction's parts are folded into rho
@@ -390,12 +387,10 @@ def check_entropy_residual(traj, spec, k_values):
     whatever the number of steps.  The worst is the first non-finite entry,
     else the first largest, in step order.
     """
-    meta = traj.meta
-    if meta.get("stride", 0) != 1:
+    if traj.meta["options"].snapshot_stride != 1:
         raise ValueError("entropy residual needs a stride-1 trajectory")
-    stepper = _stepper(spec, traj)
-    grid = traj.grid
-    dt, dx, ds = meta["dt"], grid.dx, grid.ds
+    spec, grid = stepper.spec, traj.grid
+    dt, dx, ds = stepper.dt, grid.dx, grid.ds
     # one axis per entropy |u - k|: every k is treated in the same array op
     ks = np.asarray(k_values, dtype=float).reshape(-1, 1, 1)
     k_a, k_p = stepper.flux_a.split(ks), stepper.flux_phi.split(ks)
@@ -524,24 +519,24 @@ def check_bln(traj, spec, k_values):
 
 # --- jump condition -------------------------------------------------------------
 
-def check_jump(traj, spec):
+def check_jump(traj, stepper):
     """The impulse jump condition u(tau+) = u(tau-) + beta(x, s, u(tau-)),
     cell by cell to 1e-14, the post-jump sup-norm against M3 =
     ``problem.sup_bound`` at tau+ with unit kick mass, and the jump map's
     least slope ``min_jump_weight``, 1 + ``problem.min_kick_slope`` as in
     ``solver.solve``.  u(tau+) is the stored snapshot at level n_tau, and
     u(tau-) the v ``_pre_kick`` replays up to it from the last stored
-    snapshot below it.  The measured value is the largest of the pointwise
-    and post-jump ratios and 1 - min_jump_weight, so the row fails where
-    the map decreases and the impulsive march is not monotone; a replay
-    that cannot form v measures inf.
+    snapshot below it with ``stepper``, the run's ``rebuild``.  The
+    measured value is the largest of the pointwise and post-jump ratios and
+    1 - min_jump_weight, so the row fails where the map decreases and the
+    impulsive march is not monotone; a replay that cannot form v measures
+    inf.
     """
-    n_tau, dt = traj.meta["n_tau"], traj.meta["dt"]
-    levels = list(np.rint(np.asarray(traj.times) / dt).astype(int))
+    spec, n_tau = stepper.spec, stepper.n_tau
+    levels = list(np.rint(np.asarray(traj.times) / stepper.dt).astype(int))
     i = levels.index(n_tau)  # stored by the march, required by ``io``
     up = traj.fields[i]
-    um = _pre_kick(_stepper(spec, traj), traj.fields[i - 1].values,
-                   levels[i - 1], n_tau)
+    um = _pre_kick(stepper, traj.fields[i - 1].values, levels[i - 1], n_tau)
     jump = up.values - um
     if spec.beta is not None:
         xc, sc = traj.grid.cell_centers()
@@ -563,11 +558,11 @@ def check_jump(traj, spec):
 def check_gamma_limit(spec, grid, gammas, options=None, map_fn=map):
     """Convergence of the delayed-source runs to their gamma -> 0 limit.
 
-    ``solver.solve`` marches the spec per delay width and at gamma = 0,
-    with a common time step and invariant region so that the pre-impulse
-    window is bitwise shared, then checks that the space-time L1 distance
-    decreases (5% slack) and at least halves from first to last.  The
-    per-width runs go through ``map_fn``, e.g. a process pool's ``map``.
+    ``solver.solve`` marches ``spec.with_data(gamma=g)`` at each width g
+    and g = 0 on one time step and invariant region, so the pre-impulse
+    window is bitwise shared, and the space-time L1 distance must decrease
+    (5% slack) and at least halve from first to last.  The per-width runs
+    go through ``map_fn``, e.g. a process pool's ``map``.
     """
     gammas = list(gammas)
     if any(g <= 0 for g in gammas):
@@ -578,15 +573,15 @@ def check_gamma_limit(spec, grid, gammas, options=None, map_fn=map):
     if any(gammas[i] <= gammas[i + 1] for i in range(len(gammas) - 1)):
         raise GammaOutOfRangeError("delay widths must be strictly decreasing")
 
-    # every run gets Stepper's default m_bound, which depends on the spec
-    # alone, so the family shares one invariant region; dt depends on the
-    # width only through the kick's cap, tightest at the smallest width
-    dt = Stepper(spec, grid, gamma=gammas[-1], options=options).dt
-    ref = solver_mod.solve(spec, grid, gamma=0.0, options=options, dt=dt)
-    # each width is solve's fourth argument, gamma
-    trajs = list(map_fn(functools.partial(
-        solver_mod.solve, spec, grid, spec.epsilon, options=options, dt=dt),
-        gammas))
+    # every run gets Stepper's default m_bound, which depends on neither
+    # gamma nor eps, so the family shares one invariant region; dt depends
+    # on the width only through the kick's cap, tightest at the smallest
+    family = [spec.with_data(gamma=g) for g in gammas]
+    dt = Stepper(family[-1], grid, options=options).dt
+    march = functools.partial(solver_mod.solve, grid=grid, options=options,
+                              dt=dt)
+    ref = march(spec.with_data(gamma=0.0))
+    trajs = list(map_fn(march, family))
     errors = [spacetime_l1_diff(traj, ref) for traj in trajs]
     return gamma_limit_report(spec, gammas, errors, trajs, ref)
 
@@ -611,15 +606,16 @@ def gamma_limit_report(spec, gammas, errors, trajs, ref):
 
 def check_epsilon_cauchy(spec, grid, epsilons, options=None, map_fn=map):
     """Successive L1 differences along a decreasing viscosity sequence; the
-    per-viscosity runs of ``solver.solve`` go through ``map_fn``."""
+    runs of ``spec.with_data(epsilon=e)`` go through ``map_fn``."""
     epsilons = list(epsilons)
     if len(epsilons) < 3:
         raise TooFewRunsError("need at least 3 viscosity values")
     if min(epsilons) <= 0:  # eps = 0 is the limit, not a regularization
         raise ValueError("viscosities must be positive")
-    dt = min(Stepper(spec, grid, eps=e, options=options).dt for e in epsilons)
+    family = [spec.with_data(epsilon=e) for e in epsilons]
+    dt = min(Stepper(s, grid, options=options).dt for s in family)
     trajs = list(map_fn(functools.partial(
-        solver_mod.solve, spec, grid, options=options, dt=dt), epsilons))
+        solver_mod.solve, grid=grid, options=options, dt=dt), family))
     diffs = [spacetime_l1_diff(a, b) for a, b in zip(trajs, trajs[1:])]
     return epsilon_cauchy_report(spec, epsilons, diffs)
 

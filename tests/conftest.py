@@ -19,10 +19,10 @@ def gamma_family(grid64):
     with a common step and the spec's default invariant region."""
     spec = source_spec()
     gammas = [0.2, 0.1, 0.05, 0.025]
-    dt = min(Stepper(spec, grid64, eps=0.0, gamma=g).dt
+    dt = min(Stepper(spec.with_data(gamma=g), grid64).dt
              for g in gammas + [0.0])
-    ref = solver.solve(spec, grid64, gamma=0.0, dt=dt)
-    trajs = {g: solver.solve(spec, grid64, gamma=g, dt=dt)
+    ref = solver.solve(spec.with_data(gamma=0.0), grid64, dt=dt)
+    trajs = {g: solver.solve(spec.with_data(gamma=g), grid64, dt=dt)
              for g in gammas}
     errors = [verify.spacetime_l1_diff(trajs[g], ref) for g in gammas]
     report = verify.gamma_limit_report(spec, gammas,
@@ -38,8 +38,7 @@ def stability_family(grid64):
     specs = {0.0: base, 0.1: perturbed_spec(base, 0.1),
              0.01: perturbed_spec(base, 0.01)}
     m_common = max(reachable_bound(s) for s in specs.values())
-    dt = min(Stepper(s, grid64, eps=0.0, gamma=s.gamma, m_bound=m_common).dt
-             for s in specs.values())
+    dt = min(Stepper(s, grid64, m_bound=m_common).dt for s in specs.values())
     trajs = {d: solver.solve(s, grid64, dt=dt, m_bound=m_common)
              for d, s in specs.items()}
     return {"specs": specs, "trajs": trajs}
@@ -51,8 +50,7 @@ def contraction_family(grid64):
     base = nosource_spec()
     pert = perturbed_spec(base, 0.1)
     m_common = reachable_bound(pert)
-    dt = min(Stepper(s, grid64, eps=0.0, gamma=0.0, m_bound=m_common).dt
-             for s in (base, pert))
+    dt = min(Stepper(s, grid64, m_bound=m_common).dt for s in (base, pert))
     t1 = solver.solve(base, grid64, dt=dt, m_bound=m_common)
     t2 = solver.solve(pert, grid64, dt=dt, m_bound=m_common)
     return {"specs": (base, pert), "trajs": (t1, t2)}
@@ -61,19 +59,20 @@ def contraction_family(grid64):
 @pytest.fixture(scope="session")
 def epsilon_family(grid64):
     """Viscous runs for decreasing eps plus the eps = 0 entropy reference."""
-    spec = nosource_spec()
+    spec = nosource_spec().with_data(gamma=0.0)
     eps_values = [0.04, 0.02, 0.01]
-    dt = min(Stepper(spec, grid64, eps=e, gamma=0.0).dt for e in eps_values)
-    trajs = {e: solver.solve(spec, grid64, eps=e, gamma=0.0, dt=dt)
-             for e in eps_values}
-    trajs[0.0] = solver.solve(spec, grid64, gamma=0.0, dt=dt)
+    family = {e: spec.with_data(epsilon=e) for e in eps_values + [0.0]}
+    dt = min(Stepper(family[e], grid64).dt for e in eps_values)
+    trajs = {e: solver.solve(s, grid64, dt=dt) for e, s in family.items()}
     return {"spec": spec, "eps_values": eps_values, "trajs": trajs}
 
 
 @pytest.fixture(scope="session")
 def impulsive_run(grid64):
-    spec = source_spec()
-    traj = solver.solve(spec, grid64, gamma=0.0)
+    """The gamma -> 0 limit of the source problem, ``spec`` the one it
+    marched."""
+    spec = source_spec().with_data(gamma=0.0)
+    traj = solver.solve(spec, grid64)
     return {"spec": spec, "traj": traj}
 
 
@@ -81,8 +80,7 @@ def impulsive_run(grid64):
 def shock_run():
     spec = shock_spec()
     grid = box_grid(spec)
-    traj = solver.solve(spec, grid, gamma=0.0,
-                        options=SchemeOptions(snapshot_stride=1))
+    traj = solver.solve(spec, grid, options=SchemeOptions(snapshot_stride=1))
     return {"spec": spec, "traj": traj, "grid": grid}
 
 
@@ -90,6 +88,5 @@ def shock_run():
 def unattainable_run():
     spec = unattainable_spec()
     grid = box_grid(spec)
-    traj = solver.solve(spec, grid, gamma=0.0,
-                        options=SchemeOptions(snapshot_stride=1))
+    traj = solver.solve(spec, grid, options=SchemeOptions(snapshot_stride=1))
     return {"spec": spec, "traj": traj, "grid": grid}

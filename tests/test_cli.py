@@ -494,7 +494,6 @@ def test_verify_of_a_field_on_another_grid_exits_1(run_dir, capsys):
     ("gamma", "0.1", "a finite number >= 0"),
     ("n_steps", 2.5, "a positive integer"),
     ("n_steps", 0, "a positive integer"),
-    ("stride", True, "a positive integer"),
     ("n_tau", 1.5, "an integer or null"),
     ("n_tau", "3", "an integer or null"),
     ("mode", "explicit", "regularized, entropy or impulsive")])
@@ -530,7 +529,7 @@ def test_verify_of_a_trajectory_with_empty_meta_json_exits_1(run_dir,
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
     err = capsys.readouterr().err
     assert err == (f"error: {traj}: meta.json lacks mode, lateral_diffusion, "
-                   "source, dt, n_steps, n_tau, stride, eps, gamma, m_bound, "
+                   "source, dt, n_steps, n_tau, eps, gamma, m_bound, "
                    "options\n")
     assert not (traj / "reports.csv").exists()
 
@@ -559,17 +558,66 @@ def test_no_run_writes_a_non_snapshot_row(run_dir, tmp_path):
 
 
 def test_an_impulsive_run_marches_the_configs_gamma_limit(tmp_path):
-    # the config says gamma = 0.1; `--mode impulsive` marches gamma = 0
+    # the config says gamma = 0.1; `--mode impulsive` marches gamma = 0,
+    # and the spec hash names that spec, not the config's
     cfg, traj = _impulsive_dir(tmp_path)
     meta = json.loads((traj / "meta.json").read_text())
     assert (meta["mode"], meta["eps"], meta["gamma"]) == ("impulsive", 0.0,
                                                           0.0)
-    assert meta["spec_hash"] == upk_io.load_config(cfg).spec.context_hash()
+    config = upk_io.load_config(cfg).spec
+    assert meta["spec_hash"] == config.with_data(gamma=0.0).context_hash() \
+        != config.context_hash()
     # the jump is the snapshot at level n_tau
     assert repr(meta["n_tau"] * meta["dt"]) in [
         t for t, _, _ in _index_rows(traj)]
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
     assert _rows(traj / "reports.csv")["jump_condition"] == "true"
+
+
+def test_verify_refuses_an_impulsive_run_hashed_as_its_config(tmp_path,
+                                                              capsys):
+    # the layout written while the impulsive run recorded the config's
+    # gamma = 0.1 hash: it names a problem the run did not march
+    cfg, traj = _impulsive_dir(tmp_path)
+    meta = json.loads((traj / "meta.json").read_text())
+    config = upk_io.load_config(cfg).spec
+    meta["spec_hash"] = config.context_hash()
+    (traj / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {traj} was computed with spec hash "
+                   f"{config.context_hash()}, not from {cfg} (spec hash "
+                   f"{config.with_data(gamma=0.0).context_hash()})\n")
+    assert not (traj / "reports.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["n_tau", "n_steps"])
+def test_verify_of_a_meta_the_rebuilt_stepper_did_not_march_exits_1(
+        tmp_path, capsys, key):
+    # an impulsive run's n_tau + 1 is a stored level, so the directory
+    # loads, and a replay kicking there measured 4.5e13 on the 64^2
+    # benchmark run; a run cut after its first snapshots is consistent
+    # with a shorter n_steps
+    cfg, traj = _impulsive_dir(tmp_path)
+    if key == "n_steps":
+        traj = tmp_path / "entropy"
+        assert cli.main(["run", str(cfg), "--out", str(traj)]) == 0
+    meta = json.loads((traj / "meta.json").read_text())
+    want = meta[key]
+    if key == "n_tau":
+        meta["n_tau"] += 1
+    else:
+        rows = (traj / "index.csv").read_text().splitlines()[:3]
+        (traj / "index.csv").write_text("\n".join(rows) + "\n")
+        meta["n_steps"] = round(float(rows[-1].split(",")[0]) / meta["dt"])
+    (traj / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {traj} was computed with {key} {meta[key]}, not "
+                   f"from {cfg} ({key} {want})\n")
+    assert not (traj / "reports.csv").exists()
 
 
 def test_verify_samples_each_bound_once(tmp_path):
@@ -753,9 +801,9 @@ def test_non_finite_snapshot_fails_verify(run_dir):
 
     loaded = upk_io.load_config(cfg)
     stored = upk_io.read_trajectory(traj, L=loaded.spec.L, S=loaded.spec.S)
-    for rep in (verify.check_max_principle(stored, loaded.spec),
-                verify.check_stability(stored, stored, loaded.spec,
-                                       loaded.spec)):
+    stepper = verify.rebuild(loaded.spec, stored)
+    for rep in (verify.check_max_principle(stored, stepper),
+                verify.check_stability(stored, stored, stepper, stepper)):
         assert not rep.passed
         assert rep.measured == np.inf
         assert rep.context["t_worst"] == stored.times[2] == fld.t

@@ -24,8 +24,7 @@ def _trajectory():
         traj.append(t, Field(rng.random((4, 4)), grid, t))
     traj.meta = {"mode": "impulsive", "lateral_diffusion": "backward_euler",
                  "source": "kick", "dt": 0.125, "n_steps": 4, "n_tau": 3,
-                 "stride": 3, "eps": 0.0, "gamma": 0.0, "m_bound": 2.0,
-                 "options": OPTIONS}
+                 "eps": 0.0, "gamma": 0.0, "m_bound": 2.0, "options": OPTIONS}
     return traj
 
 
@@ -45,8 +44,8 @@ def test_round_trip_keeps_the_kick_slope_and_the_step_term(tmp_path, mode):
     # a delayed source stores the slope over unit kick mass, the impulse
     # over none; the convective bound sets dt on the source problem
     spec = source_spec()
-    traj = solver.solve(spec, unit_grid(8),
-                        gamma=0.0 if mode == "impulsive" else None)
+    traj = solver.solve(spec.with_data(gamma=0.0) if mode == "impulsive"
+                        else spec, unit_grid(8))
     slope = min_kick_slope(spec, 1.0 if mode == "entropy" else 0.0)
     assert (traj.meta["kick_slope"], traj.meta["dt_term"]) == (
         slope, "convective")
@@ -56,12 +55,15 @@ def test_round_trip_keeps_the_kick_slope_and_the_step_term(tmp_path, mode):
     back = upk_io.read_trajectory(tmp_path)
     assert (back.meta["kick_slope"], back.meta["dt_term"]) == (
         slope, "convective")
-    # a directory written before the slope holds b0 in its place
+    # a directory written before the slope holds b0 in its place, and
+    # one written before runs dropped it, the stride
     stored["b0"] = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S,
                                               spec.b1)
+    stored["stride"] = 32
     del stored["kick_slope"]
     (tmp_path / "meta.json").write_text(json.dumps(stored))
-    assert upk_io.read_trajectory(tmp_path).meta["b0"] == stored["b0"]
+    back = upk_io.read_trajectory(tmp_path)
+    assert (back.meta["b0"], back.meta["stride"]) == (stored["b0"], 32)
 
 
 def test_meta_json_lists_every_option_once(tmp_path):
@@ -107,7 +109,7 @@ def test_unknown_options_are_named(tmp_path):
     # nor has one written with the source inside the explicit part
     ("source",),
     ("mode", "lateral_diffusion", "source", "dt", "n_steps", "n_tau",
-     "stride", "eps", "gamma", "m_bound", "options"),
+     "eps", "gamma", "m_bound", "options"),
 ], ids=["dt", "eps_and_options", "explicit_update", "in_step_source", "all"])
 def test_missing_march_parameters_are_named(tmp_path, keys):
     upk_io.write_trajectory(tmp_path, _trajectory())

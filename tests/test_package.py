@@ -3,6 +3,7 @@ export or import cannot outlive its code."""
 
 import ast
 import importlib
+import inspect
 import re
 import subprocess
 import sys
@@ -141,3 +142,27 @@ def test_one_exit_code_map():
     tries = [node for node in ast.walk(tree)
              if type(node).__name__ in ("Try", "TryStar")]
     assert len(tries) == 1 and tries[0] in list(ast.walk(main))
+
+
+def _called(expr):
+    return getattr(expr, "attr", getattr(expr, "id", None))
+
+
+def test_eps_and_gamma_are_the_specs_alone():
+    # a family of problems is a family of specs (`spec.with_data`): no
+    # `upkolmo` call hands `Stepper` or `solve`, directly or through
+    # `functools.partial`, an eps or gamma of its own, so `meta.json`'s
+    # spec hash names the problem the run marched
+    overrides = [f"{path.name}:{node.lineno}" for path in PACKAGE
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and {"Stepper", "solve"} & {_called(node.func),
+                                             *map(_called, node.args)}
+                 and ({"eps", "gamma"} & {kw.arg for kw in node.keywords}
+                      or _called(node.func) == "Stepper"
+                      and len(node.args) > 2)]
+    assert overrides == []
+    assert list(inspect.signature(solver.solve).parameters) == [
+        "spec", "grid", "options", "dt", "m_bound"]
+    for fn in (solver._march, solver.mode_of):
+        assert not {"eps", "gamma"} & set(inspect.signature(fn).parameters)

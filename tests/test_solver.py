@@ -23,16 +23,17 @@ class TestZeroData:
             assert np.all(fld.values == 0.0)
 
     def test_regularized_stays_zero(self):
-        traj = solver.solve(zero_spec(), unit_grid(16), eps=0.02)
+        traj = solver.solve(zero_spec().with_data(epsilon=0.02),
+                            unit_grid(16))
         assert all(f.sup_norm() == 0.0 for f in traj.fields)
 
     def test_impulsive_stays_zero(self):
-        traj = solver.solve(zero_spec(), unit_grid(16), gamma=0.0)
+        traj = solver.solve(zero_spec().with_data(gamma=0.0), unit_grid(16))
         assert traj.final.sup_norm() == 0.0
 
 
 class TestDerivedMode:
-    # (scenario, solve's eps and gamma, the mode its driver marched)
+    # (scenario, the eps and gamma of its spec, the mode solve marches)
     CASES = [
         (source_spec, {}, "entropy"),
         (source_spec, {"gamma": 0.0}, "impulsive"),
@@ -52,13 +53,15 @@ class TestDerivedMode:
     def test_solve_is_the_march_of_the_derived_mode(self, scenario, given,
                                                     mode):
         spec = scenario()
+        spec = spec.with_data(epsilon=given.get("eps", spec.epsilon),
+                              gamma=given.get("gamma", spec.gamma))
         grid = box_grid(spec, 8)
-        traj = solver.solve(spec, grid, **given)
-        assert traj.meta["mode"] == mode
-        eps = given.get("eps", spec.epsilon)
-        gamma = given.get("gamma", spec.gamma)
-        assert (traj.meta["eps"], traj.meta["gamma"]) == (eps, gamma)
-        direct = solver._march(spec, grid, eps, gamma, None, None, None, mode)
+        traj = solver.solve(spec, grid)
+        assert traj.meta["mode"] == solver.mode_of(spec) == mode
+        assert (traj.meta["eps"], traj.meta["gamma"]) == (spec.epsilon,
+                                                          spec.gamma)
+        assert traj.meta["spec_hash"] == spec.context_hash()
+        direct = solver._march(spec, grid, None, None, None)
         assert traj.times == direct.times
         assert all(np.array_equal(a.values, b.values)
                    for a, b in zip(traj.fields, direct.fields))
@@ -68,21 +71,23 @@ class TestPreconditions:
     def test_regularized_needs_positive_eps(self):
         # eps = 0 is the entropy problem; below it no problem is stated
         with pytest.raises(ValueError, match="viscosity must be >= 0"):
-            solver.solve(nosource_spec(), unit_grid(8), eps=-0.01)
+            solver.solve(nosource_spec().with_data(epsilon=-0.01),
+                         unit_grid(8))
 
     def test_regularized_rejects_zero_gamma_with_perturbation(self):
         # at eps = 0 the same gamma marches the impulse
         with pytest.raises(solver.GammaOutOfRangeError):
-            solver.solve(source_spec(), unit_grid(8), eps=0.01, gamma=0.0)
+            solver.solve(source_spec().with_data(epsilon=0.01, gamma=0.0),
+                         unit_grid(8))
 
     def test_entropy_rejects_oversized_gamma(self):
         with pytest.raises(solver.GammaOutOfRangeError):
-            solver.solve(source_spec(), unit_grid(8), gamma=0.3)
+            solver.solve(source_spec().with_data(gamma=0.3), unit_grid(8))
 
     def test_impulsive_needs_interior_tau(self):
-        spec = source_spec().with_data(tau=0.0)
+        spec = source_spec().with_data(tau=0.0, gamma=0.0)
         with pytest.raises(ValueError, match="jump time"):
-            solver.solve(spec, unit_grid(8), gamma=0.0)
+            solver.solve(spec, unit_grid(8))
 
 
 class TestMaxPrincipleBound:
@@ -104,7 +109,7 @@ def test_heat_decay_rate():
         tau=0.05, gamma=0.0, epsilon=0.0,
     )
     grid = Grid(nx=128, ns=8, L=1.0, S=1.0)
-    traj = solver.solve(spec, grid, gamma=0.0)
+    traj = solver.solve(spec, grid)
     ratio = traj.final.sup_norm() / traj.fields[0].sup_norm()
     expected = math.exp(-math.pi ** 2 * 0.1)
     assert abs(ratio - expected) / expected <= 0.02
@@ -114,16 +119,16 @@ class TestJumpMap:
     def test_bench_jump_map_is_accepted(self):
         # the workload's beta: 1 + d beta/d lambda >= 0.66 on |lambda| <=
         # 1.01 M2
-        spec = source_spec()
+        spec = source_spec().with_data(gamma=0.0)
         assert 1 + min_kick_slope(spec, 0.0) == pytest.approx(0.663, abs=2e-3)
-        traj = solver.solve(spec, unit_grid(8), gamma=0.0)
-        assert verify.check_jump(traj, spec).passed
+        traj = solver.solve(spec, unit_grid(8))
+        assert verify.check_jump(traj, verify.rebuild(spec, traj)).passed
 
     def test_decreasing_jump_map_is_rejected(self):
         spec = source_spec().with_data(
-            beta=E.parse(f"-1.5*{TENT}*{XBUMP}*{SBUMP}"))
+            beta=E.parse(f"-1.5*{TENT}*{XBUMP}*{SBUMP}"), gamma=0.0)
         with pytest.raises(ValueError, match="jump map .* decreases"):
-            solver.solve(spec, unit_grid(8), gamma=0.0)
+            solver.solve(spec, unit_grid(8))
 
 
 class TestKickCap:
@@ -138,8 +143,8 @@ class TestKickCap:
         grid = unit_grid(16)
         traj = solver.solve(
             spec, grid, options=SchemeOptions(snapshot_stride=1))
-        stepper = Stepper(spec, grid, eps=0.0, dt=traj.meta["dt"])
-        uncapped = Stepper(spec, grid, eps=0.0, gamma=0.0).dt
+        stepper = verify.rebuild(spec, traj)
+        uncapped = Stepper(spec.with_data(gamma=0.0), grid).dt
         assert stepper.dt < uncapped
         slope = E.compile(spec.beta, "lambda")[0]
         cells = {"x": stepper.xc[:, None], "s": stepper.sc[None, :]}
@@ -152,16 +157,16 @@ class TestKickCap:
                 assert np.min(1.0 + theta * d_beta) >= 0.0
                 kicks += 1
         assert kicks >= 2
-        assert verify.check_max_principle(traj, spec).passed
+        assert verify.check_max_principle(traj, stepper).passed
         ks = list(np.linspace(-0.1, 0.7, 9))
-        assert verify.check_entropy_residual(traj, spec, ks).passed
+        assert verify.check_entropy_residual(traj, stepper, ks).passed
 
 
 class TestImpulsive:
     def test_no_perturbation_continuous(self, grid64):
         # beta = 0, so that gamma = 0 states the impulse
-        spec = nosource_spec().with_data(beta=E.parse("0"))
-        traj = solver.solve(spec, grid64, gamma=0.0)
+        spec = nosource_spec().with_data(beta=E.parse("0"), gamma=0.0)
+        traj = solver.solve(spec, grid64)
         v, jumped = _jump(traj, spec)
         assert np.max(np.abs(jumped - v)) <= 1e-15
 
@@ -169,8 +174,8 @@ class TestImpulsive:
         # perturbation constant in value on |lambda| <= 9.9, where every
         # value lies, and 0 from b1 = 10 on: the jump is that constant
         spec = source_spec().with_data(
-            beta=E.parse(f"0.25*{flat_cut(10)}"), b1=10.0)
-        traj = solver.solve(spec, unit_grid(16), gamma=0.0)
+            beta=E.parse(f"0.25*{flat_cut(10)}"), b1=10.0, gamma=0.0)
+        traj = solver.solve(spec, unit_grid(16))
         v, jumped = _jump(traj, spec)
         assert np.allclose(jumped - v, 0.25, atol=0.0)
 
@@ -186,16 +191,16 @@ class TestImpulsive:
         spec, traj = impulsive_run["spec"], impulsive_run["traj"]
         v, jumped = _jump(traj, spec)
         t = (traj.meta["n_tau"] - 1) * traj.meta["dt"]
-        assert np.array_equal(jumped, verify._stepper(spec, traj).kick(v, t))
+        assert np.array_equal(jumped, verify.rebuild(spec, traj).kick(v, t))
 
     def test_one_step_horizon_still_jumps(self):
         # dt = T would leave no step before the jump: the march takes two
         spec = source_spec().with_data(T=0.02, tau=0.01, gamma=0.0)
-        traj = solver.solve(spec, unit_grid(8), gamma=0.0)
+        traj = solver.solve(spec, unit_grid(8))
         assert (traj.meta["n_steps"], traj.meta["n_tau"]) == (2, 1)
         assert traj.times == [0.0, 0.01, 0.02]
         assert not np.array_equal(*_jump(traj, spec))
-        assert verify.check_jump(traj, spec).passed
+        assert verify.check_jump(traj, verify.rebuild(spec, traj)).passed
 
 
 def _jump(traj, spec):
@@ -203,7 +208,7 @@ def _jump(traj, spec):
     snapshot below it, and its stored snapshot there."""
     n_tau, dt = traj.meta["n_tau"], traj.meta["dt"]
     i = traj.times.index(n_tau * dt)
-    v = verify._pre_kick(verify._stepper(spec, traj),
+    v = verify._pre_kick(verify.rebuild(spec, traj),
                          traj.fields[i - 1].values,
                          round(traj.times[i - 1] / dt), n_tau)
     return v, traj.fields[i].values
@@ -232,7 +237,7 @@ class TestDeterminismAndConsistency:
             assert compared > 0
 
     def test_l1_time_continuity(self):
-        spec = nosource_spec()
+        spec = nosource_spec().with_data(gamma=0.0)
         grid = unit_grid(32)
 
         def continuity_constant(traj, times):
@@ -248,8 +253,8 @@ class TestDeterminismAndConsistency:
                 best = max(best, diff / dt_snap)
             return best
 
-        t1 = solver.solve(spec, grid, gamma=0.0)
-        t2 = solver.solve(spec, grid, gamma=0.0, dt=t1.meta["dt"] / 2.0)
+        t1 = solver.solve(spec, grid)
+        t2 = solver.solve(spec, grid, dt=t1.meta["dt"] / 2.0)
         # the stride counts steps, so halving dt halves the snapshot
         # spacing: the secants are compared over the same intervals (the
         # snapshot one step after tau is not common to both)
@@ -262,9 +267,9 @@ class TestDeterminismAndConsistency:
         # the step sized for |u| <= 0.05 lets the sup reach 0.154 at once;
         # doubling that would be outgrown again, so the restart takes the
         # region the monotone scheme never leaves
-        spec = nosource_spec()
+        spec = nosource_spec().with_data(gamma=0.0)
         grid = unit_grid(16)
-        traj = solver.solve(spec, grid, gamma=0.0, m_bound=0.05)
+        traj = solver.solve(spec, grid, m_bound=0.05)
         reach = reachable_bound(spec)
         assert traj.meta["m_bound"] == reach
         assert traj.final.sup_norm() <= traj.meta["m_bound"]
@@ -274,7 +279,8 @@ class TestDeterminismAndConsistency:
         assert 0 < restart["t"] < spec.T
 
     def test_no_restart_is_recorded_as_none(self):
-        traj = solver.solve(nosource_spec(), unit_grid(8), gamma=0.0)
+        traj = solver.solve(nosource_spec().with_data(gamma=0.0),
+                            unit_grid(8))
         assert traj.meta["restart"] is None
 
     @pytest.mark.parametrize("m_bound, attempts", [(None, 1), (0.05, 2)])
@@ -284,8 +290,8 @@ class TestDeterminismAndConsistency:
         # and after building its stepper and once after marching
         monkeypatch.setattr(solver.time, "perf_counter",
                             functools.partial(next, itertools.count()))
-        traj = solver.solve(nosource_spec(), unit_grid(16),
-                            gamma=0.0, m_bound=m_bound)
+        traj = solver.solve(nosource_spec().with_data(gamma=0.0),
+                            unit_grid(16), m_bound=m_bound)
         assert (traj.meta["restart"] is None) == (attempts == 1)
         assert traj.meta["setup_s"] == traj.meta["march_s"] == attempts
 
@@ -295,11 +301,11 @@ class TestDeterminismAndConsistency:
         # spreads the spike along x, leaves about 2 behind
         spike = ("1000*max(0, 1-((x-0.46875)/1e-6)^2)"
                  "*max(0, 1-((s-0.46875)/1e-6)^2)")
-        spec = nosource_spec().with_data(data_u0_1=E.parse(spike))
+        spec = nosource_spec().with_data(data_u0_1=E.parse(spike), gamma=0.0)
         assert reachable_bound(spec) < 0.51
         with pytest.raises(solver.CflViolationError,
                            match="beyond 0.5.*the bound the monotone scheme"):
-            solver.solve(spec, unit_grid(16), gamma=0.0)
+            solver.solve(spec, unit_grid(16))
 
 
 class TestTraces:
@@ -329,11 +335,11 @@ class TestTraces:
 
     def test_refinement_consistency(self):
         # successive s-refinements of the final-time trace get closer
-        spec = nosource_spec()
+        spec = nosource_spec().with_data(gamma=0.0)
 
         def final_trace(ns):
             grid = Grid(nx=16, ns=ns, L=1.0, S=1.0)
-            traj = solver.solve(spec, grid, gamma=0.0)
+            traj = solver.solve(spec, grid)
             return traj.sS_traces[-1]
 
         t32, t64, t128 = final_trace(32), final_trace(64), final_trace(128)

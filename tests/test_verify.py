@@ -17,10 +17,37 @@ from scenarios import (BETA_TEXT, SBUMP, TENT, XBUMP, box_grid, nosource_spec,
                        source_spec, unattainable_spec, unit_grid, zero_spec)
 
 
+def _op(spec, traj):
+    """The run's operator as ``upkolmo verify`` rebuilds it: of ``spec``,
+    or for an impulsive run its gamma -> 0 limit, and the run's meta."""
+    return verify.rebuild(cli._marched(spec, traj.meta["mode"]), traj)
+
+
+def _max_principle(traj, spec):
+    return verify.check_max_principle(traj, _op(spec, traj))
+
+
+def _stability(traj1, traj2, spec1, spec2):
+    return verify.check_stability(traj1, traj2, _op(spec1, traj1),
+                                  _op(spec2, traj2))
+
+
+def _jump(traj, spec):
+    return verify.check_jump(traj, _op(spec, traj))
+
+
+def _entropy_residual(traj, spec, k_values):
+    return verify.check_entropy_residual(traj, _op(spec, traj), k_values)
+
+
+def _bounds(spec, traj):
+    return verify._bound_curves(_op(spec, traj), traj)
+
+
 class TestMaxPrinciple:
     def test_source_run_passes(self, gamma_family):
-        rep = verify.check_max_principle(gamma_family["trajs"][0.1],
-                                         gamma_family["spec"])
+        rep = _max_principle(gamma_family["trajs"][0.1],
+                             gamma_family["spec"])
         assert rep.passed
         assert rep.margin >= 0
         # the march's own bound decides the row, and nothing else is read
@@ -37,8 +64,8 @@ class TestMaxPrinciple:
                             (verify, "refined_max_bound")):
             monkeypatch.setattr(owner, name,
                                 lambda *a, name=name, **k: calls.append(name))
-        rep = verify.check_max_principle(gamma_family["trajs"][0.1],
-                                         gamma_family["spec"])
+        rep = _max_principle(gamma_family["trajs"][0.1],
+                             gamma_family["spec"])
         assert rep.passed and calls == []
 
     @pytest.mark.parametrize("scenario, gamma", [
@@ -52,11 +79,11 @@ class TestMaxPrinciple:
         # the paper's L-infinity theorem as a measured comparison: B <=
         # min(M, M7) at every t > 0 snapshot; only the zero-data run has
         # the paper's curve below B, and that run is exactly 0
-        spec = scenario()
-        traj = solver.solve(spec, unit_grid(32), gamma=gamma,
+        spec = scenario().with_data(gamma=gamma)
+        traj = solver.solve(spec, unit_grid(32),
                             options=SchemeOptions(snapshot_stride=8))
         later = np.asarray(traj.times) > 0.0
-        bounds = np.array(verify._bound_curves(spec, traj))[later]
+        bounds = np.array(_bounds(spec, traj))[later]
         paper = paper_bound(spec, traj)[later]
         if scenario is zero_spec:
             assert np.any(paper < bounds)
@@ -69,9 +96,9 @@ class TestMaxPrinciple:
         # B stays at the inflated data norm 3.03, which the run respects
         spec = saturated_spec()
         traj = solver.solve(spec, unit_grid(32))
-        rep = verify.check_max_principle(traj, spec)
+        rep = _max_principle(traj, spec)
         assert rep.passed
-        bounds = verify._bound_curves(spec, traj)
+        bounds = _bounds(spec, traj)
         assert max(bounds) <= 3.03
         assert max(bounds) == pytest.approx(3.03, rel=1e-3)
         beta_sup = slab_sup(spec, spec.beta, 4.0)
@@ -81,17 +108,17 @@ class TestMaxPrinciple:
     def test_zero_data_run(self):
         spec = zero_spec()
         traj = solver.solve(spec, unit_grid(16))
-        rep = verify.check_max_principle(traj, spec)
+        rep = _max_principle(traj, spec)
         assert rep.passed
         assert rep.measured == 0.0
 
     def test_impulsive_uses_two_level_bounds(self, impulsive_run):
         # B with kick mass 0 before the jump's level and 1 from it on
         spec, traj = impulsive_run["spec"], impulsive_run["traj"]
-        rep = verify.check_max_principle(traj, spec)
+        rep = _max_principle(traj, spec)
         assert rep.passed
         assert "m3" not in rep.context
-        bounds = verify._bound_curves(spec, traj)
+        bounds = _bounds(spec, traj)
         t_jump = traj.meta["n_tau"] * traj.meta["dt"]
         for t, bound in zip(traj.times, bounds):
             mass = 1.0 if t >= t_jump else 0.0
@@ -108,7 +135,7 @@ class TestMaxPrinciple:
         marched = spec.with_data(beta=E.parse(f"8*{BETA_TEXT}"))
         traj = solver.solve(marched, unit_grid(32),
                             options=SchemeOptions(snapshot_stride=1))
-        rep = verify.check_max_principle(traj, spec)
+        rep = _max_principle(traj, spec)
         assert not rep.passed
         assert rep.measured / rep.bound == pytest.approx(1.118, abs=1e-3)
         assert rep.context["t_worst"] < spec.tau
@@ -116,16 +143,16 @@ class TestMaxPrinciple:
     def test_zero_source_run_bounded_by_data_norm(self, contraction_family):
         base_spec = contraction_family["specs"][0]
         traj = contraction_family["trajs"][0]
-        rep = verify.check_max_principle(traj, base_spec)
+        rep = _max_principle(traj, base_spec)
         assert rep.passed
 
     def test_every_bound_covers_its_own_boundary_data(self):
         # the inflow ramp rises with t, so a snapshot's data norm must
         # include the data at the snapshot's own time
         spec = unattainable_spec(L=1.0)
-        traj = solver.solve(spec, unit_grid(16), gamma=0.0,
+        traj = solver.solve(spec, unit_grid(16),
                             options=SchemeOptions(snapshot_stride=1))
-        bounds = verify._bound_curves(spec, traj)
+        bounds = _bounds(spec, traj)
         xs = np.linspace(0.0, spec.L, 256)
 
         def data_at(t):
@@ -143,13 +170,13 @@ class TestMaxPrinciple:
         # a t > 0 snapshot planted one cell above its bound decides the
         # row; the same value at t = 0, the initial datum, decides nothing
         spec, traj = impulsive_run["spec"], impulsive_run["traj"]
-        bounds = verify._bound_curves(spec, traj)
+        bounds = _bounds(spec, traj)
         i = len(traj.times) // 2
         planted = Trajectory(grid=traj.grid, meta=traj.meta)
         for t, fld in zip(traj.times, traj.fields):
             planted.append(t, Field(fld.values.copy(), fld.grid, t))
         planted.fields[i].values[5, 7] = -1.01 * bounds[i]
-        rep = verify.check_max_principle(planted, spec)
+        rep = _max_principle(planted, spec)
         assert not rep.passed
         assert rep.context["t_worst"] == traj.times[i] > 0.0
         assert rep.context["cell_worst"] == [5, 7]
@@ -157,7 +184,7 @@ class TestMaxPrinciple:
 
         planted.fields[i].values[5, 7] = traj.fields[i].values[5, 7]
         planted.fields[0].values[5, 7] = -1.01 * bounds[0]
-        rep = verify.check_max_principle(planted, spec)
+        rep = _max_principle(planted, spec)
         assert rep.passed and rep.context["t_worst"] > 0.0
 
     @staticmethod
@@ -171,14 +198,19 @@ class TestMaxPrinciple:
             values[1, 2] = -sup
             traj.append(i / 10, Field(values, grid, i / 10))
         monkeypatch.setattr(verify, "_bound_curves",
-                            lambda spec, tr: (1.0, *bounds))
+                            lambda stepper, tr: (1.0, *bounds))
         return traj
+
+    @staticmethod
+    def _source(traj, dt=0.1):
+        """A source-problem operator on the run's grid, given its dt."""
+        return Stepper(source_spec(), traj.grid, dt=dt)
 
     def test_the_tightest_snapshot_decides_the_row(self, monkeypatch):
         # 0.39 is 0.3 of its bound 1.3, tighter than 0.16 of 0.8, though
         # its gap sup - bound, -0.91 against -0.64, is the lower
         traj = self._planted(monkeypatch, [0.8, 1.3], [0.16, 0.39])
-        rep = verify.check_max_principle(traj, source_spec())
+        rep = verify.check_max_principle(traj, self._source(traj))
         assert rep.passed and rep.context["t_worst"] == 0.2
         assert (rep.measured, rep.bound) == (0.39, 1.3)
         assert rep.context["cell_worst"] == [1, 2]
@@ -188,24 +220,23 @@ class TestMaxPrinciple:
         # bound 1e-3 passes, though its sup / bound is the larger
         traj = self._planted(monkeypatch, [1e-3, 0.8, 1.3],
                              [1e-3 + 0.99e-10, 0.8 + 1.5e-10, 1.3])
-        rep = verify.check_max_principle(traj, source_spec())
+        rep = verify.check_max_principle(traj, self._source(traj))
         assert not rep.passed and rep.context["t_worst"] == 0.2
         assert (rep.measured, rep.bound) == (0.8 + 1.5e-10, 0.8)
         # a bound of 0 ranks inf where the sup exceeds the slack, and
         # below every bound > 0 where it does not
         traj = self._planted(monkeypatch, [0.0, 1.3], [2e-10, 1.3])
-        rep = verify.check_max_principle(traj, source_spec())
+        rep = verify.check_max_principle(traj, self._source(traj))
         assert not rep.passed and rep.context["t_worst"] == 0.1
         traj = self._planted(monkeypatch, [0.0, 1.3], [0.5e-10, 0.2])
-        rep = verify.check_max_principle(traj, source_spec())
+        rep = verify.check_max_principle(traj, self._source(traj))
         assert rep.passed and rep.context["t_worst"] == 0.2
 
     def test_no_snapshot_after_t0_fails(self):
         grid = unit_grid(8)
-        traj = Trajectory(grid=grid, meta={"mode": "entropy", "dt": 0.01,
-                                           "gamma": 0.1, "n_tau": 50})
+        traj = Trajectory(grid=grid, meta={"mode": "entropy"})
         traj.append(0.0, Field(np.zeros((8, 8)), grid, 0.0))
-        rep = verify.check_max_principle(traj, source_spec())
+        rep = verify.check_max_principle(traj, self._source(traj, 0.01))
         assert not rep.passed and rep.measured == np.inf
         assert rep.context["t_worst"] is None
 
@@ -214,7 +245,7 @@ class TestStability:
     def test_self_comparison_is_zero(self, gamma_family):
         traj = gamma_family["trajs"][0.1]
         spec = gamma_family["spec"]
-        rep = verify.check_stability(traj, traj, spec, spec)
+        rep = _stability(traj, traj, spec, spec)
         assert rep.passed
         assert rep.measured == 0.0
 
@@ -222,15 +253,15 @@ class TestStability:
     def test_perturbed_initial_data(self, stability_family, delta):
         base = stability_family["specs"][0.0]
         pert = stability_family["specs"][delta]
-        rep = verify.check_stability(stability_family["trajs"][0.0],
-                                     stability_family["trajs"][delta],
-                                     base, pert)
+        rep = _stability(stability_family["trajs"][0.0],
+                         stability_family["trajs"][delta],
+                         base, pert)
         assert rep.passed, rep
 
     def test_contraction_zero_source(self, contraction_family):
         base, pert = contraction_family["specs"]
         t1, t2 = contraction_family["trajs"]
-        rep = verify.check_stability(t1, t2, base, pert)
+        rep = _stability(t1, t2, base, pert)
         assert rep.passed
         # same boundary data, zero source: pure L1 contraction, with the
         # initial distance measured on the grid cells themselves
@@ -239,14 +270,13 @@ class TestStability:
             assert verify.l1_diff(f1, f2) <= d_init * (1 + 1e-12) + 1e-14
 
     def test_impulsive_pair(self, grid64):
-        base = source_spec()
+        base = source_spec().with_data(gamma=0.0)
         pert = perturbed_spec(base, 0.05)
         m = max(reachable_bound(s) for s in (base, pert))
-        dt = min(Stepper(s, grid64, eps=0.0, gamma=0.0, m_bound=m).dt
-                 for s in (base, pert))
-        t1 = solver.solve(base, grid64, gamma=0.0, dt=dt, m_bound=m)
-        t2 = solver.solve(pert, grid64, gamma=0.0, dt=dt, m_bound=m)
-        rep = verify.check_stability(t1, t2, base, pert)
+        dt = min(Stepper(s, grid64, m_bound=m).dt for s in (base, pert))
+        t1 = solver.solve(base, grid64, dt=dt, m_bound=m)
+        t2 = solver.solve(pert, grid64, dt=dt, m_bound=m)
+        rep = _stability(t1, t2, base, pert)
         assert rep.passed
         assert 0.0 < rep.measured <= 1.05 * rep.bound
         assert rep.context["t_worst"] > 0.0
@@ -271,23 +301,23 @@ class TestStability:
         t1, t2 = self._pair([base, pert], 16)
         calls = [self._spy(monkeypatch, name) for name in
                  ("_bound_curves", "sup_bound", "refined_max_bound")]
-        rep = verify.check_stability(t1, t2, base, pert)
+        rep = _stability(t1, t2, base, pert)
         assert rep.passed and rep.measured > 0.0
         assert calls == [[], [], []]
 
     def test_gronwall_weight_uses_the_run_gamma(self, monkeypatch,
                                                 gamma_family):
-        # the run used gamma = 0.05 and the spec says 0.1: the kicks weigh
-        # in by the kernel masses of the run's width, which differ from the
-        # spec's width's on the steps inside [tau - 0.1, tau)
-        spec = gamma_family["spec"]
+        # the run marched the family's gamma = 0.05 member: the kicks weigh
+        # in by the kernel masses of that width, which differ from the
+        # config's width's on the steps inside [tau - 0.1, tau)
+        spec = gamma_family["spec"].with_data(gamma=0.05)
         traj = gamma_family["trajs"][0.05]
         meta = traj.meta
-        assert meta["gamma"] == 0.05 and spec.gamma == 0.1
+        assert meta["spec_hash"] == spec.context_hash()
         calls = self._spy(monkeypatch, "stability_rhs")
         # the same run against other initial data: rhs = W_n d_init
-        rep = verify.check_stability(traj, traj, spec,
-                                     perturbed_spec(spec, 0.1))
+        rep = _stability(traj, traj, spec,
+                         perturbed_spec(spec, 0.1))
         (args, rhs), = calls
         d_init, thetas = rep.context["d_init"], args[5]
         dt = meta["dt"]
@@ -306,20 +336,21 @@ class TestStability:
 
     def test_grid_mismatch(self, gamma_family):
         spec = gamma_family["spec"]
-        other = solver.solve(spec, unit_grid(32), gamma=0.1)
+        other = solver.solve(spec, unit_grid(32))
         with pytest.raises(verify.GridMismatchError):
-            verify.check_stability(gamma_family["trajs"][0.1], other,
-                                   spec, spec)
+            _stability(gamma_family["trajs"][0.1], other,
+                       spec, spec)
 
     @staticmethod
     def _pair(specs, n, impulsive=False, options=None):
-        """Runs of ``specs`` on the n x n grid with one dt and m_bound."""
+        """Runs of ``specs``, or of their gamma -> 0 limits, on the n x n
+        grid with one dt and m_bound."""
         grid = unit_grid(n)
+        specs = [s.with_data(gamma=0.0) if impulsive else s for s in specs]
         m = max(reachable_bound(s) for s in specs)
-        dt = min(Stepper(s, grid, eps=0.0, gamma=0.0 if impulsive else s.gamma,
-                         m_bound=m, options=options).dt for s in specs)
-        return [solver.solve(s, grid, gamma=0.0 if impulsive else None,
-                             dt=dt, m_bound=m, options=options)
+        dt = min(Stepper(s, grid, m_bound=m, options=options).dt
+                 for s in specs)
+        return [solver.solve(s, grid, dt=dt, m_bound=m, options=options)
                 for s in specs]
 
     def test_lax_friedrichs_pair_with_different_inflow(self, monkeypatch):
@@ -331,11 +362,11 @@ class TestStability:
         t1, t2 = self._pair([base, other], 32,
                             options=SchemeOptions(flux_kind=LAX_FRIEDRICHS))
         calls = self._spy(monkeypatch, "stability_rhs")
-        rep = verify.check_stability(t1, t2, base, other)
+        rep = _stability(t1, t2, base, other)
         assert rep.passed, rep
         assert rep.context["d_init"] == 0.0 < rep.measured
         (args, _), = calls
-        stepper = verify._stepper(base, t1)
+        stepper = _op(base, t1)
         ghost = 0.2 * np.maximum(0.0, 1 - ((stepper.xc - 0.5) / 0.35) ** 2) ** 2
         g = 0.5 * (ghost ** 2 / 2 + stepper.flux_a.coeff * ghost)
         want = stepper.dt * float(np.sum(g)) * t1.grid.dx
@@ -350,8 +381,9 @@ class TestStability:
                                data_uS_2=E.parse(f"0.1*{XBUMP}"))
 
         def inflow(eps):
-            return verify._inflow(*(Stepper(s, grid, eps=eps, m_bound=2.0,
-                                            dt=0.01) for s in (spec, other)))
+            return verify._inflow(*(Stepper(s.with_data(epsilon=eps), grid,
+                                            m_bound=2.0, dt=0.01)
+                                    for s in (spec, other)))
 
         stepper = Stepper(other, grid, m_bound=2.0, dt=0.01)
         ghosts = sum(float(np.sum(np.abs(y))) * grid.dx
@@ -367,8 +399,8 @@ class TestStability:
         verified = base.with_data(data_u0_2=E.parse(f"0.2*{XBUMP}"))
         marched = base.with_data(data_u0_2=E.parse(f"0.4*{XBUMP}"))
         t1, t2 = self._pair([base, marched], 32)
-        assert verify.check_stability(t1, t2, base, marched).passed
-        rep = verify.check_stability(t1, t2, base, verified)
+        assert _stability(t1, t2, base, marched).passed
+        rep = _stability(t1, t2, base, verified)
         assert not rep.passed
         assert rep.measured > 1.5 * 1.05 * rep.bound
         assert rep.context["t_worst"] > 0.0
@@ -381,11 +413,10 @@ class TestStability:
         other = spec.with_data(data_u0_2=E.parse("0"))
         grid = box_grid(spec)
         m = max(reachable_bound(s) for s in (spec, other))
-        dt = min(Stepper(s, grid, eps=0.0, gamma=0.0, m_bound=m).dt
-                 for s in (spec, other))
+        dt = min(Stepper(s, grid, m_bound=m).dt for s in (spec, other))
         t1, t2 = (solver.solve(s, grid, dt=dt, m_bound=m)
                   for s in (spec, other))
-        rep = verify.check_stability(t1, t2, spec, other)
+        rep = _stability(t1, t2, spec, other)
         assert rep.passed, rep
         assert 0.99 * rep.bound <= rep.measured <= 1.05 * rep.bound
 
@@ -400,12 +431,11 @@ class TestStability:
                 {"m_bound": 4.0 if change == "m_bound" else 2.0,
                  "options": SchemeOptions(flux_kind=LAX_FRIEDRICHS)
                  if change == "flux_kind" else SchemeOptions()}]
-        dt = min(Stepper(spec, grid, eps=0.0, gamma=0.0, **run).dt
-                 for run in runs)
+        dt = min(Stepper(spec, grid, **run).dt for run in runs)
         t1, t2 = (solver.solve(spec, grid, dt=dt, **run)
                   for run in runs)
         with pytest.raises(verify.GridMismatchError, match="m_bound"):
-            verify.check_stability(t1, t2, spec, other)
+            _stability(t1, t2, spec, other)
 
     @pytest.mark.parametrize("impulsive", [False, True])
     def test_pair_differing_only_in_beta(self, impulsive):
@@ -414,7 +444,7 @@ class TestStability:
         other = base.with_data(beta=E.parse(BETA_TEXT.replace(
             "(x-0.5)", "(x-0.521)").replace("(s-0.5)", "(s-0.48)")))
         t1, t2 = self._pair([base, other], 32, impulsive)
-        rep = verify.check_stability(t1, t2, base, other)
+        rep = _stability(t1, t2, base, other)
         assert rep.passed, rep
         assert rep.context["d_init"] == 0.0
         assert rep.measured > 0.0 and rep.context["t_worst"] > 0.0
@@ -422,8 +452,8 @@ class TestStability:
     def test_pair_with_against_without_beta(self):
         base, bare = source_spec(), nosource_spec()
         t1, t2 = self._pair([base, bare], 32)
-        for rep in (verify.check_stability(t1, t2, base, bare),
-                    verify.check_stability(t2, t1, bare, base)):
+        for rep in (_stability(t1, t2, base, bare),
+                    _stability(t2, t1, bare, base)):
             assert rep.passed, rep
             assert rep.measured > 0.0
 
@@ -431,7 +461,7 @@ class TestStability:
         # the second run kicks with 1.5 beta, and is verified against beta
         spec = source_spec()
         t1, t2 = self._pair([spec, source_spec(beta_amp=0.75)], 32)
-        rep = verify.check_stability(t1, t2, spec, spec)
+        rep = _stability(t1, t2, spec, spec)
         assert not rep.passed
         assert rep.bound == 0.0 < rep.measured
         assert 0.0 < rep.context["t_worst"] < spec.tau
@@ -440,19 +470,19 @@ class TestStability:
         specs = [source_spec(), source_spec(gamma=0.05)]
         t1, t2 = self._pair(specs, 16)
         with pytest.raises(verify.GridMismatchError, match="kernel masses"):
-            verify.check_stability(t1, t2, *specs)
+            _stability(t1, t2, *specs)
 
     def test_row_is_the_largest_ratio_after_t0(self, stability_family):
         base = stability_family["specs"][0.0]
         pert = stability_family["specs"][0.1]
         t1 = stability_family["trajs"][0.0]
         t2 = stability_family["trajs"][0.1]
-        rep = verify.check_stability(t1, t2, base, pert)
+        rep = _stability(t1, t2, base, pert)
         d_init = rep.context["d_init"]
         # at t = 0 both sides are d_init; the row is decided by the march
         assert verify.l1_diff(t1.fields[0], t2.fields[0]) == \
             pytest.approx(d_init, rel=1e-12)
-        st1, st2 = verify._stepper(base, t1), verify._stepper(pert, t2)
+        st1, st2 = _op(base, t1), _op(pert, t2)
         thetas = [st1.source_rate(n * st1.dt) for n in range(st1.n_steps)]
         rhs = stability_rhs(base, pert, t1.times, d_init,
                             verify._inflow(st1, st2), thetas, st1.dt)
@@ -473,7 +503,7 @@ class TestStability:
                                            "m_bound": 3.0,
                                            "options": SchemeOptions()})
         traj.append(0.0, Field(np.zeros((8, 8)), grid, 0.0))
-        rep = verify.check_stability(traj, traj, spec, spec)
+        rep = _stability(traj, traj, spec, spec)
         assert not rep.passed and rep.measured == np.inf
         assert rep.context["t_worst"] is None
 
@@ -481,8 +511,8 @@ class TestStability:
 class TestEntropyResidual:
     def test_shock_run_sign(self, shock_run):
         ks = [-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5]
-        rep = verify.check_entropy_residual(shock_run["traj"],
-                                            shock_run["spec"], ks)
+        rep = _entropy_residual(shock_run["traj"],
+                                shock_run["spec"], ks)
         assert rep.passed
         assert rep.measured <= 1e-8  # i.e. min residual >= -1e-8
 
@@ -495,8 +525,8 @@ class TestEntropyResidual:
         assert min(float(rho.min()) for _, rho in rhos) < -1e-3
 
     def test_outside_range_conservation(self, shock_run):
-        rep = verify.check_entropy_residual(shock_run["traj"],
-                                            shock_run["spec"], [5.0])
+        rep = _entropy_residual(shock_run["traj"],
+                                shock_run["spec"], [5.0])
         assert abs(rep.measured) <= 1e-8
 
     def test_constant_solution(self):
@@ -504,8 +534,8 @@ class TestEntropyResidual:
                                          data_u0_2=E.parse("0.7"),
                                          data_uS_2=E.parse("0.7"))
         opts = SchemeOptions(snapshot_stride=1)
-        traj = solver.solve(spec, unit_grid(16), gamma=0.0, options=opts)
-        rep = verify.check_entropy_residual(traj, spec, [0.2, 0.7, 1.3])
+        traj = solver.solve(spec, unit_grid(16), options=opts)
+        rep = _entropy_residual(traj, spec, [0.2, 0.7, 1.3])
         assert rep.passed
         assert abs(rep.measured) <= 1e-12
 
@@ -517,10 +547,10 @@ class TestEntropyResidual:
         spec = shock_spec(L=1.0)
         grid = unit_grid(32)
         opts = SchemeOptions(snapshot_stride=1)
-        dt = 7.0 * Stepper(spec, grid, eps=0.0, gamma=0.0, options=opts).dt
-        traj = solver.solve(spec, grid, gamma=0.0, options=opts, dt=dt)
+        dt = 7.0 * Stepper(spec, grid, options=opts).dt
+        traj = solver.solve(spec, grid, options=opts, dt=dt)
         assert traj.meta["restart"] is None
-        rep = verify.check_entropy_residual(
+        rep = _entropy_residual(
             traj, spec, [-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
         assert not rep.passed
 
@@ -533,13 +563,12 @@ class TestEntropyResidual:
         # -0.0017 and -0.0019)
         spec = source_spec()
         opts = SchemeOptions(snapshot_stride=1)
-        traj = solver.solve(spec, unit_grid(32),
-                            gamma=0.0 if mode == "impulsive" else None,
+        traj = solver.solve(cli._marched(spec, mode), unit_grid(32),
                             options=opts)
         ks = list(np.linspace(-0.2, 0.8, 9))
-        assert verify.check_entropy_residual(traj, spec, ks).passed
+        assert _entropy_residual(traj, spec, ks).passed
         wrong = source_spec(beta_amp=amp)
-        rep = verify.check_entropy_residual(traj, wrong, ks)
+        rep = _entropy_residual(traj, wrong, ks)
         assert not rep.passed
         assert rep.measured > 1e-3
         # the worst step is a kick step: within the kernel's support, or
@@ -553,13 +582,13 @@ class TestEntropyResidual:
 
     def test_requires_stride_one(self, gamma_family):
         with pytest.raises(ValueError):
-            verify.check_entropy_residual(gamma_family["trajs"][0.1],
-                                          gamma_family["spec"], [0.0])
+            _entropy_residual(gamma_family["trajs"][0.1],
+                              gamma_family["spec"], [0.0])
 
     def test_regularized_run_passes(self, regularized_run):
         # the eps D_ss term of the cell inequality: roundoff only
         spec, traj, ks = regularized_run
-        rep = verify.check_entropy_residual(traj, spec, ks)
+        rep = _entropy_residual(traj, spec, ks)
         assert rep.passed
         assert rep.measured <= 1e-13
         _assert_same_residual(rep, _entropy_residual_reference(traj, spec,
@@ -572,7 +601,7 @@ class TestEntropyResidual:
         fields = [Field(f.values.copy(), f.grid, f.t) for f in full.fields]
         fields[40].values[16, 16] += 1e-3
         traj = Trajectory(full.grid, list(full.times), fields, meta=full.meta)
-        rep = verify.check_entropy_residual(traj, spec, ks)
+        rep = _entropy_residual(traj, spec, ks)
         assert not rep.passed
         assert rep.measured > 1e-3
         assert rep.context["t_worst"] in full.times[39:41]
@@ -585,10 +614,10 @@ class TestEntropyResidual:
         traj = solver.solve(spec, unit_grid(32),
                             options=SchemeOptions(snapshot_stride=1))
         ks = list(np.linspace(-0.2, 0.8, 9))
-        verify.check_entropy_residual(traj, spec, ks)  # warm every cache
+        _entropy_residual(traj, spec, ks)  # warm every cache
         tracemalloc.start()
         try:
-            verify.check_entropy_residual(traj, spec, ks)
+            _entropy_residual(traj, spec, ks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -612,7 +641,7 @@ class TestBln:
         spec = shock_spec().with_data(flux_a=E.parse("2*lambda"),
                                       data_u0_2=E.parse("0.5"),
                                       data_uS_2=E.parse("0"))
-        traj = solver.solve(spec, box_grid(spec, 32), gamma=0.0,
+        traj = solver.solve(spec, box_grid(spec, 32),
                             options=SchemeOptions(snapshot_stride=8))
         rep = verify.check_bln(traj, spec, list(np.linspace(-1, 1, 9)))
         assert rep.passed
@@ -626,7 +655,7 @@ class TestBln:
         spec = shock_spec().with_data(flux_a=E.parse("2*lambda"),
                                       data_u0_2=E.parse("0.5"),
                                       data_uS_2=E.parse("0"))
-        traj = solver.solve(spec, box_grid(spec, 32), gamma=0.0,
+        traj = solver.solve(spec, box_grid(spec, 32),
                             options=SchemeOptions(snapshot_stride=1))
         rep = verify.check_bln(traj, spec, list(np.linspace(-1, 1, 9)))
         assert rep.passed
@@ -708,7 +737,7 @@ class TestBln:
 
 class TestJump:
     def test_impulsive_run(self, impulsive_run):
-        rep = verify.check_jump(impulsive_run["traj"], impulsive_run["spec"])
+        rep = _jump(impulsive_run["traj"], impulsive_run["spec"])
         assert rep.passed
         assert rep.context["pointwise"] <= 1e-14
         assert rep.context["min_jump_weight"] >= 0.0
@@ -718,7 +747,7 @@ class TestJump:
         # where the jump map lambda -> lambda + beta is decreasing
         bump = "(max(0, 1-((x-0.5)/0.35)^2))^2*(max(0, 1-((s-0.5)/0.35)^2))^2"
         spec = source_spec().with_data(beta=E.parse(f"-1.5*{TENT}*{bump}"))
-        rep = verify.check_jump(_refused_impulsive_run(spec), spec)
+        rep = _jump(_refused_impulsive_run(spec), spec)
         assert not rep.passed
         assert rep.context["pointwise"] <= 1e-14
         # the slab sampler `run` refuses the map with
@@ -740,8 +769,8 @@ class TestJump:
         assert m2 < 0.8039 < verify.NORM_INFLATION * m2
         assert sup_bound(spec, spec.tau, 1.0, verify.NORM_INFLATION) < 3.0
         with pytest.raises(ValueError, match="jump map .* decreases"):
-            solver.solve(spec, unit_grid(16), gamma=0.0)
-        rep = verify.check_jump(_refused_impulsive_run(spec), spec)
+            solver.solve(spec.with_data(gamma=0.0), unit_grid(16))
+        rep = _jump(_refused_impulsive_run(spec), spec)
         assert not rep.passed
         assert rep.context["pointwise"] <= 1e-14
         assert rep.measured == pytest.approx(2.99, abs=0.01)
@@ -761,8 +790,8 @@ class TestJump:
         assert 1.0 + min_kick_slope(spec, 0.0) == pytest.approx(-9.0,
                                                                 rel=1e-2)
         with pytest.raises(ValueError, match="jump map .* decreases"):
-            solver.solve(spec, unit_grid(16), gamma=0.0)
-        rep = verify.check_jump(_refused_impulsive_run(spec), spec)
+            solver.solve(spec.with_data(gamma=0.0), unit_grid(16))
+        rep = _jump(_refused_impulsive_run(spec), spec)
         assert not rep.passed
         assert rep.context["pointwise"] <= 1e-14
         assert rep.context["m3"] == 2.0 < rep.context["post_sup"]
@@ -774,19 +803,19 @@ class TestJump:
         spec = source_spec().with_data(beta=E.parse(
             f"0.9*max(0, 1 - abs(lambda))*{XBUMP}*{SBUMP}"), b1=1.0)
         assert problem.consistency_errors(spec) == []
-        traj = solver.solve(spec, unit_grid(16), gamma=0.0)
-        rep = verify.check_jump(traj, spec)
+        traj = solver.solve(spec.with_data(gamma=0.0), unit_grid(16))
+        rep = _jump(traj, spec)
         assert rep.passed
         assert rep.context["m3"] == 1.0
         assert rep.context["min_jump_weight"] == pytest.approx(0.1, abs=5e-3)
         assert 0.8 < rep.context["post_sup"] <= 1.0
-        assert verify.check_max_principle(traj, spec).passed
+        assert _max_principle(traj, spec).passed
 
     def test_no_perturbation(self, grid64):
         # beta = 0, so that gamma = 0 states the impulse
-        spec = nosource_spec().with_data(beta=E.parse("0"))
-        traj = solver.solve(spec, grid64, gamma=0.0)
-        rep = verify.check_jump(traj, spec)
+        spec = nosource_spec().with_data(beta=E.parse("0"), gamma=0.0)
+        traj = solver.solve(spec, grid64)
+        rep = _jump(traj, spec)
         assert rep.passed
         assert rep.context["pointwise"] == 0.0
 
@@ -798,7 +827,7 @@ class TestJump:
         traj = copy.deepcopy(impulsive_run["traj"])
         i = traj.times.index(traj.meta["n_tau"] * traj.meta["dt"]) - before
         traj.fields[i].values[20, 30] += 1e-3
-        rep = verify.check_jump(traj, spec)
+        rep = _jump(traj, spec)
         assert not rep.passed
         assert rep.context["pointwise"] > 1e-6
 
@@ -807,16 +836,17 @@ class TestJump:
         traj = copy.deepcopy(impulsive_run["traj"])
         i = traj.times.index(traj.meta["n_tau"] * traj.meta["dt"])
         traj.fields[i - 1].values[20, 30] = np.nan
-        rep = verify.check_jump(traj, spec)
+        rep = _jump(traj, spec)
         assert not rep.passed
         assert rep.measured == rep.context["pointwise"] == np.inf
 
 
 def _refused_impulsive_run(spec):
-    """The impulsive march of a spec whose jump map `solve` refuses, in an
-    invariant region wide enough for the jump it makes."""
-    return solver._march(spec, unit_grid(16), 0.0, 0.0, None, None, 20.0,
-                         "impulsive")
+    """The impulsive march, the gamma -> 0 limit, of a spec whose jump map
+    `solve` refuses, in an invariant region wide enough for the jump it
+    makes."""
+    return solver._march(spec.with_data(gamma=0.0), unit_grid(16), None,
+                         None, 20.0)
 
 
 class TestGammaLimit:
@@ -841,8 +871,8 @@ class TestGammaLimit:
         # exactly, the impulse's kick, on the same dt
         spec = source_spec()
         grid = unit_grid(32)
-        ref = solver.solve(spec, grid, gamma=0.0)
-        traj = solver.solve(spec, grid, gamma=gamma)
+        ref = solver.solve(spec.with_data(gamma=0.0), grid)
+        traj = solver.solve(spec.with_data(gamma=gamma), grid)
         assert traj.meta["dt"] == ref.meta["dt"]
         assert verify.spacetime_l1_diff(traj, ref) == 0.0
 
@@ -901,15 +931,15 @@ class TestGenuineNonlinearity:
 class TestReports:
     def test_rerun_identical(self, shock_run):
         ks = [0.0, 0.5, 1.0]
-        r1 = verify.check_entropy_residual(shock_run["traj"],
-                                           shock_run["spec"], ks)
-        r2 = verify.check_entropy_residual(shock_run["traj"],
-                                           shock_run["spec"], ks)
+        r1 = _entropy_residual(shock_run["traj"],
+                               shock_run["spec"], ks)
+        r2 = _entropy_residual(shock_run["traj"],
+                               shock_run["spec"], ks)
         assert r1.row() == r2.row()
 
     def test_csv_round_trip(self, tmp_path, shock_run):
-        reps = [verify.check_entropy_residual(shock_run["traj"],
-                                              shock_run["spec"], [0.5])]
+        reps = [_entropy_residual(shock_run["traj"],
+                                  shock_run["spec"], [0.5])]
         path = tmp_path / "reports.csv"
         verify.write_reports(path, reps)
         lines = path.read_text().splitlines()
@@ -1027,9 +1057,9 @@ def _entropy_rhos_reference(traj, spec, k_values):
     F(u v k) - F(u ^ k), one k at a time, and the kick's mass theta_n
     from the kernel's primitive, or at gamma = 0 from ``n_tau``."""
     meta = traj.meta
-    stepper = Stepper(spec, traj.grid, eps=meta["eps"], gamma=meta["gamma"],
-                      options=meta["options"], m_bound=meta["m_bound"],
-                      dt=meta["dt"])
+    stepper = Stepper(spec.with_data(epsilon=meta["eps"], gamma=meta["gamma"]),
+                      traj.grid, options=meta["options"],
+                      m_bound=meta["m_bound"], dt=meta["dt"])
     grid = traj.grid
     dt, dx, ds = meta["dt"], grid.dx, grid.ds
     xc, sc = grid.cell_centers()
@@ -1090,7 +1120,9 @@ def _entropy_residual_reference(traj, spec, k_values):
         if rho[j, cx, cs] > worst[0]:
             worst = (float(rho[j, cx, cs]), t0, [int(cx), int(cs)],
                      float(k_values[j]))
-    context = {"spec": spec.context_hash(),
+    # the spec of the operator ``_op`` rebuilds
+    marched = cli._marched(spec, traj.meta["mode"])
+    context = {"spec": marched.context_hash(),
                "k_values": list(map(float, k_values)),
                "n_scored": len(traj.times) - 1, "t_worst": worst[1],
                "cell_worst": worst[2], "k_worst": worst[3]}
@@ -1167,16 +1199,17 @@ def _assert_same_report(got, want):
 
 @pytest.fixture(scope="module")
 def small_runs():
-    """16x16 source-problem runs, entropy and impulsive, at strides 1 and 32,
-    and a Lax-Friedrichs entropy run at stride 1."""
+    """16x16 source-problem runs, entropy and impulsive (its gamma -> 0
+    limit), at strides 1 and 32, and a Lax-Friedrichs entropy run at
+    stride 1."""
     spec = source_spec()
     grid = unit_grid(16)
     runs = {}
     for stride in (1, 32):
         opts = SchemeOptions(snapshot_stride=stride)
         runs["entropy", stride] = solver.solve(spec, grid, options=opts)
-        runs["impulsive", stride] = solver.solve(spec, grid, gamma=0.0,
-                                                 options=opts)
+        runs["impulsive", stride] = solver.solve(spec.with_data(gamma=0.0),
+                                                 grid, options=opts)
     runs["entropy_lf", 1] = solver.solve(
         spec, grid, options=SchemeOptions(snapshot_stride=1,
                                           flux_kind=LAX_FRIEDRICHS))
@@ -1190,8 +1223,8 @@ SMALL_KS = list(np.linspace(-1.5, 1.5, 9))
 def regularized_run():
     """The source problem at 32^2, eps = 0.01, stride 1, and the k bank
     ``upkolmo verify`` scores it with."""
-    spec = source_spec()
-    traj = solver.solve(spec, unit_grid(32), eps=0.01,
+    spec = source_spec().with_data(epsilon=0.01)
+    traj = solver.solve(spec, unit_grid(32),
                         options=SchemeOptions(snapshot_stride=1))
     return spec, traj, cli._k_bank(traj)
 
@@ -1215,7 +1248,7 @@ class TestHoistedAgainstReference:
         spec, runs = small_runs
         traj = runs[mode, 1]
         _assert_same_residual(
-            verify.check_entropy_residual(traj, spec, SMALL_KS),
+            _entropy_residual(traj, spec, SMALL_KS),
             _entropy_residual_reference(traj, spec, SMALL_KS))
 
     @pytest.mark.parametrize("mode", ["entropy", "impulsive", "nan"])
@@ -1231,8 +1264,8 @@ class TestHoistedAgainstReference:
             fields[50].values[2, 2] = np.inf
             traj = Trajectory(traj.grid, list(traj.times), fields,
                               meta=traj.meta)
-        rep = verify.check_entropy_residual(traj, spec, SMALL_KS)
-        pieces = [verify.check_entropy_residual(
+        rep = _entropy_residual(traj, spec, SMALL_KS)
+        pieces = [_entropy_residual(
             Trajectory(traj.grid, traj.times[n:n + 2], traj.fields[n:n + 2],
                        meta=traj.meta), spec, SMALL_KS)
             for n in range(len(traj.times) - 1)]
@@ -1251,21 +1284,21 @@ class TestHoistedAgainstReference:
     def test_entropy_residual_shock(self, shock_run):
         spec, traj = shock_run["spec"], shock_run["traj"]
         ks = [-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5]
-        _assert_same_residual(verify.check_entropy_residual(traj, spec, ks),
+        _assert_same_residual(_entropy_residual(traj, spec, ks),
                               _entropy_residual_reference(traj, spec, ks))
 
     def test_max_principle_bounds(self, small_runs):
         spec, runs = small_runs
         for mode in ("entropy", "impulsive"):
             traj = runs[mode, 1]
-            bounds = verify._bound_curves(spec, traj)
+            bounds = _bounds(spec, traj)
             assert list(bounds) == _bound_curves_reference(spec, traj)
 
     @staticmethod
     def _assert_stability_curve(spec1, spec2, traj, inflow):
         dt = traj.meta["dt"]
-        stepper = verify._stepper(spec1 if spec1.beta is not None else spec2,
-                                  traj)
+        stepper = _op(spec1 if spec1.beta is not None else spec2,
+                      traj)
         thetas = [stepper.source_rate(n * dt) for n in range(stepper.n_steps)]
         got = stability_rhs(spec1, spec2, traj.times, 0.1, inflow, thetas, dt)
         want = [_stability_rhs_reference(spec1, spec2, t, 0.1, inflow,
@@ -1277,7 +1310,7 @@ class TestHoistedAgainstReference:
     def _inflow(spec1, spec2, traj):
         """The two specs' inflow on the run's steppers, which must equal
         the per-step loop byte for byte."""
-        st1, st2 = verify._stepper(spec1, traj), verify._stepper(spec2, traj)
+        st1, st2 = _op(spec1, traj), _op(spec2, traj)
         inflow = verify._inflow(st1, st2)
         assert inflow.tobytes() == _inflow_reference(st1, st2).tobytes()
         return inflow
@@ -1382,8 +1415,8 @@ class TestDataSamplingAgainstReference:
                                data_uS_2=E.parse(f"2*({text1})"))
         for kind in (LAX_FRIEDRICHS, "engquist_osher"):
             for eps in (0.0, 0.01):
-                st1, st2 = (Stepper(s, unit_grid(16), eps=eps, m_bound=2.0,
-                                    dt=0.01,
+                st1, st2 = (Stepper(s.with_data(epsilon=eps), unit_grid(16),
+                                    m_bound=2.0, dt=0.01,
                                     options=SchemeOptions(flux_kind=kind))
                             for s in (spec1, spec2))
                 assert st1.n_steps == n_steps
@@ -1405,8 +1438,8 @@ class TestNothingToCertify:
         assert rep.context["t_worst"] is None
 
     def test_entropy_residual_empty_k_bank_fails(self, shock_run):
-        rep = verify.check_entropy_residual(shock_run["traj"],
-                                            shock_run["spec"], [])
+        rep = _entropy_residual(shock_run["traj"],
+                                shock_run["spec"], [])
         assert not rep.passed
         assert rep.measured == np.inf
 
@@ -1414,7 +1447,7 @@ class TestNothingToCertify:
         full = shock_run["traj"]
         traj = Trajectory(grid=full.grid, meta=full.meta)
         traj.append(0.0, full.fields[0])
-        rep = verify.check_entropy_residual(traj, shock_run["spec"], [0.5])
+        rep = _entropy_residual(traj, shock_run["spec"], [0.5])
         assert not rep.passed
         assert rep.measured == np.inf
 
@@ -1426,7 +1459,7 @@ class TestNothingToCertify:
                 fld = Field(fld.values.copy(), fld.grid, t)
                 fld.values[20, 30] = np.nan
             traj.append(t, fld)
-        rep = verify.check_entropy_residual(traj, shock_run["spec"], [0.5])
+        rep = _entropy_residual(traj, shock_run["spec"], [0.5])
         assert not rep.passed
         assert rep.measured == np.inf
         assert rep.row()[1] == "inf"
@@ -1447,13 +1480,13 @@ class TestNothingToCertify:
                 fld = Field(fld.values.copy(), fld.grid, t)
                 fld.values[8, 8] = np.nan
             traj.append(t, fld)
-        rep = verify.check_entropy_residual(traj, spec, SMALL_KS)
+        rep = _entropy_residual(traj, spec, SMALL_KS)
         assert rep.measured == np.inf and not rep.passed
         assert rep.context["t_worst"] == full.times[n - 1]
 
     def test_entropy_residual_context_names_the_worst_step(self, shock_run):
         traj = shock_run["traj"]
-        rep = verify.check_entropy_residual(traj, shock_run["spec"], [0.5])
+        rep = _entropy_residual(traj, shock_run["spec"], [0.5])
         assert set(rep.context) == {"spec", "k_values", "n_scored",
                                     "t_worst", "cell_worst", "k_worst"}
         assert rep.context["n_scored"] == len(traj.times) - 1
