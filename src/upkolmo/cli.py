@@ -114,14 +114,17 @@ def _cmd_verify(args):
         meta = tr.meta
         spec = _marched(config, meta["mode"])
         stepper = verify.rebuild(spec, tr)
-        stated = spec.context_hash()
+        off = np.count_nonzero(tr.fields[0].values.view(np.uint64) != (
+            solver.initial_values(spec, tr.grid).view(np.uint64)))
         for what, got, want in (
-                ("spec hash", meta.get("spec_hash", stated), stated),
+                ("spec hash", meta["spec_hash"], spec.context_hash()),
                 *((key, meta[key], getattr(stepper, key))
                   for key in ("eps", "gamma", "n_steps", "n_tau")),
                 ("grid", (tr.grid.nx, tr.grid.ns),
                  (loaded.grid.nx, loaded.grid.ns)),
-                ("options", meta["options"], loaded.options)):
+                ("options", meta["options"], loaded.options),
+                ("first snapshot", f"level {tr.levels[0]}, {off} cells off "
+                 "u0_1", "level 0, 0 cells off u0_1")):
             if got != want:
                 raise ValueError(f"{path} was computed with {what} {got}, not "
                                  f"from {args.config} ({what} {want})")

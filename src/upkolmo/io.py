@@ -18,16 +18,15 @@ Field files (extension ``.upkf``) are little-endian and bit-exact:
     payload Nx * Ns f64, x-major then s
 
 A trajectory directory holds one field file per snapshot, an ``index.csv``
-mapping snapshot times to filenames (its third column, the role, reads
-``snapshot`` on every row; any other role is refused, among them the
-``tau_minus`` and ``tau_plus`` rows of directories written while the run
-stored its one-sided jump fields), and a ``meta.json`` with the march
+mapping snapshot times to filenames (its third column, the role, must
+read ``snapshot``, which refuses the ``tau_minus`` and ``tau_plus`` rows
+of older impulsive runs), and a ``meta.json`` with the march
 parameters the verification checks need to reconstruct the stepper:
 ``mode`` (``solver.mode_of`` of the marched spec), ``lateral_diffusion``,
 ``source``, ``dt``, ``n_steps``, ``n_tau`` (the level the gamma = 0 kick
-lands on, ceil(tau/dt)), ``eps``, ``gamma``, ``m_bound`` and ``options``
-(the stride among them) are required; ``spec_hash`` (of the spec the run
-marched: ``--mode impulsive`` marches gamma = 0), ``restart`` (the
+lands on, ceil(tau/dt)), ``eps``, ``gamma``, ``m_bound``, ``options``
+(the stride among them) and ``spec_hash`` (of the spec the run marched,
+which ``verify`` requires of the config) are required; ``restart`` (the
 escape that enlarged the invariant region, or null), ``kick_slope``
 (``scheme.Stepper.kick_slope``; older runs hold ``b0``, which nothing
 reads), ``dt_term`` (the ``scheme.Stepper._cfl`` bound that set dt, or
@@ -41,11 +40,12 @@ how the step treated the lateral Laplacian and the source, and only
 the earlier explicit update, or with the source inside the explicit part,
 lacks the key, so it is refused instead of being scored against the wrong
 update.  An option ``SchemeOptions`` does not have, or a value it
-refuses, is refused.  The checks re-derive each step from ``dt``, so
-``n_steps`` dt must be the last snapshot time and every snapshot time a
-multiple of dt, both to 1e-9 steps, and an impulsive run must hold the
-snapshot at level ``n_tau``, the jump ``verify.check_jump`` scores.  A
-field's header time must be its ``index.csv`` time, its (Nx, Ns) the first's.
+refuses, is refused.  The checks read each snapshot by its step level n =
+t/dt, derived here and nowhere else: ``n_steps`` dt must be the last
+snapshot time and every snapshot time a multiple of dt, both to 1e-9 steps,
+and an impulsive run must hold the snapshot at level ``n_tau``, the jump
+``verify.check_jump`` scores.  A field's header time must be its
+``index.csv`` time, its (Nx, Ns) the first's.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ __all__ = [
 MAGIC = b"UPKF"
 VERSION = 1
 _MARCH_KEYS = ("mode", "lateral_diffusion", "source", "dt", "n_steps",
-               "n_tau", "eps", "gamma", "m_bound", "options")
+               "n_tau", "eps", "gamma", "m_bound", "options", "spec_hash")
 # the update each key names, the only one this version steps
 _UPDATES = {"lateral_diffusion": LATERAL_DIFFUSION, "source": SOURCE_STEP}
 
@@ -96,6 +96,7 @@ _KINDS = {
     "n_steps": ("a positive integer", lambda v: _integer(v) and v > 0),
     "n_tau": ("an integer or null", lambda v: v is None or _integer(v)),
     "options": ("an object", lambda v: isinstance(v, dict)),
+    "spec_hash": ("a string", lambda v: isinstance(v, str)),
 }
 
 
@@ -370,7 +371,7 @@ def read_trajectory(directory, L=1.0, S=1.0):
     if missing:
         raise FormatError(f"{directory}: meta.json lacks {', '.join(missing)}")
     meta = _meta_from_json(data)
-    traj = None
+    fields = []
     for row in index[1:]:
         if not row.strip():
             continue
@@ -387,25 +388,27 @@ def read_trajectory(directory, L=1.0, S=1.0):
         if fld.t != t:
             raise FormatError(f"{path}: header time {fld.t!r} is not its "
                               f"index.csv time {t!r}")
-        if traj is None:
-            traj = Trajectory(grid=fld.grid, meta=meta)
-        elif fld.grid != traj.grid:
+        if fields and fld.grid != fields[0].grid:
             raise FormatError(f"{path}: {fld.values.shape} cells, not the "
-                              f"first field's {traj.final.values.shape}")
-        traj.append(t, fld)
-    if traj is None:
+                              f"first field's {fields[0].values.shape}")
+        fields.append(fld)
+    if not fields:
         raise FormatError(f"{directory}: empty trajectory")
-    dt, levels = meta["dt"], np.asarray(traj.times) / meta["dt"]
-    if abs(levels[-1] - meta["n_steps"]) > 1e-9:
+    dt, times = meta["dt"], [fld.t for fld in fields]
+    steps = np.asarray(times) / dt
+    levels = np.rint(steps).astype(int)
+    if abs(steps[-1] - meta["n_steps"]) > 1e-9:
         raise FormatError(f"{directory}: n_steps * dt = "
                           f"{meta['n_steps'] * dt!r} in meta.json is not the "
-                          f"last snapshot time {traj.times[-1]!r}")
-    off = np.flatnonzero(np.abs(levels - np.rint(levels)) > 1e-9)
+                          f"last snapshot time {times[-1]!r}")
+    off = np.flatnonzero(np.abs(steps - levels) > 1e-9)
     if off.size:
-        raise FormatError(f"{directory}: snapshot time {traj.times[off[0]]!r} "
+        raise FormatError(f"{directory}: snapshot time {times[off[0]]!r} "
                           f"is not a multiple of dt = {dt!r} in meta.json")
-    if meta["mode"] == "impulsive" and meta["n_tau"] not in np.rint(levels):
+    if meta["mode"] == "impulsive" and meta["n_tau"] not in levels:
         raise FormatError(f"{directory}: an impulsive run's index.csv lacks "
                           f"the snapshot at the jump's level n_tau = "
                           f"{meta['n_tau']}")
-    return traj
+    if np.any(np.diff(levels) <= 0):
+        raise FormatError(f"{directory}: index.csv snapshots out of order")
+    return Trajectory(fields[0].grid, times, fields, meta, levels.tolist())

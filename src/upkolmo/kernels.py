@@ -88,17 +88,16 @@ def k_gamma_primitive(n=4096):
     return z, p
 
 
-def step_mass(t, dt, tau, gamma, n_tau):
-    """theta_n, the kernel mass of the step from t that the march kicks
-    with (see ``scheme``); an array of step starts gives one per step, each
-    as its own start gives it."""
+def step_mass(n, dt, tau, gamma, n_tau):
+    """theta_n, the kernel mass the march kicks with on the step from each
+    level of the integer array n (see ``scheme``): P(t + dt) - P(t) at t =
+    n dt, at gamma = 0 1 on the step that ends at level n_tau, else 0."""
     if gamma <= 0:
-        mass = np.rint(np.asarray(t) / dt) + 1 == n_tau
-    else:
-        p0, p1 = np.interp((np.array((t, t + dt)) - tau) / gamma,
-                           *k_gamma_primitive())
-        mass = p1 - p0
-    return float(mass) if np.ndim(mass) == 0 else mass.astype(float)
+        return (n + 1 == n_tau).astype(float)
+    t = n * dt
+    p0, p1 = np.interp((np.array((t, t + dt)) - tau) / gamma,
+                       *k_gamma_primitive())
+    return p1 - p0
 
 
 @functools.lru_cache(maxsize=32)

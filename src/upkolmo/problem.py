@@ -9,7 +9,7 @@ a-priori theory:
   = 0 for |lambda| >= b1 (``consistency_errors``) and on a kick that
   ``min_kick_slope``, beta's least slope, keeps nondecreasing.
 * ``stability_rhs`` -- the L1 data-stability estimate of two runs of the
-  march, both sources, over the snapshot times (derived in ``verify``),
+  march, both sources, at the snapshot levels (derived in ``verify``),
   from each step's s-end inflow difference and kick mass.
 
 Sup-norms of expression-defined data are estimated by dense sampling
@@ -134,17 +134,19 @@ class Field:
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots plus the extracted boundary traces."""
+    """Snapshots, their times and step levels, and the s-end traces."""
 
     grid: Grid
     times: list = field(default_factory=list)
     fields: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    levels: list = field(default_factory=list)
 
-    def append(self, t, fld):
-        if self.times and t <= self.times[-1]:
-            raise ValueError("snapshot times must be strictly increasing")
-        self.times.append(t)
+    def append(self, n, fld):
+        if self.levels and n <= self.levels[-1]:
+            raise ValueError("snapshot levels must be strictly increasing")
+        self.levels.append(n)
+        self.times.append(fld.t)
         self.fields.append(fld)
 
     @property
@@ -156,10 +158,6 @@ class Trajectory:
     def sS_traces(self):
         """Each snapshot's last s-column, the discrete trace at s = S."""
         return [fld.values[:, -1] for fld in self.fields]
-
-    @property
-    def final(self):
-        return self.fields[-1]
 
 
 # --- spec consistency ------------------------------------------------------
@@ -378,9 +376,9 @@ def sup_bound(spec, times, masses, inflate=1.0):
     return float(out) if out.ndim == 0 else out
 
 
-def stability_rhs(spec1, spec2, times, d_init, inflow, thetas, dt):
-    """The L1 stability estimate of two runs at each time in ``times``,
-    at its level n (derived in the ``verify`` notes):
+def stability_rhs(spec1, spec2, levels, d_init, inflow, thetas):
+    """The L1 stability estimate of two runs at each step level n in
+    ``levels`` (derived in the ``verify`` notes):
 
         W_n d_init + sum_{m<n} (W_n/W_m) inflow_m
                    + S |Omega| dbeta sum_{m<n} theta_m W_n/W_{m+1},
@@ -398,8 +396,6 @@ def stability_rhs(spec1, spec2, times, d_init, inflow, thetas, dt):
     dbeta = 0.0 if beta1 == beta2 else slab_sup(
         spec1, exprdsl.BinOp("-", beta1 or zero, beta2 or zero),
         max(spec1.b1, spec2.b1) + 1.0)
-    inflow = np.asarray(inflow, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
     b0 = (kernels.estimate_dbeta_sup(beta1, spec1.L, spec1.S, spec1.b1)
           if beta1 is not None and (d_init or dbeta or inflow.any())
           else 0.0)
@@ -407,7 +403,6 @@ def stability_rhs(spec1, spec2, times, d_init, inflow, thetas, dt):
     w = np.concatenate(([1.0], np.cumprod(1.0 + b0 * thetas)))
     boundary = w * np.concatenate(([0.0], np.cumsum(inflow / w[:-1])))
     source = w * np.concatenate(([0.0], np.cumsum(thetas / w[1:])))
-    levels = np.rint(np.asarray(times, dtype=float) / dt).astype(int)
     rhs = (w[levels] * d_init + boundary[levels]
            + spec1.S * spec1.omega_measure * dbeta * source[levels])
     return [float(r) for r in rhs]

@@ -14,12 +14,13 @@ with a monotone two-point numerical flux in each convective direction:
 * Engquist-Osher: F(uL, uR) = f(0) + int_0^uL max(f', 0) + int_0^uR min(f', 0),
   which handles non-monotone fluxes without a Riemann solver.
 
-theta_n = P(t_n + dt) - P(t_n) (``kernels.step_mass``) is the kernel mass
-of the step, so the kicks add up to unit mass whatever the step.  At gamma
-= 0 P is 1_{t >= tau}: theta_n is exactly 1 on the step that ends at level
-``n_tau`` = ceil(tau/dt) and 0 on every other, so the impulsive problem is
-the gamma = 0 case of the one step (operator splitting; Holden, Karlsen,
-Lie & Risebro, EMS 2010).
+theta_n = P(t_n + dt) - P(t_n), t_n = n dt (``kernels.step_mass``), is the
+kernel mass of the step from level n, so the kicks add up to unit mass
+whatever the step.  At gamma = 0 P is 1_{t >= tau}: theta_n is exactly 1 on
+the step that ends at level ``n_tau`` = ceil(tau/dt) and 0 on every other,
+so the impulsive problem is the gamma = 0 case of the one step (operator
+splitting; Holden, Karlsen, Lie & Risebro, EMS 2010).  ``step`` and ``kick``
+take the level n; ``Stepper.thetas`` holds each theta_n.
 
 The operator is ultra-parabolic: diffusion acts along x only.  The explicit
 part is forward Euler under the CFL step of ``Stepper._cfl``, which is
@@ -228,7 +229,8 @@ class Stepper:
     are comparable exactly only with a common value.  The lateral solve's
     inverse, the flux tables and ``kick_slope`` are each built on first
     use, so a Stepper given its dt samples nothing that only sizing dt
-    reads, and one that never steps builds no inverse.  It steps with the
+    reads, and one that never steps builds no inverse; so is ``thetas``,
+    the kick masses ``kick`` and ``verify`` read.  It steps with the
     spec's eps and gamma; the ``eps`` and ``gamma`` keywords that override
     them are kept for ``bench/setup_probe.py``.
     """
@@ -355,14 +357,20 @@ class Stepper:
 
     # single step -----------------------------------------------------------
 
-    def source_rate(self, t):
-        """The source's rate per step, ``kernels.step_mass``: the kernel
-        mass of the step from t, or of each step from an array of starts;
-        0 without a beta."""
+    def source_rate(self, levels):
+        """``kernels.step_mass`` of an integer array of levels: the kick
+        mass of the step from each; 0 without a beta."""
         if self.beta_fn is None:
-            return 0.0
-        return kernels.step_mass(t, self.dt, self.spec.tau, self.gamma,
+            return np.zeros(np.shape(levels))
+        return kernels.step_mass(levels, self.dt, self.spec.tau, self.gamma,
                                  self.n_tau)
+
+    @functools.cached_property
+    def thetas(self):
+        """theta_n of every level n < ``n_steps``, read-only."""
+        thetas = self.source_rate(np.arange(self.n_steps))
+        thetas.flags.writeable = False
+        return thetas
 
     @functools.cached_property
     def _inverse(self):
@@ -383,12 +391,13 @@ class Stepper:
         x = self._inverse @ d
         return np.clip(x, min(d.min(), 0.0), max(d.max(), 0.0), out=x)
 
-    def step(self, u, t):
-        """The explicit update and the lateral solve from time t: the state
-        v that ``kick`` completes into the next level.  A value that
-        overflows ends the step in ``NaNDetectedError``, from ``_finite``,
-        so NumPy's own overflow and invalid-value warnings are silenced."""
+    def step(self, u, n):
+        """The explicit update and the lateral solve from level n: the state
+        v that ``kick`` completes into level n + 1.  A value that overflows
+        ends the step in ``NaNDetectedError``, from ``_finite``, so NumPy's
+        own overflow and invalid-value warnings are silenced."""
         grid, dt = self.grid, self.dt
+        t = n * dt
         w = self.padded(u, t)
         ws = w[1:-1, :]
         wx = w[:, 1:-1]
@@ -405,12 +414,13 @@ class Stepper:
                 new = new + dt * self.eps * lap_s
             return _finite(self._solve_lateral(new), t)
 
-    def kick(self, v, t):
-        """v + theta beta(x, s, v), theta = ``source_rate(t)``: the end of
-        the step from t.  v itself where theta = 0."""
-        theta = self.source_rate(t)
+    def kick(self, v, n):
+        """v + theta_n beta(x, s, v), theta_n = ``thetas[n]``: the end of
+        the step from level n.  v itself where theta_n = 0."""
+        theta = self.thetas[n]
         if theta == 0.0:
             return v
+        t = n * self.dt
         with np.errstate(over="ignore", invalid="ignore"):  # as in step
             b = _guarded(self.beta_fn, {"x": self.xc[:, None],
                                         "s": self.sc[None, :], "lambda": v}, t)

@@ -113,7 +113,7 @@ def _march_once(spec, grid, stepper):
         "spec_hash": spec.context_hash(),
     }
     u = initial_values(spec, grid)
-    traj.append(0.0, Field(u.copy(), grid, 0.0))
+    traj.append(0, Field(u.copy(), grid, 0.0))
 
     snap_at = set(range(0, n_steps + 1, stepper.options.snapshot_stride))
     snap_at.add(n_steps)
@@ -122,13 +122,12 @@ def _march_once(spec, grid, stepper):
         snap_at.add(n_tau + 1)
 
     for n in range(n_steps):
-        u = stepper.kick(stepper.step(u, n * dt), n * dt)
-        t_new = (n + 1) * dt
+        u = stepper.kick(stepper.step(u, n), n)
         sup = float(np.max(np.abs(u)))
         if sup > stepper.m_bound:
-            raise SupNormExceeded(sup, stepper.m_bound, t_new)
+            raise SupNormExceeded(sup, stepper.m_bound, (n + 1) * dt)
         if n + 1 in snap_at:
-            traj.append(t_new, Field(u.copy(), grid, t_new))
+            traj.append(n + 1, Field(u.copy(), grid, (n + 1) * dt))
     return traj
 
 

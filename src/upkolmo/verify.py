@@ -78,9 +78,9 @@ Notes on three deliberately discrete constructions:
             - dt eps D_ss |u^n - k|
             - theta_n [sgn(v - k) (beta(v) - beta(k)) + |beta(k)|]  <=  0.
 
-  Where theta_n = 0, v = u^{n+1}; on a kick step the check replays
-  ``Stepper.step(u^n)`` (``_pre_kick``), the deterministic march's own v
-  bit for bit.
+  Steps go by level n, with theta_n = ``Stepper.thetas[n]``.  Where
+  theta_n = 0, v = u^{n+1}; on a kick step the check replays
+  ``Stepper.step(u^n, n)`` (``_pre_kick``), the march's own v bit for bit.
 * The stability estimate bounds the march itself, step by step, for two
   runs of one operator: grid, dt, eps, fluxes and their kind, m_bound and
   each step's kick mass theta_n (Kruzhkov, Math. USSR Sb. 10, 1970;
@@ -189,10 +189,8 @@ def write_reports(path, reports):
 # --- discrete norms ---------------------------------------------------------
 
 def l1_diff(field1, field2):
-    v1 = getattr(field1, "values", field1)
-    v2 = getattr(field2, "values", field2)
-    grid = field1.grid
-    return float(np.sum(np.abs(v1 - v2)) * grid.cell_volume)
+    return float(np.sum(np.abs(field1.values - field2.values))
+                 * field1.grid.cell_volume)
 
 
 def _trapezoid_weights(times):
@@ -216,14 +214,10 @@ def spacetime_l1_diff(traj1, traj2):
 
 def _bound_curves(stepper, traj):
     """Each snapshot's sup-norm bound B (``problem.sup_bound``), with the
-    kick masses of the run's rebuilt ``stepper``, ``Stepper.source_rate``."""
-    times, dt = traj.times, stepper.dt
-    levels = np.rint(np.asarray(times) / dt).astype(int)
-    starts = np.arange(levels.max(initial=0)) * dt
-    thetas = np.broadcast_to(stepper.source_rate(starts), starts.shape)
-    masses = np.concatenate(([0.0], np.cumsum(thetas)))[levels]
-    return tuple(map(float, sup_bound(stepper.spec, np.maximum(times, 1e-9),
-                                      masses, inflate=NORM_INFLATION)))
+    kick masses ``thetas`` of the run's rebuilt ``stepper`` to its level."""
+    masses = np.concatenate(([0.0], np.cumsum(stepper.thetas)))[traj.levels]
+    return tuple(map(float, sup_bound(stepper.spec, np.maximum(
+        traj.times, 1e-9), masses, inflate=NORM_INFLATION)))
 
 
 def _inf_unless_finite(value):
@@ -319,17 +313,15 @@ def check_stability(traj1, traj2, st1, st2):
     if steps[0] != steps[1]:
         raise GridMismatchError("the runs step with different dt, eps, "
                                 "fluxes or invariant region m_bound")
-    masses = [st.source_rate(np.arange(st.n_steps) * st.dt)
-              for st in (st1, st2) if st.beta_fn is not None]
-    if masses[1:] and not np.array_equal(*masses):
+    kicks = [st.thetas for st in (st1, st2) if st.beta_fn is not None]
+    if kicks[1:] and not np.array_equal(*kicks):
         raise GridMismatchError("the runs kick with different kernel masses; "
                                 "rerun with a common delay width")
     d_init = float(np.sum(np.abs(solver_mod.initial_values(spec1, grid)
                                  - solver_mod.initial_values(spec2, grid)))
                    * grid.cell_volume)
-    rhs = stability_rhs(spec1, spec2, traj1.times, d_init, _inflow(st1, st2),
-                        masses[0] if masses else np.zeros(st1.n_steps),
-                        st1.dt)
+    rhs = stability_rhs(spec1, spec2, traj1.levels, d_init, _inflow(st1, st2),
+                        (kicks or [st1.thetas])[0])
 
     scored = []
     for t, f1, f2, r in zip(traj1.times, traj1.fields, traj2.fields, rhs):
@@ -362,12 +354,11 @@ def _pre_kick(stepper, u, n0, n1):
     """The march's state v before the kick of the step that ends at level
     n1, replayed from its state u at level n0 < n1 with ``Stepper.step``
     and ``kick``, the deterministic march's own v bit for bit; NaN where a
-    step cannot form it.  At n1 = n0 + 1 it is ``Stepper.step(u, n0 dt)``."""
-    dt = stepper.dt
+    step cannot form it.  At n1 = n0 + 1 it is ``Stepper.step(u, n0)``."""
     try:
         for n in range(n0, n1 - 1):
-            u = stepper.kick(stepper.step(u, n * dt), n * dt)
-        return stepper.step(u, (n1 - 1) * dt)
+            u = stepper.kick(stepper.step(u, n), n)
+        return stepper.step(u, n1 - 1)
     except NaNDetectedError:
         return np.full_like(u, np.nan)
 
@@ -400,10 +391,10 @@ def check_entropy_residual(traj, stepper, k_values):
     n_scored = len(traj.times) - 1 if len(ks) else 0
     worst = (np.inf if n_scored == 0 else -np.inf, None, None, None)
 
-    for n in range(n_scored):
-        t0 = traj.times[n]
-        u0, u1 = traj.fields[n].values, traj.fields[n + 1].values
-        theta = stepper.source_rate(t0)
+    for i in range(n_scored):
+        n, t0 = traj.levels[i], traj.times[i]
+        u0, u1 = traj.fields[i].values, traj.fields[i + 1].values
+        theta = stepper.thetas[n]
         v = _pre_kick(stepper, u0, n, n + 1) if theta else u1
         w = stepper.padded(u0, t0)
         diff = w - ks
@@ -532,8 +523,7 @@ def check_jump(traj, stepper):
     impulsive march is not monotone; a replay that cannot form v measures
     inf.
     """
-    spec, n_tau = stepper.spec, stepper.n_tau
-    levels = list(np.rint(np.asarray(traj.times) / stepper.dt).astype(int))
+    spec, n_tau, levels = stepper.spec, stepper.n_tau, traj.levels
     i = levels.index(n_tau)  # stored by the march, required by ``io``
     up = traj.fields[i]
     um = _pre_kick(stepper, traj.fields[i - 1].values, levels[i - 1], n_tau)

@@ -496,7 +496,8 @@ def test_verify_of_a_field_on_another_grid_exits_1(run_dir, capsys):
     ("n_steps", 0, "a positive integer"),
     ("n_tau", 1.5, "an integer or null"),
     ("n_tau", "3", "an integer or null"),
-    ("mode", "explicit", "regularized, entropy or impulsive")])
+    ("mode", "explicit", "regularized, entropy or impulsive"),
+    ("spec_hash", None, "a string")])
 def test_verify_of_a_meta_json_of_the_wrong_type_exits_1(run_dir, capsys,
                                                          key, value, what):
     cfg, traj = run_dir
@@ -530,7 +531,7 @@ def test_verify_of_a_trajectory_with_empty_meta_json_exits_1(run_dir,
     err = capsys.readouterr().err
     assert err == (f"error: {traj}: meta.json lacks mode, lateral_diffusion, "
                    "source, dt, n_steps, n_tau, eps, gamma, m_bound, "
-                   "options\n")
+                   "options, spec_hash\n")
     assert not (traj / "reports.csv").exists()
 
 
@@ -729,12 +730,86 @@ def test_verify_of_a_second_run_on_another_grid_or_dt_exits_1(
     assert not (traj / "reports.csv").exists()
 
 
-def test_verify_accepts_a_trajectory_without_spec_hash(run_dir):
-    cfg, traj = run_dir
+def _bench_config(tmp_path, name, ux, us, bx, bs):
+    """The 32^2 stride-8 source config whose u0_1 and beta bumps are
+    centred at (ux, us) and (bx, bs): at 0.5 each, the source spec."""
+    def bumps(amp, x, s):
+        return (f"{amp}*{XBUMP.replace('0.5', repr(x))}"
+                f"*{SBUMP.replace('0.5', repr(s))}")
+
+    path = tmp_path / name
+    path.write_text(CONFIG.format(u0_1=bumps(0.8, ux, us))
+                    .replace(BETA_TEXT, f"{bumps(0.5, bx, bs)}*{LCUT}")
+                    .replace("Nx = 8\nNs = 8", "Nx = 32\nNs = 32")
+                    .replace("snapshot_stride = 4", "snapshot_stride = 8"))
+    return path
+
+
+def test_verify_refuses_a_trajectory_without_spec_hash(tmp_path, capsys):
+    # without its hash a run would be certified against any config of
+    # the same eps, gamma, grid and options: here one whose bumps moved,
+    # against which every row passed when the key was optional
+    cfg = _bench_config(tmp_path, "seed0.cfg", 0.5, 0.5, 0.5, 0.5)
+    moved = _bench_config(tmp_path, "seed3.cfg", 0.479, 0.504, 0.49, 0.508)
+    assert upk_io.load_config(cfg).spec.context_hash() != \
+        upk_io.load_config(moved).spec.context_hash()
+    traj = tmp_path / "traj"
+    assert cli.main(["run", str(cfg), "--out", str(traj)]) == 0
     meta = json.loads((traj / "meta.json").read_text())
     del meta["spec_hash"]
     (traj / "meta.json").write_text(json.dumps(meta))
-    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
+    capsys.readouterr()
+    for config in (moved, cfg):
+        assert cli.main(["verify", str(config), "--traj", str(traj)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {traj}: meta.json lacks spec_hash\n")
+    assert not (traj / "reports.csv").exists()
+
+
+@pytest.mark.parametrize("plant", ["cell", "level"])
+def test_verify_refuses_a_first_snapshot_that_is_not_u0(run_dir, capsys,
+                                                        plant):
+    # every row certifies the march from the stored t = 0 field: it must
+    # be level 0 and the config's u0_1 on the grid, bit for bit
+    cfg, traj = run_dir
+    index = (traj / "index.csv").read_text().splitlines()
+    if plant == "cell":
+        first = traj / index[1].split(",")[1]
+        fld = upk_io.read_field(first)
+        fld.values[3, 3] += 0.05
+        upk_io.write_field(first, fld)
+        got = "level 0, 1 cells off u0_1"
+    else:
+        (traj / "index.csv").write_text("\n".join(index[:1] + index[2:])
+                                        + "\n")
+        got = "level 4, 56 cells off u0_1"
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {traj} was computed with first snapshot {got}, not from "
+        f"{cfg} (first snapshot level 0, 0 cells off u0_1)\n")
+    assert not (traj / "reports.csv").exists()
+
+
+@pytest.mark.parametrize("gamma", ["0.1", "0.0"], ids=["delayed", "impulse"])
+def test_a_run_writes_the_same_bytes_twice(tmp_path, gamma):
+    # the march is deterministic: two runs of one config write the same
+    # directory byte for byte, but for the wall seconds in meta.json
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config(tmp_path).read_text().replace(
+        "gamma = 0.1", f"gamma = {gamma}"))
+    runs = []
+    for out in ("first", "second"):
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / out)]) == 0
+        files = {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+        meta = files["meta.json"].decode().splitlines()
+        timed = [line for line in meta
+                 if line.startswith((' "setup_s": ', ' "march_s": '))]
+        assert len(timed) == 2
+        files["meta.json"] = [line for line in meta if line not in timed]
+        runs.append(files)
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 2 + len(_index_rows(tmp_path / "first")) > 4
 
 
 def test_failed_check_exits_3(run_dir):

@@ -20,11 +20,12 @@ def _trajectory():
     grid = unit_grid(4)
     rng = np.random.default_rng(3)
     traj = Trajectory(grid=grid)
-    for t in (0.0, 0.25, 0.375, 0.5):
-        traj.append(t, Field(rng.random((4, 4)), grid, t))
+    for n in (0, 2, 3, 4):
+        traj.append(n, Field(rng.random((4, 4)), grid, n * 0.125))
     traj.meta = {"mode": "impulsive", "lateral_diffusion": "backward_euler",
                  "source": "kick", "dt": 0.125, "n_steps": 4, "n_tau": 3,
-                 "eps": 0.0, "gamma": 0.0, "m_bound": 2.0, "options": OPTIONS}
+                 "eps": 0.0, "gamma": 0.0, "m_bound": 2.0, "options": OPTIONS,
+                 "spec_hash": source_spec().context_hash()}
     return traj
 
 
@@ -34,6 +35,7 @@ def test_round_trip_keeps_options_and_fields(tmp_path):
     back = upk_io.read_trajectory(tmp_path)
     assert back.meta == traj.meta
     assert back.times == traj.times
+    assert back.levels == traj.levels == [0, 2, 3, 4]
     for got, want in zip(back.fields, traj.fields, strict=True):
         assert got.t == want.t
         assert np.array_equal(got.values, want.values)
@@ -108,9 +110,12 @@ def test_unknown_options_are_named(tmp_path):
     ("lateral_diffusion",),
     # nor has one written with the source inside the explicit part
     ("source",),
+    # nor one that does not name the spec it marched
+    ("spec_hash",),
     ("mode", "lateral_diffusion", "source", "dt", "n_steps", "n_tau",
-     "eps", "gamma", "m_bound", "options"),
-], ids=["dt", "eps_and_options", "explicit_update", "in_step_source", "all"])
+     "eps", "gamma", "m_bound", "options", "spec_hash"),
+], ids=["dt", "eps_and_options", "explicit_update", "in_step_source",
+        "spec_hash", "all"])
 def test_missing_march_parameters_are_named(tmp_path, keys):
     upk_io.write_trajectory(tmp_path, _trajectory())
     meta = json.loads((tmp_path / "meta.json").read_text())
@@ -219,6 +224,15 @@ def test_index_without_rows_is_an_empty_trajectory(tmp_path):
         upk_io.read_trajectory(tmp_path)
 
 
+@pytest.mark.parametrize("rows", [[2, 1], [1, 1]], ids=["swapped", "twice"])
+def test_snapshots_out_of_level_order_are_refused(tmp_path, rows):
+    lines = _index_lines(tmp_path)
+    _write_index(tmp_path, [lines[0], *(lines[i] for i in rows), *lines[3:]])
+    with pytest.raises(upk_io.FormatError) as info:
+        upk_io.read_trajectory(tmp_path)
+    assert str(info.value) == f"{tmp_path}: index.csv snapshots out of order"
+
+
 @pytest.mark.parametrize("mode", ["impulsive", "entropy"])
 def test_only_an_impulsive_run_needs_its_jump_snapshot(tmp_path, mode):
     traj = _trajectory()
@@ -228,7 +242,8 @@ def test_only_an_impulsive_run_needs_its_jump_snapshot(tmp_path, mode):
     _write_index(tmp_path, [row for row in lines
                             if not row.startswith("0.375,")])
     if mode == "entropy":
-        assert upk_io.read_trajectory(tmp_path).times == [0.0, 0.25, 0.5]
+        back = upk_io.read_trajectory(tmp_path)
+        assert (back.times, back.levels) == ([0.0, 0.25, 0.5], [0, 2, 4])
         return
     with pytest.raises(upk_io.FormatError) as info:
         upk_io.read_trajectory(tmp_path)

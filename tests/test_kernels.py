@@ -82,27 +82,37 @@ class TestDelayedKernel:
         # the kick masses of the steps telescope to P(T) - P(0) = 1,
         # wherever tau falls in a step (tau/dt = 33.5, 66.5 and 132.5 at
         # the CFL step of 16, 32 and 64 cells, and 64 at dt = 1/128)
+        def primitive(t):
+            return float(np.interp((t - 0.5) / 0.1,
+                                   *kernels.k_gamma_primitive()))
+
         for dt in (None, 1.0 / 128):
             stepper = Stepper(source_spec(), unit_grid(cells), dt=dt)
-            mass = sum(stepper.source_rate(n * stepper.dt)
-                       for n in range(stepper.n_steps))
+            mass = sum(stepper.thetas.tolist())
             assert abs(mass - 1.0) <= 1e-8
             # gamma = 0: the whole mass, exactly 1, on the step that ends
             # at level n_tau = ceil(tau/dt), the first at or after tau
             impulse = Stepper(source_spec(), unit_grid(cells), gamma=0.0,
                               dt=dt)
-            thetas = [impulse.source_rate(n * impulse.dt)
-                      for n in range(impulse.n_steps)]
+            thetas = impulse.thetas.tolist()
             n_tau = math.ceil(round(0.5 / impulse.dt, 6))
             assert impulse.n_tau == n_tau
             assert thetas[n_tau - 1] == 1.0
             assert thetas.count(0.0) == len(thetas) - 1
-            # an array of the steps' starts gives each step's mass, bit for
-            # bit as its own start does
+            # the levels' array gives each step's mass, bit for bit as a
+            # one-level array does
             for st in (stepper, impulse):
-                starts = np.arange(st.n_steps) * st.dt
-                assert st.source_rate(starts).tolist() == \
-                    [st.source_rate(n * st.dt) for n in range(st.n_steps)]
+                levels = np.arange(st.n_steps)
+                assert st.source_rate(levels).tolist() == \
+                    st.thetas.tolist() == \
+                    [st.source_rate(levels[n:n + 1])[0]
+                     for n in range(st.n_steps)]
+                assert not st.thetas.flags.writeable
+            # each mass is the kernel's primitive read at the step's two
+            # ends, t = n dt and t + dt, bit for bit
+            assert stepper.thetas.tolist() == [
+                primitive(n * stepper.dt + stepper.dt)
+                - primitive(n * stepper.dt) for n in range(stepper.n_steps)]
 
     def test_mass_independent_quadrature(self):
         # integrate up to the jump at t = tau; the kernel vanishes beyond it

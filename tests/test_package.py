@@ -166,3 +166,32 @@ def test_eps_and_gamma_are_the_specs_alone():
         "spec", "grid", "options", "dt", "m_bound"]
     for fn in (solver._march, solver.mode_of):
         assert not {"eps", "gamma"} & set(inspect.signature(fn).parameters)
+
+
+def _calls(names):
+    """(module.function, call) for each call of one of ``names`` in the
+    package, named by the innermost function that makes it."""
+    out = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text())
+        defs = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)]
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and _called(call.func) in names:
+                scope = min((d for d in defs
+                             if d.lineno <= call.lineno <= d.end_lineno),
+                            key=lambda d: d.end_lineno - d.lineno)
+                out.append((f"{path.stem}.{scope.name}", call))
+    return out
+
+
+def test_one_clock_for_the_march():
+    # the march, its replays and its checks count by step level n: a
+    # snapshot time becomes a level in `io.read_trajectory` alone, and
+    # each Stepper computes its kick masses once, for all its levels
+    assert [where for where, _ in _calls({"rint", "round"})] == [
+        "io.read_trajectory"]
+    masses = {(where, ast.unparse(call.args[0]))
+              for where, call in _calls({"step_mass", "source_rate"})}
+    assert masses == {("scheme.source_rate", "levels"),
+                      ("scheme.thetas", "np.arange(self.n_steps)")}

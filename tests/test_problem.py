@@ -104,9 +104,9 @@ class TestGridField:
     def test_trajectory_strictly_increasing(self):
         g = P.Grid(nx=2, ns=2, L=1.0, S=1.0)
         traj = P.Trajectory(grid=g)
-        traj.append(0.0, P.Field(np.zeros((2, 2)), g, 0.0))
+        traj.append(0, P.Field(np.zeros((2, 2)), g, 0.0))
         with pytest.raises(ValueError):
-            traj.append(0.0, P.Field(np.zeros((2, 2)), g, 0.0))
+            traj.append(0, P.Field(np.zeros((2, 2)), g, 0.0))
 
 
 def _data_norm(spec, t):
@@ -219,18 +219,12 @@ class TestRefinedMaxBound:
 
 
 def _rhs_at(spec, t, d_init, inflow, thetas=None):
-    """``stability_rhs`` of two runs of ``spec`` at the single time t, with
-    the steps spanning T."""
+    """``stability_rhs`` of two runs of ``spec`` at the single time t, the
+    level t/n_steps T of the steps spanning T."""
     n = len(inflow)
     thetas = np.zeros(n) if thetas is None else thetas
-    return P.stability_rhs(spec, spec, [t], d_init, inflow, thetas,
-                           spec.T / n)[0]
-
-
-def _march_thetas(stepper):
-    """The kernel mass of every step of the march, from the stepper."""
-    return [stepper.source_rate(n * stepper.dt)
-            for n in range(stepper.n_steps)]
+    return P.stability_rhs(spec, spec, [round(t * n / spec.T)], d_init,
+                           inflow, thetas)[0]
 
 
 class TestStabilityRhs:
@@ -262,7 +256,7 @@ class TestStabilityRhs:
         stepper = Stepper(spec, unit_grid(16), dt=1.0 / 4096)
         b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
         got = _rhs_at(spec, 1.0, 1.0, np.zeros(stepper.n_steps),
-                      thetas=_march_thetas(stepper))
+                      thetas=stepper.thetas)
         assert got <= math.exp(b0) * (1 + 1e-12)
         assert got == pytest.approx(math.exp(b0), rel=1e-3)
 
@@ -273,10 +267,10 @@ class TestStabilityRhs:
         spec = source_spec()
         stepper = Stepper(spec, unit_grid(cells))
         b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
-        thetas = _march_thetas(stepper)
-        assert sum(thetas) == pytest.approx(1.0, rel=1e-14)
-        got, = P.stability_rhs(spec, spec, [spec.T], 1.0,
-                               np.zeros(stepper.n_steps), thetas, stepper.dt)
+        thetas = stepper.thetas
+        assert sum(thetas.tolist()) == pytest.approx(1.0, rel=1e-14)
+        got, = P.stability_rhs(spec, spec, [stepper.n_steps], 1.0,
+                               np.zeros(stepper.n_steps), thetas)
         assert got == pytest.approx(math.prod(1 + b0 * th for th in thetas),
                                     rel=1e-14)
         assert got < math.exp(b0)
@@ -295,7 +289,7 @@ class TestStabilityRhs:
         monkeypatch.setattr(kernels, "estimate_dbeta_sup", spy)
         spec = source_spec()
         stepper = Stepper(spec, unit_grid(16), gamma=0.0, dt=spec.T / 20)
-        thetas, zeros = _march_thetas(stepper), np.zeros(20)
+        thetas, zeros = stepper.thetas, np.zeros(20)
         other = spec.with_data(beta=E.parse(f"0.7*{E.to_string(spec.beta)}"))
         inflow = np.zeros(20)
         inflow[3] = 1e-3
@@ -303,8 +297,8 @@ class TestStabilityRhs:
                  ((spec, 0.0, inflow), True), ((other, 0.0, zeros), True)]
         for (spec2, d_init, flow), weighs in cases:
             sampled.clear()
-            rhs = P.stability_rhs(spec, spec2, [0.5, 1.0], d_init, flow,
-                                  thetas, stepper.dt)
+            rhs = P.stability_rhs(spec, spec2, [10, 20], d_init, flow,
+                                  thetas)
             assert bool(sampled) == weighs
             assert (rhs == [0.0, 0.0]) != weighs
 
@@ -317,23 +311,23 @@ class TestStabilityRhsImpulsive:
         spec = source_spec()
         other = spec.with_data(beta=E.parse(f"0.7*{E.to_string(spec.beta)}"))
         stepper = Stepper(spec, unit_grid(16), gamma=0.0, dt=spec.T / 200)
-        thetas = _march_thetas(stepper)
-        assert thetas.count(1.0) == 1 and sum(thetas) == 1.0
+        thetas = stepper.thetas
+        assert thetas.tolist().count(1.0) == 1 and sum(thetas) == 1.0
         n = stepper.n_steps
         dt = stepper.dt
         inflow = dt * (np.linspace(0.0, 0.02, n) + np.linspace(0.01, 0.0, n))
-        times = [k * 20 * dt for k in range(11)]
-        pre = P.stability_rhs(spec, spec, times, 0.1, inflow, np.zeros(n), dt)
-        got = P.stability_rhs(spec, other, times, 0.1, inflow, thetas, dt)
+        levels = [k * 20 for k in range(11)]
+        pre = P.stability_rhs(spec, spec, levels, 0.1, inflow, np.zeros(n))
+        got = P.stability_rhs(spec, other, levels, 0.1, inflow, thetas)
         b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
         dbeta = 0.3 * P.slab_sup(spec, spec.beta, spec.b1 + 1.0)
-        for t, g, p in zip(times, got, pre):
-            if round(t / dt) < stepper.n_tau:
+        for n, g, p in zip(levels, got, pre):
+            if n < stepper.n_tau:
                 assert g == p
             else:
                 assert g > (1 + b0) * p * (1 - 1e-12)
                 assert g > dbeta
-        assert {round(t / dt) < stepper.n_tau for t in times} == {True, False}
+        assert {n < stepper.n_tau for n in levels} == {True, False}
 
 
 def _impulsive_bounds_reference(spec, inflate=1.0):

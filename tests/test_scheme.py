@@ -380,7 +380,7 @@ class TestStep:
     def test_zero_fixed_point(self):
         spec = zero_spec()  # perturbation vanishes at value 0
         grid = Grid(16, 16, 1.0, 1.0)
-        out = S.Stepper(spec, grid, eps=0.0).step(np.zeros((16, 16)), t=0.45)
+        out = S.Stepper(spec, grid, eps=0.0).step(np.zeros((16, 16)), 5)
         assert np.all(out == 0.0)
 
     def test_constant_preserved(self):
@@ -394,7 +394,7 @@ class TestStep:
         for kind in (S.ENGQUIST_OSHER, S.LAX_FRIEDRICHS):
             opts = S.SchemeOptions(flux_kind=kind)
             stepper = S.Stepper(spec, grid, eps=0.0, options=opts)
-            out = stepper.step(np.full((16, 16), 0.37), t=0.0)
+            out = stepper.step(np.full((16, 16), 0.37), 0)
             want = stepper._solve_lateral(np.full((16, 16), 0.37))
             assert np.array_equal(out, want)
 
@@ -410,7 +410,7 @@ class TestStep:
             u = _random_field(rng, grid)
             w = stepper.padded(u, t=rng.uniform(0, 1))
             lo, hi = w.min(), w.max()
-            out = stepper.step(u, t=0.3)
+            out = stepper.step(u, 3)
             assert out.min() >= lo
             assert out.max() <= hi
 
@@ -429,8 +429,8 @@ class TestStep:
         for _ in range(10):
             u = _random_field(rng, grid)
             k = float(rng.uniform(-1, 1))
-            out = stepper.step(u, t=0.2)
-            w = stepper.padded(u, t=0.2)
+            out = stepper.step(u, 2)
+            w = stepper.padded(u, 2 * dt)
             w_up, w_dn = np.maximum(w, k), np.minimum(w, k)
             eta_pad = w_up - w_dn
             su, sd = w_up[1:-1, :], w_dn[1:-1, :]
@@ -466,7 +466,7 @@ class TestStep:
         u[20:28, 20:28] = _random_field(rng, Grid(8, 8, 1.0, 1.0))
         zero = np.zeros(48)
         for _ in range(20):
-            new = stepper.step(u, t=0.1)
+            new = stepper.step(u, 1)
             wall = (stepper.flux_phi.flux(u[-1], zero)
                     - stepper.flux_phi.flux(zero, u[0])).sum() * ds
             leak = (new[0] + new[-1]).sum() * ds / dx
@@ -485,10 +485,11 @@ class TestStep:
             np.asarray(E.evaluate(spec.data_u0_1,
                                   {"x": xc[:, None], "s": sc[None, :]})),
             (64, 64)).astype(float)
-        t = 0.0
-        while t < 0.6 - 1e-12:
-            u = stepper.step(u, t)
-            t += stepper.dt
+        n = 0
+        while n * stepper.dt < 0.6 - 1e-12:
+            u = stepper.step(u, n)
+            n += 1
+        t = n * stepper.dt
         profile = u[32, :]
         pos = sc[np.argmax(profile < 0.5)]
         expected = 0.4 + 0.5 * t
@@ -511,7 +512,7 @@ class TestStep:
         u = _random_field(rng, grid)
         with pytest.raises(S.NaNDetectedError, match="non-finite value"):
             for _ in range(400):
-                u = stepper.step(u, t=0.1)
+                u = stepper.step(u, 1)
 
     def test_lax_friedrichs_flux_overflow_ends_the_step(self):
         # exp overflows at the ghost 1000: the flux closure is unchecked,
@@ -524,7 +525,7 @@ class TestStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(S.NaNDetectedError, match="non-finite value"):
-                stepper.step(np.zeros((8, 8)), 0.0)
+                stepper.step(np.zeros((8, 8)), 0)
 
     def test_table_matches_direct_quadrature(self):
         table = S._SplitTable(BURGERS, m_bound=1.0)
@@ -631,15 +632,15 @@ def test_step_is_monotone(kind, eps):
     grid = Grid(16, 16, 1.0, 1.0)
     stepper = S.Stepper(spec, grid, eps=eps,
                         options=S.SchemeOptions(flux_kind=kind))
-    t = spec.tau - 0.02
-    assert stepper.source_rate(t) > 0.0
+    n = int((spec.tau - 0.02) / stepper.dt)
+    assert stepper.thetas[n] > 0.0
     for _ in range(30):
         u = _random_field(rng, grid)
         v = np.minimum(u + rng.uniform(0.0, 0.5, u.shape)
                        * (rng.random(u.shape) < 0.3), 0.8)
         assert np.all(u <= v)
-        assert np.all(stepper.kick(stepper.step(u, t), t)
-                      <= stepper.kick(stepper.step(v, t), t))
+        assert np.all(stepper.kick(stepper.step(u, n), n)
+                      <= stepper.kick(stepper.step(v, n), n))
 
 
 @pytest.mark.parametrize("kind", [S.ENGQUIST_OSHER, S.LAX_FRIEDRICHS])
@@ -657,7 +658,7 @@ def test_step_is_monotone_at_full_safety(kind):
     u = np.zeros((16, 16))
     v = u.copy()
     v[:, 8] = 1e-3
-    assert np.all(stepper.step(v, 0.1) >= stepper.step(u, 0.1))
+    assert np.all(stepper.step(v, 1) >= stepper.step(u, 1))
 
 
 def _probe_points(table, rng):
@@ -749,22 +750,30 @@ class TestSourceRate:
 
     def test_zero_off_the_support_and_the_average_on_it(self):
         spec = source_spec()
-        stepper = S.Stepper(spec, Grid(8, 8, 1.0, 1.0))
-        tau, gamma, dt = spec.tau, stepper.gamma, stepper.dt
-        for t in (0.0, 0.3, tau - gamma - dt, tau, np.nextafter(tau, 2.0),
-                  tau + 0.2):
-            assert stepper.source_rate(t) == 0.0
-        # the march's own steps, and steps straddling either end
-        starts = [t for t in np.arange(stepper.n_steps) * dt
-                  if tau - gamma - dt < t < tau]
-        starts += [tau - gamma - 0.5 * dt, tau - 0.5 * dt, tau - 1e-3]
+        grid = Grid(8, 8, 1.0, 1.0)
+        dt, gamma = S.Stepper(spec, grid).dt, spec.gamma
+        k = round(spec.tau / dt)
         peak = (2.0 / gamma) * float(kernels.omega(0.0))
-        for t in starts:
-            got = stepper.source_rate(t)
-            assert 0.0 < got <= peak * dt
-            # P is tabulated to within 5e-8 at each end of the step
-            assert abs(got - self._mass(stepper, t)) <= 1e-7
-        assert len(starts) > 3
+        # the march's own steps, and with tau moved, a step from tau, one
+        # from 1e-3 before it, and steps straddling either end by half
+        on = []
+        for tau in (spec.tau, k * dt, k * dt + 1e-3, k * dt + 0.5 * dt,
+                    k * dt + gamma + 0.5 * dt):
+            stepper = S.Stepper(spec.with_data(tau=tau), grid, dt=dt)
+            for n, got in enumerate(stepper.thetas.tolist()):
+                t = n * dt
+                if min(t + dt, tau) <= max(t, tau - gamma):
+                    assert got == 0.0
+                    continue
+                assert 0.0 < got <= peak * dt
+                # P is tabulated to within 5e-8 at each end of the step
+                assert abs(got - self._mass(stepper, t)) <= 1e-7
+                on.append(t - tau)
+        for start in (-gamma - 0.5 * dt, -0.5 * dt, -1e-3):
+            assert min(abs(t - start) for t in on) <= 1e-12
+        assert len(on) > 3
+
+
 class TestGhostRows:
     @staticmethod
     def _direct(spec, stepper, t):
@@ -811,7 +820,7 @@ class TestGhostRows:
         stepper = S.Stepper(spec, Grid(16, 16, 1.0, 1.0))
         u = np.zeros((16, 16))
         for n in range(5):
-            u = stepper.step(u, n * stepper.dt)
+            u = stepper.step(u, n)
         rows = stepper.boundary_values(0.0)
         assert stepper.boundary_values(0.7) is rows
         assert counts["0.1 * sin(3.0 * x)"] == 1 and counts["0.0"] == 1

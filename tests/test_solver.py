@@ -29,7 +29,7 @@ class TestZeroData:
 
     def test_impulsive_stays_zero(self):
         traj = solver.solve(zero_spec().with_data(gamma=0.0), unit_grid(16))
-        assert traj.final.sup_norm() == 0.0
+        assert traj.fields[-1].sup_norm() == 0.0
 
 
 class TestDerivedMode:
@@ -110,7 +110,7 @@ def test_heat_decay_rate():
     )
     grid = Grid(nx=128, ns=8, L=1.0, S=1.0)
     traj = solver.solve(spec, grid)
-    ratio = traj.final.sup_norm() / traj.fields[0].sup_norm()
+    ratio = traj.fields[-1].sup_norm() / traj.fields[0].sup_norm()
     expected = math.exp(-math.pi ** 2 * 0.1)
     assert abs(ratio - expected) / expected <= 0.02
 
@@ -149,10 +149,10 @@ class TestKickCap:
         slope = E.compile(spec.beta, "lambda")[0]
         cells = {"x": stepper.xc[:, None], "s": stepper.sc[None, :]}
         kicks = 0
-        for n, (t, fld) in enumerate(zip(traj.times[:-1], traj.fields)):
-            theta = stepper.source_rate(t)
+        for n, fld in zip(traj.levels[:-1], traj.fields):
+            theta = stepper.thetas[n]
             if theta:
-                v = stepper.step(fld.values, t)
+                v = stepper.step(fld.values, n)
                 d_beta = slope({**cells, "lambda": v})[1]
                 assert np.min(1.0 + theta * d_beta) >= 0.0
                 kicks += 1
@@ -182,7 +182,9 @@ class TestImpulsive:
     def test_jump_recorded_at_snapped_time(self, impulsive_run):
         traj = impulsive_run["traj"]
         n_tau, dt = traj.meta["n_tau"], traj.meta["dt"]
-        assert n_tau * dt in traj.times
+        assert n_tau * dt in traj.times and n_tau in traj.levels
+        # the march records each snapshot's level and its time n dt
+        assert traj.times == [n * dt for n in traj.levels]
         # n_tau = ceil(tau/dt): the first level at or after tau
         assert (n_tau - 1) * dt < impulsive_run["spec"].tau <= n_tau * dt
 
@@ -190,8 +192,8 @@ class TestImpulsive:
         # the stored snapshot at n_tau is the kick of the replayed v
         spec, traj = impulsive_run["spec"], impulsive_run["traj"]
         v, jumped = _jump(traj, spec)
-        t = (traj.meta["n_tau"] - 1) * traj.meta["dt"]
-        assert np.array_equal(jumped, verify.rebuild(spec, traj).kick(v, t))
+        n = traj.meta["n_tau"] - 1
+        assert np.array_equal(jumped, verify.rebuild(spec, traj).kick(v, n))
 
     def test_one_step_horizon_still_jumps(self):
         # dt = T would leave no step before the jump: the march takes two
@@ -206,11 +208,10 @@ class TestImpulsive:
 def _jump(traj, spec):
     """An impulsive run's pre-kick state at level n_tau, replayed from the
     snapshot below it, and its stored snapshot there."""
-    n_tau, dt = traj.meta["n_tau"], traj.meta["dt"]
-    i = traj.times.index(n_tau * dt)
+    n_tau = traj.meta["n_tau"]
+    i = traj.levels.index(n_tau)
     v = verify._pre_kick(verify.rebuild(spec, traj),
-                         traj.fields[i - 1].values,
-                         round(traj.times[i - 1] / dt), n_tau)
+                         traj.fields[i - 1].values, traj.levels[i - 1], n_tau)
     return v, traj.fields[i].values
 
 
@@ -272,7 +273,7 @@ class TestDeterminismAndConsistency:
         traj = solver.solve(spec, grid, m_bound=0.05)
         reach = reachable_bound(spec)
         assert traj.meta["m_bound"] == reach
-        assert traj.final.sup_norm() <= traj.meta["m_bound"]
+        assert traj.fields[-1].sup_norm() <= traj.meta["m_bound"]
         restart = traj.meta["restart"]
         assert restart["m_bound"] == 0.05
         assert 0.05 < restart["sup"] < reach / 2
@@ -313,7 +314,7 @@ class TestTraces:
         grid = unit_grid(8)
         from upkolmo.problem import Field, Trajectory
         traj = Trajectory(grid=grid)
-        traj.append(0.0, Field(np.full((8, 8), 0.3), grid, 0.0))
+        traj.append(0, Field(np.full((8, 8), 0.3), grid, 0.0))
         assert np.all(np.stack(traj.s0_traces) == 0.3)
         assert np.all(np.stack(traj.sS_traces) == 0.3)
 
@@ -325,9 +326,9 @@ class TestTraces:
         from upkolmo.problem import Field, Trajectory
         grid = Grid(nx=4, ns=6, L=1.0, S=1.0)
         traj = Trajectory(grid=grid)
-        for t in (0.0, 0.5):
+        for n, t in enumerate((0.0, 0.5)):
             vals = t + np.arange(6.0)[None, :] + np.zeros((4, 1))
-            traj.append(t, Field(vals, grid, t))
+            traj.append(n, Field(vals, grid, t))
         assert [tr.tolist() for tr in traj.s0_traces] == [[0.0] * 4,
                                                          [0.5] * 4]
         assert [tr.tolist() for tr in traj.sS_traces] == [[5.0] * 4,

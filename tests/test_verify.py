@@ -173,8 +173,8 @@ class TestMaxPrinciple:
         bounds = _bounds(spec, traj)
         i = len(traj.times) // 2
         planted = Trajectory(grid=traj.grid, meta=traj.meta)
-        for t, fld in zip(traj.times, traj.fields):
-            planted.append(t, Field(fld.values.copy(), fld.grid, t))
+        for n, fld in zip(traj.levels, traj.fields):
+            planted.append(n, Field(fld.values.copy(), fld.grid, fld.t))
         planted.fields[i].values[5, 7] = -1.01 * bounds[i]
         rep = _max_principle(planted, spec)
         assert not rep.passed
@@ -196,7 +196,7 @@ class TestMaxPrinciple:
         for i, sup in enumerate([0.0, *sups]):
             values = np.zeros((4, 4))
             values[1, 2] = -sup
-            traj.append(i / 10, Field(values, grid, i / 10))
+            traj.append(i, Field(values, grid, i / 10))
         monkeypatch.setattr(verify, "_bound_curves",
                             lambda stepper, tr: (1.0, *bounds))
         return traj
@@ -235,7 +235,7 @@ class TestMaxPrinciple:
     def test_no_snapshot_after_t0_fails(self):
         grid = unit_grid(8)
         traj = Trajectory(grid=grid, meta={"mode": "entropy"})
-        traj.append(0.0, Field(np.zeros((8, 8)), grid, 0.0))
+        traj.append(0, Field(np.zeros((8, 8)), grid, 0.0))
         rep = verify.check_max_principle(traj, self._source(traj, 0.01))
         assert not rep.passed and rep.measured == np.inf
         assert rep.context["t_worst"] is None
@@ -323,9 +323,8 @@ class TestStability:
         dt = meta["dt"]
 
         def masses(gamma):
-            return [kernels.step_mass(n * dt, dt, spec.tau, gamma,
-                                      meta["n_tau"])
-                    for n in range(meta["n_steps"])]
+            return kernels.step_mass(np.arange(meta["n_steps"]), dt, spec.tau,
+                                     gamma, meta["n_tau"]).tolist()
 
         assert thetas.tolist() == masses(0.05) != masses(0.1)
         want = [_stability_rhs_reference(spec, spec, t, d_init,
@@ -483,9 +482,8 @@ class TestStability:
         assert verify.l1_diff(t1.fields[0], t2.fields[0]) == \
             pytest.approx(d_init, rel=1e-12)
         st1, st2 = _op(base, t1), _op(pert, t2)
-        thetas = [st1.source_rate(n * st1.dt) for n in range(st1.n_steps)]
-        rhs = stability_rhs(base, pert, t1.times, d_init,
-                            verify._inflow(st1, st2), thetas, st1.dt)
+        rhs = stability_rhs(base, pert, t1.levels, d_init,
+                            verify._inflow(st1, st2), st1.thetas)
         ratios = [verify.l1_diff(f1, f2) / (1.05 * r)
                   for t, f1, f2, r in zip(t1.times, t1.fields, t2.fields, rhs)
                   if t > 0.0]
@@ -502,7 +500,7 @@ class TestStability:
                                            "n_steps": 10, "n_tau": 5,
                                            "m_bound": 3.0,
                                            "options": SchemeOptions()})
-        traj.append(0.0, Field(np.zeros((8, 8)), grid, 0.0))
+        traj.append(0, Field(np.zeros((8, 8)), grid, 0.0))
         rep = _stability(traj, traj, spec, spec)
         assert not rep.passed and rep.measured == np.inf
         assert rep.context["t_worst"] is None
@@ -600,7 +598,8 @@ class TestEntropyResidual:
         spec, full, ks = regularized_run
         fields = [Field(f.values.copy(), f.grid, f.t) for f in full.fields]
         fields[40].values[16, 16] += 1e-3
-        traj = Trajectory(full.grid, list(full.times), fields, meta=full.meta)
+        traj = Trajectory(full.grid, list(full.times), fields, meta=full.meta,
+                          levels=list(full.levels))
         rep = _entropy_residual(traj, spec, ks)
         assert not rep.passed
         assert rep.measured > 1e-3
@@ -628,7 +627,7 @@ class TestBln:
     def test_trace_equals_data_is_exact_zero(self):
         grid = unit_grid(8)
         traj = Trajectory(grid=grid)
-        traj.append(0.5, Field(np.full((8, 8), 0.4), grid, 0.5))
+        traj.append(5, Field(np.full((8, 8), 0.4), grid, 0.5))
         spec = nosource_spec().with_data(data_u0_2=E.parse("0.4"),
                                          data_uS_2=E.parse("0.4"))
         rep = verify.check_bln(traj, spec, [-1.0, 0.0, 0.4, 1.0])
@@ -670,8 +669,8 @@ class TestBln:
     def _bln_case(snapshots):
         grid = unit_grid(8)
         traj = Trajectory(grid=grid)
-        for t, value in snapshots:
-            traj.append(t, Field(np.full((8, 8), value), grid, t))
+        for n, (t, value) in enumerate(snapshots):
+            traj.append(n, Field(np.full((8, 8), value), grid, t))
         spec = nosource_spec().with_data(flux_a=E.parse("2*lambda"),
                                          data_u0_2=E.parse("0.4"),
                                          data_uS_2=E.parse("0.4"))
@@ -709,7 +708,7 @@ class TestBln:
         traj, spec = self._bln_case([(0.0, 0.4), (0.1, 0.4)])
         values = np.full((8, 8), 0.4)
         values[3, col] = np.nan
-        traj.append(0.2, Field(values, traj.grid, 0.2))
+        traj.append(2, Field(values, traj.grid, 0.2))
         rep = verify.check_bln(traj, spec, self.BLN_KS)
         assert not rep.passed
         assert rep.measured == np.inf
@@ -987,13 +986,14 @@ def _bound_curves_reference(spec, traj, inflate=verify.NORM_INFLATION):
     uS_2 = _window_sups_reference(spec.data_uS_2, spec.L, t_effs, inflate)
     base = max(data_sup_norms(spec).values())
     sup_beta = slab_sup(spec, spec.beta, max(base, spec.b1) + 1.0) * inflate
+    thetas = kernels.step_mass(np.arange(meta["n_steps"]), dt, spec.tau,
+                               gamma, meta["n_tau"]).tolist()
     bounds = []
     for i, t in enumerate(traj.times):
         dnorm = max(u0_1, u0_2[i], uS_2[i])
         mass = 0.0
         for k in range(round(t / dt)):
-            mass += kernels.step_mass(k * dt, dt, spec.tau, gamma,
-                                      meta["n_tau"])
+            mass += thetas[k]
         bounds.append(float(min(dnorm + mass * sup_beta,
                                 max(dnorm, spec.b1))))
     return bounds
@@ -1077,7 +1077,7 @@ def _entropy_rhos_reference(traj, spec, k_values):
         else:
             ends = (np.array([t0, t0 + dt]) - spec.tau) / meta["gamma"]
             theta = float(np.diff(np.interp(ends, z, p))[0])
-        v = stepper.step(u0, t0) if theta else u1
+        v = stepper.step(u0, round(t0 / dt)) if theta else u1
         w = stepper.padded(u0, t0)
         rhos = []
         for k in k_values:
@@ -1263,11 +1263,12 @@ class TestHoistedAgainstReference:
             fields[30].values[3, 4] = np.nan
             fields[50].values[2, 2] = np.inf
             traj = Trajectory(traj.grid, list(traj.times), fields,
-                              meta=traj.meta)
+                              meta=traj.meta, levels=list(traj.levels))
         rep = _entropy_residual(traj, spec, SMALL_KS)
         pieces = [_entropy_residual(
             Trajectory(traj.grid, traj.times[n:n + 2], traj.fields[n:n + 2],
-                       meta=traj.meta), spec, SMALL_KS)
+                       meta=traj.meta, levels=traj.levels[n:n + 2]),
+            spec, SMALL_KS)
             for n in range(len(traj.times) - 1)]
         worst = max(pieces, key=lambda piece: piece.measured)
         assert rep.measured == worst.measured
@@ -1299,8 +1300,8 @@ class TestHoistedAgainstReference:
         dt = traj.meta["dt"]
         stepper = _op(spec1 if spec1.beta is not None else spec2,
                       traj)
-        thetas = [stepper.source_rate(n * dt) for n in range(stepper.n_steps)]
-        got = stability_rhs(spec1, spec2, traj.times, 0.1, inflow, thetas, dt)
+        thetas = stepper.thetas
+        got = stability_rhs(spec1, spec2, traj.levels, 0.1, inflow, thetas)
         want = [_stability_rhs_reference(spec1, spec2, t, 0.1, inflow,
                                          thetas, dt) for t in traj.times]
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -1446,7 +1447,7 @@ class TestNothingToCertify:
     def test_entropy_residual_no_step_scored_fails(self, shock_run):
         full = shock_run["traj"]
         traj = Trajectory(grid=full.grid, meta=full.meta)
-        traj.append(0.0, full.fields[0])
+        traj.append(0, full.fields[0])
         rep = _entropy_residual(traj, shock_run["spec"], [0.5])
         assert not rep.passed
         assert rep.measured == np.inf
@@ -1454,11 +1455,11 @@ class TestNothingToCertify:
     def test_entropy_residual_non_finite_cell_fails(self, shock_run):
         full = shock_run["traj"]
         traj = Trajectory(grid=full.grid, meta=full.meta)
-        for n, (t, fld) in enumerate(zip(full.times, full.fields)):
-            if n == 5:
-                fld = Field(fld.values.copy(), fld.grid, t)
+        for i, (n, fld) in enumerate(zip(full.levels, full.fields)):
+            if i == 5:
+                fld = Field(fld.values.copy(), fld.grid, fld.t)
                 fld.values[20, 30] = np.nan
-            traj.append(t, fld)
+            traj.append(n, fld)
         rep = _entropy_residual(traj, shock_run["spec"], [0.5])
         assert not rep.passed
         assert rep.measured == np.inf
@@ -1475,11 +1476,11 @@ class TestNothingToCertify:
         full = runs["impulsive", 1]
         n = full.meta["n_tau"] - 1
         traj = Trajectory(grid=full.grid, meta=full.meta)
-        for i, (t, fld) in enumerate(zip(full.times, full.fields)):
-            if i == n:
-                fld = Field(fld.values.copy(), fld.grid, t)
+        for m, fld in zip(full.levels, full.fields):
+            if m == n:
+                fld = Field(fld.values.copy(), fld.grid, fld.t)
                 fld.values[8, 8] = np.nan
-            traj.append(t, fld)
+            traj.append(m, fld)
         rep = _entropy_residual(traj, spec, SMALL_KS)
         assert rep.measured == np.inf and not rep.passed
         assert rep.context["t_worst"] == full.times[n - 1]
