@@ -5,7 +5,7 @@ them, with one ``error:`` or ``aborted:`` line on stderr: 0 success; 1 a
 config, validation or I/O error (``ValueError``, which covers the ``io``
 parse, validation and format errors, ``GridMismatchError`` and
 ``GammaOutOfRangeError``; ``OSError``; ``exprdsl.DomainError``); 2 march
-aborted (``NaNDetectedError``, ``solver.CflViolationError``); 3 at least
+aborted (``NaNDetectedError``, ``scheme.SupNormExceeded``); 3 at least
 one verification check failed.  Output goes to stdout, diagnostics to
 stderr, reports and trajectories to files.
 """
@@ -24,10 +24,10 @@ from . import io as config_io
 from . import exprdsl, solver
 # bench/run.py traces refined_max_bound where each module binds it
 from .problem import refined_max_bound  # noqa: F401
-from .scheme import NaNDetectedError
+from .scheme import NaNDetectedError, SupNormExceeded
 
 # what ends a march early: exit code 2
-_ABORTS = (NaNDetectedError, solver.CflViolationError)
+_ABORTS = (NaNDetectedError, SupNormExceeded)
 
 
 def _k_bank(traj, n=9):
@@ -123,8 +123,9 @@ def _cmd_verify(args):
                 ("grid", (tr.grid.nx, tr.grid.ns),
                  (loaded.grid.nx, loaded.grid.ns)),
                 ("options", meta["options"], loaded.options),
-                ("first snapshot", f"level {tr.levels[0]}, {off} cells off "
-                 "u0_1", "level 0, 0 cells off u0_1")):
+                # ``io`` requires its level to be 0
+                ("first snapshot", f"{off} cells off u0_1",
+                 "0 cells off u0_1")):
             if got != want:
                 raise ValueError(f"{path} was computed with {what} {got}, not "
                                  f"from {args.config} ({what} {want})")

@@ -27,11 +27,18 @@ A power takes the rule for a variable exponent exactly when its exponent
 reads ``wrt``, decided at compile time, so that no value can change it.
 ``eval_dual`` is the ``wrt`` mode behind a check that the seed is bound.
 
-``sample_sup`` is the one sampler of a sup over a box: max |expr|, or
-max |d expr / d wrt|, on ``linspace`` axes; ``sample_min`` is the same
-sampler read as a signed min.  Both evaluate in blocks of at most
-``ELEMENT_BUDGET`` elements.  They live here, not in ``problem``, because
-``kernels`` (imported by ``problem``) needs them too.
+The same walk, through ``_RANGE`` and ``_RANGE_DERIV`` in place of
+``_VALUE`` and ``_DERIV``, gives an interval enclosure of the expression
+over boxes (Moore, *Interval Analysis*, 1966; Tucker, *Validated
+Numerics*, 2011): ``enclose`` returns (lo, hi) ranges that hold every
+point value, or dual derivative, the compiled expression takes in each
+box of a batch, rounded outward, and ``sup`` bounds max |expr| (or max
+expr, or its derivative's) over each box, cutting the box into parts and
+cutting again only the loose ones, those whose bound exceeds the point
+values found or that reach a pole, under a fixed budget.  Every bound the
+march or a check reads off a config's expressions is a ``sup``; it lives
+here, not in ``problem``, because ``kernels`` (imported by ``problem``)
+needs it too.
 
 Precedence, tightest first: ``^`` (right-assoc), unary ``-``, ``* /``,
 ``+ -`` (left-assoc).  At the kinks of ``abs``/``min``/``max`` the
@@ -41,6 +48,7 @@ derivative takes the right-limit convention (``abs'(0) = +1``; ties in
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -49,21 +57,15 @@ import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
-    "parse", "compile", "evaluate", "eval_dual", "sample_sup", "sample_min",
+    "parse", "compile", "evaluate", "eval_dual", "enclose", "sup",
     "to_string", "ExprSyntaxError", "UnboundVariableError", "DomainError",
-    "VARIABLES", "FUNCTIONS", "ELEMENT_BUDGET",
+    "VARIABLES", "FUNCTIONS",
 ]
 
 VARIABLES = ("lambda", "x", "s", "t")
 _FUNCS_1 = ("sin", "cos", "exp", "tanh", "sqrt", "abs")
 _FUNCS_2 = ("min", "max")
 FUNCTIONS = _FUNCS_1 + _FUNCS_2
-
-# The most elements of any array a sampled bound forms at once: 2^16
-# float64 values, 512 KiB.  (``verify``'s entropy residual needs no budget:
-# it holds one step's (k, x, s) arrays at a time.)
-ELEMENT_BUDGET = 2 ** 16
-
 
 class ExprSyntaxError(ValueError):
     """Malformed expression text.  Carries the byte offset of the fault."""
@@ -79,7 +81,9 @@ class UnboundVariableError(KeyError):
 
 
 class DomainError(ArithmeticError):
-    """Division by zero, sqrt of a negative, an invalid power, an overflow."""
+    """Division by zero, sqrt of a negative, an invalid power, an overflow.
+    Raised by an enclosure, ``where`` marks the boxes that reach it."""
+    where = None
 
 
 @dataclass(frozen=True)
@@ -326,7 +330,173 @@ _DERIV = {
     "*": lambda v, a, da, b, db: (v, da * b + a * db),
     "/": lambda v, a, da, b, db: (v, (da * b - a * db) / (b * b)),
     "^": _d_power,
+    "^wrt": _d_power_variable,
     "neg": lambda v, a, da: (v, -da),
+}
+
+
+# --- ranges ----------------------------------------------------------------
+#
+# A range (lo, hi), arrays that broadcast, holds every value an expression
+# takes on a box.  ``_RANGE`` and ``_RANGE_DERIV`` mirror ``_VALUE`` and
+# ``_DERIV``, each result rounded outward by 2^-52 of its magnitude, at
+# least one ulp, for + - * / and sqrt, which round correctly, and by _ULPS
+# times that for libm's exp, tanh, sin, cos, log and powers (not at all
+# below 1e-292, where the product underflows).
+# An end that is 0 stays 0: a sum is 0 only when exact, and a product or a
+# libm value only when a factor is 0 or it underflows, as the point value
+# then does.  sqrt and a fractional power take the part of their argument's
+# range at or above 0 (``_clip``).  A range that reaches a pole (a divisor,
+# or the zero base of a negative power, holding 0), a variable exponent's
+# base <= 0, an overflow of a power, or an argument of sqrt wholly below 0
+# raises ``DomainError``, its ``where`` marking the boxes that do.
+
+_ULPS = 4
+# the range of the derivative of what does not read the seed
+_ZERO = (0.0, 0.0)
+
+
+def _out(lo, hi, ulps=1):
+    rel = ulps * 2.0 ** -52
+    return (lo * (1.0 - np.copysign(rel, lo)),
+            hi * (1.0 + np.copysign(rel, hi)))
+
+
+def _hull(*values, ulps=0):
+    hull = (functools.reduce(np.minimum, values),
+            functools.reduce(np.maximum, values))
+    return _out(*hull, ulps) if ulps else hull
+
+
+def _corners(op, ulps=1):
+    """op monotone in each argument on the boxes: the hull of its corners."""
+    return lambda a, b: _hull(*(op(x, y) for x in a for y in b), ulps=ulps)
+
+
+def _domain(a, bad, why):
+    if np.any(bad):
+        error = DomainError(why)
+        error.where = bad
+        raise error
+    return a
+
+
+def _clip(a, why):
+    """The part of a range at or above 0, where sqrt and a fractional power
+    are defined: outward rounding, or x - x^2 at x = 0, can reach below 0
+    at the edge of the domain.  A range wholly below 0 raises, as every
+    point value in it does."""
+    _domain(a, a[1] < 0, why)
+    return np.maximum(a[0], 0.0), a[1]
+
+
+def _r_power(a, e):
+    """Monotone in each argument for a base >= 0, and between the ends of
+    the base for a constant integer exponent, which takes any base but 0
+    under a negative exponent; the corners of an overflow are points."""
+    (lo, hi), const = a, np.ndim(e[0]) == 0 and e[0] == e[1]
+    integer = const and float(e[0]).is_integer()
+    if not integer:  # a variable exponent can take an integer value
+        why = "invalid power (negative base with fractional exponent)"
+        a = lo, hi = _clip(a, why) if const else _domain(a, lo < 0, why)
+    straddles = (lo <= 0) & (hi >= 0)
+    if np.any(e[0] < 0):
+        _domain(a, straddles, "invalid power (zero base with negative "
+                "exponent)")
+    low, high = _hull(*(np.power(x, y) for x in a
+                        for y in (e[:1] if const else e)), ulps=_ULPS)
+    _domain(a, ~np.isfinite(high), "invalid power (overflow)")
+    if integer and e[0] > 0 and e[0] % 2 == 0:
+        low = np.where(straddles, 0.0, low)
+    return low, high
+
+
+def _wave(f, crest):
+    """sin or cos, 1 at crest + 2 pi k and -1 half a period on: the values
+    at the ends, and +-1 where a peak may lie inside, the period count
+    widened well past its rounding."""
+    def reaches(lo, hi, at):
+        u, w = (lo - at) / (2.0 * np.pi), (hi - at) / (2.0 * np.pi)
+        margin = 1e-9 * (1.0 + np.abs(u) + np.abs(w))
+        return np.floor(w + margin) >= np.ceil(u - margin)
+    def wave(a):
+        low, high = _hull(*map(f, a), ulps=_ULPS)
+        return (np.where(reaches(*a, crest + np.pi), -1.0, low),
+                np.where(reaches(*a, crest), 1.0, high))
+    return wave
+
+
+def _add(a, b):
+    return _out(a[0] + b[0], a[1] + b[1])
+
+
+def _sub(a, b):
+    return _out(a[0] - b[1], a[1] - b[0])
+
+
+_mul = _corners(operator.mul)
+_quotient = _corners(operator.truediv)  # for a range that holds no zero
+_RANGE = {"sin": _wave(np.sin, np.pi / 2), "cos": _wave(np.cos, 0.0),
+          "exp": lambda a: _out(*map(np.exp, a), _ULPS),
+          "tanh": lambda a: _out(*map(np.tanh, a), _ULPS),
+          "abs": lambda a: (np.maximum(np.maximum(a[0], -a[1]), 0.0),
+                            np.maximum(-a[0], a[1])),
+          "sqrt": lambda a: _out(*map(np.sqrt, _clip(
+              a, "sqrt of a negative number"))),
+          "min": lambda a, b: (np.minimum(a[0], b[0]), np.minimum(a[1], b[1])),
+          "max": lambda a, b: (np.maximum(a[0], b[0]), np.maximum(a[1], b[1])),
+          "+": _add, "-": _sub, "*": _mul, "^": _r_power,
+          "/": lambda a, b: _quotient(a, _domain(
+              b, (b[0] <= 0) & (b[1] >= 0), "division by zero")),
+          "neg": lambda a: (-a[1], -a[0])}
+
+
+def _r_pick(take_a, take_b, da, db):
+    """The range of da where a is taken everywhere, of db where b is, and
+    of both where either may be (min, max and abs)."""
+    return tuple(np.where(take_a, x, np.where(take_b, y, h))
+                 for x, y, h in zip(da, db, _hull(*da, *db)))
+
+
+def _rd_power(v, a, da, e, de):
+    """``_d_power`` on ranges, 0 where da is 0; e - 1 is the float the
+    point rule forms from a constant exponent."""
+    if not (np.any(da[0]) or np.any(da[1])):
+        return v, (0.0, 0.0)
+    em1 = ((e[0] - 1.0, e[1] - 1.0) if np.ndim(e[0]) == 0 and e[0] == e[1]
+           else _sub(e, (1.0, 1.0)))
+    return v, _mul(_mul(e, _r_power(a, em1)), da)
+
+
+def _rd_power_variable(v, a, da, e, de):
+    _domain(a, a[0] <= 0, "variable exponent requires a positive base")
+    log_a = _out(*map(np.log, a), _ULPS)
+    return v, _mul(v, _add(_mul(de, log_a), _quotient(_mul(e, da), a)))
+
+
+# each operator's derivative rule on ranges, as in ``_DERIV``
+_RANGE_DERIV = {
+    "sin": lambda v, a, da: (v, _mul(_RANGE["cos"](a), da)),
+    "cos": lambda v, a, da: (v, _mul(_RANGE["neg"](_RANGE["sin"](a)), da)),
+    "exp": lambda v, a, da: (v, _mul(v, da)),
+    "tanh": lambda v, a, da: (
+        v, _mul(_sub((1.0, 1.0), _r_power(v, (2.0, 2.0))), da)),
+    "abs": lambda v, a, da: (v, _r_pick(a[0] >= 0, a[1] < 0, da,
+                                      _RANGE["neg"](da))),
+    "sqrt": lambda v, a, da: (v, _RANGE["/"](da, _mul((2.0, 2.0), v))),
+    "min": lambda v, a, da, b, db: (v, _r_pick(a[1] <= b[0], b[1] < a[0],
+                                             da, db)),
+    "max": lambda v, a, da, b, db: (v, _r_pick(a[0] >= b[1], b[0] > a[1],
+                                             da, db)),
+    "+": lambda v, a, da, b, db: (v, _add(da, db)),
+    "-": lambda v, a, da, b, db: (v, _sub(da, db)),
+    "*": lambda v, a, da, b, db: (v, _mul(a, db) if da is _ZERO else _mul(
+        da, b) if db is _ZERO else _add(_mul(da, b), _mul(a, db))),
+    "/": lambda v, a, da, b, db: (v, _RANGE["/"](
+        _sub(_mul(da, b), _mul(a, db)), _r_power(b, (2.0, 2.0)))),
+    "^": _rd_power,
+    "^wrt": _rd_power_variable,
+    "neg": lambda v, a, da: (v, _RANGE["neg"](da)),
 }
 
 
@@ -359,9 +529,11 @@ def compile(expr, wrt=None, finite=True):
     return finite, free
 
 
-def _compile(expr, wrt):
+def _compile(expr, wrt, ranges=False):
     if isinstance(expr, Num):
-        const = expr.value if wrt is None else (expr.value, 0.0)
+        const = (expr.value, expr.value) if ranges else expr.value
+        if wrt is not None:
+            const = (const, _ZERO if ranges else 0.0)
         return (lambda b: const), frozenset()
     if isinstance(expr, Var):
         name = expr.name
@@ -374,26 +546,31 @@ def _compile(expr, wrt):
                 raise UnboundVariableError(name) from None
             if wrt is None:
                 return v
+            if ranges:
+                return v, (seed, seed) if seed else _ZERO
             return v, (np.full_like(np.asarray(v, dtype=float), seed)
                        if np.ndim(v) else seed)
         return var, frozenset((name,))
     name, args = (("neg", (expr.arg,)) if isinstance(expr, Neg) else
                   (expr.op, (expr.lhs, expr.rhs)) if isinstance(expr, BinOp)
                   else (expr.func, expr.args))
-    if name not in _VALUE:
+    values, derivs = (_RANGE, _RANGE_DERIV) if ranges else (_VALUE, _DERIV)
+    if name not in values:
         raise ValueError(f"unknown operator or function {name!r}")
-    fns, frees = zip(*(_compile(a, wrt) for a in args))
+    fns, frees = zip(*(_compile(a, wrt, ranges) for a in args))
     f, g, free = fns[0], fns[-1], frozenset().union(*frees)
-    op = _VALUE[name]
+    op = values[name]
     if name == "/" and isinstance(args[1], Num) and args[1].value != 0:
-        op = operator.truediv  # the division-by-zero test, settled here
-    if wrt is None:
-        return ((lambda b: op(f(b))) if len(args) == 1
-                else (lambda b: op(f(b), g(b)))), free
-    rule = _DERIV[name]
-    if name == "^" and wrt in frees[1]:
-        # decided from the tree, so that no value can change the rule
-        rule = _d_power_variable
+        # the division-by-zero test, settled here
+        op = _quotient if ranges else operator.truediv
+    if wrt is None or ranges and wrt not in free:
+        if wrt is not None:  # a range of what does not read wrt: d = 0
+            f, g = (lambda b: fns[0](b)[0]), (lambda b: fns[-1](b)[0])
+        fn = ((lambda b: op(f(b))) if len(args) == 1
+              else (lambda b: op(f(b), g(b))))
+        return (fn if wrt is None else lambda b: (fn(b), _ZERO)), free
+    # a power's rule is decided from the tree, so that no value can change it
+    rule = derivs["^wrt" if name == "^" and wrt in frees[1] else name]
     if len(args) == 1:
         def unary(b):
             a, da = f(b)
@@ -404,6 +581,10 @@ def _compile(expr, wrt):
         (a, da), (c, dc) = f(b), g(b)
         return rule(op(a, c), a, da, c, dc)
     return binary, free
+
+
+# the bounds of a config enclose each of its expressions more than once
+_compiled = functools.lru_cache(maxsize=64)(_compile)
 
 
 def evaluate(expr, bindings):
@@ -421,60 +602,136 @@ def eval_dual(expr, bindings, seed):
     return compile(expr, seed)[0](bindings)
 
 
-def sample_sup(expr, names, ranges, n=256, inflate=1.0, wrt=None):
-    """Sampled sup of |expr| on a product of intervals, or of
-    |d expr / d wrt| when ``wrt`` names a variable.
+def enclose(expr, box, wrt=None):
+    """What ``compile(expr, wrt)[0]`` returns, as ranges over a batch of
+    boxes: ``box`` maps each variable the expression reads to its (lo, hi),
+    arrays that broadcast together, and every point value, or dual
+    derivative, the compiled expression takes in a box without raising
+    lies in the range returned for it.  A box that reaches a pole raises
+    ``DomainError`` (see the notes on ranges), and so does a non-finite
+    end, as a non-finite point value does in ``compile``."""
+    with np.errstate(all="ignore"):
+        out = _compiled(expr, wrt, True)[0](box)
+    for part, (lo, hi) in zip(("value", "derivative"),
+                              out if wrt is not None else (out,)):
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise DomainError(f"overflow to a non-finite {part}")
+    return out
 
-    ``n`` is the number of points on every axis, or one count per axis; an
-    axis of one point samples its interval's lower end.  Each axis is an
-    open ``linspace`` (length n along its own dimension, 1 along the
-    others), so an expression is evaluated only on the axes it uses: a
-    constant once, an x-only expression n times.
 
-    The evaluation runs in blocks of at most ``ELEMENT_BUDGET`` elements:
-    consecutive slices of the longest axis the expression reads, every
-    other axis whole.  This is exact, not close.  Each sample is computed
-    by the same elementwise operations whether its slice is evaluated
-    alone or with the rest of the box (no rule picks its formula from the
-    values it is given), and a max only selects one of its arguments, so
-    the max of the slice maxima is the max over the box, bit for bit.  A
-    sample is finite or raises (see ``compile``), and a domain error in
-    any slice raises the class it raises over the box.
+# ``sup`` cuts a box _CUTS[k] ways on each of the k axes it is wide on,
+# and then each loose part as many ways, or as its budget leaves: _BOXES
+# parts, or _BATCH shared by the boxes of a larger batch.  A part is loose
+# while its enclosure reaches a pole, or its bound exceeds the best point
+# value found by more than _TIGHT of it, or by 1e-12 where that is more
+_CUTS, _BOXES, _BATCH, _TIGHT = (1, 256, 16, 8, 4), 2 ** 13, 2 ** 17, 1e-3
+
+
+def _size(box):
+    return np.broadcast_shapes(*(np.shape(v) for r in box.values() for v in r))
+
+
+def _cut(parts, k, wide):
+    """Each part, flat (lo, hi) arrays, cut k ways on each wide axis, the
+    pieces on an axis of their own for each."""
+    out, f = {}, np.arange(k + 1) / k
+    for name, (lo, hi) in parts.items():
+        axes = [lo.size] + [1] * len(wide)
+        lo, hi = lo[:, None], hi[:, None]
+        if name in wide:
+            # ascending and within [lo, hi], with no overflow of hi - lo
+            ends = np.clip(np.maximum.accumulate(lo * (1.0 - f) + hi * f, -1),
+                           lo, hi)
+            lo, hi = ends[:, :-1], ends[:, 1:]
+            axes[1 + wide.index(name)] = k
+        out[name] = (lo.reshape(axes), hi.reshape(axes))
+    return out
+
+
+def _tops(expr, parts, wrt, signed):
+    """Each part's bound, flat, inf where its enclosure reaches a pole, and
+    the ``DomainError`` of a pole reached, or None."""
+    size, each, pole = _size(parts), parts, None
+    ok = np.ones(math.prod(size), bool)
+    while True:
+        try:
+            lo, hi = enclose(expr, each, wrt)[-1 if wrt else slice(None)]
+            break
+        except DomainError as error:
+            if error.where is None:
+                raise
+            # enclose the parts that do not reach it again
+            ok[ok] = ~np.broadcast_to(error.where, _size(each)).ravel()
+            pole = error
+            each = {n: tuple(np.broadcast_to(v, size).ravel()[ok] for v in r)
+                    for n, r in parts.items()}
+    top = np.full(ok.size, np.inf)
+    top[ok] = np.broadcast_to(hi if signed else np.maximum(hi, -lo),
+                              _size(each)).ravel()
+    return top, pole
+
+
+def sup(expr, box, wrt=None, signed=False):
+    """An upper bound of max |expr| on each box of a batch, of max expr
+    where ``signed``, or of d expr / d wrt with ``wrt`` set; ``box`` is
+    ``enclose``'s.  A float for a single box.
+
+    The point values at each part's centre and lowest and highest corners
+    steer the cuts, and bound nothing: the result is the largest bound of
+    every part, loose or not, when the budget ends.  A point value that
+    raises ``DomainError`` raises it here, as does a part that still
+    reaches a pole when the budget ends or it is too small to cut.
     """
-    return _sample_max(expr, names, ranges, n, wrt, np.abs) * inflate
-
-
-def sample_min(expr, names, ranges, n=256, wrt=None):
-    """Sampled min of expr, or of d expr / d wrt, signed: ``sample_sup``'s
-    blocks and axes, each slice read as -max(-values), which is exact."""
-    return -_sample_max(expr, names, ranges, n, wrt, np.negative)
-
-
-def _sample_max(expr, names, ranges, n, wrt, part):
-    """max of part(values) over the sampled box, one block at a time."""
-    dims = len(ranges)
-    counts = [int(k) for k in np.broadcast_to(n, dims)]
-    lines = [np.linspace(lo, hi, k) for (lo, hi), k in zip(ranges, counts)]
-
-    def open_axis(i, line):
-        return line.reshape([len(line) if j == i else 1 for j in range(dims)])
-
-    axes = {name: open_axis(i, line)
-            for i, (name, line) in enumerate(zip(names, lines))}
-    fn, free = compile(expr, wrt)
-    read = [i for i, name in enumerate(names) if name in free]
-    # slices of the longest axis read, each with every other axis whole
-    axis = max(read, key=counts.__getitem__, default=0)
-    rows = max(1, ELEMENT_BUDGET
-               // math.prod(counts[i] for i in read if i != axis))
-    maxima = []
-    for start in range(0, counts[axis], rows):
-        axes[names[axis]] = open_axis(axis, lines[axis][start:start + rows])
-        vals = fn(axes)
-        if wrt is not None:
-            vals = vals[1]
-        maxima.append(np.max(part(np.asarray(vals, dtype=float))))
-    return float(np.max(maxima))
+    point, free = _compiled(expr, wrt)
+    read = {n: r for n, r in box.items() if n in free}
+    if not read:  # one value, or an enclosure of it
+        lo, hi = enclose(expr, {}, wrt)[-1 if wrt else slice(None)]
+        out = np.broadcast_to(hi if signed else max(hi, -lo), _size(box))
+        return float(out) if out.ndim == 0 else out
+    shape = _size(read)
+    groups = math.prod(shape)
+    parts = {n: tuple(np.broadcast_to(np.asarray(v, dtype=float), shape)
+                      .ravel() for v in r) for n, r in read.items()}
+    # an axis on which every box is narrower than 1/16 of the batch's span
+    # is not cut, as the time axis of a run's window cells
+    wide = [n for n, (lo, hi) in parts.items()
+            if np.any(16.0 * (hi - lo) > np.max(hi) - np.min(lo))]
+    budget, m = min(_BOXES, _BATCH // max(groups, 1)), len(wide)
+    best, done = np.full(groups, -np.inf), np.full(groups, -np.inf)
+    spent, group = np.zeros(groups, int), np.arange(groups)
+    room, pole = budget, None
+    while group.size:
+        # as many ways as the room left allows, at most _CUTS[m]
+        k = max(1, min(_CUTS[m], int(room ** (1 / max(m, 1)) + 1e-9)))
+        parts, group = _cut(parts, k, wide), np.repeat(group, k ** m)
+        size = _size(parts)
+        with np.errstate(all="ignore"):
+            v = point({n: np.stack((0.5 * a + 0.5 * b, a, b))
+                       for n, (a, b) in parts.items()})
+        v = np.broadcast_to(v[1] if wrt else v, (3,) + size).reshape(3, -1)
+        top, error = _tops(expr, parts, wrt, signed)
+        pole = error or pole
+        np.maximum.at(best, group, np.fmax.reduce(v if signed else np.abs(v)))
+        np.add.at(spent, group, 1)
+        loose = top > best[group] + np.maximum(_TIGHT * np.abs(best[group]),
+                                               1e-12)
+        # and can be cut: its midpoint lies inside it on a wide axis
+        parts = {n: tuple(np.broadcast_to(x, size).ravel() for x in r)
+                 for n, r in parts.items()}
+        halves = [(lo, 0.5 * lo + 0.5 * hi, hi)
+                  for lo, hi in map(parts.get, wide)]
+        loose &= np.any([(lo < c) & (c < hi) for lo, c, hi in halves], axis=0)
+        rooms = (budget - spent) // np.maximum(
+            np.bincount(group[loose], minlength=groups), 1)
+        loose &= rooms[group] >= 2 ** m
+        np.maximum.at(done, group[~loose], top[~loose])
+        room = np.min(rooms[group[loose]], initial=budget)
+        parts = {n: (lo[loose], hi[loose]) for n, (lo, hi) in parts.items()}
+        group = group[loose]
+    if not np.all(np.isfinite(done)):
+        raise pole
+    out = np.broadcast_to(done.reshape(shape), _size(box))
+    return float(out) if out.ndim == 0 else out
 
 
 # --- printing --------------------------------------------------------------

@@ -26,14 +26,16 @@ parameters the verification checks need to reconstruct the stepper:
 ``source``, ``dt``, ``n_steps``, ``n_tau`` (the level the gamma = 0 kick
 lands on, ceil(tau/dt)), ``eps``, ``gamma``, ``m_bound``, ``options``
 (the stride among them) and ``spec_hash`` (of the spec the run marched,
-which ``verify`` requires of the config) are required; ``restart`` (the
-escape that enlarged the invariant region, or null), ``kick_slope``
+which ``verify`` requires of the config) are required; ``kick_slope``
 (``scheme.Stepper.kick_slope``; older runs hold ``b0``, which nothing
 reads), ``dt_term`` (the ``scheme.Stepper._cfl`` bound that set dt, or
 null when the caller fixed it), ``setup_s`` and ``march_s`` (the wall
-seconds the run spent building its steppers and marching) are optional,
+seconds the run spent building its stepper and marching) are optional,
 and other keys (older runs hold ``stride``) are ignored.  A required key
-of the wrong type is refused.  ``lateral_diffusion`` and ``source`` name
+of the wrong type is refused, and so is ``restart``, which every run holds
+that was marched with sampled bounds: its invariant region and its
+Lax-Friedrichs dissipation were widened past the enclosed ones the
+stepper is rebuilt with.  ``lateral_diffusion`` and ``source`` name
 how the step treated the lateral Laplacian and the source, and only
 ``scheme.LATERAL_DIFFUSION`` ("backward_euler") and ``scheme.SOURCE_STEP``
 ("kick", applied after the lateral solve) are read: a directory written by
@@ -41,16 +43,18 @@ the earlier explicit update, or with the source inside the explicit part,
 lacks the key, so it is refused instead of being scored against the wrong
 update.  An option ``SchemeOptions`` does not have, or a value it
 refuses, is refused.  The checks read each snapshot by its step level n =
-t/dt, derived here and nowhere else: ``n_steps`` dt must be the last
-snapshot time and every snapshot time a multiple of dt, both to 1e-9 steps,
-and an impulsive run must hold the snapshot at level ``n_tau``, the jump
-``verify.check_jump`` scores.  A field's header time must be its
+t/dt, derived here and nowhere else: every snapshot time must be a
+multiple of dt to 1e-9 steps, and the levels must be, in order, the ones
+the march stores, ``problem.snapshot_levels`` of ``n_steps``, the stride
+and ``n_tau`` (so the last is ``n_steps``, and an impulsive run holds the
+jump ``verify.check_jump`` scores).  A field's header time must be its
 ``index.csv`` time, its (Nx, Ns) the first's.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import struct
@@ -60,7 +64,8 @@ from pathlib import Path
 import numpy as np
 
 from . import exprdsl
-from .problem import Field, Grid, ProblemSpec, Trajectory, consistency_errors
+from .problem import (Field, Grid, ProblemSpec, Trajectory, consistency_errors,
+                      snapshot_levels)
 from .scheme import LATERAL_DIFFUSION, SOURCE_STEP, SchemeOptions
 
 __all__ = [
@@ -321,6 +326,10 @@ def _meta_to_json(meta):
 
 def _meta_from_json(data):
     out = dict(data)
+    if "restart" in out:
+        raise FormatError("meta.json: a restart key marks a run marched "
+                          "with sampled bounds, on a wider region and "
+                          "dissipation than this version rebuilds")
     for key, update in _UPDATES.items():
         if out[key] != update:
             raise FormatError(f"meta.json: {key.replace('_', ' ')} "
@@ -396,19 +405,17 @@ def read_trajectory(directory, L=1.0, S=1.0):
         raise FormatError(f"{directory}: empty trajectory")
     dt, times = meta["dt"], [fld.t for fld in fields]
     steps = np.asarray(times) / dt
-    levels = np.rint(steps).astype(int)
-    if abs(steps[-1] - meta["n_steps"]) > 1e-9:
-        raise FormatError(f"{directory}: n_steps * dt = "
-                          f"{meta['n_steps'] * dt!r} in meta.json is not the "
-                          f"last snapshot time {times[-1]!r}")
+    levels = np.rint(steps).astype(int).tolist()
     off = np.flatnonzero(np.abs(steps - levels) > 1e-9)
     if off.size:
         raise FormatError(f"{directory}: snapshot time {times[off[0]]!r} "
                           f"is not a multiple of dt = {dt!r} in meta.json")
-    if meta["mode"] == "impulsive" and meta["n_tau"] not in levels:
-        raise FormatError(f"{directory}: an impulsive run's index.csv lacks "
-                          f"the snapshot at the jump's level n_tau = "
-                          f"{meta['n_tau']}")
-    if np.any(np.diff(levels) <= 0):
-        raise FormatError(f"{directory}: index.csv snapshots out of order")
-    return Trajectory(fields[0].grid, times, fields, meta, levels.tolist())
+    march = snapshot_levels(meta["n_steps"], meta["options"].snapshot_stride,
+                            meta["n_tau"])
+    if levels != march:
+        i, got, want = next((i, got, want) for i, (got, want) in enumerate(
+            itertools.zip_longest(levels, march, fillvalue="none"))
+            if got != want)
+        raise FormatError(f"{directory}: snapshot {i} of index.csv is at "
+                          f"level {got}, not at the march's level {want}")
+    return Trajectory(fields[0].grid, times, fields, meta, levels)

@@ -102,14 +102,14 @@ def step_mass(n, dt, tau, gamma, n_tau):
 
 @functools.lru_cache(maxsize=32)
 def estimate_dbeta_sup(beta, L, S, b1):
-    """Sampled sup of |d(beta)/d(lambda)| over the slab (x, s) in the domain,
-    lambda in [-(b1+1), b1+1], on 64 x 64 x 256 points.  An estimate, not a
-    proof, whose slab holds every slope, beta vanishing for |lambda| >= b1
+    """An enclosure of sup |d(beta)/d(lambda)| over the slab (x, s) in the
+    domain, lambda in [-(b1+1), b1+1] (``exprdsl.sup``), whose slab holds
+    every slope, beta vanishing for |lambda| >= b1
     (``problem.consistency_errors``).  Memoized, as the AST is frozen: a
-    process samples b0 once, for the stability estimate, its one user."""
-    return exprdsl.sample_sup(beta, ("x", "s", "lambda"),
-                              [(0.0, L), (0.0, S), (-(b1 + 1.0), b1 + 1.0)],
-                              n=(64, 64, 256), wrt="lambda")
+    process encloses b0 once, for the stability estimate, its one user."""
+    return exprdsl.sup(beta, {"x": (0.0, L), "s": (0.0, S),
+                              "lambda": (-(b1 + 1.0), b1 + 1.0)},
+                       wrt="lambda")
 
 
 def source_growth_constants(beta, gamma, *, L=1.0, S=1.0, b1=1.0):
@@ -118,8 +118,8 @@ def source_growth_constants(beta, gamma, *, L=1.0, S=1.0, b1=1.0):
         b1g = (2/gamma) * omega(0) * (b0 + ||beta(.,.,0)||_C / 2)
         b2g = (1/gamma) * omega(0) * ||beta(.,.,0)||_C
 
-    b0 bounds |d(beta)/d(lambda)|; it is estimated by dense sampling (see
-    estimate_dbeta_sup).  No program path calls it (see ``chi``).
+    b0 bounds |d(beta)/d(lambda)| (see estimate_dbeta_sup).  No program
+    path calls it (see ``chi``).
     """
     if gamma <= 0:
         raise NonPositiveGammaError(f"gamma must be positive, got {gamma}")
@@ -128,9 +128,8 @@ def source_growth_constants(beta, gamma, *, L=1.0, S=1.0, b1=1.0):
     b0 = estimate_dbeta_sup(beta, L, S, b1)
     omega_sup = float(omega(0.0))
     # ||beta(., ., 0)||_C: lambda = 0 is a one-point axis
-    beta0 = exprdsl.sample_sup(beta, ("x", "s", "lambda"),
-                               [(0.0, L), (0.0, S), (0.0, 0.0)],
-                               n=(256, 256, 1))
+    beta0 = exprdsl.sup(beta, {"x": (0.0, L), "s": (0.0, S),
+                               "lambda": (0.0, 0.0)})
     b1g = 2.0 / gamma * omega_sup * (b0 + 0.5 * beta0)
     b2g = 1.0 / gamma * omega_sup * beta0
     return b1g, b2g

@@ -12,10 +12,11 @@ a-priori theory:
   march, both sources, at the snapshot levels (derived in ``verify``),
   from each step's s-end inflow difference and kick mass.
 
-Sup-norms of expression-defined data are estimated by dense sampling
-(256 points per axis).  Callers that assert these bounds apply the 1%
-``NORM_INFLATION`` via the ``inflate`` argument.  ``data_sup_norms``
-samples one time window, or an array of window ends at once.
+Every sup-norm of expression-defined data, and every other bound the
+march or a check reads off the config's expressions, is an enclosure
+(``exprdsl.sup``): no value the expression takes on its box exceeds it,
+so no bound needs a margin.  ``data_sup_norms`` encloses one time window,
+or an array of window ends at once.
 """
 
 from __future__ import annotations
@@ -27,20 +28,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import exprdsl, kernels
-from .exprdsl import sample_min, sample_sup
 
 __all__ = [
     "ProblemSpec", "Grid", "Field", "Trajectory",
-    "refined_max_bound", "sup_bound", "stability_rhs",
-    "sample_sup", "slab_sup", "min_kick_slope", "data_sup_norms",
-    "consistency_errors", "NORM_INFLATION",
+    "refined_max_bound", "sup_bound", "stability_rhs", "snapshot_levels",
+    "min_kick_slope", "data_sup_norms", "consistency_errors", "SUP_SLACK",
     "ZeroInitialDataError", "GridMismatchError",
 ]
 
 _COLLAR = 0.05
 
-# sampled sup-norms fall slightly short; every asserted bound inflates them
-NORM_INFLATION = 1.01
+# what a march's sup-norm may exceed its bound by, its roundoff: the march
+# aborts beyond it, and the max-principle row fails
+SUP_SLACK = 1e-10
 
 
 class ZeroInitialDataError(ValueError):
@@ -160,19 +160,27 @@ class Trajectory:
         return [fld.values[:, -1] for fld in self.fields]
 
 
+def snapshot_levels(n_steps, stride, n_tau):
+    """The step levels the march stores: 0, stride, 2 stride, ..., n_steps,
+    and n_tau and n_tau + 1 (the jump ``verify.check_jump`` replays) up to
+    n_steps when tau lies inside (0, T)."""
+    levels = {*range(0, n_steps + 1, stride), n_steps}
+    if n_tau is not None:
+        levels |= {n_tau, n_tau + 1} & set(range(n_steps + 1))
+    return sorted(levels)
+
+
 # --- spec consistency ------------------------------------------------------
 
-def _collar_max(expr, names, extents, n=128):
-    """Max |expr| on the relative-width-0.05 collar of a 2-D box."""
-    a = np.linspace(0.0, extents[0], n)
-    b = np.linspace(0.0, extents[1], n)
-    va, vb = np.meshgrid(a, b, indexing="ij")
-    collar = ((va <= _COLLAR * extents[0]) | (va >= (1 - _COLLAR) * extents[0])
-              | (vb <= _COLLAR * extents[1]) | (vb >= (1 - _COLLAR) * extents[1]))
-    vals = np.broadcast_to(
-        np.asarray(exprdsl.evaluate(expr, {names[0]: va, names[1]: vb}),
-                   dtype=float), va.shape)
-    return float(np.max(np.abs(vals[collar])))
+def _collar_max(expr, names, extents):
+    """Max |expr| on the relative-width-0.05 collar of a 2-D box, its four
+    strips one batch of ``exprdsl.sup``."""
+    (a, b), c = extents, _COLLAR
+    strips = {names[0]: (np.array([0.0, (1 - c) * a, 0.0, 0.0]),
+                         np.array([c * a, a, a, a])),
+              names[1]: (np.array([0.0, 0.0, 0.0, (1 - c) * b]),
+                         np.array([b, b, c * b, b]))}
+    return float(np.max(exprdsl.sup(expr, strips)))
 
 
 def consistency_errors(spec):
@@ -227,15 +235,11 @@ def consistency_errors(spec):
         "where beta must vanish"]
 
 
-# --- sampled sup-norms -----------------------------------------------------
+# --- enclosed sup-norms ----------------------------------------------------
 
-def slab_sup(spec, beta, radius):
-    """Sampled sup of |beta| over the slab, 64 points per axis: (x, s) in
-    the domain and lambda in [-radius, radius].  0 without a beta."""
-    if beta is None:
-        return 0.0
-    return sample_sup(beta, ("x", "s", "lambda"),
-                      [(0.0, spec.L), (0.0, spec.S), (-radius, radius)], n=64)
+def _slab(spec, lam):
+    """The box (x, s) in the domain, lambda in the range ``lam``."""
+    return {"x": (0.0, spec.L), "s": (0.0, spec.S), "lambda": lam}
 
 
 def _memo_on_data(fn):
@@ -248,50 +252,48 @@ def _memo_on_data(fn):
 
 
 @_memo_on_data
-def min_kick_slope(spec, mass, n=64):
-    """Sampled min of d beta / d lambda, signed, on n points per axis over
-    |lambda| <= B(tau), norms inflated 1%, with ``mass`` the kick mass
-    applied before the kick: every value a kick acts on, and |lambda| <= b1
-    too where B(tau) with unit mass reaches b1 (see ``verify``).  0.0
-    without a beta.  Memoized, as ``_horizon`` is."""
+def min_kick_slope(spec, mass):
+    """A lower bound of d beta / d lambda, signed, over |lambda| <= B(tau),
+    with ``mass`` the kick mass applied before the kick: every value a
+    kick acts on, and |lambda| <= b1 too where B(tau) with unit mass
+    reaches b1 (see ``verify``).  0.0 without a beta.  Memoized, as
+    ``_horizon`` is."""
     if spec.beta is None:
         return 0.0
-    reach = sup_bound(spec, spec.tau, (mass, 1.0), inflate=NORM_INFLATION)
+    reach = sup_bound(spec, spec.tau, (mass, 1.0))
     radius = max(reach[0], spec.b1 if reach[1] >= spec.b1 else 0.0)
-    return sample_min(spec.beta, ("x", "s", "lambda"),
-                      [(0.0, spec.L), (0.0, spec.S), (-radius, radius)],
-                      n=n, wrt="lambda")
+    return -exprdsl.sup(exprdsl.Neg(spec.beta), _slab(spec, (-radius, radius)),
+                        wrt="lambda", signed=True)
 
 
-def data_sup_norms(spec, t_window=None, inflate=1.0):
-    """Sampled sup-norms of the three data functions.
+@_memo_on_data
+def _initial_sup(spec):
+    """sup|u0_1| on the domain, which no time window changes."""
+    return exprdsl.sup(spec.data_u0_1,
+                       {"x": (0.0, spec.L), "s": (0.0, spec.S)})
+
+
+def data_sup_norms(spec, t_window=None):
+    """Enclosed sup-norms of the three data functions.
 
     ``t_window`` = (lo, hi) restricts the time interval of the s-boundary
     data; defaults to (0, T).  An ascending array ``hi`` makes u0_2 and uS_2
-    arrays, entry i the sup over (lo, hi[i]).  The t-axis is the linspace of
-    256 points up to max(hi) with hi added, so each window holds its end; a
-    repeated time changes no max, and a sort, unlike ``np.union1d``, does
-    not import ``numpy.ma`` (about 14 ms) into every run's set-up.
+    arrays, entry i the sup over (lo, hi[i]): the window ends cut (lo,
+    max(hi)) into cells, one batch of ``exprdsl.sup``, and each window's
+    norm is the running max of its cells'.
     """
     lo, hi = t_window if t_window is not None else (0.0, spec.T)
     hi = np.maximum(hi, lo + 1e-12)
-    ts = np.sort(np.append(np.linspace(lo, np.max(hi), 256), hi))
-    ends = np.searchsorted(ts, hi, side="right") - 1
-    xs = np.linspace(0.0, spec.L, 256)[:, None]
-    norms = {"u0_1": sample_sup(spec.data_u0_1, ("x", "s"),
-                                [(0.0, spec.L), (0.0, spec.S)], inflate=inflate)}
+    cuts = np.sort(np.append(hi, lo))
+    ends = np.searchsorted(cuts, hi, side="right") - 2
+    norms = {"u0_1": _initial_sup(spec)}
     for name, expr in (("u0_2", spec.data_u0_2), ("uS_2", spec.data_uS_2)):
-        vals = exprdsl.compile(expr)[0]({"x": xs, "t": ts[None, :]})
-        # data that do not read t give one column, which stands for every t
-        cols = np.atleast_2d(np.abs(np.asarray(vals, dtype=float))).max(axis=0)
-        run = np.maximum.accumulate(np.broadcast_to(cols, ts.shape))[ends]
-        norms[name] = float(run) * inflate if run.ndim == 0 else run * inflate
+        cells = exprdsl.sup(expr, {"x": (0.0, spec.L),
+                                   "t": (cuts[:-1], cuts[1:])})
+        run = np.maximum.accumulate(np.broadcast_to(cells,
+                                                    cuts[1:].shape))[ends]
+        norms[name] = float(run) if run.ndim == 0 else run
     return norms
-
-
-def sampled_deriv_max(expr, lo, hi):
-    """Max |d expr / d lambda| on [lo, hi] by dense sampling."""
-    return sample_sup(expr, ("lambda",), [(lo, hi)], n=4097, wrt="lambda")
 
 
 # --- closed-form bounds ----------------------------------------------------
@@ -318,18 +320,18 @@ def golden_section_min(f, a, b, tol=1e-10):
 
 
 # Only bench/run.py's trace and the tests (against sup_bound) read this.
-def refined_max_bound(spec, t_prime, inflate=1.0):
+def refined_max_bound(spec, t_prime):
     """Sharper bound M7(t') for the delayed-impulse source.
 
     The exponent is zero when b1 <= ||u0_1|| - 1 (the perturbation is
     already cut off within the data range), and otherwise grows just fast
     enough that the weighted solution clears the perturbation's support
     before the impulse window opens.  ``t_prime`` may be an array, which
-    samples the data once for all of its times.
+    encloses the data once for all of its times.
     """
     if spec.gamma > 0 and spec.gamma > spec.gamma0 / 2.0:
         raise ValueError("refined bound requires gamma <= gamma0/2")
-    norms = data_sup_norms(spec, (0.0, spec.T), inflate=inflate)
+    norms = data_sup_norms(spec, (0.0, spec.T))
     u01 = norms["u0_1"]
     b1 = spec.b1 if spec.beta is not None else 0.0
     if b1 <= u01 - 1.0:
@@ -345,34 +347,28 @@ def refined_max_bound(spec, t_prime, inflate=1.0):
 
 @_memo_on_data
 def _horizon(spec):
-    """D(0, T), sup|beta| on ``slab_sup``'s points to |lambda| = max(D(0,
-    T), b1) + 1, and max |beta| on those with |lambda| >= b1 and +-b1, from
-    max |beta| over (x, s) at each lambda, 16 lambdas (``ELEMENT_BUDGET``
-    samples) at a time.  Memoized: a process samples a spec's data once."""
+    """D(0, T), sup|beta| on |lambda| <= max(D(0, T), b1) + 1, and its sup
+    on b1 <= |lambda| <= that, enclosed in one batch of ``exprdsl.sup``.
+    Memoized: a process encloses a spec's data once."""
     base = max(data_sup_norms(spec).values())
-    r = max(base, spec.b1) + 1.0
-    lam = np.append(np.linspace(-r, r, 64), (-spec.b1, spec.b1))
-    x, s = np.linspace(0.0, spec.L, 64)[:, None], np.linspace(0.0, spec.S, 64)
-    beta = exprdsl.compile(spec.beta or exprdsl.Num(0.0))[0]
-    at_lam = np.concatenate([np.abs(np.broadcast_to(beta({
-        "x": x, "s": s, "lambda": part[:, None, None]}), (part.size, 64, 64)))
-        .reshape(part.size, -1).max(axis=1)
-        for part in np.split(lam, range(16, lam.size, 16))])
-    return base, float(at_lam[:64].max()), float(
-        at_lam[np.abs(lam) >= spec.b1].max())
+    if spec.beta is None:
+        return base, 0.0, 0.0
+    r, b1 = max(base, spec.b1) + 1.0, spec.b1
+    beta = exprdsl.sup(spec.beta, _slab(spec, (np.array([-r, -r, b1]),
+                                               np.array([r, -b1, r]))))
+    return base, float(beta[0]), float(max(beta[1:]))
 
 
-def sup_bound(spec, times, masses, inflate=1.0):
+def sup_bound(spec, times, masses):
     """B(t) = min(D(0, t) + m(t) sup|beta|, max(D(0, t), b1)) (derived in
     ``verify``): D the data norm over (0, t), m the kick mass the march
-    has applied by t.  ``times`` may be an array, or None for T, and
-    ``masses`` any shape that broadcasts against it; ``inflate`` scales
-    both sampled norms, not b1."""
+    has applied by t, both norms enclosed.  ``times`` may be an array, or
+    None for T, and ``masses`` any shape that broadcasts against it."""
     base, beta_sup, _ = _horizon(spec)
-    dnorm = base * inflate if times is None else functools.reduce(
-        np.maximum, data_sup_norms(spec, (0.0, times), inflate).values())
-    out = np.minimum(dnorm + np.asarray(masses, dtype=float)
-                     * (beta_sup * inflate), np.maximum(dnorm, spec.b1))
+    dnorm = base if times is None else functools.reduce(
+        np.maximum, data_sup_norms(spec, (0.0, times)).values())
+    out = np.minimum(dnorm + np.asarray(masses, dtype=float) * beta_sup,
+                     np.maximum(dnorm, spec.b1))
     return float(out) if out.ndim == 0 else out
 
 
@@ -386,16 +382,17 @@ def stability_rhs(spec1, spec2, levels, d_init, inflow, thetas):
     W_n = prod_{m<n} (1 + theta_m b0).  ``inflow`` and ``thetas`` hold
     each step's L1 difference of what the runs' s-end ghosts put into the
     march, dt included, and its kick mass.  b0 =
-    ``kernels.estimate_dbeta_sup`` of beta1, sampled only where d_init,
+    ``kernels.estimate_dbeta_sup`` of beta1, enclosed only where d_init,
     an inflow or dbeta is nonzero, since else every term is 0 whatever b0
-    is; dbeta = sup|beta1 - beta2| over |lambda| <= max b1 + 1, exactly 0
-    for equal ASTs; no beta is 0.
+    is; dbeta encloses sup|beta1 - beta2| over |lambda| <= max b1 + 1,
+    exactly 0 for equal ASTs; no beta is 0.
     """
     beta1, beta2 = spec1.beta, spec2.beta
     zero = exprdsl.Num(0.0)
-    dbeta = 0.0 if beta1 == beta2 else slab_sup(
-        spec1, exprdsl.BinOp("-", beta1 or zero, beta2 or zero),
-        max(spec1.b1, spec2.b1) + 1.0)
+    radius = max(spec1.b1, spec2.b1) + 1.0
+    dbeta = 0.0 if beta1 == beta2 else exprdsl.sup(
+        exprdsl.BinOp("-", beta1 or zero, beta2 or zero),
+        _slab(spec1, (-radius, radius)))
     b0 = (kernels.estimate_dbeta_sup(beta1, spec1.L, spec1.S, spec1.b1)
           if beta1 is not None and (d_init or dbeta or inflow.any())
           else 0.0)

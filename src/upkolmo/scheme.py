@@ -29,7 +29,7 @@ ghosts, so I - dt * Lap_x is an M-matrix: its inverse is nonnegative with
 row sums at most 1; the step multiplies by it, its entries >= 0 exactly
 (``Stepper._solve_lateral``).  The kick's slope is 1 + theta_n
 dbeta/dlambda, with theta_n <= 1, and <= dt (2/gamma) omega(0) for gamma >
-0; both sources guard it with one sampled min of dbeta/dlambda,
+0; both sources guard it with one enclosed min of dbeta/dlambda,
 ``Stepper.kick_slope``: ``Stepper._cfl`` caps dt where it is below -1,
 and ``solver.solve`` refuses a decreasing jump map.  So the
 composition keeps what the scheme promises exactly: it is monotone, it
@@ -51,9 +51,10 @@ For Engquist-Osher g = f(0) + f_plus and h = f_minus, for Lax-Friedrichs
 g = (f + alpha w)/2 and h = (f - alpha w)/2.  The entropy-residual check
 builds its Kruzhkov fluxes from the same parts (see ``verify``), so it
 certifies the fluxes the march computed.  Each flux also carries
-``coeff``, a bound on g'(w) - h'(w) over [-m_bound, m_bound] (max|f'| for
-Engquist-Osher, alpha for Lax-Friedrichs): what a cell's own coefficient
-loses per unit dt/ds, the convective term of ``Stepper._cfl``.
+``coeff``, an enclosure of max|f'| over [-m_bound, m_bound], which bounds
+g'(w) - h'(w) there (it is alpha itself for Lax-Friedrichs): what a
+cell's own coefficient loses per unit dt/ds, the convective term of
+``Stepper._cfl``.
 
 For Engquist-Osher the split integrals are read from a cumulative-midpoint
 table (node spacing 1/1024) with linear interpolation.  The table is
@@ -76,13 +77,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprdsl, kernels
-from .problem import min_kick_slope, sampled_deriv_max, sup_bound
+from .problem import min_kick_slope, sup_bound
 
 __all__ = [
     "SchemeOptions", "Stepper",
     "DegenerateGridError", "NaNDetectedError", "SupNormExceeded",
     "LAX_FRIEDRICHS", "ENGQUIST_OSHER", "LATERAL_DIFFUSION", "SOURCE_STEP",
-    "reachable_bound",
 ]
 
 LAX_FRIEDRICHS = "lax_friedrichs"
@@ -93,9 +93,6 @@ LATERAL_DIFFUSION = "backward_euler"
 SOURCE_STEP = "kick"
 
 _TABLE_SPACING = 1.0 / 1024.0
-# Lax-Friedrichs dissipation alpha over the sampled max|f'|: sampling may
-# miss the true max between samples, and alpha must cover it
-_LF_WIDEN = 1.05
 # backward Euler's relative error on the first lateral sine mode, by the
 # time the mode has decayed by 1/e, where no stiffness term sizes dt
 _HEAT_ERROR = 0.005
@@ -138,19 +135,19 @@ class SchemeOptions:
                 f"snapshot_stride: must be an integer >= 1, got {stride!r}")
 
 
-def reachable_bound(spec):
-    """1.05 B(T) + 0.5, B = ``problem.sup_bound`` with unit kick mass: the
-    invariant region the monotone scheme never leaves, with room for the
-    sampled norms to fall short of the grid's values.  The default
-    ``m_bound``, and the least region a restart of the march is sized to."""
-    return 1.05 * sup_bound(spec, None, 1.0) + 0.5
-
-
 # --- tabulated split fluxes ------------------------------------------------
+
+@functools.lru_cache(maxsize=16)
+def _max_slope(f, m_bound):
+    """An enclosure of max|f'| on [-m_bound, m_bound] (``exprdsl.sup``);
+    memoized, as the two fluxes are often one expression."""
+    return exprdsl.sup(f, {"lambda": (-m_bound, m_bound)}, wrt="lambda")
+
 
 class _SplitTable:
     """Cumulative-midpoint table of the Engquist-Osher split integrals on
-    [-(m_bound + 1), m_bound + 1]; ``coeff`` is sampled on first use."""
+    [-(m_bound + 1), m_bound + 1]; ``coeff``, ``_max_slope``, is enclosed
+    on first use."""
 
     def __init__(self, f, m_bound):
         self.f, self.m_bound = f, m_bound
@@ -169,7 +166,7 @@ class _SplitTable:
 
     @functools.cached_property
     def coeff(self):
-        return sampled_deriv_max(self.f, -self.m_bound, self.m_bound)
+        return _max_slope(self.f, self.m_bound)
 
     def split(self, w):
         """(g(w), h(w)) with flux(wL, wR) = g(wL) + h(wR)."""
@@ -181,13 +178,12 @@ class _SplitTable:
 
 
 class _LFFlux:
-    """Lax-Friedrichs flux with alpha = _LF_WIDEN max|f'| on [-m_bound,
-    m_bound]; f is evaluated under ``Stepper.step``'s errstate, which
-    tests the step."""
+    """Lax-Friedrichs flux with alpha = ``coeff``, ``_max_slope``; f is
+    evaluated under ``Stepper.step``'s errstate, which tests the step."""
 
     def __init__(self, f, m_bound):
         self.f = exprdsl.compile(f, finite=False)[0]
-        self.coeff = _LF_WIDEN * sampled_deriv_max(f, -m_bound, m_bound)
+        self.coeff = _max_slope(f, m_bound)
 
     def split(self, w):
         """(g(w), h(w)) with flux(wL, wR) = g(wL) + h(wR)."""
@@ -224,11 +220,12 @@ class Stepper:
     The construction is deterministic in its arguments: identical inputs
     produce bit-identical steps, which the singular-limit comparisons rely
     on.  ``m_bound`` fixes the invariant region the flux tables and the LF
-    dissipation are sized for.  Its default, ``reachable_bound``, reads no
-    eps or gamma, so a ``with_data`` family of them shares it; other specs
-    are comparable exactly only with a common value.  The lateral solve's
+    dissipation are sized for.  Its default, B(T) = ``problem.sup_bound``
+    with unit kick mass, the region the march never leaves, reads no eps
+    or gamma, so a ``with_data`` family of them shares it; other specs are
+    comparable exactly only with a common value.  The lateral solve's
     inverse, the flux tables and ``kick_slope`` are each built on first
-    use, so a Stepper given its dt samples nothing that only sizing dt
+    use, so a Stepper given its dt encloses nothing that only sizing dt
     reads, and one that never steps builds no inverse; so is ``thetas``,
     the kick masses ``kick`` and ``verify`` read.  It steps with the
     spec's eps and gamma; the ``eps`` and ``gamma`` keywords that override
@@ -245,18 +242,21 @@ class Stepper:
         self.eps = spec.epsilon if eps is None else eps
         self.gamma = spec.gamma if gamma is None else gamma
         if m_bound is None:
-            m_bound = reachable_bound(spec)
+            m_bound = sup_bound(spec, None, 1.0)
         self.m_bound = m_bound
         self.xc, self.sc = grid.cell_centers()
         self._kind = (_SplitTable if self.options.flux_kind == ENGQUIST_OSHER
                       else _LFFlux)
         # the _cfl term that set dt; None when the caller fixed dt
         self.dt_term = None
+        # a caller's dt is some march's T / n_steps, up to rounding; the
+        # monotone step is a bound that no rounded step count may exceed
+        slack = 1e-12
         if dt is None:
-            dt = self._cfl()
+            dt, slack = self._cfl(), 0.0
         # a jump time inside (0, T) gets a level strictly between 0 and T
         inner_tau = 0 < spec.tau < spec.T
-        n_steps = max(2 if inner_tau else 1, math.ceil(spec.T / dt - 1e-12))
+        n_steps = max(2 if inner_tau else 1, math.ceil(spec.T / dt - slack))
         self.dt = spec.T / n_steps
         self.n_steps = n_steps
         # the first level at or after tau, where the gamma = 0 kick lands

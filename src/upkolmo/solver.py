@@ -24,14 +24,13 @@ comparisons exploit: before the kernel's support the kicks are 0 in
 both, and a support [tau - gamma, tau] inside one step kicks with theta
 = 1 exactly, as the impulse does.
 
-If the running sup-norm escapes the invariant region the step was sized
-for, the march restarts once.  The new region is the larger of twice the
-old one or the escaping sup, and ``scheme.reachable_bound``, the bound
-the monotone scheme never leaves.  ``meta["restart"]`` records the old
-region ``m_bound``, the escaping ``sup`` and its time ``t`` (None without
-a restart).  An escape beyond that bound, which no region sized from the
-spec can hold, or a second escape raises ``CflViolationError``.  The
-wall seconds in ``meta`` are summed over a restart (see ``io``).
+The invariant region the step is sized for is a caller's ``m_bound``, or
+B(T) = ``problem.sup_bound`` with unit kick mass, which the monotone march
+never leaves (derived in ``verify``), its norms enclosed; a region below
+B(T) is refused, as the march could leave it.  A sup-norm beyond
+the region by more than ``problem.SUP_SLACK``, the max-principle row's own
+roundoff, can only be a fault of the program: the march aborts with
+``scheme.SupNormExceeded``.
 """
 
 from __future__ import annotations
@@ -41,15 +40,11 @@ import time
 import numpy as np
 
 from . import exprdsl
-from .problem import Field, Trajectory, min_kick_slope
-from .scheme import (LATERAL_DIFFUSION, SOURCE_STEP, Stepper,
-                     SupNormExceeded, reachable_bound)
+from .problem import (SUP_SLACK, Field, Trajectory, min_kick_slope,
+                      snapshot_levels, sup_bound)
+from .scheme import LATERAL_DIFFUSION, SOURCE_STEP, Stepper, SupNormExceeded
 
-__all__ = ["solve", "CflViolationError", "GammaOutOfRangeError"]
-
-
-class CflViolationError(RuntimeError):
-    pass
+__all__ = ["solve", "GammaOutOfRangeError"]
 
 
 class GammaOutOfRangeError(ValueError):
@@ -65,31 +60,13 @@ def initial_values(spec, grid):
 
 
 def _march(spec, grid, options, dt, m_bound):
-    restart = None
-    setup_s = march_s = 0.0
-    while True:
-        start = time.perf_counter()
-        stepper = Stepper(spec, grid, options=options, m_bound=m_bound, dt=dt)
-        built = time.perf_counter()
-        setup_s += built - start
-        try:
-            traj = _march_once(spec, grid, stepper)
-        except SupNormExceeded as exc:
-            march_s += time.perf_counter() - built
-            reach = reachable_bound(spec)
-            if restart is not None or exc.sup > reach:
-                raise CflViolationError(
-                    f"{exc}, beyond {reach:.6g}, the bound the monotone "
-                    "scheme keeps for data within their sampled norms"
-                ) from exc
-            restart = {"m_bound": stepper.m_bound, "sup": exc.sup,
-                       "t": exc.t}
-            m_bound = max(2.0 * max(stepper.m_bound, exc.sup), reach)
-            dt = None  # re-derive the step for the enlarged region
-            continue
-        traj.meta.update(restart=restart, setup_s=setup_s,
-                         march_s=march_s + time.perf_counter() - built)
-        return traj
+    start = time.perf_counter()
+    stepper = Stepper(spec, grid, options=options, m_bound=m_bound, dt=dt)
+    built = time.perf_counter()
+    traj = _march_once(spec, grid, stepper)
+    traj.meta.update(setup_s=built - start,
+                     march_s=time.perf_counter() - built)
+    return traj
 
 
 def _march_once(spec, grid, stepper):
@@ -115,16 +92,12 @@ def _march_once(spec, grid, stepper):
     u = initial_values(spec, grid)
     traj.append(0, Field(u.copy(), grid, 0.0))
 
-    snap_at = set(range(0, n_steps + 1, stepper.options.snapshot_stride))
-    snap_at.add(n_steps)
-    if n_tau is not None:
-        snap_at.add(n_tau)
-        snap_at.add(n_tau + 1)
-
+    snap_at = set(snapshot_levels(n_steps, stepper.options.snapshot_stride,
+                                  n_tau))
     for n in range(n_steps):
         u = stepper.kick(stepper.step(u, n), n)
         sup = float(np.max(np.abs(u)))
-        if sup > stepper.m_bound:
+        if sup > stepper.m_bound + SUP_SLACK:
             raise SupNormExceeded(sup, stepper.m_bound, (n + 1) * dt)
         if n + 1 in snap_at:
             traj.append(n + 1, Field(u.copy(), grid, (n + 1) * dt))
@@ -159,4 +132,8 @@ def solve(spec, grid, options=None, dt=None, m_bound=None):
             f"delay width must lie in (0, gamma0/2] = (0, {spec.gamma0 / 2.0}]"
             f" for a delayed source; got {spec.gamma} (gamma = 0 at eps = 0 "
             "is the instantaneous jump)")
+    if m_bound is not None and m_bound < sup_bound(spec, None, 1.0):
+        raise ValueError(
+            f"m_bound = {m_bound} lies below B(T) = "
+            f"{sup_bound(spec, None, 1.0)}, the region the march can reach")
     return _march(spec, grid, options, dt, m_bound)

@@ -22,19 +22,22 @@ Notes on three deliberately discrete constructions:
   x-ghosts being 0.  The kick H(v) = v + theta_n beta(v) maps [-R, R]
   into [-R - theta_n sup|beta|, R + theta_n sup|beta|] and, if it is
   nondecreasing on [-b1, b1], into [-max(R, b1), max(R, b1)], as beta = 0
-  for |lambda| >= b1; so |u^{n+1}| <= B(t_{n+1}).  sup|beta| is sampled
-  over |lambda| <= max(D(0, T), b1) + 1, which holds every R, and
-  ``problem.consistency_errors`` refuses a beta sampled nonzero at
-  |lambda| >= b1.  At gamma = 0 m_n is 0 before the jump's level and 1
-  from it on: the impulsive M2 and M3.  The paper's continuum bounds M
+  for |lambda| >= b1; so |u^{n+1}| <= B(t_{n+1}).  D and sup|beta| are
+  enclosures (``exprdsl.sup``), sup|beta| over |lambda| <= max(D(0, T),
+  b1) + 1, which holds every R, and ``problem.consistency_errors``
+  refuses a beta whose enclosure on b1 <= |lambda| <= that is not 0 to
+  1e-12.  So B bounds the march up to its roundoff, and the row's slack
+  is ``problem.SUP_SLACK``, beyond which the march itself aborts.  At
+  gamma = 0 m_n is 0 before the jump's level and 1 from it on: the
+  impulsive M2 and M3.  The paper's continuum bounds M
   and M7 are never below B on the scenarios of the tests but the
   zero-data one, whose run is exactly 0; no check reads them.  Every kick
   starts at some t_n < tau, as theta_n = 0 from tau on, so |v| <= B(tau)
   with unit mass, or with none at gamma = 0, where the one kick is the
   first; the min binds at a kick only if B(tau) with unit mass reaches
-  b1, D and m being nondecreasing.  ``problem.min_kick_slope`` samples d
-  beta / d lambda over both ranges, and the kick is nondecreasing where
-  1 + theta_n times it is >= 0.
+  b1, D and m being nondecreasing.  ``problem.min_kick_slope`` encloses
+  d beta / d lambda from below over both ranges, and the kick is
+  nondecreasing where 1 + theta_n times it is >= 0.
 
 * The entropy residual is the largest, over every step, cell and k, of
   the cell inequality of the monotone update.  Each cell term is
@@ -123,8 +126,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprdsl
-from .problem import (NORM_INFLATION, GridMismatchError, min_kick_slope,
-                      stability_rhs, sup_bound)
+from .problem import SUP_SLACK, GridMismatchError, stability_rhs, sup_bound
 # bench/run.py traces these names where `verify` binds them
 from .problem import refined_max_bound, stability_rhs_impulsive  # noqa: F401
 from .scheme import NaNDetectedError, Stepper
@@ -217,7 +219,7 @@ def _bound_curves(stepper, traj):
     kick masses ``thetas`` of the run's rebuilt ``stepper`` to its level."""
     masses = np.concatenate(([0.0], np.cumsum(stepper.thetas)))[traj.levels]
     return tuple(map(float, sup_bound(stepper.spec, np.maximum(
-        traj.times, 1e-9), masses, inflate=NORM_INFLATION)))
+        traj.times, 1e-9), masses)))
 
 
 def _inf_unless_finite(value):
@@ -251,7 +253,7 @@ def check_max_principle(traj, stepper):
     sups = {i: _inf_unless_finite(fld.sup_norm())
             for i, (t, fld) in enumerate(zip(traj.times, traj.fields))
             if t > 0.0}
-    slack = 1e-10
+    slack = SUP_SLACK
     i = max(sups, default=None, key=lambda i: (
         (sups[i] - slack) / bounds[i] if bounds[i] > 0.0
         else np.inf if sups[i] > slack else -np.inf))
@@ -512,29 +514,29 @@ def check_bln(traj, spec, k_values):
 
 def check_jump(traj, stepper):
     """The impulse jump condition u(tau+) = u(tau-) + beta(x, s, u(tau-)),
-    cell by cell to 1e-14, the post-jump sup-norm against M3 =
-    ``problem.sup_bound`` at tau+ with unit kick mass, and the jump map's
-    least slope ``min_jump_weight``, 1 + ``problem.min_kick_slope`` as in
+    cell by cell to 1e-14, the post-jump sup-norm against M3, the snapshot's
+    bound of ``_bound_curves`` (unit kick mass), and the jump map's least
+    slope ``min_jump_weight``, 1 + ``stepper.kick_slope`` as in
     ``solver.solve``.  u(tau+) is the stored snapshot at level n_tau, and
     u(tau-) the v ``_pre_kick`` replays up to it from the last stored
-    snapshot below it with ``stepper``, the run's ``rebuild``.  The
-    measured value is the largest of the pointwise and post-jump ratios and
-    1 - min_jump_weight, so the row fails where the map decreases and the
-    impulsive march is not monotone; a replay that cannot form v measures
-    inf.
+    snapshot below it with ``stepper``, the run's ``rebuild``, whose
+    ``beta_fn`` the jump reads.  The measured value is the largest of the
+    pointwise and post-jump ratios and 1 - min_jump_weight, so the row fails
+    where the map decreases and the impulsive march is not monotone; a
+    replay that cannot form v measures inf.
     """
     spec, n_tau, levels = stepper.spec, stepper.n_tau, traj.levels
     i = levels.index(n_tau)  # stored by the march, required by ``io``
     up = traj.fields[i]
     um = _pre_kick(stepper, traj.fields[i - 1].values, levels[i - 1], n_tau)
     jump = up.values - um
-    if spec.beta is not None:
-        xc, sc = traj.grid.cell_centers()
-        jump = jump - exprdsl.evaluate(spec.beta, {
-            "x": xc[:, None], "s": sc[None, :], "lambda": um})
+    if stepper.beta_fn is not None:
+        jump = jump - stepper.beta_fn({"x": stepper.xc[:, None],
+                                       "s": stepper.sc[None, :],
+                                       "lambda": um})
     pointwise = _inf_unless_finite(float(np.max(np.abs(jump))))
-    m3 = sup_bound(spec, traj.times[i], 1.0, inflate=NORM_INFLATION)
-    min_weight = 1.0 + min_kick_slope(spec, 0.0)
+    m3 = _bound_curves(stepper, traj)[i]
+    min_weight = 1.0 + stepper.kick_slope
     post_sup = up.sup_norm()
     measured = max(pointwise / 1e-14, post_sup / max(m3, 1e-300),
                    1.0 - min_weight)

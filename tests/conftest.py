@@ -3,7 +3,8 @@
 import pytest
 
 from upkolmo import solver, verify
-from upkolmo.scheme import SchemeOptions, Stepper, reachable_bound
+from upkolmo.problem import sup_bound
+from upkolmo.scheme import SchemeOptions, Stepper
 from scenarios import (box_grid, nosource_spec, perturbed_spec, shock_spec,
                        source_spec, unattainable_spec, unit_grid)
 
@@ -37,7 +38,7 @@ def stability_family(grid64):
     base = source_spec()
     specs = {0.0: base, 0.1: perturbed_spec(base, 0.1),
              0.01: perturbed_spec(base, 0.01)}
-    m_common = max(reachable_bound(s) for s in specs.values())
+    m_common = max(sup_bound(s, None, 1.0) for s in specs.values())
     dt = min(Stepper(s, grid64, m_bound=m_common).dt for s in specs.values())
     trajs = {d: solver.solve(s, grid64, dt=dt, m_bound=m_common)
              for d, s in specs.items()}
@@ -49,7 +50,7 @@ def contraction_family(grid64):
     """Zero-source runs with equal boundary data and perturbed initial data."""
     base = nosource_spec()
     pert = perturbed_spec(base, 0.1)
-    m_common = reachable_bound(pert)
+    m_common = sup_bound(pert, None, 1.0)
     dt = min(Stepper(s, grid64, m_bound=m_common).dt for s in (base, pert))
     t1 = solver.solve(base, grid64, dt=dt, m_bound=m_common)
     t2 = solver.solve(pert, grid64, dt=dt, m_bound=m_common)

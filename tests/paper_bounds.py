@@ -12,8 +12,8 @@ import functools
 import numpy as np
 
 from upkolmo import kernels
-from upkolmo.problem import (NORM_INFLATION, ZeroInitialDataError,
-                             data_sup_norms, refined_max_bound)
+from upkolmo.problem import (ZeroInitialDataError, data_sup_norms,
+                             refined_max_bound)
 
 
 def max_principle_bound(t_prime, b1g, b2g, dnorm):
@@ -43,16 +43,15 @@ def max_principle_bound(t_prime, b1g, b2g, dnorm):
 
 def paper_bound(spec, traj):
     """min(M, M7) at each snapshot of a delayed-source run: the growth
-    constants of the run's own gamma, the data norms over (0, t) inflated
-    as ``verify`` inflates them, and M7 where it is defined."""
+    constants of the run's own gamma, the data norms over (0, t) enclosed
+    as ``verify`` encloses them, and M7 where it is defined."""
     times = np.maximum(traj.times, 1e-9)
     dnorms = functools.reduce(np.maximum, data_sup_norms(
-        spec, (0.0, times), inflate=NORM_INFLATION).values())
+        spec, (0.0, times)).values())
     b1g, b2g = kernels.source_growth_constants(
         spec.beta, traj.meta["gamma"], L=spec.L, S=spec.S, b1=spec.b1)
     bound = max_principle_bound(times, b1g, b2g, dnorms)
     try:
-        return np.minimum(bound, refined_max_bound(spec, times,
-                                                   inflate=NORM_INFLATION))
+        return np.minimum(bound, refined_max_bound(spec, times))
     except ZeroInitialDataError:
         return bound

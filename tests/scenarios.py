@@ -88,9 +88,9 @@ def shock_spec(L=16.0):
     The inflow state 1 at s=0 sustains the jump, which travels at speed
     1/2.  The lateral diffusion against the zero x-walls pulls the rows
     toward 0 by less the farther they lie from the walls.  With L = 16 the
-    lateral solves of a 64x64 run (111 steps) take 1.2e-7 from a centre
-    row of ones (6.9e-7 in 56 steps at 32x32) and 0.72-0.86 from the wall
-    rows; on the unit box they take more than 0.9997 from every row.  So
+    lateral solves of a 64x64 run (72 steps) take 1.7e-7 from a centre
+    row of ones (9.7e-7 in 36 steps at 32x32) and 0.72-0.86 from the wall
+    rows; on the unit box they take more than 0.9996 from every row.  So
     at the centre rows, where the checks score, the wide box stands in for
     the inviscid problem.
     """

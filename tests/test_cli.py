@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from upkolmo import cli, kernels, problem, verify
+from upkolmo import cli, exprdsl, kernels, problem, scheme, verify
 from upkolmo import io as upk_io
 from upkolmo.problem import Field
 from upkolmo.scheme import SchemeOptions
@@ -81,7 +81,7 @@ def test_run_and_verify_succeed(run_dir):
     meta = json.loads((traj / "meta.json").read_text())
     assert meta["lateral_diffusion"] == "backward_euler"
     assert meta["source"] == "kick"
-    assert meta["restart"] is None
+    assert "restart" not in meta
 
 
 def test_run_prints_and_stores_its_step_and_wall_times(tmp_path, capsys):
@@ -372,6 +372,24 @@ def test_verify_of_a_missing_trajectory_exits_1(run_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("restart", [None, {"m_bound": 1.9}])
+def test_verify_refuses_a_run_marched_with_sampled_bounds(run_dir, capsys,
+                                                         restart):
+    # every such run holds a restart key, null where it did not restart:
+    # its Lax-Friedrichs alpha was 1.05 max|f'| on a wider region, so the
+    # rebuilt stepper would replay it with another operator
+    cfg, traj = run_dir
+    meta = json.loads((traj / "meta.json").read_text())
+    meta["restart"] = restart
+    (traj / "meta.json").write_text(json.dumps(meta))
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    assert capsys.readouterr().err == (
+        "error: meta.json: a restart key marks a run marched with sampled "
+        "bounds, on a wider region and dissipation than this version "
+        "rebuilds\n")
+    assert not (traj / "reports.csv").exists()
+
+
 def test_verify_of_an_unreadable_trajectory_exits_1(run_dir, capsys):
     cfg, traj = run_dir
     meta = json.loads((traj / "meta.json").read_text())
@@ -417,17 +435,20 @@ def test_verify_of_a_meta_json_with_a_bad_option_value_exits_1(
 def test_verify_of_a_meta_json_whose_dt_is_not_the_runs_exits_1(run_dir,
                                                                 capsys):
     # the checks re-derive each kick mass and step from dt: one that the
-    # stored levels do not fit is refused, not certified
+    # stored times are not multiples of, or that puts them at other levels
+    # than the march's, is refused, not certified
     cfg, traj = run_dir
     meta = json.loads((traj / "meta.json").read_text())
-    meta["dt"] = 0.5
-    (traj / "meta.json").write_text(json.dumps(meta))
-    capsys.readouterr()
-    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
-    n = meta["n_steps"]
-    assert capsys.readouterr().err == (
-        f"error: {traj}: n_steps * dt = {n * 0.5!r} in meta.json is not the "
-        "last snapshot time 1.0\n")
+    times = [float(t) for t, _, _ in _index_rows(traj)]
+    for dt, err in ((0.5, f"snapshot time {times[1]!r} is not a multiple of "
+                           "dt = 0.5 in meta.json"),
+                    (meta["dt"] / 2, "snapshot 1 of index.csv is at level 8, "
+                                     "not at the march's level 4")):
+        meta["dt"] = dt
+        (traj / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+        assert capsys.readouterr().err == f"error: {traj}: {err}\n"
     assert not (traj / "reports.csv").exists()
 
 
@@ -535,8 +556,10 @@ def test_verify_of_a_trajectory_with_empty_meta_json_exits_1(run_dir,
     assert not (traj / "reports.csv").exists()
 
 
-def _impulsive_dir(tmp_path):
+def _impulsive_dir(tmp_path, stride=4):
     cfg = _config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(
+        "snapshot_stride = 4", f"snapshot_stride = {stride}"))
     traj = tmp_path / "impulsive"
     argv = ["run", str(cfg), "--mode", "impulsive", "--out", str(traj)]
     assert cli.main(argv) == 0
@@ -596,11 +619,11 @@ def test_verify_refuses_an_impulsive_run_hashed_as_its_config(tmp_path,
 @pytest.mark.parametrize("key", ["n_tau", "n_steps"])
 def test_verify_of_a_meta_the_rebuilt_stepper_did_not_march_exits_1(
         tmp_path, capsys, key):
-    # an impulsive run's n_tau + 1 is a stored level, so the directory
-    # loads, and a replay kicking there measured 4.5e13 on the 64^2
-    # benchmark run; a run cut after its first snapshots is consistent
-    # with a shorter n_steps
-    cfg, traj = _impulsive_dir(tmp_path)
+    # at stride 1 every level is stored, so a directory whose meta names
+    # the next n_tau loads, and a replay kicking there measured 4.5e13 on
+    # the 64^2 benchmark run; a run cut after its first snapshots is
+    # consistent with a shorter n_steps
+    cfg, traj = _impulsive_dir(tmp_path, stride=1 if key == "n_tau" else 4)
     if key == "n_steps":
         traj = tmp_path / "entropy"
         assert cli.main(["run", str(cfg), "--out", str(traj)]) == 0
@@ -667,8 +690,41 @@ def test_verify_of_an_impulsive_run_without_jump_fields_exits_1(tmp_path,
     argv = ["verify", str(cfg), "--traj", str(traj)]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err == (f"error: {traj}: an impulsive run's index.csv lacks the "
-                   f"snapshot at the jump's level n_tau = {n_tau}\n")
+    i = [row.split(",")[0] for row in index[1:]].index(
+        repr(n_tau * meta["dt"]))
+    assert err == (f"error: {traj}: snapshot {i} of index.csv is at level "
+                   f"{n_tau + 1}, not at the march's level {n_tau}\n")
+    assert not (traj / "reports.csv").exists()
+
+
+@pytest.mark.parametrize("mode, stride, level", [
+    ("entropy", 1, 49), ("impulsive", 32, "n_tau + 1")])
+def test_verify_refuses_a_directory_without_a_level_the_march_stores(
+        tmp_path, capsys, mode, stride, level):
+    # the benchmark's seed-0 source problem at 32^2: a stride-1 run without
+    # its snapshot at level 49, which the entropy residual scored from
+    # level 48 against level 50, and a stride-32 impulsive run without the
+    # snapshot after the jump
+    cfg = _config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("Nx = 8", "Nx = 32").replace(
+        "Ns = 8", "Ns = 32").replace("snapshot_stride = 4",
+                                     f"snapshot_stride = {stride}"))
+    traj = tmp_path / "traj"
+    assert cli.main(["run", str(cfg), "--mode", mode, "--out", str(traj)]) == 0
+    meta = json.loads((traj / "meta.json").read_text())
+    if level == "n_tau + 1":
+        level = meta["n_tau"] + 1
+    index = (traj / "index.csv").read_text().splitlines()
+    times = [float(row.split(",")[0]) for row in index[1:]]
+    i = [round(t / meta["dt"]) for t in times].index(level)
+    (traj / "index.csv").write_text("\n".join(index[:i + 1] + index[i + 2:])
+                                    + "\n")
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    got = round(times[i + 1] / meta["dt"])
+    assert capsys.readouterr().err == (
+        f"error: {traj}: snapshot {i} of index.csv is at level {got}, not at "
+        f"the march's level {level}\n")
     assert not (traj / "reports.csv").exists()
 
 
@@ -778,16 +834,16 @@ def test_verify_refuses_a_first_snapshot_that_is_not_u0(run_dir, capsys,
         fld = upk_io.read_field(first)
         fld.values[3, 3] += 0.05
         upk_io.write_field(first, fld)
-        got = "level 0, 1 cells off u0_1"
+        want = (f"{traj} was computed with first snapshot 1 cells off u0_1, "
+                f"not from {cfg} (first snapshot 0 cells off u0_1)")
     else:
         (traj / "index.csv").write_text("\n".join(index[:1] + index[2:])
                                         + "\n")
-        got = "level 4, 56 cells off u0_1"
+        want = (f"{traj}: snapshot 0 of index.csv is at level 4, not at the "
+                "march's level 0")
     capsys.readouterr()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {traj} was computed with first snapshot {got}, not from "
-        f"{cfg} (first snapshot level 0, 0 cells off u0_1)\n")
+    assert capsys.readouterr().err == f"error: {want}\n"
     assert not (traj / "reports.csv").exists()
 
 
@@ -822,23 +878,25 @@ def test_failed_check_exits_3(run_dir):
     assert _rows(traj / "reports.csv")["max_principle"] == "false"
 
 
-def _spike(var, centre):
-    return f"max(0, 1-(({var}-{centre})/1e-6)^2)"
-
-
 @pytest.mark.parametrize("kind, cause", [
-    # f(1e308) = 1e308^2/2 overflows in the first step's flux evaluation
+    # a flux the step cannot evaluate
     ("lax_friedrichs", "non-finite value in the step from t = 0: "),
-    # the table clamps the flux, and the implicit lateral solve keeps the
-    # spike finite; it leaves the region the scheme can reach from the
-    # spec's sampled data norms, so no restart can size a region for it
+    # a state lifted past the region the step was sized for
     ("engquist_osher", "exceeded bound"),
 ])
-def test_non_finite_march_exits_2(tmp_path, capsys, kind, cause):
-    # a spike of 1e308 on one cell centre, too narrow for the sampled data
-    # norms to see
-    cfg = _config(tmp_path, u0_1=f"1e308*{_spike('x', 0.4375)}"
-                                 f"*{_spike('s', 0.4375)}")
+def test_non_finite_march_exits_2(tmp_path, capsys, monkeypatch, kind,
+                                  cause):
+    # the step is sized on enclosures of the config's expressions, so no
+    # config makes the march overflow or leave its region: a planted fault
+    # stands in for one
+    def no_flux(self, w):
+        raise exprdsl.DomainError("planted")
+
+    def lifted(self, v, n):
+        return v + 2.0 * self.m_bound
+    monkeypatch.setattr(scheme._LFFlux, "split", no_flux)
+    monkeypatch.setattr(scheme.Stepper, "kick", lifted)
+    cfg = _config(tmp_path)
     cfg.write_text(cfg.read_text().replace("engquist_osher", kind))
     traj = tmp_path / "traj"
     assert cli.main(["run", str(cfg), "--out", str(traj)]) == 2

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from upkolmo import exprdsl as E
-from genexpr import central_difference, random_bindings, random_expr, \
-    usable_point
+from genexpr import ALL_VARS, central_difference, random_bindings, \
+    random_expr, usable_point
 
 
 def ev(text, **bindings):
@@ -341,10 +341,9 @@ def test_an_overflow_that_ends_finite_evaluates_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert E.evaluate(E.parse("1/exp(lambda)"), {"lambda": 1000.0}) == 0.0
-        assert E.sample_sup(E.parse("min(exp(x), 2)"), ("x",),
-                            [(0.0, 1000.0)]) == 2.0
+        assert E.sup(E.parse("min(exp(x), 2)"), {"x": (0.0, 1000.0)}) == 2.0
     with pytest.raises(E.DomainError):
-        E.sample_sup(E.parse("exp(x)"), ("x",), [(0.0, 1000.0)])
+        E.sup(E.parse("exp(x)"), {"x": (0.0, 1000.0)})
 
 
 @pytest.mark.parametrize("text, part", [
@@ -360,7 +359,7 @@ def test_a_non_finite_dual_of_finite_bindings_raises(text, part):
                            match=f"overflow to a non-finite {part}"):
             E.eval_dual(expr, {"lambda": 1000.0}, "lambda")
         with pytest.raises(E.DomainError, match=part):
-            E.sample_sup(expr, ("lambda",), [(0.0, 1000.0)], wrt="lambda")
+            E.sup(expr, {"lambda": (0.0, 1000.0)}, wrt="lambda")
         # a non-finite binding is the caller's to refuse
         assert E.eval_dual(E.parse("exp(lambda)"), {"lambda": np.inf},
                            "lambda") == (np.inf, np.inf)
@@ -540,105 +539,129 @@ def test_a_power_error_names_its_cause(text, x, cause):
         E.eval_dual(expr, {"x": x}, "x")
 
 
-# --- blocked sampling ----------------------------------------------------------
-#
-# `sample_sup` and `sample_min` evaluate a box in blocks of at most
-# `ELEMENT_BUDGET` elements.  One evaluation over the whole box is the
-# reference: the result must match it bit for bit, NaN included, or the
-# same exception class must be raised.
+# --- enclosures -----------------------------------------------------------------
 
-BOX_NAMES = ("lambda", "x", "s", "t")
-BOX_RANGES = [(-2.0, 2.0), (-1.5, 2.5), (0.0, 1.0), (-2.0, 0.5)]
-
-
-def _whole_box(expr, names, ranges, n, wrt, reduce):
-    dims = len(ranges)
-    axes = {name: np.linspace(lo, hi, k).reshape(
-                [k if j == i else 1 for j in range(dims)])
-            for i, (name, (lo, hi), k) in enumerate(zip(names, ranges, n))}
-    vals = E.compile(expr, wrt)[0](axes)
-    if wrt is not None:
-        vals = vals[1]
-    return float(reduce(np.asarray(vals, dtype=float)))
-
-
-def _bits(fn, *args, **kwargs):
-    """A float's bits, one token for every NaN, or the exception class."""
-    try:
-        with np.errstate(all="ignore"):
-            r = fn(*args, **kwargs)
-    except (E.DomainError, E.UnboundVariableError) as exc:
-        return type(exc)
-    return "nan" if math.isnan(r) else np.float64(r).tobytes()
-
-
-def _sup_and_min(expr, names, ranges, n, wrt):
-    """(blocked, whole) outcomes of the sup of |.| and of the signed min;
-    a min of zeros may differ in the sign of zero only, so it is compared
-    as a float."""
-    def signed(fn, *args, **kwargs):
-        out = _bits(fn, *args, **kwargs)
-        return np.frombuffer(out)[0] + 0.0 if isinstance(out, bytes) else out
-
-    return ((_bits(E.sample_sup, expr, names, ranges, n=n, wrt=wrt),
-             _bits(_whole_box, expr, names, ranges, n, wrt,
-                   lambda v: np.max(np.abs(v)))),
-            (signed(E.sample_min, expr, names, ranges, n=n, wrt=wrt),
-             signed(_whole_box, expr, names, ranges, n, wrt, np.min)))
+def _points_of(lo, hi, k=4):
+    """k points per axis of the box [lo, hi], its corners included, as
+    open axes; clipped, so that no rounding puts one outside the box."""
+    u = np.linspace(0.0, 1.0, k)
+    return {name: np.clip(lo[i] * (1.0 - u) + hi[i] * u, lo[i], hi[i])
+            .reshape([k if j == i else 1 for j in range(len(ALL_VARS))])
+            for i, name in enumerate(ALL_VARS)}
 
 
 @pytest.mark.parametrize("smooth", [True, False])
-def test_blocked_sampling_equals_one_whole_box_evaluation(smooth, monkeypatch):
-    rng = np.random.default_rng(26 if smooth else 27)
-    n = (6, 5, 4, 3)
+def test_an_enclosure_holds_every_point_value_and_dual(smooth):
+    # three random boxes in one batch: wherever the enclosure does not
+    # raise, the compiled expression evaluates at every point of a box,
+    # and its value, and dual derivative, lie in the box's ranges
+    rng = np.random.default_rng(40 if smooth else 41)
     outcomes = set()
-    # an overflow to NaN at x = 2.5 alone, in the value and in the
-    # derivative, then a domain error in the first slice of s: each raises
-    planted = [E.parse(text) for text in (
-        "exp(400*x) - exp(400*x)", "max(exp(400*x) - exp(400*x), lambda)",
-        "x / s", "sqrt(x)")]
-    for expr in planted + [random_expr(rng, depth=rng.integers(1, 7),
-                                       smooth=smooth) for _ in range(150)]:
+    for _ in range(120):
+        expr = random_expr(rng, depth=rng.integers(1, 6), smooth=smooth)
+        ends = np.sort(rng.uniform(-2.0, 2.0, (2, len(ALL_VARS), 3)), axis=0)
+        box = dict(zip(ALL_VARS, zip(*ends)))
         for wrt in (None, "lambda", "x"):
-            # 1 and 7 elements cut every read axis into slices of one
-            # point; 40 into slices of a few points; 1 << 16 leaves one block
-            for budget in (1, 7, 40, 1 << 16):
-                monkeypatch.setattr(E, "ELEMENT_BUDGET", budget)
-                for got, want in _sup_and_min(expr, BOX_NAMES, BOX_RANGES, n,
-                                              wrt):
-                    assert got == want, (E.to_string(expr), wrt, budget)
-                    outcomes.add(want if want == "nan"
-                                 or isinstance(want, type) else "value")
-    # a sample of finite bindings is finite or raises, in either mode
-    assert outcomes == {"value", E.DomainError}
+            try:
+                ranges = E.enclose(expr, box, wrt)
+            except E.DomainError:
+                outcomes.add("raised")
+                continue
+            outcomes.add("enclosed")
+            fn = E.compile(expr, wrt)[0]
+            for j in range(3):
+                with np.errstate(all="ignore"):
+                    got = fn(_points_of(ends[0, :, j], ends[1, :, j]))
+                for (lo, hi), v in zip(ranges if wrt else (ranges,),
+                                       got if wrt else (got,)):
+                    lo, hi = (np.broadcast_to(e, (3,))[j] for e in (lo, hi))
+                    assert np.all((lo <= v) & (v <= hi)), (
+                        E.to_string(expr), wrt, j)
+    # a smooth expression raises only where its box reaches a zero base
+    # of a power's dual rule, as the rule does at that point
+    assert outcomes == {"enclosed", "raised"}
 
 
-def test_blocked_sampling_at_the_module_budget():
-    # 40 * 41 * 42 = 68,880 samples: more than one block of 65,536
-    rng = np.random.default_rng(28)
-    n = (40, 41, 42, 1)
-    assert math.prod(n) > E.ELEMENT_BUDGET
-    for _ in range(20):
-        expr = random_expr(rng, depth=rng.integers(2, 6), smooth=False)
-        for wrt in (None, "lambda"):
-            for got, want in _sup_and_min(expr, BOX_NAMES, BOX_RANGES, n, wrt):
-                assert got == want, E.to_string(expr)
+@pytest.mark.parametrize("text, box, error", [
+    ("1/x", {"x": (-1.0, 1.0)}, "division by zero"),
+    ("1/x", {"x": (0.0, 1.0)}, "division by zero"),
+    ("1/x", {"x": (0.5, 1.0)}, None),
+    ("x/(s - 0.5)", {"x": (0.0, 1.0), "s": (0.0, 1.0)}, "division by zero"),
+    ("x/(s - 0.5)", {"x": (0.0, 1.0), "s": (0.6, 1.0)}, None),
+    # one box of a batch is enough
+    ("x/(s - 0.5)", {"x": (0.0, 1.0), "s": (np.array([0.6, 0.2]), 1.0)},
+     "division by zero"),
+    ("sqrt(x - 2)", {"x": (0.0, 1.0)}, "sqrt of a negative"),
+    ("sqrt(x)", {"x": (0.0, 1.0)}, None),
+    ("sqrt(x - 0.25)", {"x": (0.5, 1.0)}, None),
+])
+def test_an_enclosure_raises_where_its_box_reaches_a_domain_error(
+        text, box, error):
+    # a divisor range that holds 0, or a sqrt whose argument is negative
+    # on the whole box
+    expr = E.parse(text)
+    if error is None:
+        assert np.all(np.isfinite(E.enclose(expr, box)))
+        return
+    for wrt in (None, "x"):
+        with pytest.raises(E.DomainError, match=error):
+            E.enclose(expr, box, wrt)
+        with pytest.raises(E.DomainError, match=error):
+            E.sup(expr, box, wrt)
 
 
-def test_a_variable_exponent_samples_the_same_whole_and_blocked(monkeypatch):
-    names, ranges = ("x", "lambda"), [(0.25, 2.0), (-1.0, 1.0)]
-    expr = E.parse("x^lambda")
-    whole = E.sample_sup(expr, names, ranges, n=64, wrt="lambda")
-    assert whole == _whole_box(expr, names, ranges, (64, 64), "lambda",
-                               lambda v: np.max(np.abs(v)))
-    monkeypatch.setattr(E, "ELEMENT_BUDGET", 64)
-    assert E.sample_sup(expr, names, ranges, n=64, wrt="lambda") == whole
-    # The power's rule is the exponent's, whatever a slice holds: on the
-    # slice s = 0 alone the exponent's derivative s is 0, where the rule
-    # for a constant exponent would accept the base s = 0
+@pytest.mark.parametrize("text, box, want", [
+    ("sqrt(x)", (-1e-300, 1.0), 1.0),
+    ("sqrt(x - 0.25)", (0.0, 1.0), 0.75 ** 0.5),
+    ("x^1.5", (-1.0, 1.0), 1.0),
+])
+def test_an_enclosed_root_holds_the_values_where_it_is_defined(
+        text, box, want):
+    # the part of the argument's range at or above 0: a box that reaches a
+    # negative argument holds points that raise, so sup raises there, as
+    # its point value at the lower corner does
+    expr = E.parse(text)
+    lo, hi = E.enclose(expr, {"x": box})
+    assert lo == 0.0 and want <= hi <= want * (1 + 1e-15)
+    with pytest.raises(E.DomainError, match="negative"):
+        E.sup(expr, {"x": box})
+
+
+@pytest.mark.parametrize("text, box, want", [
+    # outward rounding takes x*x and x^2 past 1 at x = 1, and x - x^2 is
+    # enclosed as x - x*x on a part, below 0 near x = 0: each argument's
+    # range reaches below 0 on a part at a domain edge, where no point is
+    # negative
+    ("sqrt(1 - x*x)", (0.0, 1.0), 1.0),
+    ("sqrt(1 - x^2)", (0.0, 1.0), 1.0),
+    ("sqrt(x - x^2)", (0.0, 1.0), 0.5),
+    ("sqrt(x - x^2)", (0.0, 1 / 16), (1 / 16 - 1 / 256) ** 0.5),
+    ("(1 - x*x)^0.5", (0.0, 1.0), 1.0),
+])
+def test_a_root_that_reaches_its_domain_edge_is_enclosed(text, box, want):
+    expr = E.parse(text)
+    assert want <= E.sup(expr, {"x": box}) <= want * (1 + 1e-3)
+
+
+def test_a_pole_between_the_points_raises_after_the_cuts():
+    # 1/3 lies on no cut of (0, 1): the parts around it are cut until they
+    # are too small or the budget ends, and still reach the pole
+    with pytest.raises(E.DomainError, match="division by zero"):
+        E.sup(E.parse("1/(3*x - 1)"), {"x": (0.0, 1.0)})
+    # x - x*x + 1e-6 is enclosed below 0 on the parts next to x = 0 and
+    # x = 1 of the first cut, by the dependency of x and x*x, and above 0
+    # on the finer parts they are cut into
+    got = E.sup(E.parse("1/(x - x*x + 1e-6)"), {"x": (0.0, 1.0)})
+    assert 1e6 <= got <= 1e6 * (1 + 1e-3)
+
+
+def test_the_enclosed_power_takes_the_rule_of_its_exponent():
+    # s^(lambda s) reads the seed in its exponent: on the slice s = 0 its
+    # value is 1, and its rule needs a positive base there, where the
+    # exponent's derivative s is 0 and the rule of a constant exponent
+    # would accept the base
     expr = E.parse("s^(lambda*s)")
-    for budget in (1 << 16, 8):
-        monkeypatch.setattr(E, "ELEMENT_BUDGET", budget)
-        with pytest.raises(E.DomainError, match="positive base"):
-            E.sample_sup(expr, ("s", "lambda"), [(0.0, 1.0), (-1.0, 1.0)],
-                         n=(9, 8), wrt="lambda")
+    box = {"s": (0.0, 0.0), "lambda": (-1.0, 1.0)}
+    assert E.sup(expr, box) == pytest.approx(1.0, rel=1e-14)
+    with pytest.raises(E.DomainError, match="positive base"):
+        E.sup(expr, box, wrt="lambda")

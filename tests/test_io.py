@@ -17,13 +17,14 @@ OPTIONS = SchemeOptions(flux_kind=LAX_FRIEDRICHS, cfl_safety=0.5,
 
 
 def _trajectory():
+    # the levels the march stores at stride 3 with n_tau = 2
     grid = unit_grid(4)
     rng = np.random.default_rng(3)
     traj = Trajectory(grid=grid)
     for n in (0, 2, 3, 4):
         traj.append(n, Field(rng.random((4, 4)), grid, n * 0.125))
     traj.meta = {"mode": "impulsive", "lateral_diffusion": "backward_euler",
-                 "source": "kick", "dt": 0.125, "n_steps": 4, "n_tau": 3,
+                 "source": "kick", "dt": 0.125, "n_steps": 4, "n_tau": 2,
                  "eps": 0.0, "gamma": 0.0, "m_bound": 2.0, "options": OPTIONS,
                  "spec_hash": source_spec().context_hash()}
     return traj
@@ -230,23 +231,26 @@ def test_snapshots_out_of_level_order_are_refused(tmp_path, rows):
     _write_index(tmp_path, [lines[0], *(lines[i] for i in rows), *lines[3:]])
     with pytest.raises(upk_io.FormatError) as info:
         upk_io.read_trajectory(tmp_path)
-    assert str(info.value) == f"{tmp_path}: index.csv snapshots out of order"
+    i, got, want = (0, 2, 0) if rows == [2, 1] else (1, 0, 2)
+    assert str(info.value) == (f"{tmp_path}: snapshot {i} of index.csv is at "
+                               f"level {got}, not at the march's level {want}")
 
 
 @pytest.mark.parametrize("mode", ["impulsive", "entropy"])
-def test_only_an_impulsive_run_needs_its_jump_snapshot(tmp_path, mode):
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_every_level_the_march_stores_is_required(tmp_path, mode, level):
+    # the march stores n_tau and n_tau + 1 whenever tau lies inside (0, T),
+    # and the last level n_steps: a directory without one is refused
     traj = _trajectory()
     traj.meta["mode"] = mode
     upk_io.write_trajectory(tmp_path, traj)
     lines = (tmp_path / "index.csv").read_text().splitlines()
     _write_index(tmp_path, [row for row in lines
-                            if not row.startswith("0.375,")])
-    if mode == "entropy":
-        back = upk_io.read_trajectory(tmp_path)
-        assert (back.times, back.levels) == ([0.0, 0.25, 0.5], [0, 2, 4])
-        return
+                            if not row.startswith(f"{level * 0.125!r},")])
     with pytest.raises(upk_io.FormatError) as info:
         upk_io.read_trajectory(tmp_path)
-    assert str(info.value) == (f"{tmp_path}: an impulsive run's index.csv "
-                               "lacks the snapshot at the jump's level "
-                               "n_tau = 3")
+    i = traj.levels.index(level)
+    got = traj.levels[i + 1] if level < 4 else "none"
+    assert str(info.value) == (f"{tmp_path}: snapshot {i} of index.csv is at "
+                               f"level {got}, not at the march's level "
+                               f"{level}")

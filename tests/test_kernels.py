@@ -165,7 +165,7 @@ class TestGrowthConstants:
 
     def test_sampled_b0_formula(self):
         # d beta / d lambda = 2 everywhere and beta(., ., 0) = 0, so the
-        # sampled b0 is exactly 2 and only it enters b1g
+        # enclosed b0 is 2 and only it enters b1g
         beta = E.parse("2*lambda")
         b1g, b2g = kernels.source_growth_constants(beta, 0.1, L=1, S=1,
                                                    b1=1.0)
@@ -179,8 +179,8 @@ class TestGrowthConstants:
         assert est == pytest.approx(0.3, abs=1e-4)
 
     def test_b0_sampling_peaks_below_4_mib(self):
-        # 64 x 64 x 256 samples, formed in blocks of ELEMENT_BUDGET; at
-        # once they peaked at 24 MiB
+        # at most 8,192 parts of the slab, each node on the axes it reads;
+        # 64 x 64 x 256 samples at once peaked at 24 MiB
         spec = source_spec()
         tracemalloc.start()
         try:
@@ -203,7 +203,9 @@ class TestGrowthConstants:
         assert again is first
         info = kernels.estimate_dbeta_sup.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        assert kernels.estimate_dbeta_sup(beta, 1.0, 1.0, 1.0) != first
+        # another slab is another key
+        kernels.estimate_dbeta_sup(beta, 1.0, 1.0, 1.0)
+        assert kernels.estimate_dbeta_sup.cache_info().misses == 2
 
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(kernels.NonPositiveGammaError):

@@ -7,9 +7,11 @@ import pytest
 from upkolmo import exprdsl as E
 from upkolmo import kernels
 from upkolmo import problem as P
+from upkolmo import solver
 from upkolmo.scheme import Stepper
 from paper_bounds import max_principle_bound
-from scenarios import (BETA_TEXT, LCUT, SBUMP, XBUMP, flat_cut,
+from samplers import sample_max, slab
+from scenarios import (BETA_TEXT, LCUT, SBUMP, U01_TEXT, XBUMP, flat_cut,
                        nosource_spec, perturbed_spec, saturated_spec,
                        source_spec, unit_grid, zero_spec)
 
@@ -277,7 +279,7 @@ class TestStabilityRhs:
 
     def test_b0_is_sampled_only_where_it_weighs_a_term(self, monkeypatch):
         # with equal initial data, no inflow and equal betas every term is
-        # 0 whatever b0 is, so b0 is not sampled; any one of the three
+        # 0 whatever b0 is, so b0 is not enclosed; any one of the three
         # makes it count
         sampled = []
         real = kernels.estimate_dbeta_sup
@@ -320,7 +322,7 @@ class TestStabilityRhsImpulsive:
         pre = P.stability_rhs(spec, spec, levels, 0.1, inflow, np.zeros(n))
         got = P.stability_rhs(spec, other, levels, 0.1, inflow, thetas)
         b0 = kernels.estimate_dbeta_sup(spec.beta, spec.L, spec.S, spec.b1)
-        dbeta = 0.3 * P.slab_sup(spec, spec.beta, spec.b1 + 1.0)
+        dbeta = 0.3 * sample_max(spec.beta, slab(spec, spec.b1 + 1.0), n=64)
         for n, g, p in zip(levels, got, pre):
             if n < stepper.n_tau:
                 assert g == p
@@ -330,14 +332,14 @@ class TestStabilityRhsImpulsive:
         assert {n < stepper.n_tau for n in levels} == {True, False}
 
 
-def _impulsive_bounds_reference(spec, inflate=1.0):
+def _impulsive_bounds_reference(spec):
     """The impulsive problem's bounds as first written: M2 the data norm
     over (0, tau), M3 = max(M2 + sup|beta| over |lambda| <= M2, the data
-    norms over (tau, T))."""
-    m2 = max(P.data_sup_norms(spec, (0.0, spec.tau), inflate=inflate).values())
-    post = P.data_sup_norms(spec, (spec.tau, spec.T), inflate=inflate)
-    m3 = max(m2 + P.slab_sup(spec, spec.beta, m2) * inflate,
-             post["u0_2"], post["uS_2"])
+    norms over (tau, T)), every norm enclosed."""
+    m2 = max(P.data_sup_norms(spec, (0.0, spec.tau)).values())
+    post = P.data_sup_norms(spec, (spec.tau, spec.T))
+    m3 = max(m2 + E.sup(spec.beta, slab(spec, m2)), post["u0_2"],
+             post["uS_2"])
     return m2, m3
 
 
@@ -346,9 +348,9 @@ class TestImpulsiveBounds:
     jump and 1 after it."""
 
     @staticmethod
-    def _m2_m3(spec, inflate=1.0):
-        return (P.sup_bound(spec, spec.tau, 0.0, inflate=inflate),
-                P.sup_bound(spec, spec.tau, 1.0, inflate=inflate))
+    def _m2_m3(spec):
+        return (P.sup_bound(spec, spec.tau, 0.0),
+                P.sup_bound(spec, spec.tau, 1.0))
 
     def test_no_perturbation(self):
         spec = const_data_spec(u01="0.5", u02="0.25", uS2="0.25")
@@ -370,16 +372,15 @@ class TestImpulsiveBounds:
         assert m3 >= 1.5
 
     def test_m3_is_m2_plus_the_kick_over_the_pre_jump_range(self):
-        # the slab is wider than |lambda| <= M2, which changes the sampled
-        # sup|beta| of the impulsive scenarios only in the fourth digit
+        # the slab is wider than |lambda| <= M2, which changes the enclosed
+        # sup|beta| of the impulsive scenarios by no more than roundoff
         for spec in (source_spec(), perturbed_spec(source_spec(), 0.05)):
-            m2, m3 = self._m2_m3(spec, inflate=P.NORM_INFLATION)
-            ref = _impulsive_bounds_reference(spec, inflate=P.NORM_INFLATION)
+            m2, m3 = self._m2_m3(spec)
+            ref = _impulsive_bounds_reference(spec)
             assert m2 == ref[0]
             assert m3 == pytest.approx(ref[1], rel=1e-3)
             radius = max(max(P.data_sup_norms(spec).values()), spec.b1) + 1
-            assert m3 == m2 + P.slab_sup(spec, spec.beta,
-                                         radius) * P.NORM_INFLATION > m2
+            assert m3 == m2 + E.sup(spec.beta, slab(spec, radius)) > m2
 
     def test_m3_dominates_m2(self):
         rng = np.random.default_rng(9)
@@ -392,14 +393,13 @@ class TestImpulsiveBounds:
             assert m3 >= m2
 
     def test_sup_beta_is_sampled_once_per_spec(self):
-        # every bound of a spec, of any window, mass or inflation, reads one
-        # sampled sup|beta|
+        # every bound of a spec, of any window or mass, reads one enclosed
+        # sup|beta|
         spec = source_spec()
         P._horizon.cache_clear()
         first = P.sup_bound(spec, spec.T, 1.0)
         times = np.array([0.25, 0.5, 1.0])
-        got = P.sup_bound(spec, times, [[0.0] * 3, [0.0, 0.5, 1.0]],
-                          inflate=P.NORM_INFLATION)
+        got = P.sup_bound(spec, times, [[0.0] * 3, [0.0, 0.5, 1.0]])
         assert got.shape == (2, 3) and got[1, -1] > got[0, -1]
         assert P.sup_bound(spec, spec.T, 1.0) == first
         info = P._horizon.cache_info()
@@ -415,8 +415,8 @@ class TestSupBoundSaturates:
     def test_data_above_b1_take_no_kick(self):
         spec = saturated_spec()
         base = max(P.data_sup_norms(spec).values())
-        beta_sup = P.slab_sup(spec, spec.beta, base + 1.0)
-        assert base > spec.b1 and base + beta_sup > 6.9
+        beta_sup = E.sup(spec.beta, slab(spec, base + 1.0))
+        assert base > spec.b1 and base + beta_sup >= 7.0
         for mass in (0.0, 0.01, 1.0):
             assert P.sup_bound(spec, None, mass) == base
 
@@ -424,7 +424,7 @@ class TestSupBoundSaturates:
         spec = source_spec().with_data(
             beta=E.parse(f"3*{XBUMP}*{SBUMP}*{flat_cut(1)}"), b1=1.0)
         base = max(P.data_sup_norms(spec).values())
-        beta_sup = P.slab_sup(spec, spec.beta, 2.0)
+        beta_sup = E.sup(spec.beta, slab(spec, 2.0))
         got = P.sup_bound(spec, None, np.array([0.0, 0.05, 1.0]))
         assert got.tolist() == [base, base + 0.05 * beta_sup, 1.0]
         assert base + beta_sup > 3.0
@@ -436,16 +436,25 @@ def test_describe_hash_stable():
     assert spec.context_hash() != source_spec(beta_amp=0.3).context_hash()
 
 
-def _sample_sup_meshgrid(expr, names, ranges, n=256, inflate=1.0):
-    """``sample_sup`` as it was before it sampled on open axes."""
+def _sample_sup_meshgrid(expr, names, ranges, n=256):
+    """max |expr| on a meshgrid of n points per axis."""
     axes = [np.linspace(lo, hi, n) for lo, hi in ranges]
     grids = np.meshgrid(*axes, indexing="ij")
     vals = E.evaluate(expr, dict(zip(names, grids)))
     vals = np.broadcast_to(np.asarray(vals, dtype=float), grids[0].shape)
-    return float(np.max(np.abs(vals))) * inflate
+    return float(np.max(np.abs(vals)))
+
+
+# how far above a dense sample a 1-D or 2-D enclosure may lie: its parts
+# are bisected until none lies more than 0.1% above the values found, and
+# the sample itself falls a little short of the sup
+NEAR = 2e-3
 
 
 class TestSampleSupOpenAxes:
+    """``exprdsl.sup`` against the meshgrid samples it replaced: no sample
+    above it, and none far below."""
+
     @pytest.mark.parametrize("text", [
         "0", "-0.7",                                  # constant
         "sin(7*x) * exp(-x)",                         # x only
@@ -456,23 +465,24 @@ class TestSampleSupOpenAxes:
     def test_matches_meshgrid_sampling(self, text):
         expr = E.parse(text)
         ranges = [(0.0, 1.0), (0.0, 0.73)]
-        for inflate in (1.0, 1.01):
-            assert (P.sample_sup(expr, ("x", "t"), ranges, inflate=inflate)
-                    == _sample_sup_meshgrid(expr, ("x", "t"), ranges,
-                                            inflate=inflate))
+        want = _sample_sup_meshgrid(expr, ("x", "t"), ranges)
+        got = E.sup(expr, dict(zip(("x", "t"), ranges)))
+        assert want <= got <= want * (1.0 + NEAR)
 
     def test_matches_meshgrid_sampling_in_three_axes(self):
+        # the bump beta's natural enclosure is exact on every part
         beta = source_spec().beta
         names = ("x", "s", "lambda")
         ranges = [(0.0, 1.0), (0.0, 1.0), (-2.5, 2.5)]
-        assert (P.sample_sup(beta, names, ranges, n=64)
-                == _sample_sup_meshgrid(beta, names, ranges, n=64))
+        want = _sample_sup_meshgrid(beta, names, ranges, n=64)
+        assert want < E.sup(beta, dict(zip(names, ranges))) == pytest.approx(
+            0.5, rel=1e-14)
 
 
-# --- the samplers `sample_sup` replaced ---------------------------------------
+# --- the samplers the enclosures replaced -------------------------------------
 #
-# Each copy below built its own grid; `sample_sup`, with one count per
-# axis and the `wrt` mode, must return the same float, bit for bit.
+# Each copy below built its own grid.  The enclosure that replaced it must
+# lie above every sample, and on 1-D and 2-D boxes within NEAR of them.
 
 def _dbeta_sup_reference(beta, L, S, b1, shape=(64, 64, 256)):
     nx, ns, nl = shape
@@ -511,21 +521,28 @@ class TestSampleSupAgainstTheSamplersItReplaced:
     @pytest.mark.parametrize("beta", BETAS, ids=E.to_string)
     @pytest.mark.parametrize("L, S, b1", [(1.0, 1.0, 2.0), (0.7, 1.3, 0.5)])
     def test_dbeta_sup(self, beta, L, S, b1):
+        # 8^3 parts, and the loose ones cut within a budget of 8,192: the
+        # product rule of exp(-lambda^2) cos(3x) - tanh(s lambda), loose
+        # along the ridge of its slope in x, lies 19% above the samples,
+        # the bench's beta 8.5%
         want = _dbeta_sup_reference(beta, L, S, b1)
-        assert kernels.estimate_dbeta_sup(beta, L, S, b1) == want
+        assert want <= kernels.estimate_dbeta_sup(beta, L, S, b1) <= 1.2 * want
 
     @pytest.mark.parametrize("beta", BETAS, ids=E.to_string)
     @pytest.mark.parametrize("L, S", [(1.0, 1.0), (0.7, 1.3)])
     def test_beta0_sup_on_a_one_point_axis(self, beta, L, S):
-        got = P.sample_sup(beta, ("x", "s", "lambda"),
-                           [(0.0, L), (0.0, S), (0.0, 0.0)], n=(256, 256, 1))
-        assert got == _beta0_sup_reference(beta, L, S)
+        # a one-point axis is not cut
+        got = E.sup(beta, {"x": (0.0, L), "s": (0.0, S), "lambda": (0.0, 0.0)})
+        want = _beta0_sup_reference(beta, L, S)
+        assert want <= got <= want * (1.0 + NEAR)
 
     def test_beta0_sup_in_the_growth_constants(self):
         beta = source_spec().beta
         b0 = kernels.estimate_dbeta_sup(beta, 1.0, 1.0, 1.0)
         omega0 = float(kernels.omega(0.0))
-        beta0 = _beta0_sup_reference(beta, 1.0, 1.0)
+        beta0 = E.sup(beta, {"x": (0.0, 1.0), "s": (0.0, 1.0),
+                             "lambda": (0.0, 0.0)})
+        assert beta0 == pytest.approx(0.5, rel=1e-14)
         assert kernels.source_growth_constants(beta, 0.1) == (
             2.0 / 0.1 * omega0 * (b0 + 0.5 * beta0),
             1.0 / 0.1 * omega0 * beta0)
@@ -536,29 +553,35 @@ class TestSampleSupAgainstTheSamplersItReplaced:
     @pytest.mark.parametrize("lo, hi", [(-1.863, 1.863), (0.0, 0.5)])
     def test_sampled_deriv_max(self, text, lo, hi):
         expr = E.parse(text)
-        assert P.sampled_deriv_max(expr, lo, hi) == \
-            _deriv_max_reference(expr, lo, hi)
+        want = _deriv_max_reference(expr, lo, hi)
+        got = E.sup(expr, {"lambda": (lo, hi)}, wrt="lambda")
+        assert want <= got <= want * (1.0 + NEAR)
 
     def test_one_count_per_axis(self):
-        # a per-axis count equal on every axis is the single count
+        # a batch of boxes gets each box's own bound, whatever axes the
+        # batch runs along, in either mode
         beta = source_spec().beta
-        ranges = [(0.0, 1.0), (0.0, 1.0), (-2.5, 2.5)]
-        names = ("x", "s", "lambda")
-        assert (P.sample_sup(beta, names, ranges, n=(64, 64, 64))
-                == P.sample_sup(beta, names, ranges, n=64))
-        for wrt in ("lambda", "x"):
-            assert (P.sample_sup(beta, names, ranges, n=(64, 64, 64), wrt=wrt)
-                    == P.sample_sup(beta, names, ranges, n=64, wrt=wrt))
+        ends = np.array([-2.5, 0.5])
+        for wrt in (None, "lambda", "x"):
+            one = [E.sup(beta, slab(source_spec(), 2.5) | {
+                "lambda": (lo, lo + 2.0)}, wrt=wrt) for lo in ends]
+            for lam in ((ends, ends + 2.0),
+                        (ends[:, None], ends[:, None] + 2.0)):
+                got = E.sup(beta, slab(source_spec(), 2.5) | {"lambda": lam},
+                            wrt=wrt)
+                assert np.ravel(got).tolist() == one
 
     def test_slab_sup_of_no_perturbation_is_zero(self):
-        assert P.slab_sup(source_spec(), None, 2.0) == 0.0
+        spec = source_spec().with_data(beta=None)
+        assert P._horizon(spec)[1:] == (0.0, 0.0)
+        assert P.sup_bound(spec, None, 1.0) == P._horizon(spec)[0]
 
 
 class TestJumpSlopeSampling:
     def _reference(self, spec, n=64):
         """The jump map's slope, sampled in one evaluation of the box: over
         |lambda| <= M2, and <= b1 too where M3 reaches b1 and saturates."""
-        m2, m3 = _impulsive_bounds_reference(spec, P.NORM_INFLATION)
+        m2, m3 = _impulsive_bounds_reference(spec)
         radius = max(m2, spec.b1) if m3 >= spec.b1 else m2
         axes = {"x": np.linspace(0.0, spec.L, n)[:, None, None],
                 "s": np.linspace(0.0, spec.S, n)[None, :, None],
@@ -580,14 +603,16 @@ class TestJumpSlopeSampling:
         None, "-1.5*lambda*(max(0, 1-((x-0.5)/0.35)^2))^2",
         "0.3*sin(4*lambda)*s - x", "0.7"])
     def test_min_slope_matches_one_evaluation(self, text):
+        # the enclosure lies below every sampled slope, and within 2e-3 of
+        # them: the parts are cut until each lies within 0.1% of the
+        # slopes found, or the budget ends
         spec = self._spec(text)
-        assert 1 + P.min_kick_slope(spec, 0.0) == self._reference(spec)
-        assert (1 + P.min_kick_slope(spec, 0.0, n=70)
-                == self._reference(spec, n=70))
+        weight, want = 1 + P.min_kick_slope(spec, 0.0), self._reference(spec)
+        assert want - 2e-3 <= weight <= want
 
     def test_peaks_below_4_mib(self):
-        # 64^3 samples and the data norms' own sampling; the one evaluation
-        # of the box peaked at 6.2 MiB
+        # at most 8,192 parts of the slab, each node on the axes it reads;
+        # 64^3 samples in one evaluation of the box peaked at 6.2 MiB
         spec = source_spec()
         tracemalloc.start()
         try:
@@ -598,13 +623,92 @@ class TestJumpSlopeSampling:
         assert peak < 4 * 2 ** 20
 
     @pytest.mark.parametrize("text, pinned", [
-        (None, "0x1.5348278621e51p-1"),
+        (None, "0x1.53ad13af95a9cp-1"),
         ("-1.5*lambda*(max(0, 1-((x-0.5)/0.35)^2))^2",
-         "-0x1.fe6bbaaf9c808p-2"),
-        ("0.3*sin(4*lambda)*s - x", "-0x1.9967bfb22d678p-3"),
+         "-0x1.0000000000022p-1"),
+        ("0.3*sin(4*lambda)*s - x", "-0x1.99999999999d0p-3"),
         ("0.7", "0x1.0000000000000p+0")])
     def test_min_slope_is_the_recorded_one(self, text, pinned):
-        # the slopes as the radius M2 of the separate impulsive bounds gave
-        # them, bit for bit
+        # the enclosed slopes over the radius M2 of the separate impulsive
+        # bounds, as recorded, bit for bit
         spec = self._spec(text)
         assert 1 + P.min_kick_slope(spec, 0.0) == float.fromhex(pinned)
+
+
+class TestDataAtADomainEdge:
+    """Data whose sqrt argument reaches 0 at an edge of the box: a part's
+    enclosure of it reaches below 0 there, by outward rounding (1 - x*x at
+    x = 1) or the dependency of x and x^2 (x - x^2 at x = 0), and the
+    data are still enclosed, and marched."""
+
+    @pytest.mark.parametrize("root", [
+        "sqrt(1 - x*x)", "sqrt(1 - x^2)", "sqrt(x - x^2)", "(x - x*x)^0.5"])
+    def test_initial_data(self, root):
+        spec = source_spec().with_data(data_u0_1=E.parse(f"{root}*{U01_TEXT}"))
+        want = _sample_sup_meshgrid(spec.data_u0_1, ("x", "s"),
+                                    [(0.0, 1.0), (0.0, 1.0)], n=257)
+        # x - x^2 is loose on every part: the budget ends 0.4% above
+        got = P.data_sup_norms(spec)["u0_1"]
+        assert want <= got <= want * 1.005
+        assert P.consistency_errors(spec) == []
+        traj = solver.solve(spec, unit_grid(8))
+        assert traj.meta["m_bound"] == P.sup_bound(spec, None, 1.0)
+
+    def test_boundary_data_from_t_0(self):
+        # every window starts at t = 0, where t - t^2 is 0
+        text = f"sqrt(t - t^2)*{XBUMP}*{XBUMP.replace('(x-', '(t-')}"
+        spec = source_spec().with_data(data_u0_2=E.parse(text))
+        ends = np.array([0.1, 0.5, 1.0])
+        got = P.data_sup_norms(spec, (0.0, ends))["u0_2"]
+        want = [_sample_sup_meshgrid(spec.data_u0_2, ("x", "t"),
+                                     [(0.0, 1.0), (0.0, end)], n=257)
+                for end in ends]
+        assert np.all(want <= got)
+        assert np.all(got <= np.multiply(want, 1.0 + NEAR))
+        assert P.consistency_errors(spec) == []
+        solver.solve(spec, unit_grid(8))
+
+
+def _spike(var, centre):
+    """A bump 1e-3 wide at ``centre``, of height 1."""
+    return f"max(0, 1-(({var}-{centre!r})/5e-4)^2)"
+
+
+class TestSpikesBetweenSamples:
+    """A spike 1e-3 wide between the nodes the samplers read: each sampler
+    missed it, and each enclosure covers it."""
+
+    def test_a_spike_in_the_initial_data(self):
+        # between the nodes k/255 of 256 samples per axis, which read
+        # sup|u0_1| = 0.7999 and B(T) = 1.2983 here
+        c = 100.5 / 255
+        spec = source_spec().with_data(data_u0_1=E.parse(
+            f"{U01_TEXT} + 2*{_spike('x', c)}*{_spike('s', c)}"))
+        peak = float(E.evaluate(spec.data_u0_1, {"x": c, "s": c}))
+        assert peak == pytest.approx(2.545, abs=1e-3)
+        assert P.data_sup_norms(spec)["u0_1"] >= peak
+        assert P.sup_bound(spec, None, 1.0) >= peak
+
+    def test_a_spike_in_beta(self):
+        # between the nodes k/63 of the 64 x 64 samples of the slab, which
+        # read sup|beta| = 0.4984 here
+        c = 10.5 / 63
+        spec = source_spec().with_data(beta=E.parse(
+            f"{BETA_TEXT} + 2*{_spike('x', c)}*{_spike('s', c)}*{LCUT}"))
+        peak = float(E.evaluate(spec.beta, {"x": c, "s": c, "lambda": 0.0}))
+        assert peak == pytest.approx(2.0, abs=1e-3)
+        assert P._horizon(spec)[1] >= peak
+        assert P.consistency_errors(spec) == []
+
+    def test_a_spike_in_a_flux_slope(self):
+        # a + 3 (1 - z^2) on |z| < 1, z = (lambda - c)/5e-4, c midway
+        # between two of the 4,097 samples of [-2, 2], which read max|a'| =
+        # 2 here
+        c = -2 + 2600.5 * 4 / 4096
+        z = f"max(-1, min(1, (lambda-{c!r})/5e-4))"
+        flux = E.parse(f"lambda^2/2 + 3*5e-4*({z} - {z}^3/3)")
+        _, peak = E.eval_dual(flux, {"lambda": c}, "lambda")
+        assert peak == pytest.approx(3.54, abs=1e-2)
+        stepper = Stepper(source_spec().with_data(flux_a=flux), unit_grid(8),
+                          m_bound=2.0)
+        assert stepper.flux_a.coeff >= peak

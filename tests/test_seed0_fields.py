@@ -70,6 +70,6 @@ def test_fields_do_not_depend_on_the_blas_thread_count(tmp_path):
                        cwd=Path(upkolmo.__file__).parents[1])
         fields.append([f.read_bytes()
                        for f in sorted(traj.glob("field_*.upkf"))])
-    assert len(fields[0]) == 12
+    assert len(fields[0]) == 9
     assert fields[0] == fields[1]
     assert hashlib.sha256(fields[0][-1]).hexdigest() == RECORDED["source64"]

@@ -7,9 +7,10 @@ import pytest
 
 from upkolmo import exprdsl as E
 from upkolmo import solver, verify
-from upkolmo.problem import (Grid, ProblemSpec, min_kick_slope,
-                             refined_max_bound)
-from upkolmo.scheme import SchemeOptions, Stepper, reachable_bound
+from upkolmo.problem import (SUP_SLACK, Grid, ProblemSpec, min_kick_slope,
+                             refined_max_bound, sup_bound)
+from upkolmo.scheme import SchemeOptions, Stepper, SupNormExceeded
+from samplers import sample_max, slab
 from scenarios import (box_grid, nosource_spec, saturated_spec, shock_spec,
                        source_spec, unattainable_spec, unit_grid, zero_spec,
                        LCUT, SBUMP, TENT, XBUMP, flat_cut)
@@ -95,7 +96,7 @@ class TestMaxPrincipleBound:
         spec = gamma_family["spec"]
         traj = gamma_family["trajs"][0.1]
         for t, fld in zip(traj.times, traj.fields):
-            bound = refined_max_bound(spec, max(t, 1e-9), inflate=1.01)
+            bound = refined_max_bound(spec, max(t, 1e-9))
             assert fld.sup_norm() <= bound + 1e-10
 
 
@@ -117,10 +118,15 @@ def test_heat_decay_rate():
 
 class TestJumpMap:
     def test_bench_jump_map_is_accepted(self):
-        # the workload's beta: 1 + d beta/d lambda >= 0.66 on |lambda| <=
-        # 1.01 M2
+        # the workload's beta: 1 + d beta/d lambda >= 0.6634 on |lambda| <=
+        # M2, as enclosed; 64 samples per axis reach 0.663
         spec = source_spec().with_data(gamma=0.0)
-        assert 1 + min_kick_slope(spec, 0.0) == pytest.approx(0.663, abs=2e-3)
+        weight = 1 + min_kick_slope(spec, 0.0)
+        sampled = 1 - sample_max(
+            E.Neg(spec.beta), slab(spec, sup_bound(spec, spec.tau, 0.0)),
+            n=64, wrt="lambda", signed=True)
+        assert weight <= sampled == pytest.approx(0.663, abs=2e-3)
+        assert weight == pytest.approx(0.6634, abs=1e-4)
         traj = solver.solve(spec, unit_grid(8))
         assert verify.check_jump(traj, verify.rebuild(spec, traj)).passed
 
@@ -264,49 +270,62 @@ class TestDeterminismAndConsistency:
         c1, c2 = continuity_constant(t1, times), continuity_constant(t2, times)
         assert c2 <= 1.5 * c1
 
-    def test_cfl_restart_inflates_bound(self):
-        # the step sized for |u| <= 0.05 lets the sup reach 0.154 at once;
-        # doubling that would be outgrown again, so the restart takes the
-        # region the monotone scheme never leaves
+    def test_a_region_below_b_of_t_is_refused(self):
+        # the step sized for |u| <= 0.05 would let the sup reach 0.154 at
+        # once: a region below B(T) is refused, and the march defaults to
+        # B(T), which it never leaves
         spec = nosource_spec().with_data(gamma=0.0)
-        grid = unit_grid(16)
-        traj = solver.solve(spec, grid, m_bound=0.05)
-        reach = reachable_bound(spec)
-        assert traj.meta["m_bound"] == reach
+        reach = sup_bound(spec, None, 1.0)
+        with pytest.raises(ValueError, match="lies below B"):
+            solver.solve(spec, unit_grid(16), m_bound=0.05)
+        with pytest.raises(ValueError, match="lies below B"):
+            solver.solve(spec, unit_grid(16), m_bound=np.nextafter(reach, 0))
+        traj = solver.solve(spec, unit_grid(16))
+        assert traj.meta["m_bound"] == reach > 0.5
+        assert max(f.sup_norm() for f in traj.fields) > 0.154
         assert traj.fields[-1].sup_norm() <= traj.meta["m_bound"]
-        restart = traj.meta["restart"]
-        assert restart["m_bound"] == 0.05
-        assert 0.05 < restart["sup"] < reach / 2
-        assert 0 < restart["t"] < spec.T
+        for m_bound in (reach, 2.0):
+            wide = solver.solve(spec, unit_grid(16), m_bound=m_bound)
+            assert wide.meta["m_bound"] == m_bound
 
-    def test_no_restart_is_recorded_as_none(self):
+    def test_meta_holds_no_restart(self):
         traj = solver.solve(nosource_spec().with_data(gamma=0.0),
                             unit_grid(8))
-        assert traj.meta["restart"] is None
+        assert "restart" not in traj.meta
 
-    @pytest.mark.parametrize("m_bound, attempts", [(None, 1), (0.05, 2)])
-    def test_wall_times_sum_over_a_restart(self, monkeypatch, m_bound,
-                                           attempts):
-        # a clock that ticks once per reading: each attempt reads it before
-        # and after building its stepper and once after marching
+    def test_wall_times_are_one_stepper_and_one_march(self, monkeypatch):
+        # a clock that ticks once per reading: it is read before and after
+        # building the stepper and once after marching
         monkeypatch.setattr(solver.time, "perf_counter",
                             functools.partial(next, itertools.count()))
         traj = solver.solve(nosource_spec().with_data(gamma=0.0),
-                            unit_grid(16), m_bound=m_bound)
-        assert (traj.meta["restart"] is None) == (attempts == 1)
-        assert traj.meta["setup_s"] == traj.meta["march_s"] == attempts
+                            unit_grid(16))
+        assert traj.meta["setup_s"] == traj.meta["march_s"] == 1
 
-    def test_escape_beyond_the_reachable_region_is_not_restarted(self):
-        # a spike of 1000 on one cell centre, too narrow for the sampled
-        # data norms: the spec's region is 0.5, and the first step, which
-        # spreads the spike along x, leaves about 2 behind
-        spike = ("1000*max(0, 1-((x-0.46875)/1e-6)^2)"
-                 "*max(0, 1-((s-0.46875)/1e-6)^2)")
-        spec = nosource_spec().with_data(data_u0_1=E.parse(spike), gamma=0.0)
-        assert reachable_bound(spec) < 0.51
-        with pytest.raises(solver.CflViolationError,
-                           match="beyond 0.5.*the bound the monotone scheme"):
-            solver.solve(spec, unit_grid(16))
+    def test_escape_beyond_the_reachable_region_is_not_restarted(
+            self, monkeypatch):
+        # the march cannot leave B(T) but by its roundoff, so a kick that
+        # lifts the state past it by more than the max-principle row's
+        # slack is a fault: the march aborts at the step that made it, and
+        # within the slack it goes on
+        spec = nosource_spec().with_data(gamma=0.0)
+        bound = sup_bound(spec, None, 1.0)
+        real = Stepper.kick
+        for excess in (0.5 * SUP_SLACK, 2.0 * SUP_SLACK):
+            def lifted(self, v, n, excess=excess):
+                u = real(self, v, n)
+                return (np.where(u == u.max(), bound + excess, u) if n == 3
+                        else u)
+            monkeypatch.setattr(Stepper, "kick", lifted)
+            if excess < SUP_SLACK:
+                traj = solver.solve(spec, unit_grid(8))
+                assert traj.meta["m_bound"] == bound
+                continue
+            with pytest.raises(SupNormExceeded, match="exceeded bound") as exc:
+                solver.solve(spec, unit_grid(8))
+            assert exc.value.sup == bound + excess
+            assert exc.value.bound == bound
+            assert exc.value.t == 4 * Stepper(spec, unit_grid(8)).dt
 
 
 class TestTraces:

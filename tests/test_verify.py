@@ -6,12 +6,11 @@ import pytest
 
 from upkolmo import exprdsl as E
 from upkolmo import cli, kernels, problem, solver, verify
-from upkolmo.problem import (Field, Trajectory, data_sup_norms,
-                             min_kick_slope, sample_sup, slab_sup,
-                             stability_rhs, sup_bound)
-from upkolmo.scheme import (LAX_FRIEDRICHS, SchemeOptions, Stepper,
-                            reachable_bound)
+from upkolmo.problem import (SUP_SLACK, Field, Trajectory, data_sup_norms,
+                             min_kick_slope, stability_rhs, sup_bound)
+from upkolmo.scheme import LAX_FRIEDRICHS, SchemeOptions, Stepper
 from paper_bounds import paper_bound
+from samplers import slab
 from scenarios import (BETA_TEXT, SBUMP, TENT, XBUMP, box_grid, nosource_spec,
                        perturbed_spec, saturated_spec, shock_spec,
                        source_spec, unattainable_spec, unit_grid, zero_spec)
@@ -92,17 +91,16 @@ class TestMaxPrinciple:
             assert np.all(bounds <= paper)
 
     def test_the_bound_saturates_where_the_kick_sum_would_not(self):
-        # u0_1 = 3 bumps above b1 = 1.5: D + m sup|beta| reaches 7.05, and
-        # B stays at the inflated data norm 3.03, which the run respects
+        # u0_1 = 3 bumps above b1 = 1.5: D + m sup|beta| reaches 7, and B
+        # stays at the enclosed data norm 3, which the run respects
         spec = saturated_spec()
         traj = solver.solve(spec, unit_grid(32))
         rep = _max_principle(traj, spec)
         assert rep.passed
         bounds = _bounds(spec, traj)
-        assert max(bounds) <= 3.03
-        assert max(bounds) == pytest.approx(3.03, rel=1e-3)
-        beta_sup = slab_sup(spec, spec.beta, 4.0)
-        assert max(bounds) + beta_sup * verify.NORM_INFLATION > 7.0
+        assert max(bounds) == pytest.approx(3.0, rel=1e-12)
+        beta_sup = E.sup(spec.beta, slab(spec, 4.0))
+        assert max(bounds) + beta_sup >= 7.0
         assert 2.9 < max(fld.sup_norm() for fld in traj.fields) < 3.0
 
     def test_zero_data_run(self):
@@ -116,28 +114,26 @@ class TestMaxPrinciple:
         # B with kick mass 0 before the jump's level and 1 from it on
         spec, traj = impulsive_run["spec"], impulsive_run["traj"]
         rep = _max_principle(traj, spec)
-        assert rep.passed
+        assert rep.passed and rep.slack == SUP_SLACK
         assert "m3" not in rep.context
         bounds = _bounds(spec, traj)
         t_jump = traj.meta["n_tau"] * traj.meta["dt"]
         for t, bound in zip(traj.times, bounds):
             mass = 1.0 if t >= t_jump else 0.0
-            assert bound == sup_bound(spec, max(t, 1e-9), mass,
-                                      inflate=verify.NORM_INFLATION)
+            assert bound == sup_bound(spec, max(t, 1e-9), mass)
         assert len({round(b, 9) for b in bounds}) == 2
 
     def test_a_run_marched_with_eight_times_beta_fails(self):
-        # marched with 8 beta in its own default region, 1.05 b1 + 0.5 with
-        # B(T) saturated at b1 = 2, and verified against beta: the paper's
-        # curves passed it at 0.899 of their bound, and the march's own
-        # maximum principle for beta fails it
+        # marched with 8 beta in its own default region, B(T) saturated at
+        # b1 = 2, and verified against beta: the march's own maximum
+        # principle for beta fails it
         spec = source_spec()
         marched = spec.with_data(beta=E.parse(f"8*{BETA_TEXT}"))
         traj = solver.solve(marched, unit_grid(32),
                             options=SchemeOptions(snapshot_stride=1))
         rep = _max_principle(traj, spec)
         assert not rep.passed
-        assert rep.measured / rep.bound == pytest.approx(1.118, abs=1e-3)
+        assert rep.measured / rep.bound == pytest.approx(1.159, abs=1e-3)
         assert rep.context["t_worst"] < spec.tau
 
     def test_zero_source_run_bounded_by_data_norm(self, contraction_family):
@@ -161,8 +157,8 @@ class TestMaxPrinciple:
                 xs.shape)))) for expr in (spec.data_u0_2, spec.data_uS_2))
 
         below = [t for t, bound in zip(traj.times, bounds)
-                 if bound < verify.NORM_INFLATION * data_at(t)]
-        assert len(traj.times) == 48
+                 if bound < data_at(t)]
+        assert len(traj.times) == 37
         assert below == []
 
 
@@ -272,7 +268,7 @@ class TestStability:
     def test_impulsive_pair(self, grid64):
         base = source_spec().with_data(gamma=0.0)
         pert = perturbed_spec(base, 0.05)
-        m = max(reachable_bound(s) for s in (base, pert))
+        m = max(sup_bound(s, None, 1.0) for s in (base, pert))
         dt = min(Stepper(s, grid64, m_bound=m).dt for s in (base, pert))
         t1 = solver.solve(base, grid64, dt=dt, m_bound=m)
         t2 = solver.solve(pert, grid64, dt=dt, m_bound=m)
@@ -346,7 +342,7 @@ class TestStability:
         grid with one dt and m_bound."""
         grid = unit_grid(n)
         specs = [s.with_data(gamma=0.0) if impulsive else s for s in specs]
-        m = max(reachable_bound(s) for s in specs)
+        m = max(sup_bound(s, None, 1.0) for s in specs)
         dt = min(Stepper(s, grid, m_bound=m, options=options).dt
                  for s in specs)
         return [solver.solve(s, grid, dt=dt, m_bound=m, options=options)
@@ -401,7 +397,7 @@ class TestStability:
         assert _stability(t1, t2, base, marched).passed
         rep = _stability(t1, t2, base, verified)
         assert not rep.passed
-        assert rep.measured > 1.5 * 1.05 * rep.bound
+        assert rep.measured > 1.3 * 1.05 * rep.bound
         assert rep.context["t_worst"] > 0.0
 
     def test_estimate_is_attained_on_the_wide_box(self):
@@ -411,7 +407,7 @@ class TestStability:
         spec = unattainable_spec()
         other = spec.with_data(data_u0_2=E.parse("0"))
         grid = box_grid(spec)
-        m = max(reachable_bound(s) for s in (spec, other))
+        m = max(sup_bound(s, None, 1.0) for s in (spec, other))
         dt = min(Stepper(s, grid, m_bound=m).dt for s in (spec, other))
         t1, t2 = (solver.solve(s, grid, dt=dt, m_bound=m)
                   for s in (spec, other))
@@ -457,13 +453,17 @@ class TestStability:
             assert rep.measured > 0.0
 
     def test_run_with_a_stronger_beta_fails(self):
-        # the second run kicks with 1.5 beta, and is verified against beta
+        # the second run kicks with 1.5 beta, and is verified against beta:
+        # the row is the first snapshot after the kicks begin at tau -
+        # gamma, the one at n_tau
         spec = source_spec()
         t1, t2 = self._pair([spec, source_spec(beta_amp=0.75)], 32)
         rep = _stability(t1, t2, spec, spec)
         assert not rep.passed
         assert rep.bound == 0.0 < rep.measured
-        assert 0.0 < rep.context["t_worst"] < spec.tau
+        assert rep.context["t_worst"] == t1.meta["n_tau"] * t1.meta["dt"]
+        assert t1.times[t1.levels.index(t1.meta["n_tau"]) - 1] < (
+            spec.tau - spec.gamma)
 
     def test_pair_with_different_gamma_is_refused(self):
         specs = [source_spec(), source_spec(gamma=0.05)]
@@ -541,13 +541,14 @@ class TestEntropyResidual:
         # the CFL step is sized on m_bound = 1.55 while |u| <= 1 here, and
         # the implicit lateral solve adds dissipation, so a few times the
         # step still passes; at seven times it, a Courant number of about
-        # 4 on the data, the explicit part is no longer monotone
+        # 4 on the data, the explicit part is no longer monotone, though
+        # its sup stays in the region it was given
         spec = shock_spec(L=1.0)
         grid = unit_grid(32)
         opts = SchemeOptions(snapshot_stride=1)
-        dt = 7.0 * Stepper(spec, grid, options=opts).dt
-        traj = solver.solve(spec, grid, options=opts, dt=dt)
-        assert traj.meta["restart"] is None
+        dt = 7.0 * Stepper(spec, grid, options=opts, m_bound=1.55).dt
+        traj = solver.solve(spec, grid, options=opts, dt=dt, m_bound=1.55)
+        assert traj.meta["m_bound"] == 1.55
         rep = _entropy_residual(
             traj, spec, [-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
         assert not rep.passed
@@ -735,6 +736,16 @@ class TestBln:
 
 
 class TestJump:
+    @pytest.mark.parametrize("stride", [1, 32])
+    def test_the_row_reads_the_rebuilt_stepper(self, small_runs, stride):
+        # the jump row reads beta, M3 and the jump map's slope off the
+        # run's rebuilt stepper: the row the values read off the spec give,
+        # byte for byte
+        spec, runs = small_runs
+        traj = runs["impulsive", stride]
+        assert (_jump(traj, spec).row()
+                == _jump_reference(traj, spec).row())
+
     def test_impulsive_run(self, impulsive_run):
         rep = _jump(impulsive_run["traj"], impulsive_run["spec"])
         assert rep.passed
@@ -756,38 +767,38 @@ class TestJump:
         assert rep.measured == 1.0 - weight
 
     def test_run_and_verify_give_one_verdict(self):
-        # the jump map decreases only for 0.8039 < lambda < 1.40195, from
-        # between the bare pre-jump bound M2 and the 1%-inflated one: `run`
-        # refuses it, and `verify` fails it on a trajectory holding the
-        # jump it would make.  beta is 0 from 2 on, and b1 = 3 keeps M3
-        # below b1, so the slab is the inflated M2's alone
+        # the jump map decreases only for 0.7999 < lambda < 1.40005, from
+        # just inside the pre-jump bound M2 = 0.8: `run` refuses it, and
+        # `verify` fails it on a trajectory holding the jump it would make.
+        # beta is 0 from 2 on, and b1 = 3 keeps M3 below b1, so the slab is
+        # M2's alone
         bump = "(max(0, 1-((x-0.5)/0.35)^2))^2*(max(0, 1-((s-0.5)/0.35)^2))^2"
         spec = source_spec().with_data(beta=E.parse(
-            f"-3*max(0, min(lambda - 0.8039, 2 - lambda))*{bump}"), b1=3.0)
+            f"-3*max(0, min(lambda - 0.7999, 2 - lambda))*{bump}"), b1=3.0)
         m2 = sup_bound(spec, spec.tau, 0.0)
-        assert m2 < 0.8039 < verify.NORM_INFLATION * m2
-        assert sup_bound(spec, spec.tau, 1.0, verify.NORM_INFLATION) < 3.0
+        assert 0.7999 < m2 < 0.8 * (1 + 1e-12)
+        assert sup_bound(spec, spec.tau, 1.0) < 3.0
         with pytest.raises(ValueError, match="jump map .* decreases"):
             solver.solve(spec.with_data(gamma=0.0), unit_grid(16))
         rep = _jump(_refused_impulsive_run(spec), spec)
         assert not rep.passed
         assert rep.context["pointwise"] <= 1e-14
-        assert rep.measured == pytest.approx(2.99, abs=0.01)
+        assert rep.measured == pytest.approx(3.0, rel=1e-12)
 
     def test_a_jump_past_b1_is_refused(self):
-        # 10 TENT bumps: on |lambda| <= 1.01 M2 the jump map rises, and at
+        # 10 TENT bumps: on |lambda| <= M2 the jump map rises, and at
         # tau = 0.05 it lifts the run's peak 0.33 to 3.6, past b1 = 2.  M3
         # saturates at b1, which holds only for a map nondecreasing on
         # |lambda| <= b1, and there the map's slope is -9: `run` refuses
         # it, `verify` fails it
         spec = source_spec().with_data(
             beta=E.parse(f"10*{TENT}*{XBUMP}*{SBUMP}"), tau=0.05)
-        m2 = sup_bound(spec, spec.tau, 0.0, verify.NORM_INFLATION)
-        assert sup_bound(spec, spec.tau, 1.0, verify.NORM_INFLATION) == 2.0
-        assert problem.sample_min(spec.beta, ("x", "s", "lambda"), [
-            (0.0, 1.0), (0.0, 1.0), (-m2, m2)], n=64, wrt="lambda") >= 0.0
+        m2 = sup_bound(spec, spec.tau, 0.0)
+        assert sup_bound(spec, spec.tau, 1.0) == 2.0
+        assert E.sup(E.Neg(spec.beta), slab(spec, m2), wrt="lambda",
+                     signed=True) <= 0.0
         assert 1.0 + min_kick_slope(spec, 0.0) == pytest.approx(-9.0,
-                                                                rel=1e-2)
+                                                                rel=1e-12)
         with pytest.raises(ValueError, match="jump map .* decreases"):
             solver.solve(spec.with_data(gamma=0.0), unit_grid(16))
         rep = _jump(_refused_impulsive_run(spec), spec)
@@ -947,13 +958,37 @@ class TestReports:
         assert lines[1].startswith("entropy_residual,")
 
 
+def _jump_reference(traj, spec):
+    """``check_jump``'s row as the check first read its values off the
+    spec: beta evaluated from its AST, M3 = ``sup_bound`` at the jump's
+    time with unit kick mass, and the slope ``min_kick_slope`` without
+    kick mass."""
+    stepper = _op(spec, traj)
+    marched = stepper.spec
+    i = traj.levels.index(stepper.n_tau)
+    um = verify._pre_kick(stepper, traj.fields[i - 1].values,
+                          traj.levels[i - 1], stepper.n_tau)
+    xc, sc = traj.grid.cell_centers()
+    jump = traj.fields[i].values - um - E.evaluate(marched.beta, {
+        "x": xc[:, None], "s": sc[None, :], "lambda": um})
+    pointwise = verify._inf_unless_finite(float(np.max(np.abs(jump))))
+    m3 = sup_bound(marched, traj.times[i], 1.0)
+    min_weight = 1.0 + min_kick_slope(marched, 0.0)
+    post_sup = traj.fields[i].sup_norm()
+    measured = max(pointwise / 1e-14, post_sup / max(m3, 1e-300),
+                   1.0 - min_weight)
+    context = {"spec": marched.context_hash(), "pointwise": pointwise,
+               "post_sup": post_sup, "m3": m3, "min_jump_weight": min_weight}
+    return verify._report("jump_condition", measured, 1.0, 0.0, 0.0, context)
+
+
 # --- the hoisted checks against their per-snapshot loop versions -------------
 #
 # The references below are the loops the checks ran before their
 # t-invariant work was hoisted out: the same arithmetic on the same samples,
 # so the reports must agree bit for bit.
 
-def _window_sups_reference(expr, L, ends, inflate=1.0):
+def _window_sups_reference(expr, L, ends):
     """Entry i: the max of |expr| over x in linspace(0, L, 256) and every
     sampled t <= ends[i], where the sampled times are linspace(0, max(ends),
     256) joined with the ends; a plain loop over the sample set."""
@@ -969,28 +1004,26 @@ def _window_sups_reference(expr, L, ends, inflate=1.0):
         for j, t in enumerate(ts):
             if t <= end:
                 best = max(best, float(vals[:, j].max()))
-        out.append(best * inflate)
+        out.append(best)
     return out
 
 
-def _bound_curves_reference(spec, traj, inflate=verify.NORM_INFLATION):
+def _bound_curves_reference(spec, traj):
     """B at each snapshot, one snapshot and one kick at a time: the data
-    norm over (0, t) plus the kick mass applied by t times sup|beta|,
-    saturated at max(that data norm, b1)."""
+    norm over (0, t), each window enclosed on its own, plus the kick mass
+    applied by t times sup|beta|, saturated at max(that data norm, b1)."""
     meta = traj.meta
     dt, gamma = meta["dt"], meta["gamma"]
-    t_effs = [max(t, 1e-9) for t in traj.times]
-    u0_1 = sample_sup(spec.data_u0_1, ("x", "s"),
-                      [(0.0, spec.L), (0.0, spec.S)], inflate=inflate)
-    u0_2 = _window_sups_reference(spec.data_u0_2, spec.L, t_effs, inflate)
-    uS_2 = _window_sups_reference(spec.data_uS_2, spec.L, t_effs, inflate)
+    u0_1 = E.sup(spec.data_u0_1, {"x": (0.0, spec.L), "s": (0.0, spec.S)})
     base = max(data_sup_norms(spec).values())
-    sup_beta = slab_sup(spec, spec.beta, max(base, spec.b1) + 1.0) * inflate
+    sup_beta = E.sup(spec.beta, slab(spec, max(base, spec.b1) + 1.0))
     thetas = kernels.step_mass(np.arange(meta["n_steps"]), dt, spec.tau,
                                gamma, meta["n_tau"]).tolist()
     bounds = []
-    for i, t in enumerate(traj.times):
-        dnorm = max(u0_1, u0_2[i], uS_2[i])
+    for t in traj.times:
+        window = {"x": (0.0, spec.L), "t": (0.0, max(t, 1e-9))}
+        dnorm = max(u0_1, E.sup(spec.data_u0_2, window),
+                    E.sup(spec.data_uS_2, window))
         mass = 0.0
         for k in range(round(t / dt)):
             mass += thetas[k]
@@ -1134,19 +1167,14 @@ def _stability_rhs_reference(spec1, spec2, t, d_init, inflow, thetas, dt):
     """The stability estimate at time t, one step of the march at a time:
     the explicit part and the lateral solve add the step's inflow, and the
     kick multiplies by 1 + theta b0, beta1's slope bound, and adds theta S
-    |Omega| sup|beta1 - beta2|."""
+    |Omega| sup|beta1 - beta2|, both enclosed."""
     b0 = (kernels.estimate_dbeta_sup(spec1.beta, spec1.L, spec1.S, spec1.b1)
           if spec1.beta is not None else 0.0)
     b1 = max(spec1.b1, spec2.b1)
-    bind = {"x": np.linspace(0.0, spec1.L, 64)[:, None, None],
-            "s": np.linspace(0.0, spec1.S, 64)[None, :, None],
-            "lambda": np.linspace(-b1 - 1.0, b1 + 1.0, 64)[None, None, :]}
-
-    def values(beta):
-        return 0.0 if beta is None else np.asarray(E.evaluate(beta, bind))
-
-    dbeta = (0.0 if spec1.beta == spec2.beta else
-             float(np.max(np.abs(values(spec1.beta) - values(spec2.beta)))))
+    zero = E.Num(0.0)
+    dbeta = (0.0 if spec1.beta == spec2.beta else E.sup(
+        E.BinOp("-", spec1.beta or zero, spec2.beta or zero),
+        slab(spec1, b1 + 1.0)))
     e = d_init
     for n in range(round(t / dt)):
         e = e + inflow[n]
@@ -1260,8 +1288,8 @@ class TestHoistedAgainstReference:
         traj = runs["impulsive" if mode == "impulsive" else "entropy", 1]
         if mode == "nan":
             fields = [Field(f.values.copy(), f.grid, f.t) for f in traj.fields]
-            fields[30].values[3, 4] = np.nan
-            fields[50].values[2, 2] = np.inf
+            fields[20].values[3, 4] = np.nan
+            fields[40].values[2, 2] = np.inf
             traj = Trajectory(traj.grid, list(traj.times), fields,
                               meta=traj.meta, levels=list(traj.levels))
         rep = _entropy_residual(traj, spec, SMALL_KS)
@@ -1277,7 +1305,7 @@ class TestHoistedAgainstReference:
             [worst.context[key] for key in where]
         if mode == "nan":
             assert rep.measured == np.inf
-            assert rep.context["t_worst"] == traj.times[29]
+            assert rep.context["t_worst"] == traj.times[19]
         else:
             _assert_same_residual(
                 rep, _entropy_residual_reference(traj, spec, SMALL_KS))
@@ -1380,27 +1408,58 @@ DATA = ["0", "0.4", "0.3*sin(7*x) + x*x", "0.2*t", "x*(1-x)*exp(t)"]
 WINDOW_ENDS = np.array([1e-9, 0.021, 0.10638, 0.25, 0.5, 0.731, 1.0])
 
 
+# how far above a dense sample the enclosures of these data may lie: the
+# most is x (1 - x) exp(t), 1.4% above, as x and 1 - x vary apart on the
+# parts the budget of the batch of windows leaves
+TIGHT = 0.015
+
+
 class TestDataSamplingAgainstReference:
     @pytest.mark.parametrize("text", DATA)
-    @pytest.mark.parametrize("inflate", [1.0, verify.NORM_INFLATION])
-    def test_window_ends(self, text, inflate):
+    @pytest.mark.parametrize("scale", [1.0, 1.01])
+    def test_window_ends(self, text, scale):
+        # each window's norm encloses every sample of the window, of the
+        # data and of the data scaled by 1.01, and on these data comes
+        # within TIGHT of the samples; a window alone, or as one end of an
+        # array, is enclosed alike
+        text = f"{scale!r}*({text})"
         spec = source_spec().with_data(data_u0_2=E.parse(text),
                                        data_uS_2=E.parse(f"-({text})"))
-        got = data_sup_norms(spec, (0.0, WINDOW_ENDS), inflate=inflate)
-        whole = data_sup_norms(spec, inflate=inflate)
+        got = data_sup_norms(spec, (0.0, WINDOW_ENDS))
+        whole = data_sup_norms(spec)
         assert got["u0_1"] == whole["u0_1"]
         for name in ("u0_2", "uS_2"):
-            want = _window_sups_reference(getattr(spec, f"data_{name}"),
-                                          spec.L, WINDOW_ENDS, inflate)
+            want = np.array(_window_sups_reference(
+                getattr(spec, f"data_{name}"), spec.L, WINDOW_ENDS))
             assert got[name].shape == WINDOW_ENDS.shape
-            assert got[name].tolist() == want
+            assert np.all(want <= got[name])
+            assert np.all(got[name] <= want * (1.0 + TIGHT) + 1e-12)
             for end in WINDOW_ENDS:
-                one = data_sup_norms(spec, (0.0, np.array([end])),
-                                     inflate=inflate)[name]
+                one = data_sup_norms(spec, (0.0, np.array([end])))[name]
                 assert one.tolist() == [data_sup_norms(
-                    spec, (0.0, end), inflate=inflate)[name]]
+                    spec, (0.0, end))[name]]
             if "t" not in E.compile(E.parse(text))[1]:
                 assert got[name].tolist() == [whole[name]] * len(WINDOW_ENDS)
+
+    def test_the_windows_of_a_stride_1_run(self):
+        # 2,417 window ends, a cell each: no cell is cut in t, 1/2417 of
+        # the span, and each is cut 54 ways in x within the batch's budget;
+        # the norms lie within 4% of samples at every cell end
+        text = f"x*(1-x)*exp(t)*{XBUMP}"
+        spec = source_spec().with_data(data_u0_2=E.parse(text))
+        ends = np.arange(1, 2418) / 2417
+        data_sup_norms(spec)
+        tracemalloc.start()
+        try:
+            got = data_sup_norms(spec, (0.0, ends))["u0_2"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        vals = E.evaluate(spec.data_u0_2, {"x": np.linspace(0.0, 1.0, 257)[
+            :, None], "t": ends[None, :]})
+        want = np.maximum.accumulate(np.abs(vals).max(axis=0))
+        assert np.all(want <= got) and np.all(got <= want * 1.04)
+        assert peak < 32 * 2 ** 20
 
     @pytest.mark.parametrize("text1", DATA)
     @pytest.mark.parametrize("text2", ["0", "0.1*cos(5*x)", "0.5*t*x"])
