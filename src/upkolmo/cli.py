@@ -138,7 +138,7 @@ def _cmd_verify(args):
     if traj.meta["mode"] == "impulsive":
         reports.append(verify.check_jump(traj, st1))
     if traj.meta["eps"] == 0.0:
-        reports.append(verify.check_bln(traj, st1.spec, k_bank))
+        reports.append(verify.check_bln(traj, st1, k_bank))
     if traj.meta["options"].snapshot_stride == 1:
         reports.append(verify.check_entropy_residual(traj, st1, k_bank))
     out = Path(args.out) if args.out else Path(args.traj) / "reports.csv"

@@ -692,10 +692,8 @@ def sup(expr, box, wrt=None, signed=False):
     groups = math.prod(shape)
     parts = {n: tuple(np.broadcast_to(np.asarray(v, dtype=float), shape)
                       .ravel() for v in r) for n, r in read.items()}
-    # an axis on which every box is narrower than 1/16 of the batch's span
-    # is not cut, as the time axis of a run's window cells
-    wide = [n for n, (lo, hi) in parts.items()
-            if np.any(16.0 * (hi - lo) > np.max(hi) - np.min(lo))]
+    # an axis is cut where some box has positive width
+    wide = [n for n, (lo, hi) in parts.items() if np.any(hi > lo)]
     budget, m = min(_BOXES, _BATCH // max(groups, 1)), len(wide)
     best, done = np.full(groups, -np.inf), np.full(groups, -np.inf)
     spent, group = np.zeros(groups, int), np.arange(groups)

@@ -3,9 +3,10 @@
 The bounds implemented here are the quantitative side of the solver's
 a-priori theory:
 
-* ``sup_bound`` -- the march's own discrete maximum principle, both
+* ``saturated_bound`` -- the march's own discrete maximum principle, both
   sources, saturated at b1 (derived in ``verify``); at gamma = 0 the
-  impulsive problem's M2 before the jump and M3 after.  It rests on beta
+  impulsive problem's M2 before the jump and M3 after.  ``sup_bound`` is
+  it at the enclosed data norm, which sizes the march.  It rests on beta
   = 0 for |lambda| >= b1 (``consistency_errors``) and on a kick that
   ``min_kick_slope``, beta's least slope, keeps nondecreasing.
 * ``stability_rhs`` -- the L1 data-stability estimate of two runs of the
@@ -15,8 +16,7 @@ a-priori theory:
 Every sup-norm of expression-defined data, and every other bound the
 march or a check reads off the config's expressions, is an enclosure
 (``exprdsl.sup``): no value the expression takes on its box exceeds it,
-so no bound needs a margin.  ``data_sup_norms`` encloses one time window,
-or an array of window ends at once.
+so no bound needs a margin.  ``data_sup_norms`` encloses one time window.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ from . import exprdsl, kernels
 
 __all__ = [
     "ProblemSpec", "Grid", "Field", "Trajectory",
-    "refined_max_bound", "sup_bound", "stability_rhs", "snapshot_levels",
-    "min_kick_slope", "data_sup_norms", "consistency_errors", "SUP_SLACK",
-    "ZeroInitialDataError", "GridMismatchError",
+    "refined_max_bound", "sup_bound", "saturated_bound", "stability_rhs",
+    "snapshot_levels", "min_kick_slope", "data_sup_norms",
+    "consistency_errors", "SUP_SLACK", "ZeroInitialDataError",
+    "GridMismatchError",
 ]
 
 _COLLAR = 0.05
@@ -274,26 +275,12 @@ def _initial_sup(spec):
 
 
 def data_sup_norms(spec, t_window=None):
-    """Enclosed sup-norms of the three data functions.
-
-    ``t_window`` = (lo, hi) restricts the time interval of the s-boundary
-    data; defaults to (0, T).  An ascending array ``hi`` makes u0_2 and uS_2
-    arrays, entry i the sup over (lo, hi[i]): the window ends cut (lo,
-    max(hi)) into cells, one batch of ``exprdsl.sup``, and each window's
-    norm is the running max of its cells'.
-    """
-    lo, hi = t_window if t_window is not None else (0.0, spec.T)
-    hi = np.maximum(hi, lo + 1e-12)
-    cuts = np.sort(np.append(hi, lo))
-    ends = np.searchsorted(cuts, hi, side="right") - 2
-    norms = {"u0_1": _initial_sup(spec)}
-    for name, expr in (("u0_2", spec.data_u0_2), ("uS_2", spec.data_uS_2)):
-        cells = exprdsl.sup(expr, {"x": (0.0, spec.L),
-                                   "t": (cuts[:-1], cuts[1:])})
-        run = np.maximum.accumulate(np.broadcast_to(cells,
-                                                    cuts[1:].shape))[ends]
-        norms[name] = float(run) if run.ndim == 0 else run
-    return norms
+    """Enclosed sup-norms of the three data functions, the s-boundary
+    data's over the time window ``t_window`` = (lo, hi), (0, T) if None."""
+    box = {"x": (0.0, spec.L), "t": t_window or (0.0, spec.T)}
+    return {"u0_1": _initial_sup(spec),
+            "u0_2": exprdsl.sup(spec.data_u0_2, box),
+            "uS_2": exprdsl.sup(spec.data_uS_2, box)}
 
 
 # --- closed-form bounds ----------------------------------------------------
@@ -359,17 +346,23 @@ def _horizon(spec):
     return base, float(beta[0]), float(max(beta[1:]))
 
 
-def sup_bound(spec, times, masses):
-    """B(t) = min(D(0, t) + m(t) sup|beta|, max(D(0, t), b1)) (derived in
-    ``verify``): D the data norm over (0, t), m the kick mass the march
-    has applied by t, both norms enclosed.  ``times`` may be an array, or
-    None for T, and ``masses`` any shape that broadcasts against it."""
-    base, beta_sup, _ = _horizon(spec)
-    dnorm = base if times is None else functools.reduce(
-        np.maximum, data_sup_norms(spec, (0.0, times)).values())
+def saturated_bound(spec, dnorm, masses):
+    """B = min(D + m sup|beta|, max(D, b1)) (derived in ``verify``), D =
+    ``dnorm`` a bound of |u^0| and of every s-end ghost the march read and
+    m = ``masses`` the kick mass it applied, arrays that broadcast."""
+    beta_sup = _horizon(spec)[1]
     out = np.minimum(dnorm + np.asarray(masses, dtype=float) * beta_sup,
                      np.maximum(dnorm, spec.b1))
     return float(out) if out.ndim == 0 else out
+
+
+def sup_bound(spec, t, masses):
+    """``saturated_bound`` at D(0, t), the enclosed data norm over (0, t),
+    or (0, T) for t None: what sizes the march, its region B(T) and the
+    kick slope's radius B(tau)."""
+    dnorm = (_horizon(spec)[0] if t is None
+             else max(data_sup_norms(spec, (0.0, t)).values()))
+    return saturated_bound(spec, dnorm, masses)
 
 
 def stability_rhs(spec1, spec2, levels, d_init, inflow, thetas):

@@ -13,24 +13,28 @@ check on the same inputs reproduces the line verbatim.
 Notes on three deliberately discrete constructions:
 
 * The sup-norm bound is the march's own maximum principle (Crandall &
-  Majda, Math. Comp. 34, 1980): |u^n| <= B(t_n) = min(D(0, t_n) + m_n
-  sup|beta|, max(D(0, t_n), b1)) (``problem.sup_bound``), D(0, t) the
-  data norm over (0, t), nondecreasing in t, and m_n = sum_{m<n} theta_m.
+  Majda, Math. Comp. 34, 1980): |u^n| <= B_n = min(D_n + m_n sup|beta|,
+  max(D_n, b1)) (``problem.saturated_bound``), D_n the largest of |u^0|
+  and the s-end ghosts of the steps m < n, and m_n = sum_{m<n} theta_m.
   By induction: the explicit update is monotone and keeps constants, and
   the lateral inverse is >= 0 with row sums <= 1, so the v a kick acts on
-  has |v| <= R = max(|u^n|, the s-end ghosts at t_n) <= B(t_n), the
-  x-ghosts being 0.  The kick H(v) = v + theta_n beta(v) maps [-R, R]
-  into [-R - theta_n sup|beta|, R + theta_n sup|beta|] and, if it is
-  nondecreasing on [-b1, b1], into [-max(R, b1), max(R, b1)], as beta = 0
-  for |lambda| >= b1; so |u^{n+1}| <= B(t_{n+1}).  D and sup|beta| are
-  enclosures (``exprdsl.sup``), sup|beta| over |lambda| <= max(D(0, T),
-  b1) + 1, which holds every R, and ``problem.consistency_errors``
-  refuses a beta whose enclosure on b1 <= |lambda| <= that is not 0 to
-  1e-12.  So B bounds the march up to its roundoff, and the row's slack
-  is ``problem.SUP_SLACK``, beyond which the march itself aborts.  At
-  gamma = 0 m_n is 0 before the jump's level and 1 from it on: the
-  impulsive M2 and M3.  The paper's continuum bounds M
-  and M7 are never below B on the scenarios of the tests but the
+  has |v| <= R = max(|u^n|, the s-end ghosts at t_n), at most B_n with
+  D_{n+1} for D_n, the x-ghosts being 0.  The kick H(v) = v + theta_n
+  beta(v) maps [-R, R] into [-R - theta_n sup|beta|, R + theta_n
+  sup|beta|] and, if it is nondecreasing on [-b1, b1], into [-max(R, b1),
+  max(R, b1)], as beta = 0 for |lambda| >= b1; so |u^{n+1}| <= B_{n+1}.
+  ``_bound_curves`` reads D_n off u^0 = ``solver.initial_values`` and the
+  rebuilt stepper's ``boundary_values``, the values the march read.  The
+  enclosures (``exprdsl.sup``) but sup|beta| only size the march: D(0,
+  t), the data norm over (0, t), is at least D_n for t_n <= t, and B(T) =
+  ``problem.sup_bound`` with unit mass is the region m_bound.  sup|beta|
+  is enclosed over |lambda| <= max(D(0, T), b1) + 1, which holds every R,
+  and ``problem.consistency_errors`` refuses a beta whose enclosure on b1
+  <= |lambda| <= that is not 0 to 1e-12.  So B bounds the march up to its
+  roundoff, and the row's slack is ``problem.SUP_SLACK``, beyond which
+  the march itself aborts.  At gamma = 0 m_n is 0 before the jump's level
+  and 1 from it on: the impulsive M2 and M3.  The paper's continuum
+  bounds M and M7 are never below B on the scenarios of the tests but the
   zero-data one, whose run is exactly 0; no check reads them.  Every kick
   starts at some t_n < tau, as theta_n = 0 from tau on, so |v| <= B(tau)
   with unit mass, or with none at gamma = 0, where the one kick is the
@@ -126,7 +130,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprdsl
-from .problem import SUP_SLACK, GridMismatchError, stability_rhs, sup_bound
+from .problem import (SUP_SLACK, GridMismatchError, saturated_bound,
+                      stability_rhs)
 # bench/run.py traces these names where `verify` binds them
 from .problem import refined_max_bound, stability_rhs_impulsive  # noqa: F401
 from .scheme import NaNDetectedError, Stepper
@@ -215,11 +220,16 @@ def spacetime_l1_diff(traj1, traj2):
 # --- sup-norm bound curves ----------------------------------------------------
 
 def _bound_curves(stepper, traj):
-    """Each snapshot's sup-norm bound B (``problem.sup_bound``), with the
-    kick masses ``thetas`` of the run's rebuilt ``stepper`` to its level."""
+    """Each snapshot's bound B_k of the module notes, from the data the
+    march read: u^0, the ``boundary_values`` of every step and the kick
+    masses ``thetas`` of the run's rebuilt ``stepper``."""
+    ts = np.arange(stepper.n_steps)[:, None] * stepper.dt
+    ghosts = np.abs(stepper.boundary_values(ts)).max(axis=(0, -1))
+    u0 = np.abs(solver_mod.initial_values(stepper.spec, traj.grid)).max()
+    dnorms = np.maximum.accumulate(np.append(u0, np.broadcast_to(
+        ghosts, stepper.n_steps)))[traj.levels]
     masses = np.concatenate(([0.0], np.cumsum(stepper.thetas)))[traj.levels]
-    return tuple(map(float, sup_bound(stepper.spec, np.maximum(
-        traj.times, 1e-9), masses)))
+    return tuple(map(float, saturated_bound(stepper.spec, dnorms, masses)))
 
 
 def _inf_unless_finite(value):
@@ -450,8 +460,9 @@ def _q_a(a, v, k):
     return np.sign(v - k) * (a_v - a_k), a_v, a_k
 
 
-def check_bln(traj, spec, k_values):
-    """Boundary entropy inequalities on the extracted s-traces.
+def check_bln(traj, stepper, k_values):
+    """Boundary entropy inequalities on the extracted s-traces, against
+    the s-end data of ``stepper``, the run's ``rebuild``.
 
     For eta = |. - k|:  q(tr) - q(data) - eta'(data) (a(tr) - a(data))
     must be <= tol at s -> 0+ and >= -tol at s -> S-, for every k.
@@ -470,9 +481,8 @@ def check_bln(traj, spec, k_values):
     trace's ``cell_worst`` and ``k_worst``, the first non-finite entry,
     else the first largest, in k, end, snapshot and cell order.
     """
-    grid = traj.grid
+    spec, grid = stepper.spec, traj.grid
     tol = 5.0 * (grid.ds + grid.dx)
-    xc, _ = grid.cell_centers()
     # the initial datum, not a boundary trace, sits at t = 0
     scored = [i for i, t in enumerate(traj.times) if t > 0.0]
     n_scored = len(scored)
@@ -483,13 +493,11 @@ def check_bln(traj, spec, k_values):
         # every scored trace and its data as one (n_scored, nx) array
         ts = np.asarray([traj.times[i] for i in scored])[:, None]
         ends = []
-        for end, traces, expr, cs in (
-                ("s0", traj.s0_traces, spec.data_u0_2, 0),
-                ("sS", traj.sS_traces, spec.data_uS_2, grid.ns - 1)):
+        for end, traces, data, cs in zip(
+                ("s0", "sS"), (traj.s0_traces, traj.sS_traces),
+                stepper.boundary_values(ts), (0, grid.ns - 1)):
             tr = np.stack(traces)[scored]
-            data = np.broadcast_to(np.asarray(exprdsl.evaluate(
-                expr, {"x": xc[None, :], "t": ts})), tr.shape)
-            ends.append((end, tr, data, cs))
+            ends.append((end, tr, np.broadcast_to(data, tr.shape), cs))
         a = exprdsl.compile(spec.flux_a)[0]
         for k in k_values:
             for end, tr, data, cs in ends:

@@ -1,13 +1,11 @@
 """The paper's continuum sup-norm bounds, kept as a test oracle.
 
 ``verify`` certifies the march against its own maximum principle,
-``problem.sup_bound``; the tests compare that bound with the paper's
+``verify._bound_curves``; the tests compare that bound with the paper's
 growth bound M (in closed form here) and the refined M7
 (``problem.refined_max_bound``), so the paper's L-infinity theorem stands
 as a measured comparison.
 """
-
-import functools
 
 import numpy as np
 
@@ -46,8 +44,8 @@ def paper_bound(spec, traj):
     constants of the run's own gamma, the data norms over (0, t) enclosed
     as ``verify`` encloses them, and M7 where it is defined."""
     times = np.maximum(traj.times, 1e-9)
-    dnorms = functools.reduce(np.maximum, data_sup_norms(
-        spec, (0.0, times)).values())
+    dnorms = np.array([max(data_sup_norms(spec, (0.0, t)).values())
+                       for t in times])
     b1g, b2g = kernels.source_growth_constants(
         spec.beta, traj.meta["gamma"], L=spec.L, S=spec.S, b1=spec.b1)
     bound = max_principle_bound(times, b1g, b2g, dnorms)

@@ -959,7 +959,8 @@ def test_k_bank_lies_inside_the_solution_range(run_dir):
     # verify scores the boundary entropies with exactly this bank
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
     line = (traj / "reports.csv").read_text().splitlines()[3]
-    assert line == ",".join(verify.check_bln(stored, spec, bank).row())
+    stepper = verify.rebuild(spec, stored)
+    assert line == ",".join(verify.check_bln(stored, stepper, bank).row())
 
 
 def test_k_bank_leaves_non_finite_cells_out(run_dir):

@@ -7,7 +7,8 @@ import pytest
 from upkolmo import exprdsl as E
 from upkolmo import cli, kernels, problem, solver, verify
 from upkolmo.problem import (SUP_SLACK, Field, Trajectory, data_sup_norms,
-                             min_kick_slope, stability_rhs, sup_bound)
+                             min_kick_slope, saturated_bound, stability_rhs,
+                             sup_bound)
 from upkolmo.scheme import LAX_FRIEDRICHS, SchemeOptions, Stepper
 from paper_bounds import paper_bound
 from samplers import slab
@@ -41,6 +42,13 @@ def _entropy_residual(traj, spec, k_values):
 
 def _bounds(spec, traj):
     return verify._bound_curves(_op(spec, traj), traj)
+
+
+def _bln(traj, spec, k_values):
+    """``check_bln`` against the s-end ghosts of ``spec`` on the run's
+    grid, which read neither the run's dt nor its region."""
+    return verify.check_bln(traj, Stepper(spec, traj.grid, dt=spec.T),
+                            k_values)
 
 
 class TestMaxPrinciple:
@@ -92,15 +100,16 @@ class TestMaxPrinciple:
 
     def test_the_bound_saturates_where_the_kick_sum_would_not(self):
         # u0_1 = 3 bumps above b1 = 1.5: D + m sup|beta| reaches 7, and B
-        # stays at the enclosed data norm 3, which the run respects
+        # stays at D = max|u^0|, 2.976 on the grid, which the run respects
         spec = saturated_spec()
         traj = solver.solve(spec, unit_grid(32))
         rep = _max_principle(traj, spec)
         assert rep.passed
         bounds = _bounds(spec, traj)
-        assert max(bounds) == pytest.approx(3.0, rel=1e-12)
+        assert set(bounds) == {traj.fields[0].sup_norm()}
+        assert max(bounds) == pytest.approx(2.976, abs=1e-3)
         beta_sup = E.sup(spec.beta, slab(spec, 4.0))
-        assert max(bounds) + beta_sup >= 7.0
+        assert max(bounds) + beta_sup >= 6.9
         assert 2.9 < max(fld.sup_norm() for fld in traj.fields) < 3.0
 
     def test_zero_data_run(self):
@@ -117,10 +126,11 @@ class TestMaxPrinciple:
         assert rep.passed and rep.slack == SUP_SLACK
         assert "m3" not in rep.context
         bounds = _bounds(spec, traj)
-        t_jump = traj.meta["n_tau"] * traj.meta["dt"]
-        for t, bound in zip(traj.times, bounds):
-            mass = 1.0 if t >= t_jump else 0.0
-            assert bound == sup_bound(spec, max(t, 1e-9), mass)
+        # the s-end data are 0, so D is max|u^0| at every level
+        dnorm = traj.fields[0].sup_norm()
+        for n, bound in zip(traj.levels, bounds):
+            mass = 1.0 if n >= traj.meta["n_tau"] else 0.0
+            assert bound == saturated_bound(spec, dnorm, mass)
         assert len({round(b, 9) for b in bounds}) == 2
 
     def test_a_run_marched_with_eight_times_beta_fails(self):
@@ -133,7 +143,7 @@ class TestMaxPrinciple:
                             options=SchemeOptions(snapshot_stride=1))
         rep = _max_principle(traj, spec)
         assert not rep.passed
-        assert rep.measured / rep.bound == pytest.approx(1.159, abs=1e-3)
+        assert rep.measured / rep.bound == pytest.approx(1.165, abs=1e-3)
         assert rep.context["t_worst"] < spec.tau
 
     def test_zero_source_run_bounded_by_data_norm(self, contraction_family):
@@ -144,22 +154,24 @@ class TestMaxPrinciple:
 
     def test_every_bound_covers_its_own_boundary_data(self):
         # the inflow ramp rises with t, so a snapshot's data norm must
-        # include the data at the snapshot's own time
+        # include every ghost the march read before its level, and needs
+        # none it read later: on the ramp the next step's ghost lies above
         spec = unattainable_spec(L=1.0)
         traj = solver.solve(spec, unit_grid(16),
                             options=SchemeOptions(snapshot_stride=1))
         bounds = _bounds(spec, traj)
-        xs = np.linspace(0.0, spec.L, 256)
+        xc, _ = traj.grid.cell_centers()
+        dt = traj.meta["dt"]
 
-        def data_at(t):
+        def ghosts_at(n):
             return max(float(np.max(np.abs(np.broadcast_to(np.asarray(
-                E.evaluate(expr, {"x": xs, "t": t}), dtype=float),
-                xs.shape)))) for expr in (spec.data_u0_2, spec.data_uS_2))
+                E.evaluate(expr, {"x": xc, "t": n * dt}), dtype=float),
+                xc.shape)))) for expr in (spec.data_u0_2, spec.data_uS_2))
 
-        below = [t for t, bound in zip(traj.times, bounds)
-                 if bound < data_at(t)]
+        read = np.maximum.accumulate([ghosts_at(n) for n in traj.levels])
         assert len(traj.times) == 37
-        assert below == []
+        assert all(b >= r for b, r in zip(bounds[1:], read[:-1]))
+        assert any(b < ghosts_at(n) for n, b in zip(traj.levels, bounds))
 
 
     def test_snapshot_above_the_bound_fails(self, impulsive_run):
@@ -182,6 +194,54 @@ class TestMaxPrinciple:
         planted.fields[0].values[5, 7] = -1.01 * bounds[0]
         rep = _max_principle(planted, spec)
         assert rep.passed and rep.context["t_worst"] > 0.0
+
+    def test_a_cell_between_the_march_bound_and_the_enclosed_one_fails(self):
+        # at the last level of the 64^2 source run B_k = max|u^0| + 0.5 =
+        # 1.2984, u^0 on the grid, below the enclosed B(t_k) = 1.3 of the
+        # data norm over (0, t_k); a cell planted halfway between passes
+        # the enclosed bound and fails the march's own
+        spec = source_spec()
+        traj = solver.solve(spec, unit_grid(64))
+        stepper = _op(spec, traj)
+        i = len(traj.times) - 1
+        assert traj.levels[i] > stepper.n_tau
+        bound = _bounds(spec, traj)[i]
+        enclosed = sup_bound(spec, traj.times[i], np.sum(stepper.thetas))
+        assert bound == pytest.approx(1.2984, abs=1e-4)
+        assert enclosed == pytest.approx(1.3, abs=1e-9)
+        planted = Trajectory(grid=traj.grid, meta=traj.meta)
+        for n, fld in zip(traj.levels, traj.fields):
+            planted.append(n, Field(fld.values.copy(), fld.grid, fld.t))
+        planted.fields[i].values[20, 30] = 0.5 * (bound + enclosed)
+        rep = _max_principle(planted, spec)
+        assert not rep.passed and rep.bound == bound
+        assert rep.context["t_worst"] == traj.times[i]
+        assert rep.context["cell_worst"] == [20, 30]
+
+    def test_the_bounds_of_a_stride_1_run_enclose_nothing(self, monkeypatch):
+        # x (1 - x) exp(t) times the x-bump at s = 0, 64^2, stride 1: once
+        # sup|beta| is cached, the bounds read u^0, each step's ghosts and
+        # the kick masses, and enclose nothing; a window enclosure per
+        # snapshot took 12.3 MiB here
+        text = f"x*(1-x)*exp(t)*{XBUMP}"
+        spec = source_spec().with_data(data_u0_2=E.parse(text))
+        traj = solver.solve(spec, unit_grid(64),
+                            options=SchemeOptions(snapshot_stride=1))
+        stepper = _op(spec, traj)
+        want = verify._bound_curves(stepper, traj)
+        calls = []
+        for name in ("sup", "enclose"):
+            monkeypatch.setattr(E, name, lambda *a, name=name, **k:
+                                calls.append(name))
+        tracemalloc.start()
+        try:
+            got = verify._bound_curves(stepper, traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [] and got == want
+        assert len(got) == len(traj.times) == 186
+        assert peak < 2 ** 20
 
     @staticmethod
     def _planted(monkeypatch, bounds, sups):
@@ -296,7 +356,7 @@ class TestStability:
         base, pert = source_spec(), perturbed_spec(source_spec(), 0.1)
         t1, t2 = self._pair([base, pert], 16)
         calls = [self._spy(monkeypatch, name) for name in
-                 ("_bound_curves", "sup_bound", "refined_max_bound")]
+                 ("_bound_curves", "saturated_bound", "refined_max_bound")]
         rep = _stability(t1, t2, base, pert)
         assert rep.passed and rep.measured > 0.0
         assert calls == [[], [], []]
@@ -631,7 +691,7 @@ class TestBln:
         traj.append(5, Field(np.full((8, 8), 0.4), grid, 0.5))
         spec = nosource_spec().with_data(data_u0_2=E.parse("0.4"),
                                          data_uS_2=E.parse("0.4"))
-        rep = verify.check_bln(traj, spec, [-1.0, 0.0, 0.4, 1.0])
+        rep = _bln(traj, spec, [-1.0, 0.0, 0.4, 1.0])
         assert rep.passed
         assert rep.measured <= 1e-12
 
@@ -643,7 +703,7 @@ class TestBln:
                                       data_uS_2=E.parse("0"))
         traj = solver.solve(spec, box_grid(spec, 32),
                             options=SchemeOptions(snapshot_stride=8))
-        rep = verify.check_bln(traj, spec, list(np.linspace(-1, 1, 9)))
+        rep = _bln(traj, spec, list(np.linspace(-1, 1, 9)))
         assert rep.passed
         # the check's tol 5 (ds + dx) grows with the wide box's dx = L/n;
         # the measure stays within the unit box's 10 ds
@@ -657,7 +717,7 @@ class TestBln:
                                       data_uS_2=E.parse("0"))
         traj = solver.solve(spec, box_grid(spec, 32),
                             options=SchemeOptions(snapshot_stride=1))
-        rep = verify.check_bln(traj, spec, list(np.linspace(-1, 1, 9)))
+        rep = _bln(traj, spec, list(np.linspace(-1, 1, 9)))
         assert rep.passed
         assert rep.context["n_scored"] == len(traj.times) - 1
         assert 1e-2 < rep.measured <= 10.0 * traj.grid.ds
@@ -679,14 +739,14 @@ class TestBln:
 
     def test_initial_datum_is_not_scored(self):
         traj, spec = self._bln_case([(0.0, 2.0), (0.1, 0.4)])
-        rep = verify.check_bln(traj, spec, self.BLN_KS)
+        rep = _bln(traj, spec, self.BLN_KS)
         assert rep.passed
         assert rep.measured <= 1e-12
         assert rep.context["n_scored"] == 1
 
     def test_first_snapshot_after_initial_is_scored(self):
         traj, spec = self._bln_case([(0.0, 0.4), (0.1, 2.0)])
-        rep = verify.check_bln(traj, spec, self.BLN_KS)
+        rep = _bln(traj, spec, self.BLN_KS)
         assert not rep.passed
         assert rep.measured >= 3.9
         assert rep.context["n_scored"] == 1
@@ -699,7 +759,7 @@ class TestBln:
                              ids=["initial_only", "empty"])
     def test_no_trace_to_score_fails(self, snapshots):
         traj, spec = self._bln_case(snapshots)
-        rep = verify.check_bln(traj, spec, self.BLN_KS)
+        rep = _bln(traj, spec, self.BLN_KS)
         assert not rep.passed
         assert rep.measured == np.inf
         assert rep.context["n_scored"] == 0
@@ -710,7 +770,7 @@ class TestBln:
         values = np.full((8, 8), 0.4)
         values[3, col] = np.nan
         traj.append(2, Field(values, traj.grid, 0.2))
-        rep = verify.check_bln(traj, spec, self.BLN_KS)
+        rep = _bln(traj, spec, self.BLN_KS)
         assert not rep.passed
         assert rep.measured == np.inf
         # the row names the NaN cell, at the first k
@@ -723,7 +783,7 @@ class TestBln:
         spec = unattainable_run["spec"]
         traj = unattainable_run["traj"]
         ks = list(np.linspace(-2.5, 2.5, 9))
-        rep = verify.check_bln(traj, spec, ks)
+        rep = _bln(traj, spec, ks)
         assert rep.passed
         assert rep.measured <= 10.0 * traj.grid.ds   # the unit box's tol
         # while the inequality holds, the prescribed final data stays
@@ -960,8 +1020,8 @@ class TestReports:
 
 def _jump_reference(traj, spec):
     """``check_jump``'s row as the check first read its values off the
-    spec: beta evaluated from its AST, M3 = ``sup_bound`` at the jump's
-    time with unit kick mass, and the slope ``min_kick_slope`` without
+    spec: beta evaluated from its AST, M3 the jump level's bound of
+    ``_bound_curves_reference``, and the slope ``min_kick_slope`` without
     kick mass."""
     stepper = _op(spec, traj)
     marched = stepper.spec
@@ -972,7 +1032,7 @@ def _jump_reference(traj, spec):
     jump = traj.fields[i].values - um - E.evaluate(marched.beta, {
         "x": xc[:, None], "s": sc[None, :], "lambda": um})
     pointwise = verify._inf_unless_finite(float(np.max(np.abs(jump))))
-    m3 = sup_bound(marched, traj.times[i], 1.0)
+    m3 = _bound_curves_reference(marched, traj)[i]
     min_weight = 1.0 + min_kick_slope(marched, 0.0)
     post_sup = traj.fields[i].sup_norm()
     measured = max(pointwise / 1e-14, post_sup / max(m3, 1e-300),
@@ -1009,26 +1069,33 @@ def _window_sups_reference(expr, L, ends):
 
 
 def _bound_curves_reference(spec, traj):
-    """B at each snapshot, one snapshot and one kick at a time: the data
-    norm over (0, t), each window enclosed on its own, plus the kick mass
-    applied by t times sup|beta|, saturated at max(that data norm, b1)."""
+    """B at each snapshot, one step at a time: D the largest of |u^0| and
+    the s-end data at the start of every step so far, the kick mass
+    applied so far times sup|beta|, saturated at max(D, b1); every value
+    evaluated from the spec's ASTs."""
     meta = traj.meta
-    dt, gamma = meta["dt"], meta["gamma"]
-    u0_1 = E.sup(spec.data_u0_1, {"x": (0.0, spec.L), "s": (0.0, spec.S)})
+    dt, gamma, n_steps = meta["dt"], meta["gamma"], meta["n_steps"]
+    xc, sc = traj.grid.cell_centers()
+
+    def sup_on_cells(expr, cells):
+        return float(np.max(np.abs(E.evaluate(expr, cells))))
+
     base = max(data_sup_norms(spec).values())
-    sup_beta = E.sup(spec.beta, slab(spec, max(base, spec.b1) + 1.0))
-    thetas = kernels.step_mass(np.arange(meta["n_steps"]), dt, spec.tau,
+    sup_beta = (0.0 if spec.beta is None else
+                E.sup(spec.beta, slab(spec, max(base, spec.b1) + 1.0)))
+    thetas = kernels.step_mass(np.arange(n_steps), dt, spec.tau,
                                gamma, meta["n_tau"]).tolist()
-    bounds = []
-    for t in traj.times:
-        window = {"x": (0.0, spec.L), "t": (0.0, max(t, 1e-9))}
-        dnorm = max(u0_1, E.sup(spec.data_u0_2, window),
-                    E.sup(spec.data_uS_2, window))
-        mass = 0.0
-        for k in range(round(t / dt)):
-            mass += thetas[k]
-        bounds.append(float(min(dnorm + mass * sup_beta,
-                                max(dnorm, spec.b1))))
+    dnorm = sup_on_cells(spec.data_u0_1, {"x": xc[:, None],
+                                          "s": sc[None, :]})
+    mass, bounds = 0.0, []
+    for n in range(n_steps + 1):
+        if n in traj.levels:
+            bounds.append(float(min(dnorm + mass * sup_beta,
+                                    max(dnorm, spec.b1))))
+        if n < n_steps:
+            for expr in (spec.data_u0_2, spec.data_uS_2):
+                dnorm = max(dnorm, sup_on_cells(expr, {"x": xc, "t": n * dt}))
+            mass += thetas[n] if spec.beta is not None else 0.0
     return bounds
 
 
@@ -1262,13 +1329,13 @@ class TestHoistedAgainstReference:
     def test_bln(self, small_runs, mode):
         spec, runs = small_runs
         traj = runs[mode, 1]
-        _assert_same_report(verify.check_bln(traj, spec, SMALL_KS),
+        _assert_same_report(_bln(traj, spec, SMALL_KS),
                             _bln_reference(traj, spec, SMALL_KS))
 
     def test_bln_time_dependent_data(self, unattainable_run):
         spec, traj = unattainable_run["spec"], unattainable_run["traj"]
         ks = list(np.linspace(-2.5, 2.5, 9))
-        _assert_same_report(verify.check_bln(traj, spec, ks),
+        _assert_same_report(_bln(traj, spec, ks),
                             _bln_reference(traj, spec, ks))
 
     @pytest.mark.parametrize("mode", ["entropy", "impulsive", "entropy_lf"])
@@ -1321,7 +1388,15 @@ class TestHoistedAgainstReference:
         for mode in ("entropy", "impulsive"):
             traj = runs[mode, 1]
             bounds = _bounds(spec, traj)
-            assert list(bounds) == _bound_curves_reference(spec, traj)
+            marched = cli._marched(spec, mode)
+            assert list(bounds) == _bound_curves_reference(marched, traj)
+
+    def test_max_principle_bounds_time_dependent_data(self, unattainable_run):
+        # the inflow ramp raises D step by step, and no beta kicks
+        spec, traj = unattainable_run["spec"], unattainable_run["traj"]
+        bounds = _bounds(spec, traj)
+        assert list(bounds) == _bound_curves_reference(spec, traj)
+        assert len(set(bounds)) > 10
 
     @staticmethod
     def _assert_stability_curve(spec1, spec2, traj, inflow):
@@ -1410,7 +1485,7 @@ WINDOW_ENDS = np.array([1e-9, 0.021, 0.10638, 0.25, 0.5, 0.731, 1.0])
 
 # how far above a dense sample the enclosures of these data may lie: the
 # most is x (1 - x) exp(t), 1.4% above, as x and 1 - x vary apart on the
-# parts the budget of the batch of windows leaves
+# parts the budget leaves
 TIGHT = 0.015
 
 
@@ -1420,46 +1495,21 @@ class TestDataSamplingAgainstReference:
     def test_window_ends(self, text, scale):
         # each window's norm encloses every sample of the window, of the
         # data and of the data scaled by 1.01, and on these data comes
-        # within TIGHT of the samples; a window alone, or as one end of an
-        # array, is enclosed alike
+        # within TIGHT of the samples
         text = f"{scale!r}*({text})"
         spec = source_spec().with_data(data_u0_2=E.parse(text),
                                        data_uS_2=E.parse(f"-({text})"))
-        got = data_sup_norms(spec, (0.0, WINDOW_ENDS))
         whole = data_sup_norms(spec)
-        assert got["u0_1"] == whole["u0_1"]
+        reads_t = "t" in E.compile(E.parse(text))[1]
         for name in ("u0_2", "uS_2"):
-            want = np.array(_window_sups_reference(
-                getattr(spec, f"data_{name}"), spec.L, WINDOW_ENDS))
-            assert got[name].shape == WINDOW_ENDS.shape
-            assert np.all(want <= got[name])
-            assert np.all(got[name] <= want * (1.0 + TIGHT) + 1e-12)
-            for end in WINDOW_ENDS:
-                one = data_sup_norms(spec, (0.0, np.array([end])))[name]
-                assert one.tolist() == [data_sup_norms(
-                    spec, (0.0, end))[name]]
-            if "t" not in E.compile(E.parse(text))[1]:
-                assert got[name].tolist() == [whole[name]] * len(WINDOW_ENDS)
-
-    def test_the_windows_of_a_stride_1_run(self):
-        # 2,417 window ends, a cell each: no cell is cut in t, 1/2417 of
-        # the span, and each is cut 54 ways in x within the batch's budget;
-        # the norms lie within 4% of samples at every cell end
-        text = f"x*(1-x)*exp(t)*{XBUMP}"
-        spec = source_spec().with_data(data_u0_2=E.parse(text))
-        ends = np.arange(1, 2418) / 2417
-        data_sup_norms(spec)
-        tracemalloc.start()
-        try:
-            got = data_sup_norms(spec, (0.0, ends))["u0_2"]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        vals = E.evaluate(spec.data_u0_2, {"x": np.linspace(0.0, 1.0, 257)[
-            :, None], "t": ends[None, :]})
-        want = np.maximum.accumulate(np.abs(vals).max(axis=0))
-        assert np.all(want <= got) and np.all(got <= want * 1.04)
-        assert peak < 32 * 2 ** 20
+            want = _window_sups_reference(getattr(spec, f"data_{name}"),
+                                          spec.L, WINDOW_ENDS)
+            for end, sample in zip(WINDOW_ENDS, want):
+                got = data_sup_norms(spec, (0.0, float(end)))
+                assert got["u0_1"] == whole["u0_1"]
+                assert sample <= got[name] <= sample * (1.0 + TIGHT) + 1e-12
+                if not reads_t:
+                    assert got[name] == whole[name]
 
     @pytest.mark.parametrize("text1", DATA)
     @pytest.mark.parametrize("text2", ["0", "0.1*cos(5*x)", "0.5*t*x"])
@@ -1489,7 +1539,7 @@ class TestDataSamplingAgainstReference:
 class TestNothingToCertify:
     def test_bln_empty_k_bank_fails(self):
         traj, spec = TestBln._bln_case([(0.0, 0.4), (0.1, 2.0)])
-        rep = verify.check_bln(traj, spec, [])
+        rep = _bln(traj, spec, [])
         assert not rep.passed
         assert rep.measured == np.inf
         assert set(rep.context) == {"spec", "tol", "k_values", "n_scored",
