@@ -30,8 +30,8 @@ from .scheme import NaNDetectedError, SupNormExceeded
 _ABORTS = (NaNDetectedError, SupNormExceeded)
 
 
-def _k_bank(traj, n=9):
-    """n Kruzhkov constants strictly inside the trajectory's value range.
+def _k_bank(traj):
+    """Nine Kruzhkov constants strictly inside the trajectory's value range.
 
     For a constant k outside the values u takes, |u - k| is a linear
     entropy, which every conservative scheme satisfies, so only constants
@@ -45,7 +45,7 @@ def _k_bank(traj, n=9):
             lo, hi = min(lo, finite.min()), max(hi, finite.max())
     if lo > hi:
         return []
-    return [float(k) for k in np.linspace(lo, hi, n + 2)[1:-1]]
+    return [float(k) for k in np.linspace(lo, hi, 11)[1:-1]]
 
 
 def _marched(config, mode):

@@ -33,12 +33,12 @@ over boxes (Moore, *Interval Analysis*, 1966; Tucker, *Validated
 Numerics*, 2011): ``enclose`` returns (lo, hi) ranges that hold every
 point value, or dual derivative, the compiled expression takes in each
 box of a batch, rounded outward, and ``sup`` bounds max |expr| (or max
-expr, or its derivative's) over each box, cutting the box into parts and
-cutting again only the loose ones, those whose bound exceeds the point
-values found or that reach a pole, under a fixed budget.  Every bound the
-march or a check reads off a config's expressions is a ``sup``; it lives
-here, not in ``problem``, because ``kernels`` (imported by ``problem``)
-needs it too.
+expr, or its derivative's) over one box, cutting it into parts that it
+encloses as one batch, and cutting again only the loose ones, those whose
+bound exceeds the point values found or that reach a pole, under a fixed
+budget of parts.  Every bound the march or a check reads off a config's
+expressions is a ``sup``; it lives here, not in ``problem``, because
+``kernels`` (imported by ``problem``) needs it too.
 
 Precedence, tightest first: ``^`` (right-assoc), unary ``-``, ``* /``,
 ``+ -`` (left-assoc).  At the kinks of ``abs``/``min``/``max`` the
@@ -619,12 +619,12 @@ def enclose(expr, box, wrt=None):
     return out
 
 
-# ``sup`` cuts a box _CUTS[k] ways on each of the k axes it is wide on,
-# and then each loose part as many ways, or as its budget leaves: _BOXES
-# parts, or _BATCH shared by the boxes of a larger batch.  A part is loose
-# while its enclosure reaches a pole, or its bound exceeds the best point
-# value found by more than _TIGHT of it, or by 1e-12 where that is more
-_CUTS, _BOXES, _BATCH, _TIGHT = (1, 256, 16, 8, 4), 2 ** 13, 2 ** 17, 1e-3
+# ``sup`` cuts its box _CUTS[k] ways on each of the k axes it is wide on,
+# and then each loose part as many ways, as the room left in its budget of
+# _BOXES parts allows.  A part is loose while its enclosure reaches a pole,
+# or its bound exceeds the best point value found by more than _TIGHT of
+# it, or by 1e-12 where that is more
+_CUTS, _BOXES, _TIGHT = (1, 256, 16, 8, 4), 2 ** 13, 1e-3
 
 
 def _size(box):
@@ -672,9 +672,9 @@ def _tops(expr, parts, wrt, signed):
 
 
 def sup(expr, box, wrt=None, signed=False):
-    """An upper bound of max |expr| on each box of a batch, of max expr
-    where ``signed``, or of d expr / d wrt with ``wrt`` set; ``box`` is
-    ``enclose``'s.  A float for a single box.
+    """An upper bound of max |expr| on ``box``, of max expr where
+    ``signed``, or of d expr / d wrt with ``wrt`` set, as a float; ``box``
+    maps each variable the expression reads to its (lo, hi) floats.
 
     The point values at each part's centre and lowest and highest corners
     steer the cuts, and bound nothing: the result is the largest bound of
@@ -683,53 +683,45 @@ def sup(expr, box, wrt=None, signed=False):
     reaches a pole when the budget ends or it is too small to cut.
     """
     point, free = _compiled(expr, wrt)
-    read = {n: r for n, r in box.items() if n in free}
-    if not read:  # one value, or an enclosure of it
+    parts = {n: (np.array([lo], float), np.array([hi], float))
+             for n, (lo, hi) in box.items() if n in free}
+    if not parts:  # one value, or an enclosure of it
         lo, hi = enclose(expr, {}, wrt)[-1 if wrt else slice(None)]
-        out = np.broadcast_to(hi if signed else max(hi, -lo), _size(box))
-        return float(out) if out.ndim == 0 else out
-    shape = _size(read)
-    groups = math.prod(shape)
-    parts = {n: tuple(np.broadcast_to(np.asarray(v, dtype=float), shape)
-                      .ravel() for v in r) for n, r in read.items()}
-    # an axis is cut where some box has positive width
-    wide = [n for n, (lo, hi) in parts.items() if np.any(hi > lo)]
-    budget, m = min(_BOXES, _BATCH // max(groups, 1)), len(wide)
-    best, done = np.full(groups, -np.inf), np.full(groups, -np.inf)
-    spent, group = np.zeros(groups, int), np.arange(groups)
-    room, pole = budget, None
-    while group.size:
+        return float(hi if signed else max(hi, -lo))
+    wide = [n for n, (lo, hi) in parts.items() if hi[0] > lo[0]]
+    m = len(wide)
+    best = done = -np.inf
+    spent, room, pole = 0, _BOXES, None
+    while True:
         # as many ways as the room left allows, at most _CUTS[m]
         k = max(1, min(_CUTS[m], int(room ** (1 / max(m, 1)) + 1e-9)))
-        parts, group = _cut(parts, k, wide), np.repeat(group, k ** m)
+        parts = _cut(parts, k, wide)
         size = _size(parts)
         with np.errstate(all="ignore"):
             v = point({n: np.stack((0.5 * a + 0.5 * b, a, b))
                        for n, (a, b) in parts.items()})
-        v = np.broadcast_to(v[1] if wrt else v, (3,) + size).reshape(3, -1)
+        v = np.broadcast_to(v[1] if wrt else v, (3,) + size)
         top, error = _tops(expr, parts, wrt, signed)
         pole = error or pole
-        np.maximum.at(best, group, np.fmax.reduce(v if signed else np.abs(v)))
-        np.add.at(spent, group, 1)
-        loose = top > best[group] + np.maximum(_TIGHT * np.abs(best[group]),
-                                               1e-12)
+        best = np.maximum(best, np.max(np.fmax.reduce(v if signed
+                                                      else np.abs(v))))
+        spent += top.size
+        loose = top > best + max(_TIGHT * abs(best), 1e-12)
         # and can be cut: its midpoint lies inside it on a wide axis
         parts = {n: tuple(np.broadcast_to(x, size).ravel() for x in r)
                  for n, r in parts.items()}
         halves = [(lo, 0.5 * lo + 0.5 * hi, hi)
                   for lo, hi in map(parts.get, wide)]
         loose &= np.any([(lo < c) & (c < hi) for lo, c, hi in halves], axis=0)
-        rooms = (budget - spent) // np.maximum(
-            np.bincount(group[loose], minlength=groups), 1)
-        loose &= rooms[group] >= 2 ** m
-        np.maximum.at(done, group[~loose], top[~loose])
-        room = np.min(rooms[group[loose]], initial=budget)
+        room = (_BOXES - spent) // max(np.count_nonzero(loose), 1)
+        loose &= room >= 2 ** m
+        done = np.max(top[~loose], initial=done)
+        if not loose.any():
+            break
         parts = {n: (lo[loose], hi[loose]) for n, (lo, hi) in parts.items()}
-        group = group[loose]
-    if not np.all(np.isfinite(done)):
+    if not np.isfinite(done):
         raise pole
-    out = np.broadcast_to(done.reshape(shape), _size(box))
-    return float(out) if out.ndim == 0 else out
+    return float(done)
 
 
 # --- printing --------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Config files are line-oriented ``[section]`` / ``key = value`` text.
 Expression values are double-quoted strings; everything else is a bare
-number or identifier.  Unknown sections or keys are rejected, missing
+finite number or identifier.  Unknown sections or keys are rejected, missing
 required keys are rejected, and the loaded problem is validated (flux
 vanishing at zero, boundary-collar consistency of the data, delay-width
 budget, beta vanishing beyond ``[source] b1``, and ``SchemeOptions``).
@@ -20,7 +20,7 @@ Field files (extension ``.upkf``) are little-endian and bit-exact:
 A trajectory directory holds one field file per snapshot, an ``index.csv``
 mapping snapshot times to filenames (its third column, the role, must
 read ``snapshot``, which refuses the ``tau_minus`` and ``tau_plus`` rows
-of older impulsive runs), and a ``meta.json`` with the march
+of older impulsive runs), and a ``meta.json``, a JSON object of the march
 parameters the verification checks need to reconstruct the stepper:
 ``mode`` (``solver.mode_of`` of the marched spec), ``lateral_diffusion``,
 ``source``, ``dt``, ``n_steps``, ``n_tau`` (the level the gamma = 0 kick
@@ -183,12 +183,14 @@ def _coerce(kind, key, value, lineno):
             raise ParseError(f"{key}: {exc}", lineno) from exc
     if kind.startswith(("int", "float")):
         cast, what = ((int, "an integer") if kind.startswith("int")
-                      else (float, "a number"))
+                      else (float, "a finite number"))
         try:
-            return cast(value)
+            number = cast(value)
         except ValueError:
-            raise ParseError(f"{key}: expected {what}, got {value!r}",
-                             lineno) from None
+            number = math.nan
+        if not -math.inf < number < math.inf:  # float() reads nan and inf
+            raise ParseError(f"{key}: expected {what}, got {value!r}", lineno)
+        return number
     if kind.startswith("str"):
         if value.startswith('"') and value.endswith('"') and len(value) >= 2:
             return value[1:-1]
@@ -375,7 +377,13 @@ def read_trajectory(directory, L=1.0, S=1.0):
     if not meta_path.exists():
         raise FormatError(f"{directory}: no meta.json, so the run's march "
                           "parameters are unknown")
-    data = json.loads(meta_path.read_text())
+    try:
+        data = json.loads(meta_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise FormatError(f"{directory}: meta.json is not JSON: "
+                          f"{exc}") from None
+    if not isinstance(data, dict):
+        raise FormatError(f"{directory}: meta.json is not a JSON object")
     missing = [key for key in _MARCH_KEYS if key not in data]
     if missing:
         raise FormatError(f"{directory}: meta.json lacks {', '.join(missing)}")

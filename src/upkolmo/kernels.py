@@ -66,21 +66,21 @@ def k_gamma(t, tau, gamma):
 
 
 @functools.lru_cache(maxsize=1)
-def k_gamma_primitive(n=4096):
+def k_gamma_primitive():
     """The delayed kernel's primitive on its support, as a table.
 
     Returns nodes z on [-1, 0], z = (t - tau)/gamma, and P(z) = 2 * int_{-1}^z
-    omega by the cumulative trapezoid rule on n cells, divided by its last
+    omega by the cumulative trapezoid rule on 4096 cells, divided by its last
     entry so that P(0) = 1 exactly: the step averages (P(t + dt) - P(t))/dt
     then add up to unit mass to roundoff, whatever the steps.  The entries
     are nondecreasing, so a linear interpolant's slope is never negative,
     and no slope exceeds sup K_gamma = (2/gamma) omega(0) by more than
     roundoff.  By symmetry the half-range trapezoid sum is half the
     full-range one, which converges spectrally on the bump, so the divisor
-    is 1 to roundoff.  For n = 4096 the linear interpolant is within 5e-8
-    of P.  Memoized, read-only: a process builds the table once.
+    is 1 to roundoff.  The linear interpolant is within 5e-8 of P.
+    Memoized, read-only: a process builds the table once.
     """
-    z = np.linspace(-1.0, 0.0, n + 1)
+    z = np.linspace(-1.0, 0.0, 4097)
     w = omega(z)
     p = np.concatenate(([0.0], np.cumsum(w[:-1] + w[1:])))
     p = p / p[-1]

@@ -174,14 +174,12 @@ def snapshot_levels(n_steps, stride, n_tau):
 # --- spec consistency ------------------------------------------------------
 
 def _collar_max(expr, names, extents):
-    """Max |expr| on the relative-width-0.05 collar of a 2-D box, its four
-    strips one batch of ``exprdsl.sup``."""
+    """Max |expr| on the relative-width-0.05 collar of a 2-D box, over its
+    four strips."""
     (a, b), c = extents, _COLLAR
-    strips = {names[0]: (np.array([0.0, (1 - c) * a, 0.0, 0.0]),
-                         np.array([c * a, a, a, a])),
-              names[1]: (np.array([0.0, 0.0, 0.0, (1 - c) * b]),
-                         np.array([b, b, c * b, b]))}
-    return float(np.max(exprdsl.sup(expr, strips)))
+    strips = (((0.0, c * a), (0.0, b)), (((1 - c) * a, a), (0.0, b)),
+              ((0.0, a), (0.0, c * b)), ((0.0, a), ((1 - c) * b, b)))
+    return max(exprdsl.sup(expr, dict(zip(names, strip))) for strip in strips)
 
 
 def consistency_errors(spec):
@@ -335,15 +333,15 @@ def refined_max_bound(spec, t_prime):
 @_memo_on_data
 def _horizon(spec):
     """D(0, T), sup|beta| on |lambda| <= max(D(0, T), b1) + 1, and its sup
-    on b1 <= |lambda| <= that, enclosed in one batch of ``exprdsl.sup``.
-    Memoized: a process encloses a spec's data once."""
+    on b1 <= |lambda| <= that.  Memoized: a process encloses a spec's data
+    once."""
     base = max(data_sup_norms(spec).values())
     if spec.beta is None:
         return base, 0.0, 0.0
     r, b1 = max(base, spec.b1) + 1.0, spec.b1
-    beta = exprdsl.sup(spec.beta, _slab(spec, (np.array([-r, -r, b1]),
-                                               np.array([r, -b1, r]))))
-    return base, float(beta[0]), float(max(beta[1:]))
+    beta, below, above = (exprdsl.sup(spec.beta, _slab(spec, lam))
+                          for lam in ((-r, r), (-r, -b1), (b1, r)))
+    return base, beta, max(below, above)
 
 
 def saturated_bound(spec, dnorm, masses):

@@ -449,15 +449,15 @@ def check_entropy_residual(traj, stepper, k_values):
 
 # --- boundary entropy inequalities ---------------------------------------------
 
-def _smooth_sign(z, width=1e-6):
-    return z / np.sqrt(z * z + width * width)
+def _smooth_sign(z):
+    return z / np.sqrt(z * z + 1e-12)  # a width of 1e-6
 
 
 def _q_a(a, v, k):
-    """Kruzhkov flux of the compiled s-flux ``a`` at v for the constant k."""
+    """Kruzhkov flux of the compiled s-flux ``a`` at v for the constant k,
+    and a(v)."""
     a_v = np.asarray(a({"lambda": v}))
-    a_k = float(a({"lambda": k}))
-    return np.sign(v - k) * (a_v - a_k), a_v, a_k
+    return np.sign(v - k) * (a_v - float(a({"lambda": k}))), a_v
 
 
 def check_bln(traj, stepper, k_values):
@@ -501,8 +501,8 @@ def check_bln(traj, stepper, k_values):
         a = exprdsl.compile(spec.flux_a)[0]
         for k in k_values:
             for end, tr, data, cs in ends:
-                q_tr, a_tr, _ = _q_a(a, tr, k)
-                q_d, a_d, _ = _q_a(a, data, k)
+                q_tr, a_tr = _q_a(a, tr, k)
+                q_d, a_d = _q_a(a, data, k)
                 gap = q_tr - q_d - _smooth_sign(data - k) * (a_tr - a_d)
                 # the inequality is <= tol at s = 0 and >= -tol at s = S
                 gap = gap if end == "s0" else -gap
@@ -631,8 +631,7 @@ def epsilon_cauchy_report(spec, epsilons, diffs):
 
 # --- genuine nonlinearity ---------------------------------------------------------
 
-def validate_genuine_nonlinearity(a, Lambda, n_dirs=64, deltas=(1e-2, 1e-3, 1e-4),
-                                  n_lambda=4096):
+def validate_genuine_nonlinearity(a, Lambda, n_dirs=64):
     """Numeric proxy for the non-degeneracy of the s-flux.
 
     For unit directions (xi1, xi2), measures the near-root set
@@ -640,16 +639,17 @@ def validate_genuine_nonlinearity(a, Lambda, n_dirs=64, deltas=(1e-2, 1e-3, 1e-4
         mu(delta) = Leb{ lambda in [-Lambda, Lambda] :
                          |xi1 + a'(lambda) xi2| < delta }
 
-    on a midpoint lambda-grid.  Half the directions are uniform on the
-    circle; the other half are root-seeking candidates (-a'(lambda_q), 1)
-    built from quantiles of sampled a' values, so that flat stretches of a'
-    cannot hide between uniform angles.  Passes iff the worst mu at the
-    smallest delta is at most 10 * delta_min * Lambda.  This is a profile,
-    not a proof: a true measure-zero root set is not certifiable from
-    finitely many samples.
+    at delta = 1e-2, 1e-3 and 1e-4 on a 4096-cell midpoint lambda-grid.
+    Half the directions are uniform on the circle; the other half are
+    root-seeking candidates (-a'(lambda_q), 1) built from quantiles of
+    sampled a' values, so that flat stretches of a' cannot hide between
+    uniform angles.  Passes iff the worst mu at the smallest delta is at
+    most 10 * delta_min * Lambda.  This is a profile, not a proof: a true
+    measure-zero root set is not certifiable from finitely many samples.
     """
     if n_dirs < 64:
         raise ValueError("need at least 64 directions")
+    n_lambda, deltas = 4096, (1e-2, 1e-3, 1e-4)
     dlam = 2.0 * Lambda / n_lambda
     mids = -Lambda + (np.arange(n_lambda) + 0.5) * dlam
     _, aprime = exprdsl.eval_dual(a, {"lambda": mids}, "lambda")
@@ -663,8 +663,6 @@ def validate_genuine_nonlinearity(a, Lambda, n_dirs=64, deltas=(1e-2, 1e-3, 1e-4
         norm = float(np.hypot(ap, 1.0))
         dirs.append((-float(ap) / norm, 1.0 / norm))
 
-    deltas = sorted(deltas, reverse=True)
-    delta_min = deltas[-1]
     profiles = []
     worst = 0.0
     for xi1, xi2 in dirs:
@@ -672,7 +670,7 @@ def validate_genuine_nonlinearity(a, Lambda, n_dirs=64, deltas=(1e-2, 1e-3, 1e-4
         mus = [float(np.count_nonzero(g < d)) * dlam for d in deltas]
         profiles.append(mus)
         worst = max(worst, mus[-1])
-    bound = 10.0 * delta_min * Lambda
+    bound = 10.0 * deltas[-1] * Lambda
     profiles = np.asarray(profiles)
     quantiles = {f"q{q}": [float(v) for v in
                            np.quantile(profiles, q / 100.0, axis=0)]

@@ -198,6 +198,44 @@ def test_verify_refuses_a_run_written_with_the_in_step_source(run_dir,
     assert not (traj / "reports.csv").exists()
 
 
+@pytest.mark.parametrize("text, what", [
+    ("5", "is not a JSON object"), ("null", "is not a JSON object"),
+    ("[]", "is not a JSON object"), ('"x"', "is not a JSON object"),
+    ("{", "is not JSON: Expecting property name enclosed in double "
+          "quotes: line 1 column 2 (char 1)"),
+    ("\udcff", "is not JSON: 'utf-8' codec can't decode byte 0xff in "
+                "position 0: invalid start byte")])
+def test_verify_refuses_a_meta_json_that_is_not_an_object(run_dir, capsys,
+                                                          text, what):
+    cfg, traj = run_dir
+    (traj / "meta.json").write_bytes(text.encode("utf-8", "surrogateescape"))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    assert _one_error_line(capsys) == f"error: {traj}: meta.json {what}\n"
+    assert not (traj / "reports.csv").exists()
+
+
+FLOAT_KEYS = ["L", "T", "S", "tau", "gamma", "b1", "epsilon", "cfl_safety"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_a_non_finite_number_exits_1(tmp_path, capsys, key, value):
+    # float() reads each of them, and a march or a meta.json of one is
+    # not a run: eps = nan wrote NaN, T = inf overflowed the step count
+    lines = _config(tmp_path).read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1)
+                  if line.startswith(f"{key} = "))
+    lines[lineno - 1] = f"{key} = {value}"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines))
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "traj")]) == 1
+    assert _one_error_line(capsys) == (
+        f"error: line {lineno}: {key}: expected a finite number, got "
+        f"{value!r}\n")
+    assert not (tmp_path / "traj").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_malformed_config_exits_1(tmp_path, capsys, command):
     cfg = tmp_path / "bad.cfg"

@@ -603,11 +603,14 @@ def test_an_enclosure_raises_where_its_box_reaches_a_domain_error(
     if error is None:
         assert np.all(np.isfinite(E.enclose(expr, box)))
         return
+    # enclose takes a batch of boxes, sup one box
+    one = all(np.ndim(v) == 0 for r in box.values() for v in r)
     for wrt in (None, "x"):
         with pytest.raises(E.DomainError, match=error):
             E.enclose(expr, box, wrt)
-        with pytest.raises(E.DomainError, match=error):
-            E.sup(expr, box, wrt)
+        if one:
+            with pytest.raises(E.DomainError, match=error):
+                E.sup(expr, box, wrt)
 
 
 @pytest.mark.parametrize("text, box, want", [

@@ -1,11 +1,13 @@
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from upkolmo import exprdsl as E
-from upkolmo import kernels
+from upkolmo import io, kernels
 from upkolmo import problem as P
 from upkolmo import solver
 from upkolmo.scheme import Stepper
@@ -13,7 +15,12 @@ from paper_bounds import max_principle_bound
 from samplers import sample_max, slab
 from scenarios import (BETA_TEXT, LCUT, SBUMP, U01_TEXT, XBUMP, flat_cut,
                        nosource_spec, perturbed_spec, saturated_spec,
-                       source_spec, unit_grid, zero_spec)
+                       shock_spec, source_spec, unattainable_spec, unit_grid,
+                       zero_spec)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import WORKLOADS, config_text  # noqa: E402
 
 
 def const_data_spec(u01="1", u02="1", uS2="1", **kwargs):
@@ -517,6 +524,48 @@ BETAS = [
 ]
 
 
+# the collar maxima of u0_1, u0_2 and uS_2, _horizon and min_kick_slope
+# at mass 0 and 1, in hex, as enclosed when the collar's four strips and
+# _horizon's three slabs were each one batch of ``exprdsl.sup``
+RECORDED_BOUNDS = {
+    "bench_seed0": [
+        "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.99999999999b2p-1",
+        "0x1.0000000000015p-1", "0x1.2000000000019p-100",
+        "-0x1.58a5d8a0d4ac7p-2", "-0x1.920c57c57c5bbp-2"],
+    "bench_seed1": [
+        "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.99999999999b2p-1",
+        "0x1.0000000000015p-1", "0x1.2000000000019p-100",
+        "-0x1.5865f6fb6f960p-2", "-0x1.9814353f7cf18p-2"],
+    "zero": [
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x1.28320b7b6ab35p-2", "0x1.05e0ae415f583p-100", "0x0.0p+0",
+        "-0x1.47a9e71d26ec6p-11"],
+    "nosource": [
+        "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.99999999999b2p-1",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
+    "saturated": [
+        "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.8000000000016p+1",
+        "0x1.0000000000015p+2", "0x1.2000000000019p-97",
+        "-0x1.2c3f35ba781c2p+2", "-0x1.2c3f35ba781c2p+2"],
+    "perturbed": [
+        "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.ccccccccccceap-1",
+        "0x1.0000000000015p-1", "0x1.2000000000019p-100",
+        "-0x1.7051bc8a98678p-2", "-0x1.92b22d0e5607ep-2"],
+    "shock": [
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0"],
+    "unattainable": [
+        "0x0.0p+0", "0x1.0000000000007p+0", "0x1.0000000000008p+1",
+        "0x1.0000000000008p+1", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0"],
+}
+SCENARIOS = {"zero": zero_spec, "nosource": nosource_spec,
+             "saturated": saturated_spec,
+             "perturbed": lambda: perturbed_spec(source_spec(), 0.1),
+             "shock": shock_spec, "unattainable": unattainable_spec}
+
+
 class TestSampleSupAgainstTheSamplersItReplaced:
     @pytest.mark.parametrize("beta", BETAS, ids=E.to_string)
     @pytest.mark.parametrize("L, S, b1", [(1.0, 1.0, 2.0), (0.7, 1.3, 0.5)])
@@ -557,19 +606,25 @@ class TestSampleSupAgainstTheSamplersItReplaced:
         got = E.sup(expr, {"lambda": (lo, hi)}, wrt="lambda")
         assert want <= got <= want * (1.0 + NEAR)
 
-    def test_one_count_per_axis(self):
-        # a batch of boxes gets each box's own bound, whatever axes the
-        # batch runs along, in either mode
-        beta = source_spec().beta
-        ends = np.array([-2.5, 0.5])
-        for wrt in (None, "lambda", "x"):
-            one = [E.sup(beta, slab(source_spec(), 2.5) | {
-                "lambda": (lo, lo + 2.0)}, wrt=wrt) for lo in ends]
-            for lam in ((ends, ends + 2.0),
-                        (ends[:, None], ends[:, None] + 2.0)):
-                got = E.sup(beta, slab(source_spec(), 2.5) | {"lambda": lam},
-                            wrt=wrt)
-                assert np.ravel(got).tolist() == one
+    @pytest.mark.parametrize("name", list(RECORDED_BOUNDS))
+    def test_one_box_per_call_gives_the_recorded_bounds(self, name,
+                                                       tmp_path):
+        # the collar's strips and _horizon's slabs enclosed one at a time,
+        # as the batch of them gave each bound
+        if name.startswith("bench_seed"):
+            cfg = tmp_path / "bench.cfg"
+            cfg.write_text(config_text(WORKLOADS["source64"], int(name[-1]),
+                                       tmp_path))
+            spec = io.load_config(cfg).spec
+        else:
+            spec = SCENARIOS[name]()
+        collar = [P._collar_max(e, ax, ext) for e, ax, ext in (
+            (spec.data_u0_1, ("x", "s"), (spec.L, spec.S)),
+            (spec.data_u0_2, ("x", "t"), (spec.L, spec.T)),
+            (spec.data_uS_2, ("x", "t"), (spec.L, spec.T)))]
+        got = [*collar, *P._horizon(spec), P.min_kick_slope(spec, 0.0),
+               P.min_kick_slope(spec, 1.0)]
+        assert [float(v).hex() for v in got] == RECORDED_BOUNDS[name]
 
     def test_slab_sup_of_no_perturbation_is_zero(self):
         spec = source_spec().with_data(beta=None)

@@ -1102,7 +1102,7 @@ def _bound_curves_reference(spec, traj):
 def _q_a_reference(spec, v, k):
     a_v = np.asarray(E.evaluate(spec.flux_a, {"lambda": v}))
     a_k = float(E.evaluate(spec.flux_a, {"lambda": k}))
-    return np.sign(v - k) * (a_v - a_k), a_v, a_k
+    return np.sign(v - k) * (a_v - a_k), a_v
 
 
 def _bln_reference(traj, spec, k_values):
@@ -1123,13 +1123,13 @@ def _bln_reference(traj, spec, k_values):
         dataS = np.broadcast_to(np.asarray(E.evaluate(
             spec.data_uS_2, {"x": xc, "t": t})), xc.shape)
         for j, k in enumerate(k_values):
-            q_tr0, a_tr0, _ = _q_a_reference(spec, tr0, k)
-            q_d0, a_d0, _ = _q_a_reference(spec, data0, k)
+            q_tr0, a_tr0 = _q_a_reference(spec, tr0, k)
+            q_d0, a_d0 = _q_a_reference(spec, data0, k)
             expr0 = (q_tr0 - q_d0
                      - verify._smooth_sign(data0 - k) * (a_tr0 - a_d0))
             gaps.setdefault((j, "s0"), []).append((t, expr0))
-            q_trS, a_trS, _ = _q_a_reference(spec, trS, k)
-            q_dS, a_dS, _ = _q_a_reference(spec, dataS, k)
+            q_trS, a_trS = _q_a_reference(spec, trS, k)
+            q_dS, a_dS = _q_a_reference(spec, dataS, k)
             exprS = (q_trS - q_dS
                      - verify._smooth_sign(dataS - k) * (a_trS - a_dS))
             gaps.setdefault((j, "sS"), []).append((t, -exprS))
