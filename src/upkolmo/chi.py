@@ -100,7 +100,8 @@ def kinetic_impulse_residual(u_minus, u_plus, beta, M3, n_cells=1024,
     else:
         bind = {"x": 0.0, "s": 0.0}
     lifted = {k: np.asarray(val)[None] for k, val in bind.items()}
-    dbeta = exprdsl.compile(beta, "lambda")[0] if beta is not None else None
+    dbeta = (exprdsl.compile(exprdsl.diff(beta, "lambda"))[0]
+             if beta is not None else None)
     lhs = rhs = 0
     min_weight = np.inf
     for first in range(0, n_cells, _LAMBDA_BLOCK):
@@ -109,7 +110,7 @@ def kinetic_impulse_residual(u_minus, u_plus, beta, M3, n_cells=1024,
         # chi counts are integers, so their block sums add up exactly
         lhs = lhs + np.sum(chi(lam, vp[None]), axis=0)
         weight = (1.0 if dbeta is None
-                  else 1.0 + dbeta({**lifted, "lambda": lam})[1])
+                  else 1.0 + dbeta({**lifted, "lambda": lam}))
         inside = np.abs(lam.ravel()) <= weight_radius
         if inside.any():
             min_weight = min(min_weight, float(np.min(np.broadcast_to(

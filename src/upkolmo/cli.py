@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io as config_io
 # `verify` is imported by the commands that use it, so `run` compiles no check
-from . import exprdsl, solver
+from . import exprdsl, problem, solver
 # bench/run.py traces refined_max_bound where each module binds it
 from .problem import refined_max_bound  # noqa: F401
 from .scheme import NaNDetectedError, SupNormExceeded
@@ -83,10 +83,13 @@ def _cmd_sweep(args):
     loaded = config_io.load_config(args.config)
     spec, grid, options = loaded.spec, loaded.grid, loaded.options
     values = [float(v) for v in args.values.split(",")]
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be an integer >= 1, got {args.jobs}")
     # a gamma family is scored against its limit, an eps family pairwise
     gamma = args.param == "gamma"
     check = verify.check_gamma_limit if gamma else verify.check_epsilon_cauchy
-    with (ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1
+    jobs = min(args.jobs, len(values))  # a pool forks all its workers at once
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
           else contextlib.nullcontext()) as pool:
         report = check(spec, grid, values, options,
                        map_fn=pool.map if pool else map)
@@ -113,6 +116,7 @@ def _cmd_verify(args):
         tr = config_io.read_trajectory(path, L=config.L, S=config.S)
         meta = tr.meta
         spec = _marched(config, meta["mode"])
+        problem.check_region(spec, meta["m_bound"])
         stepper = verify.rebuild(spec, tr)
         off = np.count_nonzero(tr.fields[0].values.view(np.uint64) != (
             solver.initial_values(spec, tr.grid).view(np.uint64)))

@@ -6,9 +6,9 @@ minus, and the functions ``sin cos exp tanh sqrt abs min max``.  Evaluation
 is plain IEEE double arithmetic and broadcasts over numpy arrays, so the
 same AST backs both scalar checks and whole-grid evaluation.
 
-``compile(expr, wrt=None)`` is the only walk of the tree.  It returns a
-closure and the expression's free variables (the names it reads); code
-that evaluates one expression many times holds the closure, and
+``compile(expr)`` is the only walk of the tree.  It returns a closure
+and the expression's free variables (the names it reads); code that
+evaluates one expression many times holds the closure, and
 ``evaluate(expr, bindings)`` is ``compile(expr)[0](bindings)``.  The
 closure applies the same numpy operations in the same order as the tree,
 so results are bit-identical, and keeps every domain check.  A division
@@ -17,28 +17,33 @@ is all finite skips its three-mask test, which can only flag a non-finite
 result: 0^negative, a negative base to a fractional exponent, or an
 overflow such as ``lambda^2`` at 1e200 still raise ``DomainError``,
 naming which of the three it found.  So does any other non-finite value
-of finite bindings, such as ``exp(lambda)`` at 1000, in either mode.
+of finite bindings, such as ``exp(lambda)`` at 1000.
 
-With ``wrt`` set, the closure returns ``(value, d value / d wrt)`` by
-forward-mode dual numbers: first derivatives are exact, with no finite
-differencing.  Each operator's value function and domain check
-(``_VALUE``) serve both modes; its derivative rule sits in ``_DERIV``.
-A power takes the rule for a variable exponent exactly when its exponent
-reads ``wrt``, decided at compile time, so that no value can change it.
-``eval_dual`` is the ``wrt`` mode behind a check that the seed is bound.
+``diff(expr, var)`` returns d expr / d var as a tree, which every
+function here takes, ``diff`` too.  Its rules transcribe forward-mode
+dual numbers in their operation order, so its point values are a dual
+walk's, bit for bit.  Rules that depend on a condition are Calls of
+names ``parse`` cannot produce: ``seed``, d var / d var, 1 or 0 shaped
+like the binding; ``^'``, e a^(e-1) da, 0 where da is, for an exponent
+that does not read var (one that does takes ``log``, which refuses a
+base <= 0); the picks ``abs'``, ``min'`` and ``max'``; and ``over``, the
+rules' division, unchecked at points.  ``same`` is one function as two
+trees, evaluated as the first and enclosed as the second: what does not
+read var has the derivative 0 on a box, exactly and unwalked; a product
+drops the term of such a factor; and b*b encloses as b^2.
 
-The same walk, through ``_RANGE`` and ``_RANGE_DERIV`` in place of
-``_VALUE`` and ``_DERIV``, gives an interval enclosure of the expression
-over boxes (Moore, *Interval Analysis*, 1966; Tucker, *Validated
-Numerics*, 2011): ``enclose`` returns (lo, hi) ranges that hold every
-point value, or dual derivative, the compiled expression takes in each
-box of a batch, rounded outward, and ``sup`` bounds max |expr| (or max
-expr, or its derivative's) over one box, cutting it into parts that it
-encloses as one batch, and cutting again only the loose ones, those whose
-bound exceeds the point values found or that reach a pole, under a fixed
-budget of parts.  Every bound the march or a check reads off a config's
-expressions is a ``sup``; it lives here, not in ``problem``, because
-``kernels`` (imported by ``problem``) needs it too.
+The same walk, through ``_RANGE`` in place of ``_VALUE``, gives an
+interval enclosure of the expression over boxes (Moore, *Interval
+Analysis*, 1966; Tucker, *Validated Numerics*, 2011): ``enclose``
+returns (lo, hi) ranges that hold every point value the compiled
+expression takes in each box of a batch, rounded outward, and ``sup``
+bounds max |expr| (or max expr) over one box, cutting it into parts that
+it encloses as one batch, and cutting again only the loose ones, those
+whose bound exceeds the point values found or that reach a pole, under a
+fixed budget of parts.  Every bound the march or a check reads off a
+config's expressions is a ``sup``, of the expression or of its ``diff``;
+it lives here, not in ``problem``, because ``kernels`` (imported by
+``problem``) needs it too.
 
 Precedence, tightest first: ``^`` (right-assoc), unary ``-``, ``* /``,
 ``+ -`` (left-assoc).  At the kinks of ``abs``/``min``/``max`` the
@@ -57,7 +62,7 @@ import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
-    "parse", "compile", "evaluate", "eval_dual", "enclose", "sup",
+    "parse", "compile", "evaluate", "diff", "enclose", "sup",
     "to_string", "ExprSyntaxError", "UnboundVariableError", "DomainError",
     "VARIABLES", "FUNCTIONS",
 ]
@@ -259,16 +264,13 @@ def _check_pow(base, expo, result):
         raise DomainError(f"invalid power ({'; '.join(causes)})")
 
 
-def _sqrt(a):
-    if np.any(np.asarray(a) < 0):
-        raise DomainError("sqrt of a negative number")
-    return np.sqrt(a)
-
-
-def _div(a, d):
-    if np.any(np.asarray(d) == 0):
-        raise DomainError("division by zero")
-    return a / d
+def _refusing(op, bad, why):
+    """op, raising ``DomainError(why)`` where its last operand is bad."""
+    def refusing(*args):
+        if np.any(bad(np.asarray(args[-1]))):
+            raise DomainError(why)
+        return op(*args)
+    return refusing
 
 
 def _power(a, e):
@@ -278,82 +280,62 @@ def _power(a, e):
     return r
 
 
-# each operator's value, with its domain check
-_VALUE = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
-          "abs": np.abs, "sqrt": _sqrt, "min": np.minimum, "max": np.maximum,
-          "+": operator.add, "-": operator.sub, "*": operator.mul,
-          "/": _div, "^": _power, "neg": operator.neg}
-
-
-def _d_sqrt(v, a, da):
+def _power_rule(a, e, da):
+    """e a^(e-1) da, 0 where da is: a constant base stays exact."""
     with np.errstate(all="ignore"):
-        return v, da / (2.0 * v)
+        d = np.where(np.asarray(da) == 0, 0.0, e * np.power(a, e - 1) * da)
+    return float(d) if np.ndim(d) == 0 else d
 
 
-def _d_power(v, a, da, e, de):
-    """An exponent that does not read the seed: works for any base."""
-    with np.errstate(all="ignore"):
-        d = e * np.power(a, e - 1) * da
-        d = np.where(np.asarray(da) == 0, 0.0, d)  # constant base stays exact
-    return v, float(d) if np.ndim(d) == 0 else d
+def _over(a, d):
+    """a / d unchecked, as the dual rules divided: a zero divisor gives an
+    inf or a nan, which the caller tests, for two Python floats too."""
+    return a / (np.float64(d) if type(d) is float and d == 0 else d)
 
 
-def _d_power_variable(v, a, da, e, de):
-    """An exponent that reads the seed: needs a positive base."""
-    if np.any(np.asarray(a) <= 0):
-        raise DomainError("variable exponent requires a positive base")
-    with np.errstate(all="ignore"):
-        d = v * (de * np.log(a) + e * da / a)
-    return v, float(d) if np.ndim(d) == 0 else d
-
-
-def _pick(take_a, a, da, b, db):
-    """min/max: the value and derivative of the argument taken."""
+def _take(take_a, da, db):
+    """min' and max': the derivative of the argument taken."""
     if np.ndim(take_a):
-        return np.where(take_a, a, b), np.where(take_a, da, db)
-    return (a, da) if take_a else (b, db)
+        return np.where(take_a, da, db)
+    return da if take_a else db
 
 
-# each operator's derivative rule: from the value and the operands' values
-# and derivatives, (value, derivative)
-_DERIV = {
-    "sin": lambda v, a, da: (v, np.cos(a) * da),
-    "cos": lambda v, a, da: (v, -np.sin(a) * da),
-    "exp": lambda v, a, da: (v, v * da),
-    "tanh": lambda v, a, da: (v, (1.0 - v * v) * da),
-    "abs": lambda v, a, da: (v, np.where(np.asarray(a) >= 0, 1.0, -1.0) * da),
-    "sqrt": _d_sqrt,
-    "min": lambda v, a, da, b, db: _pick(a <= b, a, da, b, db),
-    "max": lambda v, a, da, b, db: _pick(a >= b, a, da, b, db),
-    "+": lambda v, a, da, b, db: (v, da + db),
-    "-": lambda v, a, da, b, db: (v, da - db),
-    "*": lambda v, a, da, b, db: (v, da * b + a * db),
-    "/": lambda v, a, da, b, db: (v, (da * b - a * db) / (b * b)),
-    "^": _d_power,
-    "^wrt": _d_power_variable,
-    "neg": lambda v, a, da: (v, -da),
-}
+# each operation's value, with its domain check (diff's own: module notes)
+_POSITIVE = "variable exponent requires a positive base"
+_VALUE = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
+          "abs": np.abs, "min": np.minimum, "max": np.maximum,
+          "sqrt": _refusing(np.sqrt, lambda a: a < 0,
+                            "sqrt of a negative number"),
+          "+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": _refusing(operator.truediv, lambda d: d == 0,
+                         "division by zero"),
+          "^": _power, "neg": operator.neg,
+          "seed": lambda v, one: (np.full_like(np.asarray(v, dtype=float),
+                                               one) if np.ndim(v) else one),
+          "log": _refusing(np.log, lambda a: a <= 0, _POSITIVE),
+          "over": _over, "^'": _power_rule,
+          "abs'": lambda a, da: np.where(np.asarray(a) >= 0, 1.0, -1.0) * da,
+          "min'": lambda a, b, da, db: _take(a <= b, da, db),
+          "max'": lambda a, b, da, db: _take(a >= b, da, db)}
 
 
 # --- ranges ----------------------------------------------------------------
 #
 # A range (lo, hi), arrays that broadcast, holds every value an expression
-# takes on a box.  ``_RANGE`` and ``_RANGE_DERIV`` mirror ``_VALUE`` and
-# ``_DERIV``, each result rounded outward by 2^-52 of its magnitude, at
-# least one ulp, for + - * / and sqrt, which round correctly, and by _ULPS
-# times that for libm's exp, tanh, sin, cos, log and powers (not at all
-# below 1e-292, where the product underflows).
+# takes on a box.  ``_RANGE`` mirrors ``_VALUE``, each result rounded
+# outward by 2^-52 of its magnitude, at least one ulp, for + - * / and
+# sqrt, which round correctly, and by _ULPS times that for libm's exp,
+# tanh, sin, cos, log and powers (not at all below 1e-292, where the
+# product underflows).
 # An end that is 0 stays 0: a sum is 0 only when exact, and a product or a
 # libm value only when a factor is 0 or it underflows, as the point value
 # then does.  sqrt and a fractional power take the part of their argument's
 # range at or above 0 (``_clip``).  A range that reaches a pole (a divisor,
-# or the zero base of a negative power, holding 0), a variable exponent's
-# base <= 0, an overflow of a power, or an argument of sqrt wholly below 0
-# raises ``DomainError``, its ``where`` marking the boxes that do.
+# or the zero base of a negative power, holding 0), a log's argument <= 0,
+# an overflow of a power, or an argument of sqrt wholly below 0 raises
+# ``DomainError``, its ``where`` marking the boxes that do.
 
 _ULPS = 4
-# the range of the derivative of what does not read the seed
-_ZERO = (0.0, 0.0)
 
 
 def _out(lo, hi, ulps=1):
@@ -411,6 +393,22 @@ def _r_power(a, e):
     return low, high
 
 
+def _r_power_rule(a, e, da):
+    """``_power_rule``, e - 1 the float it forms of a constant exponent."""
+    if not (np.any(da[0]) or np.any(da[1])):
+        return 0.0, 0.0
+    em1 = ((e[0] - 1.0, e[1] - 1.0) if np.ndim(e[0]) == 0 and e[0] == e[1]
+           else _sub(e, (1.0, 1.0)))
+    return _mul(_mul(e, _r_power(a, em1)), da)
+
+
+def _r_take(take_a, take_b, da, db):
+    """The range of da where a is taken everywhere, of db where b is, and
+    of both where either may be (abs', min' and max')."""
+    return tuple(np.where(take_a, x, np.where(take_b, y, h))
+                 for x, y, h in zip(da, db, _hull(*da, *db)))
+
+
 def _wave(f, crest):
     """sin or cos, 1 at crest + 2 pi k and -1 half a period on: the values
     at the ends, and +-1 where a peak may lie inside, the period count
@@ -448,139 +446,79 @@ _RANGE = {"sin": _wave(np.sin, np.pi / 2), "cos": _wave(np.cos, 0.0),
           "+": _add, "-": _sub, "*": _mul, "^": _r_power,
           "/": lambda a, b: _quotient(a, _domain(
               b, (b[0] <= 0) & (b[1] >= 0), "division by zero")),
-          "neg": lambda a: (-a[1], -a[0])}
+          "neg": lambda a: (-a[1], -a[0]), "seed": lambda v, one: one,
+          "log": lambda a: _out(*map(np.log, _domain(a, a[0] <= 0, _POSITIVE)),
+                                _ULPS),
+          "^'": _r_power_rule,
+          "abs'": lambda a, da: _r_take(a[0] >= 0, a[1] < 0, da,
+                                        _RANGE["neg"](da)),
+          "min'": lambda a, b, da, db: _r_take(a[1] <= b[0], b[1] < a[0],
+                                               da, db),
+          "max'": lambda a, b, da, db: _r_take(a[0] >= b[1], b[0] > a[1],
+                                               da, db)}
+_RANGE["over"] = _RANGE["/"]  # checked on ranges, as the dual rules were
 
 
-def _r_pick(take_a, take_b, da, db):
-    """The range of da where a is taken everywhere, of db where b is, and
-    of both where either may be (min, max and abs)."""
-    return tuple(np.where(take_a, x, np.where(take_b, y, h))
-                 for x, y, h in zip(da, db, _hull(*da, *db)))
+def _parts(expr):
+    """(operation name, operands) of a node that is not a leaf."""
+    return (("neg", (expr.arg,)) if isinstance(expr, Neg) else
+            (expr.op, (expr.lhs, expr.rhs)) if isinstance(expr, BinOp)
+            else (expr.func, expr.args))
 
 
-def _rd_power(v, a, da, e, de):
-    """``_d_power`` on ranges, 0 where da is 0; e - 1 is the float the
-    point rule forms from a constant exponent."""
-    if not (np.any(da[0]) or np.any(da[1])):
-        return v, (0.0, 0.0)
-    em1 = ((e[0] - 1.0, e[1] - 1.0) if np.ndim(e[0]) == 0 and e[0] == e[1]
-           else _sub(e, (1.0, 1.0)))
-    return v, _mul(_mul(e, _r_power(a, em1)), da)
-
-
-def _rd_power_variable(v, a, da, e, de):
-    _domain(a, a[0] <= 0, "variable exponent requires a positive base")
-    log_a = _out(*map(np.log, a), _ULPS)
-    return v, _mul(v, _add(_mul(de, log_a), _quotient(_mul(e, da), a)))
-
-
-# each operator's derivative rule on ranges, as in ``_DERIV``
-_RANGE_DERIV = {
-    "sin": lambda v, a, da: (v, _mul(_RANGE["cos"](a), da)),
-    "cos": lambda v, a, da: (v, _mul(_RANGE["neg"](_RANGE["sin"](a)), da)),
-    "exp": lambda v, a, da: (v, _mul(v, da)),
-    "tanh": lambda v, a, da: (
-        v, _mul(_sub((1.0, 1.0), _r_power(v, (2.0, 2.0))), da)),
-    "abs": lambda v, a, da: (v, _r_pick(a[0] >= 0, a[1] < 0, da,
-                                      _RANGE["neg"](da))),
-    "sqrt": lambda v, a, da: (v, _RANGE["/"](da, _mul((2.0, 2.0), v))),
-    "min": lambda v, a, da, b, db: (v, _r_pick(a[1] <= b[0], b[1] < a[0],
-                                             da, db)),
-    "max": lambda v, a, da, b, db: (v, _r_pick(a[0] >= b[1], b[0] > a[1],
-                                             da, db)),
-    "+": lambda v, a, da, b, db: (v, _add(da, db)),
-    "-": lambda v, a, da, b, db: (v, _sub(da, db)),
-    "*": lambda v, a, da, b, db: (v, _mul(a, db) if da is _ZERO else _mul(
-        da, b) if db is _ZERO else _add(_mul(da, b), _mul(a, db))),
-    "/": lambda v, a, da, b, db: (v, _RANGE["/"](
-        _sub(_mul(da, b), _mul(a, db)), _r_power(b, (2.0, 2.0)))),
-    "^": _rd_power,
-    "^wrt": _rd_power_variable,
-    "neg": lambda v, a, da: (v, _RANGE["neg"](da)),
-}
-
-
-def compile(expr, wrt=None, finite=True):
+def compile(expr, finite=True):
     """Compile ``expr`` into ``(fn, free)``: ``fn(bindings)`` returns what
     ``evaluate(expr, bindings)`` does, bit for bit and of the same type, and
     ``free`` is the frozenset of the variable names the expression reads.
-    With ``wrt`` set to a variable name, ``fn(bindings)`` returns
-    ``(value, d value / d wrt)`` instead, by forward-mode dual numbers.
 
-    A non-finite value, or derivative, of finite bindings raises
-    ``DomainError``, tested once on the result, with NumPy's warnings off.
-    ``finite=False`` leaves that test to a caller that evaluates under
-    ``np.errstate`` and tests what it computes from the value itself, as
-    the march's step does (``scheme._finite``).
+    A non-finite value of finite bindings raises ``DomainError``, tested
+    once on the result, with NumPy's warnings off.  ``finite=False`` leaves
+    that test to a caller that evaluates under ``np.errstate`` and tests
+    what it computes from the value itself, as the march's step does
+    (``scheme._finite``).
     """
-    fn, free = _compile(expr, wrt)
+    fn, free = _compile(expr)
     if not finite:
         return fn, free
 
     def finite(b):
         with np.errstate(all="ignore"):
             v = fn(b)
-        bad = [part for part, x in zip(("value", "derivative"),
-                                       v if wrt is not None else (v,))
-               if not np.isfinite(x).all()]
-        if bad and all(np.isfinite(b[name]).all() for name in free):
-            raise DomainError(f"overflow to a non-finite {bad[0]}")
+        if not np.isfinite(v).all() and all(np.isfinite(b[name]).all()
+                                            for name in free):
+            raise DomainError("overflow to a non-finite value")
         return v
     return finite, free
 
 
-def _compile(expr, wrt, ranges=False):
+def _compile(expr, ranges=False):
     if isinstance(expr, Num):
         const = (expr.value, expr.value) if ranges else expr.value
-        if wrt is not None:
-            const = (const, _ZERO if ranges else 0.0)
         return (lambda b: const), frozenset()
     if isinstance(expr, Var):
         name = expr.name
-        seed = 1.0 if name == wrt else 0.0
 
         def var(b):
             try:
-                v = b[name]
+                return b[name]
             except KeyError:
                 raise UnboundVariableError(name) from None
-            if wrt is None:
-                return v
-            if ranges:
-                return v, (seed, seed) if seed else _ZERO
-            return v, (np.full_like(np.asarray(v, dtype=float), seed)
-                       if np.ndim(v) else seed)
         return var, frozenset((name,))
-    name, args = (("neg", (expr.arg,)) if isinstance(expr, Neg) else
-                  (expr.op, (expr.lhs, expr.rhs)) if isinstance(expr, BinOp)
-                  else (expr.func, expr.args))
-    values, derivs = (_RANGE, _RANGE_DERIV) if ranges else (_VALUE, _DERIV)
-    if name not in values:
+    name, args = _parts(expr)
+    if name == "same":  # evaluated as its first tree, enclosed as its second
+        return _compile(args[ranges], ranges)
+    ops = _RANGE if ranges else _VALUE
+    if name not in ops:
         raise ValueError(f"unknown operator or function {name!r}")
-    fns, frees = zip(*(_compile(a, wrt, ranges) for a in args))
-    f, g, free = fns[0], fns[-1], frozenset().union(*frees)
-    op = values[name]
+    fns, frees = zip(*(_compile(a, ranges) for a in args))
+    op, free = ops[name], frozenset().union(*frees)
     if name == "/" and isinstance(args[1], Num) and args[1].value != 0:
         # the division-by-zero test, settled here
         op = _quotient if ranges else operator.truediv
-    if wrt is None or ranges and wrt not in free:
-        if wrt is not None:  # a range of what does not read wrt: d = 0
-            f, g = (lambda b: fns[0](b)[0]), (lambda b: fns[-1](b)[0])
-        fn = ((lambda b: op(f(b))) if len(args) == 1
-              else (lambda b: op(f(b), g(b))))
-        return (fn if wrt is None else lambda b: (fn(b), _ZERO)), free
-    # a power's rule is decided from the tree, so that no value can change it
-    rule = derivs["^wrt" if name == "^" and wrt in frees[1] else name]
-    if len(args) == 1:
-        def unary(b):
-            a, da = f(b)
-            return rule(op(a), a, da)
-        return unary, free
-
-    def binary(b):
-        (a, da), (c, dc) = f(b), g(b)
-        return rule(op(a, c), a, da, c, dc)
-    return binary, free
+    f, g = fns[0], fns[-1]
+    return ((lambda b: op(f(b))) if len(fns) == 1 else
+            (lambda b: op(f(b), g(b))) if len(fns) == 2 else
+            (lambda b: op(*[h(b) for h in fns]))), free
 
 
 # the bounds of a config enclose each of its expressions more than once
@@ -592,31 +530,100 @@ def evaluate(expr, bindings):
     return compile(expr)[0](bindings)
 
 
-def eval_dual(expr, bindings, seed):
-    """Evaluate value and d/d(seed) simultaneously.
-
-    Returns ``(value, derivative)``; both broadcast over array bindings.
-    """
-    if seed not in bindings:
-        raise UnboundVariableError(seed)
-    return compile(expr, seed)[0](bindings)
-
-
-def enclose(expr, box, wrt=None):
-    """What ``compile(expr, wrt)[0]`` returns, as ranges over a batch of
-    boxes: ``box`` maps each variable the expression reads to its (lo, hi),
-    arrays that broadcast together, and every point value, or dual
-    derivative, the compiled expression takes in a box without raising
-    lies in the range returned for it.  A box that reaches a pole raises
-    ``DomainError`` (see the notes on ranges), and so does a non-finite
-    end, as a non-finite point value does in ``compile``."""
+def enclose(expr, box):
+    """What ``compile(expr)[0]`` returns, as ranges over a batch of boxes:
+    ``box`` maps each variable the expression reads to its (lo, hi),
+    arrays that broadcast together, and every point value the compiled
+    expression takes in a box without raising lies in the range returned
+    for it.  A box that reaches a pole raises ``DomainError`` (see the
+    notes on ranges), and so does a non-finite end, as a non-finite point
+    value does in ``compile``."""
     with np.errstate(all="ignore"):
-        out = _compiled(expr, wrt, True)[0](box)
-    for part, (lo, hi) in zip(("value", "derivative"),
-                              out if wrt is not None else (out,)):
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise DomainError(f"overflow to a non-finite {part}")
-    return out
+        lo, hi = _compiled(expr, True)[0](box)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise DomainError("overflow to a non-finite value")
+    return lo, hi
+
+
+# --- derivatives -----------------------------------------------------------
+
+_ZERO = Num(0.0)
+
+
+def _square(v):
+    return Call("same", (BinOp("*", v, v), BinOp("^", v, Num(2.0))))
+
+
+# the rules that read only e = op(*x) and the derivatives dx of x
+_RULES = {"neg": lambda e, x, dx: Neg(*dx),
+          "+": lambda e, x, dx: BinOp("+", *dx),
+          "-": lambda e, x, dx: BinOp("-", *dx),
+          "/": lambda e, x, dx: Call("over", (BinOp("-", BinOp(
+              "*", dx[0], x[1]), BinOp("*", x[0], dx[1])), _square(x[1]))),
+          "sin": lambda e, x, dx: BinOp("*", Call("cos", x), *dx),
+          "cos": lambda e, x, dx: BinOp("*", Neg(Call("sin", x)), *dx),
+          "exp": lambda e, x, dx: BinOp("*", e, *dx),
+          "tanh": lambda e, x, dx: BinOp("*", BinOp("-", Num(1.0),
+                                                    _square(e)), *dx),
+          "sqrt": lambda e, x, dx: Call("over", (*dx, BinOp("*", Num(2.0),
+                                                             e))),
+          "log": lambda e, x, dx: Call("over", (*dx, *x)),
+          "same": lambda e, x, dx: Call("same", dx),
+          # a pick's derivative, and a pick's of the same operand
+          "abs": lambda e, x, dx: Call("abs'", x + dx),
+          "min": lambda e, x, dx: Call("min'", x + dx),
+          "max": lambda e, x, dx: Call("max'", x + dx),
+          "abs'": lambda e, x, dx: Call("abs'", x[:1] + dx[1:]),
+          "min'": lambda e, x, dx: Call("min'", x[:2] + dx[2:]),
+          "max'": lambda e, x, dx: Call("max'", x[:2] + dx[2:])}
+_RULES["over"] = _RULES["/"]
+
+
+@functools.lru_cache(maxsize=64)
+def diff(expr, var):
+    """d expr / d var, as a tree (module notes)."""
+    return _diff(expr, var)[0]
+
+
+def _diff(expr, var):
+    """(d expr / d var, whether expr reads var), by the rule of expr's
+    operation from its operands x and their derivatives dx."""
+    if isinstance(expr, Num):
+        return _ZERO, False
+    if isinstance(expr, Var):
+        reads = expr.name == var
+        return Call("seed", (expr, Num(float(reads)))), reads
+    name, x = _parts(expr)
+    if name == "seed":  # a constant, shaped like its binding
+        return Call("seed", (x[0], _ZERO)), False
+    dx, reads = zip(*(_diff(a, var) for a in x))
+    if name == "*":
+        d = BinOp("+", BinOp("*", dx[0], x[1]), BinOp("*", x[0], dx[1]))
+        if reads[0] != reads[1]:  # enclosed without the term that is 0
+            d = Call("same", (d, BinOp("*", x[0], dx[1]) if reads[1]
+                              else BinOp("*", dx[0], x[1])))
+    elif name == "^" and reads[1]:  # an exponent that reads var: a > 0
+        (a, e), (da, de) = x, dx
+        d = BinOp("*", expr, BinOp("+", BinOp("*", de, Call("log", (a,))),
+                                   Call("over", (BinOp("*", e, da), a))))
+    elif name == "^":
+        d = Call("^'", x + dx[:1])
+    elif name == "^'":  # e a^(e-1) dda + e (e-1) a^(e-2) da da
+        a, e, da = x
+        em1 = (Num(e.value - 1.0) if isinstance(e, Num)
+               else BinOp("-", e, Num(1.0)))
+        if reads[1]:  # a mixed partial, through the checked power
+            d = _diff(BinOp("*", BinOp("*", e, BinOp("^", a, em1)), da),
+                      var)[0]
+        else:
+            d = BinOp("+", Call("^'", (a, e, dx[2])), BinOp(
+                "*", BinOp("*", e, Call("^'", (a, em1, dx[0]))), da))
+    elif name in _RULES:
+        d = _RULES[name](expr, x, dx)
+    else:
+        raise ValueError(f"unknown operator or function {name!r}")
+    # what does not read var is enclosed as exactly 0, and not walked
+    return (d, True) if any(reads) else (Call("same", (d, _ZERO)), False)
 
 
 # ``sup`` cuts its box _CUTS[k] ways on each of the k axes it is wide on,
@@ -648,14 +655,14 @@ def _cut(parts, k, wide):
     return out
 
 
-def _tops(expr, parts, wrt, signed):
+def _tops(expr, parts, signed):
     """Each part's bound, flat, inf where its enclosure reaches a pole, and
     the ``DomainError`` of a pole reached, or None."""
     size, each, pole = _size(parts), parts, None
     ok = np.ones(math.prod(size), bool)
     while True:
         try:
-            lo, hi = enclose(expr, each, wrt)[-1 if wrt else slice(None)]
+            lo, hi = enclose(expr, each)
             break
         except DomainError as error:
             if error.where is None:
@@ -671,10 +678,10 @@ def _tops(expr, parts, wrt, signed):
     return top, pole
 
 
-def sup(expr, box, wrt=None, signed=False):
-    """An upper bound of max |expr| on ``box``, of max expr where
-    ``signed``, or of d expr / d wrt with ``wrt`` set, as a float; ``box``
-    maps each variable the expression reads to its (lo, hi) floats.
+def sup(expr, box, signed=False):
+    """An upper bound of max |expr| on ``box``, or of max expr where
+    ``signed``, as a float; ``box`` maps each variable the expression reads
+    to its (lo, hi) floats.
 
     The point values at each part's centre and lowest and highest corners
     steer the cuts, and bound nothing: the result is the largest bound of
@@ -682,11 +689,11 @@ def sup(expr, box, wrt=None, signed=False):
     raises ``DomainError`` raises it here, as does a part that still
     reaches a pole when the budget ends or it is too small to cut.
     """
-    point, free = _compiled(expr, wrt)
+    point, free = _compiled(expr)
     parts = {n: (np.array([lo], float), np.array([hi], float))
              for n, (lo, hi) in box.items() if n in free}
     if not parts:  # one value, or an enclosure of it
-        lo, hi = enclose(expr, {}, wrt)[-1 if wrt else slice(None)]
+        lo, hi = enclose(expr, {})
         return float(hi if signed else max(hi, -lo))
     wide = [n for n, (lo, hi) in parts.items() if hi[0] > lo[0]]
     m = len(wide)
@@ -700,8 +707,8 @@ def sup(expr, box, wrt=None, signed=False):
         with np.errstate(all="ignore"):
             v = point({n: np.stack((0.5 * a + 0.5 * b, a, b))
                        for n, (a, b) in parts.items()})
-        v = np.broadcast_to(v[1] if wrt else v, (3,) + size)
-        top, error = _tops(expr, parts, wrt, signed)
+        v = np.broadcast_to(v, (3,) + size)
+        top, error = _tops(expr, parts, signed)
         pole = error or pole
         best = np.maximum(best, np.max(np.fmax.reduce(v if signed
                                                       else np.abs(v))))

@@ -94,9 +94,9 @@ def _real(v):
 _KINDS = {
     "mode": ("regularized, entropy or impulsive",
              lambda v: v in ("regularized", "entropy", "impulsive")),
-    **dict.fromkeys(("dt", "m_bound"), (
-        "a finite number > 0", lambda v: _real(v) and v > 0)),
-    **dict.fromkeys(("eps", "gamma"), (
+    "dt": ("a finite number > 0", lambda v: _real(v) and v > 0),
+    # B(T), 0 for all-zero data and no beta (``problem.check_region``)
+    **dict.fromkeys(("eps", "gamma", "m_bound"), (
         "a finite number >= 0", lambda v: _real(v) and v >= 0)),
     "n_steps": ("a positive integer", lambda v: _integer(v) and v > 0),
     "n_tau": ("an integer or null", lambda v: v is None or _integer(v)),

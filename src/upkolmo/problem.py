@@ -261,8 +261,8 @@ def min_kick_slope(spec, mass):
         return 0.0
     reach = sup_bound(spec, spec.tau, (mass, 1.0))
     radius = max(reach[0], spec.b1 if reach[1] >= spec.b1 else 0.0)
-    return -exprdsl.sup(exprdsl.Neg(spec.beta), _slab(spec, (-radius, radius)),
-                        wrt="lambda", signed=True)
+    return -exprdsl.sup(exprdsl.Neg(exprdsl.diff(spec.beta, "lambda")),
+                        _slab(spec, (-radius, radius)), signed=True)
 
 
 @_memo_on_data
@@ -361,6 +361,15 @@ def sup_bound(spec, t, masses):
     dnorm = (_horizon(spec)[0] if t is None
              else max(data_sup_norms(spec, (0.0, t)).values()))
     return saturated_bound(spec, dnorm, masses)
+
+
+def check_region(spec, m_bound):
+    """Refuse a region m_bound below B(T), which the march can leave: no
+    march is sized on one, nor is a run on one verified."""
+    reach = sup_bound(spec, None, 1.0)
+    if m_bound < reach:
+        raise ValueError(f"m_bound = {m_bound} lies below B(T) = {reach}, "
+                         "the region the march can reach")
 
 
 def stability_rhs(spec1, spec2, levels, d_init, inflow, thetas):

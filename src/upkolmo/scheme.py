@@ -141,7 +141,8 @@ class SchemeOptions:
 def _max_slope(f, m_bound):
     """An enclosure of max|f'| on [-m_bound, m_bound] (``exprdsl.sup``);
     memoized, as the two fluxes are often one expression."""
-    return exprdsl.sup(f, {"lambda": (-m_bound, m_bound)}, wrt="lambda")
+    return exprdsl.sup(exprdsl.diff(f, "lambda"),
+                       {"lambda": (-m_bound, m_bound)})
 
 
 class _SplitTable:
@@ -154,7 +155,7 @@ class _SplitTable:
         k = math.ceil((m_bound + 1.0) / _TABLE_SPACING)
         self.nodes = (np.arange(-k, k + 1)) * _TABLE_SPACING
         mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        _, d = exprdsl.eval_dual(f, {"lambda": mids}, "lambda")
+        d = exprdsl.compile(exprdsl.diff(f, "lambda"))[0]({"lambda": mids})
         d = np.broadcast_to(np.asarray(d, dtype=float), mids.shape)
         inc_p = np.maximum(d, 0.0) * _TABLE_SPACING
         inc_m = np.minimum(d, 0.0) * _TABLE_SPACING

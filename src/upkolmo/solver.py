@@ -40,8 +40,8 @@ import time
 import numpy as np
 
 from . import exprdsl
-from .problem import (SUP_SLACK, Field, Trajectory, min_kick_slope,
-                      snapshot_levels, sup_bound)
+from .problem import (SUP_SLACK, Field, Trajectory, check_region,
+                      min_kick_slope, snapshot_levels)
 from .scheme import LATERAL_DIFFUSION, SOURCE_STEP, Stepper, SupNormExceeded
 
 __all__ = ["solve", "GammaOutOfRangeError"]
@@ -132,8 +132,6 @@ def solve(spec, grid, options=None, dt=None, m_bound=None):
             f"delay width must lie in (0, gamma0/2] = (0, {spec.gamma0 / 2.0}]"
             f" for a delayed source; got {spec.gamma} (gamma = 0 at eps = 0 "
             "is the instantaneous jump)")
-    if m_bound is not None and m_bound < sup_bound(spec, None, 1.0):
-        raise ValueError(
-            f"m_bound = {m_bound} lies below B(T) = "
-            f"{sup_bound(spec, None, 1.0)}, the region the march can reach")
+    if m_bound is not None:
+        check_region(spec, m_bound)
     return _march(spec, grid, options, dt, m_bound)

@@ -649,10 +649,12 @@ def validate_genuine_nonlinearity(a, Lambda, n_dirs=64):
     """
     if n_dirs < 64:
         raise ValueError("need at least 64 directions")
+    if not (np.isfinite(Lambda) and Lambda > 0):  # else mu is vacuous
+        raise ValueError(f"Lambda must be a finite number > 0, got {Lambda}")
     n_lambda, deltas = 4096, (1e-2, 1e-3, 1e-4)
     dlam = 2.0 * Lambda / n_lambda
     mids = -Lambda + (np.arange(n_lambda) + 0.5) * dlam
-    _, aprime = exprdsl.eval_dual(a, {"lambda": mids}, "lambda")
+    aprime = exprdsl.compile(exprdsl.diff(a, "lambda"))[0]({"lambda": mids})
     aprime = np.broadcast_to(np.asarray(aprime, dtype=float), mids.shape)
 
     n_uniform = n_dirs // 2

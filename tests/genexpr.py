@@ -56,7 +56,8 @@ def usable_point(expr, bindings, seed, h=1e-5, cap=1e3):
     """True when the dual value and the five-point FD stencil are all finite
     and moderately sized at the point."""
     try:
-        v, d = E.eval_dual(expr, bindings, seed)
+        v = E.evaluate(expr, bindings)
+        d = E.evaluate(E.diff(expr, seed), bindings)
         if not (np.isfinite(v) and np.isfinite(d)):
             return False
         if abs(float(v)) > cap or abs(float(d)) > cap:

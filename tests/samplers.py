@@ -7,16 +7,15 @@ import numpy as np
 from upkolmo import exprdsl as E
 
 
-def sample_max(expr, box, n=256, wrt=None, signed=False):
-    """max |expr| (max expr where ``signed``), or of d expr / d wrt, on n
-    ``linspace`` points per axis of ``box``, {name: (lo, hi)}, or one count
-    per axis."""
+def sample_max(expr, box, n=256, signed=False):
+    """max |expr| (max expr where ``signed``) on n ``linspace`` points per
+    axis of ``box``, {name: (lo, hi)}, or one count per axis; of a
+    derivative, of its ``diff``."""
     counts = np.broadcast_to(n, len(box))
     axes = {name: np.linspace(lo, hi, k).reshape(
                 [k if j == i else 1 for j in range(len(box))])
             for i, ((name, (lo, hi)), k) in enumerate(zip(box.items(), counts))}
-    vals = E.compile(expr, wrt)[0](axes)
-    vals = np.asarray(vals if wrt is None else vals[1], dtype=float)
+    vals = np.asarray(E.compile(expr)[0](axes), dtype=float)
     return float(np.max(vals if signed else np.abs(vals)))
 
 

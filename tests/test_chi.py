@@ -190,9 +190,8 @@ def _kinetic_one_shot(vm, vp, beta, grid, M3, n_cells, weight_radius):
     lam = lam[:, None, None]
     xc, sc = grid.cell_centers()
     lhs = np.sum(C.chi(lam, vp[None]), axis=0) * dlam
-    _, dbeta = E.eval_dual(beta, {"x": xc[None, :, None],
-                                  "s": sc[None, None, :], "lambda": lam},
-                           "lambda")
+    dbeta = E.evaluate(E.diff(beta, "lambda"), {
+        "x": xc[None, :, None], "s": sc[None, None, :], "lambda": lam})
     weight = np.broadcast_to(1.0 + dbeta, (n_cells,) + vm.shape)
     rhs = np.sum(weight * C.chi(lam, vm[None]), axis=0) * dlam
     beta0 = E.evaluate(beta, {"x": xc[:, None], "s": sc[None, :],

@@ -4,6 +4,7 @@
 verification check failed.
 """
 
+import contextlib
 import dataclasses
 import json
 
@@ -275,6 +276,17 @@ def test_validate_flux_with_too_few_directions_exits_1(tmp_path, capsys):
     assert _one_error_line(capsys) == "error: need at least 64 directions\n"
 
 
+@pytest.mark.parametrize("Lambda", ["inf", "0", "-1", "nan"])
+def test_validate_flux_refuses_a_lambda_not_finite_and_positive(
+        tmp_path, capsys, Lambda):
+    # each measured nothing: inf and 0 passed, -1 gave negative measures and
+    # nan gave nan quantiles
+    cfg = _config(tmp_path)
+    assert cli.main(["validate-flux", str(cfg), "--Lambda", Lambda]) == 1
+    assert _one_error_line(capsys) == (
+        f"error: Lambda must be a finite number > 0, got {float(Lambda)}\n")
+
+
 def test_run_into_a_directory_it_cannot_make_exits_1(tmp_path, capsys):
     cfg, blocker = _config(tmp_path), tmp_path / "file"
     blocker.write_text("")
@@ -336,7 +348,8 @@ def test_a_beta_that_ignores_b1_exits_1(run_dir, tmp_path, capsys, command):
 
 @pytest.mark.parametrize("kind", ["engquist_osher", "lax_friedrichs"])
 def test_a_flux_whose_slope_overflows_exits_1(tmp_path, capsys, kind):
-    # the set-up samples max|a'| for the step; the value stays below 1e9
+    # the set-up encloses max|a'| for the step, the value staying below
+    # 1e9: the derivative, a tree of its own, overflows
     cfg = _config(tmp_path)
     cfg.write_text(cfg.read_text().replace(
         'a = "lambda^2/2"', 'a = "sin(1e300*lambda)*1e9"').replace(
@@ -344,11 +357,11 @@ def test_a_flux_whose_slope_overflows_exits_1(tmp_path, capsys, kind):
     traj = tmp_path / "traj"
     assert cli.main(["run", str(cfg), "--out", str(traj)]) == 1
     assert capsys.readouterr().err == \
-        "error: overflow to a non-finite derivative\n"
+        "error: overflow to a non-finite value\n"
     assert not traj.exists()
     assert cli.main(["validate-flux", str(cfg)]) == 1
     assert capsys.readouterr().err == \
-        "error: overflow to a non-finite derivative\n"
+        "error: overflow to a non-finite value\n"
 
 
 def test_config_sets_every_scheme_option(tmp_path):
@@ -546,8 +559,8 @@ def test_verify_of_a_field_on_another_grid_exits_1(run_dir, capsys):
     ("dt", "abc", "a finite number > 0"),
     ("dt", 0.0, "a finite number > 0"),
     ("dt", float("inf"), "a finite number > 0"),
-    ("m_bound", -1.0, "a finite number > 0"),
-    ("m_bound", None, "a finite number > 0"),
+    ("m_bound", -1.0, "a finite number >= 0"),
+    ("m_bound", None, "a finite number >= 0"),
     ("eps", -0.5, "a finite number >= 0"),
     ("eps", float("nan"), "a finite number >= 0"),
     ("gamma", "0.1", "a finite number >= 0"),
@@ -568,6 +581,32 @@ def test_verify_of_a_meta_json_of_the_wrong_type_exits_1(run_dir, capsys,
     err = capsys.readouterr().err
     assert err == (f"error: meta.json: {key} = {json.dumps(value)} is not "
                    f"{what}\n")
+    assert not (traj / "reports.csv").exists()
+
+
+def test_a_zero_data_config_runs_and_verifies(tmp_path):
+    # all data 0 and no beta: B(T) = 0 is the region the march is sized on
+    cfg, traj = _config(tmp_path, u0_1="0"), tmp_path / "traj"
+    cfg.write_text(cfg.read_text().replace(f'beta = "{BETA_TEXT}"\n', ""))
+    assert cli.main(["run", str(cfg), "--out", str(traj)]) == 0
+    assert json.loads((traj / "meta.json").read_text())["m_bound"] == 0.0
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
+
+
+def test_verify_refuses_a_region_below_the_configs_bound(run_dir, capsys):
+    # the run could not have come from the config: solve refuses to size a
+    # march on such a region, and verify to rebuild one
+    cfg, traj = run_dir
+    meta = json.loads((traj / "meta.json").read_text())
+    reach = problem.sup_bound(upk_io.load_config(cfg).spec, None, 1.0)
+    assert meta["m_bound"] == reach
+    meta["m_bound"] = 0.5 * reach
+    (traj / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: m_bound = {0.5 * reach} lies below B(T) = {reach}, the "
+        "region the march can reach\n")
     assert not (traj / "reports.csv").exists()
 
 
@@ -702,16 +741,16 @@ def test_verify_samples_each_bound_once(tmp_path):
     assert problem._horizon.cache_info().misses == 1
     assert problem.min_kick_slope.cache_info().misses == 0
     # an impulsive run: sup|beta| once, for the config's b1, the bound
-    # curve, the jump weight's radius and M3 in check_jump; b0 never, as
-    # the run compared with itself gives a stability estimate of 0
-    # whatever b0 is
+    # curve, the jump weight's radius and M3 in check_jump, and B(T) and
+    # its sup|beta| for the run's region; b0 never, as the run compared
+    # with itself gives a stability estimate of 0 whatever b0 is
     cfg, traj = _impulsive_dir(tmp_path)
     problem._horizon.cache_clear()
     problem.min_kick_slope.cache_clear()
     kernels.estimate_dbeta_sup.cache_clear()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
     info = problem._horizon.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert (info.misses, info.hits) == (1, 5)
     assert kernels.estimate_dbeta_sup.cache_info().misses == 0
 
 
@@ -1041,6 +1080,32 @@ def test_sweep_writes_the_same_files_at_any_job_count(tmp_path, param):
     check = "gamma_limit" if param == "gamma" else "epsilon_cauchy"
     assert report[1].split(",")[0] == check
     assert report[1].split(",")[4] == "true"
+
+
+@pytest.mark.parametrize("jobs, sizes", [
+    (8, [3]), (2, [2]), (1, []), (0, None), (-2, None)])
+def test_sweep_starts_at_most_one_worker_per_member(tmp_path, capsys,
+                                                    monkeypatch, jobs, sizes):
+    # a process pool forks all its workers at its first map: a stub that
+    # records its size, and maps in this process, starts none
+    import concurrent.futures
+    made = []
+
+    class Pool(contextlib.nullcontext):
+        def __init__(self, max_workers):
+            super().__init__(self)
+            made.append(max_workers)
+            self.map = map
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    cfg, out = _config(tmp_path), tmp_path / "out"
+    code = cli.main(["sweep", str(cfg), "--param", "gamma", "--values",
+                     SWEEPS["gamma"], "--jobs", str(jobs), "--out", str(out)])
+    if sizes is None:
+        assert code == 1 and made == [] and not out.exists()
+        assert _one_error_line(capsys) == (
+            f"error: --jobs must be an integer >= 1, got {jobs}\n")
+    else:
+        assert code == 0 and made == sizes
 
 
 def test_sweep_with_a_failed_report_exits_3(tmp_path, capsys):

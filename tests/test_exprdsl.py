@@ -13,6 +13,12 @@ def ev(text, **bindings):
     return E.evaluate(E.parse(text), bindings)
 
 
+def dual(expr, bindings, seed):
+    """The value and d / d seed of ``expr``: it and its ``diff``, each
+    evaluated."""
+    return E.evaluate(expr, bindings), E.evaluate(E.diff(expr, seed), bindings)
+
+
 class TestParseEval:
     def test_quadratic(self):
         assert ev("lambda^2/2", **{"lambda": 3.0}) == pytest.approx(4.5)
@@ -91,17 +97,16 @@ class TestErrors:
 
 class TestDual:
     def test_quadratic(self):
-        v, d = E.eval_dual(E.parse("lambda^2/2"), {"lambda": 3.0}, "lambda")
+        v, d = dual(E.parse("lambda^2/2"), {"lambda": 3.0}, "lambda")
         assert (v, d) == (pytest.approx(4.5), pytest.approx(3.0))
 
     def test_sin(self):
-        v, d = E.eval_dual(E.parse("sin(lambda)"), {"lambda": 0.0}, "lambda")
+        v, d = dual(E.parse("sin(lambda)"), {"lambda": 0.0}, "lambda")
         assert (v, d) == (pytest.approx(0.0), pytest.approx(1.0))
 
     def test_product_rule(self):
         # d/dl [l e^l] = (1 + l) e^l -> 2e at l = 1
-        v, d = E.eval_dual(E.parse("lambda*exp(lambda)"), {"lambda": 1.0},
-                           "lambda")
+        v, d = dual(E.parse("lambda*exp(lambda)"), {"lambda": 1.0}, "lambda")
         assert v == pytest.approx(math.e)
         assert d == pytest.approx(2.0 * math.e)
         fd = central_difference(E.parse("lambda*exp(lambda)"),
@@ -109,28 +114,38 @@ class TestDual:
         assert d == pytest.approx(fd, abs=1e-8)
 
     def test_abs_kink_right_limit(self):
-        _, d = E.eval_dual(E.parse("abs(x)"), {"x": 0.0}, "x")
+        _, d = dual(E.parse("abs(x)"), {"x": 0.0}, "x")
         assert d == 1.0
 
     def test_minmax_tie_first_argument(self):
-        _, d = E.eval_dual(E.parse("max(x, 2*x)"), {"x": 0.0}, "x")
+        _, d = dual(E.parse("max(x, 2*x)"), {"x": 0.0}, "x")
         assert d == 1.0
-        _, d = E.eval_dual(E.parse("min(x, 2*x)"), {"x": 0.0}, "x")
+        _, d = dual(E.parse("min(x, 2*x)"), {"x": 0.0}, "x")
         assert d == 1.0
 
     def test_unseeded_variable_zero(self):
-        _, d = E.eval_dual(E.parse("x + s"), {"x": 1.0, "s": 2.0}, "x")
+        _, d = dual(E.parse("x + s"), {"x": 1.0, "s": 2.0}, "x")
         assert d == 1.0
 
     def test_negative_base_integer_power(self):
-        v, d = E.eval_dual(E.parse("lambda^2"), {"lambda": -3.0}, "lambda")
+        v, d = dual(E.parse("lambda^2"), {"lambda": -3.0}, "lambda")
         assert v == pytest.approx(9.0)
         assert d == pytest.approx(-6.0)
 
     def test_array_dual(self):
         lam = np.linspace(-1, 1, 11)
-        v, d = E.eval_dual(E.parse("lambda^3"), {"lambda": lam}, "lambda")
+        v, d = dual(E.parse("lambda^3"), {"lambda": lam}, "lambda")
         assert np.allclose(d, 3 * lam ** 2)
+
+    @pytest.mark.parametrize("text, want", [
+        ("lambda^3", lambda lam: 6.0 * lam),
+        ("sin(lambda)", lambda lam: -np.sin(lam))])
+    def test_second_derivative(self, text, want):
+        # diff of a diff: the rules of its internal nodes, bit for bit here
+        lam = np.linspace(-2.0, 2.0, 41)
+        second = E.diff(E.diff(E.parse(text), "lambda"), "lambda")
+        assert np.array_equal(E.evaluate(second, {"lambda": lam}), want(lam))
+        assert E.evaluate(second, {"lambda": 0.5}) == want(0.5)
 
 
 def test_dual_matches_central_difference_on_random_expressions():
@@ -141,9 +156,9 @@ def test_dual_matches_central_difference_on_random_expressions():
         point = random_bindings(rng)
         if not usable_point(expr, point, "lambda"):
             continue
-        _, dual = E.eval_dual(expr, point, "lambda")
+        _, d = dual(expr, point, "lambda")
         fd = central_difference(expr, point, "lambda")
-        assert abs(float(dual) - float(fd)) <= 1e-6 * (1.0 + abs(float(dual)))
+        assert abs(float(d) - float(fd)) <= 1e-6 * (1.0 + abs(float(d)))
         checked += 1
 
 
@@ -353,19 +368,24 @@ def test_an_overflow_that_ends_finite_evaluates_without_a_warning():
 ])
 def test_a_non_finite_dual_of_finite_bindings_raises(text, part):
     expr = E.parse(text)
+    slope = E.diff(expr, "lambda")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(E.DomainError,
-                           match=f"overflow to a non-finite {part}"):
-            E.eval_dual(expr, {"lambda": 1000.0}, "lambda")
-        with pytest.raises(E.DomainError, match=part):
-            E.sup(expr, {"lambda": (0.0, 1000.0)}, wrt="lambda")
+        if part == "derivative":
+            assert abs(E.evaluate(expr, {"lambda": 1000.0})) <= 1e9
+        for tree in (slope,) if part == "derivative" else (expr, slope):
+            with pytest.raises(E.DomainError,
+                               match="overflow to a non-finite value"):
+                E.evaluate(tree, {"lambda": 1000.0})
+        with pytest.raises(E.DomainError, match="non-finite"):
+            E.sup(slope, {"lambda": (0.0, 1000.0)})
         # a non-finite binding is the caller's to refuse
-        assert E.eval_dual(E.parse("exp(lambda)"), {"lambda": np.inf},
-                           "lambda") == (np.inf, np.inf)
+        assert dual(E.parse("exp(lambda)"), {"lambda": np.inf},
+                    "lambda") == (np.inf, np.inf)
     with np.errstate(over="ignore"):
-        fn = E.compile(E.parse("exp(lambda)"), "lambda", finite=False)[0]
-        assert fn({"lambda": 1000.0}) == (np.inf, np.inf)
+        fn = E.compile(E.diff(E.parse("exp(lambda)"), "lambda"),
+                       finite=False)[0]
+        assert fn({"lambda": 1000.0}) == np.inf
 
 
 def test_power_of_a_non_finite_operand_stays_allowed():
@@ -377,11 +397,13 @@ def test_power_of_a_non_finite_operand_stays_allowed():
         assert _outcome(E.compile(expr)[0], {"x": x}) == want
 
 
-# --- the dual mode against the dual-number interpreter it replaced ----------
+# --- diff against the dual-number interpreter it replaced ------------------
 #
-# `compile(expr, wrt)` took over from a second recursive walk of the AST;
-# the copy below is that walk.  Value and derivative must match it bit for
-# bit and in type, or the same exception class must be raised.
+# `diff` took over from a dual mode of `compile`, which took over from a
+# second recursive walk of the AST; the copy below is that walk.  The value
+# and the derivative, `compile(expr)` and `compile(diff(expr, seed))`, must
+# match it bit for bit and in type, or the same exception class must be
+# raised.  Its min and max take their value as the value walk does.
 
 def _dual_reference(expr, bindings, seed):
     if isinstance(expr, E.Num):
@@ -447,11 +469,11 @@ def _dual_reference(expr, bindings, seed):
         return np.abs(av), sign * ad
     bv, bd = _dual_reference(expr.args[1], bindings, seed)
     if expr.func == "min":
-        take_a = np.asarray(av) <= np.asarray(bv)
+        v, take_a = np.minimum(av, bv), np.asarray(av) <= np.asarray(bv)
     else:
-        take_a = np.asarray(av) >= np.asarray(bv)
-    return (np.where(take_a, av, bv), np.where(take_a, ad, bd)) \
-        if np.ndim(take_a) else ((av, ad) if take_a else (bv, bd))
+        v, take_a = np.maximum(av, bv), np.asarray(av) >= np.asarray(bv)
+    return v, (np.where(take_a, ad, bd) if np.ndim(take_a)
+               else (ad if take_a else bd))
 
 
 def _eval_dual_reference(expr, bindings, seed):
@@ -496,13 +518,18 @@ def test_dual_mode_equals_the_dual_walk_bit_for_bit(smooth):
             for seed in ("lambda", "x"):
                 want = _dual_outcome(_eval_dual_reference, expr, bindings,
                                      seed)
-                fn, free = E.compile(expr, seed)
-                assert _dual_outcome(fn, bindings) == want, E.to_string(expr)
-                assert _dual_outcome(E.eval_dual, expr, bindings, seed) == want
+                (value, free), (slope, reads) = (
+                    E.compile(expr), E.compile(E.diff(expr, seed)))
+
+                def pair(b):
+                    return value(b), slope(b)
+                assert _dual_outcome(pair, bindings) == want, \
+                    E.to_string(expr)
+                assert _dual_outcome(dual, expr, bindings, seed) == want
                 raised += isinstance(want, type)
                 # only the free variables are read
-                assert free == E.compile(expr)[1]
-                assert _dual_outcome(fn, {n: bindings[n] for n in free}) \
+                assert reads == free
+                assert _dual_outcome(pair, {n: bindings[n] for n in free}) \
                     == want
     if not smooth:
         assert raised > 0  # some points must reach a domain error
@@ -515,12 +542,16 @@ def test_dual_of_a_variable_exponent_needs_a_positive_base():
         assert _dual_outcome(_dual_reference, expr, bindings, "lambda") \
             is E.DomainError
         with pytest.raises(E.DomainError, match="positive base"):
-            E.eval_dual(expr, bindings, "lambda")
+            dual(expr, bindings, "lambda")
 
 
-def test_dual_needs_its_seed_bound():
+def test_a_derivative_reads_what_its_expression_reads():
+    # the seed of x is 0, shaped like x's binding, and x must be bound
+    slope, free = E.compile(E.diff(E.parse("x"), "lambda"))
+    assert free == {"x"} and slope({"x": 1.0}) == 0.0
+    assert slope({"x": np.ones((2, 3))}).tolist() == [[0.0] * 3] * 2
     with pytest.raises(E.UnboundVariableError):
-        E.eval_dual(E.parse("x"), {"x": 1.0}, "lambda")
+        slope({"lambda": 1.0})
 
 
 @pytest.mark.parametrize("text, x, cause", [
@@ -536,7 +567,7 @@ def test_a_power_error_names_its_cause(text, x, cause):
     with pytest.raises(E.DomainError, match=cause):
         E.evaluate(expr, {"x": x})
     with pytest.raises(E.DomainError, match=cause):
-        E.eval_dual(expr, {"x": x}, "x")
+        dual(expr, {"x": x}, "x")
 
 
 # --- enclosures -----------------------------------------------------------------
@@ -552,33 +583,35 @@ def _points_of(lo, hi, k=4):
 
 @pytest.mark.parametrize("smooth", [True, False])
 def test_an_enclosure_holds_every_point_value_and_dual(smooth):
-    # three random boxes in one batch: wherever the enclosure does not
-    # raise, the compiled expression evaluates at every point of a box,
-    # and its value, and dual derivative, lie in the box's ranges
+    # three random boxes in one batch: wherever the enclosures of an
+    # expression and of a derivative of it do not raise, both compile and
+    # evaluate at every point of a box, and their values lie in the box's
+    # ranges; the derivatives are by lambda, by x, and by lambda twice
     rng = np.random.default_rng(40 if smooth else 41)
     outcomes = set()
     for _ in range(120):
         expr = random_expr(rng, depth=rng.integers(1, 6), smooth=smooth)
         ends = np.sort(rng.uniform(-2.0, 2.0, (2, len(ALL_VARS), 3)), axis=0)
         box = dict(zip(ALL_VARS, zip(*ends)))
-        for wrt in (None, "lambda", "x"):
+        slope = E.diff(expr, "lambda")
+        for trees in ((expr,), (expr, slope), (expr, E.diff(expr, "x")),
+                      (expr, slope, E.diff(slope, "lambda"))):
             try:
-                ranges = E.enclose(expr, box, wrt)
+                ranges = [E.enclose(tree, box) for tree in trees]
             except E.DomainError:
                 outcomes.add("raised")
                 continue
             outcomes.add("enclosed")
-            fn = E.compile(expr, wrt)[0]
             for j in range(3):
-                with np.errstate(all="ignore"):
-                    got = fn(_points_of(ends[0, :, j], ends[1, :, j]))
-                for (lo, hi), v in zip(ranges if wrt else (ranges,),
-                                       got if wrt else (got,)):
+                points = _points_of(ends[0, :, j], ends[1, :, j])
+                for tree, (lo, hi) in zip(trees, ranges):
+                    with np.errstate(all="ignore"):
+                        v = E.compile(tree)[0](points)
                     lo, hi = (np.broadcast_to(e, (3,))[j] for e in (lo, hi))
                     assert np.all((lo <= v) & (v <= hi)), (
-                        E.to_string(expr), wrt, j)
+                        E.to_string(expr), E.to_string(tree), j)
     # a smooth expression raises only where its box reaches a zero base
-    # of a power's dual rule, as the rule does at that point
+    # of a power's derivative, as the rule does at that point
     assert outcomes == {"enclosed", "raised"}
 
 
@@ -603,14 +636,15 @@ def test_an_enclosure_raises_where_its_box_reaches_a_domain_error(
     if error is None:
         assert np.all(np.isfinite(E.enclose(expr, box)))
         return
-    # enclose takes a batch of boxes, sup one box
+    # enclose takes a batch of boxes, sup one box; d / dx divides by the
+    # square of the divisor, and by twice the root
     one = all(np.ndim(v) == 0 for r in box.values() for v in r)
-    for wrt in (None, "x"):
+    for tree in (expr, E.diff(expr, "x")):
         with pytest.raises(E.DomainError, match=error):
-            E.enclose(expr, box, wrt)
+            E.enclose(tree, box)
         if one:
             with pytest.raises(E.DomainError, match=error):
-                E.sup(expr, box, wrt)
+                E.sup(tree, box)
 
 
 @pytest.mark.parametrize("text, box, want", [
@@ -658,6 +692,31 @@ def test_a_pole_between_the_points_raises_after_the_cuts():
     assert 1e6 <= got <= 1e6 * (1 + 1e-3)
 
 
+@pytest.mark.parametrize("x", [0.0, np.float64(0.0), np.array([1.0, 0.0])])
+def test_a_derivative_at_a_pole_is_a_domain_error(x):
+    # the quotient rule divides by x*x unchecked, and the non-finite
+    # derivative is refused, for a Python float too
+    with pytest.raises(E.DomainError, match="non-finite"):
+        E.evaluate(E.diff(E.parse("1/x"), "x"), {"x": x})
+
+
+def test_a_derivative_encloses_as_its_rules_state():
+    box = {"lambda": (0.0, 1.0), "x": (1.0, 2.0), "s": (-1.0, 1.0)}
+    # what does not read lambda has the derivative 0, exactly, and is not
+    # walked: 1/s reaches its pole on the box, and 1/s alone raises
+    assert E.enclose(E.diff(E.parse("sin(x)*s + 1/s"), "lambda"),
+                     box) == (0.0, 0.0)
+    with pytest.raises(E.DomainError, match="division by zero"):
+        E.enclose(E.parse("1/s"), box)
+    # a product encloses the one term whose factor reads lambda
+    assert E.enclose(E.diff(E.parse("x*lambda"), "lambda"), box) == \
+        E.enclose(E.parse("x*1"), box)
+    # 1 - tanh^2 encloses the square, which holds no negative value
+    lo, hi = E.enclose(E.diff(E.parse("tanh(lambda)"), "lambda"),
+                       {"lambda": (-1.0, 1.0)})
+    assert 1.0 - np.tanh(1.0) ** 2 < lo + 1e-12 and hi < 1.0 + 1e-12
+
+
 def test_the_enclosed_power_takes_the_rule_of_its_exponent():
     # s^(lambda s) reads the seed in its exponent: on the slice s = 0 its
     # value is 1, and its rule needs a positive base there, where the
@@ -667,4 +726,4 @@ def test_the_enclosed_power_takes_the_rule_of_its_exponent():
     box = {"s": (0.0, 0.0), "lambda": (-1.0, 1.0)}
     assert E.sup(expr, box) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(E.DomainError, match="positive base"):
-        E.sup(expr, box, wrt="lambda")
+        E.sup(E.diff(expr, "lambda"), box)

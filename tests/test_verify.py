@@ -855,7 +855,7 @@ class TestJump:
             beta=E.parse(f"10*{TENT}*{XBUMP}*{SBUMP}"), tau=0.05)
         m2 = sup_bound(spec, spec.tau, 0.0)
         assert sup_bound(spec, spec.tau, 1.0) == 2.0
-        assert E.sup(E.Neg(spec.beta), slab(spec, m2), wrt="lambda",
+        assert E.sup(E.Neg(E.diff(spec.beta, "lambda")), slab(spec, m2),
                      signed=True) <= 0.0
         assert 1.0 + min_kick_slope(spec, 0.0) == pytest.approx(-9.0,
                                                                 rel=1e-12)
