@@ -2,10 +2,13 @@
 
 Config files are line-oriented ``[section]`` / ``key = value`` text.
 Expression values are double-quoted strings; everything else is a bare
-finite number or identifier.  Unknown sections or keys are rejected, missing
-required keys are rejected, and the loaded problem is validated (flux
-vanishing at zero, boundary-collar consistency of the data, delay-width
-budget, beta vanishing beyond ``[source] b1``, and ``SchemeOptions``).
+finite number or identifier.  The sections and keys are ``_SCHEMA``'s:
+``[domain] d``, the dimension of Omega, must be 1, and ``[flux]`` holds
+the s-flux a and the one lateral flux phi_1.  Unknown sections or keys
+are rejected, missing required keys are rejected, and the loaded problem
+is validated (flux vanishing at zero, boundary-collar consistency of the
+data, delay-width budget, beta vanishing beyond ``[source] b1``, and
+``SchemeOptions``).
 
 Field files (extension ``.upkf``) are little-endian and bit-exact:
 
@@ -124,7 +127,7 @@ class FormatError(ValueError):
 
 _SCHEMA = {
     "domain": {"d": "int", "L": "float", "T": "float", "S": "float"},
-    "flux": None,  # a plus phi_1..phi_d, checked against [domain] d
+    "flux": {"a": "expr", "phi_1": "expr"},
     "source": {"tau": "float", "gamma": "float", "beta": "expr?",
                "b1": "float?"},
     "data": {"u0_1": "expr", "u0_2": "expr", "uS_2": "expr"},
@@ -212,8 +215,6 @@ def load_config(path):
 
     values = {}
     for name, schema in _SCHEMA.items():
-        if schema is None:
-            continue
         got = sections[name]
         for key, (raw, lineno) in got.items():
             if key not in schema:
@@ -225,21 +226,10 @@ def load_config(path):
                 raise ParseError(f"missing key {key!r} in [{name}]")
             raw, lineno = got[key]
             values[(name, key)] = _coerce(kind, key, raw, lineno)
-
-    d = values[("domain", "d")]
-    flux = sections["flux"]
-    if "a" not in flux:
-        raise ParseError("missing key 'a' in [flux]")
-    expected = {"a"} | {f"phi_{i}" for i in range(1, max(d, 1) + 1)}
-    for key, (raw, lineno) in flux.items():
-        if key not in expected:
-            raise ParseError(f"unknown key {key!r} in [flux]", lineno)
-    for key in expected:
-        if key not in flux:
-            raise ParseError(f"missing key {key!r} in [flux]")
-    flux_a = _coerce("expr", "a", *flux["a"])
-    flux_phi = tuple(_coerce("expr", f"phi_{i}", *flux[f"phi_{i}"])
-                     for i in range(1, max(d, 1) + 1))
+        # before [flux], which has no phi_2..phi_d for a wider domain
+        if name == "domain" and values[(name, "d")] != 1:
+            raise ValidationError("dimension: only d=1 is supported, got "
+                                  f"d={values[(name, 'd')]}")
 
     beta = values.get(("source", "beta"))
     b1 = values.get(("source", "b1"))
@@ -247,12 +237,11 @@ def load_config(path):
         raise ParseError("[source] with beta requires b1 (support bound)")
 
     spec = ProblemSpec(
-        d=d,
         L=values[("domain", "L")],
         T=values[("domain", "T")],
         S=values[("domain", "S")],
-        flux_a=flux_a,
-        flux_phi=flux_phi,
+        flux_a=values[("flux", "a")],
+        flux_phi=values[("flux", "phi_1")],
         data_u0_1=values[("data", "u0_1")],
         data_u0_2=values[("data", "u0_2")],
         data_uS_2=values[("data", "uS_2")],

@@ -79,14 +79,15 @@ class Grid:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full problem definition; expressions are exprdsl ASTs."""
+    """Full problem definition; expressions are exprdsl ASTs.  Omega is
+    the interval (0, L), d = 1: ``flux_phi`` is its one lateral flux, and
+    ``describe`` states d=1, as every run's spec_hash was taken with it."""
 
-    d: int
     L: float
     T: float
     S: float
     flux_a: exprdsl.Expr
-    flux_phi: tuple
+    flux_phi: exprdsl.Expr
     data_u0_1: exprdsl.Expr
     data_u0_2: exprdsl.Expr
     data_uS_2: exprdsl.Expr
@@ -100,15 +101,11 @@ class ProblemSpec:
     def gamma0(self):
         return min(self.tau, self.T - self.tau)
 
-    @property
-    def omega_measure(self):
-        return self.L ** self.d
-
     def describe(self):
-        phi = ",".join(exprdsl.to_string(p) for p in self.flux_phi)
         beta = exprdsl.to_string(self.beta) if self.beta is not None else "-"
-        return (f"d={self.d};L={self.L!r};T={self.T!r};S={self.S!r};"
-                f"a={exprdsl.to_string(self.flux_a)};phi={phi};beta={beta};"
+        return (f"d=1;L={self.L!r};T={self.T!r};S={self.S!r};"
+                f"a={exprdsl.to_string(self.flux_a)};"
+                f"phi={exprdsl.to_string(self.flux_phi)};beta={beta};"
                 f"tau={self.tau!r};gamma={self.gamma!r};eps={self.epsilon!r};"
                 f"b1={self.b1!r};u0_1={exprdsl.to_string(self.data_u0_1)};"
                 f"u0_2={exprdsl.to_string(self.data_u0_2)};"
@@ -187,11 +184,7 @@ def consistency_errors(spec):
     An expression that cannot be evaluated where it is checked (it divides
     by zero, say, or overflows) is a violation too."""
     errors = []
-    if spec.d != 1:
-        errors.append(f"dimension: only d=1 is supported, got d={spec.d}")
-    fluxes = {"a": spec.flux_a, **{f"phi_{i}": phi for i, phi
-                                   in enumerate(spec.flux_phi, start=1)}}
-    for name, expr in fluxes.items():
+    for name, expr in (("a", spec.flux_a), ("phi_1", spec.flux_phi)):
         try:
             f0 = float(exprdsl.evaluate(expr, {"lambda": 0.0}))
         except exprdsl.DomainError as exc:
@@ -379,9 +372,9 @@ def stability_rhs(spec1, spec2, levels, d_init, inflow, thetas):
         W_n d_init + sum_{m<n} (W_n/W_m) inflow_m
                    + S |Omega| dbeta sum_{m<n} theta_m W_n/W_{m+1},
 
-    W_n = prod_{m<n} (1 + theta_m b0).  ``inflow`` and ``thetas`` hold
-    each step's L1 difference of what the runs' s-end ghosts put into the
-    march, dt included, and its kick mass.  b0 =
+    W_n = prod_{m<n} (1 + theta_m b0), |Omega| = L.  ``inflow`` and
+    ``thetas`` hold each step's L1 difference of what the runs' s-end
+    ghosts put into the march, dt included, and its kick mass.  b0 =
     ``kernels.estimate_dbeta_sup`` of beta1, enclosed only where d_init,
     an inflow or dbeta is nonzero, since else every term is 0 whatever b0
     is; dbeta encloses sup|beta1 - beta2| over |lambda| <= max b1 + 1,
@@ -401,7 +394,7 @@ def stability_rhs(spec1, spec2, levels, d_init, inflow, thetas):
     boundary = w * np.concatenate(([0.0], np.cumsum(inflow / w[:-1])))
     source = w * np.concatenate(([0.0], np.cumsum(thetas / w[1:])))
     rhs = (w[levels] * d_init + boundary[levels]
-           + spec1.S * spec1.omega_measure * dbeta * source[levels])
+           + spec1.S * spec1.L * dbeta * source[levels])
     return [float(r) for r in rhs]
 
 

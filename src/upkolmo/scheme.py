@@ -46,7 +46,8 @@ verifier checks the boundary entropy inequalities on the traces instead.
 
 Both fluxes are sum-split, F(uL, uR) = g(uL) + h(uR), and ``split(w)``
 is their only form: it returns the two per-cell parts (g(w), h(w)), looked
-up once per cell, and the step forms each interface flux as g(uL) + h(uR).
+up once per cell of the padded state and distinct flux (``Stepper.split``),
+and the step forms each s- and x-interface flux as g(uL) + h(uR).
 For Engquist-Osher g = f(0) + f_plus and h = f_minus, for Lax-Friedrichs
 g = (f + alpha w)/2 and h = (f - alpha w)/2.  The entropy-residual check
 builds its Kruzhkov fluxes from the same parts (see ``verify``), so it
@@ -137,26 +138,31 @@ class SchemeOptions:
 
 # --- tabulated split fluxes ------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
-def _max_slope(f, m_bound):
-    """An enclosure of max|f'| on [-m_bound, m_bound] (``exprdsl.sup``);
-    memoized, as the two fluxes are often one expression."""
-    return exprdsl.sup(exprdsl.diff(f, "lambda"),
-                       {"lambda": (-m_bound, m_bound)})
+def _slope(f, fn, arg):
+    """fn(f', arg), f' = df/dlambda; an error of f' is named as its own."""
+    try:
+        return fn(exprdsl.diff(f, "lambda"), arg)
+    except exprdsl.DomainError as exc:
+        raise exprdsl.DomainError(
+            f"d/dlambda of {exprdsl.to_string(f)}: {exc}") from exc
+
+
+def slope(f, lam):
+    """f'(lam), a float array of the points lam's shape."""
+    d = _slope(f, lambda d, lam: exprdsl.compile(d)[0]({"lambda": lam}), lam)
+    return np.broadcast_to(np.asarray(d, dtype=float), lam.shape)
 
 
 class _SplitTable:
     """Cumulative-midpoint table of the Engquist-Osher split integrals on
-    [-(m_bound + 1), m_bound + 1]; ``coeff``, ``_max_slope``, is enclosed
-    on first use."""
+    [-(m_bound + 1), m_bound + 1]; ``coeff`` is enclosed on first use."""
 
     def __init__(self, f, m_bound):
         self.f, self.m_bound = f, m_bound
         k = math.ceil((m_bound + 1.0) / _TABLE_SPACING)
         self.nodes = (np.arange(-k, k + 1)) * _TABLE_SPACING
         mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        d = exprdsl.compile(exprdsl.diff(f, "lambda"))[0]({"lambda": mids})
-        d = np.broadcast_to(np.asarray(d, dtype=float), mids.shape)
+        d = slope(f, mids)
         inc_p = np.maximum(d, 0.0) * _TABLE_SPACING
         inc_m = np.minimum(d, 0.0) * _TABLE_SPACING
         cp = np.concatenate(([0.0], np.cumsum(inc_p)))
@@ -167,7 +173,8 @@ class _SplitTable:
 
     @functools.cached_property
     def coeff(self):
-        return _max_slope(self.f, self.m_bound)
+        return _slope(self.f, exprdsl.sup,
+                      {"lambda": (-self.m_bound, self.m_bound)})
 
     def split(self, w):
         """(g(w), h(w)) with flux(wL, wR) = g(wL) + h(wR)."""
@@ -179,12 +186,12 @@ class _SplitTable:
 
 
 class _LFFlux:
-    """Lax-Friedrichs flux with alpha = ``coeff``, ``_max_slope``; f is
-    evaluated under ``Stepper.step``'s errstate, which tests the step."""
+    """Lax-Friedrichs flux with alpha = ``coeff``; f is evaluated under
+    ``Stepper.step``'s errstate, which tests the step."""
 
     def __init__(self, f, m_bound):
         self.f = exprdsl.compile(f, finite=False)[0]
-        self.coeff = _max_slope(f, m_bound)
+        self.coeff = _slope(f, exprdsl.sup, {"lambda": (-m_bound, m_bound)})
 
     def split(self, w):
         """(g(w), h(w)) with flux(wL, wR) = g(wL) + h(wR)."""
@@ -224,11 +231,13 @@ class Stepper:
     dissipation are sized for.  Its default, B(T) = ``problem.sup_bound``
     with unit kick mass, the region the march never leaves, reads no eps
     or gamma, so a ``with_data`` family of them shares it; other specs are
-    comparable exactly only with a common value.  The lateral solve's
-    inverse, the flux tables and ``kick_slope`` are each built on first
-    use, so a Stepper given its dt encloses nothing that only sizing dt
-    reads, and one that never steps builds no inverse; so is ``thetas``,
-    the kick masses ``kick`` and ``verify`` read.  It steps with the
+    comparable exactly only with a common value.  One flux object serves
+    each distinct expression (``flux_phi`` is ``flux_a`` where they are
+    equal), and it, an Engquist-Osher table's ``coeff``, the lateral
+    solve's inverse and ``kick_slope`` are each built on first use, so a
+    Stepper given its dt encloses nothing that only sizing dt reads, and
+    one that never steps builds no inverse; so is ``thetas``, the kick
+    masses ``kick`` and ``verify`` read.  It steps with the
     spec's eps and gamma; the ``eps`` and ``gamma`` keywords that override
     them are kept for ``bench/setup_probe.py``.
     """
@@ -280,7 +289,17 @@ class Stepper:
 
     @functools.cached_property
     def flux_phi(self):
-        return self._kind(self.spec.flux_phi[0], self.m_bound)
+        if self.spec.flux_phi == self.spec.flux_a:
+            return self.flux_a
+        return self._kind(self.spec.flux_phi, self.m_bound)
+
+    def split(self, w):
+        """Both fluxes' parts of every cell of w, (g_a, h_a) and (g_phi,
+        h_phi): one ``split`` per distinct flux, the s- and x-faces sliced
+        from it by the caller."""
+        parts = self.flux_a.split(w)
+        return parts, (parts if self.flux_phi is self.flux_a
+                       else self.flux_phi.split(w))
 
     @functools.cached_property
     def kick_slope(self):
@@ -400,18 +419,16 @@ class Stepper:
         grid, dt = self.grid, self.dt
         t = n * dt
         w = self.padded(u, t)
-        ws = w[1:-1, :]
-        wx = w[:, 1:-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            g_a, h_a = _guarded(self.flux_a.split, ws, t)
-            g_p, h_p = _guarded(self.flux_phi.split, wx, t)
-            f_a = g_a[:, :-1] + h_a[:, 1:]
+            (g_a, h_a), (g_p, h_p) = _guarded(self.split, w, t)
+            # the s-faces of the inner rows, the x-faces of the inner columns
+            f_a = g_a[1:-1, :-1] + h_a[1:-1, 1:]
             div_s = (f_a[:, 1:] - f_a[:, :-1]) / grid.ds
-            f_p = g_p[:-1, :] + h_p[1:, :]
+            f_p = g_p[:-1, 1:-1] + h_p[1:, 1:-1]
             div_x = (f_p[1:, :] - f_p[:-1, :]) / grid.dx
             new = u - dt * (div_s + div_x)
             if self.eps > 0:
-                lap_s = (ws[:, :-2] - 2.0 * u + ws[:, 2:]) / grid.ds ** 2
+                lap_s = (w[1:-1, :-2] - 2.0 * u + w[1:-1, 2:]) / grid.ds ** 2
                 new = new + dt * self.eps * lap_s
             return _finite(self._solve_lateral(new), t)
 

@@ -134,7 +134,7 @@ from .problem import (SUP_SLACK, GridMismatchError, saturated_bound,
                       stability_rhs)
 # bench/run.py traces these names where `verify` binds them
 from .problem import refined_max_bound, stability_rhs_impulsive  # noqa: F401
-from .scheme import NaNDetectedError, Stepper
+from .scheme import NaNDetectedError, Stepper, slope
 from . import solver as solver_mod
 from .solver import GammaOutOfRangeError
 
@@ -352,14 +352,14 @@ def check_stability(traj1, traj2, st1, st2):
 
 # --- entropy residuals ----------------------------------------------------------
 
-def _entropy_parts(flux, k_parts, w, sign):
+def _entropy_parts(parts, k_parts, sign):
     """Per-cell parts (G_k(w), H_k(w)) of the Kruzhkov flux, for every k
     at once: Q(uL, uR; k) = G_k(uL) + H_k(uR), as the march forms F.
 
-    ``sign`` is sgn(w - k) and ``k_parts`` the split parts (g(k), h(k)).
+    ``parts`` and ``k_parts`` are the split parts (g(w), h(w)) and (g(k),
+    h(k)), and ``sign`` is sgn(w - k).
     """
-    g, h = flux.split(w)
-    return sign * (g - k_parts[0]), sign * (h - k_parts[1])
+    return sign * (parts[0] - k_parts[0]), sign * (parts[1] - k_parts[1])
 
 
 def _pre_kick(stepper, u, n0, n1):
@@ -396,7 +396,7 @@ def check_entropy_residual(traj, stepper, k_values):
     dt, dx, ds = stepper.dt, grid.dx, grid.ds
     # one axis per entropy |u - k|: every k is treated in the same array op
     ks = np.asarray(k_values, dtype=float).reshape(-1, 1, 1)
-    k_a, k_p = stepper.flux_a.split(ks), stepper.flux_phi.split(ks)
+    k_a, k_p = stepper.split(ks)
     cells = {"x": stepper.xc[:, None], "s": stepper.sc[None, :]}
     beta_k = (stepper.beta_fn({**cells, "lambda": ks})
               if stepper.beta_fn is not None else None)
@@ -409,6 +409,7 @@ def check_entropy_residual(traj, stepper, k_values):
         theta = stepper.thetas[n]
         v = _pre_kick(stepper, u0, n, n + 1) if theta else u1
         w = stepper.padded(u0, t0)
+        (g_a, h_a), (g_p, h_p) = stepper.split(w)
         diff = w - ks
         sign, eta_pad = np.sign(diff), np.abs(diff)
         eta0 = eta_pad[:, 1:-1, 1:-1]
@@ -417,10 +418,10 @@ def check_entropy_residual(traj, stepper, k_values):
         # other's are formed.  They stay bound until those replace them; a
         # helper that freed them on return let malloc hand the heap top
         # back to the OS and fault it in again, 30% slower at 128^2.
-        g, h = _entropy_parts(stepper.flux_a, k_a, w[1:-1], sign[:, 1:-1])
+        g, h = _entropy_parts((g_a[1:-1], h_a[1:-1]), k_a, sign[:, 1:-1])
         q = g[..., :-1] + h[..., 1:]
         rho = np.abs(u1 - ks) - eta0 + dt / ds * (q[..., 1:] - q[..., :-1])
-        g, h = _entropy_parts(stepper.flux_phi, k_p, w[:, 1:-1],
+        g, h = _entropy_parts((g_p[:, 1:-1], h_p[:, 1:-1]), k_p,
                               sign[..., 1:-1])
         q = g[..., :-1, :] + h[..., 1:, :]
         rho = rho + dt / dx * (q[..., 1:, :] - q[..., :-1, :])
@@ -654,8 +655,7 @@ def validate_genuine_nonlinearity(a, Lambda, n_dirs=64):
     n_lambda, deltas = 4096, (1e-2, 1e-3, 1e-4)
     dlam = 2.0 * Lambda / n_lambda
     mids = -Lambda + (np.arange(n_lambda) + 0.5) * dlam
-    aprime = exprdsl.compile(exprdsl.diff(a, "lambda"))[0]({"lambda": mids})
-    aprime = np.broadcast_to(np.asarray(aprime, dtype=float), mids.shape)
+    aprime = slope(a, mids)
 
     n_uniform = n_dirs // 2
     angles = (np.arange(n_uniform) + 0.5) * np.pi / n_uniform

@@ -32,9 +32,9 @@ def unit_grid(n=64):
 def zero_spec():
     """All-zero data, perturbation vanishing at zero value."""
     return ProblemSpec(
-        d=1, L=1.0, T=1.0, S=1.0,
+        L=1.0, T=1.0, S=1.0,
         flux_a=E.parse("lambda^2/2"),
-        flux_phi=(E.parse("lambda^2/2"),),
+        flux_phi=E.parse("lambda^2/2"),
         data_u0_1=E.parse("0"),
         data_u0_2=E.parse("0"),
         data_uS_2=E.parse("0"),
@@ -47,9 +47,9 @@ def source_spec(beta_amp=0.5, gamma=0.1):
     """Nonlinear fluxes, bump initial data, delayed bump perturbation."""
     beta = E.parse(f"{beta_amp}*{XBUMP}*{SBUMP}*{LCUT}") if beta_amp else None
     return ProblemSpec(
-        d=1, L=1.0, T=1.0, S=1.0,
+        L=1.0, T=1.0, S=1.0,
         flux_a=E.parse("lambda^2/2"),
-        flux_phi=(E.parse("lambda^2/2"),),
+        flux_phi=E.parse("lambda^2/2"),
         data_u0_1=E.parse(U01_TEXT),
         data_u0_2=E.parse("0"),
         data_uS_2=E.parse("0"),
@@ -95,9 +95,9 @@ def shock_spec(L=16.0):
     the inviscid problem.
     """
     return ProblemSpec(
-        d=1, L=L, T=1.0, S=1.0,
+        L=L, T=1.0, S=1.0,
         flux_a=E.parse("lambda^2/2"),
-        flux_phi=(E.parse("0"),),
+        flux_phi=E.parse("0"),
         data_u0_1=E.parse("max(0, min(1, (0.4-s)*200))"),
         data_u0_2=E.parse("1"),
         data_uS_2=E.parse("0"),
@@ -118,9 +118,9 @@ def unattainable_spec(L=16.0):
     ramp = "min(1, max(0, (t-0.1)*2))"
     xbump = XBUMP.replace("(x-0.5)", f"(x/{L!r}-0.5)")
     return ProblemSpec(
-        d=1, L=L, T=1.0, S=1.0,
+        L=L, T=1.0, S=1.0,
         flux_a=E.parse("lambda^2/2"),
-        flux_phi=(E.parse("0"),),
+        flux_phi=E.parse("0"),
         data_u0_1=E.parse("0"),
         data_u0_2=E.parse(f"{ramp}*{xbump}"),
         data_uS_2=E.parse(f"2*{ramp}*{xbump}"),

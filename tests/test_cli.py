@@ -348,20 +348,45 @@ def test_a_beta_that_ignores_b1_exits_1(run_dir, tmp_path, capsys, command):
 
 @pytest.mark.parametrize("kind", ["engquist_osher", "lax_friedrichs"])
 def test_a_flux_whose_slope_overflows_exits_1(tmp_path, capsys, kind):
-    # the set-up encloses max|a'| for the step, the value staying below
-    # 1e9: the derivative, a tree of its own, overflows
+    # the set-up tabulates or encloses a' for the step, the value staying
+    # below 1e9: the derivative overflows, and the error names it
     cfg = _config(tmp_path)
     cfg.write_text(cfg.read_text().replace(
         'a = "lambda^2/2"', 'a = "sin(1e300*lambda)*1e9"').replace(
         "engquist_osher", kind))
     traj = tmp_path / "traj"
+    named = ("error: d/dlambda of sin(1e+300 * lambda) * 1000000000.0: "
+             "overflow to a non-finite value\n")
     assert cli.main(["run", str(cfg), "--out", str(traj)]) == 1
-    assert capsys.readouterr().err == \
-        "error: overflow to a non-finite value\n"
+    assert capsys.readouterr().err == named
     assert not traj.exists()
     assert cli.main(["validate-flux", str(cfg)]) == 1
+    assert capsys.readouterr().err == named
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "validate-flux"])
+def test_a_config_of_two_dimensions_exits_1(tmp_path, capsys, command):
+    # only d = 1 is marched: the dimension is refused before [flux] is
+    # read, so a d = 2 config's phi_2 is not what is named
+    cfg = _config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("d = 1", "d = 2").replace(
+        'phi_1 = "lambda^2/2"', 'phi_1 = "lambda^2/2"\nphi_2 = "0"'))
+    argv = {"run": ["run", str(cfg), "--out", str(tmp_path / "traj")],
+            "verify": ["verify", str(cfg), "--traj", str(tmp_path / "traj")],
+            "validate-flux": ["validate-flux", str(cfg)]}[command]
+    assert cli.main(argv) == 1
     assert capsys.readouterr().err == \
-        "error: overflow to a non-finite value\n"
+        "error: dimension: only d=1 is supported, got d=2\n"
+    assert not (tmp_path / "traj").exists()
+
+
+def test_a_second_lateral_flux_is_an_unknown_key(tmp_path, capsys):
+    cfg = _config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(
+        'phi_1 = "lambda^2/2"', 'phi_1 = "lambda^2/2"\nphi_2 = "0"'))
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "traj")]) == 1
+    assert capsys.readouterr().err == \
+        "error: line 10: unknown key 'phi_2' in [flux]\n"
 
 
 def test_config_sets_every_scheme_option(tmp_path):

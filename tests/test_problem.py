@@ -24,9 +24,9 @@ from workloads import WORKLOADS, config_text  # noqa: E402
 
 
 def const_data_spec(u01="1", u02="1", uS2="1", **kwargs):
-    defaults = dict(d=1, L=1.0, T=1.0, S=1.0,
+    defaults = dict(L=1.0, T=1.0, S=1.0,
                     flux_a=E.parse("lambda^2/2"),
-                    flux_phi=(E.parse("lambda^2/2"),),
+                    flux_phi=E.parse("lambda^2/2"),
                     data_u0_1=E.parse(u01),
                     data_u0_2=E.parse(u02),
                     data_uS_2=E.parse(uS2),
@@ -84,12 +84,6 @@ class TestConsistency:
         spec = source_spec().with_data(data_u0_2=E.parse("t"))
         errors = P.consistency_errors(spec)
         assert any("u0_2" in e for e in errors)
-
-    def test_dimension_guard(self):
-        spec = source_spec().with_data(d=2, flux_phi=(E.parse("0"),
-                                                      E.parse("0")))
-        errors = P.consistency_errors(spec)
-        assert any("d=2" in e for e in errors)
 
     def test_tau_inside_horizon(self):
         spec = source_spec().with_data(tau=1.5)
@@ -441,6 +435,35 @@ def test_describe_hash_stable():
     spec = source_spec()
     assert spec.context_hash() == spec.context_hash()
     assert spec.context_hash() != source_spec(beta_amp=0.3).context_hash()
+
+
+# context_hash() of each scenario spec and bench config: a run's meta.json
+# and every report row hold these, so the form of ProblemSpec must not
+# move them
+SPEC_HASHES = {
+    "zero": "deb4dc8bbda938f9", "source": "01fa0a072147e5eb",
+    "nosource": "f8c4ba2bbe78831d", "saturated": "60741c89660bf12a",
+    "shock": "49e1d1f168bd71e6", "unattainable": "e4526a7007d4fcf9",
+    "perturbed": "33e9f29aff01b9c8",
+}
+BENCH_HASHES = {0: "01fa0a072147e5eb", 1: "4bde87f98baf51ca"}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_HASHES))
+def test_scenario_spec_hashes_are_pinned(name):
+    specs = {"zero": zero_spec, "source": source_spec,
+             "nosource": nosource_spec, "saturated": saturated_spec,
+             "shock": shock_spec, "unattainable": unattainable_spec,
+             "perturbed": lambda: perturbed_spec(source_spec(), 0.1)}
+    assert specs[name]().context_hash() == SPEC_HASHES[name]
+
+
+@pytest.mark.parametrize("seed", sorted(BENCH_HASHES))
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_bench_config_hashes_are_pinned(tmp_path, workload, seed):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(config_text(WORKLOADS[workload], seed, tmp_path / "out"))
+    assert io.load_config(cfg).spec.context_hash() == BENCH_HASHES[seed]
 
 
 def _sample_sup_meshgrid(expr, names, ranges, n=256):

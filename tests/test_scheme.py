@@ -138,7 +138,7 @@ class TestSumSplit:
         b[1::5] = k[1::5]     # ties b = k
         a[2::5] = b[2::5] = k[2::5]
         w = np.stack((a, b), axis=-1)
-        g, h = verify._entropy_parts(flux, flux.split(k[:, None]), w,
+        g, h = verify._entropy_parts(flux.split(w), flux.split(k[:, None]),
                                      np.sign(w - k[:, None]))
         q = g[:, 0] + h[:, 1]
         want = (flux.flux(np.maximum(a, k), np.maximum(b, k))
@@ -160,28 +160,31 @@ class TestNumericalFlux:
         assert isinstance(eo.flux_a, S._SplitTable)
         assert _eo(1.0, -1.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("phi", ["lambda^2/2", "lambda^2/3"])
     @pytest.mark.parametrize("kind", [S.ENGQUIST_OSHER, S.LAX_FRIEDRICHS])
-    def test_max_slope_is_sampled_once_per_flux(self, monkeypatch, kind):
+    def test_max_slope_is_sampled_once_per_flux(self, monkeypatch, kind,
+                                                phi):
         # the step's fluxes and the CFL step share one enclosure of each
-        # max|f'| (the Lax-Friedrichs alpha itself); dt is their coeff
-        # over the cell widths
+        # distinct flux's max|f'| (the Lax-Friedrichs alpha itself); dt is
+        # their coeff over the cell widths
         calls = []
-        real = S._max_slope
+        real = E.sup
 
-        def counting(expr, m_bound):
-            calls.append(m_bound)
-            return real(expr, m_bound)
-        monkeypatch.setattr(S, "_max_slope", counting)
-        spec = nosource_spec()
+        def counting(expr, box, signed=False):
+            calls.append(box)
+            return real(expr, box, signed)
+        monkeypatch.setattr(E, "sup", counting)
+        spec = nosource_spec().with_data(flux_phi=E.parse(phi))
         grid = Grid(8, 16, 1.0, 1.0)
         stepper = S.Stepper(spec, grid, eps=0.0, gamma=0.0, m_bound=1.5,
                             options=S.SchemeOptions(flux_kind=kind))
-        assert calls == [1.5] * 2
+        assert calls == [{"lambda": (-1.5, 1.5)}] * (
+            1 if spec.flux_phi == spec.flux_a else 2)
         for flux, f in ((stepper.flux_a, spec.flux_a),
-                        (stepper.flux_phi, spec.flux_phi[0])):
-            assert flux.coeff == E.sup(E.diff(f, "lambda"),
-                                       {"lambda": (-1.5, 1.5)})
-            assert flux.coeff == pytest.approx(1.5, rel=1e-12)
+                        (stepper.flux_phi, spec.flux_phi)):
+            assert flux.coeff == real(E.diff(f, "lambda"),
+                                      {"lambda": (-1.5, 1.5)})
+        assert stepper.flux_a.coeff == pytest.approx(1.5, rel=1e-12)
         assert stepper._cfl() == 0.9 / (stepper.flux_a.coeff / grid.ds
                                         + stepper.flux_phi.coeff / grid.dx)
 
@@ -221,7 +224,7 @@ class TestCfl:
         # max|a'| = max|phi'| = 1 on [-1,1], dx = ds = 0.1; the lateral
         # Laplacian is implicit and adds no term: dt = 0.9 / (10 + 10)
         spec = nosource_spec().with_data(flux_a=E.parse("lambda"),
-                                         flux_phi=(E.parse("lambda"),))
+                                         flux_phi=E.parse("lambda"))
         grid = Grid(nx=10, ns=10, L=1.0, S=1.0)
         assert _cfl(spec, grid) == pytest.approx(0.9 / 20.0, rel=1e-6)
         # Lax-Friedrichs: a cell's coefficient loses dt * alpha/ds per
@@ -233,7 +236,7 @@ class TestCfl:
     def test_eps_override(self):
         # the Stepper's eps, not spec.epsilon = 0: + 2 * 0.01 / 0.1^2 = 2
         spec = nosource_spec().with_data(flux_a=E.parse("lambda"),
-                                         flux_phi=(E.parse("lambda"),))
+                                         flux_phi=E.parse("lambda"))
         assert spec.epsilon == 0.0
         grid = Grid(nx=10, ns=10, L=1.0, S=1.0)
         assert _cfl(spec, grid, eps=0.01) == pytest.approx(0.9 / 22.0,
@@ -244,7 +247,7 @@ class TestCfl:
         # no stiffness term: the accuracy cap 2 * 0.005 / (pi/L)^2, which
         # depends on neither the grid nor the safety factor
         spec = nosource_spec().with_data(flux_a=E.parse("0"),
-                                         flux_phi=(E.parse("0"),), L=L)
+                                         flux_phi=E.parse("0"), L=L)
         want = 0.01 * L ** 2 / np.pi ** 2
         for grid in (Grid(16, 16, L, 1.0), Grid(64, 8, L, 1.0)):
             assert _cfl(spec, grid) == pytest.approx(want, rel=1e-12)
@@ -255,7 +258,7 @@ class TestCfl:
     def test_refinement_scaling(self):
         # a convective term shrinks the step like dx, not like dx^2
         spec = nosource_spec().with_data(flux_a=E.parse("0"),
-                                         flux_phi=(E.parse("lambda"),))
+                                         flux_phi=E.parse("lambda"))
         d1 = _cfl(spec, Grid(16, 16, 1.0, 1.0))
         d2 = _cfl(spec, Grid(32, 16, 1.0, 1.0))
         assert d1 == pytest.approx(2 * d2, rel=1e-12)
@@ -356,7 +359,7 @@ class TestCfl:
     def test_records_the_term_that_set_the_step(self):
         grid = Grid(nx=16, ns=16, L=1.0, S=1.0)
         heat = nosource_spec().with_data(flux_a=E.parse("0"),
-                                         flux_phi=(E.parse("0"),))
+                                         flux_phi=E.parse("0"))
         # b0 = 3, as in the test above
         capped = source_spec(gamma=0.02).with_data(
             beta=E.parse(f"-3*{TENT}*{XBUMP}*{SBUMP}"))
@@ -388,6 +391,57 @@ def _random_field(rng, grid, amp=0.8):
     return amp * (2.0 * rng.random((grid.nx, grid.ns)) - 1.0)
 
 
+def _two_split_step(stepper, u, n):
+    """``Stepper.step`` with each direction's strip of the padded state
+    split on its own, the s-strip by ``flux_a`` and the x-strip by
+    ``flux_phi``."""
+    grid, dt = stepper.grid, stepper.dt
+    w = stepper.padded(u, n * dt)
+    ws, wx = w[1:-1, :], w[:, 1:-1]
+    g_a, h_a = stepper.flux_a.split(ws)
+    g_p, h_p = stepper.flux_phi.split(wx)
+    f_a = g_a[:, :-1] + h_a[:, 1:]
+    f_p = g_p[:-1, :] + h_p[1:, :]
+    new = u - dt * ((f_a[:, 1:] - f_a[:, :-1]) / grid.ds
+                    + (f_p[1:, :] - f_p[:-1, :]) / grid.dx)
+    if stepper.eps > 0:
+        new = new + dt * stepper.eps * (
+            (ws[:, :-2] - 2.0 * u + ws[:, 2:]) / grid.ds ** 2)
+    return stepper._solve_lateral(new)
+
+
+class TestOneSplitPerFlux:
+    """A Stepper holds one flux object per distinct expression and splits
+    the whole padded state once with it, the s- and x-faces sliced from
+    that one result."""
+
+    @pytest.mark.parametrize("phi", ["lambda^2/2", "sin(lambda)"])
+    @pytest.mark.parametrize("kind", [S.ENGQUIST_OSHER, S.LAX_FRIEDRICHS])
+    def test_step_equals_the_two_split_step(self, monkeypatch, kind, phi):
+        # phi is parsed apart from a: equal trees share one flux object
+        spec = source_spec().with_data(flux_phi=E.parse(phi), epsilon=0.01)
+        grid = Grid(12, 16, 1.0, 1.0)
+        stepper = S.Stepper(spec, grid, m_bound=1.3,
+                            options=S.SchemeOptions(flux_kind=kind))
+        assert (stepper.flux_phi is stepper.flux_a) == (phi == "lambda^2/2")
+        calls = []
+        cls = type(stepper.flux_a)
+        real = cls.split
+
+        def counting(flux, w):
+            calls.append(w.shape)
+            return real(flux, w)
+        monkeypatch.setattr(cls, "split", counting)
+        rng = np.random.default_rng(5)
+        for n in (0, 7, 21):
+            u = _random_field(rng, grid, amp=1.2)
+            want = _two_split_step(stepper, u, n)
+            del calls[:]
+            assert np.array_equal(stepper.step(u, n), want)
+            distinct = 1 if stepper.flux_phi is stepper.flux_a else 2
+            assert calls == [(14, 18)] * distinct
+
+
 class TestStep:
     def test_zero_fixed_point(self):
         spec = zero_spec()  # perturbation vanishes at value 0
@@ -399,7 +453,7 @@ class TestStep:
         # zero x-flux and s-end data equal to the constant: every interface
         # flux is the same, so the explicit part leaves 0.37 bit for bit and
         # the step is the lateral solve of the constant alone
-        spec = nosource_spec().with_data(flux_phi=(E.parse("0"),),
+        spec = nosource_spec().with_data(flux_phi=E.parse("0"),
                                          data_u0_2=E.parse("0.37"),
                                          data_uS_2=E.parse("0.37"))
         grid = Grid(16, 16, 1.0, 1.0)
@@ -663,7 +717,7 @@ def test_step_is_monotone_at_full_safety(kind):
     # largest safety a config may set (here 1 - alpha 16/17, alpha the
     # enclosure of max|f'| = 1, a few ulps above it); the
     # implicit x-solve keeps the sign of a column that is constant in x
-    spec = nosource_spec().with_data(flux_phi=(E.parse("0"),))
+    spec = nosource_spec().with_data(flux_phi=E.parse("0"))
     grid = Grid(16, 16, 1.0, 1.0)
     stepper = S.Stepper(spec, grid, eps=0.0, gamma=0.0, m_bound=1.0,
                         options=S.SchemeOptions(flux_kind=kind,

@@ -103,8 +103,8 @@ class TestMaxPrincipleBound:
 def test_heat_decay_rate():
     # pure lateral diffusion: the sine profile decays like exp(-(pi/L)^2 t)
     spec = ProblemSpec(
-        d=1, L=1.0, T=0.1, S=1.0,
-        flux_a=E.parse("0"), flux_phi=(E.parse("0"),),
+        L=1.0, T=0.1, S=1.0,
+        flux_a=E.parse("0"), flux_phi=E.parse("0"),
         data_u0_1=E.parse(f"sin(3.14159265358979*x)*{SBUMP}"),
         data_u0_2=E.parse("0"), data_uS_2=E.parse("0"),
         tau=0.05, gamma=0.0, epsilon=0.0,

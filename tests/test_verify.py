@@ -1246,7 +1246,7 @@ def _stability_rhs_reference(spec1, spec2, t, d_init, inflow, thetas, dt):
     for n in range(round(t / dt)):
         e = e + inflow[n]
         e = (1.0 + thetas[n] * b0) * e
-        e = e + thetas[n] * spec1.S * spec1.omega_measure * dbeta
+        e = e + thetas[n] * spec1.S * spec1.L * dbeta
     return float(e)
 
 
@@ -1322,6 +1322,87 @@ def regularized_run():
     traj = solver.solve(spec, unit_grid(32),
                         options=SchemeOptions(snapshot_stride=1))
     return spec, traj, cli._k_bank(traj)
+
+
+def _two_split_residual(traj, stepper, k_values):
+    """``check_entropy_residual``'s worst (value, t, cell, k), with the
+    s-strip of the padded state split by ``flux_a`` and the x-strip by
+    ``flux_phi``, each on its own, and g(k), h(k) split once per flux."""
+    grid, dt = traj.grid, stepper.dt
+    ks = np.asarray(k_values, dtype=float).reshape(-1, 1, 1)
+    k_a, k_p = stepper.flux_a.split(ks), stepper.flux_phi.split(ks)
+    cells = {"x": stepper.xc[:, None], "s": stepper.sc[None, :]}
+    worst = (-np.inf, None, None, None)
+    for i in range(len(traj.times) - 1):
+        n, t0 = traj.levels[i], traj.times[i]
+        u0, u1 = traj.fields[i].values, traj.fields[i + 1].values
+        theta = stepper.thetas[n]
+        v = stepper.step(u0, n) if theta else u1
+        w = stepper.padded(u0, t0)
+        sign, eta_pad = np.sign(w - ks), np.abs(w - ks)
+        eta0 = eta_pad[:, 1:-1, 1:-1]
+        g, h = stepper.flux_a.split(w[1:-1])
+        sg = sign[:, 1:-1]
+        q = sg[..., :-1] * (g[:, :-1] - k_a[0]) + sg[..., 1:] * (
+            h[:, 1:] - k_a[1])
+        rho = (np.abs(u1 - ks) - eta0
+               + dt / grid.ds * (q[..., 1:] - q[..., :-1]))
+        g, h = stepper.flux_phi.split(w[:, 1:-1])
+        sg = sign[..., 1:-1]
+        q = sg[:, :-1] * (g[:-1] - k_p[0]) + sg[:, 1:] * (h[1:] - k_p[1])
+        rho = rho + dt / grid.dx * (q[:, 1:] - q[:, :-1])
+        ev = np.abs(np.pad(v, ((1, 1), (0, 0))) - ks)
+        rho = rho - dt * (ev[:, :-2] - 2.0 * ev[:, 1:-1]
+                          + ev[:, 2:]) / grid.dx ** 2
+        if stepper.eps > 0:
+            es = eta_pad[:, 1:-1, :]
+            rho = rho - dt * stepper.eps * (
+                es[..., :-2] - 2.0 * eta0 + es[..., 2:]) / grid.ds ** 2
+        if theta:
+            b_v = stepper.beta_fn({**cells, "lambda": v})
+            b_k = stepper.beta_fn({**cells, "lambda": ks})
+            rho = rho - theta * (np.sign(v - ks) * (b_v - b_k)
+                                 + np.abs(b_k))
+        j, cx, cs = np.unravel_index(np.argmax(rho), rho.shape)
+        if rho[j, cx, cs] > worst[0]:
+            worst = (float(rho[j, cx, cs]), t0, [int(cx), int(cs)],
+                     float(ks[j, 0, 0]))
+    return worst
+
+
+class TestOneSplitPerFlux:
+    @pytest.mark.parametrize("phi", ["lambda^2/2", "sin(lambda)"])
+    @pytest.mark.parametrize("kind", ["engquist_osher", LAX_FRIEDRICHS])
+    def test_entropy_residual_equals_the_two_split_form(self, monkeypatch,
+                                                        kind, phi):
+        # the delayed source at eps = 0.01 kicks, and phi, parsed apart
+        # from a, shares a's flux object exactly when the two trees agree
+        spec = source_spec().with_data(flux_phi=E.parse(phi), epsilon=0.01)
+        traj = solver.solve(spec, unit_grid(12), options=SchemeOptions(
+            flux_kind=kind, snapshot_stride=1))
+        stepper = verify.rebuild(spec, traj)
+        assert (stepper.flux_phi is stepper.flux_a) == (phi == "lambda^2/2")
+        ks = [-0.3, 0.0, 0.2, 0.45, 0.8]
+        value, t_worst, cell, k = _two_split_residual(traj, stepper, ks)
+        calls = []
+        cls = type(stepper.flux_a)
+        real = cls.split
+
+        def counting(flux, w):
+            calls.append(w.shape)
+            return real(flux, w)
+        monkeypatch.setattr(cls, "split", counting)
+        rep = verify.check_entropy_residual(traj, stepper, ks)
+        assert rep.measured == value
+        assert rep.context["t_worst"] == t_worst
+        assert (rep.context["cell_worst"], rep.context["k_worst"]) == (cell,
+                                                                       k)
+        # k's parts once, then each step's padded state once, per distinct
+        # flux; a kick step's replayed step splits its own state too
+        kicks = np.count_nonzero(stepper.thetas[:len(traj.times) - 1])
+        distinct = 1 if stepper.flux_phi is stepper.flux_a else 2
+        assert len(calls) == distinct * (len(traj.times) + kicks)
+        assert calls[:distinct] == [(len(ks), 1, 1)] * distinct
 
 
 class TestHoistedAgainstReference:
