@@ -40,10 +40,10 @@ expression takes in each box of a batch, rounded outward, and ``sup``
 bounds max |expr| (or max expr) over one box, cutting it into parts that
 it encloses as one batch, and cutting again only the loose ones, those
 whose bound exceeds the point values found or that reach a pole, under a
-fixed budget of parts.  Every bound the march or a check reads off a
-config's expressions is a ``sup``, of the expression or of its ``diff``;
-it lives here, not in ``problem``, because ``kernels`` (imported by
-``problem``) needs it too.
+fixed budget of parts; ``zero_width`` cuts only the parts that may
+vanish and bounds their width.  Every bound read off a config's
+expressions is one of the two, of the expression or of its ``diff``
+(``on_slope`` names its errors), here as ``kernels`` needs them too.
 
 Precedence, tightest first: ``^`` (right-assoc), unary ``-``, ``* /``,
 ``+ -`` (left-assoc).  At the kinks of ``abs``/``min``/``max`` the
@@ -61,8 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Expr", "Num", "Var", "Neg", "BinOp", "Call",
-    "parse", "compile", "evaluate", "diff", "enclose", "sup",
+    "Expr", "Num", "Var", "Neg", "BinOp", "Call", "parse", "compile",
+    "evaluate", "diff", "on_slope", "enclose", "sup", "zero_width",
     "to_string", "ExprSyntaxError", "UnboundVariableError", "DomainError",
     "VARIABLES", "FUNCTIONS",
 ]
@@ -585,6 +585,15 @@ def diff(expr, var):
     return _diff(expr, var)[0]
 
 
+def on_slope(f, fn, arg):
+    """fn(d f / d lambda, arg), a ``DomainError`` of which names the
+    derivative: ``d/dlambda of <f>: <why>``."""
+    try:
+        return fn(diff(f, "lambda"), arg)
+    except DomainError as exc:
+        raise DomainError(f"d/dlambda of {to_string(f)}: {exc}") from exc
+
+
 def _diff(expr, var):
     """(d expr / d var, whether expr reads var), by the rule of expr's
     operation from its operands x and their derivatives dx."""
@@ -655,9 +664,9 @@ def _cut(parts, k, wide):
     return out
 
 
-def _tops(expr, parts, signed):
-    """Each part's bound, flat, inf where its enclosure reaches a pole, and
-    the ``DomainError`` of a pole reached, or None."""
+def _ranges(expr, parts):
+    """Each part's range (lo, hi), flat, (-inf, inf) where its enclosure
+    reaches a pole, and the ``DomainError`` of a pole reached, or None."""
     size, each, pole = _size(parts), parts, None
     ok = np.ones(math.prod(size), bool)
     while True:
@@ -672,10 +681,10 @@ def _tops(expr, parts, signed):
             pole = error
             each = {n: tuple(np.broadcast_to(v, size).ravel()[ok] for v in r)
                     for n, r in parts.items()}
-    top = np.full(ok.size, np.inf)
-    top[ok] = np.broadcast_to(hi if signed else np.maximum(hi, -lo),
-                              _size(each)).ravel()
-    return top, pole
+    low, high = np.full(ok.size, -np.inf), np.full(ok.size, np.inf)
+    low[ok], high[ok] = (np.broadcast_to(r, _size(each)).ravel()
+                         for r in (lo, hi))
+    return low, high, pole
 
 
 def sup(expr, box, signed=False):
@@ -708,7 +717,8 @@ def sup(expr, box, signed=False):
             v = point({n: np.stack((0.5 * a + 0.5 * b, a, b))
                        for n, (a, b) in parts.items()})
         v = np.broadcast_to(v, (3,) + size)
-        top, error = _tops(expr, parts, signed)
+        low, high, error = _ranges(expr, parts)
+        top = high if signed else np.maximum(high, -low)
         pole = error or pole
         best = np.maximum(best, np.max(np.fmax.reduce(v if signed
                                                       else np.abs(v))))
@@ -729,6 +739,25 @@ def sup(expr, box, signed=False):
     if not np.isfinite(done):
         raise pole
     return float(done)
+
+
+def zero_width(expr, box, width):
+    """An upper bound of the measure of {expr = 0} on a one-axis ``box``,
+    and the number of parts enclosed: the total width of the parts whose
+    enclosure holds 0 or reaches a pole, halving only those again until
+    it is at most ``width`` or the budget of _BOXES parts is spent."""
+    (name, (lo, hi)), = box.items()
+    lo, hi, spent = np.array([lo], float), np.array([hi], float), 0
+    while True:
+        low, high, _ = _ranges(expr, {name: (lo, hi)})
+        spent += lo.size
+        held = (low <= 0.0) & (high >= 0.0)
+        lo, hi = lo[held], hi[held]
+        total = float(np.sum(hi - lo))
+        if total <= width or spent + 2 * lo.size > _BOXES:
+            return total, spent
+        lo, hi = (end.ravel() for end in
+                  _cut({name: (lo, hi)}, 2, [name])[name])
 
 
 # --- printing --------------------------------------------------------------

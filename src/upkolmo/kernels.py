@@ -107,9 +107,9 @@ def estimate_dbeta_sup(beta, L, S, b1):
     every slope, beta vanishing for |lambda| >= b1
     (``problem.consistency_errors``).  Memoized, as the AST is frozen: a
     process encloses b0 once, for the stability estimate, its one user."""
-    return exprdsl.sup(exprdsl.diff(beta, "lambda"),
-                       {"x": (0.0, L), "s": (0.0, S),
-                        "lambda": (-(b1 + 1.0), b1 + 1.0)})
+    return exprdsl.on_slope(beta, exprdsl.sup,
+                            {"x": (0.0, L), "s": (0.0, S),
+                             "lambda": (-(b1 + 1.0), b1 + 1.0)})
 
 
 def source_growth_constants(beta, gamma, *, L=1.0, S=1.0, b1=1.0):

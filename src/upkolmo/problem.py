@@ -254,8 +254,8 @@ def min_kick_slope(spec, mass):
         return 0.0
     reach = sup_bound(spec, spec.tau, (mass, 1.0))
     radius = max(reach[0], spec.b1 if reach[1] >= spec.b1 else 0.0)
-    return -exprdsl.sup(exprdsl.Neg(exprdsl.diff(spec.beta, "lambda")),
-                        _slab(spec, (-radius, radius)), signed=True)
+    return -exprdsl.on_slope(spec.beta, lambda d, box: exprdsl.sup(
+        exprdsl.Neg(d), box, signed=True), _slab(spec, (-radius, radius)))
 
 
 @_memo_on_data

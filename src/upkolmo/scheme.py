@@ -138,21 +138,6 @@ class SchemeOptions:
 
 # --- tabulated split fluxes ------------------------------------------------
 
-def _slope(f, fn, arg):
-    """fn(f', arg), f' = df/dlambda; an error of f' is named as its own."""
-    try:
-        return fn(exprdsl.diff(f, "lambda"), arg)
-    except exprdsl.DomainError as exc:
-        raise exprdsl.DomainError(
-            f"d/dlambda of {exprdsl.to_string(f)}: {exc}") from exc
-
-
-def slope(f, lam):
-    """f'(lam), a float array of the points lam's shape."""
-    d = _slope(f, lambda d, lam: exprdsl.compile(d)[0]({"lambda": lam}), lam)
-    return np.broadcast_to(np.asarray(d, dtype=float), lam.shape)
-
-
 class _SplitTable:
     """Cumulative-midpoint table of the Engquist-Osher split integrals on
     [-(m_bound + 1), m_bound + 1]; ``coeff`` is enclosed on first use."""
@@ -162,7 +147,8 @@ class _SplitTable:
         k = math.ceil((m_bound + 1.0) / _TABLE_SPACING)
         self.nodes = (np.arange(-k, k + 1)) * _TABLE_SPACING
         mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        d = slope(f, mids)
+        d = np.broadcast_to(exprdsl.on_slope(f, exprdsl.evaluate,
+                                             {"lambda": mids}), mids.shape)
         inc_p = np.maximum(d, 0.0) * _TABLE_SPACING
         inc_m = np.minimum(d, 0.0) * _TABLE_SPACING
         cp = np.concatenate(([0.0], np.cumsum(inc_p)))
@@ -173,8 +159,8 @@ class _SplitTable:
 
     @functools.cached_property
     def coeff(self):
-        return _slope(self.f, exprdsl.sup,
-                      {"lambda": (-self.m_bound, self.m_bound)})
+        return exprdsl.on_slope(self.f, exprdsl.sup,
+                                {"lambda": (-self.m_bound, self.m_bound)})
 
     def split(self, w):
         """(g(w), h(w)) with flux(wL, wR) = g(wL) + h(wR)."""
@@ -191,7 +177,8 @@ class _LFFlux:
 
     def __init__(self, f, m_bound):
         self.f = exprdsl.compile(f, finite=False)[0]
-        self.coeff = _slope(f, exprdsl.sup, {"lambda": (-m_bound, m_bound)})
+        self.coeff = exprdsl.on_slope(f, exprdsl.sup,
+                                      {"lambda": (-m_bound, m_bound)})
 
     def split(self, w):
         """(g(w), h(w)) with flux(wL, wR) = g(wL) + h(wR)."""
@@ -412,15 +399,22 @@ class Stepper:
         return np.clip(x, min(d.min(), 0.0), max(d.max(), 0.0), out=x)
 
     def step(self, u, n):
-        """The explicit update and the lateral solve from level n: the state
-        v that ``kick`` completes into level n + 1.  A value that overflows
-        ends the step in ``NaNDetectedError``, from ``_finite``, so NumPy's
-        own overflow and invalid-value warnings are silenced."""
-        grid, dt = self.grid, self.dt
-        t = n * dt
+        """``update`` of u's ``padded`` state at level n and its ``split``
+        parts: the state v that ``kick`` completes into level n + 1."""
+        t = n * self.dt
         w = self.padded(u, t)
         with np.errstate(over="ignore", invalid="ignore"):
-            (g_a, h_a), (g_p, h_p) = _guarded(self.split, w, t)
+            parts = _guarded(self.split, w, t)
+        return self.update(w, parts, n)
+
+    def update(self, w, parts, n):
+        """The explicit update and the lateral solve of w, a padded state
+        at level n, from its split ``parts``.  A value that overflows ends
+        the step in ``NaNDetectedError``, from ``_finite``, so NumPy's own
+        overflow and invalid-value warnings are silenced."""
+        grid, dt, u = self.grid, self.dt, w[1:-1, 1:-1]
+        (g_a, h_a), (g_p, h_p) = parts
+        with np.errstate(over="ignore", invalid="ignore"):
             # the s-faces of the inner rows, the x-faces of the inner columns
             f_a = g_a[1:-1, :-1] + h_a[1:-1, 1:]
             div_s = (f_a[:, 1:] - f_a[:, :-1]) / grid.ds
@@ -430,7 +424,7 @@ class Stepper:
             if self.eps > 0:
                 lap_s = (w[1:-1, :-2] - 2.0 * u + w[1:-1, 2:]) / grid.ds ** 2
                 new = new + dt * self.eps * lap_s
-            return _finite(self._solve_lateral(new), t)
+            return _finite(self._solve_lateral(new), n * dt)
 
     def kick(self, v, n):
         """v + theta_n beta(x, s, v), theta_n = ``thetas[n]``: the end of

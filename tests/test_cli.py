@@ -270,12 +270,6 @@ def test_a_missing_config_exits_1_in_every_command(tmp_path, capsys,
     assert str(cfg) in _one_error_line(capsys)
 
 
-def test_validate_flux_with_too_few_directions_exits_1(tmp_path, capsys):
-    cfg = _config(tmp_path)
-    assert cli.main(["validate-flux", str(cfg), "--dirs", "10"]) == 1
-    assert _one_error_line(capsys) == "error: need at least 64 directions\n"
-
-
 @pytest.mark.parametrize("Lambda", ["inf", "0", "-1", "nan"])
 def test_validate_flux_refuses_a_lambda_not_finite_and_positive(
         tmp_path, capsys, Lambda):
@@ -362,6 +356,23 @@ def test_a_flux_whose_slope_overflows_exits_1(tmp_path, capsys, kind):
     assert not traj.exists()
     assert cli.main(["validate-flux", str(cfg)]) == 1
     assert capsys.readouterr().err == named
+
+
+@pytest.mark.parametrize("gamma", ["0.1", "0.0"])
+def test_a_source_whose_slope_overflows_exits_1(tmp_path, capsys, gamma):
+    # the kick's least slope is enclosed before either march, the value of
+    # beta staying below 1e9: the derivative overflows, and the error names it
+    cfg = _config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(
+        'beta = "', 'beta = "sin(1e300*lambda)*1e9*').replace(
+        "gamma = 0.1", f"gamma = {gamma}"))
+    beta = upk_io.load_config(cfg).spec.beta
+    traj = tmp_path / "traj"
+    assert cli.main(["run", str(cfg), "--out", str(traj)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: d/dlambda of {exprdsl.to_string(beta)}: overflow to a "
+        "non-finite value\n")
+    assert not traj.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "validate-flux"])
@@ -1191,9 +1202,14 @@ def test_epsilon_sweep_with_a_delayed_source_needs_gamma(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flux, code", [("lambda^2/2", 0), ("lambda", 3)])
-def test_validate_flux_exit_codes(tmp_path, flux, code):
+@pytest.mark.parametrize("flux, code, line", [
+    ("lambda^2/2", 0, "mu = 0 (bound 0.01, parts enclosed 1) pass=True"),
+    ("lambda", 3, "mu = 20 (bound 0.01, parts enclosed 8191) pass=False"),
+    ("max(lambda, 0)^2/2", 3,
+     "mu = 10 (bound 0.01, parts enclosed 4097) pass=False")])
+def test_validate_flux_exit_codes(tmp_path, capsys, flux, code, line):
     cfg = tmp_path / "flux.cfg"
     cfg.write_text(_config(tmp_path).read_text().replace(
         'a = "lambda^2/2"', f'a = "{flux}"'))
     assert cli.main(["validate-flux", str(cfg)]) == code
+    assert capsys.readouterr().out == line + "\n"

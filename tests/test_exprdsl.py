@@ -692,6 +692,29 @@ def test_a_pole_between_the_points_raises_after_the_cuts():
     assert 1e6 <= got <= 1e6 * (1 + 1e-3)
 
 
+def test_zero_width_cuts_only_where_the_enclosure_may_vanish():
+    box = {"x": (0.0, 1.0)}
+    # no value near 0 on the box: one enclosure
+    assert E.zero_width(E.parse("1 + x^2"), box, 1e-3) == (0.0, 1)
+    # a root and a pole at 1/3, on no cut of (0, 1): only the parts around
+    # it are cut again, until their width is at most 1e-3
+    for text in ("3*x - 1", "1/(3*x - 1)"):
+        width, spent = E.zero_width(E.parse(text), box, 1e-3)
+        assert 0.0 < width <= 1e-3 and spent < 100
+    # 0 everywhere: every part holds 0 until the budget of parts ends
+    assert E.zero_width(E.parse("x - x"), box, 1e-3) == (1.0, 2 ** 13 - 1)
+
+
+def test_on_slope_names_the_derivative_in_its_error():
+    assert E.on_slope(E.parse("lambda^2/2"), E.evaluate,
+                      {"lambda": 3.0}) == 3.0
+    with pytest.raises(E.DomainError, match=(
+            r"^d/dlambda of sin\(1e\+300 \* lambda\) \* 1000000000.0: "
+            "overflow to a non-finite value$")):
+        E.on_slope(E.parse("sin(1e300*lambda)*1e9"), E.sup,
+                   {"lambda": (-1.0, 1.0)})
+
+
 @pytest.mark.parametrize("x", [0.0, np.float64(0.0), np.array([1.0, 0.0])])
 def test_a_derivative_at_a_pole_is_a_domain_error(x):
     # the quotient rule divides by x*x unchecked, and the non-finite

@@ -178,6 +178,13 @@ class TestGrowthConstants:
         est = kernels.estimate_dbeta_sup(beta, 1.0, 1.0, 2.0)
         assert est == pytest.approx(0.3, abs=1e-4)
 
+    def test_an_overflowing_slope_is_named(self):
+        beta = E.parse("sin(1e300*lambda)*1e9")
+        with pytest.raises(E.DomainError, match=(
+                r"^d/dlambda of sin\(1e\+300 \* lambda\) \* 1000000000.0: "
+                "overflow to a non-finite value$")):
+            kernels.estimate_dbeta_sup(beta, 1.0, 1.0, 2.0)
+
     def test_b0_sampling_peaks_below_4_mib(self):
         # at most 8,192 parts of the slab, each node on the axes it reads;
         # 64 x 64 x 256 samples at once peaked at 24 MiB

@@ -862,7 +862,8 @@ class TestGhostRows:
                 return fn(b)
             return counted, free
         monkeypatch.setattr(S, "exprdsl", SimpleNamespace(
-            compile=counting, evaluate=E.evaluate, diff=E.diff, sup=E.sup))
+            compile=counting, evaluate=E.evaluate, on_slope=E.on_slope,
+            sup=E.sup))
 
     def test_time_dependent_data_are_evaluated_at_each_t(self, monkeypatch):
         spec = unattainable_spec(L=1.0)

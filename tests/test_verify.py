@@ -979,23 +979,47 @@ class TestEpsilonCauchy:
 
 
 class TestGenuineNonlinearity:
+    """mu bounds the measure of every level set of a' by the width of the
+    parts on which the enclosure of a'' holds 0 or reaches a pole."""
+
+    def _certify(self, text):
+        return verify.validate_genuine_nonlinearity(E.parse(text), 10.0)
+
     def test_quadratic_passes(self):
-        rep = verify.validate_genuine_nonlinearity(E.parse("lambda^2/2"), 10.0)
+        # a'' = 1 excludes 0 on the whole range: one enclosure
+        rep = self._certify("lambda^2/2")
         assert rep.passed
+        assert (rep.measured, rep.context["n_parts"]) == (0.0, 1)
 
     def test_linear_fails(self):
-        rep = verify.validate_genuine_nonlinearity(E.parse("2*lambda"), 10.0)
+        # a' is constant, so one level set is all of [-Lambda, Lambda]
+        rep = self._certify("2*lambda")
         assert not rep.passed
-        assert rep.measured == pytest.approx(20.0, rel=1e-6)
+        assert rep.measured == 20.0
 
     def test_degenerate_fails(self):
-        rep = verify.validate_genuine_nonlinearity(E.parse("0"), 10.0)
+        rep = self._certify("0")
         assert not rep.passed
+        assert rep.measured == 20.0
 
-    def test_requires_enough_directions(self):
-        with pytest.raises(ValueError):
-            verify.validate_genuine_nonlinearity(E.parse("lambda^2/2"), 10.0,
-                                                 n_dirs=8)
+    @pytest.mark.parametrize("flux, flat", [
+        ("max(lambda, 0)^2/2", 10.0),
+        ("max(lambda - 1.5, 0)^2/2 + min(lambda - 1, 0)^2/2", 0.5)])
+    def test_interval_linear_fails(self, flux, flat):
+        # linear on an interval of width ``flat``, [-Lambda, 0] or [1, 1.5],
+        # where a'' is 0: mu holds it, exactly where a cut lands on its ends
+        rep = self._certify(flux)
+        assert not rep.passed
+        assert flat <= rep.measured <= flat * (1 + 1e-3)
+
+    @pytest.mark.parametrize("flux", ["lambda^3", "tanh(lambda)",
+                                      "abs(lambda)^1.5", "sin(lambda)"])
+    def test_isolated_inflections_and_a_pole_pass(self, flux):
+        # a'' vanishes at isolated points, or |lambda|^1.5's has a pole at
+        # 0: the parts that hold them are cut until their width is small
+        rep = self._certify(flux)
+        assert rep.passed
+        assert 0.0 < rep.measured <= rep.bound == 1e-2
 
 
 class TestReports:
@@ -1398,10 +1422,10 @@ class TestOneSplitPerFlux:
         assert (rep.context["cell_worst"], rep.context["k_worst"]) == (cell,
                                                                        k)
         # k's parts once, then each step's padded state once, per distinct
-        # flux; a kick step's replayed step splits its own state too
-        kicks = np.count_nonzero(stepper.thetas[:len(traj.times) - 1])
+        # flux; a kick step's replayed update reuses that state's parts
+        assert np.count_nonzero(stepper.thetas[:len(traj.times) - 1]) > 0
         distinct = 1 if stepper.flux_phi is stepper.flux_a else 2
-        assert len(calls) == distinct * (len(traj.times) + kicks)
+        assert len(calls) == distinct * len(traj.times)
         assert calls[:distinct] == [(len(ks), 1, 1)] * distinct
 
 
