@@ -2,9 +2,10 @@
 
 Exit codes are the machine contract, and ``main`` alone maps exceptions to
 them, with one ``error:`` or ``aborted:`` line on stderr: 0 success; 1 a
-config, validation or I/O error (``ValueError``, which covers the ``io``
-parse, validation and format errors, ``GridMismatchError`` and
-``GammaOutOfRangeError``; ``OSError``; ``exprdsl.DomainError``); 2 march
+usage error (``_Parser.error``), or a config, validation or I/O error
+(``ValueError``, which covers the ``io`` parse, validation and format
+errors, ``GridMismatchError`` and ``GammaOutOfRangeError``; ``OSError``;
+``exprdsl.DomainError``); 2 march
 aborted (``NaNDetectedError``, ``scheme.SupNormExceeded``); 3 at least
 one verification check failed.  Output goes to stdout, diagnostics to
 stderr, reports and trajectories to files.
@@ -118,8 +119,8 @@ def _cmd_verify(args):
         spec = _marched(config, meta["mode"])
         problem.check_region(spec, meta["m_bound"])
         stepper = verify.rebuild(spec, tr)
-        off = np.count_nonzero(tr.fields[0].values.view(np.uint64) != (
-            solver.initial_values(spec, tr.grid).view(np.uint64)))
+        off = np.count_nonzero(tr.fields[0].values.view(np.uint64)
+                               != stepper.u0.view(np.uint64))
         for what, got, want in (
                 ("spec hash", meta["spec_hash"], spec.context_hash()),
                 *((key, meta[key], getattr(stepper, key))
@@ -162,8 +163,13 @@ def _cmd_validate_flux(args):
     return 0 if report.passed else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1: argparse's 2 is an aborted march's
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="upkolmo",
         description="Solvers and verification for ultra-parabolic equations "
                     "with delayed or impulsive sources")
@@ -200,8 +206,8 @@ def main(argv=None):
     p_flux.add_argument("--Lambda", type=float, default=10.0)
     p_flux.set_defaults(func=_cmd_validate_flux)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except _ABORTS as exc:
         print(f"aborted: {exc}", file=sys.stderr)

@@ -45,13 +45,14 @@ how the step treated the lateral Laplacian and the source, and only
 the earlier explicit update, or with the source inside the explicit part,
 lacks the key, so it is refused instead of being scored against the wrong
 update.  An option ``SchemeOptions`` does not have, or a value it
-refuses, is refused.  The checks read each snapshot by its step level n =
-t/dt, derived here and nowhere else: every snapshot time must be a
-multiple of dt to 1e-9 steps, and the levels must be, in order, the ones
-the march stores, ``problem.snapshot_levels`` of ``n_steps``, the stride
-and ``n_tau`` (so the last is ``n_steps``, and an impulsive run holds the
-jump ``verify.check_jump`` scores).  A field's header time must be its
-``index.csv`` time, its (Nx, Ns) the first's.
+refuses, is refused.  The checks read each snapshot by its step level n, and
+the levels are, in order, the ones the march stores,
+``problem.snapshot_levels`` of ``n_steps``, the stride and ``n_tau`` (so
+the last is ``n_steps``, and an impulsive run holds the jump
+``verify.check_jump`` scores).  A snapshot sits at exactly t = n dt, the
+time the march computes for it: row i of ``index.csv`` and its field's
+header must both hold level i times dt, bit for bit, and its (Nx, Ns)
+must be the first's.  No time is turned back into a level.
 """
 
 from __future__ import annotations
@@ -377,18 +378,28 @@ def read_trajectory(directory, L=1.0, S=1.0):
     if missing:
         raise FormatError(f"{directory}: meta.json lacks {', '.join(missing)}")
     meta = _meta_from_json(data)
-    fields = []
-    for row in index[1:]:
-        if not row.strip():
-            continue
-        try:
-            t_str, name, role = row.split(",")
-            t = float(t_str)
-        except ValueError:
-            raise FormatError(f"{directory}: index.csv row {row!r} is not "
-                              "t,filename,role") from None
-        if role != "snapshot":
-            raise FormatError(f"{directory}: unknown role {role!r}")
+    rows = [row for row in index[1:] if row.strip()]
+    if not rows:
+        raise FormatError(f"{directory}: empty trajectory")
+    dt, fields = meta["dt"], []
+    march = snapshot_levels(meta["n_steps"], meta["options"].snapshot_stride,
+                            meta["n_tau"])
+    for i, (row, level) in enumerate(
+            itertools.zip_longest(rows, march, fillvalue="none")):
+        t, want = "none", ("none" if level == "none" else level * dt)
+        if row != "none":
+            try:
+                t_str, name, role = row.split(",")
+                t = float(t_str)
+            except ValueError:
+                raise FormatError(f"{directory}: index.csv row {row!r} is "
+                                  "not t,filename,role") from None
+            if role != "snapshot":
+                raise FormatError(f"{directory}: unknown role {role!r}")
+        if t != want:  # the march's time for the level, bit for bit
+            raise FormatError(
+                f"{directory}: snapshot {i} of index.csv is at t = {t}, not "
+                f"at the march's level {level}, t = {want}")
         path = directory / name
         fld = read_field(path, L=L, S=S)
         if fld.t != t:
@@ -398,21 +409,5 @@ def read_trajectory(directory, L=1.0, S=1.0):
             raise FormatError(f"{path}: {fld.values.shape} cells, not the "
                               f"first field's {fields[0].values.shape}")
         fields.append(fld)
-    if not fields:
-        raise FormatError(f"{directory}: empty trajectory")
-    dt, times = meta["dt"], [fld.t for fld in fields]
-    steps = np.asarray(times) / dt
-    levels = np.rint(steps).astype(int).tolist()
-    off = np.flatnonzero(np.abs(steps - levels) > 1e-9)
-    if off.size:
-        raise FormatError(f"{directory}: snapshot time {times[off[0]]!r} "
-                          f"is not a multiple of dt = {dt!r} in meta.json")
-    march = snapshot_levels(meta["n_steps"], meta["options"].snapshot_stride,
-                            meta["n_tau"])
-    if levels != march:
-        i, got, want = next((i, got, want) for i, (got, want) in enumerate(
-            itertools.zip_longest(levels, march, fillvalue="none"))
-            if got != want)
-        raise FormatError(f"{directory}: snapshot {i} of index.csv is at "
-                          f"level {got}, not at the march's level {want}")
-    return Trajectory(fields[0].grid, times, fields, meta, levels)
+    return Trajectory(fields[0].grid, [fld.t for fld in fields], fields,
+                      meta, march)

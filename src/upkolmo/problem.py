@@ -111,8 +111,8 @@ class ProblemSpec:
                 f"u0_2={exprdsl.to_string(self.data_u0_2)};"
                 f"uS_2={exprdsl.to_string(self.data_uS_2)}")
 
-    def context_hash(self, extra=""):
-        return hashlib.sha256((self.describe() + "|" + extra).encode()).hexdigest()[:16]
+    def context_hash(self):
+        return hashlib.sha256(f"{self.describe()}|".encode()).hexdigest()[:16]
 
     def with_data(self, **kwargs):
         return replace(self, **kwargs)
@@ -132,7 +132,7 @@ class Field:
 
 @dataclass
 class Trajectory:
-    """Snapshots, their times and step levels, and the s-end traces."""
+    """Snapshots, their times and step levels."""
 
     grid: Grid
     times: list = field(default_factory=list)
@@ -146,16 +146,6 @@ class Trajectory:
         self.levels.append(n)
         self.times.append(fld.t)
         self.fields.append(fld)
-
-    @property
-    def s0_traces(self):
-        """Each snapshot's first s-column, the discrete trace at s = 0."""
-        return [fld.values[:, 0] for fld in self.fields]
-
-    @property
-    def sS_traces(self):
-        """Each snapshot's last s-column, the discrete trace at s = S."""
-        return [fld.values[:, -1] for fld in self.fields]
 
 
 def snapshot_levels(n_steps, stride, n_tau):
@@ -182,8 +172,19 @@ def _collar_max(expr, names, extents):
 def consistency_errors(spec):
     """Named violations of the load-time invariants (empty list when clean).
     An expression that cannot be evaluated where it is checked (it divides
-    by zero, say, or overflows) is a violation too."""
-    errors = []
+    by zero, say, or overflows) is a violation too, and so, before any is
+    evaluated, is one that reads a variable its role does not bind."""
+    lam, xs, xt = ("lambda",), ("x", "s"), ("x", "t")
+    roles = (("flux a", spec.flux_a, lam), ("flux phi_1", spec.flux_phi, lam),
+             ("data u0_1", spec.data_u0_1, xs),
+             ("data u0_2", spec.data_u0_2, xt),
+             ("data uS_2", spec.data_uS_2, xt),
+             ("source beta", spec.beta, xs + lam))
+    errors = [f"{name}: reads {var}, but is a function of {', '.join(free)} "
+              "only" for name, expr, free in roles if expr is not None
+              for var in sorted(exprdsl.compile(expr)[1] - set(free))]
+    if errors:
+        return errors
     for name, expr in (("a", spec.flux_a), ("phi_1", spec.flux_phi)):
         try:
             f0 = float(exprdsl.evaluate(expr, {"lambda": 0.0}))
@@ -203,18 +204,15 @@ def consistency_errors(spec):
                 f"{spec.gamma0 / 2.0} where gamma0 = min(tau, T - tau)")
     if spec.epsilon < 0:
         errors.append(f"epsilon: must be >= 0, got {spec.epsilon}")
-    for name, expr, axes, extents in (
-            ("u0_1", spec.data_u0_1, ("x", "s"), (spec.L, spec.S)),
-            ("u0_2", spec.data_u0_2, ("x", "t"), (spec.L, spec.T)),
-            ("uS_2", spec.data_uS_2, ("x", "t"), (spec.L, spec.T))):
+    for name, expr, axes in roles[2:5]:
         try:
-            m = _collar_max(expr, axes, extents)
+            m = _collar_max(expr, axes, (spec.L, spec.S if axes == xs
+                                         else spec.T))
         except exprdsl.DomainError as exc:
-            errors.append(f"data {name}: cannot be evaluated on its box: "
-                          f"{exc}")
+            errors.append(f"{name}: cannot be evaluated on its box: {exc}")
             continue
         if m >= 1e-12:
-            errors.append(f"data {name}: |value| = {m:.3e} on the boundary collar")
+            errors.append(f"{name}: |value| = {m:.3e} on the boundary collar")
     if spec.beta is None or errors:
         return errors
     # every sup bound rests on beta = 0 for |lambda| >= b1 (see ``verify``)

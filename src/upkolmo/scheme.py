@@ -224,9 +224,10 @@ class Stepper:
     solve's inverse and ``kick_slope`` are each built on first use, so a
     Stepper given its dt encloses nothing that only sizing dt reads, and
     one that never steps builds no inverse; so is ``thetas``, the kick
-    masses ``kick`` and ``verify`` read.  It steps with the
-    spec's eps and gamma; the ``eps`` and ``gamma`` keywords that override
-    them are kept for ``bench/setup_probe.py``.
+    masses ``kick`` and ``verify`` read, and ``u0``, u^0 at the cells: the
+    march and the checks of its run read it and ``beta`` alike.  It steps
+    with the spec's eps and gamma; the ``eps`` and ``gamma`` keywords that
+    override them are kept for ``bench/setup_probe.py``.
     """
 
     def __init__(self, spec, grid, eps=None, gamma=None, options=None,
@@ -242,6 +243,7 @@ class Stepper:
             m_bound = sup_bound(spec, None, 1.0)
         self.m_bound = m_bound
         self.xc, self.sc = grid.cell_centers()
+        self._cells = {"x": self.xc[:, None], "s": self.sc[None, :]}
         self._kind = (_SplitTable if self.options.flux_kind == ENGQUIST_OSHER
                       else _LFFlux)
         # the _cfl term that set dt; None when the caller fixed dt
@@ -269,6 +271,14 @@ class Stepper:
         self._fixed_rows = None
         if not any("t" in free for _, free in self._data):
             self._fixed_rows = self.boundary_values(0.0)
+
+    @functools.cached_property
+    def u0(self):
+        """u0_1 at the cell centres, the march's first field, read-only."""
+        u0 = np.empty((self.grid.nx, self.grid.ns))
+        u0[...] = exprdsl.evaluate(self.spec.data_u0_1, self._cells)
+        u0.flags.writeable = False
+        return u0
 
     @functools.cached_property
     def flux_a(self):
@@ -426,17 +436,21 @@ class Stepper:
                 new = new + dt * self.eps * lap_s
             return _finite(self._solve_lateral(new), n * dt)
 
+    def beta(self, v):
+        """beta(x, s, v) at the cells, 0.0 without a beta: v is a state,
+        or constants k on a leading axis of shape (k, 1, 1)."""
+        return (0.0 if self.beta_fn is None
+                else self.beta_fn({**self._cells, "lambda": v}))
+
     def kick(self, v, n):
-        """v + theta_n beta(x, s, v), theta_n = ``thetas[n]``: the end of
+        """v + theta_n ``beta(v)``, theta_n = ``thetas[n]``: the end of
         the step from level n.  v itself where theta_n = 0."""
         theta = self.thetas[n]
         if theta == 0.0:
             return v
         t = n * self.dt
         with np.errstate(over="ignore", invalid="ignore"):  # as in step
-            b = _guarded(self.beta_fn, {"x": self.xc[:, None],
-                                        "s": self.sc[None, :], "lambda": v}, t)
-            return _finite(v + theta * b, t)
+            return _finite(v + theta * _guarded(self.beta, v, t), t)
 
 
 def _guarded(fn, arg, t):

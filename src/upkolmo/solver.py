@@ -3,7 +3,8 @@
 ``solve`` marches the spec it is given, named by ``meta["spec_hash"]``,
 in the mode ``mode_of`` derives from its eps, gamma and beta; a family
 (gamma -> 0, eps -> 0) is one spec per member, ``spec.with_data(...)``.
-Every step ends with the source's kick (``Stepper.kick``):
+It marches from ``Stepper.u0`` and stores level n at t = n dt exactly, as
+``io`` requires.  Every step ends with the source's kick (``Stepper.kick``):
 
 * ``regularized`` -- eps > 0, both s-end data imposed strongly in the
   eps-diffusion stencil and fed to the convective flux;
@@ -39,7 +40,6 @@ import time
 
 import numpy as np
 
-from . import exprdsl
 from .problem import (SUP_SLACK, Field, Trajectory, check_region,
                       min_kick_slope, snapshot_levels)
 from .scheme import LATERAL_DIFFUSION, SOURCE_STEP, Stepper, SupNormExceeded
@@ -49,14 +49,6 @@ __all__ = ["solve", "GammaOutOfRangeError"]
 
 class GammaOutOfRangeError(ValueError):
     pass
-
-
-def initial_values(spec, grid):
-    """u0_1 on the grid's cell centres: the march's first field."""
-    xc, sc = grid.cell_centers()
-    vals = exprdsl.evaluate(spec.data_u0_1, {"x": xc[:, None], "s": sc[None, :]})
-    return np.broadcast_to(np.asarray(vals, dtype=float),
-                           (grid.nx, grid.ns)).astype(float)
 
 
 def _march(spec, grid, options, dt, m_bound):
@@ -89,7 +81,7 @@ def _march_once(spec, grid, stepper):
         "options": stepper.options,
         "spec_hash": spec.context_hash(),
     }
-    u = initial_values(spec, grid)
+    u = stepper.u0
     traj.append(0, Field(u.copy(), grid, 0.0))
 
     snap_at = set(snapshot_levels(n_steps, stepper.options.snapshot_stride,

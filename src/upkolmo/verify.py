@@ -23,8 +23,8 @@ Notes on four constructions:
   beta(v) maps [-R, R] into [-R - theta_n sup|beta|, R + theta_n
   sup|beta|] and, if it is nondecreasing on [-b1, b1], into [-max(R, b1),
   max(R, b1)], as beta = 0 for |lambda| >= b1; so |u^{n+1}| <= B_{n+1}.
-  ``_bound_curves`` reads D_n off u^0 = ``solver.initial_values`` and the
-  rebuilt stepper's ``boundary_values``, the values the march read.  The
+  ``_bound_curves`` reads D_n off the rebuilt stepper's ``u0`` and
+  ``boundary_values``, the values the march read.  The
   enclosures (``exprdsl.sup``) but sup|beta| only size the march: D(0,
   t), the data norm over (0, t), is at least D_n for t_n <= t, and B(T) =
   ``problem.sup_bound`` with unit mass is the region m_bound.  sup|beta|
@@ -237,7 +237,7 @@ def _bound_curves(stepper, traj):
     masses ``thetas`` of the run's rebuilt ``stepper``."""
     ts = np.arange(stepper.n_steps)[:, None] * stepper.dt
     ghosts = np.abs(stepper.boundary_values(ts)).max(axis=(0, -1))
-    u0 = np.abs(solver_mod.initial_values(stepper.spec, traj.grid)).max()
+    u0 = np.abs(stepper.u0).max()
     dnorms = np.maximum.accumulate(np.append(u0, np.broadcast_to(
         ghosts, stepper.n_steps)))[traj.levels]
     masses = np.concatenate(([0.0], np.cumsum(stepper.thetas)))[traj.levels]
@@ -341,9 +341,7 @@ def check_stability(traj1, traj2, st1, st2):
     if kicks[1:] and not np.array_equal(*kicks):
         raise GridMismatchError("the runs kick with different kernel masses; "
                                 "rerun with a common delay width")
-    d_init = float(np.sum(np.abs(solver_mod.initial_values(spec1, grid)
-                                 - solver_mod.initial_values(spec2, grid)))
-                   * grid.cell_volume)
+    d_init = float(np.sum(np.abs(st1.u0 - st2.u0)) * grid.cell_volume)
     rhs = stability_rhs(spec1, spec2, traj1.levels, d_init, _inflow(st1, st2),
                         (kicks or [st1.thetas])[0])
 
@@ -409,9 +407,7 @@ def check_entropy_residual(traj, stepper, k_values):
     # one axis per entropy |u - k|: every k is treated in the same array op
     ks = np.asarray(k_values, dtype=float).reshape(-1, 1, 1)
     k_a, k_p = stepper.split(ks)
-    cells = {"x": stepper.xc[:, None], "s": stepper.sc[None, :]}
-    beta_k = (stepper.beta_fn({**cells, "lambda": ks})
-              if stepper.beta_fn is not None else None)
+    beta_k = stepper.beta(ks)
     n_scored = len(traj.times) - 1 if len(ks) else 0
     worst = (np.inf if n_scored == 0 else -np.inf, None, None, None)
 
@@ -451,8 +447,7 @@ def check_entropy_residual(traj, stepper, k_values):
             rho = rho - dt * stepper.eps * (
                 es[..., :-2] - 2.0 * eta0 + es[..., 2:]) / ds ** 2
         if theta:
-            beta_v = stepper.beta_fn({**cells, "lambda": v})
-            rho = rho - theta * (np.sign(v - ks) * (beta_v - beta_k)
+            rho = rho - theta * (np.sign(v - ks) * (stepper.beta(v) - beta_k)
                                  + np.abs(beta_k))
         j, cx, cs = _worst_cell(rho)
         value = _inf_unless_finite(float(rho[j, cx, cs]))
@@ -479,8 +474,9 @@ def _q_a(a, v, k):
 
 
 def check_bln(traj, stepper, k_values):
-    """Boundary entropy inequalities on the extracted s-traces, against
-    the s-end data of ``stepper``, the run's ``rebuild``.
+    """Boundary entropy inequalities on the s-traces, each snapshot's first
+    and last s-column, against the s-end data of ``stepper``, the run's
+    ``rebuild``, at the snapshot's time, n dt in a stored run (``io``).
 
     For eta = |. - k|:  q(tr) - q(data) - eta'(data) (a(tr) - a(data))
     must be <= tol at s -> 0+ and >= -tol at s -> S-, for every k.
@@ -508,13 +504,13 @@ def check_bln(traj, stepper, k_values):
     worst = (-np.inf if n_scored and len(k_values) else np.inf,
              None, None, None, None)
     if n_scored and len(k_values):
-        # every scored trace and its data as one (n_scored, nx) array
+        # every scored trace, a snapshot's first or last s-column, and its
+        # data as one (n_scored, nx) array
         ts = np.asarray([traj.times[i] for i in scored])[:, None]
         ends = []
-        for end, traces, data, cs in zip(
-                ("s0", "sS"), (traj.s0_traces, traj.sS_traces),
-                stepper.boundary_values(ts), (0, grid.ns - 1)):
-            tr = np.stack(traces)[scored]
+        for end, data, cs in zip(("s0", "sS"), stepper.boundary_values(ts),
+                                 (0, grid.ns - 1)):
+            tr = np.stack([traj.fields[i].values[:, cs] for i in scored])
             ends.append((end, tr, np.broadcast_to(data, tr.shape), cs))
         a = exprdsl.compile(spec.flux_a)[0]
         for k in k_values:
@@ -546,7 +542,7 @@ def check_jump(traj, stepper):
     ``solver.solve``.  u(tau+) is the stored snapshot at level n_tau, and
     u(tau-) the v ``_pre_kick`` replays up to it from the last stored
     snapshot below it with ``stepper``, the run's ``rebuild``, whose
-    ``beta_fn`` the jump reads.  The measured value is the largest of the
+    ``beta`` the jump reads.  The measured value is the largest of the
     pointwise and post-jump ratios and 1 - min_jump_weight, so the row fails
     where the map decreases and the impulsive march is not monotone; a
     replay that cannot form v measures inf.
@@ -555,11 +551,7 @@ def check_jump(traj, stepper):
     i = levels.index(n_tau)  # stored by the march, required by ``io``
     up = traj.fields[i]
     um = _pre_kick(stepper, traj.fields[i - 1].values, levels[i - 1], n_tau)
-    jump = up.values - um
-    if stepper.beta_fn is not None:
-        jump = jump - stepper.beta_fn({"x": stepper.xc[:, None],
-                                       "s": stepper.sc[None, :],
-                                       "lambda": um})
+    jump = up.values - um - stepper.beta(um)
     pointwise = _inf_unless_finite(float(np.max(np.abs(jump))))
     m3 = _bound_curves(stepper, traj)[i]
     min_weight = 1.0 + stepper.kick_slope

@@ -270,6 +270,58 @@ def test_a_missing_config_exits_1_in_every_command(tmp_path, capsys,
     assert str(cfg) in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["run", "CFG", "--bogus"], "upkolmo: unrecognized arguments: --bogus"),
+    ([], "upkolmo: the following arguments are required: command"),
+    (["sweep", "CFG", "--param", "gamma", "--values", "0.1", "--jobs", "two"],
+     "upkolmo sweep: argument --jobs: invalid int value: 'two'"),
+    (["validate-flux", "CFG", "--Lambda", "x"],
+     "upkolmo validate-flux: argument --Lambda: invalid float value: 'x'"),
+], ids=["unknown_option", "no_command", "jobs_not_an_int",
+        "lambda_not_a_float"])
+def test_a_usage_error_exits_1(tmp_path, capsys, argv, line):
+    # exit 2 is an aborted march's, so argparse's own exit 2 is not used
+    cfg = str(_config(tmp_path))
+    assert cli.main([cfg if arg == "CFG" else arg for arg in argv]) == 1
+    assert _one_error_line(capsys) == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: upkolmo")
+
+
+@pytest.mark.parametrize("key, expr, line", [
+    ("a", "x*lambda^2/2", "flux a: reads x, but is a function of lambda only"),
+    ("phi_1", "s*lambda^2/2",
+     "flux phi_1: reads s, but is a function of lambda only"),
+    ("u0_1", f"t*{U01_TEXT}",
+     "data u0_1: reads t, but is a function of x, s only"),
+    ("u0_1", f"lambda*{U01_TEXT}",
+     "data u0_1: reads lambda, but is a function of x, s only"),
+    ("u0_2", "0*s", "data u0_2: reads s, but is a function of x, t only"),
+    ("uS_2", "0*lambda",
+     "data uS_2: reads lambda, but is a function of x, t only"),
+    ("beta", f"t*{BETA_TEXT}",
+     "source beta: reads t, but is a function of x, s, lambda only"),
+], ids=["a_x", "phi_s", "u0_1_t", "u0_1_lambda", "u0_2_s", "uS_2_lambda",
+        "beta_t"])
+@pytest.mark.parametrize("command", ["run", "verify", "validate-flux"])
+def test_an_expression_reading_a_variable_its_role_does_not_bind_exits_1(
+        tmp_path, capsys, key, expr, line, command):
+    # refused before any check evaluates it, which would raise
+    # exprdsl.UnboundVariableError
+    cfg = _config(tmp_path)
+    lines = [f'{key} = "{expr}"' if row.startswith(f"{key} = ") else row
+             for row in cfg.read_text().splitlines()]
+    cfg.write_text("\n".join(lines) + "\n")
+    assert cli.main([command, str(cfg)] + MISSING_CONFIG[command]) == 1
+    assert _one_error_line(capsys) == f"error: {line}\n"
+
+
 @pytest.mark.parametrize("Lambda", ["inf", "0", "-1", "nan"])
 def test_validate_flux_refuses_a_lambda_not_finite_and_positive(
         tmp_path, capsys, Lambda):
@@ -521,16 +573,15 @@ def test_verify_of_a_meta_json_with_a_bad_option_value_exits_1(
 
 def test_verify_of_a_meta_json_whose_dt_is_not_the_runs_exits_1(run_dir,
                                                                 capsys):
-    # the checks re-derive each kick mass and step from dt: one that the
-    # stored times are not multiples of, or that puts them at other levels
-    # than the march's, is refused, not certified
+    # the checks re-derive each kick mass and step from dt: one whose
+    # multiples of the march's levels are not the stored times is refused,
+    # not certified
     cfg, traj = run_dir
     meta = json.loads((traj / "meta.json").read_text())
     times = [float(t) for t, _, _ in _index_rows(traj)]
-    for dt, err in ((0.5, f"snapshot time {times[1]!r} is not a multiple of "
-                           "dt = 0.5 in meta.json"),
-                    (meta["dt"] / 2, "snapshot 1 of index.csv is at level 8, "
-                                     "not at the march's level 4")):
+    for dt in (0.5, meta["dt"] / 2):
+        err = (f"snapshot 1 of index.csv is at t = {times[1]!r}, not at the "
+               f"march's level 4, t = {4 * dt!r}")
         meta["dt"] = dt
         (traj / "meta.json").write_text(json.dumps(meta))
         capsys.readouterr()
@@ -539,13 +590,16 @@ def test_verify_of_a_meta_json_whose_dt_is_not_the_runs_exits_1(run_dir,
     assert not (traj / "reports.csv").exists()
 
 
+@pytest.mark.parametrize("shift", ["third", "ulp"])
 def test_verify_of_a_snapshot_time_off_the_step_grid_exits_1(run_dir,
-                                                             capsys):
+                                                             capsys, shift):
+    # a third of a step, or one ulp: a snapshot sits at exactly level * dt
     cfg, traj = run_dir
     dt = json.loads((traj / "meta.json").read_text())["dt"]
     index = (traj / "index.csv").read_text().splitlines()
     t, name, role = index[2].split(",")
-    off = float(t) + dt / 3
+    off = (float(t) + dt / 3 if shift == "third"
+           else float(np.nextafter(float(t), 1.0)))
     index[2] = f"{off!r},{name},{role}"
     (traj / "index.csv").write_text("\n".join(index) + "\n")
     # the field's header states the same time, as the index must
@@ -554,8 +608,8 @@ def test_verify_of_a_snapshot_time_off_the_step_grid_exits_1(run_dir,
     capsys.readouterr()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
     assert capsys.readouterr().err == (
-        f"error: {traj}: snapshot time {off!r} is not a multiple of dt = "
-        f"{dt!r} in meta.json\n")
+        f"error: {traj}: snapshot 1 of index.csv is at t = {off!r}, not at "
+        f"the march's level 4, t = {t}\n")
     assert not (traj / "reports.csv").exists()
 
 
@@ -790,6 +844,31 @@ def test_verify_samples_each_bound_once(tmp_path):
     assert kernels.estimate_dbeta_sup.cache_info().misses == 0
 
 
+@pytest.mark.parametrize("case, steppers", [
+    ("source", 1), ("impulsive", 1), ("two_runs", 2)])
+def test_verify_evaluates_u0_once_per_rebuilt_stepper(tmp_path, monkeypatch,
+                                                      case, steppers):
+    # the first-snapshot refusal, the bound curves, d_init and M3 all read
+    # `Stepper.u0`: a compiled u0_1 is called once per rebuilt Stepper
+    if case == "impulsive":
+        cfg, traj = _impulsive_dir(tmp_path)
+    else:
+        cfg, traj = _config(tmp_path), tmp_path / "traj"
+        assert cli.main(["run", str(cfg), "--out", str(traj)]) == 0
+    u0_1 = upk_io.load_config(cfg).spec.data_u0_1
+    compile_, calls = exprdsl.compile, []
+
+    def counted(expr, finite=True):
+        fn, free = compile_(expr, finite)
+        if expr != u0_1:
+            return fn, free
+        return (lambda b: calls.append(b) or fn(b)), free
+    monkeypatch.setattr(exprdsl, "compile", counted)
+    argv = ["verify", str(cfg), "--traj", str(traj)]
+    assert cli.main(argv + ["--traj2", str(traj)] * (case == "two_runs")) == 0
+    assert len(calls) == steppers
+
+
 def test_verify_of_an_impulsive_run_without_jump_fields_exits_1(tmp_path,
                                                                 capsys):
     cfg, traj = _impulsive_dir(tmp_path)
@@ -803,10 +882,11 @@ def test_verify_of_an_impulsive_run_without_jump_fields_exits_1(tmp_path,
     argv = ["verify", str(cfg), "--traj", str(traj)]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    i = [row.split(",")[0] for row in index[1:]].index(
-        repr(n_tau * meta["dt"]))
-    assert err == (f"error: {traj}: snapshot {i} of index.csv is at level "
-                   f"{n_tau + 1}, not at the march's level {n_tau}\n")
+    times = [row.split(",")[0] for row in index[1:]]
+    i = times.index(repr(n_tau * meta["dt"]))
+    assert err == (f"error: {traj}: snapshot {i} of index.csv is at t = "
+                   f"{times[i + 1]}, not at the march's level {n_tau}, t = "
+                   f"{times[i]}\n")
     assert not (traj / "reports.csv").exists()
 
 
@@ -829,15 +909,14 @@ def test_verify_refuses_a_directory_without_a_level_the_march_stores(
         level = meta["n_tau"] + 1
     index = (traj / "index.csv").read_text().splitlines()
     times = [float(row.split(",")[0]) for row in index[1:]]
-    i = [round(t / meta["dt"]) for t in times].index(level)
+    i = times.index(level * meta["dt"])
     (traj / "index.csv").write_text("\n".join(index[:i + 1] + index[i + 2:])
                                     + "\n")
     capsys.readouterr()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
-    got = round(times[i + 1] / meta["dt"])
     assert capsys.readouterr().err == (
-        f"error: {traj}: snapshot {i} of index.csv is at level {got}, not at "
-        f"the march's level {level}\n")
+        f"error: {traj}: snapshot {i} of index.csv is at t = {times[i + 1]!r}"
+        f", not at the march's level {level}, t = {times[i]!r}\n")
     assert not (traj / "reports.csv").exists()
 
 
@@ -952,8 +1031,9 @@ def test_verify_refuses_a_first_snapshot_that_is_not_u0(run_dir, capsys,
     else:
         (traj / "index.csv").write_text("\n".join(index[:1] + index[2:])
                                         + "\n")
-        want = (f"{traj}: snapshot 0 of index.csv is at level 4, not at the "
-                "march's level 0")
+        want = (f"{traj}: snapshot 0 of index.csv is at t = "
+                f"{index[2].split(',')[0]}, not at the march's level 0, "
+                "t = 0.0")
     capsys.readouterr()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
     assert capsys.readouterr().err == f"error: {want}\n"

@@ -232,8 +232,19 @@ def test_snapshots_out_of_level_order_are_refused(tmp_path, rows):
     with pytest.raises(upk_io.FormatError) as info:
         upk_io.read_trajectory(tmp_path)
     i, got, want = (0, 2, 0) if rows == [2, 1] else (1, 0, 2)
-    assert str(info.value) == (f"{tmp_path}: snapshot {i} of index.csv is at "
-                               f"level {got}, not at the march's level {want}")
+    assert str(info.value) == (
+        f"{tmp_path}: snapshot {i} of index.csv is at t = {got * 0.125}, not "
+        f"at the march's level {want}, t = {want * 0.125}")
+
+
+def test_a_row_past_the_last_level_is_refused(tmp_path):
+    lines = _index_lines(tmp_path)
+    _write_index(tmp_path, [*lines, lines[-1]])
+    with pytest.raises(upk_io.FormatError) as info:
+        upk_io.read_trajectory(tmp_path)
+    assert str(info.value) == (
+        f"{tmp_path}: snapshot 4 of index.csv is at t = 0.5, not at the "
+        "march's level none, t = none")
 
 
 @pytest.mark.parametrize("mode", ["impulsive", "entropy"])
@@ -250,7 +261,7 @@ def test_every_level_the_march_stores_is_required(tmp_path, mode, level):
     with pytest.raises(upk_io.FormatError) as info:
         upk_io.read_trajectory(tmp_path)
     i = traj.levels.index(level)
-    got = traj.levels[i + 1] if level < 4 else "none"
-    assert str(info.value) == (f"{tmp_path}: snapshot {i} of index.csv is at "
-                               f"level {got}, not at the march's level "
-                               f"{level}")
+    got = traj.levels[i + 1] * 0.125 if level < 4 else "none"
+    assert str(info.value) == (
+        f"{tmp_path}: snapshot {i} of index.csv is at t = {got}, not at the "
+        f"march's level {level}, t = {level * 0.125}")

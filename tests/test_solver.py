@@ -7,8 +7,8 @@ import pytest
 
 from upkolmo import exprdsl as E
 from upkolmo import solver, verify
-from upkolmo.problem import (SUP_SLACK, Grid, ProblemSpec, min_kick_slope,
-                             refined_max_bound, sup_bound)
+from upkolmo.problem import (SUP_SLACK, Field, Grid, ProblemSpec, Trajectory,
+                             min_kick_slope, refined_max_bound, sup_bound)
 from upkolmo.scheme import SchemeOptions, Stepper, SupNormExceeded
 from samplers import sample_max, slab
 from scenarios import (box_grid, nosource_spec, saturated_spec, shock_spec,
@@ -329,29 +329,28 @@ class TestDeterminismAndConsistency:
 
 
 class TestTraces:
-    def test_constant_field_trace(self):
-        grid = unit_grid(8)
-        from upkolmo.problem import Field, Trajectory
-        traj = Trajectory(grid=grid)
-        traj.append(0, Field(np.full((8, 8), 0.3), grid, 0.0))
-        assert np.all(np.stack(traj.s0_traces) == 0.3)
-        assert np.all(np.stack(traj.sS_traces) == 0.3)
-
+    # the discrete traces at s = 0 and s = S are a snapshot's first and
+    # last s-columns, which `verify.check_bln` slices itself
     def test_zero_data_trace(self):
         traj = solver.solve(zero_spec(), unit_grid(8))
-        assert np.all(np.stack(traj.s0_traces) == 0.0)
+        assert all(np.all(fld.values[:, 0] == 0.0) for fld in traj.fields)
 
     def test_traces_run_along_x_at_the_s_ends(self):
-        from upkolmo.problem import Field, Trajectory
+        # check_bln reads the s-end columns alone: NaN in every inner
+        # column leaves the row finite, and the trace at s = 0 is scored
+        # along x against the zero data
         grid = Grid(nx=4, ns=6, L=1.0, S=1.0)
         traj = Trajectory(grid=grid)
         for n, t in enumerate((0.0, 0.5)):
-            vals = t + np.arange(6.0)[None, :] + np.zeros((4, 1))
+            vals = np.full((4, 6), np.nan)
+            vals[:, 0], vals[:, -1] = np.arange(4.0) / 8, 0.0
             traj.append(n, Field(vals, grid, t))
-        assert [tr.tolist() for tr in traj.s0_traces] == [[0.0] * 4,
-                                                         [0.5] * 4]
-        assert [tr.tolist() for tr in traj.sS_traces] == [[5.0] * 4,
-                                                         [5.5] * 4]
+        spec = zero_spec()
+        rep = verify.check_bln(traj, Stepper(spec, grid, dt=spec.T), [0.2])
+        assert rep.context["n_scored"] == 1
+        assert np.isfinite(rep.measured)
+        assert [rep.context[key] for key in ("end", "cell_worst")] == [
+            "s0", [3, 0]]
 
     def test_refinement_consistency(self):
         # successive s-refinements of the final-time trace get closer
@@ -360,7 +359,7 @@ class TestTraces:
         def final_trace(ns):
             grid = Grid(nx=16, ns=ns, L=1.0, S=1.0)
             traj = solver.solve(spec, grid)
-            return traj.sS_traces[-1]
+            return traj.fields[-1].values[:, -1]
 
         t32, t64, t128 = final_trace(32), final_trace(64), final_trace(128)
         d1 = np.abs(t32 - t64).sum() / 16

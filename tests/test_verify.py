@@ -791,7 +791,7 @@ class TestBln:
         xc, _ = traj.grid.cell_centers()
         t_final = traj.times[-1]
         data = np.asarray(E.evaluate(spec.data_uS_2, {"x": xc, "t": t_final}))
-        gap = np.max(np.abs(traj.sS_traces[-1] - data))
+        gap = np.max(np.abs(traj.fields[-1].values[:, -1] - data))
         assert gap >= 0.2
 
 
@@ -1138,9 +1138,10 @@ def _bln_reference(traj, spec, k_values):
     xc, _ = grid.cell_centers()
     gaps = {}  # (k index, end) -> [(t, gap over the trace's cells)]
     n_scored = 0
-    for t, tr0, trS in zip(traj.times, traj.s0_traces, traj.sS_traces):
+    for t, fld in zip(traj.times, traj.fields):
         if t <= 0.0:
             continue
+        tr0, trS = fld.values[:, 0], fld.values[:, -1]
         n_scored += 1
         data0 = np.broadcast_to(np.asarray(E.evaluate(
             spec.data_u0_2, {"x": xc, "t": t})), xc.shape)
