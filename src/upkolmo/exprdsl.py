@@ -45,6 +45,12 @@ vanish and bounds their width.  Every bound read off a config's
 expressions is one of the two, of the expression or of its ``diff``
 (``on_slope`` names its errors), here as ``kernels`` needs them too.
 
+``sup`` remembers each bound for the process, the one memo of a bound,
+keyed on the expression, ``signed`` and the box's (name, (lo, hi)) items
+in the caller's order: that order sets the order of the cut axes, which
+can move a bound's last bits.  So a process encloses each bound it reads
+once.  ``diff`` and the compiled closures are remembered too.
+
 Precedence, tightest first: ``^`` (right-assoc), unary ``-``, ``* /``,
 ``+ -`` (left-assoc).  At the kinks of ``abs``/``min``/``max`` the
 derivative takes the right-limit convention (``abs'(0) = +1``; ties in
@@ -690,7 +696,7 @@ def _ranges(expr, parts):
 def sup(expr, box, signed=False):
     """An upper bound of max |expr| on ``box``, or of max expr where
     ``signed``, as a float; ``box`` maps each variable the expression reads
-    to its (lo, hi) floats.
+    to its (lo, hi) floats.  Remembered for the process (module notes).
 
     The point values at each part's centre and lowest and highest corners
     steer the cuts, and bound nothing: the result is the largest bound of
@@ -698,9 +704,14 @@ def sup(expr, box, signed=False):
     raises ``DomainError`` raises it here, as does a part that still
     reaches a pole when the budget ends or it is too small to cut.
     """
+    return _sup(expr, tuple((n, tuple(r)) for n, r in box.items()), signed)
+
+
+@functools.lru_cache(maxsize=256)
+def _sup(expr, box, signed):
     point, free = _compiled(expr)
     parts = {n: (np.array([lo], float), np.array([hi], float))
-             for n, (lo, hi) in box.items() if n in free}
+             for n, (lo, hi) in box if n in free}
     if not parts:  # one value, or an enclosure of it
         lo, hi = enclose(expr, {})
         return float(hi if signed else max(hi, -lo))
@@ -739,6 +750,9 @@ def sup(expr, box, signed=False):
     if not np.isfinite(done):
         raise pole
     return float(done)
+
+
+sup.cache_info, sup.cache_clear = _sup.cache_info, _sup.cache_clear
 
 
 def zero_width(expr, box, width):

@@ -350,7 +350,7 @@ def write_trajectory(directory, traj):
     for i, (t, fld) in enumerate(zip(traj.times, traj.fields)):
         name = f"field_{i:06d}.upkf"
         write_field(directory / name, fld)
-        rows.append(f"{t!r},{name},snapshot\n")
+        rows.append(f"{float(t)!r},{name},snapshot\n")
     with open(directory / "index.csv", "w", encoding="utf-8") as fh:
         fh.write("t,filename,role\n")
         fh.writelines(rows)

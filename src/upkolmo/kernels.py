@@ -100,13 +100,12 @@ def step_mass(n, dt, tau, gamma, n_tau):
     return p1 - p0
 
 
-@functools.lru_cache(maxsize=32)
 def estimate_dbeta_sup(beta, L, S, b1):
     """An enclosure of sup |d(beta)/d(lambda)| over the slab (x, s) in the
     domain, lambda in [-(b1+1), b1+1] (``exprdsl.sup``), whose slab holds
     every slope, beta vanishing for |lambda| >= b1
-    (``problem.consistency_errors``).  Memoized, as the AST is frozen: a
-    process encloses b0 once, for the stability estimate, its one user."""
+    (``problem.consistency_errors``): b0 of the stability estimate, its
+    one user."""
     return exprdsl.on_slope(beta, exprdsl.sup,
                             {"x": (0.0, L), "s": (0.0, S),
                              "lambda": (-(b1 + 1.0), b1 + 1.0)})

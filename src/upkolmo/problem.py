@@ -21,7 +21,6 @@ so no bound needs a margin.  ``data_sup_norms`` encloses one time window.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 
@@ -232,22 +231,11 @@ def _slab(spec, lam):
     return {"x": (0.0, spec.L), "s": (0.0, spec.S), "lambda": lam}
 
 
-def _memo_on_data(fn):
-    """Memoize fn(spec, ...) on the spec's data: fn reads no gamma or eps."""
-    cached = functools.lru_cache(maxsize=32)(fn)
-    memo = functools.wraps(fn)(lambda spec, *args, **kwargs: cached(
-        spec.with_data(gamma=0.0, epsilon=0.0), *args, **kwargs))
-    memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
-    return memo
-
-
-@_memo_on_data
 def min_kick_slope(spec, mass):
     """A lower bound of d beta / d lambda, signed, over |lambda| <= B(tau),
     with ``mass`` the kick mass applied before the kick: every value a
     kick acts on, and |lambda| <= b1 too where B(tau) with unit mass
-    reaches b1 (see ``verify``).  0.0 without a beta.  Memoized, as
-    ``_horizon`` is."""
+    reaches b1 (see ``verify``).  0.0 without a beta."""
     if spec.beta is None:
         return 0.0
     reach = sup_bound(spec, spec.tau, (mass, 1.0))
@@ -256,18 +244,12 @@ def min_kick_slope(spec, mass):
         exprdsl.Neg(d), box, signed=True), _slab(spec, (-radius, radius)))
 
 
-@_memo_on_data
-def _initial_sup(spec):
-    """sup|u0_1| on the domain, which no time window changes."""
-    return exprdsl.sup(spec.data_u0_1,
-                       {"x": (0.0, spec.L), "s": (0.0, spec.S)})
-
-
 def data_sup_norms(spec, t_window=None):
     """Enclosed sup-norms of the three data functions, the s-boundary
     data's over the time window ``t_window`` = (lo, hi), (0, T) if None."""
     box = {"x": (0.0, spec.L), "t": t_window or (0.0, spec.T)}
-    return {"u0_1": _initial_sup(spec),
+    return {"u0_1": exprdsl.sup(spec.data_u0_1,
+                                {"x": (0.0, spec.L), "s": (0.0, spec.S)}),
             "u0_2": exprdsl.sup(spec.data_u0_2, box),
             "uS_2": exprdsl.sup(spec.data_uS_2, box)}
 
@@ -321,11 +303,9 @@ def refined_max_bound(spec, t_prime):
     return float(out) if out.ndim == 0 else out
 
 
-@_memo_on_data
 def _horizon(spec):
     """D(0, T), sup|beta| on |lambda| <= max(D(0, T), b1) + 1, and its sup
-    on b1 <= |lambda| <= that.  Memoized: a process encloses a spec's data
-    once."""
+    on b1 <= |lambda| <= that."""
     base = max(data_sup_norms(spec).values())
     if spec.beta is None:
         return base, 0.0, 0.0

@@ -84,6 +84,7 @@ __all__ = [
     "SchemeOptions", "Stepper",
     "DegenerateGridError", "NaNDetectedError", "SupNormExceeded",
     "LAX_FRIEDRICHS", "ENGQUIST_OSHER", "LATERAL_DIFFUSION", "SOURCE_STEP",
+    "MAX_TABLE_NODES", "MAX_LATERAL_ENTRIES", "MAX_STEP_GHOSTS",
 ]
 
 LAX_FRIEDRICHS = "lax_friedrichs"
@@ -94,6 +95,15 @@ LATERAL_DIFFUSION = "backward_euler"
 SOURCE_STEP = "kick"
 
 _TABLE_SPACING = 1.0 / 1024.0
+# the largest march a Stepper is built for, as each of its arrays is held
+# whole: the Engquist-Osher table's nodes, 2048 (m_bound + 1) and about
+# 90 bytes each while it is built; the lateral inverse's Nx^2 entries;
+# and n_steps Nx, the s-end ghost values of every step, which ``verify``
+# holds at once (``thetas`` holds n_steps values).  A 1024^2 run of 2,959
+# steps needs 4,713 nodes, 1,048,576 entries and 3,030,016 ghost values.
+MAX_TABLE_NODES = 2 ** 20 + 1
+MAX_LATERAL_ENTRIES = 2 ** 24
+MAX_STEP_GHOSTS = 2 ** 24
 # backward Euler's relative error on the first lateral sine mode, by the
 # time the mode has decayed by 1/e, where no stiffness term sizes dt
 _HEAT_ERROR = 0.005
@@ -138,6 +148,14 @@ class SchemeOptions:
 
 # --- tabulated split fluxes ------------------------------------------------
 
+def _fits(what, size, unit, limit):
+    """Refuse, before it is allocated, a march whose ``what`` would hold
+    ``size`` ``unit``, above ``limit`` (a MAX_ constant)."""
+    if size > limit:
+        raise ValueError(f"{what} would hold {size:,} {unit}, above the "
+                         f"limit of {limit:,}: the march is refused")
+
+
 class _SplitTable:
     """Cumulative-midpoint table of the Engquist-Osher split integrals on
     [-(m_bound + 1), m_bound + 1]; ``coeff`` is enclosed on first use."""
@@ -145,6 +163,8 @@ class _SplitTable:
     def __init__(self, f, m_bound):
         self.f, self.m_bound = f, m_bound
         k = math.ceil((m_bound + 1.0) / _TABLE_SPACING)
+        _fits(f"the Engquist-Osher table of m_bound = {m_bound!r}",
+              2 * k + 1, "nodes", MAX_TABLE_NODES)
         self.nodes = (np.arange(-k, k + 1)) * _TABLE_SPACING
         mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
         d = np.broadcast_to(exprdsl.on_slope(f, exprdsl.evaluate,
@@ -227,13 +247,17 @@ class Stepper:
     masses ``kick`` and ``verify`` read, and ``u0``, u^0 at the cells: the
     march and the checks of its run read it and ``beta`` alike.  It steps
     with the spec's eps and gamma; the ``eps`` and ``gamma`` keywords that
-    override them are kept for ``bench/setup_probe.py``.
+    override them are kept for ``bench/setup_probe.py``.  A march whose
+    table, lateral inverse or ghosts would exceed their MAX_ constant is
+    refused with a ``ValueError`` before any of them is allocated.
     """
 
     def __init__(self, spec, grid, eps=None, gamma=None, options=None,
                  m_bound=None, dt=None):
         if grid.nx <= 0 or grid.ns <= 0 or grid.dx <= 0 or grid.ds <= 0:
             raise DegenerateGridError(f"grid {grid}")
+        _fits(f"the lateral inverse of Nx = {grid.nx}", grid.nx ** 2,
+              "entries", MAX_LATERAL_ENTRIES)
         self.options = options or SchemeOptions()
         self.spec = spec
         self.grid = grid
@@ -256,6 +280,7 @@ class Stepper:
         # a jump time inside (0, T) gets a level strictly between 0 and T
         inner_tau = 0 < spec.tau < spec.T
         n_steps = max(2 if inner_tau else 1, math.ceil(spec.T / dt - slack))
+        self._fit_steps(n_steps)
         self.dt = spec.T / n_steps
         self.n_steps = n_steps
         # the first level at or after tau, where the gamma = 0 kick lands
@@ -306,6 +331,10 @@ class Stepper:
             return None
         return min_kick_slope(self.spec, 0.0 if self.gamma == 0 else 1.0)
 
+    def _fit_steps(self, n_steps):
+        _fits(f"the s-end ghosts of {n_steps:,} steps of Nx = {self.grid.nx}",
+              n_steps * self.grid.nx, "values", MAX_STEP_GHOSTS)
+
     def _cfl(self):
         """Time step: the monotonicity bound of the step's explicit part,
 
@@ -342,6 +371,8 @@ class Stepper:
         else:
             dt = 2.0 * _HEAT_ERROR / (math.pi / spec.L) ** 2
             self.dt_term = "heat_accuracy"
+        # refused before the kick slope is enclosed: its cap only shortens dt
+        self._fit_steps(math.ceil(spec.T / dt))
         slope = self.kick_slope if self.gamma > 0 else None
         if slope is not None and slope < -1.0:
             cap = safety * self.gamma / (2.0 * float(kernels.omega(0.0))

@@ -2,11 +2,31 @@
 
 import pytest
 
-from upkolmo import solver, verify
+from upkolmo import exprdsl, solver, verify
 from upkolmo.problem import sup_bound
 from upkolmo.scheme import SchemeOptions, Stepper
 from scenarios import (box_grid, nosource_spec, perturbed_spec, shock_spec,
                        source_spec, unattainable_spec, unit_grid)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_memos():
+    """exprdsl remembers bounds, derivatives and compiled closures for the
+    process: each test starts with none, so that no count or bound depends
+    on which test ran before it."""
+    for memo in (exprdsl.sup, exprdsl.diff, exprdsl._compiled):
+        memo.cache_clear()
+
+
+@pytest.fixture
+def sup_keys(monkeypatch):
+    """Every key (expression, box items, signed) of an ``exprdsl.sup``
+    call in the test, in call order: the test encloses each distinct key
+    once where ``exprdsl.sup.cache_info().misses`` is ``len(set(keys))``."""
+    keys, remembered = [], exprdsl._sup
+    monkeypatch.setattr(exprdsl, "_sup",
+                        lambda *key: keys.append(key) or remembered(*key))
+    return keys
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ verification check failed.
 import contextlib
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,42 @@ def test_verify_of_a_run_marched_at_another_eps_or_gamma_exits_1(
     assert err == (f"error: {traj} was computed with {key} {value}, not from "
                    f"{cfg} ({key} {want})\n")
     assert not (traj / "reports.csv").exists()
+
+
+_AT_64 = {"Nx = 8": "Nx = 64", "Ns = 8": "Ns = 64"}
+
+
+@pytest.mark.parametrize("edits, refused", [
+    # u0_1 of amplitude 1e6: B(T) = 1e6, so 2048 (B(T) + 1) nodes
+    ({"0.8*": "1e6*"}, "the Engquist-Osher table of m_bound = "
+     "1000000.000000003 would hold 2,048,002,051 nodes, above the limit "
+     "of 1,048,577"),
+    # a' = 1e6 lambda at 64^2: 0.74 GB of kick masses, and 47 GB of the
+    # s-end ghosts verify holds
+    ({'a = "lambda^2/2"': 'a = "1e6*lambda^2/2"', **_AT_64},
+     "the s-end ghosts of 92,444,537 steps of Nx = 64 would hold "
+     "5,916,450,368 values, above the limit of 16,777,216"),
+    # an 80 GB lateral inverse
+    ({"Nx = 8": "Nx = 100000"}, "the lateral inverse of Nx = 100000 would "
+     "hold 10,000,000,000 entries, above the limit of 16,777,216")])
+def test_a_march_that_cannot_fit_is_refused_before_it_allocates(
+        tmp_path, capsys, edits, refused):
+    text = _config(tmp_path).read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(text)
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", str(cfg), "--out", str(tmp_path / "traj")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 2 ** 20
+    assert capsys.readouterr().err == (f"error: {refused}: the march is "
+                                       "refused\n")
+    assert not (tmp_path / "traj").exists()
 
 
 def test_run_of_a_delayed_source_samples_no_b0(tmp_path, monkeypatch):
@@ -811,37 +848,38 @@ def test_verify_of_a_meta_the_rebuilt_stepper_did_not_march_exits_1(
     assert not (traj / "reports.csv").exists()
 
 
-def test_verify_samples_each_bound_once(tmp_path):
-    # a stride-1 delayed-source run: sup|beta| once, when the config is
-    # checked; b0 never, as the run compared with itself weighs no term by
-    # it and the sup bound reads none, and the rebuilt steppers, given
-    # their dt, read no kick slope
+def _verify_keys(cfg, traj, keys):
+    """The expressions ``verify`` of the run bounds through ``exprdsl.sup``,
+    every key of the test, the run's too, computed once; and the config's
+    beta and its slope, b0's expression."""
+    before = len(keys)
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
+    assert exprdsl.sup.cache_info().misses == len(set(keys))
+    beta = upk_io.load_config(cfg).spec.beta
+    return ({expr for expr, _, _ in keys[before:]}, beta,
+            exprdsl.diff(beta, "lambda"))
+
+
+def test_verify_samples_each_bound_once(tmp_path, sup_keys):
+    # a stride-1 delayed-source run: each bound enclosed once, sup|beta|
+    # among them, read by the config's check and the bound curve; b0
+    # never, as the run compared with itself weighs no term by it and the
+    # sup bound reads none, and the rebuilt steppers, given their dt, read
+    # no kick slope
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG.format(u0_1=U01_TEXT).replace(
         "snapshot_stride = 4", "snapshot_stride = 1"))
     traj = tmp_path / "traj"
     assert cli.main(["run", str(cfg), "--out", str(traj)]) == 0
-    kernels.estimate_dbeta_sup.cache_clear()
-    problem._horizon.cache_clear()
-    problem.min_kick_slope.cache_clear()
-    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
+    exprs, beta, slope = _verify_keys(cfg, traj, sup_keys)
     assert "entropy_residual" in _rows(traj / "reports.csv")
-    info = kernels.estimate_dbeta_sup.cache_info()
-    assert (info.misses, info.hits) == (0, 0)
-    assert problem._horizon.cache_info().misses == 1
-    assert problem.min_kick_slope.cache_info().misses == 0
-    # an impulsive run: sup|beta| once, for the config's b1, the bound
-    # curve, the jump weight's radius and M3 in check_jump, and B(T) and
-    # its sup|beta| for the run's region; b0 never, as the run compared
+    assert beta in exprs and not exprs & {slope, exprdsl.Neg(slope)}
+    # an impulsive run: each bound once, though the config's b1, the bound
+    # curve, the jump weight's radius and M3 in check_jump, and B(T) for
+    # the run's region each read sup|beta|; b0 never, as the run compared
     # with itself gives a stability estimate of 0 whatever b0 is
-    cfg, traj = _impulsive_dir(tmp_path)
-    problem._horizon.cache_clear()
-    problem.min_kick_slope.cache_clear()
-    kernels.estimate_dbeta_sup.cache_clear()
-    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
-    info = problem._horizon.cache_info()
-    assert (info.misses, info.hits) == (1, 5)
-    assert kernels.estimate_dbeta_sup.cache_info().misses == 0
+    exprs, beta, slope = _verify_keys(*_impulsive_dir(tmp_path), sup_keys)
+    assert beta in exprs and slope not in exprs
 
 
 @pytest.mark.parametrize("case, steppers", [

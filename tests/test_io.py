@@ -69,6 +69,19 @@ def test_round_trip_keeps_the_kick_slope_and_the_step_term(tmp_path, mode):
     assert (back.meta["b0"], back.meta["stride"]) == (stored["b0"], 32)
 
 
+def test_times_that_are_numpy_scalars_are_written_as_floats(tmp_path):
+    # a T given as np.float64 makes every time one; index.csv holds their
+    # float repr, which read_trajectory parses back bit for bit
+    spec = source_spec().with_data(T=np.float64(1.0))
+    traj = solver.solve(spec, unit_grid(8))
+    assert type(traj.times[-1]) is np.float64
+    upk_io.write_trajectory(tmp_path, traj)
+    rows = (tmp_path / "index.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == [
+        repr(float(t)) for t in traj.times]
+    assert upk_io.read_trajectory(tmp_path).times == traj.times
+
+
 def test_meta_json_lists_every_option_once(tmp_path):
     upk_io.write_trajectory(tmp_path, _trajectory())
     text = (tmp_path / "meta.json").read_text()

@@ -219,6 +219,23 @@ _REGION_SPECS = [pytest.param(spec, id=name) for name, spec in {
     "bench-seed0": _bench_spec(0), "bench-seed1": _bench_spec(1)}.items()]
 
 
+@pytest.mark.parametrize("limit, size", [
+    ("MAX_TABLE_NODES", lambda st: st.flux_a.nodes.size),
+    ("MAX_LATERAL_ENTRIES", lambda st: st.grid.nx ** 2),
+    ("MAX_STEP_GHOSTS", lambda st: st.n_steps * st.grid.nx)])
+def test_the_limits_admit_the_largest_measured_grid(monkeypatch, limit, size):
+    # 1024^2 at 2,959 steps, with each limit at its size and one below
+    spec, grid = source_spec(), Grid(1024, 1024, 1.0, 1.0)
+    stepper = S.Stepper(spec, grid)
+    assert stepper.n_steps == 2959 and size(stepper) <= getattr(S, limit)
+    monkeypatch.setattr(S, limit, size(stepper))
+    assert S.Stepper(spec, grid).n_steps == 2959
+    monkeypatch.setattr(S, limit, size(stepper) - 1)
+    with pytest.raises(ValueError, match=f"above the limit of "
+                       f"{size(stepper) - 1:,}: the march is refused$"):
+        S.Stepper(spec, grid)
+
+
 class TestCfl:
     def test_stated_formula(self):
         # max|a'| = max|phi'| = 1 on [-1,1], dx = ds = 0.1; the lateral
@@ -285,16 +302,17 @@ class TestCfl:
         assert region >= sample_max(spec.data_u0_1, {
             "x": (0.0, spec.L), "s": (0.0, spec.S)})
 
-    def test_reachable_bound_samples_the_data_norms_once(self, monkeypatch):
-        # D(0, T) serves both B(T) and the radius of sup|beta|'s slab
-        calls = []
-        real = P.data_sup_norms
-        monkeypatch.setattr(P, "data_sup_norms",
-                            lambda *args: calls.append(args) or real(*args))
-        P._horizon.cache_clear()
-        region = S.Stepper(source_spec(), Grid(8, 8, 1.0, 1.0)).m_bound
+    def test_reachable_bound_samples_the_data_norms_once(self, sup_keys):
+        # D(0, T) serves both B(T) and the radius of sup|beta|'s slab, each
+        # bound enclosed once: u0_1 on the domain, and the s-end data, both
+        # the expression 0, over (0, T) and over (0, tau) for the kick
+        # slope's radius
+        spec = source_spec()
+        region = S.Stepper(spec, Grid(8, 8, 1.0, 1.0)).m_bound
         assert region == pytest.approx(1.3, rel=1e-12)
-        assert len(calls) == 1
+        data = {spec.data_u0_1, spec.data_u0_2, spec.data_uS_2}
+        assert len({key for key in sup_keys if key[0] in data}) == 3
+        assert E.sup.cache_info().misses == len(set(sup_keys))
 
     def test_degenerate_grid(self):
         with pytest.raises(S.DegenerateGridError):
@@ -605,10 +623,12 @@ class TestStep:
 
 def _solver(nx, r):
     """A Stepper on an nx x 6 grid whose lateral solve has dt/dx^2 close to
-    r (the Stepper rounds dt to T / n_steps), and that ratio."""
+    r, and that ratio: one step of dt = T, so that no ratio asks for more
+    steps than ``scheme.MAX_STEP_GHOSTS`` admits."""
     grid = Grid(nx, 6, 1.0, 1.0)
-    stepper = S.Stepper(nosource_spec().with_data(T=1e9), grid, eps=0.0,
-                        gamma=0.0, m_bound=1.0, dt=r * grid.dx ** 2)
+    dt = r * grid.dx ** 2
+    stepper = S.Stepper(nosource_spec().with_data(T=dt), grid, eps=0.0,
+                        gamma=0.0, m_bound=1.0, dt=dt)
     return stepper, stepper.dt / grid.dx ** 2
 
 

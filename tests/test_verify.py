@@ -220,19 +220,18 @@ class TestMaxPrinciple:
 
     def test_the_bounds_of_a_stride_1_run_enclose_nothing(self, monkeypatch):
         # x (1 - x) exp(t) times the x-bump at s = 0, 64^2, stride 1: once
-        # sup|beta| is cached, the bounds read u^0, each step's ghosts and
-        # the kick masses, and enclose nothing; a window enclosure per
-        # snapshot took 12.3 MiB here
+        # sup|beta| is remembered (``exprdsl.sup``), the bounds read u^0,
+        # each step's ghosts and the kick masses, and enclose nothing; a
+        # window enclosure per snapshot took 12.3 MiB here
         text = f"x*(1-x)*exp(t)*{XBUMP}"
         spec = source_spec().with_data(data_u0_2=E.parse(text))
         traj = solver.solve(spec, unit_grid(64),
                             options=SchemeOptions(snapshot_stride=1))
         stepper = _op(spec, traj)
         want = verify._bound_curves(stepper, traj)
+        enclosed = E.sup.cache_info().misses
         calls = []
-        for name in ("sup", "enclose"):
-            monkeypatch.setattr(E, name, lambda *a, name=name, **k:
-                                calls.append(name))
+        monkeypatch.setattr(E, "enclose", lambda *a: calls.append(a))
         tracemalloc.start()
         try:
             got = verify._bound_curves(stepper, traj)
@@ -240,6 +239,7 @@ class TestMaxPrinciple:
         finally:
             tracemalloc.stop()
         assert calls == [] and got == want
+        assert E.sup.cache_info().misses == enclosed
         assert len(got) == len(traj.times) == 186
         assert peak < 2 ** 20
 
