@@ -1,4 +1,4 @@
-"""Batch front door: run solvers, parameter sweeps and verification suites.
+"""Batch front door: runs, family sweeps (one stacked march) and verification.
 
 Exit codes are the machine contract, and ``main`` alone maps exceptions to
 them, with one ``error:`` or ``aborted:`` line on stderr: 0 success; 1 a
@@ -14,7 +14,6 @@ stderr, reports and trajectories to files.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from pathlib import Path
 
@@ -79,21 +78,13 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
-    from concurrent.futures import ProcessPoolExecutor  # not at start-up
     from . import verify
     loaded = config_io.load_config(args.config)
-    spec, grid, options = loaded.spec, loaded.grid, loaded.options
     values = [float(v) for v in args.values.split(",")]
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be an integer >= 1, got {args.jobs}")
     # a gamma family is scored against its limit, an eps family pairwise
     gamma = args.param == "gamma"
     check = verify.check_gamma_limit if gamma else verify.check_epsilon_cauchy
-    jobs = min(args.jobs, len(values))  # a pool forks all its workers at once
-    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
-          else contextlib.nullcontext()) as pool:
-        report = check(spec, grid, values, options,
-                       map_fn=pool.map if pool else map)
+    report = check(loaded.spec, loaded.grid, values, loaded.options)
     errors = report.context["errors" if gamma else "diffs"]
     labels = ([repr(v) for v in values] if gamma else
               [f"{v1!r}->{v2!r}" for v1, v2 in zip(values, values[1:])])
@@ -184,13 +175,13 @@ def main(argv=None):
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="sweep gamma or epsilon")
+    p_sweep = sub.add_parser("sweep", help="march a gamma or epsilon family "
+                                           "as one stack")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--param", choices=["gamma", "epsilon"], required=True)
     p_sweep.add_argument("--values", required=True,
-                         help="comma-separated decreasing values")
+                         help="comma-separated strictly decreasing values")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="verify stored trajectories")

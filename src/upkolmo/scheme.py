@@ -71,6 +71,7 @@ part equals the real interpolation of its own table bit for bit.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -395,12 +396,12 @@ class Stepper:
             for f, _ in self._data)
 
     def padded(self, u, t):
-        """State extended by one ghost cell on every side."""
-        nx, ns = u.shape
-        w = np.empty((nx + 2, ns + 2), dtype=float)
-        w[0] = w[-1] = 0.0  # the x-ghosts, corners included
-        w[1:-1, 1:-1] = u
-        w[1:-1, 0], w[1:-1, -1] = self.boundary_values(t)
+        """State extended by one ghost cell on every side of each member."""
+        nx, ns = u.shape[-2:]
+        w = np.empty(u.shape[:-2] + (nx + 2, ns + 2), dtype=float)
+        w[..., 0, :] = w[..., -1, :] = 0.0  # the x-ghosts, corners included
+        w[..., 1:-1, 1:-1] = u
+        w[..., 1:-1, 0], w[..., 1:-1, -1] = self.boundary_values(t)
         return w
 
     # single step -----------------------------------------------------------
@@ -420,6 +421,14 @@ class Stepper:
         thetas.flags.writeable = False
         return thetas
 
+    def stack(self, members):
+        """This Stepper stepping ``members``, Steppers of its data, grid,
+        options, dt and m_bound, as one stack (``solver`` notes)."""
+        stack = copy.copy(self)
+        stack.eps = np.array([m.eps for m in members])[:, None, None]
+        stack.thetas = np.stack([m.thetas for m in members], axis=1)
+        return stack
+
     @functools.cached_property
     def _inverse(self):
         return _lateral_inverse(self.grid.nx, self.dt / self.grid.dx ** 2)
@@ -433,11 +442,13 @@ class Stepper:
         uses, and keeps d >= 0 at x >= 0.  Where 1 - x is below the rounding
         unit, rounding can lift a cell an ulp above the exact bound max(0,
         max d); the clip to [min(0, min d), max(0, max d)], which the exact
-        solution never leaves, is monotone too, its ends nondecreasing in d.
-        Cost: O(nx^2 ns) in four NumPy calls whatever nx, with no band to
-        skip (entries stay above 1e-17)."""
+        solution never leaves, is monotone too, its ends nondecreasing in d
+        (per member, as Python's min and max take them).  Cost: O(nx^2 ns)
+        whatever nx, with no band to skip (entries stay above 1e-17)."""
         x = self._inverse @ d
-        return np.clip(x, min(d.min(), 0.0), max(d.max(), 0.0), out=x)
+        lo, hi = d.min((-2, -1), keepdims=True), d.max((-2, -1), keepdims=True)
+        return np.clip(x, np.where(lo > 0.0, 0.0, lo),
+                       np.where(hi < 0.0, 0.0, hi), out=x)
 
     def step(self, u, n):
         """``update`` of u's ``padded`` state at level n and its ``split``
@@ -453,18 +464,19 @@ class Stepper:
         at level n, from its split ``parts``.  A value that overflows ends
         the step in ``NaNDetectedError``, from ``_finite``, so NumPy's own
         overflow and invalid-value warnings are silenced."""
-        grid, dt, u = self.grid, self.dt, w[1:-1, 1:-1]
+        grid, dt, u = self.grid, self.dt, w[..., 1:-1, 1:-1]
         (g_a, h_a), (g_p, h_p) = parts
         with np.errstate(over="ignore", invalid="ignore"):
             # the s-faces of the inner rows, the x-faces of the inner columns
-            f_a = g_a[1:-1, :-1] + h_a[1:-1, 1:]
-            div_s = (f_a[:, 1:] - f_a[:, :-1]) / grid.ds
-            f_p = g_p[:-1, 1:-1] + h_p[1:, 1:-1]
-            div_x = (f_p[1:, :] - f_p[:-1, :]) / grid.dx
+            f_a = g_a[..., 1:-1, :-1] + h_a[..., 1:-1, 1:]
+            div_s = (f_a[..., 1:] - f_a[..., :-1]) / grid.ds
+            f_p = g_p[..., :-1, 1:-1] + h_p[..., 1:, 1:-1]
+            div_x = (f_p[..., 1:, :] - f_p[..., :-1, :]) / grid.dx
             new = u - dt * (div_s + div_x)
-            if self.eps > 0:
-                lap_s = (w[1:-1, :-2] - 2.0 * u + w[1:-1, 2:]) / grid.ds ** 2
-                new = new + dt * self.eps * lap_s
+            if np.greater(self.eps, 0.0).any():
+                lap_s = (w[..., 1:-1, :-2] - 2.0 * u
+                         + w[..., 1:-1, 2:]) / grid.ds ** 2
+                np.add(new, dt * self.eps * lap_s, out=new, where=self.eps > 0)
             return _finite(self._solve_lateral(new), n * dt)
 
     def beta(self, v):
@@ -474,14 +486,16 @@ class Stepper:
                 else self.beta_fn({**self._cells, "lambda": v}))
 
     def kick(self, v, n):
-        """v + theta_n ``beta(v)``, theta_n = ``thetas[n]``: the end of
-        the step from level n.  v itself where theta_n = 0."""
+        """v + theta_n ``beta(v)``, theta_n = ``thetas[n]``, on each member
+        whose theta_n is not 0 (``solver`` notes): the step from level n."""
         theta = self.thetas[n]
-        if theta == 0.0:
+        if not theta.any():
             return v
-        t = n * self.dt
+        on = theta != 0.0
+        t, v, w = n * self.dt, v.copy(), v[on]
         with np.errstate(over="ignore", invalid="ignore"):  # as in step
-            return _finite(v + theta * _guarded(self.beta, v, t), t)
+            v[on] = w + theta[on, None, None] * _guarded(self.beta, w, t)
+        return _finite(v, t)
 
 
 def _guarded(fn, arg, t):
@@ -496,8 +510,8 @@ def _guarded(fn, arg, t):
 
 def _finite(new, t):
     if not np.all(np.isfinite(new)):
-        bad = np.argwhere(~np.isfinite(new))[0]
+        bad = tuple(np.argwhere(~np.isfinite(new))[0])
+        at = f"member {bad[0]}, " * (len(bad) > 2) + f"cell {bad[-2:]}"
         raise NaNDetectedError(
-            f"non-finite value at cell {tuple(bad)} after step from "
-            f"t = {t:.6g}")
+            f"non-finite value at {at} after step from t = {t:.6g}")
     return new

@@ -1,10 +1,9 @@
 """Time marching: one driver, ``solve``, for the problem a spec states.
 
 ``solve`` marches the spec it is given, named by ``meta["spec_hash"]``,
-in the mode ``mode_of`` derives from its eps, gamma and beta; a family
-(gamma -> 0, eps -> 0) is one spec per member, ``spec.with_data(...)``.
-It marches from ``Stepper.u0`` and stores level n at t = n dt exactly, as
-``io`` requires.  Every step ends with the source's kick (``Stepper.kick``):
+in the mode ``mode_of`` derives from its eps, gamma and beta, from
+``Stepper.u0``, and stores level n at t = n dt exactly, as ``io``
+requires.  Every step ends with the source's kick (``Stepper.kick``):
 
 * ``regularized`` -- eps > 0, both s-end data imposed strongly in the
   eps-diffusion stencil and fed to the convective flux;
@@ -23,7 +22,12 @@ Runs are deterministic: a given (spec, grid, options, dt, m_bound)
 produces a bit-identical trajectory, which the delayed-vs-impulsive
 comparisons exploit: before the kernel's support the kicks are 0 in
 both, and a support [tau - gamma, tau] inside one step kicks with theta
-= 1 exactly, as the impulse does.
+= 1 exactly, as the impulse does.  ``solve_family`` marches a family
+(gamma -> 0, eps -> 0) of ``with_data`` members as one stack, a state
+with a leading member axis that shares all but each member's eps and
+theta_n (``Stepper.stack``), bit for bit as their solo runs: the step is
+elementwise but for one lateral product and clip per member slice, and a
+member whose eps or theta_n is 0 gets no term at all (-0.0 + 0 is +0.0).
 
 The invariant region the step is sized for is a caller's ``m_bound``, or
 B(T) = ``problem.sup_bound`` with unit kick mass, which the monotone march
@@ -44,7 +48,7 @@ from .problem import (SUP_SLACK, Field, Trajectory, check_region,
                       min_kick_slope, snapshot_levels)
 from .scheme import LATERAL_DIFFUSION, SOURCE_STEP, Stepper, SupNormExceeded
 
-__all__ = ["solve", "GammaOutOfRangeError"]
+__all__ = ["solve", "solve_family", "GammaOutOfRangeError"]
 
 
 class GammaOutOfRangeError(ValueError):
@@ -52,48 +56,43 @@ class GammaOutOfRangeError(ValueError):
 
 
 def _march(spec, grid, options, dt, m_bound):
+    return _march_stack([spec], grid, options, dt, m_bound)[0]
+
+
+def _march_stack(family, grid, options, dt, m_bound):
     start = time.perf_counter()
-    stepper = Stepper(spec, grid, options=options, m_bound=m_bound, dt=dt)
+    steppers = [Stepper(spec, grid, options=options, m_bound=m_bound, dt=dt)
+                for spec in family]
     built = time.perf_counter()
-    traj = _march_once(spec, grid, stepper)
-    traj.meta.update(setup_s=built - start,
-                     march_s=time.perf_counter() - built)
-    return traj
+    trajs, end = _march_once(family, grid, steppers), time.perf_counter()
+    for traj in trajs:
+        traj.meta.update(setup_s=built - start, march_s=end - built)
+    return trajs
 
 
-def _march_once(spec, grid, stepper):
-    dt = stepper.dt
-    n_steps = stepper.n_steps
-    n_tau = stepper.n_tau
-    traj = Trajectory(grid=grid)
-    traj.meta = {
-        "mode": mode_of(spec),
-        "lateral_diffusion": LATERAL_DIFFUSION,
-        "source": SOURCE_STEP,
-        "dt": dt,
-        "n_steps": n_steps,
-        "n_tau": n_tau,
-        "eps": stepper.eps,
-        "gamma": stepper.gamma,
-        "m_bound": stepper.m_bound,
-        "kick_slope": stepper.kick_slope,
-        "dt_term": stepper.dt_term,
-        "options": stepper.options,
-        "spec_hash": spec.context_hash(),
-    }
-    u = stepper.u0
-    traj.append(0, Field(u.copy(), grid, 0.0))
+def _march_once(family, grid, steppers):
+    stack = steppers[0].stack(steppers)
+    dt, n_steps, m_bound = stack.dt, stack.n_steps, stack.m_bound
+    trajs = [Trajectory(grid=grid, meta={
+        "mode": mode_of(spec), "lateral_diffusion": LATERAL_DIFFUSION,
+        "source": SOURCE_STEP, **{key: getattr(st, key) for key in (
+            "dt", "n_steps", "n_tau", "eps", "gamma", "m_bound", "kick_slope",
+            "dt_term", "options")}, "spec_hash": spec.context_hash()})
+        for spec, st in zip(family, steppers)]
 
-    snap_at = set(snapshot_levels(n_steps, stepper.options.snapshot_stride,
-                                  n_tau))
-    for n in range(n_steps):
-        u = stepper.kick(stepper.step(u, n), n)
-        sup = float(np.max(np.abs(u)))
-        if sup > stepper.m_bound + SUP_SLACK:
-            raise SupNormExceeded(sup, stepper.m_bound, (n + 1) * dt)
-        if n + 1 in snap_at:
-            traj.append(n + 1, Field(u.copy(), grid, (n + 1) * dt))
-    return traj
+    snap_at = set(snapshot_levels(n_steps, stack.options.snapshot_stride,
+                                  stack.n_tau))
+    u = np.stack([st.u0 for st in steppers])
+    for n in range(n_steps + 1):
+        if n:
+            u = stack.kick(stack.step(u, n - 1), n - 1)
+            sup = float(np.max(np.abs(u)))
+            if sup > m_bound + SUP_SLACK:
+                raise SupNormExceeded(sup, m_bound, n * dt)
+        if n in snap_at:
+            for traj, member in zip(trajs, u):
+                traj.append(n, Field(member.copy(), grid, n * dt))
+    return trajs
 
 
 def mode_of(spec):
@@ -107,8 +106,23 @@ def mode_of(spec):
 def solve(spec, grid, options=None, dt=None, m_bound=None):
     """March the problem the spec states, in the mode ``mode_of`` derives
     (module notes)."""
-    if spec.epsilon < 0:
-        raise ValueError(f"viscosity must be >= 0, got {spec.epsilon}")
+    _refuse(spec, m_bound)
+    return _march(spec, grid, options, dt, m_bound)
+
+
+def solve_family(family, grid, options=None):
+    """``solve`` of each ``with_data`` member of one spec on the least of
+    their steps, marched as one stack (module notes): their trajectories."""
+    for spec in family:
+        _refuse(spec, None)
+    dt = min(Stepper(spec, grid, options=options).dt for spec in family)
+    return _march_stack(family, grid, options, dt, None)
+
+
+def _refuse(spec, m_bound):
+    if not (0.0 <= spec.epsilon < np.inf and np.isfinite(spec.gamma)):
+        raise ValueError(f"viscosity must be >= 0 and finite, delay width "
+                         f"finite: got {spec.epsilon} and {spec.gamma}")
     mode = mode_of(spec)
     if mode == "impulsive":
         if not (0.0 < spec.tau < spec.T):
@@ -126,4 +140,3 @@ def solve(spec, grid, options=None, dt=None, m_bound=None):
             "is the instantaneous jump)")
     if m_bound is not None:
         check_region(spec, m_bound)
-    return _march(spec, grid, options, dt, m_bound)

@@ -134,7 +134,6 @@ Notes on four constructions:
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -565,14 +564,14 @@ def check_jump(traj, stepper):
 
 # --- singular limits -------------------------------------------------------------
 
-def check_gamma_limit(spec, grid, gammas, options=None, map_fn=map):
+def check_gamma_limit(spec, grid, gammas, options=None):
     """Convergence of the delayed-source runs to their gamma -> 0 limit.
 
-    ``solver.solve`` marches ``spec.with_data(gamma=g)`` at each width g
-    and g = 0 on one time step and invariant region, so the pre-impulse
+    ``solver.solve_family`` marches ``spec.with_data(gamma=g)`` at each
+    width g and g = 0 as one stack, on one time step and invariant region
+    (``Stepper``'s default, which reads no gamma), so the pre-impulse
     window is bitwise shared, and the space-time L1 distance must decrease
-    (5% slack) and at least halve from first to last.  The per-width runs
-    go through ``map_fn``, e.g. a process pool's ``map``.
+    (5% slack) and at least halve from first to last.
     """
     gammas = list(gammas)
     if any(g <= 0 for g in gammas):
@@ -583,15 +582,8 @@ def check_gamma_limit(spec, grid, gammas, options=None, map_fn=map):
     if any(gammas[i] <= gammas[i + 1] for i in range(len(gammas) - 1)):
         raise GammaOutOfRangeError("delay widths must be strictly decreasing")
 
-    # every run gets Stepper's default m_bound, which depends on neither
-    # gamma nor eps, so the family shares one invariant region; dt depends
-    # on the width only through the kick's cap, tightest at the smallest
-    family = [spec.with_data(gamma=g) for g in gammas]
-    dt = Stepper(family[-1], grid, options=options).dt
-    march = functools.partial(solver_mod.solve, grid=grid, options=options,
-                              dt=dt)
-    ref = march(spec.with_data(gamma=0.0))
-    trajs = list(map_fn(march, family))
+    ref, *trajs = solver_mod.solve_family(
+        [spec.with_data(gamma=g) for g in [0.0] + gammas], grid, options)
     errors = [spacetime_l1_diff(traj, ref) for traj in trajs]
     return gamma_limit_report(spec, gammas, errors, trajs, ref)
 
@@ -614,18 +606,18 @@ def gamma_limit_report(spec, gammas, errors, trajs, ref):
     return report
 
 
-def check_epsilon_cauchy(spec, grid, epsilons, options=None, map_fn=map):
-    """Successive L1 differences along a decreasing viscosity sequence; the
-    runs of ``spec.with_data(epsilon=e)`` go through ``map_fn``."""
+def check_epsilon_cauchy(spec, grid, epsilons, options=None):
+    """Successive L1 differences along a strictly decreasing viscosity
+    sequence, marched as one stack by ``solver.solve_family``."""
     epsilons = list(epsilons)
     if len(epsilons) < 3:
         raise TooFewRunsError("need at least 3 viscosity values")
     if min(epsilons) <= 0:  # eps = 0 is the limit, not a regularization
         raise ValueError("viscosities must be positive")
-    family = [spec.with_data(epsilon=e) for e in epsilons]
-    dt = min(Stepper(s, grid, options=options).dt for s in family)
-    trajs = list(map_fn(functools.partial(
-        solver_mod.solve, grid=grid, options=options, dt=dt), family))
+    if not all(a > b for a, b in zip(epsilons, epsilons[1:])):
+        raise ValueError("viscosities must be strictly decreasing")
+    trajs = solver_mod.solve_family(
+        [spec.with_data(epsilon=e) for e in epsilons], grid, options)
     diffs = [spacetime_l1_diff(a, b) for a, b in zip(trajs, trajs[1:])]
     return epsilon_cauchy_report(spec, epsilons, diffs)
 

@@ -37,19 +37,18 @@ def grid64():
 @pytest.fixture(scope="session")
 def gamma_family(grid64):
     """Entropy runs across delay widths plus the impulsive reference,
-    with a common step and the spec's default invariant region."""
+    marched as one stack, with a common step and the spec's default
+    invariant region."""
     spec = source_spec()
     gammas = [0.2, 0.1, 0.05, 0.025]
-    dt = min(Stepper(spec.with_data(gamma=g), grid64).dt
-             for g in gammas + [0.0])
-    ref = solver.solve(spec.with_data(gamma=0.0), grid64, dt=dt)
-    trajs = {g: solver.solve(spec.with_data(gamma=g), grid64, dt=dt)
-             for g in gammas}
+    ref, *runs = solver.solve_family(
+        [spec.with_data(gamma=g) for g in [0.0] + gammas], grid64)
+    trajs = dict(zip(gammas, runs))
     errors = [verify.spacetime_l1_diff(trajs[g], ref) for g in gammas]
     report = verify.gamma_limit_report(spec, gammas,
                                        errors, [trajs[g] for g in gammas], ref)
     return {"spec": spec, "gammas": gammas, "trajs": trajs, "ref": ref,
-            "errors": errors, "report": report, "dt": dt}
+            "errors": errors, "report": report, "dt": ref.meta["dt"]}
 
 
 @pytest.fixture(scope="session")
@@ -79,12 +78,12 @@ def contraction_family(grid64):
 
 @pytest.fixture(scope="session")
 def epsilon_family(grid64):
-    """Viscous runs for decreasing eps plus the eps = 0 entropy reference."""
+    """Viscous runs for decreasing eps plus the eps = 0 entropy reference,
+    marched as one stack on the viscous runs' least step."""
     spec = nosource_spec().with_data(gamma=0.0)
     eps_values = [0.04, 0.02, 0.01]
-    family = {e: spec.with_data(epsilon=e) for e in eps_values + [0.0]}
-    dt = min(Stepper(family[e], grid64).dt for e in eps_values)
-    trajs = {e: solver.solve(s, grid64, dt=dt) for e, s in family.items()}
+    trajs = dict(zip(eps_values + [0.0], solver.solve_family(
+        [spec.with_data(epsilon=e) for e in eps_values + [0.0]], grid64)))
     return {"spec": spec, "eps_values": eps_values, "trajs": trajs}
 
 

@@ -124,9 +124,11 @@ def test_every_kept_import_is_one_the_bench_traces(monkeypatch):
 
 
 def test_one_driver_marches_every_mode():
-    # `solve` derives the mode from the spec; a second driver would let a
-    # caller choose a problem the spec does not state
-    assert sorted(solver.__all__) == ["GammaOutOfRangeError", "solve"]
+    # `solve` derives the mode from the spec, and `solve_family` marches
+    # each member as `solve` would; a driver by mode would let a caller
+    # choose a problem the spec does not state
+    assert sorted(solver.__all__) == ["GammaOutOfRangeError", "solve",
+                                      "solve_family"]
     named = [p.name for p in PACKAGE if re.search(
         r"solve_(entropy|regularized|impulsive)", p.read_text())]
     assert named == []

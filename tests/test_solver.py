@@ -9,7 +9,8 @@ from upkolmo import exprdsl as E
 from upkolmo import solver, verify
 from upkolmo.problem import (SUP_SLACK, Field, Grid, ProblemSpec, Trajectory,
                              min_kick_slope, refined_max_bound, sup_bound)
-from upkolmo.scheme import SchemeOptions, Stepper, SupNormExceeded
+from upkolmo.scheme import (LAX_FRIEDRICHS, NaNDetectedError, SchemeOptions,
+                            Stepper, SupNormExceeded)
 from samplers import sample_max, slab
 from scenarios import (box_grid, nosource_spec, saturated_spec, shock_spec,
                        source_spec, unattainable_spec, unit_grid, zero_spec,
@@ -68,7 +69,70 @@ class TestDerivedMode:
                    for a, b in zip(traj.fields, direct.fields))
 
 
+class TestFamily:
+    # a family marches as one stack, each member's operations those of its
+    # solo run in the same order: every stored level keeps its bits
+    FAMILIES = {
+        "gamma": [source_spec().with_data(gamma=g)
+                  for g in (0.0, 0.2, 0.1, 0.05)],
+        "epsilon": [nosource_spec().with_data(gamma=0.0, epsilon=e)
+                    for e in (0.04, 0.02, 0.01)],
+        # eps = 0 gets no eps term at all, as the kick where theta_n = 0
+        "epsilon_and_limit": [nosource_spec().with_data(gamma=0.0, epsilon=e)
+                              for e in (0.04, 0.02, 0.01, 0.0)]}
+
+    @pytest.mark.parametrize("family, n, flux", [
+        ("gamma", 16, None), ("gamma", 32, None),
+        ("gamma", 16, LAX_FRIEDRICHS),
+        ("epsilon", 16, None), ("epsilon", 32, None),
+        ("epsilon_and_limit", 16, None)])
+    def test_every_member_is_its_solo_run(self, family, n, flux):
+        specs = self.FAMILIES[family]
+        options = SchemeOptions(flux_kind=flux) if flux else None
+        stack = solver.solve_family(specs, unit_grid(n), options)
+        dt = min(Stepper(s, unit_grid(n), options=options).dt for s in specs)
+        assert [traj.meta["dt"] for traj in stack] == [dt] * len(specs)
+        for spec, traj in zip(specs, stack):
+            solo = solver.solve(spec, unit_grid(n), options, dt=dt)
+            assert traj.levels == solo.levels and traj.times == solo.times
+            assert all(np.array_equal(a.values.view(np.uint64),
+                                      b.values.view(np.uint64))
+                       for a, b in zip(traj.fields, solo.fields))
+            assert ({k: v for k, v in traj.meta.items()
+                     if k not in ("setup_s", "march_s")}
+                    == {k: v for k, v in solo.meta.items()
+                        if k not in ("setup_s", "march_s")})
+
+    def test_a_member_not_kicked_keeps_a_negative_zero(self):
+        # theta_n = 0 leaves a member as it is; v + 0 beta(v) would not
+        spec = source_spec()
+        stepper = Stepper(spec, unit_grid(8))
+        n = next(n for n, theta in enumerate(stepper.thetas) if theta)
+        stack = stepper.stack([stepper, Stepper(spec.with_data(gamma=0.0),
+                                                unit_grid(8),
+                                                dt=stepper.dt)])
+        assert stack.thetas[n].tolist() == [stepper.thetas[n], 0.0]
+        v = np.full((2, 8, 8), -0.0)
+        kicked = stack.kick(v, n)
+        assert np.array_equal(np.signbit(kicked[1]), np.ones((8, 8), bool))
+        assert np.array_equal(kicked[0], stepper.kick(v[0], n))
+
+    def test_a_non_finite_member_names_itself(self):
+        stepper = Stepper(nosource_spec().with_data(gamma=0.0), unit_grid(8))
+        u = np.zeros((2, 8, 8))
+        u[1, 2, 3] = np.nan
+        with pytest.raises(NaNDetectedError, match="at member 1, cell "):
+            stepper.stack([stepper, stepper]).step(u, 0)
+
+
 class TestPreconditions:
+    @pytest.mark.parametrize("eps, gamma", [
+        (np.nan, 0.1), (np.inf, 0.1), (0.0, np.nan), (0.0, np.inf)])
+    def test_refuses_a_viscosity_or_width_not_finite(self, eps, gamma):
+        with pytest.raises(ValueError, match="finite, delay width finite"):
+            solver.solve(source_spec().with_data(epsilon=eps, gamma=gamma),
+                         unit_grid(8))
+
     def test_regularized_needs_positive_eps(self):
         # eps = 0 is the entropy problem; below it no problem is stated
         with pytest.raises(ValueError, match="viscosity must be >= 0"):
