@@ -473,9 +473,9 @@ def _parts(expr):
 
 
 def compile(expr, finite=True):
-    """Compile ``expr`` into ``(fn, free)``: ``fn(bindings)`` returns what
-    ``evaluate(expr, bindings)`` does, bit for bit and of the same type, and
-    ``free`` is the frozenset of the variable names the expression reads.
+    """Compile ``expr`` once (``_compiled``) into ``(fn, free)``: ``fn(b)``
+    returns what ``evaluate(expr, b)`` does, bit for bit and of the same
+    type, and ``free`` is the frozenset of the names the expression reads.
 
     A non-finite value of finite bindings raises ``DomainError``, tested
     once on the result, with NumPy's warnings off.  ``finite=False`` leaves
@@ -483,7 +483,7 @@ def compile(expr, finite=True):
     what it computes from the value itself, as the march's step does
     (``scheme._finite``).
     """
-    fn, free = _compile(expr)
+    fn, free = _compiled(expr)
     if not finite:
         return fn, free
 
@@ -527,7 +527,7 @@ def _compile(expr, ranges=False):
             (lambda b: op(*[h(b) for h in fns]))), free
 
 
-# the bounds of a config enclose each of its expressions more than once
+# each tree is compiled, evaluated and enclosed many times in a process
 _compiled = functools.lru_cache(maxsize=64)(_compile)
 
 

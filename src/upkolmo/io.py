@@ -21,44 +21,44 @@ Field files (extension ``.upkf``) are little-endian and bit-exact:
     payload Nx * Ns f64, x-major then s
 
 A trajectory directory holds one field file per snapshot, an ``index.csv``
-mapping snapshot times to filenames (its third column, the role, must
-read ``snapshot``, which refuses the ``tau_minus`` and ``tau_plus`` rows
-of older impulsive runs), and a ``meta.json``, a JSON object of the march
-parameters the verification checks need to reconstruct the stepper:
-``mode`` (``solver.mode_of`` of the marched spec), ``lateral_diffusion``,
-``source``, ``dt``, ``n_steps``, ``n_tau`` (the level the gamma = 0 kick
-lands on, ceil(tau/dt)), ``eps``, ``gamma``, ``m_bound``, ``options``
-(the stride among them) and ``spec_hash`` (of the spec the run marched,
-which ``verify`` requires of the config) are required; ``kick_slope``
-(``scheme.Stepper.kick_slope``; older runs hold ``b0``, which nothing
-reads), ``dt_term`` (the ``scheme.Stepper._cfl`` bound that set dt, or
-null when the caller fixed it), ``setup_s`` and ``march_s`` (the wall
-seconds the run spent building its stepper and marching) are optional,
-and other keys (older runs hold ``stride``) are ignored.  A required key
-of the wrong type is refused, and so is ``restart``, which every run holds
-that was marched with sampled bounds: its invariant region and its
-Lax-Friedrichs dissipation were widened past the enclosed ones the
-stepper is rebuilt with.  ``lateral_diffusion`` and ``source`` name
-how the step treated the lateral Laplacian and the source, and only
-``scheme.LATERAL_DIFFUSION`` ("backward_euler") and ``scheme.SOURCE_STEP``
-("kick", applied after the lateral solve) are read: a directory written by
-the earlier explicit update, or with the source inside the explicit part,
-lacks the key, so it is refused instead of being scored against the wrong
-update.  An option ``SchemeOptions`` does not have, or a value it
-refuses, is refused.  The checks read each snapshot by its step level n, and
-the levels are, in order, the ones the march stores,
-``problem.snapshot_levels`` of ``n_steps``, the stride and ``n_tau`` (so
-the last is ``n_steps``, and an impulsive run holds the jump
-``verify.check_jump`` scores).  A snapshot sits at exactly t = n dt, the
-time the march computes for it: row i of ``index.csv`` and its field's
-header must both hold level i times dt, bit for bit, and its (Nx, Ns)
-must be the first's.  No time is turned back into a level.
+and a ``meta.json``, a JSON object of the march parameters the checks need
+to rebuild the stepper: ``mode`` (``solver.mode_of`` of the marched spec),
+``lateral_diffusion``, ``source``, ``dt``, ``n_steps``, ``n_tau`` (the
+level the gamma = 0 kick lands on, ceil(tau/dt)), ``eps``, ``gamma``,
+``m_bound``, ``options`` (the stride among them) and ``spec_hash`` (of the
+spec the run marched, which ``verify`` requires of the config) are
+required; ``kick_slope`` (``scheme.Stepper.kick_slope``; older runs hold
+``b0``, which nothing reads), ``dt_term`` (the ``scheme.Stepper._cfl``
+bound that set dt, or null when the caller fixed it), ``setup_s`` and
+``march_s`` (the wall seconds the run spent building its stepper and
+marching) are optional, and other keys (older runs hold ``stride``) are
+ignored.  A required key of the wrong type is refused, and so is
+``restart``, which every run holds that was marched with sampled bounds:
+its invariant region and its Lax-Friedrichs dissipation were widened past
+the enclosed ones the stepper is rebuilt with.  ``lateral_diffusion`` and
+``source`` name how the step treated the lateral Laplacian and the source,
+and only ``scheme.LATERAL_DIFFUSION`` ("backward_euler") and
+``scheme.SOURCE_STEP`` ("kick", applied after the lateral solve) are read:
+a directory written by the earlier explicit update, or with the source
+inside the explicit part, lacks the key, so it is refused instead of being
+scored against the wrong update.  An option ``SchemeOptions`` does not
+have, or a value it refuses, is refused.
+
+The snapshots are the levels the march stores, in order,
+``problem.snapshot_levels`` of ``n_steps``, the stride and ``n_tau`` (the
+last is ``n_steps``; an impulsive run holds the jump ``verify.check_jump``
+scores).  ``index.csv`` is that schedule as text (``_schedule``): a
+``t,filename,role`` header, then ``repr(n dt),field_{i:06d}.upkf,snapshot``
+for snapshot i at level n.  The reader rebuilds these lines from
+``meta.json`` and refuses, with the first line that differs, a file that
+is not them: a time an ulp off, a level missing or extra, a renamed field
+file, another role (older impulsive runs' ``tau_minus`` rows).  Each field's
+header must hold its level's time, and its (Nx, Ns) the first's.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import struct
@@ -308,14 +308,6 @@ def read_field(path, L=1.0, S=1.0):
 
 # --- trajectory directories ------------------------------------------------------
 
-def _meta_to_json(meta):
-    out = dict(meta)
-    opts = out.get("options")
-    if isinstance(opts, SchemeOptions):
-        out["options"] = dataclasses.asdict(opts)
-    return out
-
-
 def _meta_from_json(data):
     out = dict(data)
     if "restart" in out:
@@ -343,26 +335,30 @@ def _meta_from_json(data):
     return out
 
 
+def _schedule(levels, dt):
+    """The field file names of the snapshots a march at step dt stores at
+    ``levels``, and the lines of their ``index.csv``, the header first."""
+    names = [f"field_{i:06d}.upkf" for i in range(len(levels))]
+    return names, ["t,filename,role"] + [f"{float(n * dt)!r},{name},snapshot"
+                                         for n, name in zip(levels, names)]
+
+
 def write_trajectory(directory, traj):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for i, (t, fld) in enumerate(zip(traj.times, traj.fields)):
-        name = f"field_{i:06d}.upkf"
+    names, rows = _schedule(traj.levels, traj.meta["dt"])
+    for name, fld in zip(names, traj.fields, strict=True):
         write_field(directory / name, fld)
-        rows.append(f"{float(t)!r},{name},snapshot\n")
-    with open(directory / "index.csv", "w", encoding="utf-8") as fh:
-        fh.write("t,filename,role\n")
-        fh.writelines(rows)
+    (directory / "index.csv").write_text("\n".join(rows) + "\n",
+                                         encoding="utf-8")
     with open(directory / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(_meta_to_json(traj.meta), fh, indent=1, sort_keys=True)
+        json.dump(traj.meta, fh, indent=1, sort_keys=True,
+                  default=dataclasses.asdict)  # SchemeOptions
 
 
 def read_trajectory(directory, L=1.0, S=1.0):
     directory = Path(directory)
     index = (directory / "index.csv").read_text(encoding="utf-8").splitlines()
-    if not index or index[0].strip() != "t,filename,role":
-        raise FormatError(f"{directory}: malformed index.csv")
     meta_path = directory / "meta.json"
     if not meta_path.exists():
         raise FormatError(f"{directory}: no meta.json, so the run's march "
@@ -378,33 +374,23 @@ def read_trajectory(directory, L=1.0, S=1.0):
     if missing:
         raise FormatError(f"{directory}: meta.json lacks {', '.join(missing)}")
     meta = _meta_from_json(data)
-    rows = [row for row in index[1:] if row.strip()]
-    if not rows:
-        raise FormatError(f"{directory}: empty trajectory")
-    dt, fields = meta["dt"], []
-    march = snapshot_levels(meta["n_steps"], meta["options"].snapshot_stride,
-                            meta["n_tau"])
-    for i, (row, level) in enumerate(
-            itertools.zip_longest(rows, march, fillvalue="none")):
-        t, want = "none", ("none" if level == "none" else level * dt)
-        if row != "none":
-            try:
-                t_str, name, role = row.split(",")
-                t = float(t_str)
-            except ValueError:
-                raise FormatError(f"{directory}: index.csv row {row!r} is "
-                                  "not t,filename,role") from None
-            if role != "snapshot":
-                raise FormatError(f"{directory}: unknown role {role!r}")
-        if t != want:  # the march's time for the level, bit for bit
-            raise FormatError(
-                f"{directory}: snapshot {i} of index.csv is at t = {t}, not "
-                f"at the march's level {level}, t = {want}")
+    dt, march = meta["dt"], snapshot_levels(
+        meta["n_steps"], meta["options"].snapshot_stride, meta["n_tau"])
+    names, rows = _schedule(march, dt)
+    if index != rows:  # the march's schedule, as text
+        i = next((i for i, (got, want) in enumerate(zip(index, rows))
+                  if got != want), min(len(index), len(rows)))
+        reads = f"reads {index[i]!r}" if i < len(index) else "is missing"
+        want = repr(rows[i]) if i < len(rows) else "no line"
+        raise FormatError(f"{directory}: index.csv line {i + 1} {reads}, "
+                          f"where the march's schedule has {want}")
+    fields = []
+    for name, n in zip(names, march):
         path = directory / name
         fld = read_field(path, L=L, S=S)
-        if fld.t != t:
+        if fld.t != n * dt:
             raise FormatError(f"{path}: header time {fld.t!r} is not its "
-                              f"index.csv time {t!r}")
+                              f"index.csv time {float(n * dt)!r}")
         if fields and fld.grid != fields[0].grid:
             raise FormatError(f"{path}: {fld.values.shape} cells, not the "
                               f"first field's {fields[0].values.shape}")

@@ -443,8 +443,9 @@ class Stepper:
         unit, rounding can lift a cell an ulp above the exact bound max(0,
         max d); the clip to [min(0, min d), max(0, max d)], which the exact
         solution never leaves, is monotone too, its ends nondecreasing in d
-        (per member, as Python's min and max take them).  Cost: O(nx^2 ns)
-        whatever nx, with no band to skip (entries stay above 1e-17)."""
+        (per member, as Python's min and max take them).  Weights >= 0, sum
+        <= 1, and the clip keep a finite d finite; one NaN turns a member NaN.
+        Cost: O(nx^2 ns) whatever nx, no band to skip (entries > 1e-17)."""
         x = self._inverse @ d
         lo, hi = d.min((-2, -1), keepdims=True), d.max((-2, -1), keepdims=True)
         return np.clip(x, np.where(lo > 0.0, 0.0, lo),
@@ -461,9 +462,10 @@ class Stepper:
 
     def update(self, w, parts, n):
         """The explicit update and the lateral solve of w, a padded state
-        at level n, from its split ``parts``.  A value that overflows ends
-        the step in ``NaNDetectedError``, from ``_finite``, so NumPy's own
-        overflow and invalid-value warnings are silenced."""
+        at level n, from its split ``parts``.  A non-finite value ends the
+        step in ``NaNDetectedError`` from ``_finite``, so NumPy's warnings
+        are silenced; it tests the explicit update, as the solve keeps a
+        finite state finite and turns a whole member NaN for one NaN."""
         grid, dt, u = self.grid, self.dt, w[..., 1:-1, 1:-1]
         (g_a, h_a), (g_p, h_p) = parts
         with np.errstate(over="ignore", invalid="ignore"):
@@ -477,7 +479,7 @@ class Stepper:
                 lap_s = (w[..., 1:-1, :-2] - 2.0 * u
                          + w[..., 1:-1, 2:]) / grid.ds ** 2
                 np.add(new, dt * self.eps * lap_s, out=new, where=self.eps > 0)
-            return _finite(self._solve_lateral(new), n * dt)
+            return self._solve_lateral(_finite(new, n * dt))
 
     def beta(self, v):
         """beta(x, s, v) at the cells, 0.0 without a beta: v is a state,
@@ -510,7 +512,7 @@ def _guarded(fn, arg, t):
 
 def _finite(new, t):
     if not np.all(np.isfinite(new)):
-        bad = tuple(np.argwhere(~np.isfinite(new))[0])
+        bad = tuple(map(int, np.argwhere(~np.isfinite(new))[0]))
         at = f"member {bad[0]}, " * (len(bad) > 2) + f"cell {bad[-2:]}"
         raise NaNDetectedError(
             f"non-finite value at {at} after step from t = {t:.6g}")

@@ -8,7 +8,10 @@ Every check is a pure function of trajectories and their specs or
 Failures are reported, never thrown.  Reports serialize to line-oriented
 CSV (``check,measured,bound,tolerance,pass,context_hash``); the hash
 covers the full context dictionary, slack included, so that re-running a
-check on the same inputs reproduces the line verbatim.
+check on the same inputs reproduces the line verbatim.  Beside the CSV
+(``reports.jsonl`` for ``reports.csv``) each row is also one sorted JSON
+line of its fields, margin and whole context, so where it was decided
+(``t_worst``, ``cell_worst``, ...) is on disk; it holds no wall time.
 
 Notes on four constructions:
 
@@ -137,6 +140,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -196,12 +200,19 @@ def _report(check, measured, bound, tolerance, slack, context):
 
 
 def write_reports(path, reports):
+    """The rows as CSV at ``path``, and as JSON lines beside it (notes)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["check", "measured", "bound", "tolerance", "pass",
                          "context_hash"])
         for rep in reports:
             writer.writerow(rep.row())
+    path = Path(path)
+    with open(path.with_suffix(".jsonl") if path.suffix == ".csv"
+              else Path(f"{path}.jsonl"), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps({**vars(rep), "margin": rep.margin},
+                                 sort_keys=True, default=str) + "\n"
+                      for rep in reports)
 
 
 # --- discrete norms ---------------------------------------------------------

@@ -90,6 +90,37 @@ def test_run_and_verify_succeed(run_dir):
     assert "restart" not in meta
 
 
+def test_verify_writes_each_row_as_a_json_line_beside_the_csv(run_dir):
+    # the CSV keeps a hash of each row's context, reports.jsonl the context
+    cfg, traj = run_dir
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 0
+    rows = (traj / "reports.csv").read_text().splitlines()[1:]
+    lines = (traj / "reports.jsonl").read_text().splitlines()
+    assert len(lines) == len(rows) == 3
+    for line, row in zip(lines, rows):
+        got = json.loads(line)
+        assert line == json.dumps(got, sort_keys=True)
+        margin = got.pop("margin")
+        rep = verify.VerificationReport(**got)
+        assert (",".join(rep.row()), margin) == (row, rep.margin)
+
+
+def test_a_field_past_its_bound_is_located_in_reports_jsonl(run_dir):
+    # a planted fault: one stored field scaled 1000-fold fails the
+    # maximum principle, and its JSON line names that snapshot and cell
+    cfg, traj = run_dir
+    name = _index_rows(traj)[2][1]
+    fld = upk_io.read_field(traj / name)
+    upk_io.write_field(traj / name, Field(1e3 * fld.values, fld.grid, fld.t))
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 3
+    got = json.loads((traj / "reports.jsonl").read_text().splitlines()[0])
+    cell = np.unravel_index(np.argmax(np.abs(fld.values)), fld.values.shape)
+    assert (got["check"], got["passed"], got["margin"] < 0) == (
+        "max_principle", False, True)
+    assert got["context"]["t_worst"] == fld.t > 0.0
+    assert got["context"]["cell_worst"] == [int(i) for i in cell]
+
+
 def test_run_prints_and_stores_its_step_and_wall_times(tmp_path, capsys):
     # one line before the last: the marched mode, eps and gamma, dt, the
     # CFL term that set it, and the set-up and march seconds that
@@ -619,15 +650,14 @@ def test_verify_of_a_meta_json_whose_dt_is_not_the_runs_exits_1(run_dir,
     # not certified
     cfg, traj = run_dir
     meta = json.loads((traj / "meta.json").read_text())
-    times = [float(t) for t, _, _ in _index_rows(traj)]
+    row = (traj / "index.csv").read_text().splitlines()[2]
     for dt in (0.5, meta["dt"] / 2):
-        err = (f"snapshot 1 of index.csv is at t = {times[1]!r}, not at the "
-               f"march's level 4, t = {4 * dt!r}")
         meta["dt"] = dt
         (traj / "meta.json").write_text(json.dumps(meta))
         capsys.readouterr()
         assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
-        assert capsys.readouterr().err == f"error: {traj}: {err}\n"
+        assert capsys.readouterr().err == _refusal(
+            traj, 3, row, f"{4 * dt!r},field_000001.upkf,snapshot")
     assert not (traj / "reports.csv").exists()
 
 
@@ -648,9 +678,8 @@ def test_verify_of_a_snapshot_time_off_the_step_grid_exits_1(run_dir,
     upk_io.write_field(traj / name, Field(fld.values, fld.grid, off))
     capsys.readouterr()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {traj}: snapshot 1 of index.csv is at t = {off!r}, not at "
-        f"the march's level 4, t = {t}\n")
+    assert capsys.readouterr().err == _refusal(
+        traj, 3, index[2], f"{t},{name},{role}")
     assert not (traj / "reports.csv").exists()
 
 
@@ -777,6 +806,16 @@ def _impulsive_dir(tmp_path, stride=4):
 def _index_rows(traj):
     return [row.split(",")
             for row in (traj / "index.csv").read_text().splitlines()[1:]]
+
+
+def _refusal(traj, line, reads, want):
+    """`verify`'s error for index.csv's line (from 1), which reads
+    ``reads`` (None: is missing) where the march's schedule has ``want``
+    (None: no line)."""
+    return (f"error: {traj}: index.csv line {line} "
+            + ("is missing" if reads is None else f"reads {reads!r}")
+            + ", where the march's schedule has "
+            + ("no line" if want is None else repr(want)) + "\n")
 
 
 def test_no_run_writes_a_non_snapshot_row(run_dir, tmp_path):
@@ -923,12 +962,10 @@ def test_verify_of_an_impulsive_run_without_jump_fields_exits_1(tmp_path,
         if not row.startswith(f"{n_tau * meta['dt']!r},")) + "\n")
     argv = ["verify", str(cfg), "--traj", str(traj)]
     assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    times = [row.split(",")[0] for row in index[1:]]
-    i = times.index(repr(n_tau * meta["dt"]))
-    assert err == (f"error: {traj}: snapshot {i} of index.csv is at t = "
-                   f"{times[i + 1]}, not at the march's level {n_tau}, t = "
-                   f"{times[i]}\n")
+    line = next(i for i, row in enumerate(index, 1)
+                if row.startswith(f"{n_tau * meta['dt']!r},"))
+    assert capsys.readouterr().err == _refusal(traj, line, index[line],
+                                               index[line - 1])
     assert not (traj / "reports.csv").exists()
 
 
@@ -956,9 +993,8 @@ def test_verify_refuses_a_directory_without_a_level_the_march_stores(
                                     + "\n")
     capsys.readouterr()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {traj}: snapshot {i} of index.csv is at t = {times[i + 1]!r}"
-        f", not at the march's level {level}, t = {times[i]!r}\n")
+    assert capsys.readouterr().err == _refusal(traj, i + 2, index[i + 2],
+                                               index[i + 1])
     assert not (traj / "reports.csv").exists()
 
 
@@ -970,13 +1006,14 @@ def test_verify_of_a_directory_with_one_sided_jump_rows_exits_1(tmp_path,
     meta = json.loads((traj / "meta.json").read_text())
     t = repr(meta["n_tau"] * meta["dt"])
     name = next(name for t_row, name, _ in _index_rows(traj) if t_row == t)
+    lines = len((traj / "index.csv").read_text().splitlines())
     with open(traj / "index.csv", "a") as fh:
         for role in ("tau_minus", "tau_plus"):
             (traj / f"{role}.upkf").write_bytes((traj / name).read_bytes())
             fh.write(f"{t},{role}.upkf,{role}\n")
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
-    assert capsys.readouterr().err == (f"error: {traj}: unknown role "
-                                       "'tau_minus'\n")
+    assert capsys.readouterr().err == _refusal(
+        traj, lines + 1, f"{t},tau_minus.upkf,tau_minus", None)
     assert not (traj / "reports.csv").exists()
 
 
@@ -988,12 +1025,10 @@ def test_verify_of_a_malformed_index_row_exits_1(run_dir, capsys, malform):
     cfg, traj = run_dir
     index = (traj / "index.csv").read_text().splitlines()
     row = malform(index[2])  # the second snapshot
-    index[2] = row
-    (traj / "index.csv").write_text("\n".join(index) + "\n")
+    (traj / "index.csv").write_text("\n".join([*index[:2], row, *index[3:]])
+                                    + "\n")
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
-    err = capsys.readouterr().err
-    assert err == (f"error: {traj}: index.csv row {row!r} is not "
-                   "t,filename,role\n")
+    assert capsys.readouterr().err == _refusal(traj, 3, row, index[2])
     assert not (traj / "reports.csv").exists()
 
 
@@ -1068,17 +1103,15 @@ def test_verify_refuses_a_first_snapshot_that_is_not_u0(run_dir, capsys,
         fld = upk_io.read_field(first)
         fld.values[3, 3] += 0.05
         upk_io.write_field(first, fld)
-        want = (f"{traj} was computed with first snapshot 1 cells off u0_1, "
-                f"not from {cfg} (first snapshot 0 cells off u0_1)")
+        err = (f"error: {traj} was computed with first snapshot 1 cells off "
+               f"u0_1, not from {cfg} (first snapshot 0 cells off u0_1)\n")
     else:
         (traj / "index.csv").write_text("\n".join(index[:1] + index[2:])
                                         + "\n")
-        want = (f"{traj}: snapshot 0 of index.csv is at t = "
-                f"{index[2].split(',')[0]}, not at the march's level 0, "
-                "t = 0.0")
+        err = _refusal(traj, 2, index[2], index[1])
     capsys.readouterr()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
-    assert capsys.readouterr().err == f"error: {want}\n"
+    assert capsys.readouterr().err == err
     assert not (traj / "reports.csv").exists()
 
 
@@ -1218,18 +1251,22 @@ def _sweep_config(tmp_path):
 SWEEPS = {"gamma": "0.2,0.1,0.05", "epsilon": "0.04,0.02,0.01"}
 
 
-# SHA-256 of each file `sweep` writes for `_sweep_config` and SWEEPS, as
-# first written when each member was marched alone
+# SHA-256 of each file `sweep` writes for `_sweep_config` and SWEEPS, the
+# CSVs as first written when each member was marched alone
 SWEEP_FILES = {"gamma": {
     "gamma_sweep.csv":
         "0464257789ecf5b1266233263619b82e78cbbe99683fd6a870f5a1b15d821eb9",
     "sweep_report.csv":
         "fe886abf9c2b28787f45a66ada9e3bd12d4af667f498cd166a018b5b280d4e08",
+    "sweep_report.jsonl":
+        "0918906fce868d24a202985da1356f553facd8b63392e49584914be274252098",
 }, "epsilon": {
     "epsilon_sweep.csv":
         "ef16f9d3eb1c7fb9fe54a82b2a47821de9d394d370d7b8620f0df2b277d467bd",
     "sweep_report.csv":
         "a61854a421dbe6376f19e221996364330147b1456d152435f5c3264893a781d8",
+    "sweep_report.jsonl":
+        "221ce632b12b877cb83c82cbac0b742dcb9d5038ba1541f1b6767af25cae0064",
 }}
 
 

@@ -200,42 +200,79 @@ def test_missing_meta_json_is_a_format_error(tmp_path):
         upk_io.read_trajectory(tmp_path)
 
 
+def _refusal(directory, line, reads, want):
+    """read_trajectory's one refusal of index.csv: its line (from 1) reads
+    ``reads`` (None: it is missing) where the march's schedule has ``want``
+    (None: no line)."""
+    return (f"{directory}: index.csv line {line} "
+            + ("is missing" if reads is None else f"reads {reads!r}")
+            + ", where the march's schedule has "
+            + ("no line" if want is None else repr(want)))
+
+
+def test_index_is_the_schedule_as_text(tmp_path):
+    # levels 0, 2, 3, 4 at dt = 0.125
+    assert _index_lines(tmp_path) == [
+        "t,filename,role", "0.0,field_000000.upkf,snapshot",
+        "0.25,field_000001.upkf,snapshot", "0.375,field_000002.upkf,snapshot",
+        "0.5,field_000003.upkf,snapshot"]
+
+
+def test_a_row_off_the_schedule_is_named_with_the_row_it_should_be(tmp_path):
+    lines = _index_lines(tmp_path)
+    _write_index(tmp_path, [*lines[:2], "0.3,field_000001.upkf,snapshot",
+                            *lines[3:]])
+    with pytest.raises(upk_io.FormatError) as info:
+        upk_io.read_trajectory(tmp_path)
+    assert str(info.value) == (
+        f"{tmp_path}: index.csv line 3 reads '0.3,field_000001.upkf,"
+        "snapshot', where the march's schedule has '0.25,field_000001.upkf,"
+        "snapshot'")
+
+
 @pytest.mark.parametrize("malform", [
     lambda row: row.rpartition(",")[0],
     lambda row: "abc," + row.partition(",")[2],
     lambda row: row + ",extra",
-], ids=["role_cut_off", "time_not_a_number", "extra_column"])
+    lambda row: row.replace(",snapshot", ",keyframe"),
+], ids=["role_cut_off", "time_not_a_number", "extra_column", "keyframe"])
 def test_malformed_index_row_is_named(tmp_path, malform):
     lines = _index_lines(tmp_path)
     row = malform(lines[2])
-    lines[2] = row
-    _write_index(tmp_path, lines)
+    _write_index(tmp_path, [*lines[:2], row, *lines[3:]])
     with pytest.raises(upk_io.FormatError) as info:
         upk_io.read_trajectory(tmp_path)
-    assert str(info.value) == (f"{tmp_path}: index.csv row {row!r} is not "
-                               "t,filename,role")
+    assert str(info.value) == _refusal(tmp_path, 3, row, lines[2])
 
 
-def test_unknown_role_is_named(tmp_path):
+def test_a_renamed_field_file_is_refused(tmp_path):
+    # its bytes are intact, but `run` names snapshot i field_{i:06d}.upkf
     lines = _index_lines(tmp_path)
-    lines[2] = lines[2].replace(",snapshot", ",keyframe")
-    _write_index(tmp_path, lines)
-    with pytest.raises(upk_io.FormatError, match="unknown role 'keyframe'"):
+    (tmp_path / "field_000002.upkf").rename(tmp_path / "level3.upkf")
+    row = lines[3].replace("field_000002", "level3")
+    _write_index(tmp_path, [*lines[:3], row, *lines[4:]])
+    with pytest.raises(upk_io.FormatError) as info:
         upk_io.read_trajectory(tmp_path)
+    assert str(info.value) == _refusal(tmp_path, 4, row, lines[3])
 
 
-def test_index_without_its_header_is_malformed(tmp_path):
+def test_index_without_its_header_is_refused(tmp_path):
     lines = _index_lines(tmp_path)
     _write_index(tmp_path, lines[1:])
-    with pytest.raises(upk_io.FormatError, match="malformed index.csv"):
+    with pytest.raises(upk_io.FormatError) as info:
         upk_io.read_trajectory(tmp_path)
+    assert str(info.value) == _refusal(tmp_path, 1, lines[1], lines[0])
 
 
-def test_index_without_rows_is_an_empty_trajectory(tmp_path):
+@pytest.mark.parametrize("text", ["t,filename,role\n", ""],
+                         ids=["header_only", "empty_file"])
+def test_index_without_rows_is_refused(tmp_path, text):
     lines = _index_lines(tmp_path)
-    _write_index(tmp_path, lines[:1])
-    with pytest.raises(upk_io.FormatError, match="empty trajectory"):
+    (tmp_path / "index.csv").write_text(text)
+    with pytest.raises(upk_io.FormatError) as info:
         upk_io.read_trajectory(tmp_path)
+    line = len(text.splitlines())
+    assert str(info.value) == _refusal(tmp_path, line + 1, None, lines[line])
 
 
 @pytest.mark.parametrize("rows", [[2, 1], [1, 1]], ids=["swapped", "twice"])
@@ -244,10 +281,9 @@ def test_snapshots_out_of_level_order_are_refused(tmp_path, rows):
     _write_index(tmp_path, [lines[0], *(lines[i] for i in rows), *lines[3:]])
     with pytest.raises(upk_io.FormatError) as info:
         upk_io.read_trajectory(tmp_path)
-    i, got, want = (0, 2, 0) if rows == [2, 1] else (1, 0, 2)
-    assert str(info.value) == (
-        f"{tmp_path}: snapshot {i} of index.csv is at t = {got * 0.125}, not "
-        f"at the march's level {want}, t = {want * 0.125}")
+    line = 2 if rows == [2, 1] else 3
+    assert str(info.value) == _refusal(tmp_path, line, lines[rows[line - 2]],
+                                       lines[line - 1])
 
 
 def test_a_row_past_the_last_level_is_refused(tmp_path):
@@ -255,9 +291,7 @@ def test_a_row_past_the_last_level_is_refused(tmp_path):
     _write_index(tmp_path, [*lines, lines[-1]])
     with pytest.raises(upk_io.FormatError) as info:
         upk_io.read_trajectory(tmp_path)
-    assert str(info.value) == (
-        f"{tmp_path}: snapshot 4 of index.csv is at t = 0.5, not at the "
-        "march's level none, t = none")
+    assert str(info.value) == _refusal(tmp_path, 6, lines[-1], None)
 
 
 @pytest.mark.parametrize("mode", ["impulsive", "entropy"])
@@ -273,8 +307,6 @@ def test_every_level_the_march_stores_is_required(tmp_path, mode, level):
                             if not row.startswith(f"{level * 0.125!r},")])
     with pytest.raises(upk_io.FormatError) as info:
         upk_io.read_trajectory(tmp_path)
-    i = traj.levels.index(level)
-    got = traj.levels[i + 1] * 0.125 if level < 4 else "none"
-    assert str(info.value) == (
-        f"{tmp_path}: snapshot {i} of index.csv is at t = {got}, not at the "
-        f"march's level {level}, t = {level * 0.125}")
+    line = traj.levels.index(level) + 2
+    assert str(info.value) == _refusal(
+        tmp_path, line, lines[line] if level < 4 else None, lines[line - 1])

@@ -2,15 +2,16 @@
 
 Each workload's config is run and verified in process, as `bench/run.py`
 does it, through `upkolmo run --mode` and `upkolmo verify`.  The SHA-256 of
-every file they write, each `.upkf`, `index.csv`, `reports.csv` and
-`meta.json`, must equal the one recorded in `bench_outputs.json` beside
-this file, so a change that alters any bit of a benchmark output fails
-here.  `meta.json` is hashed without its wall-second lines `setup_s` and
-`march_s`, which differ between any two runs.  The bench keeps its own
-record of the seed-0 final fields (`bench/seed0_final_fields.json`), from
-which it prints `same` or `CHANGED`.  The seed-0 `reports.csv` rows are
-also recorded as text in `seed0_reports.json`, so that a change to a
-check's measure, bound or context shows which row moved.
+every file they write, each `.upkf`, `index.csv`, `reports.csv`,
+`reports.jsonl` and `meta.json`, must equal the one recorded in
+`bench_outputs.json` beside this file, so a change that alters any bit of a
+benchmark output fails here.  `meta.json` is hashed without its wall-second
+lines `setup_s` and `march_s`, which differ between any two runs.  The
+bench keeps its own record of the seed-0 final fields
+(`bench/seed0_final_fields.json`), from which it prints `same` or
+`CHANGED`.  The seed-0 `reports.csv` rows are also recorded as text in
+`seed0_reports.json`, so that a change to a check's measure, bound or
+context shows which row moved.
 
 The lateral solve is a BLAS matrix product, so the pins also hold only if
 the product does not depend on the BLAS thread count; a 64x64 run checks
