@@ -1,23 +1,24 @@
 """Arithmetic expression DSL for fluxes, sources and boundary/initial data.
 
-Expressions are parsed into a small immutable AST over the variables
+Expressions are parsed into a small immutable graph over the variables
 ``lambda``, ``x``, ``s``, ``t``, the binary operators ``+ - * / ^``, unary
-minus, and the functions ``sin cos exp tanh sqrt abs min max``.  Evaluation
-is plain IEEE double arithmetic and broadcasts over numpy arrays, so the
-same AST backs both scalar checks and whole-grid evaluation.
+minus, and the functions ``sin cos exp tanh sqrt abs min max``.  A node is
+made once per class and operands, a number by repr (-0.0 and 1 are not 0.0
+and 1.0), so equal trees are one object and ``==`` is identity
+(hash-consing; Filliatre & Conchon, 2006).  Arithmetic is IEEE double.
 
-``compile(expr)`` is the only walk of the tree.  It returns a closure
-and the expression's free variables (the names it reads); code that
-evaluates one expression many times holds the closure, and
-``evaluate(expr, bindings)`` is ``compile(expr)[0](bindings)``.  The
-closure applies the same numpy operations in the same order as the tree,
-so results are bit-identical, and keeps every domain check.  A division
-by a nonzero literal is settled at compile time, and a power whose result
-is all finite skips its three-mask test, which can only flag a non-finite
-result: 0^negative, a negative base to a fractional exponent, or an
-overflow such as ``lambda^2`` at 1e200 still raise ``DomainError``,
-naming which of the three it found.  So does any other non-finite value
-of finite bindings, such as ``exp(lambda)`` at 1000.
+``compile(expr)`` returns a closure and the expression's free variables
+(the names it reads); code that evaluates one expression many times holds
+the closure, and ``evaluate(expr, b)`` is ``compile(expr)[0](b)``.  A call
+applies the tree's numpy operations in order, each distinct node once, as
+a tape does (Griewank & Walther, 2008), a node that two read kept in the
+call's copy of the bindings: results are bit-identical, with every domain
+check.  A division by a nonzero literal is settled at compile time, and a
+power whose result is all finite skips its three-mask test, which can only
+flag a non-finite result: 0^negative, a negative base to a fractional
+exponent, or an overflow such as ``lambda^2`` at 1e200 still raise
+``DomainError``, naming which of the three it found.  So does any other
+non-finite value of finite bindings, such as ``exp(lambda)`` at 1000.
 
 ``diff(expr, var)`` returns d expr / d var as a tree, which every
 function here takes, ``diff`` too.  Its rules transcribe forward-mode
@@ -32,7 +33,7 @@ trees, evaluated as the first and enclosed as the second: what does not
 read var has the derivative 0 on a box, exactly and unwalked; a product
 drops the term of such a factor; and b*b encloses as b^2.
 
-The same walk, through ``_RANGE`` in place of ``_VALUE``, gives an
+The same closures, through ``_RANGE`` in place of ``_VALUE``, give an
 interval enclosure of the expression over boxes (Moore, *Interval
 Analysis*, 1966; Tucker, *Validated Numerics*, 2011): ``enclose``
 returns (lo, hi) ranges that hold every point value the compiled
@@ -49,7 +50,7 @@ expressions is one of the two, of the expression or of its ``diff``
 keyed on the expression, ``signed`` and the box's (name, (lo, hi)) items
 in the caller's order: that order sets the order of the cut axes, which
 can move a bound's last bits.  So a process encloses each bound it reads
-once.  ``diff`` and the compiled closures are remembered too.
+once.  ``_diff`` and the compiled closures are too, each keyed on nodes.
 
 Precedence, tightest first: ``^`` (right-assoc), unary ``-``, ``* /``,
 ``+ -`` (left-assoc).  At the kinks of ``abs``/``min``/``max`` the
@@ -97,30 +98,43 @@ class DomainError(ArithmeticError):
     where = None
 
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    _made = {}  # each node of the process, by class and operands (notes)
+
+    def __new__(cls, *operands, **named):  # a number's by its repr
+        operands += tuple(named[f] for f in cls.__match_args__ if f in named)
+        key = (cls, *map(repr, operands)) if cls is Num else (cls, *operands)
+        return cls._made.get(key) or cls._made.setdefault(
+            key, super().__new__(cls))
+
+    def __reduce__(self):  # so a copy, or a pickle, of a node is the node
+        return type(self), tuple(vars(self).values())
+
+
+@dataclass(frozen=True, eq=False)
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False)
+class Neg(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False)
+class BinOp(_Node):
     op: str
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False)
+class Call(_Node):
     func: str
     args: tuple
 
@@ -255,21 +269,6 @@ def parse(text):
 
 # --- evaluation ------------------------------------------------------------
 
-def _check_pow(base, expo, result):
-    finite = np.isfinite(result)
-    if finite.all():
-        return  # exact: only a non-finite result can be flagged below
-    # 0^negative yields inf, negative^fractional yields nan, and a power
-    # of finite operands that overflows yields inf
-    bad = ~finite & np.isfinite(base) & np.isfinite(expo)
-    if np.any(bad):
-        causes = [why for why, hit in (
-            ("zero base with negative exponent", bad & (base == 0)),
-            ("negative base with fractional exponent", bad & np.isnan(result)),
-            ("overflow", bad & np.isinf(result) & (base != 0))) if np.any(hit)]
-        raise DomainError(f"invalid power ({'; '.join(causes)})")
-
-
 def _refusing(op, bad, why):
     """op, raising ``DomainError(why)`` where its last operand is bad."""
     def refusing(*args):
@@ -282,7 +281,18 @@ def _refusing(op, bad, why):
 def _power(a, e):
     with np.errstate(all="ignore"):
         r = np.power(a, e)
-    _check_pow(a, e, r)
+    finite = np.isfinite(r)
+    if finite.all():
+        return r  # exact: only a non-finite result can be flagged below
+    # 0^negative yields inf, negative^fractional yields nan, and a power
+    # of finite operands that overflows yields inf
+    bad = ~finite & np.isfinite(a) & np.isfinite(e)
+    if np.any(bad):
+        causes = [why for why, hit in (
+            ("zero base with negative exponent", bad & (a == 0)),
+            ("negative base with fractional exponent", bad & np.isnan(r)),
+            ("overflow", bad & np.isinf(r) & (a != 0))) if np.any(hit)]
+        raise DomainError(f"invalid power ({'; '.join(causes)})")
     return r
 
 
@@ -466,16 +476,16 @@ _RANGE["over"] = _RANGE["/"]  # checked on ranges, as the dual rules were
 
 
 def _parts(expr):
-    """(operation name, operands) of a node that is not a leaf."""
+    """(operation name, operands) of a node, (None, ()) of a leaf."""
     return (("neg", (expr.arg,)) if isinstance(expr, Neg) else
-            (expr.op, (expr.lhs, expr.rhs)) if isinstance(expr, BinOp)
-            else (expr.func, expr.args))
+            (expr.op, (expr.lhs, expr.rhs)) if isinstance(expr, BinOp) else
+            (expr.func, expr.args) if isinstance(expr, Call) else (None, ()))
 
 
 def compile(expr, finite=True):
-    """Compile ``expr`` once (``_compiled``) into ``(fn, free)``: ``fn(b)``
-    returns what ``evaluate(expr, b)`` does, bit for bit and of the same
-    type, and ``free`` is the frozenset of the names the expression reads.
+    """``(fn, free)`` of ``expr``, its closures made once (``_compiled``):
+    ``fn(b)`` returns what ``evaluate(expr, b)`` does, bit for bit and of
+    the same type, and ``free`` is the frozenset of the names it reads.
 
     A non-finite value of finite bindings raises ``DomainError``, tested
     once on the result, with NumPy's warnings off.  ``finite=False`` leaves
@@ -498,33 +508,48 @@ def compile(expr, finite=True):
 
 
 def _compile(expr, ranges=False):
-    if isinstance(expr, Num):
-        const = (expr.value, expr.value) if ranges else expr.value
-        return (lambda b: const), frozenset()
-    if isinstance(expr, Var):
-        name = expr.name
+    """(fn, free), one closure per distinct node (module notes)."""
+    operands, kept, made = {}, set(), {}
 
-        def var(b):
-            try:
-                return b[name]
-            except KeyError:
-                raise UnboundVariableError(name) from None
-        return var, frozenset((name,))
-    name, args = _parts(expr)
-    if name == "same":  # evaluated as its first tree, enclosed as its second
-        return _compile(args[ranges], ranges)
-    ops = _RANGE if ranges else _VALUE
-    if name not in ops:
-        raise ValueError(f"unknown operator or function {name!r}")
-    fns, frees = zip(*(_compile(a, ranges) for a in args))
-    op, free = ops[name], frozenset().union(*frees)
-    if name == "/" and isinstance(args[1], Num) and args[1].value != 0:
-        # the division-by-zero test, settled here
-        op = _quotient if ranges else operator.truediv
-    f, g = fns[0], fns[-1]
-    return ((lambda b: op(f(b))) if len(fns) == 1 else
-            (lambda b: op(f(b), g(b))) if len(fns) == 2 else
-            (lambda b: op(*[h(b) for h in fns]))), free
+    def walk(e):  # the node e computes, its operands first
+        while isinstance(e, Call) and e.func == "same":
+            e = e.args[ranges]  # the first tree's value, the second's range
+        if e not in operands:
+            operands[e] = [walk(a) for a in _parts(e)[1]]
+        elif operands[e]:  # an operation that two nodes read
+            kept.add(e)
+        return e
+
+    def closure(e, fns):  # node e's, of its operands' closures fns
+        if isinstance(e, Num):
+            const = (e.value, e.value) if ranges else e.value
+            return lambda b: const
+        if isinstance(e, Var):
+            name = e.name
+            def var(b):
+                try:
+                    return b[name]
+                except KeyError:
+                    raise UnboundVariableError(name) from None
+            return var
+        name, args = _parts(e)
+        op = (_RANGE if ranges else _VALUE).get(name)
+        if op is None:
+            raise ValueError(f"unknown operator or function {name!r}")
+        if name == "/" and isinstance(args[1], Num) and args[1].value != 0:
+            # the division-by-zero test, settled here
+            op = _quotient if ranges else operator.truediv
+        f, g = fns[0], fns[-1]
+        fn = ((lambda b: op(f(b))) if len(fns) == 1 else
+              (lambda b: op(f(b), g(b))) if len(fns) == 2 else
+              (lambda b: op(*[h(b) for h in fns])))
+        return fn if e not in kept else (
+            lambda b: b[e] if e in b else b.setdefault(e, fn(b)))
+    root = walk(expr)
+    for e, args in operands.items():
+        made[e] = closure(e, [made[a] for a in args])
+    fn, free = made[root], frozenset(e.name for e in made if type(e) is Var)
+    return ((lambda b: fn(dict(b))) if kept else fn), free
 
 
 # each tree is compiled, evaluated and enclosed many times in a process
@@ -552,9 +577,6 @@ def enclose(expr, box):
 
 
 # --- derivatives -----------------------------------------------------------
-
-_ZERO = Num(0.0)
-
 
 def _square(v):
     return Call("same", (BinOp("*", v, v), BinOp("^", v, Num(2.0))))
@@ -585,7 +607,6 @@ _RULES = {"neg": lambda e, x, dx: Neg(*dx),
 _RULES["over"] = _RULES["/"]
 
 
-@functools.lru_cache(maxsize=64)
 def diff(expr, var):
     """d expr / d var, as a tree (module notes)."""
     return _diff(expr, var)[0]
@@ -600,17 +621,18 @@ def on_slope(f, fn, arg):
         raise DomainError(f"d/dlambda of {to_string(f)}: {exc}") from exc
 
 
+@functools.cache  # a node's, so each distinct node is differentiated once
 def _diff(expr, var):
     """(d expr / d var, whether expr reads var), by the rule of expr's
     operation from its operands x and their derivatives dx."""
     if isinstance(expr, Num):
-        return _ZERO, False
+        return Num(0.0), False
     if isinstance(expr, Var):
         reads = expr.name == var
         return Call("seed", (expr, Num(float(reads)))), reads
     name, x = _parts(expr)
     if name == "seed":  # a constant, shaped like its binding
-        return Call("seed", (x[0], _ZERO)), False
+        return Call("seed", (x[0], Num(0.0))), False
     dx, reads = zip(*(_diff(a, var) for a in x))
     if name == "*":
         d = BinOp("+", BinOp("*", dx[0], x[1]), BinOp("*", x[0], dx[1]))
@@ -638,7 +660,7 @@ def _diff(expr, var):
     else:
         raise ValueError(f"unknown operator or function {name!r}")
     # what does not read var is enclosed as exactly 0, and not walked
-    return (d, True) if any(reads) else (Call("same", (d, _ZERO)), False)
+    return (d, True) if any(reads) else (Call("same", (d, Num(0.0))), False)
 
 
 # ``sup`` cuts its box _CUTS[k] ways on each of the k axes it is wide on,

@@ -479,7 +479,8 @@ class Stepper:
                 lap_s = (w[..., 1:-1, :-2] - 2.0 * u
                          + w[..., 1:-1, 2:]) / grid.ds ** 2
                 np.add(new, dt * self.eps * lap_s, out=new, where=self.eps > 0)
-            return self._solve_lateral(_finite(new, n * dt))
+            return self._solve_lateral(
+                _finite(new, n * dt, w, g_a, h_a, g_p, h_p))
 
     def beta(self, v):
         """beta(x, s, v) at the cells, 0.0 without a beta: v is a state,
@@ -510,9 +511,11 @@ def _guarded(fn, arg, t):
                                f"t = {np.min(t):.6g}: {exc}") from exc
 
 
-def _finite(new, t):
+def _finite(new, t, *padded):  # a non-finite input's cell before new's
     if not np.all(np.isfinite(new)):
-        bad = tuple(map(int, np.argwhere(~np.isfinite(new))[0]))
+        inputs = sum(~np.isfinite(a[..., 1:-1, 1:-1]) for a in padded)
+        bad = tuple(map(int, np.argwhere(
+            inputs if np.any(inputs) else ~np.isfinite(new))[0]))
         at = f"member {bad[0]}, " * (len(bad) > 2) + f"cell {bad[-2:]}"
         raise NaNDetectedError(
             f"non-finite value at {at} after step from t = {t:.6g}")

@@ -14,7 +14,7 @@ def _fresh_memos():
     """exprdsl remembers bounds, derivatives and compiled closures for the
     process: each test starts with none, so that no count or bound depends
     on which test ran before it."""
-    for memo in (exprdsl.sup, exprdsl.diff, exprdsl._compiled):
+    for memo in (exprdsl.sup, exprdsl._diff, exprdsl._compiled):
         memo.cache_clear()
 
 

@@ -1,4 +1,7 @@
+import collections
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from upkolmo import exprdsl as E
 from genexpr import ALL_VARS, central_difference, random_bindings, \
     random_expr, usable_point
+from scenarios import BETA_TEXT
 
 
 def ev(text, **bindings):
@@ -750,3 +754,120 @@ def test_the_enclosed_power_takes_the_rule_of_its_exponent():
     assert E.sup(expr, box) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(E.DomainError, match="positive base"):
         E.sup(E.diff(expr, "lambda"), box)
+
+
+# --- one expression graph ---------------------------------------------------
+
+def _operands(expr):
+    if isinstance(expr, E.Neg):
+        return (expr.arg,)
+    if isinstance(expr, E.BinOp):
+        return (expr.lhs, expr.rhs)
+    return expr.args if isinstance(expr, E.Call) else ()
+
+
+def _sizes(expr):
+    """(nodes a walk of the tree visits, distinct node objects)."""
+    walked, seen, stack = 0, set(), [expr]
+    while stack:
+        node = stack.pop()
+        walked += 1
+        seen.add(id(node))
+        stack.extend(_operands(node))
+    return walked, len(seen)
+
+
+TEXT = f"{BETA_TEXT} + sin(lambda)"
+
+
+def test_equal_trees_are_one_node():
+    assert E.parse(TEXT) is E.parse(TEXT)
+    # built in code or parsed, the same operands give the same node
+    assert E.BinOp("*", E.Num(0.5), E.Var("x")) is E.parse("0.5*x")
+    assert E.BinOp(rhs=E.Num(2.0), op="*", lhs=E.Var(name="x")) is \
+        E.BinOp("*", E.Var("x"), rhs=E.Num(value=2.0)) is E.parse("x*2")
+    for cls in (E.Num, E.Var, E.Neg, E.BinOp, E.Call):
+        assert cls.__eq__ is object.__eq__
+        assert cls.__hash__ is object.__hash__
+
+
+def test_a_derivative_is_one_node_without_its_memo():
+    expr = E.parse(TEXT)
+    slope = E.diff(expr, "lambda")
+    E._diff.cache_clear()  # the graph, not the memo, makes them one
+    assert E.diff(expr, "lambda") is slope
+
+
+def test_a_copy_or_a_pickle_of_a_node_is_the_node():
+    expr = E.parse(TEXT)
+    assert copy.deepcopy(expr) is expr and copy.copy(expr) is expr
+    assert pickle.loads(pickle.dumps(expr)) is expr
+
+
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+def test_each_zero_compiles_to_its_own_sign(zeros):
+    assert E.Num(0.0) is not E.Num(-0.0)
+    for zero in zeros:
+        value = E.compile(E.Num(zero))[0]({})
+        assert math.copysign(1.0, value) == math.copysign(1.0, zero)
+
+
+@pytest.mark.parametrize("ones", [(1, 1.0), (1.0, 1)])
+def test_an_int_and_a_float_literal_each_keep_their_type(ones):
+    assert E.Num(1) is not E.Num(1.0)
+    for one in ones:
+        value = E.compile(E.Num(one))[0]({})
+        assert type(value) is type(one) and value == 1
+
+
+def test_the_bench_beta_derivatives_are_graphs_of_their_distinct_nodes():
+    beta = E.parse(BETA_TEXT)
+    slope = E.diff(beta, "lambda")
+    assert _sizes(slope) == (351, 86)
+    assert _sizes(E.diff(slope, "lambda")) == (3297, 240)
+
+
+def _computed(expr, ranges):
+    """How many distinct nodes of each operation a compiled call computes:
+    a ``same`` computes one of its trees, and a division by a nonzero
+    literal is settled when it is compiled, outside the table."""
+    seen, want = set(), collections.Counter()
+
+    def walk(node):
+        while isinstance(node, E.Call) and node.func == "same":
+            node = node.args[ranges]
+        if id(node) in seen or not _operands(node):
+            return
+        seen.add(id(node))
+        name = ("neg" if isinstance(node, E.Neg) else
+                node.op if isinstance(node, E.BinOp) else node.func)
+        if not (name == "/" and isinstance(node.rhs, E.Num)
+                and node.rhs.value != 0):
+            want[name] += 1
+        for operand in _operands(node):
+            walk(operand)
+    walk(expr)
+    return want
+
+
+@pytest.mark.parametrize("ranges", [False, True])
+def test_a_compiled_call_applies_each_distinct_operation_once(
+        monkeypatch, ranges):
+    curvature = E.diff(E.diff(E.parse(BETA_TEXT), "lambda"), "lambda")
+    applied, table = collections.Counter(), "_RANGE" if ranges else "_VALUE"
+
+    def counted(name, op):
+        def count(*args):
+            applied[name] += 1
+            return op(*args)
+        return count
+    monkeypatch.setattr(E, table, {name: counted(name, op) for name, op
+                                   in getattr(E, table).items()})
+    lam = np.linspace(-1.9, 1.9, 7)
+    if ranges:
+        E.enclose(curvature, {"lambda": (lam, lam + 0.01), "x": (0.4, 0.5),
+                              "s": (0.5, 0.6)})
+    else:
+        E.compile(curvature)[0]({"lambda": lam, "x": 0.4, "s": 0.6})
+    assert applied == _computed(curvature, ranges)
+    assert sum(applied.values()) < 240

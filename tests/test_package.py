@@ -2,6 +2,7 @@
 export or import cannot outlive its code."""
 
 import ast
+import functools
 import importlib
 import inspect
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import upkolmo
-from upkolmo import cli, solver
+from upkolmo import cli, exprdsl, solver
 
 PACKAGE = sorted(p for p in Path(upkolmo.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -228,3 +229,46 @@ def test_one_enclosure_for_every_bound():
     tree = ast.parse(Path(solver.__file__).read_text())
     assert [node for node in ast.walk(tree)
             if isinstance(node, ast.ExceptHandler)] == []
+
+
+# the signature of each public ``exprdsl`` name that has one: interning the
+# nodes and evaluating each distinct one once add no option
+EXPRDSL_SIGNATURES = {
+    "Num": "(value: 'float') -> None",
+    "Var": "(name: 'str') -> None",
+    "Neg": "(arg: \"'Expr'\") -> None",
+    "BinOp": "(op: 'str', lhs: \"'Expr'\", rhs: \"'Expr'\") -> None",
+    "Call": "(func: 'str', args: 'tuple') -> None",
+    "parse": "(text)",
+    "compile": "(expr, finite=True)",
+    "evaluate": "(expr, bindings)",
+    "diff": "(expr, var)",
+    "on_slope": "(f, fn, arg)",
+    "enclose": "(expr, box)",
+    "sup": "(expr, box, signed=False)",
+    "zero_width": "(expr, box, width)",
+    "to_string": "(expr)",
+    "ExprSyntaxError": "(message, text, pos)",
+}
+
+
+def _signature(obj):
+    try:
+        return str(inspect.signature(obj))
+    except (TypeError, ValueError):  # a type alias, a tuple, a builtin's
+        return None
+
+
+def test_the_expression_graph_adds_no_option():
+    signatures = {name: _signature(getattr(exprdsl, name))
+                  for name in exprdsl.__all__}
+    assert {name: sig for name, sig in signatures.items()
+            if sig is not None} == EXPRDSL_SIGNATURES
+
+
+def test_exprdsl_keeps_three_memos():
+    # the compiled closures, each node's derivative and each bound: no
+    # other memo, so every memo keys on nodes
+    assert sorted(name for name, value in vars(exprdsl).items()
+                  if isinstance(value, functools._lru_cache_wrapper)) == [
+        "_compiled", "_diff", "_sup"]

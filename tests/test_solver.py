@@ -9,8 +9,8 @@ from upkolmo import exprdsl as E
 from upkolmo import solver, verify
 from upkolmo.problem import (SUP_SLACK, Field, Grid, ProblemSpec, Trajectory,
                              min_kick_slope, refined_max_bound, sup_bound)
-from upkolmo.scheme import (LAX_FRIEDRICHS, NaNDetectedError, SchemeOptions,
-                            Stepper, SupNormExceeded)
+from upkolmo.scheme import (ENGQUIST_OSHER, LAX_FRIEDRICHS, NaNDetectedError,
+                            SchemeOptions, Stepper, SupNormExceeded)
 from samplers import sample_max, slab
 from scenarios import (box_grid, nosource_spec, saturated_spec, shock_spec,
                        source_spec, unattainable_spec, unit_grid, zero_spec,
@@ -121,6 +121,23 @@ class TestFamily:
         # the explicit update is tested before the lateral solve, whose clip
         # ends one NaN would turn NaN, and with them every cell of the member
         stepper = Stepper(nosource_spec().with_data(gamma=0.0), unit_grid(8))
+        u = np.zeros((2, 8, 8))
+        u[1, 2, 3] = np.nan
+        for st, state, at in ((stepper.stack([stepper, stepper]), u,
+                               "member 1, cell (2, 3)"),
+                              (stepper, u[1], "cell (2, 3)")):
+            with pytest.raises(NaNDetectedError) as info:
+                st.step(state, 0)
+            assert str(info.value) == (f"non-finite value at {at} after step "
+                                       "from t = 0")
+
+    @pytest.mark.parametrize("kind", [LAX_FRIEDRICHS, ENGQUIST_OSHER])
+    def test_a_non_finite_input_names_its_own_cell_under_either_flux(
+            self, kind):
+        # under Lax-Friedrichs the update's first non-finite cell in C order
+        # is the stencil neighbour (1, 3): the step names the input's cell
+        stepper = Stepper(source_spec(), unit_grid(8),
+                          options=SchemeOptions(flux_kind=kind))
         u = np.zeros((2, 8, 8))
         u[1, 2, 3] = np.nan
         for st, state, at in ((stepper.stack([stepper, stepper]), u,
