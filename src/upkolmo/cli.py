@@ -9,6 +9,11 @@ errors, ``GridMismatchError`` and ``GammaOutOfRangeError``; ``OSError``;
 aborted (``NaNDetectedError``, ``scheme.SupNormExceeded``); 3 at least
 one verification check failed.  Output goes to stdout, diagnostics to
 stderr, reports and trajectories to files.
+
+``verify`` refuses a run whose ``solver.record`` is not, as JSON text, that
+of the stepper it rebuilds from the config (at gamma -> 0 for a run
+recorded as impulsive) and the run's dt and m_bound, or whose grid or
+first snapshot is not the config's; that stepper picks the rows it scores.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ def _cmd_run(args):
         l2 = float(np.sum(fld.values ** 2)) * grid.cell_volume
         print(f"{t:10.6f}  {fld.sup_norm():12.6g}  {l2:12.6g}")
     meta = traj.meta
-    print(f"{meta['mode']}, eps {meta['eps']:.6g}, gamma {meta['gamma']:.6g}"
+    print(f"{mode}, eps {spec.epsilon:.6g}, gamma {spec.gamma:.6g}"
           f", dt {meta['dt']:.6g} ({meta['dt_term']}), setup "
           f"{meta['setup_s']:.3f} s, march {meta['march_s']:.3f} s")
     print(f"wrote {len(traj.times)} snapshots to {out}")
@@ -106,19 +111,22 @@ def _cmd_verify(args):
     runs = []
     for path in [args.traj] + ([args.traj2] if args.traj2 else []):
         tr = config_io.read_trajectory(path, L=config.L, S=config.S)
-        meta = tr.meta
-        spec = _marched(config, meta["mode"])
-        problem.check_region(spec, meta["m_bound"])
-        stepper = verify.rebuild(spec, tr)
+        spec = _marched(config, tr.meta.get("mode"))
+        stepper = verify.rebuild(spec, tr, loaded.options)
+        record = solver.record(spec, stepper)
+        missing = [key for key in record if key not in tr.meta]
+        if missing:
+            raise ValueError(f"{path}: meta.json lacks {', '.join(missing)}")
+        problem.check_region(spec, stepper.m_bound)
         off = np.count_nonzero(tr.fields[0].values.view(np.uint64)
                                != stepper.u0.view(np.uint64))
         for what, got, want in (
-                ("spec hash", meta["spec_hash"], spec.context_hash()),
-                *((key, meta[key], getattr(stepper, key))
-                  for key in ("eps", "gamma", "n_steps", "n_tau")),
+                # as text, so false is not 0.0 and a NaN matches nothing
+                *((key, config_io.meta_text(tr.meta[key]),
+                   config_io.meta_text(value))
+                  for key, value in record.items()),
                 ("grid", (tr.grid.nx, tr.grid.ns),
                  (loaded.grid.nx, loaded.grid.ns)),
-                ("options", meta["options"], loaded.options),
                 # ``io`` requires its level to be 0
                 ("first snapshot", f"{off} cells off u0_1",
                  "0 cells off u0_1")):
@@ -131,11 +139,11 @@ def _cmd_verify(args):
     reports = [verify.check_max_principle(traj, st1),
                verify.check_stability(traj, traj2, st1, st2)]
     k_bank = _k_bank(traj)
-    if traj.meta["mode"] == "impulsive":
+    if solver.mode_of(st1.spec) == "impulsive":
         reports.append(verify.check_jump(traj, st1))
-    if traj.meta["eps"] == 0.0:
+    if st1.eps == 0.0:
         reports.append(verify.check_bln(traj, st1, k_bank))
-    if traj.meta["options"].snapshot_stride == 1:
+    if st1.options.snapshot_stride == 1:
         reports.append(verify.check_entropy_residual(traj, st1, k_bank))
     out = Path(args.out) if args.out else Path(args.traj) / "reports.csv"
     verify.write_reports(out, reports)

@@ -21,28 +21,16 @@ Field files (extension ``.upkf``) are little-endian and bit-exact:
     payload Nx * Ns f64, x-major then s
 
 A trajectory directory holds one field file per snapshot, an ``index.csv``
-and a ``meta.json``, a JSON object of the march parameters the checks need
-to rebuild the stepper: ``mode`` (``solver.mode_of`` of the marched spec),
-``lateral_diffusion``, ``source``, ``dt``, ``n_steps``, ``n_tau`` (the
-level the gamma = 0 kick lands on, ceil(tau/dt)), ``eps``, ``gamma``,
-``m_bound``, ``options`` (the stride among them) and ``spec_hash`` (of the
-spec the run marched, which ``verify`` requires of the config) are
-required; ``kick_slope`` (``scheme.Stepper.kick_slope``; older runs hold
-``b0``, which nothing reads), ``dt_term`` (the ``scheme.Stepper._cfl``
-bound that set dt, or null when the caller fixed it), ``setup_s`` and
-``march_s`` (the wall seconds the run spent building its stepper and
-marching) are optional, and other keys (older runs hold ``stride``) are
-ignored.  A required key of the wrong type is refused, and so is
-``restart``, which every run holds that was marched with sampled bounds:
-its invariant region and its Lax-Friedrichs dissipation were widened past
-the enclosed ones the stepper is rebuilt with.  ``lateral_diffusion`` and
-``source`` name how the step treated the lateral Laplacian and the source,
-and only ``scheme.LATERAL_DIFFUSION`` ("backward_euler") and
-``scheme.SOURCE_STEP`` ("kick", applied after the lateral solve) are read:
-a directory written by the earlier explicit update, or with the source
-inside the explicit part, lacks the key, so it is refused instead of being
-scored against the wrong update.  An option ``SchemeOptions`` does not
-have, or a value it refuses, is refused.
+and a ``meta.json``: the run's ``solver.record``, its ``kick_slope`` and
+``dt_term`` (the ``scheme.Stepper._cfl`` bound that set dt, or null) and
+its wall seconds ``setup_s`` and ``march_s``.  Five keys are read here,
+each refused if missing or of the wrong type: ``dt``, ``n_steps`` and
+``n_tau``, which give the schedule below, and ``m_bound`` and ``options``
+(a ``SchemeOptions``), with which ``verify.rebuild`` rebuilds the stepper.
+``restart`` is refused: every run marched with sampled bounds holds it,
+and its region and dissipation were wider than the enclosed ones rebuilt.
+``upkolmo verify`` compares the whole record as ``meta_text`` writes it;
+other keys (older runs hold ``b0`` and ``stride``) are ignored.
 
 The snapshots are the levels the march stores, in order,
 ``problem.snapshot_levels`` of ``n_steps``, the stride and ``n_tau`` (the
@@ -50,15 +38,17 @@ last is ``n_steps``; an impulsive run holds the jump ``verify.check_jump``
 scores).  ``index.csv`` is that schedule as text (``_schedule``): a
 ``t,filename,role`` header, then ``repr(n dt),field_{i:06d}.upkf,snapshot``
 for snapshot i at level n.  The reader rebuilds these lines from
-``meta.json`` and refuses, with the first line that differs, a file that
-is not them: a time an ulp off, a level missing or extra, a renamed field
-file, another role (older impulsive runs' ``tau_minus`` rows).  Each field's
-header must hold its level's time, and its (Nx, Ns) the first's.
+``meta.json``, one more than ``index.csv`` has at most, and refuses, with
+the first line that differs, a file that is not them: a time an ulp off,
+a level missing or extra, a renamed field file, another role (older
+impulsive runs' ``tau_minus`` rows).  Each field's header must hold its
+level's time, and its (Nx, Ns) the first's.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import struct
@@ -70,20 +60,16 @@ import numpy as np
 from . import exprdsl
 from .problem import (Field, Grid, ProblemSpec, Trajectory, consistency_errors,
                       snapshot_levels)
-from .scheme import LATERAL_DIFFUSION, SOURCE_STEP, SchemeOptions
+from .scheme import SchemeOptions
 
 __all__ = [
     "LoadedConfig", "load_config", "write_field", "read_field",
     "write_trajectory", "read_trajectory", "ParseError", "ValidationError",
-    "FormatError", "MAGIC", "VERSION",
+    "FormatError", "MAGIC", "VERSION", "meta_text",
 ]
 
 MAGIC = b"UPKF"
 VERSION = 1
-_MARCH_KEYS = ("mode", "lateral_diffusion", "source", "dt", "n_steps",
-               "n_tau", "eps", "gamma", "m_bound", "options", "spec_hash")
-# the update each key names, the only one this version steps
-_UPDATES = {"lateral_diffusion": LATERAL_DIFFUSION, "source": SOURCE_STEP}
 
 
 def _integer(v):
@@ -94,18 +80,14 @@ def _real(v):
     return _integer(v) or isinstance(v, float) and math.isfinite(v)
 
 
-# what each other march key must hold
+# the march keys read here and by ``verify.rebuild``, and what each holds
 _KINDS = {
-    "mode": ("regularized, entropy or impulsive",
-             lambda v: v in ("regularized", "entropy", "impulsive")),
     "dt": ("a finite number > 0", lambda v: _real(v) and v > 0),
-    # B(T), 0 for all-zero data and no beta (``problem.check_region``)
-    **dict.fromkeys(("eps", "gamma", "m_bound"), (
-        "a finite number >= 0", lambda v: _real(v) and v >= 0)),
     "n_steps": ("a positive integer", lambda v: _integer(v) and v > 0),
     "n_tau": ("an integer or null", lambda v: v is None or _integer(v)),
+    # B(T), 0 for all-zero data and no beta (``problem.check_region``)
+    "m_bound": ("a finite number >= 0", lambda v: _real(v) and v >= 0),
     "options": ("an object", lambda v: isinstance(v, dict)),
-    "spec_hash": ("a string", lambda v: isinstance(v, str)),
 }
 
 
@@ -308,33 +290,6 @@ def read_field(path, L=1.0, S=1.0):
 
 # --- trajectory directories ------------------------------------------------------
 
-def _meta_from_json(data):
-    out = dict(data)
-    if "restart" in out:
-        raise FormatError("meta.json: a restart key marks a run marched "
-                          "with sampled bounds, on a wider region and "
-                          "dissipation than this version rebuilds")
-    for key, update in _UPDATES.items():
-        if out[key] != update:
-            raise FormatError(f"meta.json: {key.replace('_', ' ')} "
-                              f"{out[key]!r} is not the {update!r} update "
-                              "this version steps")
-    for key, (what, ok) in _KINDS.items():
-        if not ok(out[key]):
-            raise FormatError(f"meta.json: {key} = {json.dumps(out[key])} "
-                              f"is not {what}")
-    opts = out["options"]
-    unknown = sorted(set(opts) - {f.name for f in
-                                  dataclasses.fields(SchemeOptions)})
-    if unknown:
-        raise FormatError(f"meta.json: unknown options {', '.join(unknown)}")
-    try:
-        out["options"] = SchemeOptions(**opts)
-    except ValueError as exc:
-        raise FormatError(f"meta.json: {exc}") from None
-    return out
-
-
 def _schedule(levels, dt):
     """The field file names of the snapshots a march at step dt stores at
     ``levels``, and the lines of their ``index.csv``, the header first."""
@@ -351,9 +306,15 @@ def write_trajectory(directory, traj):
         write_field(directory / name, fld)
     (directory / "index.csv").write_text("\n".join(rows) + "\n",
                                          encoding="utf-8")
-    with open(directory / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(traj.meta, fh, indent=1, sort_keys=True,
-                  default=dataclasses.asdict)  # SchemeOptions
+    (directory / "meta.json").write_text(meta_text(traj.meta, indent=1),
+                                         encoding="utf-8")
+
+
+def meta_text(value, indent=None):
+    """``value`` as ``meta.json`` holds it, a ``SchemeOptions`` as an
+    object: a whole meta, or the key's value that ``verify`` compares."""
+    return json.dumps(value, indent=indent, sort_keys=True,
+                      default=dataclasses.asdict)
 
 
 def read_trajectory(directory, L=1.0, S=1.0):
@@ -370,12 +331,28 @@ def read_trajectory(directory, L=1.0, S=1.0):
                           f"{exc}") from None
     if not isinstance(data, dict):
         raise FormatError(f"{directory}: meta.json is not a JSON object")
-    missing = [key for key in _MARCH_KEYS if key not in data]
+    missing = [key for key in _KINDS if key not in data]
     if missing:
         raise FormatError(f"{directory}: meta.json lacks {', '.join(missing)}")
-    meta = _meta_from_json(data)
-    dt, march = meta["dt"], snapshot_levels(
-        meta["n_steps"], meta["options"].snapshot_stride, meta["n_tau"])
+    if "restart" in data:
+        raise FormatError("meta.json: a restart key marks a run marched "
+                          "with sampled bounds, on a wider region and "
+                          "dissipation than this version rebuilds")
+    for key, (what, ok) in _KINDS.items():
+        if not ok(data[key]):
+            raise FormatError(f"meta.json: {key} = {json.dumps(data[key])} "
+                              f"is not {what}")
+    unknown = sorted(set(data["options"]) - {
+        f.name for f in dataclasses.fields(SchemeOptions)})
+    if unknown:
+        raise FormatError(f"meta.json: unknown options {', '.join(unknown)}")
+    try:
+        data["options"] = SchemeOptions(**data["options"])
+    except ValueError as exc:
+        raise FormatError(f"meta.json: {exc}") from None
+    dt, march = data["dt"], list(itertools.islice(snapshot_levels(
+        data["n_steps"], data["options"].snapshot_stride, data["n_tau"]),
+        len(index)))
     names, rows = _schedule(march, dt)
     if index != rows:  # the march's schedule, as text
         i = next((i for i, (got, want) in enumerate(zip(index, rows))
@@ -396,4 +373,4 @@ def read_trajectory(directory, L=1.0, S=1.0):
                               f"first field's {fields[0].values.shape}")
         fields.append(fld)
     return Trajectory(fields[0].grid, [fld.t for fld in fields], fields,
-                      meta, march)
+                      data, march)

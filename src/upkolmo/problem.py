@@ -148,13 +148,17 @@ class Trajectory:
 
 
 def snapshot_levels(n_steps, stride, n_tau):
-    """The step levels the march stores: 0, stride, 2 stride, ..., n_steps,
-    and n_tau and n_tau + 1 (the jump ``verify.check_jump`` replays) up to
-    n_steps when tau lies inside (0, T)."""
-    levels = {*range(0, n_steps + 1, stride), n_steps}
-    if n_tau is not None:
-        levels |= {n_tau, n_tau + 1} & set(range(n_steps + 1))
-    return sorted(levels)
+    """The step levels the march stores, in order and lazily: 0, stride, ...,
+    n_steps, and n_tau and n_tau + 1 (the jump ``verify.check_jump``
+    replays) up to n_steps when tau lies inside (0, T)."""
+    jump = () if n_tau is None else (n_tau, n_tau + 1)
+    off_stride = sorted({n for n in (n_steps, *jump)
+                         if 0 <= n <= n_steps and n % stride})
+    for n in range(0, n_steps + 1, stride):
+        while off_stride and off_stride[0] < n:
+            yield off_stride.pop(0)
+        yield n
+    yield from off_stride
 
 
 # --- spec consistency ------------------------------------------------------

@@ -1,9 +1,11 @@
 """Time marching: one driver, ``solve``, for the problem a spec states.
 
-``solve`` marches the spec it is given, named by ``meta["spec_hash"]``,
-in the mode ``mode_of`` derives from its eps, gamma and beta, from
-``Stepper.u0``, and stores level n at t = n dt exactly, as ``io``
-requires.  Every step ends with the source's kick (``Stepper.kick``):
+``solve`` marches the spec it is given, in the mode ``mode_of`` derives
+from its eps, gamma and beta, from ``Stepper.u0``, and stores level n at
+t = n dt exactly, as ``io`` requires; its meta is the run's ``record``,
+which alone spells ``meta.json``'s march keys, with the stepper's
+``kick_slope`` and ``dt_term`` and the wall seconds.  Every step ends with
+the source's kick (``Stepper.kick``):
 
 * ``regularized`` -- eps > 0, both s-end data imposed strongly in the
   eps-diffusion stencil and fed to the convective flux;
@@ -74,11 +76,8 @@ def _march_once(family, grid, steppers):
     stack = steppers[0].stack(steppers)
     dt, n_steps, m_bound = stack.dt, stack.n_steps, stack.m_bound
     trajs = [Trajectory(grid=grid, meta={
-        "mode": mode_of(spec), "lateral_diffusion": LATERAL_DIFFUSION,
-        "source": SOURCE_STEP, **{key: getattr(st, key) for key in (
-            "dt", "n_steps", "n_tau", "eps", "gamma", "m_bound", "kick_slope",
-            "dt_term", "options")}, "spec_hash": spec.context_hash()})
-        for spec, st in zip(family, steppers)]
+        **record(spec, st), "kick_slope": st.kick_slope,
+        "dt_term": st.dt_term}) for spec, st in zip(family, steppers)]
 
     snap_at = set(snapshot_levels(n_steps, stack.options.snapshot_stride,
                                   stack.n_tau))
@@ -93,6 +92,15 @@ def _march_once(family, grid, steppers):
             for traj, member in zip(trajs, u):
                 traj.append(n, Field(member.copy(), grid, n * dt))
     return trajs
+
+
+def record(spec, stepper):
+    """``meta.json``'s march keys of a run of ``spec`` by ``stepper``."""
+    return {"mode": mode_of(spec), "lateral_diffusion": LATERAL_DIFFUSION,
+            "source": SOURCE_STEP, "spec_hash": spec.context_hash(),
+            **{key: getattr(stepper, key) for key in (
+                "dt", "n_steps", "n_tau", "eps", "gamma", "m_bound",
+                "options")}}
 
 
 def mode_of(spec):

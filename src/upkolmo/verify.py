@@ -292,19 +292,18 @@ def check_max_principle(traj, stepper):
     worst = ((np.inf, max(bounds, default=0.0), None, None) if i is None else
              (sups[i], bounds[i], traj.times[i],
               _worst_cell(np.abs(traj.fields[i].values))))
-    context = {"spec": spec.context_hash(), "mode": traj.meta.get("mode"),
+    context = {"spec": spec.context_hash(), "mode": solver_mod.mode_of(spec),
                "t_worst": worst[2], "cell_worst": worst[3]}
     return _report("max_principle", worst[0], worst[1], 0.0, slack, context)
 
 
 # --- stability ----------------------------------------------------------------
 
-def rebuild(spec, traj):
-    """The run's ``Stepper``, of the spec it marched and its meta's dt,
-    m_bound and options: it steps and kicks as the deterministic march did."""
-    meta = traj.meta
-    return Stepper(spec, traj.grid, options=meta["options"],
-                   m_bound=meta["m_bound"], dt=meta["dt"])
+def rebuild(spec, traj, options=None):
+    """The run's ``Stepper``, of the spec it marched, its meta's dt, m_bound
+    and, by default, options: it steps and kicks as the march did."""
+    return Stepper(spec, traj.grid, options=options or traj.meta["options"],
+                   m_bound=traj.meta["m_bound"], dt=traj.meta["dt"])
 
 
 def _inflow(st1, st2):
@@ -410,7 +409,7 @@ def check_entropy_residual(traj, stepper, k_values):
     whatever the number of steps.  The worst is the first non-finite entry,
     else the first largest, in step order.
     """
-    if traj.meta["options"].snapshot_stride != 1:
+    if stepper.options.snapshot_stride != 1:
         raise ValueError("entropy residual needs a stride-1 trajectory")
     spec, grid = stepper.spec, traj.grid
     dt, dx, ds = stepper.dt, grid.dx, grid.ds
@@ -585,6 +584,9 @@ def check_gamma_limit(spec, grid, gammas, options=None):
     (5% slack) and at least halve from first to last.
     """
     gammas = list(gammas)
+    if spec.beta is None:
+        raise ValueError("a gamma sweep needs a source beta: without one "
+                         "every delay width marches the same run")
     if any(g <= 0 for g in gammas):
         raise GammaOutOfRangeError("delay widths must be positive")
     if any(g > spec.gamma0 / 2.0 for g in gammas):

@@ -544,21 +544,24 @@ def test_verify_refuses_a_config_the_run_did_not_come_from(run_dir, tmp_path,
     other = _config(tmp_path, "other.cfg",
                     u0_1=U01_TEXT.replace("0.8*", "0.7*", 1))
     assert cli.main(["verify", str(other), "--traj", str(traj)]) == 1
-    assert "spec hash" in capsys.readouterr().err
+    assert "spec_hash" in capsys.readouterr().err
     assert not (traj / "reports.csv").exists()
+
+
+def _options(flux_kind, cfl_safety, stride):
+    """``SchemeOptions`` as ``meta.json`` holds them."""
+    return (f'{{"cfl_safety": {cfl_safety}, "flux_kind": "{flux_kind}", '
+            f'"snapshot_stride": {stride}}}')
 
 
 @pytest.mark.parametrize("change, what, got, want", [
     (("Nx = 8\nNs = 8", "Nx = 4\nNs = 4"), "grid", (8, 8), (4, 4)),
     (("engquist_osher", "lax_friedrichs"), "options",
-     SchemeOptions("engquist_osher", 0.9, 4),
-     SchemeOptions("lax_friedrichs", 0.9, 4)),
+     _options("engquist_osher", 0.9, 4), _options("lax_friedrichs", 0.9, 4)),
     (("cfl_safety = 0.9", "cfl_safety = 0.5"), "options",
-     SchemeOptions("engquist_osher", 0.9, 4),
-     SchemeOptions("engquist_osher", 0.5, 4)),
+     _options("engquist_osher", 0.9, 4), _options("engquist_osher", 0.5, 4)),
     (("snapshot_stride = 4", "snapshot_stride = 8"), "options",
-     SchemeOptions("engquist_osher", 0.9, 4),
-     SchemeOptions("engquist_osher", 0.9, 8)),
+     _options("engquist_osher", 0.9, 4), _options("engquist_osher", 0.9, 8)),
 ], ids=["grid", "flux_kind", "cfl_safety", "snapshot_stride"])
 def test_verify_refuses_a_run_marched_on_another_grid_or_scheme(
         run_dir, tmp_path, capsys, change, what, got, want):
@@ -721,17 +724,13 @@ def test_verify_of_a_field_on_another_grid_exits_1(run_dir, capsys):
     ("dt", float("inf"), "a finite number > 0"),
     ("m_bound", -1.0, "a finite number >= 0"),
     ("m_bound", None, "a finite number >= 0"),
-    ("eps", -0.5, "a finite number >= 0"),
-    ("eps", float("nan"), "a finite number >= 0"),
-    ("gamma", "0.1", "a finite number >= 0"),
     ("n_steps", 2.5, "a positive integer"),
     ("n_steps", 0, "a positive integer"),
     ("n_tau", 1.5, "an integer or null"),
-    ("n_tau", "3", "an integer or null"),
-    ("mode", "explicit", "regularized, entropy or impulsive"),
-    ("spec_hash", None, "a string")])
+    ("n_tau", "3", "an integer or null")])
 def test_verify_of_a_meta_json_of_the_wrong_type_exits_1(run_dir, capsys,
                                                          key, value, what):
+    # the keys `io` and `verify.rebuild` read before the record is compared
     cfg, traj = run_dir
     meta = json.loads((traj / "meta.json").read_text())
     meta[key] = value
@@ -741,6 +740,130 @@ def test_verify_of_a_meta_json_of_the_wrong_type_exits_1(run_dir, capsys,
     err = capsys.readouterr().err
     assert err == (f"error: meta.json: {key} = {json.dumps(value)} is not "
                    f"{what}\n")
+    assert not (traj / "reports.csv").exists()
+
+
+def _refused_record(run_dir, capsys, key, value):
+    """`verify` of the run with meta.json's ``key`` set to ``value`` exits
+    1 naming it: every march key but the ones `io` reads is compared with
+    `solver.record` of the rebuilt stepper, as the JSON text `run` writes."""
+    cfg, traj = run_dir
+    meta = json.loads((traj / "meta.json").read_text())
+    want = json.dumps(meta[key])
+    meta[key] = value
+    (traj / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {traj} was computed with {key} {json.dumps(value)}, not "
+        f"from {cfg} ({key} {want})\n")
+    assert not (traj / "reports.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("eps", -0.5), ("eps", float("nan")), ("gamma", "0.1"),
+    # equal to 0.0 in Python, but not the number the run wrote
+    ("eps", False),
+    ("mode", "explicit"), ("spec_hash", None)],
+    ids=["eps-negative", "eps-nan", "gamma-string", "eps-false",
+         "mode-explicit", "spec_hash-null"])
+def test_verify_of_a_record_key_the_run_did_not_write_exits_1(
+        run_dir, capsys, key, value):
+    _refused_record(run_dir, capsys, key, value)
+
+
+def test_another_lateral_diffusion_is_named(run_dir, capsys):
+    # as a directory written by the explicit lateral update would
+    _refused_record(run_dir, capsys, "lateral_diffusion", "forward_euler")
+
+
+def test_another_source_step_is_named(run_dir, capsys):
+    # as one written with the source inside the explicit part would
+    _refused_record(run_dir, capsys, "source", "explicit")
+
+
+def test_a_gamma_sweep_without_a_source_exits_1(tmp_path, capsys):
+    # every width would march the one run: it measured errors [0, 0, 0]
+    # and passed
+    cfg = _config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(f'beta = "{BETA_TEXT}"\n', "")
+                   .replace("b1 = 2.0\n", ""))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(cfg), "--param", "gamma", "--values",
+                     "0.1,0.05,0.025", "--out", str(out)]) == 1
+    assert _one_error_line(capsys) == (
+        "error: a gamma sweep needs a source beta: without one every delay "
+        "width marches the same run\n")
+    assert not out.exists()
+
+
+def test_verify_of_an_impulsive_run_recorded_as_entropy_exits_1(tmp_path,
+                                                                capsys):
+    # a config at gamma = 0 states the impulsive problem; with its mode
+    # edited, the jump row would silently go
+    cfg = _config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("gamma = 0.1", "gamma = 0.0"))
+    traj = tmp_path / "traj"
+    assert cli.main(["run", str(cfg), "--out", str(traj)]) == 0
+    meta = json.loads((traj / "meta.json").read_text())
+    assert meta["mode"] == "impulsive"
+    meta["mode"] = "entropy"
+    (traj / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    assert _one_error_line(capsys) == (
+        f'error: {traj} was computed with mode "entropy", not from {cfg} '
+        '(mode "impulsive")\n')
+    assert not (traj / "reports.csv").exists()
+
+
+@pytest.mark.parametrize("keys, named", [
+    (("dt",), "dt"), (("eps", "options"), "options"),
+    # a directory written by the explicit lateral update has no such key
+    (("lateral_diffusion",), "lateral_diffusion"),
+    # nor has one written with the source inside the explicit part
+    (("source",), "source"),
+    # nor one that does not name the spec it marched
+    (("spec_hash",), "spec_hash"),
+    (("mode", "lateral_diffusion", "source", "dt", "n_steps", "n_tau",
+      "eps", "gamma", "m_bound", "options", "spec_hash"),
+     "dt, n_steps, n_tau, m_bound, options"),
+], ids=["dt", "eps_and_options", "explicit_update", "in_step_source",
+        "spec_hash", "all"])
+def test_missing_march_parameters_are_named(run_dir, capsys, keys, named):
+    # `io` names the keys it reads, then `verify` the record's others
+    cfg, traj = run_dir
+    meta = json.loads((traj / "meta.json").read_text())
+    for key in keys:
+        del meta[key]
+    (traj / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
+    assert capsys.readouterr().err == (f"error: {traj}: meta.json lacks "
+                                       f"{named}\n")
+    assert not (traj / "reports.csv").exists()
+
+
+def test_verify_of_a_meta_json_of_a_longer_march_holds_no_schedule(run_dir,
+                                                                   capsys):
+    # a claim of 10^6 steps at stride 1 is refused at the first index.csv
+    # line that differs, having built no more levels than index.csv has
+    # lines: the whole schedule took 214 MiB
+    cfg, traj = run_dir
+    meta = json.loads((traj / "meta.json").read_text())
+    meta["n_steps"], meta["options"]["snapshot_stride"] = 10 ** 6, 1
+    (traj / "meta.json").write_text(json.dumps(meta))
+    index = (traj / "index.csv").read_text().splitlines()
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", str(cfg), "--traj", str(traj)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 8 * 2 ** 20
+    assert capsys.readouterr().err == _refusal(
+        traj, 3, index[2], f"{meta['dt']!r},field_000001.upkf,snapshot")
     assert not (traj / "reports.csv").exists()
 
 
@@ -787,9 +910,8 @@ def test_verify_of_a_trajectory_with_empty_meta_json_exits_1(run_dir,
     (traj / "meta.json").write_text("{}")
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
     err = capsys.readouterr().err
-    assert err == (f"error: {traj}: meta.json lacks mode, lateral_diffusion, "
-                   "source, dt, n_steps, n_tau, eps, gamma, m_bound, "
-                   "options, spec_hash\n")
+    assert err == (f"error: {traj}: meta.json lacks dt, n_steps, n_tau, "
+                   "m_bound, options\n")
     assert not (traj / "reports.csv").exists()
 
 
@@ -857,9 +979,9 @@ def test_verify_refuses_an_impulsive_run_hashed_as_its_config(tmp_path,
     capsys.readouterr()
     assert cli.main(["verify", str(cfg), "--traj", str(traj)]) == 1
     err = capsys.readouterr().err
-    assert err == (f"error: {traj} was computed with spec hash "
-                   f"{config.context_hash()}, not from {cfg} (spec hash "
-                   f"{config.with_data(gamma=0.0).context_hash()})\n")
+    assert err == (f'error: {traj} was computed with spec_hash '
+                   f'"{config.context_hash()}", not from {cfg} (spec_hash '
+                   f'"{config.with_data(gamma=0.0).context_hash()}")\n')
     assert not (traj / "reports.csv").exists()
 
 
@@ -1034,7 +1156,7 @@ def test_verify_of_a_malformed_index_row_exits_1(run_dir, capsys, malform):
 
 @pytest.mark.parametrize("change, message", [
     (("Nx = 8\nNs = 8", "Nx = 16\nNs = 16"), "grid (16, 16)"),
-    (("cfl_safety = 0.9", "cfl_safety = 0.5"), "cfl_safety=0.5"),
+    (("cfl_safety = 0.9", "cfl_safety = 0.5"), '"cfl_safety": 0.5'),
 ])
 def test_verify_of_a_second_run_on_another_grid_or_dt_exits_1(
         run_dir, tmp_path, capsys, change, message):

@@ -118,51 +118,6 @@ def test_unknown_options_are_named(tmp_path):
         upk_io.read_trajectory(tmp_path)
 
 
-@pytest.mark.parametrize("keys", [
-    ("dt",), ("eps", "options"),
-    # a directory written by the explicit lateral update has no such key
-    ("lateral_diffusion",),
-    # nor has one written with the source inside the explicit part
-    ("source",),
-    # nor one that does not name the spec it marched
-    ("spec_hash",),
-    ("mode", "lateral_diffusion", "source", "dt", "n_steps", "n_tau",
-     "eps", "gamma", "m_bound", "options", "spec_hash"),
-], ids=["dt", "eps_and_options", "explicit_update", "in_step_source",
-        "spec_hash", "all"])
-def test_missing_march_parameters_are_named(tmp_path, keys):
-    upk_io.write_trajectory(tmp_path, _trajectory())
-    meta = json.loads((tmp_path / "meta.json").read_text())
-    for key in keys:
-        del meta[key]
-    (tmp_path / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(upk_io.FormatError) as info:
-        upk_io.read_trajectory(tmp_path)
-    assert str(info.value) == f"{tmp_path}: meta.json lacks {', '.join(keys)}"
-
-
-def test_another_lateral_diffusion_is_named(tmp_path):
-    upk_io.write_trajectory(tmp_path, _trajectory())
-    meta = json.loads((tmp_path / "meta.json").read_text())
-    meta["lateral_diffusion"] = "forward_euler"
-    (tmp_path / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(upk_io.FormatError,
-                       match="^meta.json: lateral diffusion 'forward_euler' "
-                             "is not the 'backward_euler' update"):
-        upk_io.read_trajectory(tmp_path)
-
-
-def test_another_source_step_is_named(tmp_path):
-    upk_io.write_trajectory(tmp_path, _trajectory())
-    meta = json.loads((tmp_path / "meta.json").read_text())
-    meta["source"] = "explicit"
-    (tmp_path / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(upk_io.FormatError,
-                       match="^meta.json: source 'explicit' is not the "
-                             "'kick' update"):
-        upk_io.read_trajectory(tmp_path)
-
-
 def test_field_header_is_d1(tmp_path):
     # the .upkf layout: magic, version, d = 1, Nx, Ns, t, payload
     path = tmp_path / "f.upkf"

@@ -14,6 +14,8 @@ import pytest
 
 import upkolmo
 from upkolmo import cli, exprdsl, solver
+from upkolmo.scheme import Stepper
+from scenarios import source_spec, unit_grid
 
 PACKAGE = sorted(p for p in Path(upkolmo.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -197,6 +199,41 @@ def test_one_clock_for_the_march():
               for where, call in _calls({"step_mass", "source_rate"})}
     assert masses == {("scheme.source_rate", "levels"),
                       ("scheme.thetas", "np.arange(self.n_steps)")}
+
+
+def _strings(path):
+    """Every string literal of a module but its docstrings."""
+    tree = ast.parse(path.read_text())
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node, clean=False) is not None}
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docs}
+
+
+def test_one_record_of_a_run():
+    # meta.json's march keys are spelled in `solver.record`: `io` names
+    # the five that it and `verify.rebuild` read before `verify` compares
+    # the whole record with the rebuilt stepper's, and no module writes or
+    # reads another key of its own
+    spec = source_spec()
+    keys = set(solver.record(spec, Stepper(spec, unit_grid(4))))
+    named = {(path.stem, key) for path in PACKAGE if path.stem != "solver"
+             for key in keys & _strings(path)}
+    assert named == {
+        *(("io", key) for key in ("dt", "n_steps", "n_tau", "m_bound",
+                                  "options")),
+        ("verify", "dt"), ("verify", "m_bound"), ("verify", "options"),
+        # the spec `verify` rebuilds, the config's or its gamma -> 0 limit,
+        # is the one the record's mode names; the mode is then compared
+        ("cli", "mode"),
+        # `run` prints the run's dt
+        ("cli", "dt"),
+        # namesakes: the max-principle report's context key, `sweep --param
+        # gamma`, and the config's [source] section and its gamma
+        ("verify", "mode"), ("cli", "gamma"), ("io", "source"),
+        ("io", "gamma")}
 
 
 def _identifiers(path):

@@ -31,7 +31,8 @@ from pathlib import Path
 import pytest
 
 import upkolmo
-from upkolmo import cli, exprdsl
+from upkolmo import cli, exprdsl, solver, verify
+from upkolmo import io as upk_io
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
@@ -103,6 +104,19 @@ def test_outputs_are_the_recorded_ones(bench_run, name, seed):
 def test_reports_are_the_recorded_ones(bench_run, name):
     traj = bench_run(name, 0)[1]
     assert (traj / "reports.csv").read_text().splitlines() == REPORTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_meta_json_holds_the_record_of_the_rebuilt_stepper(bench_run, name):
+    # as text, the form in which `verify` compares them
+    cfg, traj = bench_run(name, 0)
+    config = upk_io.load_config(cfg).spec
+    spec = cli._marched(config, WORKLOADS[name].mode)
+    stored = json.loads((traj / "meta.json").read_text())
+    record = solver.record(spec, verify.rebuild(spec, upk_io.read_trajectory(
+        traj, L=config.L, S=config.S)))
+    assert {key: upk_io.meta_text(stored[key]) for key in record} == {
+        key: upk_io.meta_text(value) for key, value in record.items()}
 
 
 def test_every_workload_is_recorded():

@@ -947,10 +947,11 @@ class TestGammaLimit:
         assert verify.spacetime_l1_diff(traj, ref) == 0.0
 
     def test_degenerate_no_perturbation(self):
-        spec = nosource_spec()
-        rep = verify.check_gamma_limit(spec, unit_grid(32), [0.2, 0.1, 0.05])
-        assert rep.passed
-        assert max(rep.context["errors"]) <= 1e-12
+        # every width would march the one run, and the flat errors passed
+        with pytest.raises(ValueError, match="^a gamma sweep needs a "
+                                             "source beta"):
+            verify.check_gamma_limit(nosource_spec(), unit_grid(32),
+                                     [0.2, 0.1, 0.05])
 
     def test_rejects_oversized_gamma(self):
         with pytest.raises(verify.GammaOutOfRangeError):
